@@ -229,9 +229,9 @@ type lookupError string
 
 func (e lookupError) Error() string { return string(e) }
 
-// lookupState drives one iterative lookup. States are pooled: the maps and
-// slices survive between lookups (cleared, capacity kept), so a steady
-// mission workload runs its lookups allocation-free.
+// lookupState drives one iterative lookup. States recycle through the node's
+// Scratch: the sets and slices survive between lookups (cleared, capacity
+// kept), so a steady mission workload runs its lookups allocation-free.
 type lookupState struct {
 	node      *Node
 	target    ID
@@ -244,22 +244,24 @@ type lookupState struct {
 	// sorted is the length of the shortlist prefix known to be in ascending
 	// distance order: appends land past it, removals keep it, and
 	// sortShortlist only has to insert the tail.
-	sorted    int
-	result    []Contact
-	seen      distSet
-	queried   distSet
+	sorted  int
+	result  []Contact
+	seen    distSet
+	queried distSet
+	// requeried marks contacts already given their one re-query; nil until
+	// the retry arm first writes it.
 	requeried map[ID]bool
 	inflight  int
 	finished  bool
 }
 
 // release returns a drained state (finished, no queries in flight) to its
-// node's freelist. The sets and slices keep their capacity for the node's
-// next lookup — unlike a global sync.Pool, whose GC eviction made every
-// lookup after a collection re-grow its shortlist and sets from scratch,
-// feeding the next collection in turn.
+// node's scratch. The sets and slices keep their capacity for the next
+// lookup on the same loop — unlike a global sync.Pool, whose GC eviction made
+// every lookup after a collection re-grow its shortlist and sets from
+// scratch, feeding the next collection in turn.
 func (ls *lookupState) release() {
-	n := ls.node
+	s := ls.node.cfg.Scratch
 	ls.seen.reset()
 	ls.queried.reset()
 	clear(ls.requeried)
@@ -270,9 +272,7 @@ func (ls *lookupState) release() {
 	ls.finishCb = nil
 	ls.finishArg = nil
 	ls.finished = false
-	n.mu.Lock()
-	n.lsFree = append(n.lsFree, ls)
-	n.mu.Unlock()
+	s.lookups.put(ls, maxFreeLookups)
 }
 
 // distSet is an open-addressing membership set over packed XOR-distance
@@ -396,17 +396,7 @@ func (n *Node) newLookup(target ID, wantValue bool, cb func(any, []Contact, []by
 			return
 		}
 	}
-	n.mu.Lock()
-	var ls *lookupState
-	if k := len(n.lsFree); k > 0 {
-		ls = n.lsFree[k-1]
-		n.lsFree[k-1] = nil
-		n.lsFree = n.lsFree[:k-1]
-	}
-	n.mu.Unlock()
-	if ls == nil {
-		ls = &lookupState{requeried: make(map[ID]bool, 4)}
-	}
+	ls := n.cfg.Scratch.lookups.get()
 	ls.node = n
 	ls.target = target
 	ls.wantVal = wantValue
@@ -520,6 +510,9 @@ func (ls *lookupState) onResponse(from Contact, resp Message, err error) {
 			// faults make a single timeout weak evidence of death. Clearing
 			// the queried mark puts the contact back in step's candidate
 			// window; the requeried mark makes the second failure final.
+			if ls.requeried == nil {
+				ls.requeried = make(map[ID]bool, 4)
+			}
 			ls.requeried[from.ID] = true
 			r := rankContact(ls.target, from)
 			ls.queried.del(r.d0, r.d1, r.d2)

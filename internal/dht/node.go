@@ -51,6 +51,11 @@ type Config struct {
 	// OnApp receives application payloads (the self-emerging protocol
 	// messages). Optional.
 	OnApp func(from Contact, payload []byte)
+	// Scratch is the recycled working memory this node shares with every
+	// other node dispatched from the same serial context (see Scratch). Nil
+	// gives the node a private one — right for a real socket, whose handler
+	// goroutine is a dispatch context of its own.
+	Scratch *Scratch
 }
 
 func (c Config) withDefaults() Config {
@@ -76,6 +81,9 @@ func (c Config) withDefaults() Config {
 	if c.Table == TableDefault {
 		c.Table = TablePingEvict
 	}
+	if c.Scratch == nil {
+		c.Scratch = NewScratch(0)
+	}
 	return c
 }
 
@@ -91,18 +99,6 @@ type Node struct {
 	cfg   Config
 	table *Table
 
-	// Receive-path scratch: handlers are invoked serially per endpoint (the
-	// transport contract), so one decode Message, one reply contact buffer
-	// and one address intern table per node serve every inbound datagram
-	// without allocating. The intern table maps raw address bytes to their
-	// canonical string, sparing one string allocation per contact per
-	// datagram; it is bounded, so a flood of unique addresses degrades to
-	// plain allocation instead of growing it without limit.
-	rx         Message
-	rxContacts []Contact
-	addrIntern addrTable
-	internFn   func([]byte) transport.Addr
-
 	// appSeen dedups acked app payloads by (sender, RPCID): a retrying or
 	// fault-duplicated sender may deliver one payload several times. Only
 	// the handle path touches it (serial per endpoint), so it needs no
@@ -114,14 +110,7 @@ type Node struct {
 	// Guarded by mu (the timeout path draws from it).
 	retryRng *stats.RNG
 
-	mu sync.Mutex
-	// lsFree and rpcFree are per-node freelists for lookup states and
-	// in-flight RPC records (guarded by mu). Node-owned recycling keeps the
-	// records' grown buffers across the node's whole life; the global
-	// sync.Pools they replace were emptied at every GC, and on large runs
-	// the post-eviction re-allocations fed the next collection.
-	lsFree     []*lookupState
-	rpcFree    []*pendingRPC
+	mu         sync.Mutex
 	pending    map[uint64]*pendingRPC
 	rpcSeq     uint64
 	values     map[ID]storedValue
@@ -144,9 +133,9 @@ const maxAppSeen = 1 << 15
 // retain its payload, so a buffer is reusable the moment the send returns.
 var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// pendingRPC is one in-flight request: a pooled record armed as the timeout
-// event's argument, so the per-RPC cost is neither a record allocation, a
-// timeout closure, nor a boxed Timer.
+// pendingRPC is one in-flight request: a record recycled through the node's
+// Scratch and armed as the timeout event's argument, so the per-RPC cost is
+// neither a record allocation, a timeout closure, nor a boxed Timer.
 //
 // Release protocol: whichever path removes the record from n.pending owns
 // it. settle (and the cold cancel paths) own it only if timer.Stop()
@@ -192,11 +181,10 @@ func (c rpcCallback) deliver(m Message, err error) {
 	c.argFn(c.arg, m, err)
 }
 
-// releasePending returns a settled record to its node's freelist. The wire
-// buffer keeps its capacity for the record's next life. Callers must NOT
-// hold n.mu.
+// releasePending returns a settled record to its node's scratch. The wire
+// buffer keeps its capacity for the record's next life.
 func releasePending(p *pendingRPC) {
-	n := p.node
+	s := p.node.cfg.Scratch
 	p.node = nil
 	p.cb = rpcCallback{}
 	p.timer = sim.ArgTimer{}
@@ -205,9 +193,7 @@ func releasePending(p *pendingRPC) {
 	p.attempt = 0
 	p.waiting = false
 	p.retry = false
-	n.mu.Lock()
-	n.rpcFree = append(n.rpcFree, p)
-	n.mu.Unlock()
+	s.rpcs.put(p, maxFreePending)
 }
 
 // rpcTimeout is the package-level timeout callback: fires when the peer did
@@ -291,7 +277,6 @@ func NewNode(cfg Config) (*Node, error) {
 		pending: make(map[uint64]*pendingRPC),
 		values:  make(map[ID]storedValue),
 	}
-	n.internFn = n.internAddr
 	if cfg.Retry.enabled() {
 		n.retryRng = stats.NewRNG(retrySeed(cfg.ID))
 	}
@@ -303,89 +288,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	cfg.Endpoint.SetHandler(n.handle)
 	return n, nil
-}
-
-// maxInternedAddrs bounds the receive-path address intern table.
-const maxInternedAddrs = 1 << 16
-
-// addrTable is the receive path's open-addressing address interner: raw
-// address bytes hash (FNV-1a) to their canonical string. A contact decode is
-// one short hash and usually one slot probe — measurably cheaper than a
-// map[string]Addr lookup, which pays full map machinery per contact on the
-// hottest path in the simulator. Entries are never deleted.
-type addrTable struct {
-	slots []addrSlot // power-of-two length
-	used  int
-}
-
-type addrSlot struct {
-	hash uint64 // 0 = empty (occupied hashes are forced nonzero)
-	addr transport.Addr
-}
-
-func hashAddr(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
-// internAddr returns the canonical Addr for raw address bytes, remembering
-// it for future datagrams. Only the handle path uses it, which runs
-// serially, so the table needs no lock.
-func (n *Node) internAddr(b []byte) transport.Addr {
-	t := &n.addrIntern
-	h := hashAddr(b)
-	if t.used > 0 {
-		mask := len(t.slots) - 1
-		for i := int(h) & mask; ; i = (i + 1) & mask {
-			sl := &t.slots[i]
-			if sl.hash == 0 {
-				break
-			}
-			if sl.hash == h && string(sl.addr) == string(b) {
-				return sl.addr
-			}
-		}
-	}
-	a := transport.Addr(b)
-	if t.used >= maxInternedAddrs {
-		// Bounded: a flood of unique addresses degrades to plain
-		// allocation instead of growing the table without limit.
-		return a
-	}
-	if 4*(t.used+1) > 3*len(t.slots) {
-		old := t.slots
-		size := 2 * len(old)
-		if size == 0 {
-			size = 32
-		}
-		t.slots = make([]addrSlot, size)
-		mask := size - 1
-		for i := range old {
-			if old[i].hash == 0 {
-				continue
-			}
-			j := int(old[i].hash) & mask
-			for t.slots[j].hash != 0 {
-				j = (j + 1) & mask
-			}
-			t.slots[j] = old[i]
-		}
-	}
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for t.slots[i].hash != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = addrSlot{hash: h, addr: a}
-	t.used++
-	return a
 }
 
 // ID returns the node identifier.
@@ -430,13 +332,22 @@ func (n *Node) Close() error {
 	return n.cfg.Endpoint.Close()
 }
 
-// handle is the transport inbound entry point. It decodes into the node's
-// scratch Message (handlers run serially per endpoint), so everything the
-// dispatch below touches — including msg.App handed to OnApp — is valid
-// only until handle returns; consumers that keep bytes must copy them.
+// handle is the transport inbound entry point. It decodes into the scratch
+// Message (one datagram is in dispatch at a time per Scratch), so everything
+// the dispatch touches — including msg.App handed to OnApp — is valid only
+// until handle returns; consumers that keep bytes must copy them.
 func (n *Node) handle(from transport.Addr, data []byte) {
-	msg := &n.rx
-	if err := decodeMessageInto(msg, data, n.internFn); err != nil {
+	s := n.cfg.Scratch
+	if s.rxBusy {
+		// Only a bug gets here: a handler invoked synchronously from inside
+		// another, or one Scratch shared across dispatch contexts. Decoding
+		// now would overwrite the message still being dispatched.
+		panic("dht: Scratch re-entered: handlers sharing a Scratch must run serially")
+	}
+	s.rxBusy = true
+	defer func() { s.rxBusy = false }()
+	msg := &s.rx
+	if err := decodeMessageInto(msg, data, s.internFn); err != nil {
 		return // malformed datagram: drop, like any UDP service
 	}
 	if msg.From.ID == n.cfg.ID {
@@ -453,11 +364,11 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 	case KindPing:
 		n.reply(msg.From, Message{Kind: KindPong, RPCID: msg.RPCID})
 	case KindFindNode:
-		n.rxContacts = n.table.AppendClosest(n.rxContacts[:0], msg.Target, n.cfg.K)
+		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Target, n.cfg.K)
 		n.reply(msg.From, Message{
 			Kind:     KindFindNodeResp,
 			RPCID:    msg.RPCID,
-			Contacts: n.rxContacts,
+			Contacts: s.rxContacts,
 		})
 	case KindStore:
 		n.storeLocal(msg.Key, msg.Value, msg.TTL)
@@ -467,12 +378,12 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 			n.reply(msg.From, Message{Kind: KindFindValueResp, RPCID: msg.RPCID, Key: msg.Key, Found: true, Value: value})
 			return
 		}
-		n.rxContacts = n.table.AppendClosest(n.rxContacts[:0], msg.Key, n.cfg.K)
+		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Key, n.cfg.K)
 		n.reply(msg.From, Message{
 			Kind:     KindFindValueResp,
 			RPCID:    msg.RPCID,
 			Key:      msg.Key,
-			Contacts: n.rxContacts,
+			Contacts: s.rxContacts,
 		})
 	case KindApp:
 		if msg.RPCID != 0 {
@@ -526,7 +437,7 @@ func (n *Node) request(to Contact, m Message, cb func(Message, error)) {
 }
 
 // requestArg is the closure-free form of request: fn is a package-level
-// function and arg a pooled record, so issuing the RPC allocates nothing.
+// function and arg a recycled record, so issuing the RPC allocates nothing.
 func (n *Node) requestArg(to Contact, m Message, fn func(any, Message, error), arg any) {
 	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg})
 }
@@ -548,14 +459,7 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 	n.rpcSeq++
 	id := n.rpcSeq
 	m.RPCID = id
-	var p *pendingRPC
-	if k := len(n.rpcFree); k > 0 {
-		p = n.rpcFree[k-1]
-		n.rpcFree[k-1] = nil
-		n.rpcFree = n.rpcFree[:k-1]
-	} else {
-		p = new(pendingRPC)
-	}
+	p := n.cfg.Scratch.rpcs.get()
 	p.node, p.cb, p.to, p.id = n, cb, to.ID, id
 	p.addr, p.timeout, p.attempt, p.retry = to.Addr, timeout, 1, retry
 	p.timer = sim.AfterFuncArg(n.cfg.Clock, timeout, rpcTimeout, p)

@@ -1,0 +1,175 @@
+package dht
+
+import (
+	"sync"
+
+	"selfemerge/internal/transport"
+)
+
+// Scratch is the recycled working memory of every node that shares one
+// serial dispatch context — one simulator event loop, or one real node's
+// endpoint. It owns what a node needs only while it is handling an event and
+// that outlives any single node: the receive-path decode Message, reply
+// contact buffer and address interner, and the freelists of lookup states
+// and in-flight RPC records. None of it is observable: sharing changes who
+// pays for the memory, never a wire byte or an event.
+//
+// Ownership rule: all nodes handed the same Scratch must have their handlers
+// and timers dispatched from one serial context (handlers are delivered from
+// scheduled events, never synchronously from a send, so one event loop is
+// such a context). The decode state is unguarded on that contract and handle
+// panics on re-entry; the freelists carry their own lock because a real
+// node's lookups start on caller goroutines and settle on timer goroutines.
+//
+// Node scope was the wrong owner for this state: under churn it died with its
+// node several times per mission and was re-bought by the replacement, and at
+// boot every node pinned a private arena sized for its own bootstrap burst
+// for the rest of its life.
+type Scratch struct {
+	// Receive path: one datagram is decoded and dispatched at a time.
+	rx         Message
+	rxBusy     bool
+	rxContacts []Contact
+	addrs      addrTable
+	internFn   func([]byte) transport.Addr
+
+	lookups freelist[lookupState]
+	rpcs    freelist[pendingRPC]
+}
+
+// Freelist bounds. A burst — every node of a booting network running its
+// bootstrap lookup at once — allocates past them and the surplus is garbage
+// once it drains, instead of staying pinned at the high-water mark. The
+// bounds sit above the steady concurrency of one loop's missions and churn
+// joins, so a warmed loop allocates neither.
+const (
+	maxFreeLookups = 64
+	maxFreePending = 256
+)
+
+// defaultInternedAddrs bounds the address interner of a scratch that was not
+// told its population: a real socket facing a flood of forged contact
+// addresses degrades to plain allocation instead of growing without limit.
+const defaultInternedAddrs = 1 << 16
+
+// NewScratch returns an empty scratch. peers is the number of distinct peer
+// addresses its nodes will see when the caller knows it (a simulated
+// population), so the interner can hold all of them; zero — or anything
+// under the default — keeps the default bound.
+func NewScratch(peers int) *Scratch {
+	s := &Scratch{}
+	s.addrs.max = max(peers, defaultInternedAddrs)
+	s.internFn = s.addrs.intern
+	return s
+}
+
+// freelist is a bounded LIFO of recycled records.
+type freelist[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// get pops a recycled record, or allocates a zero one.
+func (f *freelist[T]) get() *T {
+	f.mu.Lock()
+	var v *T
+	if k := len(f.free); k > 0 {
+		v = f.free[k-1]
+		f.free[k-1] = nil
+		f.free = f.free[:k-1]
+	}
+	f.mu.Unlock()
+	if v == nil {
+		v = new(T)
+	}
+	return v
+}
+
+// put keeps v for reuse unless the list already holds limit records.
+func (f *freelist[T]) put(v *T, limit int) {
+	f.mu.Lock()
+	if len(f.free) < limit {
+		f.free = append(f.free, v)
+	}
+	f.mu.Unlock()
+}
+
+// addrTable is the receive path's open-addressing address interner: raw
+// address bytes hash (FNV-1a) to their canonical string. A contact decode is
+// one short hash and usually one slot probe — measurably cheaper than a
+// map[string]Addr lookup, which pays full map machinery per contact on the
+// hottest path in the simulator. Entries are never deleted; the table stops
+// admitting at max, so a flood of unique addresses degrades to plain
+// allocation instead of growing it without limit.
+type addrTable struct {
+	slots []addrSlot // power-of-two length
+	used  int
+	max   int
+}
+
+type addrSlot struct {
+	hash uint64 // 0 = empty (occupied hashes are forced nonzero)
+	addr transport.Addr
+}
+
+func hashAddr(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	if h == 0 {
+		h = 1
+	}
+	return h
+}
+
+// intern returns the canonical Addr for raw address bytes, remembering it
+// for future datagrams. Only the handle path uses it, which runs serially,
+// so the table needs no lock.
+func (t *addrTable) intern(b []byte) transport.Addr {
+	h := hashAddr(b)
+	if t.used > 0 {
+		mask := len(t.slots) - 1
+		for i := int(h) & mask; ; i = (i + 1) & mask {
+			sl := &t.slots[i]
+			if sl.hash == 0 {
+				break
+			}
+			if sl.hash == h && string(sl.addr) == string(b) {
+				return sl.addr
+			}
+		}
+	}
+	a := transport.Addr(b)
+	if t.used >= t.max {
+		return a
+	}
+	if 4*(t.used+1) > 3*len(t.slots) {
+		old := t.slots
+		size := 2 * len(old)
+		if size == 0 {
+			size = 32
+		}
+		t.slots = make([]addrSlot, size)
+		mask := size - 1
+		for i := range old {
+			if old[i].hash == 0 {
+				continue
+			}
+			j := int(old[i].hash) & mask
+			for t.slots[j].hash != 0 {
+				j = (j + 1) & mask
+			}
+			t.slots[j] = old[i]
+		}
+	}
+	mask := len(t.slots) - 1
+	i := int(h) & mask
+	for t.slots[i].hash != 0 {
+		i = (i + 1) & mask
+	}
+	t.slots[i] = addrSlot{hash: h, addr: a}
+	t.used++
+	return a
+}

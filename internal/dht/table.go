@@ -89,27 +89,83 @@ func ParseTablePolicy(s string) (TablePolicy, error) {
 // observing a new contact inserts it, and a full bucket admits newcomers
 // per the configured TablePolicy. Policy rationale and the threat model are
 // documented in DESIGN.md.
+//
+// The table is sparse: a bucket exists only once a contact has landed in it.
+// A node in an N-node network ever fills ~log2(N) of its IDBits buckets, so
+// the table stores just those, in index order, and finds bucket i at the
+// rank of bit i in the present bitmap.
 type Table struct {
 	self       ID
 	k          int
 	staleAfter time.Duration
 	now        func() time.Time
 
-	mu      sync.Mutex
-	policy  TablePolicy
-	pinger  func(Contact, func(alive bool))
-	buckets [IDBits]bucket
-	// occupied is a bitmap of buckets with live entries (bit i ↔ buckets[i]),
-	// so the selection scan walks the ~log2(N) populated buckets directly
-	// instead of testing all IDBits lengths per call. Guarded by mu.
-	occupied [(IDBits + 63) / 64]uint64
+	mu     sync.Mutex
+	policy TablePolicy
+	pinger func(Contact, func(alive bool))
+	// buckets holds the buckets that exist, ascending by index; present marks
+	// which indexes those are (bucket i sits at the rank of bit i). A bucket
+	// is created by its first insert and never dropped — an emptied one keeps
+	// its probing state. The slice starts on the inline array, so a table
+	// allocates nothing for its buckets until more than inlineBuckets
+	// distances are populated.
+	buckets []bucket
+	present bucketSet
+	// occupied marks the buckets with live entries, so the selection scan
+	// walks the ~log2(N) populated buckets directly instead of testing all
+	// IDBits lengths per call. Guarded by mu.
+	occupied bucketSet
+	inline   [inlineBuckets]bucket
 }
 
-// setOccupied resyncs bucket idx's occupancy bit. Callers hold t.mu and call
-// it after any mutation that can change len(entries) across zero.
-func (t *Table) setOccupied(idx int) {
+// inlineBuckets is log2 of the largest population the repo aims at (10^6
+// nodes): uniformly drawn IDs populate about that many distances, so only a
+// table fed adversarially placed IDs outgrows the inline array.
+const inlineBuckets = 20
+
+// bucketSet is a bitmap over bucket indexes.
+type bucketSet [(IDBits + 63) / 64]uint64
+
+func (s *bucketSet) has(idx int) bool { return s[idx>>6]&(1<<(idx&63)) != 0 }
+
+// rank counts the set indexes below idx.
+func (s *bucketSet) rank(idx int) int {
+	w := idx >> 6
+	r := bits.OnesCount64(s[w] & (1<<(idx&63) - 1))
+	for i := 0; i < w; i++ {
+		r += bits.OnesCount64(s[i])
+	}
+	return r
+}
+
+// bucket returns bucket idx, or nil if nothing was ever inserted there.
+// Callers hold t.mu; the pointer is valid until the next ensureBucket.
+func (t *Table) bucket(idx int) *bucket {
+	if !t.present.has(idx) {
+		return nil
+	}
+	return &t.buckets[t.present.rank(idx)]
+}
+
+// ensureBucket returns bucket idx, creating it (empty) at its rank if absent.
+// Callers hold t.mu.
+func (t *Table) ensureBucket(idx int) *bucket {
+	r := t.present.rank(idx)
+	if !t.present.has(idx) {
+		t.buckets = append(t.buckets, bucket{})
+		copy(t.buckets[r+1:], t.buckets[r:])
+		t.buckets[r] = bucket{}
+		t.present[idx>>6] |= 1 << (idx & 63)
+	}
+	return &t.buckets[r]
+}
+
+// setOccupied resyncs the occupancy bit of b, which is bucket idx. Callers
+// hold t.mu and call it after any mutation that can change len(entries)
+// across zero.
+func (t *Table) setOccupied(idx int, b *bucket) {
 	bit := uint64(1) << (idx & 63)
-	if len(t.buckets[idx].entries) != 0 {
+	if len(b.entries) != 0 {
 		t.occupied[idx>>6] |= bit
 	} else {
 		t.occupied[idx>>6] &^= bit
@@ -126,7 +182,9 @@ func NewTable(self ID, k int, staleAfter time.Duration, now func() time.Time) *T
 	if now == nil {
 		panic("dht: table requires a clock")
 	}
-	return &Table{self: self, k: k, staleAfter: staleAfter, now: now, policy: TableNaive}
+	t := &Table{self: self, k: k, staleAfter: staleAfter, now: now, policy: TableNaive}
+	t.buckets = t.inline[:0]
+	return t
 }
 
 // SetPolicy selects the full-bucket admission policy. TableDefault resolves
@@ -173,7 +231,9 @@ func (t *Table) observe(c Contact, verified bool) {
 		return // never track self
 	}
 	t.mu.Lock()
-	b := &t.buckets[idx]
+	// An absent bucket is created here: every path below inserts into an
+	// empty bucket (k >= 1).
+	b := t.ensureBucket(idx)
 	entries := b.entries
 	for i := range entries {
 		if entries[i].ID == c.ID {
@@ -205,7 +265,7 @@ func (t *Table) observe(c Contact, verified bool) {
 			entries = make([]bucketEntry, 0, n)
 		}
 		b.entries = append(entries, entry)
-		t.setOccupied(idx)
+		t.setOccupied(idx, b)
 		t.mu.Unlock()
 		return
 	}
@@ -275,10 +335,13 @@ func (t *Table) probeDone(id ID, _ bool) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := &t.buckets[idx]
+	b := t.bucket(idx)
+	if b == nil {
+		return
+	}
 	b.probing = false
 	t.promoteSpares(b)
-	t.setOccupied(idx)
+	t.setOccupied(idx, b)
 }
 
 // promoteSpares moves replacement-cache records (newest first) into free
@@ -301,12 +364,15 @@ func (t *Table) Remove(id ID) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b := &t.buckets[idx]
+	b := t.bucket(idx)
+	if b == nil {
+		return
+	}
 	for i := range b.entries {
 		if b.entries[i].ID == id {
 			b.entries = append(b.entries[:i], b.entries[i+1:]...)
 			t.promoteSpares(b)
-			t.setOccupied(idx)
+			t.setOccupied(idx, b)
 			return
 		}
 	}
@@ -479,7 +545,7 @@ func (t *Table) appendClosestRanked(dst []ranked, target ID, count int) []ranked
 			// and floors only rise from here: nothing left can improve.
 			break
 		}
-		entries := t.buckets[ob.idx].entries
+		entries := t.bucket(ob.idx).entries
 		for ei := range entries {
 			// By pointer: a by-value range would copy the whole entry
 			// per candidate just to read half of it.
@@ -581,7 +647,11 @@ func (t *Table) Contains(id ID) bool {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, e := range t.buckets[idx].entries {
+	b := t.bucket(idx)
+	if b == nil {
+		return false
+	}
+	for _, e := range b.entries {
 		if e.ID == id {
 			return true
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"selfemerge/internal/stats"
 	"selfemerge/internal/transport"
@@ -365,7 +366,20 @@ func TestTableBucketInvariant(t *testing.T) {
 	}
 	table.mu.Lock()
 	defer table.mu.Unlock()
-	for idx, b := range table.buckets {
+	present := 0
+	for idx := 0; idx < IDBits; idx++ {
+		b, occupied := table.bucket(idx), table.occupied.has(idx)
+		if b == nil {
+			// Absent bucket: nothing was ever inserted at this distance.
+			if occupied {
+				t.Fatalf("absent bucket %d is marked occupied", idx)
+			}
+			continue
+		}
+		present++
+		if occupied != (len(b.entries) != 0) {
+			t.Fatalf("bucket %d: occupied bit %v with %d entries", idx, occupied, len(b.entries))
+		}
 		if len(b.entries) > k {
 			t.Fatalf("bucket %d has %d entries", idx, len(b.entries))
 		}
@@ -378,5 +392,110 @@ func TestTableBucketInvariant(t *testing.T) {
 				t.Fatalf("entry %v in bucket %d, want %d", e.ID.Short(), idx, want)
 			}
 		}
+	}
+	// 5000 uniform IDs reach ~log2(5000) distances; the rest must stay absent.
+	if present == 0 || present > inlineBuckets || present != len(table.buckets) {
+		t.Fatalf("%d of %d buckets present, %d stored", present, IDBits, len(table.buckets))
+	}
+}
+
+// idInBucket returns an ID whose bucket index relative to self is idx.
+func idInBucket(self ID, idx int) ID {
+	id := self
+	id[idx/8] ^= 0x80 >> (idx % 8)
+	return id
+}
+
+func TestTableAbsentBucket(t *testing.T) {
+	// Every operation that indexes a bucket treats a never-populated one as
+	// empty, at the near end, the far end and in between.
+	table, _ := newTestTable(4)
+	table.SetPolicy(TablePingEvict)
+	for _, idx := range []int{0, 1, 63, 64, 127, 128, IDBits - 1} {
+		id := idInBucket(table.self, idx)
+		if got, ok := table.self.BucketIndex(id); !ok || got != idx {
+			t.Fatalf("idInBucket(%d) landed in bucket %d", idx, got)
+		}
+		if table.Contains(id) {
+			t.Errorf("bucket %d: Contains on an absent bucket", idx)
+		}
+		table.Remove(id)
+		table.probeDone(id, false)
+		table.probeDone(id, true)
+		if table.bucket(idx) != nil {
+			t.Errorf("bucket %d: created without an insert", idx)
+		}
+	}
+	if table.Len() != 0 {
+		t.Errorf("Len = %d on an empty table", table.Len())
+	}
+	table.Each(func(c Contact) { t.Errorf("Each visited %v on an empty table", c) })
+	if got := table.Closest(IDFromKey([]byte("t")), 3); len(got) != 0 {
+		t.Errorf("Closest returned %d contacts from an empty table", len(got))
+	}
+	// The first insert creates exactly its own bucket.
+	id := idInBucket(table.self, 77)
+	table.Observe(Contact{ID: id})
+	if !table.Contains(id) || table.Len() != 1 || table.bucket(77) == nil || len(table.buckets) != 1 {
+		t.Errorf("first insert into an absent bucket: %d buckets, Len %d", len(table.buckets), table.Len())
+	}
+}
+
+func TestTableEveryBucket(t *testing.T) {
+	// Adversarially placed IDs can populate every distance: the table grows
+	// past its inline array, keeps buckets in index order whatever order they
+	// were created in, and still selects exactly.
+	table, _ := newTestTable(4)
+	rng := stats.NewRNG(160)
+	order := make([]int, IDBits)
+	for i := range order {
+		order[i] = i
+	}
+	for i := len(order) - 1; i > 0; i-- {
+		j := int(rng.Uint64n(uint64(i + 1)))
+		order[i], order[j] = order[j], order[i]
+	}
+	for n, idx := range order {
+		table.Observe(Contact{ID: idInBucket(table.self, idx)})
+		if table.Len() != n+1 {
+			t.Fatalf("after %d inserts Len = %d", n+1, table.Len())
+		}
+	}
+	if len(table.buckets) != IDBits {
+		t.Fatalf("%d buckets stored, want %d", len(table.buckets), IDBits)
+	}
+	next := 0
+	table.Each(func(c Contact) {
+		if idx, _ := table.self.BucketIndex(c.ID); idx != next {
+			t.Fatalf("Each visited bucket %d, want %d", idx, next)
+		}
+		next++
+	})
+	// XOR distance to self falls as the shared prefix grows: the closest
+	// contacts are the deepest buckets, nearest first.
+	got := table.Closest(table.self, 5)
+	for i, c := range got {
+		if want := idInBucket(table.self, IDBits-1-i); c.ID != want {
+			t.Fatalf("Closest[%d] = %s, want bucket %d's contact", i, c.ID.Short(), IDBits-1-i)
+		}
+	}
+	for _, idx := range order[:40] {
+		table.Remove(idInBucket(table.self, idx))
+	}
+	if table.Len() != IDBits-40 || len(table.buckets) != IDBits {
+		t.Fatalf("after 40 removals: Len %d, %d buckets stored", table.Len(), len(table.buckets))
+	}
+}
+
+func TestEmptyTableSize(t *testing.T) {
+	// A churn join buys one of these; the [IDBits]bucket array it replaced
+	// was 9.25 KiB, nearly all of it buckets that never fill.
+	if size := unsafe.Sizeof(Table{}); size >= 2<<10 {
+		t.Fatalf("empty Table is %d bytes, want < 2 KiB", size)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		NewTable(ID{1}, 20, time.Minute, time.Now)
+	}); allocs > 1 {
+		t.Fatalf("NewTable makes %v allocations, want the Table alone", allocs)
 	}
 }

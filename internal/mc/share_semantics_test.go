@@ -98,9 +98,18 @@ func TestShareLiveReleaseGatedByEntryColumn(t *testing.T) {
 		return 1 - math.Pow(q, float64(n)) - float64(n)*p*math.Pow(q, float64(n-1))
 	}
 	want := atLeast2(6, p) - (1-p)*(1-p)*atLeast2(4, p)
-	withinCI(t, "live-model release", 1-live.Rr(), want)
-	if liveRel, quotaRel := 1-live.Rr(), 1-quota.Rr(); liveRel < 3*quotaRel {
-		t.Errorf("live-model release %.4f not well above quota-model %.4f", liveRel, quotaRel)
+	// The quota model demands the same entry-column event and, independently,
+	// >= m malicious carriers in each of the two deeper share columns.
+	deeper := atLeast2(6, p) * atLeast2(6, p)
+	quotaWant := want * deeper
+	liveRel, quotaRel := 1-live.Rr(), 1-quota.Rr()
+	withinCI(t, "live-model release", liveRel, want)
+	withinCI(t, "quota-model release", quotaRel, quotaWant)
+	// The closed forms put the live rate 1/deeper (~2.97x at p=0.3) above the
+	// quota rate; 0.8 of that is what two estimates inside their withinCI
+	// bands still guarantee, so the margin holds by construction, not by seed.
+	if c := 0.8 / deeper; liveRel < c*quotaRel {
+		t.Errorf("live-model release %.4f not %.2fx above quota-model %.4f", liveRel, c, quotaRel)
 	}
 }
 

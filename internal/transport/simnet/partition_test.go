@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -84,10 +85,10 @@ func TestPartitionLatencyLowerBound(t *testing.T) {
 	c := p.Endpoint(2, "c")
 
 	sendAt := make([]time.Time, 64)
-	var delivered int
+	var delivered atomic.Int64 // b's and c's handlers run on concurrent shard loops
 	check := func(s *sim.Simulator) transport.Handler {
 		return func(_ transport.Addr, payload []byte) {
-			delivered++
+			delivered.Add(1)
 			if lat := s.Now().Sub(sendAt[payload[0]]); lat < base {
 				t.Errorf("message %d latency %v below base %v", payload[0], lat, base)
 			}
@@ -110,8 +111,8 @@ func TestPartitionLatencyLowerBound(t *testing.T) {
 		})
 	}
 	l.RunFor(time.Second)
-	if delivered != 40 {
-		t.Fatalf("delivered %d, want 40", delivered)
+	if got := delivered.Load(); got != 40 {
+		t.Fatalf("delivered %d, want 40", got)
 	}
 }
 

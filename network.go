@@ -273,6 +273,11 @@ type Network struct {
 
 	nodes    []*dht.Node
 	receiver *dht.Node
+	// scratch holds one dht.Scratch per event loop (indexed by shard; one
+	// entry on the classic loop): the DHT working memory every node on that
+	// loop shares, so it outlives churn replacements instead of being
+	// re-bought at each join.
+	scratch []*dht.Scratch
 
 	mu         sync.Mutex
 	deliveries map[protocol.MissionID]delivery
@@ -383,6 +388,12 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		if churnEnabled {
 			n.churnProc = churn.New(n.simulator, churnCfg)
 		}
+	}
+
+	n.scratch = make([]*dht.Scratch, max(cfg.Partition, 1))
+	for i := range n.scratch {
+		// Every loop sees every address: contacts travel across shards.
+		n.scratch[i] = dht.NewScratch(cfg.Nodes)
 	}
 
 	if cfg.Attack == adversary.StrategyEclipse && cfg.ForgeRate > 0 {
@@ -622,6 +633,7 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		Table:    n.cfg.Table,
 		Retry:    dht.RetryPolicy{Attempts: n.cfg.Retry},
 		OnApp:    host.HandleApp,
+		Scratch:  n.scratch[shard],
 	})
 	if err != nil {
 		return err
