@@ -37,8 +37,11 @@
 // deterministically — the lever for very large mission-count axes.
 // -partition S splits instead: the point's one population runs across S
 // parallel event loops with deterministic cross-shard routing — the lever
-// for very large network-size axes, where a single event loop is the
-// bottleneck. The two are mutually exclusive on a point.
+// for very large network-size axes, where one event loop is the bottleneck.
+// Every live network runs on the same lockstep engine (-partition 0 is one
+// loop), so -partition composes with everything else: -fault, -forge,
+// -shards. Live csv/json output always carries the engine's
+// epochs,idle_skips,merge_allocs columns.
 package main
 
 import (
@@ -128,22 +131,22 @@ func runSweep(args []string) {
 		alpha     = fs.Float64("alpha", 0, "churn severity T/lifetime (base; 0 disables churn)")
 		drop      = fs.Bool("drop", false, "drop attack instead of spying (base)")
 		strategy  = fs.String("strategy", "spy", "adversary strategy: spy|drop|eclipse (base; live estimator)")
-		forge     = fs.Float64("forge", 0, "eclipse forgery rate, forged contacts per attacker per minute (live estimator)")
+		forge     = fs.Float64("forge", 0, "eclipse forgery rate, forged contacts per attacker per minute; the forger acts once per simulated second with every event loop paused (live estimator)")
 		table     = fs.String("table", "", "DHT routing-table policy: naive|pingevict (base; live estimator)")
-		faultProf = fs.String("fault", "", "fault-injection profile: none|burst|partition|flap (base; live estimator)")
+		faultProf = fs.String("fault", "", "fault-injection profile: none|burst|partition|flap, judged per event loop at send time (base; live estimator)")
 		faultSev  = fs.Float64("faultsev", 0, "fault severity in [0,1] (base; live estimator)")
 		retry     = fs.Int("retry", 0, "total send attempts per DHT RPC, >1 enables retry/backoff hardening (base; live estimator)")
 		replicas  = fs.Int("replicas", 1, "packet replica count (live; 1 = model-faithful)")
 		trials    = fs.Int("trials", 1000, "Monte Carlo trials per point (mc estimator)")
 		missions  = fs.Int("missions", 100, "live emergence trials per point (live estimator)")
 		shards    = fs.Int("shards", 1, "independent network replicas per live point, run in parallel (live estimator)")
-		partition = fs.Int("partition", 0, "split each live point's one population across this many parallel event loops (live estimator; exclusive with -shards > 1)")
+		partition = fs.Int("partition", 0, "split each live point's one population across this many parallel event loops (0 = one loop; live estimator)")
 		partWork  = fs.Int("partition-workers", 0, "concurrent partition shard loops per point (0 = GOMAXPROCS; live estimator)")
 		emerging  = fs.Duration("emerging", 2*time.Hour, "emerging period T (live estimator)")
 		mcTrials  = fs.Int("mc-trials", 0, "live reference trials (0 = missions)")
 		shareMod  = fs.String("share-model", "default", "key-share loss model: default|quota|binomial|live (mc points, live references)")
 		workers   = fs.Int("workers", 0, "concurrent sweep points (0 = GOMAXPROCS)")
-		loopStats = fs.Bool("loopstats", false, "print per-point event-loop stats (epochs, idle skips, merge allocs) to stderr (live estimator, partition mode)")
+		loopStats = fs.Bool("loopstats", false, "print per-point event-loop stats (epochs, idle skips, merge allocs) to stderr (live estimator)")
 		format    = fs.String("format", "table", "output format: table|csv|json")
 		seed      = fs.Uint64("seed", 2017, "base RNG seed")
 		name      = fs.String("name", "sweep", "sweep name for the report header")
@@ -295,19 +298,19 @@ func runScenario(args []string) {
 		alpha     = fs.Float64("alpha", 1, "churn severity T/lifetime (0 disables churn)")
 		drop      = fs.Bool("drop", false, "drop attack instead of spying")
 		strategy  = fs.String("strategy", "spy", "adversary strategy: spy|drop|eclipse")
-		forge     = fs.Float64("forge", 0, "eclipse forgery rate, forged contacts per attacker per minute")
+		forge     = fs.Float64("forge", 0, "eclipse forgery rate, forged contacts per attacker per minute; the forger acts once per simulated second with every event loop paused")
 		table     = fs.String("table", "", "DHT routing-table policy: naive|pingevict")
 		missions  = fs.Int("missions", 100, "live emergence trials")
 		shards    = fs.Int("shards", 1, "independent network replicas run in parallel (each gets its own zone map)")
-		partition = fs.Int("partition", 0, "split the one population across this many parallel event loops (exclusive with -shards > 1)")
+		partition = fs.Int("partition", 0, "split the one population across this many parallel event loops (0 = one loop)")
 		partWork  = fs.Int("partition-workers", 0, "concurrent partition shard loops (0 = GOMAXPROCS)")
-		faultProf = fs.String("fault", "", "fault-injection profile: none|burst|partition|flap")
+		faultProf = fs.String("fault", "", "fault-injection profile: none|burst|partition|flap, judged per event loop at send time")
 		faultSev  = fs.Float64("faultsev", 0, "fault severity in [0,1]")
 		retry     = fs.Int("retry", 0, "total send attempts per DHT RPC (>1 enables retry/backoff hardening)")
 		emerging  = fs.Duration("emerging", 2*time.Hour, "emerging period T")
 		replicas  = fs.Int("replicas", 1, "packet replica count (1 = model-faithful)")
 		mcTrials  = fs.Int("mc-trials", 2000, "Monte Carlo reference trials")
-		loopStats = fs.Bool("loopstats", false, "print event-loop stats (epochs, idle skips, merge allocs) to stderr (partition mode)")
+		loopStats = fs.Bool("loopstats", false, "print event-loop stats (epochs, idle skips, merge allocs) to stderr")
 		seed      = fs.Uint64("seed", 2017, "RNG seed")
 	)
 	spec := planFlags(fs)

@@ -43,6 +43,14 @@
 // are byte-identical regardless of GOMAXPROCS or worker counts, and S is
 // part of the point descriptor: it selects S independent network
 // compositions to average over, shrinking per-network scatter ~sqrt(S).
+// Underneath, every network runs on one event-loop engine: a sim.Lockstep
+// over a simnet.Partition. NetworkConfig.Partition = S spreads the one
+// population over S parallel event loops by DHT zone (the default is one
+// loop, which replays every recorded single-loop run byte for byte);
+// cross-shard datagrams merge at conservative epoch barriers in a fixed
+// order, each loop carries its own fault engine, and the eclipse forger acts
+// only at barriers, so churn, adversaries, faults and S all compose and stay
+// byte-deterministic at any worker count.
 // The "emergesim sweep" subcommand exposes the engine on the command line;
 // the figure names (fig6a..fig8) are canned sweep specs.
 //

@@ -6,7 +6,6 @@ import (
 
 	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
-	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
 	"selfemerge/internal/transport"
 )
@@ -29,12 +28,18 @@ import (
 // future traffic must flow. Before any intel arrives, forged identifiers
 // are uniform random (blind poisoning).
 //
-// All randomness comes from a private seeded stream, so runs remain byte-
-// reproducible; a Forger is only constructed for eclipse runs, leaving
-// honest and spy/drop runs untouched.
+// The forger is one actor with one RNG stream over a population that may
+// span several concurrently running event loops, so it owns no events: the
+// network's driver advances every loop to NextTick, and calls Tick while
+// they are all paused there. Zone intelligence reaches it the same way (the
+// collector is fed at barriers, in global timestamp order), and the attacker
+// sends Tick issues enter the fabric from the one driving goroutine — so what
+// the flood does is a pure function of the seed, never of how the loops were
+// scheduled. A Forger is only constructed for eclipse runs, leaving honest
+// and spy/drop runs untouched.
 type Forger struct {
-	clock sim.Clock
-	rate  float64 // forged contacts per attacker per minute
+	rate float64 // forged contacts per attacker per minute
+	next time.Time
 
 	mu        sync.Mutex
 	rng       *stats.RNG
@@ -45,7 +50,6 @@ type Forger struct {
 	zones     []dht.ID
 	zoneSet   map[dht.ID]bool
 	acc       float64
-	started   bool
 	forged    uint64
 }
 
@@ -59,11 +63,12 @@ const maxZoneTargets = 1 << 14
 // intact.
 const zoneSuffixBytes = 4
 
-// NewForger creates an idle forger; Start arms the tick loop.
-func NewForger(clock sim.Clock, ratePerAttackerPerMinute float64, seed uint64) *Forger {
+// NewForger creates a forger whose first tick is one pacing quantum after
+// start.
+func NewForger(start time.Time, ratePerAttackerPerMinute float64, seed uint64) *Forger {
 	return &Forger{
-		clock:     clock,
 		rate:      ratePerAttackerPerMinute,
+		next:      start.Add(forgeTick),
 		rng:       stats.NewRNG(stats.Mix64(seed, 0xec11b5e)),
 		attackers: make(map[int]transport.Endpoint),
 		victimSet: make(map[transport.Addr]bool),
@@ -150,19 +155,14 @@ func (f *Forger) Forged() uint64 {
 // forgeTick is the forger's pacing quantum.
 const forgeTick = time.Second
 
-// Start arms the tick loop; the forger emits rate forged contacts per
-// attacker per minute, fractional rates accumulating across ticks.
-func (f *Forger) Start() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.started || f.rate <= 0 {
-		return
-	}
-	f.started = true
-	sim.Schedule(f.clock, forgeTick, f.tick)
-}
+// NextTick returns the simulated instant of the forger's next action.
+func (f *Forger) NextTick() time.Time { return f.next }
 
-func (f *Forger) tick() {
+// Tick emits one pacing quantum's forgeries — rate forged contacts per
+// attacker per minute, fractional rates accumulating across ticks — and
+// advances NextTick. The caller holds every event loop paused at NextTick.
+func (f *Forger) Tick() {
+	f.next = f.next.Add(forgeTick) // driver-only state, like NextTick's read
 	f.mu.Lock()
 	f.acc += float64(len(f.attackers)) * f.rate * forgeTick.Minutes()
 	n := int(f.acc)
@@ -204,5 +204,4 @@ func (f *Forger) tick() {
 		buf = data
 		_ = fo.ep.Send(fo.victim, data)
 	}
-	sim.Schedule(f.clock, forgeTick, f.tick)
 }

@@ -42,17 +42,17 @@ func (rs *ResultSet) hasFaultArm() bool {
 	return false
 }
 
-// loopHeader extends csvHeader for result sets measured on the partition
-// engine, carrying its event-loop counters. Conditional like faultHeader so
-// recorded non-partitioned sweeps keep their historical bytes.
+// loopHeader extends csvHeader for result sets measured on the live engine,
+// carrying its event-loop counters — every live sweep, since every live
+// point runs at least one lockstep epoch. Conditional like faultHeader so
+// the abstract estimators' recorded sweeps keep their historical bytes.
 var loopHeader = []string{
 	"epochs", "idle_skips", "merge_allocs",
 }
 
-// hasLoopStats reports whether any result ran on the partition engine. The
-// test is on the measured counters, not the point's Partition axis: an
-// estimator-level Partition setting leaves the points untouched but still
-// produces epochs.
+// hasLoopStats reports whether any result ran event loops. The test is on
+// the measured counters, not the point's Partition axis, which stays zero
+// for the default one-loop network.
 func (rs *ResultSet) hasLoopStats() bool {
 	for _, res := range rs.Results {
 		if res.Epochs > 0 {
@@ -202,11 +202,10 @@ type resultJSON struct {
 	Recovered  uint64  `json:"recovered,omitempty"`
 	Duplicates uint64  `json:"dup_deliveries,omitempty"`
 
-	// Partition event-loop counters, omitempty: absent on every point not
-	// measured through the partition engine, so recorded sweep JSON keeps
-	// its exact bytes. IdleSkips and MergeAllocs piggyback on Epochs > 0
-	// (an engine run always executes at least one epoch) so a measured zero
-	// still emits on partitioned points.
+	// Event-loop counters, omitempty: absent on the abstract estimators'
+	// points, so their recorded sweep JSON keeps its exact bytes. IdleSkips
+	// and MergeAllocs piggyback on Epochs > 0 (a live run always executes at
+	// least one epoch) so a measured zero still emits on live points.
 	Epochs      uint64  `json:"epochs,omitempty"`
 	IdleSkips   *uint64 `json:"idle_skips,omitempty"`
 	MergeAllocs *uint64 `json:"merge_allocs,omitempty"`

@@ -68,8 +68,8 @@ type Point struct {
 	// fabric's historical naive default.
 	Table dht.TablePolicy
 	// Partition runs the live point's one population across this many
-	// parallel event loops (the partition engine; 0 = the estimator's
-	// default, usually the classic single loop). Live estimation only.
+	// parallel event loops (0 = the estimator's default, usually one). Live
+	// estimation only.
 	Partition int
 	// Fault selects the deterministic fault-injection profile of the live
 	// point's simnet fabric (none, burst, partition, flap); FaultSev scales
@@ -212,11 +212,11 @@ type Result struct {
 	// points and the abstract estimators.
 	Retries, Recovered, Duplicates uint64
 
-	// Epochs, IdleSkips and MergeAllocs are the partition engine's
-	// event-loop counters: lockstep epoch barriers executed, epochs with at
-	// most one busy shard, and hand-off outbox capacity growths. Pure
-	// functions of the point (independent of GOMAXPROCS and worker counts);
-	// all zero for non-partitioned points and the abstract estimators.
+	// Epochs, IdleSkips and MergeAllocs are the live engine's event-loop
+	// counters: lockstep epoch barriers executed, epochs with at most one
+	// busy shard, and hand-off outbox capacity growths. Pure functions of the
+	// point (independent of GOMAXPROCS and worker counts); every live point
+	// executes at least one epoch, the abstract estimators none.
 	Epochs, IdleSkips, MergeAllocs uint64
 
 	// Elapsed is the wall-clock cost of the point. It is excluded from the

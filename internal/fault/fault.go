@@ -9,11 +9,13 @@
 //
 // Determinism: an Engine draws every decision from RNGs derived with
 // stats.Mix64 substreams of its seed. Link verdicts (Judge) are serialized
-// by the fabric's RNG lock and consumed in delivery order, which the
-// single-loop simulator fixes; crash schedules use one substream per
-// address, a pure function of the seed and the address, so wiring order
-// cannot perturb them. A run with a fault engine is as byte-reproducible as
-// one without.
+// by the fabric's RNG lock and consumed in send order, which the event loop
+// driving that fabric fixes; crash schedules use one substream per address,
+// a pure function of the seed and the address, so wiring order cannot
+// perturb them. An Engine belongs to one event loop: a population spread
+// over several loops gives each loop's slice of the fabric its own engine on
+// its own substream, judging what that loop's nodes send. A run with fault
+// engines is as byte-reproducible as one without.
 package fault
 
 import (
@@ -117,17 +119,18 @@ const (
 )
 
 // Engine realizes one fault schedule. It implements simnet.Injector; wire
-// it with simnet.Config.Inject. Judge is serialized by the fabric's RNG
-// lock; ManageCrashes runs on the simulator loop.
+// it with simnet.Config.Inject (or Partition.SetInjector, one engine per
+// shard). Judge is serialized by the fabric's RNG lock; ManageCrashes runs
+// on the simulator loop.
 type Engine struct {
 	cfg Config
 	rng *stats.RNG // link-verdict substream (burst chain)
 	bad bool       // Gilbert–Elliott chain state
 
 	// Burst parameters, fixed at construction from Severity.
-	pBad, pGood        float64 // per-message good→bad / bad→good transition
-	lossBad, lossGood  float64 // drop probability per state
-	dupRate            float64 // duplicate probability (undropped messages)
+	pBad, pGood         float64       // per-message good→bad / bad→good transition
+	lossBad, lossGood   float64       // drop probability per state
+	dupRate             float64       // duplicate probability (undropped messages)
 	spikeBad, spikeGood time.Duration // max extra delay in bad / good state
 
 	blackout time.Duration // partition window length per period
@@ -140,16 +143,16 @@ func New(cfg Config) (*Engine, error) {
 	}
 	sev := cfg.Severity
 	return &Engine{
-		cfg:      cfg,
-		rng:      stats.NewRNG(stats.Mix64(cfg.Seed, streamLink)),
-		pBad:     0.05 * sev,
-		pGood:    0.25,
-		lossBad:  0.7 + 0.3*sev,
-		lossGood: 0.01 * sev,
-		dupRate:  0.04 * sev,
-		spikeBad: time.Duration(sev * float64(60*time.Millisecond)),
+		cfg:       cfg,
+		rng:       stats.NewRNG(stats.Mix64(cfg.Seed, streamLink)),
+		pBad:      0.05 * sev,
+		pGood:     0.25,
+		lossBad:   0.7 + 0.3*sev,
+		lossGood:  0.01 * sev,
+		dupRate:   0.04 * sev,
+		spikeBad:  time.Duration(sev * float64(60*time.Millisecond)),
 		spikeGood: time.Duration(sev * float64(4*time.Millisecond)),
-		blackout: time.Duration(sev * partitionDuty * float64(partitionPeriod)),
+		blackout:  time.Duration(sev * partitionDuty * float64(partitionPeriod)),
 	}, nil
 }
 

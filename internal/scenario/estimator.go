@@ -43,11 +43,10 @@ type Estimator struct {
 	// (default 1). Part of each point's descriptor and reference cache key.
 	Shards int
 	// Partition runs every point's one population across this many parallel
-	// event loops instead (the partition engine; mutually exclusive with
-	// Shards > 1). A partitioned point occupies one budget slot and spreads
-	// its shard loops over PartitionWorkers goroutines. Part of each point's
-	// descriptor and reference cache key; per-point overrides come from the
-	// sweep's partition axis.
+	// event loops (0 = one). A point's network occupies one budget slot
+	// and spreads its shard loops over PartitionWorkers goroutines. Part of
+	// each point's descriptor and reference cache key; per-point overrides
+	// come from the sweep's partition axis.
 	Partition int
 	// PartitionWorkers caps concurrent partition shard loops per point (0 =
 	// GOMAXPROCS). Execution throttle only.

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/experiment"
 	"selfemerge/internal/fault"
@@ -83,13 +84,16 @@ func TestLiveSweepAgreesWithMC(t *testing.T) {
 // budget. The fault axis adds a burst-loss arm with retry hardening on top
 // of the clean arm: the fault engine's Gilbert–Elliott draws, the two-phase
 // retry timers and the conditional fault columns of the emitters must all be
-// byte-stable across the same execution shapes.
+// byte-stable across the same execution shapes. A second sweep runs the
+// fault and eclipse arms with every replica network split over two event
+// loops (Partition: 2): per-loop fault engines judging at send time, the
+// barrier-driven forger, and the loop-stats columns must be just as stable.
 func TestLiveSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sweeps are slow")
 	}
 	est := func() *scenario.Estimator { return &scenario.Estimator{Missions: 30, Shards: 2} }
-	sw := experiment.Sweep{
+	liveSweepStableAcrossShapes(t, est, experiment.Sweep{
 		Name: "live-det",
 		Seed: 11,
 		Base: experiment.Point{
@@ -102,7 +106,29 @@ func TestLiveSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 			experiment.SchemeAxis(core.SchemeJoint, core.SchemeKeyShare),
 			experiment.FaultAxis(fault.ProfileNone, fault.ProfileBurst),
 		},
-	}
+	})
+	// Fewer missions and a light flood: retried RPCs to forged contacts make
+	// an eclipse point several times the datagrams of a drop point.
+	est = func() *scenario.Estimator { return &scenario.Estimator{Missions: 12, Shards: 2} }
+	liveSweepStableAcrossShapes(t, est, experiment.Sweep{
+		Name: "live-det-partitioned",
+		Seed: 11,
+		Base: experiment.Point{
+			Network: 80, P: 0.2, Alpha: 1, Strategy: adversary.StrategyEclipse,
+			K: 2, L: 2, Scheme: core.SchemeJoint,
+			FaultSev: 0.5, Retry: 3, Partition: 2,
+		},
+		Axes: []experiment.Axis{
+			experiment.FloatAxis("forge", 0, 3),
+			experiment.FaultAxis(fault.ProfileNone, fault.ProfileBurst),
+		},
+	})
+}
+
+// liveSweepStableAcrossShapes runs one sweep under every execution shape and
+// requires byte-identical CSV and JSON output.
+func liveSweepStableAcrossShapes(t *testing.T, est func() *scenario.Estimator, sw experiment.Sweep) {
+	t.Helper()
 	type shape struct{ gomaxprocs, parallel int }
 	var shapes []shape
 	for _, gmp := range []int{1, runtime.NumCPU()} {
@@ -137,8 +163,8 @@ func TestLiveSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	for i := 1; i < len(outputs); i++ {
 		if !bytes.Equal(outputs[0], outputs[i]) {
-			t.Errorf("live sweep differs between shape %+v and %+v:\n%s\nvs:\n%s",
-				shapes[0], shapes[i], outputs[0], outputs[i])
+			t.Errorf("live sweep %s differs between shape %+v and %+v:\n%s\nvs:\n%s",
+				sw.Name, shapes[0], shapes[i], outputs[0], outputs[i])
 		}
 	}
 }

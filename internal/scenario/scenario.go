@@ -89,15 +89,15 @@ type Config struct {
 	// only — results never depend on it.
 	Budget *Budget
 	// Partition runs the point's ONE population across this many parallel
-	// event loops — the partition engine of selfemerge.NetworkConfig, where
-	// each shard owns a zone of the identifier space and cross-shard traffic
-	// merges at conservative lockstep barriers. It is the scaling mode for
-	// populations a single core's event loop cannot hold (replicate-mode
-	// Shards scales mission count, not population). Zero keeps the classic
-	// single loop; 1 exercises the partition machinery and replays the
-	// classic run byte for byte; like Shards it is part of the point
-	// descriptor (S > 1 samples decorrelated per-shard churn substreams).
-	// Mutually exclusive with Shards > 1.
+	// event loops — selfemerge.NetworkConfig.Partition, where each shard owns
+	// a zone of the identifier space and cross-shard traffic merges at
+	// conservative lockstep barriers. It is the scaling mode for populations
+	// a single core's event loop cannot hold (replicate-mode Shards scales
+	// mission count, not population). Zero means one shard, which replays
+	// the recorded single-loop runs byte for byte; like Shards it is part of
+	// the point descriptor (S > 1 samples decorrelated per-shard churn
+	// substreams). It composes with every other knob, Shards included: each
+	// replica network then runs on Partition loops.
 	Partition int
 	// PartitionWorkers caps how many partition shard loops run concurrently
 	// (0 = GOMAXPROCS). Execution throttle only: results are byte-identical
@@ -120,8 +120,9 @@ type Config struct {
 	// Fault selects the deterministic fault-injection profile the simnet
 	// fabric runs under: none (default), burst (Gilbert–Elliott loss with
 	// latency spikes and duplication), partition (timed bisections), or flap
-	// (crash-restart windows). See fault.Profile. Requires the single event
-	// loop — the cross-shard handoff of Partition mode bypasses the injector.
+	// (crash-restart windows). See fault.Profile. Every event loop carries
+	// its own engine and judges at send time, so profiles compose with any
+	// Partition.
 	Fault fault.Profile
 	// FaultSeverity scales the chosen profile in [0,1]; zero disables
 	// injection even with a profile set, so sweep axes can cross severity
@@ -221,17 +222,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Partition < 0 {
 		return c, fmt.Errorf("scenario: partition %d must be >= 0", c.Partition)
 	}
-	if c.Partition > 0 && c.Shards > 1 {
-		return c, fmt.Errorf("scenario: partition and shards are mutually exclusive (one population across loops vs %d replicas)", c.Shards)
-	}
-	if c.Partition > 0 && c.Forge > 0 {
-		return c, fmt.Errorf("scenario: the eclipse forger requires the single event loop, not partition")
-	}
 	if err := (fault.Config{Profile: c.Fault, Severity: c.FaultSeverity}).Validate(); err != nil {
 		return c, fmt.Errorf("scenario: %w", err)
-	}
-	if c.Partition > 0 && c.Fault != fault.ProfileNone && c.FaultSeverity > 0 {
-		return c, fmt.Errorf("scenario: fault profiles require the single event loop, not partition")
 	}
 	if c.Retry < 0 {
 		return c, fmt.Errorf("scenario: retry %d must be >= 0", c.Retry)
@@ -334,10 +326,10 @@ type Report struct {
 	// RPCs recovered by a re-send, and receiver-suppressed duplicate
 	// deliveries. All zero on single-shot (Retry <= 1) runs.
 	Retries, Recovered, Duplicates uint64
-	// Partition event-loop counters: epoch barriers executed, epochs with
-	// at most one busy shard, and hand-off outbox capacity growths. Pure
-	// functions of configuration and seed (never of GOMAXPROCS or worker
-	// counts), zero outside partition mode.
+	// Event-loop counters: epoch barriers executed, epochs with at most one
+	// busy shard, and hand-off outbox capacity growths. Pure functions of
+	// configuration and seed (never of GOMAXPROCS or worker counts); every
+	// live run executes at least one epoch.
 	Epochs, IdleSkips, MergeAllocs uint64
 	Elapsed                        time.Duration // wall-clock time of the live run
 }
@@ -510,10 +502,11 @@ type Reference struct {
 	// descriptor, so it keys the cache: points that differ only in S never
 	// share a cached reference entry.
 	Shards int
-	// Partition is the live point's partition loop count (0 = classic single
-	// loop). Like Shards it is descriptor, not execution detail: a
-	// partitioned point samples decorrelated per-shard churn substreams, so
-	// it never shares a cached reference entry with the classic run.
+	// Partition is the live point's event-loop count as configured (0 = the
+	// one-shard default). Like Shards it is descriptor, not execution
+	// detail: a point on S > 1 loops samples decorrelated per-shard churn
+	// substreams, so it never shares a cached reference entry with the
+	// one-shard run.
 	Partition int
 	// Fault, FaultSev and Retry are the live point's fault-injection and
 	// retry-hardening knobs. The Monte Carlo model is fault-blind — Estimate

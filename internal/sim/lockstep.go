@@ -38,7 +38,7 @@ import (
 // — up to a double-width window when the rest of the fabric is quiet — and
 // every other member gets the classic m1 + W. With a single member there is
 // no cross traffic at all and the bound is the deadline itself: one epoch
-// per RunUntil, which is what keeps Partition=1 at classic-loop speed.
+// per RunUntil, so a single member costs what a bare Simulator.RunUntil does.
 //
 // Within an epoch the member simulators are entirely independent and may
 // run on separate goroutines; determinism is untouched because each

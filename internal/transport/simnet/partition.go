@@ -20,22 +20,18 @@ import (
 // Partition is an in-memory fabric split across S shard sub-networks. Every
 // endpoint is owned by exactly one shard (registered at Endpoint time and
 // frozen thereafter — churn replacements reuse their predecessor's address
-// and shard). Local sends run the plain single-network path on the owning
-// shard's simulator; a send whose destination lives on another shard becomes
-// a hand-off record carrying its absolute delivery time, queued per source
-// shard, and injected into the destination simulator at the next barrier in
-// fixed (deliver-time, source shard, sequence) order — so the merged event
-// schedule, and therefore every observable byte, is a pure function of the
-// configuration, independent of how many goroutines run the shard loops.
-//
-// Loss and jitter for a cross-shard message are drawn from the source
-// shard's RNG at send time, inside that shard's deterministic execution.
-// The one semantic difference from the single fabric: a sender's transient
-// down state (availability flapping) is enforced at send time only for
-// cross-shard messages — the destination shard cannot consult a foreign
-// down map at delivery time. Runs that enable flapping and partitioning
-// accept that in-flight cross-shard datagrams survive the sender flapping
-// down; permanent death (endpoint close) is still enforced at delivery.
+// and shard). Every send runs the one Network.send path on the sender's
+// shard: sender-down, loss, jitter and the injector's verdict are all judged
+// there, at send time, from the source shard's own streams. A datagram whose
+// destination lives on the same shard is scheduled on that shard's
+// simulator; one bound for another shard becomes a hand-off record carrying
+// its absolute delivery time, queued per source shard, and injected into the
+// destination simulator at the next barrier in fixed (deliver-time, source
+// shard, sequence) order — so the merged event schedule, and therefore every
+// observable byte, is a pure function of the configuration, independent of
+// how many goroutines run the shard loops. Receiver-side state (down, closed,
+// detached) is checked at delivery on the owning shard, exactly as on the
+// plain fabric, so the same script yields the same counters at any S.
 type Partition struct {
 	subs      []*Network
 	owner     map[transport.Addr]int
@@ -83,9 +79,6 @@ func NewPartition(clocks []sim.Clock, cfg Config) (*Partition, error) {
 	}
 	if cfg.BaseLatency <= 0 {
 		return nil, fmt.Errorf("simnet: partition needs an explicit positive base latency (the lockstep lookahead), got %v", cfg.BaseLatency)
-	}
-	if cfg.Inject != nil {
-		return nil, fmt.Errorf("simnet: fault injection requires the single fabric; the partition hand-off path bypasses the injector")
 	}
 	cfg = cfg.withDefaults()
 	p := &Partition{
@@ -169,6 +162,14 @@ func (p *Partition) Owner(addr transport.Addr) (int, bool) {
 	return shard, ok
 }
 
+// SetInjector installs shard's own injector, replacing whatever Config.Inject
+// put there. Boot-time wiring, before any traffic: each sub-network
+// serializes its Judge calls under its own RNG lock, so a stateful injector
+// (a fault.Engine's burst chain) must be one instance per shard.
+func (p *Partition) SetInjector(shard int, inj Injector) {
+	p.subs[shard].cfg.Inject = inj
+}
+
 // SetDown marks an endpoint unavailable on its owning shard.
 func (p *Partition) SetDown(addr transport.Addr, down bool) {
 	if shard, ok := p.owner[addr]; ok {
@@ -198,47 +199,17 @@ func (p *Partition) Stats() (sent, delivered, dropped int) {
 	return sent, delivered, dropped
 }
 
-// handoff queues one cross-shard datagram from src's shard to dst. Runs
+// enqueue queues one cross-shard record — already judged, payload copied,
+// bound for the destination sub-network — on the source shard's outbox. Runs
 // inside the source shard's deterministic execution (its event loop, or the
-// driver at a barrier), which is what makes the per-source sequence — and
-// every RNG draw — reproducible.
-func (p *Partition) handoff(src *Network, dst int, from, to transport.Addr, payload []byte) {
-	src.mu.Lock()
-	src.sent++
-	if fsl := src.nodes.find(from); fsl != nil && fsl.down {
-		src.dropped++
-		src.mu.Unlock()
-		return
-	}
-	src.mu.Unlock()
-
-	src.rngMu.Lock()
-	if src.cfg.LossRate > 0 && src.rng.Bool(src.cfg.LossRate) {
-		src.rngMu.Unlock()
-		src.mu.Lock()
-		src.dropped++
-		src.mu.Unlock()
-		return
-	}
-	delay := src.cfg.BaseLatency
-	if src.cfg.Jitter > 0 {
-		delay += time.Duration(src.rng.Uint64n(uint64(src.cfg.Jitter)))
-	}
-	src.rngMu.Unlock()
-
-	d := src.getDelivery()
-	d.net, d.from, d.to = p.subs[dst], from, to
-	d.msg = append(d.msg[:0], payload...)
-	box := &p.outboxes[src.shard]
+// driver at a barrier), which is what makes the per-source sequence
+// reproducible.
+func (p *Partition) enqueue(src int, at int64, d *delivery) {
+	box := &p.outboxes[src]
 	if len(box.recs) == cap(box.recs) {
 		box.grows++ // steady state keeps the high-water array; see MergeAllocs
 	}
-	box.recs = append(box.recs, handoff{
-		at:  src.clock.Now().UnixNano() + int64(delay),
-		src: src.shard,
-		seq: box.seq,
-		d:   d,
-	})
+	box.recs = append(box.recs, handoff{at: at, src: src, seq: box.seq, d: d})
 	box.seq++
 }
 

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -260,51 +261,85 @@ func TestPartitionSingleShardMatchesPlainNetwork(t *testing.T) {
 	}
 }
 
-// TestPartitionDownAndClose checks endpoint state is enforced across shards:
-// a down sender drops at send, a closed destination drops at delivery, and a
-// re-attached destination (churn replacement) receives again.
+// TestPartitionDownAndClose runs one flap script on the plain network, a
+// one-shard partition and a three-shard one (sender and receiver on
+// different shards) and requires identical outcomes: the sender's transient
+// down state is judged at send time only — a down sender drops at send, a
+// datagram already on the wire survives its sender flapping down — while the
+// receiver's state is judged at delivery: a down or closed destination drops
+// there, and a re-attached destination (churn replacement) receives again.
 func TestPartitionDownAndClose(t *testing.T) {
-	_, p, l := newTestPartition(t, 2, Config{BaseLatency: time.Millisecond})
-	a := p.Endpoint(0, "a")
-	b := p.Endpoint(1, "b")
-	var got int
-	recv := func(transport.Addr, []byte) { got++ }
-	b.SetHandler(recv)
+	type fabric struct {
+		endpoint func(shard int, addr transport.Addr) transport.Endpoint
+		setDown  func(addr transport.Addr, down bool)
+		runFor   func(time.Duration)
+		stats    func() (sent, delivered, dropped int)
+	}
+	cfg := Config{BaseLatency: time.Millisecond}
+	partition := func(shards int) fabric {
+		_, p, l := newTestPartition(t, shards, cfg)
+		return fabric{
+			endpoint: func(shard int, addr transport.Addr) transport.Endpoint { return p.Endpoint(shard%shards, addr) },
+			setDown:  p.SetDown, runFor: l.RunFor, stats: p.Stats,
+		}
+	}
+	plain := func() fabric {
+		s := sim.NewSimulator()
+		n := New(s, cfg)
+		return fabric{
+			endpoint: func(_ int, addr transport.Addr) transport.Endpoint { return n.Endpoint(addr) },
+			setDown:  n.SetDown, runFor: s.RunFor, stats: n.Stats,
+		}
+	}
+	for _, c := range []struct {
+		name string
+		fab  fabric
+	}{{"plain", plain()}, {"S=1", partition(1)}, {"S=3", partition(3)}} {
+		f := c.fab
+		a := f.endpoint(0, "a")
+		b := f.endpoint(1, "b")
+		var got []byte
+		recv := func(_ transport.Addr, payload []byte) { got = append(got, payload[0]) }
+		b.SetHandler(recv)
+		send := func(tag byte) {
+			t.Helper()
+			if err := a.Send("b", []byte{tag}); err != nil {
+				t.Fatal(err)
+			}
+		}
 
-	p.SetDown("a", true)
-	if err := a.Send("b", []byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	p.SetDown("a", false)
-	l.RunFor(50 * time.Millisecond)
-	if got != 0 {
-		t.Fatalf("down sender delivered %d messages", got)
-	}
+		f.setDown("a", true)
+		send(1) // down sender: dropped at send
+		f.setDown("a", false)
+		f.runFor(50 * time.Millisecond)
 
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("b", []byte{2}); err != nil {
-		t.Fatal(err)
-	}
-	l.RunFor(50 * time.Millisecond)
-	if got != 0 {
-		t.Fatalf("closed destination delivered %d messages", got)
-	}
+		send(2) // on the wire when its sender flaps down: still delivered
+		f.setDown("a", true)
+		f.runFor(50 * time.Millisecond)
+		f.setDown("a", false)
 
-	b2 := p.Endpoint(1, "b") // replacement reuses the address and shard
-	b2.SetHandler(recv)
-	if err := a.Send("b", []byte{3}); err != nil {
-		t.Fatal(err)
-	}
-	l.RunFor(50 * time.Millisecond)
-	if got != 1 {
-		t.Fatalf("replacement received %d messages, want 1", got)
-	}
+		send(3) // receiver down at delivery: dropped there
+		f.setDown("b", true)
+		f.runFor(50 * time.Millisecond)
+		f.setDown("b", false)
 
-	sent, delivered, dropped := p.Stats()
-	if sent != 3 || delivered != 1 || dropped != 2 {
-		t.Fatalf("stats sent=%d delivered=%d dropped=%d, want 3/1/2", sent, delivered, dropped)
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		send(4) // closed destination
+		f.runFor(50 * time.Millisecond)
+
+		b2 := f.endpoint(1, "b") // replacement reuses the address and shard
+		b2.SetHandler(recv)
+		send(5)
+		f.runFor(50 * time.Millisecond)
+
+		if string(got) != "\x02\x05" {
+			t.Errorf("%s: delivered %v, want [2 5]", c.name, got)
+		}
+		if sent, delivered, dropped := f.stats(); sent != 5 || delivered != 2 || dropped != 3 {
+			t.Errorf("%s: stats sent=%d delivered=%d dropped=%d, want 5/2/3", c.name, sent, delivered, dropped)
+		}
 	}
 }
 
@@ -327,5 +362,55 @@ func TestPartitionCheckLookahead(t *testing.T) {
 	}
 	if err := p.CheckLookahead(p.Lookahead() + time.Nanosecond); err == nil {
 		t.Fatal("lookahead wider than the minimum cross-shard latency accepted")
+	}
+}
+
+// scriptInjector rules by destination name: drop everything to a "…drop"
+// address, duplicate everything to a "…dup" one a millisecond later, and
+// count what it judged.
+type scriptInjector struct{ judged int }
+
+func (s *scriptInjector) Judge(_ time.Time, _, to transport.Addr) Verdict {
+	s.judged++
+	switch {
+	case strings.HasSuffix(string(to), "drop"):
+		return Verdict{Drop: true}
+	case strings.HasSuffix(string(to), "dup"):
+		return Verdict{DupExtra: time.Millisecond}
+	}
+	return Verdict{}
+}
+
+// TestPartitionInjectorJudgesAtSend: a shard's injector rules on everything
+// that shard's endpoints send, whichever shard owns the destination — the
+// verdict (drop, duplicate) is applied on the hand-off path exactly as on the
+// local one — and on nothing another shard sends.
+func TestPartitionInjectorJudgesAtSend(t *testing.T) {
+	_, p, l := newTestPartition(t, 2, Config{BaseLatency: time.Millisecond})
+	l.Workers = 1 // the handlers below share one map
+	var inj [2]scriptInjector
+	p.SetInjector(0, &inj[0])
+	p.SetInjector(1, &inj[1])
+	a := p.Endpoint(0, "a")
+	dests := []transport.Addr{"local-drop", "local-dup", "remote-drop", "remote-dup"}
+	got := map[transport.Addr]int{}
+	for i, addr := range dests {
+		addr := addr
+		p.Endpoint(i/2, addr).SetHandler(func(transport.Addr, []byte) { got[addr]++ })
+	}
+	for _, to := range dests {
+		if err := a.Send(to, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.RunFor(50 * time.Millisecond)
+	if inj[0].judged != 4 || inj[1].judged != 0 {
+		t.Errorf("judged %d on the sending shard and %d on the other, want 4 and 0", inj[0].judged, inj[1].judged)
+	}
+	if got["local-drop"] != 0 || got["local-dup"] != 2 || got["remote-drop"] != 0 || got["remote-dup"] != 2 {
+		t.Errorf("deliveries %v, want drops dropped and dups doubled on both paths", got)
+	}
+	if sent, delivered, dropped := p.Stats(); sent != 4 || delivered != 4 || dropped != 2 {
+		t.Errorf("stats sent=%d delivered=%d dropped=%d, want 4/4/2", sent, delivered, dropped)
 	}
 }

@@ -30,10 +30,10 @@ type Config struct {
 	// uniform loss/jitter model: correlated drops, extra delay, duplication
 	// (see internal/fault). Judge calls are serialized under the network's
 	// RNG lock, in the same order as the loss/jitter draws, so a
-	// deterministic injector keeps the fabric byte-deterministic. Not
-	// supported by the partition engine (NewPartition rejects it): the
-	// cross-shard hand-off path bypasses the local send path, so an
-	// injector would see only a shard-dependent subset of traffic.
+	// deterministic injector keeps the fabric byte-deterministic. A
+	// Partition copies it to every shard sub-network, whose loops judge
+	// concurrently — share only a stateless injector that way, and give
+	// stateful ones one instance per shard (Partition.SetInjector).
 	Inject Injector
 }
 
@@ -201,8 +201,9 @@ func (n *Network) Endpoint(addr transport.Addr) transport.Endpoint {
 	return ep
 }
 
-// SetDown marks an endpoint unavailable (messages to and from it vanish)
-// without detaching it — the transient-churn state of Section II-C.
+// SetDown marks an endpoint unavailable without detaching it — the
+// transient-churn state of Section II-C. While down it drops what it sends
+// (judged at send time) and what reaches it (judged at delivery time).
 func (n *Network) SetDown(addr transport.Addr, down bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -228,84 +229,104 @@ func (n *Network) Stats() (sent, delivered, dropped int) {
 	return n.sent, n.delivered, n.dropped
 }
 
+// send is the one send path. A datagram's fate is settled here, at send
+// time, inside the sending network's deterministic execution: the sender's
+// transient down state, then loss, jitter and the injector's verdict drawn
+// from this network's streams. Only where it goes next depends on the
+// destination's owner — this network's own event loop, or (when another
+// shard of the partition owns it) that shard's hand-off outbox. Receiver-side
+// state is checked at delivery, where the receiver lives.
 func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 	n.mu.Lock()
 	tsl := n.nodes.slotFor(to)
+	dst := n
 	if n.part != nil {
 		if tsl.shard < 0 {
 			// Resolve the owner cache against the partition's frozen owner
 			// map (churn replacements reuse their predecessor's address, so
 			// the map never changes after boot). An address no shard owns
-			// stays unresolved and falls through to the local path, dropping
-			// as unattached.
-			if dst, ok := n.part.owner[to]; ok {
-				tsl.shard = int16(dst)
+			// stays unresolved and takes the local path, dropping as
+			// unattached.
+			if owner, ok := n.part.owner[to]; ok {
+				tsl.shard = int16(owner)
 			}
 		}
-		if dst := int(tsl.shard); dst >= 0 && dst != n.shard {
-			n.mu.Unlock()
-			n.part.handoff(n, dst, from, to, payload)
-			return
+		if tsl.shard >= 0 {
+			dst = n.part.subs[tsl.shard]
 		}
 	}
 	n.sent++
 	fsl := n.nodes.find(from)
-	if (fsl != nil && fsl.down) || tsl.down || tsl.ep == nil {
+	if (fsl != nil && fsl.down) || (dst == n && (tsl.down || tsl.ep == nil)) {
 		// Immediate drop: no payload copy, no RNG draw, no delivery event.
 		// A detached destination can never receive — endpoint replacement
 		// (churn re-join) re-attaches within the same simulator event as the
-		// close, so no in-flight window observes the gap.
+		// close, so no in-flight window observes the gap. A foreign
+		// destination's state is its owner's to judge, at delivery.
 		n.dropped++
 		n.mu.Unlock()
 		return
 	}
 	n.mu.Unlock()
 
-	n.rngMu.Lock()
-	if n.cfg.LossRate > 0 && n.rng.Bool(n.cfg.LossRate) {
-		n.rngMu.Unlock()
+	delay, dup, ok := n.judge(from, to)
+	if !ok {
 		n.mu.Lock()
 		n.dropped++
 		n.mu.Unlock()
 		return
 	}
-	delay := n.cfg.BaseLatency
+	n.launch(dst, from, to, payload, delay)
+	if dup > 0 {
+		// An injector-duplicated datagram: a second pooled record trailing
+		// the first, each releasing independently after its own handler call.
+		n.launch(dst, from, to, payload, delay+dup)
+	}
+}
+
+// judge draws one datagram's in-flight fate — loss, then jitter, then the
+// injector's verdict, in that fixed order under the RNG lock — and returns
+// its delivery delay, the lag of an injector-made duplicate (0: none), and
+// whether it survives at all. The delay is never below BaseLatency, which is
+// what lets a Partition use the base latency as its lockstep lookahead.
+func (n *Network) judge(from, to transport.Addr) (delay, dup time.Duration, ok bool) {
+	n.rngMu.Lock()
+	defer n.rngMu.Unlock()
+	if n.cfg.LossRate > 0 && n.rng.Bool(n.cfg.LossRate) {
+		return 0, 0, false
+	}
+	delay = n.cfg.BaseLatency
 	if n.cfg.Jitter > 0 {
 		delay += time.Duration(n.rng.Uint64n(uint64(n.cfg.Jitter)))
 	}
-	var dup time.Duration
 	if n.cfg.Inject != nil {
 		v := n.cfg.Inject.Judge(n.clock.Now(), from, to)
 		if v.Drop {
-			n.rngMu.Unlock()
-			n.mu.Lock()
-			n.dropped++
-			n.mu.Unlock()
-			return
+			return 0, 0, false
 		}
 		delay += v.Extra
 		dup = v.DupExtra
 	}
-	n.rngMu.Unlock()
+	return delay, dup, true
+}
 
-	// Copy the payload into a pooled delivery record: the sender may reuse
-	// its buffer the moment Send returns, and the record (buffer included)
-	// is reclaimed once the handler returns (handlers copy what they keep,
-	// per the transport contract). Scheduling through ScheduleArg with the
-	// package-level deliver function makes the steady-state per-message
-	// path allocation-free: no payload garbage, no closure, no timer box.
+// launch puts one surviving datagram in flight toward dst, delay from now.
+// The payload is copied into a pooled delivery record: the sender may reuse
+// its buffer the moment Send returns, and the record (buffer included) is
+// reclaimed once the handler returns (handlers copy what they keep, per the
+// transport contract). Scheduling through ScheduleArg with the package-level
+// deliver function makes the steady-state per-message path allocation-free:
+// no payload garbage, no closure, no timer box. A record bound for another
+// shard waits in this shard's outbox for the next barrier instead.
+func (n *Network) launch(dst *Network, from, to transport.Addr, payload []byte, delay time.Duration) {
 	d := n.getDelivery()
-	d.net, d.from, d.to = n, from, to
+	d.net, d.from, d.to = dst, from, to
 	d.msg = append(d.msg[:0], payload...)
-	sim.ScheduleArg(n.clock, delay, deliver, d)
-	if dup > 0 {
-		// An injector-duplicated datagram: a second pooled record trailing
-		// the first, each releasing independently after its own handler call.
-		d2 := n.getDelivery()
-		d2.net, d2.from, d2.to = n, from, to
-		d2.msg = append(d2.msg[:0], payload...)
-		sim.ScheduleArg(n.clock, delay+dup, deliver, d2)
+	if dst == n {
+		sim.ScheduleArg(n.clock, delay, deliver, d)
+		return
 	}
+	n.part.enqueue(n.shard, n.clock.Now().UnixNano()+int64(delay), d)
 }
 
 // delivery is one in-flight datagram: a recycled record carrying its own
@@ -348,21 +369,21 @@ func (n *Network) putDelivery(d *delivery) {
 }
 
 // deliver is the delivery event callback: hand the datagram to the
-// destination handler (or count the drop) and recycle the record.
+// destination handler (or count the drop) and recycle the record. Only the
+// receiver's state matters here — a datagram already on the wire does not
+// care that its sender has since flapped down.
 func deliver(v any) {
 	d := v.(*delivery)
 	n := d.net
 	n.mu.Lock()
 	tsl := n.nodes.find(d.to)
-	fsl := n.nodes.find(d.from)
-	downNow := (tsl != nil && tsl.down) || (fsl != nil && fsl.down)
 	var dst *endpoint
 	var h transport.Handler
 	if tsl != nil && tsl.ep != nil {
 		dst = tsl.ep
 		h = dst.handler
 	}
-	if dst == nil || downNow || h == nil || dst.closed {
+	if dst == nil || tsl.down || h == nil || dst.closed {
 		n.dropped++
 		n.mu.Unlock()
 	} else {

@@ -87,7 +87,9 @@ type NetworkConfig struct {
 	Attack adversary.Strategy
 	// ForgeRate is the eclipse flood intensity: forged contacts emitted per
 	// attacker per minute. Only meaningful with StrategyEclipse; zero means
-	// the eclipse adversary degenerates to drop.
+	// the eclipse adversary degenerates to drop. The forger is one actor for
+	// the whole population: it acts once per simulated second with every
+	// event loop paused at that instant, so it composes with any Partition.
 	ForgeRate float64
 	// Table selects the DHT bucket admission policy. The default resolves
 	// to dht.TableNaive — the historical behavior every recorded
@@ -127,9 +129,10 @@ type NetworkConfig struct {
 	// Elliott burst loss, timed bisection partitions, or crash-restart
 	// flapping (see internal/fault). FaultNone (the default) constructs no
 	// engine at all, so default runs keep their historical byte-exact event
-	// sequences. Fault profiles require the single event loop: the
-	// partition engine's cross-shard hand-off path bypasses the fabric
-	// injector.
+	// sequences. Each event loop carries its own engine on its own substream
+	// of the seed and judges what its nodes send, at send time, so faults
+	// compose with any Partition and stay byte-deterministic at any worker
+	// count; the burst chain is therefore per loop, not network-wide.
 	Fault fault.Profile
 	// FaultSeverity in [0,1] scales the fault regime's intensity; zero
 	// makes any profile a no-op (and constructs no engine).
@@ -146,10 +149,11 @@ type NetworkConfig struct {
 	// merged at epoch barriers in a fixed order — the scaling mode for
 	// populations one core's event loop cannot hold. A node's shard is a
 	// pure function of its DHT identifier (dht.ID.Shard), so churn
-	// replacements stay on their predecessor's shard. Zero keeps the
-	// historical single event loop; 1 runs the partition machinery with one
-	// shard, which is byte-identical to the single loop. Results are
-	// byte-deterministic at any worker count or GOMAXPROCS.
+	// replacements stay on their predecessor's shard. Zero means one: a
+	// single shard under the same engine, which replays every run recorded
+	// before the engine existed byte for byte. Results are byte-deterministic
+	// at any worker count or GOMAXPROCS, and every other knob composes with
+	// any shard count.
 	Partition int
 	// PartitionWorkers caps how many shard loops run concurrently within an
 	// epoch (0 = GOMAXPROCS). Execution throttle only: results are
@@ -181,9 +185,9 @@ func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
 		return c, fmt.Errorf("selfemerge: malicious rate %v outside [0,1]", c.MaliciousRate)
 	}
 	if c.Latency < 0 {
-		// A negative latency would schedule deliveries into the past on the
-		// single loop and corrupt the partition engine's lookahead; zero is
-		// a defaulting request, negative is always a caller bug.
+		// A negative latency would schedule deliveries into the past and
+		// void the lockstep lookahead; zero is a defaulting request, negative
+		// is always a caller bug.
 		return c, fmt.Errorf("selfemerge: negative latency %v", c.Latency)
 	}
 	if c.Latency == 0 {
@@ -209,24 +213,11 @@ func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
 	if c.Partition < 0 {
 		return c, fmt.Errorf("selfemerge: negative partition count %d", c.Partition)
 	}
-	if c.Partition > 0 && c.ForgeRate > 0 {
-		// The eclipse forger is a global actor ticking on the single
-		// simulator and reading zone intelligence as it is collected; under
-		// the partition engine reports are deferred to epoch barriers, which
-		// would shift its observations. Eclipse measurements stay on the
-		// single loop (or replicate-mode sharding).
-		return c, errors.New("selfemerge: ForgeRate requires the single event loop, not Partition")
+	if c.Partition == 0 {
+		c.Partition = 1
 	}
 	if err := (fault.Config{Profile: c.Fault, Severity: c.FaultSeverity}).Validate(); err != nil {
 		return c, err
-	}
-	if c.Partition > 0 && c.Fault != fault.ProfileNone && c.FaultSeverity > 0 {
-		// The fault injector hooks the single fabric's send path; the
-		// partition engine's cross-shard hand-offs bypass it, so a sharded
-		// run would inject faults on a shard-dependent subset of traffic.
-		// Fault measurements stay on the single loop (or replicate-mode
-		// sharding, where each replica network carries its own engine).
-		return c, errors.New("selfemerge: fault profiles require the single event loop, not Partition")
 	}
 	if c.Retry < 0 {
 		return c, fmt.Errorf("selfemerge: negative retry attempts %d", c.Retry)
@@ -240,44 +231,27 @@ func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
 // drive; create one per experiment.
 type Network struct {
 	cfg       NetworkConfig
-	simulator *sim.Simulator
-	fabric    *simnet.Network
 	cloudSt   *cloud.Store
 	collector *adversary.Collector
-	rng       *stats.RNG
-	churnProc *churn.Process
+	rng       *stats.RNG // boot-time structural draws: identifiers, marking
 
-	// Partition mode (cfg.Partition >= 1): per-shard event loops advancing
-	// in lockstep, the partitioned fabric, and the per-shard state that
-	// keeps concurrent shard loops deterministic — a churn process and a
-	// replacement-marking RNG per shard (shard 0 aliases the classic
-	// rng/seed streams, so a one-shard partition replays the single-loop
-	// run byte for byte), plus per-shard adversary report queues drained at
-	// barriers. simulator aliases sims[0]: its clock is the barrier time.
-	sims       []*sim.Simulator
-	lockstep   *sim.Lockstep
-	partFab    *simnet.Partition
-	shardRng   []*stats.RNG
-	shardChurn []*churn.Process
-	reports    []reportQueue
+	// The one population runs on cfg.Partition event loops advancing in
+	// lockstep over one partitioned fabric; shards holds what each loop owns.
+	// Between Run calls every shard clock agrees on the barrier time.
+	shards   []shard
+	lockstep *sim.Lockstep
+	fabric   *simnet.Partition
 	// cryptoSrc feeds every sender-side cryptographic draw; sender wraps it
 	// for mission construction. Seed-derived ChaCha8 by default, crypto/rand
 	// with SystemRand.
 	cryptoSrc io.Reader
 	sender    *protocol.Sender
-	forger    *adversary.Forger
-	// faultEng drives correlated faults on the single fabric; nil unless an
-	// active fault profile is configured (the Forger pattern: constructed
-	// only when enabled, so default runs add no RNG draws and no events).
-	faultEng *fault.Engine
+	// forger is the eclipse flood; nil unless configured, so other runs add
+	// no RNG draws and no datagrams. RunUntil drives its ticks at barriers.
+	forger *adversary.Forger
 
 	nodes    []*dht.Node
 	receiver *dht.Node
-	// scratch holds one dht.Scratch per event loop (indexed by shard; one
-	// entry on the classic loop): the DHT working memory every node on that
-	// loop shares, so it outlives churn replacements instead of being
-	// re-bought at each join.
-	scratch []*dht.Scratch
 
 	mu         sync.Mutex
 	deliveries map[protocol.MissionID]delivery
@@ -286,6 +260,29 @@ type Network struct {
 	// retired accumulates the resilience counters of churn-replaced nodes
 	// at death, so ResilienceStats never loses a dead node's activity.
 	retired dht.Resilience
+}
+
+// shard is what one event loop owns. Everything here is touched only from
+// that loop (or from the driving goroutine while every loop is paused at a
+// barrier), which is what keeps concurrently running shards deterministic
+// without locks.
+type shard struct {
+	sim *sim.Simulator
+	// rng makes the shard's post-boot structural draws (replacement
+	// maliciousness): a stream shared across concurrent loops would make the
+	// marking sequence depend on scheduling.
+	rng   *stats.RNG
+	churn *churn.Process // deaths and flapping; nil when churn is disabled
+	// fault judges what this shard's nodes send and schedules their
+	// crash-restart windows; nil unless an active fault profile is configured
+	// (a constructed-but-idle engine would still be consulted per datagram).
+	fault *fault.Engine
+	// scratch is the DHT working memory every node on this loop shares, so it
+	// outlives churn replacements instead of being re-bought at each join.
+	scratch *dht.Scratch
+	// reports defers this shard's malicious-holder observations to the
+	// barrier (see releaseReports).
+	reports reportQueue
 }
 
 type delivery struct {
@@ -313,93 +310,65 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		n.cryptoSrc = stats.NewByteStream(stats.Mix64(cfg.Seed, 0xc0de))
 	}
 	n.sender = protocol.NewSender(n.cryptoSrc)
-	churnCfg := churn.Config{
-		MeanLifetime: cfg.MeanLifetime,
-		MeanUptime:   cfg.MeanUptime,
-		MeanDowntime: cfg.MeanDowntime,
-		Seed:         cfg.Seed + 2,
+
+	sims := make([]*sim.Simulator, cfg.Partition)
+	clocks := make([]sim.Clock, cfg.Partition)
+	for i := range sims {
+		sims[i] = sim.NewSimulator()
+		clocks[i] = sims[i]
+	}
+	n.fabric, err = simnet.NewPartition(clocks, simnet.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed + 1})
+	if err != nil {
+		return nil, err
+	}
+	if err := n.fabric.CheckLookahead(n.fabric.Lookahead()); err != nil {
+		return nil, err
+	}
+	n.lockstep = &sim.Lockstep{
+		Sims:      sims,
+		Lookahead: n.fabric.Lookahead(),
+		Workers:   cfg.PartitionWorkers,
+		Exchange:  n.fabric.Flush,
+		Release:   n.releaseReports,
 	}
 	churnEnabled := cfg.MeanLifetime > 0 || (cfg.MeanUptime > 0 && cfg.MeanDowntime > 0)
-	if cfg.Partition > 0 {
-		// Partition mode: one event loop, fabric slice, churn process and
-		// replacement RNG per shard. Shard 0 keeps every historical seed
-		// derivation (fabric Seed+1, churn Seed+2, the shared structural
-		// rng), so Partition: 1 replays the classic run byte for byte;
-		// higher shards draw decorrelated substreams.
-		n.sims = make([]*sim.Simulator, cfg.Partition)
-		clocks := make([]sim.Clock, cfg.Partition)
-		for i := range n.sims {
-			n.sims[i] = sim.NewSimulator()
-			clocks[i] = n.sims[i]
-		}
-		n.simulator = n.sims[0]
-		part, err := simnet.NewPartition(clocks, simnet.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed + 1})
-		if err != nil {
-			return nil, err
-		}
-		n.partFab = part
-		n.reports = make([]reportQueue, cfg.Partition)
-		n.shardRng = make([]*stats.RNG, cfg.Partition)
-		n.shardRng[0] = n.rng
-		for i := 1; i < cfg.Partition; i++ {
-			n.shardRng[i] = stats.NewRNG(stats.Mix64(cfg.Seed+3, uint64(i)))
+	faultEnabled := cfg.Fault != fault.ProfileNone && cfg.FaultSeverity > 0
+	n.shards = make([]shard, cfg.Partition)
+	for i := range n.shards {
+		// Shard 0 keeps every seed derivation the recorded single-loop runs
+		// were captured under (fabric Seed+1, churn Seed+2, the boot RNG for
+		// replacement marking, the fault stream), so a one-shard network
+		// replays them byte for byte; higher shards draw decorrelated
+		// substreams, none of which re-samples fabric or churn draws.
+		sh := &n.shards[i]
+		sh.sim, sh.rng = sims[i], n.rng
+		churnSeed, faultSeed := cfg.Seed+2, stats.Mix64(cfg.Seed, 0xfa177)
+		if i > 0 {
+			sh.rng = stats.NewRNG(stats.Mix64(cfg.Seed+3, uint64(i)))
+			churnSeed = stats.Mix64(churnSeed, uint64(i))
+			faultSeed = stats.Mix64(faultSeed, uint64(i))
 		}
 		if churnEnabled {
-			n.shardChurn = make([]*churn.Process, cfg.Partition)
-			for i := range n.shardChurn {
-				sub := churnCfg
-				if i > 0 {
-					sub.Seed = stats.Mix64(cfg.Seed+2, uint64(i))
-				}
-				n.shardChurn[i] = churn.New(n.sims[i], sub)
-			}
-		}
-		if err := part.CheckLookahead(part.Lookahead()); err != nil {
-			return nil, err
-		}
-		n.lockstep = &sim.Lockstep{
-			Sims:      n.sims,
-			Lookahead: part.Lookahead(),
-			Workers:   cfg.PartitionWorkers,
-			Exchange:  n.exchange,
-			Release:   n.releaseReports,
-		}
-	} else {
-		n.simulator = sim.NewSimulator()
-		fabCfg := simnet.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed + 1}
-		if cfg.Fault != fault.ProfileNone && cfg.FaultSeverity > 0 {
-			// Only active fault runs construct the engine (the Forger
-			// pattern): a constructed-but-idle engine would still be consulted
-			// per datagram and could shift allocation behavior. The seed is a
-			// decorrelated substream of the point seed, so the fault schedule
-			// never re-samples fabric or churn draws.
-			eng, err := fault.New(fault.Config{
-				Profile:  cfg.Fault,
-				Severity: cfg.FaultSeverity,
-				Seed:     stats.Mix64(cfg.Seed, 0xfa177),
+			sh.churn = churn.New(sims[i], churn.Config{
+				MeanLifetime: cfg.MeanLifetime,
+				MeanUptime:   cfg.MeanUptime,
+				MeanDowntime: cfg.MeanDowntime,
+				Seed:         churnSeed,
 			})
+		}
+		if faultEnabled {
+			sh.fault, err = fault.New(fault.Config{Profile: cfg.Fault, Severity: cfg.FaultSeverity, Seed: faultSeed})
 			if err != nil {
 				return nil, err
 			}
-			n.faultEng = eng
-			fabCfg.Inject = eng
+			n.fabric.SetInjector(i, sh.fault)
 		}
-		n.fabric = simnet.New(n.simulator, fabCfg)
-		if churnEnabled {
-			n.churnProc = churn.New(n.simulator, churnCfg)
-		}
-	}
-
-	n.scratch = make([]*dht.Scratch, max(cfg.Partition, 1))
-	for i := range n.scratch {
 		// Every loop sees every address: contacts travel across shards.
-		n.scratch[i] = dht.NewScratch(cfg.Nodes)
+		sh.scratch = dht.NewScratch(cfg.Nodes)
 	}
 
 	if cfg.Attack == adversary.StrategyEclipse && cfg.ForgeRate > 0 {
-		// Only eclipse runs construct the forger: its tick events and RNG
-		// draws would otherwise shift every honest run's event sequence.
-		n.forger = adversary.NewForger(n.simulator, cfg.ForgeRate, stats.Mix64(cfg.Seed, 0xf049e))
+		n.forger = adversary.NewForger(n.Now(), cfg.ForgeRate, stats.Mix64(cfg.Seed, 0xf049e))
 		n.collector.SetZoneSink(n.forger.ObserveZone)
 	}
 
@@ -408,9 +377,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		if err := n.addNode(i, malicious[i]); err != nil {
 			return nil, err
 		}
-	}
-	if n.forger != nil {
-		n.forger.Start()
 	}
 	n.receiver = n.nodes[1]
 	seed := []dht.Contact{n.nodes[0].Contact()}
@@ -423,84 +389,44 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return n, nil
 }
 
-// shardOf maps a node identifier to its owning shard (always 0 on the
-// classic single loop).
-func (n *Network) shardOf(id dht.ID) int {
-	if n.partFab == nil {
-		return 0
-	}
-	return id.Shard(n.partFab.Shards())
-}
-
-// clockOf returns the event loop a shard's nodes run on.
-func (n *Network) clockOf(shard int) *sim.Simulator {
-	if n.sims != nil {
-		return n.sims[shard]
-	}
-	return n.simulator
-}
-
-// churnOf returns the churn process driving a shard's deaths and flapping
-// (nil when churn is disabled).
-func (n *Network) churnOf(shard int) *churn.Process {
-	if n.shardChurn != nil {
-		return n.shardChurn[shard]
-	}
-	return n.churnProc
-}
-
-// rngOf returns the RNG for a shard's post-boot structural draws
-// (replacement maliciousness marking).
-func (n *Network) rngOf(shard int) *stats.RNG {
-	if n.shardRng != nil {
-		return n.shardRng[shard]
-	}
-	return n.rng
-}
-
 // reportQueue collects one shard's malicious-holder observations during an
 // epoch. It is written only from that shard's event loop and drained only at
 // barriers, so it needs no lock.
 type reportQueue struct {
 	recs []reportRec
 	head int // consumed prefix during a release merge
-	seq  uint64
+	// free recycles the payload clones of released records, so a steady
+	// stream of reports stops allocating once the list has warmed up.
+	free [][]byte
 }
 
-// reportRec is one deferred adversary observation with its merge
-// coordinates.
+// maxFreeReportBufs bounds reportQueue.free: reports drain at every barrier,
+// so only a burst between two barriers ever holds more clones than this.
+const maxFreeReportBufs = 64
+
+// reportRec is one deferred adversary observation. Its merge coordinates
+// are (at, shard, seq); the queue it sits in and its position there supply
+// the last two.
 type reportRec struct {
-	at    int64
-	shard int
-	seq   uint64
-	from  dht.ID
-	pkt   protocol.Packet
+	at   int64
+	from dht.ID
+	pkt  protocol.Packet
 }
 
-// shardReporter defers one shard's collector reports into its queue. The
-// packet's payload is cloned at enqueue: the transport reclaims the handler's
-// buffer when the event returns, long before the barrier drain.
-type shardReporter struct {
-	n     *Network
-	shard int
-}
-
-func (r shardReporter) Report(now time.Time, from dht.ID, pkt protocol.Packet) {
-	q := &r.n.reports[r.shard]
-	pkt.Data = append([]byte(nil), pkt.Data...)
-	q.recs = append(q.recs, reportRec{at: now.UnixNano(), shard: r.shard, seq: q.seq, from: from, pkt: pkt})
-	q.seq++
-}
-
-// exchange is the lockstep barrier hook: inject the queued cross-shard
-// datagrams into the destination simulators before the barrier probes them.
-// Deferred adversary reports are NOT drained here — with the adaptive epoch
-// bounds the shard clocks diverge inside an epoch, so a report from a
-// wide-bound shard may be queued before an earlier-timestamped one from a
-// narrow-bound shard exists; releaseReports holds everything back until the
-// barrier proves no earlier report can still appear.
-func (n *Network) exchange() {
-	n.partFab.Flush()
+// Report implements protocol.Reporter for the hosts on this shard: defer the
+// observation into the shard's queue. Concurrent shard loops reporting
+// straight into the collector would interleave nondeterministically; the
+// barrier merges the queues in (time, shard, seq) order instead. The packet's
+// payload is cloned at enqueue: the transport reclaims the handler's buffer
+// when the event returns, long before the barrier drain.
+func (sh *shard) Report(now time.Time, from dht.ID, pkt protocol.Packet) {
+	q := &sh.reports
+	var buf []byte
+	if k := len(q.free); k > 0 {
+		buf, q.free = q.free[k-1], q.free[:k-1]
+	}
+	pkt.Data = append(buf[:0], pkt.Data...)
+	q.recs = append(q.recs, reportRec{at: now.UnixNano(), from: from, pkt: pkt})
 }
 
 // releaseReports is the lockstep Release hook: feed the deferred adversary
@@ -510,9 +436,13 @@ func (n *Network) exchange() {
 // shard can still produce is at or after that — so the collector ingests a
 // prefix of the global timestamp order at every call, and its first-wins
 // state stays a pure function of the run (what the adversary is judged to
-// have known never depends on epoch shapes or worker counts). Reports
-// timestamped exactly at the horizon wait for the next barrier; the final
-// call at deadline+1ns flushes them.
+// have known never depends on epoch shapes or worker counts). Draining at
+// the exchange instead would not do: shard clocks diverge inside an epoch,
+// so a wide-bound shard can queue a report before an earlier-timestamped one
+// from a narrow-bound shard exists. Reports timestamped exactly at the
+// horizon wait for the next barrier; the final call at deadline+1ns flushes
+// them. The collector's zone sink — the eclipse forger's intelligence —
+// fires from here too, so the forger learns zones in the same global order.
 //
 // Each queue is filled in nondecreasing timestamp order (a shard's clock
 // only advances), so the drain is a k-way merge over queue prefixes, like
@@ -521,30 +451,34 @@ func (n *Network) exchange() {
 func (n *Network) releaseReports(before time.Time) {
 	horizon := before.UnixNano()
 	for {
-		best := -1
+		var best *reportQueue
 		var bestAt int64
-		for i := range n.reports {
-			q := &n.reports[i]
+		for i := range n.shards {
+			q := &n.shards[i].reports
 			if q.head == len(q.recs) {
 				continue
 			}
 			// Queues are at-sorted: a head at or past the horizon parks the
 			// whole queue until a later release.
-			if at := q.recs[q.head].at; at < horizon && (best == -1 || at < bestAt) {
-				best, bestAt = i, at
+			if at := q.recs[q.head].at; at < horizon && (best == nil || at < bestAt) {
+				best, bestAt = q, at
 			}
 		}
-		if best == -1 {
+		if best == nil {
 			break
 		}
-		q := &n.reports[best]
-		r := &q.recs[q.head]
+		r := &best.recs[best.head]
 		n.collector.Report(time.Unix(0, r.at), r.from, r.pkt)
-		r.pkt.Data = nil // release the clone
-		q.head++
+		// The collector cloned what it keeps: the payload clone goes back to
+		// the queue's freelist.
+		if cap(r.pkt.Data) > 0 && len(best.free) < maxFreeReportBufs {
+			best.free = append(best.free, r.pkt.Data)
+		}
+		r.pkt.Data = nil
+		best.head++
 	}
-	for i := range n.reports {
-		q := &n.reports[i]
+	for i := range n.shards {
+		q := &n.shards[i].reports
 		if q.head == 0 {
 			continue
 		}
@@ -579,19 +513,14 @@ func (n *Network) addNode(idx int, malicious bool) error {
 	return n.spawn(addr, dht.RandomID(n.rng), idx, malicious)
 }
 
-// spawn creates a live node with the given address and identifier, installs
-// it at population slot idx (replacing — and releasing — any dead
-// predecessor there), and, for churn-eligible slots, schedules its death
-// and replacement.
+// spawn creates a live node with the given address and identifier on the
+// shard that owns the identifier's zone, installs it at population slot idx
+// (replacing — and releasing — any dead predecessor there), and, for
+// churn-eligible slots, schedules its death and replacement.
 func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool) error {
-	shard := n.shardOf(id)
-	clock := n.clockOf(shard)
-	var ep transport.Endpoint
-	if n.partFab != nil {
-		ep = n.partFab.Endpoint(shard, addr)
-	} else {
-		ep = n.fabric.Endpoint(addr)
-	}
+	owner := id.Shard(len(n.shards))
+	sh := &n.shards[owner]
+	ep := n.fabric.Endpoint(owner, addr)
 	var onSecret func(protocol.MissionID, []byte)
 	if idx == 1 {
 		// Only the receiver's deliveries count: a stray PkSecret landing on
@@ -603,24 +532,17 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 			defer n.mu.Unlock()
 			if _, dup := n.deliveries[mission]; !dup {
 				n.deliveries[mission] = delivery{
-					at:     clock.Now(),
+					at:     sh.sim.Now(),
 					secret: append([]byte(nil), secret...),
 				}
 			}
 		}
 	}
-	var reporter protocol.Reporter = n.collector
-	if n.partFab != nil {
-		// Concurrent shard loops reporting straight into the collector would
-		// interleave nondeterministically: queue per shard instead and merge
-		// at epoch barriers in (time, shard, seq) order.
-		reporter = shardReporter{n: n, shard: shard}
-	}
 	host := protocol.NewHost(protocol.HostConfig{
-		Clock:     clock,
+		Clock:     sh.sim,
 		Malicious: malicious,
 		Drop:      malicious && n.cfg.Attack.Drops(),
-		Reporter:  reporter,
+		Reporter:  sh,
 		OnSecret:  onSecret,
 		Replicas:  n.cfg.Replicas,
 		Repair:    n.cfg.Repair,
@@ -629,11 +551,11 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	node, err := dht.NewNode(dht.Config{
 		ID:       id,
 		Endpoint: ep,
-		Clock:    clock,
+		Clock:    sh.sim,
 		Table:    n.cfg.Table,
 		Retry:    dht.RetryPolicy{Attempts: n.cfg.Retry},
 		OnApp:    host.HandleApp,
-		Scratch:  n.scratch[shard],
+		Scratch:  sh.scratch,
 	})
 	if err != nil {
 		return err
@@ -660,30 +582,24 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	// (node 1) and dispatcher (node 2) are exempt so experiments can always
 	// launch missions and observe outcomes — the model's honest, stable
 	// endpoints.
-	proc := n.churnOf(shard)
 	if idx <= 2 {
 		return nil
 	}
 	// Crash-restart windows (ProfileFlap): the endpoint goes transport-down
 	// for a sojourn and comes back with routing table, stored values and
 	// held custody intact — unlike a churn death, which closes the node and
-	// spawns a wiped replacement. The schedule is a pure function of
-	// (fault seed, address). Fault profiles run on the single loop only, so
-	// n.fabric is always the live fabric here.
+	// spawns a wiped replacement. The schedule is a pure function of (the
+	// shard's fault seed, address) and runs on the owner's clock, toggling
+	// the owner's slice of the fabric.
 	stopCrash := func() {}
-	if n.faultEng != nil {
-		stopCrash = n.faultEng.ManageCrashes(clock, addr, func(down bool) { n.fabric.SetDown(addr, down) })
+	if sh.fault != nil {
+		stopCrash = sh.fault.ManageCrashes(sh.sim, addr, func(down bool) { n.fabric.SetDown(addr, down) })
 	}
-	if proc == nil {
+	if sh.churn == nil {
 		return nil
 	}
-	var stopFlap func()
-	if n.partFab != nil {
-		stopFlap = n.partFab.ApplyChurn(addr, proc)
-	} else {
-		stopFlap = n.fabric.ApplyChurn(addr, proc)
-	}
-	proc.ScheduleDeath(func() {
+	stopFlap := n.fabric.ApplyChurn(addr, sh.churn)
+	sh.churn.ScheduleDeath(func() {
 		stopFlap()
 		stopCrash()
 		// Harvest the dying node's resilience counters before its slot is
@@ -700,7 +616,7 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		n.deaths++
 		n.mu.Unlock()
 		if n.cfg.Replace {
-			n.join(addr, id, idx)
+			n.join(sh, addr, id, idx)
 		}
 	})
 	return nil
@@ -710,11 +626,10 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 // fresh node with wiped state taking over the vacated address and DHT zone —
 // and bootstraps it. It is malicious with probability MaliciousRate,
 // keeping the Sybil fraction stationary as churn replenishes the network.
-func (n *Network) join(addr transport.Addr, id dht.ID, idx int) {
+func (n *Network) join(sh *shard, addr transport.Addr, id dht.ID, idx int) {
 	// The maliciousness draw comes from the joining node's shard RNG: the
-	// death event runs on that shard's loop, and a shared RNG across
-	// concurrent loops would make the marking sequence depend on scheduling.
-	if err := n.spawn(addr, id, idx, n.rngOf(n.shardOf(id)).Bool(n.cfg.MaliciousRate)); err != nil {
+	// death event runs on that shard's loop.
+	if err := n.spawn(addr, id, idx, sh.rng.Bool(n.cfg.MaliciousRate)); err != nil {
 		// Unreachable by construction: spawn only fails on a nil
 		// endpoint/clock or zero ID, and a replacement reuses a valid ID on
 		// a fresh endpoint. If it ever fires, the joins counter diverging
@@ -788,45 +703,40 @@ func (n *Network) ResilienceStats() dht.Resilience {
 // FabricStats reports transport-level (sent, delivered, dropped) datagram
 // counts.
 func (n *Network) FabricStats() (sent, delivered, dropped int) {
-	if n.partFab != nil {
-		return n.partFab.Stats()
-	}
 	return n.fabric.Stats()
 }
 
-// LoopStats reports the partition engine's event-loop counters: epoch
-// barriers executed, epochs with at most one busy shard (the adaptive
-// bound's inline fast-forwards), and hand-off outbox capacity growths. All
-// three are pure functions of the configuration and seed — independent of
-// GOMAXPROCS and worker counts — which is what lets CI gate them. Zero in
-// classic (non-partitioned) mode.
+// LoopStats reports the event-loop engine's counters: epoch barriers
+// executed, epochs with at most one busy shard (the adaptive bound's inline
+// fast-forwards), and hand-off outbox capacity growths. All three are pure
+// functions of the configuration and seed — independent of GOMAXPROCS and
+// worker counts — which is what lets CI gate them. A one-shard network
+// crosses no shard boundary, so it runs one epoch per lockstep segment
+// (every one an idle skip) and never grows an outbox.
 func (n *Network) LoopStats() (epochs, idleSkips, mergeAllocs uint64) {
-	if n.lockstep == nil {
-		return 0, 0, 0
-	}
-	return n.lockstep.Epochs(), n.lockstep.IdleSkips(), n.partFab.MergeAllocs()
+	return n.lockstep.Epochs(), n.lockstep.IdleSkips(), n.fabric.MergeAllocs()
 }
 
-// Now returns the current simulated time. In partition mode this is the
-// barrier time: between Run calls every shard clock agrees.
-func (n *Network) Now() time.Time { return n.simulator.Now() }
+// Now returns the current simulated time: the barrier time every shard
+// clock agrees on between Run calls.
+func (n *Network) Now() time.Time { return n.lockstep.Now() }
 
 // RunFor advances simulated time by d, executing all due events.
-func (n *Network) RunFor(d time.Duration) {
-	if n.lockstep != nil {
-		n.lockstep.RunFor(d)
-		return
-	}
-	n.simulator.RunFor(d)
-}
+func (n *Network) RunFor(d time.Duration) { n.RunUntil(n.Now().Add(d)) }
 
-// RunUntil advances simulated time to the given instant.
+// RunUntil advances simulated time to the given instant. The eclipse forger
+// owns no events (it spans every loop): the run is cut into lockstep
+// segments at its tick instants and it acts between them, with every loop
+// paused at the tick, all earlier reports released to the collector, and its
+// sends entering the fabric from this goroutine.
 func (n *Network) RunUntil(t time.Time) {
-	if n.lockstep != nil {
-		n.lockstep.RunUntil(t)
-		return
+	if n.forger != nil {
+		for tick := n.forger.NextTick(); !tick.After(t); tick = n.forger.NextTick() {
+			n.lockstep.RunUntil(tick)
+			n.forger.Tick()
+		}
 	}
-	n.simulator.RunUntil(t)
+	n.lockstep.RunUntil(t)
 }
 
 // Settle flushes in-flight traffic by advancing simulated time a few

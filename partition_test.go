@@ -8,20 +8,27 @@ import (
 	"selfemerge/internal/protocol"
 )
 
-// runTrace drives a fixed two-mission workload under churn and a drop
-// adversary and returns a full observable fingerprint of the run: mission
-// outcomes with timestamps and secrets, churn totals, and fabric counters.
+// runTrace drives a fixed two-mission workload on the configured network
+// and returns a full observable fingerprint of the run: mission outcomes
+// with timestamps and secrets, churn totals, and fabric counters.
 func runTrace(t *testing.T, cfg NetworkConfig) string {
 	t.Helper()
 	net, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return traceMissions(t, net, 2, 2*time.Hour)
+}
+
+// traceMissions is runTrace's drive loop over an already booted network:
+// missions one after another, each with the given emerging period.
+func traceMissions(t *testing.T, net *Network, missions int, emerging time.Duration) string {
+	t.Helper()
 	out := ""
-	for m := 0; m < 2; m++ {
+	for m := 0; m < missions; m++ {
 		var id protocol.MissionID
 		id[0] = byte(m + 1)
-		msg, err := net.Send([]byte("partition golden"), 2*time.Hour,
+		msg, err := net.Send([]byte("partition golden"), emerging,
 			WithScheme(SchemeJoint), WithThreatModel(0.1), WithMissionID(id))
 		if err != nil {
 			t.Fatal(err)
@@ -40,28 +47,46 @@ func runTrace(t *testing.T, cfg NetworkConfig) string {
 	return out
 }
 
-// TestPartitionOneMatchesClassic is the compatibility golden: the partition
-// engine with a single shard must reproduce the historical single-loop run
-// byte for byte — same deliveries, same timestamps, same churn and fabric
-// counters — because shard 0 keeps every classic seed derivation and a
-// one-shard lockstep runs the same event sequence.
+// classicTraces are runTrace fingerprints recorded from the single-loop
+// engine (one sim.Simulator, one simnet.Network) at the last commit that had
+// it, for TestPartitionOneMatchesClassic's config at two seeds.
+var classicTraces = map[uint64]string{
+	11: `mission=0 emerged=true at=10860074999997 plain="partition golden" recovered=true recAt=9831503571426
+mission=1 emerged=true at=18420074999997 plain="partition golden" recovered=false recAt=-6795364578871345152
+deaths=114 joins=114 sent=44168 delivered=44168 dropped=0 now=18780000000000
+`,
+	29: `mission=0 emerged=true at=10860074999997 plain="partition golden" recovered=false recAt=-6795364578871345152
+mission=1 emerged=true at=18420074999997 plain="partition golden" recovered=true recAt=11220075000000
+deaths=97 joins=97 sent=42336 delivered=42336 dropped=0 now=18780000000000
+`,
+}
+
+// TestPartitionOneMatchesClassic is the compatibility golden: a one-shard
+// network — the default, and an explicit Partition: 1 — must reproduce the
+// recorded single-loop runs byte for byte: same deliveries, same timestamps,
+// same churn and fabric counters. Shard 0 keeps every seed derivation those
+// runs were captured under, and a one-shard lockstep executes the same event
+// sequence.
 func TestPartitionOneMatchesClassic(t *testing.T) {
-	cfg := NetworkConfig{
-		Nodes:           80,
-		MaliciousRate:   0.2,
-		Attack:          AttackDrop,
-		MeanLifetime:    3 * time.Hour,
-		Replace:         true,
-		Repair:          true,
-		HonestEndpoints: true,
-		Replicas:        1,
-		Seed:            11,
-	}
-	classic := runTrace(t, cfg)
-	part := cfg
-	part.Partition = 1
-	if got := runTrace(t, part); got != classic {
-		t.Errorf("Partition:1 diverged from the classic run\nclassic:\n%spartition:\n%s", classic, got)
+	for _, seed := range []uint64{11, 29} {
+		for _, partition := range []int{0, 1} {
+			got := runTrace(t, NetworkConfig{
+				Nodes:           80,
+				MaliciousRate:   0.2,
+				Attack:          AttackDrop,
+				MeanLifetime:    3 * time.Hour,
+				Replace:         true,
+				Repair:          true,
+				HonestEndpoints: true,
+				Replicas:        1,
+				Seed:            seed,
+				Partition:       partition,
+			})
+			if got != classicTraces[seed] {
+				t.Errorf("seed %d Partition:%d diverged from the recorded single-loop run\nrecorded:\n%sgot:\n%s",
+					seed, partition, classicTraces[seed], got)
+			}
+		}
 	}
 }
 
@@ -116,5 +141,66 @@ func TestPartitionDeliversAcrossShards(t *testing.T) {
 	}
 	if string(plain) != "cross-shard" {
 		t.Fatalf("plaintext = %q", plain)
+	}
+}
+
+// TestFaultAndEclipseComposeWithPartition covers the cells of the
+// composition matrix that used to be rejected: every fault profile crossed
+// with both packet-level adversaries, on one shard and on three. Each cell
+// must boot, its full fingerprint — missions, fabric counters, resilience
+// counters, forged contacts — must be byte-identical whether the shard loops
+// run serially or on four workers, and the faults and forgeries must have
+// actually fired. The flood is kept light: retried RPCs to forged contacts
+// multiply an eclipse cell's datagrams roughly tenfold per tenfold ForgeRate.
+func TestFaultAndEclipseComposeWithPartition(t *testing.T) {
+	type attack struct {
+		name     string
+		strategy AttackStrategy
+		forge    float64
+	}
+	for _, profile := range []FaultProfile{FaultNone, FaultBurst, FaultPartition, FaultFlap} {
+		for _, atk := range []attack{{"drop", AttackDrop, 0}, {"eclipse", AttackEclipse, 3}} {
+			for _, shards := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%v/%s/S%d", profile, atk.name, shards), func(t *testing.T) {
+					t.Parallel() // cells share nothing; the race build is ~25x slower
+					run := func(workers int) (trace string, dropped int, forged uint64) {
+						net, err := NewNetwork(NetworkConfig{
+							Nodes:            60,
+							MaliciousRate:    0.2,
+							Attack:           atk.strategy,
+							ForgeRate:        atk.forge,
+							MeanLifetime:     time.Hour,
+							Replace:          true,
+							Repair:           true,
+							HonestEndpoints:  true,
+							Replicas:         1,
+							Fault:            profile,
+							FaultSeverity:    0.5,
+							Retry:            3,
+							Partition:        shards,
+							PartitionWorkers: workers,
+							Seed:             41,
+						})
+						if err != nil {
+							t.Fatalf("NewNetwork rejected the cell: %v", err)
+						}
+						trace = traceMissions(t, net, 1, 5*time.Minute)
+						_, _, dropped = net.FabricStats()
+						forged = net.ForgedContacts()
+						return trace + fmt.Sprintf("resilience=%+v forged=%d\n", net.ResilienceStats(), forged), dropped, forged
+					}
+					serial, dropped, forged := run(1)
+					if got, _, _ := run(4); got != serial {
+						t.Errorf("4 workers diverged from the serial run\nserial:\n%s4 workers:\n%s", serial, got)
+					}
+					if profile != FaultNone && dropped == 0 {
+						t.Error("the fault profile dropped nothing")
+					}
+					if atk.forge > 0 && forged == 0 {
+						t.Error("the forger emitted nothing")
+					}
+				})
+			}
+		}
 	}
 }

@@ -122,8 +122,8 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 		Plan:     plan,
 		Secret:   key.Bytes(),
 		Receiver: n.receiver.ID(),
-		Start:    n.simulator.Now(),
-		Release:  n.simulator.Now().Add(emerging),
+		Start:    n.Now(),
+		Release:  n.Now().Add(emerging),
 		Replicas: n.cfg.Replicas,
 	}
 	// Dispatch from a node that is neither the bootstrap nor the receiver,
