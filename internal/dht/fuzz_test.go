@@ -111,3 +111,27 @@ func FuzzMessageAppendEncode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTableClosest checks the closed-form bucket walk against the model's
+// full sort on a table built from the seed. The target is self XOR
+// targetBytes, so a run of leading zero bytes is a long shared prefix — the
+// inputs that steer the walk onto the far-side sweep and across the lane
+// boundaries.
+func FuzzTableClosest(f *testing.F) {
+	f.Add(uint64(1), []byte{}, 20)
+	f.Add(uint64(2), []byte{0x80}, 1)
+	f.Add(uint64(3), append(make([]byte, 7), 0x01, 0x80), 40)
+	f.Add(uint64(4), append(make([]byte, 15), 0x01, 0xff, 0, 0, 0x01), 1000)
+	f.Add(uint64(5), bytes.Repeat([]byte{0xff}, IDBytes), -1)
+	f.Fuzz(func(t *testing.T, seed uint64, targetBytes []byte, count int) {
+		k := 1 + int(seed%40)
+		table, model, _ := newStructuredTable(seed, k)
+		target := table.self
+		for i := range target {
+			if i < len(targetBytes) {
+				target[i] ^= targetBytes[i]
+			}
+		}
+		checkClosest(t, table, model, target, count)
+	})
+}

@@ -235,8 +235,11 @@ func (t *Table) observe(c Contact, verified bool) {
 	// empty bucket (k >= 1).
 	b := t.ensureBucket(idx)
 	entries := b.entries
+	// The packed top lane settles nearly every identity compare in one word;
+	// the 20-byte compare only confirms a match.
+	l0 := binary.BigEndian.Uint64(c.ID[:])
 	for i := range entries {
-		if entries[i].ID == c.ID {
+		if entries[i].l0 == l0 && entries[i].ID == c.ID {
 			if verified {
 				entries[i].Addr = c.Addr
 			}
@@ -249,8 +252,7 @@ func (t *Table) observe(c Contact, verified bool) {
 			return
 		}
 	}
-	entry := bucketEntry{Contact: c, lastSeen: t.now().UnixNano()}
-	entry.l0 = binary.BigEndian.Uint64(c.ID[:])
+	entry := bucketEntry{Contact: c, l0: l0, lastSeen: t.now().UnixNano()}
 	entry.l1 = binary.BigEndian.Uint64(c.ID[8:])
 	entry.l2 = binary.BigEndian.Uint32(c.ID[16:])
 	if len(entries) < t.k {
@@ -385,10 +387,10 @@ func (t *Table) Remove(id ID) {
 	}
 }
 
-// ranked is one selection candidate: the contact plus its XOR distance from
-// the target packed into big-endian uint64/uint32 lanes, so every heap
-// comparison is at most three integer compares instead of a 20-byte
-// memcompare over materialized distance arrays.
+// ranked is a contact plus its XOR distance from a target, packed into
+// big-endian uint64/uint32 lanes so that ordering two of them is at most
+// three integer compares instead of a 20-byte memcompare over materialized
+// distance arrays.
 type ranked struct {
 	d0, d1 uint64
 	d2     uint32
@@ -397,25 +399,19 @@ type ranked struct {
 
 // farther orders candidates by distance, larger first.
 func (a ranked) farther(b ranked) bool {
-	if a.d0 != b.d0 {
-		return a.d0 > b.d0
-	}
-	if a.d1 != b.d1 {
-		return a.d1 > b.d1
-	}
-	return a.d2 > b.d2
+	return lanesFarther(a.d0, a.d1, a.d2, b.d0, b.d1, b.d2)
 }
 
-// beyond reports whether the candidate lies strictly beyond the distance
-// given as packed lanes.
-func (a ranked) beyond(b0, b1 uint64, b2 uint32) bool {
-	if a.d0 != b0 {
-		return a.d0 > b0
+// lanesFarther reports whether packed distance a is larger than packed
+// distance b.
+func lanesFarther(a0, a1 uint64, a2 uint32, b0, b1 uint64, b2 uint32) bool {
+	if a0 != b0 {
+		return a0 > b0
 	}
-	if a.d1 != b1 {
-		return a.d1 > b1
+	if a1 != b1 {
+		return a1 > b1
 	}
-	return a.d2 > b2
+	return a2 > b2
 }
 
 // rankContact packs c with its XOR distance lanes from target.
@@ -428,10 +424,6 @@ func rankContact(target ID, c Contact) ranked {
 	}
 }
 
-// rankedScratch pools the selection heaps Closest runs on, so the per-call
-// cost is the selection itself, not its buffers.
-var rankedScratch = sync.Pool{New: func() any { return new([]ranked) }}
-
 // Closest returns up to count contacts closest to target under XOR
 // distance, nearest first, in a fresh slice.
 func (t *Table) Closest(target ID, count int) []Contact {
@@ -441,178 +433,110 @@ func (t *Table) Closest(target ID, count int) []Contact {
 // AppendClosest appends up to count contacts closest to target under XOR
 // distance to dst, nearest first — the allocation-free form for receive
 // paths that recycle a result buffer. This is the per-message hot path
-// (every FIND_NODE handler and every lookup bootstrap runs it); the
-// selection itself lives in appendClosestRanked.
+// (every FIND_NODE handler runs it); the selection lives in selectClosest.
 func (t *Table) AppendClosest(dst []Contact, target ID, count int) []Contact {
-	if count <= 0 {
-		return dst
-	}
-	hp := rankedScratch.Get().(*[]ranked)
-	heap := t.appendClosestRanked((*hp)[:0], target, count)
-	if dst == nil {
-		dst = make([]Contact, 0, len(heap))
-	}
-	for i := range heap {
-		dst = append(dst, heap[i].c)
-	}
-	*hp = heap[:0]
-	rankedScratch.Put(hp)
+	dst, _ = t.selectClosest(dst, nil, false, target, count)
 	return dst
 }
 
-// bucketBound is one non-empty bucket in the pruned scan order: its index
-// plus the packed lower bound on the XOR distance from the target that any
-// of its entries can achieve.
-type bucketBound struct {
-	l0, l1 uint64
-	l2     uint32
-	idx    int
-}
-
-// above orders bounds by floor, larger first.
-func (a bucketBound) above(b bucketBound) bool {
-	if a.l0 != b.l0 {
-		return a.l0 > b.l0
-	}
-	if a.l1 != b.l1 {
-		return a.l1 > b.l1
-	}
-	return a.l2 > b.l2
-}
-
-// appendClosestRanked is the selection core behind AppendClosest and the
-// lookup shortlist bootstrap: it appends the count contacts closest to
-// target to dst as ranked entries (distance lanes included), nearest first.
-//
-// It runs an exact bounded selection — a count-sized max-heap on
-// word-packed distances, so most candidates fall to one integer comparison
-// against the heap root — over a bucket scan pruned by per-bucket distance
-// floors. Every entry of bucket b differs from self first at bit b, so its
-// distance from target equals self XOR target on the bits above b, the
-// flipped bit of that distance at b, and arbitrary bits below: an exact
-// floor. Buckets are visited floor-ascending, and once the heap is full
-// with its farthest member at or under the next floor no unscanned entry
-// can displace anything, so the scan stops — near a populated table's
-// target neighbourhood that leaves one or two buckets of the ~log2(N)
-// non-empty ones. Distances are unique (distinct IDs), so the pruned
-// selection and its nearest-first order match a full sort exactly.
+// appendClosestRanked is AppendClosest for the lookup shortlist bootstrap:
+// the same contacts in the same order, as ranked entries that keep the
+// distance lanes the selection computed.
 func (t *Table) appendClosestRanked(dst []ranked, target ID, count int) []ranked {
-	if count <= 0 {
-		return dst
-	}
+	_, dst = t.selectClosest(nil, dst, true, target, count)
+	return dst
+}
+
+// closestKey stands for one bucket entry while its bucket is put in order:
+// the entry's XOR distance from the target as packed lanes, plus its
+// position in the bucket.
+type closestKey struct {
+	d0, d1 uint64
+	d2     uint32
+	i      uint32
+}
+
+// inlineKeys is the bucket size up to which selectClosest orders a bucket on
+// its own stack frame; the default K (20) fits, a larger k allocates.
+const inlineKeys = 32
+
+// selectClosest is the selection core: it appends the count contacts closest
+// to target, nearest first, to rs (as ranked entries) when asRanked is set
+// and to cs otherwise, and returns both.
+//
+// The buckets are totally ordered by distance from any target, so nothing is
+// compared across buckets. With s = self XOR target, every entry of bucket i
+// (first differing from self at bit i) is at a distance that equals s above
+// bit i and is flipped at bit i; an entry of a deeper bucket j > i still
+// equals s at bit i. Bit i therefore decides the pair: where s has a 1 there,
+// all of bucket i is nearer than every deeper bucket; where s has a 0, all of
+// it is farther. Nearest-first order is thus the occupied buckets under the
+// 1 bits of s by ascending index, then those under the 0 bits by descending
+// index. The walk takes whole buckets in that order, sorts only inside a
+// bucket, and cuts the last one to the count still wanted. Distances are
+// unique (distinct IDs), so the result equals a full sort of the table.
+func (t *Table) selectClosest(cs []Contact, rs []ranked, asRanked bool, target ID, count int) ([]Contact, []ranked) {
 	t0 := binary.BigEndian.Uint64(target[:])
 	t1 := binary.BigEndian.Uint64(target[8:])
 	t2 := binary.BigEndian.Uint32(target[16:])
-	// The self-to-target distance lanes the per-bucket floors are carved
-	// from.
-	s0 := binary.BigEndian.Uint64(t.self[:]) ^ t0
-	s1 := binary.BigEndian.Uint64(t.self[8:]) ^ t1
-	s2 := binary.BigEndian.Uint32(t.self[16:]) ^ t2
-	heap := dst
-	t.mu.Lock()
-	var order [IDBits]bucketBound
-	nb := 0
-	for w, word := range t.occupied {
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			b := bucketBound{idx: i}
-			switch {
-			case i < 64:
-				b.l0 = s0&^(^uint64(0)>>i) | ^s0&(1<<(63-i))
-			case i < 128:
-				b.l0 = s0
-				b.l1 = s1&^(^uint64(0)>>(i-64)) | ^s1&(1<<(127-i))
-			default:
-				b.l0, b.l1 = s0, s1
-				b.l2 = s2&^(^uint32(0)>>(i-128)) | ^s2&(1<<(159-i))
-			}
-			// Floor-ascending insertion sort; only ~log2(N) buckets are
-			// non-empty.
-			j := nb - 1
-			for j >= 0 && order[j].above(b) {
-				order[j+1] = order[j]
-				j--
-			}
-			order[j+1] = b
-			nb++
-		}
+	// s as a bucketSet: ID bit i, counted from the most significant, sits at
+	// set position i, so it lines up with the occupied bitmap.
+	s := bucketSet{
+		bits.Reverse64(binary.BigEndian.Uint64(t.self[:]) ^ t0),
+		bits.Reverse64(binary.BigEndian.Uint64(t.self[8:]) ^ t1),
+		uint64(bits.Reverse32(binary.BigEndian.Uint32(t.self[16:]) ^ t2)),
 	}
-	for bi := 0; bi < nb; bi++ {
-		ob := &order[bi]
-		if len(heap) == count && !heap[0].beyond(ob.l0, ob.l1, ob.l2) {
-			// The farthest kept contact is at or under this bucket's floor,
-			// and floors only rise from here: nothing left can improve.
-			break
+	var inline [inlineKeys]closestKey
+	keys := inline[:]
+	if t.k > inlineKeys {
+		keys = make([]closestKey, t.k)
+	}
+	t.mu.Lock()
+	// Sweeps 0..2 take the near side (occupied ∧ s) word by word upward,
+	// sweeps 3..5 the far side (occupied ∧ ¬s) downward.
+	for sweep := 0; sweep < 2*len(s) && count > 0; sweep++ {
+		w, far := sweep, sweep >= len(s)
+		if far {
+			w = 2*len(s) - 1 - sweep
+			s[w] = ^s[w]
 		}
-		entries := t.bucket(ob.idx).entries
-		for ei := range entries {
-			// By pointer: a by-value range would copy the whole entry
-			// per candidate just to read half of it.
-			e := &entries[ei]
-			d0 := e.l0 ^ t0
-			d1 := e.l1 ^ t1
-			d2 := e.l2 ^ t2
-			if len(heap) < count {
-				// Grow phase: sift the newcomer up the max-heap.
-				heap = append(heap, ranked{d0: d0, d1: d1, d2: d2, c: e.Contact})
-				for j := len(heap) - 1; j > 0; {
-					parent := (j - 1) / 2
-					if !heap[j].farther(heap[parent]) {
-						break
-					}
-					heap[j], heap[parent] = heap[parent], heap[j]
-					j = parent
+		word := t.occupied[w] & s[w]
+		for word != 0 && count > 0 {
+			bit := bits.TrailingZeros64(word)
+			if far {
+				bit = 63 - bits.LeadingZeros64(word)
+			}
+			word &^= 1 << bit
+			entries := t.bucket(w<<6 + bit).entries
+			// Insertion sort on the keys: at most k of them, and an entry is
+			// copied out once, after its place is known.
+			for i := range entries {
+				e := &entries[i]
+				key := closestKey{d0: e.l0 ^ t0, d1: e.l1 ^ t1, d2: e.l2 ^ t2, i: uint32(i)}
+				j := i
+				for j > 0 && lanesFarther(keys[j-1].d0, keys[j-1].d1, keys[j-1].d2, key.d0, key.d1, key.d2) {
+					keys[j] = keys[j-1]
+					j--
 				}
-			} else if heap[0].beyond(d0, d1, d2) {
-				// Replacement phase: evict the farthest kept contact. The
-				// common case once the heap is full is rejection after the
-				// lane compare above — candidates that lose never pay the
-				// contact copy into a ranked record.
-				heap[0] = ranked{d0: d0, d1: d1, d2: d2, c: e.Contact}
-				for j := 0; ; {
-					l, rgt := 2*j+1, 2*j+2
-					largest := j
-					if l < len(heap) && heap[l].farther(heap[largest]) {
-						largest = l
-					}
-					if rgt < len(heap) && heap[rgt].farther(heap[largest]) {
-						largest = rgt
-					}
-					if largest == j {
-						break
-					}
-					heap[j], heap[largest] = heap[largest], heap[j]
-					j = largest
+				keys[j] = key
+			}
+			n := len(entries)
+			if n > count {
+				n = count
+			}
+			count -= n
+			for _, key := range keys[:n] {
+				c := entries[key.i].Contact
+				if asRanked {
+					rs = append(rs, ranked{d0: key.d0, d1: key.d1, d2: key.d2, c: c})
+				} else {
+					cs = append(cs, c)
 				}
 			}
 		}
 	}
 	t.mu.Unlock()
-	// In-place heapsort of the survivors: repeatedly retire the farthest to
-	// the end — ascending by distance, nearest first, identical to a
-	// comparator sort because distances are unique. Reuses the max-heap the
-	// selection already built instead of paying an indirect-comparator sort.
-	for end := len(heap) - 1; end > 0; end-- {
-		heap[0], heap[end] = heap[end], heap[0]
-		h := heap[:end]
-		for j := 0; ; {
-			l, rgt := 2*j+1, 2*j+2
-			largest := j
-			if l < len(h) && h[l].farther(h[largest]) {
-				largest = l
-			}
-			if rgt < len(h) && h[rgt].farther(h[largest]) {
-				largest = rgt
-			}
-			if largest == j {
-				break
-			}
-			h[j], h[largest] = h[largest], h[j]
-			j = largest
-		}
-	}
-	return heap
+	return cs, rs
 }
 
 // Len returns the number of tracked contacts.

@@ -319,18 +319,7 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 			table.Remove(c.ID)
 			model.remove(c.ID)
 		case 2:
-			target := RandomID(rng)
-			n := int(rng.Uint64n(8)) + 1
-			got := table.Closest(target, n)
-			want := model.closest(target, n)
-			if len(got) != len(want) {
-				t.Fatalf("op %d: Closest returned %d contacts, model %d", op, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("op %d: Closest[%d] = %v, model %v", op, i, got[i], want[i])
-				}
-			}
+			checkClosest(t, table, model, RandomID(rng), int(rng.Uint64n(8))+1)
 		default:
 			c := pool[rng.Uint64n(uint64(len(pool)))]
 			table.Observe(c)
@@ -339,6 +328,140 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 	}
 	if table.Len() == 0 {
 		t.Fatal("randomized run tracked nothing")
+	}
+}
+
+// checkClosest asserts that both forms of the selection return exactly the
+// model's full sort cut to count: AppendClosest the contacts, and
+// appendClosestRanked the same contacts with rankContact's distance lanes.
+func checkClosest(t testing.TB, table *Table, model *modelTable, target ID, count int) {
+	t.Helper()
+	var want []Contact
+	if count > 0 {
+		want = model.closest(target, count)
+	}
+	got := table.AppendClosest(nil, target, count)
+	rs := table.appendClosestRanked(nil, target, count)
+	if len(got) != len(want) || len(rs) != len(want) {
+		t.Fatalf("closest %d to %s: %d contacts, %d ranked, model %d", count, target.Short(), len(got), len(rs), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("closest %d to %s: [%d] = %v, model %v", count, target.Short(), i, got[i], want[i])
+		}
+		if rs[i] != rankContact(target, want[i]) {
+			t.Fatalf("closest %d to %s: ranked[%d] = %+v, want %+v", count, target.Short(), i, rs[i], rankContact(target, want[i]))
+		}
+	}
+}
+
+// idSharing returns an ID that shares exactly its first prefix bits with
+// self — it lands in bucket prefix — with the bits below drawn from rng.
+func idSharing(self ID, prefix int, rng *stats.RNG) ID {
+	id := RandomID(rng)
+	for bit := 0; bit <= prefix; bit++ {
+		mask := byte(0x80) >> (bit % 8)
+		id[bit/8] = id[bit/8]&^mask | self[bit/8]&mask
+	}
+	id[prefix/8] ^= 0x80 >> (prefix % 8)
+	return id
+}
+
+// laneEdges are the bucket indexes around the 64- and 128-bit boundaries of
+// the packed distance lanes and at both ends of the ID.
+var laneEdges = []int{0, 1, 2, 61, 62, 63, 64, 65, 66, 126, 127, 128, 129, IDBits - 2, IDBits - 1}
+
+// newStructuredTable builds a table and its model from one seed: uniform IDs
+// that fill the shallow buckets, then up to k IDs in every laneEdges bucket,
+// so occupied buckets sit on both sides of each lane boundary.
+func newStructuredTable(seed uint64, k int) (*Table, *modelTable, *stats.RNG) {
+	rng := stats.NewRNG(seed)
+	self := RandomID(rng)
+	now := func() time.Time { return time.Unix(5000, 0) }
+	table := NewTable(self, k, 10*time.Minute, now)
+	model := &modelTable{self: self, k: k, staleAfter: 10 * time.Minute, now: now, buckets: map[int][]bucketEntry{}}
+	observe := func(id ID) {
+		c := Contact{ID: id, Addr: transport.Addr(id.Short())}
+		table.Observe(c)
+		model.observe(c)
+	}
+	for i := 0; i < 30*k; i++ {
+		observe(RandomID(rng))
+	}
+	for _, idx := range laneEdges {
+		for i := 0; i < k; i++ {
+			observe(idSharing(self, idx, rng))
+		}
+	}
+	return table, model, rng
+}
+
+func TestTableClosestStructured(t *testing.T) {
+	// The uniformly random targets of TestTableRandomizedAgainstModel part from
+	// self within the first few bits, so they never reach the far-side sweep
+	// across the lane boundaries. Here the targets share long prefixes with
+	// self, the buckets around every boundary are occupied, and k runs past
+	// the inline key scratch.
+	for _, k := range []int{20, 40} {
+		table, model, rng := newStructuredTable(uint64(k), k)
+		targets := []ID{table.self, RandomID(rng), table.Closest(table.self, 1)[0].ID}
+		for _, prefix := range []int{1, 62, 63, 64, 65, 127, 128, IDBits - 1} {
+			targets = append(targets, idSharing(table.self, prefix, rng), idSharing(table.self, prefix, rng))
+		}
+		for _, target := range targets {
+			for _, count := range []int{1, k, 2 * k, table.Len() + 5} {
+				checkClosest(t, table, model, target, count)
+			}
+		}
+	}
+}
+
+func TestAppendClosestAllocs(t *testing.T) {
+	// The receive paths call AppendClosest per datagram into a recycled
+	// buffer: at the default K the selection must run on its stack frame alone.
+	const k = 20
+	table, _, rng := newStructuredTable(7, k)
+	targets := []ID{table.self, RandomID(rng), idSharing(table.self, 64, rng)}
+	buf := make([]Contact, 0, k)
+	i := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = table.AppendClosest(buf[:0], targets[i%len(targets)], k)
+		i++
+	}); allocs != 0 {
+		t.Fatalf("AppendClosest into a reused buffer makes %v allocations, want 0", allocs)
+	}
+	if len(buf) != k {
+		t.Fatalf("AppendClosest returned %d contacts, want %d", len(buf), k)
+	}
+}
+
+// BenchmarkTableClosest times the selection kernel on a 2000-ID table at the
+// default K: near aims at the deepest occupied bucket (the answer spans
+// several small buckets), far at a full bucket 0 (one bucket, cut to K).
+func BenchmarkTableClosest(b *testing.B) {
+	rng := stats.NewRNG(2000)
+	self := RandomID(rng)
+	table := NewTable(self, 20, time.Hour, func() time.Time { return time.Unix(0, 0) })
+	for i := 0; i < 2000; i++ {
+		table.Observe(Contact{ID: RandomID(rng)})
+	}
+	for _, arm := range []struct {
+		name   string
+		target ID
+	}{
+		{"near", table.Closest(self, 1)[0].ID},
+		{"far", idInBucket(self, 0)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			buf := make([]Contact, 0, 20)
+			for i := 0; i < b.N; i++ {
+				buf = table.AppendClosest(buf[:0], arm.target, 20)
+			}
+			if len(buf) != 20 {
+				b.Fatalf("AppendClosest returned %d contacts", len(buf))
+			}
+		})
 	}
 }
 
