@@ -2,7 +2,10 @@ package dht
 
 import (
 	"bytes"
+	"slices"
 	"testing"
+
+	"selfemerge/internal/transport"
 )
 
 // FuzzDecodeMessage asserts the DHT wire codec never panics on arbitrary
@@ -32,6 +35,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(val)
+	// Found is one byte on the wire and only 0 and 1 are canonical: anything
+	// else must be rejected, or it would re-encode to different bytes.
+	f.Add(bytes.Replace(val, []byte{0, 1, 0}, []byte{0, 2, 0}, 1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeMessage(data)
@@ -108,6 +114,78 @@ func FuzzMessageAppendEncode(f *testing.F) {
 		}
 		if !bytes.Equal(round, classic) {
 			t.Fatalf("scratch decode diverged:\n  scratch %x\n  classic %x", round, classic)
+		}
+	})
+}
+
+// FuzzMessageContactsView holds the receive path's contact view to the
+// materialised form: for arbitrary bytes decodeMessageInto (which leaves the
+// contacts on the wire) and DecodeMessage accept and reject together, the
+// records the view yields are DecodeMessage's Contacts in order and re-encode
+// to exactly the viewed bytes, and a scratch Message that carried a view of
+// an earlier datagram keeps none of it — accepted, rejected or materialised.
+func FuzzMessageContactsView(f *testing.F) {
+	contacts := make([]Contact, maxContacts)
+	for i := range contacts {
+		contacts[i] = Contact{ID: ID{byte(i + 1)}, Addr: transport.Addr(bytes.Repeat([]byte{'a'}, i))}
+	}
+	for _, n := range []int{0, 1, 20, maxContacts} {
+		resp, err := (Message{Kind: KindFindNodeResp, From: Contact{ID: ID{0xee}, Addr: "n"}, RPCID: 3, Contacts: contacts[:n]}).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(resp)
+		f.Add(resp[:len(resp)-9])                    // cut inside the last record (or the tail)
+		f.Add(append(resp[:len(resp):len(resp)], 0)) // trailing byte
+	}
+	stale, err := (Message{Kind: KindFindNodeResp, From: Contact{ID: ID{0xdd}, Addr: "s"}, Contacts: contacts[:3]}).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var rx Message
+		if _, err := decodeMessageInto(&rx, stale); err != nil || rx.contacts.n != 3 {
+			t.Fatalf("stale decode: n=%d err=%v", rx.contacts.n, err)
+		}
+		_, viewErr := decodeMessageInto(&rx, data)
+		msg, fullErr := DecodeMessage(data)
+		if (viewErr == nil) != (fullErr == nil) {
+			t.Fatalf("view decode err=%v, DecodeMessage err=%v", viewErr, fullErr)
+		}
+		if viewErr != nil {
+			if rx.contacts.n != 0 || rx.contacts.region != nil {
+				t.Fatalf("rejected datagram left a view of %d contacts", rx.contacts.n)
+			}
+			return
+		}
+		if len(rx.Contacts) != 0 || msg.contacts.region != nil {
+			t.Fatalf("receive form materialised %d contacts; exported form kept a view: %v", len(rx.Contacts), msg.contacts.region != nil)
+		}
+		if rx.contacts.n != len(msg.Contacts) {
+			t.Fatalf("view counts %d contacts, DecodeMessage %d", rx.contacts.n, len(msg.Contacts))
+		}
+		var reenc []byte
+		i := 0
+		for region := rx.contacts.region; len(region) > 0; i++ {
+			id, addr, rest, ok := nextContact(region)
+			if !ok {
+				t.Fatalf("validated view breaks at record %d", i)
+			}
+			if i >= len(msg.Contacts) || msg.Contacts[i].ID != ID(id) || string(msg.Contacts[i].Addr) != string(addr) {
+				t.Fatalf("record %d: view has %x@%q, DecodeMessage has %v", i, id, addr, msg.Contacts[min(i, len(msg.Contacts)-1)])
+			}
+			reenc = appendBytes(append(reenc, id...), addr)
+			region = rest
+		}
+		if i != rx.contacts.n || !bytes.Equal(reenc, rx.contacts.region) {
+			t.Fatalf("view walked %d of %d records; re-encoded %x, viewed %x", i, rx.contacts.n, reenc, rx.contacts.region)
+		}
+		// The exported form over the same dirty scratch: same contacts, no view.
+		if err := DecodeMessageInto(&rx, data); err != nil {
+			t.Fatal(err)
+		}
+		if rx.contacts.region != nil || !slices.Equal(rx.Contacts, msg.Contacts) {
+			t.Fatalf("DecodeMessageInto over a scratch: view kept=%v contacts=%v want %v", rx.contacts.region != nil, rx.Contacts, msg.Contacts)
 		}
 	})
 }

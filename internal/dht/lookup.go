@@ -83,7 +83,7 @@ func (n *Node) Store(key ID, value []byte, ttl time.Duration, cb func(acked int)
 				sim.Schedule(n.cfg.Clock, 0, func() { settle(true) })
 				continue
 			}
-			n.request(c, Message{Kind: KindStore, Key: key, Value: value, TTL: ttl}, func(_ Message, err error) {
+			n.request(c, Message{Kind: KindStore, Key: key, Value: value, TTL: ttl}, func(_ *Message, err error) {
 				settle(err == nil)
 			})
 		}
@@ -465,13 +465,13 @@ func (ls *lookupState) step() {
 		kind = KindFindValue
 	}
 	for i := range toQuery {
-		q := lookupQueries.Get().(*lookupQuery)
+		q := ls.node.cfg.Scratch.queries.get()
 		q.ls, q.contact = ls, toQuery[i].c
 		ls.node.requestArg(toQuery[i].c, Message{Kind: kind, Target: ls.target, Key: ls.target}, lookupQueryDone, q)
 	}
 }
 
-// lookupQuery is the pooled argument for one in-flight lookup RPC: with the
+// lookupQuery is the recycled argument for one in-flight lookup RPC: with the
 // package-level lookupQueryDone it replaces the per-query response closure
 // on the mission hot path.
 type lookupQuery struct {
@@ -479,17 +479,17 @@ type lookupQuery struct {
 	contact Contact
 }
 
-var lookupQueries = sync.Pool{New: func() any { return new(lookupQuery) }}
-
-func lookupQueryDone(v any, resp Message, err error) {
+func lookupQueryDone(v any, resp *Message, err error) {
 	q := v.(*lookupQuery)
 	ls, contact := q.ls, q.contact
-	q.ls = nil
-	lookupQueries.Put(q)
+	*q = lookupQuery{}
+	ls.node.cfg.Scratch.queries.put(q, maxFreeQueries)
 	ls.onResponse(contact, resp, err)
 }
 
-func (ls *lookupState) onResponse(from Contact, resp Message, err error) {
+// onResponse folds one query's outcome into the lookup. resp is the receive
+// path's scratch Message (nil when err is set), valid for the call only.
+func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	ls.mu.Lock()
 	ls.inflight--
 	if ls.finished {
@@ -547,9 +547,21 @@ func (ls *lookupState) onResponse(from Contact, resp Message, err error) {
 			}
 			return
 		}
-		for _, c := range resp.Contacts {
-			if r := rankContact(ls.target, c); ls.seen.add(r.d0, r.d1, r.d2) {
-				ls.shortlist = append(ls.shortlist, r)
+		// The contacts are still on the wire, and most of them this lookup
+		// has already seen: rank and probe each record where it lies, and pay
+		// for a Contact — ID copy, interned address, shortlist entry — only
+		// when it is new. So the bounded interner admits just the addresses of
+		// contacts some lookup kept, not whatever a response chose to list.
+		t0, t1, t2 := lanes(ls.target[:])
+		addrs := &ls.node.cfg.Scratch.addrs
+		for region := resp.contacts.region; len(region) > 0; {
+			id, addr, rest, _ := nextContact(region)
+			region = rest
+			d0, d1, d2 := lanes(id)
+			d0, d1, d2 = d0^t0, d1^t1, d2^t2
+			if ls.seen.add(d0, d1, d2) {
+				c := Contact{ID: ID(id), Addr: addrs.intern(addr)}
+				ls.shortlist = append(ls.shortlist, ranked{d0: d0, d1: d1, d2: d2, c: c})
 			}
 		}
 	}

@@ -59,6 +59,9 @@ type Message struct {
 	TTL      time.Duration
 	Found    bool   // FindValueResp: value present
 	App      []byte // App: opaque protocol payload
+
+	// contacts is the receive path's form of Contacts: see decodeMessageInto.
+	contacts contactsView
 }
 
 // Encode renders the wire form into a fresh buffer.
@@ -110,105 +113,129 @@ func DecodeMessage(data []byte) (Message, error) {
 }
 
 // DecodeMessageInto parses a wire datagram into m, reusing m's Contacts
-// backing array — the allocation-free form for receive loops that recycle a
+// backing array — the allocation-free form for callers that recycle a
 // scratch Message. All other fields are overwritten; on error m is left in
 // an unspecified state. Like DecodeMessage, byte-slice fields alias data.
 func DecodeMessageInto(m *Message, data []byte) error {
-	return decodeMessageInto(m, data, nil)
+	fromAddr, err := decodeMessageInto(m, data)
+	if err != nil {
+		return err
+	}
+	m.From.Addr = transport.Addr(fromAddr)
+	if cap(m.Contacts) < m.contacts.n {
+		m.Contacts = make([]Contact, 0, m.contacts.n)
+	}
+	for region := m.contacts.region; len(region) > 0; {
+		id, addr, rest, _ := nextContact(region)
+		m.Contacts = append(m.Contacts, Contact{ID: ID(id), Addr: transport.Addr(addr)})
+		region = rest
+	}
+	m.contacts = contactsView{}
+	return nil
 }
 
-// decodeMessageInto is the decode core; intern (optional) maps raw contact
-// address bytes to an Addr, letting receive loops reuse interned strings
-// instead of allocating one per contact per datagram. An interned decode is
-// the receive-loop form, and the receive loop trusts the socket-level
-// source address over the claimed one — so it leaves From.Addr empty for
-// the caller to fill, neither converting the claimed bytes (an allocation
-// per datagram) nor admitting them into the bounded intern table (which a
-// flood of forged From addresses could otherwise fill, disabling interning
-// for legitimate contact addresses).
-func decodeMessageInto(m *Message, data []byte, intern func([]byte) transport.Addr) error {
-	trustClaimedFrom := intern == nil
-	if intern == nil {
-		intern = func(b []byte) transport.Addr { return transport.Addr(b) }
+// contactsView is a response's contact list still on the wire: n records of
+// ID ‖ uint16 address length ‖ address bytes, already validated, so
+// nextContact never fails inside region. It aliases the datagram and is
+// valid only as long as that buffer is.
+type contactsView struct {
+	n      int
+	region []byte
+}
+
+// nextContact splits the first record off a contact region — the one place
+// that knows the record layout. id and addr alias b; ok is false when b ends
+// inside the record.
+func nextContact(b []byte) (id, addr, rest []byte, ok bool) {
+	if len(b) < IDBytes+2 {
+		return nil, nil, nil, false
 	}
+	end := IDBytes + 2 + int(binary.BigEndian.Uint16(b[IDBytes:]))
+	if len(b) < end {
+		return nil, nil, nil, false
+	}
+	return b[:IDBytes], b[IDBytes+2 : end], b[end:], true
+}
+
+// decodeMessageInto is the decode core and the receive-loop form. It checks
+// the contact list and leaves it on the wire as m.contacts instead of filling
+// m.Contacts (emptied): a lookup ranks and dedupes the records where they
+// lie and copies out only the ones it keeps. It also leaves From.Addr empty
+// and hands back the claimed bytes: the receive loop trusts the socket-level
+// source address over the claimed one, so it neither converts them (an
+// allocation per datagram) nor admits them into the bounded intern table.
+func decodeMessageInto(m *Message, data []byte) (fromAddr []byte, err error) {
+	m.Contacts = m.Contacts[:0]
+	m.contacts = contactsView{}
 	r := wireReader{buf: data}
 	magic, err := r.uint16()
 	if err != nil || magic != wireMagic {
-		return ErrWire
+		return nil, ErrWire
 	}
 	version, err := r.byte()
 	if err != nil || version != wireVersion {
-		return ErrWire
+		return nil, ErrWire
 	}
 	kindByte, err := r.byte()
 	if err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
 	m.Kind = Kind(kindByte)
 	if m.Kind < KindPing || m.Kind > KindAppAck {
-		return ErrWire
+		return nil, ErrWire
 	}
 	if m.RPCID, err = r.uint64(); err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
 	if m.From.ID, err = r.id(); err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
-	addr, err := r.bytes16()
-	if err != nil {
-		return ErrWire
+	if fromAddr, err = r.bytes16(); err != nil {
+		return nil, ErrWire
 	}
-	if trustClaimedFrom {
-		m.From.Addr = transport.Addr(addr)
-	} else {
-		m.From.Addr = ""
-	}
+	m.From.Addr = ""
 	if m.Target, err = r.id(); err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
 	if m.Key, err = r.id(); err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
 	ttl, err := r.uint64()
 	if err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
 	m.TTL = time.Duration(ttl)
+	// Only the canonical encodings of Found are datagrams of this protocol.
 	foundByte, err := r.byte()
-	if err != nil {
-		return ErrWire
+	if err != nil || foundByte > 1 {
+		return nil, ErrWire
 	}
 	m.Found = foundByte == 1
 	contactCount, err := r.byte()
 	if err != nil || int(contactCount) > maxContacts {
-		return ErrWire
+		return nil, ErrWire
 	}
-	m.Contacts = m.Contacts[:0]
-	if n := int(contactCount); cap(m.Contacts) < n {
-		m.Contacts = make([]Contact, 0, n)
-	}
+	rest := data[r.off:]
 	for i := 0; i < int(contactCount); i++ {
-		var c Contact
-		if c.ID, err = r.id(); err != nil {
-			return ErrWire
+		var ok bool
+		if _, _, rest, ok = nextContact(rest); !ok {
+			return nil, ErrWire
 		}
-		caddr, err := r.bytes16()
-		if err != nil {
-			return ErrWire
-		}
-		c.Addr = intern(caddr)
-		m.Contacts = append(m.Contacts, c)
 	}
+	end := len(data) - len(rest)
+	view := contactsView{n: int(contactCount), region: data[r.off:end]}
+	r.off = end
 	if m.Value, err = r.bytes32(); err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
 	if m.App, err = r.bytes32(); err != nil {
-		return ErrWire
+		return nil, ErrWire
 	}
 	if r.remaining() != 0 {
-		return ErrWire
+		return nil, ErrWire
 	}
-	return nil
+	m.contacts = view
+	return fromAddr, nil
 }
 
 func appendBytes(buf, b []byte) []byte {

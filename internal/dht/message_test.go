@@ -108,6 +108,15 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	badK[3] = 200
 	cases = append(cases, badK)
 
+	// Non-canonical Found byte (the tenth from the end of a message with no
+	// contacts, value or payload).
+	found, err := Message{Kind: KindFindValueResp, From: Contact{ID: ID{1}, Addr: "x"}, Found: true}.Encode()
+	if err != nil || found[len(found)-10] != 1 {
+		t.Fatalf("found byte not where expected: %x, %v", found, err)
+	}
+	found[len(found)-10] = 2
+	cases = append(cases, found)
+
 	for i, c := range cases {
 		if _, err := DecodeMessage(c); err == nil {
 			t.Errorf("case %d: garbage accepted", i)

@@ -167,13 +167,15 @@ type pendingRPC struct {
 // rpcCallback is either a plain closure or an arg-based package-level
 // function with its pooled argument — the latter lets hot callers (the
 // lookup query fan-out) issue RPCs without allocating a response closure.
+// The response is the receive path's scratch Message, valid for the call
+// only; it is nil exactly when err is not.
 type rpcCallback struct {
-	fn    func(Message, error)
-	argFn func(any, Message, error)
+	fn    func(*Message, error)
+	argFn func(any, *Message, error)
 	arg   any
 }
 
-func (c rpcCallback) deliver(m Message, err error) {
+func (c rpcCallback) deliver(m *Message, err error) {
 	if c.fn != nil {
 		c.fn(m, err)
 		return
@@ -250,7 +252,7 @@ func rpcTimeout(v any) {
 	releasePending(p)
 	// Unresponsive: penalize in the routing table.
 	n.table.Remove(to)
-	cb.deliver(Message{}, ErrTimeout)
+	cb.deliver(nil, ErrTimeout)
 }
 
 type storedValue struct {
@@ -327,7 +329,7 @@ func (n *Node) Close() error {
 		if p.timer.Stop() {
 			releasePending(p)
 		}
-		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(Message{}, ErrClosed) })
+		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, ErrClosed) })
 	}
 	return n.cfg.Endpoint.Close()
 }
@@ -345,19 +347,30 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 		panic("dht: Scratch re-entered: handlers sharing a Scratch must run serially")
 	}
 	s.rxBusy = true
-	defer func() { s.rxBusy = false }()
 	msg := &s.rx
-	if err := decodeMessageInto(msg, data, s.internFn); err != nil {
+	defer func() {
+		// The contact view aliases data, which is the transport's again once
+		// this returns.
+		msg.contacts = contactsView{}
+		s.rxBusy = false
+	}()
+	if _, err := decodeMessageInto(msg, data); err != nil {
 		return // malformed datagram: drop, like any UDP service
 	}
 	if msg.From.ID == n.cfg.ID {
 		return // ignore self-echo
 	}
-	// Trust the socket-level source address over the claimed one. The
-	// observation is unverified — anyone can put any ID in From — so it may
-	// refresh or insert, but never re-point a tracked ID's address; settle
-	// upgrades matched responses to ObserveVerified below.
+	// Trust the socket-level source address over the claimed one.
 	msg.From.Addr = from
+	switch msg.Kind {
+	case KindPong, KindFindNodeResp, KindStoreAck, KindFindValueResp, KindAppAck:
+		// A response is observed by settle, once: verified if it matches a
+		// request this node issued, unverified otherwise.
+		n.settle(msg)
+		return
+	}
+	// The observation is unverified — anyone can put any ID in From — so it
+	// may refresh or insert, but never re-point a tracked ID's address.
 	n.table.Observe(msg.From)
 
 	switch msg.Kind {
@@ -412,8 +425,6 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 		if n.cfg.OnApp != nil {
 			n.cfg.OnApp(msg.From, msg.App)
 		}
-	case KindPong, KindFindNodeResp, KindStoreAck, KindFindValueResp, KindAppAck:
-		n.settle(*msg)
 	}
 }
 
@@ -432,13 +443,13 @@ func (n *Node) reply(to Contact, m Message) {
 
 // request sends m to the peer and arranges for cb to run with the response
 // or ErrTimeout. cb runs on the clock's dispatch context.
-func (n *Node) request(to Contact, m Message, cb func(Message, error)) {
+func (n *Node) request(to Contact, m Message, cb func(*Message, error)) {
 	n.startRequest(to, m, rpcCallback{fn: cb})
 }
 
 // requestArg is the closure-free form of request: fn is a package-level
 // function and arg a recycled record, so issuing the RPC allocates nothing.
-func (n *Node) requestArg(to Contact, m Message, fn func(any, Message, error), arg any) {
+func (n *Node) requestArg(to Contact, m Message, fn func(any, *Message, error), arg any) {
 	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg})
 }
 
@@ -453,7 +464,7 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(Message{}, ErrClosed) })
+		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, ErrClosed) })
 		return
 	}
 	n.rpcSeq++
@@ -477,7 +488,7 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 		if p.timer.Stop() {
 			releasePending(p)
 		}
-		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(Message{}, err) })
+		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, err) })
 		return
 	}
 	if retry {
@@ -498,11 +509,12 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 // probe is the ping-evict policy's liveness check: single-shot on its own
 // ProbeTimeout, bypassing the retry policy.
 func (n *Node) probe(to Contact, cb func(error)) {
-	n.startRequestOpt(to, Message{Kind: KindPing}, rpcCallback{fn: func(_ Message, err error) { cb(err) }}, n.cfg.ProbeTimeout, false)
+	n.startRequestOpt(to, Message{Kind: KindPing}, rpcCallback{fn: func(_ *Message, err error) { cb(err) }}, n.cfg.ProbeTimeout, false)
 }
 
-// settle matches a response to its pending request.
-func (n *Node) settle(msg Message) {
+// settle matches a response to its pending request and records the one table
+// observation a response gets. msg is the scratch Message, valid for the call.
+func (n *Node) settle(msg *Message) {
 	n.mu.Lock()
 	p, found := n.pending[msg.RPCID]
 	ok := found
@@ -528,10 +540,14 @@ func (n *Node) settle(msg Message) {
 	}
 	n.mu.Unlock()
 	if !ok {
+		// Unmatched or forged: seen alive on its own word only (see handle).
+		n.table.Observe(msg.From)
 		return
 	}
 	// The peer answered at this address with an RPCID we issued to this ID:
 	// the (ID, Addr) binding is confirmed, so address changes may be applied.
+	// A verified observation does everything an unverified one at the same
+	// instant would, so the response needs no Observe besides it.
 	n.table.ObserveVerified(msg.From)
 	if timer.Stop() {
 		releasePending(p)
@@ -541,7 +557,7 @@ func (n *Node) settle(msg Message) {
 
 // Ping checks a peer's liveness.
 func (n *Node) Ping(to Contact, cb func(error)) {
-	n.request(to, Message{Kind: KindPing}, func(_ Message, err error) { cb(err) })
+	n.request(to, Message{Kind: KindPing}, func(_ *Message, err error) { cb(err) })
 }
 
 // SendApp delivers an opaque application payload directly to a known
@@ -576,7 +592,7 @@ func (n *Node) SendApp(to Contact, payload []byte) error {
 // appAckDone consumes the ack (or final timeout) of a retried app send:
 // the send interface stays fire-and-forget, so there is nobody to tell —
 // the value of the exchange is the re-sends it drove.
-func appAckDone(any, Message, error) {}
+func appAckDone(any, *Message, error) {}
 
 // Bootstrap seeds the routing table and performs a self-lookup to populate
 // nearby buckets. done (optional) receives the number of contacts known

@@ -10,9 +10,9 @@ import (
 // serial dispatch context — one simulator event loop, or one real node's
 // endpoint. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, reply
-// contact buffer and address interner, and the freelists of lookup states
-// and in-flight RPC records. None of it is observable: sharing changes who
-// pays for the memory, never a wire byte or an event.
+// contact buffer and address interner, and the freelists of lookup states,
+// lookup query records and in-flight RPC records. None of it is observable:
+// sharing changes who pays for the memory, never a wire byte or an event.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -31,9 +31,9 @@ type Scratch struct {
 	rxBusy     bool
 	rxContacts []Contact
 	addrs      addrTable
-	internFn   func([]byte) transport.Addr
 
 	lookups freelist[lookupState]
+	queries freelist[lookupQuery]
 	rpcs    freelist[pendingRPC]
 }
 
@@ -44,6 +44,7 @@ type Scratch struct {
 // joins, so a warmed loop allocates neither.
 const (
 	maxFreeLookups = 64
+	maxFreeQueries = 256 // a lookup query is an in-flight RPC
 	maxFreePending = 256
 )
 
@@ -59,7 +60,6 @@ const defaultInternedAddrs = 1 << 16
 func NewScratch(peers int) *Scratch {
 	s := &Scratch{}
 	s.addrs.max = max(peers, defaultInternedAddrs)
-	s.internFn = s.addrs.intern
 	return s
 }
 
@@ -95,12 +95,12 @@ func (f *freelist[T]) put(v *T, limit int) {
 }
 
 // addrTable is the receive path's open-addressing address interner: raw
-// address bytes hash (FNV-1a) to their canonical string. A contact decode is
-// one short hash and usually one slot probe — measurably cheaper than a
-// map[string]Addr lookup, which pays full map machinery per contact on the
-// hottest path in the simulator. Entries are never deleted; the table stops
-// admitting at max, so a flood of unique addresses degrades to plain
-// allocation instead of growing it without limit.
+// address bytes hash (FNV-1a) to their canonical string. Interning a contact
+// a lookup keeps is one short hash and usually one slot probe — measurably
+// cheaper than a map[string]Addr lookup's full map machinery — and contacts
+// the lookup has already seen never reach it. Entries are never deleted; the
+// table stops admitting at max, so a flood of unique addresses degrades to
+// plain allocation instead of growing it without limit.
 type addrTable struct {
 	slots []addrSlot // power-of-two length
 	used  int

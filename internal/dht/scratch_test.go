@@ -157,6 +157,12 @@ func TestScratchFreelistsBounded(t *testing.T) {
 	if got := len(scratch.rpcs.free); got != maxFreePending {
 		t.Errorf("RPC freelist holds %d records after the burst, want the bound %d", got, maxFreePending)
 	}
+	if got := len(scratch.queries.free); got == 0 || got > maxFreeQueries {
+		t.Errorf("lookup query freelist holds %d records after the burst, want 1..%d", got, maxFreeQueries)
+	}
+	if scratch.rx.contacts.region != nil {
+		t.Error("the scratch Message still views the last response's datagram after its handler returned")
+	}
 
 	// Any node, including one that has never run a lookup of its own beyond
 	// bootstrap, now finds warmed state on the loop's scratch.
@@ -188,7 +194,7 @@ func TestScratchInternerBound(t *testing.T) {
 	}
 	interned := func(s *Scratch) int {
 		for _, a := range addrs {
-			s.internFn(a)
+			s.addrs.intern(a)
 		}
 		return s.addrs.used
 	}
@@ -199,7 +205,7 @@ func TestScratchInternerBound(t *testing.T) {
 	// Canonical: a second decode of the same bytes returns the same string
 	// without allocating, first address and last alike.
 	for _, a := range [][]byte{addrs[0], addrs[population-1]} {
-		if allocs := testing.AllocsPerRun(10, func() { sized.internFn(a) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { sized.addrs.intern(a) }); allocs != 0 {
 			t.Errorf("re-interning %s allocates %v times", a, allocs)
 		}
 	}
@@ -207,7 +213,7 @@ func TestScratchInternerBound(t *testing.T) {
 	if got := interned(private); got != defaultInternedAddrs {
 		t.Errorf("private scratch interned %d addresses, want the default bound %d", got, defaultInternedAddrs)
 	}
-	if got := private.internFn(addrs[population-1]); string(got) != string(addrs[population-1]) {
+	if got := private.addrs.intern(addrs[population-1]); string(got) != string(addrs[population-1]) {
 		t.Errorf("past the bound intern returned %q", got)
 	}
 }

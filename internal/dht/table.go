@@ -414,14 +414,17 @@ func lanesFarther(a0, a1 uint64, a2 uint32, b0, b1 uint64, b2 uint32) bool {
 	return a2 > b2
 }
 
+// lanes packs the IDBytes of id — an ID, or its bytes still in a datagram —
+// into big-endian lanes; the XOR of two IDs' lanes is their packed distance.
+func lanes(id []byte) (l0, l1 uint64, l2 uint32) {
+	return binary.BigEndian.Uint64(id), binary.BigEndian.Uint64(id[8:]), binary.BigEndian.Uint32(id[16:])
+}
+
 // rankContact packs c with its XOR distance lanes from target.
 func rankContact(target ID, c Contact) ranked {
-	return ranked{
-		d0: binary.BigEndian.Uint64(c.ID[:]) ^ binary.BigEndian.Uint64(target[:]),
-		d1: binary.BigEndian.Uint64(c.ID[8:]) ^ binary.BigEndian.Uint64(target[8:]),
-		d2: binary.BigEndian.Uint32(c.ID[16:]) ^ binary.BigEndian.Uint32(target[16:]),
-		c:  c,
-	}
+	t0, t1, t2 := lanes(target[:])
+	l0, l1, l2 := lanes(c.ID[:])
+	return ranked{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2, c: c}
 }
 
 // Closest returns up to count contacts closest to target under XOR
@@ -476,9 +479,7 @@ const inlineKeys = 32
 // bucket, and cuts the last one to the count still wanted. Distances are
 // unique (distinct IDs), so the result equals a full sort of the table.
 func (t *Table) selectClosest(cs []Contact, rs []ranked, asRanked bool, target ID, count int) ([]Contact, []ranked) {
-	t0 := binary.BigEndian.Uint64(target[:])
-	t1 := binary.BigEndian.Uint64(target[8:])
-	t2 := binary.BigEndian.Uint32(target[16:])
+	t0, t1, t2 := lanes(target[:])
 	// s as a bucketSet: ID bit i, counted from the most significant, sits at
 	// set position i, so it lines up with the occupied bitmap.
 	s := bucketSet{

@@ -2,7 +2,9 @@ package dht
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -226,6 +228,105 @@ func TestPingEvictSingleOutstandingProbe(t *testing.T) {
 	table.Observe(mkBucket0(50))
 	if len(pending) != 2 {
 		t.Fatalf("probe slot did not reopen: %d probes", len(pending))
+	}
+}
+
+// dumpBuckets renders everything observe can change: each bucket's live
+// entries and replacement cache in order, with addresses and timestamps, and
+// its probing flag.
+func dumpBuckets(t *Table) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var sb strings.Builder
+	for i := range t.buckets {
+		b := &t.buckets[i]
+		fmt.Fprintf(&sb, "bucket %d probing=%v\n", i, b.probing)
+		for _, e := range b.entries {
+			fmt.Fprintf(&sb, "  live %+v\n", e)
+		}
+		for _, e := range b.spare {
+			fmt.Fprintf(&sb, "  spare %+v\n", e)
+		}
+	}
+	return sb.String()
+}
+
+// TestObserveThenVerifiedEqualsVerified: a matched response used to be
+// observed twice at one instant — Observe in handle, ObserveVerified in
+// settle. In every bucket state the pair leaves the table, and the probes it
+// started, exactly as ObserveVerified alone does, which is why settle now
+// makes the single call.
+func TestObserveThenVerifiedEqualsVerified(t *testing.T) {
+	const k = 2
+	resident := func(b byte) Contact { c := mkBucket0(b); c.Addr = "old-" + c.Addr; return c }
+	cases := []struct {
+		name   string
+		policy TablePolicy
+		// setup fills the table (its clock starts at *now) and may move the
+		// clock; the observed contact is mkBucket0(1) at its current address.
+		setup func(table *Table, now *time.Time)
+		// probes is how many liveness probes the observation must start, lands
+		// where the contact must end up ("live", "spare", or "" for dropped).
+		probes int
+		lands  string
+	}{
+		{"present", TableNaive, func(table *Table, now *time.Time) {
+			table.ObserveVerified(resident(1)) // tracked at an old address: verified re-points it
+			table.Observe(mkBucket0(2))
+			*now = now.Add(time.Second)
+		}, 0, "live"},
+		{"room", TableNaive, func(table *Table, now *time.Time) {
+			table.Observe(mkBucket0(2))
+		}, 0, "live"},
+		{"full naive, LRU stale", TableNaive, func(table *Table, now *time.Time) {
+			table.Observe(mkBucket0(2))
+			table.Observe(mkBucket0(3))
+			*now = now.Add(time.Hour)
+		}, 0, "live"},
+		{"full naive, LRU fresh", TableNaive, func(table *Table, now *time.Time) {
+			table.Observe(mkBucket0(2))
+			table.Observe(mkBucket0(3))
+		}, 0, ""},
+		{"full ping-evict", TablePingEvict, func(table *Table, now *time.Time) {
+			table.Observe(mkBucket0(2))
+			table.Observe(mkBucket0(3))
+		}, 1, "spare"},
+		{"full ping-evict, already spare", TablePingEvict, func(table *Table, now *time.Time) {
+			table.Observe(mkBucket0(2))
+			table.Observe(mkBucket0(3))
+			table.Observe(resident(1)) // waits in the cache at an old address, probe outstanding
+			table.Observe(mkBucket0(4))
+			*now = now.Add(time.Second)
+		}, 0, "spare"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(both bool) (string, []ID) {
+				now := time.Unix(1000, 0)
+				table := NewTable(ID{}, k, 10*time.Minute, func() time.Time { return now })
+				table.SetPolicy(tc.policy)
+				var probed []ID
+				table.SetPinger(func(c Contact, _ func(alive bool)) { probed = append(probed, c.ID) })
+				tc.setup(table, &now)
+				probed = nil
+				if both {
+					table.Observe(mkBucket0(1))
+				}
+				table.ObserveVerified(mkBucket0(1))
+				return dumpBuckets(table), probed
+			}
+			pairState, pairProbes := run(true)
+			soleState, soleProbes := run(false)
+			if pairState != soleState {
+				t.Errorf("Observe;ObserveVerified left\n%s\nObserveVerified alone left\n%s", pairState, soleState)
+			}
+			if !slices.Equal(pairProbes, soleProbes) || len(soleProbes) != tc.probes {
+				t.Errorf("probes started: pair %v, alone %v, want %d", pairProbes, soleProbes, tc.probes)
+			}
+			if want := tc.lands + " {Contact:{ID:" + mkBucket0(1).ID.String() + " Addr:peer-1}"; tc.lands != "" && !strings.Contains(soleState, want) {
+				t.Errorf("observed contact is not %s at its verified address:\n%s", tc.lands, soleState)
+			}
+		})
 	}
 }
 
