@@ -45,14 +45,7 @@ func lookupFinishValue(arg any, _ []Contact, value []byte, found bool) {
 func (n *Node) Store(key ID, value []byte, ttl time.Duration, cb func(acked int)) {
 	n.Lookup(key, func(closest []Contact) {
 		self := n.Contact()
-		pos := len(closest)
-		for i, c := range closest {
-			if key.CloserTo(self.ID, c.ID) {
-				pos = i
-				break
-			}
-		}
-		closest = insertContact(closest, pos, self)
+		closest = insertRanked(closest, key, self)
 		if len(closest) > n.cfg.Replicate {
 			closest = closest[:n.cfg.Replicate]
 		}
@@ -116,81 +109,114 @@ func sendOwnersAdapter(arg any, c Contact, err error) {
 	}
 }
 
-// ownersSend is the pooled carrier for one SendToOwnersArg call: with the
-// package-level ownersFinish it replaces the per-send completion closures
-// on the mission hot path.
-type ownersSend struct {
-	node     *Node
-	key      ID
+// ownerWalk is one in-flight owner resolution: the FIND_NODE walk towards key
+// and every SendToOwnersArg call waiting on its answer. A node resolves one
+// key at most once at a time — a call that finds a walk for its key already
+// under way rides it instead of starting an identical one (a forwarding holder
+// hands the same next slot several packets in one instant, and the walks would
+// query the same K contacts from the same table). Records recycle through the
+// node's Scratch; riders keeps its capacity.
+type ownerWalk struct {
+	node   *Node
+	key    ID
+	riders []ownerRider
+}
+
+// ownerRider is one SendToOwnersArg call attached to a walk.
+type ownerRider struct {
 	payload  []byte
 	replicas int
 	done     func(any, Contact, error)
 	arg      any
 }
 
-var ownersSends = sync.Pool{New: func() any { return new(ownersSend) }}
-
 // SendToOwnersArg is SendToOwners with an arg-threaded completion callback:
 // done should be a package-level (non-capturing) function and arg rides
 // along through the lookup machinery, so a steady mission send path
-// allocates no per-call closures. done may be nil.
+// allocates no per-call closures. done may be nil. Calls for one key made
+// while its owners are being resolved share that resolution: they are served
+// in call order when it completes, each to its own replicas prefix.
 func (n *Node) SendToOwnersArg(key ID, payload []byte, replicas int, done func(any, Contact, error), arg any) {
 	if replicas < 1 {
 		replicas = 1
 	}
-	s := ownersSends.Get().(*ownersSend)
-	*s = ownersSend{node: n, key: key, payload: payload, replicas: replicas, done: done, arg: arg}
-	n.newLookup(key, false, ownersFinish, s)
-}
-
-func ownersFinish(v any, closest []Contact, _ []byte, _ bool) {
-	s := v.(*ownersSend)
-	n, key, payload, replicas := s.node, s.key, s.payload, s.replicas
-	done, arg := s.done, s.arg
-	*s = ownersSend{}
-	ownersSends.Put(s)
-	if len(closest) == 0 {
-		// Not even one peer responded: the node is isolated (or the
-		// network is empty), so keeping the payload locally would just
-		// strand it invisibly.
-		if done != nil {
-			done(arg, Contact{}, ErrLookupFailed)
-		}
+	r := ownerRider{payload: payload, replicas: replicas, done: done, arg: arg}
+	n.mu.Lock()
+	if w := n.ownerWalks[key]; w != nil {
+		w.riders = append(w.riders, r)
+		n.mu.Unlock()
 		return
 	}
+	w := n.cfg.Scratch.walks.get()
+	w.node, w.key = n, key
+	w.riders = append(w.riders, r)
+	if n.ownerWalks == nil {
+		n.ownerWalks = make(map[ID]*ownerWalk)
+	}
+	n.ownerWalks[key] = w
+	n.mu.Unlock()
+	n.newLookup(key, false, ownersFinish, w)
+}
+
+// ownersFinish serves a finished walk's riders. The walk leaves the node's
+// index first, so from here the record is this call's alone and a send issued
+// from a done callback starts a fresh walk.
+func ownersFinish(v any, closest []Contact, _ []byte, _ bool) {
+	w := v.(*ownerWalk)
+	n, key := w.node, w.key
+	n.mu.Lock()
+	delete(n.ownerWalks, key)
+	n.mu.Unlock()
 	self := n.Contact()
-	pos := len(closest)
-	for i, c := range closest {
-		if key.CloserTo(self.ID, c.ID) {
+	var failed error
+	if len(closest) == 0 {
+		// Not even one peer responded: the node is isolated (or the network
+		// is empty), so keeping the payloads locally would just strand them
+		// invisibly. Every rider sends nothing and learns why.
+		failed = ErrLookupFailed
+	} else {
+		// Once for the whole walk: closest aliases the lookup's result buffer,
+		// and each rider below takes a prefix view of it, never a cut.
+		closest = insertRanked(closest, key, self)
+	}
+	for i := range w.riders {
+		r := &w.riders[i]
+		owner, err := Contact{}, failed
+		for j, c := range closest[:min(len(closest), r.replicas)] {
+			var sendErr error
+			if c.ID == self.ID {
+				sendErr = n.deliverLocal(r.payload)
+			} else {
+				sendErr = n.SendApp(c, r.payload)
+			}
+			if j == 0 {
+				owner, err = c, sendErr
+			}
+		}
+		// Only now: done is where the caller reclaims a pooled payload.
+		if r.done != nil {
+			r.done(r.arg, owner, err)
+		}
+	}
+	clear(w.riders)
+	w.riders = w.riders[:0]
+	w.node = nil
+	n.cfg.Scratch.walks.put(w, maxFreeWalks)
+}
+
+// insertRanked inserts c into a nearest-first lookup result at its distance
+// rank from key, shifting the tail in place: the slice aliases a recycled
+// lookup buffer that is ours for the callback's duration, so the shift is
+// safe and the usual call allocates nothing. It is how a node counts itself
+// among a key's owners — lookups never return self.
+func insertRanked(list []Contact, key ID, c Contact) []Contact {
+	pos := len(list)
+	for i := range list {
+		if key.CloserTo(c.ID, list[i].ID) {
 			pos = i
 			break
 		}
 	}
-	closest = insertContact(closest, pos, self)
-	if len(closest) > replicas {
-		closest = closest[:replicas]
-	}
-	var err error
-	for i, c := range closest {
-		var sendErr error
-		if c.ID == self.ID {
-			sendErr = n.deliverLocal(payload)
-		} else {
-			sendErr = n.SendApp(c, payload)
-		}
-		if i == 0 {
-			err = sendErr
-		}
-	}
-	if done != nil {
-		done(arg, closest[0], err)
-	}
-}
-
-// insertContact inserts c at position pos, shifting the tail in place: the
-// slice aliases a recycled lookup buffer that is ours for the callback's
-// duration, so the shift is safe and the usual call allocates nothing.
-func insertContact(list []Contact, pos int, c Contact) []Contact {
 	list = append(list, Contact{})
 	copy(list[pos+1:], list[pos:])
 	list[pos] = c

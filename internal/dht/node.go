@@ -110,8 +110,12 @@ type Node struct {
 	// Guarded by mu (the timeout path draws from it).
 	retryRng *stats.RNG
 
-	mu         sync.Mutex
-	pending    map[uint64]*pendingRPC
+	mu      sync.Mutex
+	pending map[uint64]*pendingRPC
+	// ownerWalks indexes the owner resolutions in flight by their key, so a
+	// second SendToOwners for a key joins the first's walk (see ownerWalk).
+	// Nil until the node's first owner send; looked up, never ranged over.
+	ownerWalks map[ID]*ownerWalk
 	rpcSeq     uint64
 	values     map[ID]storedValue
 	resilience Resilience

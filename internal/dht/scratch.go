@@ -11,8 +11,9 @@ import (
 // endpoint. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, reply
 // contact buffer and address interner, and the freelists of lookup states,
-// lookup query records and in-flight RPC records. None of it is observable:
-// sharing changes who pays for the memory, never a wire byte or an event.
+// lookup query records, owner-walk records and in-flight RPC records. None of
+// it is observable: sharing changes who pays for the memory, never a wire
+// byte or an event.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -34,6 +35,7 @@ type Scratch struct {
 
 	lookups freelist[lookupState]
 	queries freelist[lookupQuery]
+	walks   freelist[ownerWalk]
 	rpcs    freelist[pendingRPC]
 }
 
@@ -44,6 +46,7 @@ type Scratch struct {
 // joins, so a warmed loop allocates neither.
 const (
 	maxFreeLookups = 64
+	maxFreeWalks   = 64  // an owner walk is a lookup
 	maxFreeQueries = 256 // a lookup query is an in-flight RPC
 	maxFreePending = 256
 )

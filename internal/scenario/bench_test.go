@@ -31,18 +31,37 @@ func benchCfg(missions, shards int) scenario.Config {
 // BenchmarkScenarioMissions measures live-scenario throughput — a full
 // 120-node churn + adversary network driving 30 concurrent missions through
 // the real stack — and reports missions per second of wall time, the number
-// that bounds how fast live figure curves can be generated per core. The
-// baseline is recorded in BENCH_scenario.json at the repository root.
+// that bounds how fast live figure curves can be generated per core, and
+// datagrams/op, the fabric's send count: a pure function of the seed, so CI
+// gates it like allocs/op and a change that re-duplicates lookups fails on a
+// count, not a timing. The baseline is recorded in BENCH_scenario.json at the
+// repository root.
 func BenchmarkScenarioMissions(b *testing.B) {
-	const missions = 30
-	cfg := benchCfg(missions, 1)
+	benchMissions(b, benchCfg(30, 1))
+}
+
+// BenchmarkScenarioMissionsShare is the same point under the key-share
+// (2,4) plan — the benchmark ledger's share-120 shape — where every
+// forwarding holder hands its next-column holder several packets for one slot
+// at one instant: the point that shows owner walks being shared.
+func BenchmarkScenarioMissionsShare(b *testing.B) {
+	cfg := benchCfg(30, 1)
+	cfg.Plan = core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 2, ShareN: 4, ShareM: []int{2}}
+	benchMissions(b, cfg)
+}
+
+func benchMissions(b *testing.B, cfg scenario.Config) {
+	sent := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := scenario.Run(cfg); err != nil {
+		report, err := scenario.Run(cfg)
+		if err != nil {
 			b.Fatal(err)
 		}
+		sent += report.Sent
 	}
-	b.ReportMetric(float64(missions*b.N)/b.Elapsed().Seconds(), "missions/sec")
+	b.ReportMetric(float64(cfg.Missions*b.N)/b.Elapsed().Seconds(), "missions/sec")
+	b.ReportMetric(float64(sent)/float64(b.N), "datagrams/op")
 }
 
 // BenchmarkScenarioMissionsParallel is the sharded counterpart: the same
@@ -123,18 +142,11 @@ func BenchmarkScenarioMissionsPartitioned(b *testing.B) {
 // smoke pattern deliberately: the race-detector smoke iteration covers the
 // injector and retry concurrency. Baselined in BENCH_scenario.json.
 func BenchmarkScenarioMissionsFaulty(b *testing.B) {
-	const missions = 30
-	cfg := benchCfg(missions, 1)
+	cfg := benchCfg(30, 1)
 	cfg.Fault = fault.ProfileBurst
 	cfg.FaultSeverity = 0.5
 	cfg.Retry = 3
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scenario.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(missions*b.N)/b.Elapsed().Seconds(), "missions/sec")
+	benchMissions(b, cfg)
 }
 
 // BenchmarkPartitionSmoke100k is the 100k-node partitioned live point: one

@@ -13,7 +13,10 @@ import (
 // simulator event loop) landed. Shards=1 — and the default Shards=0 — must
 // keep reproducing the historical single-network runs bit for bit: these
 // counts are the contract that sharding is an opt-in change of the point
-// descriptor, never a silent change of what existing points measure.
+// descriptor, never a silent change of what existing points measure. Result
+// and churn are the pre-coalescing outcomes; only the fabric counter moved
+// (sent 29329 → 26887 and 166413 → 74043) when concurrent SendToOwners calls
+// for one key began sharing one FIND_NODE walk.
 func TestShardOneMatchesHistoricalRun(t *testing.T) {
 	cases := []struct {
 		cfg          scenario.Config
@@ -24,13 +27,13 @@ func TestShardOneMatchesHistoricalRun(t *testing.T) {
 			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.2, Drop: true, Alpha: 1, Missions: 30,
 				Plan: core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}, MCTrials: 40, Seed: 11},
 			live:   scenario.Result{Missions: 30, Released: 5, Delivered: 12, Succeeded: 11},
-			deaths: 227, sent: 29329,
+			deaths: 227, sent: 26887,
 		},
 		{
 			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.1, Alpha: 1, Missions: 24,
 				Plan: core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 4, ShareM: []int{2, 2}}, MCTrials: 10, Seed: 21},
 			live:   scenario.Result{Missions: 24, Released: 3, Delivered: 18, Succeeded: 15},
-			deaths: 245, sent: 166413,
+			deaths: 245, sent: 74043,
 		},
 	}
 	for _, shards := range []int{0, 1} {
