@@ -133,36 +133,6 @@ func BenchmarkFigure8(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationShareDeathModel quantifies the share-loss modelling
-// choice documented in DESIGN.md: the paper's deterministic per-column
-// loss (d = floor(pdead*n), what Algorithm 1 budgets for) versus
-// independent exponential deaths, at the Figure 8 operating point that
-// separates them most (100 available nodes, alpha = 3, p = 0.1).
-func BenchmarkAblationShareDeathModel(b *testing.B) {
-	plan, err := core.PlanKeyShare(0.1, 3, 1, core.PlannerConfig{Budget: 100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := mc.Env{Population: 10000, Malicious: 1000, Alpha: 3}
-	var paper, binom float64
-	for i := 0; i < b.N; i++ {
-		envP := base
-		resP, err := mc.Estimate(plan, envP, mc.Options{Trials: 2000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		envB := base
-		envB.ShareModel = mc.ShareModelBinomial
-		resB, err := mc.Estimate(plan, envB, mc.Options{Trials: 2000, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		paper, binom = resP.R(), resB.R()
-	}
-	b.ReportMetric(paper, "R-paper-model")
-	b.ReportMetric(binom, "R-binomial-model")
-}
-
 // BenchmarkPlannerJoint measures the (k, l) search at the paper's scale.
 func BenchmarkPlannerJoint(b *testing.B) {
 	cfg := core.PlannerConfig{Budget: 10000}

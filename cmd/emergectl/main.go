@@ -34,10 +34,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	attack := selfemerge.AttackSpy
+	if *drop {
+		attack = selfemerge.AttackDrop
+	}
 	net, err := selfemerge.NewNetwork(selfemerge.NetworkConfig{
 		Nodes:         *nodes,
 		MaliciousRate: *p,
-		DropAttack:    *drop,
+		Attack:        attack,
 		MeanLifetime:  *churn,
 		Seed:          *seed,
 		// Real deployment default: key material from crypto/rand, not the

@@ -144,7 +144,7 @@ func runSweep(args []string) {
 		partWork  = fs.Int("partition-workers", 0, "concurrent partition shard loops per point (0 = GOMAXPROCS; live estimator)")
 		emerging  = fs.Duration("emerging", 2*time.Hour, "emerging period T (live estimator)")
 		mcTrials  = fs.Int("mc-trials", 0, "live reference trials (0 = missions)")
-		shareMod  = fs.String("share-model", "default", "key-share loss model: default|quota|binomial|live (mc points, live references)")
+		shareMod  = fs.String("share-model", "default", "key-share loss model: default|quota|live (mc points, live references)")
 		workers   = fs.Int("workers", 0, "concurrent sweep points (0 = GOMAXPROCS)")
 		loopStats = fs.Bool("loopstats", false, "print per-point event-loop stats (epochs, idle skips, merge allocs) to stderr (live estimator)")
 		format    = fs.String("format", "table", "output format: table|csv|json")

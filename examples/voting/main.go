@@ -57,7 +57,7 @@ func main() {
 	hostile, err := selfemerge.NewNetwork(selfemerge.NetworkConfig{
 		Nodes:         250,
 		MaliciousRate: 1,
-		DropAttack:    true,
+		Attack:        selfemerge.AttackDrop,
 		Seed:          12,
 	})
 	if err != nil {

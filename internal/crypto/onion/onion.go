@@ -12,9 +12,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"selfemerge/internal/crypto/seal"
+	"selfemerge/internal/freelist"
 )
 
 // Layer describes the plaintext of one onion layer.
@@ -61,9 +61,12 @@ func Build(layers []Layer, keys []seal.Key) ([]byte, error) {
 	return BuildSealers(layers, sealers)
 }
 
-// buildBufs pools the two scratch buffers one Build needs (the plaintext
-// layer encoding and the intermediate sealed onion).
-var buildBufs = sync.Pool{New: func() any { return new(buildScratch) }}
+// buildBufs recycles the two scratch buffers one Build needs (the plaintext
+// layer encoding and the intermediate sealed onion). It is the module's only
+// process-level list: BuildSealers is a pure function with no node, loop or
+// sender to hang scratch on, and concurrent builders (sweep workers
+// dispatching on their own networks) need one record each, which bounds it.
+var buildBufs = freelist.List[buildScratch]{Max: 16}
 
 type buildScratch struct{ plain, sealed []byte }
 
@@ -71,7 +74,7 @@ type buildScratch struct{ plain, sealed []byte }
 // schedule for each layer key is paid once per Sealer, not once per onion,
 // and nonce randomness comes from the sealers' source. Only the returned
 // outermost ciphertext is freshly allocated; all intermediate layers run
-// through pooled scratch buffers.
+// through recycled scratch buffers.
 func BuildSealers(layers []Layer, sealers []*seal.Sealer) ([]byte, error) {
 	if len(layers) == 0 {
 		return nil, ErrNoLayers
@@ -79,7 +82,7 @@ func BuildSealers(layers []Layer, sealers []*seal.Sealer) ([]byte, error) {
 	if len(layers) != len(sealers) {
 		return nil, fmt.Errorf("onion: %d layers but %d sealers", len(layers), len(sealers))
 	}
-	scratch := buildBufs.Get().(*buildScratch)
+	scratch := buildBufs.Get()
 	defer buildBufs.Put(scratch)
 	var inner []byte
 	for i := len(layers) - 1; i >= 0; i-- {
@@ -90,7 +93,7 @@ func BuildSealers(layers []Layer, sealers []*seal.Sealer) ([]byte, error) {
 			return nil, err
 		}
 		scratch.plain = plain[:0]
-		// The innermost iterations seal into the pooled scratch (the layer
+		// The innermost iterations seal into the recycled scratch (the layer
 		// encoding above has already copied the previous ciphertext out of
 		// it); the outermost seals into a fresh slice the caller keeps.
 		var dst []byte

@@ -10,12 +10,14 @@ import (
 
 // FuzzDecodeMessage asserts the DHT wire codec never panics on arbitrary
 // datagrams — the property a UDP-exposed service lives or dies by — and
-// that anything accepted re-encodes canonically.
+// that anything accepted re-encodes canonically, also through the recycling
+// forms senders and the receive loop use: decoding into a dirty scratch
+// Message and appending after a non-empty prefix.
 func FuzzDecodeMessage(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF})
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
-	ping, err := (Message{Kind: KindPing, From: Contact{ID: ID{1}, Addr: "n1"}, RPCID: 7}).Encode()
+	ping, err := (Message{Kind: KindPing, From: Contact{ID: ID{1}, Addr: "n1"}, RPCID: 7}).AppendEncode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -25,12 +27,12 @@ func FuzzDecodeMessage(f *testing.F) {
 		From:     Contact{ID: ID{2}, Addr: "n2"},
 		RPCID:    9,
 		Contacts: []Contact{{ID: ID{3}, Addr: "n3"}, {ID: ID{4}, Addr: "n4"}},
-	}).Encode()
+	}).AppendEncode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(resp)
-	val, err := (Message{Kind: KindFindValueResp, From: Contact{ID: ID{5}, Addr: "n5"}, Found: true, Value: []byte("v")}).Encode()
+	val, err := (Message{Kind: KindFindValueResp, From: Contact{ID: ID{5}, Addr: "n5"}, Found: true, Value: []byte("v")}).AppendEncode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -44,76 +46,29 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := msg.Encode()
+		enc, err := msg.AppendEncode(nil)
 		if err != nil {
 			// Decoded messages may exceed encode-side limits only if the
 			// decoder accepted something the encoder never produces.
 			t.Fatalf("decoded message failed to encode: %v", err)
 		}
-		again, err := DecodeMessage(enc)
-		if err != nil {
+		// The second trip starts from a scratch Message carrying stale
+		// contacts of a previous datagram, which the decode must fully
+		// overwrite, and ends behind a prefix the append must leave intact.
+		again := Message{Contacts: []Contact{{ID: ID{9}, Addr: "stale"}, {ID: ID{8}, Addr: "stale2"}}}
+		if err := DecodeMessageInto(&again, enc); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		enc2, err := again.Encode()
+		prefix := []byte("prefix")
+		enc2, err := again.AppendEncode(bytes.Clone(prefix))
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		if !bytes.Equal(enc, enc2) {
+		if !bytes.HasPrefix(enc2, prefix) {
+			t.Fatalf("AppendEncode clobbered its prefix: %x", enc2)
+		}
+		if enc2 = enc2[len(prefix):]; !bytes.Equal(enc, enc2) {
 			t.Fatalf("encode/decode not canonical:\n  first  %x\n  second %x", enc, enc2)
-		}
-	})
-}
-
-// FuzzMessageAppendEncode asserts the append-style wire codec and the
-// scratch-reusing decoder are exactly the classic pair: AppendEncode onto an
-// arbitrary prefix preserves the prefix and appends Encode's bytes, and
-// DecodeMessageInto over a dirty scratch Message equals DecodeMessage.
-func FuzzMessageAppendEncode(f *testing.F) {
-	ping, err := (Message{Kind: KindPing, From: Contact{ID: ID{1}, Addr: "n1"}, RPCID: 7}).Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ping, []byte{})
-	resp, err := (Message{
-		Kind:     KindFindNodeResp,
-		From:     Contact{ID: ID{2}, Addr: "n2"},
-		Contacts: []Contact{{ID: ID{3}, Addr: "n3"}},
-	}).Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(resp, []byte("prefix"))
-	f.Fuzz(func(t *testing.T, data, prefix []byte) {
-		msg, err := DecodeMessage(data)
-		if err != nil {
-			return
-		}
-		classic, err := msg.Encode()
-		if err != nil {
-			t.Fatalf("decoded message failed to encode: %v", err)
-		}
-		appended, err := msg.AppendEncode(append([]byte(nil), prefix...))
-		if err != nil {
-			t.Fatalf("AppendEncode failed: %v", err)
-		}
-		if !bytes.HasPrefix(appended, prefix) {
-			t.Fatalf("AppendEncode clobbered its prefix: %x", appended)
-		}
-		if !bytes.Equal(appended[len(prefix):], classic) {
-			t.Fatalf("AppendEncode diverged from Encode:\n  append %x\n  encode %x", appended[len(prefix):], classic)
-		}
-		// Decode into a scratch Message carrying stale contacts from a
-		// previous datagram: the pooled-decode path must fully overwrite it.
-		scratch := Message{Contacts: []Contact{{ID: ID{9}, Addr: "stale"}, {ID: ID{8}, Addr: "stale2"}}}
-		if err := DecodeMessageInto(&scratch, classic); err != nil {
-			t.Fatalf("DecodeMessageInto failed: %v", err)
-		}
-		round, err := scratch.Encode()
-		if err != nil {
-			t.Fatalf("scratch re-encode failed: %v", err)
-		}
-		if !bytes.Equal(round, classic) {
-			t.Fatalf("scratch decode diverged:\n  scratch %x\n  classic %x", round, classic)
 		}
 	})
 }
@@ -130,7 +85,7 @@ func FuzzMessageContactsView(f *testing.F) {
 		contacts[i] = Contact{ID: ID{byte(i + 1)}, Addr: transport.Addr(bytes.Repeat([]byte{'a'}, i))}
 	}
 	for _, n := range []int{0, 1, 20, maxContacts} {
-		resp, err := (Message{Kind: KindFindNodeResp, From: Contact{ID: ID{0xee}, Addr: "n"}, RPCID: 3, Contacts: contacts[:n]}).Encode()
+		resp, err := (Message{Kind: KindFindNodeResp, From: Contact{ID: ID{0xee}, Addr: "n"}, RPCID: 3, Contacts: contacts[:n]}).AppendEncode(nil)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -138,7 +93,7 @@ func FuzzMessageContactsView(f *testing.F) {
 		f.Add(resp[:len(resp)-9])                    // cut inside the last record (or the tail)
 		f.Add(append(resp[:len(resp):len(resp)], 0)) // trailing byte
 	}
-	stale, err := (Message{Kind: KindFindNodeResp, From: Contact{ID: ID{0xdd}, Addr: "s"}, Contacts: contacts[:3]}).Encode()
+	stale, err := (Message{Kind: KindFindNodeResp, From: Contact{ID: ID{0xdd}, Addr: "s"}, Contacts: contacts[:3]}).AppendEncode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}

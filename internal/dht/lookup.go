@@ -35,7 +35,7 @@ func lookupFinishValue(arg any, _ []Contact, value []byte, found bool) {
 	arg.(func([]byte, bool))(value, found)
 }
 
-// Store replicates value at the cfg.Replicate closest nodes to key. The
+// Store replicates value at the storeReplicas closest nodes to key. The
 // local node is itself a replica candidate: lookups never return self, so
 // without the explicit insertion a storing node that owns the key's zone
 // would replicate only to its neighbors and the owner itself would answer
@@ -46,9 +46,7 @@ func (n *Node) Store(key ID, value []byte, ttl time.Duration, cb func(acked int)
 	n.Lookup(key, func(closest []Contact) {
 		self := n.Contact()
 		closest = insertRanked(closest, key, self)
-		if len(closest) > n.cfg.Replicate {
-			closest = closest[:n.cfg.Replicate]
-		}
+		closest = closest[:min(len(closest), storeReplicas)]
 		var (
 			mu    sync.Mutex
 			acked int
@@ -100,54 +98,52 @@ func (n *Node) SendToOwner(key ID, payload []byte, done func(Contact, error)) {
 // its neighbor instead of keeping it. done (optional) receives the closest
 // owner.
 func (n *Node) SendToOwners(key ID, payload []byte, replicas int, done func(Contact, error)) {
-	n.SendToOwnersArg(key, payload, replicas, sendOwnersAdapter, done)
+	n.sendToOwners(key, ownerRider{payload: payload, replicas: replicas, done: done})
 }
 
-func sendOwnersAdapter(arg any, c Contact, err error) {
-	if cb, _ := arg.(func(Contact, error)); cb != nil {
-		cb(c, err)
-	}
+// SendBufToOwners is SendToOwners for a payload encoded into a buffer taken
+// from Bufs: the buffer goes back to the list after this call's last send, so
+// a steady mission send path allocates neither a payload nor a completion
+// closure.
+func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int) {
+	n.sendToOwners(key, ownerRider{payload: *buf, replicas: replicas, buf: buf})
 }
 
 // ownerWalk is one in-flight owner resolution: the FIND_NODE walk towards key
-// and every SendToOwnersArg call waiting on its answer. A node resolves one
-// key at most once at a time — a call that finds a walk for its key already
-// under way rides it instead of starting an identical one (a forwarding holder
-// hands the same next slot several packets in one instant, and the walks would
-// query the same K contacts from the same table). Records recycle through the
-// node's Scratch; riders keeps its capacity.
+// and every owner send waiting on its answer. A node resolves one key at most
+// once at a time — a send that finds a walk for its key already under way
+// rides it instead of starting an identical one (a forwarding holder hands the
+// same next slot several packets in one instant, and the walks would query the
+// same K contacts from the same table). Records recycle through the node's
+// Scratch; riders keeps its capacity.
 type ownerWalk struct {
 	node   *Node
 	key    ID
 	riders []ownerRider
 }
 
-// ownerRider is one SendToOwnersArg call attached to a walk.
+// ownerRider is one owner send attached to a walk: done (optional) reports
+// the closest owner, buf (optional) is the Bufs buffer backing payload.
 type ownerRider struct {
 	payload  []byte
 	replicas int
-	done     func(any, Contact, error)
-	arg      any
+	done     func(Contact, error)
+	buf      *[]byte
 }
 
-// SendToOwnersArg is SendToOwners with an arg-threaded completion callback:
-// done should be a package-level (non-capturing) function and arg rides
-// along through the lookup machinery, so a steady mission send path
-// allocates no per-call closures. done may be nil. Calls for one key made
-// while its owners are being resolved share that resolution: they are served
-// in call order when it completes, each to its own replicas prefix.
-func (n *Node) SendToOwnersArg(key ID, payload []byte, replicas int, done func(any, Contact, error), arg any) {
-	if replicas < 1 {
-		replicas = 1
-	}
-	r := ownerRider{payload: payload, replicas: replicas, done: done, arg: arg}
+// sendToOwners attaches r to the walk resolving key, starting one if none is
+// in flight. Sends for one key made while its owners are being resolved share
+// that resolution: they are served in call order when it completes, each to
+// its own replicas prefix.
+func (n *Node) sendToOwners(key ID, r ownerRider) {
+	r.replicas = max(r.replicas, 1)
 	n.mu.Lock()
 	if w := n.ownerWalks[key]; w != nil {
 		w.riders = append(w.riders, r)
 		n.mu.Unlock()
 		return
 	}
-	w := n.cfg.Scratch.walks.get()
+	w := n.cfg.Scratch.walks.Get()
 	w.node, w.key = n, key
 	w.riders = append(w.riders, r)
 	if n.ownerWalks == nil {
@@ -193,15 +189,18 @@ func ownersFinish(v any, closest []Contact, _ []byte, _ bool) {
 				owner, err = c, sendErr
 			}
 		}
-		// Only now: done is where the caller reclaims a pooled payload.
+		// Only now: the payload is dead once the rider's last send returned.
 		if r.done != nil {
-			r.done(r.arg, owner, err)
+			r.done(owner, err)
+		}
+		if r.buf != nil {
+			n.cfg.Scratch.bufs.Put(r.buf)
 		}
 	}
 	clear(w.riders)
 	w.riders = w.riders[:0]
 	w.node = nil
-	n.cfg.Scratch.walks.put(w, maxFreeWalks)
+	n.cfg.Scratch.walks.Put(w)
 }
 
 // insertRanked inserts c into a nearest-first lookup result at its distance
@@ -225,7 +224,7 @@ func insertRanked(list []Contact, key ID, c Contact) []Contact {
 
 // deliverLocal hands an application payload to the local node's own OnApp,
 // asynchronously, as if it had arrived over the wire. The payload travels
-// through a pooled buffer reclaimed after the handler returns, matching the
+// through a recycled buffer reclaimed after the handler returns, matching the
 // transport delivery contract.
 func (n *Node) deliverLocal(payload []byte) error {
 	n.mu.Lock()
@@ -237,13 +236,13 @@ func (n *Node) deliverLocal(payload []byte) error {
 	if n.cfg.OnApp == nil {
 		return nil
 	}
-	buf := wireBufs.Get().(*[]byte)
-	msg := append((*buf)[:0], payload...)
-	*buf = msg
+	bufs := &n.cfg.Scratch.bufs
+	buf := bufs.Get()
+	*buf = append((*buf)[:0], payload...)
 	self := n.Contact()
 	sim.Schedule(n.cfg.Clock, 0, func() {
-		n.cfg.OnApp(self, msg)
-		wireBufs.Put(buf)
+		n.cfg.OnApp(self, *buf)
+		bufs.Put(buf)
 	})
 	return nil
 }
@@ -283,9 +282,7 @@ type lookupState struct {
 
 // release returns a drained state (finished, no queries in flight) to its
 // node's scratch. The sets and slices keep their capacity for the next
-// lookup on the same loop — unlike a global sync.Pool, whose GC eviction made
-// every lookup after a collection re-grow its shortlist and sets from
-// scratch, feeding the next collection in turn.
+// lookup on the same loop, across garbage collections.
 func (ls *lookupState) release() {
 	s := ls.node.cfg.Scratch
 	ls.seen.reset()
@@ -298,7 +295,7 @@ func (ls *lookupState) release() {
 	ls.finishCb = nil
 	ls.finishArg = nil
 	ls.finished = false
-	s.lookups.put(ls, maxFreeLookups)
+	s.lookups.Put(ls)
 }
 
 // distSet is an open-addressing membership set over packed XOR-distance
@@ -422,7 +419,7 @@ func (n *Node) newLookup(target ID, wantValue bool, cb func(any, []Contact, []by
 			return
 		}
 	}
-	ls := n.cfg.Scratch.lookups.get()
+	ls := n.cfg.Scratch.lookups.Get()
 	ls.node = n
 	ls.target = target
 	ls.wantVal = wantValue
@@ -433,7 +430,7 @@ func (n *Node) newLookup(target ID, wantValue bool, cb func(any, []Contact, []by
 	ls.queried.add(self.d0, self.d1, self.d2)
 	// The bootstrap selection arrives nearest-first: the whole list starts
 	// sorted.
-	ls.shortlist = n.table.appendClosestRanked(ls.shortlist, target, n.cfg.K)
+	ls.shortlist = n.table.appendClosestRanked(ls.shortlist, target, bucketK)
 	ls.sorted = len(ls.shortlist)
 	for i := range ls.shortlist {
 		r := &ls.shortlist[i]
@@ -452,18 +449,12 @@ func (ls *lookupState) step() {
 	ls.sortShortlist()
 	// Collect the next batch of unqueried candidates within the K closest
 	// known (the standard Kademlia termination window), up to the alpha
-	// parallelism limit. The batch lives on the stack for the usual alpha.
-	var batch [8]ranked
+	// parallelism limit.
+	var batch [alpha]ranked
 	toQuery := batch[:0]
-	if a := ls.node.cfg.Alpha; a > len(batch) {
-		toQuery = make([]ranked, 0, a)
-	}
-	window := ls.shortlist
-	if len(window) > ls.node.cfg.K {
-		window = window[:ls.node.cfg.K]
-	}
+	window := ls.shortlist[:min(len(ls.shortlist), bucketK)]
 	for i := range window {
-		if ls.inflight+len(toQuery) >= ls.node.cfg.Alpha {
+		if ls.inflight+len(toQuery) >= alpha {
 			break
 		}
 		if r := &window[i]; !ls.queried.has(r.d0, r.d1, r.d2) {
@@ -491,7 +482,7 @@ func (ls *lookupState) step() {
 		kind = KindFindValue
 	}
 	for i := range toQuery {
-		q := ls.node.cfg.Scratch.queries.get()
+		q := ls.node.cfg.Scratch.queries.Get()
 		q.ls, q.contact = ls, toQuery[i].c
 		ls.node.requestArg(toQuery[i].c, Message{Kind: kind, Target: ls.target, Key: ls.target}, lookupQueryDone, q)
 	}
@@ -509,7 +500,7 @@ func lookupQueryDone(v any, resp *Message, err error) {
 	q := v.(*lookupQuery)
 	ls, contact := q.ls, q.contact
 	*q = lookupQuery{}
-	ls.node.cfg.Scratch.queries.put(q, maxFreeQueries)
+	ls.node.cfg.Scratch.queries.Put(q)
 	ls.onResponse(contact, resp, err)
 }
 
@@ -599,13 +590,10 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 // — valid until the state is released, i.e. for the duration of the finish
 // callback. Callers hold ls.mu.
 func (ls *lookupState) closestK() []Contact {
-	sl := ls.shortlist
-	if len(sl) > ls.node.cfg.K {
-		// Truncate before copying: the shortlist holds every contact ever
-		// seen, and copying hundreds of entries to keep K showed up in the
-		// 100k-node profiles.
-		sl = sl[:ls.node.cfg.K]
-	}
+	// Truncate before copying: the shortlist holds every contact ever seen,
+	// and copying hundreds of entries to keep K showed up in the 100k-node
+	// profiles.
+	sl := ls.shortlist[:min(len(ls.shortlist), bucketK)]
 	out := ls.result[:0]
 	for i := range sl {
 		out = append(out, sl[i].c)

@@ -36,18 +36,18 @@ func newResponseRig(tb testing.TB, rng *stats.RNG) *responseRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ls := node.cfg.Scratch.lookups.get()
+	ls := node.cfg.Scratch.lookups.Get()
 	ls.node, ls.target = node, RandomID(rng)
 	self := rankContact(ls.target, node.Contact())
 	ls.seen.add(self.d0, self.d1, self.d2)
-	ls.inflight = node.cfg.Alpha
+	ls.inflight = alpha
 	return &responseRig{node: node, ls: ls, from: Contact{ID: RandomID(rng), Addr: "responder"}}
 }
 
 // response encodes a FIND_NODE response listing contacts.
 func (r *responseRig) response(tb testing.TB, contacts []Contact) []byte {
 	tb.Helper()
-	wire, err := Message{Kind: KindFindNodeResp, RPCID: 1, From: r.from, Contacts: contacts}.Encode()
+	wire, err := Message{Kind: KindFindNodeResp, RPCID: 1, From: r.from, Contacts: contacts}.AppendEncode(nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestLookupResponseOffWire(t *testing.T) {
 				t.Fatalf("round %d: shortlist diverged from the oracle\n got %v\nwant %v", round, rig.ls.shortlist, oracle)
 			}
 		}
-		want := make([]Contact, 0, rig.node.cfg.K)
-		for _, r := range oracle[:rig.node.cfg.K] {
+		want := make([]Contact, 0, bucketK)
+		for _, r := range oracle[:bucketK] {
 			want = append(want, r.c)
 		}
 		if got := rig.ls.closestK(); !slices.Equal(got, want) {

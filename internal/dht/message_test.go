@@ -29,7 +29,7 @@ func sampleMessage() Message {
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := sampleMessage()
-	data, err := m.Encode()
+	data, err := m.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 			Value: value,
 			App:   app,
 		}
-		data, err := m.Encode()
+		data, err := m.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		bytes.Repeat([]byte{0xFF}, 100),
 	}
 	// Valid message with trailing garbage must also fail.
-	good, err := sampleMessage().Encode()
+	good, err := sampleMessage().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 	// Non-canonical Found byte (the tenth from the end of a message with no
 	// contacts, value or payload).
-	found, err := Message{Kind: KindFindValueResp, From: Contact{ID: ID{1}, Addr: "x"}, Found: true}.Encode()
+	found, err := Message{Kind: KindFindValueResp, From: Contact{ID: ID{1}, Addr: "x"}, Found: true}.AppendEncode(nil)
 	if err != nil || found[len(found)-10] != 1 {
 		t.Fatalf("found byte not where expected: %x, %v", found, err)
 	}
@@ -126,7 +126,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestDecodeFuzzNoPanic(t *testing.T) {
 	rng := stats.NewRNG(33)
-	good, err := sampleMessage().Encode()
+	good, err := sampleMessage().AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,11 @@ func TestDecodeFuzzNoPanic(t *testing.T) {
 
 func TestEncodeLimits(t *testing.T) {
 	m := Message{Kind: KindApp, App: make([]byte, maxValue+1)}
-	if _, err := m.Encode(); err == nil {
+	if _, err := m.AppendEncode(nil); err == nil {
 		t.Error("oversized app payload accepted")
 	}
 	m2 := Message{Kind: KindFindNodeResp, Contacts: make([]Contact, maxContacts+1)}
-	if _, err := m2.Encode(); err == nil {
+	if _, err := m2.AppendEncode(nil); err == nil {
 		t.Error("too many contacts accepted")
 	}
 }

@@ -2,11 +2,11 @@ package dht
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sync"
 	"time"
 
+	"selfemerge/internal/freelist"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
 	"selfemerge/internal/transport"
@@ -21,13 +21,6 @@ type Config struct {
 	Endpoint transport.Endpoint
 	// Clock drives timeouts and TTL expiry. Required (sim or real).
 	Clock sim.Clock
-	// K is the bucket size and lookup width (default 20).
-	K int
-	// Alpha is the lookup parallelism (default 3).
-	Alpha int
-	// Replicate is how many closest nodes receive each stored value
-	// (default 3).
-	Replicate int
 	// RPCTimeout bounds each request/response exchange (default 500ms).
 	RPCTimeout time.Duration
 	// ProbeTimeout bounds the ping-evict policy's liveness probes,
@@ -41,8 +34,6 @@ type Config struct {
 	// single-shot (the historical behavior, byte-identical event
 	// sequences); see RetryPolicy.
 	Retry RetryPolicy
-	// StaleAfter is the bucket-eviction staleness threshold (default 10m).
-	StaleAfter time.Duration
 	// Table selects the full-bucket admission policy. TableDefault resolves
 	// to TablePingEvict: the library is eclipse-resistant unless a caller
 	// explicitly opts into the naive policy (the adversary experiments do,
@@ -58,16 +49,22 @@ type Config struct {
 	Scratch *Scratch
 }
 
+// The Kademlia parameters. Every deployment of this tree — simulated
+// networks, dhtnode, the benchmark rigs — runs these values, so they are
+// constants rather than Config fields.
+const (
+	// bucketK is Kademlia's k: the bucket size, the FIND_NODE response
+	// width and the lookup termination window.
+	bucketK = 20
+	// alpha is the lookup parallelism.
+	alpha = 3
+	// storeReplicas is how many closest nodes receive each stored value.
+	storeReplicas = 3
+	// staleAfter is the naive policy's bucket-eviction staleness threshold.
+	staleAfter = 10 * time.Minute
+)
+
 func (c Config) withDefaults() Config {
-	if c.K == 0 {
-		c.K = 20
-	}
-	if c.Alpha == 0 {
-		c.Alpha = 3
-	}
-	if c.Replicate == 0 {
-		c.Replicate = 3
-	}
 	if c.RPCTimeout == 0 {
 		c.RPCTimeout = 500 * time.Millisecond
 	}
@@ -75,9 +72,6 @@ func (c Config) withDefaults() Config {
 		c.ProbeTimeout = c.RPCTimeout
 	}
 	c.Retry = c.Retry.withDefaults()
-	if c.StaleAfter == 0 {
-		c.StaleAfter = 10 * time.Minute
-	}
 	if c.Table == TableDefault {
 		c.Table = TablePingEvict
 	}
@@ -132,10 +126,6 @@ type appKey struct {
 // (dedup degrades to best-effort rather than the table growing without
 // limit).
 const maxAppSeen = 1 << 15
-
-// wireBufs pools wire-encode buffers: transport.Endpoint.Send does not
-// retain its payload, so a buffer is reusable the moment the send returns.
-var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // pendingRPC is one in-flight request: a record recycled through the node's
 // Scratch and armed as the timeout event's argument, so the per-RPC cost is
@@ -199,7 +189,7 @@ func releasePending(p *pendingRPC) {
 	p.attempt = 0
 	p.waiting = false
 	p.retry = false
-	s.rpcs.put(p, maxFreePending)
+	s.rpcs.Put(p)
 }
 
 // rpcTimeout is the package-level timeout callback: fires when the peer did
@@ -233,12 +223,10 @@ func rpcTimeout(v any) {
 		n.resilience.Retries++
 		p.timer = sim.AfterFuncArg(n.cfg.Clock, p.timeout, rpcTimeout, p)
 		addr := p.addr
-		buf := wireBufs.Get().(*[]byte)
-		data := append((*buf)[:0], p.wire...)
+		buf := n.cfg.Scratch.bufs.Get()
+		*buf = append((*buf)[:0], p.wire...)
 		n.mu.Unlock()
-		_ = n.cfg.Endpoint.Send(addr, data)
-		*buf = data
-		wireBufs.Put(buf)
+		_ = n.sendBuf(addr, buf)
 		return
 	}
 	if still {
@@ -279,7 +267,7 @@ func NewNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:     cfg,
-		table:   NewTable(cfg.ID, cfg.K, cfg.StaleAfter, func() time.Time { return cfg.Clock.Now() }),
+		table:   NewTable(cfg.ID, bucketK, staleAfter, func() time.Time { return cfg.Clock.Now() }),
 		pending: make(map[uint64]*pendingRPC),
 		values:  make(map[ID]storedValue),
 	}
@@ -381,7 +369,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 	case KindPing:
 		n.reply(msg.From, Message{Kind: KindPong, RPCID: msg.RPCID})
 	case KindFindNode:
-		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Target, n.cfg.K)
+		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Target, bucketK)
 		n.reply(msg.From, Message{
 			Kind:     KindFindNodeResp,
 			RPCID:    msg.RPCID,
@@ -395,7 +383,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 			n.reply(msg.From, Message{Kind: KindFindValueResp, RPCID: msg.RPCID, Key: msg.Key, Found: true, Value: value})
 			return
 		}
-		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Key, n.cfg.K)
+		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Key, bucketK)
 		n.reply(msg.From, Message{
 			Kind:     KindFindValueResp,
 			RPCID:    msg.RPCID,
@@ -432,17 +420,47 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 	}
 }
 
-// reply sends a response message (no pending bookkeeping) through a pooled
-// wire buffer.
-func (n *Node) reply(to Contact, m Message) {
+// Bufs is the byte-buffer list of the node's dispatch context (see Scratch):
+// the protocol layer above recycles its packet and custody buffers through
+// the same loop-owned list the node's own datagrams use.
+func (n *Node) Bufs() *freelist.List[[]byte] { return &n.cfg.Scratch.bufs }
+
+// sendBuf puts the datagram in buf on the wire and recycles buf — the one
+// place a wire buffer ends its life: transport.Endpoint.Send does not retain
+// its payload, so the buffer is reusable the moment the send returns.
+func (n *Node) sendBuf(to transport.Addr, buf *[]byte) error {
+	err := n.cfg.Endpoint.Send(to, *buf)
+	n.cfg.Scratch.bufs.Put(buf)
+	return err
+}
+
+// encode returns m's wire form, stamped with this node as the sender, in a
+// buffer of the loop's list.
+func (n *Node) encode(m *Message) (*[]byte, error) {
 	m.From = n.Contact()
-	buf := wireBufs.Get().(*[]byte)
+	buf := n.cfg.Scratch.bufs.Get()
 	data, err := m.AppendEncode((*buf)[:0])
-	if err == nil {
-		_ = n.cfg.Endpoint.Send(to.Addr, data)
-		*buf = data
+	if err != nil {
+		n.cfg.Scratch.bufs.Put(buf)
+		return nil, err
 	}
-	wireBufs.Put(buf)
+	*buf = data
+	return buf, nil
+}
+
+// sendMessage sends m with no pending bookkeeping: responses and
+// fire-and-forget app payloads.
+func (n *Node) sendMessage(to transport.Addr, m Message) error {
+	buf, err := n.encode(&m)
+	if err != nil {
+		return err
+	}
+	return n.sendBuf(to, buf)
+}
+
+// reply sends a response message.
+func (n *Node) reply(to Contact, m Message) {
+	_ = n.sendMessage(to.Addr, m)
 }
 
 // request sends m to the peer and arranges for cb to run with the response
@@ -471,43 +489,26 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, ErrClosed) })
 		return
 	}
+	// The request is encoded under the lock that issued its RPCID, so it is
+	// registered before a Close can miss it.
 	n.rpcSeq++
-	id := n.rpcSeq
-	m.RPCID = id
-	p := n.cfg.Scratch.rpcs.get()
-	p.node, p.cb, p.to, p.id = n, cb, to.ID, id
-	p.addr, p.timeout, p.attempt, p.retry = to.Addr, timeout, 1, retry
-	p.timer = sim.AfterFuncArg(n.cfg.Clock, timeout, rpcTimeout, p)
-	n.pending[id] = p
-	n.mu.Unlock()
-
-	m.From = n.Contact()
-	buf := wireBufs.Get().(*[]byte)
-	data, err := m.AppendEncode((*buf)[:0])
+	m.RPCID = n.rpcSeq
+	buf, err := n.encode(&m)
 	if err != nil {
-		wireBufs.Put(buf)
-		n.mu.Lock()
-		delete(n.pending, id)
 		n.mu.Unlock()
-		if p.timer.Stop() {
-			releasePending(p)
-		}
 		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, err) })
 		return
 	}
+	p := n.cfg.Scratch.rpcs.Get()
+	p.node, p.cb, p.to, p.id = n, cb, to.ID, m.RPCID
+	p.addr, p.timeout, p.attempt, p.retry = to.Addr, timeout, 1, retry
 	if retry {
-		// Retain the encoded request for re-sends — but only while the
-		// record is still ours: with a real clock the timeout (or even a
-		// settle) could in principle win the race and recycle it.
-		n.mu.Lock()
-		if n.pending[id] == p {
-			p.wire = append(p.wire[:0], data...)
-		}
-		n.mu.Unlock()
+		p.wire = append(p.wire[:0], *buf...) // retained for re-sends
 	}
-	_ = n.cfg.Endpoint.Send(to.Addr, data)
-	*buf = data
-	wireBufs.Put(buf)
+	p.timer = sim.AfterFuncArg(n.cfg.Clock, timeout, rpcTimeout, p)
+	n.pending[p.id] = p
+	n.mu.Unlock()
+	_ = n.sendBuf(to.Addr, buf)
 }
 
 // probe is the ping-evict policy's liveness check: single-shot on its own
@@ -580,17 +581,7 @@ func (n *Node) SendApp(to Contact, payload []byte) error {
 		n.startRequest(to, Message{Kind: KindApp, App: payload}, rpcCallback{argFn: appAckDone, arg: nil})
 		return nil
 	}
-	m := Message{Kind: KindApp, From: n.Contact(), App: payload}
-	buf := wireBufs.Get().(*[]byte)
-	data, err := m.AppendEncode((*buf)[:0])
-	if err != nil {
-		wireBufs.Put(buf)
-		return fmt.Errorf("dht: encoding app message: %w", err)
-	}
-	sendErr := n.cfg.Endpoint.Send(to.Addr, data)
-	*buf = data
-	wireBufs.Put(buf)
-	return sendErr
+	return n.sendMessage(to.Addr, Message{Kind: KindApp, App: payload})
 }
 
 // appAckDone consumes the ack (or final timeout) of a retried app send:

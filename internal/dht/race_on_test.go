@@ -2,6 +2,6 @@
 
 package dht
 
-// raceEnabled: the race detector makes sync.Pool drop items at random, so
-// exact allocation counts are only asserted without it.
+// raceEnabled: the race detector's instrumentation allocates, so exact
+// allocation counts are only asserted without it.
 const raceEnabled = true

@@ -1,8 +1,7 @@
 package dht
 
 import (
-	"sync"
-
+	"selfemerge/internal/freelist"
 	"selfemerge/internal/transport"
 )
 
@@ -11,9 +10,9 @@ import (
 // endpoint. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, reply
 // contact buffer and address interner, and the freelists of lookup states,
-// lookup query records, owner-walk records and in-flight RPC records. None of
-// it is observable: sharing changes who pays for the memory, never a wire
-// byte or an event.
+// lookup query records, owner-walk records, in-flight RPC records and byte
+// buffers. None of it is observable: sharing changes who pays for the memory,
+// never a wire byte or an event.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -33,10 +32,16 @@ type Scratch struct {
 	rxContacts []Contact
 	addrs      addrTable
 
-	lookups freelist[lookupState]
-	queries freelist[lookupQuery]
-	walks   freelist[ownerWalk]
-	rpcs    freelist[pendingRPC]
+	lookups freelist.List[lookupState]
+	queries freelist.List[lookupQuery]
+	walks   freelist.List[ownerWalk]
+	rpcs    freelist.List[pendingRPC]
+	// bufs is the loop's one byte-buffer list: the wire form of every datagram
+	// a node sends (free again when Endpoint.Send returns), and — through
+	// Node.Bufs — the protocol layer's encoded packets (held until their owner
+	// lookup completes) and custody clones (held until the package peels).
+	// The buffers mix freely and each grows to the largest use it has served.
+	bufs freelist.List[[]byte]
 }
 
 // Freelist bounds. A burst — every node of a booting network running its
@@ -49,6 +54,7 @@ const (
 	maxFreeWalks   = 64  // an owner walk is a lookup
 	maxFreeQueries = 256 // a lookup query is an in-flight RPC
 	maxFreePending = 256
+	maxFreeBufs    = 256 // a dispatch burst's packets plus the custody of the missions in flight
 )
 
 // defaultInternedAddrs bounds the address interner of a scratch that was not
@@ -61,40 +67,15 @@ const defaultInternedAddrs = 1 << 16
 // population), so the interner can hold all of them; zero — or anything
 // under the default — keeps the default bound.
 func NewScratch(peers int) *Scratch {
-	s := &Scratch{}
+	s := &Scratch{
+		lookups: freelist.List[lookupState]{Max: maxFreeLookups},
+		queries: freelist.List[lookupQuery]{Max: maxFreeQueries},
+		walks:   freelist.List[ownerWalk]{Max: maxFreeWalks},
+		rpcs:    freelist.List[pendingRPC]{Max: maxFreePending},
+		bufs:    freelist.List[[]byte]{Max: maxFreeBufs},
+	}
 	s.addrs.max = max(peers, defaultInternedAddrs)
 	return s
-}
-
-// freelist is a bounded LIFO of recycled records.
-type freelist[T any] struct {
-	mu   sync.Mutex
-	free []*T
-}
-
-// get pops a recycled record, or allocates a zero one.
-func (f *freelist[T]) get() *T {
-	f.mu.Lock()
-	var v *T
-	if k := len(f.free); k > 0 {
-		v = f.free[k-1]
-		f.free[k-1] = nil
-		f.free = f.free[:k-1]
-	}
-	f.mu.Unlock()
-	if v == nil {
-		v = new(T)
-	}
-	return v
-}
-
-// put keeps v for reuse unless the list already holds limit records.
-func (f *freelist[T]) put(v *T, limit int) {
-	f.mu.Lock()
-	if len(f.free) < limit {
-		f.free = append(f.free, v)
-	}
-	f.mu.Unlock()
 }
 
 // addrTable is the receive path's open-addressing address interner: raw

@@ -151,14 +151,19 @@ func TestScratchFreelistsBounded(t *testing.T) {
 	if done != burst {
 		t.Fatalf("%d of %d burst lookups finished", done, burst)
 	}
-	if got := len(scratch.lookups.free); got != maxFreeLookups {
+	if got := scratch.lookups.Len(); got != maxFreeLookups {
 		t.Errorf("lookup freelist holds %d states after a %d-lookup burst, want the bound %d", got, burst, maxFreeLookups)
 	}
-	if got := len(scratch.rpcs.free); got != maxFreePending {
+	if got := scratch.rpcs.Len(); got != maxFreePending {
 		t.Errorf("RPC freelist holds %d records after the burst, want the bound %d", got, maxFreePending)
 	}
-	if got := len(scratch.queries.free); got == 0 || got > maxFreeQueries {
+	if got := scratch.queries.Len(); got == 0 || got > maxFreeQueries {
 		t.Errorf("lookup query freelist holds %d records after the burst, want 1..%d", got, maxFreeQueries)
+	}
+	// Wire buffers are held only across one Endpoint.Send, so a loop of
+	// nodes that only look things up shares a single one.
+	if got := scratch.bufs.Len(); got != 1 {
+		t.Errorf("buffer list holds %d buffers after lookups only, want the one wire buffer", got)
 	}
 	if scratch.rx.contacts.region != nil {
 		t.Error("the scratch Message still views the last response's datagram after its handler returned")

@@ -121,8 +121,8 @@ type MonteCarlo struct {
 	Workers int
 	// ShareModel pins the key share scheme's churn-loss and
 	// release-exposure model (the mc.Env knob): the paper's quota model by
-	// default, the binomial ablation, or the live-faithful chained model the
-	// scenario estimator cross-validates against.
+	// default, or the live-faithful chained model the scenario estimator
+	// cross-validates against.
 	ShareModel mc.ShareModel
 }
 

@@ -1,0 +1,63 @@
+// Package freelist is the tree's one recycling mechanism: a bounded LIFO of
+// records that their owner hands back when it is done with them. Every
+// recycled record in the module — simulator events, fabric deliveries, the
+// DHT's lookup, query, walk and RPC records, wire and custody buffers — lives
+// in a List, so "who owns this record while it is free" has one answer (the
+// value the List is a field of) and the poolpair analyzer checks every
+// acquire/release pair in one vocabulary.
+//
+// A List keeps its records across garbage collections: the standard
+// library's pool is emptied by the collector, and on long runs that eviction
+// made every post-GC acquisition allocate, which fed the next collection in
+// turn.
+package freelist
+
+import "sync"
+
+// List is a bounded LIFO of recycled *T records. Set Max where the list is
+// declared and do not copy the list after first use. The lock stays even for
+// lists a single event loop owns: a real node starts lookups on caller
+// goroutines and settles them on timer goroutines.
+type List[T any] struct {
+	// Max is how many free records the list keeps. A burst allocates past
+	// it and the surplus is garbage once it drains, instead of staying
+	// pinned at the high-water mark. The zero value keeps nothing.
+	Max int
+
+	mu   sync.Mutex
+	free []*T
+}
+
+// Get pops the most recently freed record, or allocates a zero one. A
+// recycled record comes back as it was Put: the releasing side clears what
+// must not survive, and keeps what should (buffer capacity, generations).
+func (l *List[T]) Get() *T {
+	l.mu.Lock()
+	var v *T
+	if k := len(l.free); k > 0 {
+		v = l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+	}
+	l.mu.Unlock()
+	if v == nil {
+		v = new(T)
+	}
+	return v
+}
+
+// Put keeps v for reuse unless the list already holds Max records.
+func (l *List[T]) Put(v *T) {
+	l.mu.Lock()
+	if len(l.free) < l.Max {
+		l.free = append(l.free, v)
+	}
+	l.mu.Unlock()
+}
+
+// Len reports how many free records the list holds.
+func (l *List[T]) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.free)
+}

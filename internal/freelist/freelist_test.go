@@ -1,0 +1,112 @@
+package freelist
+
+import (
+	"sync"
+	"testing"
+)
+
+type rec struct {
+	n   int
+	buf []byte
+}
+
+// TestListReusesLIFO: Get hands back the most recently Put record, as it was
+// Put — the releasing side decides what survives.
+func TestListReusesLIFO(t *testing.T) {
+	l := List[rec]{Max: 4}
+	a, b := l.Get(), l.Get()
+	if a == b {
+		t.Fatal("two misses returned one record")
+	}
+	a.n, a.buf = 1, make([]byte, 0, 64)
+	b.n = 2
+	l.Put(a)
+	l.Put(b)
+	if got := l.Get(); got != b {
+		t.Errorf("first Get after Put(a), Put(b) returned %p, want b %p", got, b)
+	}
+	got := l.Get()
+	if got != a {
+		t.Fatalf("second Get returned %p, want a %p", got, a)
+	}
+	if got.n != 1 || cap(got.buf) != 64 {
+		t.Errorf("recycled record came back changed: n=%d cap=%d", got.n, cap(got.buf))
+	}
+	if l.Len() != 0 {
+		t.Errorf("list holds %d records after both were taken", l.Len())
+	}
+}
+
+// TestListMissIsZero: an empty list allocates a zero record, and keeps doing
+// so — a miss never hands out a record twice.
+func TestListMissIsZero(t *testing.T) {
+	var l List[rec]
+	seen := map[*rec]bool{}
+	for i := 0; i < 8; i++ {
+		r := l.Get()
+		if r == nil || r.n != 0 || r.buf != nil {
+			t.Fatalf("miss %d returned %+v, want a zero record", i, r)
+		}
+		if seen[r] {
+			t.Fatalf("miss %d returned a record already handed out", i)
+		}
+		seen[r] = true
+		r.n = i + 1
+	}
+}
+
+// TestListBound: the list keeps Max records and drops the surplus; the zero
+// value keeps nothing.
+func TestListBound(t *testing.T) {
+	l := List[rec]{Max: 3}
+	for i := 0; i < 10; i++ {
+		l.Put(&rec{n: i})
+	}
+	if l.Len() != 3 {
+		t.Fatalf("list holds %d records after 10 Puts, want Max = 3", l.Len())
+	}
+	for want := 2; want >= 0; want-- {
+		if r := l.Get(); r.n != want {
+			t.Errorf("Get returned record %d, want %d: the surplus, not the kept, must be dropped", r.n, want)
+		}
+	}
+	var zero List[rec]
+	zero.Put(&rec{})
+	if zero.Len() != 0 {
+		t.Error("zero-value list kept a record")
+	}
+}
+
+// TestListConcurrent: Get and Put from many goroutines (run under -race). A
+// record is owned by one goroutine between its Get and its Put, so the
+// unsynchronised increment below is a race exactly when the list hands one
+// record to two holders.
+func TestListConcurrent(t *testing.T) {
+	l := List[rec]{Max: 8}
+	const workers, rounds = 8, 2000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				r := l.Get()
+				r.n++
+				r.buf = append(r.buf[:0], byte(i))
+				l.Put(r)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := l.Len(); n == 0 || n > l.Max {
+		t.Fatalf("list holds %d records after the run, want 1..%d", n, l.Max)
+	}
+	total := 0
+	for l.Len() > 0 {
+		total += l.Get().n
+	}
+	// Records dropped at the bound take their counts with them.
+	if total == 0 || total > workers*rounds {
+		t.Errorf("kept records count %d uses, want 1..%d", total, workers*rounds)
+	}
+}

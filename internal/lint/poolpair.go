@@ -6,18 +6,19 @@ import (
 	"go/types"
 )
 
-// Poolpair tracks sync.Pool acquisitions (`x := pool.Get().(*T)`) through
-// the acquiring function and reports paths — early returns, error paths,
-// loop back-edges — on which the record is neither released (pool.Put) nor
+// Poolpair tracks freelist.List acquisitions (`x := list.Get()`) — the
+// module's one recycler, so every recycled record in the tree — through the
+// acquiring function and reports paths — early returns, error paths, loop
+// back-edges — on which the record is neither released (list.Put) nor
 // ownership-transferred. A transfer is any way the record leaves the
-// function's hands: passed to another call (the Stop-ownership handoff the
-// timer path documents), stored into a field, map or slice, captured by a
-// closure, sent on a channel, aliased or returned. Leaks the analyzer
-// cannot see (transfer via unsafe tricks) and deliberate drops take a
-// //lint:allow poolpair annotation.
+// function's hands: passed to another call, as an argument or as the
+// receiver (the Stop-ownership handoff the timer path documents), stored
+// into a field, map or slice, captured by a closure, sent on a channel,
+// aliased or returned. Leaks the analyzer cannot see (transfer via unsafe
+// tricks) and deliberate drops take a //lint:allow poolpair annotation.
 var Poolpair = &Analyzer{
 	Name: "poolpair",
-	Doc: "report paths where a sync.Pool Get has no paired Put or ownership transfer " +
+	Doc: "report paths where a freelist.List Get has no paired Put or ownership transfer " +
 		"(calls, field/map stores, closures, channel sends and returns transfer ownership)",
 	Run: runPoolpair,
 }
@@ -45,15 +46,15 @@ func runPoolpair(pass *Pass) error {
 	return nil
 }
 
-// acquisition is one pool Get bound to a local variable.
+// acquisition is one list Get bound to a local variable.
 type acquisition struct {
 	stmt ast.Stmt     // the acquiring assignment
 	obj  types.Object // the local the record is bound to
 	pos  token.Pos
 }
 
-// findAcquisitions locates `x := pool.Get()` / `x := pool.Get().(*T)`
-// assignments where pool's type is sync.Pool.
+// findAcquisitions locates `x := list.Get()` assignments where list is a
+// freelist.List (or a pointer to one).
 func findAcquisitions(pass *Pass, body *ast.BlockStmt) []*acquisition {
 	var out []*acquisition
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -65,11 +66,7 @@ func findAcquisitions(pass *Pass, body *ast.BlockStmt) []*acquisition {
 		if !ok || lhs.Name == "_" {
 			return true
 		}
-		rhs := as.Rhs[0]
-		if ta, ok := rhs.(*ast.TypeAssertExpr); ok {
-			rhs = ta.X
-		}
-		call, ok := rhs.(*ast.CallExpr)
+		call, ok := as.Rhs[0].(*ast.CallExpr)
 		if !ok {
 			return true
 		}
@@ -77,7 +74,7 @@ func findAcquisitions(pass *Pass, body *ast.BlockStmt) []*acquisition {
 		if !ok || sel.Sel.Name != "Get" || len(call.Args) != 0 {
 			return true
 		}
-		if !isSyncPool(pass.TypesInfo.Types[sel.X].Type) {
+		if !isFreelist(pass.TypesInfo.Types[sel.X].Type) {
 			return true
 		}
 		obj := pass.TypesInfo.ObjectOf(lhs)
@@ -90,7 +87,9 @@ func findAcquisitions(pass *Pass, body *ast.BlockStmt) []*acquisition {
 	return out
 }
 
-func isSyncPool(t types.Type) bool {
+// isFreelist matches the recycler by name and the final element of its
+// package path, so the fixtures exercise it through a stand-in package.
+func isFreelist(t types.Type) bool {
 	if t == nil {
 		return false
 	}
@@ -98,8 +97,7 @@ func isSyncPool(t types.Type) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "Pool" && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == "sync"
+	return ok && named.Obj().Name() == "List" && pkgPathEndsWith(named.Obj().Pkg(), "freelist")
 }
 
 // Abstract state: which of {held, free} are possible on some path at a
@@ -290,8 +288,8 @@ func (t *tracker) applyExpr(e ast.Expr, in uint8) uint8 {
 
 // stmtTransfers reports whether the statement releases the record or
 // transfers its ownership: the object passed to any non-builtin call
-// (pool.Put included), stored anywhere, aliased, captured by a closure,
-// sent on a channel, or returned.
+// (list.Put included) or made its receiver, stored anywhere, aliased,
+// captured by a closure, sent on a channel, or returned.
 func stmtTransfers(pass *Pass, s ast.Stmt, obj types.Object) bool {
 	transfers := false
 	ast.Inspect(s, func(n ast.Node) bool {
@@ -302,6 +300,9 @@ func stmtTransfers(pass *Pass, s ast.Stmt, obj types.Object) bool {
 		case *ast.CallExpr:
 			if isBuiltinCall(pass, n) {
 				return true
+			}
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && bareObj(pass, sel.X, obj) {
+				transfers = true // a method of the record receives it like an argument
 			}
 			for _, arg := range n.Args {
 				if bareObj(pass, arg, obj) {

@@ -1,16 +1,27 @@
-// Package poolpair exercises the pool acquire/release protocol: every
-// sync.Pool Get must reach its paired Put or an ownership transfer on every
-// path out of the acquiring function.
+// Package poolpair exercises the recycler's acquire/release protocol: every
+// freelist.List Get must reach its paired Put or an ownership transfer on
+// every path out of the acquiring function.
 package poolpair
 
 import (
 	"errors"
-	"sync"
+
+	"fixture/freelist"
 )
 
 type rec struct{ n int }
 
-var pool = sync.Pool{New: func() any { return new(rec) }}
+func (r *rec) park(reg *registry) { reg.parked[r.n] = r }
+
+var pool = freelist.List[rec]{Max: 8}
+
+// loop stands for a loop-owned scratch: most lists in the tree are fields,
+// reached through an accessor.
+type loop struct {
+	bufs freelist.List[[]byte]
+}
+
+func (l *loop) Bufs() *freelist.List[[]byte] { return &l.bufs }
 
 type registry struct {
 	parked map[int]*rec
@@ -19,7 +30,7 @@ type registry struct {
 func errOut() error { return errors.New("nope") }
 
 func leakOnError(fail bool) error {
-	r := pool.Get().(*rec) // want `pooled record r acquired here may reach this return unreleased`
+	r := pool.Get() // want `pooled record r acquired here may reach this return unreleased`
 	if fail {
 		return errOut()
 	}
@@ -28,7 +39,7 @@ func leakOnError(fail bool) error {
 }
 
 func leakAtEnd(fail bool) {
-	r := pool.Get().(*rec) // want `pooled record r acquired here may reach function end unreleased`
+	r := pool.Get() // want `pooled record r acquired here may reach function end unreleased`
 	if fail {
 		pool.Put(r)
 	}
@@ -36,7 +47,7 @@ func leakAtEnd(fail bool) {
 
 func leakInLoop(n int) {
 	for i := 0; i < n; i++ {
-		r := pool.Get().(*rec) // want `pooled record r acquired here may reach the next loop iteration unreleased`
+		r := pool.Get() // want `pooled record r acquired here may reach the next loop iteration unreleased`
 		if r.n > 0 {
 			continue
 		}
@@ -45,7 +56,7 @@ func leakInLoop(n int) {
 }
 
 func leakInSwitch(mode int) {
-	r := pool.Get().(*rec) // want `pooled record r acquired here may reach function end unreleased`
+	r := pool.Get() // want `pooled record r acquired here may reach function end unreleased`
 	switch mode {
 	case 0:
 		pool.Put(r)
@@ -55,7 +66,7 @@ func leakInSwitch(mode int) {
 }
 
 func releasedBothBranches(fail bool) error {
-	r := pool.Get().(*rec)
+	r := pool.Get()
 	if fail {
 		pool.Put(r)
 		return errOut()
@@ -65,7 +76,7 @@ func releasedBothBranches(fail bool) error {
 }
 
 func releasedByDefer(fail bool) error {
-	r := pool.Get().(*rec)
+	r := pool.Get()
 	defer pool.Put(r)
 	if fail {
 		return errOut()
@@ -76,29 +87,61 @@ func releasedByDefer(fail bool) error {
 // The documented Stop-ownership pattern: arming a timer with the record
 // transfers ownership; the timer's fire/Stop paths release it.
 func armTimer(arm func(*rec)) {
-	r := pool.Get().(*rec)
+	r := pool.Get()
 	arm(r)
 }
 
 // Storing the record parks ownership with the registry.
 func parkInRegistry(reg *registry, id int) {
-	r := pool.Get().(*rec)
+	r := pool.Get()
 	reg.parked[id] = r
 }
 
 // Returning the record hands ownership to the caller.
 func handOut() *rec {
-	r := pool.Get().(*rec)
+	r := pool.Get()
 	return r
 }
 
 // A capturing closure owns the record wherever it ends up running.
 func closureOwns(schedule func(func())) {
-	r := pool.Get().(*rec)
+	r := pool.Get()
 	schedule(func() { pool.Put(r) })
 }
 
+// A method of the record receives it like any argument.
+func receiverOwns(reg *registry) {
+	r := pool.Get()
+	r.park(reg)
+}
+
+// A list reached through an accessor: the buffer is filled, leaked when the
+// encode fails, and otherwise handed to the sender that recycles it.
+func encodeAndSend(l *loop, encode func([]byte) ([]byte, error), send func(*[]byte)) error {
+	buf := l.Bufs().Get() // want `pooled record buf acquired here may reach this return unreleased`
+	data, err := encode((*buf)[:0])
+	if err != nil {
+		return err
+	}
+	*buf = data
+	send(buf)
+	return nil
+}
+
+// The same with the error path releasing: every path pairs.
+func encodeAndSendPaired(l *loop, encode func([]byte) ([]byte, error), send func(*[]byte)) error {
+	buf := l.Bufs().Get()
+	data, err := encode((*buf)[:0])
+	if err != nil {
+		l.Bufs().Put(buf)
+		return err
+	}
+	*buf = data
+	send(buf)
+	return nil
+}
+
 func allowedDrop() {
-	r := pool.Get().(*rec) //lint:allow poolpair deliberate drop: the pool refills from New
+	r := pool.Get() //lint:allow poolpair deliberate drop: the list allocates on a miss
 	r.n = 0
 }

@@ -114,9 +114,9 @@ func TestShareLiveReleaseGatedByEntryColumn(t *testing.T) {
 }
 
 // TestShareLiveChainedDeliveryBelowPerColumn: chained slot survival makes
-// the live model's churn delivery strictly more pessimistic than the
-// binomial per-column model at equal death rates — the live failure mode
-// the coarse models miss.
+// the live model's churn delivery strictly more pessimistic than the paper's
+// per-column quota model under the same churn — the live failure mode the
+// coarse model misses.
 func TestShareLiveChainedDeliveryBelowPerColumn(t *testing.T) {
 	plan := sharePlan(2, 4, 8, 3)
 	env := bigEnv(0)
@@ -126,13 +126,13 @@ func TestShareLiveChainedDeliveryBelowPerColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.ShareModel = ShareModelBinomial
-	binom, err := Estimate(plan, env, Options{Trials: testTrials, Seed: 22})
+	env.ShareModel = ShareModelQuota
+	quota, err := Estimate(plan, env, Options{Trials: testTrials, Seed: 22})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live.Rd() >= binom.Rd()-0.05 {
-		t.Errorf("chained delivery %.4f not clearly below per-column %.4f", live.Rd(), binom.Rd())
+	if live.Rd() >= quota.Rd()-0.05 {
+		t.Errorf("chained delivery %.4f not clearly below per-column %.4f", live.Rd(), quota.Rd())
 	}
 }
 
@@ -156,7 +156,7 @@ func TestShareModelValidation(t *testing.T) {
 	if err := env.Validate(); err == nil {
 		t.Error("unknown share model accepted")
 	}
-	for _, name := range []string{"default", "quota", "binomial", "live"} {
+	for _, name := range []string{"default", "quota", "live"} {
 		m, err := ParseShareModel(name)
 		if err != nil {
 			t.Fatalf("ParseShareModel(%q): %v", name, err)

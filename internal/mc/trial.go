@@ -36,12 +36,6 @@ const (
 	// Algorithm 1 plans its thresholds against — and every column's carrier
 	// set is sampled independently.
 	ShareModelQuota
-	// ShareModelBinomial replaces the deterministic per-column quota with
-	// independent per-carrier exponential deaths, still with per-column
-	// independence. The added death-count variance is not budgeted by
-	// Algorithm 1's thresholds and visibly lowers the small-n (Figure 8, 100
-	// available nodes) curves; exposed for the ablation benchmarks.
-	ShareModelBinomial
 	// ShareModelLive mirrors the executable protocol (internal/protocol)
 	// closely enough to cross-validate against live scenario runs:
 	//
@@ -63,20 +57,17 @@ const (
 )
 
 // ParseShareModel parses a share model name: default, quota (the paper's
-// column-loss model), binomial (the per-carrier ablation) or live (the
-// protocol-faithful chained model).
+// column-loss model) or live (the protocol-faithful chained model).
 func ParseShareModel(s string) (ShareModel, error) {
 	switch s {
 	case "", "default":
 		return ShareModelDefault, nil
 	case "quota":
 		return ShareModelQuota, nil
-	case "binomial":
-		return ShareModelBinomial, nil
 	case "live":
 		return ShareModelLive, nil
 	default:
-		return 0, fmt.Errorf("mc: unknown share model %q (want default|quota|binomial|live)", s)
+		return 0, fmt.Errorf("mc: unknown share model %q (want default|quota|live)", s)
 	}
 }
 
@@ -87,8 +78,6 @@ func (m ShareModel) String() string {
 		return "default"
 	case ShareModelQuota:
 		return "quota"
-	case ShareModelBinomial:
-		return "binomial"
 	case ShareModelLive:
 		return "live"
 	default:
@@ -151,7 +140,7 @@ func RunTrial(plan core.Plan, env Env, rng *stats.RNG) Outcome {
 		if env.ShareModel == ShareModelLive {
 			return shareLiveTrial(plan, q, sampler, rng)
 		}
-		return shareTrial(plan, q, env.ShareModel == ShareModelBinomial, sampler, rng)
+		return shareTrial(plan, q, sampler, rng)
 	default:
 		panic(fmt.Sprintf("mc: unknown scheme %v", plan.Scheme))
 	}
@@ -320,7 +309,7 @@ func conditionalDeaths(rng *stats.RNG, k int, q float64) int {
 // Churn losses follow the paper's model by default: each column loses
 // exactly floor(q*n) shares per holding period, the quantity d that
 // Algorithm 1 budgets its thresholds against (see Env.ShareModel).
-func shareTrial(plan core.Plan, q float64, binomialDeaths bool, sampler *maliciousSampler, rng *stats.RNG) Outcome {
+func shareTrial(plan core.Plan, q float64, sampler *maliciousSampler, rng *stats.RNG) Outcome {
 	k, l, n := plan.K, plan.L, plan.ShareN
 
 	released := true
@@ -328,7 +317,7 @@ func shareTrial(plan core.Plan, q float64, binomialDeaths bool, sampler *malicio
 
 	for c := 0; c < l-1; c++ {
 		m := plan.ShareM[c] // threshold protecting the column c+2 key
-		dead := deathSet(rng, n, q, binomialDeaths)
+		dead := deathSet(rng, n, q)
 		maliciousShares := 0
 		deliveredShares := 0
 		mainCompromised := false
@@ -362,7 +351,7 @@ func shareTrial(plan core.Plan, q float64, binomialDeaths bool, sampler *malicio
 	// line 1), so the last column also holds n carriers; each recovers the
 	// final layer key from the delivered shares, and at least one honest
 	// survivor must remain to release the secret key at tr.
-	terminalDead := deathSet(rng, n, q, binomialDeaths)
+	terminalDead := deathSet(rng, n, q)
 	terminalOK := false
 	terminalCompromised := false
 	for s := 0; s < n; s++ {
@@ -469,22 +458,13 @@ func shareLiveTrial(plan core.Plan, q float64, sampler *maliciousSampler, rng *s
 }
 
 // deathSet returns which of n carriers die during one holding period: under
-// the paper's model exactly floor(q*n) uniformly-chosen carriers, under the
-// binomial ablation each carrier independently with probability q. A nil
-// map means no deaths.
-func deathSet(rng *stats.RNG, n int, q float64, binomial bool) map[int]bool {
+// the paper's model exactly floor(q*n) uniformly-chosen carriers. A nil map
+// means no deaths.
+func deathSet(rng *stats.RNG, n int, q float64) map[int]bool {
 	if q <= 0 || n <= 0 {
 		return nil
 	}
 	dead := make(map[int]bool)
-	if binomial {
-		for s := 0; s < n; s++ {
-			if rng.Float64() < q {
-				dead[s] = true
-			}
-		}
-		return dead
-	}
 	for _, s := range rng.SampleWithoutReplacement(n, int(q*float64(n))) {
 		dead[s] = true
 	}

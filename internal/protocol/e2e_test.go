@@ -423,7 +423,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		Target:    dht.IDFromKey([]byte("r")),
 		Data:      []byte("blob"),
 	}
-	got, err := DecodePacket(p.Encode())
+	got, err := DecodePacket(p.AppendEncode(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestPacketDecodeRejectsGarbage(t *testing.T) {
 	}
 	// Valid packet with trailing junk.
 	p := Packet{Mission: MissionID{1}, Kind: PkSecret, Data: []byte("x")}
-	enc := append(p.Encode(), 0)
+	enc := append(p.AppendEncode(nil), 0)
 	if _, err := DecodePacket(enc); err == nil {
 		t.Error("trailing junk accepted")
 	}

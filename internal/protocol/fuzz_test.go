@@ -8,9 +8,11 @@ import (
 	"selfemerge/internal/protocol"
 )
 
-// FuzzDecodePacket asserts the wire codec's two invariants on arbitrary
-// input: decoding never panics, and anything that decodes re-encodes to a
-// canonical form that survives another decode/encode cycle byte-for-byte.
+// FuzzDecodePacket asserts the wire codec's invariants on arbitrary input:
+// decoding never panics, anything that decodes re-encodes to a canonical form
+// that survives another decode/encode cycle byte-for-byte, and an encode
+// appended after a non-empty prefix (a recycled send buffer in use) leaves
+// the prefix intact.
 func FuzzDecodePacket(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 80))
@@ -26,21 +28,26 @@ func FuzzDecodePacket(f *testing.F) {
 		Target:    dht.IDFromKey([]byte("receiver")),
 		Data:      []byte("share blob"),
 	}
-	f.Add(valid.Encode())
-	f.Add(protocol.Packet{Kind: protocol.PkSecret, Data: []byte("s")}.Encode())
+	f.Add(valid.AppendEncode(nil))
+	f.Add(protocol.Packet{Kind: protocol.PkSecret, Data: []byte("s")}.AppendEncode(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pkt, err := protocol.DecodePacket(data)
 		if err != nil {
 			return
 		}
-		enc := pkt.Encode()
+		enc := pkt.AppendEncode(nil)
 		again, err := protocol.DecodePacket(enc)
 		if err != nil {
 			t.Fatalf("decoded packet failed to re-decode: %v", err)
 		}
-		if !bytes.Equal(enc, again.Encode()) {
-			t.Fatalf("encode/decode not canonical:\n  first  %x\n  second %x", enc, again.Encode())
+		prefix := []byte("prefix")
+		enc2 := again.AppendEncode(bytes.Clone(prefix))
+		if !bytes.HasPrefix(enc2, prefix) {
+			t.Fatalf("AppendEncode clobbered its prefix: %x", enc2)
+		}
+		if enc2 = enc2[len(prefix):]; !bytes.Equal(enc, enc2) {
+			t.Fatalf("encode/decode not canonical:\n  first  %x\n  second %x", enc, enc2)
 		}
 		if again.Kind != pkt.Kind || again.Mission != pkt.Mission ||
 			again.Column != pkt.Column || again.Slot != pkt.Slot ||
@@ -48,39 +55,6 @@ func FuzzDecodePacket(f *testing.F) {
 			again.HoldUntil != pkt.HoldUntil || again.Step != pkt.Step ||
 			again.Target != pkt.Target || !bytes.Equal(again.Data, pkt.Data) {
 			t.Fatalf("round trip mutated fields: %+v vs %+v", pkt, again)
-		}
-	})
-}
-
-// FuzzPacketAppendEncode asserts the append-style packet codec is exactly
-// the classic one: for anything that decodes, AppendEncode onto an
-// arbitrary prefix leaves the prefix intact and appends bytes identical to
-// Encode, and the appended bytes round-trip.
-func FuzzPacketAppendEncode(f *testing.F) {
-	valid := protocol.Packet{
-		Mission: protocol.MissionID{7, 7},
-		Kind:    protocol.PkMainOnion,
-		Column:  2,
-		Data:    []byte("wrapped onion"),
-	}
-	f.Add(valid.Encode(), []byte{})
-	f.Add(valid.Encode(), []byte("prefix"))
-	f.Add([]byte{}, []byte{0xAA})
-	f.Fuzz(func(t *testing.T, data, prefix []byte) {
-		pkt, err := protocol.DecodePacket(data)
-		if err != nil {
-			return
-		}
-		classic := pkt.Encode()
-		appended := pkt.AppendEncode(append([]byte(nil), prefix...))
-		if !bytes.HasPrefix(appended, prefix) {
-			t.Fatalf("AppendEncode clobbered its prefix: %x", appended)
-		}
-		if !bytes.Equal(appended[len(prefix):], classic) {
-			t.Fatalf("AppendEncode diverged from Encode:\n  append %x\n  encode %x", appended[len(prefix):], classic)
-		}
-		if _, err := protocol.DecodePacket(appended[len(prefix):]); err != nil {
-			t.Fatalf("appended encoding failed to decode: %v", err)
 		}
 	})
 }
@@ -136,9 +110,9 @@ func FuzzSharePacketRoundTrip(f *testing.F) {
 		if isSlot {
 			kind = protocol.PkSlotShare
 		}
-		blob := protocol.EncodeShareBlob(x, data)
+		blob := protocol.AppendEncodeShareBlob(nil, x, data)
 		if appended := protocol.AppendEncodeShareBlob([]byte("pfx"), x, data); !bytes.Equal(appended, append([]byte("pfx"), blob...)) {
-			t.Fatalf("AppendEncodeShareBlob diverged from EncodeShareBlob: %x vs pfx+%x", appended, blob)
+			t.Fatalf("AppendEncodeShareBlob after a prefix: %x, want pfx+%x", appended, blob)
 		}
 		pkt := protocol.Packet{
 			Mission:   protocol.MissionID{0xF0, 0x0D},
@@ -150,7 +124,7 @@ func FuzzSharePacketRoundTrip(f *testing.F) {
 			Step:      1 << 30,
 			Data:      blob,
 		}
-		decoded, err := protocol.DecodePacket(pkt.Encode())
+		decoded, err := protocol.DecodePacket(pkt.AppendEncode(nil))
 		if err != nil {
 			t.Fatalf("share packet failed to decode: %v", err)
 		}

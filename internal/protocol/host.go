@@ -137,8 +137,8 @@ type heldPackage struct {
 	due    bool
 	done   bool
 	timer  sim.Timer
-	// buf is the pooled custody clone backing pkt.Data; it goes back to
-	// custodyBufs once the sealed bytes are dead (see releaseBuf).
+	// buf is the custody clone backing pkt.Data, taken from the node's loop;
+	// it goes back there once the sealed bytes are dead (see releaseCustody).
 	buf *[]byte
 	// triedShares memoizes the size of the share collection the last failed
 	// recovery attempt ran against, so advance() re-enumerates candidate
@@ -146,31 +146,28 @@ type heldPackage struct {
 	triedShares int
 }
 
-// custodyBufs pools package-custody clones: a packet's delivery buffer is
-// recycled when the handler returns, so taking custody copies the bytes.
-// The copy is dead the moment the package peels (the peeled layer owns
-// fresh plaintext from the decrypt) or a central hold fires its send, and
-// returns to the pool there — a steady mission workload re-uses a small
-// set of clone buffers instead of allocating one per custody.
-var custodyBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// cloneCustody copies data into a pooled custody buffer.
-func cloneCustody(data []byte) *[]byte {
-	buf := custodyBufs.Get().(*[]byte)
+// cloneCustody copies data into a buffer of the node's loop: a packet's
+// delivery buffer is recycled when the handler returns, so taking custody
+// copies the bytes. A holder's custody therefore lives in exactly one place —
+// a buffer the loop owns, referenced by one heldPackage — until
+// releaseCustody hands it back.
+func (h *Host) cloneCustody(data []byte) *[]byte {
+	buf := h.node.Bufs().Get()
 	*buf = append((*buf)[:0], data...)
 	return buf
 }
 
-// releaseBuf returns the custody clone to the pool once the sealed bytes
+// releaseCustody returns the custody clone to the loop once the sealed bytes
 // are dead: after a successful peel the layer owns fresh plaintext, and a
-// fired central hold has already encoded its send. Callers hold the host
-// lock (hp is mu-guarded state).
-func (hp *heldPackage) releaseBuf() {
+// fired central hold has already encoded its send. A steady mission workload
+// thus re-uses a small set of clone buffers instead of allocating one per
+// custody. Callers hold the host lock (hp is mu-guarded state).
+func (h *Host) releaseCustody(hp *heldPackage) {
 	if hp.buf == nil {
 		return
 	}
 	hp.pkt.Data = nil
-	custodyBufs.Put(hp.buf)
+	h.node.Bufs().Put(hp.buf)
 	hp.buf = nil
 }
 
@@ -239,7 +236,7 @@ func (h *Host) onCentral(pkt Packet) {
 		h.mu.Unlock()
 		return // replica already in custody: no clone for routine duplicates
 	}
-	buf := cloneCustody(pkt.Data) // custody outlives the delivery buffer
+	buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
 	pkt.Data = *buf
 	hp := &heldPackage{pkt: pkt, buf: buf}
 	ms.central = hp
@@ -252,7 +249,7 @@ func (h *Host) onCentral(pkt Packet) {
 		}, 1)
 		// sendPacket encodes synchronously; the custody bytes are dead.
 		h.mu.Lock()
-		hp.releaseBuf()
+		h.releaseCustody(hp)
 		h.mu.Unlock()
 	})
 }
@@ -377,7 +374,7 @@ func (h *Host) onOnion(pkt Packet, main bool) {
 			h.mu.Unlock()
 			return // replica already in custody (joint fan-in), no clone paid
 		}
-		buf := cloneCustody(pkt.Data) // custody outlives the delivery buffer
+		buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
 		pkt.Data = *buf
 		hp = &heldPackage{pkt: pkt, buf: buf}
 		if ms.mainSealed == nil {
@@ -390,7 +387,7 @@ func (h *Host) onOnion(pkt Packet, main bool) {
 			h.mu.Unlock()
 			return
 		}
-		buf := cloneCustody(pkt.Data)
+		buf := h.cloneCustody(pkt.Data)
 		pkt.Data = *buf
 		hp = &heldPackage{pkt: pkt, buf: buf}
 		if ms.slotSealed == nil {
@@ -548,7 +545,7 @@ func (h *Host) regrantShares(pkt Packet) {
 		for _, sh := range shares {
 			p := pkt
 			p.Slot = uint16(s)
-			p.Data = shareBlob(sh.X, sh.Data)
+			p.Data = AppendEncodeShareBlob(nil, sh.X, sh.Data)
 			sendPacket(h.node, SlotID(pkt.Mission, col, s), p, h.replicas())
 		}
 	}
@@ -625,7 +622,7 @@ func (h *Host) advance(mission MissionID) {
 	// or recovered from shares and validated against the onion itself.
 	for _, col := range mainCols {
 		key, direct := ms.colKeys[col]
-		if k, recovered := ms.peelLocked(ms.mainSealed[col], key, direct, ms.colShares[col]); recovered {
+		if k, recovered := h.peelLocked(ms, ms.mainSealed[col], key, direct, ms.colShares[col]); recovered {
 			if ms.colKeys == nil {
 				ms.colKeys = make(map[int]seal.Key, 2)
 			}
@@ -635,7 +632,7 @@ func (h *Host) advance(mission MissionID) {
 	// Slot onions likewise with slot keys.
 	for _, ref := range slotRefs {
 		key, direct := ms.slotKeys[ref]
-		if k, recovered := ms.peelLocked(ms.slotSealed[ref], key, direct, ms.slotShares[ref]); recovered {
+		if k, recovered := h.peelLocked(ms, ms.slotSealed[ref], key, direct, ms.slotShares[ref]); recovered {
 			if ms.slotKeys == nil {
 				ms.slotKeys = make(map[slotRef]seal.Key, 2)
 			}
@@ -675,7 +672,7 @@ func (h *Host) advance(mission MissionID) {
 // Peels run through the mission's sealer cache: a granted key's cipher
 // state is built once, and a confirmed candidate's sealer is kept so the
 // re-grant path never rebuilds it. Callers hold h.mu.
-func (ms *missionState) peelLocked(hp *heldPackage, key seal.Key, direct bool, shares []shamir.Share) (recoveredKey seal.Key, recovered bool) {
+func (h *Host) peelLocked(ms *missionState, hp *heldPackage, key seal.Key, direct bool, shares []shamir.Share) (recoveredKey seal.Key, recovered bool) {
 	if hp == nil || hp.peeled != nil {
 		return seal.Key{}, false
 	}
@@ -683,7 +680,7 @@ func (ms *missionState) peelLocked(hp *heldPackage, key seal.Key, direct bool, s
 		if s := ms.sealerFor(key); s != nil {
 			if layer, err := onion.PeelSealer(s, hp.pkt.Data); err == nil {
 				hp.peeled = &layer
-				hp.releaseBuf() // the layer owns fresh plaintext; the sealed clone is dead
+				h.releaseCustody(hp) // the layer owns fresh plaintext; the sealed clone is dead
 			}
 		}
 		return seal.Key{}, false
@@ -699,7 +696,7 @@ func (ms *missionState) peelLocked(hp *heldPackage, key seal.Key, direct bool, s
 		}
 		if layer, err := onion.PeelSealer(s, hp.pkt.Data); err == nil {
 			hp.peeled = &layer
-			hp.releaseBuf()
+			h.releaseCustody(hp)
 			ms.cacheSealer(cand, s)
 			return cand, true
 		}

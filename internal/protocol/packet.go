@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"selfemerge/internal/dht"
 )
@@ -78,14 +79,8 @@ type Packet struct {
 // ErrPacket is returned for malformed protocol payloads.
 var ErrPacket = errors.New("protocol: malformed packet")
 
-// Encode renders the wire form into a fresh buffer.
-func (p Packet) Encode() []byte {
-	return p.AppendEncode(make([]byte, 0, 64+len(p.Data)))
-}
-
-// AppendEncode appends the wire form to buf and returns the extended slice —
-// the allocation-free form for send paths that recycle packet buffers. The
-// encoding is byte-identical to Encode.
+// AppendEncode appends the wire form to buf and returns the extended slice:
+// send paths pass a recycled packet buffer, one-shot callers nil.
 func (p Packet) AppendEncode(buf []byte) []byte {
 	buf = append(buf, p.Mission[:]...)
 	buf = append(buf, byte(p.Kind))
@@ -139,14 +134,12 @@ func DecodePacket(data []byte) (Packet, error) {
 	return p, nil
 }
 
-// shareBlob encodes a Shamir share (X coordinate plus data) for embedding
-// in onion layers and packets.
-func shareBlob(x uint8, data []byte) []byte {
-	return appendShareBlob(make([]byte, 0, 1+len(data)), x, data)
-}
-
-// appendShareBlob appends the share blob encoding to dst.
-func appendShareBlob(dst []byte, x uint8, data []byte) []byte {
+// AppendEncodeShareBlob appends the encoding of a Shamir share (X coordinate
+// plus data) to dst: the payload of a PkColShare/PkSlotShare packet and the
+// body of the tagged share blobs inside slot-onion layers — the inverse of
+// ParseShare.
+func AppendEncodeShareBlob(dst []byte, x uint8, data []byte) []byte {
+	dst = slices.Grow(dst, 1+len(data))
 	dst = append(dst, x)
 	return append(dst, data...)
 }
@@ -163,19 +156,6 @@ func parseShareBlob(blob []byte) (x uint8, data []byte, err error) {
 // its Shamir coordinates. Exported for the adversary's collector.
 func ParseShare(blob []byte) (x uint8, data []byte, err error) {
 	return parseShareBlob(blob)
-}
-
-// EncodeShareBlob renders a Shamir share coordinate as the payload of a
-// PkColShare/PkSlotShare packet — the inverse of ParseShare. Exported for
-// the packet fuzz targets.
-func EncodeShareBlob(x uint8, data []byte) []byte {
-	return shareBlob(x, data)
-}
-
-// AppendEncodeShareBlob is EncodeShareBlob appending to dst, for senders
-// that recycle blob buffers. The encoding is byte-identical.
-func AppendEncodeShareBlob(dst []byte, x uint8, data []byte) []byte {
-	return appendShareBlob(dst, x, data)
 }
 
 // ShareKind discriminates the tagged share blobs embedded in slot-onion

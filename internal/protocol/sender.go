@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"time"
 
 	"selfemerge/internal/core"
@@ -153,24 +152,14 @@ func (m Mission) timing() (hold time.Duration, releaseAt int64) {
 // the receiver makes the rendezvous reliable.
 const holderReplicas = 2
 
-// pktBufs pools encoded-packet buffers. A buffer handed to SendToOwners
-// stays referenced until the underlying lookup completes (the owners are
-// resolved asynchronously), so it is released from the done callback rather
-// than on return.
-var pktBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// sendPacket encodes p into a pooled buffer and routes it to the current
-// owners of slot, reclaiming the buffer once the lookup-and-send completes.
-// The arg-threaded completion keeps the steady send path closure-free.
+// sendPacket encodes p into a buffer of the node's loop and routes it to the
+// current owners of slot. The owners are resolved asynchronously, so the
+// buffer stays referenced until the lookup-and-send completes; the node
+// returns it to the list then.
 func sendPacket(node *dht.Node, slot dht.ID, p Packet, replicas int) {
-	buf := pktBufs.Get().(*[]byte)
-	data := p.AppendEncode((*buf)[:0])
-	*buf = data
-	node.SendToOwnersArg(slot, data, replicas, sendPacketDone, buf)
-}
-
-func sendPacketDone(v any, _ dht.Contact, _ error) {
-	pktBufs.Put(v.(*[]byte))
+	buf := node.Bufs().Get()
+	*buf = p.AppendEncode((*buf)[:0])
+	node.SendBufToOwners(slot, buf, replicas)
 }
 
 // send routes one packet to the owners of the given slot identifier.
@@ -196,7 +185,7 @@ func (s *Sender) dispatchCentral(node *dht.Node, m Mission) (int, error) {
 // layer keys pre-assigned at start time.
 func (s *Sender) dispatchMultipath(node *dht.Node, m Mission, joint bool) (int, error) {
 	k, l := m.Plan.K, m.Plan.L
-	hold, releaseAt := m.timing()
+	hold, _ := m.timing()
 
 	// One layer key per column, replicated across the column's k holders.
 	// The sealers cache each key's AES-GCM state, so the disjoint scheme's
@@ -260,45 +249,29 @@ func (s *Sender) dispatchMultipath(node *dht.Node, m Mission, joint bool) (int, 
 		return layers
 	}
 
+	// A joint onion names every slot of the next column, so one onion serves
+	// all k paths; a disjoint path's onion names only its own slots.
 	firstHold := m.Start.Add(hold).UnixNano()
-	if joint {
-		wrapped, err := onion.BuildSealers(buildLayers(0), sealers)
-		if err != nil {
-			return sent, err
-		}
-		for sl := 0; sl < k; sl++ {
-			send(node, SlotID(m.ID, 1, sl), m, Packet{
-				Mission:   m.ID,
-				Kind:      PkMainOnion,
-				Column:    1,
-				Slot:      uint16(sl),
-				HoldUntil: firstHold,
-				Step:      int64(hold),
-				Target:    m.Receiver,
-				Data:      wrapped,
-			})
-			sent++
-		}
-	} else {
-		for path := 0; path < k; path++ {
-			wrapped, err := onion.BuildSealers(buildLayers(path), sealers)
-			if err != nil {
+	var wrapped []byte
+	for path := 0; path < k; path++ {
+		if path == 0 || !joint {
+			var err error
+			if wrapped, err = onion.BuildSealers(buildLayers(path), sealers); err != nil {
 				return sent, err
 			}
-			send(node, SlotID(m.ID, 1, path), m, Packet{
-				Mission:   m.ID,
-				Kind:      PkMainOnion,
-				Column:    1,
-				Slot:      uint16(path),
-				HoldUntil: firstHold,
-				Step:      int64(hold),
-				Target:    m.Receiver,
-				Data:      wrapped,
-			})
-			sent++
 		}
+		send(node, SlotID(m.ID, 1, path), m, Packet{
+			Mission:   m.ID,
+			Kind:      PkMainOnion,
+			Column:    1,
+			Slot:      uint16(path),
+			HoldUntil: firstHold,
+			Step:      int64(hold),
+			Target:    m.Receiver,
+			Data:      wrapped,
+		})
+		sent++
 	}
-	_ = releaseAt
 	return sent, nil
 }
 
@@ -367,22 +340,19 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 		for c := 1; c < l; c++ {
 			var shares [][]byte
 			colShare := colShares[c+1][sl]
-			shares = append(shares, append([]byte{shareTagColumn}, shareBlob(colShare.X, colShare.Data)...))
+			shares = append(shares, AppendEncodeShareBlob([]byte{shareTagColumn}, colShare.X, colShare.Data))
 			if c+1 < l {
 				for t := 0; t < n; t++ {
 					slotShare := slotShares[c+1][t][sl]
 					blob := make([]byte, 0, 4+len(slotShare.Data))
 					blob = append(blob, shareTagSlot, byte(t>>8), byte(t))
-					blob = appendShareBlob(blob, slotShare.X, slotShare.Data)
+					blob = AppendEncodeShareBlob(blob, slotShare.X, slotShare.Data)
 					shares = append(shares, blob)
 				}
 			}
+			// Every column, the terminal one included, holds n carriers.
 			var hops [][]byte
-			nextCount := n
-			if c+1 == l {
-				nextCount = n // terminal column also holds n carriers
-			}
-			for t := 0; t < nextCount; t++ {
+			for t := 0; t < n; t++ {
 				id := SlotID(m.ID, c+1, t)
 				hops = append(hops, id[:])
 			}

@@ -209,22 +209,22 @@ func TestCrossValidateShareChurn(t *testing.T) {
 	if report.Joins != report.Deaths {
 		t.Errorf("%d deaths but %d replacement joins", report.Deaths, report.Joins)
 	}
-	// The chained live model must beat the per-column models decisively: its
-	// delivery estimate sits close to the live rate, the binomial ablation's
+	// The chained live model must beat the per-column model decisively: its
+	// delivery estimate sits close to the live rate, the paper's quota model's
 	// far above it.
 	env := mc.Env{Population: 1000, Malicious: 100, Alpha: 1, ShareModel: mc.ShareModelLive}
 	live, err := mc.Estimate(report.Config.Plan, env, mc.Options{Trials: 50000, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env.ShareModel = mc.ShareModelBinomial
-	binom, err := mc.Estimate(report.Config.Plan, env, mc.Options{Trials: 50000, Seed: 99})
+	env.ShareModel = mc.ShareModelQuota
+	quota, err := mc.Estimate(report.Config.Plan, env, mc.Options{Trials: 50000, Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
 	liveRate := report.Live.Rd()
-	if gapLive, gapBinom := math.Abs(liveRate-live.Rd()), math.Abs(liveRate-binom.Rd()); gapLive > gapBinom/2 {
-		t.Errorf("chained model gap %.3f not clearly below per-column model gap %.3f", gapLive, gapBinom)
+	if gapLive, gapQuota := math.Abs(liveRate-live.Rd()), math.Abs(liveRate-quota.Rd()); gapLive > gapQuota/2 {
+		t.Errorf("chained model gap %.3f not clearly below per-column model gap %.3f", gapLive, gapQuota)
 	}
 }
 

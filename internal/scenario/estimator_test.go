@@ -71,11 +71,11 @@ func TestLiveSweepAgreesWithMC(t *testing.T) {
 // private simulator and fabric — and with Shards > 1, several of them — so
 // the emitted sweep must be byte-identical across every execution shape: the
 // runner's worker count {1, 4} crossed with GOMAXPROCS {1, NumCPU}, plus a
-// warm-pool repeat of the last shape in the same process. The repeat is the
-// pooled-buffer regression check: the wire path recycles encode, delivery
-// and event buffers through sync.Pools shared across goroutines, so a rerun
-// over dirty pools (and any pool-stealing between concurrent shards) must
-// still reproduce the cold-start bytes exactly. The scheme axis includes the
+// warm repeat of the last shape in the same process. The repeat is the
+// recycled-buffer regression check: the onion build scratch is a
+// process-level list shared across goroutines, so a rerun over dirty scratch
+// (and any hand-over between concurrent shards) must still reproduce the
+// cold-start bytes exactly. The scheme axis includes the
 // key share scheme, exercising the live share path — just-in-time share
 // scatter, oracle-validated threshold recovery, share re-grant repair, all
 // through cloned custody of recycled delivery buffers — and its matched

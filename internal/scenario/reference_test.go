@@ -47,14 +47,14 @@ func TestReferenceKeyReflectsShareModel(t *testing.T) {
 		Plan: core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 4, ShareM: []int{2, 2}},
 	}
 	liveRef, _ := cfg.References()
-	cfg.ShareModel = mc.ShareModelBinomial
-	binomRef, _ := cfg.References()
-	if liveRef.Key() == binomRef.Key() {
-		t.Errorf("share models live and binomial share a cache key: %s", liveRef.Key())
+	cfg.ShareModel = mc.ShareModelQuota
+	quotaRef, _ := cfg.References()
+	if liveRef.Key() == quotaRef.Key() {
+		t.Errorf("share models live and quota share a cache key: %s", liveRef.Key())
 	}
 	// Same model, same key: the cache must still coalesce equal references.
 	again, _ := cfg.References()
-	if binomRef.Key() != again.Key() {
-		t.Errorf("equal references produced distinct keys:\n%s\n%s", binomRef.Key(), again.Key())
+	if quotaRef.Key() != again.Key() {
+		t.Errorf("equal references produced distinct keys:\n%s\n%s", quotaRef.Key(), again.Key())
 	}
 }

@@ -141,9 +141,8 @@ type Config struct {
 	// resolves to mc.ShareModelLive for key-share plans — the chained,
 	// protocol-faithful model that the live measurements cross-validate
 	// against — and is ignored for the other schemes. Sweeps that want the
-	// paper's coarse column-loss reference instead pin mc.ShareModelQuota
-	// (or mc.ShareModelBinomial for the ablation); the pinned value is part
-	// of the reference cache key.
+	// paper's coarse column-loss reference instead pin mc.ShareModelQuota; the
+	// pinned value is part of the reference cache key.
 	ShareModel mc.ShareModel
 	// Seed makes the whole run — node IDs, malicious marking, lifetimes,
 	// mission placement — reproducible.

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"selfemerge/internal/freelist"
 )
 
 // Clock abstracts time for components that must run under both the
@@ -135,7 +137,7 @@ func (rt realTimer) Stop() bool { return rt.t.Stop() }
 // The event loop is the inner loop of every live-scenario shard, so its hot
 // path is tuned accordingly: the virtual clock and the pending-event counter
 // are atomics (Now and Pending never take the queue lock), event records are
-// recycled through a pool with generation-checked timer handles instead of
+// recycled through a freelist with generation-checked timer handles instead of
 // allocating per schedule, and cancellation is a single compare-and-swap on
 // the event's packed state word rather than a per-event mutex.
 //
@@ -163,18 +165,18 @@ type Simulator struct {
 	cachedEv  *event
 	cachedGen uint64
 
-	// Recycled *event records, guarded by their own leaf mutex. A
-	// per-simulator freelist (rather than a sync.Pool) keeps the records
-	// across garbage collections: on multi-gigabyte runs pool eviction made
-	// every post-GC schedule allocate, feeding the next collection.
-	freeMu sync.Mutex
-	free   []*event
+	events freelist.List[event]
 }
+
+// maxFreeEvents bounds a simulator's recycled event records: above the
+// in-flight swing of a 2000-node loop's boot burst, so only a far larger
+// population's boot sheds its surplus to the collector once it drains.
+const maxFreeEvents = 1 << 16
 
 // NewSimulator returns a simulator starting at the Unix epoch plus one hour
 // (so negative offsets in tests stay valid).
 func NewSimulator() *Simulator {
-	s := &Simulator{}
+	s := &Simulator{events: freelist.List[event]{Max: maxFreeEvents}}
 	start := time.Unix(0, 0).Add(time.Hour).UnixNano()
 	s.now.Store(start)
 	s.wheel.wtime = start >> wheelShift
@@ -217,17 +219,8 @@ func (s *Simulator) schedule(d time.Duration, fn func(), argFn func(any), arg an
 	if d < 0 {
 		d = 0
 	}
-	var ev *event
-	s.freeMu.Lock()
-	if k := len(s.free); k > 0 {
-		ev = s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-	}
-	s.freeMu.Unlock()
-	if ev == nil {
-		ev = &event{sim: s}
-	}
+	ev := s.events.Get()
+	ev.sim = s
 	// Re-arm under the generation the release bumped: handles to the
 	// record's previous life see a generation mismatch and become no-ops.
 	gen := ev.state.Load() >> stateGenShift
@@ -351,7 +344,7 @@ func (s *Simulator) NextAt() (at time.Time, ok bool) {
 	return time.Unix(0, ev.at), true
 }
 
-// release returns a finished (run or cancelled) event record to the pool,
+// release returns a finished (run or cancelled) event record to the freelist,
 // bumping its generation so any still-held timer handle turns inert.
 func (s *Simulator) release(ev *event) {
 	gen := ev.state.Load() >> stateGenShift
@@ -359,9 +352,7 @@ func (s *Simulator) release(ev *event) {
 	ev.argFn = nil
 	ev.arg = nil
 	ev.state.Store((gen + 1) << stateGenShift) // next life, pending
-	s.freeMu.Lock()
-	s.free = append(s.free, ev)
-	s.freeMu.Unlock()
+	s.events.Put(ev)
 }
 
 // Event state is a packed word: the low two bits hold the status, the rest a

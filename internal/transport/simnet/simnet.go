@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"selfemerge/internal/churn"
+	"selfemerge/internal/freelist"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
 	"selfemerge/internal/transport"
@@ -74,9 +75,14 @@ type Network struct {
 	part  *Partition
 	shard int
 
-	mu      sync.Mutex
-	nodes   nodeTable
-	dlvFree []*delivery
+	mu    sync.Mutex
+	nodes nodeTable
+
+	// Delivery records recycle per network, so their payload buffers survive
+	// garbage collections; a cross-shard record is taken from the sending
+	// shard's list and returned to the receiving one's, which balances out
+	// for the roughly symmetric traffic of a DHT.
+	deliveries freelist.List[delivery]
 
 	// The loss/jitter RNG serializes on its own lock so concurrent senders
 	// drawing randomness do not contend on the endpoint-map critical section.
@@ -92,11 +98,16 @@ type Network struct {
 func New(clock sim.Clock, cfg Config) *Network {
 	cfg = cfg.withDefaults()
 	return &Network{
-		clock: clock,
-		cfg:   cfg,
-		rng:   stats.NewRNG(cfg.Seed),
+		clock:      clock,
+		cfg:        cfg,
+		rng:        stats.NewRNG(cfg.Seed),
+		deliveries: freelist.List[delivery]{Max: maxFreeDeliveries},
 	}
 }
+
+// maxFreeDeliveries bounds the payload-buffer memory a persistently
+// asymmetric cross-shard flow could strand on the receiving side.
+const maxFreeDeliveries = 1 << 12
 
 // nodeTable is the fabric's per-address state: one open-addressing slot per
 // address seen, carrying the attached endpoint, the transient-down flag, and
@@ -319,7 +330,7 @@ func (n *Network) judge(from, to transport.Addr) (delay, dup time.Duration, ok b
 // no payload garbage, no closure, no timer box. A record bound for another
 // shard waits in this shard's outbox for the next barrier instead.
 func (n *Network) launch(dst *Network, from, to transport.Addr, payload []byte, delay time.Duration) {
-	d := n.getDelivery()
+	d := n.deliveries.Get()
 	d.net, d.from, d.to = dst, from, to
 	d.msg = append(d.msg[:0], payload...)
 	if dst == n {
@@ -335,37 +346,6 @@ type delivery struct {
 	net      *Network
 	from, to transport.Addr
 	msg      []byte
-}
-
-// getDelivery pops a record from this network's freelist (or allocates).
-// Records recycle per network rather than through a global sync.Pool so
-// their payload buffers survive garbage collections; cross-shard records
-// are popped from the sending shard and released to the receiving one,
-// which balances out for the roughly symmetric traffic of a DHT.
-func (n *Network) getDelivery() *delivery {
-	n.mu.Lock()
-	var d *delivery
-	if k := len(n.dlvFree); k > 0 {
-		d = n.dlvFree[k-1]
-		n.dlvFree[k-1] = nil
-		n.dlvFree = n.dlvFree[:k-1]
-	}
-	n.mu.Unlock()
-	if d == nil {
-		d = new(delivery)
-	}
-	return d
-}
-
-// putDelivery returns a finished record to this network's freelist. The cap
-// bounds the buffer memory a persistently asymmetric flow could strand.
-func (n *Network) putDelivery(d *delivery) {
-	d.net = nil
-	n.mu.Lock()
-	if len(n.dlvFree) < 1<<12 {
-		n.dlvFree = append(n.dlvFree, d)
-	}
-	n.mu.Unlock()
 }
 
 // deliver is the delivery event callback: hand the datagram to the
@@ -391,7 +371,8 @@ func deliver(v any) {
 		n.mu.Unlock()
 		h(d.from, d.msg)
 	}
-	n.putDelivery(d)
+	d.net = nil
+	n.deliveries.Put(d)
 }
 
 type endpoint struct {

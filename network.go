@@ -13,6 +13,7 @@ import (
 	"selfemerge/internal/core"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/fault"
+	"selfemerge/internal/freelist"
 	"selfemerge/internal/protocol"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
@@ -76,14 +77,9 @@ type NetworkConfig struct {
 	Nodes int
 	// MaliciousRate is the fraction p of Sybil-controlled nodes (default 0).
 	MaliciousRate float64
-	// DropAttack switches malicious nodes from spying (release-ahead
-	// collection) to dropping every package they hold. Equivalent to
-	// Attack: adversary.StrategyDrop; kept for existing callers.
-	DropAttack bool
-	// Attack selects the malicious-holder strategy: spy (default), drop, or
-	// eclipse (bucket poisoning plus drop; see adversary.Strategy). When
-	// both this and DropAttack are set they must agree; DropAttack alone
-	// maps to StrategyDrop.
+	// Attack selects the malicious-holder strategy: spy (release-ahead
+	// collection, the default), drop (discard every package held), or eclipse
+	// (bucket poisoning plus drop; see adversary.Strategy).
 	Attack adversary.Strategy
 	// ForgeRate is the eclipse flood intensity: forged contacts emitted per
 	// attacker per minute. Only meaningful with StrategyEclipse; zero means
@@ -192,14 +188,6 @@ func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
 	}
 	if c.Latency == 0 {
 		c.Latency = 5 * time.Millisecond
-	}
-	if c.DropAttack {
-		switch c.Attack {
-		case adversary.StrategySpy:
-			c.Attack = adversary.StrategyDrop
-		case adversary.StrategyDrop, adversary.StrategyEclipse:
-			// Drop semantics already implied.
-		}
 	}
 	if c.ForgeRate < 0 {
 		return c, fmt.Errorf("selfemerge: negative forge rate %v", c.ForgeRate)
@@ -365,6 +353,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		}
 		// Every loop sees every address: contacts travel across shards.
 		sh.scratch = dht.NewScratch(cfg.Nodes)
+		sh.reports.bufs = freelist.List[[]byte]{Max: maxFreeReportBufs}
 	}
 
 	if cfg.Attack == adversary.StrategyEclipse && cfg.ForgeRate > 0 {
@@ -391,16 +380,16 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 
 // reportQueue collects one shard's malicious-holder observations during an
 // epoch. It is written only from that shard's event loop and drained only at
-// barriers, so it needs no lock.
+// barriers, so recs and head need no lock.
 type reportQueue struct {
 	recs []reportRec
 	head int // consumed prefix during a release merge
-	// free recycles the payload clones of released records, so a steady
+	// bufs recycles the payload clones of released records, so a steady
 	// stream of reports stops allocating once the list has warmed up.
-	free [][]byte
+	bufs freelist.List[[]byte]
 }
 
-// maxFreeReportBufs bounds reportQueue.free: reports drain at every barrier,
+// maxFreeReportBufs bounds reportQueue.bufs: reports drain at every barrier,
 // so only a burst between two barriers ever holds more clones than this.
 const maxFreeReportBufs = 64
 
@@ -411,6 +400,7 @@ type reportRec struct {
 	at   int64
 	from dht.ID
 	pkt  protocol.Packet
+	buf  *[]byte // the clone backing pkt.Data
 }
 
 // Report implements protocol.Reporter for the hosts on this shard: defer the
@@ -421,12 +411,10 @@ type reportRec struct {
 // when the event returns, long before the barrier drain.
 func (sh *shard) Report(now time.Time, from dht.ID, pkt protocol.Packet) {
 	q := &sh.reports
-	var buf []byte
-	if k := len(q.free); k > 0 {
-		buf, q.free = q.free[k-1], q.free[:k-1]
-	}
-	pkt.Data = append(buf[:0], pkt.Data...)
-	q.recs = append(q.recs, reportRec{at: now.UnixNano(), from: from, pkt: pkt})
+	buf := q.bufs.Get()
+	*buf = append((*buf)[:0], pkt.Data...)
+	pkt.Data = *buf
+	q.recs = append(q.recs, reportRec{at: now.UnixNano(), from: from, pkt: pkt, buf: buf})
 }
 
 // releaseReports is the lockstep Release hook: feed the deferred adversary
@@ -470,11 +458,9 @@ func (n *Network) releaseReports(before time.Time) {
 		r := &best.recs[best.head]
 		n.collector.Report(time.Unix(0, r.at), r.from, r.pkt)
 		// The collector cloned what it keeps: the payload clone goes back to
-		// the queue's freelist.
-		if cap(r.pkt.Data) > 0 && len(best.free) < maxFreeReportBufs {
-			best.free = append(best.free, r.pkt.Data)
-		}
-		r.pkt.Data = nil
+		// the queue's list.
+		best.bufs.Put(r.buf)
+		r.pkt.Data, r.buf = nil, nil
 		best.head++
 	}
 	for i := range n.shards {
@@ -483,9 +469,7 @@ func (n *Network) releaseReports(before time.Time) {
 			continue
 		}
 		rem := copy(q.recs, q.recs[q.head:])
-		for j := rem; j < len(q.recs); j++ {
-			q.recs[j].pkt.Data = nil // duplicates of the compacted records
-		}
+		clear(q.recs[rem:]) // duplicates of the compacted records
 		q.recs = q.recs[:rem]
 		q.head = 0
 	}

@@ -85,7 +85,7 @@ func TestFullCompromiseIsReleaseAhead(t *testing.T) {
 }
 
 func TestDropAttackPreventsEmergence(t *testing.T) {
-	net, err := NewNetwork(NetworkConfig{Nodes: 50, MaliciousRate: 1, DropAttack: true, Seed: 4})
+	net, err := NewNetwork(NetworkConfig{Nodes: 50, MaliciousRate: 1, Attack: AttackDrop, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
