@@ -19,7 +19,9 @@
 //     Holders recover keys from threshold-sized share subsets validated
 //     against the authenticated onion layers (so corrupt shares cannot
 //     poison recovery), and surviving custodians re-grant scattered shares
-//     to same-zone churn replacements once per holding period; the
+//     to same-zone churn replacements once per holding period. A key, its
+//     shares and the onion it opens live at one protocol.Ref (a column, or
+//     one slot of it) at the holder and in the adversary's collector; the
 //     live-faithful Monte Carlo model (mc.ShareModelLive) mirrors these
 //     semantics and cross-validates against live scenario runs.
 //
@@ -64,8 +66,8 @@
 // mission IDs, keys, nonces, share polynomials — from a ChaCha8 stream
 // derived from NetworkConfig.Seed, making a live run a pure function of
 // its seed down to the ciphertexts; real deployments (cmd/emergectl with
-// NetworkConfig.SystemRand, cmd/dhtnode) keep crypto/rand. Baselines and
-// the CI allocation gate live in BENCH_scenario.json.
+// NetworkConfig.SystemRand, cmd/dhtnode) keep crypto/rand. The CI
+// work-count gates live in BENCH_scenario.json.
 //
 // Quick start:
 //

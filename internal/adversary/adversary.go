@@ -36,18 +36,13 @@ func (c *Collector) SetZoneSink(sink func(mission protocol.MissionID, column, sl
 	c.zoneSink = sink
 }
 
-type slotRef struct {
-	column int
-	slot   int
-}
-
+// intel is what the adversary holds of one mission, keyed like a holder's
+// custody by the protocol.Ref each piece lives at: granted layer keys, the
+// shares collected towards the rest, and the onions not yet opened.
 type intel struct {
-	colKeys    map[int]seal.Key
-	colShares  map[int][]shamir.Share
-	slotKeys   map[slotRef]seal.Key
-	slotShares map[slotRef][]shamir.Share
-	mainOnions map[int][]byte
-	slotOnions map[slotRef][]byte
+	keys   map[protocol.Ref]seal.Key
+	shares map[protocol.Ref][]shamir.Share
+	onions map[protocol.Ref][]byte
 
 	secret      []byte
 	recoveredAt time.Time
@@ -67,40 +62,23 @@ func (c *Collector) Report(now time.Time, _ dht.ID, pkt protocol.Packet) {
 	defer c.ingestDone(pkt)
 	in := c.intel(pkt.Mission)
 	in.packets++
-	col := int(pkt.Column)
+	ref := pkt.Ref()
 	switch pkt.Kind {
-	case protocol.PkCentral:
-		// The central holder sees the secret outright.
-		in.note(pkt.Data, now)
-	case protocol.PkSecret:
-		// Legitimate release passing through a malicious relay.
+	case protocol.PkCentral, protocol.PkSecret:
+		// The central holder sees the secret outright; a secret is the
+		// legitimate release passing through a malicious relay.
 		in.note(pkt.Data, now)
 	case protocol.PkKeyGrant:
 		if key, err := seal.KeyFromBytes(pkt.Data); err == nil {
-			if pkt.X == keyGrantSlot {
-				in.slotKeys[slotRef{col, int(pkt.Slot)}] = key
-			} else {
-				in.colKeys[col] = key
-			}
+			in.keys[ref] = key
 		}
-	case protocol.PkMainOnion:
-		if _, ok := in.mainOnions[col]; !ok {
+	case protocol.PkMainOnion, protocol.PkSlotOnion:
+		if _, ok := in.onions[ref]; !ok {
 			// Clone: observed packet payloads alias recycled delivery buffers.
-			in.mainOnions[col] = append([]byte(nil), pkt.Data...)
+			in.onions[ref] = append([]byte(nil), pkt.Data...)
 		}
-	case protocol.PkSlotOnion:
-		ref := slotRef{col, int(pkt.Slot)}
-		if _, ok := in.slotOnions[ref]; !ok {
-			in.slotOnions[ref] = append([]byte(nil), pkt.Data...)
-		}
-	case protocol.PkColShare:
-		if x, data, err := protocol.ParseShare(pkt.Data); err == nil {
-			in.addColShare(col, shamir.Share{X: x, Data: data})
-		}
-	case protocol.PkSlotShare:
-		if x, data, err := protocol.ParseShare(pkt.Data); err == nil {
-			in.addSlotShare(slotRef{col, int(pkt.Slot)}, shamir.Share{X: x, Data: data})
-		}
+	case protocol.PkColShare, protocol.PkSlotShare:
+		in.addShare(ref, pkt.Data)
 	}
 	c.infer(in, now)
 }
@@ -155,12 +133,9 @@ func (c *Collector) intel(id protocol.MissionID) *intel {
 	in, ok := c.missions[id]
 	if !ok {
 		in = &intel{
-			colKeys:    make(map[int]seal.Key),
-			colShares:  make(map[int][]shamir.Share),
-			slotKeys:   make(map[slotRef]seal.Key),
-			slotShares: make(map[slotRef][]shamir.Share),
-			mainOnions: make(map[int][]byte),
-			slotOnions: make(map[slotRef][]byte),
+			keys:   make(map[protocol.Ref]seal.Key),
+			shares: make(map[protocol.Ref][]shamir.Share),
+			onions: make(map[protocol.Ref][]byte),
 		}
 		c.missions[id] = in
 	}
@@ -175,26 +150,20 @@ func (in *intel) note(secret []byte, now time.Time) {
 	in.recoveredAt = now
 }
 
-// addColShare keeps the first variant seen for each X coordinate, cloning
-// the data (packet payloads alias recycled delivery buffers).
-func (in *intel) addColShare(col int, s shamir.Share) {
-	for _, have := range in.colShares[col] {
-		if have.X == s.X {
+// addShare parses a share blob and keeps the first variant seen for each X
+// coordinate, cloning the data (packet payloads alias recycled delivery
+// buffers).
+func (in *intel) addShare(ref protocol.Ref, blob []byte) {
+	x, data, err := protocol.ParseShare(blob)
+	if err != nil {
+		return
+	}
+	for _, have := range in.shares[ref] {
+		if have.X == x {
 			return
 		}
 	}
-	s.Data = append([]byte(nil), s.Data...)
-	in.colShares[col] = append(in.colShares[col], s)
-}
-
-func (in *intel) addSlotShare(ref slotRef, s shamir.Share) {
-	for _, have := range in.slotShares[ref] {
-		if have.X == s.X {
-			return
-		}
-	}
-	s.Data = append([]byte(nil), s.Data...)
-	in.slotShares[ref] = append(in.slotShares[ref], s)
+	in.shares[ref] = append(in.shares[ref], shamir.Share{X: x, Data: append([]byte(nil), data...)})
 }
 
 // infer runs decrypt-to-fixpoint: recover keys from shares, peel every
@@ -206,9 +175,8 @@ func (c *Collector) infer(in *intel, now time.Time) {
 	}
 	for progress := true; progress; {
 		progress = false
-		// Peel main onions.
-		for col, sealed := range in.mainOnions {
-			key, ok := in.columnKey(col)
+		for ref, sealed := range in.onions {
+			key, ok := in.key(ref)
 			if !ok {
 				continue
 			}
@@ -216,73 +184,39 @@ func (c *Collector) infer(in *intel, now time.Time) {
 			if err != nil {
 				continue
 			}
-			delete(in.mainOnions, col)
+			delete(in.onions, ref)
 			progress = true
 			if layer.Payload != nil {
 				in.note(layer.Payload, now)
 				return
 			}
-			if layer.Rest != nil {
-				if _, have := in.mainOnions[col+1]; !have {
-					in.mainOnions[col+1] = layer.Rest
-				}
-			}
-		}
-		// Peel slot onions and harvest the shares inside.
-		for ref, sealed := range in.slotOnions {
-			key, ok := in.slotKey(ref)
-			if !ok {
-				continue
-			}
-			layer, err := onion.Peel(key, sealed)
-			if err != nil {
-				continue
-			}
-			delete(in.slotOnions, ref)
-			progress = true
-			next := ref.column + 1
+			// A slot-onion layer carries shares of the next column's keys;
+			// the rest of either onion continues at the same scope.
 			for _, blob := range layer.Shares {
-				kind, slot, x, data, err := protocol.ParseShareTag(blob)
-				if err != nil {
-					continue
-				}
-				switch kind {
-				case protocol.ShareKindColumn:
-					in.addColShare(next, shamir.Share{X: x, Data: data})
-				case protocol.ShareKindSlot:
-					in.addSlotShare(slotRef{next, slot}, shamir.Share{X: x, Data: data})
+				if slot, share, err := protocol.ParseShareTag(blob); err == nil {
+					in.addShare(protocol.Ref{Column: ref.Column + 1, Slot: int32(slot)}, share)
 				}
 			}
 			if layer.Rest != nil {
-				nref := slotRef{next, ref.slot}
-				if _, have := in.slotOnions[nref]; !have {
-					in.slotOnions[nref] = layer.Rest
+				next := protocol.Ref{Column: ref.Column + 1, Slot: ref.Slot}
+				if _, have := in.onions[next]; !have {
+					in.onions[next] = layer.Rest
 				}
 			}
 		}
 	}
 }
 
-// columnKey returns the column key if directly known or recoverable from
+// key returns the layer key at ref if directly known or recoverable from
 // the collected shares. Interpolation through all shares yields the true
 // key exactly when the threshold is met; the onion's authenticated layer
 // is the verification oracle, so a garbage interpolation merely fails the
 // next peel.
-func (in *intel) columnKey(col int) (seal.Key, bool) {
-	if key, ok := in.colKeys[col]; ok {
+func (in *intel) key(ref protocol.Ref) (seal.Key, bool) {
+	if key, ok := in.keys[ref]; ok {
 		return key, true
 	}
-	return keyFromShares(in.colShares[col])
-}
-
-func (in *intel) slotKey(ref slotRef) (seal.Key, bool) {
-	if key, ok := in.slotKeys[ref]; ok {
-		return key, true
-	}
-	return keyFromShares(in.slotShares[ref])
-}
-
-func keyFromShares(shares []shamir.Share) (seal.Key, bool) {
+	shares := in.shares[ref]
 	if len(shares) == 0 {
 		return seal.Key{}, false
 	}
@@ -291,12 +225,5 @@ func keyFromShares(shares []shamir.Share) (seal.Key, bool) {
 		return seal.Key{}, false
 	}
 	key, err := seal.KeyFromBytes(raw)
-	if err != nil {
-		return seal.Key{}, false
-	}
-	return key, true
+	return key, err == nil
 }
-
-// keyGrantSlot mirrors protocol's unexported discriminator (kept in sync
-// via protocol.KeyGrantSlotMarker).
-const keyGrantSlot = protocol.KeyGrantSlotMarker

@@ -5,11 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"selfemerge/internal/core"
 	"selfemerge/internal/crypto/onion"
 	"selfemerge/internal/crypto/seal"
 	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
+	"selfemerge/internal/sim"
+	"selfemerge/internal/stats"
+	"selfemerge/internal/transport/simnet"
 )
 
 // buildChain constructs a 3-layer main onion and returns (wrapped, keys,
@@ -192,5 +196,109 @@ func TestUnknownMissionQueries(t *testing.T) {
 	}
 	if c.Packets(mission) != 0 {
 		t.Error("unknown mission has packets")
+	}
+}
+
+// tee hands a holder's observations on to the collector, keeping the first
+// sealed onion seen at each Ref.
+type tee struct {
+	c      *Collector
+	onions map[protocol.Ref][]byte
+}
+
+func (t *tee) Report(now time.Time, from dht.ID, pkt protocol.Packet) {
+	if pkt.Kind == protocol.PkMainOnion || pkt.Kind == protocol.PkSlotOnion {
+		if _, seen := t.onions[pkt.Ref()]; !seen {
+			t.onions[pkt.Ref()] = append([]byte(nil), pkt.Data...)
+		}
+	}
+	t.c.Report(now, from, pkt)
+}
+
+// TestHolderAndAdversaryRecoverSameKeys feeds one key-share mission's packets
+// to a Host and a Collector at once — the host is the mission's only holder
+// and reports everything it sees — and requires the same confirmed key per
+// Ref: the key the collector infers at a Ref from column 1 alone opens the
+// onion the host later holds there to exactly what the host, having
+// confirmed its own key against that onion, sends on.
+func TestHolderAndAdversaryRecoverSameKeys(t *testing.T) {
+	clock := sim.NewSimulator()
+	fabric := simnet.New(clock, simnet.Config{Seed: 1})
+	feed := &tee{c: NewCollector(), onions: make(map[protocol.Ref][]byte)}
+	var emerged []byte
+	host := protocol.NewHost(protocol.HostConfig{
+		Clock: clock, Malicious: true, Reporter: feed, Replicas: 2,
+		OnSecret: func(_ protocol.MissionID, secret []byte) { emerged = append([]byte(nil), secret...) },
+	})
+	node, err := dht.NewNode(dht.Config{
+		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host.HandleApp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.Attach(node)
+	// An isolated node sends nothing; the peer only makes owner lookups succeed.
+	peer, err := dht.NewNode(dht.Config{ID: dht.IDFromKey([]byte("peer")), Endpoint: fabric.Endpoint("peer"), Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer.Bootstrap([]dht.Contact{node.Contact()}, nil)
+	clock.RunFor(time.Minute)
+
+	const l, n = 3, 3
+	m := protocol.Mission{
+		ID:       protocol.MissionID{0x5A},
+		Plan:     core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: l, ShareN: n, ShareM: []int{2, 2}},
+		Secret:   []byte("same keys on both sides"),
+		Receiver: node.ID(),
+		Start:    clock.Now(),
+		Release:  clock.Now().Add(l * time.Hour),
+		Replicas: 2,
+	}
+	if _, err := protocol.NewSender(stats.NewByteStream(18)).Dispatch(node, m); err != nil {
+		t.Fatal(err)
+	}
+	// The collector has seen column 1 only, the holder has peeled nothing
+	// yet: every later key is inferred through the slot onions.
+	clock.RunFor(time.Minute)
+	in := feed.c.missions[m.ID]
+	keys := make(map[protocol.Ref]seal.Key)
+	for c := int32(1); c <= l; c++ {
+		refs := []protocol.Ref{{Column: c, Slot: protocol.ColumnWide}}
+		for s := int32(0); s < n && c < l; s++ {
+			refs = append(refs, protocol.Ref{Column: c, Slot: s})
+		}
+		for _, ref := range refs {
+			key, ok := in.key(ref)
+			if !ok {
+				t.Fatalf("%+v: the collector inferred no key", ref)
+			}
+			keys[ref] = key
+		}
+	}
+
+	clock.RunUntil(m.Release.Add(time.Minute))
+	if !bytes.Equal(emerged, m.Secret) {
+		t.Fatalf("the holder released %q, want %q", emerged, m.Secret)
+	}
+	if len(feed.onions) != len(keys) {
+		t.Fatalf("the holder saw onions at %d Refs, want %d", len(feed.onions), len(keys))
+	}
+	for ref, sealed := range feed.onions {
+		layer, err := onion.Peel(keys[ref], sealed)
+		if err != nil {
+			t.Fatalf("%+v: the collector's key does not open the holder's onion: %v", ref, err)
+		}
+		next := protocol.Ref{Column: ref.Column + 1, Slot: ref.Slot}
+		switch {
+		case layer.Payload != nil:
+			if !bytes.Equal(layer.Payload, emerged) {
+				t.Errorf("%+v: the collector's key opens to %q, the holder released %q", ref, layer.Payload, emerged)
+			}
+		case layer.Rest != nil:
+			if !bytes.Equal(layer.Rest, feed.onions[next]) {
+				t.Errorf("%+v: the holder forwarded another onion to %+v than the collector's key opens", ref, next)
+			}
+		}
 	}
 }

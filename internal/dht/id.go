@@ -7,7 +7,6 @@
 package dht
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -74,11 +73,6 @@ func (id ID) XOR(other ID) ID {
 		out[i] = id[i] ^ other[i]
 	}
 	return out
-}
-
-// Less compares identifiers as big-endian integers.
-func (id ID) Less(other ID) bool {
-	return bytes.Compare(id[:], other[:]) < 0
 }
 
 // LeadingZeros returns the number of leading zero bits (0..160).

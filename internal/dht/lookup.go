@@ -3,8 +3,6 @@ package dht
 import (
 	"sync"
 	"time"
-
-	"selfemerge/internal/sim"
 )
 
 // Lookup performs an iterative FIND_NODE for target and calls cb with the
@@ -71,7 +69,7 @@ func (n *Node) Store(key ID, value []byte, ttl time.Duration, cb func(acked int)
 				// queue so cb never fires synchronously inside the lookup
 				// callback.
 				n.storeLocal(key, value, ttl)
-				sim.Schedule(n.cfg.Clock, 0, func() { settle(true) })
+				n.cfg.Clock.Schedule(0, func() { settle(true) })
 				continue
 			}
 			n.request(c, Message{Kind: KindStore, Key: key, Value: value, TTL: ttl}, func(_ *Message, err error) {
@@ -240,7 +238,7 @@ func (n *Node) deliverLocal(payload []byte) error {
 	buf := bufs.Get()
 	*buf = append((*buf)[:0], payload...)
 	self := n.Contact()
-	sim.Schedule(n.cfg.Clock, 0, func() {
+	n.cfg.Clock.Schedule(0, func() {
 		n.cfg.OnApp(self, *buf)
 		bufs.Put(buf)
 	})
@@ -415,7 +413,7 @@ func (n *Node) newLookup(target ID, wantValue bool, cb func(any, []Contact, []by
 	// Local value short-circuit.
 	if wantValue {
 		if v, ok := n.loadLocal(target); ok {
-			sim.Schedule(n.cfg.Clock, 0, func() { cb(arg, nil, v, true) })
+			n.cfg.Clock.Schedule(0, func() { cb(arg, nil, v, true) })
 			return
 		}
 	}

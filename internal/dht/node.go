@@ -210,7 +210,7 @@ func rpcTimeout(v any) {
 			// response can still settle the RPC mid-gap.
 			p.waiting = true
 			gap := n.cfg.Retry.backoff(p.attempt, n.retryRng)
-			p.timer = sim.AfterFuncArg(n.cfg.Clock, gap, rpcTimeout, p)
+			p.timer = n.cfg.Clock.AfterFuncArg(gap, rpcTimeout, p)
 			n.mu.Unlock()
 			return
 		}
@@ -221,7 +221,7 @@ func rpcTimeout(v any) {
 		p.waiting = false
 		p.attempt++
 		n.resilience.Retries++
-		p.timer = sim.AfterFuncArg(n.cfg.Clock, p.timeout, rpcTimeout, p)
+		p.timer = n.cfg.Clock.AfterFuncArg(p.timeout, rpcTimeout, p)
 		addr := p.addr
 		buf := n.cfg.Scratch.bufs.Get()
 		*buf = append((*buf)[:0], p.wire...)
@@ -321,7 +321,7 @@ func (n *Node) Close() error {
 		if p.timer.Stop() {
 			releasePending(p)
 		}
-		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, ErrClosed) })
+		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, ErrClosed) })
 	}
 	return n.cfg.Endpoint.Close()
 }
@@ -486,7 +486,7 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
-		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, ErrClosed) })
+		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, ErrClosed) })
 		return
 	}
 	// The request is encoded under the lock that issued its RPCID, so it is
@@ -496,7 +496,7 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 	buf, err := n.encode(&m)
 	if err != nil {
 		n.mu.Unlock()
-		sim.Schedule(n.cfg.Clock, 0, func() { cb.deliver(nil, err) })
+		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, err) })
 		return
 	}
 	p := n.cfg.Scratch.rpcs.Get()
@@ -505,7 +505,7 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 	if retry {
 		p.wire = append(p.wire[:0], *buf...) // retained for re-sends
 	}
-	p.timer = sim.AfterFuncArg(n.cfg.Clock, timeout, rpcTimeout, p)
+	p.timer = n.cfg.Clock.AfterFuncArg(timeout, rpcTimeout, p)
 	n.pending[p.id] = p
 	n.mu.Unlock()
 	_ = n.sendBuf(to.Addr, buf)

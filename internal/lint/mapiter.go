@@ -121,8 +121,8 @@ func mapRangeEffects(pass *Pass, rng *ast.RangeStmt) []effect {
 				return true
 			}
 			if _, isPkg := pass.TypesInfo.Uses[rootIdent(sel.X)].(*types.PkgName); isPkg {
-				// Package-qualified (sim.Schedule, sim.ScheduleArg...):
-				// always order-sensitive.
+				// Package-qualified (protocol.Dispatch...): always
+				// order-sensitive.
 				effects = append(effects, effect{pos: n.Pos(), what: sel.Sel.Name + " per map entry"})
 				return true
 			}

@@ -1,0 +1,111 @@
+package protocol
+
+import (
+	"slices"
+	"testing"
+	"time"
+
+	"selfemerge/internal/crypto/onion"
+	"selfemerge/internal/crypto/seal"
+	"selfemerge/internal/dht"
+	"selfemerge/internal/sim"
+	"selfemerge/internal/transport/simnet"
+)
+
+// TestAdvanceOrder pins the order of advance's one sorted custody list:
+// whatever order custody arrived in, a holder forwards its main onions by
+// column first, then its slot onions by (column, slot) — the order of the
+// per-scope loops the list replaced. The network is the holder and one
+// watcher, and the holder sends two replicas of everything, so the watcher
+// sees every forward.
+func TestAdvanceOrder(t *testing.T) {
+	clock := sim.NewSimulator()
+	fabric := simnet.New(clock, simnet.Config{Seed: 1})
+	host := NewHost(HostConfig{Clock: clock, Replicas: 2})
+	node, err := dht.NewNode(dht.Config{
+		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host.HandleApp,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host.Attach(node)
+	var seen []Packet
+	watcher, err := dht.NewNode(dht.Config{
+		ID: dht.IDFromKey([]byte("watcher")), Endpoint: fabric.Endpoint("watcher"), Clock: clock,
+		OnApp: func(_ dht.Contact, payload []byte) {
+			if pkt, err := DecodePacket(payload); err == nil {
+				seen = append(seen, pkt)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	watcher.Bootstrap([]dht.Contact{node.Contact()}, nil)
+	clock.RunFor(time.Minute)
+
+	mission := MissionID{0xAD}
+	hops := [][]byte{make([]byte, dht.IDBytes), make([]byte, dht.IDBytes)}
+	hops[1][0] = 1
+	custody := []Packet{
+		{Kind: PkMainOnion, Column: 2},
+		{Kind: PkMainOnion, Column: 1},
+		{Kind: PkSlotOnion, Column: 1, Slot: 1},
+		{Kind: PkSlotOnion, Column: 1, Slot: 0},
+	}
+	keys := make(map[Ref]seal.Key)
+	for _, pkt := range custody {
+		// Two layers each, so every forward sends the rest one column on; a
+		// slot onion's outer layer also scatters one column-key share.
+		layers := []onion.Layer{{NextHops: hops[:1]}, {NextHops: hops[:1]}}
+		if pkt.Kind == PkSlotOnion {
+			layers[0] = onion.Layer{NextHops: hops, Shares: [][]byte{AppendEncodeShareTag(nil, ColumnWide, 1, []byte{7})}}
+		}
+		layerKeys := make([]seal.Key, len(layers))
+		for i := range layerKeys {
+			if layerKeys[i], err = seal.NewKey(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pkt.Mission, pkt.Step = mission, int64(time.Hour)
+		pkt.HoldUntil = clock.Now().Add(time.Hour).UnixNano()
+		if pkt.Data, err = onion.Build(layers, layerKeys); err != nil {
+			t.Fatal(err)
+		}
+		keys[pkt.Ref()] = layerKeys[0]
+		host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
+	}
+
+	// Every key and every hold deadline lands before one advance.
+	host.mu.Lock()
+	ms := host.missions[mission]
+	for ref, hp := range ms.sealed {
+		put(&ms.keys, ref, keys[ref])
+		hp.due = true
+	}
+	host.mu.Unlock()
+	host.advance(mission)
+	clock.RunFor(time.Minute)
+
+	type hop struct {
+		kind         PacketKind
+		column, slot uint16
+	}
+	var got []hop
+	for _, pkt := range seen {
+		got = append(got, hop{pkt.Kind, pkt.Column, pkt.Slot})
+	}
+	// Sends to one slot ID ride one owner walk (served in call order), so the
+	// watcher sees the sends to hops[0] first, then those to hops[1].
+	want := []hop{
+		{PkMainOnion, 2, 0},                     // from (1, wide)
+		{PkMainOnion, 3, 0},                     // from (2, wide)
+		{PkColShare, 2, 0}, {PkSlotOnion, 2, 0}, // from (1, 0)
+		{PkColShare, 2, 0},                      // from (1, 1)
+		{PkColShare, 2, 1},                      // from (1, 0)
+		{PkColShare, 2, 1}, {PkSlotOnion, 2, 1}, // from (1, 1)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("forward order:\n got %v\nwant %v", got, want)
+	}
+}

@@ -61,14 +61,18 @@ func FuzzDecodePacket(f *testing.F) {
 
 // FuzzParseShareBlob asserts the share-blob codecs never panic on arbitrary
 // payloads and that whatever parses is consistent: ParseShare round-trips
-// through the blob encoding, and ParseShareTag only accepts the two tag
-// kinds with their documented minimum sizes.
+// through the blob encoding; ParseShareTag only accepts the two tags with
+// their minimum sizes, returns a view of its input and re-encodes to it; and
+// every share tags and untags to itself at column scope and at slots 0 and
+// 65535, with each truncation below a tag's minimum size rejected.
 func FuzzParseShareBlob(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add([]byte{0x05, 0xAA, 0xBB, 0xCC})
 	f.Add([]byte{0xC0, 0x05, 0xAA, 0xBB}) // tagged column share
 	f.Add([]byte{0x51, 0x00, 0x02, 0x05, 0xAA})
+	f.Add([]byte{0x51, 0xFF, 0xFF, 0x05}) // slot tag one byte short
+	f.Add([]byte{0xC0, 0x05})             // column tag one byte short
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		if x, data, err := protocol.ParseShare(blob); err == nil {
 			if len(blob) < 2 {
@@ -77,23 +81,41 @@ func FuzzParseShareBlob(f *testing.F) {
 			if x != blob[0] || !bytes.Equal(data, blob[1:]) {
 				t.Fatalf("ParseShare(%x) = (%d, %x)", blob, x, data)
 			}
+			for _, slot := range []int{protocol.ColumnWide, 0, 65535} {
+				tagged := protocol.AppendEncodeShareTag([]byte("pfx"), slot, x, data)[3:]
+				gotSlot, share, err := protocol.ParseShareTag(tagged)
+				if err != nil || gotSlot != slot || !bytes.Equal(share, blob) {
+					t.Fatalf("tag round trip at slot %d: (%d, %x, %v), want share %x", slot, gotSlot, share, err, blob)
+				}
+				for n := 0; n <= len(tagged)-len(data); n++ {
+					if _, _, err := protocol.ParseShareTag(tagged[:n]); err == nil {
+						t.Fatalf("ParseShareTag accepted %x, truncated below slot %d's minimum", tagged[:n], slot)
+					}
+				}
+			}
 		}
-		kind, slot, x, data, err := protocol.ParseShareTag(blob)
+		slot, share, err := protocol.ParseShareTag(blob)
 		if err != nil {
 			return
 		}
-		switch kind {
-		case protocol.ShareKindColumn:
-			if len(blob) < 3 || slot != 0 || x != blob[1] || !bytes.Equal(data, blob[2:]) {
-				t.Fatalf("column tag (%x) = (%d, %d, %x)", blob, slot, x, data)
+		x, data, err := protocol.ParseShare(share)
+		if err != nil {
+			t.Fatalf("ParseShareTag(%x) returned unparseable share %x", blob, share)
+		}
+		switch {
+		case slot == protocol.ColumnWide:
+			if blob[0] != 0xC0 || &share[0] != &blob[1] {
+				t.Fatalf("column tag (%x) = share %x", blob, share)
 			}
-		case protocol.ShareKindSlot:
-			if len(blob) < 5 || slot != int(blob[1])<<8|int(blob[2]) ||
-				x != blob[3] || !bytes.Equal(data, blob[4:]) {
-				t.Fatalf("slot tag (%x) = (%d, %d, %x)", blob, slot, x, data)
+		case slot == int(blob[1])<<8|int(blob[2]):
+			if blob[0] != 0x51 || &share[0] != &blob[3] {
+				t.Fatalf("slot tag (%x) = (%d, %x)", blob, slot, share)
 			}
 		default:
-			t.Fatalf("ParseShareTag returned unknown kind %d", kind)
+			t.Fatalf("ParseShareTag(%x) returned slot %d", blob, slot)
+		}
+		if again := protocol.AppendEncodeShareTag(nil, slot, x, data); !bytes.Equal(again, blob) {
+			t.Fatalf("tagged blob %x re-encodes to %x", blob, again)
 		}
 	})
 }

@@ -2,7 +2,8 @@ package protocol
 
 import (
 	"bytes"
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -68,36 +69,26 @@ type Host struct {
 	missions map[MissionID]*missionState
 	// advance's deterministic-iteration sort scratch, reused across calls
 	// (guarded by mu).
-	colScratch []int
-	refScratch []slotRef
+	refScratch []Ref
 }
 
-type slotRef struct {
-	column int
-	slot   int
-}
-
-// missionState is one mission's custody at one holder. Its maps are nil
-// until first written (nil map reads are free): a typical holder touches
-// only one or two of the eight custody kinds per mission, so eager maps
-// were most of the mission path's protocol allocations.
+// missionState is one mission's custody at one holder, one table per kind of
+// material, each keyed by the Ref the material lives at. The maps are nil
+// until first written through put (nil map reads are free): a typical holder
+// touches only one or two of them per mission, so eager maps were most of the
+// mission path's protocol allocations.
 type missionState struct {
-	// Column-wide key material (K_c of the multipath schemes, CK_c of the
-	// key share scheme).
-	colKeys   map[int]seal.Key
-	colShares map[int][]shamir.Share
-	// Per-slot key material (SK_{c,s}).
-	slotKeys   map[slotRef]seal.Key
-	slotShares map[slotRef][]shamir.Share
+	// Layer keys, granted or oracle-confirmed: K_c of the multipath schemes
+	// and CK_c column-wide, SK_{c,s} per slot.
+	keys map[Ref]seal.Key
+	// Shamir shares collected towards the key at the same Ref.
+	shares map[Ref][]shamir.Share
 	// Share collections with an armed churn-repair refresh (one per holding
 	// period, see scheduleShareRefresh).
-	colRepair  map[int]bool
-	slotRepair map[slotRef]bool
-
-	// Main onion custody, one per column (joint/share copies are deduped).
-	mainSealed map[int]*heldPackage
-	// Slot onion custody.
-	slotSealed map[slotRef]*heldPackage
+	repair map[Ref]bool
+	// Onion custody: the main onion column-wide (joint/share copies are
+	// deduped), slot onions per slot.
+	sealed map[Ref]*heldPackage
 
 	// Central-scheme custody.
 	central *heldPackage
@@ -119,15 +110,16 @@ func (ms *missionState) sealerFor(key seal.Key) *seal.Sealer {
 	if err != nil {
 		return nil
 	}
-	ms.cacheSealer(key, s)
+	put(&ms.sealers, key, s)
 	return s
 }
 
-func (ms *missionState) cacheSealer(key seal.Key, s *seal.Sealer) {
-	if ms.sealers == nil {
-		ms.sealers = make(map[seal.Key]*seal.Sealer, 2)
+// put writes (*m)[k] = v, making the map on its first write.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V, 2)
 	}
-	ms.sealers[key] = s
+	(*m)[k] = v
 }
 
 // heldPackage is a package waiting on its keys and/or its hold timer.
@@ -136,7 +128,6 @@ type heldPackage struct {
 	peeled *onion.Layer
 	due    bool
 	done   bool
-	timer  sim.Timer
 	// buf is the custody clone backing pkt.Data, taken from the node's loop;
 	// it goes back there once the sealed bytes are dead (see releaseCustody).
 	buf *[]byte
@@ -209,14 +200,10 @@ func (h *Host) HandleApp(from dht.Contact, payload []byte) {
 		h.onCentral(pkt)
 	case PkKeyGrant:
 		h.onKeyGrant(pkt)
-	case PkMainOnion:
-		h.onOnion(pkt, true)
-	case PkSlotOnion:
-		h.onOnion(pkt, false)
-	case PkColShare:
-		h.onColShare(pkt)
-	case PkSlotShare:
-		h.onSlotShare(pkt)
+	case PkMainOnion, PkSlotOnion:
+		h.onOnion(pkt)
+	case PkColShare, PkSlotShare:
+		h.onShare(pkt)
 	}
 }
 
@@ -259,29 +246,15 @@ func (h *Host) onKeyGrant(pkt Packet) {
 	if err != nil {
 		return
 	}
+	ref := pkt.Ref()
 	h.mu.Lock()
 	ms := h.state(pkt.Mission)
-	fresh := false
-	if pkt.X == keyGrantSlot {
-		ref := slotRef{int(pkt.Column), int(pkt.Slot)}
-		if _, dup := ms.slotKeys[ref]; !dup {
-			if ms.slotKeys == nil {
-				ms.slotKeys = make(map[slotRef]seal.Key, 2)
-			}
-			ms.slotKeys[ref] = key
-			fresh = true
-		}
-	} else {
-		if _, dup := ms.colKeys[int(pkt.Column)]; !dup {
-			if ms.colKeys == nil {
-				ms.colKeys = make(map[int]seal.Key, 2)
-			}
-			ms.colKeys[int(pkt.Column)] = key
-			fresh = true
-		}
+	_, dup := ms.keys[ref]
+	if !dup {
+		put(&ms.keys, ref, key)
 	}
 	h.mu.Unlock()
-	if fresh {
+	if !dup {
 		// The refresh loop re-encodes the grant for the rest of its life, so
 		// it gets its own copy of the key bytes (the inbound Data aliases a
 		// recycled delivery buffer).
@@ -313,31 +286,15 @@ func (h *Host) scheduleGrantRefresh(pkt Packet) {
 	// Multipath grants stop refreshing at the boundary before their
 	// column's onion arrives: repairing storage periods only is what the
 	// Monte Carlo replacement-draw bookkeeping models. The share scheme's
-	// column-1 grants (X != 0) live a single period — custody and carry
+	// direct column-1 grants live a single period — custody and carry
 	// coincide — so their one refresh fires inside it, just before the
 	// forward deadline.
 	margin := time.Duration(pkt.Step / 16)
 	deadline := pkt.HoldUntil - int64(margin)
-	if pkt.X != 0 {
+	if pkt.direct() {
 		deadline = pkt.HoldUntil
 	}
-	push := func() {
-		if pkt.X == keyGrantSlot {
-			// Slot keys are per-carrier: only this slot can be repaired. The
-			// share scheme's direct column-1 SK grants arrive with repair
-			// metadata, so a replacement entry carrier regains its slot key
-			// from the surviving custodian within the first holding period.
-			sendPacket(h.node, SlotID(pkt.Mission, int(pkt.Column), int(pkt.Slot)),
-				pkt, h.replicas())
-		} else {
-			for s := 0; s < int(pkt.Width); s++ {
-				p := pkt
-				p.Slot = uint16(s)
-				sendPacket(h.node, SlotID(pkt.Mission, int(pkt.Column), s),
-					p, h.replicas())
-			}
-		}
-	}
+	push := func() { h.repush(pkt, pkt.Data) }
 	var tick func()
 	tick = func() {
 		if h.cfg.Clock.Now().UnixNano() >= deadline {
@@ -349,11 +306,11 @@ func (h *Host) scheduleGrantRefresh(pkt Packet) {
 			// later — still half a margin before the boundary, so the
 			// exposure stays inside the period — covering a first push eaten
 			// whole by a burst or partition window.
-			sim.Schedule(h.cfg.Clock, margin/2, push)
+			h.cfg.Clock.Schedule(margin/2, push)
 		}
-		sim.Schedule(h.cfg.Clock, time.Duration(pkt.Step), tick)
+		h.cfg.Clock.Schedule(time.Duration(pkt.Step), tick)
 	}
-	sim.Schedule(h.cfg.Clock, time.Duration(pkt.Step)-margin, tick)
+	h.cfg.Clock.Schedule(time.Duration(pkt.Step)-margin, tick)
 }
 
 // replicas returns the forwarding replica count.
@@ -364,93 +321,39 @@ func (h *Host) replicas() int {
 	return holderReplicas
 }
 
-func (h *Host) onOnion(pkt Packet, main bool) {
+func (h *Host) onOnion(pkt Packet) {
+	ref := pkt.Ref()
 	h.mu.Lock()
 	ms := h.state(pkt.Mission)
-	col := int(pkt.Column)
-	var hp *heldPackage
-	if main {
-		if _, dup := ms.mainSealed[col]; dup {
-			h.mu.Unlock()
-			return // replica already in custody (joint fan-in), no clone paid
-		}
-		buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
-		pkt.Data = *buf
-		hp = &heldPackage{pkt: pkt, buf: buf}
-		if ms.mainSealed == nil {
-			ms.mainSealed = make(map[int]*heldPackage, 2)
-		}
-		ms.mainSealed[col] = hp
-	} else {
-		ref := slotRef{col, int(pkt.Slot)}
-		if _, dup := ms.slotSealed[ref]; dup {
-			h.mu.Unlock()
-			return
-		}
-		buf := h.cloneCustody(pkt.Data)
-		pkt.Data = *buf
-		hp = &heldPackage{pkt: pkt, buf: buf}
-		if ms.slotSealed == nil {
-			ms.slotSealed = make(map[slotRef]*heldPackage, 2)
-		}
-		ms.slotSealed[ref] = hp
+	if _, dup := ms.sealed[ref]; dup {
+		h.mu.Unlock()
+		return // replica already in custody (joint fan-in), no clone paid
 	}
+	buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
+	pkt.Data = *buf
+	hp := &heldPackage{pkt: pkt, buf: buf}
+	put(&ms.sealed, ref, hp)
 	h.mu.Unlock()
 
 	h.scheduleHold(hp, func() { h.advance(pkt.Mission) })
 	h.advance(pkt.Mission)
 }
 
-func (h *Host) onColShare(pkt Packet) {
-	x, data, err := parseShareBlob(pkt.Data)
+func (h *Host) onShare(pkt Packet) {
+	x, data, err := ParseShare(pkt.Data)
 	if err != nil {
 		return
 	}
+	ref := pkt.Ref()
 	h.mu.Lock()
 	ms := h.state(pkt.Mission)
-	col := int(pkt.Column)
-	merged, fresh := addShare(ms.colShares[col], x, data)
+	merged, fresh := addShare(ms.shares[ref], x, data)
 	if fresh {
-		if ms.colShares == nil {
-			ms.colShares = make(map[int][]shamir.Share, 2)
-		}
-		ms.colShares[col] = merged
+		put(&ms.shares, ref, merged)
 	}
-	repair := fresh && h.repairableShare(pkt) && !ms.colRepair[col]
+	repair := fresh && h.repairableShare(pkt) && !ms.repair[ref]
 	if repair {
-		if ms.colRepair == nil {
-			ms.colRepair = make(map[int]bool, 2)
-		}
-		ms.colRepair[col] = true
-	}
-	h.mu.Unlock()
-	if repair {
-		h.scheduleShareRefresh(pkt)
-	}
-	h.advance(pkt.Mission)
-}
-
-func (h *Host) onSlotShare(pkt Packet) {
-	x, data, err := parseShareBlob(pkt.Data)
-	if err != nil {
-		return
-	}
-	h.mu.Lock()
-	ms := h.state(pkt.Mission)
-	ref := slotRef{int(pkt.Column), int(pkt.Slot)}
-	merged, fresh := addShare(ms.slotShares[ref], x, data)
-	if fresh {
-		if ms.slotShares == nil {
-			ms.slotShares = make(map[slotRef][]shamir.Share, 2)
-		}
-		ms.slotShares[ref] = merged
-	}
-	repair := fresh && h.repairableShare(pkt) && !ms.slotRepair[ref]
-	if repair {
-		if ms.slotRepair == nil {
-			ms.slotRepair = make(map[slotRef]bool, 2)
-		}
-		ms.slotRepair[ref] = true
+		put(&ms.repair, ref, true)
 	}
 	h.mu.Unlock()
 	if repair {
@@ -505,48 +408,45 @@ func (h *Host) scheduleShareRefresh(pkt Packet) {
 	// the triggering packet's payload — drop the reference so the captured
 	// packet does not pin the recycled delivery buffer.
 	pkt.Data = nil
-	sim.Schedule(h.cfg.Clock, delay, func() { h.regrantShares(pkt) })
+	h.cfg.Clock.Schedule(delay, func() { h.regrantShares(pkt) })
 	if h.cfg.Retry {
 		// Retry-hardened repair: a second regrant half a margin later (still
 		// before the forward deadline). regrantShares re-reads the held share
 		// collection each time, so the backup tick is idempotent — it only
 		// changes anything when the first tick's pushes were lost.
-		sim.Schedule(h.cfg.Clock, delay+margin/2, func() { h.regrantShares(pkt) })
+		h.cfg.Clock.Schedule(delay+margin/2, func() { h.regrantShares(pkt) })
 	}
 }
 
-// regrantShares is one share-repair tick: re-push the currently-held shares
-// of the packet's column (PkColShare, to every slot the scatter covered) or
-// slot (PkSlotShare, to its own slot) to the slots' current owners.
+// regrantShares is one share-repair tick: re-push the shares currently held
+// at the packet's Ref to the current owners of the slots it repairs.
 func (h *Host) regrantShares(pkt Packet) {
 	h.mu.Lock()
-	ms, ok := h.missions[pkt.Mission]
-	if !ok {
-		h.mu.Unlock()
-		return
-	}
-	col := int(pkt.Column)
-	var shares []shamir.Share
-	slots := []int{int(pkt.Slot)}
-	if pkt.Kind == PkColShare {
-		shares = append(shares, ms.colShares[col]...)
-		if pkt.Width > 1 {
-			slots = slots[:0]
-			for s := 0; s < int(pkt.Width); s++ {
-				slots = append(slots, s)
-			}
+	var blobs [][]byte
+	if ms, ok := h.missions[pkt.Mission]; ok {
+		for _, sh := range ms.shares[pkt.Ref()] {
+			blobs = append(blobs, AppendEncodeShareBlob(nil, sh.X, sh.Data))
 		}
-	} else {
-		shares = append(shares, ms.slotShares[slotRef{col, int(pkt.Slot)}]...)
 	}
 	h.mu.Unlock()
+	h.repush(pkt, blobs...)
+}
 
-	for _, s := range slots {
-		for _, sh := range shares {
-			p := pkt
-			p.Slot = uint16(s)
-			p.Data = AppendEncodeShareBlob(nil, sh.X, sh.Data)
-			sendPacket(h.node, SlotID(pkt.Mission, col, s), p, h.replicas())
+// repush is one repair push of the material pkt carries, once per payload,
+// to the current owners of the slots it repairs: column-wide material
+// carrying its column's width goes to every slot of the column (any surviving
+// custodian repairs the whole column); slot material is per-carrier, so only
+// its own slot can be repaired.
+func (h *Host) repush(pkt Packet, payloads ...[]byte) {
+	first, end := int(pkt.Slot), int(pkt.Slot)+1
+	if pkt.Ref().Slot == ColumnWide && pkt.Width > 1 {
+		first, end = 0, int(pkt.Width)
+	}
+	for s := first; s < end; s++ {
+		pkt.Slot = uint16(s)
+		for _, data := range payloads {
+			pkt.Data = data
+			sendPacket(h.node, SlotID(pkt.Mission, int(pkt.Column), s), pkt, h.replicas())
 		}
 	}
 }
@@ -555,7 +455,7 @@ func (h *Host) regrantShares(pkt Packet) {
 // coordinates the host currently holds for one mission column/slot —
 // conflicting variants of one coordinate count once. Exposed for tests and
 // churn-repair observability.
-func (h *Host) ShareInventory(mission MissionID, column, slot int) (colShares, slotShares int) {
+func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey, ofSlotKey int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	ms, ok := h.missions[mission]
@@ -569,13 +469,13 @@ func (h *Host) ShareInventory(mission MissionID, column, slot int) (colShares, s
 		}
 		return len(seen)
 	}
-	return distinct(ms.colShares[column]), distinct(ms.slotShares[slotRef{column, slot}])
+	return distinct(ms.shares[Ref{int32(column), ColumnWide}]), distinct(ms.shares[Ref{int32(column), int32(slot)}])
 }
 
-// scheduleHold arms the package's hold timer.
+// scheduleHold arms the package's hold timer; a hold is never cancelled.
 func (h *Host) scheduleHold(hp *heldPackage, fire func()) {
 	delay := time.Duration(hp.pkt.HoldUntil - h.cfg.Clock.Now().UnixNano())
-	hp.timer = h.cfg.Clock.AfterFunc(delay, func() {
+	h.cfg.Clock.Schedule(delay, func() {
 		h.mu.Lock()
 		hp.due = true
 		h.mu.Unlock()
@@ -600,59 +500,31 @@ func (h *Host) advance(mission MissionID) {
 	// reproducible under a fixed seed (Go map order is randomized per run).
 	// The sort scratch lives on the Host (mu-guarded): advance runs on every
 	// packet arrival and must not allocate in the steady state.
-	mainCols := h.colScratch[:0]
-	for col := range ms.mainSealed {
-		mainCols = append(mainCols, col)
+	refs := h.refScratch[:0]
+	for ref := range ms.sealed {
+		refs = append(refs, ref)
 	}
-	sort.Ints(mainCols)
-	h.colScratch = mainCols
-	slotRefs := h.refScratch[:0]
-	for ref := range ms.slotSealed {
-		slotRefs = append(slotRefs, ref)
-	}
-	sort.Slice(slotRefs, func(i, j int) bool {
-		if slotRefs[i].column != slotRefs[j].column {
-			return slotRefs[i].column < slotRefs[j].column
-		}
-		return slotRefs[i].slot < slotRefs[j].slot
-	})
-	h.refScratch = slotRefs
+	slices.SortFunc(refs, custodyOrder)
+	h.refScratch = refs
 
-	// Try peeling main onions with available column keys: granted directly,
-	// or recovered from shares and validated against the onion itself.
-	for _, col := range mainCols {
-		key, direct := ms.colKeys[col]
-		if k, recovered := h.peelLocked(ms, ms.mainSealed[col], key, direct, ms.colShares[col]); recovered {
-			if ms.colKeys == nil {
-				ms.colKeys = make(map[int]seal.Key, 2)
-			}
-			ms.colKeys[col] = k
+	// Try peeling each onion with the key at its Ref: granted directly, or
+	// recovered from shares and validated against the onion itself.
+	for _, ref := range refs {
+		key, direct := ms.keys[ref]
+		if k, recovered := h.peelLocked(ms, ms.sealed[ref], key, direct, ms.shares[ref]); recovered {
+			put(&ms.keys, ref, k)
 		}
 	}
-	// Slot onions likewise with slot keys.
-	for _, ref := range slotRefs {
-		key, direct := ms.slotKeys[ref]
-		if k, recovered := h.peelLocked(ms, ms.slotSealed[ref], key, direct, ms.slotShares[ref]); recovered {
-			if ms.slotKeys == nil {
-				ms.slotKeys = make(map[slotRef]seal.Key, 2)
-			}
-			ms.slotKeys[ref] = k
-		}
-	}
-
 	// Forward anything peeled and due.
-	for _, col := range mainCols {
-		hp := ms.mainSealed[col]
+	for _, ref := range refs {
+		hp := ms.sealed[ref]
 		if hp.peeled != nil && hp.due && !hp.done {
 			hp.done = true
-			actions = append(actions, h.forwardMainLocked(mission, col, hp))
-		}
-	}
-	for _, ref := range slotRefs {
-		hp := ms.slotSealed[ref]
-		if hp.peeled != nil && hp.due && !hp.done {
-			hp.done = true
-			actions = append(actions, h.forwardSlotLocked(mission, ref, hp))
+			if ref.Slot == ColumnWide {
+				actions = append(actions, h.forwardMainLocked(mission, int(ref.Column), hp))
+			} else {
+				actions = append(actions, h.forwardSlotLocked(mission, ref, hp))
+			}
 		}
 	}
 	h.mu.Unlock()
@@ -660,6 +532,18 @@ func (h *Host) advance(mission MissionID) {
 	for _, a := range actions {
 		a()
 	}
+}
+
+// custodyOrder is advance's peel and forward order: column-wide custody
+// first, by column, then slot custody by (column, slot).
+func custodyOrder(a, b Ref) int {
+	if wide := a.Slot == ColumnWide; wide != (b.Slot == ColumnWide) {
+		if wide {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Or(cmp.Compare(a.Column, b.Column), cmp.Compare(a.Slot, b.Slot))
 }
 
 // peelLocked attempts to open the held package with the directly-granted
@@ -697,7 +581,7 @@ func (h *Host) peelLocked(ms *missionState, hp *heldPackage, key seal.Key, direc
 		if layer, err := onion.PeelSealer(s, hp.pkt.Data); err == nil {
 			hp.peeled = &layer
 			h.releaseCustody(hp)
-			ms.cacheSealer(cand, s)
+			put(&ms.sealers, cand, s)
 			return cand, true
 		}
 	}
@@ -834,14 +718,14 @@ func (h *Host) forwardMainLocked(mission MissionID, col int, hp *heldPackage) fu
 
 // forwardSlotLocked builds the scatter action for a peeled, due slot
 // onion: deliver the column share to every next carrier, each slot share
-// to its slot, and the remaining slot onion down its own stream. Callers
-// hold h.mu.
-func (h *Host) forwardSlotLocked(mission MissionID, ref slotRef, hp *heldPackage) func() {
+// to its slot, and the remaining slot onion down its own stream. A scattered
+// share's Data is ParseShareTag's view into the peeled layer, never a copy.
+// Callers hold h.mu.
+func (h *Host) forwardSlotLocked(mission MissionID, ref Ref, hp *heldPackage) func() {
 	layer := hp.peeled
 	pkt := hp.pkt
 	node := h.node
 	return func() {
-		nextCol := ref.column + 1
 		hops := make([]dht.ID, 0, len(layer.NextHops))
 		for _, hop := range layer.NextHops {
 			id, err := dht.IDFromBytes(hop)
@@ -850,56 +734,35 @@ func (h *Host) forwardSlotLocked(mission MissionID, ref slotRef, hp *heldPackage
 			}
 			hops = append(hops, id)
 		}
+		next := Packet{
+			Mission:   mission,
+			Column:    uint16(ref.Column + 1),
+			HoldUntil: pkt.HoldUntil + pkt.Step,
+			Step:      pkt.Step,
+		}
 		for _, blob := range layer.Shares {
-			if len(blob) < 2 {
+			slot, share, err := ParseShareTag(blob)
+			if err != nil {
 				continue
 			}
-			switch blob[0] {
-			case shareTagColumn:
+			p := next
+			p.Kind, p.Data = PkSlotShare, share
+			first, end := slot, slot+1
+			if slot == ColumnWide {
 				// Width rides along so any receiving custodian can repair
 				// the whole column's share custody (column-key shares fan
 				// out to every carrier).
-				for s, hop := range hops {
-					sendPacket(node, hop, Packet{
-						Mission:   mission,
-						Kind:      PkColShare,
-						Column:    uint16(nextCol),
-						Slot:      uint16(s),
-						Width:     uint16(len(hops)),
-						HoldUntil: pkt.HoldUntil + pkt.Step,
-						Step:      pkt.Step,
-						Data:      blob[1:],
-					}, h.replicas())
-				}
-			case shareTagSlot:
-				if len(blob) < 4 {
-					continue
-				}
-				slot := int(blob[1])<<8 | int(blob[2])
-				if slot >= len(hops) {
-					continue
-				}
-				sendPacket(node, hops[slot], Packet{
-					Mission:   mission,
-					Kind:      PkSlotShare,
-					Column:    uint16(nextCol),
-					Slot:      uint16(slot),
-					HoldUntil: pkt.HoldUntil + pkt.Step,
-					Step:      pkt.Step,
-					Data:      blob[3:],
-				}, h.replicas())
+				p.Kind, p.Width = PkColShare, uint16(len(hops))
+				first, end = 0, len(hops)
+			}
+			for s := first; s < min(end, len(hops)); s++ {
+				p.Slot = uint16(s)
+				sendPacket(node, hops[s], p, h.replicas())
 			}
 		}
-		if layer.Rest != nil && ref.slot < len(hops) {
-			sendPacket(node, hops[ref.slot], Packet{
-				Mission:   mission,
-				Kind:      PkSlotOnion,
-				Column:    uint16(nextCol),
-				Slot:      uint16(ref.slot),
-				HoldUntil: pkt.HoldUntil + pkt.Step,
-				Step:      pkt.Step,
-				Data:      layer.Rest,
-			}, h.replicas())
+		if layer.Rest != nil && int(ref.Slot) < len(hops) {
+			next.Kind, next.Slot, next.Data = PkSlotOnion, uint16(ref.Slot), layer.Rest
+			sendPacket(node, hops[ref.Slot], next, h.replicas())
 		}
 	}
 }

@@ -65,7 +65,7 @@ type Packet struct {
 	// on PkKeyGrant so that any surviving custodian can re-grant the column
 	// key to every slot of its column during churn repair; zero elsewhere.
 	Width uint16
-	X     uint8 // Shamir share index for *Share kinds
+	X     uint8 // key-grant scope marker (see Ref); zero on multipath grants
 	// HoldUntil is the absolute forward/release time in nanoseconds since
 	// the epoch of the mission clock.
 	HoldUntil int64
@@ -134,6 +134,49 @@ func DecodePacket(data []byte) (Packet, error) {
 	return p, nil
 }
 
+// ColumnWide is the Ref.Slot of column-scoped material: the layer key K_c of
+// the multipath schemes, CK_c and its shares, and the main onion.
+const ColumnWide = -1
+
+// Ref is the custody coordinate of one piece of mission material — a layer
+// key, a share of it, or the onion it opens — at a holder or the adversary:
+// a whole column (Slot == ColumnWide) or one slot of it (SK_{c,s} and the
+// slot onion). A key, its shares and its onion live at the same Ref. It is
+// one 8-byte word, so the custody maps it keys hash and size like map[int].
+type Ref struct {
+	Column, Slot int32
+}
+
+// KeyGrant X-field discriminators for the key share scheme's direct
+// column-1 key deliveries; a multipath grant carries zero.
+const (
+	keyGrantColumn = 0x01 // data is CK_1
+	keyGrantSlot   = 0x02 // data is SK_{1,slot}
+)
+
+// Ref derives the custody coordinate of the material p carries. Slot-scoped
+// are the slot onion, a slot-key share and the grant of a slot key; every
+// other packet is column-wide, its Slot field only addressing the holder.
+func (p Packet) Ref() Ref {
+	if p.Kind == PkSlotOnion || p.Kind == PkSlotShare || p.Kind == PkKeyGrant && p.X == keyGrantSlot {
+		return Ref{int32(p.Column), int32(p.Slot)}
+	}
+	return Ref{int32(p.Column), ColumnWide}
+}
+
+// directGrant marks the key grant p as one of the key share scheme's
+// start-time column-1 deliveries: of SK_{1,p.Slot} if slotKey, else of CK_1.
+func directGrant(p Packet, slotKey bool) Packet {
+	p.Kind, p.X = PkKeyGrant, keyGrantColumn
+	if slotKey {
+		p.X = keyGrantSlot
+	}
+	return p
+}
+
+// direct reports whether the key grant p was built by directGrant.
+func (p Packet) direct() bool { return p.X != 0 }
+
 // AppendEncodeShareBlob appends the encoding of a Shamir share (X coordinate
 // plus data) to dst: the payload of a PkColShare/PkSlotShare packet and the
 // body of the tagged share blobs inside slot-onion layers — the inverse of
@@ -144,53 +187,47 @@ func AppendEncodeShareBlob(dst []byte, x uint8, data []byte) []byte {
 	return append(dst, data...)
 }
 
-// parseShareBlob splits a share blob.
-func parseShareBlob(blob []byte) (x uint8, data []byte, err error) {
+// ParseShare splits a share blob into its Shamir coordinates: the payload of
+// a PkColShare/PkSlotShare packet, or the share ParseShareTag returns.
+func ParseShare(blob []byte) (x uint8, data []byte, err error) {
 	if len(blob) < 2 {
 		return 0, nil, ErrPacket
 	}
 	return blob[0], blob[1:], nil
 }
 
-// ParseShare decodes the payload of a PkColShare/PkSlotShare packet into
-// its Shamir coordinates. Exported for the adversary's collector.
-func ParseShare(blob []byte) (x uint8, data []byte, err error) {
-	return parseShareBlob(blob)
-}
-
-// ShareKind discriminates the tagged share blobs embedded in slot-onion
-// layers.
-type ShareKind uint8
-
-// Share kinds inside onion layers.
+// Share blob tags inside slot-onion layers. A tagged blob is the tag byte,
+// for a slot-key share the big-endian destination slot, then the share blob:
+//
+//	0xC0 | x | data...               share of CK_{c+1}, for every carrier
+//	0x51 | slot>>8 | slot | x | data...   share of SK_{c+1,slot}
 const (
-	ShareKindColumn ShareKind = iota + 1
-	ShareKindSlot
+	shareTagColumn = 0xC0
+	shareTagSlot   = 0x51
 )
 
-// ParseShareTag decodes a tagged share blob from a slot-onion layer:
-// column-key shares carry (kind=column, x, data); slot-key shares
-// additionally carry the destination slot.
-func ParseShareTag(blob []byte) (kind ShareKind, slot int, x uint8, data []byte, err error) {
-	if len(blob) < 2 {
-		return 0, 0, 0, nil, ErrPacket
+// AppendEncodeShareTag appends the tagged blob of share (x, data) of the key
+// at slot of the next column, ColumnWide for the column key — the inverse of
+// ParseShareTag.
+func AppendEncodeShareTag(dst []byte, slot int, x uint8, data []byte) []byte {
+	dst = slices.Grow(dst, 4+len(data))
+	if slot == ColumnWide {
+		dst = append(dst, shareTagColumn)
+	} else {
+		dst = append(dst, shareTagSlot, byte(slot>>8), byte(slot))
 	}
-	switch blob[0] {
-	case shareTagColumn:
-		x, data, err = parseShareBlob(blob[1:])
-		return ShareKindColumn, 0, x, data, err
-	case shareTagSlot:
-		if len(blob) < 5 {
-			return 0, 0, 0, nil, ErrPacket
-		}
-		slot = int(blob[1])<<8 | int(blob[2])
-		x, data, err = parseShareBlob(blob[3:])
-		return ShareKindSlot, slot, x, data, err
-	default:
-		return 0, 0, 0, nil, ErrPacket
-	}
+	return AppendEncodeShareBlob(dst, x, data)
 }
 
-// KeyGrantSlotMarker is the X-field discriminator marking a PkKeyGrant as
-// carrying a slot key (the key share scheme's direct column-1 deliveries).
-const KeyGrantSlotMarker = keyGrantSlot
+// ParseShareTag decodes a tagged share blob from a slot-onion layer into the
+// slot of the key it shares (ColumnWide for the column key) and the share
+// blob, a view into blob: scattering it copies nothing.
+func ParseShareTag(blob []byte) (slot int, share []byte, err error) {
+	switch {
+	case len(blob) >= 3 && blob[0] == shareTagColumn:
+		return ColumnWide, blob[1:], nil
+	case len(blob) >= 5 && blob[0] == shareTagSlot:
+		return int(blob[1])<<8 | int(blob[2]), blob[3:], nil
+	}
+	return 0, nil, ErrPacket
+}

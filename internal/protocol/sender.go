@@ -284,47 +284,48 @@ func (s *Sender) dispatchMultipath(node *dht.Node, m Mission, joint bool) (int, 
 func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 	k, l, n := m.Plan.K, m.Plan.L, m.Plan.ShareN
 	hold, _ := m.timing()
+	firstHold := m.Start.Add(hold).UnixNano()
 
-	columnKeys := make([]seal.Key, l+1) // 1-based
-	slotKeys := make([][]seal.Key, l)   // [column][slot], columns 1..l-1 used
+	ck := make([]seal.Key, l+1) // 1-based
+	sk := make([][]seal.Key, l) // [column][slot], columns 1..l-1 used
 	for c := 1; c <= l; c++ {
 		key, err := seal.NewKeyFrom(s.rand)
 		if err != nil {
 			return 0, err
 		}
-		columnKeys[c] = key
+		ck[c] = key
 	}
 	for c := 1; c < l; c++ {
-		slotKeys[c] = make([]seal.Key, n)
+		sk[c] = make([]seal.Key, n)
 		for sl := 0; sl < n; sl++ {
 			key, err := seal.NewKeyFrom(s.rand)
 			if err != nil {
 				return 0, err
 			}
-			slotKeys[c][sl] = key
+			sk[c][sl] = key
 		}
 	}
 
 	// Shamir-split the column c+1 keys; share index s goes to carrier
 	// (c, s). thresholds[c-1] protects column c+1. Each split draws its
 	// whole polynomial set in one batched read from the sender's source.
-	colShares := make([][]shamir.Share, l+1)  // colShares[c][s] = share of CK_c
-	slotShares := make([][][]shamir.Share, l) // slotShares[c][t][s] = share of SK_{c,t}
+	ckShares := make([][]shamir.Share, l+1) // ckShares[c][s] = share of CK_c
+	skShares := make([][][]shamir.Share, l) // skShares[c][t][s] = share of SK_{c,t}
 	for c := 2; c <= l; c++ {
 		threshold := m.Plan.ShareM[c-2]
-		shares, err := shamir.SplitRand(s.rand, columnKeys[c][:], threshold, n)
+		shares, err := shamir.SplitRand(s.rand, ck[c][:], threshold, n)
 		if err != nil {
 			return 0, fmt.Errorf("protocol: splitting CK_%d: %w", c, err)
 		}
-		colShares[c] = shares
+		ckShares[c] = shares
 		if c < l {
-			slotShares[c] = make([][]shamir.Share, n)
+			skShares[c] = make([][]shamir.Share, n)
 			for t := 0; t < n; t++ {
-				ss, err := shamir.SplitRand(s.rand, slotKeys[c][t][:], threshold, n)
+				ss, err := shamir.SplitRand(s.rand, sk[c][t][:], threshold, n)
 				if err != nil {
 					return 0, fmt.Errorf("protocol: splitting SK_%d_%d: %w", c, t, err)
 				}
-				slotShares[c][t] = ss
+				skShares[c][t] = ss
 			}
 		}
 	}
@@ -338,16 +339,12 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 		var layers []onion.Layer
 		var sealers []*seal.Sealer
 		for c := 1; c < l; c++ {
-			var shares [][]byte
-			colShare := colShares[c+1][sl]
-			shares = append(shares, AppendEncodeShareBlob([]byte{shareTagColumn}, colShare.X, colShare.Data))
+			colShare := ckShares[c+1][sl]
+			shares := [][]byte{AppendEncodeShareTag(nil, ColumnWide, colShare.X, colShare.Data)}
 			if c+1 < l {
 				for t := 0; t < n; t++ {
-					slotShare := slotShares[c+1][t][sl]
-					blob := make([]byte, 0, 4+len(slotShare.Data))
-					blob = append(blob, shareTagSlot, byte(t>>8), byte(t))
-					blob = AppendEncodeShareBlob(blob, slotShare.X, slotShare.Data)
-					shares = append(shares, blob)
+					slotShare := skShares[c+1][t][sl]
+					shares = append(shares, AppendEncodeShareTag(nil, t, slotShare.X, slotShare.Data))
 				}
 			}
 			// Every column, the terminal one included, holds n carriers.
@@ -357,7 +354,7 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 				hops = append(hops, id[:])
 			}
 			layers = append(layers, onion.Layer{NextHops: hops, Shares: shares})
-			slr, err := seal.NewSealerRand(slotKeys[c][sl], s.rand)
+			slr, err := seal.NewSealerRand(sk[c][sl], s.rand)
 			if err != nil {
 				return sent, err
 			}
@@ -370,7 +367,6 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 		if err != nil {
 			return sent, err
 		}
-		firstHold := m.Start.Add(hold).UnixNano()
 		send(node, SlotID(m.ID, 1, sl), m, Packet{
 			Mission:   m.ID,
 			Kind:      PkSlotOnion,
@@ -386,17 +382,15 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 		// first holding period (layer keys for columns >= 2 exist only as
 		// Shamir shares, which repair through the share re-grant path of
 		// scheduleShareRefresh instead).
-		send(node, SlotID(m.ID, 1, sl), m, Packet{
+		send(node, SlotID(m.ID, 1, sl), m, directGrant(Packet{
 			Mission:   m.ID,
-			Kind:      PkKeyGrant,
 			Column:    1,
 			Slot:      uint16(sl),
 			Width:     1,
-			X:         keyGrantSlot,
-			HoldUntil: m.Start.Add(hold).UnixNano(),
+			HoldUntil: firstHold,
 			Step:      int64(hold),
-			Data:      slotKeys[1][sl][:],
-		})
+			Data:      sk[1][sl][:],
+		}, true))
 		sent++
 	}
 
@@ -415,7 +409,7 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 			hops = append(hops, m.Receiver[:])
 		}
 		mainLayers[c-1] = onion.Layer{NextHops: hops}
-		slr, err := seal.NewSealerRand(columnKeys[c], s.rand)
+		slr, err := seal.NewSealerRand(ck[c], s.rand)
 		if err != nil {
 			return sent, err
 		}
@@ -426,7 +420,6 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 	if err != nil {
 		return sent, err
 	}
-	firstHold := m.Start.Add(hold).UnixNano()
 	for sl := 0; sl < k; sl++ {
 		send(node, SlotID(m.ID, 1, sl), m, Packet{
 			Mission:   m.ID,
@@ -439,31 +432,16 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 			Data:      wrappedMain,
 		})
 		sent++
-		send(node, SlotID(m.ID, 1, sl), m, Packet{
+		send(node, SlotID(m.ID, 1, sl), m, directGrant(Packet{
 			Mission:   m.ID,
-			Kind:      PkKeyGrant,
 			Column:    1,
 			Slot:      uint16(sl),
 			Width:     uint16(k),
-			X:         keyGrantColumn,
 			HoldUntil: firstHold,
 			Step:      int64(hold),
-			Data:      columnKeys[1][:],
-		})
+			Data:      ck[1][:],
+		}, false))
 		sent++
 	}
 	return sent, nil
 }
-
-// Share blob tags inside slot-onion layers.
-const (
-	shareTagColumn = 0xC0
-	shareTagSlot   = 0x51
-)
-
-// KeyGrant X-field discriminators for the share scheme's direct column-1
-// key deliveries.
-const (
-	keyGrantColumn = 0x01 // data is CK_1
-	keyGrantSlot   = 0x02 // data is SK_{1,slot}
-)

@@ -34,8 +34,8 @@ func benchCfg(missions, shards int) scenario.Config {
 // that bounds how fast live figure curves can be generated per core, and
 // datagrams/op, the fabric's send count: a pure function of the seed, so CI
 // gates it like allocs/op and a change that re-duplicates lookups fails on a
-// count, not a timing. The baseline is recorded in BENCH_scenario.json at the
-// repository root.
+// count, not a timing. The gates are in BENCH_scenario.json at the repository
+// root.
 func BenchmarkScenarioMissions(b *testing.B) {
 	benchMissions(b, benchCfg(30, 1))
 }
@@ -69,8 +69,7 @@ func benchMissions(b *testing.B, cfg scenario.Config) {
 // concurrently. The mission count scales with the shard count so every
 // shard drives the same per-network load as the serial benchmark, making
 // missions/sec directly comparable: on an S-core runner the sharded point
-// should approach S times the serial number. Baselined next to the serial
-// benchmark in BENCH_scenario.json.
+// should approach S times the serial number.
 func BenchmarkScenarioMissionsParallel(b *testing.B) {
 	shards := runtime.GOMAXPROCS(0)
 	missions := 30 * shards
@@ -92,9 +91,9 @@ func BenchmarkScenarioMissionsParallel(b *testing.B) {
 // single event loop is the bottleneck, which takes a network too big to
 // replicate cheaply. S=1 runs the same config through the partition
 // machinery on one loop: the single-loop baseline the S=GOMAXPROCS number
-// is compared against (the >1.5x multi-core target recorded in
-// BENCH_scenario.json). For a fixed S, results are byte-identical at any
-// GOMAXPROCS or worker count; only the wall clock moves.
+// is compared against (the multi-core target is >1.5x). For a fixed S,
+// results are byte-identical at any GOMAXPROCS or worker count; only the wall
+// clock moves.
 //
 // The S=2 arm is fixed-shape on every machine, and its epochs/idle_skips/
 // merge_allocs metrics are pure functions of the workload (not of core or
@@ -140,7 +139,7 @@ func BenchmarkScenarioMissionsPartitioned(b *testing.B) {
 // deliveries, two-phase retry timers, wire retention — against the clean
 // BenchmarkScenarioMissions number. Named inside the ScenarioMissions CI
 // smoke pattern deliberately: the race-detector smoke iteration covers the
-// injector and retry concurrency. Baselined in BENCH_scenario.json.
+// injector and retry concurrency.
 func BenchmarkScenarioMissionsFaulty(b *testing.B) {
 	cfg := benchCfg(30, 1)
 	cfg.Fault = fault.ProfileBurst

@@ -15,7 +15,8 @@ import (
 )
 
 // Clock abstracts time for components that must run under both the
-// discrete-event simulator and real time (the UDP deployment).
+// discrete-event simulator and real time (the UDP deployment). It has two
+// implementations: *Simulator and the wall clock behind RealClock.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
@@ -23,6 +24,19 @@ type Clock interface {
 	// timer. fn runs on the clock's dispatch context: the simulator's Run
 	// loop, or a timer goroutine for the real clock.
 	AfterFunc(d time.Duration, fn func()) Timer
+	// Schedule arms fn to run d from now with no way to cancel it — the
+	// hot-path form for the per-message delivery and refresh events that are
+	// never stopped, sparing the Timer interface allocation AfterFunc pays.
+	Schedule(d time.Duration, fn func())
+	// ScheduleArg arms fn(arg) like Schedule. With a package-level fn and a
+	// pooled pointer arg the simulator's schedule is allocation-free — no
+	// closure, no Timer box — which is what the transport uses for
+	// per-datagram delivery events.
+	ScheduleArg(d time.Duration, fn func(any), arg any)
+	// AfterFuncArg arms fn(arg) to run d from now and returns a cancellable
+	// value handle: on the simulator the whole arm/fire/stop cycle allocates
+	// nothing — the form the per-RPC timeout path uses.
+	AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer
 }
 
 // Timer is a cancellable scheduled callback.
@@ -32,69 +46,13 @@ type Timer interface {
 	Stop() bool
 }
 
-// Scheduler is implemented by clocks that can arm fire-and-forget callbacks
-// without materializing a cancellable Timer handle. The simulator implements
-// it allocation-free; Schedule falls back to AfterFunc for any other clock.
-type Scheduler interface {
-	Schedule(d time.Duration, fn func())
-}
-
-// Schedule arms fn to run d from now with no way to cancel it — the
-// hot-path form for the per-message delivery and refresh events that are
-// never stopped, sparing the Timer interface allocation AfterFunc pays.
-func Schedule(c Clock, d time.Duration, fn func()) {
-	if s, ok := c.(Scheduler); ok {
-		s.Schedule(d, fn)
-		return
-	}
-	c.AfterFunc(d, fn)
-}
-
-// ArgScheduler is implemented by clocks that can arm a fire-and-forget
-// callback taking one argument. With a package-level fn and a pooled
-// pointer arg the whole schedule is allocation-free — no closure, no Timer
-// box — which is what the transport uses for per-datagram delivery events.
-type ArgScheduler interface {
-	ScheduleArg(d time.Duration, fn func(any), arg any)
-}
-
-// ScheduleArg arms fn(arg) to run d from now with no cancellation handle,
-// falling back to a closure for clocks without native support.
-func ScheduleArg(c Clock, d time.Duration, fn func(any), arg any) {
-	if s, ok := c.(ArgScheduler); ok {
-		s.ScheduleArg(d, fn, arg)
-		return
-	}
-	c.AfterFunc(d, func() { fn(arg) })
-}
-
-// ArgTimerScheduler is implemented by clocks that can arm a cancellable
-// one-argument callback without boxing a closure or a Timer interface. The
-// simulator implements it allocation-free: the handle is a value struct over
-// the pooled event record, and with a package-level fn plus a pooled pointer
-// arg the whole arm/fire/stop cycle allocates nothing — the form the
-// per-RPC timeout path uses.
-type ArgTimerScheduler interface {
-	AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer
-}
-
-// AfterFuncArg arms fn(arg) to run d from now and returns a cancellable
-// handle, falling back to a closure over AfterFunc for clocks without native
-// support.
-func AfterFuncArg(c Clock, d time.Duration, fn func(any), arg any) ArgTimer {
-	if s, ok := c.(ArgTimerScheduler); ok {
-		return s.AfterFuncArg(d, fn, arg)
-	}
-	return ArgTimer{t: c.AfterFunc(d, func() { fn(arg) })}
-}
-
 // ArgTimer is the cancellable handle returned by AfterFuncArg: a value
 // struct, so storing it in a caller's record costs no allocation. The zero
 // value is inert (Stop reports false).
 type ArgTimer struct {
 	ev  *event
 	gen uint64
-	t   Timer // fallback clocks only
+	t   Timer // the real clock only
 }
 
 // Stop cancels the timer if it has not fired; it reports whether the call
@@ -118,16 +76,20 @@ func RealClock() Clock { return realClock{} }
 func (realClock) Now() time.Time { return time.Now() } //lint:allow detrand realClock is the one sanctioned wall-clock bridge; sims inject Simulator instead
 
 func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{t: time.AfterFunc(d, fn)} //lint:allow detrand realClock is the one sanctioned wall-clock bridge; sims inject Simulator instead
+	return time.AfterFunc(d, fn) //lint:allow detrand realClock is the one sanctioned wall-clock bridge; sims inject Simulator instead
 }
 
 func (realClock) Schedule(d time.Duration, fn func()) {
 	time.AfterFunc(d, fn) //lint:allow detrand realClock is the one sanctioned wall-clock bridge; sims inject Simulator instead
 }
 
-type realTimer struct{ t *time.Timer }
+func (c realClock) ScheduleArg(d time.Duration, fn func(any), arg any) {
+	c.Schedule(d, func() { fn(arg) })
+}
 
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
+func (c realClock) AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer {
+	return ArgTimer{t: c.AfterFunc(d, func() { fn(arg) })}
+}
 
 // Simulator is a deterministic discrete-event scheduler implementing Clock.
 // Events scheduled for the same instant run in scheduling order. All methods

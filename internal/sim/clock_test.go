@@ -113,20 +113,28 @@ func TestAfterFuncArgZeroHandle(t *testing.T) {
 	}
 }
 
-func TestAfterFuncArgFallback(t *testing.T) {
-	// A clock without native support routes through AfterFunc + closure.
-	done := make(chan any, 1)
-	h := AfterFuncArg(RealClock(), time.Millisecond, func(v any) { done <- v }, 7)
-	select {
-	case v := <-done:
-		if v != 7 {
-			t.Fatalf("arg = %v", v)
+func TestRealClockArgForms(t *testing.T) {
+	// The wall clock's one-argument forms close over AfterFunc and Schedule.
+	done := make(chan any, 2)
+	fire := func(v any) { done <- v }
+	c := RealClock()
+	h := c.AfterFuncArg(time.Millisecond, fire, 7)
+	c.ScheduleArg(time.Millisecond, fire, 7)
+	for i := 0; i < 2; i++ {
+		select {
+		case v := <-done:
+			if v != 7 {
+				t.Fatalf("arg = %v", v)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("real-clock arg timer never fired")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("fallback arg timer never fired")
 	}
 	if h.Stop() {
 		t.Fatal("Stop after firing returned true")
+	}
+	if !c.AfterFuncArg(time.Hour, fire, nil).Stop() {
+		t.Fatal("Stop of a pending real-clock arg timer returned false")
 	}
 }
 

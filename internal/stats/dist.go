@@ -2,29 +2,6 @@ package stats
 
 import "math"
 
-// Binomial draws the number of successes among n independent trials each
-// succeeding with probability p. It runs in O(n); the trial counts used by
-// the simulator (path widths, column sizes) are small enough that a direct
-// Bernoulli sum is both exact and fast.
-func (r *RNG) Binomial(n int, p float64) int {
-	if n < 0 {
-		panic("stats: Binomial called with negative n")
-	}
-	switch {
-	case p <= 0:
-		return 0
-	case p >= 1:
-		return n
-	}
-	successes := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			successes++
-		}
-	}
-	return successes
-}
-
 // Geometric returns the 1-based index of the first success in a sequence of
 // independent trials with success probability s, i.e. a geometric variate on
 // {1, 2, ...}. It panics if s <= 0; s >= 1 returns 1.
@@ -42,32 +19,6 @@ func (r *RNG) Geometric(s float64) int {
 		g = 1
 	}
 	return g
-}
-
-// Hypergeometric draws the number of "marked" elements obtained when drawing
-// draws elements without replacement from a population of size population
-// containing marked marked elements. It panics on impossible arguments.
-//
-// This models the paper's experimental setup exactly: "We randomly select
-// 10000*p non-repeated nodes and mark them as malicious", then holders are
-// chosen without replacement from that finite population. At small network
-// sizes (the N=100 panels of Figure 6) the difference from a binomial draw is
-// material.
-func (r *RNG) Hypergeometric(population, marked, draws int) int {
-	if population < 0 || marked < 0 || draws < 0 || marked > population || draws > population {
-		panic("stats: Hypergeometric arguments out of range")
-	}
-	got := 0
-	remainingMarked := marked
-	remainingPop := population
-	for i := 0; i < draws; i++ {
-		if remainingMarked > 0 && r.Intn(remainingPop) < remainingMarked {
-			got++
-			remainingMarked--
-		}
-		remainingPop--
-	}
-	return got
 }
 
 // MarkedSet returns a membership slice of length population with exactly

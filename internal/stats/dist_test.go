@@ -1,82 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
-
-func TestBinomialMoments(t *testing.T) {
-	r := NewRNG(29)
-	tests := []struct {
-		n int
-		p float64
-	}{
-		{10, 0.5}, {100, 0.1}, {7, 0.9}, {1, 0.3},
-	}
-	for _, tc := range tests {
-		var s Summary
-		for i := 0; i < 50000; i++ {
-			s.Add(float64(r.Binomial(tc.n, tc.p)))
-		}
-		wantMean := float64(tc.n) * tc.p
-		wantVar := float64(tc.n) * tc.p * (1 - tc.p)
-		if math.Abs(s.Mean()-wantMean) > 4*math.Sqrt(wantVar/50000)+0.02 {
-			t.Errorf("Binomial(%d,%v) mean = %.4f, want %.4f", tc.n, tc.p, s.Mean(), wantMean)
-		}
-		if math.Abs(s.Variance()-wantVar) > 0.1*wantVar+0.05 {
-			t.Errorf("Binomial(%d,%v) var = %.4f, want %.4f", tc.n, tc.p, s.Variance(), wantVar)
-		}
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	r := NewRNG(31)
-	if got := r.Binomial(10, 0); got != 0 {
-		t.Errorf("Binomial(10,0) = %d", got)
-	}
-	if got := r.Binomial(10, 1); got != 10 {
-		t.Errorf("Binomial(10,1) = %d", got)
-	}
-	if got := r.Binomial(0, 0.5); got != 0 {
-		t.Errorf("Binomial(0,0.5) = %d", got)
-	}
-}
-
-func TestHypergeometricMoments(t *testing.T) {
-	r := NewRNG(37)
-	const population, marked, draws = 100, 30, 20
-	var s Summary
-	for i := 0; i < 50000; i++ {
-		s.Add(float64(r.Hypergeometric(population, marked, draws)))
-	}
-	wantMean := float64(draws) * float64(marked) / float64(population)
-	// Var = n*K/N*(1-K/N)*(N-n)/(N-1)
-	pf := float64(marked) / float64(population)
-	wantVar := float64(draws) * pf * (1 - pf) * float64(population-draws) / float64(population-1)
-	if math.Abs(s.Mean()-wantMean) > 0.05 {
-		t.Errorf("mean = %.4f, want %.4f", s.Mean(), wantMean)
-	}
-	if math.Abs(s.Variance()-wantVar) > 0.15*wantVar {
-		t.Errorf("var = %.4f, want %.4f", s.Variance(), wantVar)
-	}
-}
-
-func TestHypergeometricBounds(t *testing.T) {
-	r := NewRNG(41)
-	for i := 0; i < 1000; i++ {
-		got := r.Hypergeometric(50, 10, 45)
-		// At least 45-(50-10)=5 marked must be drawn, at most 10.
-		if got < 5 || got > 10 {
-			t.Fatalf("Hypergeometric(50,10,45) = %d out of [5,10]", got)
-		}
-	}
-	if got := r.Hypergeometric(10, 10, 7); got != 7 {
-		t.Errorf("all-marked population: got %d, want 7", got)
-	}
-	if got := r.Hypergeometric(10, 0, 7); got != 0 {
-		t.Errorf("no-marked population: got %d, want 0", got)
-	}
-}
+import "testing"
 
 func TestMarkedSetExactCount(t *testing.T) {
 	r := NewRNG(43)

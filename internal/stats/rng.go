@@ -155,16 +155,6 @@ func mul64(x, y uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(len(p), func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // Shuffle pseudo-randomizes the order of n elements using swap, implementing
 // the Fisher-Yates shuffle.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {

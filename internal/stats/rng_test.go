@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -119,25 +118,6 @@ func TestExpPanicsOnNonPositiveMean(t *testing.T) {
 		}
 	}()
 	NewRNG(1).Exp(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(13)
-	err := quick.Check(func(seed uint64) bool {
-		n := int(seed%50) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestSampleWithoutReplacement(t *testing.T) {

@@ -62,10 +62,6 @@ func (s *Summary) StdErr() float64 {
 	return s.StdDev() / math.Sqrt(float64(s.n))
 }
 
-// CI95 returns the half-width of a normal-approximation 95% confidence
-// interval on the mean.
-func (s *Summary) CI95() float64 { return 1.96 * s.StdErr() }
-
 // Proportion accumulates Bernoulli outcomes and reports the success rate with
 // a Wilson score interval, which behaves well near 0 and 1 where the Monte
 // Carlo resilience estimates live.
@@ -90,9 +86,6 @@ func (p *Proportion) AddN(successes, trials int) {
 
 // Trials returns the number of recorded outcomes.
 func (p *Proportion) Trials() int { return p.trials }
-
-// Successes returns the number of recorded successes.
-func (p *Proportion) Successes() int { return p.successes }
 
 // Rate returns the observed success proportion, or 0 with no trials.
 func (p *Proportion) Rate() float64 {

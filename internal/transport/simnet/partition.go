@@ -156,12 +156,6 @@ func (p *Partition) Endpoint(shard int, addr transport.Addr) transport.Endpoint 
 	return p.subs[shard].Endpoint(addr)
 }
 
-// Owner reports which shard owns an address.
-func (p *Partition) Owner(addr transport.Addr) (int, bool) {
-	shard, ok := p.owner[addr]
-	return shard, ok
-}
-
 // SetInjector installs shard's own injector, replacing whatever Config.Inject
 // put there. Boot-time wiring, before any traffic: each sub-network
 // serializes its Judge calls under its own RNG lock, so a stateful injector
@@ -284,7 +278,7 @@ func (p *Partition) Flush() {
 		if h.at < now {
 			panic(fmt.Sprintf("simnet: cross-shard record for shard %d timestamped %dns before its clock; lookahead/epoch-bound violation", dst.shard, now-h.at))
 		}
-		sim.ScheduleArg(dst.clock, time.Duration(h.at-now), deliver, h.d)
+		dst.clock.ScheduleArg(time.Duration(h.at-now), deliver, h.d)
 	}
 	for i := range p.outboxes {
 		p.outboxes[i].recs = p.outboxes[i].recs[:0]

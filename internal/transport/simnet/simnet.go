@@ -334,7 +334,7 @@ func (n *Network) launch(dst *Network, from, to transport.Addr, payload []byte, 
 	d.net, d.from, d.to = dst, from, to
 	d.msg = append(d.msg[:0], payload...)
 	if dst == n {
-		sim.ScheduleArg(n.clock, delay, deliver, d)
+		n.clock.ScheduleArg(delay, deliver, d)
 		return
 	}
 	n.part.enqueue(n.shard, n.clock.Now().UnixNano()+int64(delay), d)
