@@ -26,8 +26,10 @@
 //     semantics and cross-validates against live scenario runs.
 //
 // The package offers an in-process network (simulated time, thousands of
-// nodes) for experimentation and testing; the same DHT and protocol code
-// runs over real UDP sockets via cmd/dhtnode. The paper's full evaluation
+// nodes) for experimentation and testing; the same DHT and protocol code,
+// on the same event loop driven by the wall clock (udp.Loop), runs over real
+// UDP sockets via cmd/dhtnode. A node and everything it owns is touched from
+// its loop alone, so the event path takes no locks. The paper's full evaluation
 // (Figures 6, 7 and 8) regenerates via cmd/emergesim and the benchmarks in
 // bench_test.go.
 //

@@ -7,7 +7,6 @@
 package adversary
 
 import (
-	"sync"
 	"time"
 
 	"selfemerge/internal/crypto/onion"
@@ -18,21 +17,19 @@ import (
 )
 
 // Collector aggregates packets reported by malicious holders and attempts
-// secret reconstruction after every new observation. Safe for concurrent
-// use.
+// secret reconstruction after every new observation. It has no lock: a
+// Network feeds it from its driving goroutine, at barriers, in global
+// timestamp order (releaseReports), and queries come between runs; the hosts
+// of a one-loop test may report to it directly.
 type Collector struct {
-	mu       sync.Mutex
 	missions map[protocol.MissionID]*intel
 	zoneSink func(mission protocol.MissionID, column, slot int)
 }
 
 // SetZoneSink installs a callback receiving the holder-slot coordinates of
 // every reported packet — the routing-layer intelligence StrategyEclipse
-// aims its forgeries with (see Forger.ObserveZone). The sink is invoked
-// outside the collector lock.
+// aims its forgeries with (see Forger.ObserveZone).
 func (c *Collector) SetZoneSink(sink func(mission protocol.MissionID, column, slot int)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.zoneSink = sink
 }
 
@@ -58,8 +55,6 @@ var _ protocol.Reporter = (*Collector)(nil)
 
 // Report ingests one observed packet and re-runs inference.
 func (c *Collector) Report(now time.Time, _ dht.ID, pkt protocol.Packet) {
-	c.mu.Lock()
-	defer c.ingestDone(pkt)
 	in := c.intel(pkt.Mission)
 	in.packets++
 	ref := pkt.Ref()
@@ -81,23 +76,14 @@ func (c *Collector) Report(now time.Time, _ dht.ID, pkt protocol.Packet) {
 		in.addShare(ref, pkt.Data)
 	}
 	c.infer(in, now)
-}
-
-// ingestDone releases the collector lock and forwards the packet's zone
-// coordinates to the zone sink, outside the lock.
-func (c *Collector) ingestDone(pkt protocol.Packet) {
-	sink := c.zoneSink
-	c.mu.Unlock()
-	if sink != nil {
-		sink(pkt.Mission, int(pkt.Column), int(pkt.Slot))
+	if c.zoneSink != nil {
+		c.zoneSink(pkt.Mission, int(pkt.Column), int(pkt.Slot))
 	}
 }
 
 // Recovered reports whether (and when) the adversary reconstructed the
 // mission secret.
 func (c *Collector) Recovered(mission protocol.MissionID) (time.Time, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	in, ok := c.missions[mission]
 	if !ok || in.secret == nil {
 		return time.Time{}, false
@@ -107,8 +93,6 @@ func (c *Collector) Recovered(mission protocol.MissionID) (time.Time, bool) {
 
 // Secret returns the reconstructed secret, if any.
 func (c *Collector) Secret(mission protocol.MissionID) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	in, ok := c.missions[mission]
 	if !ok || in.secret == nil {
 		return nil, false
@@ -120,8 +104,6 @@ func (c *Collector) Secret(mission protocol.MissionID) ([]byte, bool) {
 
 // Packets returns how many observations were collected for a mission.
 func (c *Collector) Packets(mission protocol.MissionID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	in, ok := c.missions[mission]
 	if !ok {
 		return 0

@@ -41,6 +41,9 @@ type Forger struct {
 	rate float64 // forged contacts per attacker per minute
 	next time.Time
 
+	// mu: churn deaths on concurrently running shard loops each register
+	// their replacement here (Network.spawn), beside the driver's Tick and
+	// ObserveZone at barriers.
 	mu        sync.Mutex
 	rng       *stats.RNG
 	attackers map[int]transport.Endpoint

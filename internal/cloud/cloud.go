@@ -17,7 +17,9 @@ var ErrNotFound = errors.New("cloud: object not found")
 var ErrForbidden = errors.New("cloud: access denied")
 
 // Store is an in-memory cloud blob store with per-object ACLs. It is safe
-// for concurrent use.
+// for concurrent use: it stands for a service outside the DHT, and senders
+// and receivers reach it from whatever goroutine they run on, not through a
+// network's event loops.
 type Store struct {
 	mu      sync.RWMutex
 	objects map[string]object

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"selfemerge/internal/crypto/seal"
 	"selfemerge/internal/freelist"
@@ -64,9 +65,13 @@ func Build(layers []Layer, keys []seal.Key) ([]byte, error) {
 // buildBufs recycles the two scratch buffers one Build needs (the plaintext
 // layer encoding and the intermediate sealed onion). It is the module's only
 // process-level list: BuildSealers is a pure function with no node, loop or
-// sender to hang scratch on, and concurrent builders (sweep workers
-// dispatching on their own networks) need one record each, which bounds it.
-var buildBufs = freelist.List[buildScratch]{Max: 16}
+// sender to hang scratch on, and concurrent builders need one record each,
+// which bounds it. buildMu guards it: sweep workers dispatch missions on
+// their own networks at the same time, and every one of them builds here.
+var (
+	buildMu   sync.Mutex
+	buildBufs = freelist.List[buildScratch]{Max: 16}
+)
 
 type buildScratch struct{ plain, sealed []byte }
 
@@ -82,8 +87,14 @@ func BuildSealers(layers []Layer, sealers []*seal.Sealer) ([]byte, error) {
 	if len(layers) != len(sealers) {
 		return nil, fmt.Errorf("onion: %d layers but %d sealers", len(layers), len(sealers))
 	}
+	buildMu.Lock()
 	scratch := buildBufs.Get()
-	defer buildBufs.Put(scratch)
+	buildMu.Unlock()
+	defer func() {
+		buildMu.Lock()
+		buildBufs.Put(scratch)
+		buildMu.Unlock()
+	}()
 	var inner []byte
 	for i := len(layers) - 1; i >= 0; i-- {
 		layer := layers[i]

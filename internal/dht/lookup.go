@@ -1,13 +1,9 @@
 package dht
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Lookup performs an iterative FIND_NODE for target and calls cb with the
-// up-to-K closest contacts found. cb runs on the clock's dispatch context.
-// The contact slice is only valid for the duration of the callback (it
+// up-to-K closest contacts found. The contact slice is only valid for the duration of the callback (it
 // aliases a recycled lookup buffer), so copy to retain.
 //
 // The adapter rides through newLookup's arg slot: func values are
@@ -45,22 +41,13 @@ func (n *Node) Store(key ID, value []byte, ttl time.Duration, cb func(acked int)
 		self := n.Contact()
 		closest = insertRanked(closest, key, self)
 		closest = closest[:min(len(closest), storeReplicas)]
-		var (
-			mu    sync.Mutex
-			acked int
-			left  = len(closest)
-		)
+		acked, left := 0, len(closest)
 		settle := func(ok bool) {
-			mu.Lock()
 			if ok {
 				acked++
 			}
-			left--
-			finished := left == 0
-			total := acked
-			mu.Unlock()
-			if finished && cb != nil {
-				cb(total)
+			if left--; left == 0 && cb != nil {
+				cb(acked)
 			}
 		}
 		for _, c := range closest {
@@ -135,10 +122,8 @@ type ownerRider struct {
 // its own replicas prefix.
 func (n *Node) sendToOwners(key ID, r ownerRider) {
 	r.replicas = max(r.replicas, 1)
-	n.mu.Lock()
 	if w := n.ownerWalks[key]; w != nil {
 		w.riders = append(w.riders, r)
-		n.mu.Unlock()
 		return
 	}
 	w := n.cfg.Scratch.walks.Get()
@@ -148,7 +133,6 @@ func (n *Node) sendToOwners(key ID, r ownerRider) {
 		n.ownerWalks = make(map[ID]*ownerWalk)
 	}
 	n.ownerWalks[key] = w
-	n.mu.Unlock()
 	n.newLookup(key, false, ownersFinish, w)
 }
 
@@ -158,9 +142,7 @@ func (n *Node) sendToOwners(key ID, r ownerRider) {
 func ownersFinish(v any, closest []Contact, _ []byte, _ bool) {
 	w := v.(*ownerWalk)
 	n, key := w.node, w.key
-	n.mu.Lock()
 	delete(n.ownerWalks, key)
-	n.mu.Unlock()
 	self := n.Contact()
 	var failed error
 	if len(closest) == 0 {
@@ -225,10 +207,7 @@ func insertRanked(list []Contact, key ID, c Contact) []Contact {
 // through a recycled buffer reclaimed after the handler returns, matching the
 // transport delivery contract.
 func (n *Node) deliverLocal(payload []byte) error {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
+	if n.closed {
 		return ErrClosed
 	}
 	if n.cfg.OnApp == nil {
@@ -262,7 +241,6 @@ type lookupState struct {
 	finishCb  func(any, []Contact, []byte, bool)
 	finishArg any
 
-	mu        sync.Mutex
 	shortlist []ranked
 	// sorted is the length of the shortlist prefix known to be in ascending
 	// distance order: appends land past it, removals keep it, and
@@ -360,24 +338,6 @@ func (s *distSet) add(d0, d1 uint64, d2 uint32) bool {
 	}
 }
 
-func (s *distSet) has(d0, d1 uint64, d2 uint32) bool {
-	if s.used == 0 {
-		return false
-	}
-	mask := len(s.slots) - 1
-	i := int(d0) & mask
-	for {
-		sl := &s.slots[i]
-		if !sl.full {
-			return false
-		}
-		if sl.d0 == d0 && sl.d1 == d1 && sl.d2 == d2 {
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
 // del removes the distance if present, closing the hole by backward-shifting
 // any cluster successor that can still be found from its home slot.
 func (s *distSet) del(d0, d1 uint64, d2 uint32) {
@@ -439,50 +399,32 @@ func (n *Node) newLookup(target ID, wantValue bool, cb func(any, []Contact, []by
 
 // step issues queries up to the alpha limit and detects termination.
 func (ls *lookupState) step() {
-	ls.mu.Lock()
 	if ls.finished {
-		ls.mu.Unlock()
 		return
 	}
 	ls.sortShortlist()
-	// Collect the next batch of unqueried candidates within the K closest
-	// known (the standard Kademlia termination window), up to the alpha
-	// parallelism limit.
-	var batch [alpha]ranked
-	toQuery := batch[:0]
-	window := ls.shortlist[:min(len(ls.shortlist), bucketK)]
-	for i := range window {
-		if ls.inflight+len(toQuery) >= alpha {
-			break
-		}
-		if r := &window[i]; !ls.queried.has(r.d0, r.d1, r.d2) {
-			toQuery = append(toQuery, *r)
-		}
-	}
-	if len(toQuery) == 0 && ls.inflight == 0 {
-		ls.finished = true
-		result := ls.closestK()
-		cb, arg := ls.finishCb, ls.finishArg
-		ls.mu.Unlock()
-		cb(arg, result, nil, false)
-		ls.release()
-		return
-	}
-	for i := range toQuery {
-		r := &toQuery[i]
-		ls.queried.add(r.d0, r.d1, r.d2)
-		ls.inflight++
-	}
-	ls.mu.Unlock()
-
 	kind := KindFindNode
 	if ls.wantVal {
 		kind = KindFindValue
 	}
-	for i := range toQuery {
+	// Query the unqueried candidates within the K closest known (the standard
+	// Kademlia termination window), up to the alpha parallelism limit.
+	window := ls.shortlist[:min(len(ls.shortlist), bucketK)]
+	for i := 0; i < len(window) && ls.inflight < alpha; i++ {
+		r := &window[i]
+		if !ls.queried.add(r.d0, r.d1, r.d2) {
+			continue // already queried
+		}
+		ls.inflight++
 		q := ls.node.cfg.Scratch.queries.Get()
-		q.ls, q.contact = ls, toQuery[i].c
-		ls.node.requestArg(toQuery[i].c, Message{Kind: kind, Target: ls.target, Key: ls.target}, lookupQueryDone, q)
+		q.ls, q.contact = ls, r.c
+		ls.node.requestArg(r.c, Message{Kind: kind, Target: ls.target, Key: ls.target}, lookupQueryDone, q)
+	}
+	if ls.inflight == 0 {
+		// Nothing left to ask and nothing outstanding.
+		ls.finished = true
+		ls.finishCb(ls.finishArg, ls.closestK(), nil, false)
+		ls.release()
 	}
 }
 
@@ -505,14 +447,11 @@ func lookupQueryDone(v any, resp *Message, err error) {
 // onResponse folds one query's outcome into the lookup. resp is the receive
 // path's scratch Message (nil when err is set), valid for the call only.
 func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
-	ls.mu.Lock()
 	ls.inflight--
 	if ls.finished {
 		// A late response after a value-found finish: the state is recycled
 		// once the last straggler drains.
-		idle := ls.inflight == 0
-		ls.mu.Unlock()
-		if idle {
+		if ls.inflight == 0 {
 			ls.release()
 		}
 		return
@@ -552,12 +491,8 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	if err == nil {
 		if ls.wantVal && resp.Found {
 			ls.finished = true
-			value := resp.Value
-			cb, arg := ls.finishCb, ls.finishArg
-			idle := ls.inflight == 0
-			ls.mu.Unlock()
-			cb(arg, nil, value, true)
-			if idle {
+			ls.finishCb(ls.finishArg, nil, resp.Value, true)
+			if ls.inflight == 0 {
 				ls.release()
 			}
 			return
@@ -580,13 +515,12 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 			}
 		}
 	}
-	ls.mu.Unlock()
 	ls.step()
 }
 
 // closestK returns the final result set in the state's pooled result buffer
 // — valid until the state is released, i.e. for the duration of the finish
-// callback. Callers hold ls.mu.
+// callback.
 func (ls *lookupState) closestK() []Contact {
 	// Truncate before copying: the shortlist holds every contact ever seen,
 	// and copying hundreds of entries to keep K showed up in the 100k-node

@@ -3,7 +3,6 @@ package dht
 import (
 	"errors"
 	"slices"
-	"sync"
 	"time"
 
 	"selfemerge/internal/freelist"
@@ -44,8 +43,8 @@ type Config struct {
 	OnApp func(from Contact, payload []byte)
 	// Scratch is the recycled working memory this node shares with every
 	// other node dispatched from the same serial context (see Scratch). Nil
-	// gives the node a private one — right for a real socket, whose handler
-	// goroutine is a dispatch context of its own.
+	// gives the node a private one — right for a real socket, whose loop is a
+	// dispatch context of its own.
 	Scratch *Scratch
 }
 
@@ -88,23 +87,25 @@ var ErrTimeout = errors.New("dht: rpc timeout")
 // ErrClosed is returned for operations on a closed node.
 var ErrClosed = errors.New("dht: node closed")
 
-// Node is one Kademlia participant.
+// Node is one Kademlia participant. A node, its table and the protocol host
+// above it belong to one dispatch context — the loop that runs cfg.Clock,
+// shared with every node on the same Scratch. Inbound datagrams, timers and
+// API calls (Bootstrap, Lookup, Store, SendToOwners, Close, ...) all run
+// there, one at a time, so no field is locked and a callback may call back
+// into the node. Other goroutines enter through the loop (udp.Loop.Post).
 type Node struct {
 	cfg   Config
 	table *Table
 
 	// appSeen dedups acked app payloads by (sender, RPCID): a retrying or
-	// fault-duplicated sender may deliver one payload several times. Only
-	// the handle path touches it (serial per endpoint), so it needs no
-	// lock; it is nil until the first acked app message arrives, so
-	// fire-and-forget traffic pays nothing.
+	// fault-duplicated sender may deliver one payload several times. It is
+	// nil until the first acked app message arrives, so fire-and-forget
+	// traffic pays nothing.
 	appSeen map[appKey]struct{}
 
 	// retryRng draws the backoff jitter; nil unless cfg.Retry is enabled.
-	// Guarded by mu (the timeout path draws from it).
 	retryRng *stats.RNG
 
-	mu      sync.Mutex
 	pending map[uint64]*pendingRPC
 	// ownerWalks indexes the owner resolutions in flight by their key, so a
 	// second SendToOwners for a key joins the first's walk (see ownerWalk).
@@ -131,16 +132,14 @@ const maxAppSeen = 1 << 15
 // Scratch and armed as the timeout event's argument, so the per-RPC cost is
 // neither a record allocation, a timeout closure, nor a boxed Timer.
 //
-// Release protocol: whichever path removes the record from n.pending owns
-// it. settle (and the cold cancel paths) own it only if timer.Stop()
-// reports true; on false the timeout callback is already in flight with the
-// record as its argument, finds its pending slot gone, and releases it
-// itself. Owners copy cb out before releasing.
+// Release protocol: whichever path removes the record from n.pending stops
+// its timer and releases it, copying cb out first. An armed timer always
+// finds its record still pending.
 type pendingRPC struct {
 	node  *Node
 	cb    rpcCallback
 	timer sim.ArgTimer
-	to    ID
+	to    ID // the zero ID stands for "whoever answers from addr" (a seed known by address only)
 	id    uint64
 
 	// Retry state. wire retains the encoded request for re-sends (empty
@@ -155,7 +154,6 @@ type pendingRPC struct {
 	timeout time.Duration
 	attempt int
 	waiting bool
-	retry   bool
 }
 
 // rpcCallback is either a plain closure or an arg-based package-level
@@ -188,7 +186,6 @@ func releasePending(p *pendingRPC) {
 	p.addr = ""
 	p.attempt = 0
 	p.waiting = false
-	p.retry = false
 	s.rpcs.Put(p)
 }
 
@@ -200,10 +197,7 @@ func releasePending(p *pendingRPC) {
 func rpcTimeout(v any) {
 	p := v.(*pendingRPC)
 	n := p.node
-	n.mu.Lock()
-	q, still := n.pending[p.id]
-	still = still && q == p
-	if still && p.retry && len(p.wire) > 0 && p.attempt < n.cfg.Retry.Attempts {
+	if len(p.wire) > 0 && p.attempt < n.cfg.Retry.Attempts {
 		if !p.waiting {
 			// Attempt timed out with retries left: hold the pending slot
 			// through a deterministic jittered backoff, so a straggling
@@ -211,35 +205,18 @@ func rpcTimeout(v any) {
 			p.waiting = true
 			gap := n.cfg.Retry.backoff(p.attempt, n.retryRng)
 			p.timer = n.cfg.Clock.AfterFuncArg(gap, rpcTimeout, p)
-			n.mu.Unlock()
 			return
 		}
 		// Backoff elapsed: re-send the retained wire form (same RPCID) and
-		// arm a fresh attempt deadline. The bytes are copied out under the
-		// lock — a response racing this re-send may release the record the
-		// moment the lock drops.
+		// arm a fresh attempt deadline.
 		p.waiting = false
 		p.attempt++
 		n.resilience.Retries++
 		p.timer = n.cfg.Clock.AfterFuncArg(p.timeout, rpcTimeout, p)
-		addr := p.addr
-		buf := n.cfg.Scratch.bufs.Get()
-		*buf = append((*buf)[:0], p.wire...)
-		n.mu.Unlock()
-		_ = n.sendBuf(addr, buf)
+		_ = n.cfg.Endpoint.Send(p.addr, p.wire)
 		return
 	}
-	if still {
-		delete(n.pending, p.id)
-	}
-	n.mu.Unlock()
-	if !still {
-		// A response (or close/cancel) beat the timeout to the pending slot
-		// after this event had already been dispatched; that path saw
-		// Stop()==false and left the release to us.
-		releasePending(p)
-		return
-	}
+	delete(n.pending, p.id)
 	cb, to := p.cb, p.to
 	releasePending(p)
 	// Unresponsive: penalize in the routing table.
@@ -298,31 +275,26 @@ func (n *Node) Table() *Table { return n.table }
 
 // Close detaches the node from the network and fails all pending RPCs.
 func (n *Node) Close() error {
-	n.mu.Lock()
 	if n.closed {
-		n.mu.Unlock()
 		return nil
 	}
 	n.closed = true
-	pending := n.pending
-	n.pending = make(map[uint64]*pendingRPC)
-	n.mu.Unlock()
 	// Fail pending RPCs in issue order: map iteration order is randomized,
 	// and the callbacks schedule events, which must stay deterministic for
 	// reproducible simulation runs.
-	ids := make([]uint64, 0, len(pending))
-	for id := range pending {
+	ids := make([]uint64, 0, len(n.pending))
+	for id := range n.pending {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
 	for _, id := range ids {
-		p := pending[id]
+		p := n.pending[id]
 		cb := p.cb
-		if p.timer.Stop() {
-			releasePending(p)
-		}
+		p.timer.Stop()
+		releasePending(p)
 		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, ErrClosed) })
 	}
+	clear(n.pending)
 	return n.cfg.Endpoint.Close()
 }
 
@@ -408,9 +380,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 			}
 			n.reply(msg.From, Message{Kind: KindAppAck, RPCID: msg.RPCID})
 			if dup {
-				n.mu.Lock()
 				n.resilience.Duplicates++
-				n.mu.Unlock()
 				return
 			}
 		}
@@ -464,7 +434,7 @@ func (n *Node) reply(to Contact, m Message) {
 }
 
 // request sends m to the peer and arranges for cb to run with the response
-// or ErrTimeout. cb runs on the clock's dispatch context.
+// or ErrTimeout.
 func (n *Node) request(to Contact, m Message, cb func(*Message, error)) {
 	n.startRequest(to, m, rpcCallback{fn: cb})
 }
@@ -483,31 +453,25 @@ func (n *Node) startRequest(to Contact, m Message, cb rpcCallback) {
 // deadline, retry opts the request into the node's RetryPolicy (probes pass
 // false — one prompt verdict, never stretched).
 func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout time.Duration, retry bool) {
-	n.mu.Lock()
 	if n.closed {
-		n.mu.Unlock()
 		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, ErrClosed) })
 		return
 	}
-	// The request is encoded under the lock that issued its RPCID, so it is
-	// registered before a Close can miss it.
 	n.rpcSeq++
 	m.RPCID = n.rpcSeq
 	buf, err := n.encode(&m)
 	if err != nil {
-		n.mu.Unlock()
 		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, err) })
 		return
 	}
 	p := n.cfg.Scratch.rpcs.Get()
 	p.node, p.cb, p.to, p.id = n, cb, to.ID, m.RPCID
-	p.addr, p.timeout, p.attempt, p.retry = to.Addr, timeout, 1, retry
+	p.addr, p.timeout, p.attempt = to.Addr, timeout, 1
 	if retry {
 		p.wire = append(p.wire[:0], *buf...) // retained for re-sends
 	}
 	p.timer = n.cfg.Clock.AfterFuncArg(timeout, rpcTimeout, p)
 	n.pending[p.id] = p
-	n.mu.Unlock()
 	_ = n.sendBuf(to.Addr, buf)
 }
 
@@ -520,44 +484,44 @@ func (n *Node) probe(to Contact, cb func(error)) {
 // settle matches a response to its pending request and records the one table
 // observation a response gets. msg is the scratch Message, valid for the call.
 func (n *Node) settle(msg *Message) {
-	n.mu.Lock()
 	p, found := n.pending[msg.RPCID]
-	ok := found
-	if ok && p.to != msg.From.ID {
-		ok = false // response forged or misrouted; keep waiting
-	}
-	var cb rpcCallback
-	var timer sim.ArgTimer
-	if ok {
-		delete(n.pending, msg.RPCID)
-		cb, timer = p.cb, p.timer
-		if p.attempt > 1 || p.waiting {
-			// Answered after a re-send, or mid-backoff after the first
-			// deadline: without the retry policy holding the slot open this
-			// RPC would already have failed with ErrTimeout.
-			n.resilience.Recovered++
-		}
-	}
 	if !found {
 		// No pending slot at all: a late or fault-duplicated response
 		// (its RPC already settled or timed out), dropped here.
 		n.resilience.Duplicates++
 	}
-	n.mu.Unlock()
-	if !ok {
-		// Unmatched or forged: seen alive on its own word only (see handle).
+	if !found || !p.answeredBy(msg.From) {
+		// Unmatched, or forged or misrouted (keep waiting): seen alive on its
+		// own word only (see handle).
 		n.table.Observe(msg.From)
 		return
+	}
+	delete(n.pending, msg.RPCID)
+	if p.attempt > 1 || p.waiting {
+		// Answered after a re-send, or mid-backoff after the first
+		// deadline: without the retry policy holding the slot open this
+		// RPC would already have failed with ErrTimeout.
+		n.resilience.Recovered++
 	}
 	// The peer answered at this address with an RPCID we issued to this ID:
 	// the (ID, Addr) binding is confirmed, so address changes may be applied.
 	// A verified observation does everything an unverified one at the same
 	// instant would, so the response needs no Observe besides it.
 	n.table.ObserveVerified(msg.From)
-	if timer.Stop() {
-		releasePending(p)
-	}
+	cb := p.cb
+	p.timer.Stop()
+	releasePending(p)
 	cb.deliver(msg, nil)
+}
+
+// answeredBy reports whether from is the peer the request went to: the ID it
+// was addressed to or, for a seed known only by address, the socket-level
+// source the datagram came from — the one identity a bootstrap address has.
+func (p *pendingRPC) answeredBy(from Contact) bool {
+	if p.to.IsZero() {
+		return p.addr == from.Addr
+	}
+	return p.to == from.ID
 }
 
 // Ping checks a peer's liveness.
@@ -571,10 +535,7 @@ func (n *Node) Ping(to Contact, cb func(error)) {
 // request: the receiver replies KindAppAck (and dedups re-sent copies), and
 // an unacknowledged send is re-sent per the policy.
 func (n *Node) SendApp(to Contact, payload []byte) error {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
+	if n.closed {
 		return ErrClosed
 	}
 	if n.cfg.Retry.enabled() {
@@ -590,14 +551,44 @@ func (n *Node) SendApp(to Contact, payload []byte) error {
 func appAckDone(any, *Message, error) {}
 
 // Bootstrap seeds the routing table and performs a self-lookup to populate
-// nearby buckets. done (optional) receives the number of contacts known
-// afterwards.
+// nearby buckets. A seed with a zero ID is known by address only (what an
+// operator types after -join): it is pinged first, its reply is matched on
+// the datagram's source address, and the self-lookup starts once every such
+// seed has answered or timed out — against verified contacts, never a
+// placeholder ID no reply could match. done (optional) receives the number
+// of contacts known afterwards.
 func (n *Node) Bootstrap(seeds []Contact, done func(contacts int)) {
+	byAddr := 0
 	for _, s := range seeds {
-		if s.ID != n.cfg.ID {
+		switch {
+		case s.ID.IsZero():
+			byAddr++
+		case s.ID != n.cfg.ID:
 			n.table.Observe(s)
 		}
 	}
+	if byAddr > 0 {
+		n.resolveSeeds(seeds, byAddr, done)
+		return
+	}
+	n.selfLookup(done)
+}
+
+// resolveSeeds pings the left address-only seeds and starts the self-lookup
+// when the last of them has answered or timed out.
+func (n *Node) resolveSeeds(seeds []Contact, left int, done func(contacts int)) {
+	for _, s := range seeds {
+		if s.ID.IsZero() {
+			n.Ping(s, func(error) {
+				if left--; left == 0 {
+					n.selfLookup(done)
+				}
+			})
+		}
+	}
+}
+
+func (n *Node) selfLookup(done func(contacts int)) {
 	n.Lookup(n.cfg.ID, func([]Contact) {
 		if done != nil {
 			done(n.table.Len())
@@ -616,15 +607,11 @@ func (n *Node) storeLocal(key ID, value []byte, ttl time.Duration) {
 	if ttl > 0 {
 		expiry = n.cfg.Clock.Now().Add(ttl)
 	}
-	n.mu.Lock()
 	n.values[key] = storedValue{data: data, expiresAt: expiry}
-	n.mu.Unlock()
 }
 
 // loadLocal returns a stored value if present and unexpired.
 func (n *Node) loadLocal(key ID) ([]byte, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	v, ok := n.values[key]
 	if !ok {
 		return nil, false

@@ -414,9 +414,10 @@ func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 }
 
 // TestOwnerWalkConcurrentSendersUDP drives the index from API goroutines on
-// real sockets, where SendToOwners races the reader and timer goroutines
-// finishing walks: two goroutines send to one key through one node. Every
-// done must fire once and every payload must reach an owner. Run with -race.
+// real sockets: two goroutines send to one key through one node, each send
+// posted to the node's loop, where it interleaves with the socket reader's
+// datagrams and the timers finishing walks. Every done must fire once and
+// every payload must reach an owner. Run with -race.
 func TestOwnerWalkConcurrentSendersUDP(t *testing.T) {
 	const nodes, perSender = 5, 25
 	var (
@@ -425,15 +426,18 @@ func TestOwnerWalkConcurrentSendersUDP(t *testing.T) {
 	)
 	rng := stats.NewRNG(99)
 	var cluster []*Node
+	var loops []*udp.Loop
 	for i := 0; i < nodes; i++ {
-		ep, err := udp.Listen("127.0.0.1:0")
+		loop := udp.NewLoop()
+		ep, err := loop.Listen("127.0.0.1:0")
 		if err != nil {
+			loop.Stop()
 			t.Skipf("no loopback UDP here: %v", err)
 		}
 		node, err := NewNode(Config{
 			ID:         RandomID(rng),
 			Endpoint:   ep,
-			Clock:      sim.RealClock(),
+			Clock:      loop.Clock(),
 			RPCTimeout: 2 * time.Second,
 			OnApp: func(_ Contact, payload []byte) {
 				mu.Lock()
@@ -444,13 +448,19 @@ func TestOwnerWalkConcurrentSendersUDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer node.Close()
+		defer func() {
+			closed := make(chan struct{})
+			loop.Post(func() { node.Close(); close(closed) })
+			<-closed
+			loop.Stop()
+		}()
 		cluster = append(cluster, node)
+		loops = append(loops, loop)
 	}
 	seed := []Contact{cluster[0].Contact()}
 	joined := make(chan int, nodes)
-	for _, node := range cluster[1:] {
-		node.Bootstrap(seed, func(n int) { joined <- n })
+	for i, node := range cluster[1:] {
+		loops[i+1].Post(func() { node.Bootstrap(seed, func(n int) { joined <- n }) })
 	}
 	for range cluster[1:] {
 		select {
@@ -469,7 +479,8 @@ func TestOwnerWalkConcurrentSendersUDP(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
-				sender.SendToOwner(key, []byte(fmt.Sprintf("g%d-%d", g, i)), func(_ Contact, err error) { done <- err })
+				payload := []byte(fmt.Sprintf("g%d-%d", g, i))
+				loops[1].Post(func() { sender.SendToOwner(key, payload, func(_ Contact, err error) { done <- err }) })
 			}
 		}(g)
 	}

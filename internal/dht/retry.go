@@ -90,8 +90,4 @@ func (r *Resilience) Add(other Resilience) {
 }
 
 // Resilience reports the node's fault-recovery counters.
-func (n *Node) Resilience() Resilience {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.resilience
-}
+func (n *Node) Resilience() Resilience { return n.resilience }

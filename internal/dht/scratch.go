@@ -7,7 +7,7 @@ import (
 
 // Scratch is the recycled working memory of every node that shares one
 // serial dispatch context — one simulator event loop, or one real node's
-// endpoint. It owns what a node needs only while it is handling an event and
+// udp.Loop. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, reply
 // contact buffer and address interner, and the freelists of lookup states,
 // lookup query records, owner-walk records, in-flight RPC records and byte
@@ -17,9 +17,8 @@ import (
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
 // scheduled events, never synchronously from a send, so one event loop is
-// such a context). The decode state is unguarded on that contract and handle
-// panics on re-entry; the freelists carry their own lock because a real
-// node's lookups start on caller goroutines and settle on timer goroutines.
+// such a context). Nothing here is guarded; handle panics on re-entry, the
+// runtime half of the check whose static half is the loopowned analyzer.
 //
 // Node scope was the wrong owner for this state: under churn it died with its
 // node several times per mission and was re-bought by the replacement, and at
@@ -109,8 +108,7 @@ func hashAddr(b []byte) uint64 {
 }
 
 // intern returns the canonical Addr for raw address bytes, remembering it
-// for future datagrams. Only the handle path uses it, which runs serially,
-// so the table needs no lock.
+// for future datagrams.
 func (t *addrTable) intern(b []byte) transport.Addr {
 	h := hashAddr(b)
 	if t.used > 0 {

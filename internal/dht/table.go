@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 	"time"
 
 	"selfemerge/internal/transport"
@@ -94,13 +93,15 @@ func ParseTablePolicy(s string) (TablePolicy, error) {
 // A node in an N-node network ever fills ~log2(N) of its IDBits buckets, so
 // the table stores just those, in index order, and finds bucket i at the
 // rank of bit i in the present bitmap.
+//
+// A table belongs to its node and is touched only from the node's dispatch
+// context (see Node); it has no lock.
 type Table struct {
 	self       ID
 	k          int
 	staleAfter time.Duration
 	now        func() time.Time
 
-	mu     sync.Mutex
 	policy TablePolicy
 	pinger func(Contact, func(alive bool))
 	// buckets holds the buckets that exist, ascending by index; present marks
@@ -113,7 +114,7 @@ type Table struct {
 	present bucketSet
 	// occupied marks the buckets with live entries, so the selection scan
 	// walks the ~log2(N) populated buckets directly instead of testing all
-	// IDBits lengths per call. Guarded by mu.
+	// IDBits lengths per call.
 	occupied bucketSet
 	inline   [inlineBuckets]bucket
 }
@@ -138,8 +139,8 @@ func (s *bucketSet) rank(idx int) int {
 	return r
 }
 
-// bucket returns bucket idx, or nil if nothing was ever inserted there.
-// Callers hold t.mu; the pointer is valid until the next ensureBucket.
+// bucket returns bucket idx, or nil if nothing was ever inserted there. The
+// pointer is valid until the next ensureBucket.
 func (t *Table) bucket(idx int) *bucket {
 	if !t.present.has(idx) {
 		return nil
@@ -148,7 +149,6 @@ func (t *Table) bucket(idx int) *bucket {
 }
 
 // ensureBucket returns bucket idx, creating it (empty) at its rank if absent.
-// Callers hold t.mu.
 func (t *Table) ensureBucket(idx int) *bucket {
 	r := t.present.rank(idx)
 	if !t.present.has(idx) {
@@ -160,9 +160,8 @@ func (t *Table) ensureBucket(idx int) *bucket {
 	return &t.buckets[r]
 }
 
-// setOccupied resyncs the occupancy bit of b, which is bucket idx. Callers
-// hold t.mu and call it after any mutation that can change len(entries)
-// across zero.
+// setOccupied resyncs the occupancy bit of b, which is bucket idx: call it
+// after any mutation that can change len(entries) across zero.
 func (t *Table) setOccupied(idx int, b *bucket) {
 	bit := uint64(1) << (idx & 63)
 	if len(b.entries) != 0 {
@@ -190,8 +189,6 @@ func NewTable(self ID, k int, staleAfter time.Duration, now func() time.Time) *T
 // SetPolicy selects the full-bucket admission policy. TableDefault resolves
 // to TableNaive for a standalone table.
 func (t *Table) SetPolicy(p TablePolicy) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if p == TableDefault {
 		p = TableNaive
 	}
@@ -199,11 +196,8 @@ func (t *Table) SetPolicy(p TablePolicy) {
 }
 
 // SetPinger installs the liveness probe TablePingEvict uses: pinger must
-// call done exactly once, with alive=false only after a timeout. It is
-// invoked outside the table lock.
+// call done exactly once, with alive=false only after a timeout.
 func (t *Table) SetPinger(pinger func(Contact, func(alive bool))) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.pinger = pinger
 }
 
@@ -230,7 +224,6 @@ func (t *Table) observe(c Contact, verified bool) {
 	if !ok {
 		return // never track self
 	}
-	t.mu.Lock()
 	// An absent bucket is created here: every path below inserts into an
 	// empty bucket (k >= 1).
 	b := t.ensureBucket(idx)
@@ -248,7 +241,6 @@ func (t *Table) observe(c Contact, verified bool) {
 			entry := entries[i]
 			copy(entries[i:], entries[i+1:])
 			entries[len(entries)-1] = entry
-			t.mu.Unlock()
 			return
 		}
 	}
@@ -268,7 +260,6 @@ func (t *Table) observe(c Contact, verified bool) {
 		}
 		b.entries = append(entries, entry)
 		t.setOccupied(idx, b)
-		t.mu.Unlock()
 		return
 	}
 	// Bucket full: admission is policy-dependent.
@@ -281,32 +272,24 @@ func (t *Table) observe(c Contact, verified bool) {
 			entries[len(entries)-1] = entry
 		}
 		// Otherwise drop the newcomer (Kademlia prefers long-lived peers).
-		t.mu.Unlock()
 		return
 	}
 	// Ping-evict: the newcomer waits in the replacement cache while the
 	// least-recently-seen live entry is probed. Nothing is evicted on the
 	// newcomer's word alone.
 	t.upsertSpare(b, entry, verified)
-	var probe Contact
-	start := !b.probing && t.pinger != nil
-	if start {
+	if !b.probing && t.pinger != nil {
+		// The pinger issues a real RPC. A live peer's pong refreshes it via
+		// ObserveVerified (and the newcomer stays spare); a timeout removes it
+		// via the RPC failure path, and probeDone promotes from the cache.
 		b.probing = true
-		probe = entries[0].Contact
-	}
-	pinger := t.pinger
-	t.mu.Unlock()
-	if start {
-		// Outside the lock: the pinger issues a real RPC. A live peer's pong
-		// refreshes it via ObserveVerified (and the newcomer stays spare); a
-		// timeout removes it via the RPC failure path, and probeDone promotes
-		// from the cache.
-		pinger(probe, func(alive bool) { t.probeDone(probe.ID, alive) })
+		probe := entries[0].Contact
+		t.pinger(probe, func(alive bool) { t.probeDone(probe.ID, alive) })
 	}
 }
 
 // upsertSpare inserts or refreshes a replacement-cache record, newest last,
-// capped at k (oldest dropped first). Callers hold t.mu.
+// capped at k (oldest dropped first).
 func (t *Table) upsertSpare(b *bucket, e bucketEntry, verified bool) {
 	for i := range b.spare {
 		if b.spare[i].ID == e.ID {
@@ -335,8 +318,6 @@ func (t *Table) probeDone(id ID, _ bool) {
 	if !ok {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	b := t.bucket(idx)
 	if b == nil {
 		return
@@ -347,7 +328,7 @@ func (t *Table) probeDone(id ID, _ bool) {
 }
 
 // promoteSpares moves replacement-cache records (newest first) into free
-// bucket slots. Callers hold t.mu.
+// bucket slots.
 func (t *Table) promoteSpares(b *bucket) {
 	for len(b.entries) < t.k && len(b.spare) > 0 {
 		last := len(b.spare) - 1
@@ -364,8 +345,6 @@ func (t *Table) Remove(id ID) {
 	if !ok {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	b := t.bucket(idx)
 	if b == nil {
 		return
@@ -492,7 +471,6 @@ func (t *Table) selectClosest(cs []Contact, rs []ranked, asRanked bool, target I
 	if t.k > inlineKeys {
 		keys = make([]closestKey, t.k)
 	}
-	t.mu.Lock()
 	// Sweeps 0..2 take the near side (occupied ∧ s) word by word upward,
 	// sweeps 3..5 the far side (occupied ∧ ¬s) downward.
 	for sweep := 0; sweep < 2*len(s) && count > 0; sweep++ {
@@ -536,14 +514,11 @@ func (t *Table) selectClosest(cs []Contact, rs []ranked, asRanked bool, target I
 			}
 		}
 	}
-	t.mu.Unlock()
 	return cs, rs
 }
 
 // Len returns the number of tracked contacts.
 func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for i := range t.buckets {
 		n += len(t.buckets[i].entries)
@@ -552,11 +527,9 @@ func (t *Table) Len() int {
 }
 
 // Each calls fn for every tracked contact, bucket order, least-recently-seen
-// first within a bucket. fn runs under the table lock and must not call back
-// into the table; it is a diagnostic hook (route audits), not a query path.
+// first within a bucket. fn must not call back into the table; it is a
+// diagnostic hook (route audits), not a query path.
 func (t *Table) Each(fn func(Contact)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for i := range t.buckets {
 		for _, e := range t.buckets[i].entries {
 			fn(e.Contact)
@@ -570,8 +543,6 @@ func (t *Table) Contains(id ID) bool {
 	if !ok {
 		return false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	b := t.bucket(idx)
 	if b == nil {
 		return false

@@ -235,8 +235,6 @@ func TestPingEvictSingleOutstandingProbe(t *testing.T) {
 // entries and replacement cache in order, with addresses and timestamps, and
 // its probing flag.
 func dumpBuckets(t *Table) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var sb strings.Builder
 	for i := range t.buckets {
 		b := &t.buckets[i]
@@ -588,8 +586,6 @@ func TestTableBucketInvariant(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		table.Observe(Contact{ID: RandomID(rng)})
 	}
-	table.mu.Lock()
-	defer table.mu.Unlock()
 	present := 0
 	for idx := 0; idx < IDBits; idx++ {
 		b, occupied := table.bucket(idx), table.occupied.has(idx)

@@ -8,9 +8,9 @@
 // layer buys back.
 //
 // Determinism: an Engine draws every decision from RNGs derived with
-// stats.Mix64 substreams of its seed. Link verdicts (Judge) are serialized
-// by the fabric's RNG lock and consumed in send order, which the event loop
-// driving that fabric fixes; crash schedules use one substream per address,
+// stats.Mix64 substreams of its seed. Link verdicts (Judge) are asked for
+// from the fabric's send path, in send order, which the event loop driving
+// that fabric fixes; crash schedules use one substream per address,
 // a pure function of the seed and the address, so wiring order cannot
 // perturb them. An Engine belongs to one event loop: a population spread
 // over several loops gives each loop's slice of the fabric its own engine on
@@ -120,8 +120,7 @@ const (
 
 // Engine realizes one fault schedule. It implements simnet.Injector; wire
 // it with simnet.Config.Inject (or Partition.SetInjector, one engine per
-// shard). Judge is serialized by the fabric's RNG lock; ManageCrashes runs
-// on the simulator loop.
+// shard). Judge and ManageCrashes both run on that fabric slice's loop.
 type Engine struct {
 	cfg Config
 	rng *stats.RNG // link-verdict substream (burst chain)

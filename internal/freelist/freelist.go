@@ -12,19 +12,18 @@
 // turn.
 package freelist
 
-import "sync"
-
 // List is a bounded LIFO of recycled *T records. Set Max where the list is
-// declared and do not copy the list after first use. The lock stays even for
-// lists a single event loop owns: a real node starts lookups on caller
-// goroutines and settles them on timer goroutines.
+// declared and do not copy the list after first use. A List has no lock: it
+// belongs to the dispatch context of the value it is a field of (an event
+// loop's simulator, fabric slice or dht.Scratch) and is touched from there
+// only. A list that several contexts share is guarded by its owner, where
+// they meet (onion.buildBufs).
 type List[T any] struct {
 	// Max is how many free records the list keeps. A burst allocates past
 	// it and the surplus is garbage once it drains, instead of staying
 	// pinned at the high-water mark. The zero value keeps nothing.
 	Max int
 
-	mu   sync.Mutex
 	free []*T
 }
 
@@ -32,32 +31,22 @@ type List[T any] struct {
 // recycled record comes back as it was Put: the releasing side clears what
 // must not survive, and keeps what should (buffer capacity, generations).
 func (l *List[T]) Get() *T {
-	l.mu.Lock()
-	var v *T
-	if k := len(l.free); k > 0 {
-		v = l.free[k-1]
-		l.free[k-1] = nil
-		l.free = l.free[:k-1]
+	k := len(l.free)
+	if k == 0 {
+		return new(T)
 	}
-	l.mu.Unlock()
-	if v == nil {
-		v = new(T)
-	}
+	v := l.free[k-1]
+	l.free[k-1] = nil
+	l.free = l.free[:k-1]
 	return v
 }
 
 // Put keeps v for reuse unless the list already holds Max records.
 func (l *List[T]) Put(v *T) {
-	l.mu.Lock()
 	if len(l.free) < l.Max {
 		l.free = append(l.free, v)
 	}
-	l.mu.Unlock()
 }
 
 // Len reports how many free records the list holds.
-func (l *List[T]) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.free)
-}
+func (l *List[T]) Len() int { return len(l.free) }

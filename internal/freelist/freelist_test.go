@@ -1,9 +1,6 @@
 package freelist
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 type rec struct {
 	n   int
@@ -74,39 +71,5 @@ func TestListBound(t *testing.T) {
 	zero.Put(&rec{})
 	if zero.Len() != 0 {
 		t.Error("zero-value list kept a record")
-	}
-}
-
-// TestListConcurrent: Get and Put from many goroutines (run under -race). A
-// record is owned by one goroutine between its Get and its Put, so the
-// unsynchronised increment below is a race exactly when the list hands one
-// record to two holders.
-func TestListConcurrent(t *testing.T) {
-	l := List[rec]{Max: 8}
-	const workers, rounds = 8, 2000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < rounds; i++ {
-				r := l.Get()
-				r.n++
-				r.buf = append(r.buf[:0], byte(i))
-				l.Put(r)
-			}
-		}()
-	}
-	wg.Wait()
-	if n := l.Len(); n == 0 || n > l.Max {
-		t.Fatalf("list holds %d records after the run, want 1..%d", n, l.Max)
-	}
-	total := 0
-	for l.Len() > 0 {
-		total += l.Get().n
-	}
-	// Records dropped at the bound take their counts with them.
-	if total == 0 || total > workers*rounds {
-		t.Errorf("kept records count %d uses, want 1..%d", total, workers*rounds)
 	}
 }

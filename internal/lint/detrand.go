@@ -3,16 +3,16 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"path"
 )
 
 // deterministicPkgs names the determinism-critical packages by their import
 // path's final element: everything a simulated run executes between seed and
 // report. Code here must draw time from the injected sim.Clock and
 // randomness from the seeded stats.ByteStream / protocol.Sender seams; the
-// audited real-world fallbacks (realClock, crypto/rand defaults for real
-// deployments, wall-clock Elapsed diagnostics) carry //lint:allow
-// annotations.
+// audited real-world fallbacks (crypto/rand defaults for real deployments,
+// wall-clock Elapsed diagnostics) carry //lint:allow annotations; the wall
+// clock itself enters in transport/udp, outside the boundary.
 var deterministicPkgs = map[string]bool{
 	"selfemerge": true, // the root mission-orchestration package
 	"sim":        true,
@@ -31,11 +31,8 @@ var deterministicPkgs = map[string]bool{
 
 // isDeterministicPkg reports whether the package at path is inside the
 // seeded-deterministic boundary.
-func isDeterministicPkg(path string) bool {
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		path = path[i+1:]
-	}
-	return deterministicPkgs[path]
+func isDeterministicPkg(pkgPath string) bool {
+	return deterministicPkgs[path.Base(pkgPath)]
 }
 
 // Detrand forbids ambient nondeterminism — wall-clock time, the global
@@ -71,44 +68,46 @@ func runDetrand(pass *Pass) error {
 	if !isDeterministicPkg(pass.Pkg.Path()) {
 		return nil
 	}
+	eachPkgSelector(pass, func(sel *ast.SelectorExpr, imported *types.Package) {
+		switch imported.Path() {
+		case "time":
+			if wallClockFuncs[sel.Sel.Name] {
+				pass.Reportf(sel.Pos(),
+					"time.%s reads the wall clock in determinism-critical package %s; use the injected sim.Clock",
+					sel.Sel.Name, pass.Pkg.Path())
+			}
+		case "math/rand", "math/rand/v2":
+			obj := pass.TypesInfo.Uses[sel.Sel]
+			if _, isFunc := obj.(*types.Func); isFunc && !seededRandCtors[sel.Sel.Name] {
+				pass.Reportf(sel.Pos(),
+					"global rand.%s is ambiently seeded; draw from an explicitly seeded generator (stats.ByteStream, rand.New)",
+					sel.Sel.Name)
+			}
+		case "crypto/rand":
+			pass.Reportf(sel.Pos(),
+				"crypto/rand.%s is unseedable inside the deterministic boundary; use the stats.ByteStream / protocol.Sender seam",
+				sel.Sel.Name)
+		}
+	})
+	return nil
+}
+
+// eachPkgSelector calls fn for every pkg.Name selector in the package's
+// non-test files, with the package the qualifier names.
+func eachPkgSelector(pass *Pass, fn func(sel *ast.SelectorExpr, imported *types.Package)) {
 	for _, file := range pass.Files {
 		if pass.InTestFile(file.Pos()) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			switch pkgName.Imported().Path() {
-			case "time":
-				if wallClockFuncs[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(),
-						"time.%s reads the wall clock in determinism-critical package %s; use the injected sim.Clock",
-						sel.Sel.Name, pass.Pkg.Path())
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if ident, ok := sel.X.(*ast.Ident); ok {
+					if pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName); ok {
+						fn(sel, pkgName.Imported())
+					}
 				}
-			case "math/rand", "math/rand/v2":
-				obj := pass.TypesInfo.Uses[sel.Sel]
-				if _, isFunc := obj.(*types.Func); isFunc && !seededRandCtors[sel.Sel.Name] {
-					pass.Reportf(sel.Pos(),
-						"global rand.%s is ambiently seeded; draw from an explicitly seeded generator (stats.ByteStream, rand.New)",
-						sel.Sel.Name)
-				}
-			case "crypto/rand":
-				pass.Reportf(sel.Pos(),
-					"crypto/rand.%s is unseedable inside the deterministic boundary; use the stats.ByteStream / protocol.Sender seam",
-					sel.Sel.Name)
 			}
 			return true
 		})
 	}
-	return nil
 }

@@ -2,8 +2,9 @@
 // the cross-package contracts the reproduction's byte-determinism rests on.
 // The compiler cannot see that simulated runs must be a pure function of
 // their seed, that transport handlers must copy pooled payloads to retain
-// them, or that pooled records follow an exact acquire/release protocol —
-// these analyzers can, and CI runs them over the whole tree so new code
+// them, that pooled records follow an exact acquire/release protocol, or that
+// an event loop's state is touched from that loop alone — these analyzers
+// can, and CI runs them over the whole tree so new code
 // cannot silently break the contracts.
 //
 // The package is deliberately self-contained: it reimplements the small
@@ -14,9 +15,9 @@
 //
 // # Annotations
 //
-// A diagnostic at a site that is deliberately exempt — the realClock seam,
-// the crypto/rand fallbacks real deployments keep, wall-clock Elapsed
-// diagnostics — is suppressed with a load-bearing annotation on the same
+// A diagnostic at a site that is deliberately exempt — the crypto/rand
+// fallbacks real deployments keep, wall-clock Elapsed diagnostics, the
+// lockstep worker cursor — is suppressed with a load-bearing annotation on the same
 // line or the line directly above:
 //
 //	//lint:allow detrand reason why this site is exempt
@@ -82,7 +83,7 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 
 // Suite returns the full emergelint analyzer set in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Detrand, Mapiter, Retain, Poolpair}
+	return []*Analyzer{Detrand, Mapiter, Retain, Poolpair, Loopowned}
 }
 
 // AllowPrefix is the annotation marker: //lint:allow <analyzer> <reason>.

@@ -77,13 +77,11 @@ func TestAdvanceOrder(t *testing.T) {
 	}
 
 	// Every key and every hold deadline lands before one advance.
-	host.mu.Lock()
 	ms := host.missions[mission]
 	for ref, hp := range ms.sealed {
 		put(&ms.keys, ref, keys[ref])
 		hp.due = true
 	}
-	host.mu.Unlock()
 	host.advance(mission)
 	clock.RunFor(time.Minute)
 

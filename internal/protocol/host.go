@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"cmp"
 	"slices"
-	"sync"
 	"time"
 
 	"selfemerge/internal/crypto/onion"
@@ -60,15 +59,15 @@ type HostConfig struct {
 
 // Host is the holder-side protocol engine attached to one DHT node. It
 // buffers packages and key material per mission, peels onion layers as the
-// needed keys become available, and forwards on the hold schedule.
+// needed keys become available, and forwards on the hold schedule. It runs
+// on its node's dispatch context (see dht.Node): HandleApp and the hold and
+// repair timers are that loop's events, so custody is not locked.
 type Host struct {
 	cfg  HostConfig
 	node *dht.Node
 
-	mu       sync.Mutex
 	missions map[MissionID]*missionState
-	// advance's deterministic-iteration sort scratch, reused across calls
-	// (guarded by mu).
+	// advance's deterministic-iteration sort scratch, reused across calls.
 	refScratch []Ref
 }
 
@@ -101,7 +100,7 @@ type missionState struct {
 }
 
 // sealerFor returns the mission's cached decrypt handle for key,
-// constructing and caching it on first use. Callers hold h.mu.
+// constructing and caching it on first use.
 func (ms *missionState) sealerFor(key seal.Key) *seal.Sealer {
 	if s, ok := ms.sealers[key]; ok {
 		return s
@@ -152,7 +151,7 @@ func (h *Host) cloneCustody(data []byte) *[]byte {
 // are dead: after a successful peel the layer owns fresh plaintext, and a
 // fired central hold has already encoded its send. A steady mission workload
 // thus re-uses a small set of clone buffers instead of allocating one per
-// custody. Callers hold the host lock (hp is mu-guarded state).
+// custody.
 func (h *Host) releaseCustody(hp *heldPackage) {
 	if hp.buf == nil {
 		return
@@ -217,17 +216,14 @@ func (h *Host) state(id MissionID) *missionState {
 }
 
 func (h *Host) onCentral(pkt Packet) {
-	h.mu.Lock()
 	ms := h.state(pkt.Mission)
 	if ms.central != nil {
-		h.mu.Unlock()
 		return // replica already in custody: no clone for routine duplicates
 	}
 	buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
 	pkt.Data = *buf
 	hp := &heldPackage{pkt: pkt, buf: buf}
 	ms.central = hp
-	h.mu.Unlock()
 	h.scheduleHold(hp, func() {
 		sendPacket(h.node, pkt.Target, Packet{
 			Mission: pkt.Mission,
@@ -235,9 +231,7 @@ func (h *Host) onCentral(pkt Packet) {
 			Data:    pkt.Data,
 		}, 1)
 		// sendPacket encodes synchronously; the custody bytes are dead.
-		h.mu.Lock()
 		h.releaseCustody(hp)
-		h.mu.Unlock()
 	})
 }
 
@@ -246,15 +240,9 @@ func (h *Host) onKeyGrant(pkt Packet) {
 	if err != nil {
 		return
 	}
-	ref := pkt.Ref()
-	h.mu.Lock()
-	ms := h.state(pkt.Mission)
-	_, dup := ms.keys[ref]
-	if !dup {
+	ms, ref := h.state(pkt.Mission), pkt.Ref()
+	if _, dup := ms.keys[ref]; !dup {
 		put(&ms.keys, ref, key)
-	}
-	h.mu.Unlock()
-	if !dup {
 		// The refresh loop re-encodes the grant for the rest of its life, so
 		// it gets its own copy of the key bytes (the inbound Data aliases a
 		// recycled delivery buffer).
@@ -323,17 +311,14 @@ func (h *Host) replicas() int {
 
 func (h *Host) onOnion(pkt Packet) {
 	ref := pkt.Ref()
-	h.mu.Lock()
 	ms := h.state(pkt.Mission)
 	if _, dup := ms.sealed[ref]; dup {
-		h.mu.Unlock()
 		return // replica already in custody (joint fan-in), no clone paid
 	}
 	buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
 	pkt.Data = *buf
 	hp := &heldPackage{pkt: pkt, buf: buf}
 	put(&ms.sealed, ref, hp)
-	h.mu.Unlock()
 
 	h.scheduleHold(hp, func() { h.advance(pkt.Mission) })
 	h.advance(pkt.Mission)
@@ -345,18 +330,13 @@ func (h *Host) onShare(pkt Packet) {
 		return
 	}
 	ref := pkt.Ref()
-	h.mu.Lock()
 	ms := h.state(pkt.Mission)
 	merged, fresh := addShare(ms.shares[ref], x, data)
 	if fresh {
 		put(&ms.shares, ref, merged)
 	}
-	repair := fresh && h.repairableShare(pkt) && !ms.repair[ref]
-	if repair {
+	if fresh && h.repairableShare(pkt) && !ms.repair[ref] {
 		put(&ms.repair, ref, true)
-	}
-	h.mu.Unlock()
-	if repair {
 		h.scheduleShareRefresh(pkt)
 	}
 	h.advance(pkt.Mission)
@@ -421,14 +401,12 @@ func (h *Host) scheduleShareRefresh(pkt Packet) {
 // regrantShares is one share-repair tick: re-push the shares currently held
 // at the packet's Ref to the current owners of the slots it repairs.
 func (h *Host) regrantShares(pkt Packet) {
-	h.mu.Lock()
 	var blobs [][]byte
 	if ms, ok := h.missions[pkt.Mission]; ok {
 		for _, sh := range ms.shares[pkt.Ref()] {
 			blobs = append(blobs, AppendEncodeShareBlob(nil, sh.X, sh.Data))
 		}
 	}
-	h.mu.Unlock()
 	h.repush(pkt, blobs...)
 }
 
@@ -456,8 +434,6 @@ func (h *Host) repush(pkt Packet, payloads ...[]byte) {
 // conflicting variants of one coordinate count once. Exposed for tests and
 // churn-repair observability.
 func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey, ofSlotKey int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	ms, ok := h.missions[mission]
 	if !ok {
 		return 0, 0
@@ -476,9 +452,7 @@ func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey,
 func (h *Host) scheduleHold(hp *heldPackage, fire func()) {
 	delay := time.Duration(hp.pkt.HoldUntil - h.cfg.Clock.Now().UnixNano())
 	h.cfg.Clock.Schedule(delay, func() {
-		h.mu.Lock()
 		hp.due = true
-		h.mu.Unlock()
 		fire()
 	})
 }
@@ -486,20 +460,17 @@ func (h *Host) scheduleHold(hp *heldPackage, fire func()) {
 // advance runs the peel/forward state machine for a mission: peel whatever
 // has its key available, and forward whatever is both peeled and due.
 func (h *Host) advance(mission MissionID) {
-	h.mu.Lock()
 	ms, ok := h.missions[mission]
 	if !ok {
-		h.mu.Unlock()
 		return
 	}
-
-	var actions []func()
 
 	// Iterate custody in sorted order: forwarding emits network events, and
 	// deterministic event sequencing is what makes whole-scenario runs
 	// reproducible under a fixed seed (Go map order is randomized per run).
-	// The sort scratch lives on the Host (mu-guarded): advance runs on every
-	// packet arrival and must not allocate in the steady state.
+	// The sort scratch lives on the Host: advance runs on every packet arrival
+	// and must not allocate in the steady state. Nothing below re-enters
+	// advance — a send only schedules — so one scratch is enough.
 	refs := h.refScratch[:0]
 	for ref := range ms.sealed {
 		refs = append(refs, ref)
@@ -511,26 +482,21 @@ func (h *Host) advance(mission MissionID) {
 	// recovered from shares and validated against the onion itself.
 	for _, ref := range refs {
 		key, direct := ms.keys[ref]
-		if k, recovered := h.peelLocked(ms, ms.sealed[ref], key, direct, ms.shares[ref]); recovered {
+		if k, recovered := h.peel(ms, ms.sealed[ref], key, direct, ms.shares[ref]); recovered {
 			put(&ms.keys, ref, k)
 		}
 	}
-	// Forward anything peeled and due.
+	// Forward anything peeled and due, after every peel.
 	for _, ref := range refs {
 		hp := ms.sealed[ref]
 		if hp.peeled != nil && hp.due && !hp.done {
 			hp.done = true
 			if ref.Slot == ColumnWide {
-				actions = append(actions, h.forwardMainLocked(mission, int(ref.Column), hp))
+				h.forwardMain(mission, int(ref.Column), hp)
 			} else {
-				actions = append(actions, h.forwardSlotLocked(mission, ref, hp))
+				h.forwardSlot(mission, ref, hp)
 			}
 		}
-	}
-	h.mu.Unlock()
-
-	for _, a := range actions {
-		a()
 	}
 }
 
@@ -546,7 +512,7 @@ func custodyOrder(a, b Ref) int {
 	return cmp.Or(cmp.Compare(a.Column, b.Column), cmp.Compare(a.Slot, b.Slot))
 }
 
-// peelLocked attempts to open the held package with the directly-granted
+// peel attempts to open the held package with the directly-granted
 // key or, failing that, with candidate keys recovered from subsets of the
 // collected shares — the authenticated onion layer is the success oracle
 // that tells a true threshold interpolation from garbage, so stale,
@@ -555,8 +521,8 @@ func custodyOrder(a, b Ref) int {
 // for the caller to cache, so later peels (and re-grants) skip the search.
 // Peels run through the mission's sealer cache: a granted key's cipher
 // state is built once, and a confirmed candidate's sealer is kept so the
-// re-grant path never rebuilds it. Callers hold h.mu.
-func (h *Host) peelLocked(ms *missionState, hp *heldPackage, key seal.Key, direct bool, shares []shamir.Share) (recoveredKey seal.Key, recovered bool) {
+// re-grant path never rebuilds it.
+func (h *Host) peel(ms *missionState, hp *heldPackage, key seal.Key, direct bool, shares []shamir.Share) (recoveredKey seal.Key, recovered bool) {
 	if hp == nil || hp.peeled != nil {
 		return seal.Key{}, false
 	}
@@ -675,94 +641,85 @@ func shareKeyCandidates(shares []shamir.Share) []seal.Key {
 	return out
 }
 
-// forwardMainLocked builds the forwarding action for a peeled, due main
-// onion (or the final secret delivery). Callers hold h.mu.
-func (h *Host) forwardMainLocked(mission MissionID, col int, hp *heldPackage) func() {
-	layer := hp.peeled
-	pkt := hp.pkt
-	node := h.node
-	return func() {
-		if layer.Payload != nil {
-			// Terminal layer: release the secret to the receiver.
-			if len(layer.NextHops) > 0 {
-				target, err := dht.IDFromBytes(layer.NextHops[0])
-				if err != nil {
-					return
-				}
-				sendPacket(node, target, Packet{
-					Mission: mission,
-					Kind:    PkSecret,
-					Data:    layer.Payload,
-				}, 1)
-			}
-			return
-		}
-		for s, hop := range layer.NextHops {
-			target, err := dht.IDFromBytes(hop)
-			if err != nil {
-				continue
-			}
-			sendPacket(node, target, Packet{
-				Mission:   mission,
-				Kind:      PkMainOnion,
-				Column:    uint16(col + 1),
-				Slot:      uint16(s),
-				HoldUntil: pkt.HoldUntil + pkt.Step,
-				Step:      pkt.Step,
-				Target:    pkt.Target,
-				Data:      layer.Rest,
-			}, h.replicas())
-		}
-	}
-}
-
-// forwardSlotLocked builds the scatter action for a peeled, due slot
-// onion: deliver the column share to every next carrier, each slot share
-// to its slot, and the remaining slot onion down its own stream. A scattered
-// share's Data is ParseShareTag's view into the peeled layer, never a copy.
-// Callers hold h.mu.
-func (h *Host) forwardSlotLocked(mission MissionID, ref Ref, hp *heldPackage) func() {
-	layer := hp.peeled
-	pkt := hp.pkt
-	node := h.node
-	return func() {
-		hops := make([]dht.ID, 0, len(layer.NextHops))
-		for _, hop := range layer.NextHops {
-			id, err := dht.IDFromBytes(hop)
+// forwardMain forwards a peeled, due main onion (or makes the final secret
+// delivery).
+func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
+	layer, pkt := hp.peeled, hp.pkt
+	if layer.Payload != nil {
+		// Terminal layer: release the secret to the receiver.
+		if len(layer.NextHops) > 0 {
+			target, err := dht.IDFromBytes(layer.NextHops[0])
 			if err != nil {
 				return
 			}
-			hops = append(hops, id)
+			sendPacket(h.node, target, Packet{
+				Mission: mission,
+				Kind:    PkSecret,
+				Data:    layer.Payload,
+			}, 1)
 		}
-		next := Packet{
+		return
+	}
+	for s, hop := range layer.NextHops {
+		target, err := dht.IDFromBytes(hop)
+		if err != nil {
+			continue
+		}
+		sendPacket(h.node, target, Packet{
 			Mission:   mission,
-			Column:    uint16(ref.Column + 1),
+			Kind:      PkMainOnion,
+			Column:    uint16(col + 1),
+			Slot:      uint16(s),
 			HoldUntil: pkt.HoldUntil + pkt.Step,
 			Step:      pkt.Step,
+			Target:    pkt.Target,
+			Data:      layer.Rest,
+		}, h.replicas())
+	}
+}
+
+// forwardSlot scatters a peeled, due slot onion: deliver the column share to
+// every next carrier, each slot share to its slot, and the remaining slot
+// onion down its own stream. A scattered share's Data is ParseShareTag's view
+// into the peeled layer, never a copy.
+func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
+	layer, pkt := hp.peeled, hp.pkt
+	hops := make([]dht.ID, 0, len(layer.NextHops))
+	for _, hop := range layer.NextHops {
+		id, err := dht.IDFromBytes(hop)
+		if err != nil {
+			return
 		}
-		for _, blob := range layer.Shares {
-			slot, share, err := ParseShareTag(blob)
-			if err != nil {
-				continue
-			}
-			p := next
-			p.Kind, p.Data = PkSlotShare, share
-			first, end := slot, slot+1
-			if slot == ColumnWide {
-				// Width rides along so any receiving custodian can repair
-				// the whole column's share custody (column-key shares fan
-				// out to every carrier).
-				p.Kind, p.Width = PkColShare, uint16(len(hops))
-				first, end = 0, len(hops)
-			}
-			for s := first; s < min(end, len(hops)); s++ {
-				p.Slot = uint16(s)
-				sendPacket(node, hops[s], p, h.replicas())
-			}
+		hops = append(hops, id)
+	}
+	next := Packet{
+		Mission:   mission,
+		Column:    uint16(ref.Column + 1),
+		HoldUntil: pkt.HoldUntil + pkt.Step,
+		Step:      pkt.Step,
+	}
+	for _, blob := range layer.Shares {
+		slot, share, err := ParseShareTag(blob)
+		if err != nil {
+			continue
 		}
-		if layer.Rest != nil && int(ref.Slot) < len(hops) {
-			next.Kind, next.Slot, next.Data = PkSlotOnion, uint16(ref.Slot), layer.Rest
-			sendPacket(node, hops[ref.Slot], next, h.replicas())
+		p := next
+		p.Kind, p.Data = PkSlotShare, share
+		first, end := slot, slot+1
+		if slot == ColumnWide {
+			// Width rides along so any receiving custodian can repair
+			// the whole column's share custody (column-key shares fan
+			// out to every carrier).
+			p.Kind, p.Width = PkColShare, uint16(len(hops))
+			first, end = 0, len(hops)
 		}
+		for s := first; s < min(end, len(hops)); s++ {
+			p.Slot = uint16(s)
+			sendPacket(h.node, hops[s], p, h.replicas())
+		}
+	}
+	if layer.Rest != nil && int(ref.Slot) < len(hops) {
+		next.Kind, next.Slot, next.Data = PkSlotOnion, uint16(ref.Slot), layer.Rest
+		sendPacket(h.node, hops[ref.Slot], next, h.replicas())
 	}
 }

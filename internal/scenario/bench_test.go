@@ -2,7 +2,6 @@ package scenario_test
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -160,28 +159,6 @@ func BenchmarkPartitionSmoke100k(b *testing.B) {
 	cfg.Nodes = 100_000
 	cfg.Alpha = 0 // boot + routing load is the point; churn scales separately
 	cfg.Partition = 8
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := scenario.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPartitionMillionNodes is the off-CI 10^6-node target: the
-// million-node live point of the partition engine's design envelope. It
-// needs tens of GB of RAM and tens of minutes; it is gated behind
-// EMERGE_MILLION=1 so a stray -bench '.' never eats a laptop. Expect the
-// event loops to dominate and the epoch barrier to stay <5% of wall time.
-func BenchmarkPartitionMillionNodes(b *testing.B) {
-	if os.Getenv("EMERGE_MILLION") == "" {
-		b.Skip("set EMERGE_MILLION=1 to run the million-node partitioned point")
-	}
-	cfg := benchCfg(4, 1)
-	cfg.Shards = 0
-	cfg.Nodes = 1_000_000
-	cfg.Alpha = 0
-	cfg.Partition = runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := scenario.Run(cfg); err != nil {

@@ -61,6 +61,8 @@ type Estimator struct {
 	budgetOnce sync.Once
 	budget     *Budget
 
+	// mu: the runner's point workers call Estimate concurrently and share
+	// one reference cache.
 	mu   sync.Mutex
 	refs map[string]*refEntry
 }

@@ -1,41 +1,42 @@
-// Package sim provides the discrete-event simulation engine the in-process
-// DHT experiments run on: a virtual clock with a hierarchical timer wheel,
-// deterministic ordering, and a Clock abstraction that lets the same DHT and
-// protocol code run on either simulated or wall-clock time.
+// Package sim provides the discrete-event engine every node runs on: a
+// clock with a hierarchical timer wheel and deterministic ordering, driven on
+// virtual time by the simulations (Run, RunUntil, Lockstep) and on wall time
+// by the real-socket deployment (udp.Loop).
 package sim
 
 import (
 	"math/bits"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"selfemerge/internal/freelist"
 )
 
-// Clock abstracts time for components that must run under both the
-// discrete-event simulator and real time (the UDP deployment). It has two
-// implementations: *Simulator and the wall clock behind RealClock.
+// Clock is what a component sees of the loop that owns it: the time, and
+// timers whose callbacks run on that same loop. Its one implementation is
+// *Simulator; what differs between a simulation and a deployment is who
+// drives the simulator, not the timer semantics. Like everything a loop owns,
+// a Clock is used only from its loop — from an event callback, or by the
+// driver while the loop is not running — so Stop()==true always means the
+// callback never runs.
 type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
-	// AfterFunc schedules fn to run d from now and returns a cancellable
-	// timer. fn runs on the clock's dispatch context: the simulator's Run
-	// loop, or a timer goroutine for the real clock.
+	// AfterFunc schedules fn to run on the loop d from now and returns a
+	// cancellable timer.
 	AfterFunc(d time.Duration, fn func()) Timer
 	// Schedule arms fn to run d from now with no way to cancel it — the
 	// hot-path form for the per-message delivery and refresh events that are
 	// never stopped, sparing the Timer interface allocation AfterFunc pays.
 	Schedule(d time.Duration, fn func())
 	// ScheduleArg arms fn(arg) like Schedule. With a package-level fn and a
-	// pooled pointer arg the simulator's schedule is allocation-free — no
-	// closure, no Timer box — which is what the transport uses for
-	// per-datagram delivery events.
+	// pooled pointer arg the schedule is allocation-free — no closure, no
+	// Timer box — which is what the transport uses for per-datagram delivery
+	// events.
 	ScheduleArg(d time.Duration, fn func(any), arg any)
 	// AfterFuncArg arms fn(arg) to run d from now and returns a cancellable
-	// value handle: on the simulator the whole arm/fire/stop cycle allocates
-	// nothing — the form the per-RPC timeout path uses.
+	// value handle: the whole arm/fire/stop cycle allocates nothing — the form
+	// the per-RPC timeout path uses.
 	AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer
 }
 
@@ -46,62 +47,38 @@ type Timer interface {
 	Stop() bool
 }
 
-// ArgTimer is the cancellable handle returned by AfterFuncArg: a value
-// struct, so storing it in a caller's record costs no allocation. The zero
-// value is inert (Stop reports false).
+// ArgTimer is the cancellable handle to one generation of a pooled event
+// record: a value struct, so storing it in a caller's record costs no
+// allocation. The zero value is inert (Stop reports false).
 type ArgTimer struct {
 	ev  *event
 	gen uint64
-	t   Timer // the real clock only
 }
 
-// Stop cancels the timer if it has not fired; it reports whether the call
-// prevented the callback from running.
+// Stop cancels the event; it reports true if the call prevented the callback
+// from running. A handle whose record was dispatched and recycled observes a
+// generation mismatch and reports false without touching the new occupant.
+// Cancellation is lazy: the record stays in its wheel slot and is discarded
+// when a drain or scan reaches it.
 func (h ArgTimer) Stop() bool {
-	if h.ev != nil {
-		return timerHandle{ev: h.ev, gen: h.gen}.Stop()
+	if h.ev == nil || h.ev.state != h.gen<<stateGenShift {
+		return false
 	}
-	if h.t != nil {
-		return h.t.Stop()
-	}
-	return false
-}
-
-// realClock implements Clock with package time.
-type realClock struct{}
-
-// RealClock returns a Clock backed by the system clock.
-func RealClock() Clock { return realClock{} }
-
-func (realClock) Now() time.Time { return time.Now() } //lint:allow detrand realClock is the one sanctioned wall-clock bridge; sims inject Simulator instead
-
-func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
-	return time.AfterFunc(d, fn) //lint:allow detrand realClock is the one sanctioned wall-clock bridge; sims inject Simulator instead
-}
-
-func (realClock) Schedule(d time.Duration, fn func()) {
-	time.AfterFunc(d, fn) //lint:allow detrand realClock is the one sanctioned wall-clock bridge; sims inject Simulator instead
-}
-
-func (c realClock) ScheduleArg(d time.Duration, fn func(any), arg any) {
-	c.Schedule(d, func() { fn(arg) })
-}
-
-func (c realClock) AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer {
-	return ArgTimer{t: c.AfterFunc(d, func() { fn(arg) })}
+	h.ev.state |= stateCancelled
+	h.ev.sim.live--
+	return true
 }
 
 // Simulator is a deterministic discrete-event scheduler implementing Clock.
-// Events scheduled for the same instant run in scheduling order. All methods
-// are safe for concurrent use, but Run itself must be called from a single
-// goroutine.
+// Events scheduled for the same instant run in scheduling order. It has no
+// lock: a simulator, what is scheduled on it and the driver that runs it are
+// one dispatch context (DESIGN.md, "Dispatch contexts"), and only its own
+// event callbacks, or the driver while no event is running, touch it.
 //
 // The event loop is the inner loop of every live-scenario shard, so its hot
-// path is tuned accordingly: the virtual clock and the pending-event counter
-// are atomics (Now and Pending never take the queue lock), event records are
-// recycled through a freelist with generation-checked timer handles instead of
-// allocating per schedule, and cancellation is a single compare-and-swap on
-// the event's packed state word rather than a per-event mutex.
+// path is tuned accordingly: event records are recycled through a freelist
+// with generation-checked timer handles instead of allocating per schedule,
+// and cancellation is one store to the event's packed state word.
 //
 // The pending queue is a hierarchical timer wheel (Varghese–Lauck), not a
 // binary heap: schedule and cancel are O(1) amortized regardless of how many
@@ -111,16 +88,14 @@ func (c realClock) AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer
 // sorted by (at, seq) once when their slot is drained, so dispatch order is
 // the exact (at, seq) total order the heap produced.
 type Simulator struct {
-	now  atomic.Int64 // virtual time, Unix nanoseconds
-	live atomic.Int64 // queued events that have not run and are not cancelled
-
-	mu    sync.Mutex // guards seq, wheel and the NextAt cache
+	now   int64 // current time, Unix nanoseconds
+	live  int   // queued events that have not run and are not cancelled
 	seq   uint64
 	wheel timerWheel
 
 	// NextAt cache: the earliest pending event as of the last full scan.
 	// Self-invalidating — dispatch, cancellation and recycling all change the
-	// event's packed state word, so cacheValid() detects staleness without
+	// event's packed state word, so cachedAt() detects staleness without
 	// any bookkeeping on those paths; schedule keeps the cache exact by
 	// min-updating it. This is what keeps the Lockstep barrier's per-epoch
 	// probe O(1) on idle shards.
@@ -139,22 +114,20 @@ const maxFreeEvents = 1 << 16
 // (so negative offsets in tests stay valid).
 func NewSimulator() *Simulator {
 	s := &Simulator{events: freelist.List[event]{Max: maxFreeEvents}}
-	start := time.Unix(0, 0).Add(time.Hour).UnixNano()
-	s.now.Store(start)
-	s.wheel.wtime = start >> wheelShift
+	s.now = time.Unix(0, 0).Add(time.Hour).UnixNano()
+	s.wheel.wtime = s.now >> wheelShift
 	return s
 }
 
-// Now returns the current virtual time.
+// Now returns the current time.
 func (s *Simulator) Now() time.Time {
-	return time.Unix(0, s.now.Load())
+	return time.Unix(0, s.now)
 }
 
 // AfterFunc schedules fn at now+d. Non-positive d runs fn at the current
 // instant (still through the queue, preserving deterministic order).
 func (s *Simulator) AfterFunc(d time.Duration, fn func()) Timer {
-	ev, gen := s.schedule(d, fn, nil, nil)
-	return timerHandle{ev: ev, gen: gen}
+	return s.schedule(d, fn, nil, nil)
 }
 
 // Schedule arms fn at now+d with no cancellation handle: the same queue and
@@ -173,26 +146,23 @@ func (s *Simulator) ScheduleArg(d time.Duration, fn func(any), arg any) {
 // AfterFuncArg arms fn(arg) at now+d and returns a cancellable value handle
 // over the pooled event record — the allocation-free cancellable form.
 func (s *Simulator) AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer {
-	ev, gen := s.schedule(d, nil, fn, arg)
-	return ArgTimer{ev: ev, gen: gen}
+	return s.schedule(d, nil, fn, arg)
 }
 
-func (s *Simulator) schedule(d time.Duration, fn func(), argFn func(any), arg any) (*event, uint64) {
+func (s *Simulator) schedule(d time.Duration, fn func(), argFn func(any), arg any) ArgTimer {
 	if d < 0 {
 		d = 0
 	}
 	ev := s.events.Get()
 	ev.sim = s
-	// Re-arm under the generation the release bumped: handles to the
-	// record's previous life see a generation mismatch and become no-ops.
-	gen := ev.state.Load() >> stateGenShift
-	ev.at = s.now.Load() + int64(d)
+	// The record comes pending under the generation its release bumped:
+	// handles to its previous life see a mismatch and are no-ops.
+	gen := ev.state >> stateGenShift
+	ev.at = s.now + int64(d)
 	ev.fn = fn
 	ev.argFn = argFn
 	ev.arg = arg
-	ev.state.Store(gen<<stateGenShift | statusPending)
-	s.live.Add(1)
-	s.mu.Lock()
+	s.live++
 	ev.seq = s.seq
 	s.seq++
 	s.wheel.insert(ev)
@@ -202,16 +172,15 @@ func (s *Simulator) schedule(d time.Duration, fn func(), argFn func(any), arg an
 	if s.cachedAt() != 1<<63-1 && ev.at < s.cachedEv.at {
 		s.cachedEv, s.cachedGen = ev, gen
 	}
-	s.mu.Unlock()
-	return ev, gen
+	return ArgTimer{ev: ev, gen: gen}
 }
 
 // cachedAt returns the cached earliest pending timestamp, or maxInt64 when
 // the cache is stale (its event dispatched, cancelled or recycled — all of
 // which move the packed state word off the cached generation's pending
-// value). Callers hold s.mu.
+// value).
 func (s *Simulator) cachedAt() int64 {
-	if s.cachedEv != nil && s.cachedEv.state.Load() == s.cachedGen<<stateGenShift|statusPending {
+	if s.cachedEv != nil && s.cachedEv.state == s.cachedGen<<stateGenShift {
 		return s.cachedEv.at
 	}
 	return 1<<63 - 1
@@ -226,20 +195,16 @@ func (s *Simulator) Step() bool {
 // step pops and runs the earliest pending event with at <= bound, reporting
 // whether one ran.
 func (s *Simulator) step(bound int64) bool {
-	s.mu.Lock()
 	ev := s.popRunnable(bound)
 	if ev == nil {
-		s.mu.Unlock()
 		return false
 	}
-	if ev.at > s.now.Load() {
-		s.now.Store(ev.at)
+	if ev.at > s.now {
+		s.now = ev.at
 	}
-	s.mu.Unlock()
 	fn, argFn, arg := ev.fn, ev.argFn, ev.arg
-	// Release before dispatch: the record is out of the wheel and marked done,
-	// so fn (and any concurrent scheduler) may reuse it immediately; stale
-	// timer handles fail their generation check.
+	// Release before dispatch: the record is out of the wheel, so fn may
+	// reuse it immediately; its own handle now fails the generation check.
 	s.release(ev)
 	if fn != nil {
 		fn()
@@ -262,11 +227,9 @@ func (s *Simulator) RunUntil(deadline time.Time) {
 	for s.step(bound) {
 	}
 	// No runnable event at or before the deadline is left; advance the clock.
-	s.mu.Lock()
-	if s.now.Load() < bound {
-		s.now.Store(bound)
+	if s.now < bound {
+		s.now = bound
 	}
-	s.mu.Unlock()
 }
 
 // RunFor advances the simulation by d.
@@ -278,7 +241,7 @@ func (s *Simulator) RunFor(d time.Duration) {
 // O(1): the counter moves on schedule, cancel and dispatch, so lazily
 // deleted cancelled records still in the wheel never distort it.
 func (s *Simulator) Pending() int {
-	return int(s.live.Load())
+	return s.live
 }
 
 // NextAt returns the timestamp of the earliest pending event, purging lazily
@@ -286,14 +249,9 @@ func (s *Simulator) Pending() int {
 // is the lookahead probe of the Lockstep epoch barrier: the barrier sizes
 // each epoch from the earliest event across all member simulators. The
 // result is cached on the event itself (see cachedAt), so back-to-back
-// barrier probes of an idle shard cost one atomic load; a concurrent Stop
-// between the peek and the epoch merely shrinks the epoch — never past a
-// runnable event — and the purge on the next recompute keeps a stale
-// cancelled minimum from pinning the epoch size, so the probe stays
-// conservative and live.
+// barrier probes of an idle shard cost one load, and the purge on a
+// recompute keeps a stale cancelled minimum from pinning the epoch size.
 func (s *Simulator) NextAt() (at time.Time, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if t := s.cachedAt(); t != 1<<63-1 {
 		return time.Unix(0, t), true
 	}
@@ -302,30 +260,27 @@ func (s *Simulator) NextAt() (at time.Time, ok bool) {
 		s.cachedEv = nil
 		return time.Time{}, false
 	}
-	s.cachedEv, s.cachedGen = ev, ev.state.Load()>>stateGenShift
+	s.cachedEv, s.cachedGen = ev, ev.state>>stateGenShift
 	return time.Unix(0, ev.at), true
 }
 
 // release returns a finished (run or cancelled) event record to the freelist,
 // bumping its generation so any still-held timer handle turns inert.
 func (s *Simulator) release(ev *event) {
-	gen := ev.state.Load() >> stateGenShift
+	gen := ev.state >> stateGenShift
 	ev.fn = nil // do not retain the callback or its argument while pooled
 	ev.argFn = nil
 	ev.arg = nil
-	ev.state.Store((gen + 1) << stateGenShift) // next life, pending
+	ev.state = (gen + 1) << stateGenShift // next life, pending
 	s.events.Put(ev)
 }
 
-// Event state is a packed word: the low two bits hold the status, the rest a
-// generation counter bumped each time the record is recycled. Cancellation
-// and dispatch race through compare-and-swap on this word alone.
+// Event state is a packed word: the low bit says cancelled, the rest is a
+// generation counter bumped each time the record is recycled, so one compare
+// tells a handle to a pending event from a stale or spent one.
 const (
-	statusPending   = 0
-	statusCancelled = 1
-	statusDone      = 2
-	stateStatusMask = 3
-	stateGenShift   = 2
+	stateCancelled = 1
+	stateGenShift  = 1
 )
 
 // event is a pooled scheduled callback record. Exactly one of fn and argFn
@@ -338,7 +293,7 @@ type event struct {
 	argFn func(any)
 	arg   any
 	sim   *Simulator
-	state atomic.Uint64
+	state uint64
 }
 
 // cmpEvent is the dispatch total order: (at, seq). seq is unique per
@@ -357,32 +312,8 @@ func cmpEvent(a, b *event) int {
 	return 0
 }
 
-// timerHandle is the Timer for one generation of a pooled event record.
-type timerHandle struct {
-	ev  *event
-	gen uint64
-}
-
-// Stop cancels the event; it reports true if the call prevented the callback
-// from running. A handle whose record was dispatched and recycled observes a
-// generation mismatch and reports false without touching the new occupant.
-// Cancellation is lazy: the record stays in its wheel slot and is discarded
-// when a drain or scan reaches it.
-func (h timerHandle) Stop() bool {
-	for {
-		st := h.ev.state.Load()
-		if st>>stateGenShift != h.gen || st&stateStatusMask != statusPending {
-			return false
-		}
-		if h.ev.state.CompareAndSwap(st, h.gen<<stateGenShift|statusCancelled) {
-			h.ev.sim.live.Add(-1)
-			return true
-		}
-	}
-}
-
 // popRunnable pops the earliest pending event with at <= bound, discarding
-// lazily cancelled records along the way. The caller must hold s.mu.
+// lazily cancelled records along the way.
 func (s *Simulator) popRunnable(bound int64) *event {
 	w := &s.wheel
 	for {
@@ -394,14 +325,12 @@ func (s *Simulator) popRunnable(bound int64) *event {
 			}
 			w.runQ[w.runIdx] = nil
 			w.runIdx++
-			st := ev.state.Load()
-			if st&stateStatusMask == statusPending &&
-				ev.state.CompareAndSwap(st, st&^uint64(stateStatusMask)|statusDone) {
-				s.live.Add(-1)
+			if ev.state&stateCancelled == 0 {
+				s.live--
 				return ev
 			}
-			// Lost the race to a concurrent Stop (which already decremented the
-			// live counter): drop the cancelled record and keep looking.
+			// Cancelled (Stop already decremented the live counter): drop the
+			// record and keep looking.
 			s.release(ev)
 		}
 		w.runQ = w.runQ[:0]
@@ -427,8 +356,7 @@ const (
 	wheelLevels = 4
 )
 
-// timerWheel is the hierarchical pending-event structure. All operations run
-// under the owning Simulator's mu.
+// timerWheel is the hierarchical pending-event structure.
 //
 // Invariants: every queued event's tick (at >> wheelShift) is >= wtime
 // (events scheduled into the past are clamped into the run queue); runQ
@@ -465,8 +393,8 @@ func (w *timerWheel) insert(ev *event) {
 	r := tick - w.wtime
 	switch {
 	case r <= 0:
-		// Current tick (or a concurrent schedule racing a bound advance):
-		// keep the run queue sorted so dispatch order stays (at, seq).
+		// Current tick: keep the run queue sorted so dispatch order stays
+		// (at, seq).
 		w.insertRun(ev)
 	case r < 1<<wheelBits:
 		w.put(0, int(tick&wheelMask), ev)
@@ -657,7 +585,7 @@ func (w *timerWheel) minPending(sim *Simulator) *event {
 	// a pending head short-circuits the whole selection.
 	for w.runIdx < len(w.runQ) {
 		ev := w.runQ[w.runIdx]
-		if ev.state.Load()&stateStatusMask == statusPending {
+		if ev.state&stateCancelled == 0 {
 			return ev
 		}
 		w.runQ[w.runIdx] = nil
@@ -712,7 +640,7 @@ func (w *timerWheel) scanSlot(sim *Simulator, level, slot int) *event {
 	var best *event
 	for i := 0; i < len(evs); {
 		ev := evs[i]
-		if ev.state.Load()&stateStatusMask != statusPending {
+		if ev.state&stateCancelled != 0 {
 			last := len(evs) - 1
 			evs[i] = evs[last]
 			evs[last] = nil
@@ -740,7 +668,7 @@ func (w *timerWheel) scanOverflow(sim *Simulator) *event {
 	var best *event
 	for i := 0; i < len(w.overflow); {
 		ev := w.overflow[i]
-		if ev.state.Load()&stateStatusMask != statusPending {
+		if ev.state&stateCancelled != 0 {
 			last := len(w.overflow) - 1
 			w.overflow[i] = w.overflow[last]
 			w.overflow[last] = nil

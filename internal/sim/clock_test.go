@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -113,31 +111,6 @@ func TestAfterFuncArgZeroHandle(t *testing.T) {
 	}
 }
 
-func TestRealClockArgForms(t *testing.T) {
-	// The wall clock's one-argument forms close over AfterFunc and Schedule.
-	done := make(chan any, 2)
-	fire := func(v any) { done <- v }
-	c := RealClock()
-	h := c.AfterFuncArg(time.Millisecond, fire, 7)
-	c.ScheduleArg(time.Millisecond, fire, 7)
-	for i := 0; i < 2; i++ {
-		select {
-		case v := <-done:
-			if v != 7 {
-				t.Fatalf("arg = %v", v)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("real-clock arg timer never fired")
-		}
-	}
-	if h.Stop() {
-		t.Fatal("Stop after firing returned true")
-	}
-	if !c.AfterFuncArg(time.Hour, fire, nil).Stop() {
-		t.Fatal("Stop of a pending real-clock arg timer returned false")
-	}
-}
-
 func TestTimerStopAfterFire(t *testing.T) {
 	s := NewSimulator()
 	timer := s.AfterFunc(time.Second, func() {})
@@ -245,11 +218,11 @@ func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	var fresh Timer
 	for i := 0; i < 8; i++ {
 		fresh = s.AfterFunc(time.Second, func() { ran = true })
-		if fresh.(timerHandle).ev == stale.(timerHandle).ev {
+		if fresh.(ArgTimer).ev == stale.(ArgTimer).ev {
 			break
 		}
 	}
-	if fresh.(timerHandle).ev != stale.(timerHandle).ev {
+	if fresh.(ArgTimer).ev != stale.(ArgTimer).ev {
 		t.Skip("pool did not recycle the record; nothing to check")
 	}
 	if stale.Stop() {
@@ -266,40 +239,6 @@ func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	}
 }
 
-func TestConcurrentStopRace(t *testing.T) {
-	// Many goroutines race Stop against the dispatch loop; exactly one side
-	// wins each event, and the pending counter ends at zero.
-	s := NewSimulator()
-	const n = 400
-	var fired atomic.Int64
-	timers := make([]Timer, n)
-	for i := range timers {
-		timers[i] = s.AfterFunc(time.Duration(i)*time.Millisecond, func() { fired.Add(1) })
-	}
-	var stopped atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := g; i < n; i += 4 {
-				if timers[i].Stop() {
-					stopped.Add(1)
-				}
-			}
-		}()
-	}
-	s.Run()
-	wg.Wait()
-	if got := fired.Load() + stopped.Load(); got != n {
-		t.Fatalf("fired %d + stopped %d = %d, want %d", fired.Load(), stopped.Load(), got, n)
-	}
-	if got := s.Pending(); got != 0 {
-		t.Fatalf("Pending after drain = %d", got)
-	}
-}
-
 func TestNegativeDelay(t *testing.T) {
 	s := NewSimulator()
 	ran := false
@@ -307,47 +246,5 @@ func TestNegativeDelay(t *testing.T) {
 	s.Run()
 	if !ran {
 		t.Fatal("negative-delay event did not run")
-	}
-}
-
-func TestRealClock(t *testing.T) {
-	c := RealClock()
-	before := time.Now()
-	if c.Now().Before(before.Add(-time.Second)) {
-		t.Fatal("RealClock.Now far in the past")
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	c.AfterFunc(time.Millisecond, wg.Done)
-	wg.Wait() // must fire
-	timer := c.AfterFunc(time.Hour, func() { t.Error("should not fire") })
-	if !timer.Stop() {
-		t.Fatal("Stop on real timer failed")
-	}
-}
-
-func TestConcurrentScheduling(t *testing.T) {
-	// AfterFunc may be called from many goroutines (e.g. UDP handlers).
-	s := NewSimulator()
-	var mu sync.Mutex
-	count := 0
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				s.AfterFunc(time.Duration(i)*time.Millisecond, func() {
-					mu.Lock()
-					count++
-					mu.Unlock()
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	s.Run()
-	if count != 800 {
-		t.Fatalf("count = %d", count)
 	}
 }

@@ -214,7 +214,7 @@ func (l *Lockstep) runEpoch(active int) {
 		}
 		return
 	}
-	var cursor atomic.Int64
+	var cursor atomic.Int64 //lint:allow loopowned the epoch's worker goroutines each claim the next member to run
 	run := func() {
 		for {
 			i := int(cursor.Add(1)) - 1

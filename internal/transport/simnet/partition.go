@@ -141,7 +141,7 @@ func (p *Partition) MergeAllocs() uint64 {
 // with the given address on its owning shard. The first attachment
 // registers the ownership; it is frozen from then on — re-attaching under a
 // different shard panics, because migrating an address would race the
-// lock-free owner lookups on the send path.
+// owner lookups concurrently running shard loops make on the send path.
 func (p *Partition) Endpoint(shard int, addr transport.Addr) transport.Endpoint {
 	if got, ok := p.owner[addr]; ok {
 		if got != shard {
@@ -157,9 +157,9 @@ func (p *Partition) Endpoint(shard int, addr transport.Addr) transport.Endpoint 
 }
 
 // SetInjector installs shard's own injector, replacing whatever Config.Inject
-// put there. Boot-time wiring, before any traffic: each sub-network
-// serializes its Judge calls under its own RNG lock, so a stateful injector
-// (a fault.Engine's burst chain) must be one instance per shard.
+// put there. Boot-time wiring, before any traffic: each sub-network judges on
+// its own loop, so a stateful injector (a fault.Engine's burst chain) must be
+// one instance per shard.
 func (p *Partition) SetInjector(shard int, inj Injector) {
 	p.subs[shard].cfg.Inject = inj
 }

@@ -7,7 +7,6 @@ package simnet
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"selfemerge/internal/churn"
@@ -29,12 +28,12 @@ type Config struct {
 	Seed uint64
 	// Inject, when non-nil, rules on every datagram that survives the
 	// uniform loss/jitter model: correlated drops, extra delay, duplication
-	// (see internal/fault). Judge calls are serialized under the network's
-	// RNG lock, in the same order as the loss/jitter draws, so a
-	// deterministic injector keeps the fabric byte-deterministic. A
-	// Partition copies it to every shard sub-network, whose loops judge
-	// concurrently — share only a stateless injector that way, and give
-	// stateful ones one instance per shard (Partition.SetInjector).
+	// (see internal/fault). Judge runs on the sending network's loop, right
+	// after the loss/jitter draws, so a deterministic injector keeps the
+	// fabric byte-deterministic. A Partition copies it to every shard
+	// sub-network, whose loops judge concurrently — share only a stateless
+	// injector that way, and give stateful ones one instance per shard
+	// (Partition.SetInjector).
 	Inject Injector
 }
 
@@ -51,8 +50,8 @@ type Verdict struct {
 
 // Injector perturbs deliveries beyond the uniform loss/jitter model. Judge
 // receives the fabric clock's current time and the endpoints of the
-// datagram; implementations may keep internal state (calls are serialized
-// by the fabric).
+// datagram; implementations may keep internal state (one network's calls
+// all come from its loop).
 type Injector interface {
 	Judge(now time.Time, from, to transport.Addr) Verdict
 }
@@ -64,7 +63,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Network is the in-memory message fabric.
+// Network is the in-memory message fabric. It belongs to the loop of its
+// clock: endpoints send, deliveries fire and churn flips availability from
+// that loop's events, or from the driver while the loop is paused (boot, a
+// Lockstep barrier), so nothing here is locked.
 type Network struct {
 	clock sim.Clock
 	cfg   Config
@@ -75,7 +77,6 @@ type Network struct {
 	part  *Partition
 	shard int
 
-	mu    sync.Mutex
 	nodes nodeTable
 
 	// Delivery records recycle per network, so their payload buffers survive
@@ -84,10 +85,7 @@ type Network struct {
 	// for the roughly symmetric traffic of a DHT.
 	deliveries freelist.List[delivery]
 
-	// The loss/jitter RNG serializes on its own lock so concurrent senders
-	// drawing randomness do not contend on the endpoint-map critical section.
-	rngMu sync.Mutex
-	rng   *stats.RNG
+	rng *stats.RNG // loss and jitter draws, in send order
 
 	sent      int
 	delivered int
@@ -145,8 +143,8 @@ func hashAddr(a transport.Addr) uint64 {
 	return h
 }
 
-// find returns the slot for addr, or nil if the address was never seen.
-// Callers hold the network lock; the pointer is valid until the next insert.
+// find returns the slot for addr, or nil if the address was never seen. The
+// pointer is valid until the next insert.
 func (t *nodeTable) find(addr transport.Addr) *nodeSlot {
 	if t.used == 0 {
 		return nil
@@ -165,8 +163,7 @@ func (t *nodeTable) find(addr transport.Addr) *nodeSlot {
 }
 
 // slotFor returns the slot for addr, inserting an empty record first if the
-// address is new. Callers hold the network lock; the pointer is valid until
-// the next insert.
+// address is new. The pointer is valid until the next insert.
 func (t *nodeTable) slotFor(addr transport.Addr) *nodeSlot {
 	if sl := t.find(addr); sl != nil {
 		return sl
@@ -203,8 +200,6 @@ func (t *nodeTable) slotFor(addr transport.Addr) *nodeSlot {
 
 // Endpoint attaches (or replaces) an endpoint with the given address.
 func (n *Network) Endpoint(addr transport.Addr) transport.Endpoint {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	ep := &endpoint{net: n, addr: addr}
 	sl := n.nodes.slotFor(addr)
 	sl.ep = ep
@@ -216,8 +211,6 @@ func (n *Network) Endpoint(addr transport.Addr) transport.Endpoint {
 // transient-churn state of Section II-C. While down it drops what it sends
 // (judged at send time) and what reaches it (judged at delivery time).
 func (n *Network) SetDown(addr transport.Addr, down bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	n.nodes.slotFor(addr).down = down
 }
 
@@ -235,8 +228,6 @@ func (n *Network) ApplyChurn(addr transport.Addr, proc *churn.Process) (stop fun
 
 // Stats reports (sent, delivered, dropped) message counts.
 func (n *Network) Stats() (sent, delivered, dropped int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.sent, n.delivered, n.dropped
 }
 
@@ -248,7 +239,6 @@ func (n *Network) Stats() (sent, delivered, dropped int) {
 // shard of the partition owns it) that shard's hand-off outbox. Receiver-side
 // state is checked at delivery, where the receiver lives.
 func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
-	n.mu.Lock()
 	tsl := n.nodes.slotFor(to)
 	dst := n
 	if n.part != nil {
@@ -275,16 +265,11 @@ func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 		// close, so no in-flight window observes the gap. A foreign
 		// destination's state is its owner's to judge, at delivery.
 		n.dropped++
-		n.mu.Unlock()
 		return
 	}
-	n.mu.Unlock()
-
 	delay, dup, ok := n.judge(from, to)
 	if !ok {
-		n.mu.Lock()
 		n.dropped++
-		n.mu.Unlock()
 		return
 	}
 	n.launch(dst, from, to, payload, delay)
@@ -296,13 +281,11 @@ func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 }
 
 // judge draws one datagram's in-flight fate — loss, then jitter, then the
-// injector's verdict, in that fixed order under the RNG lock — and returns
+// injector's verdict, in that fixed order — and returns
 // its delivery delay, the lag of an injector-made duplicate (0: none), and
 // whether it survives at all. The delay is never below BaseLatency, which is
 // what lets a Partition use the base latency as its lockstep lookahead.
 func (n *Network) judge(from, to transport.Addr) (delay, dup time.Duration, ok bool) {
-	n.rngMu.Lock()
-	defer n.rngMu.Unlock()
 	if n.cfg.LossRate > 0 && n.rng.Bool(n.cfg.LossRate) {
 		return 0, 0, false
 	}
@@ -355,21 +338,12 @@ type delivery struct {
 func deliver(v any) {
 	d := v.(*delivery)
 	n := d.net
-	n.mu.Lock()
 	tsl := n.nodes.find(d.to)
-	var dst *endpoint
-	var h transport.Handler
-	if tsl != nil && tsl.ep != nil {
-		dst = tsl.ep
-		h = dst.handler
-	}
-	if dst == nil || tsl.down || h == nil || dst.closed {
+	if tsl == nil || tsl.ep == nil || tsl.down || tsl.ep.handler == nil || tsl.ep.closed {
 		n.dropped++
-		n.mu.Unlock()
 	} else {
 		n.delivered++
-		n.mu.Unlock()
-		h(d.from, d.msg)
+		tsl.ep.handler(d.from, d.msg)
 	}
 	d.net = nil
 	n.deliveries.Put(d)
@@ -384,17 +358,10 @@ type endpoint struct {
 
 func (e *endpoint) Addr() transport.Addr { return e.addr }
 
-func (e *endpoint) SetHandler(h transport.Handler) {
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
-	e.handler = h
-}
+func (e *endpoint) SetHandler(h transport.Handler) { e.handler = h }
 
 func (e *endpoint) Send(to transport.Addr, payload []byte) error {
-	e.net.mu.Lock()
-	closed := e.closed
-	e.net.mu.Unlock()
-	if closed {
+	if e.closed {
 		return transport.ErrClosed
 	}
 	if len(payload) > transport.MaxDatagram {
@@ -405,8 +372,6 @@ func (e *endpoint) Send(to transport.Addr, payload []byte) error {
 }
 
 func (e *endpoint) Close() error {
-	e.net.mu.Lock()
-	defer e.net.mu.Unlock()
 	if e.closed {
 		return nil
 	}

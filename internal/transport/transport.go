@@ -13,9 +13,11 @@ type Addr string
 
 // Handler consumes an inbound datagram. The payload is only valid for the
 // duration of the call: transports recycle delivery buffers, so a handler
-// that needs the bytes afterwards must copy them. Handlers are invoked
-// serially per endpoint (the simulator's event loop, or one read loop per
-// UDP socket).
+// that needs the bytes afterwards must copy them. A handler runs on the
+// event loop that owns its endpoint — the simulator run that delivers a
+// simnet datagram, the udp.Loop a socket's reader posts to — one call at a
+// time, interleaved with that loop's timers and nothing else, so what it
+// touches needs no lock.
 type Handler func(from Addr, payload []byte)
 
 // ErrClosed is returned when sending through a closed endpoint.

@@ -1,6 +1,7 @@
-// Package udp implements the transport interface over real UDP sockets,
-// enabling multi-process DHT clusters (cmd/dhtnode). Framing is native:
-// one datagram per message.
+// Package udp is the real-socket deployment (cmd/dhtnode): the transport
+// interface over UDP sockets — framing is native, one datagram per message —
+// and the Loop that runs a node's simulator on wall time. It is where
+// goroutines and the wall clock enter; everything above it runs on the loop.
 package udp
 
 import (
@@ -12,22 +13,26 @@ import (
 	"selfemerge/internal/transport"
 )
 
-// Endpoint is a UDP-backed transport endpoint.
+// Endpoint is a UDP-backed transport endpoint bound to a Loop: its reader
+// goroutine posts every inbound datagram to the loop, so the handler runs
+// there like any other event.
 type Endpoint struct {
 	conn *net.UDPConn
+	loop *Loop
 
+	// mu: whoever builds the node installs the handler (the loop, or its
+	// creator before traffic); the reader goroutine picks it up.
 	mu      sync.RWMutex
 	handler transport.Handler
-	closed  bool
-	wg      sync.WaitGroup
+	wg      sync.WaitGroup // the reader
 }
 
 var _ transport.Endpoint = (*Endpoint)(nil)
 
 // Listen opens a UDP endpoint on the given address ("127.0.0.1:0" picks a
-// free port). The read loop starts immediately; install a handler before
-// peers learn the address.
-func Listen(addr string) (*Endpoint, error) {
+// free port) whose datagrams are handled on l. The reader starts
+// immediately; install a handler before peers learn the address.
+func (l *Loop) Listen(addr string) (*Endpoint, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("udp: resolving %q: %w", addr, err)
@@ -36,7 +41,7 @@ func Listen(addr string) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udp: listening on %q: %w", addr, err)
 	}
-	e := &Endpoint{conn: conn}
+	e := &Endpoint{conn: conn, loop: l}
 	e.wg.Add(1)
 	go e.readLoop()
 	return e, nil
@@ -56,12 +61,6 @@ func (e *Endpoint) SetHandler(h transport.Handler) {
 
 // Send transmits one datagram to the given "host:port" address.
 func (e *Endpoint) Send(to transport.Addr, payload []byte) error {
-	e.mu.RLock()
-	closed := e.closed
-	e.mu.RUnlock()
-	if closed {
-		return transport.ErrClosed
-	}
 	if len(payload) > transport.MaxDatagram {
 		return fmt.Errorf("udp: payload %d exceeds %d bytes", len(payload), transport.MaxDatagram)
 	}
@@ -70,22 +69,22 @@ func (e *Endpoint) Send(to transport.Addr, payload []byte) error {
 		return fmt.Errorf("udp: resolving %q: %w", to, err)
 	}
 	if _, err := e.conn.WriteToUDP(payload, dst); err != nil {
+		if errors.Is(err, net.ErrClosed) {
+			return transport.ErrClosed
+		}
 		return fmt.Errorf("udp: sending to %q: %w", to, err)
 	}
 	return nil
 }
 
-// Close shuts down the socket and waits for the read loop to exit.
+// Close shuts down the socket and waits for the reader to exit. Datagrams it
+// had already posted still reach the handler.
 func (e *Endpoint) Close() error {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil
-	}
-	e.closed = true
-	e.mu.Unlock()
 	err := e.conn.Close()
 	e.wg.Wait()
+	if errors.Is(err, net.ErrClosed) {
+		return nil // closed before
+	}
 	return err
 }
 
@@ -96,12 +95,6 @@ func (e *Endpoint) readLoop() {
 		n, from, err := e.conn.ReadFromUDP(buf)
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			e.mu.RLock()
-			closed := e.closed
-			e.mu.RUnlock()
-			if closed {
 				return
 			}
 			continue // transient read error; UDP is lossy anyway
@@ -115,9 +108,9 @@ func (e *Endpoint) readLoop() {
 		if h == nil {
 			continue
 		}
-		// The read buffer is handed to the handler directly and reused for
-		// the next datagram: handlers run serially on this loop and copy
-		// anything they keep, per the transport contract.
-		h(transport.Addr(from.String()), buf[:n])
+		// The read buffer is reused for the next datagram while this one waits
+		// in the loop's inbox, so it travels as a copy.
+		src, data := transport.Addr(from.String()), append([]byte(nil), buf[:n]...)
+		e.loop.Post(func() { h(src, data) })
 	}
 }

@@ -9,17 +9,23 @@ import (
 	"selfemerge/internal/transport"
 )
 
+// listen opens a loopback endpoint on a loop of its own, both torn down with
+// the test.
+func listen(t *testing.T) *Endpoint {
+	t.Helper()
+	l := NewLoop()
+	t.Cleanup(l.Stop)
+	e, err := l.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
 func TestRoundTrip(t *testing.T) {
-	a, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := listen(t)
+	b := listen(t)
 
 	type recv struct {
 		from    transport.Addr
@@ -48,16 +54,8 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestBidirectional(t *testing.T) {
-	a, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+	a := listen(t)
+	b := listen(t)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -79,10 +77,7 @@ func TestBidirectional(t *testing.T) {
 }
 
 func TestCloseStopsEndpoint(t *testing.T) {
-	e, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := listen(t)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,22 +90,14 @@ func TestCloseStopsEndpoint(t *testing.T) {
 }
 
 func TestOversizedRejected(t *testing.T) {
-	e, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e := listen(t)
 	if err := e.Send("127.0.0.1:9", make([]byte, transport.MaxDatagram+1)); err == nil {
 		t.Error("oversized payload accepted")
 	}
 }
 
 func TestBadAddress(t *testing.T) {
-	e, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
+	e := listen(t)
 	if err := e.Send("not an address", []byte("x")); err == nil {
 		t.Error("bad address accepted")
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"selfemerge/internal/adversary"
@@ -238,16 +237,14 @@ type Network struct {
 	// no RNG draws and no datagrams. RunUntil drives its ticks at barriers.
 	forger *adversary.Forger
 
+	// nodes is the population by slot. After boot a slot is rewritten only
+	// by its owner shard's loop (a churn replacement), and read across slots
+	// only between runs.
 	nodes    []*dht.Node
 	receiver *dht.Node
 
-	mu         sync.Mutex
+	// deliveries is written from the receiver's loop and read between runs.
 	deliveries map[protocol.MissionID]delivery
-	deaths     int
-	joins      int
-	// retired accumulates the resilience counters of churn-replaced nodes
-	// at death, so ResilienceStats never loses a dead node's activity.
-	retired dht.Resilience
 }
 
 // shard is what one event loop owns. Everything here is touched only from
@@ -271,6 +268,12 @@ type shard struct {
 	// reports defers this shard's malicious-holder observations to the
 	// barrier (see releaseReports).
 	reports reportQueue
+
+	// Churn counters of this shard's nodes; the death event runs on this loop.
+	deaths, joins int
+	// retired accumulates the resilience counters of churn-replaced nodes
+	// at death, so ResilienceStats never loses a dead node's activity.
+	retired dht.Resilience
 }
 
 type delivery struct {
@@ -512,8 +515,6 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		// emergence. The timestamp comes from the receiver's own shard
 		// clock — the loop this callback runs on.
 		onSecret = func(mission protocol.MissionID, secret []byte) {
-			n.mu.Lock()
-			defer n.mu.Unlock()
 			if _, dup := n.deliveries[mission]; !dup {
 				n.deliveries[mission] = delivery{
 					at:     sh.sim.Now(),
@@ -553,13 +554,11 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 			n.forger.ClearAttacker(idx)
 		}
 	}
-	n.mu.Lock()
 	if idx < len(n.nodes) {
 		n.nodes[idx] = node // replacement: drop the dead predecessor's state
 	} else {
 		n.nodes = append(n.nodes, node)
 	}
-	n.mu.Unlock()
 
 	// Churn: the node dies permanently at an exponential lifetime and flaps
 	// transiently at the transport layer; the bootstrap (node 0), receiver
@@ -590,15 +589,10 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		// reused; without Replace the closed node stays in the population
 		// slice and keeps reporting its own totals.
 		if n.cfg.Replace {
-			r := node.Resilience()
-			n.mu.Lock()
-			n.retired.Add(r)
-			n.mu.Unlock()
+			sh.retired.Add(node.Resilience())
 		}
 		_ = node.Close()
-		n.mu.Lock()
-		n.deaths++
-		n.mu.Unlock()
+		sh.deaths++
 		if n.cfg.Replace {
 			n.join(sh, addr, id, idx)
 		}
@@ -620,20 +614,19 @@ func (n *Network) join(sh *shard, addr transport.Addr, id dht.ID, idx int) {
 		// from deaths is the diagnostic.
 		return
 	}
-	n.mu.Lock()
-	n.joins++
-	replacement := n.nodes[idx]
-	seed := n.nodes[0].Contact()
-	n.mu.Unlock()
-	replacement.Bootstrap([]dht.Contact{seed}, nil)
+	sh.joins++
+	// Slot 0, the bootstrap node, is exempt from churn: never rewritten.
+	n.nodes[idx].Bootstrap([]dht.Contact{n.nodes[0].Contact()}, nil)
 }
 
 // ChurnEvents reports how many permanent deaths and replacement joins have
 // occurred so far.
 func (n *Network) ChurnEvents() (deaths, joins int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.deaths, n.joins
+	for i := range n.shards {
+		deaths += n.shards[i].deaths
+		joins += n.shards[i].joins
+	}
+	return deaths, joins
 }
 
 // ForgedContacts reports how many forged contact claims the eclipse
@@ -651,14 +644,11 @@ func (n *Network) ForgedContacts() uint64 {
 // exactly the eclipse adversary's forgeries that won admission; with churn,
 // not-yet-expired routes to dead nodes count as poisoned too.
 func (n *Network) RouteAudit() (live, poisoned int) {
-	n.mu.Lock()
-	nodes := append([]*dht.Node(nil), n.nodes...)
-	n.mu.Unlock()
-	real := make(map[dht.ID]transport.Addr, len(nodes))
-	for _, node := range nodes {
+	real := make(map[dht.ID]transport.Addr, len(n.nodes))
+	for _, node := range n.nodes {
 		real[node.ID()] = node.Contact().Addr
 	}
-	for _, node := range nodes {
+	for _, node := range n.nodes {
 		node.Table().Each(func(c dht.Contact) {
 			if addr, ok := real[c.ID]; ok && addr == c.Addr {
 				live++
@@ -673,12 +663,11 @@ func (n *Network) RouteAudit() (live, poisoned int) {
 // ResilienceStats sums the population's fault-recovery counters — retries,
 // recovered RPCs, suppressed duplicate deliveries — over the live nodes
 // plus every churn-replaced node's final counts.
-func (n *Network) ResilienceStats() dht.Resilience {
-	n.mu.Lock()
-	nodes := append([]*dht.Node(nil), n.nodes...)
-	total := n.retired
-	n.mu.Unlock()
-	for _, node := range nodes {
+func (n *Network) ResilienceStats() (total dht.Resilience) {
+	for i := range n.shards {
+		total.Add(n.shards[i].retired)
+	}
+	for _, node := range n.nodes {
 		total.Add(node.Resilience())
 	}
 	return total
@@ -732,11 +721,7 @@ func (n *Network) Settle() { n.RunFor(5 * time.Minute) }
 // Nodes returns the population size: one slot per node, with churn
 // replacements taking over their dead predecessor's slot. Without Replace,
 // slots of churned-out nodes still count.
-func (n *Network) Nodes() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.nodes)
-}
+func (n *Network) Nodes() int { return len(n.nodes) }
 
 // Cloud exposes the network's cloud store.
 func (n *Network) Cloud() *cloud.Store { return n.cloudSt }

@@ -159,9 +159,7 @@ func (n *Network) planFor(cfg sendConfig, emerging time.Duration) (core.Plan, er
 // the cloud ciphertext: the receiver workflow of Figure 1. The returned
 // time is when the key reached the receiver.
 func (n *Network) Emerged(m *Message) (plaintext []byte, at time.Time, ok bool) {
-	n.mu.Lock()
 	d, found := n.deliveries[m.mission.ID]
-	n.mu.Unlock()
 	if !found {
 		return nil, time.Time{}, false
 	}
