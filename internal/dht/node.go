@@ -273,6 +273,10 @@ func (n *Node) Contact() Contact {
 // instrumentation).
 func (n *Node) Table() *Table { return n.table }
 
+// Closed reports whether Close has run: what the node's protocol host asks
+// before acting on a timer that outlived the node.
+func (n *Node) Closed() bool { return n.closed }
+
 // Close detaches the node from the network and fails all pending RPCs.
 func (n *Node) Close() error {
 	if n.closed {

@@ -15,19 +15,24 @@ type Contact struct {
 	Addr transport.Addr
 }
 
-// bucketEntry tracks liveness metadata alongside the contact. The ID is
-// carried twice: as bytes (inside Contact, for identity compares and
-// copy-out) and pre-packed into big-endian lanes, so the selection scan
-// XORs lanes against the target directly instead of byte-swapping every
-// entry's ID on every Closest call. lastSeen is UnixNano on the table
-// clock rather than a time.Time: with millions of live entries the
-// time.Time location pointer alone was a measurable garbage-collector
-// scan cost, and the staleness test only ever needs a subtraction.
+// bucketEntry tracks liveness metadata alongside the contact: 48 bytes, so a
+// full bucket of bucketK = 20 is one 1 KiB array. The ID is carried once, as
+// bytes; the selection walk touches at most a few buckets' entries per call
+// and packs their big-endian lanes where it uses them, with fixed-width
+// reads (lanes below). lastSeen is UnixNano on the table clock rather than a
+// time.Time: with millions of live entries the time.Time location pointer
+// alone was a measurable garbage-collector scan cost, and the staleness test
+// only ever needs a subtraction.
 type bucketEntry struct {
 	Contact
-	l0, l1   uint64
-	l2       uint32
 	lastSeen int64
+}
+
+// lanes packs the entry's ID into big-endian lanes. Constant-bounds slices of
+// the array, not lanes(e.ID[:]): the compiler turns these into three loads,
+// where the slice form measured twice as slow on the selection walk.
+func (e *bucketEntry) lanes() (l0, l1 uint64, l2 uint32) {
+	return binary.BigEndian.Uint64(e.ID[0:8]), binary.BigEndian.Uint64(e.ID[8:16]), binary.BigEndian.Uint32(e.ID[16:20])
 }
 
 // bucket is one k-bucket: live entries least-recently-seen first, plus a
@@ -228,11 +233,11 @@ func (t *Table) observe(c Contact, verified bool) {
 	// empty bucket (k >= 1).
 	b := t.ensureBucket(idx)
 	entries := b.entries
-	// The packed top lane settles nearly every identity compare in one word;
+	// The top eight bytes settle nearly every identity compare in one word;
 	// the 20-byte compare only confirms a match.
-	l0 := binary.BigEndian.Uint64(c.ID[:])
+	l0 := binary.BigEndian.Uint64(c.ID[0:8])
 	for i := range entries {
-		if entries[i].l0 == l0 && entries[i].ID == c.ID {
+		if binary.BigEndian.Uint64(entries[i].ID[0:8]) == l0 && entries[i].ID == c.ID {
 			if verified {
 				entries[i].Addr = c.Addr
 			}
@@ -244,21 +249,9 @@ func (t *Table) observe(c Contact, verified bool) {
 			return
 		}
 	}
-	entry := bucketEntry{Contact: c, l0: l0, lastSeen: t.now().UnixNano()}
-	entry.l1 = binary.BigEndian.Uint64(c.ID[8:])
-	entry.l2 = binary.BigEndian.Uint32(c.ID[16:])
+	entry := bucketEntry{Contact: c, lastSeen: t.now().UnixNano()}
 	if len(entries) < t.k {
-		if cap(entries) == 0 {
-			// First insert: skip the smallest growth steps without paying a
-			// full K×entry zeroed allocation for the many buckets that stay
-			// nearly empty (the far tail of every node's table).
-			n := 8
-			if n > t.k {
-				n = t.k
-			}
-			entries = make([]bucketEntry, 0, n)
-		}
-		b.entries = append(entries, entry)
+		b.entries = t.appendEntry(entries, entry)
 		t.setOccupied(idx, b)
 		return
 	}
@@ -286,6 +279,21 @@ func (t *Table) observe(c Contact, verified bool) {
 		probe := entries[0].Contact
 		t.pinger(probe, func(alive bool) { t.probeDone(probe.ID, alive) })
 	}
+}
+
+// appendEntry appends e to a bucket's live entries, of which there are fewer
+// than k. A full array grows by hand, 8 → 16 → k: the first step skips the
+// smallest sizes without paying a K×entry zeroed allocation for the many
+// buckets that stay nearly empty (the far tail of every node's table), and
+// the last stops at k, where append's doubling would round a full bucket up
+// to 32 entries it can never use.
+func (t *Table) appendEntry(entries []bucketEntry, e bucketEntry) []bucketEntry {
+	if len(entries) == cap(entries) {
+		grown := make([]bucketEntry, len(entries), min(max(2*cap(entries), 8), t.k))
+		copy(grown, entries)
+		entries = grown
+	}
+	return append(entries, e)
 }
 
 // upsertSpare inserts or refreshes a replacement-cache record, newest last,
@@ -332,7 +340,7 @@ func (t *Table) probeDone(id ID, _ bool) {
 func (t *Table) promoteSpares(b *bucket) {
 	for len(b.entries) < t.k && len(b.spare) > 0 {
 		last := len(b.spare) - 1
-		b.entries = append(b.entries, b.spare[last])
+		b.entries = t.appendEntry(b.entries, b.spare[last])
 		b.spare[last] = bucketEntry{}
 		b.spare = b.spare[:last]
 	}
@@ -490,8 +498,8 @@ func (t *Table) selectClosest(cs []Contact, rs []ranked, asRanked bool, target I
 			// Insertion sort on the keys: at most k of them, and an entry is
 			// copied out once, after its place is known.
 			for i := range entries {
-				e := &entries[i]
-				key := closestKey{d0: e.l0 ^ t0, d1: e.l1 ^ t1, d2: e.l2 ^ t2, i: uint32(i)}
+				l0, l1, l2 := entries[i].lanes()
+				key := closestKey{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2, i: uint32(i)}
 				j := i
 				for j > 0 && lanesFarther(keys[j-1].d0, keys[j-1].d1, keys[j-1].d2, key.d0, key.d1, key.d2) {
 					keys[j] = keys[j-1]

@@ -576,12 +576,13 @@ func TestTableRemove(t *testing.T) {
 }
 
 func TestTableBucketInvariant(t *testing.T) {
-	// Property: no bucket ever exceeds k entries and every entry lands in
-	// the bucket matching its XOR prefix.
+	// Property: no bucket ever exceeds k entries — nor holds room for more,
+	// at the default k that append's doubling would round up to 32 — and
+	// every entry lands in the bucket matching its XOR prefix.
 	rng := stats.NewRNG(55)
 	self := RandomID(rng)
 	now := time.Unix(0, 0)
-	const k = 4
+	const k = bucketK
 	table := NewTable(self, k, time.Hour, func() time.Time { return now })
 	for i := 0; i < 5000; i++ {
 		table.Observe(Contact{ID: RandomID(rng)})
@@ -600,8 +601,8 @@ func TestTableBucketInvariant(t *testing.T) {
 		if occupied != (len(b.entries) != 0) {
 			t.Fatalf("bucket %d: occupied bit %v with %d entries", idx, occupied, len(b.entries))
 		}
-		if len(b.entries) > k {
-			t.Fatalf("bucket %d has %d entries", idx, len(b.entries))
+		if len(b.entries) > k || cap(b.entries) > k {
+			t.Fatalf("bucket %d has %d entries in room for %d", idx, len(b.entries), cap(b.entries))
 		}
 		if len(b.spare) > k {
 			t.Fatalf("bucket %d has %d spare entries", idx, len(b.spare))
@@ -712,6 +713,9 @@ func TestEmptyTableSize(t *testing.T) {
 	// was 9.25 KiB, nearly all of it buckets that never fill.
 	if size := unsafe.Sizeof(Table{}); size >= 2<<10 {
 		t.Fatalf("empty Table is %d bytes, want < 2 KiB", size)
+	}
+	if size := unsafe.Sizeof(bucketEntry{}); size > 48 {
+		t.Fatalf("bucketEntry is %d bytes, want <= 48: a full bucket of K no longer fits 1 KiB", size)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		NewTable(ID{1}, 20, time.Minute, time.Now)

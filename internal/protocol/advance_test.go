@@ -12,16 +12,16 @@ import (
 	"selfemerge/internal/transport/simnet"
 )
 
-// TestAdvanceOrder pins the order of advance's one sorted custody list:
-// whatever order custody arrived in, a holder forwards its main onions by
-// column first, then its slot onions by (column, slot) — the order of the
-// per-scope loops the list replaced. The network is the holder and one
-// watcher, and the holder sends two replicas of everything, so the watcher
-// sees every forward.
-func TestAdvanceOrder(t *testing.T) {
+// newWatchedHolder boots a two-node network on a fresh simulator: a holder
+// running a host with cfg (its Clock filled in) and a watcher that appends
+// every protocol packet it receives to seen. With two replicas the watcher is
+// an owner of everything the holder sends.
+func newWatchedHolder(t *testing.T, cfg HostConfig, seen *[]Packet) (*sim.Simulator, *Host, *dht.Node) {
+	t.Helper()
 	clock := sim.NewSimulator()
 	fabric := simnet.New(clock, simnet.Config{Seed: 1})
-	host := NewHost(HostConfig{Clock: clock, Replicas: 2})
+	cfg.Clock = clock
+	host := NewHost(cfg)
 	node, err := dht.NewNode(dht.Config{
 		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host.HandleApp,
 	})
@@ -29,12 +29,11 @@ func TestAdvanceOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	host.Attach(node)
-	var seen []Packet
 	watcher, err := dht.NewNode(dht.Config{
 		ID: dht.IDFromKey([]byte("watcher")), Endpoint: fabric.Endpoint("watcher"), Clock: clock,
 		OnApp: func(_ dht.Contact, payload []byte) {
 			if pkt, err := DecodePacket(payload); err == nil {
-				seen = append(seen, pkt)
+				*seen = append(*seen, pkt)
 			}
 		},
 	})
@@ -43,6 +42,19 @@ func TestAdvanceOrder(t *testing.T) {
 	}
 	watcher.Bootstrap([]dht.Contact{node.Contact()}, nil)
 	clock.RunFor(time.Minute)
+	return clock, host, node
+}
+
+// TestAdvanceOrder pins the order of advance's one sorted custody list:
+// whatever order custody arrived in, a holder forwards its main onions by
+// column first, then its slot onions by (column, slot) — the order of the
+// per-scope loops the list replaced. The network is the holder and one
+// watcher, and the holder sends two replicas of everything, so the watcher
+// sees every forward.
+func TestAdvanceOrder(t *testing.T) {
+	var seen []Packet
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, &seen)
+	var err error
 
 	mission := MissionID{0xAD}
 	hops := [][]byte{make([]byte, dht.IDBytes), make([]byte, dht.IDBytes)}

@@ -258,9 +258,9 @@ func (h *Host) onKeyGrant(pkt Packet) {
 // to the current owners of its column's slots. A holder that churned out is
 // thereby replaced by a fresh node that receives the layer key from this
 // surviving custodian — the once-per-period repair of Section II-C. Dead
-// custodians cannot refresh (their lookups fail on a closed node), so a
-// column whose every custodian dies within one period loses its key, as the
-// Monte Carlo model prescribes.
+// custodians do not refresh (a tick on a closed node returns without pushing
+// or re-arming), so a column whose every custodian dies within one period
+// loses its key, as the Monte Carlo model prescribes.
 func (h *Host) scheduleGrantRefresh(pkt Packet) {
 	if !h.cfg.Repair || pkt.Step <= 0 || pkt.Width == 0 {
 		return
@@ -282,10 +282,14 @@ func (h *Host) scheduleGrantRefresh(pkt Packet) {
 	if pkt.direct() {
 		deadline = pkt.HoldUntil
 	}
-	push := func() { h.repush(pkt, pkt.Data) }
+	push := func() {
+		if !h.node.Closed() {
+			h.repush(pkt, pkt.Data)
+		}
+	}
 	var tick func()
 	tick = func() {
-		if h.cfg.Clock.Now().UnixNano() >= deadline {
+		if h.node.Closed() || h.cfg.Clock.Now().UnixNano() >= deadline {
 			return
 		}
 		push()
@@ -401,6 +405,9 @@ func (h *Host) scheduleShareRefresh(pkt Packet) {
 // regrantShares is one share-repair tick: re-push the shares currently held
 // at the packet's Ref to the current owners of the slots it repairs.
 func (h *Host) regrantShares(pkt Packet) {
+	if h.node.Closed() {
+		return
+	}
 	var blobs [][]byte
 	if ms, ok := h.missions[pkt.Mission]; ok {
 		for _, sh := range ms.shares[pkt.Ref()] {
@@ -448,10 +455,15 @@ func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey,
 	return distinct(ms.shares[Ref{int32(column), ColumnWide}]), distinct(ms.shares[Ref{int32(column), int32(slot)}])
 }
 
-// scheduleHold arms the package's hold timer; a hold is never cancelled.
+// scheduleHold arms the package's hold timer; a hold is never cancelled, but
+// one that comes due on a closed node does nothing: a custodian that churned
+// out neither peels nor forwards, and every send it issued would only fail.
 func (h *Host) scheduleHold(hp *heldPackage, fire func()) {
 	delay := time.Duration(hp.pkt.HoldUntil - h.cfg.Clock.Now().UnixNano())
 	h.cfg.Clock.Schedule(delay, func() {
+		if h.node.Closed() {
+			return
+		}
 		hp.due = true
 		fire()
 	})

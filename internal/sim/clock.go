@@ -56,16 +56,20 @@ type ArgTimer struct {
 }
 
 // Stop cancels the event; it reports true if the call prevented the callback
-// from running. A handle whose record was dispatched and recycled observes a
-// generation mismatch and reports false without touching the new occupant.
-// Cancellation is lazy: the record stays in its wheel slot and is discarded
-// when a drain or scan reaches it.
+// from running. A handle whose record was dispatched, stopped or recycled
+// observes a generation mismatch and reports false without touching the new
+// occupant. Cancellation is eager: the record is unlinked from wherever it
+// lives in the wheel and goes back to the freelist before Stop returns, so a
+// stopped timer costs the loop nothing further.
 func (h ArgTimer) Stop() bool {
-	if h.ev == nil || h.ev.state != h.gen<<stateGenShift {
+	ev := h.ev
+	if ev == nil || ev.state>>stateGenShift != h.gen {
 		return false
 	}
-	h.ev.state |= stateCancelled
-	h.ev.sim.live--
+	s := ev.sim
+	s.wheel.unlink(ev)
+	s.live--
+	s.release(ev)
 	return true
 }
 
@@ -78,24 +82,24 @@ func (h ArgTimer) Stop() bool {
 // The event loop is the inner loop of every live-scenario shard, so its hot
 // path is tuned accordingly: event records are recycled through a freelist
 // with generation-checked timer handles instead of allocating per schedule,
-// and cancellation is one store to the event's packed state word.
+// and a stopped record is back on that freelist before Stop returns.
 //
-// The pending queue is a hierarchical timer wheel (Varghese–Lauck), not a
-// binary heap: schedule and cancel are O(1) amortized regardless of how many
-// far-future timers are parked (per-node refresh loops, hold timers), where
-// a heap charges every near-horizon RPC timeout and delivery event O(log n)
-// against the whole standing population. Events that share a wheel tick are
-// sorted by (at, seq) once when their slot is drained, so dispatch order is
-// the exact (at, seq) total order the heap produced.
+// The pending queue is a hierarchical timer wheel (Varghese–Lauck) of
+// intrusive lists, not a binary heap: schedule and cancel are O(1) regardless
+// of how many far-future timers are parked (per-node refresh loops, hold
+// timers), where a heap charges every near-horizon RPC timeout and delivery
+// event O(log n) against the whole standing population. Events that share a
+// wheel tick are sorted by (at, seq) once when their slot is drained, so
+// dispatch order is the exact (at, seq) total order the heap produced.
 type Simulator struct {
 	now   int64 // current time, Unix nanoseconds
-	live  int   // queued events that have not run and are not cancelled
+	live  int   // queued events: every one of them is in the wheel and will run
 	seq   uint64
 	wheel timerWheel
 
 	// NextAt cache: the earliest pending event as of the last full scan.
-	// Self-invalidating — dispatch, cancellation and recycling all change the
-	// event's packed state word, so cachedAt() detects staleness without
+	// Self-invalidating — dispatch and cancellation both release the record,
+	// which bumps its generation, so cachedAt() detects staleness without
 	// any bookkeeping on those paths; schedule keeps the cache exact by
 	// min-updating it. This is what keeps the Lockstep barrier's per-epoch
 	// probe O(1) on idle shards.
@@ -106,9 +110,10 @@ type Simulator struct {
 }
 
 // maxFreeEvents bounds a simulator's recycled event records: above the
-// in-flight swing of a 2000-node loop's boot burst, so only a far larger
+// in-flight swing of a 2000-node loop's boot burst (11,982 records, now that
+// a stopped timeout gives its record back at once), so only a far larger
 // population's boot sheds its surplus to the collector once it drains.
-const maxFreeEvents = 1 << 16
+const maxFreeEvents = 1 << 14
 
 // NewSimulator returns a simulator starting at the Unix epoch plus one hour
 // (so negative offsets in tests stay valid).
@@ -176,20 +181,22 @@ func (s *Simulator) schedule(d time.Duration, fn func(), argFn func(any), arg an
 }
 
 // cachedAt returns the cached earliest pending timestamp, or maxInt64 when
-// the cache is stale (its event dispatched, cancelled or recycled — all of
-// which move the packed state word off the cached generation's pending
-// value).
+// the cache is stale (its event dispatched or cancelled — either way released
+// under a new generation).
 func (s *Simulator) cachedAt() int64 {
-	if s.cachedEv != nil && s.cachedEv.state == s.cachedGen<<stateGenShift {
+	if s.cachedEv != nil && s.cachedEv.state>>stateGenShift == s.cachedGen {
 		return s.cachedEv.at
 	}
 	return 1<<63 - 1
 }
 
 // Step executes the next pending event, advancing the clock to its
-// timestamp. It reports whether an event was executed.
+// timestamp. It reports whether an event was executed. An empty queue is
+// answered here, not by the wheel: a search that finds nothing rests the
+// wheel's time at its bound, and resting it at the end of time would file
+// every later event in the sorted run queue.
 func (s *Simulator) Step() bool {
-	return s.step(1<<63 - 1)
+	return s.live > 0 && s.step(1<<63-1)
 }
 
 // step pops and runs the earliest pending event with at <= bound, reporting
@@ -237,25 +244,23 @@ func (s *Simulator) RunFor(d time.Duration) {
 	s.RunUntil(s.Now().Add(d))
 }
 
-// Pending returns the number of queued events (cancelled ones excluded) in
-// O(1): the counter moves on schedule, cancel and dispatch, so lazily
-// deleted cancelled records still in the wheel never distort it.
+// Pending returns the number of queued events in O(1): the counter moves on
+// schedule, cancel and dispatch, and a cancelled event leaves the wheel with
+// its Stop.
 func (s *Simulator) Pending() int {
 	return s.live
 }
 
-// NextAt returns the timestamp of the earliest pending event, purging lazily
-// cancelled records it scans past; ok is false when nothing is pending. It
-// is the lookahead probe of the Lockstep epoch barrier: the barrier sizes
-// each epoch from the earliest event across all member simulators. The
-// result is cached on the event itself (see cachedAt), so back-to-back
-// barrier probes of an idle shard cost one load, and the purge on a
-// recompute keeps a stale cancelled minimum from pinning the epoch size.
+// NextAt returns the timestamp of the earliest pending event; ok is false
+// when nothing is pending. It is the lookahead probe of the Lockstep epoch
+// barrier: the barrier sizes each epoch from the earliest event across all
+// member simulators. The result is cached on the event itself (see
+// cachedAt), so back-to-back barrier probes of an idle shard cost one load.
 func (s *Simulator) NextAt() (at time.Time, ok bool) {
 	if t := s.cachedAt(); t != 1<<63-1 {
 		return time.Unix(0, t), true
 	}
-	ev := s.wheel.minPending(s)
+	ev := s.wheel.minPending()
 	if ev == nil {
 		s.cachedEv = nil
 		return time.Time{}, false
@@ -264,36 +269,52 @@ func (s *Simulator) NextAt() (at time.Time, ok bool) {
 	return time.Unix(0, ev.at), true
 }
 
-// release returns a finished (run or cancelled) event record to the freelist,
-// bumping its generation so any still-held timer handle turns inert.
+// release returns a finished (run or cancelled) event record, already out of
+// the wheel, to the freelist, bumping its generation so any still-held timer
+// handle turns inert.
 func (s *Simulator) release(ev *event) {
 	gen := ev.state >> stateGenShift
 	ev.fn = nil // do not retain the callback or its argument while pooled
 	ev.argFn = nil
 	ev.arg = nil
-	ev.state = (gen + 1) << stateGenShift // next life, pending
+	ev.state = (gen + 1) << stateGenShift // next life
 	s.events.Put(ev)
 }
 
-// Event state is a packed word: the low bit says cancelled, the rest is a
-// generation counter bumped each time the record is recycled, so one compare
-// tells a handle to a pending event from a stale or spent one.
+// Event state is a packed word: the low bits are the record's residence (the
+// list of the wheel it is linked into, which is what lets Stop unlink it
+// without a search), the rest is a generation counter bumped each time the
+// record is released, so one compare tells a handle to a pending event from
+// a stale or spent one. Packed, not two fields, to keep the record in the
+// 80-byte size class.
 const (
-	stateCancelled = 1
-	stateGenShift  = 1
+	stateGenShift = 16
+	resMask       = 1<<stateGenShift - 1
+
+	// Residences: a slot is level<<wheelBits | slot, below resOverflow.
+	resOverflow = wheelLevels * wheelSlots
+	resRunQ     = resOverflow + 1
 )
 
 // event is a pooled scheduled callback record. Exactly one of fn and argFn
 // is set: argFn events carry their argument in the record, so hot callers
-// with a package-level argFn schedule without allocating a closure.
+// with a package-level argFn schedule without allocating a closure. While it
+// waits in a slot or the overflow the record is a node of that list (next,
+// prev); in the run queue and on the freelist both links are nil.
 type event struct {
-	at    int64 // Unix nanoseconds
-	seq   uint64
-	fn    func()
-	argFn func(any)
-	arg   any
-	sim   *Simulator
-	state uint64
+	at         int64 // Unix nanoseconds
+	seq        uint64
+	fn         func()
+	argFn      func(any)
+	arg        any
+	sim        *Simulator
+	state      uint64
+	next, prev *event
+}
+
+// setRes records which list of the wheel now holds ev.
+func (ev *event) setRes(res uint64) {
+	ev.state = ev.state&^resMask | res
 }
 
 // cmpEvent is the dispatch total order: (at, seq). seq is unique per
@@ -312,26 +333,20 @@ func cmpEvent(a, b *event) int {
 	return 0
 }
 
-// popRunnable pops the earliest pending event with at <= bound, discarding
-// lazily cancelled records along the way.
+// popRunnable pops the earliest pending event with at <= bound.
 func (s *Simulator) popRunnable(bound int64) *event {
 	w := &s.wheel
 	for {
 		// Fast path: the current-tick run queue, already in (at, seq) order.
-		for w.runIdx < len(w.runQ) {
+		if w.runIdx < len(w.runQ) {
 			ev := w.runQ[w.runIdx]
 			if ev.at > bound {
 				return nil
 			}
 			w.runQ[w.runIdx] = nil
 			w.runIdx++
-			if ev.state&stateCancelled == 0 {
-				s.live--
-				return ev
-			}
-			// Cancelled (Stop already decremented the live counter): drop the
-			// record and keep looking.
-			s.release(ev)
+			s.live--
+			return ev
 		}
 		w.runQ = w.runQ[:0]
 		w.runIdx = 0
@@ -364,27 +379,72 @@ const (
 // consumed; a level-L slot holds events whose tick was wtime+[2^(8L),
 // 2^(8(L+1))) away when inserted, and advance never moves wtime past the
 // cascade boundary of an occupied slot, so no slot is ever stranded behind
-// the wheel's current time.
+// the wheel's current time. Every queued event is in exactly one of the run
+// queue, a slot list and the overflow list, and its state word says which
+// (the residence), so unlink takes it out without looking for it; a slot's
+// occupancy bit is set exactly while its list is non-empty. Order inside a
+// list means nothing: the run queue is sorted when a slot drains into it.
 type timerWheel struct {
 	wtime  int64 // current wheel time, in ticks
 	runQ   []*event
 	runIdx int
 
-	slots [wheelLevels][wheelSlots][]*event
+	slots [wheelLevels][wheelSlots]*event // list heads
 	occ   [wheelLevels][wheelSlots / 64]uint64
 	// slotMin caches a lower bound on each occupied slot's earliest pending
-	// timestamp: exact after inserts (O(1) min-update), stale-low after lazy
-	// cancellations, meaningless while the occupancy bit is clear. minPending
-	// consults these instead of scanning buckets, verifying only the winning
-	// slot — without this, every barrier probe would rescan the thousands of
-	// parked far-horizon timers in the first level-2/3 buckets.
+	// timestamp: exact after inserts (O(1) min-update), stale-low only after
+	// the slot's minimum was unlinked while others stayed, meaningless while
+	// the occupancy bit is clear. minPending consults these instead of
+	// walking lists, verifying only the winning slot — without this, every
+	// barrier probe would rescan the thousands of parked far-horizon timers
+	// in the first level-2/3 slots.
 	slotMin [wheelLevels][wheelSlots]int64
 
-	overflow []*event
+	overflow *event // list head
 	// overflowMin is a lower bound on the overflow entries' ticks (exact on
-	// insert, stale-early after cancellations), so advance knows when a
-	// re-bin could matter without scanning.
+	// insert, stale-early after its minimum was unlinked), so advance knows
+	// when a re-bin could matter without scanning.
 	overflowMin int64
+}
+
+// push links ev at the head of a list and records the list as its residence.
+func push(head **event, ev *event, res uint64) {
+	ev.setRes(res)
+	ev.prev, ev.next = nil, *head
+	if *head != nil {
+		(*head).prev = ev
+	}
+	*head = ev
+}
+
+// unlink takes a queued event out of the wheel, from wherever it lives: a
+// slot or the overflow in O(1) by its own links, the run queue — one tick's
+// events — by binary search on (at, seq).
+func (w *timerWheel) unlink(ev *event) {
+	res := ev.state & resMask
+	if res == resRunQ {
+		i, _ := slices.BinarySearchFunc(w.runQ[w.runIdx:], ev, cmpEvent)
+		i += w.runIdx
+		w.runQ = slices.Delete(w.runQ, i, i+1)
+		return
+	}
+	head := &w.overflow
+	if res != resOverflow {
+		head = &w.slots[res>>wheelBits][res&wheelMask]
+	}
+	if ev.prev != nil {
+		ev.prev.next = ev.next
+	} else {
+		*head = ev.next
+	}
+	if ev.next != nil {
+		ev.next.prev = ev.prev
+	}
+	ev.next, ev.prev = nil, nil
+	if *head == nil && res != resOverflow {
+		slot := res & wheelMask
+		w.occ[res>>wheelBits][slot>>6] &^= 1 << (slot & 63)
+	}
 }
 
 // insert files ev by its distance from the wheel's current time.
@@ -405,10 +465,10 @@ func (w *timerWheel) insert(ev *event) {
 	case r < 1<<(4*wheelBits):
 		w.put(3, int((tick>>(3*wheelBits))&wheelMask), ev)
 	default:
-		if len(w.overflow) == 0 || tick < w.overflowMin {
+		if w.overflow == nil || tick < w.overflowMin {
 			w.overflowMin = tick
 		}
-		w.overflow = append(w.overflow, ev)
+		push(&w.overflow, ev, resOverflow)
 	}
 }
 
@@ -419,7 +479,7 @@ func (w *timerWheel) put(level, slot int, ev *event) {
 	} else if ev.at < w.slotMin[level][slot] {
 		w.slotMin[level][slot] = ev.at
 	}
-	w.slots[level][slot] = append(w.slots[level][slot], ev)
+	push(&w.slots[level][slot], ev, uint64(level<<wheelBits|slot))
 }
 
 // insertRun places ev into the live run queue at its (at, seq) position
@@ -427,6 +487,7 @@ func (w *timerWheel) put(level, slot int, ev *event) {
 // event scheduled at the current instant from a running callback dispatches
 // in the same pass, in order, exactly like the heap did.
 func (w *timerWheel) insertRun(ev *event) {
+	ev.setRes(resRunQ)
 	i, _ := slices.BinarySearchFunc(w.runQ[w.runIdx:], ev, cmpEvent)
 	i += w.runIdx
 	w.runQ = append(w.runQ, nil)
@@ -490,7 +551,7 @@ func (w *timerWheel) advance(bound int64) bool {
 				}
 			}
 		}
-		if len(w.overflow) > 0 {
+		if w.overflow != nil {
 			// The overflow's nearest entry enters the top level's horizon at
 			// this tick; re-binning any later would strand it.
 			if t := w.overflowMin - (1<<(wheelLevels*wheelBits) - 1); t > w.wtime && t < jump {
@@ -506,7 +567,7 @@ func (w *timerWheel) advance(bound int64) bool {
 			return false
 		}
 		w.wtime = jump
-		if len(w.overflow) > 0 && w.overflowMin-(1<<(wheelLevels*wheelBits)-1) <= w.wtime {
+		if w.overflow != nil && w.overflowMin-(1<<(wheelLevels*wheelBits)-1) <= w.wtime {
 			w.rebinOverflow()
 		}
 		// Cascade outside-in: a top-level slot re-bins into the levels below,
@@ -528,30 +589,37 @@ func (w *timerWheel) advance(bound int64) bool {
 	}
 }
 
-// drainSlot empties one slot: level 0 into the run queue (all entries share
-// the current tick), higher levels re-binned by their now-smaller distance.
+// drainSlot empties one slot: level 0 onto the run queue (all entries share
+// the current tick; advance sorts it), higher levels re-binned by their
+// now-smaller distance.
 func (w *timerWheel) drainSlot(level, slot int) {
-	evs := w.slots[level][slot]
-	if len(evs) == 0 {
+	ev := w.slots[level][slot]
+	if ev == nil {
 		return
 	}
+	w.slots[level][slot] = nil
 	w.occ[level][slot>>6] &^= 1 << (slot & 63)
-	if level == 0 {
-		if len(w.runQ) == 0 {
-			// Steal the slot's backing array for the run queue and donate the
-			// (consumed, capacity-bearing) old run queue to the slot, so the
-			// steady state recycles two arrays instead of growing either.
-			w.runQ, w.slots[level][slot] = evs, w.runQ[:0]
-			return
-		}
-		w.runQ = append(w.runQ, evs...)
-		w.slots[level][slot] = evs[:0]
+	if level > 0 {
+		w.rebin(ev)
 		return
 	}
-	w.slots[level][slot] = evs[:0]
-	for i, ev := range evs {
+	for ev != nil {
+		next := ev.next
+		ev.next, ev.prev = nil, nil
+		ev.setRes(resRunQ)
+		w.runQ = append(w.runQ, ev)
+		ev = next
+	}
+}
+
+// rebin files every event of a detached list anew, by its distance from the
+// wheel's current time.
+func (w *timerWheel) rebin(ev *event) {
+	for ev != nil {
+		next := ev.next
+		ev.next, ev.prev = nil, nil
 		w.insert(ev)
-		evs[i] = nil
+		ev = next
 	}
 }
 
@@ -559,13 +627,10 @@ func (w *timerWheel) drainSlot(level, slot int) {
 // horizon return to the overflow with an exact new minimum.
 func (w *timerWheel) rebinOverflow() {
 	// Detach the list before re-inserting: entries still beyond the horizon
-	// re-append to w.overflow, which must not alias the array being walked.
+	// are pushed back onto w.overflow, which must not be the list being walked.
 	evs := w.overflow
 	w.overflow = nil
-	w.overflowMin = 1<<63 - 1
-	for _, ev := range evs {
-		w.insert(ev)
-	}
+	w.rebin(evs)
 }
 
 // minPending returns the earliest pending event without advancing the wheel
@@ -575,22 +640,16 @@ func (w *timerWheel) rebinOverflow() {
 // every level is consulted (within one level the earliest-cascading slot
 // provably holds that level's minimum — slots' tick windows are disjoint
 // blocks in cascade order). Selection runs over the cached slotMin bounds;
-// only the winning slot is scanned, which both verifies the bound (a lazily
-// cancelled minimum may have left it stale-low — left uncorrected it would
-// pin the epoch barrier's probe early forever, the livelock this loop
-// guards against) and purges the cancelled records it finds. A slot proven
-// exact that wins re-selection is the answer.
-func (w *timerWheel) minPending(sim *Simulator) *event {
+// only the winning slot's list is walked, which verifies the bound (a slot
+// whose minimum was unlinked may have left it stale-low — left uncorrected it
+// would pin the epoch barrier's probe early forever, the livelock this loop
+// guards against) and makes it exact. A slot proven exact that wins
+// re-selection is the answer.
+func (w *timerWheel) minPending() *event {
 	// Run-queue head first: its tick is wtime, below every slotted tick, so
-	// a pending head short-circuits the whole selection.
-	for w.runIdx < len(w.runQ) {
-		ev := w.runQ[w.runIdx]
-		if ev.state&stateCancelled == 0 {
-			return ev
-		}
-		w.runQ[w.runIdx] = nil
-		w.runIdx++
-		sim.release(ev)
+	// it short-circuits the whole selection.
+	if w.runIdx < len(w.runQ) {
+		return w.runQ[w.runIdx]
 	}
 	const inf = int64(1<<63 - 1)
 	exactLevel, exactSlot := -1, -1
@@ -612,11 +671,12 @@ func (w *timerWheel) minPending(sim *Simulator) *event {
 				}
 			}
 		}
-		if len(w.overflow) > 0 && w.overflowMin<<wheelShift < bestAt {
+		if w.overflow != nil && w.overflowMin<<wheelShift < bestAt {
 			if exactOverflow {
 				return exactEv
 			}
-			exactEv = w.scanOverflow(sim)
+			exactEv = listMin(w.overflow)
+			w.overflowMin = exactEv.at >> wheelShift
 			exactOverflow, exactLevel = true, -1
 			continue
 		}
@@ -626,63 +686,19 @@ func (w *timerWheel) minPending(sim *Simulator) *event {
 		if bestLevel == exactLevel && bestSlot == exactSlot {
 			return exactEv
 		}
-		exactEv = w.scanSlot(sim, bestLevel, bestSlot)
+		exactEv = listMin(w.slots[bestLevel][bestSlot])
+		w.slotMin[bestLevel][bestSlot] = exactEv.at
 		exactLevel, exactSlot, exactOverflow = bestLevel, bestSlot, false
 	}
 }
 
-// scanSlot computes one slot's exact minimum pending event, swap-removing
-// cancelled records (slot order is insertion order, rebuilt at drain time,
-// so removal order is irrelevant), refreshing slotMin and clearing the
-// occupancy bit if the slot empties.
-func (w *timerWheel) scanSlot(sim *Simulator, level, slot int) *event {
-	evs := w.slots[level][slot]
-	var best *event
-	for i := 0; i < len(evs); {
-		ev := evs[i]
-		if ev.state&stateCancelled != 0 {
-			last := len(evs) - 1
-			evs[i] = evs[last]
-			evs[last] = nil
-			evs = evs[:last]
-			sim.release(ev)
-			continue
-		}
-		if best == nil || cmpEvent(ev, best) < 0 {
+// listMin walks a non-empty list for its earliest event.
+func listMin(head *event) *event {
+	best := head
+	for ev := head.next; ev != nil; ev = ev.next {
+		if cmpEvent(ev, best) < 0 {
 			best = ev
 		}
-		i++
-	}
-	w.slots[level][slot] = evs
-	if best == nil {
-		w.occ[level][slot>>6] &^= 1 << (slot & 63)
-	} else {
-		w.slotMin[level][slot] = best.at
-	}
-	return best
-}
-
-// scanOverflow computes the overflow list's exact minimum pending event,
-// purging cancelled records and tightening overflowMin.
-func (w *timerWheel) scanOverflow(sim *Simulator) *event {
-	var best *event
-	for i := 0; i < len(w.overflow); {
-		ev := w.overflow[i]
-		if ev.state&stateCancelled != 0 {
-			last := len(w.overflow) - 1
-			w.overflow[i] = w.overflow[last]
-			w.overflow[last] = nil
-			w.overflow = w.overflow[:last]
-			sim.release(ev)
-			continue
-		}
-		if best == nil || cmpEvent(ev, best) < 0 {
-			best = ev
-		}
-		i++
-	}
-	if best != nil {
-		w.overflowMin = best.at >> wheelShift
 	}
 	return best
 }

@@ -169,8 +169,7 @@ func TestPending(t *testing.T) {
 
 func TestPendingCancelThenDispatch(t *testing.T) {
 	// The O(1) pending counter must track all three transitions: schedule,
-	// cancel (even though the cancelled record stays lazily queued in the
-	// heap) and dispatch.
+	// cancel and dispatch.
 	s := NewSimulator()
 	timers := make([]Timer, 6)
 	for i := range timers {
