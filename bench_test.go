@@ -13,6 +13,7 @@ package selfemerge
 // ablation follow.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -324,24 +325,54 @@ func BenchmarkSimnetThroughput(b *testing.B) {
 // app delivery, wire retention, receiver dedup — not just the legacy
 // single-shot path.
 func BenchmarkMissionAllocs(b *testing.B) {
+	benchMissionCycle(b, []byte("alloc probe"))
+}
+
+// BenchmarkMissionBulk is the BenchmarkMissionAllocs cycle with a 1 MiB
+// payload — the one shape where sealing and the cloud are the mission. Its
+// B/op is the payload-ownership gate: one cycle owes the ciphertext the
+// cloud adopts and the plaintext Emerged returns, ~2 MiB, and each payload
+// copy that comes back (a cloning Put, a copying Get, a regrown seal) adds
+// another MiB — a count CI reads against bytes_per_op_gate in
+// BENCH_scenario.json, not a timing.
+func BenchmarkMissionBulk(b *testing.B) {
+	payload := make([]byte, 1<<20)
+	if _, err := stats.NewByteStream(11).Read(payload); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(payload)))
+	benchMissionCycle(b, payload)
+}
+
+// benchMissionCycle runs b.N sequential missions carrying payload through
+// one pre-booted network.
+func benchMissionCycle(b *testing.B, payload []byte) {
 	net, err := NewNetwork(NetworkConfig{Nodes: 60, Seed: 11, Retry: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		msg, err := net.Send([]byte("alloc probe"), time.Hour, WithPlan(plan))
-		if err != nil {
-			b.Fatal(err)
-		}
-		net.RunUntil(msg.Release().Add(time.Minute))
-		net.Settle()
-		if _, _, ok := net.Emerged(msg); !ok {
-			b.Fatal("mission did not emerge")
-		}
+		missionCycle(b, net, payload)
 	}
+}
+
+// missionCycle is one complete mission under the joint 2x2 plan: send, run
+// past release, check the plaintext that emerges byte for byte, delete the
+// cloud object.
+func missionCycle(tb testing.TB, net *Network, payload []byte) {
+	msg, err := net.Send(payload, time.Hour, WithPlan(core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net.RunUntil(msg.Release().Add(time.Minute))
+	net.Settle()
+	plain, _, ok := net.Emerged(msg)
+	if !ok || !bytes.Equal(plain, payload) {
+		tb.Fatal("mission did not emerge intact")
+	}
+	net.Cloud().Delete(msg.CloudObject())
 }
 
 // BenchmarkShamirSplitSeeded is BenchmarkShamirSplit on the deterministic

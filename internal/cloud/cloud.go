@@ -3,6 +3,15 @@
 // authenticated receivers may download it at any time. The cloud never
 // holds key material — confidentiality rests entirely on the DHT-routed
 // key.
+//
+// A stored blob is immutable and has one owner at a time: Adopt hands the
+// caller's slice to the store, which keeps it without copying, and View
+// lends the stored slice itself to an authorized reader. Nobody writes a
+// blob after adoption; overwriting or deleting a name only drops the
+// store's reference, so a view taken earlier keeps reading the bytes it was
+// given. Put and Get are the same path with a copy at the edge ("adopt a
+// copy", "copy of the view") for callers that keep writing their buffer or
+// want a private one. DESIGN.md, "Payload ownership", has the contract.
 package cloud
 
 import (
@@ -35,10 +44,12 @@ func NewStore() *Store {
 	return &Store{objects: make(map[string]object)}
 }
 
-// Put uploads data under name, readable by the listed principals (everyone
-// when none are given). Existing objects are overwritten.
-func (s *Store) Put(name string, data []byte, readers ...string) {
-	obj := object{data: append([]byte(nil), data...)}
+// Adopt uploads data under name, readable by the listed principals
+// (everyone when none are given), and keeps the slice itself: the caller
+// gives up ownership and must not write it again. Existing objects are
+// overwritten — the name moves to the new blob, the old one is untouched.
+func (s *Store) Adopt(name string, data []byte, readers ...string) {
+	obj := object{data: data}
 	if len(readers) > 0 {
 		obj.readers = make(map[string]bool, len(readers))
 		for _, r := range readers {
@@ -50,8 +61,15 @@ func (s *Store) Put(name string, data []byte, readers ...string) {
 	s.mu.Unlock()
 }
 
-// Get downloads an object as principal.
-func (s *Store) Get(name, principal string) ([]byte, error) {
+// Put is Adopt of a private copy: the caller keeps data and may reuse it.
+func (s *Store) Put(name string, data []byte, readers ...string) {
+	s.Adopt(name, append([]byte(nil), data...), readers...)
+}
+
+// View downloads an object as principal without copying it: the result is
+// the stored blob, read-only for every holder. It stays valid and unchanged
+// after the name is overwritten or deleted.
+func (s *Store) View(name, principal string) ([]byte, error) {
 	s.mu.RLock()
 	obj, ok := s.objects[name]
 	s.mu.RUnlock()
@@ -61,12 +79,22 @@ func (s *Store) Get(name, principal string) ([]byte, error) {
 	if obj.readers != nil && !obj.readers[principal] {
 		return nil, ErrForbidden
 	}
-	out := make([]byte, len(obj.data))
-	copy(out, obj.data)
+	return obj.data, nil
+}
+
+// Get is a private copy of View, the caller's to modify.
+func (s *Store) Get(name, principal string) ([]byte, error) {
+	view, err := s.View(name, principal)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(view))
+	copy(out, view)
 	return out, nil
 }
 
-// Delete removes an object; deleting a missing object is a no-op.
+// Delete removes an object; deleting a missing object is a no-op. Views of
+// it already handed out stay readable.
 func (s *Store) Delete(name string) {
 	s.mu.Lock()
 	delete(s.objects, name)

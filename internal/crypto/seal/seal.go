@@ -107,11 +107,16 @@ func (s *Sealer) Encrypt(plaintext, aad []byte) ([]byte, error) {
 
 // AppendEncrypt seals plaintext and appends the ciphertext (nonce prefix
 // included) to dst, returning the extended slice — the allocation-free form
-// for callers that reuse a scratch buffer.
+// for callers that reuse a scratch buffer. When dst lacks the room, nonce,
+// ciphertext and tag are reserved in one exactly-sized allocation, so a nil
+// dst costs one allocation however large the plaintext.
 func (s *Sealer) AppendEncrypt(dst, plaintext, aad []byte) ([]byte, error) {
 	nonceAt := len(dst)
-	var pad [16]byte
-	dst = append(dst, pad[:s.aead.NonceSize()]...)
+	nonceEnd := nonceAt + s.aead.NonceSize()
+	if total := nonceEnd + len(plaintext) + s.aead.Overhead(); cap(dst) < total {
+		dst = append(make([]byte, 0, total), dst...)
+	}
+	dst = dst[:nonceEnd]
 	nonce := dst[nonceAt:]
 	if _, err := io.ReadFull(s.rand, nonce); err != nil {
 		return nil, fmt.Errorf("seal: generating nonce: %w", err)

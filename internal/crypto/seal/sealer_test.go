@@ -2,6 +2,8 @@ package seal_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"selfemerge/internal/crypto/seal"
@@ -129,5 +131,51 @@ func TestAppendEncryptPreservesPrefix(t *testing.T) {
 	back, err := s.Decrypt(out[len(prefix):], nil)
 	if err != nil || string(back) != "payload" {
 		t.Fatalf("appended ciphertext failed to open: %v %q", err, back)
+	}
+}
+
+// TestAppendEncryptOneAlloc pins the nil-dst seal to one allocation — nonce,
+// ciphertext and tag reserved together — at 1 KiB and at the 1 MiB payload
+// size, and pins its bytes: the digests were recorded from the two-step
+// (nonce slice, then regrow) implementation on the same seeded stream, so
+// the nonce draw and the sealed layout cannot move under onion/share goldens.
+func TestAppendEncryptOneAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		size   int
+		golden string
+	}{
+		{1 << 10, "ec84616c1cd7099edfee7324f632ba5565c234015eea81414b9bb174940b1a55"},
+		{1 << 20, "4fb458e993ea6324a4684f96bb451bfee96dd1cadfd66101c449f83610c46179"},
+	} {
+		stream := stats.NewByteStream(4321)
+		key, err := seal.NewKeyFrom(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := seal.NewSealerRand(key, stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := make([]byte, tc.size)
+		if _, err := stream.Read(plain); err != nil {
+			t.Fatal(err)
+		}
+		box, err := s.AppendEncrypt(nil, plain, []byte("aad"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(box) != tc.size+seal.Overhead() {
+			t.Errorf("%d B: sealed length %d, want %d", tc.size, len(box), tc.size+seal.Overhead())
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(box)); got != tc.golden {
+			t.Errorf("%d B: sealed bytes moved: sha256 %s, want %s", tc.size, got, tc.golden)
+		}
+		if allocs := testing.AllocsPerRun(10, func() {
+			if box, err = s.AppendEncrypt(nil, plain, nil); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Errorf("%d B: AppendEncrypt(nil, ...) = %v allocs, want 1", tc.size, allocs)
+		}
 	}
 }

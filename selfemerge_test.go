@@ -2,8 +2,12 @@ package selfemerge
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
+
+	"selfemerge/internal/core"
+	"selfemerge/internal/stats"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -278,6 +282,47 @@ func TestSendValidation(t *testing.T) {
 	}
 	if _, err := net.Send([]byte("x"), time.Hour, WithScheme(Scheme(9))); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+	// A plan Dispatch refuses is refused before the payload is sealed and
+	// uploaded: no failed Send above may leave an object behind.
+	if _, err := net.Send([]byte("x"), time.Hour, WithPlan(core.Plan{Scheme: core.SchemeJoint})); err == nil {
+		t.Error("shapeless joint plan accepted")
+	}
+	if got := net.Cloud().Len(); got != 0 {
+		t.Errorf("failed Sends left %d cloud objects", got)
+	}
+}
+
+// TestPayloadBytesPerMission is the payload-ownership count: one complete
+// 1 MiB mission — seal, upload, route, emerge, decrypt, delete — may allocate
+// the ciphertext the cloud keeps and the plaintext the caller gets, and no
+// third copy of the payload. Everything else the second mission of a
+// network allocates (onions, packets, lookups: ~90 KiB) fits the 128 KiB
+// allowance; the first also fills freelists, so it runs unmeasured.
+// TotalAlloc only grows, so collections during the cycle do not disturb the
+// reading.
+func TestPayloadBytesPerMission(t *testing.T) {
+	const payloadSize = 1 << 20
+	net, err := NewNetwork(NetworkConfig{Nodes: 60, Seed: 11, Retry: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, payloadSize)
+	if _, err := stats.NewByteStream(11).Read(payload); err != nil {
+		t.Fatal(err)
+	}
+	missionCycle(t, net, payload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	missionCycle(t, net, payload)
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(2*payloadSize + 128<<10); grew > limit {
+		t.Errorf("one 1 MiB mission allocated %d bytes (%.2f payloads), limit %d: a payload copy is back",
+			grew, float64(grew)/payloadSize, limit)
+	}
+	if net.Cloud().Len() != 0 {
+		t.Errorf("cloud holds %d objects after Delete", net.Cloud().Len())
 	}
 }
 

@@ -71,10 +71,11 @@ func (m *Message) Plan() core.Plan { return m.mission.Plan }
 // CloudObject names the ciphertext object in the cloud store.
 func (m *Message) CloudObject() string { return m.cloudObject }
 
-// Send protects plaintext as self-emerging data: it seals it under a fresh
-// key, uploads the ciphertext to the cloud, plans a routing scheme sized
-// for the emerging period, and dispatches the key into the DHT. The key
-// re-emerges at Now()+emerging.
+// Send protects plaintext as self-emerging data: it plans a routing scheme
+// sized for the emerging period, seals the plaintext under a fresh key,
+// dispatches the key into the DHT and uploads the ciphertext to the cloud.
+// The key re-emerges at Now()+emerging. A Send that returns an error has
+// stored nothing.
 func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOption) (*Message, error) {
 	if len(plaintext) == 0 {
 		return nil, fmt.Errorf("selfemerge: empty message")
@@ -89,6 +90,11 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 
 	plan, err := n.planFor(cfg, emerging)
 	if err != nil {
+		return nil, err
+	}
+	// Checked here, before the payload is sealed: a plan Dispatch would
+	// refuse must cost neither the seal nor a cloud object.
+	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 
@@ -114,8 +120,6 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 			return nil, err
 		}
 	}
-	object := fmt.Sprintf("msg-%x", missionID[:8])
-	n.cloudSt.Put(object, ciphertext)
 
 	mission := protocol.Mission{
 		ID:       missionID,
@@ -131,6 +135,11 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 	if _, err := n.sender.Dispatch(n.nodes[2], mission); err != nil {
 		return nil, err
 	}
+	// Uploaded only once the key is on its way, so a failed Send leaves
+	// nothing behind. The store adopts the sealed buffer: from here the
+	// ciphertext is the cloud's and nobody writes it.
+	object := fmt.Sprintf("msg-%x", missionID[:8])
+	n.cloudSt.Adopt(object, ciphertext)
 	return &Message{mission: mission, cloudObject: object}, nil
 }
 
@@ -156,8 +165,9 @@ func (n *Network) planFor(cfg sendConfig, emerging time.Duration) (core.Plan, er
 }
 
 // Emerged reports whether the message's key has emerged, and if so decrypts
-// the cloud ciphertext: the receiver workflow of Figure 1. The returned
-// time is when the key reached the receiver.
+// the cloud ciphertext where the store keeps it: the receiver workflow of
+// Figure 1. The plaintext is the caller's; the returned time is when the key
+// reached the receiver.
 func (n *Network) Emerged(m *Message) (plaintext []byte, at time.Time, ok bool) {
 	d, found := n.deliveries[m.mission.ID]
 	if !found {
@@ -167,7 +177,7 @@ func (n *Network) Emerged(m *Message) (plaintext []byte, at time.Time, ok bool) 
 	if err != nil {
 		return nil, time.Time{}, false
 	}
-	ciphertext, err := n.cloudSt.Get(m.cloudObject, "receiver")
+	ciphertext, err := n.cloudSt.View(m.cloudObject, "receiver")
 	if err != nil {
 		return nil, time.Time{}, false
 	}
@@ -197,7 +207,7 @@ func (n *Network) AdversaryDecrypts(m *Message) bool {
 	if err != nil {
 		return false
 	}
-	ciphertext, err := n.cloudSt.Get(m.cloudObject, "adversary")
+	ciphertext, err := n.cloudSt.View(m.cloudObject, "adversary")
 	if err != nil {
 		return false
 	}
