@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"selfemerge/internal/adversary"
 	"selfemerge/internal/fault"
 )
 
@@ -64,19 +63,6 @@ func (rs *ResultSet) hasLoopStats() bool {
 
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
-// attackLabel names the point's adversary for the emitters: the strategy
-// label, with the legacy Drop boolean folded in so pre-strategy sweeps emit
-// the exact bytes they always did.
-func attackLabel(pt Point) string {
-	if pt.Strategy != adversary.StrategySpy {
-		return pt.Strategy.String()
-	}
-	if pt.Drop {
-		return "drop"
-	}
-	return "spy"
-}
-
 // WriteCSV renders one row per point, in grid order.
 func (rs *ResultSet) WriteCSV(w io.Writer) error {
 	header := csvHeader
@@ -96,13 +82,12 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 	}
 	for _, res := range rs.Results {
 		pt := res.Point
-		attack := attackLabel(pt)
 		row := []string{
 			strconv.Itoa(pt.Index), pt.Series, fnum(pt.X),
 			res.Plan.Scheme.String(), strconv.Itoa(res.Plan.K), strconv.Itoa(res.Plan.L),
 			strconv.Itoa(res.Plan.ShareN), strconv.Itoa(pt.Replicas),
 			strconv.Itoa(pt.Network), strconv.Itoa(pt.Budget),
-			fnum(pt.P), fnum(pt.Alpha), attack, strconv.FormatUint(pt.Seed, 10),
+			fnum(pt.P), fnum(pt.Alpha), pt.Strategy.String(), strconv.FormatUint(pt.Seed, 10),
 			strconv.Itoa(res.Samples), strconv.Itoa(res.Released),
 			strconv.Itoa(res.Delivered), strconv.Itoa(res.Succeeded),
 			fnum(res.Rr), fnum(res.Rd), fnum(res.R), fnum(res.MinR()),
@@ -223,13 +208,12 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	}
 	for _, res := range rs.Results {
 		pt := res.Point
-		attack := attackLabel(pt)
 		rj := resultJSON{
 			Index: pt.Index, Series: pt.Series, X: pt.X,
 			Scheme: res.Plan.Scheme.String(), K: res.Plan.K, L: res.Plan.L,
 			ShareN: res.Plan.ShareN, ShareM: res.Plan.ShareM, Replicas: pt.Replicas,
 			Network: pt.Network, Budget: pt.Budget, P: pt.P, Alpha: pt.Alpha,
-			Attack: attack, Seed: pt.Seed,
+			Attack: pt.Strategy.String(), Seed: pt.Seed,
 			Samples: res.Samples, Released: res.Released,
 			Delivered: res.Delivered, Succeeded: res.Succeeded,
 			Rr: res.Rr, Rd: res.Rd, R: res.R, MinR: res.MinR(), Cost: res.Cost,

@@ -4,45 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"selfemerge/internal/adversary"
 	"selfemerge/internal/analytic"
 	"selfemerge/internal/core"
-	"selfemerge/internal/dht"
-	"selfemerge/internal/fault"
 	"selfemerge/internal/mc"
 )
-
-// rejectLiveOnly refuses the point parameters only the live estimator
-// honors. The abstract models measure spy and drop outcomes of one trial at
-// once and have no packet replicas; silently accepting a drop or replicas
-// axis would emit byte-identical series under distinct labels.
-func rejectLiveOnly(pt Point, estimator string) error {
-	if pt.Drop {
-		return fmt.Errorf("experiment: the %s estimator measures spy and drop outcomes at once; the drop attack selector applies to the live estimator only", estimator)
-	}
-	if pt.Replicas > 1 {
-		return fmt.Errorf("experiment: the %s estimator has no packet replicas; the replicas axis applies to the live estimator only", estimator)
-	}
-	if pt.Strategy != adversary.StrategySpy {
-		return fmt.Errorf("experiment: the %s estimator cannot model the %s strategy; the strategy axis applies to the live estimator only", estimator, pt.Strategy)
-	}
-	if pt.Forge > 0 {
-		return fmt.Errorf("experiment: the %s estimator has no routing layer to poison; the forge axis applies to the live estimator only", estimator)
-	}
-	if pt.Table != dht.TableDefault {
-		return fmt.Errorf("experiment: the %s estimator has no routing table; the table axis applies to the live estimator only", estimator)
-	}
-	if pt.Partition > 0 {
-		return fmt.Errorf("experiment: the %s estimator has no event loops to partition; the partition axis applies to the live estimator only", estimator)
-	}
-	if pt.Fault != fault.ProfileNone && pt.FaultSev > 0 {
-		return fmt.Errorf("experiment: the %s estimator has no network fabric to perturb; the fault axes apply to the live estimator only", estimator)
-	}
-	if pt.Retry > 1 {
-		return fmt.Errorf("experiment: the %s estimator has no RPCs to retry; the retry axis applies to the live estimator only", estimator)
-	}
-	return nil
-}
 
 // Analytic estimates points from the closed forms: Equations (1)-(3) for the
 // centralized and multipath schemes, Algorithm 1 (plus the entry-column

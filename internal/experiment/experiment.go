@@ -34,7 +34,7 @@ import (
 
 // Point is one fully-specified experiment point of a sweep grid: the scheme
 // shape parameters, the environment, and the seed that makes the point's
-// measurement reproducible.
+// measurement reproducible. Every sweepable field has one row in Params.
 type Point struct {
 	Scheme core.Scheme
 	// P is the malicious (Sybil) rate.
@@ -53,12 +53,9 @@ type Point struct {
 	// Replicas is the per-packet replica count for live estimation (0 => the
 	// estimator's default).
 	Replicas int
-	// Drop selects the drop attack instead of the spy adversary (live
-	// estimation; the abstract models measure both at once).
-	Drop bool
-	// Strategy selects the adversary strategy directly (spy, drop, eclipse);
-	// it subsumes Drop, which survives as the legacy boolean axis. Live
-	// estimation only.
+	// Strategy selects the adversary strategy (spy, drop, eclipse). Live
+	// estimation only; the abstract models measure spy and drop outcomes of
+	// one trial at once.
 	Strategy adversary.Strategy
 	// Forge is the eclipse forgery rate (forged contacts per attacker per
 	// minute); nonzero requires StrategyEclipse. Live estimation only.
@@ -68,8 +65,7 @@ type Point struct {
 	// fabric's historical naive default.
 	Table dht.TablePolicy
 	// Partition runs the live point's one population across this many
-	// parallel event loops (0 = the estimator's default, usually one). Live
-	// estimation only.
+	// parallel event loops (0 = one). Live estimation only.
 	Partition int
 	// Fault selects the deterministic fault-injection profile of the live
 	// point's simnet fabric (none, burst, partition, flap); FaultSev scales
@@ -132,31 +128,22 @@ func (pt Point) Validate() error {
 	if pt.P < 0 || pt.P > 1 || math.IsNaN(pt.P) {
 		return fmt.Errorf("experiment: malicious rate %v outside [0,1]", pt.P)
 	}
-	if pt.Alpha < 0 || math.IsNaN(pt.Alpha) {
-		return fmt.Errorf("experiment: alpha %v must be >= 0", pt.Alpha)
-	}
-	if pt.Replicas < 0 {
-		// Downstream defaults would quietly measure with 2 replicas while
-		// the emitters label the series with the negative value.
-		return fmt.Errorf("experiment: replicas %d must be >= 0", pt.Replicas)
+	// No numeric parameter is negative (or NaN): downstream defaults would
+	// quietly measure with, say, 2 replicas while the emitters label the
+	// series with the negative value.
+	for i := range Params {
+		if v := Params[i].get(&pt); !Params[i].categorical && !(v >= 0) {
+			return fmt.Errorf("experiment: %s %v must be >= 0", Params[i].Name, v)
+		}
 	}
 	if !pt.Scheme.Valid() {
 		return fmt.Errorf("experiment: invalid scheme %d", int(pt.Scheme))
 	}
-	if pt.Forge < 0 || math.IsNaN(pt.Forge) {
-		return fmt.Errorf("experiment: forge rate %v must be >= 0", pt.Forge)
-	}
 	if pt.Forge > 0 && pt.Strategy != adversary.StrategyEclipse {
 		return fmt.Errorf("experiment: forge rate %v requires the eclipse strategy", pt.Forge)
 	}
-	if pt.Partition < 0 {
-		return fmt.Errorf("experiment: partition %d must be >= 0", pt.Partition)
-	}
 	if err := (fault.Config{Profile: pt.Fault, Severity: pt.FaultSev}).Validate(); err != nil {
 		return fmt.Errorf("experiment: %w", err)
-	}
-	if pt.Retry < 0 {
-		return fmt.Errorf("experiment: retry %d must be >= 0", pt.Retry)
 	}
 	return nil
 }

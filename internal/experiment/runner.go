@@ -46,6 +46,18 @@ func (r Runner) Validate(sw Sweep) error {
 	if r.Estimator == nil {
 		return fmt.Errorf("experiment: runner has no estimator")
 	}
+	// A live-only axis under an abstract estimator would emit byte-identical
+	// series under distinct labels, even where every value is neutral (which
+	// the per-point rejectLiveOnly lets through).
+	switch r.Estimator.(type) {
+	case Analytic, MonteCarlo:
+		for _, ax := range sw.Axes {
+			if pa := param(ax.Name); pa != nil && pa.LiveOnly {
+				return fmt.Errorf("experiment: the %s estimator does not read %s; the %s axis applies to the live estimator only",
+					r.Estimator.Name(), pa.Name, pa.Name)
+			}
+		}
+	}
 	points, err := sw.Points()
 	if err != nil {
 		return err

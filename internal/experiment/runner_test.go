@@ -3,12 +3,14 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/dht"
+	"selfemerge/internal/fault"
 )
 
 // fakeEstimator records call counts and fails on demand. When order is set,
@@ -108,29 +110,67 @@ func TestRunnerAbortsAfterFailure(t *testing.T) {
 	}
 }
 
+// TestAbstractEstimatorsRejectLiveOnlyAxes: every live-only table row is
+// refused by the abstract estimators, as a turned base value (point level)
+// and as an axis (sweep level) — including the arms the hand-written checks
+// used to let through: severity without a profile, a profile without
+// severity, and retry=1.
 func TestAbstractEstimatorsRejectLiveOnlyAxes(t *testing.T) {
-	base := Point{Scheme: core.SchemeJoint, P: 0.1, Network: 100, K: 2, L: 2}
-	drop, replicated, eclipsed, forged, tabled := base, base, base, base, base
-	drop.Drop = true
-	replicated.Replicas = 2
-	eclipsed.Strategy = adversary.StrategyEclipse
-	forged.Strategy, forged.Forge = adversary.StrategyEclipse, 30
-	tabled.Table = dht.TablePingEvict
-	for _, est := range []Estimator{Analytic{}, MonteCarlo{Trials: 10}} {
-		if _, err := est.Estimate(drop); err == nil {
-			t.Errorf("%s estimator silently accepted a drop-attack point", est.Name())
+	base := Point{Scheme: core.SchemeJoint, P: 0.1, Network: 100, K: 2, L: 2, Replicas: 1}
+	turned := map[string]func(*Point){
+		"replicas":  func(pt *Point) { pt.Replicas = 2 },
+		"strategy":  func(pt *Point) { pt.Strategy = adversary.StrategyEclipse },
+		"drop":      func(pt *Point) { pt.Strategy = adversary.StrategyDrop },
+		"forge":     func(pt *Point) { pt.Strategy, pt.Forge = adversary.StrategyEclipse, 30 },
+		"table":     func(pt *Point) { pt.Table = dht.TablePingEvict },
+		"partition": func(pt *Point) { pt.Partition = 2 },
+		"fault":     func(pt *Point) { pt.Fault = fault.ProfileBurst },
+		"faultsev":  func(pt *Point) { pt.FaultSev = 0.3 },
+		"retry":     func(pt *Point) { pt.Retry = 1 },
+	}
+	estimators := []Estimator{Analytic{}, MonteCarlo{Trials: 10}}
+	for _, pa := range Params {
+		if !pa.LiveOnly {
+			continue
 		}
-		if _, err := est.Estimate(replicated); err == nil {
-			t.Errorf("%s estimator silently accepted a replicated point", est.Name())
+		turn, ok := turned[pa.Name]
+		if !ok {
+			t.Errorf("live-only row %q has no case here", pa.Name)
+			continue
 		}
-		if _, err := est.Estimate(eclipsed); err == nil {
-			t.Errorf("%s estimator silently accepted an eclipse-strategy point", est.Name())
+		pt := base
+		turn(&pt)
+		for _, est := range estimators {
+			_, err := est.Estimate(pt)
+			if err == nil || !strings.Contains(err.Error(), "live estimator only") {
+				t.Errorf("%s estimator on a turned %s: err = %v, want a live-estimator-only rejection", est.Name(), pa.Name, err)
+			}
 		}
-		if _, err := est.Estimate(forged); err == nil {
-			t.Errorf("%s estimator silently accepted a forge-rate point", est.Name())
+	}
+	for _, est := range estimators {
+		if _, err := est.Estimate(base); err != nil {
+			t.Errorf("%s estimator refused the neutral base (replicas=1): %v", est.Name(), err)
 		}
-		if _, err := est.Estimate(tabled); err == nil {
-			t.Errorf("%s estimator silently accepted a table-policy point", est.Name())
+	}
+
+	// The sweeps that used to exit 0 with identical series under distinct
+	// labels, plus an all-neutral live-only axis, fail at Validate and name
+	// their axis.
+	for _, tc := range []struct {
+		est  Estimator
+		axis string
+	}{
+		{MonteCarlo{Trials: 10}, "faultsev=0.3,0.6"},
+		{MonteCarlo{Trials: 10}, "fault=burst,flap"},
+		{Analytic{}, "retry=0,1"},
+		{MonteCarlo{Trials: 10}, "replicas=0,1"},
+		{Analytic{}, "drop=spy"},
+	} {
+		sw := Sweep{Base: base, Axes: []Axis{RangeAxis("p", 0, 0.2, 0.1), mustAxis(t, tc.axis)}}
+		name, _, _ := strings.Cut(tc.axis, "=")
+		err := Runner{Estimator: tc.est}.Validate(sw)
+		if err == nil || !strings.Contains(err.Error(), "the "+name+" axis applies to the live estimator only") {
+			t.Errorf("%s estimator, -axis %s: err = %v, want a rejection naming the axis", tc.est.Name(), tc.axis, err)
 		}
 	}
 }

@@ -2,14 +2,11 @@ package experiment
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
-	"selfemerge/internal/dht"
-	"selfemerge/internal/fault"
 )
 
 // seedStride decorrelates per-point seeds along the X axis; it is the same
@@ -31,23 +28,17 @@ type Sweep struct {
 	Seed uint64
 }
 
-// Axis is one swept dimension: a parameter name from the fixed vocabulary
-// (p, alpha, network, budget, k, l, sharen, replicas, forge, partition,
-// faultsev, retry, scheme, drop, strategy, table, fault) and the values it
-// takes.
+// Axis is one swept dimension: a parameter name from the table (Params;
+// `emergesim sweep -h` lists the vocabulary) and the values it takes.
 type Axis struct {
 	Name string
 	vals []axisValue
 }
 
+// axisValue is one value of an axis; categorical values ride as ordinals.
 type axisValue struct {
-	num      float64
-	scheme   core.Scheme
-	flag     bool
-	strategy adversary.Strategy
-	table    dht.TablePolicy
-	fault    fault.Profile
-	label    string
+	num   float64
+	label string
 }
 
 // Len returns the number of values on the axis.
@@ -68,7 +59,7 @@ func (a Axis) Labels() []string {
 func FloatAxis(name string, values ...float64) Axis {
 	ax := Axis{Name: name}
 	for _, v := range values {
-		ax.vals = append(ax.vals, axisValue{num: v, label: strconv.FormatFloat(v, 'g', 6, 64)})
+		ax.vals = append(ax.vals, axisValue{num: v, label: fnum(v)})
 	}
 	return ax
 }
@@ -105,142 +96,41 @@ func IntAxis(name string, values ...int) Axis {
 func SchemeAxis(schemes ...core.Scheme) Axis {
 	ax := Axis{Name: "scheme"}
 	for _, s := range schemes {
-		ax.vals = append(ax.vals, axisValue{scheme: s, label: s.String()})
-	}
-	return ax
-}
-
-// DropAxis declares the adversary-kind axis (spy vs drop attack).
-func DropAxis(values ...bool) Axis {
-	ax := Axis{Name: "drop"}
-	for _, v := range values {
-		label := "spy"
-		if v {
-			label = "drop"
-		}
-		ax.vals = append(ax.vals, axisValue{flag: v, label: label})
-	}
-	return ax
-}
-
-// StrategyAxis declares the adversary-strategy axis (spy, drop, eclipse) —
-// the generalization of DropAxis that can also select the routing-layer
-// eclipse attack.
-func StrategyAxis(strategies ...adversary.Strategy) Axis {
-	ax := Axis{Name: "strategy"}
-	for _, s := range strategies {
-		ax.vals = append(ax.vals, axisValue{strategy: s, label: s.String()})
-	}
-	return ax
-}
-
-// TableAxis declares the routing-table-policy axis (naive vs pingevict),
-// the defense arm of the eclipse experiments.
-func TableAxis(policies ...dht.TablePolicy) Axis {
-	ax := Axis{Name: "table"}
-	for _, p := range policies {
-		ax.vals = append(ax.vals, axisValue{table: p, label: p.String()})
-	}
-	return ax
-}
-
-// FaultAxis declares the fault-injection-profile axis (none, burst,
-// partition, flap) — the fault arm selector of the resilience sweeps. The
-// companion numeric axes faultsev and retry scale the profile and harden the
-// RPC layer against it.
-func FaultAxis(profiles ...fault.Profile) Axis {
-	ax := Axis{Name: "fault"}
-	for _, p := range profiles {
-		ax.vals = append(ax.vals, axisValue{fault: p, label: p.String()})
+		ax.vals = append(ax.vals, axisValue{num: float64(s), label: s.String()})
 	}
 	return ax
 }
 
 // ParseAxis parses a command-line axis spec: "name=v1,v2,..." or, for
-// numeric axes, a range "name=start:stop:step". Scheme values are the figure
-// labels (central, disjoint, joint, share); drop values are spy/drop (or
-// false/true).
+// numeric axes, a range "name=start:stop:step". Categorical values are the
+// labels the emitters print (central, pingevict, burst, ...); drop values
+// are spy/drop (or false/true).
 func ParseAxis(spec string) (Axis, error) {
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || rest == "" {
 		return Axis{}, fmt.Errorf("experiment: axis %q not of form name=values", spec)
 	}
 	name = strings.ToLower(strings.TrimSpace(name))
-	if name == "nodes" { // CLI alias
-		name = "network"
+	pa := param(name)
+	if pa == nil {
+		return Axis{}, fmt.Errorf("experiment: unknown axis %q", name)
 	}
-	switch name {
-	case "scheme":
-		var schemes []core.Scheme
-		for _, part := range strings.Split(rest, ",") {
-			s, err := core.ParseScheme(strings.TrimSpace(part))
-			if err != nil {
-				return Axis{}, fmt.Errorf("experiment: axis %q: %w", spec, err)
-			}
-			schemes = append(schemes, s)
-		}
-		return SchemeAxis(schemes...), nil
-	case "drop":
-		var flags []bool
-		for _, part := range strings.Split(rest, ",") {
-			switch strings.ToLower(strings.TrimSpace(part)) {
-			case "spy", "false", "0":
-				flags = append(flags, false)
-			case "drop", "true", "1":
-				flags = append(flags, true)
-			default:
-				return Axis{}, fmt.Errorf("experiment: axis %q: drop values are spy|drop", spec)
-			}
-		}
-		return DropAxis(flags...), nil
-	case "strategy":
-		var strategies []adversary.Strategy
-		for _, part := range strings.Split(rest, ",") {
-			s, err := adversary.ParseStrategy(strings.ToLower(strings.TrimSpace(part)))
-			if err != nil {
-				return Axis{}, fmt.Errorf("experiment: axis %q: %w", spec, err)
-			}
-			strategies = append(strategies, s)
-		}
-		return StrategyAxis(strategies...), nil
-	case "table":
-		var policies []dht.TablePolicy
-		for _, part := range strings.Split(rest, ",") {
-			p, err := dht.ParseTablePolicy(strings.ToLower(strings.TrimSpace(part)))
-			if err != nil {
-				return Axis{}, fmt.Errorf("experiment: axis %q: %w", spec, err)
-			}
-			policies = append(policies, p)
-		}
-		return TableAxis(policies...), nil
-	case "fault":
-		var profiles []fault.Profile
-		for _, part := range strings.Split(rest, ",") {
-			p, err := fault.ParseProfile(strings.ToLower(strings.TrimSpace(part)))
-			if err != nil {
-				return Axis{}, fmt.Errorf("experiment: axis %q: %w", spec, err)
-			}
-			profiles = append(profiles, p)
-		}
-		return FaultAxis(profiles...), nil
-	case "p", "alpha", "network", "budget", "k", "l", "sharen", "replicas", "forge", "partition", "faultsev", "retry":
+	if !pa.categorical {
 		if start, stop, step, ok, err := parseRange(rest); err != nil {
 			return Axis{}, fmt.Errorf("experiment: axis %q: %w", spec, err)
 		} else if ok {
-			return RangeAxis(name, start, stop, step), nil
+			return RangeAxis(pa.Name, start, stop, step), nil
 		}
-		var values []float64
-		for _, part := range strings.Split(rest, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil {
-				return Axis{}, fmt.Errorf("experiment: axis %q: %w", spec, err)
-			}
-			values = append(values, v)
-		}
-		return FloatAxis(name, values...), nil
-	default:
-		return Axis{}, fmt.Errorf("experiment: unknown axis %q", name)
 	}
+	ax := Axis{Name: pa.Name}
+	for _, part := range strings.Split(rest, ",") {
+		v, err := pa.parse(strings.ToLower(strings.TrimSpace(part)))
+		if err != nil {
+			return Axis{}, fmt.Errorf("experiment: axis %q: %w", spec, err)
+		}
+		ax.vals = append(ax.vals, axisValue{num: v, label: pa.label(v)})
+	}
+	return ax, nil
 }
 
 // parseRange recognizes "start:stop:step"; ok is false for plain lists.
@@ -265,58 +155,6 @@ func parseRange(s string) (start, stop, step float64, ok bool, err error) {
 		return 0, 0, 0, false, fmt.Errorf("range %q: stop below start", s)
 	}
 	return vals[0], vals[1], vals[2], true, nil
-}
-
-// apply writes the axis value into the point. Integer axes reject
-// fractional values: silently truncating would run a different parameter
-// than the series label claims.
-func (a Axis) apply(pt *Point, v axisValue) error {
-	integral := func() (int, error) {
-		if v.num != math.Trunc(v.num) {
-			return 0, fmt.Errorf("experiment: axis %q value %v is not an integer", a.Name, v.num)
-		}
-		return int(v.num), nil
-	}
-	var err error
-	switch a.Name {
-	case "p":
-		pt.P = v.num
-	case "alpha":
-		pt.Alpha = v.num
-	case "network":
-		pt.Network, err = integral()
-	case "budget":
-		pt.Budget, err = integral()
-	case "k":
-		pt.K, err = integral()
-	case "l":
-		pt.L, err = integral()
-	case "sharen":
-		pt.ShareN, err = integral()
-	case "replicas":
-		pt.Replicas, err = integral()
-	case "forge":
-		pt.Forge = v.num
-	case "partition":
-		pt.Partition, err = integral()
-	case "faultsev":
-		pt.FaultSev = v.num
-	case "retry":
-		pt.Retry, err = integral()
-	case "fault":
-		pt.Fault = v.fault
-	case "scheme":
-		pt.Scheme = v.scheme
-	case "drop":
-		pt.Drop = v.flag
-	case "strategy":
-		pt.Strategy = v.strategy
-	case "table":
-		pt.Table = v.table
-	default:
-		return fmt.Errorf("experiment: unknown axis %q", a.Name)
-	}
-	return err
 }
 
 // XValues returns the first axis's numeric values (the figure's X grid).
@@ -360,22 +198,25 @@ func (s Sweep) Points() ([]Point, error) {
 	if len(s.Axes) == 0 {
 		return nil, fmt.Errorf("experiment: sweep %q has no axes", s.Name)
 	}
-	// The first axis is the figure's X axis and must be numeric: categorical
-	// axes (scheme, drop, strategy, table) carry no X coordinate, so every
-	// row would plot at x=0 under an indistinguishable label.
-	switch s.Axes[0].Name {
-	case "scheme", "drop", "strategy", "table", "fault":
-		return nil, fmt.Errorf("experiment: first axis %q is categorical; lead with a numeric axis (p, alpha, network, ...)", s.Axes[0].Name)
-	}
+	rows := make([]*Param, len(s.Axes))
 	seen := map[string]bool{}
-	for _, ax := range s.Axes {
+	for i, ax := range s.Axes {
+		if rows[i] = param(ax.Name); rows[i] == nil {
+			return nil, fmt.Errorf("experiment: unknown axis %q", ax.Name)
+		}
 		if ax.Len() == 0 {
 			return nil, fmt.Errorf("experiment: axis %q has no values", ax.Name)
 		}
-		if seen[ax.Name] {
+		if seen[rows[i].Name] {
 			return nil, fmt.Errorf("experiment: axis %q declared twice", ax.Name)
 		}
-		seen[ax.Name] = true
+		seen[rows[i].Name] = true
+	}
+	// The first axis is the figure's X axis and must be numeric: categorical
+	// axes (scheme, drop, strategy, table) carry no X coordinate, so every
+	// row would plot at x=0 under an indistinguishable label.
+	if rows[0].categorical {
+		return nil, fmt.Errorf("experiment: first axis %q is categorical; lead with a numeric axis (p, alpha, network, ...)", s.Axes[0].Name)
 	}
 	// Reject axes no point of the sweep can consult — every value would
 	// emit the same series under a different label. A budget axis only
@@ -390,10 +231,10 @@ func (s Sweep) Points() ([]Point, error) {
 			return nil, fmt.Errorf("experiment: the central scheme ignores the node budget")
 		}
 	}
-	// The drop boolean and the strategy enum set the same adversary knob;
+	// The drop shorthand and the strategy axis write the same field;
 	// sweeping both would let a drop=spy row silently contradict a
-	// strategy=eclipse row.
-	if seen["drop"] && (seen["strategy"] || s.Base.Strategy != adversary.StrategySpy) {
+	// strategy=eclipse row, and an eclipse base has no spy arm to toggle.
+	if seen["drop"] && (seen["strategy"] || s.Base.Strategy == adversary.StrategyEclipse) {
 		return nil, fmt.Errorf("experiment: the drop axis and the strategy selector both set the adversary; use strategy=spy,drop,... instead")
 	}
 	if seen["sharen"] {
@@ -425,11 +266,11 @@ func (s Sweep) Points() ([]Point, error) {
 		for xi, xv := range xAxis.vals {
 			pt := s.Base
 			pt.ShareM = append([]int(nil), s.Base.ShareM...)
-			if err := xAxis.apply(&pt, xv); err != nil {
+			if err := rows[0].assign(&pt, xv.num); err != nil {
 				return nil, err
 			}
-			for i, ax := range s.Axes[1:] {
-				if err := ax.apply(&pt, seriesVals[i]); err != nil {
+			for i, row := range rows[1:] {
+				if err := row.assign(&pt, seriesVals[i].num); err != nil {
 					return nil, err
 				}
 			}

@@ -5,7 +5,6 @@ import (
 
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
-	"selfemerge/internal/dht"
 )
 
 func TestSweepExpansion(t *testing.T) {
@@ -66,7 +65,7 @@ func TestSweepSeriesLabelsMultiAxis(t *testing.T) {
 		Axes: []Axis{
 			RangeAxis("p", 0, 0.1, 0.1),
 			FloatAxis("alpha", 1, 3),
-			DropAxis(false, true),
+			mustAxis(t, "drop=spy,drop"),
 		},
 	}
 	labels := sw.SeriesLabels()
@@ -84,12 +83,23 @@ func TestSweepSeriesLabelsMultiAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Later axes vary fastest: series 1 is alpha=1, drop=true.
-	if pt := points[2]; pt.Alpha != 1 || !pt.Drop {
+	if pt := points[2]; pt.Alpha != 1 || pt.Strategy != adversary.StrategyDrop {
 		t.Errorf("series 1 point = %+v, want alpha=1 drop", pt)
 	}
-	if pt := points[4]; pt.Alpha != 3 || pt.Drop {
+	if pt := points[4]; pt.Alpha != 3 || pt.Strategy != adversary.StrategySpy {
 		t.Errorf("series 2 point = %+v, want alpha=3 spy", pt)
 	}
+}
+
+// mustAxis parses a command-line axis spec, the one way to declare the
+// categorical axes other than scheme.
+func mustAxis(t *testing.T, spec string) Axis {
+	t.Helper()
+	ax, err := ParseAxis(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ax
 }
 
 func TestSweepSingleAxisLabel(t *testing.T) {
@@ -108,17 +118,17 @@ func TestSweepValidation(t *testing.T) {
 	cases := []Sweep{
 		{Base: base},                            // no axes
 		{Base: base, Axes: []Axis{{Name: "p"}}}, // empty axis
-		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("p", 0.2)}},                                                                // duplicate
-		{Base: base, Axes: []Axis{FloatAxis("p", 1.5)}},                                                                                     // invalid rate
-		{Base: Point{Scheme: core.SchemeJoint, K: 2, L: 2}, Axes: []Axis{FloatAxis("p", 0.1)}},                                              // no network
-		{Base: base, Axes: []Axis{SchemeAxis(core.SchemeCentral, core.SchemeJoint)}},                                                        // categorical X axis
-		{Base: base, Axes: []Axis{DropAxis(false, true), FloatAxis("p", 0.1)}},                                                              // categorical X axis
-		{Base: base, Axes: []Axis{FloatAxis("k", 2.5)}},                                                                                     // fractional integer axis
-		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("budget", 100, 1000)}},                                                     // budget with explicit shape
-		{Base: base, Axes: []Axis{StrategyAxis(adversary.StrategySpy), FloatAxis("p", 0.1)}},                                                // categorical X axis
-		{Base: base, Axes: []Axis{TableAxis(dht.TableNaive), FloatAxis("p", 0.1)}},                                                          // categorical X axis
-		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), DropAxis(false, true), StrategyAxis(adversary.StrategySpy, adversary.StrategyDrop)}}, // drop/strategy ambiguity
-		{Base: base, Axes: []Axis{FloatAxis("forge", 10)}},                                                                                  // forge without eclipse
+		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("p", 0.2)}},                                            // duplicate
+		{Base: base, Axes: []Axis{FloatAxis("p", 1.5)}},                                                                 // invalid rate
+		{Base: Point{Scheme: core.SchemeJoint, K: 2, L: 2}, Axes: []Axis{FloatAxis("p", 0.1)}},                          // no network
+		{Base: base, Axes: []Axis{SchemeAxis(core.SchemeCentral, core.SchemeJoint)}},                                    // categorical X axis
+		{Base: base, Axes: []Axis{mustAxis(t, "drop=spy,drop"), FloatAxis("p", 0.1)}},                                   // categorical X axis
+		{Base: base, Axes: []Axis{FloatAxis("k", 2.5)}},                                                                 // fractional integer axis
+		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("budget", 100, 1000)}},                                 // budget with explicit shape
+		{Base: base, Axes: []Axis{mustAxis(t, "strategy=spy"), FloatAxis("p", 0.1)}},                                    // categorical X axis
+		{Base: base, Axes: []Axis{mustAxis(t, "table=naive"), FloatAxis("p", 0.1)}},                                     // categorical X axis
+		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), mustAxis(t, "drop=spy,drop"), mustAxis(t, "strategy=spy,drop")}}, // drop/strategy ambiguity
+		{Base: base, Axes: []Axis{FloatAxis("forge", 10)}},                                                              // forge without eclipse
 	}
 	for i, sw := range cases {
 		if _, err := sw.Points(); err == nil {

@@ -1,9 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"runtime"
 	"sync"
-	"time"
 
 	"selfemerge/internal/experiment"
 	"selfemerge/internal/mc"
@@ -21,36 +21,13 @@ import (
 // emerging period, Missions-matched reference trials). Safe for concurrent
 // use by the runner's workers.
 type Estimator struct {
-	// Missions is the number of live emergence trials per point (default
-	// 100).
-	Missions int
-	// Emerging is the period T between dispatch and release (default 2h).
-	Emerging time.Duration
-	// Stagger spreads mission launches (default: one emerging period).
-	Stagger time.Duration
-	// Latency is the one-way simnet latency (default 5ms).
-	Latency time.Duration
-	// MCTrials sizes the Monte Carlo references (default: Missions, so the
-	// Wilson agreement check reflects the live sampling noise).
-	MCTrials int
-	// ShareModel pins the key-share model of the matched references for
-	// every point of the sweep (default: Config.ShareModel's resolution,
-	// mc.ShareModelLive for key-share plans). Part of the reference cache
-	// key, so pinned and unpinned sweeps never share entries.
-	ShareModel mc.ShareModel
-	// Shards partitions every point's missions across this many independent
-	// network replicas, executed concurrently under the sweep-wide budget
-	// (default 1). Part of each point's descriptor and reference cache key.
-	Shards int
-	// Partition runs every point's one population across this many parallel
-	// event loops (0 = one). A point's network occupies one budget slot
-	// and spreads its shard loops over PartitionWorkers goroutines. Part of
-	// each point's descriptor and reference cache key; per-point overrides
-	// come from the sweep's partition axis.
-	Partition int
-	// PartitionWorkers caps concurrent partition shard loops per point (0 =
-	// GOMAXPROCS). Execution throttle only.
-	PartitionWorkers int
+	// Template holds what every point of the sweep shares — Missions,
+	// Emerging, Stagger, Latency, Shards, PartitionWorkers, ShareModel (part
+	// of the reference cache key, so pinned and unpinned sweeps never share
+	// entries) and MCTrials, which here defaults to Missions so the Wilson
+	// agreement check reflects the live sampling noise. Config.At overwrites
+	// the fields an experiment point owns; Budget is the sweep-wide one.
+	Template Config
 	// Concurrency caps how many shard event loops run at once across the
 	// whole sweep (default GOMAXPROCS) — the shared budget between the
 	// runner's point-level workers and the shards inside each point, so
@@ -92,48 +69,30 @@ func (e *Estimator) CheckPoint(pt experiment.Point) error {
 	return err
 }
 
-// config translates an experiment point into a scenario config.
+// config is the point's scenario config: the template, its estimator-level
+// defaults, and the point overlaid.
 func (e *Estimator) config(pt experiment.Point) (Config, error) {
-	plan, err := pt.Plan()
-	if err != nil {
+	tmpl := e.Template
+	tmpl.MCTrials = cmp.Or(tmpl.MCTrials, tmpl.Missions, 100) // 100: the scenario default mission count
+	tmpl.Budget = e.sharedBudget()
+	return tmpl.At(pt)
+}
+
+// At overlays an experiment point on the template c — the one place a Point
+// field meets its Config field, shared by the live estimator and `emergesim
+// scenario`. What no point carries (Missions, Emerging, Shards, ...) keeps
+// the template's value.
+func (c Config) At(pt experiment.Point) (Config, error) {
+	var err error
+	if c.Plan, err = pt.Plan(); err != nil {
 		return Config{}, err
 	}
-	mcTrials := e.MCTrials
-	if mcTrials == 0 {
-		mcTrials = e.Missions
-		if mcTrials == 0 {
-			mcTrials = 100 // the scenario default mission count
-		}
-	}
-	partition := e.Partition
-	if pt.Partition > 0 {
-		partition = pt.Partition // the sweep's partition axis overrides
-	}
-	return Config{
-		Nodes:            pt.Network,
-		MaliciousRate:    pt.P,
-		Drop:             pt.Drop,
-		Strategy:         pt.Strategy,
-		Forge:            pt.Forge,
-		Table:            pt.Table,
-		Alpha:            pt.Alpha,
-		Emerging:         e.Emerging,
-		Missions:         e.Missions,
-		Stagger:          e.Stagger,
-		Plan:             plan,
-		Replicas:         pt.Replicas,
-		Latency:          e.Latency,
-		MCTrials:         mcTrials,
-		ShareModel:       e.ShareModel,
-		Shards:           e.Shards,
-		Budget:           e.sharedBudget(),
-		Partition:        partition,
-		PartitionWorkers: e.PartitionWorkers,
-		Fault:            pt.Fault,
-		FaultSeverity:    pt.FaultSev,
-		Retry:            pt.Retry,
-		Seed:             pt.Seed,
-	}, nil
+	c.Nodes, c.MaliciousRate, c.Alpha = pt.Network, pt.P, pt.Alpha
+	c.Replicas, c.Partition = pt.Replicas, pt.Partition
+	c.Strategy, c.Forge, c.Table = pt.Strategy, pt.Forge, pt.Table
+	c.Fault, c.FaultSeverity, c.Retry = pt.Fault, pt.FaultSev, pt.Retry
+	c.Seed = pt.Seed
+	return c, nil
 }
 
 // sharedBudget lazily builds the sweep-wide shard concurrency budget.

@@ -9,7 +9,6 @@ import (
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/experiment"
-	"selfemerge/internal/fault"
 	"selfemerge/internal/scenario"
 )
 
@@ -20,7 +19,7 @@ func liveSweep() experiment.Sweep {
 	return experiment.Sweep{
 		Name: "live-test",
 		Seed: 6,
-		Base: experiment.Point{Network: 1000, Alpha: 1, Drop: true, K: 3, L: 2, Scheme: core.SchemeJoint},
+		Base: experiment.Point{Network: 1000, Alpha: 1, Strategy: adversary.StrategyDrop, K: 3, L: 2, Scheme: core.SchemeJoint},
 		Axes: []experiment.Axis{experiment.RangeAxis("p", 0, 0.2, 0.1)},
 	}
 }
@@ -33,7 +32,7 @@ func TestLiveSweepAgreesWithMC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sweeps are slow")
 	}
-	est := &scenario.Estimator{Missions: 250}
+	est := &scenario.Estimator{Template: scenario.Config{Missions: 250}}
 	rs, err := experiment.Runner{Estimator: est}.Run(liveSweep())
 	if err != nil {
 		t.Fatal(err)
@@ -86,30 +85,38 @@ func TestLiveSweepAgreesWithMC(t *testing.T) {
 // retry timers and the conditional fault columns of the emitters must all be
 // byte-stable across the same execution shapes. A second sweep runs the
 // fault and eclipse arms with every replica network split over two event
-// loops (Partition: 2): per-loop fault engines judging at send time, the
+// loops (Partition: 2 on the base point): per-loop fault engines judging at send time, the
 // barrier-driven forger, and the loop-stats columns must be just as stable.
 func TestLiveSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sweeps are slow")
 	}
-	est := func() *scenario.Estimator { return &scenario.Estimator{Missions: 30, Shards: 2} }
+	faultAxis, err := experiment.ParseAxis("fault=none,burst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	est := func() *scenario.Estimator {
+		return &scenario.Estimator{Template: scenario.Config{Missions: 30, Shards: 2}}
+	}
 	liveSweepStableAcrossShapes(t, est, experiment.Sweep{
 		Name: "live-det",
 		Seed: 11,
 		Base: experiment.Point{
-			Network: 120, Alpha: 1, Drop: true,
+			Network: 120, Alpha: 1, Strategy: adversary.StrategyDrop,
 			K: 2, L: 2, ShareN: 4, ShareM: []int{2}, Scheme: core.SchemeJoint,
 			FaultSev: 0.5, Retry: 3,
 		},
 		Axes: []experiment.Axis{
 			experiment.RangeAxis("p", 0, 0.2, 0.2),
 			experiment.SchemeAxis(core.SchemeJoint, core.SchemeKeyShare),
-			experiment.FaultAxis(fault.ProfileNone, fault.ProfileBurst),
+			faultAxis,
 		},
 	})
 	// Fewer missions and a light flood: retried RPCs to forged contacts make
 	// an eclipse point several times the datagrams of a drop point.
-	est = func() *scenario.Estimator { return &scenario.Estimator{Missions: 12, Shards: 2} }
+	est = func() *scenario.Estimator {
+		return &scenario.Estimator{Template: scenario.Config{Missions: 12, Shards: 2}}
+	}
 	liveSweepStableAcrossShapes(t, est, experiment.Sweep{
 		Name: "live-det-partitioned",
 		Seed: 11,
@@ -120,7 +127,7 @@ func TestLiveSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		},
 		Axes: []experiment.Axis{
 			experiment.FloatAxis("forge", 0, 3),
-			experiment.FaultAxis(fault.ProfileNone, fault.ProfileBurst),
+			faultAxis,
 		},
 	})
 }
@@ -186,16 +193,16 @@ func TestLiveSweepWorkerScaling(t *testing.T) {
 	sw := experiment.Sweep{
 		Name: "live-scaling",
 		Seed: 3,
-		Base: experiment.Point{Network: 250, Alpha: 1, Drop: true, K: 3, L: 2, Scheme: core.SchemeJoint},
+		Base: experiment.Point{Network: 250, Alpha: 1, Strategy: adversary.StrategyDrop, K: 3, L: 2, Scheme: core.SchemeJoint},
 		Axes: []experiment.Axis{experiment.RangeAxis("p", 0, 0.15, 0.05)},
 	}
 
 	// Sequential baseline: summed single-point wall times.
-	seq, err := experiment.Runner{Estimator: &scenario.Estimator{Missions: 100}, Parallel: 1}.Run(sw)
+	seq, err := experiment.Runner{Estimator: &scenario.Estimator{Template: scenario.Config{Missions: 100}}, Parallel: 1}.Run(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := experiment.Runner{Estimator: &scenario.Estimator{Missions: 100}, Parallel: 4}.Run(sw)
+	par, err := experiment.Runner{Estimator: &scenario.Estimator{Template: scenario.Config{Missions: 100}}, Parallel: 4}.Run(sw)
 	if err != nil {
 		t.Fatal(err)
 	}

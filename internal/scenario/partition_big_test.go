@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/experiment"
 	"selfemerge/internal/scenario"
@@ -36,7 +37,8 @@ func TestPartitionHundredKByteIdentical(t *testing.T) {
 			Scheme:  core.SchemeJoint,
 			Network: 100_000,
 			K:       2, L: 2,
-			Drop: true,
+			Strategy:  adversary.StrategyDrop,
+			Partition: 8,
 		},
 		Axes: []experiment.Axis{axis},
 	}
@@ -44,13 +46,12 @@ func TestPartitionHundredKByteIdentical(t *testing.T) {
 	emit := func(maxprocs, workers int) (string, string) {
 		prev := runtime.GOMAXPROCS(maxprocs)
 		defer runtime.GOMAXPROCS(prev)
-		est := &scenario.Estimator{
+		est := &scenario.Estimator{Template: scenario.Config{
 			Missions:         6,
 			Emerging:         time.Hour,
 			MCTrials:         6,
-			Partition:        8,
 			PartitionWorkers: workers,
-		}
+		}}
 		runner := experiment.Runner{Estimator: est, Parallel: 1}
 		rs, err := runner.Run(sweep)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"selfemerge/internal/analytic"
+	"selfemerge/internal/dht"
 	"selfemerge/internal/fault"
 )
 
@@ -13,9 +14,12 @@ import (
 // the matched environment and the no-churn closed form.
 func (r *Report) WriteTable(w io.Writer) error {
 	cfg := r.Config
-	attack := "spy"
-	if cfg.Drop {
-		attack = "drop"
+	attack := cfg.Strategy.String()
+	if cfg.Forge > 0 {
+		attack += fmt.Sprintf(" forge=%g", cfg.Forge)
+	}
+	if cfg.Table != dht.TableDefault {
+		attack += " table=" + cfg.Table.String()
 	}
 	if _, err := fmt.Fprintf(w,
 		"scenario %s k=%d l=%d: N=%d p=%.3f alpha=%.2f attack=%s replicas=%d missions=%d shards=%d emerging=%s seed=%d\n",

@@ -47,8 +47,9 @@ type Config struct {
 	MaliciousRate float64
 	// Drop switches the adversary from spying (release-ahead collection
 	// only) to the drop attack (malicious holders swallow every package).
-	// Equivalent to Strategy: adversary.StrategyDrop; kept for existing
-	// callers, and set by withDefaults whenever Strategy drops packages.
+	// Equivalent to Strategy: adversary.StrategyDrop, and set by withDefaults
+	// whenever Strategy drops packages. The one caller that still spells it
+	// is benchmark/workloads.go (frozen); ROADMAP item 5 retires the field.
 	Drop bool
 	// Strategy selects the malicious-holder strategy explicitly: spy
 	// (default), drop, or eclipse (bucket poisoning plus drop). See
@@ -496,40 +497,15 @@ type Reference struct {
 	Env    mc.Env
 	Trials int
 	Seed   uint64
-	// Shards is the live point's shard count. The abstract model has no
-	// network replicas, so Estimate ignores it — but it is part of the point
-	// descriptor, so it keys the cache: points that differ only in S never
-	// share a cached reference entry.
-	Shards int
-	// Partition is the live point's event-loop count as configured (0 = the
-	// one-shard default). Like Shards it is descriptor, not execution
-	// detail: a point on S > 1 loops samples decorrelated per-shard churn
-	// substreams, so it never shares a cached reference entry with the
-	// one-shard run.
-	Partition int
-	// Fault, FaultSev and Retry are the live point's fault-injection and
-	// retry-hardening knobs. The Monte Carlo model is fault-blind — Estimate
-	// ignores all three and returns the clean-network estimate (see
-	// ROADMAP.md) — but they are part of the point descriptor, so they key
-	// the cache like Shards and Partition do.
-	Fault    fault.Profile
-	FaultSev float64
-	Retry    int
 }
 
 // Key returns a canonical cache key: two references with the same key
 // produce byte-identical estimates.
 func (r Reference) Key() string {
-	key := fmt.Sprintf("%v/%d/%d/%d/%v|N%d m%d a%g sm%v|t%d s%d S%d P%d",
+	return fmt.Sprintf("%v/%d/%d/%d/%v|N%d m%d a%g sm%v|t%d s%d",
 		r.Plan.Scheme, r.Plan.K, r.Plan.L, r.Plan.ShareN, r.Plan.ShareM,
 		r.Env.Population, r.Env.Malicious, r.Env.Alpha, r.Env.ShareModel,
-		r.Trials, r.Seed, r.Shards, r.Partition)
-	// Keep the historical key bytes for fault-free single-shot points; only
-	// the new arms grow a suffix.
-	if r.Fault != fault.ProfileNone || r.FaultSev != 0 || r.Retry != 0 {
-		key += fmt.Sprintf(" F%v fs%g r%d", r.Fault, r.FaultSev, r.Retry)
-	}
-	return key
+		r.Trials, r.Seed)
 }
 
 // Estimate runs the reference on a single trial worker, so equal keys yield
@@ -551,18 +527,12 @@ func (c Config) References() (release, deliver Reference) {
 		Alpha:      c.Alpha,
 		ShareModel: c.shareModel(),
 	}
-	shards := c.Shards
-	if shards < 1 {
-		shards = 1 // un-defaulted config: the descriptor's canonical form
-	}
-	release = Reference{Plan: c.Plan, Env: env, Trials: c.MCTrials, Seed: c.Seed + 101, Shards: shards, Partition: c.Partition,
-		Fault: c.Fault, FaultSev: c.FaultSeverity, Retry: c.Retry}
+	release = Reference{Plan: c.Plan, Env: env, Trials: c.MCTrials, Seed: c.Seed + 101}
 	if c.Drop {
 		return release, release
 	}
 	env.Malicious = 0
-	deliver = Reference{Plan: c.Plan, Env: env, Trials: c.MCTrials, Seed: c.Seed + 103, Shards: shards, Partition: c.Partition,
-		Fault: c.Fault, FaultSev: c.FaultSeverity, Retry: c.Retry}
+	deliver = Reference{Plan: c.Plan, Env: env, Trials: c.MCTrials, Seed: c.Seed + 103}
 	return release, deliver
 }
 

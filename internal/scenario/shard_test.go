@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"selfemerge/internal/core"
+	"selfemerge/internal/fault"
 	"selfemerge/internal/scenario"
 )
 
@@ -184,18 +185,38 @@ func TestShardClampAndValidation(t *testing.T) {
 	}
 }
 
-// TestShardedReferenceKey: the shard count is part of the point descriptor,
-// so it must split the reference cache key even though the abstract model
-// ignores it.
-func TestShardedReferenceKey(t *testing.T) {
-	one, _ := shardedCfg(1).References()
-	four, _ := shardedCfg(4).References()
-	if one.Key() == four.Key() {
-		t.Errorf("shard counts 1 and 4 share a reference cache key: %s", one.Key())
+// TestReferenceKeyIgnoresLiveOnlyKnobs: a reference keys exactly what its
+// Estimate reads. The abstract model has no shards, event loops, fabric
+// faults or retries, so configs that differ only in those knobs share a
+// cache key — and the estimates the key stands for are equal.
+func TestReferenceKeyIgnoresLiveOnlyKnobs(t *testing.T) {
+	plain := shardedCfg(1)
+	turned := shardedCfg(4)
+	turned.Partition, turned.Retry = 2, 3
+	turned.Fault, turned.FaultSeverity = fault.ProfileBurst, 0.5
+	plainRel, plainDel := plain.References()
+	turnedRel, turnedDel := turned.References()
+	for _, pair := range [][2]scenario.Reference{{plainRel, turnedRel}, {plainDel, turnedDel}} {
+		if pair[0].Key() != pair[1].Key() {
+			t.Errorf("live-only knobs split the reference key:\n%s\n%s", pair[0].Key(), pair[1].Key())
+		}
+		want, err := pair[0].Estimate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pair[1].Estimate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("equal keys, different estimates: %+v vs %+v", got, want)
+		}
 	}
-	zero, _ := shardedCfg(0).References()
-	if zero.Key() != one.Key() {
-		t.Errorf("un-defaulted and one-shard descriptors diverge:\n%s\n%s", zero.Key(), one.Key())
+	// What Estimate does read still splits the key.
+	reseeded := shardedCfg(1)
+	reseeded.Seed++
+	if rel, _ := reseeded.References(); rel.Key() == plainRel.Key() {
+		t.Errorf("seeds %d and %d share a reference key: %s", plain.Seed, reseeded.Seed, rel.Key())
 	}
 }
 
