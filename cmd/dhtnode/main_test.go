@@ -11,7 +11,7 @@ import (
 	"selfemerge/internal/transport"
 )
 
-// rpcTimeout is dht.Config's default RPCTimeout, which start leaves in place.
+// rpcTimeout is the dht package's per-attempt RPC deadline.
 const rpcTimeout = 500 * time.Millisecond
 
 // inbox collects the app payloads the test's peers receive; their OnApp
@@ -72,13 +72,13 @@ func TestLoopbackCluster(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("peer %d: join by address: ok=%v err=%v", i, ok, err)
 		}
-		// One contact after a full RPCTimeout is what a join that never
+		// One contact after a full rpcTimeout is what a join that never
 		// resolves its seed looks like: the self-lookup's only query times out.
 		if want := min(i, 2); contacts < want {
 			t.Errorf("peer %d joined with %d contacts, want at least %d", i, contacts, want)
 		}
 		if took >= rpcTimeout {
-			t.Errorf("peer %d took %v to join, want under one RPCTimeout (%v)", i, took, rpcTimeout)
+			t.Errorf("peer %d took %v to join, want under one rpcTimeout (%v)", i, took, rpcTimeout)
 		}
 		peers = append(peers, p)
 	}

@@ -88,11 +88,10 @@ func parse(fs *flag.FlagSet, args []string, stderr io.Writer) (status int, ok bo
 func liveFlags(fs *flag.FlagSet, cfg *scenario.Config) (loopStats *bool, names []string) {
 	fs.IntVar(&cfg.Missions, "missions", cfg.Missions, "live emergence trials per point")
 	fs.IntVar(&cfg.Shards, "shards", cfg.Shards, "independent network replicas per live point, run in parallel (each gets its own zone map)")
-	fs.IntVar(&cfg.PartitionWorkers, "partition-workers", cfg.PartitionWorkers, "concurrent partition shard loops per point (0 = GOMAXPROCS)")
 	fs.DurationVar(&cfg.Emerging, "emerging", cfg.Emerging, "emerging period T")
 	fs.IntVar(&cfg.MCTrials, "mc-trials", cfg.MCTrials, "Monte Carlo reference trials (sweep: 0 = missions)")
 	loopStats = fs.Bool("loopstats", false, "print event-loop stats (epochs, idle skips, merge allocs) per point to stderr")
-	return loopStats, []string{"missions", "shards", "partition-workers", "emerging", "mc-trials", "loopstats"}
+	return loopStats, []string{"missions", "shards", "emerging", "mc-trials", "loopstats"}
 }
 
 // runSweep is the `emergesim sweep` subcommand: one declarative sweep on the
@@ -143,10 +142,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	case "analytic":
 		est, ignored = experiment.Analytic{}, append(liveOnly, "trials", "share-model")
 	case "mc":
-		// One trial worker per point: the runner parallelizes across points,
-		// and pinning the per-point partition makes the emitted sweep
-		// byte-identical across machines, not just across -workers values.
-		est, ignored = experiment.MonteCarlo{Trials: *trials, Workers: 1, ShareModel: live.ShareModel}, liveOnly
+		est, ignored = experiment.MonteCarlo{Trials: *trials, ShareModel: live.ShareModel}, liveOnly
 	case "live":
 		est, ignored = &scenario.Estimator{Template: live}, []string{"trials"}
 	default:

@@ -196,7 +196,7 @@ func TestEstimatorsRefuseWhatTheyIgnore(t *testing.T) {
 			refused("the "+pa.Name+" axis applies to the live estimator only",
 				"sweep -estimator "+est+" -axis p=0:0.2:0.1 -axis "+pa.Name+"="+value)
 		}
-		for _, flag := range []string{"-missions 5", "-shards 2", "-partition-workers 1", "-emerging 1h", "-mc-trials 5", "-loopstats"} {
+		for _, flag := range []string{"-missions 5", "-shards 2", "-emerging 1h", "-mc-trials 5", "-loopstats"} {
 			name, _, _ := strings.Cut(flag, " ")
 			refused(name+" does not apply to the "+est+" estimator", "sweep -estimator "+est+" -axis p=0:0.2:0.1 "+flag)
 		}

@@ -10,11 +10,9 @@ import (
 // Options tunes the experiment sweeps. The zero value reproduces the paper's
 // setup: 1000 trials per point, malicious rate swept from 0 to 0.5.
 type Options struct {
-	Trials  int     // Monte Carlo trials per point; default 1000
-	Seed    uint64  // base RNG seed
-	PStep   float64 // malicious-rate grid step; default 0.02
-	PMax    float64 // sweep upper bound; default 0.5
-	Workers int     // per-point Monte Carlo workers; default GOMAXPROCS
+	Trials int     // Monte Carlo trials per point; default 1000
+	Seed   uint64  // base RNG seed
+	PStep  float64 // malicious-rate grid step; default 0.02
 	// IncludePredicted appends the closed-form (Equations (1)-(3),
 	// Algorithm 1) curves next to the measured ones, labelled "<scheme>/eq".
 	IncludePredicted bool
@@ -27,28 +25,19 @@ func (o Options) withDefaults() Options {
 	if o.PStep == 0 {
 		o.PStep = 0.02
 	}
-	if o.PMax == 0 {
-		o.PMax = 0.5
-	}
 	return o
 }
 
-// runner builds the shared experiment runner every figure sweep executes on.
-// Points run sequentially (Parallel 1): each point's Monte Carlo estimate
-// already spreads its trials over o.Workers (default GOMAXPROCS), exactly
-// the pre-runner execution profile — point-level parallelism on top would
-// square the goroutine count without adding throughput and perturb the
-// per-point trial partition the historical figure series were sampled with.
+// runner builds the shared experiment runner every figure sweep executes on:
+// points in parallel, each on one trial worker, so a figure is a pure
+// function of (trials, step, seed) on any machine.
 func (o Options) runner() experiment.Runner {
-	return experiment.Runner{
-		Estimator: experiment.MonteCarlo{Trials: o.Trials, Workers: o.Workers},
-		Parallel:  1,
-	}
+	return experiment.Runner{Estimator: experiment.MonteCarlo{Trials: o.Trials}}
 }
 
-// pAxis is the malicious-rate X axis common to every figure.
+// pAxis is the malicious-rate X axis common to every figure: 0 to 0.5.
 func (o Options) pAxis() experiment.Axis {
-	return experiment.RangeAxis("p", 0, o.PMax, o.PStep)
+	return experiment.RangeAxis("p", 0, 0.5, o.PStep)
 }
 
 // seriesOf projects one sweep series onto a figure curve via y.

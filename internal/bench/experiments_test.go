@@ -184,7 +184,7 @@ func TestFigureRenderingMisaligned(t *testing.T) {
 }
 
 func TestOptionsGrid(t *testing.T) {
-	o := Options{PStep: 0.25, PMax: 0.5}.withDefaults()
+	o := Options{PStep: 0.25}.withDefaults()
 	grid := o.pAxis().Labels()
 	want := []string{"0", "0.25", "0.5"}
 	if len(grid) != len(want) {

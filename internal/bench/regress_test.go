@@ -2,17 +2,39 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"selfemerge/internal/testutil"
 )
 
-// regressOpts pins every source of randomness: a fixed seed and a single
-// Monte Carlo worker, so the series are identical across machines. The
-// golden files were generated from the pre-experiment-runner figure loops;
-// the sweep-based generators must reproduce them byte for byte.
+// regressOpts pins the one source of randomness, the seed. The golden files
+// were generated from the pre-experiment-runner figure loops on a single
+// Monte Carlo worker; the sweep-based generators must reproduce them byte for
+// byte on any machine.
 func regressOpts() Options {
-	return Options{Trials: 200, PStep: 0.1, Seed: 7, Workers: 1, IncludePredicted: true}
+	return Options{Trials: 200, PStep: 0.1, Seed: 7, IncludePredicted: true}
+}
+
+// TestFiguresIndependentOfGOMAXPROCS: a figure is a pure function of
+// (trials, step, seed) — the bytes of fig8 and one fig6 panel do not depend
+// on how many cores render them.
+func TestFiguresIndependentOfGOMAXPROCS(t *testing.T) {
+	render := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		fig8, err := Figure8(regressOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig6, _, err := Figure6(10000, regressOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(renderCSV(t, fig8), renderCSV(t, fig6)...)
+	}
+	if one, four := render(1), render(4); !bytes.Equal(one, four) {
+		t.Errorf("figures differ between GOMAXPROCS=1 and 4\n1:\n%s4:\n%s", one, four)
+	}
 }
 
 func renderCSV(t *testing.T, fig Figure) []byte {

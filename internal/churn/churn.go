@@ -1,8 +1,8 @@
 // Package churn drives node lifecycle dynamics in the event-driven DHT
 // simulation, per Section II-C: permanent departures ("node death") with
 // exponentially distributed lifetimes (the decay model of Bhagwan et al.
-// the paper adopts), and transient unavailability (session up/down
-// flapping).
+// the paper adopts). Transient unavailability is a fault profile
+// (fault.ProfileFlap), not churn.
 package churn
 
 import (
@@ -17,10 +17,6 @@ type Config struct {
 	// MeanLifetime is the average time until a node permanently leaves.
 	// Zero disables deaths.
 	MeanLifetime time.Duration
-	// MeanUptime / MeanDowntime parameterize transient availability
-	// flapping. Zero MeanDowntime disables flapping.
-	MeanUptime   time.Duration
-	MeanDowntime time.Duration
 	// Seed seeds the process RNG.
 	Seed uint64
 }
@@ -49,44 +45,11 @@ func (p *Process) SampleLifetime() time.Duration {
 // ScheduleDeath arranges for die to run after an exponentially distributed
 // lifetime. It returns the timer (stop it if the node is decommissioned by
 // other means) and the sampled lifetime. With deaths disabled it returns
-// (nil, 0) and never calls die.
-func (p *Process) ScheduleDeath(die func()) (sim.Timer, time.Duration) {
+// the inert zero handle and 0, and never calls die.
+func (p *Process) ScheduleDeath(die func()) (sim.ArgTimer, time.Duration) {
 	if p.cfg.MeanLifetime <= 0 {
-		return nil, 0
+		return sim.ArgTimer{}, 0
 	}
 	life := p.SampleLifetime()
 	return p.clock.AfterFunc(life, die), life
-}
-
-// ManageAvailability alternates setDown(true)/setDown(false) with
-// exponential down- and uptimes, starting from up. It returns a stop
-// function. With flapping disabled it is a no-op returning a no-op stop.
-func (p *Process) ManageAvailability(setDown func(bool)) (stop func()) {
-	if p.cfg.MeanDowntime <= 0 || p.cfg.MeanUptime <= 0 {
-		return func() {}
-	}
-	stopped := false
-	var timer sim.Timer
-	var goDown, goUp func()
-	goDown = func() {
-		if stopped {
-			return
-		}
-		setDown(true)
-		timer = p.clock.AfterFunc(time.Duration(p.rng.Exp(float64(p.cfg.MeanDowntime))), goUp)
-	}
-	goUp = func() {
-		if stopped {
-			return
-		}
-		setDown(false)
-		timer = p.clock.AfterFunc(time.Duration(p.rng.Exp(float64(p.cfg.MeanUptime))), goDown)
-	}
-	timer = p.clock.AfterFunc(time.Duration(p.rng.Exp(float64(p.cfg.MeanUptime))), goDown)
-	return func() {
-		stopped = true
-		if timer != nil {
-			timer.Stop()
-		}
-	}
 }

@@ -27,7 +27,7 @@ func TestScheduleDeathFires(t *testing.T) {
 	p := New(s, Config{MeanLifetime: time.Hour, Seed: 2})
 	died := false
 	timer, life := p.ScheduleDeath(func() { died = true })
-	if timer == nil || life <= 0 {
+	if timer == (sim.ArgTimer{}) || life <= 0 {
 		t.Fatal("no timer scheduled")
 	}
 	s.Run()
@@ -40,8 +40,8 @@ func TestScheduleDeathDisabled(t *testing.T) {
 	s := sim.NewSimulator()
 	p := New(s, Config{})
 	timer, life := p.ScheduleDeath(func() { t.Error("death fired with churn disabled") })
-	if timer != nil || life != 0 {
-		t.Fatal("expected nil timer")
+	if timer.Stop() || life != 0 {
+		t.Fatal("expected the inert zero timer")
 	}
 	s.Run()
 }
@@ -52,37 +52,4 @@ func TestScheduleDeathCancel(t *testing.T) {
 	timer, _ := p.ScheduleDeath(func() { t.Error("cancelled death fired") })
 	timer.Stop()
 	s.Run()
-}
-
-func TestManageAvailabilityFlaps(t *testing.T) {
-	s := sim.NewSimulator()
-	p := New(s, Config{MeanUptime: time.Hour, MeanDowntime: 10 * time.Minute, Seed: 4})
-	transitions := 0
-	down := false
-	stop := p.ManageAvailability(func(d bool) {
-		if d == down {
-			t.Fatal("non-alternating availability transition")
-		}
-		down = d
-		transitions++
-	})
-	s.RunUntil(s.Now().Add(24 * time.Hour))
-	if transitions < 5 {
-		t.Fatalf("only %d transitions in 24h", transitions)
-	}
-	stop()
-	before := transitions
-	s.RunUntil(s.Now().Add(24 * time.Hour))
-	// One already-queued transition may fire; no sustained flapping.
-	if transitions > before+1 {
-		t.Fatalf("flapping continued after stop: %d -> %d", before, transitions)
-	}
-}
-
-func TestManageAvailabilityDisabled(t *testing.T) {
-	s := sim.NewSimulator()
-	p := New(s, Config{})
-	stop := p.ManageAvailability(func(bool) { t.Error("transition with flapping disabled") })
-	s.RunUntil(s.Now().Add(time.Hour))
-	stop()
 }

@@ -277,10 +277,10 @@ func (ls *lookupState) release() {
 // distSet is an open-addressing membership set over packed XOR-distance
 // lanes. For a fixed lookup target, ID ↔ distance is a bijection, so
 // distance membership is exactly ID membership — and because IDs are
-// uniformly distributed, d0 doubles as a ready-made hash: each operation is
-// a mask and a short probe, with none of the per-call key hashing a
-// map[ID]bool pays. Deletion backward-shifts the probe cluster, so the set
-// needs no tombstones.
+// uniform, d0 doubles as a ready-made hash: each operation is a mask and a
+// short probe, with none of the key hashing a map pays (as a map: +26%
+// cpu_ms_per_mission on steady-120 and boot-2k; DESIGN.md, "What earns a
+// bespoke structure"). Deletion backward-shifts the cluster: no tombstones.
 type distSet struct {
 	slots []distSlot // power-of-two length
 	used  int
@@ -503,14 +503,14 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 		// when it is new. So the bounded interner admits just the addresses of
 		// contacts some lookup kept, not whatever a response chose to list.
 		t0, t1, t2 := lanes(ls.target[:])
-		addrs := &ls.node.cfg.Scratch.addrs
+		scratch := ls.node.cfg.Scratch
 		for region := resp.contacts.region; len(region) > 0; {
 			id, addr, rest, _ := nextContact(region)
 			region = rest
 			d0, d1, d2 := lanes(id)
 			d0, d1, d2 = d0^t0, d1^t1, d2^t2
 			if ls.seen.add(d0, d1, d2) {
-				c := Contact{ID: ID(id), Addr: addrs.intern(addr)}
+				c := Contact{ID: ID(id), Addr: scratch.intern(addr)}
 				ls.shortlist = append(ls.shortlist, ranked{d0: d0, d1: d1, d2: d2, c: c})
 			}
 		}

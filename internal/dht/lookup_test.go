@@ -112,16 +112,16 @@ func TestLookupResponseOffWire(t *testing.T) {
 		rig := newResponseRig(t, stats.NewRNG(5))
 		contacts := randomContacts(stats.NewRNG(6), maxContacts, "peer")
 		rig.feed(rig.response(t, contacts))
-		addrs := &rig.node.cfg.Scratch.addrs
-		if addrs.used != maxContacts {
-			t.Fatalf("interner holds %d addresses after %d novel contacts", addrs.used, maxContacts)
+		addrs := rig.node.cfg.Scratch.addrs
+		if len(addrs) != maxContacts {
+			t.Fatalf("interner holds %d addresses after %d novel contacts", len(addrs), maxContacts)
 		}
 		for i := range contacts {
 			contacts[i].Addr = transport.Addr(fmt.Sprintf("forged-%d", i))
 		}
 		rig.feed(rig.response(t, contacts))
-		if addrs.used != maxContacts {
-			t.Errorf("interner grew to %d on forged addresses of contacts the lookup already had", addrs.used)
+		if len(addrs) != maxContacts {
+			t.Errorf("interner grew to %d on forged addresses of contacts the lookup already had", len(addrs))
 		}
 		for _, r := range rig.ls.shortlist {
 			if !strings.HasPrefix(string(r.c.Addr), "peer-") {

@@ -20,15 +20,6 @@ type Config struct {
 	Endpoint transport.Endpoint
 	// Clock drives timeouts and TTL expiry. Required (sim or real).
 	Clock sim.Clock
-	// RPCTimeout bounds each request/response exchange (default 500ms).
-	RPCTimeout time.Duration
-	// ProbeTimeout bounds the ping-evict policy's liveness probes,
-	// independently of RPCTimeout (default: RPCTimeout). Probes never
-	// retry regardless of Retry: the replacement-cache policy wants one
-	// prompt liveness verdict per admission decision, and a retry-stretched
-	// probe would starve the cache of decisions exactly when the network
-	// degrades.
-	ProbeTimeout time.Duration
 	// Retry configures re-sending of timed-out requests. The zero value is
 	// single-shot (the historical behavior, byte-identical event
 	// sequences); see RetryPolicy.
@@ -61,16 +52,12 @@ const (
 	storeReplicas = 3
 	// staleAfter is the naive policy's bucket-eviction staleness threshold.
 	staleAfter = 10 * time.Minute
+	// rpcTimeout bounds each attempt of a request/response exchange, the
+	// ping-evict policy's liveness probes included.
+	rpcTimeout = 500 * time.Millisecond
 )
 
 func (c Config) withDefaults() Config {
-	if c.RPCTimeout == 0 {
-		c.RPCTimeout = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout == 0 {
-		c.ProbeTimeout = c.RPCTimeout
-	}
-	c.Retry = c.Retry.withDefaults()
 	if c.Table == TableDefault {
 		c.Table = TablePingEvict
 	}
@@ -81,7 +68,7 @@ func (c Config) withDefaults() Config {
 }
 
 // ErrTimeout is passed to RPC callbacks when the peer does not answer
-// within RPCTimeout.
+// within rpcTimeout (of its last attempt, under a retry policy).
 var ErrTimeout = errors.New("dht: rpc timeout")
 
 // ErrClosed is returned for operations on a closed node.
@@ -130,7 +117,7 @@ const maxAppSeen = 1 << 15
 
 // pendingRPC is one in-flight request: a record recycled through the node's
 // Scratch and armed as the timeout event's argument, so the per-RPC cost is
-// neither a record allocation, a timeout closure, nor a boxed Timer.
+// neither a record allocation nor a timeout closure.
 //
 // Release protocol: whichever path removes the record from n.pending stops
 // its timer and releases it, copying cb out first. An armed timer always
@@ -143,37 +130,27 @@ type pendingRPC struct {
 	id    uint64
 
 	// Retry state. wire retains the encoded request for re-sends (empty
-	// when the request is single-shot), addr its destination, timeout the
-	// per-attempt deadline (probes run a shorter one), attempt the number
-	// of sends made so far. waiting marks the backoff gap between a
+	// when the request is single-shot), addr its destination, attempt the
+	// number of sends made so far. waiting marks the backoff gap between a
 	// timed-out attempt and its re-send: the timer is re-armed twice per
 	// retry (timeout, then gap), and whichever phase it is in, the record
 	// stays in n.pending so a late response can still settle it.
 	wire    []byte
 	addr    transport.Addr
-	timeout time.Duration
 	attempt int
 	waiting bool
 }
 
-// rpcCallback is either a plain closure or an arg-based package-level
-// function with its pooled argument — the latter lets hot callers (the
-// lookup query fan-out) issue RPCs without allocating a response closure.
-// The response is the receive path's scratch Message, valid for the call
-// only; it is nil exactly when err is not.
+// rpcCallback is a package-level function with its argument, so hot callers
+// (the lookup query fan-out, with a pooled record) issue RPCs without
+// allocating a response closure. The response is the receive path's scratch
+// Message, valid for the call only; it is nil exactly when err is not.
 type rpcCallback struct {
-	fn    func(*Message, error)
 	argFn func(any, *Message, error)
 	arg   any
 }
 
-func (c rpcCallback) deliver(m *Message, err error) {
-	if c.fn != nil {
-		c.fn(m, err)
-		return
-	}
-	c.argFn(c.arg, m, err)
-}
+func (c rpcCallback) deliver(m *Message, err error) { c.argFn(c.arg, m, err) }
 
 // releasePending returns a settled record to its node's scratch. The wire
 // buffer keeps its capacity for the record's next life.
@@ -189,12 +166,12 @@ func releasePending(p *pendingRPC) {
 	s.rpcs.Put(p)
 }
 
-// rpcTimeout is the package-level timeout callback: fires when the peer did
+// rpcTimedOut is the package-level timeout callback: fires when the peer did
 // not answer within the attempt's deadline, and again at the end of each
 // retry backoff gap. A retryable record cycles timeout → backoff gap →
 // re-send until its attempts run out; only then does the callback see
 // ErrTimeout.
-func rpcTimeout(v any) {
+func rpcTimedOut(v any) {
 	p := v.(*pendingRPC)
 	n := p.node
 	if len(p.wire) > 0 && p.attempt < n.cfg.Retry.Attempts {
@@ -203,8 +180,7 @@ func rpcTimeout(v any) {
 			// through a deterministic jittered backoff, so a straggling
 			// response can still settle the RPC mid-gap.
 			p.waiting = true
-			gap := n.cfg.Retry.backoff(p.attempt, n.retryRng)
-			p.timer = n.cfg.Clock.AfterFuncArg(gap, rpcTimeout, p)
+			p.timer = n.cfg.Clock.AfterFuncArg(backoff(p.attempt, n.retryRng), rpcTimedOut, p)
 			return
 		}
 		// Backoff elapsed: re-send the retained wire form (same RPCID) and
@@ -212,7 +188,7 @@ func rpcTimeout(v any) {
 		p.waiting = false
 		p.attempt++
 		n.resilience.Retries++
-		p.timer = n.cfg.Clock.AfterFuncArg(p.timeout, rpcTimeout, p)
+		p.timer = n.cfg.Clock.AfterFuncArg(rpcTimeout, rpcTimedOut, p)
 		_ = n.cfg.Endpoint.Send(p.addr, p.wire)
 		return
 	}
@@ -438,25 +414,23 @@ func (n *Node) reply(to Contact, m Message) {
 }
 
 // request sends m to the peer and arranges for cb to run with the response
-// or ErrTimeout.
+// or ErrTimeout. cb rides the arg slot: func values are pointer-shaped, so
+// boxing it allocates nothing.
 func (n *Node) request(to Contact, m Message, cb func(*Message, error)) {
-	n.startRequest(to, m, rpcCallback{fn: cb})
+	n.requestArg(to, m, callFunc, cb)
 }
+
+func callFunc(cb any, m *Message, err error) { cb.(func(*Message, error))(m, err) }
 
 // requestArg is the closure-free form of request: fn is a package-level
 // function and arg a recycled record, so issuing the RPC allocates nothing.
 func (n *Node) requestArg(to Contact, m Message, fn func(any, *Message, error), arg any) {
-	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg})
+	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg}, n.cfg.Retry.enabled())
 }
 
-func (n *Node) startRequest(to Contact, m Message, cb rpcCallback) {
-	n.startRequestOpt(to, m, cb, n.cfg.RPCTimeout, n.cfg.Retry.enabled())
-}
-
-// startRequestOpt is the full-control form: timeout is the per-attempt
-// deadline, retry opts the request into the node's RetryPolicy (probes pass
-// false — one prompt verdict, never stretched).
-func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout time.Duration, retry bool) {
+// startRequest is the one send path of a request: retry opts it into the
+// node's RetryPolicy.
+func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 	if n.closed {
 		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, ErrClosed) })
 		return
@@ -470,19 +444,22 @@ func (n *Node) startRequestOpt(to Contact, m Message, cb rpcCallback, timeout ti
 	}
 	p := n.cfg.Scratch.rpcs.Get()
 	p.node, p.cb, p.to, p.id = n, cb, to.ID, m.RPCID
-	p.addr, p.timeout, p.attempt = to.Addr, timeout, 1
+	p.addr, p.attempt = to.Addr, 1
 	if retry {
 		p.wire = append(p.wire[:0], *buf...) // retained for re-sends
 	}
-	p.timer = n.cfg.Clock.AfterFuncArg(timeout, rpcTimeout, p)
+	p.timer = n.cfg.Clock.AfterFuncArg(rpcTimeout, rpcTimedOut, p)
 	n.pending[p.id] = p
 	_ = n.sendBuf(to.Addr, buf)
 }
 
-// probe is the ping-evict policy's liveness check: single-shot on its own
-// ProbeTimeout, bypassing the retry policy.
+// probe is the ping-evict policy's liveness check. It never retries,
+// whatever the node's RetryPolicy: the replacement-cache policy wants one
+// prompt liveness verdict per admission decision, and a retry-stretched probe
+// would starve the cache of decisions exactly when the network degrades.
 func (n *Node) probe(to Contact, cb func(error)) {
-	n.startRequestOpt(to, Message{Kind: KindPing}, rpcCallback{fn: func(_ *Message, err error) { cb(err) }}, n.cfg.ProbeTimeout, false)
+	done := func(_ *Message, err error) { cb(err) }
+	n.startRequest(to, Message{Kind: KindPing}, rpcCallback{argFn: callFunc, arg: done}, false)
 }
 
 // settle matches a response to its pending request and records the one table
@@ -543,7 +520,7 @@ func (n *Node) SendApp(to Contact, payload []byte) error {
 		return ErrClosed
 	}
 	if n.cfg.Retry.enabled() {
-		n.startRequest(to, Message{Kind: KindApp, App: payload}, rpcCallback{argFn: appAckDone, arg: nil})
+		n.requestArg(to, Message{Kind: KindApp, App: payload}, appAckDone, nil)
 		return nil
 	}
 	return n.sendMessage(to.Addr, Message{Kind: KindApp, App: payload})

@@ -435,10 +435,9 @@ func TestOwnerWalkConcurrentSendersUDP(t *testing.T) {
 			t.Skipf("no loopback UDP here: %v", err)
 		}
 		node, err := NewNode(Config{
-			ID:         RandomID(rng),
-			Endpoint:   ep,
-			Clock:      loop.Clock(),
-			RPCTimeout: 2 * time.Second,
+			ID:       RandomID(rng),
+			Endpoint: ep,
+			Clock:    loop.Clock(),
 			OnApp: func(_ Contact, payload []byte) {
 				mu.Lock()
 				received[string(payload)]++

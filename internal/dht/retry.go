@@ -8,7 +8,7 @@ import (
 )
 
 // RetryPolicy configures re-sending of timed-out requests. The zero value
-// is single-shot — the historical behavior: one send, one RPCTimeout, one
+// is single-shot — the historical behavior: one send, one rpcTimeout, one
 // ErrTimeout. With Attempts > 1 a timed-out request holds its pending slot
 // through a deterministic exponential backoff gap and is re-sent verbatim
 // (same RPCID), up to Attempts sends total; the callback sees ErrTimeout
@@ -19,28 +19,18 @@ type RetryPolicy struct {
 	// Attempts is the total number of sends per request (0 or 1:
 	// single-shot, no retry machinery at all).
 	Attempts int
-	// Backoff is the base gap between a timeout and the re-send; it
-	// doubles per attempt (default 300ms when retrying).
-	Backoff time.Duration
-	// MaxBackoff caps the doubled gap (default 3s when retrying).
-	MaxBackoff time.Duration
 }
+
+const (
+	// retryBackoff is the base gap between a timeout and the re-send; it
+	// doubles per attempt.
+	retryBackoff = 300 * time.Millisecond
+	// retryMaxBackoff caps the doubled gap.
+	retryMaxBackoff = 3 * time.Second
+)
 
 // enabled reports whether the policy re-sends at all.
 func (p RetryPolicy) enabled() bool { return p.Attempts > 1 }
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if !p.enabled() {
-		return p
-	}
-	if p.Backoff == 0 {
-		p.Backoff = 300 * time.Millisecond
-	}
-	if p.MaxBackoff == 0 {
-		p.MaxBackoff = 3 * time.Second
-	}
-	return p
-}
 
 // backoff returns the jittered gap before re-send number attempt+1, where
 // attempt counts sends already made (>= 1). The gap is exponential with a
@@ -48,10 +38,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // the node's seeded retry stream, so two nodes with distinct IDs desynchronize
 // their re-sends while a re-run of the same configuration reproduces every
 // gap exactly.
-func (p RetryPolicy) backoff(attempt int, rng *stats.RNG) time.Duration {
-	base := p.MaxBackoff
+func backoff(attempt int, rng *stats.RNG) time.Duration {
+	base := retryMaxBackoff
 	if attempt-1 < 16 {
-		if d := p.Backoff << (attempt - 1); d > 0 && d < base {
+		if d := retryBackoff << (attempt - 1); d < base {
 			base = d
 		}
 	}

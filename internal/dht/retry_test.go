@@ -15,13 +15,12 @@ import (
 // change here shifts every retry-enabled event sequence — if intentional,
 // re-pin and note it as a determinism break for retry arms.
 func TestBackoffSequenceGolden(t *testing.T) {
-	p := RetryPolicy{Attempts: 5}.withDefaults()
 	var id ID
 	copy(id[:], []byte{0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04})
 	rng := stats.NewRNG(retrySeed(id))
 	var got []time.Duration
-	for attempt := 1; attempt < p.Attempts; attempt++ {
-		got = append(got, p.backoff(attempt, rng))
+	for attempt := 1; attempt < 5; attempt++ {
+		got = append(got, backoff(attempt, rng))
 	}
 	want := []time.Duration{294103557, 409774523, 791183175, 2275030741}
 	for i := range want {
@@ -30,14 +29,14 @@ func TestBackoffSequenceGolden(t *testing.T) {
 		}
 	}
 	// Structural bounds hold regardless of the jitter draw: gap i lies in
-	// [base/2, base] with base = min(Backoff<<i, MaxBackoff).
+	// [base/2, base] with base = min(retryBackoff<<i, retryMaxBackoff).
 	rng2 := stats.NewRNG(stats.Mix64(9, 9))
 	for attempt := 1; attempt < 12; attempt++ {
-		base := p.Backoff << (attempt - 1)
-		if base <= 0 || base > p.MaxBackoff {
-			base = p.MaxBackoff
+		base := retryBackoff << (attempt - 1)
+		if base <= 0 || base > retryMaxBackoff {
+			base = retryMaxBackoff
 		}
-		g := p.backoff(attempt, rng2)
+		g := backoff(attempt, rng2)
 		if g < base/2 || g > base {
 			t.Errorf("backoff(%d) = %v outside [%v, %v]", attempt, g, base/2, base)
 		}
@@ -173,15 +172,10 @@ func TestFireAndForgetAppUnchanged(t *testing.T) {
 	}
 }
 
-// TestProbeTimeoutIndependent: liveness probes run on ProbeTimeout,
-// single-shot, even when the node retries its regular RPCs on a slower
-// RPCTimeout.
+// TestProbeTimeoutIndependent: liveness probes are single-shot — a verdict
+// after exactly one rpcTimeout — even when the node retries its regular RPCs.
 func TestProbeTimeoutIndependent(t *testing.T) {
-	s, a, b := retryPair(t, Config{
-		RPCTimeout:   2 * time.Second,
-		ProbeTimeout: 100 * time.Millisecond,
-		Retry:        RetryPolicy{Attempts: 4},
-	}, &dropFirst{n: 1 << 30}, nil)
+	s, a, b := retryPair(t, Config{Retry: RetryPolicy{Attempts: 4}}, &dropFirst{n: 1 << 30}, nil)
 	_ = b
 	start := s.Now()
 	var elapsed time.Duration
@@ -196,8 +190,8 @@ func TestProbeTimeoutIndependent(t *testing.T) {
 	if !sawCb {
 		t.Fatal("probe callback never ran")
 	}
-	if elapsed != 100*time.Millisecond {
-		t.Fatalf("probe verdict after %v, want exactly ProbeTimeout (100ms): no retry stretch", elapsed)
+	if elapsed != rpcTimeout {
+		t.Fatalf("probe verdict after %v, want exactly one rpcTimeout (%v): no retry stretch", elapsed, rpcTimeout)
 	}
 	if res := a.Resilience(); res.Retries != 0 {
 		t.Fatalf("probe retried: %+v", res)

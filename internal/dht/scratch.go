@@ -29,7 +29,11 @@ type Scratch struct {
 	rx         Message
 	rxBusy     bool
 	rxContacts []Contact
-	addrs      addrTable
+	// addrs interns the addresses of the contacts lookups keep (see intern).
+	// Entries are never deleted; it stops admitting at maxAddrs, so a flood of
+	// unique addresses degrades to plain allocation instead of growing it.
+	addrs    map[transport.Addr]transport.Addr
+	maxAddrs int
 
 	lookups freelist.List[lookupState]
 	queries freelist.List[lookupQuery]
@@ -66,92 +70,26 @@ const defaultInternedAddrs = 1 << 16
 // population), so the interner can hold all of them; zero — or anything
 // under the default — keeps the default bound.
 func NewScratch(peers int) *Scratch {
-	s := &Scratch{
-		lookups: freelist.List[lookupState]{Max: maxFreeLookups},
-		queries: freelist.List[lookupQuery]{Max: maxFreeQueries},
-		walks:   freelist.List[ownerWalk]{Max: maxFreeWalks},
-		rpcs:    freelist.List[pendingRPC]{Max: maxFreePending},
-		bufs:    freelist.List[[]byte]{Max: maxFreeBufs},
+	return &Scratch{
+		addrs:    make(map[transport.Addr]transport.Addr),
+		maxAddrs: max(peers, defaultInternedAddrs),
+		lookups:  freelist.List[lookupState]{Max: maxFreeLookups},
+		queries:  freelist.List[lookupQuery]{Max: maxFreeQueries},
+		walks:    freelist.List[ownerWalk]{Max: maxFreeWalks},
+		rpcs:     freelist.List[pendingRPC]{Max: maxFreePending},
+		bufs:     freelist.List[[]byte]{Max: maxFreeBufs},
 	}
-	s.addrs.max = max(peers, defaultInternedAddrs)
-	return s
 }
 
-// addrTable is the receive path's open-addressing address interner: raw
-// address bytes hash (FNV-1a) to their canonical string. Interning a contact
-// a lookup keeps is one short hash and usually one slot probe — measurably
-// cheaper than a map[string]Addr lookup's full map machinery — and contacts
-// the lookup has already seen never reach it. Entries are never deleted; the
-// table stops admitting at max, so a flood of unique addresses degrades to
-// plain allocation instead of growing it without limit.
-type addrTable struct {
-	slots []addrSlot // power-of-two length
-	used  int
-	max   int
-}
-
-type addrSlot struct {
-	hash uint64 // 0 = empty (occupied hashes are forced nonzero)
-	addr transport.Addr
-}
-
-func hashAddr(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
-// intern returns the canonical Addr for raw address bytes, remembering it
-// for future datagrams.
-func (t *addrTable) intern(b []byte) transport.Addr {
-	h := hashAddr(b)
-	if t.used > 0 {
-		mask := len(t.slots) - 1
-		for i := int(h) & mask; ; i = (i + 1) & mask {
-			sl := &t.slots[i]
-			if sl.hash == 0 {
-				break
-			}
-			if sl.hash == h && string(sl.addr) == string(b) {
-				return sl.addr
-			}
-		}
-	}
-	a := transport.Addr(b)
-	if t.used >= t.max {
+// intern returns the canonical Addr for raw address bytes (the map lookup by
+// converted bytes allocates nothing), remembering it for future datagrams.
+func (s *Scratch) intern(b []byte) transport.Addr {
+	if a, ok := s.addrs[transport.Addr(b)]; ok {
 		return a
 	}
-	if 4*(t.used+1) > 3*len(t.slots) {
-		old := t.slots
-		size := 2 * len(old)
-		if size == 0 {
-			size = 32
-		}
-		t.slots = make([]addrSlot, size)
-		mask := size - 1
-		for i := range old {
-			if old[i].hash == 0 {
-				continue
-			}
-			j := int(old[i].hash) & mask
-			for t.slots[j].hash != 0 {
-				j = (j + 1) & mask
-			}
-			t.slots[j] = old[i]
-		}
+	a := transport.Addr(b)
+	if len(s.addrs) < s.maxAddrs {
+		s.addrs[a] = a
 	}
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for t.slots[i].hash != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = addrSlot{hash: h, addr: a}
-	t.used++
 	return a
 }

@@ -199,9 +199,9 @@ func TestScratchInternerBound(t *testing.T) {
 	}
 	interned := func(s *Scratch) int {
 		for _, a := range addrs {
-			s.addrs.intern(a)
+			s.intern(a)
 		}
-		return s.addrs.used
+		return len(s.addrs)
 	}
 	sized := NewScratch(population)
 	if got := interned(sized); got != population {
@@ -210,7 +210,7 @@ func TestScratchInternerBound(t *testing.T) {
 	// Canonical: a second decode of the same bytes returns the same string
 	// without allocating, first address and last alike.
 	for _, a := range [][]byte{addrs[0], addrs[population-1]} {
-		if allocs := testing.AllocsPerRun(10, func() { sized.addrs.intern(a) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { sized.intern(a) }); allocs != 0 {
 			t.Errorf("re-interning %s allocates %v times", a, allocs)
 		}
 	}
@@ -218,7 +218,7 @@ func TestScratchInternerBound(t *testing.T) {
 	if got := interned(private); got != defaultInternedAddrs {
 		t.Errorf("private scratch interned %d addresses, want the default bound %d", got, defaultInternedAddrs)
 	}
-	if got := private.addrs.intern(addrs[population-1]); string(got) != string(addrs[population-1]) {
+	if got := private.intern(addrs[population-1]); string(got) != string(addrs[population-1]) {
 		t.Errorf("past the bound intern returned %q", got)
 	}
 }

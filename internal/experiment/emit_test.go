@@ -39,7 +39,7 @@ func TestSweepEmitGoldenMC(t *testing.T) {
 			SchemeAxis(core.SchemeCentral, core.SchemeJoint),
 		},
 	}
-	rs, err := Runner{Estimator: MonteCarlo{Trials: 100, Workers: 1}, Parallel: 2}.Run(sw)
+	rs, err := Runner{Estimator: MonteCarlo{Trials: 100}, Parallel: 2}.Run(sw)
 	if err != nil {
 		t.Fatal(err)
 	}

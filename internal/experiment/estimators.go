@@ -74,16 +74,12 @@ func (a Analytic) Estimate(pt Point) (Result, error) {
 
 // MonteCarlo estimates points by sampling the abstract model
 // (mc.Estimate): the engine behind Figures 6-8. The zero value matches the
-// paper's setup (1000 trials, all CPUs).
+// paper's setup (1000 trials). A point is sampled on one trial worker — the
+// Runner parallelizes across points — because mc.Estimate splits one RNG per
+// worker: a wider partition would make the estimate depend on the machine.
 type MonteCarlo struct {
 	// Trials per point (default 1000).
 	Trials int
-	// Workers parallelizes the trials of a single point (default
-	// GOMAXPROCS). Combine multi-point Runner parallelism with Workers 1
-	// (the trial partition is per-machine otherwise), and per-point workers
-	// with Runner.Parallel 1 — both layers wide at once merely
-	// oversubscribes the scheduler.
-	Workers int
 	// ShareModel pins the key share scheme's churn-loss and
 	// release-exposure model (the mc.Env knob): the paper's quota model by
 	// default, or the live-faithful chained model the scenario estimator
@@ -114,7 +110,7 @@ func (m MonteCarlo) Estimate(pt Point) (Result, error) {
 	}
 	env := pt.Env()
 	env.ShareModel = m.ShareModel
-	res, err := mc.Estimate(plan, env, mc.Options{Trials: m.Trials, Seed: pt.Seed, Workers: m.Workers})
+	res, err := mc.Estimate(plan, env, mc.Options{Trials: m.Trials, Seed: pt.Seed, Workers: 1})
 	if err != nil {
 		return Result{}, err
 	}

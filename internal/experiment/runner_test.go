@@ -220,7 +220,7 @@ func TestAnalyticRejectsChurnForNoChurnSchemes(t *testing.T) {
 // per-point worker count so the trial partition is fixed too.
 func TestSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 	sw := testSweep()
-	est := MonteCarlo{Trials: 120, Workers: 1}
+	est := MonteCarlo{Trials: 120}
 	var outputs [][]byte
 	for _, parallel := range []int{1, 4, 16} {
 		rs, err := Runner{Estimator: est, Parallel: parallel}.Run(sw)
@@ -263,7 +263,7 @@ func TestAnalyticEstimator(t *testing.T) {
 
 func TestMonteCarloEstimator(t *testing.T) {
 	pt := Point{Scheme: core.SchemeJoint, P: 0.1, Network: 1000, K: 3, L: 2, Seed: 9}
-	res, err := MonteCarlo{Trials: 400, Workers: 1}.Estimate(pt)
+	res, err := MonteCarlo{Trials: 400}.Estimate(pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestMonteCarloEstimator(t *testing.T) {
 		t.Errorf("joint 3x2 at p=0.1: Rr=%v Rd=%v, want high", res.Rr, res.Rd)
 	}
 	// Same point, same result (the estimator is deterministic and pure).
-	again, err := MonteCarlo{Trials: 400, Workers: 1}.Estimate(pt)
+	again, err := MonteCarlo{Trials: 400}.Estimate(pt)
 	if err != nil {
 		t.Fatal(err)
 	}

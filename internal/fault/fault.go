@@ -256,7 +256,7 @@ func (e *Engine) ManageCrashes(clock sim.Clock, addr transport.Addr, setDown fun
 	downMean := float64(crashDownFloor) + sev*float64(crashDownRange)
 	rng := stats.NewRNG(addrStream(e.cfg.Seed, addr))
 	stopped := false
-	var timer sim.Timer
+	var timer sim.ArgTimer
 	var crash, restart func()
 	crash = func() {
 		if stopped {
@@ -275,8 +275,6 @@ func (e *Engine) ManageCrashes(clock sim.Clock, addr transport.Addr, setDown fun
 	timer = clock.AfterFunc(time.Duration(rng.Exp(upMean)), crash)
 	return func() {
 		stopped = true
-		if timer != nil {
-			timer.Stop()
-		}
+		timer.Stop()
 	}
 }

@@ -22,19 +22,16 @@ import (
 // use by the runner's workers.
 type Estimator struct {
 	// Template holds what every point of the sweep shares — Missions,
-	// Emerging, Stagger, Latency, Shards, PartitionWorkers, ShareModel (part
-	// of the reference cache key, so pinned and unpinned sweeps never share
-	// entries) and MCTrials, which here defaults to Missions so the Wilson
-	// agreement check reflects the live sampling noise. Config.At overwrites
-	// the fields an experiment point owns; Budget is the sweep-wide one.
+	// Emerging, Stagger, Latency, Shards, ShareModel (part of the reference
+	// cache key, so pinned and unpinned sweeps never share entries) and
+	// MCTrials, which here defaults to Missions so the Wilson agreement check
+	// reflects the live sampling noise. Config.At overwrites the fields an
+	// experiment point owns; Budget is the sweep-wide one.
 	Template Config
-	// Concurrency caps how many shard event loops run at once across the
-	// whole sweep (default GOMAXPROCS) — the shared budget between the
-	// runner's point-level workers and the shards inside each point, so
-	// Parallel x Shards goroutines never oversubscribe the cores. Execution
-	// detail only: results are byte-identical for any value.
-	Concurrency int
 
+	// budget caps the shard event loops running at once across the whole sweep
+	// at GOMAXPROCS: the runner's point-level workers and the shards inside
+	// each point share it, so Parallel x Shards never oversubscribes the cores.
 	budgetOnce sync.Once
 	budget     *Budget
 
@@ -74,7 +71,8 @@ func (e *Estimator) CheckPoint(pt experiment.Point) error {
 func (e *Estimator) config(pt experiment.Point) (Config, error) {
 	tmpl := e.Template
 	tmpl.MCTrials = cmp.Or(tmpl.MCTrials, tmpl.Missions, 100) // 100: the scenario default mission count
-	tmpl.Budget = e.sharedBudget()
+	e.budgetOnce.Do(func() { e.budget = NewBudget(runtime.GOMAXPROCS(0)) })
+	tmpl.Budget = e.budget
 	return tmpl.At(pt)
 }
 
@@ -95,18 +93,6 @@ func (c Config) At(pt experiment.Point) (Config, error) {
 	return c, nil
 }
 
-// sharedBudget lazily builds the sweep-wide shard concurrency budget.
-func (e *Estimator) sharedBudget() *Budget {
-	e.budgetOnce.Do(func() {
-		slots := e.Concurrency
-		if slots <= 0 {
-			slots = runtime.GOMAXPROCS(0)
-		}
-		e.budget = NewBudget(slots)
-	})
-	return e.budget
-}
-
 // Estimate implements experiment.Estimator: the live measurement of Measure
 // plus cached matched references and the AgreesWithMC cross-check.
 func (e *Estimator) Estimate(pt experiment.Point) (experiment.Result, error) {
@@ -121,15 +107,8 @@ func (e *Estimator) Estimate(pt experiment.Point) (experiment.Result, error) {
 	if err != nil {
 		return experiment.Result{}, err
 	}
-	relRef, delRef := report.Config.References()
-	if report.MC, err = e.reference(relRef); err != nil {
+	if err := report.estimateReferences(e.reference); err != nil {
 		return experiment.Result{}, err
-	}
-	report.MCDelivery = report.MC
-	if !report.Config.Drop {
-		if report.MCDelivery, err = e.reference(delRef); err != nil {
-			return experiment.Result{}, err
-		}
 	}
 	agreeRel, agreeDel := report.AgreesWithMC()
 

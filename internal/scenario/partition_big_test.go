@@ -16,8 +16,8 @@ import (
 // TestPartitionHundredKByteIdentical is the acceptance run of the partition
 // engine at scale: one population of 100,000 nodes split over 8 event
 // loops, driven through a live mission sweep, with the emitted CSV and JSON
-// compared byte-for-byte across GOMAXPROCS {1, NumCPU} and partition worker
-// counts {1, 4}. Any schedule leak — a racy cross-shard merge, a
+// compared byte-for-byte across GOMAXPROCS {1, 4, NumCPU} (the lockstep
+// sizes its workers from it). Any schedule leak — a racy cross-shard merge, a
 // worker-count-dependent event order, a non-deterministic report drain —
 // shows up as a byte diff here. Gated behind EMERGE_BIG=1: it boots the
 // 10^5-node network once per combination and wants minutes and GBs, not CI.
@@ -43,14 +43,12 @@ func TestPartitionHundredKByteIdentical(t *testing.T) {
 		Axes: []experiment.Axis{axis},
 	}
 
-	emit := func(maxprocs, workers int) (string, string) {
-		prev := runtime.GOMAXPROCS(maxprocs)
-		defer runtime.GOMAXPROCS(prev)
+	emit := func(maxprocs int) (string, string) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxprocs))
 		est := &scenario.Estimator{Template: scenario.Config{
-			Missions:         6,
-			Emerging:         time.Hour,
-			MCTrials:         6,
-			PartitionWorkers: workers,
+			Missions: 6,
+			Emerging: time.Hour,
+			MCTrials: 6,
 		}}
 		runner := experiment.Runner{Estimator: est, Parallel: 1}
 		rs, err := runner.Run(sweep)
@@ -67,22 +65,17 @@ func TestPartitionHundredKByteIdentical(t *testing.T) {
 		return csv.String(), json.String()
 	}
 
-	type combo struct{ maxprocs, workers int }
-	combos := []combo{{1, 1}, {1, 4}}
-	if n := runtime.NumCPU(); n > 1 {
-		combos = append(combos, combo{n, 1}, combo{n, 4})
-	}
-	refCSV, refJSON := emit(combos[0].maxprocs, combos[0].workers)
+	refCSV, refJSON := emit(1)
 	if len(refCSV) == 0 || len(refJSON) == 0 {
 		t.Fatal("empty emitted output")
 	}
-	for _, c := range combos[1:] {
-		csv, json := emit(c.maxprocs, c.workers)
+	for _, maxprocs := range []int{4, runtime.NumCPU()} {
+		csv, json := emit(maxprocs)
 		if csv != refCSV {
-			t.Errorf("CSV differs at GOMAXPROCS=%d workers=%d", c.maxprocs, c.workers)
+			t.Errorf("CSV differs at GOMAXPROCS=%d", maxprocs)
 		}
 		if json != refJSON {
-			t.Errorf("JSON differs at GOMAXPROCS=%d workers=%d", c.maxprocs, c.workers)
+			t.Errorf("JSON differs at GOMAXPROCS=%d", maxprocs)
 		}
 	}
 }

@@ -100,10 +100,6 @@ type Config struct {
 	// substreams). It composes with every other knob, Shards included: each
 	// replica network then runs on Partition loops.
 	Partition int
-	// PartitionWorkers caps how many partition shard loops run concurrently
-	// (0 = GOMAXPROCS). Execution throttle only: results are byte-identical
-	// for any value.
-	PartitionWorkers int
 	// Stagger spreads mission launches uniformly over this window (default:
 	// one emerging period). Missions sharing one network see the same churn
 	// trajectory; staggering exposes each to a different time slice, which
@@ -374,23 +370,22 @@ func boot(cfg Config) (Config, *selfemerge.Network, error) {
 		lifetime = time.Duration(float64(cfg.Emerging) / cfg.Alpha)
 	}
 	net, err := selfemerge.NewNetwork(selfemerge.NetworkConfig{
-		Nodes:            cfg.Nodes,
-		MaliciousRate:    cfg.MaliciousRate,
-		Attack:           cfg.Strategy,
-		ForgeRate:        cfg.Forge,
-		Table:            cfg.Table,
-		MeanLifetime:     lifetime,
-		Replace:          true,
-		HonestEndpoints:  true,
-		Replicas:         cfg.Replicas,
-		Repair:           true,
-		Latency:          cfg.Latency,
-		Partition:        cfg.Partition,
-		PartitionWorkers: cfg.PartitionWorkers,
-		Fault:            cfg.Fault,
-		FaultSeverity:    cfg.FaultSeverity,
-		Retry:            cfg.Retry,
-		Seed:             cfg.Seed,
+		Nodes:           cfg.Nodes,
+		MaliciousRate:   cfg.MaliciousRate,
+		Attack:          cfg.Strategy,
+		ForgeRate:       cfg.Forge,
+		Table:           cfg.Table,
+		MeanLifetime:    lifetime,
+		Replace:         true,
+		HonestEndpoints: true,
+		Replicas:        cfg.Replicas,
+		Repair:          true,
+		Latency:         cfg.Latency,
+		Partition:       cfg.Partition,
+		Fault:           cfg.Fault,
+		FaultSeverity:   cfg.FaultSeverity,
+		Retry:           cfg.Retry,
+		Seed:            cfg.Seed,
 	})
 	if err != nil {
 		return cfg, nil, err
@@ -544,17 +539,25 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	relRef, delRef := report.Config.References()
-	if report.MC, err = relRef.Estimate(); err != nil {
+	if err := report.estimateReferences(Reference.Estimate); err != nil {
 		return nil, fmt.Errorf("scenario: reference estimate: %w", err)
 	}
-	report.MCDelivery = report.MC
-	if !report.Config.Drop {
-		if report.MCDelivery, err = delRef.Estimate(); err != nil {
-			return nil, fmt.Errorf("scenario: delivery reference estimate: %w", err)
-		}
-	}
 	return report, nil
+}
+
+// estimateReferences fills the report's matched references through estimate:
+// the delivery reference is the release reference under a dropping strategy,
+// else a second estimate.
+func (r *Report) estimateReferences(estimate func(Reference) (mc.Result, error)) (err error) {
+	relRef, delRef := r.Config.References()
+	if r.MC, err = estimate(relRef); err != nil {
+		return err
+	}
+	r.MCDelivery = r.MC
+	if !r.Config.Drop {
+		r.MCDelivery, err = estimate(delRef)
+	}
+	return err
 }
 
 // predicted returns the no-churn closed-form resilience of the plan, when

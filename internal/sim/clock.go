@@ -23,28 +23,19 @@ type Clock interface {
 	// Now returns the current time.
 	Now() time.Time
 	// AfterFunc schedules fn to run on the loop d from now and returns a
-	// cancellable timer.
-	AfterFunc(d time.Duration, fn func()) Timer
-	// Schedule arms fn to run d from now with no way to cancel it — the
-	// hot-path form for the per-message delivery and refresh events that are
-	// never stopped, sparing the Timer interface allocation AfterFunc pays.
+	// cancellable handle.
+	AfterFunc(d time.Duration, fn func()) ArgTimer
+	// Schedule arms fn to run d from now with no way to cancel it — the form
+	// for the per-message delivery and refresh events that are never stopped.
 	Schedule(d time.Duration, fn func())
 	// ScheduleArg arms fn(arg) like Schedule. With a package-level fn and a
-	// pooled pointer arg the schedule is allocation-free — no closure, no
-	// Timer box — which is what the transport uses for per-datagram delivery
-	// events.
+	// pooled pointer arg the schedule is allocation-free — no closure — which
+	// is what the transport uses for per-datagram delivery events.
 	ScheduleArg(d time.Duration, fn func(any), arg any)
 	// AfterFuncArg arms fn(arg) to run d from now and returns a cancellable
 	// value handle: the whole arm/fire/stop cycle allocates nothing — the form
 	// the per-RPC timeout path uses.
 	AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer
-}
-
-// Timer is a cancellable scheduled callback.
-type Timer interface {
-	// Stop cancels the timer if it has not fired; it reports whether the
-	// call prevented the callback from running.
-	Stop() bool
 }
 
 // ArgTimer is the cancellable handle to one generation of a pooled event
@@ -131,13 +122,12 @@ func (s *Simulator) Now() time.Time {
 
 // AfterFunc schedules fn at now+d. Non-positive d runs fn at the current
 // instant (still through the queue, preserving deterministic order).
-func (s *Simulator) AfterFunc(d time.Duration, fn func()) Timer {
+func (s *Simulator) AfterFunc(d time.Duration, fn func()) ArgTimer {
 	return s.schedule(d, fn, nil, nil)
 }
 
 // Schedule arms fn at now+d with no cancellation handle: the same queue and
-// ordering as AfterFunc without boxing a Timer per event — the form the
-// per-message simnet delivery path uses.
+// ordering as AfterFunc.
 func (s *Simulator) Schedule(d time.Duration, fn func()) {
 	s.schedule(d, fn, nil, nil)
 }

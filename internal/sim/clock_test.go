@@ -171,7 +171,7 @@ func TestPendingCancelThenDispatch(t *testing.T) {
 	// The O(1) pending counter must track all three transitions: schedule,
 	// cancel and dispatch.
 	s := NewSimulator()
-	timers := make([]Timer, 6)
+	timers := make([]ArgTimer, 6)
 	for i := range timers {
 		timers[i] = s.AfterFunc(time.Duration(i+1)*time.Second, func() {})
 	}
@@ -214,14 +214,14 @@ func TestStaleHandleCannotTouchRecycledEvent(t *testing.T) {
 	// Schedule until the pool hands the same record back (single-threaded,
 	// so the first schedule already reuses it; loop defensively).
 	ran := false
-	var fresh Timer
+	var fresh ArgTimer
 	for i := 0; i < 8; i++ {
 		fresh = s.AfterFunc(time.Second, func() { ran = true })
-		if fresh.(ArgTimer).ev == stale.(ArgTimer).ev {
+		if fresh.ev == stale.ev {
 			break
 		}
 	}
-	if fresh.(ArgTimer).ev != stale.(ArgTimer).ev {
+	if fresh.ev != stale.ev {
 		t.Skip("pool did not recycle the record; nothing to check")
 	}
 	if stale.Stop() {

@@ -161,13 +161,13 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 		var gotSib, wantSib []bool // what each in-callback sibling Stop reported
 		var nextID, seq uint64
 		var live []*oracleEvent // every armed record, for cancel targeting
-		stops := make(map[uint64]Timer)
+		stops := make(map[uint64]ArgTimer)
 		ran := make(map[uint64]bool)
 
 		// stop stops id's handle, tallying into tally where the call found
 		// the record.
 		stop := func(id uint64, tally *[hitKinds]int) bool {
-			h := stops[id].(ArgTimer)
+			h := stops[id]
 			switch res := h.ev.state & resMask; {
 			case h.ev.state>>stateGenShift > h.gen+1:
 				tally[hitRecycled]++
@@ -198,8 +198,8 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 			return live[rng.Intn(len(live))]
 		}
 
-		// armCancellable arms one cancellable event, as a boxed Timer or as a
-		// value handle, on both the simulator and the oracle, mirroring the
+		// armCancellable arms one cancellable event, in closure or in arg
+		// form, on both the simulator and the oracle, mirroring the
 		// simulator's internal seq assignment (single goroutine, so arming
 		// order is assignment order).
 		armCancellable := func(d int64) *oracleEvent {
@@ -233,7 +233,7 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 				// A sibling for the callback below to stop: an older record, or
 				// a fresh one due within a few ticks of the stopper — before it,
 				// in its tick's run queue behind it, or in a slot just ahead.
-				if sib = pick(); sib == nil || stops[sib.id] == nil || rng.Intn(2) == 0 {
+				if sib = pick(); sib == nil || stops[sib.id] == (ArgTimer{}) || rng.Intn(2) == 0 {
 					sib = armCancellable(max(d, 0) + int64(rng.Uint64n(uint64(3*time.Millisecond))) - int64(time.Millisecond)/4)
 				}
 			}
@@ -334,7 +334,7 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 					// while nothing runs.
 					oe = armCancellable(int64(rng.Uint64n(3 << (wheelShift - 1))))
 				}
-				if oe == nil || stops[oe.id] == nil {
+				if oe == nil || stops[oe.id] == (ArgTimer{}) {
 					continue
 				}
 				stopped := stop(oe.id, &hits)

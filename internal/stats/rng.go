@@ -10,6 +10,7 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	mathrand "math/rand/v2"
 )
 
@@ -135,24 +136,11 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	threshold := -n % n
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= threshold {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return hi, lo
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap, implementing

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"time"
 
-	"selfemerge/internal/churn"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
 	"selfemerge/internal/transport"
@@ -169,15 +168,6 @@ func (p *Partition) SetDown(addr transport.Addr, down bool) {
 	if shard, ok := p.owner[addr]; ok {
 		p.subs[shard].SetDown(addr, down)
 	}
-}
-
-// ApplyChurn wires availability flapping into the owning shard's fabric.
-func (p *Partition) ApplyChurn(addr transport.Addr, proc *churn.Process) (stop func()) {
-	shard, ok := p.owner[addr]
-	if !ok {
-		return func() {}
-	}
-	return p.subs[shard].ApplyChurn(addr, proc)
 }
 
 // Stats sums (sent, delivered, dropped) across the shard sub-networks.

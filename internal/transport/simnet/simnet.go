@@ -2,14 +2,13 @@
 // networks, the role Overlay Weaver's emulation mode played in the paper's
 // evaluation. Delivery runs through the discrete-event simulator with
 // configurable base latency, jitter and loss; endpoints can be marked down
-// (transient churn) or closed (node death).
+// (a crash-restart window) or closed (node death).
 package simnet
 
 import (
 	"fmt"
 	"time"
 
-	"selfemerge/internal/churn"
 	"selfemerge/internal/freelist"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
@@ -64,7 +63,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Network is the in-memory message fabric. It belongs to the loop of its
-// clock: endpoints send, deliveries fire and churn flips availability from
+// clock: endpoints send, deliveries fire and faults flip availability from
 // that loop's events, or from the driver while the loop is paused (boot, a
 // Lockstep barrier), so nothing here is locked.
 type Network struct {
@@ -77,7 +76,7 @@ type Network struct {
 	part  *Partition
 	shard int
 
-	nodes nodeTable
+	nodes map[transport.Addr]*nodeSlot
 
 	// Delivery records recycle per network, so their payload buffers survive
 	// garbage collections; a cross-shard record is taken from the sending
@@ -98,6 +97,7 @@ func New(clock sim.Clock, cfg Config) *Network {
 	return &Network{
 		clock:      clock,
 		cfg:        cfg,
+		nodes:      make(map[transport.Addr]*nodeSlot),
 		rng:        stats.NewRNG(cfg.Seed),
 		deliveries: freelist.List[delivery]{Max: maxFreeDeliveries},
 	}
@@ -107,22 +107,13 @@ func New(clock sim.Clock, cfg Config) *Network {
 // asymmetric cross-shard flow could strand on the receiving side.
 const maxFreeDeliveries = 1 << 12
 
-// nodeTable is the fabric's per-address state: one open-addressing slot per
-// address seen, carrying the attached endpoint, the transient-down flag, and
-// (in partition mode) the lazily cached owning shard. The send and delivery
-// paths consult all of that per datagram, so folding the former endpoint,
-// down and owner map lookups into a single FNV probe is a measurable win on
-// the simulator's hottest path. Slots are never removed — detaching clears
-// the endpoint but keeps the record, and the address population of a run is
-// bounded by its node count.
-type nodeTable struct {
-	slots []nodeSlot // power-of-two length
-	used  int
-}
-
+// nodeSlot is the fabric's per-address state: the attached endpoint, the
+// transient-down flag, and (in partition mode) the lazily cached owning shard
+// — everything the send and delivery paths consult per datagram, behind one
+// map lookup. Slots are never removed — detaching clears the endpoint but
+// keeps the record, and the address population of a run is bounded by its
+// node count.
 type nodeSlot struct {
-	hash uint64 // 0 = empty (occupied hashes are forced nonzero)
-	addr transport.Addr
 	ep   *endpoint
 	down bool
 	// shard is the partition-mode owner cache: -1 until resolved against the
@@ -131,99 +122,31 @@ type nodeSlot struct {
 	shard int16
 }
 
-func hashAddr(a transport.Addr) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(a); i++ {
-		h ^= uint64(a[i])
-		h *= 1099511628211
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
-}
-
-// find returns the slot for addr, or nil if the address was never seen. The
-// pointer is valid until the next insert.
-func (t *nodeTable) find(addr transport.Addr) *nodeSlot {
-	if t.used == 0 {
-		return nil
-	}
-	h := hashAddr(addr)
-	mask := len(t.slots) - 1
-	for i := int(h) & mask; ; i = (i + 1) & mask {
-		sl := &t.slots[i]
-		if sl.hash == 0 {
-			return nil
-		}
-		if sl.hash == h && sl.addr == addr {
-			return sl
-		}
-	}
-}
-
 // slotFor returns the slot for addr, inserting an empty record first if the
-// address is new. The pointer is valid until the next insert.
-func (t *nodeTable) slotFor(addr transport.Addr) *nodeSlot {
-	if sl := t.find(addr); sl != nil {
-		return sl
+// address is new.
+func (n *Network) slotFor(addr transport.Addr) *nodeSlot {
+	sl := n.nodes[addr]
+	if sl == nil {
+		sl = &nodeSlot{shard: -1}
+		n.nodes[addr] = sl
 	}
-	if 4*(t.used+1) > 3*len(t.slots) {
-		old := t.slots
-		size := 2 * len(old)
-		if size == 0 {
-			size = 64
-		}
-		t.slots = make([]nodeSlot, size)
-		mask := size - 1
-		for i := range old {
-			if old[i].hash == 0 {
-				continue
-			}
-			j := int(old[i].hash) & mask
-			for t.slots[j].hash != 0 {
-				j = (j + 1) & mask
-			}
-			t.slots[j] = old[i]
-		}
-	}
-	h := hashAddr(addr)
-	mask := len(t.slots) - 1
-	i := int(h) & mask
-	for t.slots[i].hash != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = nodeSlot{hash: h, addr: addr, shard: -1}
-	t.used++
-	return &t.slots[i]
+	return sl
 }
 
 // Endpoint attaches (or replaces) an endpoint with the given address.
 func (n *Network) Endpoint(addr transport.Addr) transport.Endpoint {
 	ep := &endpoint{net: n, addr: addr}
-	sl := n.nodes.slotFor(addr)
+	sl := n.slotFor(addr)
 	sl.ep = ep
 	sl.down = false
 	return ep
 }
 
 // SetDown marks an endpoint unavailable without detaching it — the
-// transient-churn state of Section II-C. While down it drops what it sends
+// transient unavailability of Section II-C. While down it drops what it sends
 // (judged at send time) and what reaches it (judged at delivery time).
 func (n *Network) SetDown(addr transport.Addr, down bool) {
-	n.nodes.slotFor(addr).down = down
-}
-
-// ApplyChurn wires a churn process's transient availability flapping into
-// the endpoint's down/up transitions: the endpoint alternates between up and
-// down with exponential sojourn times drawn from proc. It returns a stop
-// function; call it when the endpoint is decommissioned (permanent death is
-// a Close, not a flap). The transport owns this binding deliberately — the
-// down state is a transport-level condition (Section II-C's session
-// flapping), and every fabric consumer gets it without re-deriving the
-// toggling logic.
-func (n *Network) ApplyChurn(addr transport.Addr, proc *churn.Process) (stop func()) {
-	return proc.ManageAvailability(func(down bool) { n.SetDown(addr, down) })
+	n.slotFor(addr).down = down
 }
 
 // Stats reports (sent, delivered, dropped) message counts.
@@ -239,7 +162,7 @@ func (n *Network) Stats() (sent, delivered, dropped int) {
 // shard of the partition owns it) that shard's hand-off outbox. Receiver-side
 // state is checked at delivery, where the receiver lives.
 func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
-	tsl := n.nodes.slotFor(to)
+	tsl := n.slotFor(to)
 	dst := n
 	if n.part != nil {
 		if tsl.shard < 0 {
@@ -257,7 +180,7 @@ func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 		}
 	}
 	n.sent++
-	fsl := n.nodes.find(from)
+	fsl := n.nodes[from]
 	if (fsl != nil && fsl.down) || (dst == n && (tsl.down || tsl.ep == nil)) {
 		// Immediate drop: no payload copy, no RNG draw, no delivery event.
 		// A detached destination can never receive — endpoint replacement
@@ -338,7 +261,7 @@ type delivery struct {
 func deliver(v any) {
 	d := v.(*delivery)
 	n := d.net
-	tsl := n.nodes.find(d.to)
+	tsl := n.nodes[d.to]
 	if tsl == nil || tsl.ep == nil || tsl.down || tsl.ep.handler == nil || tsl.ep.closed {
 		n.dropped++
 	} else {
@@ -376,7 +299,7 @@ func (e *endpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	if sl := e.net.nodes.find(e.addr); sl != nil && sl.ep == e {
+	if sl := e.net.nodes[e.addr]; sl != nil && sl.ep == e {
 		sl.ep = nil
 	}
 	return nil

@@ -104,11 +104,6 @@ type NetworkConfig struct {
 	// the Monte Carlo engine) assumes. Without Replace the population only
 	// shrinks.
 	Replace bool
-	// MeanUptime and MeanDowntime enable transient availability flapping on
-	// top of permanent churn: endpoints alternate up/down with exponential
-	// sojourn times at the simnet transport layer. Both must be set.
-	MeanUptime   time.Duration
-	MeanDowntime time.Duration
 	// HonestEndpoints exempts the three infrastructure nodes (bootstrap,
 	// receiver, dispatcher) from the malicious marking, matching the
 	// honest-endpoint assumption of the paper's model. The marked count
@@ -150,10 +145,6 @@ type NetworkConfig struct {
 	// at any worker count or GOMAXPROCS, and every other knob composes with
 	// any shard count.
 	Partition int
-	// PartitionWorkers caps how many shard loops run concurrently within an
-	// epoch (0 = GOMAXPROCS). Execution throttle only: results are
-	// identical for any value.
-	PartitionWorkers int
 	// Latency is the one-way network latency (default 5ms).
 	Latency time.Duration
 	// Seed makes the network fully reproducible.
@@ -257,7 +248,7 @@ type shard struct {
 	// maliciousness): a stream shared across concurrent loops would make the
 	// marking sequence depend on scheduling.
 	rng   *stats.RNG
-	churn *churn.Process // deaths and flapping; nil when churn is disabled
+	churn *churn.Process // deaths; nil when churn is disabled
 	// fault judges what this shard's nodes send and schedules their
 	// crash-restart windows; nil unless an active fault profile is configured
 	// (a constructed-but-idle engine would still be consulted per datagram).
@@ -318,11 +309,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	n.lockstep = &sim.Lockstep{
 		Sims:      sims,
 		Lookahead: n.fabric.Lookahead(),
-		Workers:   cfg.PartitionWorkers,
 		Exchange:  n.fabric.Flush,
 		Release:   n.releaseReports,
 	}
-	churnEnabled := cfg.MeanLifetime > 0 || (cfg.MeanUptime > 0 && cfg.MeanDowntime > 0)
 	faultEnabled := cfg.Fault != fault.ProfileNone && cfg.FaultSeverity > 0
 	n.shards = make([]shard, cfg.Partition)
 	for i := range n.shards {
@@ -339,13 +328,8 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			churnSeed = stats.Mix64(churnSeed, uint64(i))
 			faultSeed = stats.Mix64(faultSeed, uint64(i))
 		}
-		if churnEnabled {
-			sh.churn = churn.New(sims[i], churn.Config{
-				MeanLifetime: cfg.MeanLifetime,
-				MeanUptime:   cfg.MeanUptime,
-				MeanDowntime: cfg.MeanDowntime,
-				Seed:         churnSeed,
-			})
+		if cfg.MeanLifetime > 0 {
+			sh.churn = churn.New(sims[i], churn.Config{MeanLifetime: cfg.MeanLifetime, Seed: churnSeed})
 		}
 		if faultEnabled {
 			sh.fault, err = fault.New(fault.Config{Profile: cfg.Fault, Severity: cfg.FaultSeverity, Seed: faultSeed})
@@ -560,11 +544,10 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		n.nodes = append(n.nodes, node)
 	}
 
-	// Churn: the node dies permanently at an exponential lifetime and flaps
-	// transiently at the transport layer; the bootstrap (node 0), receiver
-	// (node 1) and dispatcher (node 2) are exempt so experiments can always
-	// launch missions and observe outcomes — the model's honest, stable
-	// endpoints.
+	// Churn: the node dies permanently at an exponential lifetime; the
+	// bootstrap (node 0), receiver (node 1) and dispatcher (node 2) are exempt
+	// so experiments can always launch missions and observe outcomes — the
+	// model's honest, stable endpoints.
 	if idx <= 2 {
 		return nil
 	}
@@ -581,9 +564,7 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	if sh.churn == nil {
 		return nil
 	}
-	stopFlap := n.fabric.ApplyChurn(addr, sh.churn)
 	sh.churn.ScheduleDeath(func() {
-		stopFlap()
 		stopCrash()
 		// Harvest the dying node's resilience counters before its slot is
 		// reused; without Replace the closed node stays in the population

@@ -2,6 +2,7 @@ package selfemerge
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -96,8 +97,8 @@ func TestPartitionOneMatchesClassic(t *testing.T) {
 
 // TestPartitionDeterministicAcrossWorkers checks the partition engine's
 // headline property end to end: a multi-shard run's full observable
-// fingerprint is identical whether the shard loops run serially or on
-// concurrent workers.
+// fingerprint is identical whether the shard loops run serially
+// (GOMAXPROCS=1) or on concurrent workers.
 func TestPartitionDeterministicAcrossWorkers(t *testing.T) {
 	cfg := NetworkConfig{
 		Nodes:           80,
@@ -111,12 +112,14 @@ func TestPartitionDeterministicAcrossWorkers(t *testing.T) {
 		Seed:            11,
 		Partition:       4,
 	}
-	cfg.PartitionWorkers = 1
-	serial := runTrace(t, cfg)
-	for _, workers := range []int{0, 4} {
-		cfg.PartitionWorkers = workers
-		if got := runTrace(t, cfg); got != serial {
-			t.Errorf("workers=%d diverged from serial run\nserial:\n%sworkers:\n%s", workers, serial, got)
+	run := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return runTrace(t, cfg)
+	}
+	serial := run(1)
+	for _, procs := range []int{2, 4} {
+		if got := run(procs); got != serial {
+			t.Errorf("GOMAXPROCS=%d diverged from serial run\nserial:\n%sworkers:\n%s", procs, serial, got)
 		}
 	}
 }
@@ -153,7 +156,7 @@ func TestPartitionDeliversAcrossShards(t *testing.T) {
 // with both packet-level adversaries, on one shard and on three. Each cell
 // must boot, its full fingerprint — missions, fabric counters, resilience
 // counters, forged contacts — must be byte-identical whether the shard loops
-// run serially or on four workers, and the faults and forgeries must have
+// run serially or at GOMAXPROCS=4, and the faults and forgeries must have
 // actually fired. The flood is kept light: retried RPCs to forged contacts
 // multiply an eclipse cell's datagrams roughly tenfold per tenfold ForgeRate.
 func TestFaultAndEclipseComposeWithPartition(t *testing.T) {
@@ -166,24 +169,24 @@ func TestFaultAndEclipseComposeWithPartition(t *testing.T) {
 		for _, atk := range []attack{{"drop", AttackDrop, 0}, {"eclipse", AttackEclipse, 3}} {
 			for _, shards := range []int{1, 3} {
 				t.Run(fmt.Sprintf("%v/%s/S%d", profile, atk.name, shards), func(t *testing.T) {
-					t.Parallel() // cells share nothing; the race build is ~25x slower
-					run := func(workers int) (trace string, dropped int, forged uint64) {
+					// Not parallel: GOMAXPROCS is the process's, not the cell's.
+					run := func(procs int) (trace string, dropped int, forged uint64) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 						net, err := NewNetwork(NetworkConfig{
-							Nodes:            60,
-							MaliciousRate:    0.2,
-							Attack:           atk.strategy,
-							ForgeRate:        atk.forge,
-							MeanLifetime:     time.Hour,
-							Replace:          true,
-							Repair:           true,
-							HonestEndpoints:  true,
-							Replicas:         1,
-							Fault:            profile,
-							FaultSeverity:    0.5,
-							Retry:            3,
-							Partition:        shards,
-							PartitionWorkers: workers,
-							Seed:             41,
+							Nodes:           60,
+							MaliciousRate:   0.2,
+							Attack:          atk.strategy,
+							ForgeRate:       atk.forge,
+							MeanLifetime:    time.Hour,
+							Replace:         true,
+							Repair:          true,
+							HonestEndpoints: true,
+							Replicas:        1,
+							Fault:           profile,
+							FaultSeverity:   0.5,
+							Retry:           3,
+							Partition:       shards,
+							Seed:            41,
 						})
 						if err != nil {
 							t.Fatalf("NewNetwork rejected the cell: %v", err)
@@ -195,7 +198,7 @@ func TestFaultAndEclipseComposeWithPartition(t *testing.T) {
 					}
 					serial, dropped, forged := run(1)
 					if got, _, _ := run(4); got != serial {
-						t.Errorf("4 workers diverged from the serial run\nserial:\n%s4 workers:\n%s", serial, got)
+						t.Errorf("GOMAXPROCS=4 diverged from the serial run\nserial:\n%sGOMAXPROCS=4:\n%s", serial, got)
 					}
 					if profile != FaultNone && dropped == 0 {
 						t.Error("the fault profile dropped nothing")

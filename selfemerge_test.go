@@ -241,15 +241,14 @@ func TestChurnReplacementKeepsPopulationServing(t *testing.T) {
 }
 
 func TestTransientFlappingStillServes(t *testing.T) {
-	// Endpoints flap up/down at the transport layer (simnet down
-	// transitions driven by the churn process) but nodes never die; the
-	// fabric drops traffic to down endpoints, and the joint scheme's
-	// redundancy still delivers.
+	// Endpoints flap up/down at the transport layer (the flap profile's
+	// crash-restart windows) but nodes never die; the fabric drops traffic
+	// to down endpoints, and the joint scheme's redundancy still delivers.
 	net, err := NewNetwork(NetworkConfig{
-		Nodes:        100,
-		MeanUptime:   3 * time.Hour,
-		MeanDowntime: 10 * time.Minute,
-		Seed:         17,
+		Nodes:         100,
+		Fault:         FaultFlap,
+		FaultSeverity: 0.5,
+		Seed:          17,
 	})
 	if err != nil {
 		t.Fatal(err)
