@@ -52,10 +52,16 @@ type Message struct {
 	RPCID uint64
 	From  Contact
 
-	Target   ID        // FindNode / FindValue: the searched identifier
-	Contacts []Contact // FindNodeResp / FindValueResp: closest contacts
-	Key      ID        // Store / FindValue(Resp): value key
-	Value    []byte    // Store / FindValueResp(found): value bytes
+	Target ID // FindNode / FindValue: the searched identifier
+	// Contacts is a FindNodeResp's or a FindValueResp miss's answer: the K
+	// contacts the responder tracks nearest the target, grouped by bucket,
+	// nearest bucket first. Within a group the order is the table's, except
+	// in the one bucket the count cuts, which is sorted nearest first (see
+	// DESIGN.md, "Closest-K selection"); a receiver that needs them ranked
+	// ranks them.
+	Contacts []Contact
+	Key      ID     // Store / FindValue(Resp): value key
+	Value    []byte // Store / FindValueResp(found): value bytes
 	TTL      time.Duration
 	Found    bool   // FindValueResp: value present
 	App      []byte // App: opaque protocol payload
@@ -79,27 +85,54 @@ func (m Message) AppendEncode(buf []byte) ([]byte, error) {
 	if len(m.Value) > maxValue || len(m.App) > maxValue {
 		return nil, fmt.Errorf("dht: payload exceeds wire limit")
 	}
-	buf = binary.BigEndian.AppendUint16(buf, wireMagic)
-	buf = append(buf, wireVersion, byte(m.Kind))
-	buf = binary.BigEndian.AppendUint64(buf, m.RPCID)
-	buf = append(buf, m.From.ID[:]...)
-	buf = appendBytes(buf, []byte(m.From.Addr))
-	buf = append(buf, m.Target[:]...)
-	buf = append(buf, m.Key[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(m.TTL))
-	if m.Found {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
+	buf = appendHeader(buf, m.Kind, m.RPCID, &m.From, &m.Target, &m.Key, m.TTL, m.Found)
 	buf = append(buf, byte(len(m.Contacts)))
-	for _, c := range m.Contacts {
-		buf = append(buf, c.ID[:]...)
-		buf = appendBytes(buf, []byte(c.Addr))
+	for i := range m.Contacts {
+		buf = appendContact(buf, &m.Contacts[i])
 	}
 	buf = appendBytes32(buf, m.Value)
 	buf = appendBytes32(buf, m.App)
 	return buf, nil
+}
+
+// appendHeader appends every field that precedes the contact count: the
+// part of the layout AppendEncode shares with the replies written straight
+// from the routing table (appendClosestReply).
+func appendHeader(buf []byte, kind Kind, rpcID uint64, from *Contact, target, key *ID, ttl time.Duration, found bool) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, wireMagic)
+	buf = append(buf, wireVersion, byte(kind))
+	buf = binary.BigEndian.AppendUint64(buf, rpcID)
+	buf = append(buf, from.ID[:]...)
+	buf = appendBytes(buf, []byte(from.Addr))
+	buf = append(buf, target[:]...)
+	buf = append(buf, key[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(ttl))
+	if found {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// appendClosestReply appends the answer to a FIND_NODE (kind
+// KindFindNodeResp, zero key) or to a FIND_VALUE for a key this node does
+// not hold (KindFindValueResp, the asked key): the wire form of that
+// response Message with Contacts = the K contacts t tracks nearest target,
+// in the order Message.Contacts documents. The records go from the table's
+// buckets straight into buf; the count byte is written once the walk knows
+// it.
+func appendClosestReply(buf []byte, kind Kind, rpcID uint64, from *Contact, key *ID, t *Table, target ID) []byte {
+	buf = appendHeader(buf, kind, rpcID, from, &ID{}, key, 0, false)
+	at := len(buf)
+	buf, n := t.appendClosestWire(append(buf, 0), target, bucketK)
+	buf[at] = byte(n)
+	return appendBytes32(appendBytes32(buf, nil), nil)
+}
+
+// appendContact appends one contact record — ID ‖ uint16 address length ‖
+// address bytes — the one writer of the layout nextContact reads.
+func appendContact(buf []byte, c *Contact) []byte {
+	buf = append(buf, c.ID[:]...)
+	return appendBytes(buf, []byte(c.Addr))
 }
 
 // DecodeMessage parses a wire datagram. The Value, App and contact address
@@ -143,9 +176,9 @@ type contactsView struct {
 	region []byte
 }
 
-// nextContact splits the first record off a contact region — the one place
-// that knows the record layout. id and addr alias b; ok is false when b ends
-// inside the record.
+// nextContact splits the first record off a contact region — the one reader
+// of the layout appendContact writes. id and addr alias b; ok is false when b
+// ends inside the record.
 func nextContact(b []byte) (id, addr, rest []byte, ok bool) {
 	if len(b) < IDBytes+2 {
 		return nil, nil, nil, false

@@ -321,12 +321,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 	case KindPing:
 		n.reply(msg.From, Message{Kind: KindPong, RPCID: msg.RPCID})
 	case KindFindNode:
-		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Target, bucketK)
-		n.reply(msg.From, Message{
-			Kind:     KindFindNodeResp,
-			RPCID:    msg.RPCID,
-			Contacts: s.rxContacts,
-		})
+		n.replyClosest(msg.From.Addr, KindFindNodeResp, msg.RPCID, &ID{}, msg.Target)
 	case KindStore:
 		n.storeLocal(msg.Key, msg.Value, msg.TTL)
 		n.reply(msg.From, Message{Kind: KindStoreAck, RPCID: msg.RPCID, Key: msg.Key})
@@ -335,13 +330,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 			n.reply(msg.From, Message{Kind: KindFindValueResp, RPCID: msg.RPCID, Key: msg.Key, Found: true, Value: value})
 			return
 		}
-		s.rxContacts = n.table.AppendClosest(s.rxContacts[:0], msg.Key, bucketK)
-		n.reply(msg.From, Message{
-			Kind:     KindFindValueResp,
-			RPCID:    msg.RPCID,
-			Key:      msg.Key,
-			Contacts: s.rxContacts,
-		})
+		n.replyClosest(msg.From.Addr, KindFindValueResp, msg.RPCID, &msg.Key, msg.Key)
 	case KindApp:
 		if msg.RPCID != 0 {
 			// An acked app delivery (the sender runs a retry policy): always
@@ -411,6 +400,16 @@ func (n *Node) sendMessage(to transport.Addr, m Message) error {
 // reply sends a response message.
 func (n *Node) reply(to Contact, m Message) {
 	_ = n.sendMessage(to.Addr, m)
+}
+
+// replyClosest answers a FIND_NODE, or a FIND_VALUE for a key this node does
+// not hold, with the K contacts nearest target, written from the routing
+// table straight into a wire buffer (appendClosestReply).
+func (n *Node) replyClosest(to transport.Addr, kind Kind, rpcID uint64, key *ID, target ID) {
+	buf := n.cfg.Scratch.bufs.Get()
+	from := n.Contact()
+	*buf = appendClosestReply((*buf)[:0], kind, rpcID, &from, key, n.table, target)
+	_ = n.sendBuf(to, buf)
 }
 
 // request sends m to the peer and arranges for cb to run with the response

@@ -8,11 +8,11 @@ import (
 // Scratch is the recycled working memory of every node that shares one
 // serial dispatch context — one simulator event loop, or one real node's
 // udp.Loop. It owns what a node needs only while it is handling an event and
-// that outlives any single node: the receive-path decode Message, reply
-// contact buffer and address interner, and the freelists of lookup states,
-// lookup query records, owner-walk records, in-flight RPC records and byte
-// buffers. None of it is observable: sharing changes who pays for the memory,
-// never a wire byte or an event.
+// that outlives any single node: the receive-path decode Message and address
+// interner, and the freelists of lookup states, lookup query records,
+// owner-walk records, in-flight RPC records and byte buffers. None of it is
+// observable: sharing changes who pays for the memory, never a wire byte or
+// an event.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -26,9 +26,8 @@ import (
 // for the rest of its life.
 type Scratch struct {
 	// Receive path: one datagram is decoded and dispatched at a time.
-	rx         Message
-	rxBusy     bool
-	rxContacts []Contact
+	rx     Message
+	rxBusy bool
 	// addrs interns the addresses of the contacts lookups keep (see intern).
 	// Entries are never deleted; it stops admitting at maxAddrs, so a flood of
 	// unique addresses degrades to plain allocation instead of growing it.

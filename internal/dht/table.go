@@ -421,21 +421,49 @@ func (t *Table) Closest(target ID, count int) []Contact {
 }
 
 // AppendClosest appends up to count contacts closest to target under XOR
-// distance to dst, nearest first — the allocation-free form for receive
-// paths that recycle a result buffer. This is the per-message hot path
-// (every FIND_NODE handler runs it); the selection lives in selectClosest.
+// distance to dst, nearest first — the allocation-free form for callers that
+// recycle a result buffer. The selection lives in selectClosest.
 func (t *Table) AppendClosest(dst []Contact, target ID, count int) []Contact {
-	dst, _ = t.selectClosest(dst, nil, false, target, count)
-	return dst
+	out := closestOut{form: asContacts, contacts: dst}
+	t.selectClosest(&out, target, count)
+	return out.contacts
 }
 
 // appendClosestRanked is AppendClosest for the lookup shortlist bootstrap:
 // the same contacts in the same order, as ranked entries that keep the
 // distance lanes the selection computed.
 func (t *Table) appendClosestRanked(dst []ranked, target ID, count int) []ranked {
-	_, dst = t.selectClosest(nil, dst, true, target, count)
-	return dst
+	out := closestOut{form: asRanked, ranked: dst}
+	t.selectClosest(&out, target, count)
+	return out.ranked
 }
+
+// appendClosestWire is the selection for a reply datagram: the same contacts
+// as wire records (appendContact) appended to dst, in bucket walk order with
+// only the bucket the count cuts sorted (see selectClosest). It also returns
+// how many records it appended.
+func (t *Table) appendClosestWire(dst []byte, target ID, count int) ([]byte, int) {
+	out := closestOut{form: asWire, wire: dst}
+	n := t.selectClosest(&out, target, count)
+	return out.wire, n
+}
+
+// closestOut is where selectClosest puts the contacts it selects: in the one
+// of its three slices that form names.
+type closestOut struct {
+	form     closestForm
+	contacts []Contact
+	ranked   []ranked
+	wire     []byte
+}
+
+type closestForm uint8
+
+const (
+	asContacts closestForm = iota
+	asRanked
+	asWire
+)
 
 // closestKey stands for one bucket entry while its bucket is put in order:
 // the entry's XOR distance from the target as packed lanes, plus its
@@ -451,8 +479,8 @@ type closestKey struct {
 const inlineKeys = 32
 
 // selectClosest is the selection core: it appends the count contacts closest
-// to target, nearest first, to rs (as ranked entries) when asRanked is set
-// and to cs otherwise, and returns both.
+// to target to out, and returns how many it appended (fewer than count only
+// when the table tracks fewer).
 //
 // The buckets are totally ordered by distance from any target, so nothing is
 // compared across buckets. With s = self XOR target, every entry of bucket i
@@ -462,10 +490,14 @@ const inlineKeys = 32
 // all of bucket i is nearer than every deeper bucket; where s has a 0, all of
 // it is farther. Nearest-first order is thus the occupied buckets under the
 // 1 bits of s by ascending index, then those under the 0 bits by descending
-// index. The walk takes whole buckets in that order, sorts only inside a
-// bucket, and cuts the last one to the count still wanted. Distances are
-// unique (distinct IDs), so the result equals a full sort of the table.
-func (t *Table) selectClosest(cs []Contact, rs []ranked, asRanked bool, target ID, count int) ([]Contact, []ranked) {
+// index. The walk takes whole buckets in that order, orders only inside a
+// bucket, and cuts the last one to the n nearest of the count still wanted.
+// Distances are unique (distinct IDs), so the sorted forms equal a full sort
+// of the table. The wire form skips the ordering of every bucket that goes
+// out whole: it holds the same contacts, and no receiver depends on the order
+// within a response (DESIGN.md, "Closest-K selection").
+func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
+	asked := count
 	t0, t1, t2 := lanes(target[:])
 	// s as a bucketSet: ID bit i, counted from the most significant, sits at
 	// set position i, so it lines up with the occupied bitmap.
@@ -495,34 +527,46 @@ func (t *Table) selectClosest(cs []Contact, rs []ranked, asRanked bool, target I
 			}
 			word &^= 1 << bit
 			entries := t.bucket(w<<6 + bit).entries
-			// Insertion sort on the keys: at most k of them, and an entry is
-			// copied out once, after its place is known.
+			n := min(len(entries), count)
+			count -= n
+			if out.form == asWire && n == len(entries) {
+				for i := range entries {
+					out.wire = appendContact(out.wire, &entries[i].Contact)
+				}
+				continue
+			}
+			// Insertion sort keeping the n nearest keys: at most k of them,
+			// and an entry is copied out once, after its place is known.
+			kept := 0
 			for i := range entries {
 				l0, l1, l2 := entries[i].lanes()
 				key := closestKey{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2, i: uint32(i)}
-				j := i
+				j := kept
+				if kept < n {
+					kept++
+				} else if j--; !lanesFarther(keys[j].d0, keys[j].d1, keys[j].d2, key.d0, key.d1, key.d2) {
+					continue // no nearer than the n kept
+				}
 				for j > 0 && lanesFarther(keys[j-1].d0, keys[j-1].d1, keys[j-1].d2, key.d0, key.d1, key.d2) {
 					keys[j] = keys[j-1]
 					j--
 				}
 				keys[j] = key
 			}
-			n := len(entries)
-			if n > count {
-				n = count
-			}
-			count -= n
 			for _, key := range keys[:n] {
-				c := entries[key.i].Contact
-				if asRanked {
-					rs = append(rs, ranked{d0: key.d0, d1: key.d1, d2: key.d2, c: c})
-				} else {
-					cs = append(cs, c)
+				e := &entries[key.i]
+				switch out.form {
+				case asContacts:
+					out.contacts = append(out.contacts, e.Contact)
+				case asRanked:
+					out.ranked = append(out.ranked, ranked{d0: key.d0, d1: key.d1, d2: key.d2, c: e.Contact})
+				default:
+					out.wire = appendContact(out.wire, &e.Contact)
 				}
 			}
 		}
 	}
-	return cs, rs
+	return asked - count
 }
 
 // Len returns the number of tracked contacts.

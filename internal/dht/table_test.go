@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -430,9 +431,10 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-// checkClosest asserts that both forms of the selection return exactly the
-// model's full sort cut to count: AppendClosest the contacts, and
-// appendClosestRanked the same contacts with rankContact's distance lanes.
+// checkClosest asserts that every form of the selection returns exactly the
+// model's full sort cut to count: AppendClosest the contacts,
+// appendClosestRanked the same contacts with rankContact's distance lanes,
+// and appendClosestWire the same contacts as records, in response order.
 func checkClosest(t testing.TB, table *Table, model *modelTable, target ID, count int) {
 	t.Helper()
 	var want []Contact
@@ -451,6 +453,63 @@ func checkClosest(t testing.TB, table *Table, model *modelTable, target ID, coun
 		if rs[i] != rankContact(target, want[i]) {
 			t.Fatalf("closest %d to %s: ranked[%d] = %+v, want %+v", count, target.Short(), i, rs[i], rankContact(target, want[i]))
 		}
+	}
+	prefix := []byte("prefix")
+	wire, n := table.appendClosestWire(bytes.Clone(prefix), target, count)
+	if !bytes.HasPrefix(wire, prefix) {
+		t.Fatalf("closest %d to %s: wire form clobbered its prefix: %x", count, target.Short(), wire)
+	}
+	var records []Contact
+	for region := wire[len(prefix):]; len(region) > 0; {
+		id, addr, rest, ok := nextContact(region)
+		if !ok {
+			t.Fatalf("closest %d to %s: wire form ends inside record %d", count, target.Short(), len(records))
+		}
+		records = append(records, Contact{ID: ID(id), Addr: transport.Addr(addr)})
+		region = rest
+	}
+	if n != len(records) {
+		t.Fatalf("closest %d to %s: wire form counts %d records and holds %d", count, target.Short(), n, len(records))
+	}
+	checkResponseRecords(t, table.self, target, records, want)
+}
+
+// checkResponseRecords asserts that a response's records are want in the
+// order Message.Contacts documents: want's contacts — compared sorted by
+// distance — with each bucket's records contiguous and the buckets nearest
+// first, i.e. every record of a bucket nearer target than every record of
+// the buckets after it.
+func checkResponseRecords(t testing.TB, self, target ID, records, want []Contact) {
+	t.Helper()
+	type group struct {
+		bucket        int
+		nearest, last ID // nearest and farthest record
+	}
+	var groups []group
+	for _, c := range records {
+		idx, _ := self.BucketIndex(c.ID)
+		if len(groups) == 0 || groups[len(groups)-1].bucket != idx {
+			groups = append(groups, group{bucket: idx, nearest: c.ID, last: c.ID})
+			continue
+		}
+		g := &groups[len(groups)-1]
+		if target.CloserTo(c.ID, g.nearest) {
+			g.nearest = c.ID
+		}
+		if target.CloserTo(g.last, c.ID) {
+			g.last = c.ID
+		}
+	}
+	for i := 1; i < len(groups); i++ {
+		if !target.CloserTo(groups[i-1].last, groups[i].nearest) {
+			t.Fatalf("to %s: records of bucket %d follow bucket %d's without lying wholly farther (split, or out of walk order)",
+				target.Short(), groups[i].bucket, groups[i-1].bucket)
+		}
+	}
+	sorted := slices.Clone(records)
+	slices.SortFunc(sorted, func(a, b Contact) int { return target.DistanceCompare(a.ID, b.ID) })
+	if !slices.Equal(sorted, want) {
+		t.Fatalf("to %s: records sorted by distance\n  %v\nwant the %d nearest\n  %v", target.Short(), sorted, len(want), want)
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
+	"sync/atomic"
 
 	"selfemerge/internal/transport"
 )
@@ -25,7 +27,20 @@ type Endpoint struct {
 	mu      sync.RWMutex
 	handler transport.Handler
 	wg      sync.WaitGroup // the reader
+
+	// queued counts the datagrams posted to the loop whose handler call has
+	// not started yet: the reader adds, the loop subtracts. dropped counts
+	// the datagrams the reader discarded because maxQueued were waiting.
+	queued  atomic.Int32
+	dropped atomic.Uint64
 }
+
+// maxQueued bounds the datagrams waiting in the loop's inbox. A sender
+// faster than the node's handlers would otherwise grow the heap without
+// limit, up to 64 KiB a datagram; past the bound the reader drops, as a full
+// socket buffer would. Replies to a node's own lookups arrive a few (alpha)
+// per lookup, so the bound is for floods.
+const maxQueued = 1024
 
 var _ transport.Endpoint = (*Endpoint)(nil)
 
@@ -59,16 +74,20 @@ func (e *Endpoint) SetHandler(h transport.Handler) {
 	e.handler = h
 }
 
-// Send transmits one datagram to the given "host:port" address.
+// Send transmits one datagram to the given "ip:port" address. A host name is
+// an error, never a lookup: Send runs on the node's loop, and an address in a
+// peer's FIND_NODE response must not stall every timer and handler of the
+// node for a resolver timeout. Honest peers list socket source addresses,
+// and operators' seed names are resolved before they reach the loop.
 func (e *Endpoint) Send(to transport.Addr, payload []byte) error {
 	if len(payload) > transport.MaxDatagram {
 		return fmt.Errorf("udp: payload %d exceeds %d bytes", len(payload), transport.MaxDatagram)
 	}
-	dst, err := net.ResolveUDPAddr("udp", string(to))
+	dst, err := netip.ParseAddrPort(string(to))
 	if err != nil {
-		return fmt.Errorf("udp: resolving %q: %w", to, err)
+		return fmt.Errorf("udp: sending to %q: not an ip:port address: %w", to, err)
 	}
-	if _, err := e.conn.WriteToUDP(payload, dst); err != nil {
+	if _, err := e.conn.WriteToUDPAddrPort(payload, dst); err != nil {
 		if errors.Is(err, net.ErrClosed) {
 			return transport.ErrClosed
 		}
@@ -108,9 +127,17 @@ func (e *Endpoint) readLoop() {
 		if h == nil {
 			continue
 		}
+		if e.queued.Load() >= maxQueued {
+			e.dropped.Add(1)
+			continue
+		}
 		// The read buffer is reused for the next datagram while this one waits
 		// in the loop's inbox, so it travels as a copy.
 		src, data := transport.Addr(from.String()), append([]byte(nil), buf[:n]...)
-		e.loop.Post(func() { h(src, data) })
+		e.queued.Add(1)
+		e.loop.Post(func() {
+			e.queued.Add(-1)
+			h(src, data)
+		})
 	}
 }

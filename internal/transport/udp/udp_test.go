@@ -2,7 +2,9 @@ package udp
 
 import (
 	"bytes"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,4 +103,83 @@ func TestBadAddress(t *testing.T) {
 	if err := e.Send("not an address", []byte("x")); err == nil {
 		t.Error("bad address accepted")
 	}
+}
+
+// TestSendNeverResolves: a host name is refused before any network I/O, so a
+// name a peer listed cannot block the node's loop on DNS. (example.invalid
+// is reserved never to resolve: a lookup of it would wait on the resolver.)
+func TestSendNeverResolves(t *testing.T) {
+	e := listen(t)
+	for _, to := range []transport.Addr{"localhost:9", "example.invalid:1"} {
+		start := time.Now()
+		if err := e.Send(to, []byte("x")); err == nil {
+			t.Errorf("Send to %q succeeded", to)
+		}
+		if took := time.Since(start); took > 50*time.Millisecond {
+			t.Errorf("Send to %q took %v", to, took)
+		}
+	}
+}
+
+// TestInboxBounded: while the loop is busy, the reader posts at most
+// maxQueued datagrams and drops the rest; the loop then serves what was
+// queued and goes on serving.
+func TestInboxBounded(t *testing.T) {
+	e := listen(t)
+	var handled atomic.Int64
+	e.SetHandler(func(transport.Addr, []byte) { handled.Add(1) })
+	entered, release := make(chan struct{}), make(chan struct{})
+	e.loop.Post(func() {
+		close(entered)
+		<-release
+	})
+	<-entered
+	defer func() { // on a failure too, or stopping the loop would hang
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	sender, err := net.Dial("udp", string(e.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	// read counts what the reader has taken off the socket while the loop is
+	// blocked. Sending in batches the reader has drained keeps the socket
+	// buffer from dropping any itself.
+	read := func() int64 { return int64(e.queued.Load()) + int64(e.dropped.Load()) }
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	const sent, batch = maxQueued + 512, 64
+	for i := 0; i < sent; i += batch {
+		for j := 0; j < batch; j++ {
+			if _, err := sender.Write([]byte{byte(j)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor("the reader to drain a batch", func() bool { return read() == int64(i+batch) })
+	}
+	if q, d := e.queued.Load(), e.dropped.Load(); q != maxQueued || d != sent-maxQueued {
+		t.Fatalf("a blocked loop has %d datagrams queued and %d dropped, want %d and %d", q, d, maxQueued, sent-maxQueued)
+	}
+	close(release)
+	waitFor("the queued datagrams to be handled", func() bool { return e.queued.Load() == 0 })
+	if n := handled.Load(); n <= 0 || n > maxQueued {
+		t.Fatalf("handler ran %d times for %d datagrams sent to a blocked loop, want 1..%d", n, sent, maxQueued)
+	}
+	// The loop keeps serving.
+	before := handled.Load()
+	if _, err := sender.Write([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("a datagram sent after the flood", func() bool { return handled.Load() > before })
 }
