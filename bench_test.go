@@ -282,7 +282,7 @@ func BenchmarkDHTLookup(b *testing.B) {
 }
 
 // BenchmarkSimnetThroughput measures the raw simnet fabric hot path —
-// send, loss/jitter decision, delivery event, handler dispatch — and
+// send, jitter draw, delivery event, handler dispatch — and
 // reports messages per second of wall time.
 func BenchmarkSimnetThroughput(b *testing.B) {
 	s := sim.NewSimulator()

@@ -1,22 +1,24 @@
-// Command dhtnode runs a real Kademlia DHT node over UDP — the same node
-// implementation the simulations use, on the same event loop, driven by the
-// wall clock and a socket instead of virtual time and simnet. Start a few in
-// separate terminals to form a local cluster, then store and fetch values
-// through any member.
+// Command dhtnode runs a real Kademlia DHT node over UDP with the
+// timed-release protocol host on it — the same node and host the simulations
+// use, on the same event loop, driven by the wall clock and a socket instead
+// of virtual time and simnet. Every process is a holder. Start a few in
+// separate terminals to form a local cluster, then -send a message from any
+// member: it travels the cluster as onion layers and key grants, stays hidden
+// until its release a few seconds later, and emerges at the sender's own
+// identifier.
 //
 // Usage:
 //
 //	dhtnode -listen 127.0.0.1:4001                        # first node
 //	dhtnode -listen 127.0.0.1:4002 -join 127.0.0.1:4001   # join via seed
 //	dhtnode -listen 127.0.0.1:4003 -join 127.0.0.1:4001 \
-//	        -store exam=ciphertext                        # store a value
-//	dhtnode -listen 127.0.0.1:4004 -join 127.0.0.1:4001 \
-//	        -get exam -oneshot                            # fetch and exit
+//	        -send hello -oneshot                          # send, await it, exit
 package main
 
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -26,7 +28,9 @@ import (
 	"syscall"
 	"time"
 
+	"selfemerge/internal/core"
 	"selfemerge/internal/dht"
+	"selfemerge/internal/protocol"
 	"selfemerge/internal/transport"
 	"selfemerge/internal/transport/udp"
 )
@@ -35,15 +39,12 @@ func main() {
 	var (
 		listen  = flag.String("listen", "127.0.0.1:0", "UDP address to listen on")
 		join    = flag.String("join", "", "comma-separated seed addresses to bootstrap from")
-		store   = flag.String("store", "", "key=value to store after joining")
-		get     = flag.String("get", "", "key to look up after joining")
-		oneshot = flag.Bool("oneshot", false, "exit after performing -store/-get")
+		send    = flag.String("send", "", "text to send as one timed-release mission to this node, after joining")
+		oneshot = flag.Bool("oneshot", false, "exit after performing -send")
 	)
 	flag.Parse()
 
-	p, err := start(*listen, func(from dht.Contact, payload []byte) {
-		fmt.Printf("app message from %s: %q\n", from.ID.Short(), payload)
-	})
+	p, err := start(*listen)
 	if err != nil {
 		fatal(err)
 	}
@@ -62,26 +63,14 @@ func main() {
 		}
 	}
 
-	if *store != "" {
-		kv := strings.SplitN(*store, "=", 2)
-		if len(kv) != 2 {
-			fatal(fmt.Errorf("-store wants key=value, got %q", *store))
-		}
-		if acked, ok := p.store(kv[0], []byte(kv[1])); ok {
-			fmt.Printf("stored %q at %d replicas\n", kv[0], acked)
-		} else {
-			fmt.Println("store timed out")
-		}
-	}
-
-	if *get != "" {
-		switch value, ok := p.get(*get); {
+	if *send != "" {
+		switch e, ok := p.send(*send); {
 		case !ok:
-			fmt.Println("get timed out")
-		case value != nil:
-			fmt.Printf("%s = %q\n", *get, value)
+			fmt.Println("not delivered")
+		case e.err != nil:
+			fatal(e.err)
 		default:
-			fmt.Printf("%s not found\n", *get)
+			fmt.Printf("emerged %q %v after release\n", e.secret, e.late)
 		}
 	}
 
@@ -93,17 +82,19 @@ func main() {
 	<-sig
 }
 
-// peer is a running node and the loop that owns it. The node is touched from
-// the loop only: the socket's datagrams are posted there by the endpoint, and
-// main's calls below are posted by await.
+// peer is a running node, its protocol host and the loop that owns both. They
+// are touched from the loop only: the socket's datagrams are posted there by
+// the endpoint, and main's calls below are posted by await.
 type peer struct {
 	loop *udp.Loop
 	node *dht.Node
+	// onSecret, when set, sees every secret the host delivers to this node.
+	onSecret func(protocol.MissionID, []byte)
 }
 
-// start opens the socket and boots a node with a fresh random identifier on
-// a loop of its own.
-func start(listen string, onApp func(dht.Contact, []byte)) (*peer, error) {
+// start opens the socket and boots a node with a fresh random identifier and
+// a protocol host on a loop of its own.
+func start(listen string) (*peer, error) {
 	var id dht.ID
 	if _, err := rand.Read(id[:]); err != nil {
 		return nil, err
@@ -114,33 +105,54 @@ func start(listen string, onApp func(dht.Contact, []byte)) (*peer, error) {
 		loop.Stop()
 		return nil, err
 	}
-	node, err := dht.NewNode(dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock(), OnApp: onApp})
-	if err != nil {
+	p := &peer{loop: loop}
+	// Built on the loop: the socket is live, and a datagram may reach the
+	// node the moment it exists, before its host is attached from here.
+	err, ok := await(loop, opTimeout, func(report func(error)) {
+		host := protocol.NewHost(protocol.HostConfig{
+			Clock: loop.Clock(),
+			OnSecret: func(m protocol.MissionID, secret []byte) {
+				if p.onSecret != nil {
+					p.onSecret(m, secret)
+				}
+			},
+		})
+		node, err := dht.NewNode(dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock(), OnApp: host.HandleApp})
+		if err == nil {
+			host.Attach(node)
+			p.node = node
+		}
+		report(err)
+	})
+	if !ok || err != nil {
 		ep.Close()
 		loop.Stop()
+		if err == nil {
+			err = errors.New("node start timed out")
+		}
 		return nil, err
 	}
-	return &peer{loop: loop, node: node}, nil
+	return p, nil
 }
 
 // stop closes the node on its loop, then ends the loop.
 func (p *peer) stop() {
-	await(p.loop, func(report func(error)) { report(p.node.Close()) })
+	await(p.loop, opTimeout, func(report func(error)) { report(p.node.Close()) })
 	p.loop.Stop()
 }
 
 // opTimeout bounds how long main waits for one node operation.
 const opTimeout = 5 * time.Second
 
-// await runs op on the loop and waits for the one value it reports; ok is
-// false if nothing was reported within opTimeout.
-func await[T any](loop *udp.Loop, op func(report func(T))) (v T, ok bool) {
+// await runs op on the loop and waits up to timeout for the one value it
+// reports; ok is false if nothing was reported in time.
+func await[T any](loop *udp.Loop, timeout time.Duration, op func(report func(T))) (v T, ok bool) {
 	got := make(chan T, 1) // one report, never blocking the loop on a caller that gave up
 	loop.Post(func() { op(func(v T) { got <- v }) })
 	select {
 	case v = <-got:
 		return v, true
-	case <-time.After(opTimeout):
+	case <-time.After(timeout):
 		return v, false
 	}
 }
@@ -160,24 +172,46 @@ func (p *peer) join(addrs []string) (contacts int, ok bool, err error) {
 		}
 		seeds[i] = dht.Contact{Addr: transport.Addr(udpAddr.String())}
 	}
-	contacts, ok = await(p.loop, func(report func(int)) { p.node.Bootstrap(seeds, report) })
+	contacts, ok = await(p.loop, opTimeout, func(report func(int)) { p.node.Bootstrap(seeds, report) })
 	return contacts, ok, nil
 }
 
-// store replicates value under key for an hour and returns how many replicas
-// acknowledged it.
-func (p *peer) store(key string, value []byte) (acked int, ok bool) {
-	return await(p.loop, func(report func(int)) {
-		p.node.Store(dht.IDFromKey([]byte(key)), value, time.Hour, report)
-	})
+// emergingPeriod is how long after -send its mission is released.
+const emergingPeriod = 3 * time.Second
+
+// emergence is what send waits for: the secret as it emerged and how long
+// after the release instant, or why the mission was never sent.
+type emergence struct {
+	secret []byte
+	late   time.Duration
+	err    error
 }
 
-// get fetches the value stored under key; nil means no replica holds one.
-func (p *peer) get(key string) (value []byte, ok bool) {
-	return await(p.loop, func(report func([]byte)) {
-		p.node.Get(dht.IDFromKey([]byte(key)), func(v []byte, _ bool) {
-			report(bytes.Clone(v)) // v dies with the callback
-		})
+// send dispatches text as one timed-release mission whose receiver is this
+// node — the joint scheme, two holders in each of two columns — and waits for
+// the first copy of the secret to emerge here. ok is false if none did within
+// opTimeout of the release.
+func (p *peer) send(text string) (e emergence, ok bool) {
+	return await(p.loop, emergingPeriod+opTimeout, func(report func(emergence)) {
+		now := p.loop.Clock().Now()
+		m := protocol.Mission{Secret: []byte(text), Receiver: p.node.ID(), Start: now, Release: now.Add(emergingPeriod)}
+		var err error
+		if m.Plan, err = (core.PlanSpec{Scheme: core.SchemeJoint, K: 2, L: 2}).Plan(); err == nil {
+			m.ID, err = protocol.NewMissionID()
+		}
+		if err == nil {
+			p.onSecret = func(id protocol.MissionID, secret []byte) {
+				if id == m.ID {
+					p.onSecret = nil // every column-l holder delivers a copy; the first reports
+					report(emergence{secret: bytes.Clone(secret), late: p.loop.Clock().Now().Sub(m.Release)})
+				}
+			}
+			_, err = protocol.Dispatch(p.node, m)
+		}
+		if err != nil {
+			p.onSecret = nil
+			report(emergence{err: err})
+		}
 	})
 }
 

@@ -8,64 +8,71 @@ import (
 	"time"
 
 	"selfemerge/internal/dht"
+	"selfemerge/internal/protocol"
 	"selfemerge/internal/transport"
 )
 
 // rpcTimeout is the dht package's per-attempt RPC deadline.
 const rpcTimeout = 500 * time.Millisecond
 
-// inbox collects the app payloads the test's peers receive; their OnApp
-// handlers run on the peers' loop goroutines.
+// inbox collects the secrets the test's peers' hosts deliver; their
+// onSecret hooks run on the peers' loop goroutines.
 type inbox struct {
 	mu  sync.Mutex
 	got [][]byte
 }
 
-func (in *inbox) onApp(_ dht.Contact, payload []byte) {
+func (in *inbox) onSecret(_ protocol.MissionID, secret []byte) {
 	in.mu.Lock()
-	in.got = append(in.got, append([]byte(nil), payload...))
+	in.got = append(in.got, bytes.Clone(secret))
 	in.mu.Unlock()
 }
 
-func (in *inbox) count() int {
+func (in *inbox) has(secret []byte) bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.got)
-}
-
-func (in *inbox) has(payload []byte) bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, p := range in.got {
-		if bytes.Equal(p, payload) {
+	for _, s := range in.got {
+		if bytes.Equal(s, secret) {
 			return true
 		}
 	}
 	return false
 }
 
+// waitFor polls cond until it holds or five seconds pass.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// startPeer starts a peer whose delivered secrets land in in (nil: none is
+// watched).
 func startPeer(t *testing.T, in *inbox) *peer {
 	t.Helper()
-	p, err := start("127.0.0.1:0", in.onApp)
+	p, err := start("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("no loopback UDP here: %v", err)
 	}
 	t.Cleanup(p.stop)
+	if in != nil {
+		await(p.loop, opTimeout, func(report func(bool)) { p.onSecret = in.onSecret; report(true) })
+	}
 	return p
 }
 
-// TestLoopbackCluster is the dhtnode command line as a script: five peers on
-// loopback sockets, each on its own loop, every one but the first joining by
-// address alone; then -store on one peer and -get on another, and an owner
-// send. Run with -race: the socket readers, this goroutine and five loops all
-// meet the nodes only through Post.
-func TestLoopbackCluster(t *testing.T) {
-	var in inbox
-	first := startPeer(t, &in)
+// startCluster starts n peers, every one but the first joining it by
+// address alone, and checks each join.
+func startCluster(t *testing.T, n int, in *inbox) []*peer {
+	t.Helper()
+	first := startPeer(t, in)
 	seed := string(first.node.Contact().Addr)
 	peers := []*peer{first}
-	for i := 1; i < 5; i++ {
-		p := startPeer(t, &in)
+	for i := 1; i < n; i++ {
+		p := startPeer(t, in)
 		began := time.Now()
 		contacts, ok, err := p.join([]string{seed})
 		took := time.Since(began)
@@ -82,41 +89,69 @@ func TestLoopbackCluster(t *testing.T) {
 		}
 		peers = append(peers, p)
 	}
+	return peers
+}
 
-	value := []byte("ciphertext")
-	if acked, ok := peers[2].store("exam", value); !ok || acked < 2 {
-		t.Fatalf("store: %d replicas acknowledged (ok=%v), want at least 2", acked, ok)
-	}
-	if got, ok := peers[4].get("exam"); !ok || !bytes.Equal(got, value) {
-		t.Fatalf("get on another peer = %q (ok=%v), want %q", got, ok, value)
-	}
-	if got, ok := peers[1].get("no such key"); !ok || got != nil {
-		t.Errorf("get of an unknown key = %q (ok=%v), want nothing", got, ok)
-	}
+// secretPacket is the app payload that hands secret to a host as an emerged
+// secret of mission 0.
+func secretPacket(secret string) []byte {
+	return protocol.Packet{Kind: protocol.PkSecret, Data: []byte(secret)}.AppendEncode(nil)
+}
 
-	payload := []byte("to the owners")
-	sendErr, ok := await(peers[3].loop, func(report func(error)) {
-		peers[3].node.SendToOwners(dht.IDFromKey([]byte("slot")), payload, 2, func(_ dht.Contact, err error) { report(err) })
+// TestLoopbackCluster is the dhtnode join as a script: five peers on loopback
+// sockets, each on its own loop, every one but the first joining by address
+// alone; then an owner send to a peer's identifier, which its host receives.
+// Run with -race: the socket readers, this goroutine and five loops all meet
+// the nodes only through Post.
+func TestLoopbackCluster(t *testing.T) {
+	var in inbox
+	peers := startCluster(t, 5, &in)
+
+	owner := peers[1].node.ID()
+	sendErr, ok := await(peers[3].loop, opTimeout, func(report func(error)) {
+		peers[3].node.SendToOwners(owner, secretPacket("to the owners"), 2, func(c dht.Contact, err error) {
+			if err == nil && c.ID != owner {
+				t.Errorf("closest owner of peer 1's ID is %s", c.ID.Short())
+			}
+			report(err)
+		})
 	})
 	if !ok || sendErr != nil {
 		t.Fatalf("SendToOwners: ok=%v err=%v", ok, sendErr)
 	}
-	for deadline := time.Now().Add(5 * time.Second); !in.has(payload); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the owner send reached no peer")
-		}
+	if !waitFor(func() bool { return in.has([]byte("to the owners")) }) {
+		t.Fatal("the owner send reached no peer's host")
+	}
+}
+
+// TestLoopbackMission is dhtnode -send as a script: six peers on loopback
+// sockets, each a holder, and one of them dispatches a mission to itself. The
+// secret emerges there, equal to the text sent, and not before its release.
+func TestLoopbackMission(t *testing.T) {
+	peers := startCluster(t, 6, nil)
+	e, ok := peers[4].send("meet at noon")
+	switch {
+	case !ok:
+		t.Fatal("the mission's secret never emerged")
+	case e.err != nil:
+		t.Fatalf("dispatch: %v", e.err)
+	case string(e.secret) != "meet at noon":
+		t.Errorf("emerged %q, want %q", e.secret, "meet at noon")
+	case e.late < 0:
+		t.Errorf("emerged %v before its release", -e.late)
 	}
 }
 
 // TestHostileDatagrams writes what a stranger can write straight to a live
-// node's socket — truncated, oversized and garbage datagrams, and well-formed
-// responses to requests the node never made — and then checks the node is
+// node's socket — truncated, oversized and garbage datagrams, well-formed
+// responses to requests the node never made, and an app payload under a
+// reserved kind or the retired wire version — and then checks the node is
 // still there: it has not panicked, its loop is not stuck, and it answers a
-// ping. (ROADMAP 6(d), first instalment.)
+// ping; and that none of it reached the host.
 func TestHostileDatagrams(t *testing.T) {
 	var in inbox
 	victim := startPeer(t, &in)
-	friend := startPeer(t, &in)
+	friend := startPeer(t, nil)
 	if _, ok, err := friend.join([]string{string(victim.node.Contact().Addr)}); err != nil || !ok {
 		t.Fatalf("join: ok=%v err=%v", ok, err)
 	}
@@ -135,6 +170,10 @@ func TestHostileDatagrams(t *testing.T) {
 	}
 	stranger := dht.Contact{ID: dht.IDFromKey([]byte("stranger")), Addr: transport.Addr(raw.LocalAddr().String())}
 	ping := encode(dht.Message{Kind: dht.KindPing, RPCID: 1, From: stranger})
+	forged := encode(dht.Message{Kind: dht.KindApp, From: stranger, App: secretPacket("forged")})
+	reservedKind, version1 := bytes.Clone(forged), bytes.Clone(forged)
+	reservedKind[3] = 8 // FIND_VALUE_RESP in wire version 1
+	version1[2] = 1
 	hostile := [][]byte{
 		{},
 		{0xff},
@@ -146,8 +185,9 @@ func TestHostileDatagrams(t *testing.T) {
 		// its friend's identity on a stranger's reply.
 		encode(dht.Message{Kind: dht.KindPong, RPCID: 1 << 40, From: stranger}),
 		encode(dht.Message{Kind: dht.KindFindNodeResp, RPCID: 1, From: friend.node.Contact(), Contacts: []dht.Contact{stranger}}),
-		encode(dht.Message{Kind: dht.KindFindValueResp, RPCID: 2, From: stranger, Found: true, Value: []byte("x")}),
 		encode(dht.Message{Kind: dht.KindAppAck, RPCID: 3, From: stranger}),
+		reservedKind,
+		version1,
 	}
 	for round := 0; round < 5; round++ {
 		for i, d := range hostile {
@@ -162,7 +202,7 @@ func TestHostileDatagrams(t *testing.T) {
 	var pingErr error
 	for attempt := 0; attempt < 5; attempt++ {
 		var ok bool
-		pingErr, ok = await(friend.loop, func(report func(error)) {
+		pingErr, ok = await(friend.loop, opTimeout, func(report func(error)) {
 			friend.node.Ping(victim.node.Contact(), report)
 		})
 		if !ok {
@@ -177,7 +217,7 @@ func TestHostileDatagrams(t *testing.T) {
 	}
 	// The forged FIND_NODE response carried the friend's ID from a stranger's
 	// socket: the victim must not have re-pointed the friend's address.
-	held, _ := await(victim.loop, func(report func(bool)) {
+	held, _ := await(victim.loop, opTimeout, func(report func(bool)) {
 		for _, c := range victim.node.Table().Closest(friend.node.ID(), 1) {
 			report(c == friend.node.Contact())
 			return
@@ -187,7 +227,19 @@ func TestHostileDatagrams(t *testing.T) {
 	if !held {
 		t.Error("victim's route to its friend was re-pointed by a forged response")
 	}
-	if n := in.count(); n != 0 {
-		t.Errorf("hostile datagrams produced %d app deliveries", n)
+	// The same payload as a well-formed datagram does reach the host: the
+	// control that the two forms above were refused for their kind and
+	// version byte alone. The stranger's socket delivers in order, so once the
+	// control is in, every hostile datagram before it has been handled.
+	control := encode(dht.Message{Kind: dht.KindApp, From: stranger, App: secretPacket("control")})
+	resend := func() bool {
+		_, _ = raw.Write(control) // a write lost to a full buffer is the next poll's to repeat
+		return in.has([]byte("control"))
+	}
+	if !waitFor(resend) {
+		t.Fatal("a well-formed app datagram never reached the victim's host")
+	}
+	if in.has([]byte("forged")) {
+		t.Error("an app payload under a reserved kind or wire version 1 reached the host")
 	}
 }

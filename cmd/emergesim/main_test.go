@@ -2,13 +2,12 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
 	"selfemerge/internal/experiment"
+	"selfemerge/internal/testutil"
 )
 
 // emergesim runs one command line in-process through the real flag sets.
@@ -42,8 +41,9 @@ const (
 // TestGoldens is the must-not-move oracle of the command line: every file
 // under testdata was recorded from the binary of the commit before the
 // parameter table existed (PR 21), so a refactor of the flag, axis or
-// overlay plumbing that changes one emitted byte fails here. Regenerate a
-// file only in a PR whose point is to move that output.
+// overlay plumbing that changes one emitted byte fails here. Regenerate the
+// files (go test ./cmd/emergesim -update) only in a change whose point is to
+// move that output.
 func TestGoldens(t *testing.T) {
 	cases := []struct{ file, args string }{
 		{"live.csv", smokeLive + " -format csv"},
@@ -62,14 +62,8 @@ func TestGoldens(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.file, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
-			if err != nil {
-				t.Fatal(err)
-			}
 			got := wallClock.ReplaceAllString(mustRun(t, strings.Fields(tc.args)...), "wall -\n")
-			if got != string(want) {
-				t.Errorf("emergesim %s moved:\n%s\nwant:\n%s", tc.args, got, want)
-			}
+			testutil.Golden(t, tc.file, []byte(got))
 		})
 	}
 }

@@ -1,7 +1,5 @@
 package dht
 
-import "time"
-
 // Lookup performs an iterative FIND_NODE for target and calls cb with the
 // up-to-K closest contacts found. The contact slice is only valid for the duration of the callback (it
 // aliases a recycled lookup buffer), so copy to retain.
@@ -10,67 +8,11 @@ import "time"
 // pointer-shaped, so boxing cb allocates nothing and the lookup machinery
 // stays closure-free.
 func (n *Node) Lookup(target ID, cb func([]Contact)) {
-	n.newLookup(target, false, lookupFinishContacts, cb)
+	n.newLookup(target, lookupFinishContacts, cb)
 }
 
-func lookupFinishContacts(arg any, contacts []Contact, _ []byte, _ bool) {
+func lookupFinishContacts(arg any, contacts []Contact) {
 	arg.(func([]Contact))(contacts)
-}
-
-// Get performs an iterative FIND_VALUE for key. cb receives the value if
-// any replica held it; the value bytes are only valid for the duration of
-// the callback (they may alias a recycled delivery buffer), so copy to
-// retain.
-func (n *Node) Get(key ID, cb func(value []byte, ok bool)) {
-	n.newLookup(key, true, lookupFinishValue, cb)
-}
-
-func lookupFinishValue(arg any, _ []Contact, value []byte, found bool) {
-	arg.(func([]byte, bool))(value, found)
-}
-
-// Store replicates value at the storeReplicas closest nodes to key. The
-// local node is itself a replica candidate: lookups never return self, so
-// without the explicit insertion a storing node that owns the key's zone
-// would replicate only to its neighbors and the owner itself would answer
-// Get with a referral instead of the value (the same rank insertion
-// SendToOwners performs). cb (optional) receives the number of acknowledged
-// replicas; a local store counts as one acknowledgement.
-func (n *Node) Store(key ID, value []byte, ttl time.Duration, cb func(acked int)) {
-	n.Lookup(key, func(closest []Contact) {
-		self := n.Contact()
-		closest = insertRanked(closest, key, self)
-		closest = closest[:min(len(closest), storeReplicas)]
-		acked, left := 0, len(closest)
-		settle := func(ok bool) {
-			if ok {
-				acked++
-			}
-			if left--; left == 0 && cb != nil {
-				cb(acked)
-			}
-		}
-		for _, c := range closest {
-			if c.ID == self.ID {
-				// Local replica: store immediately, acknowledge through the
-				// queue so cb never fires synchronously inside the lookup
-				// callback.
-				n.storeLocal(key, value, ttl)
-				n.cfg.Clock.Schedule(0, func() { settle(true) })
-				continue
-			}
-			n.request(c, Message{Kind: KindStore, Key: key, Value: value, TTL: ttl}, func(_ *Message, err error) {
-				settle(err == nil)
-			})
-		}
-	})
-}
-
-// SendToOwner routes an application payload to the node currently owning
-// key (the closest node found by lookup). done (optional) receives the
-// owner contact, or an error if the network is empty.
-func (n *Node) SendToOwner(key ID, payload []byte, done func(Contact, error)) {
-	n.SendToOwners(key, payload, 1, done)
 }
 
 // SendToOwners routes an application payload to the replicas closest nodes
@@ -133,13 +75,13 @@ func (n *Node) sendToOwners(key ID, r ownerRider) {
 		n.ownerWalks = make(map[ID]*ownerWalk)
 	}
 	n.ownerWalks[key] = w
-	n.newLookup(key, false, ownersFinish, w)
+	n.newLookup(key, ownersFinish, w)
 }
 
 // ownersFinish serves a finished walk's riders. The walk leaves the node's
 // index first, so from here the record is this call's alone and a send issued
 // from a done callback starts a fresh walk.
-func ownersFinish(v any, closest []Contact, _ []byte, _ bool) {
+func ownersFinish(v any, closest []Contact) {
 	w := v.(*ownerWalk)
 	n, key := w.node, w.key
 	delete(n.ownerWalks, key)
@@ -237,8 +179,7 @@ func (e lookupError) Error() string { return string(e) }
 type lookupState struct {
 	node      *Node
 	target    ID
-	wantVal   bool
-	finishCb  func(any, []Contact, []byte, bool)
+	finishCb  func(any, []Contact)
 	finishArg any
 
 	shortlist []ranked
@@ -253,7 +194,6 @@ type lookupState struct {
 	// the retry arm first writes it.
 	requeried map[ID]bool
 	inflight  int
-	finished  bool
 }
 
 // release returns a drained state (finished, no queries in flight) to its
@@ -270,7 +210,6 @@ func (ls *lookupState) release() {
 	ls.node = nil
 	ls.finishCb = nil
 	ls.finishArg = nil
-	ls.finished = false
 	s.lookups.Put(ls)
 }
 
@@ -369,18 +308,10 @@ func (s *distSet) del(d0, d1 uint64, d2 uint32) {
 	s.slots[i] = distSlot{}
 }
 
-func (n *Node) newLookup(target ID, wantValue bool, cb func(any, []Contact, []byte, bool), arg any) {
-	// Local value short-circuit.
-	if wantValue {
-		if v, ok := n.loadLocal(target); ok {
-			n.cfg.Clock.Schedule(0, func() { cb(arg, nil, v, true) })
-			return
-		}
-	}
+func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
 	ls := n.cfg.Scratch.lookups.Get()
 	ls.node = n
 	ls.target = target
-	ls.wantVal = wantValue
 	ls.finishCb = cb
 	ls.finishArg = arg
 	self := rankContact(target, Contact{ID: n.cfg.ID})
@@ -397,16 +328,11 @@ func (n *Node) newLookup(target ID, wantValue bool, cb func(any, []Contact, []by
 	ls.step()
 }
 
-// step issues queries up to the alpha limit and detects termination.
+// step issues queries up to the alpha limit and detects termination: the
+// lookup finishes, and its state is released, only once nothing is in
+// flight, so no response ever arrives for a finished lookup.
 func (ls *lookupState) step() {
-	if ls.finished {
-		return
-	}
 	ls.sortShortlist()
-	kind := KindFindNode
-	if ls.wantVal {
-		kind = KindFindValue
-	}
 	// Query the unqueried candidates within the K closest known (the standard
 	// Kademlia termination window), up to the alpha parallelism limit.
 	window := ls.shortlist[:min(len(ls.shortlist), bucketK)]
@@ -418,12 +344,11 @@ func (ls *lookupState) step() {
 		ls.inflight++
 		q := ls.node.cfg.Scratch.queries.Get()
 		q.ls, q.contact = ls, r.c
-		ls.node.requestArg(r.c, Message{Kind: kind, Target: ls.target, Key: ls.target}, lookupQueryDone, q)
+		ls.node.requestArg(r.c, Message{Kind: KindFindNode, Target: ls.target}, lookupQueryDone, q)
 	}
 	if ls.inflight == 0 {
 		// Nothing left to ask and nothing outstanding.
-		ls.finished = true
-		ls.finishCb(ls.finishArg, ls.closestK(), nil, false)
+		ls.finishCb(ls.finishArg, ls.closestK())
 		ls.release()
 	}
 }
@@ -448,14 +373,6 @@ func lookupQueryDone(v any, resp *Message, err error) {
 // path's scratch Message (nil when err is set), valid for the call only.
 func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	ls.inflight--
-	if ls.finished {
-		// A late response after a value-found finish: the state is recycled
-		// once the last straggler drains.
-		if ls.inflight == 0 {
-			ls.release()
-		}
-		return
-	}
 	if err != nil {
 		if ls.node.cfg.Retry.enabled() && !ls.requeried[from.ID] {
 			// Re-query before giving up the slot: a retry-hardened lookup
@@ -489,14 +406,6 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 		}
 	}
 	if err == nil {
-		if ls.wantVal && resp.Found {
-			ls.finished = true
-			ls.finishCb(ls.finishArg, nil, resp.Value, true)
-			if ls.inflight == 0 {
-				ls.release()
-			}
-			return
-		}
 		// The contacts are still on the wire, and most of them this lookup
 		// has already seen: rank and probe each record where it lies, and pay
 		// for a Contact — ID copy, interned address, shortlist entry — only

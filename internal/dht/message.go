@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"selfemerge/internal/transport"
 )
@@ -12,35 +11,40 @@ import (
 // Kind enumerates the wire message types.
 type Kind uint8
 
-// Message kinds. Request/response pairs share an RPCID.
+// Message kinds. Request/response pairs share an RPCID. Kinds 5–8 were
+// STORE, STORE_ACK, FIND_VALUE and FIND_VALUE_RESP in wire version 1; they
+// stay reserved, and decoding rejects them.
 const (
 	KindPing Kind = iota + 1
 	KindPong
 	KindFindNode
 	KindFindNodeResp
-	KindStore
-	KindStoreAck
-	KindFindValue
-	KindFindValueResp
+	_
+	_
+	_
+	_
 	KindApp
 	KindAppAck
 )
 
+// kindNames names every kind of this wire version: a kind without a name is
+// not one, and decoding rejects it.
+var kindNames = [...]string{KindPing: "PING", KindPong: "PONG", KindFindNode: "FIND_NODE",
+	KindFindNodeResp: "FIND_NODE_RESP", KindApp: "APP", KindAppAck: "APP_ACK"}
+
 // String names the kind for logs.
 func (k Kind) String() string {
-	names := [...]string{"?", "PING", "PONG", "FIND_NODE", "FIND_NODE_RESP",
-		"STORE", "STORE_ACK", "FIND_VALUE", "FIND_VALUE_RESP", "APP", "APP_ACK"}
-	if int(k) < len(names) {
-		return names[k]
+	if int(k) < len(kindNames) && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 const (
 	wireMagic   = 0x5345 // "SE"
-	wireVersion = 1
+	wireVersion = 2
 	maxContacts = 64
-	maxValue    = transport.MaxDatagram - 256
+	maxApp      = transport.MaxDatagram - 256
 )
 
 // ErrWire is returned for any malformed datagram.
@@ -52,80 +56,59 @@ type Message struct {
 	RPCID uint64
 	From  Contact
 
-	Target ID // FindNode / FindValue: the searched identifier
-	// Contacts is a FindNodeResp's or a FindValueResp miss's answer: the K
-	// contacts the responder tracks nearest the target, grouped by bucket,
-	// nearest bucket first. Within a group the order is the table's, except
-	// in the one bucket the count cuts, which is sorted nearest first (see
-	// DESIGN.md, "Closest-K selection"); a receiver that needs them ranked
-	// ranks them.
+	Target ID // FindNode: the searched identifier
+	// Contacts is a FindNodeResp's answer: the K contacts the responder
+	// tracks nearest the target, grouped by bucket, nearest bucket first.
+	// Within a group the order is the table's, except in the one bucket the
+	// count cuts, which is sorted nearest first (see DESIGN.md, "Closest-K
+	// selection"); a receiver that needs them ranked ranks them.
 	Contacts []Contact
-	Key      ID     // Store / FindValue(Resp): value key
-	Value    []byte // Store / FindValueResp(found): value bytes
-	TTL      time.Duration
-	Found    bool   // FindValueResp: value present
 	App      []byte // App: opaque protocol payload
 
 	// contacts is the receive path's form of Contacts: see decodeMessageInto.
 	contacts contactsView
 }
 
-// Encode renders the wire form into a fresh buffer.
-func (m Message) Encode() ([]byte, error) {
-	return m.AppendEncode(make([]byte, 0, 64+len(m.Value)+len(m.App)+len(m.Contacts)*48))
-}
-
 // AppendEncode appends the wire form to buf and returns the extended slice —
-// the allocation-free form for senders that recycle wire buffers. The
-// encoding is byte-identical to Encode.
+// the allocation-free form for senders that recycle wire buffers.
 func (m Message) AppendEncode(buf []byte) ([]byte, error) {
 	if len(m.Contacts) > maxContacts {
 		return nil, fmt.Errorf("dht: %d contacts exceeds wire limit", len(m.Contacts))
 	}
-	if len(m.Value) > maxValue || len(m.App) > maxValue {
+	if len(m.App) > maxApp {
 		return nil, fmt.Errorf("dht: payload exceeds wire limit")
 	}
-	buf = appendHeader(buf, m.Kind, m.RPCID, &m.From, &m.Target, &m.Key, m.TTL, m.Found)
+	buf = appendHeader(buf, m.Kind, m.RPCID, &m.From, &m.Target)
 	buf = append(buf, byte(len(m.Contacts)))
 	for i := range m.Contacts {
 		buf = appendContact(buf, &m.Contacts[i])
 	}
-	buf = appendBytes32(buf, m.Value)
-	buf = appendBytes32(buf, m.App)
-	return buf, nil
+	return appendBytes32(buf, m.App), nil
 }
 
 // appendHeader appends every field that precedes the contact count: the
 // part of the layout AppendEncode shares with the replies written straight
 // from the routing table (appendClosestReply).
-func appendHeader(buf []byte, kind Kind, rpcID uint64, from *Contact, target, key *ID, ttl time.Duration, found bool) []byte {
+func appendHeader(buf []byte, kind Kind, rpcID uint64, from *Contact, target *ID) []byte {
 	buf = binary.BigEndian.AppendUint16(buf, wireMagic)
 	buf = append(buf, wireVersion, byte(kind))
 	buf = binary.BigEndian.AppendUint64(buf, rpcID)
 	buf = append(buf, from.ID[:]...)
 	buf = appendBytes(buf, []byte(from.Addr))
-	buf = append(buf, target[:]...)
-	buf = append(buf, key[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(ttl))
-	if found {
-		return append(buf, 1)
-	}
-	return append(buf, 0)
+	return append(buf, target[:]...)
 }
 
-// appendClosestReply appends the answer to a FIND_NODE (kind
-// KindFindNodeResp, zero key) or to a FIND_VALUE for a key this node does
-// not hold (KindFindValueResp, the asked key): the wire form of that
-// response Message with Contacts = the K contacts t tracks nearest target,
-// in the order Message.Contacts documents. The records go from the table's
-// buckets straight into buf; the count byte is written once the walk knows
-// it.
-func appendClosestReply(buf []byte, kind Kind, rpcID uint64, from *Contact, key *ID, t *Table, target ID) []byte {
-	buf = appendHeader(buf, kind, rpcID, from, &ID{}, key, 0, false)
+// appendClosestReply appends the answer to a FIND_NODE: the wire form of the
+// KindFindNodeResp Message with Contacts = the K contacts t tracks nearest
+// target, in the order Message.Contacts documents. The records go from the
+// table's buckets straight into buf; the count byte is written once the walk
+// knows it.
+func appendClosestReply(buf []byte, rpcID uint64, from *Contact, t *Table, target ID) []byte {
+	buf = appendHeader(buf, KindFindNodeResp, rpcID, from, &ID{})
 	at := len(buf)
 	buf, n := t.appendClosestWire(append(buf, 0), target, bucketK)
 	buf[at] = byte(n)
-	return appendBytes32(appendBytes32(buf, nil), nil)
+	return appendBytes32(buf, nil)
 }
 
 // appendContact appends one contact record — ID ‖ uint16 address length ‖
@@ -135,8 +118,8 @@ func appendContact(buf []byte, c *Contact) []byte {
 	return appendBytes(buf, []byte(c.Addr))
 }
 
-// DecodeMessage parses a wire datagram. The Value, App and contact address
-// fields alias data, so they are valid only as long as the input buffer is.
+// DecodeMessage parses a wire datagram. The App and contact address fields
+// alias data, so they are valid only as long as the input buffer is.
 func DecodeMessage(data []byte) (Message, error) {
 	var m Message
 	if err := DecodeMessageInto(&m, data); err != nil {
@@ -214,8 +197,8 @@ func decodeMessageInto(m *Message, data []byte) (fromAddr []byte, err error) {
 		return nil, ErrWire
 	}
 	m.Kind = Kind(kindByte)
-	if m.Kind < KindPing || m.Kind > KindAppAck {
-		return nil, ErrWire
+	if int(m.Kind) >= len(kindNames) || kindNames[m.Kind] == "" {
+		return nil, ErrWire // unknown, or one of the reserved kinds 5–8
 	}
 	if m.RPCID, err = r.uint64(); err != nil {
 		return nil, ErrWire
@@ -230,20 +213,6 @@ func decodeMessageInto(m *Message, data []byte) (fromAddr []byte, err error) {
 	if m.Target, err = r.id(); err != nil {
 		return nil, ErrWire
 	}
-	if m.Key, err = r.id(); err != nil {
-		return nil, ErrWire
-	}
-	ttl, err := r.uint64()
-	if err != nil {
-		return nil, ErrWire
-	}
-	m.TTL = time.Duration(ttl)
-	// Only the canonical encodings of Found are datagrams of this protocol.
-	foundByte, err := r.byte()
-	if err != nil || foundByte > 1 {
-		return nil, ErrWire
-	}
-	m.Found = foundByte == 1
 	contactCount, err := r.byte()
 	if err != nil || int(contactCount) > maxContacts {
 		return nil, ErrWire
@@ -258,9 +227,6 @@ func decodeMessageInto(m *Message, data []byte) (fromAddr []byte, err error) {
 	end := len(data) - len(rest)
 	view := contactsView{n: int(contactCount), region: data[r.off:end]}
 	r.off = end
-	if m.Value, err = r.bytes32(); err != nil {
-		return nil, ErrWire
-	}
 	if m.App, err = r.bytes32(); err != nil {
 		return nil, ErrWire
 	}
@@ -347,7 +313,7 @@ func (r *wireReader) bytes32() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxValue {
+	if n > maxApp {
 		return nil, ErrWire
 	}
 	return r.take(int(n))

@@ -2,16 +2,16 @@ package dht
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"selfemerge/internal/stats"
 )
 
 func sampleMessage() Message {
 	return Message{
-		Kind:   KindFindValueResp,
+		Kind:   KindFindNodeResp,
 		RPCID:  0xDEADBEEF,
 		From:   Contact{ID: IDFromKey([]byte("from")), Addr: "node-7"},
 		Target: IDFromKey([]byte("target")),
@@ -19,11 +19,7 @@ func sampleMessage() Message {
 			{ID: IDFromKey([]byte("a")), Addr: "10.0.0.1:4000"},
 			{ID: IDFromKey([]byte("b")), Addr: "10.0.0.2:4000"},
 		},
-		Key:   IDFromKey([]byte("key")),
-		Value: []byte("stored-bytes"),
-		TTL:   90 * time.Minute,
-		Found: true,
-		App:   []byte("app-payload"),
+		App: []byte("app-payload"),
 	}
 }
 
@@ -38,11 +34,10 @@ func TestMessageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Kind != m.Kind || got.RPCID != m.RPCID || got.From.ID != m.From.ID ||
-		got.From.Addr != m.From.Addr || got.Target != m.Target || got.Key != m.Key ||
-		got.TTL != m.TTL || got.Found != m.Found {
+		got.From.Addr != m.From.Addr || got.Target != m.Target {
 		t.Errorf("scalar fields mismatch: %+v vs %+v", got, m)
 	}
-	if !bytes.Equal(got.Value, m.Value) || !bytes.Equal(got.App, m.App) {
+	if !bytes.Equal(got.App, m.App) {
 		t.Error("payload mismatch")
 	}
 	if len(got.Contacts) != 2 || got.Contacts[1].Addr != "10.0.0.2:4000" {
@@ -52,18 +47,15 @@ func TestMessageRoundTrip(t *testing.T) {
 
 func TestMessageRoundTripProperty(t *testing.T) {
 	rng := stats.NewRNG(21)
-	err := quick.Check(func(value, app []byte, rpcID uint64, kindSeed uint8) bool {
-		if len(value) > 1024 {
-			value = value[:1024]
-		}
+	kinds := []Kind{KindPing, KindPong, KindFindNode, KindFindNodeResp, KindApp, KindAppAck}
+	err := quick.Check(func(app []byte, rpcID uint64, kindSeed uint8) bool {
 		if len(app) > 1024 {
 			app = app[:1024]
 		}
 		m := Message{
-			Kind:  Kind(kindSeed%9 + 1),
+			Kind:  kinds[int(kindSeed)%len(kinds)],
 			RPCID: rpcID,
 			From:  Contact{ID: RandomID(rng), Addr: "x"},
-			Value: value,
 			App:   app,
 		}
 		data, err := m.AppendEncode(nil)
@@ -74,8 +66,7 @@ func TestMessageRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got.Kind == m.Kind && got.RPCID == m.RPCID &&
-			bytes.Equal(got.Value, m.Value) && bytes.Equal(got.App, m.App)
+		return got.Kind == m.Kind && got.RPCID == m.RPCID && bytes.Equal(got.App, m.App)
 	}, &quick.Config{MaxCount: 300})
 	if err != nil {
 		t.Fatal(err)
@@ -108,19 +99,38 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	badK[3] = 200
 	cases = append(cases, badK)
 
-	// Non-canonical Found byte (the tenth from the end of a message with no
-	// contacts, value or payload).
-	found, err := Message{Kind: KindFindValueResp, From: Contact{ID: ID{1}, Addr: "x"}, Found: true}.AppendEncode(nil)
-	if err != nil || found[len(found)-10] != 1 {
-		t.Fatalf("found byte not where expected: %x, %v", found, err)
-	}
-	found[len(found)-10] = 2
-	cases = append(cases, found)
-
 	for i, c := range cases {
 		if _, err := DecodeMessage(c); err == nil {
 			t.Errorf("case %d: garbage accepted", i)
 		}
+	}
+}
+
+// TestDecodeRejectsRetiredWire: the kinds of the retired value store (5–8:
+// STORE, STORE_ACK, FIND_VALUE, FIND_VALUE_RESP) stay reserved, and a datagram
+// of wire version 1 is not one of this protocol, whatever it carries.
+func TestDecodeRejectsRetiredWire(t *testing.T) {
+	good, err := sampleMessage().AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeMessage(good); err != nil {
+		t.Fatalf("the unmodified datagram is rejected: %v", err)
+	}
+	for kind := byte(5); kind <= 8; kind++ {
+		bad := bytes.Clone(good)
+		bad[3] = kind
+		if _, err := DecodeMessage(bad); err != ErrWire {
+			t.Errorf("kind %d: err = %v, want ErrWire", kind, err)
+		}
+		if name := Kind(kind).String(); name != fmt.Sprintf("Kind(%d)", kind) {
+			t.Errorf("reserved kind %d is named %q", kind, name)
+		}
+	}
+	v1 := bytes.Clone(good)
+	v1[2] = 1
+	if _, err := DecodeMessage(v1); err != ErrWire {
+		t.Errorf("wire version 1: err = %v, want ErrWire", err)
 	}
 }
 
@@ -144,7 +154,7 @@ func TestDecodeFuzzNoPanic(t *testing.T) {
 }
 
 func TestEncodeLimits(t *testing.T) {
-	m := Message{Kind: KindApp, App: make([]byte, maxValue+1)}
+	m := Message{Kind: KindApp, App: make([]byte, maxApp+1)}
 	if _, err := m.AppendEncode(nil); err == nil {
 		t.Error("oversized app payload accepted")
 	}

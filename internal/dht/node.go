@@ -18,7 +18,7 @@ type Config struct {
 	// Endpoint is the transport attachment. Required; the node installs its
 	// own handler.
 	Endpoint transport.Endpoint
-	// Clock drives timeouts and TTL expiry. Required (sim or real).
+	// Clock drives RPC timeouts and retry backoff. Required (sim or real).
 	Clock sim.Clock
 	// Retry configures re-sending of timed-out requests. The zero value is
 	// single-shot (the historical behavior, byte-identical event
@@ -48,8 +48,6 @@ const (
 	bucketK = 20
 	// alpha is the lookup parallelism.
 	alpha = 3
-	// storeReplicas is how many closest nodes receive each stored value.
-	storeReplicas = 3
 	// staleAfter is the naive policy's bucket-eviction staleness threshold.
 	staleAfter = 10 * time.Minute
 	// rpcTimeout bounds each attempt of a request/response exchange, the
@@ -77,7 +75,7 @@ var ErrClosed = errors.New("dht: node closed")
 // Node is one Kademlia participant. A node, its table and the protocol host
 // above it belong to one dispatch context — the loop that runs cfg.Clock,
 // shared with every node on the same Scratch. Inbound datagrams, timers and
-// API calls (Bootstrap, Lookup, Store, SendToOwners, Close, ...) all run
+// API calls (Bootstrap, Lookup, Ping, SendApp, SendToOwners, Close) all run
 // there, one at a time, so no field is locked and a callback may call back
 // into the node. Other goroutines enter through the loop (udp.Loop.Post).
 type Node struct {
@@ -99,7 +97,6 @@ type Node struct {
 	// Nil until the node's first owner send; looked up, never ranged over.
 	ownerWalks map[ID]*ownerWalk
 	rpcSeq     uint64
-	values     map[ID]storedValue
 	resilience Resilience
 	closed     bool
 }
@@ -200,11 +197,6 @@ func rpcTimedOut(v any) {
 	cb.deliver(nil, ErrTimeout)
 }
 
-type storedValue struct {
-	data      []byte
-	expiresAt time.Time
-}
-
 // NewNode creates a node and installs its transport handler. The node is
 // immediately live; call Bootstrap to join an existing network.
 func NewNode(cfg Config) (*Node, error) {
@@ -222,7 +214,6 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:     cfg,
 		table:   NewTable(cfg.ID, bucketK, staleAfter, func() time.Time { return cfg.Clock.Now() }),
 		pending: make(map[uint64]*pendingRPC),
-		values:  make(map[ID]storedValue),
 	}
 	if cfg.Retry.enabled() {
 		n.retryRng = stats.NewRNG(retrySeed(cfg.ID))
@@ -307,7 +298,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 	// Trust the socket-level source address over the claimed one.
 	msg.From.Addr = from
 	switch msg.Kind {
-	case KindPong, KindFindNodeResp, KindStoreAck, KindFindValueResp, KindAppAck:
+	case KindPong, KindFindNodeResp, KindAppAck:
 		// A response is observed by settle, once: verified if it matches a
 		// request this node issued, unverified otherwise.
 		n.settle(msg)
@@ -321,16 +312,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 	case KindPing:
 		n.reply(msg.From, Message{Kind: KindPong, RPCID: msg.RPCID})
 	case KindFindNode:
-		n.replyClosest(msg.From.Addr, KindFindNodeResp, msg.RPCID, &ID{}, msg.Target)
-	case KindStore:
-		n.storeLocal(msg.Key, msg.Value, msg.TTL)
-		n.reply(msg.From, Message{Kind: KindStoreAck, RPCID: msg.RPCID, Key: msg.Key})
-	case KindFindValue:
-		if value, ok := n.loadLocal(msg.Key); ok {
-			n.reply(msg.From, Message{Kind: KindFindValueResp, RPCID: msg.RPCID, Key: msg.Key, Found: true, Value: value})
-			return
-		}
-		n.replyClosest(msg.From.Addr, KindFindValueResp, msg.RPCID, &msg.Key, msg.Key)
+		n.replyClosest(msg.From.Addr, msg.RPCID, msg.Target)
 	case KindApp:
 		if msg.RPCID != 0 {
 			// An acked app delivery (the sender runs a retry policy): always
@@ -402,27 +384,23 @@ func (n *Node) reply(to Contact, m Message) {
 	_ = n.sendMessage(to.Addr, m)
 }
 
-// replyClosest answers a FIND_NODE, or a FIND_VALUE for a key this node does
-// not hold, with the K contacts nearest target, written from the routing
-// table straight into a wire buffer (appendClosestReply).
-func (n *Node) replyClosest(to transport.Addr, kind Kind, rpcID uint64, key *ID, target ID) {
+// replyClosest answers a FIND_NODE with the K contacts nearest target,
+// written from the routing table straight into a wire buffer
+// (appendClosestReply).
+func (n *Node) replyClosest(to transport.Addr, rpcID uint64, target ID) {
 	buf := n.cfg.Scratch.bufs.Get()
 	from := n.Contact()
-	*buf = appendClosestReply((*buf)[:0], kind, rpcID, &from, key, n.table, target)
+	*buf = appendClosestReply((*buf)[:0], rpcID, &from, n.table, target)
 	_ = n.sendBuf(to, buf)
 }
 
-// request sends m to the peer and arranges for cb to run with the response
-// or ErrTimeout. cb rides the arg slot: func values are pointer-shaped, so
-// boxing it allocates nothing.
-func (n *Node) request(to Contact, m Message, cb func(*Message, error)) {
-	n.requestArg(to, m, callFunc, cb)
-}
-
+// callFunc runs a func(*Message, error) riding an RPC's arg slot: func values
+// are pointer-shaped, so boxing one allocates nothing.
 func callFunc(cb any, m *Message, err error) { cb.(func(*Message, error))(m, err) }
 
-// requestArg is the closure-free form of request: fn is a package-level
-// function and arg a recycled record, so issuing the RPC allocates nothing.
+// requestArg sends m to the peer and arranges for fn(arg, response) to run
+// with the response or ErrTimeout. With a package-level fn and a recycled
+// record as arg, issuing the RPC allocates nothing.
 func (n *Node) requestArg(to Contact, m Message, fn func(any, *Message, error), arg any) {
 	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg}, n.cfg.Retry.enabled())
 }
@@ -506,7 +484,7 @@ func (p *pendingRPC) answeredBy(from Contact) bool {
 
 // Ping checks a peer's liveness.
 func (n *Node) Ping(to Contact, cb func(error)) {
-	n.request(to, Message{Kind: KindPing}, func(_ *Message, err error) { cb(err) })
+	n.requestArg(to, Message{Kind: KindPing}, callFunc, func(_ *Message, err error) { cb(err) })
 }
 
 // SendApp delivers an opaque application payload directly to a known
@@ -574,31 +552,4 @@ func (n *Node) selfLookup(done func(contacts int)) {
 			done(n.table.Len())
 		}
 	})
-}
-
-// storeLocal records a value with its TTL.
-func (n *Node) storeLocal(key ID, value []byte, ttl time.Duration) {
-	if len(value) == 0 {
-		return
-	}
-	data := make([]byte, len(value))
-	copy(data, value)
-	expiry := time.Time{}
-	if ttl > 0 {
-		expiry = n.cfg.Clock.Now().Add(ttl)
-	}
-	n.values[key] = storedValue{data: data, expiresAt: expiry}
-}
-
-// loadLocal returns a stored value if present and unexpired.
-func (n *Node) loadLocal(key ID) ([]byte, bool) {
-	v, ok := n.values[key]
-	if !ok {
-		return nil, false
-	}
-	if !v.expiresAt.IsZero() && n.cfg.Clock.Now().After(v.expiresAt) {
-		delete(n.values, key)
-		return nil, false
-	}
-	return v.data, true
 }

@@ -85,54 +85,6 @@ func TestLookupFindsGloballyClosest(t *testing.T) {
 	}
 }
 
-func TestStoreAndGet(t *testing.T) {
-	c := newCluster(t, 50, nil)
-	key := IDFromKey([]byte("stored-key"))
-	value := []byte("self-emerging ciphertext")
-
-	var acked int
-	c.nodes[3].Store(key, value, time.Hour, func(n int) { acked = n })
-	c.sim.Run()
-	if acked == 0 {
-		t.Fatal("store acked by no replicas")
-	}
-
-	var got []byte
-	var ok bool
-	// Copy inside the callback: the value may alias a recycled delivery
-	// buffer, valid only for the duration of the call (Get's contract).
-	c.nodes[44].Get(key, func(v []byte, found bool) { got, ok = append([]byte(nil), v...), found })
-	c.sim.Run()
-	if !ok || string(got) != string(value) {
-		t.Fatalf("Get = %q, %v", got, ok)
-	}
-}
-
-func TestStoreIncludesSelfWhenOwner(t *testing.T) {
-	c := newCluster(t, 40, nil)
-	owner := c.nodes[13]
-	key := owner.ID() // the storing node is trivially the globally closest to its own ID
-	var acked int
-	owner.Store(key, []byte("zone-local"), time.Hour, func(n int) { acked = n })
-	c.sim.Run()
-	if acked == 0 {
-		t.Fatal("store acked by no replicas")
-	}
-	// The owner must hold the value itself, not just its neighbors: lookups
-	// never return self, so Store has to rank-insert the local node.
-	if v, ok := owner.loadLocal(key); !ok || string(v) != "zone-local" {
-		t.Fatalf("owning node does not hold its zone's value: %q, %v", v, ok)
-	}
-	// And the value is still reachable from an arbitrary vantage point.
-	var got []byte
-	var found bool
-	c.nodes[31].Get(key, func(v []byte, ok bool) { got, found = append([]byte(nil), v...), ok })
-	c.sim.Run()
-	if !found || string(got) != "zone-local" {
-		t.Fatalf("Get after owner store = %q, %v", got, found)
-	}
-}
-
 func TestForgedFromCannotHijackAddress(t *testing.T) {
 	c := newCluster(t, 10, nil)
 	contactee, victim := c.nodes[2], c.nodes[6]
@@ -168,40 +120,6 @@ func TestForgedFromCannotHijackAddress(t *testing.T) {
 	}
 }
 
-func TestGetMissingKey(t *testing.T) {
-	c := newCluster(t, 30, nil)
-	var ok bool
-	ran := false
-	c.nodes[5].Get(IDFromKey([]byte("never-stored")), func(_ []byte, found bool) { ok, ran = found, true })
-	c.sim.Run()
-	if !ran {
-		t.Fatal("callback never ran")
-	}
-	if ok {
-		t.Fatal("found a value that was never stored")
-	}
-}
-
-func TestStoreTTLExpires(t *testing.T) {
-	c := newCluster(t, 30, nil)
-	key := IDFromKey([]byte("ttl-key"))
-	c.nodes[0].Store(key, []byte("v"), time.Minute, nil)
-	c.sim.Run()
-
-	var okBefore, okAfter bool
-	c.nodes[9].Get(key, func(_ []byte, found bool) { okBefore = found })
-	c.sim.Run()
-	c.sim.RunFor(2 * time.Minute)
-	c.nodes[9].Get(key, func(_ []byte, found bool) { okAfter = found })
-	c.sim.Run()
-	if !okBefore {
-		t.Fatal("value missing before TTL")
-	}
-	if okAfter {
-		t.Fatal("value alive after TTL")
-	}
-}
-
 func TestSendToOwnerRoutesToClosest(t *testing.T) {
 	received := make(map[ID][]byte)
 	var receivers []*Node
@@ -233,9 +151,9 @@ func TestSendToOwnerRoutesToClosest(t *testing.T) {
 
 	key := IDFromKey([]byte("owner-routing"))
 	var owner Contact
-	c.nodes[11].SendToOwner(key, []byte("package"), func(ct Contact, err error) {
+	c.nodes[11].SendToOwners(key, []byte("package"), 1, func(ct Contact, err error) {
 		if err != nil {
-			t.Errorf("SendToOwner: %v", err)
+			t.Errorf("SendToOwners: %v", err)
 		}
 		owner = ct
 	})

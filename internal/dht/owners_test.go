@@ -101,7 +101,7 @@ func TestOwnerWalkCoalesces(t *testing.T) {
 		log := &doneLog{}
 		sent := oc.sentBy(func() {
 			for i := 0; i < n; i++ {
-				oc.nodes[ownersTestSender].SendToOwner(key, []byte(fmt.Sprintf("p%d", i)), log.cb())
+				oc.nodes[ownersTestSender].SendToOwners(key, []byte(fmt.Sprintf("p%d", i)), 1, log.cb())
 			}
 			if got := len(oc.nodes[ownersTestSender].ownerWalks); got != 1 {
 				t.Errorf("%d sends for one key: %d walks in flight, want 1", n, got)
@@ -202,11 +202,11 @@ func TestOwnerWalkFreshAfterFinish(t *testing.T) {
 	owner := oc.byDistance(key)[0]
 	chained := false
 	first := oc.sentBy(func() {
-		sender.SendToOwner(key, []byte("a"), func(Contact, error) {
+		sender.SendToOwners(key, []byte("a"), 1, func(Contact, error) {
 			if len(sender.ownerWalks) != 0 {
 				t.Error("finished walk still indexed while its riders are served")
 			}
-			sender.SendToOwner(key, []byte("b"), func(Contact, error) { chained = true })
+			sender.SendToOwners(key, []byte("b"), 1, func(Contact, error) { chained = true })
 			if len(sender.ownerWalks) != 1 {
 				t.Error("send from a done callback did not start a walk")
 			}
@@ -215,7 +215,7 @@ func TestOwnerWalkFreshAfterFinish(t *testing.T) {
 	if !chained {
 		t.Fatal("chained send never completed")
 	}
-	later := oc.sentBy(func() { sender.SendToOwner(key, []byte("c"), nil) })
+	later := oc.sentBy(func() { sender.SendToOwners(key, []byte("c"), 1, nil) })
 	if later < 3 || first < 2*later-2 {
 		t.Errorf("datagrams: first+chained %d, later %d — each should pay for a walk of its own", first, later)
 	}
@@ -230,9 +230,9 @@ func TestOwnerWalkNeverMergesAcrossKeysOrNodes(t *testing.T) {
 	oc := newOwnerCluster(t, 40, RetryPolicy{})
 	k1, k2 := IDFromKey([]byte("slot-one")), IDFromKey([]byte("slot-two"))
 	a, b := oc.nodes[ownersTestSender], oc.nodes[23]
-	a.SendToOwner(k1, []byte("a1"), nil)
-	a.SendToOwner(k2, []byte("a2"), nil)
-	b.SendToOwner(k1, []byte("b1"), nil)
+	a.SendToOwners(k1, []byte("a1"), 1, nil)
+	a.SendToOwners(k2, []byte("a2"), 1, nil)
+	b.SendToOwners(k1, []byte("b1"), 1, nil)
 	if len(a.ownerWalks) != 2 || len(b.ownerWalks) != 1 {
 		t.Fatalf("walks in flight: a=%d b=%d, want 2 and 1", len(a.ownerWalks), len(b.ownerWalks))
 	}
@@ -248,8 +248,7 @@ func TestOwnerWalkNeverMergesAcrossKeysOrNodes(t *testing.T) {
 	}
 }
 
-// TestOwnerWalkNotJoinedByLookups: Lookup, Get, Store and a Bootstrap
-// self-lookup for the key of an owner walk in flight each run their own
+// TestOwnerWalkNotJoinedByLookups: a Lookup and a Bootstrap self-lookup for the key of an owner walk in flight each run their own
 // lookup: none becomes a rider, none picks up the walk's self insertion, and
 // the traffic is the sum of the parts.
 func TestOwnerWalkNotJoinedByLookups(t *testing.T) {
@@ -259,14 +258,14 @@ func TestOwnerWalkNotJoinedByLookups(t *testing.T) {
 		return oc, sender, sender.ID() // self-owned: the walk inserts self, a Lookup must not
 	}
 	oc, sender, key := build()
-	walkOnly := oc.sentBy(func() { sender.SendToOwner(key, []byte("w"), nil) })
+	walkOnly := oc.sentBy(func() { sender.SendToOwners(key, []byte("w"), 1, nil) })
 	oc, sender, key = build()
 	lookupOnly := oc.sentBy(func() { sender.Lookup(key, func([]Contact) {}) })
 
 	oc, sender, key = build()
-	var looked, got, stored, booted bool
+	var looked, booted bool
 	both := oc.sentBy(func() {
-		sender.SendToOwner(key, []byte("w"), nil)
+		sender.SendToOwners(key, []byte("w"), 1, nil)
 		sender.Lookup(key, func(cs []Contact) {
 			looked = true
 			for _, c := range cs {
@@ -286,19 +285,6 @@ func TestOwnerWalkNotJoinedByLookups(t *testing.T) {
 	if want := walkOnly + 2*lookupOnly; both != want {
 		t.Errorf("walk + Lookup + Bootstrap carried %d datagrams, want %d + 2×%d = %d", both, walkOnly, lookupOnly, want)
 	}
-
-	oc, sender, _ = build()
-	key = IDFromKey([]byte("value-key"))
-	sender.SendToOwner(key, []byte("w"), nil)
-	sender.Store(key, []byte("v"), time.Hour, func(int) { stored = true })
-	sender.Get(key, func([]byte, bool) { got = true })
-	if w := sender.ownerWalks[key]; len(w.riders) != 1 {
-		t.Errorf("owner walk has %d riders after Store and Get, want 1", len(w.riders))
-	}
-	oc.sim.Run()
-	if !stored || !got {
-		t.Fatalf("callbacks: store=%v get=%v", stored, got)
-	}
 }
 
 // TestOwnerWalkRidersAckedSeparately: under a retry policy every rider's
@@ -311,7 +297,7 @@ func TestOwnerWalkRidersAckedSeparately(t *testing.T) {
 		oc := newOwnerCluster(t, 40, RetryPolicy{Attempts: 3})
 		return oc, oc.sentBy(func() {
 			for i := 0; i < n; i++ {
-				oc.nodes[ownersTestSender].SendToOwner(key, []byte("same bytes"), nil)
+				oc.nodes[ownersTestSender].SendToOwners(key, []byte("same bytes"), 1, nil)
 			}
 		})
 	}
@@ -368,7 +354,7 @@ func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 		_, a, _ := retryPair(t, Config{}, nil, nil)
 		log := &doneLog{}
 		for i := 0; i < riders; i++ {
-			a.SendToOwner(key, []byte("x"), log.cb())
+			a.SendToOwners(key, []byte("x"), 1, log.cb())
 		}
 		if len(log.errs) != riders || len(a.ownerWalks) != 0 {
 			t.Fatalf("done fired %d times, %d walks left indexed", len(log.errs), len(a.ownerWalks))
@@ -384,7 +370,7 @@ func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 		sender := oc.nodes[ownersTestSender]
 		log := &doneLog{}
 		for i := 0; i < riders; i++ {
-			sender.SendToOwner(key, []byte("x"), log.cb())
+			sender.SendToOwners(key, []byte("x"), 1, log.cb())
 		}
 		oc.sim.RunFor(12 * time.Millisecond) // one round trip in: some answers folded, more queries out
 		if len(log.errs) != 0 {
@@ -479,7 +465,7 @@ func TestOwnerWalkConcurrentSendersUDP(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
 				payload := []byte(fmt.Sprintf("g%d-%d", g, i))
-				loops[1].Post(func() { sender.SendToOwner(key, payload, func(_ Contact, err error) { done <- err }) })
+				loops[1].Post(func() { sender.SendToOwners(key, payload, 1, func(_ Contact, err error) { done <- err }) })
 			}
 		}(g)
 	}

@@ -24,10 +24,10 @@ func (e *captureEndpoint) Send(_ transport.Addr, payload []byte) error {
 }
 
 // TestFindNodeReplyWire holds the replies written from the routing table to
-// the Message they replace: for FIND_NODE and for a FIND_VALUE miss, the
-// datagram handle sends has the byte length of the response Message listing
-// AppendClosest(target, K), the same header, and the same contacts — in the
-// response order Message.Contacts documents.
+// the Message they replace: for a FIND_NODE, the datagram handle sends has
+// the byte length of the response Message listing AppendClosest(target, K),
+// the same header, and the same contacts — in the response order
+// Message.Contacts documents.
 func TestFindNodeReplyWire(t *testing.T) {
 	for _, size := range []int{0, 1, 19, 20, 21, 200, 2000} {
 		rng := stats.NewRNG(uint64(size) + 1)
@@ -55,42 +55,34 @@ func TestFindNodeReplyWire(t *testing.T) {
 			targets = append(targets, idSharing(self, prefix, rng))
 		}
 		for i, target := range targets {
-			for _, req := range []Message{
-				{Kind: KindFindNode, Target: target},
-				// A lookup sends Target = Key; apart here, to pin that the
-				// miss answers for the key.
-				{Kind: KindFindValue, Target: RandomID(rng), Key: target},
-			} {
-				req.RPCID, req.From = uint64(1000*size+i+1), asker
-				wire, err := req.AppendEncode(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ep.last = ep.last[:0]
-				node.handle(asker.Addr, wire)
-
-				// Each response kind follows its request's.
-				resp := Message{Kind: req.Kind + 1, RPCID: req.RPCID, From: node.Contact(), Key: req.Key,
-					Contacts: node.table.AppendClosest(nil, target, bucketK)}
-				want, err := resp.AppendEncode(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("table of %d, %s to %s", size, req.Kind, target.Short())
-				if len(ep.last) != len(want) {
-					t.Fatalf("%s: reply is %d bytes, the Message it replaces %d", name, len(ep.last), len(want))
-				}
-				got, err := DecodeMessage(ep.last)
-				if err != nil {
-					t.Fatalf("%s: reply does not decode: %v", name, err)
-				}
-				header := got
-				header.Contacts = resp.Contacts
-				if reenc, _ := header.AppendEncode(nil); !bytes.Equal(reenc, want) {
-					t.Fatalf("%s: reply header differs from the Message it replaces:\n got %+v\nwant %+v", name, got, resp)
-				}
-				checkResponseRecords(t, self, target, got.Contacts, resp.Contacts)
+			req := Message{Kind: KindFindNode, RPCID: uint64(1000*size + i + 1), From: asker, Target: target}
+			wire, err := req.AppendEncode(nil)
+			if err != nil {
+				t.Fatal(err)
 			}
+			ep.last = ep.last[:0]
+			node.handle(asker.Addr, wire)
+
+			resp := Message{Kind: KindFindNodeResp, RPCID: req.RPCID, From: node.Contact(),
+				Contacts: node.table.AppendClosest(nil, target, bucketK)}
+			want, err := resp.AppendEncode(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("table of %d, FIND_NODE to %s", size, target.Short())
+			if len(ep.last) != len(want) {
+				t.Fatalf("%s: reply is %d bytes, the Message it replaces %d", name, len(ep.last), len(want))
+			}
+			got, err := DecodeMessage(ep.last)
+			if err != nil {
+				t.Fatalf("%s: reply does not decode: %v", name, err)
+			}
+			header := got
+			header.Contacts = resp.Contacts
+			if reenc, _ := header.AppendEncode(nil); !bytes.Equal(reenc, want) {
+				t.Fatalf("%s: reply header differs from the Message it replaces:\n got %+v\nwant %+v", name, got, resp)
+			}
+			checkResponseRecords(t, self, target, got.Contacts, resp.Contacts)
 		}
 	}
 }

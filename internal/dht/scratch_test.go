@@ -24,10 +24,21 @@ func (e tapEndpoint) Send(to transport.Addr, payload []byte) error {
 	return e.Endpoint.Send(to, payload)
 }
 
-// scratchRun drives a small lossy DHT through joins, lookups, a store/get,
+// lossInjector drops each datagram with probability rate, drawn from its own
+// seeded stream.
+type lossInjector struct {
+	rng  *stats.RNG
+	rate float64
+}
+
+func (l *lossInjector) Judge(time.Time, transport.Addr, transport.Addr) simnet.Verdict {
+	return simnet.Verdict{Drop: l.rng.Bool(l.rate)}
+}
+
+// scratchRun drives a small lossy DHT through joins, lookups, an owner send,
 // a node death and its same-ID same-address replacement, and returns the
-// full datagram trace plus every lookup result. scratch is handed to every
-// node; nil gives each its own.
+// full datagram trace plus every lookup result and app delivery. scratch is
+// handed to every node; nil gives each its own.
 func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 	t.Helper()
 	const n = 24
@@ -35,14 +46,17 @@ func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 	net := simnet.New(s, simnet.Config{
 		BaseLatency: 5 * time.Millisecond,
 		Jitter:      3 * time.Millisecond,
-		LossRate:    0.05,
 		Seed:        17,
+		Inject:      &lossInjector{rng: stats.NewRNG(17), rate: 0.05},
 	})
 	rng := stats.NewRNG(5150)
 	var log strings.Builder
 	spawn := func(i int, id ID) *Node {
 		ep := tapEndpoint{Endpoint: net.Endpoint(transport.Addr(fmt.Sprintf("node-%d", i))), clock: s, log: &log}
-		node, err := NewNode(Config{ID: id, Endpoint: ep, Clock: s, Retry: retry, Scratch: scratch})
+		onApp := func(from Contact, payload []byte) {
+			fmt.Fprintf(&log, "app %s<-%s %q\n", id.Short(), from.ID.Short(), payload)
+		}
+		node, err := NewNode(Config{ID: id, Endpoint: ep, Clock: s, Retry: retry, Scratch: scratch, OnApp: onApp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,9 +86,9 @@ func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 	lookups("warm")
 
 	key := IDFromKey([]byte("scratch-key"))
-	nodes[3].Store(key, []byte("value"), time.Hour, func(acked int) { fmt.Fprintf(&log, "acked %d\n", acked) })
-	s.RunFor(time.Minute)
-	nodes[11].Get(key, func(v []byte, ok bool) { fmt.Fprintf(&log, "get %q %v\n", v, ok) })
+	nodes[11].SendToOwners(key, []byte("payload"), 3, func(owner Contact, err error) {
+		fmt.Fprintf(&log, "owner %s %v\n", owner.ID.Short(), err)
+	})
 	s.RunFor(time.Minute)
 
 	// Churn: node 7 dies mid-lookup and a wiped replacement takes over its
@@ -92,8 +106,8 @@ func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 
 // TestSharedScratchIsUnobservable: which Scratch a node uses decides who
 // pays for its working memory and nothing else — the same seed yields the
-// same datagrams, at the same instants, and the same lookup results whether
-// every node shares one Scratch or owns a private one.
+// same datagrams, at the same instants, and the same lookup results and app
+// deliveries whether every node shares one Scratch or owns a private one.
 func TestSharedScratchIsUnobservable(t *testing.T) {
 	for _, retry := range []RetryPolicy{{}, {Attempts: 3}} {
 		private := scratchRun(t, nil, retry)
@@ -107,8 +121,9 @@ func TestSharedScratchIsUnobservable(t *testing.T) {
 			t.Fatalf("retry=%d: traces diverge at line %d (private has %d, shared %d); last common line: %.160s",
 				retry.Attempts, i, len(a), len(b), strings.Join(a[max(i-1, 0):i], ""))
 		}
-		if strings.Count(private, "result ") != 24 || !strings.Contains(private, "rejoined") {
-			t.Fatalf("retry=%d: run did not complete its lookups:\n%.400s", retry.Attempts, private)
+		results, rejoined, delivered := strings.Count(private, "result "), strings.Contains(private, "rejoined"), strings.Contains(private, "app ")
+		if results != 24 || !rejoined || !delivered {
+			t.Fatalf("retry=%d: run did not complete: %d lookup results, rejoined %v, owner send delivered %v", retry.Attempts, results, rejoined, delivered)
 		}
 	}
 }

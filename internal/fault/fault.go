@@ -32,8 +32,8 @@ import (
 type Profile int
 
 const (
-	// ProfileNone injects nothing; the fabric's own loss/jitter model is
-	// the only perturbation.
+	// ProfileNone injects nothing; the fabric's own jitter is the only
+	// perturbation.
 	ProfileNone Profile = iota
 	// ProfileBurst drives a Gilbert–Elliott two-state loss chain over the
 	// whole fabric: long good stretches with near-zero loss, punctuated by

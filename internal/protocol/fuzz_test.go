@@ -2,11 +2,96 @@ package protocol_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
+	"time"
 
+	"selfemerge/internal/crypto/seal"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
+	"selfemerge/internal/sim"
+	"selfemerge/internal/transport"
 )
+
+// FuzzNodeDatagram writes arbitrary bytes to a holder from a stranger's
+// address: the input a real socket exposes to anyone. dht.handle decodes
+// it, and an APP payload goes through OnApp into Host.HandleApp under the
+// forged source. Whatever the bytes, nothing panics. The victim still answers
+// a peer's ping a simulated minute later. And the network drains: nothing the
+// datagram sets off runs later than a minute past the last instant it names
+// (a forged package may ask to be held until then).
+func FuzzNodeDatagram(f *testing.F) {
+	stranger := dht.Contact{ID: dht.IDFromKey([]byte("stranger")), Addr: "stranger"}
+	wire := func(m dht.Message) []byte {
+		m.From = stranger
+		data, err := m.AppendEncode(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	f.Add(wire(dht.Message{Kind: dht.KindPing, RPCID: 1}))
+	f.Add(wire(dht.Message{Kind: dht.KindFindNode, RPCID: 2, Target: dht.IDFromKey([]byte("target"))}))
+	f.Add(wire(dht.Message{Kind: dht.KindAppAck, RPCID: 3}))
+	hold := sim.NewSimulator().Now().Add(30 * time.Second).UnixNano() // inside the first simulated minute
+	var central []byte
+	for kind := protocol.PkCentral; kind <= protocol.PkSecret; kind++ {
+		data := bytes.Repeat([]byte{0x5e}, 48) // no key opens it
+		switch kind {
+		case protocol.PkKeyGrant:
+			data = make([]byte, seal.KeySize)
+		case protocol.PkColShare, protocol.PkSlotShare:
+			data = protocol.AppendEncodeShareBlob(nil, 1, []byte("share"))
+		}
+		pkt := Packet{Mission: MissionID{byte(kind)}, Kind: kind, Column: 1, Width: 2, HoldUntil: hold,
+			Step: int64(time.Minute), Target: dht.IDFromKey([]byte("receiver")), Data: data}
+		app := wire(dht.Message{Kind: dht.KindApp, App: pkt.AppendEncode(nil)})
+		if kind == protocol.PkCentral {
+			central = app
+		}
+		f.Add(app)
+	}
+	f.Add(central[:len(central)/2])                                                          // truncated
+	f.Add(append(bytes.Clone(central), make([]byte, transport.MaxDatagram-len(central))...)) // largest datagram
+	// Holds before the epoch and at the end of time.
+	for _, at := range []int64{math.MinInt64, math.MaxInt64} {
+		pkt := Packet{Kind: protocol.PkCentral, HoldUntil: at, Target: dht.IDFromKey([]byte("receiver")), Data: []byte("s")}
+		f.Add(wire(dht.Message{Kind: dht.KindApp, App: pkt.AppendEncode(nil)}))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb := newTestbed(t, 8, 0, false)
+		victim, peer := tb.nodes[3], tb.nodes[5]
+		start := tb.sim.Now().UnixNano()
+		horizon := start
+		if m, err := dht.DecodeMessage(data); err == nil && m.Kind == dht.KindApp {
+			if p, err := DecodePacket(m.App); err == nil {
+				horizon = max(horizon, p.HoldUntil)
+			}
+		}
+		if err := tb.net.Endpoint(stranger.Addr).Send(victim.Contact().Addr, data); err != nil {
+			return // larger than any datagram: no socket delivers it
+		}
+		tb.sim.RunFor(time.Minute)
+
+		pingErr, pinged := error(nil), false
+		peer.Ping(victim.Contact(), func(err error) { pingErr, pinged = err, true })
+		tb.sim.RunFor(time.Minute)
+		if !pinged || pingErr != nil {
+			t.Fatalf("the victim no longer answers a ping: ran=%v err=%v", pinged, pingErr)
+		}
+
+		const maxEvents = 100_000
+		for events := 0; tb.sim.Step(); events++ {
+			if events == maxEvents {
+				t.Fatalf("the network has not drained after %d events", events)
+			}
+		}
+		if now := tb.sim.Now().UnixNano(); now > start+int64(2*time.Minute) && now-horizon > int64(time.Minute) {
+			t.Fatalf("the network drained %v after the last instant the datagram names", time.Duration(now-horizon))
+		}
+	})
+}
 
 // FuzzDecodePacket asserts the wire codec's invariants on arbitrary input:
 // decoding never panics, anything that decodes re-encodes to a canonical form

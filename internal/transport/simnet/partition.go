@@ -64,7 +64,7 @@ type handoff struct {
 
 // NewPartition builds a fabric of len(clocks) shard sub-networks, shard i
 // delivering its local traffic on clocks[i]. Shard 0 keeps cfg.Seed for its
-// loss/jitter RNG — a one-shard partition is byte-identical to the plain
+// jitter RNG — a one-shard partition is byte-identical to the plain
 // Network — and higher shards draw decorrelated SplitMix64 substreams. The
 // base latency must be explicitly positive: it is the lookahead that makes
 // barrier-drained hand-offs conservative, so the plain fabric's

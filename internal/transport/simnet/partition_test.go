@@ -119,7 +119,7 @@ func TestPartitionLatencyLowerBound(t *testing.T) {
 
 // ringTrace runs a deterministic cascade workload — 12 endpoints round-robin
 // across 3 shards, each receipt forwarded around the ring with a TTL, under
-// jitter and loss — and returns the per-shard delivery logs plus the fabric
+// jitter and a loss injector per shard — and returns the per-shard delivery logs plus the fabric
 // stats. Each shard's log is appended only from that shard's event loop, so
 // the logs are well-defined under any worker count.
 func ringTrace(t *testing.T, workers int) ([][]string, [3]int) {
@@ -127,9 +127,11 @@ func ringTrace(t *testing.T, workers int) ([][]string, [3]int) {
 	sims, p, l := newTestPartition(t, 3, Config{
 		BaseLatency: time.Millisecond,
 		Jitter:      4 * time.Millisecond,
-		LossRate:    0.1,
 		Seed:        42,
 	})
+	for shard := range sims {
+		p.SetInjector(shard, newLoss(42+uint64(shard), 0.1))
+	}
 	l.Workers = workers
 
 	const n = 12
@@ -199,11 +201,13 @@ func TestPartitionDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPartitionSingleShardMatchesPlainNetwork checks a one-shard partition
-// reproduces the plain fabric byte for byte: same seed, same jitter and loss
-// draws, same delivery trace. This is the compatibility contract that lets
-// partition mode claim S=1 equivalence with historical runs.
+// reproduces the plain fabric byte for byte: same seed, same jitter draws,
+// same injector verdicts, same delivery trace. This is the compatibility
+// contract that lets partition mode claim S=1 equivalence with historical
+// runs.
 func TestPartitionSingleShardMatchesPlainNetwork(t *testing.T) {
-	cfg := Config{BaseLatency: time.Millisecond, Jitter: 3 * time.Millisecond, LossRate: 0.15, Seed: 7}
+	cfg := Config{BaseLatency: time.Millisecond, Jitter: 3 * time.Millisecond, Seed: 7}
+	const lossSeed, lossRate = 7, 0.15
 
 	run := func(build func(s *sim.Simulator) (func(i int, a transport.Addr) transport.Endpoint, func(d time.Duration))) []string {
 		s := sim.NewSimulator()
@@ -236,7 +240,9 @@ func TestPartitionSingleShardMatchesPlainNetwork(t *testing.T) {
 	}
 
 	plain := run(func(s *sim.Simulator) (func(int, transport.Addr) transport.Endpoint, func(time.Duration)) {
-		net := New(s, cfg)
+		lossy := cfg
+		lossy.Inject = newLoss(lossSeed, lossRate)
+		net := New(s, lossy)
 		return func(_ int, a transport.Addr) transport.Endpoint { return net.Endpoint(a) }, s.RunFor
 	})
 	part := run(func(s *sim.Simulator) (func(int, transport.Addr) transport.Endpoint, func(time.Duration)) {
@@ -244,6 +250,7 @@ func TestPartitionSingleShardMatchesPlainNetwork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		p.SetInjector(0, newLoss(lossSeed, lossRate))
 		l := &sim.Lockstep{Sims: []*sim.Simulator{s}, Lookahead: p.Lookahead(), Exchange: p.Flush}
 		return func(i int, a transport.Addr) transport.Endpoint { return p.Endpoint(0, a) }, l.RunFor
 	})

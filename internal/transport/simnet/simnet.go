@@ -1,7 +1,8 @@
 // Package simnet is an in-memory transport for large in-process DHT
 // networks, the role Overlay Weaver's emulation mode played in the paper's
 // evaluation. Delivery runs through the discrete-event simulator with
-// configurable base latency, jitter and loss; endpoints can be marked down
+// configurable base latency and jitter, and an Injector that rules on loss,
+// delay and duplication; endpoints can be marked down
 // (a crash-restart window) or closed (node death).
 package simnet
 
@@ -21,15 +22,12 @@ type Config struct {
 	BaseLatency time.Duration
 	// Jitter is the maximum extra uniform delay added per message.
 	Jitter time.Duration
-	// LossRate is the probability a message is silently dropped in flight.
-	LossRate float64
-	// Seed seeds the network's private RNG (jitter and loss decisions).
+	// Seed seeds the network's private RNG (jitter decisions).
 	Seed uint64
-	// Inject, when non-nil, rules on every datagram that survives the
-	// uniform loss/jitter model: correlated drops, extra delay, duplication
-	// (see internal/fault). Judge runs on the sending network's loop, right
-	// after the loss/jitter draws, so a deterministic injector keeps the
-	// fabric byte-deterministic. A Partition copies it to every shard
+	// Inject, when non-nil, rules on every datagram in flight: drops, extra
+	// delay, duplication (see internal/fault). Judge runs on the sending
+	// network's loop, right after the jitter draw, so a deterministic
+	// injector keeps the fabric byte-deterministic. A Partition copies it to every shard
 	// sub-network, whose loops judge concurrently — share only a stateless
 	// injector that way, and give stateful ones one instance per shard
 	// (Partition.SetInjector).
@@ -47,7 +45,7 @@ type Verdict struct {
 	DupExtra time.Duration
 }
 
-// Injector perturbs deliveries beyond the uniform loss/jitter model. Judge
+// Injector perturbs deliveries beyond the uniform jitter model. Judge
 // receives the fabric clock's current time and the endpoints of the
 // datagram; implementations may keep internal state (one network's calls
 // all come from its loop).
@@ -84,7 +82,7 @@ type Network struct {
 	// for the roughly symmetric traffic of a DHT.
 	deliveries freelist.List[delivery]
 
-	rng *stats.RNG // loss and jitter draws, in send order
+	rng *stats.RNG // jitter draws, in send order
 
 	sent      int
 	delivered int
@@ -156,8 +154,8 @@ func (n *Network) Stats() (sent, delivered, dropped int) {
 
 // send is the one send path. A datagram's fate is settled here, at send
 // time, inside the sending network's deterministic execution: the sender's
-// transient down state, then loss, jitter and the injector's verdict drawn
-// from this network's streams. Only where it goes next depends on the
+// transient down state, then jitter and the injector's verdict drawn from
+// this network's streams. Only where it goes next depends on the
 // destination's owner — this network's own event loop, or (when another
 // shard of the partition owns it) that shard's hand-off outbox. Receiver-side
 // state is checked at delivery, where the receiver lives.
@@ -203,15 +201,12 @@ func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 	}
 }
 
-// judge draws one datagram's in-flight fate — loss, then jitter, then the
-// injector's verdict, in that fixed order — and returns
-// its delivery delay, the lag of an injector-made duplicate (0: none), and
-// whether it survives at all. The delay is never below BaseLatency, which is
-// what lets a Partition use the base latency as its lockstep lookahead.
+// judge draws one datagram's in-flight fate — jitter, then the injector's
+// verdict, in that fixed order — and returns its delivery delay, the lag of
+// an injector-made duplicate (0: none), and whether it survives at all. The
+// delay is never below BaseLatency, which is what lets a Partition use the
+// base latency as its lockstep lookahead.
 func (n *Network) judge(from, to transport.Addr) (delay, dup time.Duration, ok bool) {
-	if n.cfg.LossRate > 0 && n.rng.Bool(n.cfg.LossRate) {
-		return 0, 0, false
-	}
 	delay = n.cfg.BaseLatency
 	if n.cfg.Jitter > 0 {
 		delay += time.Duration(n.rng.Uint64n(uint64(n.cfg.Jitter)))

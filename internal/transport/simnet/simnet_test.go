@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"selfemerge/internal/sim"
+	"selfemerge/internal/stats"
 	"selfemerge/internal/transport"
 )
 
@@ -51,9 +52,25 @@ func TestPayloadIsCopied(t *testing.T) {
 	}
 }
 
+// lossInjector drops each datagram it judges with probability rate, drawn
+// from its own seeded stream: uniform loss through the Injector hook. It is
+// stateful, so a partition needs one per shard (Partition.SetInjector).
+type lossInjector struct {
+	rng  *stats.RNG
+	rate float64
+}
+
+func newLoss(seed uint64, rate float64) *lossInjector {
+	return &lossInjector{rng: stats.NewRNG(seed), rate: rate}
+}
+
+func (l *lossInjector) Judge(time.Time, transport.Addr, transport.Addr) Verdict {
+	return Verdict{Drop: l.rng.Bool(l.rate)}
+}
+
 func TestLoss(t *testing.T) {
 	s := sim.NewSimulator()
-	net := New(s, Config{LossRate: 1.0})
+	net := New(s, Config{Inject: newLoss(1, 1)})
 	a := net.Endpoint("a")
 	b := net.Endpoint("b")
 	b.SetHandler(func(transport.Addr, []byte) { t.Error("lossy network delivered") })

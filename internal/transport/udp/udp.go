@@ -1,7 +1,8 @@
-// Package udp is the real-socket deployment (cmd/dhtnode): the transport
-// interface over UDP sockets — framing is native, one datagram per message —
-// and the Loop that runs a node's simulator on wall time. It is where
-// goroutines and the wall clock enter; everything above it runs on the loop.
+// Package udp is the real-socket deployment (cmd/dhtnode, a DHT node with
+// the timed-release protocol host on it): the transport interface over UDP
+// sockets — framing is native, one datagram per message — and the Loop that
+// runs a node's simulator on wall time. It is where goroutines and the wall
+// clock enter; everything above it, the node and its host, runs on the loop.
 package udp
 
 import (
