@@ -174,7 +174,7 @@ type lookupError string
 func (e lookupError) Error() string { return string(e) }
 
 // lookupState drives one iterative lookup. States recycle through the node's
-// Scratch: the sets and slices survive between lookups (cleared, capacity
+// Scratch: the set and slices survive between lookups (cleared, capacity
 // kept), so a steady mission workload runs its lookups allocation-free.
 type lookupState struct {
 	node      *Node
@@ -182,30 +182,28 @@ type lookupState struct {
 	finishCb  func(any, []Contact)
 	finishArg any
 
+	// shortlist is every contact the lookup still counts, one flat entry
+	// each: the window — the min(settled, K) nearest, in ascending distance
+	// order — then the reserve, every farther entry in no order. Entries
+	// from settled on were appended by the last response and are placed by
+	// sortShortlist.
 	shortlist []ranked
-	// sorted is the length of the shortlist prefix known to be in ascending
-	// distance order: appends land past it, removals keep it, and
-	// sortShortlist only has to insert the tail.
-	sorted  int
-	result  []Contact
-	seen    distSet
-	queried distSet
-	// requeried marks contacts already given their one re-query; nil until
-	// the retry arm first writes it.
-	requeried map[ID]bool
-	inflight  int
+	settled   int
+	result    []Contact
+	// seen is every distance the lookup ever listed: it also remembers self
+	// and the contacts failover removed, so neither comes back.
+	seen     distSet
+	inflight int
 }
 
 // release returns a drained state (finished, no queries in flight) to its
-// node's scratch. The sets and slices keep their capacity for the next
+// node's scratch. The set and slices keep their capacity for the next
 // lookup on the same loop, across garbage collections.
 func (ls *lookupState) release() {
 	s := ls.node.cfg.Scratch
 	ls.seen.reset()
-	ls.queried.reset()
-	clear(ls.requeried)
 	ls.shortlist = ls.shortlist[:0]
-	ls.sorted = 0
+	ls.settled = 0
 	ls.result = ls.result[:0]
 	ls.node = nil
 	ls.finishCb = nil
@@ -219,7 +217,7 @@ func (ls *lookupState) release() {
 // uniform, d0 doubles as a ready-made hash: each operation is a mask and a
 // short probe, with none of the key hashing a map pays (as a map: +26%
 // cpu_ms_per_mission on steady-120 and boot-2k; DESIGN.md, "What earns a
-// bespoke structure"). Deletion backward-shifts the cluster: no tombstones.
+// bespoke structure"). Nothing is ever deleted: a lookup only adds.
 type distSet struct {
 	slots []distSlot // power-of-two length
 	used  int
@@ -277,37 +275,6 @@ func (s *distSet) add(d0, d1 uint64, d2 uint32) bool {
 	}
 }
 
-// del removes the distance if present, closing the hole by backward-shifting
-// any cluster successor that can still be found from its home slot.
-func (s *distSet) del(d0, d1 uint64, d2 uint32) {
-	if s.used == 0 {
-		return
-	}
-	mask := len(s.slots) - 1
-	i := int(d0) & mask
-	for {
-		sl := &s.slots[i]
-		if !sl.full {
-			return
-		}
-		if sl.d0 == d0 && sl.d1 == d1 && sl.d2 == d2 {
-			break
-		}
-		i = (i + 1) & mask
-	}
-	s.used--
-	for j := (i + 1) & mask; s.slots[j].full; j = (j + 1) & mask {
-		// Shift slot j into the hole unless its home lies in (i, j] —
-		// moving it there would strand it before its home.
-		home := int(s.slots[j].d0) & mask
-		if (j-home)&mask >= (j-i)&mask {
-			s.slots[i] = s.slots[j]
-			i = j
-		}
-	}
-	s.slots[i] = distSlot{}
-}
-
 func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
 	ls := n.cfg.Scratch.lookups.Get()
 	ls.node = n
@@ -316,11 +283,10 @@ func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
 	ls.finishArg = arg
 	self := rankContact(target, Contact{ID: n.cfg.ID})
 	ls.seen.add(self.d0, self.d1, self.d2)
-	ls.queried.add(self.d0, self.d1, self.d2)
-	// The bootstrap selection arrives nearest-first: the whole list starts
-	// sorted.
+	// The bootstrap selection arrives nearest-first and at most K long: it
+	// starts out as the settled window.
 	ls.shortlist = n.table.appendClosestRanked(ls.shortlist, target, bucketK)
-	ls.sorted = len(ls.shortlist)
+	ls.settled = len(ls.shortlist)
 	for i := range ls.shortlist {
 		r := &ls.shortlist[i]
 		ls.seen.add(r.d0, r.d1, r.d2)
@@ -338,13 +304,14 @@ func (ls *lookupState) step() {
 	window := ls.shortlist[:min(len(ls.shortlist), bucketK)]
 	for i := 0; i < len(window) && ls.inflight < alpha; i++ {
 		r := &window[i]
-		if !ls.queried.add(r.d0, r.d1, r.d2) {
-			continue // already queried
+		if r.queried {
+			continue
 		}
+		r.queried = true
 		ls.inflight++
 		q := ls.node.cfg.Scratch.queries.Get()
-		q.ls, q.contact = ls, r.c
-		ls.node.requestArg(r.c, Message{Kind: KindFindNode, Target: ls.target}, lookupQueryDone, q)
+		q.ls, q.contact = ls, r.contact(&ls.target)
+		ls.node.requestArg(q.contact, Message{Kind: KindFindNode, Target: ls.target}, lookupQueryDone, q)
 	}
 	if ls.inflight == 0 {
 		// Nothing left to ask and nothing outstanding.
@@ -374,43 +341,38 @@ func lookupQueryDone(v any, resp *Message, err error) {
 func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	ls.inflight--
 	if err != nil {
-		if ls.node.cfg.Retry.enabled() && !ls.requeried[from.ID] {
-			// Re-query before giving up the slot: a retry-hardened lookup
-			// gives a timed-out contact one more full RPC (with its own
-			// retries) before excluding it from the owner set — correlated
-			// faults make a single timeout weak evidence of death. Clearing
-			// the queried mark puts the contact back in step's candidate
-			// window; the requeried mark makes the second failure final.
-			if ls.requeried == nil {
-				ls.requeried = make(map[ID]bool, 4)
+		// Find the queried entry by its lanes (likely in the window, scanned first).
+		d := rankContact(ls.target, from)
+		for i := range ls.shortlist {
+			r := &ls.shortlist[i]
+			if r.d0 != d.d0 || r.d1 != d.d1 || r.d2 != d.d2 {
+				continue
 			}
-			ls.requeried[from.ID] = true
-			r := rankContact(ls.target, from)
-			ls.queried.del(r.d0, r.d1, r.d2)
-		} else {
-			// Failover: an unresponsive contact (dead, churned out, or down)
-			// is dropped from the shortlist so the final owner set never
-			// includes it — the lookup routes around the failure to the
-			// next-closest live node. The routing table penalty happens in
-			// request's timeout path.
-			for i := range ls.shortlist {
-				if ls.shortlist[i].c.ID == from.ID {
-					ls.shortlist = append(ls.shortlist[:i], ls.shortlist[i+1:]...)
-					if i < ls.sorted {
-						// Removing from a sorted prefix keeps it sorted.
-						ls.sorted--
-					}
-					break
-				}
+			if ls.node.cfg.Retry.enabled() && !r.requeried {
+				// Re-query before giving up the slot: a retry-hardened lookup
+				// gives a timed-out contact one more full RPC (with its own
+				// retries) before excluding it from the owner set — correlated
+				// faults make a single timeout weak evidence of death. Clearing
+				// the queried mark puts the contact back in step's candidate
+				// window; the requeried mark makes the second failure final.
+				r.queried, r.requeried = false, true
+			} else {
+				// Failover: an unresponsive contact (dead, churned out, or
+				// down) is dropped from the shortlist so the final owner set
+				// never includes it — the lookup routes around the failure to
+				// the next-closest live node. The routing table penalty happens
+				// in request's timeout path.
+				ls.remove(i)
 			}
+			break
 		}
 	}
 	if err == nil {
 		// The contacts are still on the wire, and most of them this lookup
 		// has already seen: rank and probe each record where it lies, and pay
-		// for a Contact — ID copy, interned address, shortlist entry — only
-		// when it is new. So the bounded interner admits just the addresses of
-		// contacts some lookup kept, not whatever a response chose to list.
+		// for an entry — interned address, distance lanes — only when it is
+		// new. So the bounded interner admits just the addresses of contacts
+		// some lookup kept, not whatever a response chose to list.
 		t0, t1, t2 := lanes(ls.target[:])
 		scratch := ls.node.cfg.Scratch
 		for region := resp.contacts.region; len(region) > 0; {
@@ -419,8 +381,7 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 			d0, d1, d2 := lanes(id)
 			d0, d1, d2 = d0^t0, d1^t1, d2^t2
 			if ls.seen.add(d0, d1, d2) {
-				c := Contact{ID: ID(id), Addr: scratch.intern(addr)}
-				ls.shortlist = append(ls.shortlist, ranked{d0: d0, d1: d1, d2: d2, c: c})
+				ls.shortlist = append(ls.shortlist, ranked{d0: d0, d1: d1, d2: d2, addr: scratch.intern(addr)})
 			}
 		}
 	}
@@ -431,39 +392,54 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 // — valid until the state is released, i.e. for the duration of the finish
 // callback.
 func (ls *lookupState) closestK() []Contact {
-	// Truncate before copying: the shortlist holds every contact ever seen,
+	// The window is the result: the shortlist holds every contact ever seen,
 	// and copying hundreds of entries to keep K showed up in the 100k-node
 	// profiles.
 	sl := ls.shortlist[:min(len(ls.shortlist), bucketK)]
 	out := ls.result[:0]
 	for i := range sl {
-		out = append(out, sl[i].c)
+		out = append(out, sl[i].contact(&ls.target))
 	}
 	ls.result = out
 	return out
 }
 
+// sortShortlist places the entries appended since it last ran. Into a window
+// short of K (the reserve is then empty) an entry is inserted at its rank;
+// into a full one only if it beats the K-th, which it evicts to the reserve
+// in its stead. Otherwise the entry stays where it landed, in the reserve.
+// Entries carry their packed distance lanes, so each comparison is at most
+// three integer compares, and the reserve — most of a long lookup's
+// shortlist — is never ordered. Distances are unique in the shortlist
+// (distinct IDs), so the window is exactly a full sort's first K.
 func (ls *lookupState) sortShortlist() {
-	// Only the tail appended since the last sort is out of place (removals
-	// keep the sorted prefix sorted), so insertion starts there: each new
-	// entry walks to its slot and the — much longer — settled prefix is
-	// never rescanned. Entries carry their packed distance lanes, so each
-	// comparison is at most three integer compares instead of re-decoding
-	// IDs. Distances are unique in the shortlist (distinct IDs), so the
-	// result matches a full stable sort exactly.
 	sl := ls.shortlist
-	start := ls.sorted
-	if start < 1 {
-		start = 1
-	}
-	for i := start; i < len(sl); i++ {
-		c := sl[i]
-		j := i - 1
-		for j >= 0 && sl[j].farther(c) {
-			sl[j+1] = sl[j]
+	for i := ls.settled; i < len(sl); i++ {
+		e, j := sl[i], i
+		if i >= bucketK {
+			if !sl[bucketK-1].farther(e) {
+				continue
+			}
+			sl[i], j = sl[bucketK-1], bucketK-1
+		}
+		for j > 0 && sl[j-1].farther(e) {
+			sl[j] = sl[j-1]
 			j--
 		}
-		sl[j+1] = c
+		sl[j] = e
 	}
-	ls.sorted = len(sl)
+	ls.settled = len(sl)
+}
+
+// remove drops entry i: the last entry takes its place, the slot it vacates
+// is zeroed so that it pins no address, and everything from i on is left for
+// the next sortShortlist to place again. For a window entry that pass is the
+// promotion of the reserve's nearest: one compare per reserve entry, on the
+// failure path only.
+func (ls *lookupState) remove(i int) {
+	last := len(ls.shortlist) - 1
+	ls.shortlist[i] = ls.shortlist[last]
+	ls.shortlist[last] = ranked{}
+	ls.shortlist = ls.shortlist[:last]
+	ls.settled = min(ls.settled, i)
 }

@@ -99,7 +99,7 @@ func TestLookupResponseOffWire(t *testing.T) {
 		rig.feed(rig.response(t, []Contact{c[0], rig.node.Contact(), c[0], c[1], c[0]}))
 		got := make([]Contact, 0, 2)
 		for _, r := range rig.ls.shortlist {
-			got = append(got, r.c)
+			got = append(got, r.contact(&rig.ls.target))
 		}
 		slices.SortFunc(got, func(a, b Contact) int { return slices.Compare(a.ID[:], b.ID[:]) })
 		slices.SortFunc(c, func(a, b Contact) int { return slices.Compare(a.ID[:], b.ID[:]) })
@@ -124,8 +124,8 @@ func TestLookupResponseOffWire(t *testing.T) {
 			t.Errorf("interner grew to %d on forged addresses of contacts the lookup already had", len(addrs))
 		}
 		for _, r := range rig.ls.shortlist {
-			if !strings.HasPrefix(string(r.c.Addr), "peer-") {
-				t.Errorf("contact %s re-pointed to %q", r.c.ID, r.c.Addr)
+			if !strings.HasPrefix(string(r.addr), "peer-") {
+				t.Errorf("contact %s re-pointed to %q", r.contact(&rig.ls.target).ID, r.addr)
 			}
 		}
 	})
@@ -136,7 +136,7 @@ func TestLookupResponseOffWire(t *testing.T) {
 		// Responses draw from a small population, so most records repeat
 		// across (and some within) responses; self is in the draw.
 		population := append(randomContacts(rng, 150, "peer"), rig.node.Contact())
-		var oracle []ranked
+		var oracle []Contact
 		known := map[ID]bool{rig.node.ID(): true}
 		for round := 0; round < 60; round++ {
 			contacts := make([]Contact, rng.Intn(maxContacts+1))
@@ -152,33 +152,134 @@ func TestLookupResponseOffWire(t *testing.T) {
 			for _, c := range msg.Contacts {
 				if !known[c.ID] {
 					known[c.ID] = true
-					oracle = append(oracle, rankContact(rig.ls.target, c))
+					oracle = append(oracle, c)
 				}
 			}
-			slices.SortStableFunc(oracle, func(a, b ranked) int {
-				if a.farther(b) {
-					return 1
-				}
-				return -1
-			})
-			if !slices.Equal(rig.ls.shortlist, oracle) {
-				t.Fatalf("round %d: shortlist diverged from the oracle\n got %v\nwant %v", round, rig.ls.shortlist, oracle)
-			}
+			sortByDistance(rig.ls.target, oracle)
+			checkShortlist(t, rig.ls, oracle)
 		}
-		want := make([]Contact, 0, bucketK)
-		for _, r := range oracle[:bucketK] {
-			want = append(want, r.c)
-		}
-		if got := rig.ls.closestK(); !slices.Equal(got, want) {
-			t.Errorf("result = %v, want %v", got, want)
+		if len(oracle) <= bucketK {
+			t.Fatalf("the draw listed %d contacts: no reserve was exercised", len(oracle))
 		}
 	})
 }
 
-// BenchmarkLookupResponse times the receive path of one K-contact FIND_NODE
-// response — decode plus the lookup's rank-and-dedupe — at its two extremes:
-// every contact already seen (the common case late in a lookup, and the one
-// CI gates at 0 allocs/op) and every contact new.
+// sortByDistance orders contacts nearest target first.
+func sortByDistance(target ID, cs []Contact) {
+	slices.SortFunc(cs, func(a, b Contact) int {
+		switch {
+		case target.CloserTo(a.ID, b.ID):
+			return -1
+		case target.CloserTo(b.ID, a.ID):
+			return 1
+		}
+		return 0
+	})
+}
+
+// checkShortlist holds a settled shortlist to the lookup contract, given
+// every contact it should list nearest first: the window is the oracle's
+// first K in order, the reserve is the rest as a set, and the result is the
+// oracle's first K. The entries' query marks are not compared.
+func checkShortlist(t *testing.T, ls *lookupState, oracle []Contact) {
+	t.Helper()
+	want := make([]ranked, len(oracle))
+	for i, c := range oracle {
+		want[i] = rankContact(ls.target, c)
+	}
+	if len(ls.shortlist) != len(want) || ls.settled != len(want) {
+		t.Fatalf("shortlist holds %d entries (%d settled), want %d", len(ls.shortlist), ls.settled, len(want))
+	}
+	got := slices.Clone(ls.shortlist)
+	for i := range got {
+		got[i].queried, got[i].requeried = false, false
+	}
+	k := min(len(want), bucketK)
+	if !slices.Equal(got[:k], want[:k]) {
+		t.Fatalf("window diverged from the oracle\n got %v\nwant %v", got[:k], want[:k])
+	}
+	reserve := got[k:]
+	slices.SortFunc(reserve, func(a, b ranked) int {
+		if a.farther(b) {
+			return 1
+		}
+		return -1
+	})
+	if !slices.Equal(reserve, want[k:]) {
+		t.Fatalf("reserve diverged from the oracle\n got %v\nwant %v", reserve, want[k:])
+	}
+	if got := ls.closestK(); !slices.Equal(got, oracle[:k]) {
+		t.Fatalf("result = %v, want %v", got, oracle[:k])
+	}
+}
+
+// TestLookupFailoverPromotesReserve: with more than K contacts known, a
+// window member whose query fails leaves the shortlist, the reserve's
+// nearest takes the window's last place, the vacated slot pins nothing, and
+// the result is the oracle's minus that contact. Under a retry policy the
+// first failure only hands the contact back to step's candidates — with a
+// flag, allocation-free — and the second removes it.
+func TestLookupFailoverPromotesReserve(t *testing.T) {
+	for _, retry := range []bool{false, true} {
+		t.Run(fmt.Sprintf("retry=%v", retry), func(t *testing.T) {
+			rng := stats.NewRNG(11)
+			rig := newResponseRig(t, rng)
+			if retry {
+				rig.node.cfg.Retry = RetryPolicy{Attempts: 2}
+			}
+			oracle := randomContacts(rng, 3*bucketK, "peer")
+			rig.feed(rig.response(t, oracle))
+			ls := rig.ls
+			sortByDistance(ls.target, oracle)
+			victim := oracle[bucketK/2]
+			entry := func() *ranked {
+				for i := range ls.shortlist[:bucketK] {
+					if ls.shortlist[i].contact(&ls.target) == victim {
+						return &ls.shortlist[i]
+					}
+				}
+				return nil
+			}
+			fail := func() {
+				entry().queried = true // as step marks it
+				ls.inflight++
+				ls.onResponse(victim, nil, ErrTimeout)
+			}
+			if retry {
+				fail()
+				if r := entry(); r == nil || r.queried || !r.requeried {
+					t.Fatalf("after one failure under retry: entry %+v, want listed, unqueried, requeried", r)
+				}
+				checkShortlist(t, ls, oracle)
+				if !raceEnabled {
+					allocs := testing.AllocsPerRun(100, func() {
+						entry().requeried = false
+						fail()
+					})
+					if allocs != 0 {
+						t.Errorf("a re-query grant allocates %v times, want 0", allocs)
+					}
+				}
+			}
+			fail()
+			if entry() != nil {
+				t.Fatal("the failed contact is still in the window")
+			}
+			oracle = slices.Delete(oracle, bucketK/2, bucketK/2+1)
+			checkShortlist(t, ls, oracle)
+			if vacated := ls.shortlist[:len(ls.shortlist)+1][len(ls.shortlist)]; vacated != (ranked{}) {
+				t.Errorf("vacated slot still holds %+v", vacated)
+			}
+		})
+	}
+}
+
+// BenchmarkLookupResponse times the receive path of one FIND_NODE response —
+// decode plus the lookup's rank-and-dedupe — at its two extremes: every
+// contact already seen (the common case late in a lookup, and the one CI
+// gates at 0 allocs/op) and every contact new. novel lists K contacts, which
+// fill the window; reserve lists the wire limit, so all but K of them go
+// through the reserve's compare-and-evict.
 func BenchmarkLookupResponse(b *testing.B) {
 	rig := newResponseRig(b, stats.NewRNG(1))
 	wire := rig.response(b, randomContacts(stats.NewRNG(2), 20, "node"))
@@ -189,13 +290,18 @@ func BenchmarkLookupResponse(b *testing.B) {
 			rig.feed(wire)
 		}
 	})
-	b.Run("novel", func(b *testing.B) {
-		b.ReportAllocs()
-		ls := rig.ls
-		for i := 0; i < b.N; i++ {
-			ls.seen.reset()
-			ls.shortlist, ls.sorted = ls.shortlist[:0], 0
-			rig.feed(wire)
-		}
-	})
+	for _, c := range []struct {
+		name string
+		wire []byte
+	}{{"novel", wire}, {"reserve", rig.response(b, randomContacts(stats.NewRNG(3), maxContacts, "node"))}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			ls := rig.ls
+			for i := 0; i < b.N; i++ {
+				ls.seen.reset()
+				ls.shortlist, ls.settled = ls.shortlist[:0], 0
+				rig.feed(c.wire)
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"selfemerge/internal/transport"
 )
@@ -112,10 +113,18 @@ func appendClosestReply(buf []byte, rpcID uint64, from *Contact, t *Table, targe
 }
 
 // appendContact appends one contact record — ID ‖ uint16 address length ‖
-// address bytes — the one writer of the layout nextContact reads.
+// address bytes — the one writer of the layout nextContact reads. The record
+// is reserved whole, one capacity check, and the ID is stored as an array.
 func appendContact(buf []byte, c *Contact) []byte {
-	buf = append(buf, c.ID[:]...)
-	return appendBytes(buf, []byte(c.Addr))
+	at, end := len(buf), len(buf)+IDBytes+2+len(c.Addr)
+	if end > cap(buf) {
+		buf = slices.Grow(buf, end-at)
+	}
+	rec := buf[at:end]
+	*(*ID)(rec) = c.ID
+	binary.BigEndian.PutUint16(rec[IDBytes:], uint16(len(c.Addr)))
+	copy(rec[IDBytes+2:], c.Addr)
+	return buf[:end]
 }
 
 // DecodeMessage parses a wire datagram. The App and contact address fields

@@ -374,14 +374,27 @@ func (t *Table) Remove(id ID) {
 	}
 }
 
-// ranked is a contact plus its XOR distance from a target, packed into
-// big-endian uint64/uint32 lanes so that ordering two of them is at most
-// three integer compares instead of a 20-byte memcompare over materialized
-// distance arrays.
+// ranked is a lookup shortlist entry, 40 bytes: a contact's XOR distance from
+// the lookup target, packed into big-endian lanes so that ordering two of them
+// is at most three integer compares, its address, and the lookup's two marks.
+// The ID is not stored: it is the lanes XOR the target's, rebuilt (contact)
+// only where a contact leaves the lookup.
 type ranked struct {
-	d0, d1 uint64
-	d2     uint32
-	c      Contact
+	d0, d1    uint64
+	d2        uint32
+	queried   bool // a query to it was issued (and not given back by a retry)
+	requeried bool // its one retry-policy re-query was granted
+	addr      transport.Addr
+}
+
+// contact rebuilds the entry's Contact from the target it was ranked against.
+func (r *ranked) contact(target *ID) Contact {
+	t0, t1, t2 := lanes(target[:])
+	c := Contact{Addr: r.addr}
+	binary.BigEndian.PutUint64(c.ID[0:8], r.d0^t0)
+	binary.BigEndian.PutUint64(c.ID[8:16], r.d1^t1)
+	binary.BigEndian.PutUint32(c.ID[16:20], r.d2^t2)
+	return c
 }
 
 // farther orders candidates by distance, larger first.
@@ -411,7 +424,7 @@ func lanes(id []byte) (l0, l1 uint64, l2 uint32) {
 func rankContact(target ID, c Contact) ranked {
 	t0, t1, t2 := lanes(target[:])
 	l0, l1, l2 := lanes(c.ID[:])
-	return ranked{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2, c: c}
+	return ranked{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2, addr: c.Addr}
 }
 
 // Closest returns up to count contacts closest to target under XOR
@@ -430,8 +443,8 @@ func (t *Table) AppendClosest(dst []Contact, target ID, count int) []Contact {
 }
 
 // appendClosestRanked is AppendClosest for the lookup shortlist bootstrap:
-// the same contacts in the same order, as ranked entries that keep the
-// distance lanes the selection computed.
+// the same contacts in the same order, as unmarked ranked entries that keep
+// the distance lanes the selection computed.
 func (t *Table) appendClosestRanked(dst []ranked, target ID, count int) []ranked {
 	out := closestOut{form: asRanked, ranked: dst}
 	t.selectClosest(&out, target, count)
@@ -559,7 +572,7 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 				case asContacts:
 					out.contacts = append(out.contacts, e.Contact)
 				case asRanked:
-					out.ranked = append(out.ranked, ranked{d0: key.d0, d1: key.d1, d2: key.d2, c: e.Contact})
+					out.ranked = append(out.ranked, ranked{d0: key.d0, d1: key.d1, d2: key.d2, addr: e.Addr})
 				default:
 					out.wire = appendContact(out.wire, &e.Contact)
 				}

@@ -53,8 +53,8 @@ type outbox struct {
 }
 
 // handoff is one cross-shard datagram: the pooled delivery record (payload
-// copy included, net already pointing at the destination sub-network) plus
-// the merge coordinates.
+// copy included, net already pointing at the destination sub-network, slot
+// found there by Flush) plus the merge coordinates.
 type handoff struct {
 	at  int64 // absolute delivery time, Unix nanoseconds
 	src int
@@ -268,6 +268,7 @@ func (p *Partition) Flush() {
 		if h.at < now {
 			panic(fmt.Sprintf("simnet: cross-shard record for shard %d timestamped %dns before its clock; lookahead/epoch-bound violation", dst.shard, now-h.at))
 		}
+		h.d.slot = dst.slotFor(h.d.to) // the record's one lookup on this side
 		dst.clock.ScheduleArg(time.Duration(h.at-now), deliver, h.d)
 	}
 	for i := range p.outboxes {

@@ -274,7 +274,10 @@ func TestPartitionSingleShardMatchesPlainNetwork(t *testing.T) {
 // down state is judged at send time only — a down sender drops at send, a
 // datagram already on the wire survives its sender flapping down — while the
 // receiver's state is judged at delivery: a down or closed destination drops
-// there, and a re-attached destination (churn replacement) receives again.
+// there, and a re-attached destination (churn replacement) receives again,
+// also what was sent to its predecessor and still on the wire. On three
+// shards every one of these datagrams is a hand-off whose destination Flush
+// resolves.
 func TestPartitionDownAndClose(t *testing.T) {
 	type fabric struct {
 		endpoint func(shard int, addr transport.Addr) transport.Endpoint
@@ -341,11 +344,25 @@ func TestPartitionDownAndClose(t *testing.T) {
 		send(5)
 		f.runFor(50 * time.Millisecond)
 
-		if string(got) != "\x02\x05" {
-			t.Errorf("%s: delivered %v, want [2 5]", c.name, got)
+		send(6) // on the wire across a churn replacement: the replacement gets it
+		if err := b2.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if sent, delivered, dropped := f.stats(); sent != 5 || delivered != 2 || dropped != 3 {
-			t.Errorf("%s: stats sent=%d delivered=%d dropped=%d, want 5/2/3", c.name, sent, delivered, dropped)
+		b3 := f.endpoint(1, "b")
+		b3.SetHandler(recv)
+		f.runFor(50 * time.Millisecond)
+
+		send(7) // on the wire when its destination closes for good: dropped
+		if err := b3.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f.runFor(50 * time.Millisecond)
+
+		if string(got) != "\x02\x05\x06" {
+			t.Errorf("%s: delivered %v, want [2 5 6]", c.name, got)
+		}
+		if sent, delivered, dropped := f.stats(); sent != 7 || delivered != 3 || dropped != 4 {
+			t.Errorf("%s: stats sent=%d delivered=%d dropped=%d, want 7/3/4", c.name, sent, delivered, dropped)
 		}
 	}
 }

@@ -101,16 +101,19 @@ func New(clock sim.Clock, cfg Config) *Network {
 	}
 }
 
-// maxFreeDeliveries bounds the payload-buffer memory a persistently
-// asymmetric cross-shard flow could strand on the receiving side.
-const maxFreeDeliveries = 1 << 12
+// maxFreeDeliveries bounds the records the fabric keeps once the boot burst
+// drains: boot has every self-lookup in flight at once, each record's buffer
+// grown to FIND_NODE-reply size, and no workload's drive keeps 256 in flight,
+// so the surplus is garbage instead of pinned for the run.
+const maxFreeDeliveries = 256
 
 // nodeSlot is the fabric's per-address state: the attached endpoint, the
 // transient-down flag, and (in partition mode) the lazily cached owning shard
-// — everything the send and delivery paths consult per datagram, behind one
-// map lookup. Slots are never removed — detaching clears the endpoint but
-// keeps the record, and the address population of a run is bounded by its
-// node count.
+// — everything the send and delivery paths consult per datagram. Slots are
+// never removed (a run's addresses are bounded by its node count) and a
+// replacement re-attaches to its predecessor's, so a pointer stands for the
+// address: an endpoint holds its own slot, a delivery its destination's, and
+// a datagram costs one map lookup.
 type nodeSlot struct {
 	ep   *endpoint
 	down bool
@@ -133,8 +136,8 @@ func (n *Network) slotFor(addr transport.Addr) *nodeSlot {
 
 // Endpoint attaches (or replaces) an endpoint with the given address.
 func (n *Network) Endpoint(addr transport.Addr) transport.Endpoint {
-	ep := &endpoint{net: n, addr: addr}
 	sl := n.slotFor(addr)
+	ep := &endpoint{net: n, addr: addr, slot: sl}
 	sl.ep = ep
 	sl.down = false
 	return ep
@@ -159,7 +162,7 @@ func (n *Network) Stats() (sent, delivered, dropped int) {
 // destination's owner — this network's own event loop, or (when another
 // shard of the partition owns it) that shard's hand-off outbox. Receiver-side
 // state is checked at delivery, where the receiver lives.
-func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
+func (n *Network) send(src *endpoint, to transport.Addr, payload []byte) {
 	tsl := n.slotFor(to)
 	dst := n
 	if n.part != nil {
@@ -178,8 +181,7 @@ func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 		}
 	}
 	n.sent++
-	fsl := n.nodes[from]
-	if (fsl != nil && fsl.down) || (dst == n && (tsl.down || tsl.ep == nil)) {
+	if src.slot.down || (dst == n && (tsl.down || tsl.ep == nil)) {
 		// Immediate drop: no payload copy, no RNG draw, no delivery event.
 		// A detached destination can never receive — endpoint replacement
 		// (churn re-join) re-attaches within the same simulator event as the
@@ -188,16 +190,16 @@ func (n *Network) send(from transport.Addr, to transport.Addr, payload []byte) {
 		n.dropped++
 		return
 	}
-	delay, dup, ok := n.judge(from, to)
+	delay, dup, ok := n.judge(src.addr, to)
 	if !ok {
 		n.dropped++
 		return
 	}
-	n.launch(dst, from, to, payload, delay)
+	n.launch(dst, tsl, src.addr, to, payload, delay)
 	if dup > 0 {
 		// An injector-duplicated datagram: a second pooled record trailing
 		// the first, each releasing independently after its own handler call.
-		n.launch(dst, from, to, payload, delay+dup)
+		n.launch(dst, tsl, src.addr, to, payload, delay+dup)
 	}
 }
 
@@ -229,12 +231,14 @@ func (n *Network) judge(from, to transport.Addr) (delay, dup time.Duration, ok b
 // transport contract). Scheduling through ScheduleArg with the package-level
 // deliver function makes the steady-state per-message path allocation-free:
 // no payload garbage, no closure, no timer box. A record bound for another
-// shard waits in this shard's outbox for the next barrier instead.
-func (n *Network) launch(dst *Network, from, to transport.Addr, payload []byte, delay time.Duration) {
+// shard waits in this shard's outbox for the next barrier instead, and Flush
+// finds its slot there: tsl, this network's slot for to, is not it.
+func (n *Network) launch(dst *Network, tsl *nodeSlot, from, to transport.Addr, payload []byte, delay time.Duration) {
 	d := n.deliveries.Get()
 	d.net, d.from, d.to = dst, from, to
 	d.msg = append(d.msg[:0], payload...)
 	if dst == n {
+		d.slot = tsl
 		n.clock.ScheduleArg(delay, deliver, d)
 		return
 	}
@@ -242,9 +246,10 @@ func (n *Network) launch(dst *Network, from, to transport.Addr, payload []byte, 
 }
 
 // delivery is one in-flight datagram: a recycled record carrying its own
-// payload copy.
+// payload copy and its destination's slot in net.
 type delivery struct {
 	net      *Network
+	slot     *nodeSlot
 	from, to transport.Addr
 	msg      []byte
 }
@@ -252,23 +257,24 @@ type delivery struct {
 // deliver is the delivery event callback: hand the datagram to the
 // destination handler (or count the drop) and recycle the record. Only the
 // receiver's state matters here — a datagram already on the wire does not
-// care that its sender has since flapped down.
+// care that its sender has since flapped down — and the slot shows it as it
+// is now, whatever endpoint has re-attached since the send.
 func deliver(v any) {
 	d := v.(*delivery)
-	n := d.net
-	tsl := n.nodes[d.to]
-	if tsl == nil || tsl.ep == nil || tsl.down || tsl.ep.handler == nil || tsl.ep.closed {
+	n, tsl := d.net, d.slot
+	if tsl.ep == nil || tsl.down || tsl.ep.handler == nil || tsl.ep.closed {
 		n.dropped++
 	} else {
 		n.delivered++
 		tsl.ep.handler(d.from, d.msg)
 	}
-	d.net = nil
+	d.net, d.slot = nil, nil
 	n.deliveries.Put(d)
 }
 
 type endpoint struct {
 	net     *Network
+	slot    *nodeSlot // this address's slot in net
 	addr    transport.Addr
 	handler transport.Handler
 	closed  bool
@@ -285,7 +291,7 @@ func (e *endpoint) Send(to transport.Addr, payload []byte) error {
 	if len(payload) > transport.MaxDatagram {
 		return fmt.Errorf("simnet: payload %d exceeds %d bytes", len(payload), transport.MaxDatagram)
 	}
-	e.net.send(e.addr, to, payload)
+	e.net.send(e, to, payload)
 	return nil
 }
 
@@ -294,8 +300,8 @@ func (e *endpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	if sl := e.net.nodes[e.addr]; sl != nil && sl.ep == e {
-		sl.ep = nil
+	if e.slot.ep == e {
+		e.slot.ep = nil
 	}
 	return nil
 }

@@ -185,20 +185,43 @@ func TestJitterBounded(t *testing.T) {
 
 func TestEndpointReplacement(t *testing.T) {
 	// Re-attaching the same address replaces the endpoint (a new node takes
-	// over a churned-out identity).
+	// over a churned-out identity), and closing the endpoint it replaced does
+	// not detach it. A datagram already on the wire reaches whatever endpoint
+	// holds its destination at delivery: a replacement made in flight, and
+	// nobody once the destination has closed for good.
 	s := sim.NewSimulator()
 	net := New(s, Config{})
-	old := net.Endpoint("x")
-	oldGot := 0
-	old.SetHandler(func(transport.Addr, []byte) { oldGot++ })
-	replacement := net.Endpoint("x")
-	newGot := 0
-	replacement.SetHandler(func(transport.Addr, []byte) { newGot++ })
-
+	got := map[string]int{}
+	attach := func(name string) transport.Endpoint {
+		ep := net.Endpoint("x")
+		ep.SetHandler(func(transport.Addr, []byte) { got[name]++ })
+		return ep
+	}
+	old := attach("old")
+	replacement := attach("replacement")
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
 	a := net.Endpoint("a")
 	_ = a.Send("x", []byte("m"))
 	s.Run()
-	if oldGot != 0 || newGot != 1 {
-		t.Errorf("old=%d new=%d", oldGot, newGot)
+
+	_ = a.Send("x", []byte("m"))
+	if err := replacement.Close(); err != nil {
+		t.Fatal(err)
+	}
+	third := attach("third")
+	s.Run()
+
+	_ = a.Send("x", []byte("m"))
+	if err := third.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if got["old"] != 0 || got["replacement"] != 1 || got["third"] != 1 {
+		t.Errorf("delivered %v, want replacement=1 third=1", got)
+	}
+	if sent, delivered, dropped := net.Stats(); sent != 3 || delivered != 2 || dropped != 1 {
+		t.Errorf("stats sent=%d delivered=%d dropped=%d, want 3/2/1", sent, delivered, dropped)
 	}
 }
