@@ -3,7 +3,7 @@
 // fastest way to see how each scheme behaves under a chosen threat model:
 //
 //	emergectl -scheme share -nodes 500 -p 0.2 -emerging 24h
-//	emergectl -scheme joint -p 1 -drop          # watch a drop attack win
+//	emergectl -scheme joint -p 1 -strategy drop # watch a drop attack win
 //	emergectl -scheme central -churn 12h        # watch churn eat the key
 package main
 
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"selfemerge"
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 )
 
@@ -22,21 +23,21 @@ func main() {
 		schemeName = flag.String("scheme", "joint", "central|disjoint|joint|share")
 		nodes      = flag.Int("nodes", 300, "DHT network size")
 		p          = flag.Float64("p", 0.2, "fraction of malicious (Sybil) nodes")
-		drop       = flag.Bool("drop", false, "malicious nodes mount a drop attack instead of spying")
 		emerging   = flag.Duration("emerging", 12*time.Hour, "emerging period T")
 		churn      = flag.Duration("churn", 0, "mean node lifetime (0 = no churn)")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
 		message    = flag.String("message", "meet me at the old mill at midnight", "plaintext to protect")
 	)
+	attack := selfemerge.AttackSpy
+	flag.Func("strategy", "what malicious holders do: spy|drop|eclipse (default spy)", func(s string) (err error) {
+		attack, err = adversary.ParseStrategy(s)
+		return err
+	})
 	flag.Parse()
 
 	scheme, err := core.ParseScheme(*schemeName)
 	if err != nil {
 		fatal(err)
-	}
-	attack := selfemerge.AttackSpy
-	if *drop {
-		attack = selfemerge.AttackDrop
 	}
 	net, err := selfemerge.NewNetwork(selfemerge.NetworkConfig{
 		Nodes:         *nodes,
@@ -60,7 +61,7 @@ func main() {
 		fatal(err)
 	}
 	plan := msg.Plan()
-	fmt.Printf("network : %d nodes, p=%.2f, drop=%v, churn=%v\n", *nodes, *p, *drop, *churn)
+	fmt.Printf("network : %d nodes, p=%.2f, strategy=%v, churn=%v\n", *nodes, *p, attack, *churn)
 	fmt.Printf("plan    : %v k=%d l=%d holders=%d (predicted Rr=%.4f Rd=%.4f)\n",
 		plan.Scheme, plan.K, plan.L, plan.NodesRequired(),
 		plan.Predicted.ReleaseAhead, plan.Predicted.Drop)

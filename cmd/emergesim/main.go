@@ -28,7 +28,7 @@
 //	emergesim -csv fig8 > fig8.csv               # machine-readable series
 //	emergesim sweep -estimator live -axis p=0:0.3:0.1 -axis scheme=central,joint \
 //	    -nodes 500 -alpha 1 -k 3 -l 2 -missions 100 -format csv
-//	emergesim scenario -nodes 1000 -p 0.1 -alpha 1 -drop -k 3 -l 2 -missions 200
+//	emergesim scenario -nodes 1000 -p 0.1 -alpha 1 -strategy drop -k 3 -l 2 -missions 200
 //	emergesim scenario -nodes 10000 -missions 1000 -shards 8 -p 0.1 -alpha 1
 //
 // Live points accept two orthogonal scaling levers. -shards S replicates:
@@ -40,8 +40,8 @@
 // for very large network-size axes, where one event loop is the bottleneck.
 // Every live network runs on the same lockstep engine (-partition 0 is one
 // loop), so -partition composes with everything else: -fault, -forge,
-// -shards. Live csv/json output always carries the engine's
-// epochs,idle_skips,merge_allocs columns.
+// -shards. Every estimator's csv/json output has the same columns, ending in
+// the engine's epochs,idle_skips,merge_allocs.
 package main
 
 import (

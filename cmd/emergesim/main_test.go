@@ -32,18 +32,18 @@ var wallClock = regexp.MustCompile(`wall \S+\n`)
 
 // The CI sweep-smoke grids (.github/workflows/ci.yml), minus -format.
 const (
-	smokeLive      = "sweep -estimator live -axis p=0:0.2:0.1 -axis scheme=joint,share -nodes 50 -missions 20 -shards 2 -alpha 1 -drop -k 2 -l 2 -sharen 4 -sharem 2 -emerging 1h"
-	smokePartition = "sweep -estimator live -axis p=0:0.2:0.1 -axis scheme=joint,share -nodes 50 -missions 20 -partition 2 -alpha 1 -drop -k 2 -l 2 -sharen 4 -sharem 2 -emerging 1h"
-	smokeFault     = "sweep -estimator live -axis faultsev=0.3:0.6:0.3 -axis fault=burst,partition -axis retry=0,3 -axis partition=1,2 -nodes 50 -missions 10 -alpha 1 -drop -k 2 -l 2 -emerging 1h"
+	smokeLive      = "sweep -estimator live -axis p=0:0.2:0.1 -axis scheme=joint,share -nodes 50 -missions 20 -shards 2 -alpha 1 -strategy drop -k 2 -l 2 -sharen 4 -sharem 2 -emerging 1h"
+	smokePartition = "sweep -estimator live -axis p=0:0.2:0.1 -axis scheme=joint,share -nodes 50 -missions 20 -partition 2 -alpha 1 -strategy drop -k 2 -l 2 -sharen 4 -sharem 2 -emerging 1h"
+	smokeFault     = "sweep -estimator live -axis faultsev=0.3:0.6:0.3 -axis fault=burst,partition -axis retry=0,3 -axis partition=1,2 -nodes 50 -missions 10 -alpha 1 -strategy drop -k 2 -l 2 -emerging 1h"
 	smokeEclipse   = "sweep -estimator live -strategy eclipse -axis forge=0:30:30 -axis table=naive,pingevict -axis partition=1,2 -nodes 50 -missions 10 -alpha 1 -k 2 -l 2 -emerging 1h"
 )
 
 // TestGoldens is the must-not-move oracle of the command line: every file
-// under testdata was recorded from the binary of the commit before the
-// parameter table existed (PR 21), so a refactor of the flag, axis or
-// overlay plumbing that changes one emitted byte fails here. Regenerate the
-// files (go test ./cmd/emergesim -update) only in a change whose point is to
-// move that output.
+// under testdata pins the bytes of one command line, so a refactor of the
+// flag, axis or overlay plumbing that changes one emitted byte fails here.
+// Regenerate the files (go test ./cmd/emergesim -update) only in a change
+// whose point is to change that output. -update only adds columns, fields and
+// tokens; a file whose old values move must be deleted first.
 func TestGoldens(t *testing.T) {
 	cases := []struct{ file, args string }{
 		{"live.csv", smokeLive + " -format csv"},
@@ -54,10 +54,10 @@ func TestGoldens(t *testing.T) {
 		{"fault.json", smokeFault + " -format json"},
 		{"eclipse.csv", smokeEclipse + " -format csv"},
 		{"eclipse.json", smokeEclipse + " -format json"},
-		{"dropaxis.csv", "sweep -estimator live -axis p=0:0.2:0.1 -axis drop=spy,drop -nodes 50 -missions 10 -alpha 1 -k 2 -l 2 -emerging 1h -format csv"},
+		{"dropaxis.csv", "sweep -estimator live -axis p=0:0.2:0.1 -axis strategy=spy,drop -nodes 50 -missions 10 -alpha 1 -k 2 -l 2 -emerging 1h -format csv"},
 		{"mc.csv", "sweep -estimator mc -axis p=0:0.4:0.1 -axis scheme=central,disjoint,joint,share -axis alpha=0,2 -nodes 1000 -k 0 -l 0 -trials 200 -share-model quota -format csv"},
 		{"analytic.json", "sweep -estimator analytic -axis p=0:0.4:0.1 -axis scheme=central,disjoint,joint -axis network=100,10000 -k 0 -l 0 -format json"},
-		{"scenario_drop.txt", "scenario -nodes 60 -p 0.1 -alpha 1 -drop -k 2 -l 2 -missions 20 -mc-trials 100 -seed 6 -emerging 1h"},
+		{"scenario_drop.txt", "scenario -nodes 60 -p 0.1 -alpha 1 -strategy drop -k 2 -l 2 -missions 20 -mc-trials 100 -seed 6 -emerging 1h"},
 		{"scenario_fault.txt", "scenario -nodes 60 -p 0.2 -alpha 1 -scheme share -k 2 -l 2 -sharen 4 -sharem 2 -missions 12 -shards 2 -partition 2 -fault burst -faultsev 0.3 -retry 3 -replicas 1 -emerging 1h"},
 	}
 	for _, tc := range cases {
@@ -81,7 +81,6 @@ var rowSamples = map[string]struct{ value, needs string }{
 	"sharen":    {"3", "-scheme share -sharem 2"},
 	"replicas":  {"2", ""},
 	"strategy":  {"drop", ""},
-	"drop":      {"drop", ""},
 	"forge":     {"6", "-strategy eclipse"},
 	"table":     {"pingevict", ""},
 	"partition": {"2", ""},
@@ -145,29 +144,6 @@ func TestEveryRowBindsOnEveryPath(t *testing.T) {
 	}
 }
 
-// TestDropSpellings: -drop, -strategy drop and the drop axis are one knob.
-func TestDropSpellings(t *testing.T) {
-	const grid = "sweep -estimator live -axis p=0:0.2:0.1 -nodes 50 -missions 5 -alpha 1 -k 2 -l 2 -emerging 1h -format csv"
-	flag := mustRun(t, strings.Fields(grid+" -drop")...)
-	if strategy := mustRun(t, strings.Fields(grid+" -strategy drop")...); strategy != flag {
-		t.Errorf("-strategy drop differs from -drop:\n%s\nvs:\n%s", strategy, flag)
-	}
-	// An axis names its series after its value; everything measured matches.
-	if axis := mustRun(t, strings.Fields(grid+" -axis drop=drop")...); measured(axis) != measured(flag) {
-		t.Errorf("-axis drop=drop differs from -drop:\n%s\nvs:\n%s", axis, flag)
-	}
-	// The axis overrides the base.
-	crossed := mustRun(t, strings.Fields(grid+" -drop -axis drop=spy,drop")...)
-	if plain := mustRun(t, strings.Fields(grid+" -axis drop=spy,drop")...); crossed != plain {
-		t.Errorf("-drop changed a drop=spy,drop sweep:\n%s\nvs:\n%s", crossed, plain)
-	}
-	for _, ambiguous := range []string{" -axis drop=spy,drop -axis strategy=spy,drop", " -axis drop=spy,drop -strategy eclipse"} {
-		if _, stderr, code := emergesim(t, strings.Fields(grid+ambiguous)...); code != 2 || !strings.Contains(stderr, "both set the adversary") {
-			t.Errorf("emergesim %s: exit %d, want the drop/strategy refusal:\n%s", grid+ambiguous, code, stderr)
-		}
-	}
-}
-
 // TestEstimatorsRefuseWhatTheyIgnore: an explicitly set flag or an axis the
 // chosen estimator does not read is a usage error, never a silently
 // mislabelled measurement.
@@ -199,20 +175,25 @@ func TestEstimatorsRefuseWhatTheyIgnore(t *testing.T) {
 	refused("-share-model does not apply to the analytic estimator", "sweep -estimator analytic -axis p=0:0.2:0.1 -share-model quota")
 	refused("-trials does not apply to the live estimator", "sweep -estimator live -axis p=0:0.2:0.1 -trials 5")
 	// The sweeps that used to exit 0 with byte-identical series under
-	// distinct labels and the fault columns switched on.
+	// distinct labels.
 	refused("the faultsev axis applies to the live estimator only", "sweep -estimator mc -axis p=0:0.2:0.1 -axis faultsev=0.3,0.6")
 	refused("the fault axis applies to the live estimator only", "sweep -estimator mc -axis p=0:0.2:0.1 -axis fault=burst,flap")
 	refused("the retry axis applies to the live estimator only", "sweep -estimator analytic -axis p=0:0.2:0.1 -axis retry=0,1")
 	// The live estimator crosses a severity axis with the none profile (and
 	// a profile axis with zero severity) as no-op points.
 	mustRun(t, strings.Fields("sweep -estimator live -axis faultsev=0,0.4 -axis fault=none,burst -nodes 30 -missions 2 -emerging 30m -k 2 -l 2")...)
+	// A forge rate the network would ignore: the live estimator refuses it at
+	// pre-flight, through the network's own validator.
+	refused("a forge rate requires the eclipse attack", "sweep -estimator live -axis p=0:0.2:0.1 -forge 10 -nodes 30 -missions 2 -k 2 -l 2")
+	refused("a forge rate requires the eclipse attack", "sweep -estimator live -axis forge=0,10 -nodes 30 -missions 2 -k 2 -l 2")
 }
 
-// TestScenarioNamesItsAdversary: the report header prints the strategy that
-// ran, not the Drop boolean every dropping strategy sets.
+// TestScenarioNamesItsAdversary: the report header names everything that
+// changes what the point samples — the strategy that ran, its forge rate and
+// table policy, and the event-loop partition.
 func TestScenarioNamesItsAdversary(t *testing.T) {
-	out := mustRun(t, strings.Fields("scenario -strategy eclipse -forge 10 -table pingevict -nodes 50 -missions 5 -k 2 -l 2 -emerging 1h -mc-trials 50")...)
-	if !strings.Contains(out, " attack=eclipse forge=10 table=pingevict replicas=1 ") {
+	out := mustRun(t, strings.Fields("scenario -strategy eclipse -forge 10 -table pingevict -partition 2 -nodes 50 -missions 5 -k 2 -l 2 -emerging 1h -mc-trials 50")...)
+	if !strings.Contains(out, " attack=eclipse forge=10 table=pingevict replicas=1 ") || !strings.Contains(out, " partition=2 ") {
 		t.Errorf("eclipse scenario header:\n%s", out)
 	}
 }

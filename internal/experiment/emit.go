@@ -6,78 +6,32 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"selfemerge/internal/fault"
 )
 
-// csvHeader is the stable column set of WriteCSV. Wall-clock fields are
+// csvHeader is the column set of WriteCSV, one for every estimator: a
+// column an estimator does not measure reads zero (or empty, for the
+// references only the live estimator computes). Wall-clock fields are
 // deliberately absent: the CSV and JSON emitters are byte-deterministic for
 // a fixed sweep and estimator, regardless of runner worker count.
 var csvHeader = []string{
 	"index", "series", "x",
 	"scheme", "k", "l", "sharen", "replicas",
-	"network", "budget", "p", "alpha", "attack", "seed",
+	"network", "budget", "p", "alpha", "attack", "forge", "table", "partition",
+	"fault", "fault_sev", "retry", "seed",
 	"samples", "released", "delivered", "succeeded",
 	"rr", "rd", "r", "min_r", "cost", "pred_rr", "pred_rd",
-	"ref_rr", "ref_rd", "agree_release", "agree_deliver", "deaths", "joins",
-}
-
-// faultHeader extends csvHeader for result sets that exercise the fault or
-// retry knobs. Conditional so every recorded fault-free sweep keeps its
-// historical bytes.
-var faultHeader = []string{
-	"fault", "fault_sev", "retry", "retries", "recovered", "dup_deliveries",
-}
-
-// hasFaultArm reports whether any point of the set turns a fault or retry
-// knob, which is what switches the emitters onto the extended column set.
-func (rs *ResultSet) hasFaultArm() bool {
-	for _, res := range rs.Results {
-		pt := res.Point
-		if pt.Fault != fault.ProfileNone || pt.FaultSev != 0 || pt.Retry != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// loopHeader extends csvHeader for result sets measured on the live engine,
-// carrying its event-loop counters — every live sweep, since every live
-// point runs at least one lockstep epoch. Conditional like faultHeader so
-// the abstract estimators' recorded sweeps keep their historical bytes.
-var loopHeader = []string{
+	"ref_rr", "ref_rd", "agree_release", "agree_deliver",
+	"deaths", "joins", "retries", "recovered", "dup_deliveries",
 	"epochs", "idle_skips", "merge_allocs",
-}
-
-// hasLoopStats reports whether any result ran event loops. The test is on
-// the measured counters, not the point's Partition axis, which stays zero
-// for the default one-loop network.
-func (rs *ResultSet) hasLoopStats() bool {
-	for _, res := range rs.Results {
-		if res.Epochs > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
+func unum(v uint64) string { return strconv.FormatUint(v, 10) }
+
 // WriteCSV renders one row per point, in grid order.
 func (rs *ResultSet) WriteCSV(w io.Writer) error {
-	header := csvHeader
-	faultArm := rs.hasFaultArm()
-	loopArm := rs.hasLoopStats()
-	if faultArm || loopArm {
-		header = append([]string(nil), csvHeader...)
-	}
-	if faultArm {
-		header = append(header, faultHeader...)
-	}
-	if loopArm {
-		header = append(header, loopHeader...)
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
+	if _, err := fmt.Fprintln(w, strings.Join(csvHeader, ",")); err != nil {
 		return err
 	}
 	for _, res := range rs.Results {
@@ -86,8 +40,9 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 			strconv.Itoa(pt.Index), pt.Series, fnum(pt.X),
 			res.Plan.Scheme.String(), strconv.Itoa(res.Plan.K), strconv.Itoa(res.Plan.L),
 			strconv.Itoa(res.Plan.ShareN), strconv.Itoa(pt.Replicas),
-			strconv.Itoa(pt.Network), strconv.Itoa(pt.Budget),
-			fnum(pt.P), fnum(pt.Alpha), pt.Strategy.String(), strconv.FormatUint(pt.Seed, 10),
+			strconv.Itoa(pt.Network), strconv.Itoa(pt.Budget), fnum(pt.P), fnum(pt.Alpha),
+			pt.Strategy.String(), fnum(pt.Forge), pt.Table.String(), strconv.Itoa(pt.Partition),
+			pt.Fault.String(), fnum(pt.FaultSev), strconv.Itoa(pt.Retry), unum(pt.Seed),
 			strconv.Itoa(res.Samples), strconv.Itoa(res.Released),
 			strconv.Itoa(res.Delivered), strconv.Itoa(res.Succeeded),
 			fnum(res.Rr), fnum(res.Rd), fnum(res.R), fnum(res.MinR()),
@@ -101,20 +56,12 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 		} else {
 			row = append(row, "", "", "", "")
 		}
-		row = append(row, strconv.Itoa(res.Deaths), strconv.Itoa(res.Joins))
-		if faultArm {
-			row = append(row,
-				pt.Fault.String(), fnum(pt.FaultSev), strconv.Itoa(pt.Retry),
-				strconv.FormatUint(res.Retries, 10), strconv.FormatUint(res.Recovered, 10),
-				strconv.FormatUint(res.Duplicates, 10),
-			)
-		}
-		if loopArm {
-			row = append(row,
-				strconv.FormatUint(res.Epochs, 10), strconv.FormatUint(res.IdleSkips, 10),
-				strconv.FormatUint(res.MergeAllocs, 10),
-			)
-		}
+		c := res.Counters
+		row = append(row,
+			strconv.Itoa(c.Deaths), strconv.Itoa(c.Joins),
+			unum(c.Retries), unum(c.Recovered), unum(c.Duplicates),
+			unum(c.Epochs), unum(c.IdleSkips), unum(c.MergeAllocs),
+		)
 		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
 			return err
 		}
@@ -122,8 +69,14 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// sweepJSON / resultJSON define the stable JSON schema of WriteJSON.
+// jsonSchema versions the WriteJSON document: 2 is the one-schema layout,
+// in which every result carries every field.
+const jsonSchema = 2
+
+// sweepJSON / resultJSON define the JSON schema of WriteJSON; resultJSON
+// carries csvHeader's columns under the same names.
 type sweepJSON struct {
+	Schema    int          `json:"schema"`
 	Name      string       `json:"name,omitempty"`
 	Estimator string       `json:"estimator"`
 	Seed      uint64       `json:"seed"`
@@ -148,12 +101,18 @@ type resultJSON struct {
 	ShareM   []int  `json:"sharem,omitempty"`
 	Replicas int    `json:"replicas"`
 
-	Network int     `json:"network"`
-	Budget  int     `json:"budget"`
-	P       float64 `json:"p"`
-	Alpha   float64 `json:"alpha"`
-	Attack  string  `json:"attack"`
-	Seed    uint64  `json:"seed"`
+	Network   int     `json:"network"`
+	Budget    int     `json:"budget"`
+	P         float64 `json:"p"`
+	Alpha     float64 `json:"alpha"`
+	Attack    string  `json:"attack"`
+	Forge     float64 `json:"forge"`
+	Table     string  `json:"table"`
+	Partition int     `json:"partition"`
+	Fault     string  `json:"fault"`
+	FaultSev  float64 `json:"fault_sev"`
+	Retry     int     `json:"retry"`
+	Seed      uint64  `json:"seed"`
 
 	Samples   int     `json:"samples"`
 	Released  int     `json:"released"`
@@ -174,31 +133,21 @@ type resultJSON struct {
 	RefRd        *float64 `json:"ref_rd,omitempty"`
 	AgreeRelease *bool    `json:"agree_release,omitempty"`
 	AgreeDeliver *bool    `json:"agree_deliver,omitempty"`
-	Deaths       int      `json:"deaths"`
-	Joins        int      `json:"joins"`
 
-	// Fault-injection / retry-hardening fields, all omitempty: absent on the
-	// historical fault-free single-shot points, so recorded sweep JSON keeps
-	// its exact bytes.
-	Fault      string  `json:"fault,omitempty"`
-	FaultSev   float64 `json:"fault_sev,omitempty"`
-	Retry      int     `json:"retry,omitempty"`
-	Retries    uint64  `json:"retries,omitempty"`
-	Recovered  uint64  `json:"recovered,omitempty"`
-	Duplicates uint64  `json:"dup_deliveries,omitempty"`
-
-	// Event-loop counters, omitempty: absent on the abstract estimators'
-	// points, so their recorded sweep JSON keeps its exact bytes. IdleSkips
-	// and MergeAllocs piggyback on Epochs > 0 (a live run always executes at
-	// least one epoch) so a measured zero still emits on live points.
-	Epochs      uint64  `json:"epochs,omitempty"`
-	IdleSkips   *uint64 `json:"idle_skips,omitempty"`
-	MergeAllocs *uint64 `json:"merge_allocs,omitempty"`
+	Deaths      int    `json:"deaths"`
+	Joins       int    `json:"joins"`
+	Retries     uint64 `json:"retries"`
+	Recovered   uint64 `json:"recovered"`
+	Duplicates  uint64 `json:"dup_deliveries"`
+	Epochs      uint64 `json:"epochs"`
+	IdleSkips   uint64 `json:"idle_skips"`
+	MergeAllocs uint64 `json:"merge_allocs"`
 }
 
 // WriteJSON renders the whole result set as one indented JSON document.
 func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	doc := sweepJSON{
+		Schema:    jsonSchema,
 		Name:      rs.Sweep.Name,
 		Estimator: rs.Estimator,
 		Seed:      rs.Sweep.Seed,
@@ -207,37 +156,27 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 		doc.Axes = append(doc.Axes, axisJSON{Name: ax.Name, Values: ax.Labels()})
 	}
 	for _, res := range rs.Results {
-		pt := res.Point
+		pt, c := res.Point, res.Counters
 		rj := resultJSON{
 			Index: pt.Index, Series: pt.Series, X: pt.X,
 			Scheme: res.Plan.Scheme.String(), K: res.Plan.K, L: res.Plan.L,
 			ShareN: res.Plan.ShareN, ShareM: res.Plan.ShareM, Replicas: pt.Replicas,
 			Network: pt.Network, Budget: pt.Budget, P: pt.P, Alpha: pt.Alpha,
-			Attack: pt.Strategy.String(), Seed: pt.Seed,
+			Attack: pt.Strategy.String(), Forge: pt.Forge, Table: pt.Table.String(), Partition: pt.Partition,
+			Fault: pt.Fault.String(), FaultSev: pt.FaultSev, Retry: pt.Retry, Seed: pt.Seed,
 			Samples: res.Samples, Released: res.Released,
 			Delivered: res.Delivered, Succeeded: res.Succeeded,
 			Rr: res.Rr, Rd: res.Rd, R: res.R, MinR: res.MinR(), Cost: res.Cost,
 			PredRr: res.Predicted.ReleaseAhead, PredRd: res.Predicted.Drop,
-			Deaths: res.Deaths, Joins: res.Joins,
+			Deaths: c.Deaths, Joins: c.Joins,
+			Retries: c.Retries, Recovered: c.Recovered, Duplicates: c.Duplicates,
+			Epochs: c.Epochs, IdleSkips: c.IdleSkips, MergeAllocs: c.MergeAllocs,
 		}
 		if res.HasReference {
 			refRr, refRd := res.RefRelease.Rr(), res.RefDeliver.Rd()
 			agreeRel, agreeDel := res.AgreeRelease, res.AgreeDeliver
 			rj.RefRr, rj.RefRd = &refRr, &refRd
 			rj.AgreeRelease, rj.AgreeDeliver = &agreeRel, &agreeDel
-		}
-		if pt.Fault != fault.ProfileNone || pt.FaultSev != 0 || pt.Retry != 0 {
-			// Only points with a turned knob name their profile: "none" is a
-			// real label on fault arms but must stay absent (omitempty) on the
-			// historical points.
-			rj.Fault = pt.Fault.String()
-			rj.FaultSev, rj.Retry = pt.FaultSev, pt.Retry
-			rj.Retries, rj.Recovered, rj.Duplicates = res.Retries, res.Recovered, res.Duplicates
-		}
-		if res.Epochs > 0 {
-			idle, mallocs := res.IdleSkips, res.MergeAllocs
-			rj.Epochs = res.Epochs
-			rj.IdleSkips, rj.MergeAllocs = &idle, &mallocs
 		}
 		doc.Results = append(doc.Results, rj)
 	}

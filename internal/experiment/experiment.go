@@ -120,7 +120,10 @@ func (pt Point) Env() mc.Env {
 	return mc.Env{Population: pt.Network, Malicious: pt.MaliciousCount(), Alpha: pt.Alpha}
 }
 
-// Validate checks the environment parameters an estimator relies on.
+// Validate checks what the abstract models read. The network half of a live
+// point — forge rate, fault profile and severity, ... — is the live
+// estimator's to check (scenario.Estimator.CheckPoint), against the one
+// network validator.
 func (pt Point) Validate() error {
 	if pt.Network < 1 {
 		return fmt.Errorf("experiment: network size %d must be >= 1", pt.Network)
@@ -139,12 +142,6 @@ func (pt Point) Validate() error {
 	if !pt.Scheme.Valid() {
 		return fmt.Errorf("experiment: invalid scheme %d", int(pt.Scheme))
 	}
-	if pt.Forge > 0 && pt.Strategy != adversary.StrategyEclipse {
-		return fmt.Errorf("experiment: forge rate %v requires the eclipse strategy", pt.Forge)
-	}
-	if err := (fault.Config{Profile: pt.Fault, Severity: pt.FaultSev}).Validate(); err != nil {
-		return fmt.Errorf("experiment: %w", err)
-	}
 	return nil
 }
 
@@ -162,7 +159,7 @@ type Estimator interface {
 // Result is one measured point. Sampled estimators fill the outcome counts;
 // the analytic estimator reports closed-form rates with zero Samples. Live
 // estimation additionally carries the matched Monte Carlo references and the
-// churn totals observed during the run.
+// counters of the run.
 type Result struct {
 	Point Point
 	Plan  core.Plan
@@ -191,20 +188,8 @@ type Result struct {
 	RefDeliver   mc.Result
 	AgreeRelease bool
 	AgreeDeliver bool
-	// Deaths and Joins are the churn totals a live run observed.
-	Deaths, Joins int
-	// Retries, Recovered and Duplicates are the retry-hardening counters a
-	// live run observed: RPC re-sends, RPCs that settled after a re-send,
-	// and receiver-suppressed duplicate deliveries. All zero for single-shot
-	// points and the abstract estimators.
-	Retries, Recovered, Duplicates uint64
-
-	// Epochs, IdleSkips and MergeAllocs are the live engine's event-loop
-	// counters: lockstep epoch barriers executed, epochs with at most one
-	// busy shard, and hand-off outbox capacity growths. Pure functions of the
-	// point (independent of GOMAXPROCS and worker counts); every live point
-	// executes at least one epoch, the abstract estimators none.
-	Epochs, IdleSkips, MergeAllocs uint64
+	// Counters is what a live run counted; zero for the abstract estimators.
+	Counters
 
 	// Elapsed is the wall-clock cost of the point. It is excluded from the
 	// deterministic emitters.
@@ -213,3 +198,36 @@ type Result struct {
 
 // MinR returns min(Rr, Rd), Figure 6's plotting convention.
 func (r Result) MinR() float64 { return math.Min(r.Rr, r.Rd) }
+
+// Counters is what a live run counted, the one record that carries it from
+// the network's accessors to the emitters. Every field is a pure function of
+// the point: independent of GOMAXPROCS, worker counts and shard scheduling.
+type Counters struct {
+	// Deaths and Joins are churn deaths and replacement joins.
+	Deaths, Joins int
+	// Sent, Recv and Dropped are fabric datagrams.
+	Sent, Recv, Dropped int
+	// Retries, Recovered and Duplicates are the retry-hardened RPC layer's
+	// re-sends, RPCs that settled after a re-send, and receiver-suppressed
+	// duplicate deliveries; all zero on single-shot (Retry <= 1) runs.
+	Retries, Recovered, Duplicates uint64
+	// Epochs, IdleSkips and MergeAllocs are the event-loop engine's epoch
+	// barriers, epochs with at most one busy shard, and hand-off outbox
+	// capacity growths; every live run executes at least one epoch.
+	Epochs, IdleSkips, MergeAllocs uint64
+}
+
+// Add sums o into c: the merge of a point's shards.
+func (c *Counters) Add(o Counters) {
+	c.Deaths += o.Deaths
+	c.Joins += o.Joins
+	c.Sent += o.Sent
+	c.Recv += o.Recv
+	c.Dropped += o.Dropped
+	c.Retries += o.Retries
+	c.Recovered += o.Recovered
+	c.Duplicates += o.Duplicates
+	c.Epochs += o.Epochs
+	c.IdleSkips += o.IdleSkips
+	c.MergeAllocs += o.MergeAllocs
+}

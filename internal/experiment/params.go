@@ -30,8 +30,6 @@ type Param struct {
 	// neutral is a second value besides zero that means "off" to the abstract
 	// estimators (replicas: 1, the model-faithful single copy).
 	neutral float64
-	// boolFlag lets the flag stand alone on the command line (-drop).
-	boolFlag bool
 	access
 }
 
@@ -73,20 +71,6 @@ func enum[T interface {
 	}
 }
 
-func strategyField(pt *Point) *adversary.Strategy { return &pt.Strategy }
-
-// parseDrop reads the legacy drop selector, a two-valued shorthand for the
-// strategy field.
-func parseDrop(s string) (adversary.Strategy, error) {
-	switch s {
-	case "spy", "false", "0":
-		return adversary.StrategySpy, nil
-	case "drop", "true", "1":
-		return adversary.StrategyDrop, nil
-	}
-	return adversary.StrategySpy, fmt.Errorf("drop values are spy|drop")
-}
-
 // Params is the parameter table, in -h order.
 var Params = []Param{
 	{Name: "scheme", Help: "routing scheme: central|disjoint|joint|share", access: enum(func(pt *Point) *core.Scheme { return &pt.Scheme }, core.ParseScheme)},
@@ -98,8 +82,7 @@ var Params = []Param{
 	{Name: "l", Help: "path length (holder columns)", access: number(func(pt *Point) *int { return &pt.L })},
 	{Name: "sharen", Help: "share carriers per column (share scheme)", access: number(func(pt *Point) *int { return &pt.ShareN })},
 	{Name: "replicas", LiveOnly: true, neutral: 1, Help: "packet replica count (1 = model-faithful)", access: number(func(pt *Point) *int { return &pt.Replicas })},
-	{Name: "strategy", LiveOnly: true, Help: "adversary strategy: spy|drop|eclipse", access: enum(strategyField, adversary.ParseStrategy)},
-	{Name: "drop", LiveOnly: true, boolFlag: true, Help: "drop attack instead of spying: shorthand for strategy spy|drop", access: enum(strategyField, parseDrop)},
+	{Name: "strategy", LiveOnly: true, Help: "adversary strategy: spy|drop|eclipse", access: enum(func(pt *Point) *adversary.Strategy { return &pt.Strategy }, adversary.ParseStrategy)},
 	{Name: "forge", LiveOnly: true, Help: "eclipse forgery rate, forged contacts per attacker per minute; the forger acts once per simulated second with every event loop paused", access: number(func(pt *Point) *float64 { return &pt.Forge })},
 	{Name: "table", LiveOnly: true, Help: "DHT routing-table policy: naive|pingevict", access: enum(func(pt *Point) *dht.TablePolicy { return &pt.Table }, dht.ParseTablePolicy)},
 	{Name: "partition", LiveOnly: true, Help: "split the one population across this many parallel event loops (0 = one loop)", access: number(func(pt *Point) *int { return &pt.Partition })},
@@ -149,14 +132,11 @@ func (pa *Param) assign(pt *Point, v float64) error {
 // -sharem, the one plan-shape field that is a list and so not an axis.
 func BindFlags(fs *flag.FlagSet, base *Point) {
 	for i := range Params {
-		pa, help, bind := &Params[i], Params[i].Help, fs.Func
+		pa, help := &Params[i], Params[i].Help
 		if v := pa.get(base); v != 0 {
 			help += " (default " + pa.label(v) + ")"
 		}
-		if pa.boolFlag {
-			bind = fs.BoolFunc
-		}
-		bind(pa.Flag(), help, func(s string) error {
+		fs.Func(pa.Flag(), help, func(s string) error {
 			v, err := pa.parse(strings.ToLower(s))
 			if err != nil {
 				return err

@@ -33,7 +33,8 @@ type ResultSet struct {
 
 // PointChecker is implemented by estimators that can reject a point without
 // measuring it; Validate uses it to fail fast on estimator-specific
-// parameter mismatches (e.g. a drop axis on an abstract estimator).
+// parameter mismatches (e.g. a forge rate without the eclipse strategy on
+// the live estimator).
 type PointChecker interface {
 	CheckPoint(Point) error
 }

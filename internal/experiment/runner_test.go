@@ -120,7 +120,6 @@ func TestAbstractEstimatorsRejectLiveOnlyAxes(t *testing.T) {
 	turned := map[string]func(*Point){
 		"replicas":  func(pt *Point) { pt.Replicas = 2 },
 		"strategy":  func(pt *Point) { pt.Strategy = adversary.StrategyEclipse },
-		"drop":      func(pt *Point) { pt.Strategy = adversary.StrategyDrop },
 		"forge":     func(pt *Point) { pt.Strategy, pt.Forge = adversary.StrategyEclipse, 30 },
 		"table":     func(pt *Point) { pt.Table = dht.TablePingEvict },
 		"partition": func(pt *Point) { pt.Partition = 2 },
@@ -164,7 +163,7 @@ func TestAbstractEstimatorsRejectLiveOnlyAxes(t *testing.T) {
 		{MonteCarlo{Trials: 10}, "fault=burst,flap"},
 		{Analytic{}, "retry=0,1"},
 		{MonteCarlo{Trials: 10}, "replicas=0,1"},
-		{Analytic{}, "drop=spy"},
+		{Analytic{}, "strategy=spy"},
 	} {
 		sw := Sweep{Base: base, Axes: []Axis{RangeAxis("p", 0, 0.2, 0.1), mustAxis(t, tc.axis)}}
 		name, _, _ := strings.Cut(tc.axis, "=")

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 )
 
@@ -103,8 +102,7 @@ func SchemeAxis(schemes ...core.Scheme) Axis {
 
 // ParseAxis parses a command-line axis spec: "name=v1,v2,..." or, for
 // numeric axes, a range "name=start:stop:step". Categorical values are the
-// labels the emitters print (central, pingevict, burst, ...); drop values
-// are spy/drop (or false/true).
+// labels the emitters print (central, pingevict, burst, ...).
 func ParseAxis(spec string) (Axis, error) {
 	name, rest, ok := strings.Cut(spec, "=")
 	if !ok || name == "" || rest == "" {
@@ -213,7 +211,7 @@ func (s Sweep) Points() ([]Point, error) {
 		seen[rows[i].Name] = true
 	}
 	// The first axis is the figure's X axis and must be numeric: categorical
-	// axes (scheme, drop, strategy, table) carry no X coordinate, so every
+	// axes (scheme, strategy, table, fault) carry no X coordinate, so every
 	// row would plot at x=0 under an indistinguishable label.
 	if rows[0].categorical {
 		return nil, fmt.Errorf("experiment: first axis %q is categorical; lead with a numeric axis (p, alpha, network, ...)", s.Axes[0].Name)
@@ -230,12 +228,6 @@ func (s Sweep) Points() ([]Point, error) {
 		if s.Base.Scheme == core.SchemeCentral && !seen["scheme"] {
 			return nil, fmt.Errorf("experiment: the central scheme ignores the node budget")
 		}
-	}
-	// The drop shorthand and the strategy axis write the same field;
-	// sweeping both would let a drop=spy row silently contradict a
-	// strategy=eclipse row, and an eclipse base has no spy arm to toggle.
-	if seen["drop"] && (seen["strategy"] || s.Base.Strategy == adversary.StrategyEclipse) {
-		return nil, fmt.Errorf("experiment: the drop axis and the strategy selector both set the adversary; use strategy=spy,drop,... instead")
 	}
 	if seen["sharen"] {
 		if s.Base.Scheme != core.SchemeKeyShare && !seen["scheme"] {

@@ -65,7 +65,7 @@ func TestSweepSeriesLabelsMultiAxis(t *testing.T) {
 		Axes: []Axis{
 			RangeAxis("p", 0, 0.1, 0.1),
 			FloatAxis("alpha", 1, 3),
-			mustAxis(t, "drop=spy,drop"),
+			mustAxis(t, "strategy=spy,drop"),
 		},
 	}
 	labels := sw.SeriesLabels()
@@ -82,7 +82,7 @@ func TestSweepSeriesLabelsMultiAxis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Later axes vary fastest: series 1 is alpha=1, drop=true.
+	// Later axes vary fastest: series 1 is alpha=1, strategy=drop.
 	if pt := points[2]; pt.Alpha != 1 || pt.Strategy != adversary.StrategyDrop {
 		t.Errorf("series 1 point = %+v, want alpha=1 drop", pt)
 	}
@@ -118,17 +118,14 @@ func TestSweepValidation(t *testing.T) {
 	cases := []Sweep{
 		{Base: base},                            // no axes
 		{Base: base, Axes: []Axis{{Name: "p"}}}, // empty axis
-		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("p", 0.2)}},                                            // duplicate
-		{Base: base, Axes: []Axis{FloatAxis("p", 1.5)}},                                                                 // invalid rate
-		{Base: Point{Scheme: core.SchemeJoint, K: 2, L: 2}, Axes: []Axis{FloatAxis("p", 0.1)}},                          // no network
-		{Base: base, Axes: []Axis{SchemeAxis(core.SchemeCentral, core.SchemeJoint)}},                                    // categorical X axis
-		{Base: base, Axes: []Axis{mustAxis(t, "drop=spy,drop"), FloatAxis("p", 0.1)}},                                   // categorical X axis
-		{Base: base, Axes: []Axis{FloatAxis("k", 2.5)}},                                                                 // fractional integer axis
-		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("budget", 100, 1000)}},                                 // budget with explicit shape
-		{Base: base, Axes: []Axis{mustAxis(t, "strategy=spy"), FloatAxis("p", 0.1)}},                                    // categorical X axis
-		{Base: base, Axes: []Axis{mustAxis(t, "table=naive"), FloatAxis("p", 0.1)}},                                     // categorical X axis
-		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), mustAxis(t, "drop=spy,drop"), mustAxis(t, "strategy=spy,drop")}}, // drop/strategy ambiguity
-		{Base: base, Axes: []Axis{FloatAxis("forge", 10)}},                                                              // forge without eclipse
+		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("p", 0.2)}},                   // duplicate
+		{Base: base, Axes: []Axis{FloatAxis("p", 1.5)}},                                        // invalid rate
+		{Base: Point{Scheme: core.SchemeJoint, K: 2, L: 2}, Axes: []Axis{FloatAxis("p", 0.1)}}, // no network
+		{Base: base, Axes: []Axis{SchemeAxis(core.SchemeCentral, core.SchemeJoint)}},           // categorical X axis
+		{Base: base, Axes: []Axis{FloatAxis("k", 2.5)}},                                        // fractional integer axis
+		{Base: base, Axes: []Axis{FloatAxis("p", 0.1), FloatAxis("budget", 100, 1000)}},        // budget with explicit shape
+		{Base: base, Axes: []Axis{mustAxis(t, "strategy=spy"), FloatAxis("p", 0.1)}},           // categorical X axis
+		{Base: base, Axes: []Axis{mustAxis(t, "table=naive"), FloatAxis("p", 0.1)}},            // categorical X axis
 	}
 	for i, sw := range cases {
 		if _, err := sw.Points(); err == nil {
@@ -173,13 +170,6 @@ func TestParseAxis(t *testing.T) {
 	if got := ax.Labels(); len(got) != 2 || got[1] != "share" {
 		t.Errorf("scheme labels = %v", got)
 	}
-	ax, err = ParseAxis("drop=spy,drop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ax.Labels(); len(got) != 2 || got[0] != "spy" || got[1] != "drop" {
-		t.Errorf("drop labels = %v", got)
-	}
 	ax, err = ParseAxis("strategy=spy,drop,eclipse")
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +201,7 @@ func TestParseAxis(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"", "p", "p=", "=1", "bogus=1", "p=a,b", "p=0:0.5", "p=0:0.5:0", "p=0.5:0:0.1", "scheme=warp", "drop=maybe",
+		"", "p", "p=", "=1", "bogus=1", "p=a,b", "p=0:0.5", "p=0:0.5:0", "p=0.5:0:0.1", "scheme=warp", "drop=drop",
 		"strategy=ddos", "table=btree",
 	} {
 		if _, err := ParseAxis(bad); err == nil {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/fault"
 	"selfemerge/internal/scenario"
@@ -17,7 +18,7 @@ func benchCfg(missions, shards int) scenario.Config {
 	return scenario.Config{
 		Nodes:         120,
 		MaliciousRate: 0.1,
-		Drop:          true,
+		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      missions,
 		Shards:        shards,

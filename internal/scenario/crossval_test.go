@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/mc"
 	"selfemerge/internal/scenario"
@@ -74,7 +75,7 @@ func TestCrossValidateJointDropNoChurn(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         500,
 		MaliciousRate: 0.15,
-		Drop:          true,
+		Strategy:      adversary.StrategyDrop,
 		Missions:      200,
 		Plan:          core.Plan{Scheme: core.SchemeJoint, K: 3, L: 2},
 		MCTrials:      200,
@@ -193,7 +194,7 @@ func TestCrossValidateShareChurn(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         1000,
 		MaliciousRate: 0.1,
-		Drop:          true,
+		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      250,
 		Plan:          core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 5, ShareM: []int{2, 2}},
@@ -243,7 +244,7 @@ func TestCrossValidateShareChurnSharded(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         1000,
 		MaliciousRate: 0.1,
-		Drop:          true,
+		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      250,
 		Shards:        5,
@@ -275,7 +276,7 @@ func TestThousandNodeLiveScenario(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         1000,
 		MaliciousRate: 0.1,
-		Drop:          true,
+		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      250,
 		Plan:          core.Plan{Scheme: core.SchemeJoint, K: 3, L: 2},

@@ -22,7 +22,7 @@ import (
 // use by the runner's workers.
 type Estimator struct {
 	// Template holds what every point of the sweep shares — Missions,
-	// Emerging, Stagger, Latency, Shards, ShareModel (part of the reference
+	// Emerging, Stagger, Shards, ShareModel (part of the reference
 	// cache key, so pinned and unpinned sweeps never share entries) and
 	// MCTrials, which here defaults to Missions so the Wilson agreement check
 	// reflects the live sampling noise. Config.At overwrites the fields an
@@ -53,7 +53,8 @@ type refEntry struct {
 func (e *Estimator) Name() string { return "live" }
 
 // CheckPoint implements experiment.PointChecker: plan construction plus the
-// scenario config validation, without booting a network.
+// scenario config validation — its network half included — without booting
+// a network.
 func (e *Estimator) CheckPoint(pt experiment.Point) error {
 	if err := pt.Validate(); err != nil {
 		return err
@@ -130,14 +131,7 @@ func (e *Estimator) Estimate(pt experiment.Point) (experiment.Result, error) {
 		RefDeliver:   report.MCDelivery,
 		AgreeRelease: agreeRel,
 		AgreeDeliver: agreeDel,
-		Deaths:       report.Deaths,
-		Joins:        report.Joins,
-		Retries:      report.Retries,
-		Recovered:    report.Recovered,
-		Duplicates:   report.Duplicates,
-		Epochs:       report.Epochs,
-		IdleSkips:    report.IdleSkips,
-		MergeAllocs:  report.MergeAllocs,
+		Counters:     report.Counters,
 		Elapsed:      report.Elapsed,
 	}, nil
 }

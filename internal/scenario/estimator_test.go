@@ -9,6 +9,7 @@ import (
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/experiment"
+	"selfemerge/internal/fault"
 	"selfemerge/internal/scenario"
 )
 
@@ -21,6 +22,33 @@ func liveSweep() experiment.Sweep {
 		Seed: 6,
 		Base: experiment.Point{Network: 1000, Alpha: 1, Strategy: adversary.StrategyDrop, K: 3, L: 2, Scheme: core.SchemeJoint},
 		Axes: []experiment.Axis{experiment.RangeAxis("p", 0, 0.2, 0.1)},
+	}
+}
+
+// TestCheckPointValidatesTheNetworkHalf: Point.Validate checks only what the
+// abstract models read, so a forge rate without the eclipse strategy expands
+// into a grid; the live estimator refuses it at pre-flight through the one
+// network validator, as it does a fault severity outside [0,1].
+func TestCheckPointValidatesTheNetworkHalf(t *testing.T) {
+	sw := experiment.Sweep{
+		Base: experiment.Point{Network: 100, Scheme: core.SchemeJoint, K: 2, L: 2},
+		Axes: []experiment.Axis{experiment.FloatAxis("forge", 10)},
+	}
+	if _, err := sw.Points(); err != nil {
+		t.Fatalf("Points refused a forge axis: %v", err)
+	}
+	if err := (experiment.Runner{Estimator: &scenario.Estimator{}}).Validate(sw); err == nil {
+		t.Error("live estimator accepted a forge rate without the eclipse strategy")
+	}
+	est := &scenario.Estimator{}
+	pt := sw.Base
+	pt.Forge, pt.Strategy = 10, adversary.StrategyEclipse
+	if err := est.CheckPoint(pt); err != nil {
+		t.Errorf("eclipse point with a forge rate refused: %v", err)
+	}
+	pt.Fault, pt.FaultSev = fault.ProfileBurst, 1.5
+	if err := est.CheckPoint(pt); err == nil {
+		t.Error("live estimator accepted fault severity 1.5")
 	}
 }
 
@@ -82,7 +110,7 @@ func TestLiveSweepAgreesWithMC(t *testing.T) {
 // every point fan out inside the worker pool through the shared concurrency
 // budget. The fault axis adds a burst-loss arm with retry hardening on top
 // of the clean arm: the fault engine's Gilbert–Elliott draws, the two-phase
-// retry timers and the conditional fault columns of the emitters must all be
+// retry timers and the fault columns of the emitters must all be
 // byte-stable across the same execution shapes. A second sweep runs the
 // fault and eclipse arms with every replica network split over two event
 // loops (Partition: 2 on the base point): per-loop fault engines judging at send time, the

@@ -22,9 +22,9 @@ func (r *Report) WriteTable(w io.Writer) error {
 		attack += " table=" + cfg.Table.String()
 	}
 	if _, err := fmt.Fprintf(w,
-		"scenario %s k=%d l=%d: N=%d p=%.3f alpha=%.2f attack=%s replicas=%d missions=%d shards=%d emerging=%s seed=%d\n",
+		"scenario %s k=%d l=%d: N=%d p=%.3f alpha=%.2f attack=%s replicas=%d missions=%d shards=%d partition=%d emerging=%s seed=%d\n",
 		cfg.Plan.Scheme, cfg.Plan.K, cfg.Plan.L, cfg.Nodes, cfg.MaliciousRate,
-		cfg.Alpha, attack, cfg.Replicas, cfg.Missions, cfg.Shards, cfg.Emerging, cfg.Seed); err != nil {
+		cfg.Alpha, attack, cfg.Replicas, cfg.Missions, cfg.Shards, cfg.Partition, cfg.Emerging, cfg.Seed); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,

@@ -31,6 +31,7 @@ import (
 	"selfemerge/internal/analytic"
 	"selfemerge/internal/core"
 	"selfemerge/internal/dht"
+	"selfemerge/internal/experiment"
 	"selfemerge/internal/fault"
 	"selfemerge/internal/mc"
 	"selfemerge/internal/protocol"
@@ -45,11 +46,10 @@ type Config struct {
 	// MaliciousRate is the Sybil fraction p; floor(p*N) nodes are marked,
 	// infrastructure (bootstrap, receiver, dispatcher) exempt.
 	MaliciousRate float64
-	// Drop switches the adversary from spying (release-ahead collection
-	// only) to the drop attack (malicious holders swallow every package).
-	// Equivalent to Strategy: adversary.StrategyDrop, and set by withDefaults
-	// whenever Strategy drops packages. The one caller that still spells it
-	// is benchmark/workloads.go (frozen); ROADMAP item 5 retires the field.
+	// Drop is Strategy: adversary.StrategyDrop under another name, read only
+	// by withDefaults when Strategy is unset. Everything downstream asks
+	// Strategy.Drops(); the field stays for the benchmark workloads that
+	// spell it.
 	Drop bool
 	// Strategy selects the malicious-holder strategy explicitly: spy
 	// (default), drop, or eclipse (bucket poisoning plus drop). See
@@ -112,8 +112,6 @@ type Config struct {
 	// (default 1, so each holder slot maps to exactly one physical node as
 	// the Monte Carlo model assumes; the production default elsewhere is 2).
 	Replicas int
-	// Latency is the one-way simnet latency (default 5ms).
-	Latency time.Duration
 	// Fault selects the deterministic fault-injection profile the simnet
 	// fabric runs under: none (default), burst (Gilbert–Elliott loss with
 	// latency spikes and duplication), partition (timed bisections), or flap
@@ -153,9 +151,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Nodes < 10 {
 		return c, fmt.Errorf("scenario: %d nodes is too small a population", c.Nodes)
 	}
-	if c.MaliciousRate < 0 || c.MaliciousRate > 1 {
-		return c, fmt.Errorf("scenario: malicious rate %v outside [0,1]", c.MaliciousRate)
-	}
 	if c.Alpha < 0 {
 		return c, fmt.Errorf("scenario: alpha %v must be >= 0", c.Alpha)
 	}
@@ -186,17 +181,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Stagger < 0 {
 		c.Stagger = 0
 	}
-	if c.Replicas < 0 {
-		return c, fmt.Errorf("scenario: replicas %d must be >= 0", c.Replicas)
-	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
-	}
-	if c.Latency < 0 {
-		return c, fmt.Errorf("scenario: latency %v must be positive", c.Latency)
-	}
-	if c.Latency == 0 {
-		c.Latency = 5 * time.Millisecond
 	}
 	if c.MCTrials == 0 {
 		c.MCTrials = 2000
@@ -204,30 +190,37 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Drop && c.Strategy == adversary.StrategySpy {
 		c.Strategy = adversary.StrategyDrop
 	}
-	if c.Strategy.Drops() {
-		// Eclipse holders also swallow their packages, so every Drop-keyed
-		// decision (delivery reference, scoring semantics) applies.
-		c.Drop = true
-	}
-	if c.Forge < 0 {
-		return c, fmt.Errorf("scenario: forge rate %v must be >= 0", c.Forge)
-	}
-	if c.Forge > 0 && c.Strategy != adversary.StrategyEclipse {
-		return c, fmt.Errorf("scenario: forge rate requires the eclipse strategy")
-	}
-	if c.Partition < 0 {
-		return c, fmt.Errorf("scenario: partition %d must be >= 0", c.Partition)
-	}
-	if err := (fault.Config{Profile: c.Fault, Severity: c.FaultSeverity}).Validate(); err != nil {
-		return c, fmt.Errorf("scenario: %w", err)
-	}
-	if c.Retry < 0 {
-		return c, fmt.Errorf("scenario: retry %d must be >= 0", c.Retry)
-	}
 	if err := c.Plan.Validate(); err != nil {
 		return c, fmt.Errorf("scenario: %w", err)
 	}
-	return c, nil
+	return c, c.network().Validate()
+}
+
+// network is the live network a defaulted config boots: the one place a
+// Config field meets its NetworkConfig field, and so the one place the
+// network half of a point is validated (NetworkConfig.Validate).
+func (c Config) network() selfemerge.NetworkConfig {
+	var lifetime time.Duration
+	if c.Alpha > 0 {
+		lifetime = time.Duration(float64(c.Emerging) / c.Alpha)
+	}
+	return selfemerge.NetworkConfig{
+		Nodes:           c.Nodes,
+		MaliciousRate:   c.MaliciousRate,
+		Attack:          c.Strategy,
+		ForgeRate:       c.Forge,
+		Table:           c.Table,
+		MeanLifetime:    lifetime,
+		Replace:         true,
+		HonestEndpoints: true,
+		Replicas:        c.Replicas,
+		Repair:          true,
+		Partition:       c.Partition,
+		Fault:           c.Fault,
+		FaultSeverity:   c.FaultSeverity,
+		Retry:           c.Retry,
+		Seed:            c.Seed,
+	}
 }
 
 // shareModel resolves the reference share model: an explicitly pinned value
@@ -315,19 +308,9 @@ type Report struct {
 	// zero when no closed form applies.
 	Predicted analytic.Resilience
 
-	// Churn and transport volume observed during the run.
-	Deaths, Joins       int
-	Sent, Recv, Dropped int
-	// Resilience counters from the retry-hardened RPC layer: re-sends,
-	// RPCs recovered by a re-send, and receiver-suppressed duplicate
-	// deliveries. All zero on single-shot (Retry <= 1) runs.
-	Retries, Recovered, Duplicates uint64
-	// Event-loop counters: epoch barriers executed, epochs with at most one
-	// busy shard, and hand-off outbox capacity growths. Pure functions of
-	// configuration and seed (never of GOMAXPROCS or worker counts); every
-	// live run executes at least one epoch.
-	Epochs, IdleSkips, MergeAllocs uint64
-	Elapsed                        time.Duration // wall-clock time of the live run
+	// Counters is what the live run counted, summed over its shards.
+	experiment.Counters
+	Elapsed time.Duration // wall-clock time of the live run
 }
 
 // AgreesWithMC reports whether the live release and delivery rates fall
@@ -359,38 +342,8 @@ func Setup(cfg Config) (Config, *selfemerge.Network, error) {
 	if cfg.Shards > 1 {
 		return cfg, nil, fmt.Errorf("scenario: Setup boots one network; %d shards need Measure", cfg.Shards)
 	}
-	return boot(cfg)
-}
-
-// boot builds the single live network of one (already defaulted) shard
-// config.
-func boot(cfg Config) (Config, *selfemerge.Network, error) {
-	var lifetime time.Duration
-	if cfg.Alpha > 0 {
-		lifetime = time.Duration(float64(cfg.Emerging) / cfg.Alpha)
-	}
-	net, err := selfemerge.NewNetwork(selfemerge.NetworkConfig{
-		Nodes:           cfg.Nodes,
-		MaliciousRate:   cfg.MaliciousRate,
-		Attack:          cfg.Strategy,
-		ForgeRate:       cfg.Forge,
-		Table:           cfg.Table,
-		MeanLifetime:    lifetime,
-		Replace:         true,
-		HonestEndpoints: true,
-		Replicas:        cfg.Replicas,
-		Repair:          true,
-		Latency:         cfg.Latency,
-		Partition:       cfg.Partition,
-		Fault:           cfg.Fault,
-		FaultSeverity:   cfg.FaultSeverity,
-		Retry:           cfg.Retry,
-		Seed:            cfg.Seed,
-	})
-	if err != nil {
-		return cfg, nil, err
-	}
-	return cfg, net, nil
+	net, err := selfemerge.NewNetwork(cfg.network())
+	return cfg, net, err
 }
 
 // Drive launches cfg.Missions staggered missions through the live network
@@ -523,7 +476,7 @@ func (c Config) References() (release, deliver Reference) {
 		ShareModel: c.shareModel(),
 	}
 	release = Reference{Plan: c.Plan, Env: env, Trials: c.MCTrials, Seed: c.Seed + 101}
-	if c.Drop {
+	if c.Strategy.Drops() {
 		return release, release
 	}
 	env.Malicious = 0
@@ -554,7 +507,7 @@ func (r *Report) estimateReferences(estimate func(Reference) (mc.Result, error))
 		return err
 	}
 	r.MCDelivery = r.MC
-	if !r.Config.Drop {
+	if !r.Config.Strategy.Drops() {
 		r.MCDelivery, err = estimate(delRef)
 	}
 	return err

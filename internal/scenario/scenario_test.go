@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
 	"selfemerge/internal/scenario"
 )
@@ -16,7 +17,7 @@ func TestScenarioDeterministic(t *testing.T) {
 	cfg := scenario.Config{
 		Nodes:         120,
 		MaliciousRate: 0.2,
-		Drop:          true,
+		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      30,
 		Plan:          jointPlan,
@@ -90,11 +91,11 @@ func TestScenarioFullCompromise(t *testing.T) {
 	// Every non-infrastructure node is a Sybil. Spies harvest all key
 	// material at start time (release-ahead succeeds on every mission) but
 	// forward faithfully; droppers additionally swallow every package.
-	for _, drop := range []bool{false, true} {
+	for _, strategy := range []adversary.Strategy{adversary.StrategySpy, adversary.StrategyDrop} {
 		report, err := scenario.Run(scenario.Config{
 			Nodes:         150,
 			MaliciousRate: 1,
-			Drop:          drop,
+			Strategy:      strategy,
 			Missions:      20,
 			Plan:          jointPlan,
 			MCTrials:      20,
@@ -106,14 +107,14 @@ func TestScenarioFullCompromise(t *testing.T) {
 		// The three infrastructure nodes stay honest even at rate 1, and a
 		// mission whose slot lands on one of them can survive; allow a few.
 		if report.Live.Released < report.Live.Missions-4 {
-			t.Errorf("drop=%v: full compromise released only %d/%d", drop, report.Live.Released, report.Live.Missions)
+			t.Errorf("%v: full compromise released only %d/%d", strategy, report.Live.Released, report.Live.Missions)
 		}
 		wantDelivered := report.Live.Missions
-		if drop {
+		if strategy.Drops() {
 			wantDelivered = 0
 		}
 		if report.Live.Delivered != wantDelivered {
-			t.Errorf("drop=%v: delivered %d, want %d", drop, report.Live.Delivered, wantDelivered)
+			t.Errorf("%v: delivered %d, want %d", strategy, report.Live.Delivered, wantDelivered)
 		}
 	}
 }

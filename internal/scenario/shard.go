@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	selfemerge "selfemerge"
+	"selfemerge/internal/experiment"
 	"selfemerge/internal/stats"
 )
 
@@ -72,18 +74,15 @@ func (c Config) shardConfigs() []Config {
 
 // shardOutcome is one shard's complete contribution to the merged report.
 type shardOutcome struct {
-	res                        Result
-	deaths, joins              int
-	sent, recv, dropped        int
-	retries, recov, dups       uint64
-	epochs, idleSkips, mallocs uint64
-	err                        error
+	live Result
+	experiment.Counters
+	err error
 }
 
 // runShard executes the three live phases for one single-network shard
 // config.
-func runShard(cfg Config) shardOutcome {
-	cfg, net, err := boot(cfg)
+func runShard(cfg Config) (out shardOutcome) {
+	net, err := selfemerge.NewNetwork(cfg.network())
 	if err != nil {
 		return shardOutcome{err: err}
 	}
@@ -91,12 +90,13 @@ func runShard(cfg Config) shardOutcome {
 	if err != nil {
 		return shardOutcome{err: err}
 	}
-	out := shardOutcome{res: Score(cfg, net, msgs)}
-	out.deaths, out.joins = net.ChurnEvents()
-	out.sent, out.recv, out.dropped = net.FabricStats()
+	out.live = Score(cfg, net, msgs)
+	c := &out.Counters
+	c.Deaths, c.Joins = net.ChurnEvents()
+	c.Sent, c.Recv, c.Dropped = net.FabricStats()
 	rs := net.ResilienceStats()
-	out.retries, out.recov, out.dups = rs.Retries, rs.Recovered, rs.Duplicates
-	out.epochs, out.idleSkips, out.mallocs = net.LoopStats()
+	c.Retries, c.Recovered, c.Duplicates = rs.Retries, rs.Recovered, rs.Duplicates
+	c.Epochs, c.IdleSkips, c.MergeAllocs = net.LoopStats()
 	return out
 }
 
@@ -151,21 +151,11 @@ func measureShards(cfg Config, report *Report) error {
 		if out.err != nil {
 			return out.err
 		}
-		report.Live.Missions += out.res.Missions
-		report.Live.Released += out.res.Released
-		report.Live.Delivered += out.res.Delivered
-		report.Live.Succeeded += out.res.Succeeded
-		report.Deaths += out.deaths
-		report.Joins += out.joins
-		report.Sent += out.sent
-		report.Recv += out.recv
-		report.Dropped += out.dropped
-		report.Retries += out.retries
-		report.Recovered += out.recov
-		report.Duplicates += out.dups
-		report.Epochs += out.epochs
-		report.IdleSkips += out.idleSkips
-		report.MergeAllocs += out.mallocs
+		report.Live.Missions += out.live.Missions
+		report.Live.Released += out.live.Released
+		report.Live.Delivered += out.live.Delivered
+		report.Live.Succeeded += out.live.Succeeded
+		report.Counters.Add(out.Counters)
 	}
 	return nil
 }

@@ -1,10 +1,13 @@
 package scenario_test
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
+	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
+	"selfemerge/internal/experiment"
 	"selfemerge/internal/fault"
 	"selfemerge/internal/scenario"
 )
@@ -25,7 +28,7 @@ func TestShardOneMatchesHistoricalRun(t *testing.T) {
 		deaths, sent int
 	}{
 		{
-			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.2, Drop: true, Alpha: 1, Missions: 30,
+			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.2, Strategy: adversary.StrategyDrop, Alpha: 1, Missions: 30,
 				Plan: core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}, MCTrials: 40, Seed: 11},
 			live:   scenario.Result{Missions: 30, Released: 5, Delivered: 12, Succeeded: 11},
 			deaths: 227, sent: 26887,
@@ -63,7 +66,7 @@ func shardedCfg(shards int) scenario.Config {
 	return scenario.Config{
 		Nodes:         120,
 		MaliciousRate: 0.2,
-		Drop:          true,
+		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      30,
 		Shards:        shards,
@@ -104,19 +107,26 @@ func TestShardedPointDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestShardedPointMergesShardRuns: a sharded point is exactly the fixed-order
 // merge of its per-shard single-network runs — same mission split, same
-// derived seeds — executed here by hand through the public API.
+// derived seeds — executed here by hand through the public API. The point runs
+// burst faults, retries and two event loops, so every counter is nonzero and
+// the whole Counters record is compared.
 func TestShardedPointMergesShardRuns(t *testing.T) {
 	const shards = 3
-	sharded, err := scenario.Measure(shardedCfg(shards))
+	cfg := func(shards int) scenario.Config {
+		c := shardedCfg(shards)
+		c.Fault, c.FaultSeverity, c.Retry, c.Partition = fault.ProfileBurst, 0.5, 3, 2
+		return c
+	}
+	sharded, err := scenario.Measure(cfg(shards))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var merged scenario.Result
-	var deaths, sent int
+	var counters experiment.Counters
 	for i := 0; i < shards; i++ {
-		sc := shardedCfg(1)
+		sc := cfg(1)
 		sc.Missions = 10 // 30 missions over 3 shards
-		sc.Seed = scenario.ShardSeed(shardedCfg(shards).Seed, i)
+		sc.Seed = scenario.ShardSeed(sc.Seed, i)
 		rep, err := scenario.Measure(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -125,15 +135,19 @@ func TestShardedPointMergesShardRuns(t *testing.T) {
 		merged.Released += rep.Live.Released
 		merged.Delivered += rep.Live.Delivered
 		merged.Succeeded += rep.Live.Succeeded
-		deaths += rep.Deaths
-		sent += rep.Sent
+		counters.Add(rep.Counters)
 	}
 	if sharded.Live != merged {
 		t.Errorf("sharded point %+v != merged shard runs %+v", sharded.Live, merged)
 	}
-	if sharded.Deaths != deaths || sharded.Sent != sent {
-		t.Errorf("sharded observability (%d deaths, %d sent) != merged (%d, %d)",
-			sharded.Deaths, sharded.Sent, deaths, sent)
+	if sharded.Counters != counters {
+		t.Errorf("sharded counters %+v != merged %+v", sharded.Counters, counters)
+	}
+	v := reflect.ValueOf(counters)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Errorf("counter %s is zero: the point does not exercise it", v.Type().Field(i).Name)
+		}
 	}
 }
 

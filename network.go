@@ -1,6 +1,7 @@
 package selfemerge
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -145,8 +146,6 @@ type NetworkConfig struct {
 	// at any worker count or GOMAXPROCS, and every other knob composes with
 	// any shard count.
 	Partition int
-	// Latency is the one-way network latency (default 5ms).
-	Latency time.Duration
 	// Seed makes the network fully reproducible.
 	Seed uint64
 	// SystemRand switches the sender-side cryptographic randomness —
@@ -160,46 +159,48 @@ type NetworkConfig struct {
 	SystemRand bool
 }
 
-func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
-	if c.Nodes == 0 {
-		c.Nodes = 100
+// latency is the fabric's one-way delivery delay, and so the lockstep
+// lookahead.
+const latency = 5 * time.Millisecond
+
+// Validate reports the first setting NewNetwork would refuse; zero values
+// stand for their defaults. It is the one check of a network's settings: the
+// scenario engine validates a live point's network half through it.
+func (c NetworkConfig) Validate() error {
+	if c.Nodes != 0 && c.Nodes < 3 {
+		return errors.New("selfemerge: need at least 3 nodes")
 	}
-	if c.Nodes < 3 {
-		return c, errors.New("selfemerge: need at least 3 nodes")
-	}
-	if c.MaliciousRate < 0 || c.MaliciousRate > 1 {
-		return c, fmt.Errorf("selfemerge: malicious rate %v outside [0,1]", c.MaliciousRate)
-	}
-	if c.Latency < 0 {
-		// A negative latency would schedule deliveries into the past and
-		// void the lockstep lookahead; zero is a defaulting request, negative
-		// is always a caller bug.
-		return c, fmt.Errorf("selfemerge: negative latency %v", c.Latency)
-	}
-	if c.Latency == 0 {
-		c.Latency = 5 * time.Millisecond
+	if !(c.MaliciousRate >= 0 && c.MaliciousRate <= 1) {
+		return fmt.Errorf("selfemerge: malicious rate %v outside [0,1]", c.MaliciousRate)
 	}
 	if c.ForgeRate < 0 {
-		return c, fmt.Errorf("selfemerge: negative forge rate %v", c.ForgeRate)
+		return fmt.Errorf("selfemerge: negative forge rate %v", c.ForgeRate)
 	}
 	if c.ForgeRate > 0 && c.Attack != adversary.StrategyEclipse {
-		return c, errors.New("selfemerge: ForgeRate requires Attack: eclipse")
+		return errors.New("selfemerge: a forge rate requires the eclipse attack")
 	}
-	if c.Table == dht.TableDefault {
-		c.Table = dht.TableNaive
+	if c.Replicas < 0 {
+		return fmt.Errorf("selfemerge: negative replica count %d", c.Replicas)
 	}
 	if c.Partition < 0 {
-		return c, fmt.Errorf("selfemerge: negative partition count %d", c.Partition)
-	}
-	if c.Partition == 0 {
-		c.Partition = 1
+		return fmt.Errorf("selfemerge: negative partition count %d", c.Partition)
 	}
 	if err := (fault.Config{Profile: c.Fault, Severity: c.FaultSeverity}).Validate(); err != nil {
-		return c, err
+		return err
 	}
 	if c.Retry < 0 {
-		return c, fmt.Errorf("selfemerge: negative retry attempts %d", c.Retry)
+		return fmt.Errorf("selfemerge: negative retry attempts %d", c.Retry)
 	}
+	return nil
+}
+
+func (c NetworkConfig) withDefaults() (NetworkConfig, error) {
+	if err := c.Validate(); err != nil {
+		return c, err
+	}
+	c.Nodes = cmp.Or(c.Nodes, 100)
+	c.Table = cmp.Or(c.Table, dht.TableNaive)
+	c.Partition = cmp.Or(c.Partition, 1)
 	return c, nil
 }
 
@@ -299,7 +300,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		sims[i] = sim.NewSimulator()
 		clocks[i] = sims[i]
 	}
-	n.fabric, err = simnet.NewPartition(clocks, simnet.Config{BaseLatency: cfg.Latency, Seed: cfg.Seed + 1})
+	n.fabric, err = simnet.NewPartition(clocks, simnet.Config{BaseLatency: latency, Seed: cfg.Seed + 1})
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package selfemerge
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -325,18 +326,31 @@ func TestPayloadBytesPerMission(t *testing.T) {
 	}
 }
 
+// TestNetworkValidation: Validate is the one check of a network's settings,
+// and NewNetwork refuses exactly what it refuses.
 func TestNetworkValidation(t *testing.T) {
-	if _, err := NewNetwork(NetworkConfig{Nodes: 2}); err == nil {
-		t.Error("2-node network accepted")
+	bad := map[string]NetworkConfig{
+		"2-node network":                 {Nodes: 2},
+		"malicious rate 1.5":             {MaliciousRate: 1.5},
+		"malicious rate NaN":             {MaliciousRate: math.NaN()},
+		"forge rate without the eclipse": {Nodes: 10, ForgeRate: 5},
+		"negative forge rate":            {Nodes: 10, Attack: AttackEclipse, ForgeRate: -1},
+		"negative replica count":         {Replicas: -1},
+		"negative partition count":       {Partition: -1},
+		"fault severity 1.5":             {Fault: FaultBurst, FaultSeverity: 1.5},
+		"negative retry attempts":        {Retry: -1},
+		"negative fault severity":        {FaultSeverity: -0.1},
 	}
-	if _, err := NewNetwork(NetworkConfig{MaliciousRate: 1.5}); err == nil {
-		t.Error("malicious rate 1.5 accepted")
+	for name, cfg := range bad {
+		if cfg.Validate() == nil {
+			t.Errorf("Validate accepted a %s", name)
+		}
+		if _, err := NewNetwork(cfg); err == nil {
+			t.Errorf("NewNetwork accepted a %s", name)
+		}
 	}
-	if _, err := NewNetwork(NetworkConfig{Nodes: 10, ForgeRate: 5}); err == nil {
-		t.Error("forge rate without the eclipse strategy accepted")
-	}
-	if _, err := NewNetwork(NetworkConfig{Nodes: 10, Attack: AttackEclipse, ForgeRate: -1}); err == nil {
-		t.Error("negative forge rate accepted")
+	if err := (NetworkConfig{}).Validate(); err != nil {
+		t.Errorf("the zero config (every default) refused: %v", err)
 	}
 }
 
