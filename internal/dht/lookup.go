@@ -1,5 +1,7 @@
 package dht
 
+import "selfemerge/internal/transport"
+
 // Lookup performs an iterative FIND_NODE for target and calls cb with the
 // up-to-K closest contacts found. The contact slice is only valid for the duration of the callback (it
 // aliases a recycled lookup buffer), so copy to retain.
@@ -189,7 +191,10 @@ type lookupState struct {
 	// sortShortlist.
 	shortlist []ranked
 	settled   int
-	result    []Contact
+	// spill holds the addresses of the entries that got no handle in the
+	// loop's book because it was full (see addr).
+	spill  []transport.Addr
+	result []Contact
 	// seen is every distance the lookup ever listed: it also remembers self
 	// and the contacts failover removed, so neither comes back.
 	seen     distSet
@@ -204,11 +209,32 @@ func (ls *lookupState) release() {
 	ls.seen.reset()
 	ls.shortlist = ls.shortlist[:0]
 	ls.settled = 0
+	clear(ls.spill)
+	ls.spill = ls.spill[:0]
 	ls.result = ls.result[:0]
 	ls.node = nil
 	ls.finishCb = nil
 	ls.finishArg = nil
 	s.lookups.Put(ls)
+}
+
+// handle returns the address handle of a new shortlist entry, from its
+// address bytes still on the wire: the loop's book's, or past its bound
+// spilled, indexing the address's copy in the spill list.
+func (ls *lookupState) handle(addr []byte) uint32 {
+	if h, ok := ls.node.cfg.Scratch.handleBytes(addr); ok {
+		return h
+	}
+	ls.spill = append(ls.spill, transport.Addr(addr))
+	return spilled | uint32(len(ls.spill)-1)
+}
+
+// addr turns a shortlist entry's handle back into its address.
+func (ls *lookupState) addr(h uint32) transport.Addr {
+	if h&spilled != 0 {
+		return ls.spill[h&^spilled]
+	}
+	return ls.node.cfg.Scratch.addrs[h]
 }
 
 // distSet is an open-addressing membership set over packed XOR-distance
@@ -281,11 +307,11 @@ func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
 	ls.target = target
 	ls.finishCb = cb
 	ls.finishArg = arg
-	self := rankContact(target, Contact{ID: n.cfg.ID})
+	self := rankID(target, n.cfg.ID)
 	ls.seen.add(self.d0, self.d1, self.d2)
 	// The bootstrap selection arrives nearest-first and at most K long: it
 	// starts out as the settled window.
-	ls.shortlist = n.table.appendClosestRanked(ls.shortlist, target, bucketK)
+	n.table.appendClosestRanked(ls, bucketK)
 	ls.settled = len(ls.shortlist)
 	for i := range ls.shortlist {
 		r := &ls.shortlist[i]
@@ -310,7 +336,7 @@ func (ls *lookupState) step() {
 		r.queried = true
 		ls.inflight++
 		q := ls.node.cfg.Scratch.queries.Get()
-		q.ls, q.contact = ls, r.contact(&ls.target)
+		q.ls, q.contact = ls, r.contact(ls)
 		ls.node.requestArg(q.contact, Message{Kind: KindFindNode, Target: ls.target}, lookupQueryDone, q)
 	}
 	if ls.inflight == 0 {
@@ -342,7 +368,7 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	ls.inflight--
 	if err != nil {
 		// Find the queried entry by its lanes (likely in the window, scanned first).
-		d := rankContact(ls.target, from)
+		d := rankID(ls.target, from.ID)
 		for i := range ls.shortlist {
 			r := &ls.shortlist[i]
 			if r.d0 != d.d0 || r.d1 != d.d1 || r.d2 != d.d2 {
@@ -370,18 +396,17 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	if err == nil {
 		// The contacts are still on the wire, and most of them this lookup
 		// has already seen: rank and probe each record where it lies, and pay
-		// for an entry — interned address, distance lanes — only when it is
-		// new. So the bounded interner admits just the addresses of contacts
-		// some lookup kept, not whatever a response chose to list.
+		// for an entry — address handle, distance lanes — only when it is
+		// new. So the bounded book admits just the addresses of contacts some
+		// lookup kept, not whatever a response chose to list.
 		t0, t1, t2 := lanes(ls.target[:])
-		scratch := ls.node.cfg.Scratch
 		for region := resp.contacts.region; len(region) > 0; {
 			id, addr, rest, _ := nextContact(region)
 			region = rest
 			d0, d1, d2 := lanes(id)
 			d0, d1, d2 = d0^t0, d1^t1, d2^t2
 			if ls.seen.add(d0, d1, d2) {
-				ls.shortlist = append(ls.shortlist, ranked{d0: d0, d1: d1, d2: d2, addr: scratch.intern(addr)})
+				ls.shortlist = append(ls.shortlist, ranked{d0: d0, d1: d1, d2: d2, addr: ls.handle(addr)})
 			}
 		}
 	}
@@ -398,7 +423,7 @@ func (ls *lookupState) closestK() []Contact {
 	sl := ls.shortlist[:min(len(ls.shortlist), bucketK)]
 	out := ls.result[:0]
 	for i := range sl {
-		out = append(out, sl[i].contact(&ls.target))
+		out = append(out, sl[i].contact(ls))
 	}
 	ls.result = out
 	return out
@@ -431,15 +456,14 @@ func (ls *lookupState) sortShortlist() {
 	ls.settled = len(sl)
 }
 
-// remove drops entry i: the last entry takes its place, the slot it vacates
-// is zeroed so that it pins no address, and everything from i on is left for
-// the next sortShortlist to place again. For a window entry that pass is the
-// promotion of the reserve's nearest: one compare per reserve entry, on the
-// failure path only.
+// remove drops entry i: the last entry takes its place, and everything from i
+// on is left for the next sortShortlist to place again. For a window entry
+// that pass is the promotion of the reserve's nearest: one compare per
+// reserve entry, on the failure path only. The copy left in the vacated slot
+// pins nothing: an entry holds no pointer.
 func (ls *lookupState) remove(i int) {
 	last := len(ls.shortlist) - 1
 	ls.shortlist[i] = ls.shortlist[last]
-	ls.shortlist[last] = ranked{}
 	ls.shortlist = ls.shortlist[:last]
 	ls.settled = min(ls.settled, i)
 }

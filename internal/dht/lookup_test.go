@@ -38,7 +38,7 @@ func newResponseRig(tb testing.TB, rng *stats.RNG) *responseRig {
 	}
 	ls := node.cfg.Scratch.lookups.Get()
 	ls.node, ls.target = node, RandomID(rng)
-	self := rankContact(ls.target, node.Contact())
+	self := rankID(ls.target, node.ID())
 	ls.seen.add(self.d0, self.d1, self.d2)
 	ls.inflight = alpha
 	return &responseRig{node: node, ls: ls, from: Contact{ID: RandomID(rng), Addr: "responder"}}
@@ -99,7 +99,7 @@ func TestLookupResponseOffWire(t *testing.T) {
 		rig.feed(rig.response(t, []Contact{c[0], rig.node.Contact(), c[0], c[1], c[0]}))
 		got := make([]Contact, 0, 2)
 		for _, r := range rig.ls.shortlist {
-			got = append(got, r.contact(&rig.ls.target))
+			got = append(got, r.contact(rig.ls))
 		}
 		slices.SortFunc(got, func(a, b Contact) int { return slices.Compare(a.ID[:], b.ID[:]) })
 		slices.SortFunc(c, func(a, b Contact) int { return slices.Compare(a.ID[:], b.ID[:]) })
@@ -112,20 +112,20 @@ func TestLookupResponseOffWire(t *testing.T) {
 		rig := newResponseRig(t, stats.NewRNG(5))
 		contacts := randomContacts(stats.NewRNG(6), maxContacts, "peer")
 		rig.feed(rig.response(t, contacts))
-		addrs := rig.node.cfg.Scratch.addrs
-		if len(addrs) != maxContacts {
-			t.Fatalf("interner holds %d addresses after %d novel contacts", len(addrs), maxContacts)
+		book := &rig.node.cfg.Scratch.addrBook
+		if len(book.addrs) != maxContacts {
+			t.Fatalf("address book holds %d addresses after %d novel contacts", len(book.addrs), maxContacts)
 		}
 		for i := range contacts {
 			contacts[i].Addr = transport.Addr(fmt.Sprintf("forged-%d", i))
 		}
 		rig.feed(rig.response(t, contacts))
-		if len(addrs) != maxContacts {
-			t.Errorf("interner grew to %d on forged addresses of contacts the lookup already had", len(addrs))
+		if len(book.addrs) != maxContacts {
+			t.Errorf("address book grew to %d on forged addresses of contacts the lookup already had", len(book.addrs))
 		}
 		for _, r := range rig.ls.shortlist {
-			if !strings.HasPrefix(string(r.addr), "peer-") {
-				t.Errorf("contact %s re-pointed to %q", r.contact(&rig.ls.target).ID, r.addr)
+			if c := r.contact(rig.ls); !strings.HasPrefix(string(c.Addr), "peer-") {
+				t.Errorf("contact %s re-pointed to %q", c.ID, c.Addr)
 			}
 		}
 	})
@@ -180,33 +180,26 @@ func sortByDistance(target ID, cs []Contact) {
 // checkShortlist holds a settled shortlist to the lookup contract, given
 // every contact it should list nearest first: the window is the oracle's
 // first K in order, the reserve is the rest as a set, and the result is the
-// oracle's first K. The entries' query marks are not compared.
+// oracle's first K. Entries are compared as the contacts they stand for, so
+// the lanes and the address handle are both checked; the query marks are
+// not.
 func checkShortlist(t *testing.T, ls *lookupState, oracle []Contact) {
 	t.Helper()
-	want := make([]ranked, len(oracle))
-	for i, c := range oracle {
-		want[i] = rankContact(ls.target, c)
+	if len(ls.shortlist) != len(oracle) || ls.settled != len(oracle) {
+		t.Fatalf("shortlist holds %d entries (%d settled), want %d", len(ls.shortlist), ls.settled, len(oracle))
 	}
-	if len(ls.shortlist) != len(want) || ls.settled != len(want) {
-		t.Fatalf("shortlist holds %d entries (%d settled), want %d", len(ls.shortlist), ls.settled, len(want))
+	got := make([]Contact, len(ls.shortlist))
+	for i := range ls.shortlist {
+		got[i] = ls.shortlist[i].contact(ls)
 	}
-	got := slices.Clone(ls.shortlist)
-	for i := range got {
-		got[i].queried, got[i].requeried = false, false
-	}
-	k := min(len(want), bucketK)
-	if !slices.Equal(got[:k], want[:k]) {
-		t.Fatalf("window diverged from the oracle\n got %v\nwant %v", got[:k], want[:k])
+	k := min(len(oracle), bucketK)
+	if !slices.Equal(got[:k], oracle[:k]) {
+		t.Fatalf("window diverged from the oracle\n got %v\nwant %v", got[:k], oracle[:k])
 	}
 	reserve := got[k:]
-	slices.SortFunc(reserve, func(a, b ranked) int {
-		if a.farther(b) {
-			return 1
-		}
-		return -1
-	})
-	if !slices.Equal(reserve, want[k:]) {
-		t.Fatalf("reserve diverged from the oracle\n got %v\nwant %v", reserve, want[k:])
+	sortByDistance(ls.target, reserve)
+	if !slices.Equal(reserve, oracle[k:]) {
+		t.Fatalf("reserve diverged from the oracle\n got %v\nwant %v", reserve, oracle[k:])
 	}
 	if got := ls.closestK(); !slices.Equal(got, oracle[:k]) {
 		t.Fatalf("result = %v, want %v", got, oracle[:k])
@@ -215,8 +208,8 @@ func checkShortlist(t *testing.T, ls *lookupState, oracle []Contact) {
 
 // TestLookupFailoverPromotesReserve: with more than K contacts known, a
 // window member whose query fails leaves the shortlist, the reserve's
-// nearest takes the window's last place, the vacated slot pins nothing, and
-// the result is the oracle's minus that contact. Under a retry policy the
+// nearest takes the window's last place, and the result is the oracle's
+// minus that contact. Under a retry policy the
 // first failure only hands the contact back to step's candidates — with a
 // flag, allocation-free — and the second removes it.
 func TestLookupFailoverPromotesReserve(t *testing.T) {
@@ -234,7 +227,7 @@ func TestLookupFailoverPromotesReserve(t *testing.T) {
 			victim := oracle[bucketK/2]
 			entry := func() *ranked {
 				for i := range ls.shortlist[:bucketK] {
-					if ls.shortlist[i].contact(&ls.target) == victim {
+					if ls.shortlist[i].contact(ls) == victim {
 						return &ls.shortlist[i]
 					}
 				}
@@ -267,9 +260,6 @@ func TestLookupFailoverPromotesReserve(t *testing.T) {
 			}
 			oracle = slices.Delete(oracle, bucketK/2, bucketK/2+1)
 			checkShortlist(t, ls, oracle)
-			if vacated := ls.shortlist[:len(ls.shortlist)+1][len(ls.shortlist)]; vacated != (ranked{}) {
-				t.Errorf("vacated slot still holds %+v", vacated)
-			}
 		})
 	}
 }

@@ -82,7 +82,7 @@ func (m Message) AppendEncode(buf []byte) ([]byte, error) {
 	buf = appendHeader(buf, m.Kind, m.RPCID, &m.From, &m.Target)
 	buf = append(buf, byte(len(m.Contacts)))
 	for i := range m.Contacts {
-		buf = appendContact(buf, &m.Contacts[i])
+		buf = appendContact(buf, &m.Contacts[i].ID, m.Contacts[i].Addr)
 	}
 	return appendBytes32(buf, m.App), nil
 }
@@ -114,16 +114,20 @@ func appendClosestReply(buf []byte, rpcID uint64, from *Contact, t *Table, targe
 
 // appendContact appends one contact record — ID ‖ uint16 address length ‖
 // address bytes — the one writer of the layout nextContact reads. The record
-// is reserved whole, one capacity check, and the ID is stored as an array.
-func appendContact(buf []byte, c *Contact) []byte {
-	at, end := len(buf), len(buf)+IDBytes+2+len(c.Addr)
+// is reserved whole, one capacity check. The ID is copied as three words:
+// the array copy *(*ID)(rec) = *id compiles to a memmove call, which made a
+// 20-contact encode a quarter slower.
+func appendContact(buf []byte, id *ID, addr transport.Addr) []byte {
+	at, end := len(buf), len(buf)+IDBytes+2+len(addr)
 	if end > cap(buf) {
 		buf = slices.Grow(buf, end-at)
 	}
 	rec := buf[at:end]
-	*(*ID)(rec) = c.ID
-	binary.BigEndian.PutUint16(rec[IDBytes:], uint16(len(c.Addr)))
-	copy(rec[IDBytes+2:], c.Addr)
+	binary.LittleEndian.PutUint64(rec, binary.LittleEndian.Uint64(id[0:8]))
+	binary.LittleEndian.PutUint64(rec[8:], binary.LittleEndian.Uint64(id[8:16]))
+	binary.LittleEndian.PutUint32(rec[16:], binary.LittleEndian.Uint32(id[16:20]))
+	binary.BigEndian.PutUint16(rec[IDBytes:], uint16(len(addr)))
+	copy(rec[IDBytes+2:], addr)
 	return buf[:end]
 }
 
@@ -188,7 +192,7 @@ func nextContact(b []byte) (id, addr, rest []byte, ok bool) {
 // lie and copies out only the ones it keeps. It also leaves From.Addr empty
 // and hands back the claimed bytes: the receive loop trusts the socket-level
 // source address over the claimed one, so it neither converts them (an
-// allocation per datagram) nor admits them into the bounded intern table.
+// allocation per datagram) nor admits them into the bounded address book.
 func decodeMessageInto(m *Message, data []byte) (fromAddr []byte, err error) {
 	m.Contacts = m.Contacts[:0]
 	m.contacts = contactsView{}

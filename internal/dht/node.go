@@ -212,9 +212,10 @@ func NewNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	n := &Node{
 		cfg:     cfg,
-		table:   NewTable(cfg.ID, bucketK, staleAfter, func() time.Time { return cfg.Clock.Now() }),
+		table:   newTable(cfg.ID, bucketK, staleAfter, cfg.Clock),
 		pending: make(map[uint64]*pendingRPC),
 	}
+	n.table.book = &cfg.Scratch.addrBook
 	if cfg.Retry.enabled() {
 		n.retryRng = stats.NewRNG(retrySeed(cfg.ID))
 	}

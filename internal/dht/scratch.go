@@ -8,11 +8,11 @@ import (
 // Scratch is the recycled working memory of every node that shares one
 // serial dispatch context — one simulator event loop, or one real node's
 // udp.Loop. It owns what a node needs only while it is handling an event and
-// that outlives any single node: the receive-path decode Message and address
-// interner, and the freelists of lookup states, lookup query records,
-// owner-walk records, in-flight RPC records and byte buffers. None of it is
-// observable: sharing changes who pays for the memory, never a wire byte or
-// an event.
+// that outlives any single node: the receive-path decode Message, the address
+// book its nodes' routing tables and lookups refer to, and the freelists of
+// lookup states, lookup query records, owner-walk records, in-flight RPC
+// records and byte buffers. None of it is observable: sharing changes who
+// pays for the memory, never a wire byte or an event.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -28,11 +28,9 @@ type Scratch struct {
 	// Receive path: one datagram is decoded and dispatched at a time.
 	rx     Message
 	rxBusy bool
-	// addrs interns the addresses of the contacts lookups keep (see intern).
-	// Entries are never deleted; it stops admitting at maxAddrs, so a flood of
-	// unique addresses degrades to plain allocation instead of growing it.
-	addrs    map[transport.Addr]transport.Addr
-	maxAddrs int
+	// addrBook numbers the addresses of the contacts the loop's tables and
+	// lookups keep: their entries carry a handle into it, not a string.
+	addrBook
 
 	lookups freelist.List[lookupState]
 	queries freelist.List[lookupQuery]
@@ -59,19 +57,19 @@ const (
 	maxFreeBufs    = 256 // a dispatch burst's packets plus the custody of the missions in flight
 )
 
-// defaultInternedAddrs bounds the address interner of a scratch that was not
-// told its population: a real socket facing a flood of forged contact
-// addresses degrades to plain allocation instead of growing without limit.
-const defaultInternedAddrs = 1 << 16
+// defaultBookAddrs bounds the address book of a scratch that was not told its
+// population, and of a standalone table: a real socket facing a flood of
+// forged contact addresses spills past it instead of growing the book without
+// limit.
+const defaultBookAddrs = 1 << 16
 
 // NewScratch returns an empty scratch. peers is the number of distinct peer
 // addresses its nodes will see when the caller knows it (a simulated
-// population), so the interner can hold all of them; zero — or anything
-// under the default — keeps the default bound.
+// population), so the book can hold all of them; zero — or anything under the
+// default — keeps the default bound.
 func NewScratch(peers int) *Scratch {
 	return &Scratch{
-		addrs:    make(map[transport.Addr]transport.Addr),
-		maxAddrs: max(peers, defaultInternedAddrs),
+		addrBook: addrBook{max: min(max(peers, defaultBookAddrs), spilled-1)},
 		lookups:  freelist.List[lookupState]{Max: maxFreeLookups},
 		queries:  freelist.List[lookupQuery]{Max: maxFreeQueries},
 		walks:    freelist.List[ownerWalk]{Max: maxFreeWalks},
@@ -80,15 +78,52 @@ func NewScratch(peers int) *Scratch {
 	}
 }
 
-// intern returns the canonical Addr for raw address bytes (the map lookup by
-// converted bytes allocates nothing), remembering it for future datagrams.
-func (s *Scratch) intern(b []byte) transport.Addr {
-	if a, ok := s.addrs[transport.Addr(b)]; ok {
-		return a
+// addrBook numbers peer addresses, so that routing-table and lookup entries
+// carry a uint32 handle instead of a string and hold no pointer the collector
+// must scan. It is append-only and admits at most max addresses; past the
+// bound a handle cannot be had, and the entry's owner keeps the address in a
+// spill record of its own (Table.spill, lookupState.spill), so nothing is
+// dropped and nothing a peer sends grows the book without limit.
+type addrBook struct {
+	addrs []transport.Addr // by handle
+	index map[transport.Addr]uint32
+	max   int
+}
+
+// spilled marks a handle whose address is not in the book: a table entry's
+// address is in its table's spill map, a lookup entry's at index h&^spilled
+// of its lookup's spill list. It bounds the book: no handle reaches it.
+const spilled = 1 << 31
+
+// handle returns a's handle, adding a to the book when it is new; ok is false
+// when a is new and the book is full.
+func (b *addrBook) handle(a transport.Addr) (h uint32, ok bool) {
+	if h, ok := b.index[a]; ok {
+		return h, true
 	}
-	a := transport.Addr(b)
-	if len(s.addrs) < s.maxAddrs {
-		s.addrs[a] = a
+	return b.add(a)
+}
+
+// handleBytes is handle for an address still in a datagram: the lookup by
+// converted bytes allocates nothing, and the string is made only when the
+// book adds it.
+func (b *addrBook) handleBytes(a []byte) (h uint32, ok bool) {
+	if h, ok := b.index[transport.Addr(a)]; ok {
+		return h, true
 	}
-	return a
+	return b.add(transport.Addr(a))
+}
+
+// add books a new address; ok is false when the book is full.
+func (b *addrBook) add(a transport.Addr) (h uint32, ok bool) {
+	if len(b.addrs) >= b.max {
+		return 0, false
+	}
+	if b.index == nil {
+		b.index = make(map[transport.Addr]uint32)
+	}
+	h = uint32(len(b.addrs))
+	b.addrs = append(b.addrs, a)
+	b.index[a] = h
+	return h, true
 }

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -201,41 +202,254 @@ func TestScratchFreelistsBounded(t *testing.T) {
 	}
 }
 
-// TestScratchInternerBound: a scratch sized for its population canonicalises
-// every address; an unsized one stops admitting at the private default.
+// TestScratchInternerBound: a scratch sized for its population gives every
+// address a handle; an unsized one stops admitting at the private default.
+// A handle is canonical — the same bytes get the same handle, without
+// allocating — and turns back into the address it was given for.
 func TestScratchInternerBound(t *testing.T) {
 	const population = 70000
-	if population <= defaultInternedAddrs {
+	if population <= defaultBookAddrs {
 		t.Fatal("population must exceed the default bound to test sizing")
 	}
 	addrs := make([][]byte, population)
 	for i := range addrs {
 		addrs[i] = []byte(fmt.Sprintf("node-%d", i))
 	}
-	interned := func(s *Scratch) int {
+	booked := func(s *Scratch) int {
 		for _, a := range addrs {
-			s.intern(a)
+			if h, ok := s.handleBytes(a); ok && string(s.addrs[h]) != string(a) {
+				t.Fatalf("handle %d of %s reads back %s", h, a, s.addrs[h])
+			}
 		}
 		return len(s.addrs)
 	}
 	sized := NewScratch(population)
-	if got := interned(sized); got != population {
-		t.Errorf("sized scratch interned %d of %d addresses", got, population)
+	if got := booked(sized); got != population {
+		t.Errorf("sized scratch booked %d of %d addresses", got, population)
 	}
-	// Canonical: a second decode of the same bytes returns the same string
-	// without allocating, first address and last alike.
-	for _, a := range [][]byte{addrs[0], addrs[population-1]} {
-		if allocs := testing.AllocsPerRun(10, func() { sized.intern(a) }); allocs != 0 {
-			t.Errorf("re-interning %s allocates %v times", a, allocs)
+	for i, a := range [][]byte{addrs[0], addrs[population-1]} {
+		want := uint32(i * (population - 1))
+		if h, ok := sized.handleBytes(a); !ok || h != want {
+			t.Errorf("%s: handle %d, %v; want %d", a, h, ok, want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { sized.handleBytes(a) }); allocs != 0 {
+			t.Errorf("re-booking %s allocates %v times", a, allocs)
 		}
 	}
 	private := NewScratch(0)
-	if got := interned(private); got != defaultInternedAddrs {
-		t.Errorf("private scratch interned %d addresses, want the default bound %d", got, defaultInternedAddrs)
+	if got := booked(private); got != defaultBookAddrs {
+		t.Errorf("private scratch booked %d addresses, want the default bound %d", got, defaultBookAddrs)
 	}
-	if got := private.intern(addrs[population-1]); string(got) != string(addrs[population-1]) {
-		t.Errorf("past the bound intern returned %q", got)
+	if _, ok := private.handle(transport.Addr(addrs[population-1])); ok {
+		t.Error("a full book gave a new address a handle")
 	}
+}
+
+// TestAddrBookAtBound: past its bound the book gives a new address no
+// handle, and whoever holds the address keeps it in a spill record instead —
+// a table by ID, a lookup in its spill list. Every entry still reports its
+// true address, on every path an address leaves by, and no spill record
+// outlives its entry.
+func TestAddrBookAtBound(t *testing.T) {
+	const bound = 4
+	bounded := func() *Scratch {
+		s := NewScratch(0)
+		s.max = bound
+		return s
+	}
+	// in returns a contact at addr whose ID lands in bucket idx of the zero
+	// self ID, told apart by n.
+	in := func(idx int, n byte, addr transport.Addr) Contact {
+		var id ID
+		id[idx/8] = 0x80 >> (idx % 8)
+		id[IDBytes-1] = n
+		return Contact{ID: id, Addr: addr}
+	}
+	// check holds table to want, every contact it should track (live or in a
+	// replacement cache) at its true address: entries, Each and AppendClosest
+	// report it, and the spill map holds a record for exactly the spilled
+	// entries.
+	check := func(t *testing.T, table *Table, want map[ID]transport.Addr) {
+		t.Helper()
+		tracked := map[ID]bool{}
+		spilledIDs := map[ID]bool{}
+		visit := func(e *bucketEntry) {
+			tracked[e.ID] = true
+			if e.addr == spilled {
+				spilledIDs[e.ID] = true
+			}
+			if got := table.addrOf(e); got != want[e.ID] {
+				t.Errorf("entry %s reports %q, want %q", e.ID.Short(), got, want[e.ID])
+			}
+		}
+		for idx := 0; idx < IDBits; idx++ {
+			if b := table.bucket(idx); b != nil {
+				for i := range b.entries {
+					visit(&b.entries[i])
+				}
+			}
+			if eb := table.evict[idx]; eb != nil {
+				for i := range eb.spare {
+					visit(&eb.spare[i])
+				}
+			}
+		}
+		if len(tracked) != len(want) {
+			t.Errorf("table tracks %d contacts, want %d", len(tracked), len(want))
+		}
+		if len(spilledIDs) == 0 {
+			t.Error("no entry spilled: the book's bound was never reached")
+		}
+		if len(table.spill) != len(spilledIDs) {
+			t.Errorf("spill map holds %d records for %d spilled entries", len(table.spill), len(spilledIDs))
+		}
+		for id := range table.spill {
+			if !spilledIDs[id] {
+				t.Errorf("spill record for %s outlived its entry", id.Short())
+			}
+		}
+		table.Each(func(c Contact) {
+			if c.Addr != want[c.ID] {
+				t.Errorf("Each reports %s at %q, want %q", c.ID.Short(), c.Addr, want[c.ID])
+			}
+		})
+		for _, c := range table.Closest(ID{}, 1000) {
+			if c.Addr != want[c.ID] {
+				t.Errorf("Closest reports %s at %q, want %q", c.ID.Short(), c.Addr, want[c.ID])
+			}
+		}
+	}
+
+	t.Run("ping-evict table", func(t *testing.T) {
+		s := bounded()
+		now := time.Unix(1000, 0)
+		table := NewTable(ID{}, 3, 10*time.Minute, func() time.Time { return now })
+		table.book = &s.addrBook
+		table.SetPolicy(TablePingEvict)
+		var probed []ID
+		table.SetPinger(func(c Contact, _ func(alive bool)) { probed = append(probed, c.ID) })
+		want := map[ID]transport.Addr{}
+		observe := func(c Contact, verified bool) {
+			if verified {
+				table.ObserveVerified(c)
+			} else {
+				table.Observe(c)
+			}
+			if _, ok := want[c.ID]; !ok || verified {
+				want[c.ID] = c.Addr
+			}
+		}
+		// Unverified inserts: six addresses into a book of four.
+		for i := byte(1); i <= 3; i++ {
+			observe(in(0, i, transport.Addr(fmt.Sprintf("zero-%d", i))), false)
+			observe(in(1, i, transport.Addr(fmt.Sprintf("one-%d", i))), false)
+		}
+		check(t, table, want)
+		// An unverified claim moves nothing; a verified reply re-points, to a
+		// new address (spilled: the book is full) and back into the book.
+		table.Observe(in(0, 1, "forged"))
+		observe(in(0, 1, "moved"), true)
+		observe(in(1, 3, "zero-2"), true)
+		check(t, table, want)
+		// A full bucket 0: four newcomers wait as spares, capped at k = 3, so
+		// the oldest is evicted from the cache; one is re-pointed in place.
+		for i := byte(4); i <= 7; i++ {
+			observe(in(0, i, transport.Addr(fmt.Sprintf("spare-%d", i))), false)
+		}
+		delete(want, in(0, 4, "").ID)
+		observe(in(0, 6, "spare-moved"), true)
+		if len(probed) != 1 {
+			t.Fatalf("%d probes for one full bucket, want 1", len(probed))
+		}
+		check(t, table, want)
+		// The probed entry dies: Remove, then the probe's verdict promotes the
+		// newest spare. Then a spare is removed outright.
+		table.Remove(probed[0])
+		delete(want, probed[0])
+		table.probeDone(probed[0], false)
+		check(t, table, want)
+		table.Remove(in(0, 5, "").ID)
+		delete(want, in(0, 5, "").ID)
+		check(t, table, want)
+		for id := range want {
+			table.Remove(id)
+		}
+		if len(table.spill) != 0 || table.Len() != 0 {
+			t.Errorf("an emptied table keeps %d spill records, %d entries", len(table.spill), table.Len())
+		}
+	})
+
+	t.Run("naive table", func(t *testing.T) {
+		s := bounded()
+		now := time.Unix(1000, 0)
+		table := NewTable(ID{}, 2, 10*time.Minute, func() time.Time { return now })
+		table.book = &s.addrBook
+		want := map[ID]transport.Addr{}
+		observe := func(idx int, n byte, tag string) {
+			c := in(idx, n, transport.Addr(fmt.Sprintf("%s-%d", tag, n)))
+			table.Observe(c)
+			want[c.ID] = c.Addr
+		}
+		// Four addresses fill the book; bucket 0's two spill.
+		for n := byte(1); n <= 2; n++ {
+			observe(1, n, "one")
+			observe(2, n, "two")
+		}
+		for n := byte(1); n <= 2; n++ {
+			observe(0, n, "zero")
+		}
+		// A newcomer to a full, fresh bucket is dropped without a record.
+		observe(1, 3, "one")
+		delete(want, in(1, 3, "").ID)
+		check(t, table, want)
+		// Stale replacement: the spilled LRU of bucket 0 leaves, its record too.
+		now = now.Add(time.Hour)
+		c := in(0, 3, "zero-3")
+		table.Observe(c)
+		delete(want, in(0, 1, "").ID)
+		want[c.ID] = c.Addr
+		check(t, table, want)
+	})
+
+	t.Run("lookup", func(t *testing.T) {
+		rig := newResponseRig(t, stats.NewRNG(21))
+		rig.node.cfg.Scratch.max = bound
+		oracle := randomContacts(stats.NewRNG(22), 2*bucketK, "peer")
+		rig.feed(rig.response(t, oracle))
+		ls := rig.ls
+		if len(ls.spill) != len(oracle)-bound {
+			t.Fatalf("%d of %d new addresses spilled past a book of %d", len(ls.spill), len(oracle), bound)
+		}
+		sortByDistance(ls.target, oracle)
+		checkShortlist(t, ls, oracle)
+
+		// A lookup that starts from a table with spilled entries copies their
+		// addresses into its own spill list.
+		table := rig.node.table
+		for _, c := range oracle {
+			table.ObserveVerified(c)
+		}
+		boot := rig.node.cfg.Scratch.lookups.Get()
+		boot.node, boot.target = rig.node, RandomID(stats.NewRNG(23))
+		table.appendClosestRanked(boot, bucketK)
+		if len(boot.spill) == 0 {
+			t.Fatal("no bootstrap entry spilled")
+		}
+		want := table.Closest(boot.target, bucketK)
+		for i := range boot.shortlist {
+			if got := boot.shortlist[i].contact(boot); got != want[i] {
+				t.Errorf("bootstrap entry %d = %v, want %v", i, got, want[i])
+			}
+		}
+
+		// release clears the spill list, keeping its capacity.
+		for _, l := range []*lookupState{ls, boot} {
+			l.release()
+			if len(l.spill) != 0 || cap(l.spill) == 0 || slices.ContainsFunc(l.spill[:cap(l.spill)], func(a transport.Addr) bool { return a != "" }) {
+				t.Errorf("a released lookup keeps %d spill records (capacity %d, not cleared)", len(l.spill), cap(l.spill))
+			}
+		}
+	})
 }
 
 // TestScratchReentryPanics: a handler entered while another node on the same

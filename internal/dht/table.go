@@ -15,16 +15,18 @@ type Contact struct {
 	Addr transport.Addr
 }
 
-// bucketEntry tracks liveness metadata alongside the contact: 48 bytes, so a
-// full bucket of bucketK = 20 is one 1 KiB array. The ID is carried once, as
-// bytes; the selection walk touches at most a few buckets' entries per call
-// and packs their big-endian lanes where it uses them, with fixed-width
-// reads (lanes below). lastSeen is UnixNano on the table clock rather than a
-// time.Time: with millions of live entries the time.Time location pointer
-// alone was a measurable garbage-collector scan cost, and the staleness test
-// only ever needs a subtraction.
+// bucketEntry is one tracked contact: 32 bytes and no pointer, so a full
+// bucket of bucketK = 20 is one 640-byte array the garbage collector never
+// scans. The ID is carried once, as bytes; the selection walk touches at most
+// a few buckets' entries per call and packs their big-endian lanes where it
+// uses them, with fixed-width reads (lanes below). The address is a handle
+// into the table's address book (addrOf turns it back into a string where an
+// address leaves the table). lastSeen is UnixNano on the table clock rather
+// than a time.Time, whose location pointer the collector would scan, and the
+// staleness test only ever needs a subtraction.
 type bucketEntry struct {
-	Contact
+	ID       ID
+	addr     uint32
 	lastSeen int64
 }
 
@@ -35,14 +37,26 @@ func (e *bucketEntry) lanes() (l0, l1 uint64, l2 uint32) {
 	return binary.BigEndian.Uint64(e.ID[0:8]), binary.BigEndian.Uint64(e.ID[8:16]), binary.BigEndian.Uint32(e.ID[16:20])
 }
 
-// bucket is one k-bucket: live entries least-recently-seen first, plus a
-// replacement cache of newcomers (newest last) waiting for an eviction, and
-// the state of the at-most-one outstanding liveness probe.
+// bucket is one k-bucket: live entries least-recently-seen first. What the
+// ping-evict policy keeps beside a full bucket is in its evictBucket.
 type bucket struct {
 	entries []bucketEntry
+}
+
+// evictBucket is the ping-evict state of one bucket: a replacement cache of
+// newcomers (newest last) waiting for an eviction, and whether the
+// at-most-one liveness probe is outstanding. A table makes it at the bucket's
+// first full-bucket admission and keeps it, so a naive table, and every
+// bucket that never fills, carries none.
+type evictBucket struct {
 	spare   []bucketEntry
 	probing bool
 }
+
+// nowFunc is NewTable's clock function as the table's clock.
+type nowFunc func() time.Time
+
+func (f nowFunc) Now() time.Time { return f() }
 
 // TablePolicy selects the full-bucket admission policy.
 type TablePolicy int
@@ -102,19 +116,31 @@ func ParseTablePolicy(s string) (TablePolicy, error) {
 // A table belongs to its node and is touched only from the node's dispatch
 // context (see Node); it has no lock.
 type Table struct {
-	self       ID
+	self ID
+	// pingEvict is the admission policy: TablePingEvict if set, else
+	// TableNaive.
+	pingEvict  bool
 	k          int
 	staleAfter time.Duration
-	now        func() time.Time
-
-	policy TablePolicy
+	// clock is a Node's sim.Clock, or NewTable's function (nowFunc).
+	clock interface{ Now() time.Time }
+	// book numbers the addresses of the table's entries: a Node's is its
+	// loop's Scratch, shared with its lookups; a standalone table makes a
+	// private one at its first insert. spill holds the addresses of the
+	// entries that got no handle because the book was full (their addr is
+	// spilled), by ID; it is made at the first such entry, and an entry
+	// leaving the table takes its record with it (forget).
+	book  *addrBook
+	spill map[ID]transport.Addr
+	// evict holds the ping-evict state of the buckets that have had a
+	// full-bucket admission, by bucket index; nil until the first.
+	evict  map[int]*evictBucket
 	pinger func(Contact, func(alive bool))
 	// buckets holds the buckets that exist, ascending by index; present marks
 	// which indexes those are (bucket i sits at the rank of bit i). A bucket
-	// is created by its first insert and never dropped — an emptied one keeps
-	// its probing state. The slice starts on the inline array, so a table
-	// allocates nothing for its buckets until more than inlineBuckets
-	// distances are populated.
+	// is created by its first insert and never dropped. The slice starts on
+	// the inline array, so a table allocates nothing for its buckets until
+	// more than inlineBuckets distances are populated.
 	buckets []bucket
 	present bucketSet
 	// occupied marks the buckets with live entries, so the selection scan
@@ -180,13 +206,19 @@ func (t *Table) setOccupied(idx int, b *bucket) {
 // defaults to TableNaive (no pinger is attached); Node configures
 // TablePingEvict wired to its Ping RPC.
 func NewTable(self ID, k int, staleAfter time.Duration, now func() time.Time) *Table {
-	if k < 1 {
-		panic("dht: bucket size must be >= 1")
-	}
 	if now == nil {
 		panic("dht: table requires a clock")
 	}
-	t := &Table{self: self, k: k, staleAfter: staleAfter, now: now, policy: TableNaive}
+	return newTable(self, k, staleAfter, nowFunc(now))
+}
+
+// newTable is NewTable on any clock: a Node passes its sim.Clock, which a
+// func() time.Time would have to capture in a closure.
+func newTable(self ID, k int, staleAfter time.Duration, clock interface{ Now() time.Time }) *Table {
+	if k < 1 {
+		panic("dht: bucket size must be >= 1")
+	}
+	t := &Table{self: self, k: k, staleAfter: staleAfter, clock: clock}
 	t.buckets = t.inline[:0]
 	return t
 }
@@ -194,10 +226,54 @@ func NewTable(self ID, k int, staleAfter time.Duration, now func() time.Time) *T
 // SetPolicy selects the full-bucket admission policy. TableDefault resolves
 // to TableNaive for a standalone table.
 func (t *Table) SetPolicy(p TablePolicy) {
-	if p == TableDefault {
-		p = TableNaive
+	t.pingEvict = p == TablePingEvict
+}
+
+// addrOf returns the address of e, an entry of the table's buckets or
+// replacement caches.
+func (t *Table) addrOf(e *bucketEntry) transport.Addr {
+	if e.addr == spilled {
+		return t.spill[e.ID]
 	}
-	t.policy = p
+	return t.book.addrs[e.addr]
+}
+
+// contactOf returns e as a Contact.
+func (t *Table) contactOf(e *bucketEntry) Contact {
+	return Contact{ID: e.ID, Addr: t.addrOf(e)}
+}
+
+// handle returns the address handle of an entry for c that is entering the
+// table, or re-pointed: the book's, or spilled with c.Addr recorded in the
+// spill map. It is the one place the table consults the book.
+func (t *Table) handle(c Contact) uint32 {
+	if t.book == nil {
+		t.book = &addrBook{max: defaultBookAddrs}
+	}
+	if h, ok := t.book.handle(c.Addr); ok {
+		return h
+	}
+	if t.spill == nil {
+		t.spill = make(map[ID]transport.Addr)
+	}
+	t.spill[c.ID] = c.Addr
+	return spilled
+}
+
+// forget drops the spill record of e, an entry leaving the table.
+func (t *Table) forget(e *bucketEntry) {
+	if e.addr == spilled {
+		delete(t.spill, e.ID)
+	}
+}
+
+// repoint applies a verified address to e, a tracked entry for c.ID: the
+// book is consulted only when the address really changed.
+func (t *Table) repoint(e *bucketEntry, c Contact) {
+	if t.addrOf(e) != c.Addr {
+		t.forget(e)
+		e.addr = t.handle(c)
+	}
 }
 
 // SetPinger installs the liveness probe TablePingEvict uses: pinger must
@@ -236,12 +312,13 @@ func (t *Table) observe(c Contact, verified bool) {
 	// The top eight bytes settle nearly every identity compare in one word;
 	// the 20-byte compare only confirms a match.
 	l0 := binary.BigEndian.Uint64(c.ID[0:8])
+	now := t.clock.Now().UnixNano()
 	for i := range entries {
 		if binary.BigEndian.Uint64(entries[i].ID[0:8]) == l0 && entries[i].ID == c.ID {
 			if verified {
-				entries[i].Addr = c.Addr
+				t.repoint(&entries[i], c)
 			}
-			entries[i].lastSeen = t.now().UnixNano()
+			entries[i].lastSeen = now
 			// Move to tail (most recently seen).
 			entry := entries[i]
 			copy(entries[i:], entries[i+1:])
@@ -249,20 +326,20 @@ func (t *Table) observe(c Contact, verified bool) {
 			return
 		}
 	}
-	entry := bucketEntry{Contact: c, lastSeen: t.now().UnixNano()}
 	if len(entries) < t.k {
-		b.entries = t.appendEntry(entries, entry)
+		b.entries = t.appendEntry(entries, bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now})
 		t.setOccupied(idx, b)
 		return
 	}
 	// Bucket full: admission is policy-dependent.
-	if t.policy != TablePingEvict {
+	if !t.pingEvict {
 		// Naive: replace the least-recently-seen entry if it looks stale on
 		// the local clock — no liveness check, so a forged-contact flood can
 		// displace live peers (the measured weakness of this policy).
-		if t.staleAfter > 0 && t.now().UnixNano()-entries[0].lastSeen > int64(t.staleAfter) {
+		if t.staleAfter > 0 && now-entries[0].lastSeen > int64(t.staleAfter) {
+			t.forget(&entries[0])
 			copy(entries, entries[1:])
-			entries[len(entries)-1] = entry
+			entries[len(entries)-1] = bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now}
 		}
 		// Otherwise drop the newcomer (Kademlia prefers long-lived peers).
 		return
@@ -270,13 +347,21 @@ func (t *Table) observe(c Contact, verified bool) {
 	// Ping-evict: the newcomer waits in the replacement cache while the
 	// least-recently-seen live entry is probed. Nothing is evicted on the
 	// newcomer's word alone.
-	t.upsertSpare(b, entry, verified)
-	if !b.probing && t.pinger != nil {
+	eb := t.evict[idx]
+	if eb == nil {
+		if t.evict == nil {
+			t.evict = make(map[int]*evictBucket)
+		}
+		eb = &evictBucket{}
+		t.evict[idx] = eb
+	}
+	t.upsertSpare(eb, c, now, verified)
+	if !eb.probing && t.pinger != nil {
 		// The pinger issues a real RPC. A live peer's pong refreshes it via
 		// ObserveVerified (and the newcomer stays spare); a timeout removes it
 		// via the RPC failure path, and probeDone promotes from the cache.
-		b.probing = true
-		probe := entries[0].Contact
+		eb.probing = true
+		probe := t.contactOf(&entries[0])
 		t.pinger(probe, func(alive bool) { t.probeDone(probe.ID, alive) })
 	}
 }
@@ -296,26 +381,27 @@ func (t *Table) appendEntry(entries []bucketEntry, e bucketEntry) []bucketEntry 
 	return append(entries, e)
 }
 
-// upsertSpare inserts or refreshes a replacement-cache record, newest last,
+// upsertSpare inserts or refreshes c's replacement-cache record, newest last,
 // capped at k (oldest dropped first).
-func (t *Table) upsertSpare(b *bucket, e bucketEntry, verified bool) {
-	for i := range b.spare {
-		if b.spare[i].ID == e.ID {
+func (t *Table) upsertSpare(eb *evictBucket, c Contact, now int64, verified bool) {
+	for i := range eb.spare {
+		if eb.spare[i].ID == c.ID {
 			if verified {
-				b.spare[i].Addr = e.Addr
+				t.repoint(&eb.spare[i], c)
 			}
-			b.spare[i].lastSeen = e.lastSeen
-			entry := b.spare[i]
-			copy(b.spare[i:], b.spare[i+1:])
-			b.spare[len(b.spare)-1] = entry
+			eb.spare[i].lastSeen = now
+			entry := eb.spare[i]
+			copy(eb.spare[i:], eb.spare[i+1:])
+			eb.spare[len(eb.spare)-1] = entry
 			return
 		}
 	}
-	if len(b.spare) >= t.k {
-		copy(b.spare, b.spare[1:])
-		b.spare = b.spare[:len(b.spare)-1]
+	if len(eb.spare) >= t.k {
+		t.forget(&eb.spare[0])
+		copy(eb.spare, eb.spare[1:])
+		eb.spare = eb.spare[:len(eb.spare)-1]
 	}
-	b.spare = append(b.spare, e)
+	eb.spare = append(eb.spare, bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now})
 }
 
 // probeDone finishes a liveness probe: the probing slot reopens, and if the
@@ -326,28 +412,30 @@ func (t *Table) probeDone(id ID, _ bool) {
 	if !ok {
 		return
 	}
-	b := t.bucket(idx)
-	if b == nil {
+	eb := t.evict[idx]
+	if eb == nil {
 		return
 	}
-	b.probing = false
-	t.promoteSpares(b)
+	eb.probing = false
+	b := t.bucket(idx)
+	t.promoteSpares(b, eb)
 	t.setOccupied(idx, b)
 }
 
 // promoteSpares moves replacement-cache records (newest first) into free
-// bucket slots.
-func (t *Table) promoteSpares(b *bucket) {
-	for len(b.entries) < t.k && len(b.spare) > 0 {
-		last := len(b.spare) - 1
-		b.entries = t.appendEntry(b.entries, b.spare[last])
-		b.spare[last] = bucketEntry{}
-		b.spare = b.spare[:last]
+// bucket slots. eb may be nil: a bucket that never filled has no cache.
+func (t *Table) promoteSpares(b *bucket, eb *evictBucket) {
+	for eb != nil && len(b.entries) < t.k && len(eb.spare) > 0 {
+		last := len(eb.spare) - 1
+		b.entries = t.appendEntry(b.entries, eb.spare[last])
+		eb.spare = eb.spare[:last]
 	}
 }
 
 // Remove drops a contact (e.g. after an RPC timeout), refilling the freed
-// slot from the bucket's replacement cache when one is waiting.
+// slot from the bucket's replacement cache when one is waiting. The copy of
+// the last entry that the shift leaves past the slice's end pins nothing: an
+// entry holds no pointer.
 func (t *Table) Remove(id ID) {
 	idx, ok := t.self.BucketIndex(id)
 	if !ok {
@@ -357,40 +445,48 @@ func (t *Table) Remove(id ID) {
 	if b == nil {
 		return
 	}
+	eb := t.evict[idx]
 	for i := range b.entries {
 		if b.entries[i].ID == id {
+			t.forget(&b.entries[i])
 			b.entries = append(b.entries[:i], b.entries[i+1:]...)
-			t.promoteSpares(b)
+			t.promoteSpares(b, eb)
 			t.setOccupied(idx, b)
 			return
 		}
 	}
 	// Not live: forget any replacement-cache record too.
-	for i := range b.spare {
-		if b.spare[i].ID == id {
-			b.spare = append(b.spare[:i], b.spare[i+1:]...)
+	if eb == nil {
+		return
+	}
+	for i := range eb.spare {
+		if eb.spare[i].ID == id {
+			t.forget(&eb.spare[i])
+			eb.spare = append(eb.spare[:i], eb.spare[i+1:]...)
 			return
 		}
 	}
 }
 
-// ranked is a lookup shortlist entry, 40 bytes: a contact's XOR distance from
-// the lookup target, packed into big-endian lanes so that ordering two of them
-// is at most three integer compares, its address, and the lookup's two marks.
-// The ID is not stored: it is the lanes XOR the target's, rebuilt (contact)
-// only where a contact leaves the lookup.
+// ranked is a lookup shortlist entry, 32 bytes and no pointer: a contact's
+// XOR distance from the lookup target, packed into big-endian lanes so that
+// ordering two of them is at most three integer compares, its address handle
+// (lookupState.addr), and the lookup's two marks. The ID is not stored: it is
+// the lanes XOR the target's. Both are turned back into a Contact (contact)
+// only where one leaves the lookup.
 type ranked struct {
 	d0, d1    uint64
 	d2        uint32
+	addr      uint32
 	queried   bool // a query to it was issued (and not given back by a retry)
 	requeried bool // its one retry-policy re-query was granted
-	addr      transport.Addr
 }
 
-// contact rebuilds the entry's Contact from the target it was ranked against.
-func (r *ranked) contact(target *ID) Contact {
-	t0, t1, t2 := lanes(target[:])
-	c := Contact{Addr: r.addr}
+// contact rebuilds the entry's Contact from the target of ls, the lookup it
+// belongs to, and its address from the handle.
+func (r *ranked) contact(ls *lookupState) Contact {
+	t0, t1, t2 := lanes(ls.target[:])
+	c := Contact{Addr: ls.addr(r.addr)}
 	binary.BigEndian.PutUint64(c.ID[0:8], r.d0^t0)
 	binary.BigEndian.PutUint64(c.ID[8:16], r.d1^t1)
 	binary.BigEndian.PutUint32(c.ID[16:20], r.d2^t2)
@@ -420,11 +516,12 @@ func lanes(id []byte) (l0, l1 uint64, l2 uint32) {
 	return binary.BigEndian.Uint64(id), binary.BigEndian.Uint64(id[8:]), binary.BigEndian.Uint32(id[16:])
 }
 
-// rankContact packs c with its XOR distance lanes from target.
-func rankContact(target ID, c Contact) ranked {
+// rankID returns an unmarked entry for id, ranked against target, with no
+// address: what finding an entry by its lanes, or marking an ID seen, needs.
+func rankID(target, id ID) ranked {
 	t0, t1, t2 := lanes(target[:])
-	l0, l1, l2 := lanes(c.ID[:])
-	return ranked{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2, addr: c.Addr}
+	l0, l1, l2 := lanes(id[:])
+	return ranked{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2}
 }
 
 // Closest returns up to count contacts closest to target under XOR
@@ -442,13 +539,15 @@ func (t *Table) AppendClosest(dst []Contact, target ID, count int) []Contact {
 	return out.contacts
 }
 
-// appendClosestRanked is AppendClosest for the lookup shortlist bootstrap:
-// the same contacts in the same order, as unmarked ranked entries that keep
-// the distance lanes the selection computed.
-func (t *Table) appendClosestRanked(dst []ranked, target ID, count int) []ranked {
-	out := closestOut{form: asRanked, ranked: dst}
-	t.selectClosest(&out, target, count)
-	return out.ranked
+// appendClosestRanked is AppendClosest for the shortlist bootstrap of ls: the
+// same contacts in the same order, appended to ls.shortlist as unmarked
+// entries that keep the distance lanes the selection computed. An entry's
+// handle is the table's own, so ls must share the table's book (a node's
+// table and its lookups use the loop's); the address of a spilled entry is
+// copied to the spill list of ls.
+func (t *Table) appendClosestRanked(ls *lookupState, count int) {
+	out := closestOut{form: asRanked, ls: ls}
+	t.selectClosest(&out, ls.target, count)
 }
 
 // appendClosestWire is the selection for a reply datagram: the same contacts
@@ -461,12 +560,12 @@ func (t *Table) appendClosestWire(dst []byte, target ID, count int) ([]byte, int
 	return out.wire, n
 }
 
-// closestOut is where selectClosest puts the contacts it selects: in the one
-// of its three slices that form names.
+// closestOut is where selectClosest puts the contacts it selects: in the
+// contacts, the shortlist of ls, or the wire, as form names.
 type closestOut struct {
 	form     closestForm
 	contacts []Contact
-	ranked   []ranked
+	ls       *lookupState
 	wire     []byte
 }
 
@@ -544,7 +643,7 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 			count -= n
 			if out.form == asWire && n == len(entries) {
 				for i := range entries {
-					out.wire = appendContact(out.wire, &entries[i].Contact)
+					out.wire = appendContact(out.wire, &entries[i].ID, t.addrOf(&entries[i]))
 				}
 				continue
 			}
@@ -570,11 +669,20 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 				e := &entries[key.i]
 				switch out.form {
 				case asContacts:
-					out.contacts = append(out.contacts, e.Contact)
+					// Filled in place: a Contact built on the stack and
+					// copied in measured a third slower (store forwarding).
+					out.contacts = append(out.contacts, Contact{})
+					c := &out.contacts[len(out.contacts)-1]
+					c.ID, c.Addr = e.ID, t.addrOf(e)
 				case asRanked:
-					out.ranked = append(out.ranked, ranked{d0: key.d0, d1: key.d1, d2: key.d2, addr: e.Addr})
+					ls, h := out.ls, e.addr
+					if h == spilled {
+						h |= uint32(len(ls.spill))
+						ls.spill = append(ls.spill, t.spill[e.ID])
+					}
+					ls.shortlist = append(ls.shortlist, ranked{d0: key.d0, d1: key.d1, d2: key.d2, addr: h})
 				default:
-					out.wire = appendContact(out.wire, &e.Contact)
+					out.wire = appendContact(out.wire, &e.ID, t.addrOf(e))
 				}
 			}
 		}
@@ -596,8 +704,9 @@ func (t *Table) Len() int {
 // diagnostic hook (route audits), not a query path.
 func (t *Table) Each(fn func(Contact)) {
 	for i := range t.buckets {
-		for _, e := range t.buckets[i].entries {
-			fn(e.Contact)
+		entries := t.buckets[i].entries
+		for j := range entries {
+			fn(t.contactOf(&entries[j]))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package dht
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -236,15 +237,23 @@ func TestPingEvictSingleOutstandingProbe(t *testing.T) {
 // entries and replacement cache in order, with addresses and timestamps, and
 // its probing flag.
 func dumpBuckets(t *Table) string {
+	type dumped struct {
+		Contact
+		lastSeen int64
+	}
 	var sb strings.Builder
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		fmt.Fprintf(&sb, "bucket %d probing=%v\n", i, b.probing)
-		for _, e := range b.entries {
-			fmt.Fprintf(&sb, "  live %+v\n", e)
+	for idx := 0; idx < IDBits; idx++ {
+		b := t.bucket(idx)
+		if b == nil {
+			continue
 		}
-		for _, e := range b.spare {
-			fmt.Fprintf(&sb, "  spare %+v\n", e)
+		eb := t.evict[idx]
+		fmt.Fprintf(&sb, "bucket %d probing=%v\n", idx, eb != nil && eb.probing)
+		for i := range b.entries {
+			fmt.Fprintf(&sb, "  live %+v\n", dumped{t.contactOf(&b.entries[i]), b.entries[i].lastSeen})
+		}
+		for i := 0; eb != nil && i < len(eb.spare); i++ {
+			fmt.Fprintf(&sb, "  spare %+v\n", dumped{t.contactOf(&eb.spare[i]), eb.spare[i].lastSeen})
 		}
 	}
 	return sb.String()
@@ -331,13 +340,16 @@ func TestObserveThenVerifiedEqualsVerified(t *testing.T) {
 
 // modelTable is a deliberately simple reference implementation of the naive
 // policy: per-bucket ordered slices manipulated with the most obvious code,
-// and Closest computed by fully sorting all tracked contacts.
+// and Closest computed by fully sorting all tracked contacts. Its entries'
+// addresses are in addrs, by ID, set when an entry is inserted (an
+// unverified observation never re-points one).
 type modelTable struct {
 	self       ID
 	k          int
 	staleAfter time.Duration
 	now        func() time.Time
 	buckets    map[int][]bucketEntry
+	addrs      map[ID]transport.Addr
 }
 
 func (m *modelTable) observe(c Contact) {
@@ -354,14 +366,18 @@ func (m *modelTable) observe(c Contact) {
 			return
 		}
 	}
-	e := bucketEntry{Contact: c, lastSeen: m.now().UnixNano()}
+	e := bucketEntry{ID: c.ID, lastSeen: m.now().UnixNano()}
 	if len(b) < m.k {
 		m.buckets[idx] = append(b, e)
+	} else if m.now().UnixNano()-b[0].lastSeen > int64(m.staleAfter) {
+		m.buckets[idx] = append(append([]bucketEntry{}, b[1:]...), e)
+	} else {
 		return
 	}
-	if m.now().UnixNano()-b[0].lastSeen > int64(m.staleAfter) {
-		m.buckets[idx] = append(append([]bucketEntry{}, b[1:]...), e)
+	if m.addrs == nil {
+		m.addrs = map[ID]transport.Addr{}
 	}
+	m.addrs[c.ID] = c.Addr
 }
 
 func (m *modelTable) remove(id ID) {
@@ -382,7 +398,7 @@ func (m *modelTable) closest(target ID, count int) []Contact {
 	var all []Contact
 	for _, b := range m.buckets {
 		for _, e := range b {
-			all = append(all, e.Contact)
+			all = append(all, Contact{ID: e.ID, Addr: m.addrs[e.ID]})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool { return target.CloserTo(all[i].ID, all[j].ID) })
@@ -433,8 +449,9 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 
 // checkClosest asserts that every form of the selection returns exactly the
 // model's full sort cut to count: AppendClosest the contacts,
-// appendClosestRanked the same contacts with rankContact's distance lanes,
-// and appendClosestWire the same contacts as records, in response order.
+// appendClosestRanked the same contacts as entries with rankID's distance
+// lanes and a handle to the contact's address, and appendClosestWire the same
+// contacts as records, in response order.
 func checkClosest(t testing.TB, table *Table, model *modelTable, target ID, count int) {
 	t.Helper()
 	var want []Contact
@@ -442,7 +459,9 @@ func checkClosest(t testing.TB, table *Table, model *modelTable, target ID, coun
 		want = model.closest(target, count)
 	}
 	got := table.AppendClosest(nil, target, count)
-	rs := table.appendClosestRanked(nil, target, count)
+	ls := &lookupState{target: target}
+	table.appendClosestRanked(ls, count)
+	rs := ls.shortlist
 	if len(got) != len(want) || len(rs) != len(want) {
 		t.Fatalf("closest %d to %s: %d contacts, %d ranked, model %d", count, target.Short(), len(got), len(rs), len(want))
 	}
@@ -450,8 +469,10 @@ func checkClosest(t testing.TB, table *Table, model *modelTable, target ID, coun
 		if got[i] != want[i] {
 			t.Fatalf("closest %d to %s: [%d] = %v, model %v", count, target.Short(), i, got[i], want[i])
 		}
-		if rs[i] != rankContact(target, want[i]) {
-			t.Fatalf("closest %d to %s: ranked[%d] = %+v, want %+v", count, target.Short(), i, rs[i], rankContact(target, want[i]))
+		r := rs[i]
+		r.addr = 0
+		if r != rankID(target, want[i].ID) || rankedAddr(table, ls, rs[i].addr) != want[i].Addr {
+			t.Fatalf("closest %d to %s: ranked[%d] = %+v, want %+v at %q", count, target.Short(), i, rs[i], rankID(target, want[i].ID), want[i].Addr)
 		}
 	}
 	prefix := []byte("prefix")
@@ -472,6 +493,15 @@ func checkClosest(t testing.TB, table *Table, model *modelTable, target ID, coun
 		t.Fatalf("closest %d to %s: wire form counts %d records and holds %d", count, target.Short(), n, len(records))
 	}
 	checkResponseRecords(t, table.self, target, records, want)
+}
+
+// rankedAddr resolves the address handle h that table.appendClosestRanked
+// gave an entry of ls: into the table's book, or the spill list of ls.
+func rankedAddr(table *Table, ls *lookupState, h uint32) transport.Addr {
+	if h&spilled != 0 {
+		return ls.spill[h&^spilled]
+	}
+	return table.book.addrs[h]
 }
 
 // checkResponseRecords asserts that a response's records are want in the
@@ -663,8 +693,8 @@ func TestTableBucketInvariant(t *testing.T) {
 		if len(b.entries) > k || cap(b.entries) > k {
 			t.Fatalf("bucket %d has %d entries in room for %d", idx, len(b.entries), cap(b.entries))
 		}
-		if len(b.spare) > k {
-			t.Fatalf("bucket %d has %d spare entries", idx, len(b.spare))
+		if eb := table.evict[idx]; eb != nil && len(eb.spare) > k {
+			t.Fatalf("bucket %d has %d spare entries", idx, len(eb.spare))
 		}
 		for _, e := range b.entries {
 			want, ok := self.BucketIndex(e.ID)
@@ -768,17 +798,58 @@ func TestTableEveryBucket(t *testing.T) {
 }
 
 func TestEmptyTableSize(t *testing.T) {
-	// A churn join buys one of these; the [IDBits]bucket array it replaced
-	// was 9.25 KiB, nearly all of it buckets that never fill.
-	if size := unsafe.Sizeof(Table{}); size >= 2<<10 {
-		t.Fatalf("empty Table is %d bytes, want < 2 KiB", size)
+	// A churn join buys one of these. The [IDBits]bucket array it replaced was
+	// 9.25 KiB, nearly all of it buckets that never fill; inlining 20 buckets
+	// that carried the ping-evict cache and probe flag made it 1,256 B, and a
+	// bucket that is its entries slice alone makes it 640.
+	if size := unsafe.Sizeof(Table{}); size > 640 {
+		t.Fatalf("empty Table is %d bytes, want <= 640", size)
 	}
-	if size := unsafe.Sizeof(bucketEntry{}); size > 48 {
-		t.Fatalf("bucketEntry is %d bytes, want <= 48: a full bucket of K no longer fits 1 KiB", size)
+	// 32 bytes an entry: a full bucket of K is one 640-byte array, and a
+	// lookup's shortlist packs two entries a cache line.
+	if size := unsafe.Sizeof(bucketEntry{}); size != 32 {
+		t.Fatalf("bucketEntry is %d bytes, want 32", size)
 	}
+	if size := unsafe.Sizeof(ranked{}); size != 32 {
+		t.Fatalf("ranked is %d bytes, want 32", size)
+	}
+	// A standalone table makes its address book at its first insert.
 	if allocs := testing.AllocsPerRun(10, func() {
 		NewTable(ID{1}, 20, time.Minute, time.Now)
 	}); allocs > 1 {
 		t.Fatalf("NewTable makes %v allocations, want the Table alone", allocs)
 	}
+}
+
+// TestRoutingStateHasNoPointers: routing-table and lookup entries — millions
+// of them in a booted large network — hold an address handle, not a string,
+// so their arrays are memory the garbage collector never scans and a stale
+// copy past a slice's end pins nothing.
+func TestRoutingStateHasNoPointers(t *testing.T) {
+	for _, v := range []any{bucketEntry{}, ranked{}} {
+		typ := reflect.TypeOf(v)
+		if path, ok := pointerField(typ, typ.Name()); ok {
+			t.Errorf("%s holds a pointer-carrying field: %s", typ.Name(), path)
+		}
+	}
+}
+
+// pointerField reports the first field of typ, searched depth-first through
+// structs and arrays, whose kind holds a pointer.
+func pointerField(typ reflect.Type, path string) (string, bool) {
+	switch typ.Kind() {
+	case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.UnsafePointer,
+		reflect.Interface, reflect.Func, reflect.Chan:
+		return path + " (" + typ.Kind().String() + ")", true
+	case reflect.Array:
+		return pointerField(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p, ok := pointerField(f.Type, path+"."+f.Name); ok {
+				return p, true
+			}
+		}
+	}
+	return "", false
 }

@@ -64,6 +64,34 @@ func benchMissions(b *testing.B, cfg scenario.Config) {
 	b.ReportMetric(float64(sent)/float64(b.N), "datagrams/op")
 }
 
+// BenchmarkBootHeap measures what a booted node keeps resident: the boot-2k
+// shape of the benchmark ledger (2000 loss-free nodes, no churn, no
+// adversary) is booted once per op, and live_B/node is the heap in use after
+// a forced collection, after Setup less before it, per node. It is a count —
+// the same on every runner for one toolchain — so CI gates it like allocs/op
+// (BENCH_scenario.json), and a routing entry or table struct that grows back
+// fails on it.
+func BenchmarkBootHeap(b *testing.B) {
+	cfg := benchCfg(20, 1)
+	cfg.Nodes, cfg.Alpha, cfg.MaliciousRate = 2000, 0, 0
+	var ms runtime.MemStats
+	live := uint64(0)
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		_, net, err := scenario.Setup(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		live += ms.HeapAlloc - before
+		runtime.KeepAlive(net)
+	}
+	b.ReportMetric(float64(live)/float64(b.N)/float64(cfg.Nodes), "live_B/node")
+}
+
 // BenchmarkScenarioMissionsParallel is the sharded counterpart: the same
 // point partitioned over GOMAXPROCS independent network replicas executed
 // concurrently. The mission count scales with the shard count so every

@@ -22,6 +22,7 @@ import (
 type Endpoint struct {
 	conn *net.UDPConn
 	loop *Loop
+	addr transport.Addr // the bound address, formatted once by Listen
 
 	// mu: whoever builds the node installs the handler (the loop, or its
 	// creator before traffic); the reader goroutine picks it up.
@@ -57,7 +58,9 @@ func (l *Loop) Listen(addr string) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udp: listening on %q: %w", addr, err)
 	}
-	e := &Endpoint{conn: conn, loop: l}
+	// The bind has fixed the port: the address is formatted here, once, not
+	// for every datagram a node stamps with it.
+	e := &Endpoint{conn: conn, loop: l, addr: transport.Addr(conn.LocalAddr().String())}
 	e.wg.Add(1)
 	go e.readLoop()
 	return e, nil
@@ -65,7 +68,7 @@ func (l *Loop) Listen(addr string) (*Endpoint, error) {
 
 // Addr returns the bound address (with the concrete port).
 func (e *Endpoint) Addr() transport.Addr {
-	return transport.Addr(e.conn.LocalAddr().String())
+	return e.addr
 }
 
 // SetHandler installs the inbound handler.

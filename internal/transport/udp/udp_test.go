@@ -55,6 +55,20 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAddrFormattedOnce: Addr is the bound address with its concrete port,
+// and reading it — once per datagram a node sends — allocates nothing.
+func TestAddrFormattedOnce(t *testing.T) {
+	e := listen(t)
+	if want := transport.Addr(e.conn.LocalAddr().String()); e.Addr() != want {
+		t.Fatalf("Addr = %q, want %q", e.Addr(), want)
+	}
+	var sink transport.Addr
+	if allocs := testing.AllocsPerRun(100, func() { sink = e.Addr() }); allocs != 0 {
+		t.Errorf("Addr allocates %v times per call, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestBidirectional(t *testing.T) {
 	a := listen(t)
 	b := listen(t)
