@@ -344,6 +344,34 @@ func BenchmarkMissionBulk(b *testing.B) {
 	benchMissionCycle(b, payload)
 }
 
+// BenchmarkChurnJoin is one churn death and its replacement join on a warmed
+// 120-node loop: the dying node closes, a replacement takes over its
+// identifier, address and routing table, and its bootstrap self-lookup runs
+// to the end. Every slot is replaced once before the timer starts, so the
+// loop's lists are warm and allocs/op is a join's fixed cost — the node and
+// its pending-RPC map, its host, their handler closures and the fabric
+// endpoint. It is a count, so CI gates it (BENCH_scenario.json): a table, map
+// or closure that a join buys again fails there.
+func BenchmarkChurnJoin(b *testing.B) {
+	net, err := NewNetwork(NetworkConfig{Nodes: 120, Replace: true, Seed: 11})
+	if err != nil {
+		b.Fatal(err)
+	}
+	churn := func(i int) {
+		idx := 3 + i%(len(net.nodes)-3) // slots 0–2 never churn
+		net.die(&net.shards[0], idx)
+		net.RunFor(time.Second)
+	}
+	for i := 0; i < len(net.nodes); i++ {
+		churn(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(i)
+	}
+}
+
 // benchMissionCycle runs b.N sequential missions carrying payload through
 // one pre-booted network.
 func benchMissionCycle(b *testing.B, payload []byte) {

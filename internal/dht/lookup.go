@@ -310,8 +310,11 @@ func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
 	self := rankID(target, n.cfg.ID)
 	ls.seen.add(self.d0, self.d1, self.d2)
 	// The bootstrap selection arrives nearest-first and at most K long: it
-	// starts out as the settled window.
-	n.table.appendClosestRanked(ls, bucketK)
+	// starts out as the settled window. A closed node's lookup starts from
+	// nothing: its table went to the loop at Close.
+	if !n.closed {
+		n.table.appendClosestRanked(ls, bucketK)
+	}
 	ls.settled = len(ls.shortlist)
 	for i := range ls.shortlist {
 		r := &ls.shortlist[i]

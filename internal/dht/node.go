@@ -210,11 +210,10 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, errors.New("dht: config requires a non-zero ID")
 	}
 	cfg = cfg.withDefaults()
-	n := &Node{
-		cfg:     cfg,
-		table:   newTable(cfg.ID, bucketK, staleAfter, cfg.Clock),
-		pending: make(map[uint64]*pendingRPC),
-	}
+	n := &Node{cfg: cfg, pending: make(map[uint64]*pendingRPC)}
+	// The table of a node that closed on this loop, when there is one.
+	n.table = cfg.Scratch.tables.Get()
+	n.table.wipe(cfg.ID, bucketK, staleAfter, cfg.Clock)
 	n.table.book = &cfg.Scratch.addrBook
 	if cfg.Retry.enabled() {
 		n.retryRng = stats.NewRNG(retrySeed(cfg.ID))
@@ -222,7 +221,14 @@ func NewNode(cfg Config) (*Node, error) {
 	n.table.SetPolicy(cfg.Table)
 	if cfg.Table == TablePingEvict {
 		n.table.SetPinger(func(c Contact, done func(alive bool)) {
-			n.probe(c, func(err error) { done(err == nil) })
+			n.probe(c, func(err error) {
+				// done touches the table the probe was issued for, which a
+				// closed node has handed to its loop, and maybe on to the
+				// next node there: a probe failed by Close must not reach it.
+				if !n.closed {
+					done(err == nil)
+				}
+			})
 		})
 	}
 	cfg.Endpoint.SetHandler(n.handle)
@@ -238,14 +244,22 @@ func (n *Node) Contact() Contact {
 }
 
 // Table exposes the routing table (read-mostly; used by tests and churn
-// instrumentation).
-func (n *Node) Table() *Table { return n.table }
+// instrumentation). A closed node's table went to its loop at Close: on a
+// closed node each call makes an empty table, which routes nowhere and which
+// no other node ever sees.
+func (n *Node) Table() *Table {
+	if n.closed {
+		return newTable(n.cfg.ID, bucketK, staleAfter, n.cfg.Clock)
+	}
+	return n.table
+}
 
 // Closed reports whether Close has run: what the node's protocol host asks
 // before acting on a timer that outlived the node.
 func (n *Node) Closed() bool { return n.closed }
 
-// Close detaches the node from the network and fails all pending RPCs.
+// Close detaches the node from the network, fails all pending RPCs and hands
+// the routing table to the loop's Scratch for the next node there.
 func (n *Node) Close() error {
 	if n.closed {
 		return nil
@@ -261,13 +275,29 @@ func (n *Node) Close() error {
 	slices.Sort(ids)
 	for _, id := range ids {
 		p := n.pending[id]
-		cb := p.cb
 		p.timer.Stop()
-		releasePending(p)
-		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, ErrClosed) })
+		n.cfg.Clock.ScheduleArg(0, rpcClosed, p)
 	}
 	clear(n.pending)
+	// From here the node holds no pointer to its table: Table gives a closed
+	// node an empty one per call, and the one callback that captured the old
+	// table, an outstanding ping-evict probe, checks that its node is open
+	// first (NewNode). The pinger goes now, not at the next wipe: it closes
+	// over this node, which a waiting table would otherwise keep alive.
+	n.table.SetPinger(nil)
+	n.cfg.Scratch.tables.Put(n.table)
+	n.table = nil
 	return n.cfg.Endpoint.Close()
+}
+
+// rpcClosed fails a closed node's request with ErrClosed, as an event of its
+// own: its callback never runs inside the call that closed the node or
+// issued the request.
+func rpcClosed(v any) {
+	p := v.(*pendingRPC)
+	cb := p.cb
+	releasePending(p)
+	cb.deliver(nil, ErrClosed)
 }
 
 // handle is the transport inbound entry point. It decodes into the scratch
@@ -275,6 +305,9 @@ func (n *Node) Close() error {
 // the dispatch touches — including msg.App handed to OnApp — is valid only
 // until handle returns; consumers that keep bytes must copy them.
 func (n *Node) handle(from transport.Addr, data []byte) {
+	if n.closed {
+		return // read off a real socket before Close, handled after it
+	}
 	s := n.cfg.Scratch
 	if s.rxBusy {
 		// Only a bug gets here: a handler invoked synchronously from inside
@@ -410,7 +443,9 @@ func (n *Node) requestArg(to Contact, m Message, fn func(any, *Message, error), 
 // node's RetryPolicy.
 func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 	if n.closed {
-		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, ErrClosed) })
+		p := n.cfg.Scratch.rpcs.Get()
+		p.node, p.cb = n, cb
+		n.cfg.Clock.ScheduleArg(0, rpcClosed, p)
 		return
 	}
 	n.rpcSeq++
@@ -523,7 +558,7 @@ func (n *Node) Bootstrap(seeds []Contact, done func(contacts int)) {
 		case s.ID.IsZero():
 			byAddr++
 		case s.ID != n.cfg.ID:
-			n.table.Observe(s)
+			n.Table().Observe(s)
 		}
 	}
 	if byAddr > 0 {
@@ -548,9 +583,13 @@ func (n *Node) resolveSeeds(seeds []Contact, left int, done func(contacts int)) 
 }
 
 func (n *Node) selfLookup(done func(contacts int)) {
-	n.Lookup(n.cfg.ID, func([]Contact) {
-		if done != nil {
-			done(n.table.Len())
-		}
-	})
+	if done == nil {
+		n.newLookup(n.cfg.ID, lookupFinishNothing, nil)
+		return
+	}
+	n.Lookup(n.cfg.ID, func([]Contact) { done(n.Table().Len()) })
 }
+
+// lookupFinishNothing ends a lookup nobody waits on, a join's self-lookup:
+// what it was for is what the table learned on the way.
+func lookupFinishNothing(any, []Contact) {}

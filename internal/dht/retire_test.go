@@ -1,0 +1,274 @@
+package dht
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"selfemerge/internal/sim"
+	"selfemerge/internal/stats"
+	"selfemerge/internal/transport"
+	"selfemerge/internal/transport/simnet"
+)
+
+// fillBucket0 observes bucketK+1 contacts of bucket 0 (for a self whose top
+// bit is clear), the first at mkBucket0(first): the bucket fills, the last
+// one waits in the replacement cache, and under ping-evict a probe of the
+// least-recently-seen entry goes out.
+func fillBucket0(table *Table, first byte) {
+	for i := 0; i <= bucketK; i++ {
+		table.Observe(mkBucket0(first + byte(i)))
+	}
+}
+
+// TestRetiredProbeCannotReachReplacement: a ping-evict probe outstanding when
+// its node closes fails with ErrClosed after the table went to the loop and on
+// to the replacement. Its completion must leave the replacement's entries,
+// replacement cache and probe flag as they were.
+func TestRetiredProbeCannotReachReplacement(t *testing.T) {
+	s := sim.NewSimulator()
+	net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 1})
+	scratch := NewScratch(0)
+	var self ID
+	self[IDBytes-1] = 1
+	spawn := func() *Node {
+		node, err := NewNode(Config{ID: self, Endpoint: net.Endpoint("a"), Clock: s, Table: TablePingEvict, Scratch: scratch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	dead := spawn()
+	fillBucket0(dead.Table(), 10)
+	retired := dead.table
+	if eb := retired.evict[0]; eb == nil || !eb.probing {
+		t.Fatal("no probe outstanding at Close")
+	}
+	if err := dead.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The replacement joins in the same instant, as Network.join does.
+	repl := spawn()
+	if repl.table != retired {
+		t.Fatal("the replacement did not take the retired table back")
+	}
+	fillBucket0(repl.Table(), 100)
+	before := dumpBuckets(repl.table)
+	if !strings.Contains(before, "bucket 0 probing=true") {
+		t.Fatalf("replacement has no probe of its own outstanding:\n%s", before)
+	}
+	// Long enough for the dead node's ErrClosed, short of the replacement's
+	// own probe timeout (its LRU entry's address is nobody's).
+	s.RunFor(rpcTimeout / 2)
+	if after := dumpBuckets(repl.table); after != before {
+		t.Errorf("the dead node's probe changed its replacement's table:\nbefore\n%s\nafter\n%s", before, after)
+	}
+}
+
+// TestClosedNodeFailsEveryOperation: once its table has gone to a replacement
+// on the same loop, a closed node still fails what it is asked — a lookup
+// finds nothing, an owner send reports ErrLookupFailed and a ping ErrClosed,
+// the last as an event, never inside the call.
+func TestClosedNodeFailsEveryOperation(t *testing.T) {
+	const n = 12
+	s := sim.NewSimulator()
+	net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 7})
+	scratch := NewScratch(n)
+	rng := stats.NewRNG(77)
+	spawn := func(i int, id ID) *Node {
+		node, err := NewNode(Config{ID: id, Endpoint: net.Endpoint(transport.Addr(fmt.Sprintf("node-%d", i))), Clock: s, Scratch: scratch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = spawn(i, RandomID(rng))
+	}
+	seed := []Contact{nodes[0].Contact()}
+	for _, node := range nodes[1:] {
+		node.Bootstrap(seed, nil)
+	}
+	s.RunFor(time.Minute)
+
+	dead := nodes[5]
+	if err := dead.Close(); err != nil {
+		t.Fatal(err)
+	}
+	repl := spawn(5, dead.ID())
+	repl.Bootstrap(seed, nil)
+	s.RunFor(time.Minute)
+	if repl.Table().Len() == 0 {
+		t.Fatal("the replacement learned no contact")
+	}
+
+	looked, found := false, []Contact{{}}
+	dead.Lookup(RandomID(rng), func(cs []Contact) { looked, found = true, slices.Clone(cs) })
+	ownerErr := errors.New("done never ran")
+	dead.SendToOwners(IDFromKey([]byte("k")), []byte("x"), 1, func(_ Contact, err error) { ownerErr = err })
+	notYet := errors.New("callback never ran")
+	pingErr := notYet
+	dead.Ping(nodes[0].Contact(), func(err error) { pingErr = err })
+	if pingErr != notYet {
+		t.Fatal("Ping's callback ran inside the call")
+	}
+	s.RunFor(time.Minute)
+	if !looked || len(found) != 0 {
+		t.Errorf("lookup on a closed node: finished %v with %d contacts, want none", looked, len(found))
+	}
+	if ownerErr != ErrLookupFailed {
+		t.Errorf("owner send on a closed node: %v, want ErrLookupFailed", ownerErr)
+	}
+	if pingErr != ErrClosed {
+		t.Errorf("ping from a closed node: %v, want ErrClosed", pingErr)
+	}
+}
+
+// TestClosedNodeTableIsEmpty: Table on a closed node is empty, and what is
+// written to it reaches neither the loop's list nor the next node there.
+func TestClosedNodeTableIsEmpty(t *testing.T) {
+	s := sim.NewSimulator()
+	net := simnet.New(s, simnet.Config{})
+	scratch := NewScratch(0)
+	var self ID
+	self[IDBytes-1] = 1
+	spawn := func() *Node {
+		node, err := NewNode(Config{ID: self, Endpoint: net.Endpoint("a"), Clock: s, Scratch: scratch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	node := spawn()
+	fillBucket0(node.Table(), 10)
+	retired := node.table
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := scratch.tables.Len(); got != 1 {
+		t.Fatalf("the loop holds %d retired tables after one Close, want 1", got)
+	}
+	closed := node.Table()
+	if closed == retired || closed.Len() != 0 {
+		t.Fatalf("a closed node's Table lists %d contacts (the retired table: %v)", closed.Len(), closed == retired)
+	}
+	written := mkBucket0(200)
+	closed.Observe(written)
+	if node.Table().Len() != 0 {
+		t.Error("a write to a closed node's Table is visible through the next call")
+	}
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := scratch.tables.Len(); got != 1 {
+		t.Errorf("the loop holds %d retired tables after a second Close, want 1", got)
+	}
+	next := spawn()
+	if next.table != retired {
+		t.Fatal("the next node did not take the retired table")
+	}
+	if next.Table().Len() != 0 || next.Table().Contains(written.ID) {
+		t.Errorf("the next node starts with %d contacts (the closed node's write: %v)", next.Table().Len(), next.Table().Contains(written.ID))
+	}
+}
+
+// TestWipedTableBehavesFresh: a wiped table, full of another owner's
+// contacts, spill records, replacement caches and a probe in flight, answers
+// the same observations as a fresh one exactly: the same entries, caches and
+// probes, the same selections. It keeps its bucket arrays.
+func TestWipedTableBehavesFresh(t *testing.T) {
+	const k = 4
+	rng := stats.NewRNG(31)
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	contacts := func(n int, tag string) []Contact {
+		cs := make([]Contact, n)
+		for i := range cs {
+			cs[i] = Contact{ID: RandomID(rng), Addr: transport.Addr(fmt.Sprintf("%s-%d", tag, i))}
+		}
+		return cs
+	}
+	type probeLog struct{ probes []string }
+	prepare := func(table *Table, log *probeLog) {
+		table.book = &addrBook{max: 24} // small enough to spill
+		table.SetPolicy(TablePingEvict)
+		table.SetPinger(func(c Contact, done func(bool)) {
+			log.probes = append(log.probes, string(c.Addr))
+			if len(log.probes)%2 == 0 {
+				table.Remove(c.ID) // every other probe times out
+			}
+			done(len(log.probes)%2 != 0)
+		})
+	}
+	feed := func(table *Table, cs []Contact) {
+		for i, c := range cs {
+			now = now.Add(time.Second)
+			table.Observe(c)
+			if i%7 == 0 {
+				table.Remove(cs[i/2].ID)
+			}
+		}
+	}
+
+	used := NewTable(RandomID(rng), k, 10*time.Minute, clock)
+	used.book = &addrBook{max: 24}
+	used.SetPolicy(TablePingEvict)
+	used.SetPinger(func(Contact, func(bool)) {}) // its probes never finish
+	feed(used, contacts(200, "old"))
+	if used.spill == nil || len(used.evict) == 0 {
+		t.Fatal("the first owner's table never spilled or never probed; lower the book bound")
+	}
+	caps := make([]int, len(used.buckets))
+	for i := range used.buckets {
+		caps[i] = cap(used.buckets[i].entries)
+	}
+
+	self, stream := RandomID(rng), contacts(300, "new")
+	used.wipe(self, k, 10*time.Minute, nowFunc(clock))
+	if used.Len() != 0 || used.spill != nil || used.occupied != (bucketSet{}) {
+		t.Fatalf("wipe left %d contacts, spill %v, occupancy %v", used.Len(), used.spill, used.occupied)
+	}
+	for i := range used.buckets {
+		if cap(used.buckets[i].entries) != caps[i] {
+			t.Errorf("bucket %d: capacity %d after wipe, want the kept %d", i, cap(used.buckets[i].entries), caps[i])
+		}
+	}
+	fresh := NewTable(self, k, 10*time.Minute, clock)
+	var wipedLog, freshLog probeLog
+	prepare(used, &wipedLog)
+	prepare(fresh, &freshLog)
+	start := now
+	feed(used, stream)
+	now = start
+	feed(fresh, stream)
+
+	if got, want := visibleState(used), visibleState(fresh); got != want {
+		t.Errorf("wiped and fresh tables differ:\nwiped\n%s\nfresh\n%s", got, want)
+	}
+	if !slices.Equal(wipedLog.probes, freshLog.probes) {
+		t.Errorf("wiped table probed %v, fresh %v", wipedLog.probes, freshLog.probes)
+	}
+	for i := 0; i < 8; i++ {
+		target := RandomID(rng)
+		if got, want := used.Closest(target, 3*k), fresh.Closest(target, 3*k); !slices.Equal(got, want) {
+			t.Errorf("Closest(%s): wiped %v, fresh %v", target.Short(), got, want)
+		}
+	}
+}
+
+// visibleState is dumpBuckets without its "probing=false" bucket headers: a
+// wiped table keeps emptied buckets a fresh one never made, and a header is
+// all that shows of them. Entries, caches and outstanding probes stay.
+func visibleState(table *Table) string {
+	var out []string
+	for _, block := range strings.SplitAfter(dumpBuckets(table), "\n") {
+		if block != "" && !(strings.HasPrefix(block, "bucket ") && strings.HasSuffix(block, "probing=false\n")) {
+			out = append(out, block)
+		}
+	}
+	return strings.Join(out, "")
+}

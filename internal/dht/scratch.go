@@ -11,8 +11,9 @@ import (
 // that outlives any single node: the receive-path decode Message, the address
 // book its nodes' routing tables and lookups refer to, and the freelists of
 // lookup states, lookup query records, owner-walk records, in-flight RPC
-// records and byte buffers. None of it is observable: sharing changes who
-// pays for the memory, never a wire byte or an event.
+// records, byte buffers and the routing tables of closed nodes. None of it is
+// observable: sharing changes who pays for the memory, never a wire byte or an
+// event.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -42,6 +43,12 @@ type Scratch struct {
 	// lookup completes) and custody clones (held until the package peels).
 	// The buffers mix freely and each grows to the largest use it has served.
 	bufs freelist.List[[]byte]
+	// tables holds the routing tables of the loop's closed nodes, for the
+	// next NewNode here to take back wiped (Table.wipe): a churn replacement
+	// joins in its predecessor's death event, so it gets the buckets, arrays
+	// and replacement caches the dead node had just finished growing. A table
+	// here belongs to no node — Close dropped its owner's pointer.
+	tables freelist.List[Table]
 }
 
 // Freelist bounds. A burst — every node of a booting network running its
@@ -55,6 +62,7 @@ const (
 	maxFreeQueries = 256 // a lookup query is an in-flight RPC
 	maxFreePending = 256
 	maxFreeBufs    = 256 // a dispatch burst's packets plus the custody of the missions in flight
+	maxFreeTables  = 8   // a churn replacement joins in its predecessor's death event: one waits at a time
 )
 
 // defaultBookAddrs bounds the address book of a scratch that was not told its
@@ -75,6 +83,7 @@ func NewScratch(peers int) *Scratch {
 		walks:    freelist.List[ownerWalk]{Max: maxFreeWalks},
 		rpcs:     freelist.List[pendingRPC]{Max: maxFreePending},
 		bufs:     freelist.List[[]byte]{Max: maxFreeBufs},
+		tables:   freelist.List[Table]{Max: maxFreeTables},
 	}
 }
 

@@ -114,7 +114,8 @@ func ParseTablePolicy(s string) (TablePolicy, error) {
 // rank of bit i in the present bitmap.
 //
 // A table belongs to its node and is touched only from the node's dispatch
-// context (see Node); it has no lock.
+// context (see Node); it has no lock. A closed node hands its table to the
+// loop (Node.Close), and the next node there takes it back wiped.
 type Table struct {
 	self ID
 	// pingEvict is the admission policy: TablePingEvict if set, else
@@ -138,9 +139,9 @@ type Table struct {
 	pinger func(Contact, func(alive bool))
 	// buckets holds the buckets that exist, ascending by index; present marks
 	// which indexes those are (bucket i sits at the rank of bit i). A bucket
-	// is created by its first insert and never dropped. The slice starts on
-	// the inline array, so a table allocates nothing for its buckets until
-	// more than inlineBuckets distances are populated.
+	// is created by its first insert and never dropped, not even by wipe. The
+	// slice starts on the inline array, so a table allocates nothing for its
+	// buckets until more than inlineBuckets distances are populated.
 	buckets []bucket
 	present bucketSet
 	// occupied marks the buckets with live entries, so the selection scan
@@ -215,12 +216,35 @@ func NewTable(self ID, k int, staleAfter time.Duration, now func() time.Time) *T
 // newTable is NewTable on any clock: a Node passes its sim.Clock, which a
 // func() time.Time would have to capture in a closure.
 func newTable(self ID, k int, staleAfter time.Duration, clock interface{ Now() time.Time }) *Table {
+	t := new(Table)
+	t.wipe(self, k, staleAfter, clock)
+	return t
+}
+
+// wipe readies t, a zero table or one a closed node retired to its loop
+// (Scratch.tables), for a new owner: no contact, spill record, policy, pinger
+// or outstanding probe is left. What the last owner grew is kept, emptied —
+// its buckets with their arrays, its present set and its replacement caches —
+// because a bucket's fill depends on the population, not on self: a churn
+// replacement, which takes its predecessor's ID, fills the same buckets to
+// the same depth.
+func (t *Table) wipe(self ID, k int, staleAfter time.Duration, clock interface{ Now() time.Time }) {
 	if k < 1 {
 		panic("dht: bucket size must be >= 1")
 	}
-	t := &Table{self: self, k: k, staleAfter: staleAfter, clock: clock}
-	t.buckets = t.inline[:0]
-	return t
+	if t.buckets == nil {
+		t.buckets = t.inline[:0]
+	}
+	for i := range t.buckets {
+		t.buckets[i].entries = t.buckets[i].entries[:0]
+	}
+	for _, eb := range t.evict {
+		eb.spare, eb.probing = eb.spare[:0], false
+	}
+	t.occupied = bucketSet{}
+	t.spill = nil
+	t.self, t.k, t.staleAfter, t.clock = self, k, staleAfter, clock
+	t.pingEvict, t.pinger = false, nil
 }
 
 // SetPolicy selects the full-bucket admission policy. TableDefault resolves

@@ -66,6 +66,8 @@ type Host struct {
 	cfg  HostConfig
 	node *dht.Node
 
+	// missions is nil until the first write (state): a churn replacement
+	// that never holds custody pays nothing for it.
 	missions map[MissionID]*missionState
 	// advance's deterministic-iteration sort scratch, reused across calls.
 	refScratch []Ref
@@ -164,7 +166,7 @@ func (h *Host) releaseCustody(hp *heldPackage) {
 // NewHost creates a host; call Attach to bind it to its node after the
 // node is constructed (the node's OnApp must be h.HandleApp).
 func NewHost(cfg HostConfig) *Host {
-	return &Host{cfg: cfg, missions: make(map[MissionID]*missionState)}
+	return &Host{cfg: cfg}
 }
 
 // Attach binds the host to its DHT node.
@@ -210,7 +212,7 @@ func (h *Host) state(id MissionID) *missionState {
 	ms, ok := h.missions[id]
 	if !ok {
 		ms = &missionState{}
-		h.missions[id] = ms
+		put(&h.missions, id, ms)
 	}
 	return ms
 }

@@ -234,6 +234,9 @@ type Network struct {
 	// only between runs.
 	nodes    []*dht.Node
 	receiver *dht.Node
+	// seeds is every join's bootstrap list: node 0, which churn never
+	// replaces. Made once at boot and only read after it, from any loop.
+	seeds []dht.Contact
 
 	// deliveries is written from the receiver's loop and read between runs.
 	deliveries map[protocol.MissionID]delivery
@@ -356,9 +359,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		}
 	}
 	n.receiver = n.nodes[1]
-	seed := []dht.Contact{n.nodes[0].Contact()}
+	n.seeds = []dht.Contact{n.nodes[0].Contact()}
 	for _, node := range n.nodes[1:] {
-		node.Bootstrap(seed, nil)
+		node.Bootstrap(n.seeds, nil)
 	}
 	// Settle the join traffic within a bounded window. Draining the whole
 	// event queue would fast-forward through every scheduled churn death.
@@ -567,19 +570,28 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	}
 	sh.churn.ScheduleDeath(func() {
 		stopCrash()
-		// Harvest the dying node's resilience counters before its slot is
-		// reused; without Replace the closed node stays in the population
-		// slice and keeps reporting its own totals.
-		if n.cfg.Replace {
-			sh.retired.Add(node.Resilience())
-		}
-		_ = node.Close()
-		sh.deaths++
-		if n.cfg.Replace {
-			n.join(sh, addr, id, idx)
-		}
+		n.die(sh, idx)
 	})
 	return nil
+}
+
+// die is the churn death of the node at population slot idx, an event on
+// sh, its shard's loop: the node closes, handing its routing table to the
+// loop, and under Replace its replacement joins at once and takes that table
+// back wiped.
+func (n *Network) die(sh *shard, idx int) {
+	node := n.nodes[idx]
+	// Harvest the dying node's resilience counters before its slot is reused;
+	// without Replace the closed node stays in the population slice and keeps
+	// reporting its own totals.
+	if n.cfg.Replace {
+		sh.retired.Add(node.Resilience())
+	}
+	_ = node.Close()
+	sh.deaths++
+	if n.cfg.Replace {
+		n.join(sh, node.Contact().Addr, node.ID(), idx)
+	}
 }
 
 // join spawns the replacement for the dead node at population slot idx — a
@@ -597,8 +609,7 @@ func (n *Network) join(sh *shard, addr transport.Addr, id dht.ID, idx int) {
 		return
 	}
 	sh.joins++
-	// Slot 0, the bootstrap node, is exempt from churn: never rewritten.
-	n.nodes[idx].Bootstrap([]dht.Contact{n.nodes[0].Contact()}, nil)
+	n.nodes[idx].Bootstrap(n.seeds, nil)
 }
 
 // ChurnEvents reports how many permanent deaths and replacement joins have
@@ -620,17 +631,24 @@ func (n *Network) ForgedContacts() uint64 {
 	return n.forger.Forged()
 }
 
-// RouteAudit scans every current node's routing table and classifies each
-// entry: live if its (identifier, address) binding matches a node currently
-// in the population, poisoned otherwise. Without churn, poisoned entries are
-// exactly the eclipse adversary's forgeries that won admission; with churn,
-// not-yet-expired routes to dead nodes count as poisoned too.
+// RouteAudit scans every live node's routing table and classifies each
+// entry: live if its (identifier, address) binding matches a live node of the
+// population, poisoned otherwise. Without churn, poisoned entries are exactly
+// the eclipse adversary's forgeries that won admission; with churn,
+// not-yet-expired routes to dead nodes count as poisoned too. A closed node —
+// one churn killed without Replace — is skipped: its table is nobody's route,
+// and went back to its loop at the death.
 func (n *Network) RouteAudit() (live, poisoned int) {
 	real := make(map[dht.ID]transport.Addr, len(n.nodes))
 	for _, node := range n.nodes {
-		real[node.ID()] = node.Contact().Addr
+		if !node.Closed() {
+			real[node.ID()] = node.Contact().Addr
+		}
 	}
 	for _, node := range n.nodes {
+		if node.Closed() {
+			continue
+		}
 		node.Table().Each(func(c dht.Contact) {
 			if addr, ok := real[c.ID]; ok && addr == c.Addr {
 				live++

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"selfemerge/internal/core"
+	"selfemerge/internal/dht"
 	"selfemerge/internal/stats"
 )
 
@@ -238,6 +239,42 @@ func TestChurnReplacementKeepsPopulationServing(t *testing.T) {
 	}
 	if joins != deaths {
 		t.Fatalf("%d deaths but %d joins", deaths, joins)
+	}
+}
+
+// TestRouteAuditSkipsClosedNodes: without Replace the nodes churn kills stay
+// in the population, closed. RouteAudit scans only the open nodes' tables,
+// and an entry for a dead node is poisoned, however live its binding was.
+func TestRouteAuditSkipsClosedNodes(t *testing.T) {
+	net, err := NewNetwork(NetworkConfig{Nodes: 60, MeanLifetime: 2 * time.Hour, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(time.Hour)
+	dead := map[dht.ID]bool{}
+	for _, node := range net.nodes {
+		if node.Closed() {
+			dead[node.ID()] = true
+		}
+	}
+	entries, stale := 0, 0
+	for _, node := range net.nodes {
+		if node.Closed() {
+			continue
+		}
+		node.Table().Each(func(c dht.Contact) {
+			entries++
+			if dead[c.ID] {
+				stale++
+			}
+		})
+	}
+	if deaths, _ := net.ChurnEvents(); deaths != len(dead) || stale == 0 {
+		t.Fatalf("%d deaths, %d closed nodes, %d routes to them: the run shows nothing", deaths, len(dead), stale)
+	}
+	live, poisoned := net.RouteAudit()
+	if live != entries-stale || poisoned != stale {
+		t.Errorf("RouteAudit = %d live, %d poisoned; want %d live, %d poisoned (routes to the %d dead nodes)", live, poisoned, entries-stale, stale, len(dead))
 	}
 }
 
