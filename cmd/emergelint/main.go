@@ -1,15 +1,8 @@
 // Command emergelint is the repository's analyzer suite: machine-checked
-// determinism, copy-to-retain and pool acquire/release invariants as a
-// vet-style multichecker.
-//
-// Standalone:
+// determinism, map-order, pool acquire/release and loop-ownership
+// invariants over the non-test files of the named packages.
 //
 //	go run ./cmd/emergelint ./...
-//
-// As a vet tool (what CI runs; covers test files and build variants):
-//
-//	go build -o emergelint ./cmd/emergelint
-//	go vet -vettool=$(pwd)/emergelint ./...
 //
 // Diagnostics at audited exception sites are suppressed with a mandatory
 // reason: //lint:allow <analyzer> <reason>. Unused annotations are
@@ -25,9 +18,6 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	if lint.VetMain(args, lint.Suite()) {
-		return
-	}
 	if len(args) == 1 && args[0] == "help" {
 		usage()
 		return
@@ -61,10 +51,9 @@ func main() {
 }
 
 func usage() {
-	fmt.Println("emergelint checks the repository's determinism, retain and pool contracts.")
+	fmt.Println("emergelint checks the repository's determinism, pool and loop-ownership contracts.")
 	fmt.Println()
-	fmt.Println("usage: emergelint [packages]   (standalone, non-test files)")
-	fmt.Println("       go vet -vettool=emergelint ./...   (full coverage)")
+	fmt.Println("usage: emergelint [packages]   (non-test files; default ./...)")
 	fmt.Println()
 	for _, a := range lint.Suite() {
 		fmt.Printf("%-10s %s\n", a.Name, a.Doc)

@@ -92,13 +92,10 @@ func runDetrand(pass *Pass) error {
 	return nil
 }
 
-// eachPkgSelector calls fn for every pkg.Name selector in the package's
-// non-test files, with the package the qualifier names.
+// eachPkgSelector calls fn for every pkg.Name selector in the package, with
+// the package the qualifier names.
 func eachPkgSelector(pass *Pass, fn func(sel *ast.SelectorExpr, imported *types.Package)) {
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok {
 				if ident, ok := sel.X.(*ast.Ident); ok {

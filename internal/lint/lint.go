@@ -1,17 +1,16 @@
 // Package lint is the emergelint analyzer suite: machine-checked versions of
 // the cross-package contracts the reproduction's byte-determinism rests on.
 // The compiler cannot see that simulated runs must be a pure function of
-// their seed, that transport handlers must copy pooled payloads to retain
-// them, that pooled records follow an exact acquire/release protocol, or that
-// an event loop's state is touched from that loop alone — these analyzers
-// can, and CI runs them over the whole tree so new code
-// cannot silently break the contracts.
+// their seed (no wall clock, no ambient randomness, no map order leaking into
+// events), that pooled records follow an exact acquire/release protocol, or
+// that an event loop's state is touched from that loop alone — these
+// analyzers can, and CI runs them over the whole tree so new code cannot
+// silently break the contracts.
 //
 // The package is deliberately self-contained: it reimplements the small
 // slice of the golang.org/x/tools go/analysis vocabulary it needs (Analyzer,
-// Pass, Diagnostic, a go-vet unitchecker, a go-list-driven loader) on the
-// standard library alone, because the repository builds offline with no
-// module dependencies.
+// Pass, Diagnostic, a go-list-driven loader) on the standard library alone,
+// because the repository builds offline with no module dependencies.
 //
 // # Annotations
 //
@@ -50,7 +49,6 @@ type Analyzer struct {
 // Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
 	Analyzer  *Analyzer
-	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
@@ -74,16 +72,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// InTestFile reports whether pos lies in a _test.go file. The determinism
-// and pooling contracts bind shipped code; tests exercise wall clocks and
-// throwaway buffers freely.
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // Suite returns the full emergelint analyzer set in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Detrand, Mapiter, Retain, Poolpair, Loopowned}
+	return []*Analyzer{Detrand, Mapiter, Poolpair, Loopowned}
 }
 
 // AllowPrefix is the annotation marker: //lint:allow <analyzer> <reason>.
@@ -141,7 +132,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		known[a.Name] = true
 		pass := &Pass{
 			Analyzer:  a,
-			Fset:      pkg.Fset,
 			Files:     pkg.Syntax,
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.TypesInfo,

@@ -36,7 +36,6 @@ type listPackage struct {
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	ImportMap  map[string]string
 	Module     *struct{ GoVersion string }
 	Error      *struct{ Err string }
 }
@@ -45,8 +44,10 @@ type listPackage struct {
 // package of the surrounding module from source (dependencies are imported
 // from the compiler export data `go list -export` leaves in the build
 // cache), and returns them ready for analysis. It is the package loader
-// behind both the standalone emergelint driver and the fixture test
-// harness — a stdlib-only stand-in for go/packages.
+// behind both emergelint and the fixture test harness — a stdlib-only
+// stand-in for go/packages. Only a package's GoFiles are loaded, so no
+// analyzer ever sees a _test.go file: the contracts bind shipped code, and
+// tests exercise wall clocks and throwaway buffers freely.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-e", "-export", "-json", "-deps", "--"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -122,29 +123,11 @@ func typecheck(fset *token.FileSet, imp types.Importer, lp *listPackage) (*Packa
 		files = append(files, f)
 	}
 	goVersion := ""
-	if lp.Module != nil {
-		goVersion = lp.Module.GoVersion
-	}
-	return check(fset, imp, lp.ImportPath, goVersion, lp.ImportMap, files)
-}
-
-// check runs the type checker over parsed files, resolving imports through
-// imp after applying the vendor/test import map.
-func check(fset *token.FileSet, imp types.Importer, pkgPath, goVersion string, importMap map[string]string, files []*ast.File) (*Package, error) {
-	resolve := imp
-	if len(importMap) > 0 {
-		resolve = importerFunc(func(path string) (*types.Package, error) {
-			if mapped, ok := importMap[path]; ok {
-				path = mapped
-			}
-			return imp.Import(path)
-		})
-	}
-	if goVersion != "" && !strings.HasPrefix(goVersion, "go") {
-		goVersion = "go" + goVersion
+	if lp.Module != nil && lp.Module.GoVersion != "" {
+		goVersion = "go" + lp.Module.GoVersion
 	}
 	conf := &types.Config{
-		Importer:  resolve,
+		Importer:  imp,
 		Sizes:     types.SizesFor("gc", runtime.GOARCH),
 		GoVersion: goVersion,
 	}
@@ -157,20 +140,15 @@ func check(fset *token.FileSet, imp types.Importer, pkgPath, goVersion string, i
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
+	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
 	if err != nil {
-		return nil, fmt.Errorf("typecheck %s: %v", pkgPath, err)
+		return nil, fmt.Errorf("typecheck %s: %v", lp.ImportPath, err)
 	}
 	return &Package{
-		PkgPath:   pkgPath,
+		PkgPath:   lp.ImportPath,
 		Fset:      fset,
 		Syntax:    files,
 		Types:     tpkg,
 		TypesInfo: info,
 	}, nil
 }
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

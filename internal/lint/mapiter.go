@@ -37,9 +37,6 @@ func runMapiter(pass *Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 )
 
 // Poolpair tracks freelist.List acquisitions (`x := list.Get()`) — the
@@ -25,9 +26,6 @@ var Poolpair = &Analyzer{
 
 func runPoolpair(pass *Pass) error {
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			fn, ok := n.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || hasGotoOrLabels(fn.Body) {
@@ -97,7 +95,10 @@ func isFreelist(t types.Type) bool {
 		t = ptr.Elem()
 	}
 	named, ok := t.(*types.Named)
-	return ok && named.Obj().Name() == "List" && pkgPathEndsWith(named.Obj().Pkg(), "freelist")
+	if !ok || named.Obj().Name() != "List" || named.Obj().Pkg() == nil {
+		return false
+	}
+	return path.Base(named.Obj().Pkg().Path()) == "freelist"
 }
 
 // Abstract state: which of {held, free} are possible on some path at a

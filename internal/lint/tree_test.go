@@ -8,8 +8,8 @@ import (
 
 // TestTreeClean runs the full suite over the real module: the shipped tree
 // must be lint-clean, with every deliberate exemption carrying a reasoned
-// //lint:allow annotation. This is the same property the CI lint job
-// enforces through go vet -vettool.
+// //lint:allow annotation. The CI lint job runs the same check as
+// `go run ./cmd/emergelint ./...`.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole module")
