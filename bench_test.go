@@ -5,25 +5,26 @@ package selfemerge
 //
 //	go test -bench=Figure -benchmem
 //
-// Each figure benchmark performs one full parameter sweep per iteration at
-// reduced resolution (the cmd/emergesim tool runs the full-resolution
-// versions) and reports the paper-comparable headline numbers as custom
-// metrics. Microbenchmarks for the substrates (Shamir, onion, sealing, DHT
+// Each figure benchmark runs its figure's preset sweep (experiment.Presets)
+// once per iteration at reduced resolution (`emergesim fig6a` ... `fig8` run
+// the same presets at full resolution) and reports the paper-comparable
+// headline numbers, looked up at exact grid points, as custom metrics. Microbenchmarks for the substrates (Shamir, onion, sealing, DHT
 // lookup, planner, Monte Carlo trial throughput) and the share-death
 // ablation follow.
 
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
-	"selfemerge/internal/bench"
 	"selfemerge/internal/core"
 	"selfemerge/internal/crypto/onion"
 	"selfemerge/internal/crypto/seal"
 	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
+	"selfemerge/internal/experiment"
 	"selfemerge/internal/mc"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
@@ -31,20 +32,46 @@ import (
 	"selfemerge/internal/transport/simnet"
 )
 
-func benchOpts() bench.Options {
-	return bench.Options{Trials: 300, PStep: 0.05, Seed: 2017}
+// runFigure runs the preset that draws panel at the benchmarks' resolution:
+// 300 trials per point, a p step of 0.05 and seed 2017. A nonzero alpha
+// replaces the preset's churn severity.
+func runFigure(b *testing.B, panel string, alpha float64) *experiment.ResultSet {
+	b.Helper()
+	pr, ok := experiment.PresetFor(panel)
+	if !ok {
+		b.Fatalf("no preset draws %s", panel)
+	}
+	sw := pr.Sweep(0.05)
+	sw.Seed = 2017
+	if alpha != 0 {
+		sw.Base.Alpha = alpha
+	}
+	rs, err := experiment.Runner{Estimator: experiment.MonteCarlo{Trials: 300}}.Run(sw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rs
+}
+
+// resultAt returns the figure's result at exactly (series, x), x a grid
+// value.
+func resultAt(b *testing.B, rs *experiment.ResultSet, series string, x float64) experiment.Result {
+	b.Helper()
+	for _, res := range rs.Results {
+		if res.Point.Series == series && math.Abs(res.Point.X-x) < 1e-9 {
+			return res
+		}
+	}
+	b.Fatalf("%s has no point at (%s, %v)", rs.Sweep.Name, series, x)
+	return experiment.Result{}
 }
 
 // BenchmarkFigure6a — attack resilience vs p, 10,000-node DHT.
 func BenchmarkFigure6a(b *testing.B) {
 	var joint034, joint042 float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := bench.Figure6(10000, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _ := res.SeriesByLabel("joint")
-		joint034, joint042 = s.ValueAt(0.35), s.ValueAt(0.4)
+		rs := runFigure(b, "fig6a", 0)
+		joint034, joint042 = resultAt(b, rs, "joint", 0.35).MinR(), resultAt(b, rs, "joint", 0.4).MinR()
 	}
 	b.ReportMetric(joint034, "joint-R@p0.35")
 	b.ReportMetric(joint042, "joint-R@p0.40")
@@ -52,44 +79,29 @@ func BenchmarkFigure6a(b *testing.B) {
 
 // BenchmarkFigure6b — required nodes C vs p, 10,000-node DHT.
 func BenchmarkFigure6b(b *testing.B) {
-	var cost float64
+	var cost int
 	for i := 0; i < b.N; i++ {
-		_, costFig, err := bench.Figure6(10000, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _ := costFig.SeriesByLabel("joint")
-		cost = s.ValueAt(0.35)
+		cost = resultAt(b, runFigure(b, "fig6b", 0), "joint", 0.35).Cost
 	}
-	b.ReportMetric(cost, "joint-C@p0.35")
+	b.ReportMetric(float64(cost), "joint-C@p0.35")
 }
 
 // BenchmarkFigure6c — attack resilience vs p, 100-node DHT.
 func BenchmarkFigure6c(b *testing.B) {
 	var joint float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := bench.Figure6(100, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _ := res.SeriesByLabel("joint")
-		joint = s.ValueAt(0.3)
+		joint = resultAt(b, runFigure(b, "fig6c", 0), "joint", 0.3).MinR()
 	}
 	b.ReportMetric(joint, "joint-R@p0.30")
 }
 
 // BenchmarkFigure6d — required nodes C vs p, 100-node DHT.
 func BenchmarkFigure6d(b *testing.B) {
-	var cost float64
+	var cost int
 	for i := 0; i < b.N; i++ {
-		_, costFig, err := bench.Figure6(100, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _ := costFig.SeriesByLabel("joint")
-		cost = s.ValueAt(0.3)
+		cost = resultAt(b, runFigure(b, "fig6d", 0), "joint", 0.3).Cost
 	}
-	b.ReportMetric(cost, "joint-C@p0.30")
+	b.ReportMetric(float64(cost), "joint-C@p0.30")
 }
 
 // benchmarkFigure7 runs one churn panel and reports share vs joint at p=0.2.
@@ -97,13 +109,8 @@ func benchmarkFigure7(b *testing.B, alpha float64) {
 	b.Helper()
 	var share, joint float64
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.Figure7(alpha, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, _ := fig.SeriesByLabel("share")
-		j, _ := fig.SeriesByLabel("joint")
-		share, joint = s.ValueAt(0.2), j.ValueAt(0.2)
+		rs := runFigure(b, "fig7", alpha)
+		share, joint = resultAt(b, rs, "share", 0.2).R, resultAt(b, rs, "joint", 0.2).R
 	}
 	b.ReportMetric(share, "share-R@p0.2")
 	b.ReportMetric(joint, "joint-R@p0.2")
@@ -120,13 +127,9 @@ func BenchmarkFigure7d(b *testing.B) { benchmarkFigure7(b, 5) }
 func BenchmarkFigure8(b *testing.B) {
 	metrics := map[string]float64{}
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.Figure8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		rs := runFigure(b, "fig8", 0)
 		for _, label := range []string{"100", "1000", "10000"} {
-			s, _ := fig.SeriesByLabel(label)
-			metrics["R@p0.15-n"+label] = s.ValueAt(0.15)
+			metrics["R@p0.15-n"+label] = resultAt(b, rs, label, 0.15).R
 		}
 	}
 	for name, v := range metrics {

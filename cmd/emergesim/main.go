@@ -7,14 +7,19 @@
 // Usage:
 //
 //	emergesim sweep -estimator live|mc|analytic -axis name=values ... [flags]
+//	emergesim fig6a|fig6b|fig6c|fig6d|fig7|fig8|all [-step S] [sweep flags]
 //	emergesim scenario [flags]
-//	emergesim [flags] fig6a|fig6b|fig6c|fig6d|fig7|fig8|all
 //
 // An axis is "name=v1,v2,..." or "name=start:stop:step"; `emergesim sweep -h`
 // lists the axis vocabulary, generated from the parameter table
 // (experiment.Params), and every axis is also a base-point flag of both
-// subcommands. The first axis is the X axis, the rest form the series. The
-// figure names remain as aliases for the canned full-resolution specs.
+// subcommands. The first axis is the X axis, the rest form the series.
+//
+// A figure name installs its preset (experiment.Presets) and runs it as a
+// sweep, with the sweep's flags and formats; -step sets the p axis's grid
+// step. fig6a/fig6b are one sweep, whose min_r and cost columns are the two
+// panels (likewise fig6c/fig6d); fig7 runs at -alpha 3 unless told
+// otherwise; all runs every preset.
 //
 // The eclipse attack curves (release failure vs forgery rate, naive vs
 // ping-evict tables) come from, e.g.:
@@ -24,8 +29,9 @@
 //
 // Examples:
 //
-//	emergesim -trials 1000 -step 0.02 all        # full-resolution, all figures
-//	emergesim -csv fig8 > fig8.csv               # machine-readable series
+//	emergesim all -trials 1000 -step 0.02         # full-resolution, all figures
+//	emergesim fig8 -format csv > fig8.csv         # machine-readable series
+//	emergesim fig7 -alpha 5                        # Figure 7's alpha = 5 panel
 //	emergesim sweep -estimator live -axis p=0:0.3:0.1 -axis scheme=central,joint \
 //	    -nodes 500 -alpha 1 -k 3 -l 2 -missions 100 -format csv
 //	emergesim scenario -nodes 1000 -p 0.1 -alpha 1 -strategy drop -k 3 -l 2 -missions 200
@@ -55,7 +61,6 @@ import (
 	"slices"
 	"time"
 
-	"selfemerge/internal/bench"
 	"selfemerge/internal/core"
 	"selfemerge/internal/experiment"
 	"selfemerge/internal/mc"
@@ -95,10 +100,17 @@ func liveFlags(fs *flag.FlagSet, cfg *scenario.Config) (loopStats *bool, names [
 }
 
 // runSweep is the `emergesim sweep` subcommand: one declarative sweep on the
-// unified experiment runner.
-func runSweep(args []string, stdout, stderr io.Writer) int {
+// unified experiment runner. A figure alias passes its preset, whose name and
+// base point become the flags' defaults and whose axes lead the sweep's.
+func runSweep(args []string, preset *experiment.Preset, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	sw := experiment.Sweep{Base: experiment.Point{Scheme: core.SchemeJoint, P: 0.1, Network: 1000, K: 3, L: 2, Replicas: 1}}
+	sw := experiment.Sweep{Name: "sweep", Base: experiment.Point{Scheme: core.SchemeJoint, P: 0.1, Network: 1000, K: 3, L: 2, Replicas: 1}}
+	var step float64
+	if preset != nil {
+		fs = flag.NewFlagSet(preset.Name, flag.ContinueOnError)
+		sw.Name, sw.Base = preset.Name, preset.Base
+		fs.Float64Var(&step, "step", 0.02, "grid step of the figure's p axis")
+	}
 	fs.Func("axis", "swept axis, name=v1,v2,... or name=start:stop:step (repeatable; first = numeric X axis) over "+
 		experiment.AxisNames()+"; each is also a base-value flag below", func(spec string) error {
 		ax, err := experiment.ParseAxis(spec)
@@ -121,9 +133,15 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return err
 	})
 	fs.Uint64Var(&sw.Seed, "seed", 2017, "base RNG seed")
-	fs.StringVar(&sw.Name, "name", "sweep", "sweep name for the report header")
+	fs.StringVar(&sw.Name, "name", sw.Name, "sweep name for the report header")
 	if status, ok := parse(fs, args, stderr); !ok {
 		return status
+	}
+	if preset != nil {
+		if !(step > 0) {
+			return fail(stderr, 2, "-step %v must be positive", step)
+		}
+		sw.Axes = append(preset.Sweep(step).Axes, sw.Axes...)
 	}
 	if len(sw.Axes) == 0 {
 		return fail(stderr, 2, "sweep needs at least one -axis (e.g. -axis p=0:0.5:0.05)")
@@ -254,99 +272,35 @@ func runScenario(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// runFigures handles the canned figure aliases (fig6a..fig8, all): the
-// paper's full-resolution sweep specs on the shared runner.
-func runFigures(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("emergesim", flag.ContinueOnError)
-	var (
-		trials    = fs.Int("trials", 1000, "Monte Carlo trials per data point (paper: 1000)")
-		step      = fs.Float64("step", 0.02, "malicious-rate grid step")
-		seed      = fs.Uint64("seed", 2017, "base RNG seed")
-		alpha     = fs.Float64("alpha", 3, "churn severity T/tlife for fig7")
-		csv       = fs.Bool("csv", false, "emit CSV instead of a table")
-		predicted = fs.Bool("predicted", false, "include closed-form curves next to measured ones (fig6)")
-	)
-	if status, ok := parse(fs, args, stderr); !ok {
-		return status
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: emergesim [flags] fig6a|fig6b|fig6c|fig6d|fig7|fig8|all")
-		fmt.Fprintln(stderr, "       emergesim sweep -estimator analytic|mc|live -axis name=values ...")
-		fmt.Fprintln(stderr, "       emergesim scenario [flags]")
-		fs.PrintDefaults()
-		return 2
-	}
-
-	opts := bench.Options{
-		Trials:           *trials,
-		PStep:            *step,
-		Seed:             *seed,
-		IncludePredicted: *predicted,
-	}
-	// emit writes one figure; after the first failure it writes nothing more.
-	status := 0
-	emit := func(fig bench.Figure, err error) {
-		if status != 0 {
-			return
-		}
-		if err == nil && *csv {
-			err = fig.WriteCSV(stdout)
-		} else if err == nil {
-			if err = fig.WriteTable(stdout); err == nil {
-				fmt.Fprintln(stdout)
-			}
-		}
-		if err != nil {
-			status = fail(stderr, 1, "%v", err)
-		}
-	}
-	fig6 := func(network int, wantRes bool) {
-		res, cost, err := bench.Figure6(network, opts)
-		if wantRes {
-			emit(res, err)
-		} else {
-			emit(cost, err)
-		}
-	}
-
-	switch fs.Arg(0) {
-	case "fig6a":
-		fig6(10000, true)
-	case "fig6b":
-		fig6(10000, false)
-	case "fig6c":
-		fig6(100, true)
-	case "fig6d":
-		fig6(100, false)
-	case "fig7":
-		emit(bench.Figure7(*alpha, opts))
-	case "fig8":
-		emit(bench.Figure8(opts))
-	case "all":
-		res, cost, err := bench.Figure6(10000, opts)
-		emit(res, err)
-		emit(cost, err)
-		res, cost, err = bench.Figure6(100, opts)
-		emit(res, err)
-		emit(cost, err)
-		for _, a := range []float64{1, 2, 3, 5} {
-			emit(bench.Figure7(a, opts))
-		}
-		emit(bench.Figure8(opts))
-	default:
-		return fail(stderr, 2, "unknown figure %q", fs.Arg(0))
-	}
-	return status
-}
+const usage = `usage: emergesim sweep -estimator analytic|mc|live -axis name=values ... [flags]
+       emergesim fig6a|fig6b|fig6c|fig6d|fig7|fig8|all [-step S] [sweep flags]
+       emergesim scenario [flags]
+`
 
 // run dispatches one command line and returns its exit status.
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "sweep" {
-		return runSweep(args[1:], stdout, stderr)
-	} else if len(args) > 0 && args[0] == "scenario" {
-		return runScenario(args[1:], stdout, stderr)
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
 	}
-	return runFigures(args, stdout, stderr)
+	switch args[0] {
+	case "sweep":
+		return runSweep(args[1:], nil, stdout, stderr)
+	case "scenario":
+		return runScenario(args[1:], stdout, stderr)
+	case "all":
+		for i := range experiment.Presets {
+			if status := runSweep(args[1:], &experiment.Presets[i], stdout, stderr); status != 0 {
+				return status
+			}
+		}
+		return 0
+	}
+	if preset, ok := experiment.PresetFor(args[0]); ok {
+		return runSweep(args[1:], &preset, stdout, stderr)
+	}
+	fmt.Fprint(stderr, usage)
+	return fail(stderr, 2, "unknown subcommand or figure %q", args[0])
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

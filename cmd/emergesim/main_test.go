@@ -57,6 +57,7 @@ func TestGoldens(t *testing.T) {
 		{"dropaxis.csv", "sweep -estimator live -axis p=0:0.2:0.1 -axis strategy=spy,drop -nodes 50 -missions 10 -alpha 1 -k 2 -l 2 -emerging 1h -format csv"},
 		{"mc.csv", "sweep -estimator mc -axis p=0:0.4:0.1 -axis scheme=central,disjoint,joint,share -axis alpha=0,2 -nodes 1000 -k 0 -l 0 -trials 200 -share-model quota -format csv"},
 		{"analytic.json", "sweep -estimator analytic -axis p=0:0.4:0.1 -axis scheme=central,disjoint,joint -axis network=100,10000 -k 0 -l 0 -format json"},
+		{"fig8.csv", "fig8 -trials 50 -step 0.25 -format csv"},
 		{"scenario_drop.txt", "scenario -nodes 60 -p 0.1 -alpha 1 -strategy drop -k 2 -l 2 -missions 20 -mc-trials 100 -seed 6 -emerging 1h"},
 		{"scenario_fault.txt", "scenario -nodes 60 -p 0.2 -alpha 1 -scheme share -k 2 -l 2 -sharen 4 -sharem 2 -missions 12 -shards 2 -partition 2 -fault burst -faultsev 0.3 -retry 3 -replicas 1 -emerging 1h"},
 	}

@@ -56,7 +56,7 @@
 // only at barriers, so churn, adversaries, faults and S all compose and stay
 // byte-deterministic at any worker count.
 // The "emergesim sweep" subcommand exposes the engine on the command line;
-// the figure names (fig6a..fig8) are canned sweep specs.
+// a figure name (fig6a..fig8) runs that figure's preset (experiment.Presets).
 //
 // The mission hot path is tuned to run live scenarios as fast as the
 // hardware allows: wire codecs are append-style over pooled buffers (the

@@ -5,9 +5,10 @@
 // month, the key share routing scheme can successfully hide the secret key
 // for 5 months" (Section IV-B2).
 //
-// This example runs the comparison twice: analytically via the planner's
-// predictions, and empirically via Monte Carlo trials on the experiment
-// engine that regenerates Figure 7.
+// The comparison is a four-point scheme sweep on the experiment engine that
+// regenerates Figure 7: each scheme is sized by its planner and measured by
+// Monte Carlo trials. Every point is sampled on one trial worker, so the
+// output is the same on any machine.
 package main
 
 import (
@@ -15,7 +16,7 @@ import (
 	"log"
 
 	"selfemerge/internal/core"
-	"selfemerge/internal/mc"
+	"selfemerge/internal/experiment"
 )
 
 func main() {
@@ -25,33 +26,24 @@ func main() {
 		alpha   = 5.0 // emerging period = 5 mean lifetimes
 		trials  = 2000
 	)
-	env := mc.Env{Population: network, Malicious: int(p * network), Alpha: alpha}
-	cfg := core.PlannerConfig{Budget: network}
+	rs, err := experiment.Runner{Estimator: experiment.MonteCarlo{Trials: trials}}.Run(experiment.Sweep{
+		Name: "longterm",
+		Seed: 99,
+		Base: experiment.Point{Network: network, Alpha: alpha},
+		Axes: []experiment.Axis{
+			experiment.FloatAxis("p", p),
+			experiment.SchemeAxis(core.SchemeCentral, core.SchemeDisjoint, core.SchemeJoint, core.SchemeKeyShare),
+		},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("hiding a key for %g node lifetimes with %.0f%% malicious nodes (%d trials/scheme)\n\n",
 		alpha, p*100, trials)
 	fmt.Printf("%-10s %8s %8s %8s %10s\n", "scheme", "Rr", "Rd", "R", "holders")
-
-	for _, scheme := range []core.Scheme{core.SchemeCentral, core.SchemeDisjoint, core.SchemeJoint, core.SchemeKeyShare} {
-		var plan core.Plan
-		var err error
-		switch scheme {
-		case core.SchemeCentral:
-			plan = core.PlanCentral(p)
-		case core.SchemeDisjoint, core.SchemeJoint:
-			plan, err = core.PlanMultipath(scheme, p, cfg)
-		case core.SchemeKeyShare:
-			plan, err = core.PlanKeyShare(p, alpha, 1, cfg)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := mc.Estimate(plan, env, mc.Options{Trials: trials, Seed: 99})
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-10s %8.3f %8.3f %8.3f %10d\n",
-			scheme, res.Rr(), res.Rd(), res.R(), plan.NodesRequired())
+	for _, res := range rs.Results {
+		fmt.Printf("%-10s %8.3f %8.3f %8.3f %10d\n", res.Point.Series, res.Rr, res.Rd, res.R, res.Cost)
 	}
 	fmt.Println("\nR = P[key emerges at tr and was never reconstructable early].")
 	fmt.Println("Only key share routing survives alpha = 5; the others lose the key to churn")

@@ -133,7 +133,24 @@ func (c PlannerConfig) withDefaults() PlannerConfig {
 
 // PlanCentral returns the trivial single-node plan.
 func PlanCentral(p float64) Plan {
-	return Plan{Scheme: SchemeCentral, K: 1, L: 1, Predicted: analytic.Central(p)}
+	r, _ := ClosedForm(SchemeCentral, p, 1, 1)
+	return Plan{Scheme: SchemeCentral, K: 1, L: 1, Predicted: r}
+}
+
+// ClosedForm is the one choice of a shape's no-churn closed form: Equation
+// (1) for the centralized scheme, (2) and (3) for the disjoint and joint
+// multipath schemes. It reports false for the key share scheme, which has
+// none for a given shape: only Algorithm 1 predicts, for the shapes it sizes.
+func ClosedForm(scheme Scheme, p float64, k, l int) (analytic.Resilience, bool) {
+	switch scheme {
+	case SchemeCentral:
+		return analytic.Central(p), true
+	case SchemeDisjoint:
+		return analytic.Disjoint(p, k, l), true
+	case SchemeJoint:
+		return analytic.Joint(p, k, l), true
+	}
+	return analytic.Resilience{}, false
 }
 
 // PlanMultipath sizes a node-disjoint or node-joint multipath scheme for
@@ -150,12 +167,16 @@ func PlanMultipath(scheme Scheme, p float64, cfg PlannerConfig) (Plan, error) {
 		return Plan{}, fmt.Errorf("core: node budget %d must be >= 1", cfg.Budget)
 	}
 
+	shape := func(k, l int) Plan {
+		r, _ := ClosedForm(scheme, p, k, l)
+		return Plan{Scheme: scheme, K: k, L: l, Predicted: r}
+	}
 	var (
 		// Cheapest shape meeting the target.
 		hit     Plan
 		hitCost int
 		// Best-achievable fallback.
-		best      = Plan{Scheme: scheme, K: 1, L: 1, Predicted: resilienceOf(scheme, p, 1, 1)}
+		best      = shape(1, 1)
 		bestScore = best.Predicted.Min()
 		bestCost  = 1
 	)
@@ -165,15 +186,15 @@ func PlanMultipath(scheme Scheme, p float64, cfg PlannerConfig) (Plan, error) {
 			maxK = cfg.MaxK
 		}
 		for k := 1; k <= maxK; k++ {
-			r := resilienceOf(scheme, p, k, l)
-			score := r.Min()
+			cand := shape(k, l)
+			score := cand.Predicted.Min()
 			cost := k * l
 			if score >= cfg.TargetR && (hitCost == 0 || cost < hitCost) {
-				hit = Plan{Scheme: scheme, K: k, L: l, Predicted: r}
+				hit = cand
 				hitCost = cost
 			}
 			if score > bestScore+1e-12 || (score > bestScore-1e-12 && cost < bestCost) {
-				best = Plan{Scheme: scheme, K: k, L: l, Predicted: r}
+				best = cand
 				bestScore = score
 				bestCost = cost
 			}
@@ -183,13 +204,6 @@ func PlanMultipath(scheme Scheme, p float64, cfg PlannerConfig) (Plan, error) {
 		return hit, nil
 	}
 	return best, nil
-}
-
-func resilienceOf(scheme Scheme, p float64, k, l int) analytic.Resilience {
-	if scheme == SchemeJoint {
-		return analytic.Joint(p, k, l)
-	}
-	return analytic.Disjoint(p, k, l)
 }
 
 // PlanKeyShare sizes the key share routing scheme for the given emerging

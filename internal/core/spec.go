@@ -8,8 +8,8 @@ import (
 // PlanSpec is the one canonical plan-from-parameters builder: it describes a
 // routing plan either by explicit shape (K and L set, as the emergesim
 // scenario/sweep flags do) or by planner sizing under a node budget (as the
-// figure sweeps do). The bench sweeps, the experiment estimators and
-// cmd/emergesim all build their plans through it.
+// figure sweeps do). The experiment estimators and cmd/emergesim build their
+// plans through it.
 type PlanSpec struct {
 	Scheme Scheme
 	// P is the malicious rate the planner sizes against; it also drives the
@@ -44,16 +44,14 @@ func (s PlanSpec) Plan() (Plan, error) {
 // explicit assembles a fixed-shape plan, attaching the no-churn closed-form
 // prediction where one exists.
 func (s PlanSpec) explicit() (Plan, error) {
-	var plan Plan
+	plan := Plan{Scheme: s.Scheme, K: s.K, L: s.L}
 	switch s.Scheme {
 	case SchemeCentral:
 		plan = PlanCentral(s.P)
-	case SchemeDisjoint:
-		plan = Plan{Scheme: SchemeDisjoint, K: s.K, L: s.L, Predicted: resilienceOf(SchemeDisjoint, s.P, s.K, s.L)}
-	case SchemeJoint:
-		plan = Plan{Scheme: SchemeJoint, K: s.K, L: s.L, Predicted: resilienceOf(SchemeJoint, s.P, s.K, s.L)}
 	case SchemeKeyShare:
-		plan = Plan{Scheme: SchemeKeyShare, K: s.K, L: s.L, ShareN: s.ShareN, ShareM: s.ShareM}
+		plan.ShareN, plan.ShareM = s.ShareN, s.ShareM
+	case SchemeDisjoint, SchemeJoint:
+		plan.Predicted, _ = ClosedForm(s.Scheme, s.P, s.K, s.L)
 	default:
 		return Plan{}, fmt.Errorf("core: unknown scheme %v", s.Scheme)
 	}

@@ -14,9 +14,9 @@
 // figure curve saturate every core instead of serializing one-at-a-time
 // runs.
 //
-// The figure generators of internal/bench are thin declarative sweep specs
-// on this runner, and cmd/emergesim's sweep subcommand exposes it on the
-// command line.
+// The paper's figures are named sweeps on this runner (Presets), and
+// cmd/emergesim's sweep subcommand and figure names expose it on the command
+// line.
 package experiment
 
 import (

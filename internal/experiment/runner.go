@@ -141,17 +141,3 @@ func (r Runner) Run(sw Sweep) (*ResultSet, error) {
 	}
 	return rs, nil
 }
-
-// SeriesResults groups the results by sweep series, in declaration order:
-// out[s][x] is the point at series s, X index x.
-func (rs *ResultSet) SeriesResults() [][]Result {
-	nx := len(rs.Sweep.XValues())
-	if nx == 0 {
-		return nil
-	}
-	out := make([][]Result, 0, len(rs.Results)/nx)
-	for start := 0; start+nx <= len(rs.Results); start += nx {
-		out = append(out, rs.Results[start:start+nx])
-	}
-	return out
-}

@@ -155,18 +155,6 @@ func parseRange(s string) (start, stop, step float64, ok bool, err error) {
 	return vals[0], vals[1], vals[2], true, nil
 }
 
-// XValues returns the first axis's numeric values (the figure's X grid).
-func (s Sweep) XValues() []float64 {
-	if len(s.Axes) == 0 {
-		return nil
-	}
-	out := make([]float64, s.Axes[0].Len())
-	for i, v := range s.Axes[0].vals {
-		out[i] = v.num
-	}
-	return out
-}
-
 // SeriesLabels returns one label per series, in expansion order: the
 // "/"-joined labels of the non-X axes, or the base scheme's name for a
 // single-axis sweep.

@@ -516,15 +516,8 @@ func (r *Report) estimateReferences(estimate func(Reference) (mc.Result, error))
 // predicted returns the no-churn closed-form resilience of the plan, when
 // one exists.
 func predicted(cfg Config) analytic.Resilience {
-	p := cfg.MaliciousRate
-	switch cfg.Plan.Scheme {
-	case core.SchemeCentral:
-		return analytic.Central(p)
-	case core.SchemeDisjoint:
-		return analytic.Disjoint(p, cfg.Plan.K, cfg.Plan.L)
-	case core.SchemeJoint:
-		return analytic.Joint(p, cfg.Plan.K, cfg.Plan.L)
-	default:
-		return cfg.Plan.Predicted
+	if r, ok := core.ClosedForm(cfg.Plan.Scheme, cfg.MaliciousRate, cfg.Plan.K, cfg.Plan.L); ok {
+		return r
 	}
+	return cfg.Plan.Predicted
 }
