@@ -158,6 +158,7 @@ func FuzzTableClosest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, targetBytes []byte, count int) {
 		k := 1 + int(seed%40)
 		table, model, _ := newStructuredTable(seed, k)
+		checkLayout(t, table)
 		target := table.self
 		for i := range target {
 			if i < len(targetBytes) {

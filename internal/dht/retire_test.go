@@ -179,7 +179,7 @@ func TestClosedNodeTableIsEmpty(t *testing.T) {
 // TestWipedTableBehavesFresh: a wiped table, full of another owner's
 // contacts, spill records, replacement caches and a probe in flight, answers
 // the same observations as a fresh one exactly: the same entries, caches and
-// probes, the same selections. It keeps its bucket arrays.
+// probes, the same selections. It keeps its entries array.
 func TestWipedTableBehavesFresh(t *testing.T) {
 	const k = 4
 	rng := stats.NewRNG(31)
@@ -222,20 +222,16 @@ func TestWipedTableBehavesFresh(t *testing.T) {
 	if used.spill == nil || len(used.evict) == 0 {
 		t.Fatal("the first owner's table never spilled or never probed; lower the book bound")
 	}
-	caps := make([]int, len(used.buckets))
-	for i := range used.buckets {
-		caps[i] = cap(used.buckets[i].entries)
-	}
+	kept := cap(used.entries)
 
 	self, stream := RandomID(rng), contacts(300, "new")
 	used.wipe(self, k, 10*time.Minute, nowFunc(clock))
 	if used.Len() != 0 || used.spill != nil || used.occupied != (bucketSet{}) {
 		t.Fatalf("wipe left %d contacts, spill %v, occupancy %v", used.Len(), used.spill, used.occupied)
 	}
-	for i := range used.buckets {
-		if cap(used.buckets[i].entries) != caps[i] {
-			t.Errorf("bucket %d: capacity %d after wipe, want the kept %d", i, cap(used.buckets[i].entries), caps[i])
-		}
+	checkLayout(t, used)
+	if cap(used.entries) != kept {
+		t.Errorf("entries capacity %d after wipe, want the kept %d", cap(used.entries), kept)
 	}
 	fresh := NewTable(self, k, 10*time.Minute, clock)
 	var wipedLog, freshLog probeLog
@@ -261,8 +257,8 @@ func TestWipedTableBehavesFresh(t *testing.T) {
 }
 
 // visibleState is dumpBuckets without its "probing=false" bucket headers: a
-// wiped table keeps emptied buckets a fresh one never made, and a header is
-// all that shows of them. Entries, caches and outstanding probes stay.
+// wiped table keeps emptied replacement caches a fresh one never made, and a
+// header is all that shows of them. Entries, caches and outstanding probes stay.
 func visibleState(table *Table) string {
 	var out []string
 	for _, block := range strings.SplitAfter(dumpBuckets(table), "\n") {

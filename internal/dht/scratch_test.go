@@ -282,12 +282,10 @@ func TestAddrBookAtBound(t *testing.T) {
 				t.Errorf("entry %s reports %q, want %q", e.ID.Short(), got, want[e.ID])
 			}
 		}
+		for i := range table.entries {
+			visit(&table.entries[i])
+		}
 		for idx := 0; idx < IDBits; idx++ {
-			if b := table.bucket(idx); b != nil {
-				for i := range b.entries {
-					visit(&b.entries[i])
-				}
-			}
 			if eb := table.evict[idx]; eb != nil {
 				for i := range eb.spare {
 					visit(&eb.spare[i])

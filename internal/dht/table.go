@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"selfemerge/internal/transport"
@@ -15,11 +16,11 @@ type Contact struct {
 	Addr transport.Addr
 }
 
-// bucketEntry is one tracked contact: 32 bytes and no pointer, so a full
-// bucket of bucketK = 20 is one 640-byte array the garbage collector never
-// scans. The ID is carried once, as bytes; the selection walk touches at most
-// a few buckets' entries per call and packs their big-endian lanes where it
-// uses them, with fixed-width reads (lanes below). The address is a handle
+// bucketEntry is one tracked contact: 32 bytes and no pointer, so the table's
+// array of them is memory the garbage collector never scans. The ID is
+// carried once, as bytes; the selection walk touches at most a few buckets'
+// entries per call and packs their big-endian lanes where it uses them, with
+// fixed-width reads (lanes below). The address is a handle
 // into the table's address book (addrOf turns it back into a string where an
 // address leaves the table). lastSeen is UnixNano on the table clock rather
 // than a time.Time, whose location pointer the collector would scan, and the
@@ -35,12 +36,6 @@ type bucketEntry struct {
 // where the slice form measured twice as slow on the selection walk.
 func (e *bucketEntry) lanes() (l0, l1 uint64, l2 uint32) {
 	return binary.BigEndian.Uint64(e.ID[0:8]), binary.BigEndian.Uint64(e.ID[8:16]), binary.BigEndian.Uint32(e.ID[16:20])
-}
-
-// bucket is one k-bucket: live entries least-recently-seen first. What the
-// ping-evict policy keeps beside a full bucket is in its evictBucket.
-type bucket struct {
-	entries []bucketEntry
 }
 
 // evictBucket is the ping-evict state of one bucket: a replacement cache of
@@ -108,10 +103,9 @@ func ParseTablePolicy(s string) (TablePolicy, error) {
 // per the configured TablePolicy. Policy rationale and the threat model are
 // documented in DESIGN.md.
 //
-// The table is sparse: a bucket exists only once a contact has landed in it.
-// A node in an N-node network ever fills ~log2(N) of its IDBits buckets, so
-// the table stores just those, in index order, and finds bucket i at the
-// rank of bit i in the present bitmap.
+// The table is one array: a node in an N-node network fills ~log2(N) of its
+// IDBits buckets, a few entries each, so a bucket is not an array of its own
+// but a run of the table's, and an empty bucket takes no room at all.
 //
 // A table belongs to its node and is touched only from the node's dispatch
 // context (see Node); it has no lock. A closed node hands its table to the
@@ -137,24 +131,35 @@ type Table struct {
 	// full-bucket admission, by bucket index; nil until the first.
 	evict  map[int]*evictBucket
 	pinger func(Contact, func(alive bool))
-	// buckets holds the buckets that exist, ascending by index; present marks
-	// which indexes those are (bucket i sits at the rank of bit i). A bucket
-	// is created by its first insert and never dropped, not even by wipe. The
-	// slice starts on the inline array, so a table allocates nothing for its
-	// buckets until more than inlineBuckets distances are populated.
-	buckets []bucket
-	present bucketSet
-	// occupied marks the buckets with live entries, so the selection scan
-	// walks the ~log2(N) populated buckets directly instead of testing all
-	// IDBits lengths per call.
+	// entries holds every live entry, bucket by bucket in ascending index
+	// order, least-recently-seen first within a bucket. occupied marks the
+	// buckets with live entries, and ends[r] is the end offset in entries of
+	// the run of the bucket whose bit has rank r in occupied; the run starts
+	// where the previous one ends. The selection scan walks the ~log2(N)
+	// occupied buckets directly instead of testing all IDBits lengths per
+	// call. ends starts on the inline array, so a table allocates nothing for
+	// it until more than inlineBuckets distances are populated.
+	entries  []bucketEntry
+	ends     []uint16
 	occupied bucketSet
-	inline   [inlineBuckets]bucket
+	inline   [inlineBuckets]uint16
 }
 
 // inlineBuckets is log2 of the largest population the repo aims at (10^6
 // nodes): uniformly drawn IDs populate about that many distances, so only a
-// table fed adversarially placed IDs outgrows the inline array.
+// table fed adversarially placed IDs outgrows the inline ends.
 const inlineBuckets = 20
+
+// firstEntries is the entries array's first allocation, 1,536 bytes (a
+// malloc size class); it doubles from there. A smaller start leaves most
+// tables full when a network starts its missions, and they reallocate as
+// their nodes keep learning contacts; a larger one spends the memory the
+// shared array saves (DESIGN.md, "Memory ownership").
+const firstEntries = 48
+
+// maxK is the largest bucket size at which a uint16 end can index a table of
+// IDBits full buckets.
+const maxK = (1<<16 - 1) / IDBits
 
 // bucketSet is a bitmap over bucket indexes.
 type bucketSet [(IDBits + 63) / 64]uint64
@@ -171,35 +176,54 @@ func (s *bucketSet) rank(idx int) int {
 	return r
 }
 
-// bucket returns bucket idx, or nil if nothing was ever inserted there. The
-// pointer is valid until the next ensureBucket.
-func (t *Table) bucket(idx int) *bucket {
-	if !t.present.has(idx) {
-		return nil
+// run returns bucket idx's rank r among the occupied buckets and its entries,
+// the run entries[lo:hi]. An empty bucket has lo == hi, at the offset where
+// its run would start, and r is where its end would go.
+func (t *Table) run(idx int) (r, lo, hi int) {
+	r = t.occupied.rank(idx)
+	if r > 0 {
+		lo = int(t.ends[r-1])
 	}
-	return &t.buckets[t.present.rank(idx)]
+	hi = lo
+	if t.occupied.has(idx) {
+		hi = int(t.ends[r])
+	}
+	return r, lo, hi
 }
 
-// ensureBucket returns bucket idx, creating it (empty) at its rank if absent.
-func (t *Table) ensureBucket(idx int) *bucket {
-	r := t.present.rank(idx)
-	if !t.present.has(idx) {
-		t.buckets = append(t.buckets, bucket{})
-		copy(t.buckets[r+1:], t.buckets[r:])
-		t.buckets[r] = bucket{}
-		t.present[idx>>6] |= 1 << (idx & 63)
+// insert puts e at offset hi, the end of the run of bucket idx (rank r): the
+// array's tail shifts up a slot, and an empty bucket gets its run.
+func (t *Table) insert(idx, r, hi int, e bucketEntry) {
+	if len(t.entries) == cap(t.entries) {
+		grown := make([]bucketEntry, len(t.entries), max(2*cap(t.entries), firstEntries))
+		copy(grown, t.entries)
+		t.entries = grown
 	}
-	return &t.buckets[r]
+	t.entries = t.entries[:len(t.entries)+1]
+	copy(t.entries[hi+1:], t.entries[hi:])
+	t.entries[hi] = e
+	if !t.occupied.has(idx) {
+		t.ends = slices.Insert(t.ends, r, uint16(hi))
+		t.occupied[idx>>6] |= 1 << (idx & 63)
+	}
+	for i := r; i < len(t.ends); i++ {
+		t.ends[i]++
+	}
 }
 
-// setOccupied resyncs the occupancy bit of b, which is bucket idx: call it
-// after any mutation that can change len(entries) across zero.
-func (t *Table) setOccupied(idx int, b *bucket) {
-	bit := uint64(1) << (idx & 63)
-	if len(b.entries) != 0 {
-		t.occupied[idx>>6] |= bit
-	} else {
-		t.occupied[idx>>6] &^= bit
+// cut removes entries[i] of the run entries[lo:] of bucket idx (rank r): the
+// array's tail shifts down a slot, and an emptied run loses its end. The copy
+// of the last entry that the shift leaves past the slice's end pins nothing:
+// an entry holds no pointer.
+func (t *Table) cut(idx, r, lo, i int) {
+	t.forget(&t.entries[i])
+	t.entries = append(t.entries[:i], t.entries[i+1:]...)
+	for j := r; j < len(t.ends); j++ {
+		t.ends[j]--
+	}
+	if int(t.ends[r]) == lo {
+		t.ends = slices.Delete(t.ends, r, r+1)
+		t.occupied[idx>>6] &^= 1 << (idx & 63)
 	}
 }
 
@@ -224,20 +248,17 @@ func newTable(self ID, k int, staleAfter time.Duration, clock interface{ Now() t
 // wipe readies t, a zero table or one a closed node retired to its loop
 // (Scratch.tables), for a new owner: no contact, spill record, policy, pinger
 // or outstanding probe is left. What the last owner grew is kept, emptied —
-// its buckets with their arrays, its present set and its replacement caches —
-// because a bucket's fill depends on the population, not on self: a churn
-// replacement, which takes its predecessor's ID, fills the same buckets to
-// the same depth.
+// its entries array, its ends and its replacement caches — because a table's
+// fill depends on the population, not on self: a churn replacement, which
+// takes its predecessor's ID, fills the same buckets to the same depth.
 func (t *Table) wipe(self ID, k int, staleAfter time.Duration, clock interface{ Now() time.Time }) {
-	if k < 1 {
-		panic("dht: bucket size must be >= 1")
+	if k < 1 || k > maxK {
+		panic(fmt.Sprintf("dht: bucket size %d outside [1, %d]", k, maxK))
 	}
-	if t.buckets == nil {
-		t.buckets = t.inline[:0]
+	if t.ends == nil {
+		t.ends = t.inline[:0]
 	}
-	for i := range t.buckets {
-		t.buckets[i].entries = t.buckets[i].entries[:0]
-	}
+	t.entries, t.ends = t.entries[:0], t.ends[:0]
 	for _, eb := range t.evict {
 		eb.spare, eb.probing = eb.spare[:0], false
 	}
@@ -253,7 +274,7 @@ func (t *Table) SetPolicy(p TablePolicy) {
 	t.pingEvict = p == TablePingEvict
 }
 
-// addrOf returns the address of e, an entry of the table's buckets or
+// addrOf returns the address of e, an entry of the table or of its
 // replacement caches.
 func (t *Table) addrOf(e *bucketEntry) transport.Addr {
 	if e.addr == spilled {
@@ -329,10 +350,8 @@ func (t *Table) observe(c Contact, verified bool) {
 	if !ok {
 		return // never track self
 	}
-	// An absent bucket is created here: every path below inserts into an
-	// empty bucket (k >= 1).
-	b := t.ensureBucket(idx)
-	entries := b.entries
+	r, lo, hi := t.run(idx)
+	entries := t.entries[lo:hi]
 	// The top eight bytes settle nearly every identity compare in one word;
 	// the 20-byte compare only confirms a match.
 	l0 := binary.BigEndian.Uint64(c.ID[0:8])
@@ -351,8 +370,7 @@ func (t *Table) observe(c Contact, verified bool) {
 		}
 	}
 	if len(entries) < t.k {
-		b.entries = t.appendEntry(entries, bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now})
-		t.setOccupied(idx, b)
+		t.insert(idx, r, hi, bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now})
 		return
 	}
 	// Bucket full: admission is policy-dependent.
@@ -388,21 +406,6 @@ func (t *Table) observe(c Contact, verified bool) {
 		probe := t.contactOf(&entries[0])
 		t.pinger(probe, func(alive bool) { t.probeDone(probe.ID, alive) })
 	}
-}
-
-// appendEntry appends e to a bucket's live entries, of which there are fewer
-// than k. A full array grows by hand, 8 → 16 → k: the first step skips the
-// smallest sizes without paying a K×entry zeroed allocation for the many
-// buckets that stay nearly empty (the far tail of every node's table), and
-// the last stops at k, where append's doubling would round a full bucket up
-// to 32 entries it can never use.
-func (t *Table) appendEntry(entries []bucketEntry, e bucketEntry) []bucketEntry {
-	if len(entries) == cap(entries) {
-		grown := make([]bucketEntry, len(entries), min(max(2*cap(entries), 8), t.k))
-		copy(grown, entries)
-		entries = grown
-	}
-	return append(entries, e)
 }
 
 // upsertSpare inserts or refreshes c's replacement-cache record, newest last,
@@ -441,41 +444,36 @@ func (t *Table) probeDone(id ID, _ bool) {
 		return
 	}
 	eb.probing = false
-	b := t.bucket(idx)
-	t.promoteSpares(b, eb)
-	t.setOccupied(idx, b)
+	t.promoteSpares(idx, eb)
 }
 
 // promoteSpares moves replacement-cache records (newest first) into free
-// bucket slots. eb may be nil: a bucket that never filled has no cache.
-func (t *Table) promoteSpares(b *bucket, eb *evictBucket) {
-	for eb != nil && len(b.entries) < t.k && len(eb.spare) > 0 {
+// slots of bucket idx. eb may be nil: a bucket that never filled has no cache.
+func (t *Table) promoteSpares(idx int, eb *evictBucket) {
+	if eb == nil {
+		return
+	}
+	r, lo, hi := t.run(idx)
+	for ; hi-lo < t.k && len(eb.spare) > 0; hi++ {
 		last := len(eb.spare) - 1
-		b.entries = t.appendEntry(b.entries, eb.spare[last])
+		t.insert(idx, r, hi, eb.spare[last])
 		eb.spare = eb.spare[:last]
 	}
 }
 
 // Remove drops a contact (e.g. after an RPC timeout), refilling the freed
-// slot from the bucket's replacement cache when one is waiting. The copy of
-// the last entry that the shift leaves past the slice's end pins nothing: an
-// entry holds no pointer.
+// slot from the bucket's replacement cache when one is waiting.
 func (t *Table) Remove(id ID) {
 	idx, ok := t.self.BucketIndex(id)
 	if !ok {
 		return
 	}
-	b := t.bucket(idx)
-	if b == nil {
-		return
-	}
 	eb := t.evict[idx]
-	for i := range b.entries {
-		if b.entries[i].ID == id {
-			t.forget(&b.entries[i])
-			b.entries = append(b.entries[:i], b.entries[i+1:]...)
-			t.promoteSpares(b, eb)
-			t.setOccupied(idx, b)
+	r, lo, hi := t.run(idx)
+	for i := lo; i < hi; i++ {
+		if t.entries[i].ID == id {
+			t.cut(idx, r, lo, i)
+			t.promoteSpares(idx, eb)
 			return
 		}
 	}
@@ -662,7 +660,8 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 				bit = 63 - bits.LeadingZeros64(word)
 			}
 			word &^= 1 << bit
-			entries := t.bucket(w<<6 + bit).entries
+			_, lo, hi := t.run(w<<6 + bit)
+			entries := t.entries[lo:hi]
 			n := min(len(entries), count)
 			count -= n
 			if out.form == asWire && n == len(entries) {
@@ -716,22 +715,15 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 
 // Len returns the number of tracked contacts.
 func (t *Table) Len() int {
-	n := 0
-	for i := range t.buckets {
-		n += len(t.buckets[i].entries)
-	}
-	return n
+	return len(t.entries)
 }
 
 // Each calls fn for every tracked contact, bucket order, least-recently-seen
 // first within a bucket. fn must not call back into the table; it is a
 // diagnostic hook (route audits), not a query path.
 func (t *Table) Each(fn func(Contact)) {
-	for i := range t.buckets {
-		entries := t.buckets[i].entries
-		for j := range entries {
-			fn(t.contactOf(&entries[j]))
-		}
+	for i := range t.entries {
+		fn(t.contactOf(&t.entries[i]))
 	}
 }
 
@@ -741,11 +733,8 @@ func (t *Table) Contains(id ID) bool {
 	if !ok {
 		return false
 	}
-	b := t.bucket(idx)
-	if b == nil {
-		return false
-	}
-	for _, e := range b.entries {
+	_, lo, hi := t.run(idx)
+	for _, e := range t.entries[lo:hi] {
 		if e.ID == id {
 			return true
 		}

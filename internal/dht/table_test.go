@@ -3,6 +3,7 @@ package dht
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
@@ -243,14 +244,14 @@ func dumpBuckets(t *Table) string {
 	}
 	var sb strings.Builder
 	for idx := 0; idx < IDBits; idx++ {
-		b := t.bucket(idx)
-		if b == nil {
+		eb := t.evict[idx]
+		if !t.occupied.has(idx) && eb == nil {
 			continue
 		}
-		eb := t.evict[idx]
 		fmt.Fprintf(&sb, "bucket %d probing=%v\n", idx, eb != nil && eb.probing)
-		for i := range b.entries {
-			fmt.Fprintf(&sb, "  live %+v\n", dumped{t.contactOf(&b.entries[i]), b.entries[i].lastSeen})
+		_, lo, hi := t.run(idx)
+		for i := lo; i < hi; i++ {
+			fmt.Fprintf(&sb, "  live %+v\n", dumped{t.contactOf(&t.entries[i]), t.entries[i].lastSeen})
 		}
 		for i := 0; eb != nil && i < len(eb.spare); i++ {
 			fmt.Fprintf(&sb, "  spare %+v\n", dumped{t.contactOf(&eb.spare[i]), eb.spare[i].lastSeen})
@@ -338,11 +339,13 @@ func TestObserveThenVerifiedEqualsVerified(t *testing.T) {
 	}
 }
 
-// modelTable is a deliberately simple reference implementation of the naive
-// policy: per-bucket ordered slices manipulated with the most obvious code,
+// modelTable is a deliberately simple reference implementation of both
+// policies: per-bucket ordered slices manipulated with the most obvious code,
 // and Closest computed by fully sorting all tracked contacts. Its entries'
 // addresses are in addrs, by ID, set when an entry is inserted (an
-// unverified observation never re-points one).
+// unverified observation never re-points one). Under pingEvict, spares holds
+// each bucket's replacement cache (newest last), probing the buckets with a
+// probe outstanding, and probed every ID a probe was started for, in order.
 type modelTable struct {
 	self       ID
 	k          int
@@ -350,6 +353,11 @@ type modelTable struct {
 	now        func() time.Time
 	buckets    map[int][]bucketEntry
 	addrs      map[ID]transport.Addr
+
+	pingEvict bool
+	spares    map[int][]bucketEntry
+	probing   map[int]bool
+	probed    []ID
 }
 
 func (m *modelTable) observe(c Contact) {
@@ -369,6 +377,18 @@ func (m *modelTable) observe(c Contact) {
 	e := bucketEntry{ID: c.ID, lastSeen: m.now().UnixNano()}
 	if len(b) < m.k {
 		m.buckets[idx] = append(b, e)
+	} else if m.pingEvict {
+		sp := slices.Clone(m.spares[idx])
+		if i := slices.IndexFunc(sp, func(s bucketEntry) bool { return s.ID == c.ID }); i >= 0 {
+			sp = slices.Delete(sp, i, i+1)
+		} else if len(sp) >= m.k {
+			sp = sp[1:]
+		}
+		m.spares[idx] = append(sp, e)
+		if !m.probing[idx] {
+			m.probing[idx] = true
+			m.probed = append(m.probed, b[0].ID)
+		}
 	} else if m.now().UnixNano()-b[0].lastSeen > int64(m.staleAfter) {
 		m.buckets[idx] = append(append([]bucketEntry{}, b[1:]...), e)
 	} else {
@@ -389,8 +409,32 @@ func (m *modelTable) remove(id ID) {
 	for i := range b {
 		if b[i].ID == id {
 			m.buckets[idx] = append(append([]bucketEntry{}, b[:i]...), b[i+1:]...)
+			m.promote(idx)
 			return
 		}
+	}
+	sp := m.spares[idx]
+	for i := range sp {
+		if sp[i].ID == id {
+			m.spares[idx] = append(append([]bucketEntry{}, sp[:i]...), sp[i+1:]...)
+			return
+		}
+	}
+}
+
+// probeDone ends the probe of id's bucket and fills the bucket from its cache.
+func (m *modelTable) probeDone(id ID) {
+	idx, _ := m.self.BucketIndex(id)
+	m.probing[idx] = false
+	m.promote(idx)
+}
+
+// promote moves spares, newest first, into the free room of bucket idx.
+func (m *modelTable) promote(idx int) {
+	for len(m.buckets[idx]) < m.k && len(m.spares[idx]) > 0 {
+		sp := m.spares[idx]
+		m.buckets[idx] = append(m.buckets[idx], sp[len(sp)-1])
+		m.spares[idx] = sp[:len(sp)-1]
 	}
 }
 
@@ -410,40 +454,130 @@ func (m *modelTable) closest(target ID, count int) []Contact {
 
 func TestTableRandomizedAgainstModel(t *testing.T) {
 	// Differential test: a random interleaving of Observe, Remove, clock
-	// advance and Closest must agree exactly with the model implementation
-	// under the naive policy (the policy the model defines).
-	rng := stats.NewRNG(4242)
-	self := RandomID(rng)
-	now := time.Unix(5000, 0)
-	const k = 3
-	table := NewTable(self, k, 10*time.Minute, func() time.Time { return now })
-	model := &modelTable{
-		self: self, k: k, staleAfter: 10 * time.Minute,
-		now:     func() time.Time { return now },
-		buckets: map[int][]bucketEntry{},
+	// advance, probe completion, wipe and Closest must agree exactly with the
+	// model implementation under both policies — the same selections and the
+	// same probes — and leave the table's layout whole after every step.
+	for _, policy := range []TablePolicy{TableNaive, TablePingEvict} {
+		t.Run(policy.String(), func(t *testing.T) {
+			rng := stats.NewRNG(4242)
+			now := time.Unix(5000, 0)
+			clock := func() time.Time { return now }
+			const k = 3
+			table := new(Table)
+			var model *modelTable
+			var probed []ID
+			var dones []func(alive bool)
+			// reset wipes the table for a new self, as a churn replacement
+			// takes it back, and starts a fresh model beside it.
+			reset := func() {
+				self := RandomID(rng)
+				table.wipe(self, k, 10*time.Minute, nowFunc(clock))
+				table.SetPolicy(policy)
+				table.SetPinger(func(c Contact, done func(alive bool)) {
+					probed = append(probed, c.ID)
+					dones = append(dones, done)
+				})
+				model = &modelTable{
+					self: self, k: k, staleAfter: 10 * time.Minute, now: clock,
+					buckets:   map[int][]bucketEntry{},
+					pingEvict: policy == TablePingEvict,
+					spares:    map[int][]bucketEntry{},
+					probing:   map[int]bool{},
+				}
+				probed, dones = nil, nil
+			}
+			reset()
+			pool := make([]Contact, 120)
+			for i := range pool {
+				pool[i] = Contact{ID: RandomID(rng), Addr: transport.Addr(fmt.Sprintf("addr-%d", i))}
+			}
+			for op := 0; op < 20000; op++ {
+				switch rng.Uint64n(12) {
+				case 0:
+					now = now.Add(time.Duration(rng.Uint64n(uint64(4 * time.Minute))))
+				case 1:
+					c := pool[rng.Uint64n(uint64(len(pool)))]
+					table.Remove(c.ID)
+					model.remove(c.ID)
+				case 2:
+					checkClosest(t, table, model, RandomID(rng), int(rng.Uint64n(8))+1)
+				case 3:
+					// Complete the oldest outstanding probe as the node does: a
+					// pong refreshes the peer, a timeout removes it first.
+					if len(dones) == 0 {
+						break
+					}
+					id, done := probed[len(probed)-len(dones)], dones[0]
+					dones = dones[1:]
+					c := Contact{ID: id, Addr: model.addrs[id]}
+					if alive := rng.Uint64n(2) == 0; alive {
+						table.ObserveVerified(c)
+						model.observe(c)
+						done(true)
+					} else {
+						table.Remove(id)
+						model.remove(id)
+						done(false)
+					}
+					model.probeDone(id)
+				case 4:
+					if rng.Uint64n(50) == 0 {
+						reset()
+					}
+				default:
+					c := pool[rng.Uint64n(uint64(len(pool)))]
+					table.Observe(c)
+					model.observe(c)
+				}
+				checkLayout(t, table)
+				if !slices.Equal(probed, model.probed) {
+					t.Fatalf("op %d: table probed %d contacts, model %d", op, len(probed), len(model.probed))
+				}
+			}
+			if table.Len() == 0 {
+				t.Fatal("randomized run tracked nothing")
+			}
+			if policy == TablePingEvict && len(probed) == 0 {
+				t.Fatal("ping-evict run never probed")
+			}
+		})
 	}
-	pool := make([]Contact, 120)
-	for i := range pool {
-		pool[i] = Contact{ID: RandomID(rng), Addr: transport.Addr(fmt.Sprintf("addr-%d", i))}
+}
+
+// checkLayout asserts the table's layout invariant: ends is strictly
+// increasing and its last value is len(entries), there is one end per
+// occupied bucket, and every run holds at most k entries, all of them of its
+// own bucket.
+func checkLayout(t testing.TB, table *Table) {
+	t.Helper()
+	occupied := 0
+	for _, w := range table.occupied {
+		occupied += bits.OnesCount64(w)
 	}
-	for op := 0; op < 20000; op++ {
-		switch rng.Uint64n(10) {
-		case 0:
-			now = now.Add(time.Duration(rng.Uint64n(uint64(4 * time.Minute))))
-		case 1:
-			c := pool[rng.Uint64n(uint64(len(pool)))]
-			table.Remove(c.ID)
-			model.remove(c.ID)
-		case 2:
-			checkClosest(t, table, model, RandomID(rng), int(rng.Uint64n(8))+1)
-		default:
-			c := pool[rng.Uint64n(uint64(len(pool)))]
-			table.Observe(c)
-			model.observe(c)
+	if len(table.ends) != occupied {
+		t.Fatalf("%d ends for %d occupied buckets", len(table.ends), occupied)
+	}
+	lo, r := 0, 0
+	for idx := 0; idx < IDBits; idx++ {
+		if !table.occupied.has(idx) {
+			continue
 		}
+		hi := int(table.ends[r])
+		if hi <= lo {
+			t.Fatalf("bucket %d: end %d does not pass the previous end %d", idx, hi, lo)
+		}
+		if hi-lo > table.k {
+			t.Fatalf("bucket %d: run of %d entries, k = %d", idx, hi-lo, table.k)
+		}
+		for _, e := range table.entries[lo:hi] {
+			if got, ok := table.self.BucketIndex(e.ID); !ok || got != idx {
+				t.Fatalf("entry %s in the run of bucket %d, belongs in %d", e.ID.Short(), idx, got)
+			}
+		}
+		lo, r = hi, r+1
 	}
-	if table.Len() == 0 {
-		t.Fatal("randomized run tracked nothing")
+	if lo != len(table.entries) {
+		t.Fatalf("last end %d, %d entries", lo, len(table.entries))
 	}
 }
 
@@ -665,9 +799,9 @@ func TestTableRemove(t *testing.T) {
 }
 
 func TestTableBucketInvariant(t *testing.T) {
-	// Property: no bucket ever exceeds k entries — nor holds room for more,
-	// at the default k that append's doubling would round up to 32 — and
-	// every entry lands in the bucket matching its XOR prefix.
+	// Property: no bucket ever exceeds k entries, every entry lands in the
+	// run of the bucket matching its XOR prefix (checkLayout), and the one
+	// array holds no more room than the doubling rule gives it.
 	rng := stats.NewRNG(55)
 	self := RandomID(rng)
 	now := time.Unix(0, 0)
@@ -676,36 +810,84 @@ func TestTableBucketInvariant(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		table.Observe(Contact{ID: RandomID(rng)})
 	}
-	present := 0
-	for idx := 0; idx < IDBits; idx++ {
-		b, occupied := table.bucket(idx), table.occupied.has(idx)
-		if b == nil {
-			// Absent bucket: nothing was ever inserted at this distance.
-			if occupied {
-				t.Fatalf("absent bucket %d is marked occupied", idx)
-			}
-			continue
-		}
-		present++
-		if occupied != (len(b.entries) != 0) {
-			t.Fatalf("bucket %d: occupied bit %v with %d entries", idx, occupied, len(b.entries))
-		}
-		if len(b.entries) > k || cap(b.entries) > k {
-			t.Fatalf("bucket %d has %d entries in room for %d", idx, len(b.entries), cap(b.entries))
-		}
-		if eb := table.evict[idx]; eb != nil && len(eb.spare) > k {
-			t.Fatalf("bucket %d has %d spare entries", idx, len(eb.spare))
-		}
-		for _, e := range b.entries {
-			want, ok := self.BucketIndex(e.ID)
-			if !ok || want != idx {
-				t.Fatalf("entry %v in bucket %d, want %d", e.ID.Short(), idx, want)
-			}
+	checkLayout(t, table)
+	if want := doubledCap(table.Len()); cap(table.entries) != want {
+		t.Fatalf("%d entries in room for %d, want %d", table.Len(), cap(table.entries), want)
+	}
+	// 5000 uniform IDs reach ~log2(5000) distances: their ends stay inline.
+	if len(table.ends) == 0 || cap(table.ends) != inlineBuckets {
+		t.Fatalf("%d occupied buckets, ends in room for %d, want the inline %d", len(table.ends), cap(table.ends), inlineBuckets)
+	}
+}
+
+// doubledCap is the capacity the doubling rule gives an array that has held
+// n entries and never shrunk: firstEntries, doubled until n fit.
+func doubledCap(n int) int {
+	c := firstEntries
+	for c < n {
+		c *= 2
+	}
+	return c
+}
+
+func TestTableArrayDoubles(t *testing.T) {
+	// A table fed 2,000 uniform IDs holds ~150 entries in one array grown by
+	// doubling: its fill allocates what a one-ID table does (the table, its
+	// address book and the first array) plus one array per doubling. A table
+	// that goes back to an array per bucket pays one or more per bucket.
+	rng := stats.NewRNG(2000)
+	self := RandomID(rng)
+	ids := make([]ID, 2000)
+	for i := range ids {
+		ids[i] = RandomID(rng)
+	}
+	var table *Table
+	fill := func(ids []ID) {
+		table = NewTable(self, bucketK, time.Hour, time.Now)
+		for _, id := range ids {
+			table.Observe(Contact{ID: id})
 		}
 	}
-	// 5000 uniform IDs reach ~log2(5000) distances; the rest must stay absent.
-	if present == 0 || present > inlineBuckets || present != len(table.buckets) {
-		t.Fatalf("%d of %d buckets present, %d stored", present, IDBits, len(table.buckets))
+	first := testing.AllocsPerRun(3, func() { fill(ids[:1]) })
+	all := testing.AllocsPerRun(3, func() { fill(ids) })
+	doublings := bits.Len(uint(doubledCap(table.Len())/firstEntries)) - 1
+	if table.Len() <= 2*firstEntries || all > first+float64(doublings) {
+		t.Fatalf("%d entries cost %v allocations, a one-ID table %v: want at most %d more", table.Len(), all, first, doublings)
+	}
+}
+
+func TestTableMaxK(t *testing.T) {
+	// A uint16 end indexes the deepest table a maxK table can hold: every
+	// bucket filled to k, or to the IDs its distance has room for.
+	for _, k := range []int{0, maxK + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTable accepted k = %d", k)
+				}
+			}()
+			NewTable(ID{}, k, time.Hour, time.Now)
+		}()
+	}
+	table := NewTable(ID{}, maxK, time.Hour, time.Now)
+	want := 0
+	for idx := 0; idx < IDBits; idx++ {
+		// Bucket idx holds the IDs with bit idx set and any bits below it.
+		n := maxK
+		if below := IDBits - 1 - idx; below < 16 {
+			n = min(n, 1<<below)
+		}
+		for j := 0; j < n; j++ {
+			id := idInBucket(ID{}, idx)
+			id[IDBytes-2] |= byte(j >> 8)
+			id[IDBytes-1] |= byte(j)
+			table.Observe(Contact{ID: id})
+		}
+		want += n
+	}
+	checkLayout(t, table)
+	if table.Len() != want || len(table.ends) != IDBits {
+		t.Fatalf("Len %d in %d runs, want %d in %d", table.Len(), len(table.ends), want, IDBits)
 	}
 }
 
@@ -732,8 +914,8 @@ func TestTableAbsentBucket(t *testing.T) {
 		table.Remove(id)
 		table.probeDone(id, false)
 		table.probeDone(id, true)
-		if table.bucket(idx) != nil {
-			t.Errorf("bucket %d: created without an insert", idx)
+		if table.occupied.has(idx) || len(table.ends) != 0 {
+			t.Errorf("bucket %d: a run made without an insert", idx)
 		}
 	}
 	if table.Len() != 0 {
@@ -743,18 +925,19 @@ func TestTableAbsentBucket(t *testing.T) {
 	if got := table.Closest(IDFromKey([]byte("t")), 3); len(got) != 0 {
 		t.Errorf("Closest returned %d contacts from an empty table", len(got))
 	}
-	// The first insert creates exactly its own bucket.
+	// The first insert makes exactly its own bucket's run.
 	id := idInBucket(table.self, 77)
 	table.Observe(Contact{ID: id})
-	if !table.Contains(id) || table.Len() != 1 || table.bucket(77) == nil || len(table.buckets) != 1 {
-		t.Errorf("first insert into an absent bucket: %d buckets, Len %d", len(table.buckets), table.Len())
+	checkLayout(t, table)
+	if !table.Contains(id) || table.Len() != 1 || !table.occupied.has(77) || len(table.ends) != 1 {
+		t.Errorf("first insert into an absent bucket: %d runs, Len %d", len(table.ends), table.Len())
 	}
 }
 
 func TestTableEveryBucket(t *testing.T) {
-	// Adversarially placed IDs can populate every distance: the table grows
-	// past its inline array, keeps buckets in index order whatever order they
-	// were created in, and still selects exactly.
+	// Adversarially placed IDs can populate every distance: the ends grow
+	// past their inline array, the runs stay in bucket order whatever order
+	// they were made in, and the table still selects exactly.
 	table, _ := newTestTable(4)
 	rng := stats.NewRNG(160)
 	order := make([]int, IDBits)
@@ -771,8 +954,9 @@ func TestTableEveryBucket(t *testing.T) {
 			t.Fatalf("after %d inserts Len = %d", n+1, table.Len())
 		}
 	}
-	if len(table.buckets) != IDBits {
-		t.Fatalf("%d buckets stored, want %d", len(table.buckets), IDBits)
+	checkLayout(t, table)
+	if len(table.ends) != IDBits {
+		t.Fatalf("%d runs, want %d", len(table.ends), IDBits)
 	}
 	next := 0
 	table.Each(func(c Contact) {
@@ -792,21 +976,20 @@ func TestTableEveryBucket(t *testing.T) {
 	for _, idx := range order[:40] {
 		table.Remove(idInBucket(table.self, idx))
 	}
-	if table.Len() != IDBits-40 || len(table.buckets) != IDBits {
-		t.Fatalf("after 40 removals: Len %d, %d buckets stored", table.Len(), len(table.buckets))
+	checkLayout(t, table)
+	if table.Len() != IDBits-40 || len(table.ends) != IDBits-40 {
+		t.Fatalf("after 40 removals: Len %d, %d runs", table.Len(), len(table.ends))
 	}
 }
 
 func TestEmptyTableSize(t *testing.T) {
-	// A churn join buys one of these. The [IDBits]bucket array it replaced was
-	// 9.25 KiB, nearly all of it buckets that never fill; inlining 20 buckets
-	// that carried the ping-evict cache and probe flag made it 1,256 B, and a
-	// bucket that is its entries slice alone makes it 640.
-	if size := unsafe.Sizeof(Table{}); size > 640 {
-		t.Fatalf("empty Table is %d bytes, want <= 640", size)
+	// A booted node keeps one of these. Its buckets are runs of one entries
+	// array, so it holds two slice headers and 20 inline bucket ends where it
+	// used to hold a slice header per bucket: 200 bytes, not 640.
+	if size := unsafe.Sizeof(Table{}); size > 200 {
+		t.Fatalf("empty Table is %d bytes, want <= 200", size)
 	}
-	// 32 bytes an entry: a full bucket of K is one 640-byte array, and a
-	// lookup's shortlist packs two entries a cache line.
+	// 32 bytes an entry: a lookup's shortlist packs two entries a cache line.
 	if size := unsafe.Sizeof(bucketEntry{}); size != 32 {
 		t.Fatalf("bucketEntry is %d bytes, want 32", size)
 	}
