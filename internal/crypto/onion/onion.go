@@ -38,6 +38,10 @@ var (
 	ErrMalformed = errors.New("onion: malformed layer")
 	// ErrNoLayers is returned by Build when no layers are supplied.
 	ErrNoLayers = errors.New("onion: at least one layer required")
+
+	// errDecrypt is PeelSealer's error for an onion the key does not open,
+	// made once: share recovery fails here for every wrong candidate.
+	errDecrypt = fmt.Errorf("onion: %w", seal.ErrDecrypt)
 )
 
 const maxSection = 1 << 24 // sanity cap on any encoded field length
@@ -143,7 +147,7 @@ func Peel(key seal.Key, wrapped []byte) (Layer, error) {
 func PeelSealer(s *seal.Sealer, wrapped []byte) (Layer, error) {
 	plain, err := s.Decrypt(wrapped, nil)
 	if err != nil {
-		return Layer{}, fmt.Errorf("onion: %w", err)
+		return Layer{}, errDecrypt
 	}
 	return decodeLayer(plain)
 }
@@ -190,29 +194,44 @@ func appendLayer(buf []byte, l Layer) ([]byte, error) {
 	return buf, nil
 }
 
+// decodeLayer parses a layer plaintext in two passes: the first checks the
+// layout and counts the hop and share items, the second views them in one
+// array. The payload/rest tail is a two-item list, read without
+// materializing a [][]byte.
 func decodeLayer(plain []byte) (Layer, error) {
 	r := reader{buf: plain}
-	hops, err := r.list()
+	hops, err := r.skipList()
 	if err != nil {
 		return Layer{}, err
 	}
-	shares, err := r.list()
+	shares, err := r.skipList()
 	if err != nil {
 		return Layer{}, err
 	}
-	tail, err := r.list()
-	if err != nil {
-		return Layer{}, err
-	}
-	if len(tail) != 2 || r.remaining() != 0 {
+	if count, err := r.uint32(); err != nil || count != 2 {
 		return Layer{}, ErrMalformed
 	}
-	l := Layer{NextHops: hops, Shares: shares}
-	if len(tail[0]) > 0 {
-		l.Payload = tail[0]
+	payload, err := r.item()
+	if err != nil {
+		return Layer{}, err
 	}
-	if len(tail[1]) > 0 {
-		l.Rest = tail[1]
+	rest, err := r.item()
+	if err != nil {
+		return Layer{}, err
+	}
+	if r.remaining() != 0 {
+		return Layer{}, ErrMalformed
+	}
+	items := make([][]byte, hops+shares)
+	r.off = 0
+	r.readList(items[:hops])
+	r.readList(items[hops:])
+	l := Layer{NextHops: items[:hops:hops], Shares: items[hops:]}
+	if len(payload) > 0 {
+		l.Payload = payload
+	}
+	if len(rest) > 0 {
+		l.Rest = rest
 	}
 	return l, nil
 }
@@ -242,25 +261,38 @@ func (r *reader) bytes(n int) ([]byte, error) {
 	return out, nil
 }
 
-func (r *reader) list() ([][]byte, error) {
-	count, err := r.uint32()
+// item reads one length-prefixed item.
+func (r *reader) item() ([]byte, error) {
+	n, err := r.uint32()
 	if err != nil {
 		return nil, err
 	}
-	if int(count) > maxSection {
-		return nil, ErrMalformed
+	return r.bytes(int(n))
+}
+
+// skipList checks one list and returns its item count.
+func (r *reader) skipList() (int, error) {
+	count, err := r.uint32()
+	if err != nil {
+		return 0, err
 	}
-	out := make([][]byte, 0, count)
-	for i := 0; i < int(count); i++ {
-		n, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		item, err := r.bytes(int(n))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, item)
+	// Every item carries at least its 4-byte length, so a count the rest of
+	// the buffer cannot hold is malformed without reading further.
+	if int(count) > r.remaining()/4 {
+		return 0, ErrMalformed
 	}
-	return out, nil
+	for range count {
+		if _, err := r.item(); err != nil {
+			return 0, err
+		}
+	}
+	return int(count), nil
+}
+
+// readList views the items of a list skipList accepted into dst.
+func (r *reader) readList(dst [][]byte) {
+	r.off += 4
+	for i := range dst {
+		dst[i], _ = r.item()
+	}
 }

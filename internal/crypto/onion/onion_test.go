@@ -2,6 +2,8 @@ package onion
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -171,16 +173,58 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeMalformed feeds decodeLayer layouts it must reject, and bounds
+// what a rejection allocates: a list count is checked against the bytes left
+// before anything is sized by it, so a 4-byte layer claiming 2^24-1 hops is
+// refused without the 384 MiB a count-sized list would take.
 func TestDecodeMalformed(t *testing.T) {
 	for _, raw := range [][]byte{
 		{},
 		{0, 0, 0},
 		{0xff, 0xff, 0xff, 0xff},
+		{0, 0xff, 0xff, 0xff},
+		{0, 0, 0, 0, 0, 0xff, 0xff, 0xff},
 		{0, 0, 0, 1, 0, 0, 0, 200, 1},
 	} {
 		if _, err := decodeLayer(raw); err == nil {
 			t.Errorf("decodeLayer(%v) accepted", raw)
 		}
+		// The heap counters are process-wide, so the bound holds for the
+		// mean of several decodes.
+		const decodes = 16
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range decodes {
+			_, _ = decodeLayer(raw)
+		}
+		runtime.ReadMemStats(&after)
+		if grew := (after.TotalAlloc - before.TotalAlloc) / decodes; grew > 1024 {
+			t.Errorf("decodeLayer(%v) allocated %d bytes before refusing it", raw, grew)
+		}
+	}
+}
+
+// TestPeelSealerWrongKeyAllocatesNoError pins the cost of a failed open, the
+// common case of share recovery's candidate search: PeelSealer allocates
+// what the AEAD open itself does and no error value, and its error still
+// matches seal.ErrDecrypt.
+func TestPeelSealerWrongKeyAllocatesNoError(t *testing.T) {
+	keys := mustKeys(t, 2)
+	wrapped, err := Build([]Layer{{Payload: []byte("p")}}, keys[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong, err := seal.NewSealer(keys[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := PeelSealer(wrong, wrapped); !errors.Is(err, seal.ErrDecrypt) {
+		t.Fatalf("wrong-key peel: err = %v, want seal.ErrDecrypt", err)
+	}
+	open := testing.AllocsPerRun(100, func() { _, _ = wrong.Decrypt(wrapped, nil) })
+	peel := testing.AllocsPerRun(100, func() { _, _ = PeelSealer(wrong, wrapped) })
+	if peel != open {
+		t.Fatalf("a wrong-key peel allocates %.0f times, the open under it %.0f", peel, open)
 	}
 }
 

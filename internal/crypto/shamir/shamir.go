@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // Share is one fragment of a split secret. X identifies the evaluation
@@ -80,6 +81,13 @@ func SplitRand(r io.Reader, secret []byte, m, n int) ([]Share, error) {
 // against each other (Shamir sharing is not authenticated — the protocol
 // seals shares inside authenticated onion layers instead).
 func Combine(shares []Share, m int) ([]byte, error) {
+	return AppendCombine(nil, shares, m)
+}
+
+// AppendCombine is Combine appending the secret to dst: it allocates nothing
+// when dst has room, so a caller probing many subsets can interpolate into
+// one stack buffer.
+func AppendCombine(dst []byte, shares []Share, m int) ([]byte, error) {
 	if m < 1 {
 		return nil, ErrThreshold
 	}
@@ -88,7 +96,7 @@ func Combine(shares []Share, m int) ([]byte, error) {
 	}
 	use := shares[:m]
 	length := len(use[0].Data)
-	seen := make(map[byte]bool, m)
+	var seen [256]bool
 	for _, s := range use {
 		if len(s.Data) != length {
 			return nil, ErrShareMismatch
@@ -103,8 +111,9 @@ func Combine(shares []Share, m int) ([]byte, error) {
 	}
 
 	// Lagrange interpolation at x = 0, per byte position. The basis factors
-	// depend only on the share x-coordinates, so compute them once.
-	basis := make([]byte, m)
+	// depend only on the share x-coordinates, so compute them once; distinct
+	// nonzero coordinates bound m at 255.
+	var basis [255]byte
 	for j := range use {
 		num, den := byte(1), byte(1)
 		for i := range use {
@@ -116,15 +125,15 @@ func Combine(shares []Share, m int) ([]byte, error) {
 		}
 		basis[j] = mul(num, inv(den))
 	}
-	secret := make([]byte, length)
+	dst = slices.Grow(dst, length)
 	for pos := 0; pos < length; pos++ {
 		var acc byte
 		for j := range use {
 			acc ^= mul(use[j].Data[pos], basis[j])
 		}
-		secret[pos] = acc
+		dst = append(dst, acc)
 	}
-	return secret, nil
+	return dst, nil
 }
 
 // evalPoly evaluates secret + c1*x + c2*x^2 + ... at x using Horner's rule.

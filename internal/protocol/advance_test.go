@@ -90,9 +90,10 @@ func TestAdvanceOrder(t *testing.T) {
 
 	// Every key and every hold deadline lands before one advance.
 	ms := host.missions[mission]
-	for ref, hp := range ms.sealed {
-		put(&ms.keys, ref, keys[ref])
-		hp.due = true
+	for i := range ms.custody {
+		rec := &ms.custody[i]
+		rec.key, rec.hasKey = keys[rec.ref], true
+		rec.held.due = true
 	}
 	host.advance(mission)
 	clock.RunFor(time.Minute)

@@ -142,11 +142,21 @@ func (tb *testbed) ownersOf(key dht.ID, n int) []*dht.Node {
 // launch dispatches a mission whose receiver is nodes[1] and returns it.
 func (tb *testbed) launch(plan core.Plan, emerging time.Duration) Mission {
 	tb.t.Helper()
+	m := tb.mission(plan, emerging)
+	if _, err := Dispatch(tb.nodes[2], m); err != nil {
+		tb.t.Fatal(err)
+	}
+	return m
+}
+
+// mission returns a mission starting now whose receiver is nodes[1].
+func (tb *testbed) mission(plan core.Plan, emerging time.Duration) Mission {
+	tb.t.Helper()
 	id, err := NewMissionID()
 	if err != nil {
 		tb.t.Fatal(err)
 	}
-	m := Mission{
+	return Mission{
 		ID:       id,
 		Plan:     plan,
 		Secret:   []byte("attack at dawn"),
@@ -154,10 +164,6 @@ func (tb *testbed) launch(plan core.Plan, emerging time.Duration) Mission {
 		Start:    tb.sim.Now(),
 		Release:  tb.sim.Now().Add(emerging),
 	}
-	if _, err := Dispatch(tb.nodes[2], m); err != nil {
-		tb.t.Fatal(err)
-	}
-	return m
 }
 
 // deliveredAt returns the delivery time for a mission.
@@ -229,6 +235,38 @@ func TestShareEmergesLongPath(t *testing.T) {
 	plan := core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 5, ShareN: 4, ShareM: []int{2, 2, 2, 2}}
 	m := tb.launch(plan, 5*time.Hour)
 	tb.assertEmerges(m)
+}
+
+// TestDispatchConcurrent holds the package-level Dispatch to its contract:
+// its crypto/rand default sender is safe for concurrent use (dhtnode calls
+// it), so two goroutines dispatch through it at once, each onto its own
+// network, and run their networks up to release. Both missions must emerge;
+// under -race the run also checks that the two dispatches and their holders
+// share nothing unguarded.
+func TestDispatchConcurrent(t *testing.T) {
+	plan := core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 4, ShareM: []int{2, 2}}
+	var (
+		tbs      = [2]*testbed{newTestbed(t, 40, 0, false), newTestbed(t, 40, 0, false)}
+		missions [2]Mission
+		errs     [2]error
+		wg       sync.WaitGroup
+	)
+	for i, tb := range tbs {
+		missions[i] = tb.mission(plan, 3*time.Hour)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = Dispatch(tb.nodes[2], missions[i])
+			tb.sim.RunUntil(missions[i].Release.Add(-time.Minute))
+		}()
+	}
+	wg.Wait()
+	for i, tb := range tbs {
+		if errs[i] != nil {
+			t.Fatalf("dispatch %d: %v", i, errs[i])
+		}
+		tb.assertEmerges(missions[i])
+	}
 }
 
 func TestReleaseAheadFullCompromise(t *testing.T) {

@@ -3,7 +3,9 @@ package protocol
 import (
 	"bytes"
 	"cmp"
+	"math/bits"
 	"slices"
+	"sort"
 	"time"
 
 	"selfemerge/internal/crypto/onion"
@@ -69,64 +71,86 @@ type Host struct {
 	// missions is nil until the first write (state): a churn replacement
 	// that never holds custody pays nothing for it.
 	missions map[MissionID]*missionState
-	// advance's deterministic-iteration sort scratch, reused across calls.
-	refScratch []Ref
 }
 
-// missionState is one mission's custody at one holder, one table per kind of
-// material, each keyed by the Ref the material lives at. The maps are nil
-// until first written through put (nil map reads are free): a typical holder
-// touches only one or two of them per mission, so eager maps were most of the
-// mission path's protocol allocations.
+// missionState is one mission's custody at one holder: one record per Ref the
+// holder keeps material at, in custodyOrder. A typical holder touches one or
+// two coordinates of a mission, so it pays for one short slice, and advance
+// walks the records in its peel and forward order as they lie.
 type missionState struct {
-	// Layer keys, granted or oracle-confirmed: K_c of the multipath schemes
-	// and CK_c column-wide, SK_{c,s} per slot.
-	keys map[Ref]seal.Key
-	// Shamir shares collected towards the key at the same Ref.
-	shares map[Ref][]shamir.Share
-	// Share collections with an armed churn-repair refresh (one per holding
-	// period, see scheduleShareRefresh).
-	repair map[Ref]bool
-	// Onion custody: the main onion column-wide (joint/share copies are
-	// deduped), slot onions per slot.
-	sealed map[Ref]*heldPackage
+	custody []custody
 
 	// Central-scheme custody.
 	central *heldPackage
-
-	// sealers caches one decrypt handle per confirmed layer key so the
-	// AES-GCM key schedule is paid once per (mission, key) rather than once
-	// per peel attempt. Only granted or oracle-confirmed keys land here;
-	// garbage interpolation candidates never do.
-	sealers map[seal.Key]*seal.Sealer
 }
 
-// sealerFor returns the mission's cached decrypt handle for key,
-// constructing and caching it on first use.
-func (ms *missionState) sealerFor(key seal.Key) *seal.Sealer {
-	if s, ok := ms.sealers[key]; ok {
-		return s
-	}
-	s, err := seal.NewSealer(key)
-	if err != nil {
-		return nil
-	}
-	put(&ms.sealers, key, s)
-	return s
+// custody is everything a holder keeps at one Ref of a mission: the layer key,
+// the Shamir shares collected towards it, and the onion it opens.
+type custody struct {
+	ref Ref
+	// key is the layer key once granted or oracle-confirmed (hasKey): K_c of
+	// the multipath schemes and CK_c column-wide, SK_{c,s} per slot.
+	key seal.Key
+	// sealer is key's decrypt handle, built on the first peel with it, so
+	// the AES-GCM key schedule is paid once per key rather than once per
+	// peel attempt. Garbage interpolation candidates never land here.
+	sealer *seal.Sealer
+	// shares are the Shamir shares collected towards key. Their Data are
+	// views into shareBuf, which holds one copy of every share kept.
+	shares   []shamir.Share
+	shareBuf []byte
+	// held is the onion custody: the main onion column-wide (joint/share
+	// copies are deduped), the slot onion per slot.
+	held   *heldPackage
+	hasKey bool
+	// repair is set once the share collection has an armed churn-repair
+	// refresh (one per holding period, see scheduleShareRefresh).
+	repair bool
 }
 
-// put writes (*m)[k] = v, making the map on its first write.
-func put[K comparable, V any](m *map[K]V, k K, v V) {
-	if *m == nil {
-		*m = make(map[K]V, 2)
+// state returns the mission's custody, making it on first use.
+func (h *Host) state(id MissionID) *missionState {
+	ms, ok := h.missions[id]
+	if !ok {
+		if h.missions == nil {
+			h.missions = make(map[MissionID]*missionState, 2)
+		}
+		ms = &missionState{}
+		h.missions[id] = ms
 	}
-	(*m)[k] = v
+	return ms
 }
 
-// heldPackage is a package waiting on its keys and/or its hold timer.
+// at returns the record at ref; if there is none, it inserts an empty one in
+// place when insert is set and returns nil otherwise. The pointer is valid
+// until the next insert.
+func (ms *missionState) at(ref Ref, insert bool) *custody {
+	i, ok := sort.Find(len(ms.custody), func(i int) int { return custodyOrder(ref, ms.custody[i].ref) })
+	if !ok {
+		if !insert {
+			return nil
+		}
+		ms.custody = slices.Insert(ms.custody, i, custody{ref: ref})
+	}
+	return &ms.custody[i]
+}
+
+// custodyAt returns the record at (mission, ref), or nil.
+func (h *Host) custodyAt(mission MissionID, ref Ref) *custody {
+	if ms, ok := h.missions[mission]; ok {
+		return ms.at(ref, false)
+	}
+	return nil
+}
+
+// heldPackage is a package waiting on its keys and/or its hold timer, and
+// the argument of that timer's event (holdDue).
 type heldPackage struct {
-	pkt    Packet
-	peeled *onion.Layer
+	host *Host
+	pkt  Packet
+	// layer is the peeled outer layer, once peeled is set.
+	layer  onion.Layer
+	peeled bool
 	due    bool
 	done   bool
 	// buf is the custody clone backing pkt.Data, taken from the node's loop;
@@ -138,15 +162,42 @@ type heldPackage struct {
 	triedShares int
 }
 
-// cloneCustody copies data into a buffer of the node's loop: a packet's
-// delivery buffer is recycled when the handler returns, so taking custody
-// copies the bytes. A holder's custody therefore lives in exactly one place —
-// a buffer the loop owns, referenced by one heldPackage — until
-// releaseCustody hands it back.
-func (h *Host) cloneCustody(data []byte) *[]byte {
+// hold takes custody of pkt: it clones the payload into a buffer of the
+// node's loop — a packet's delivery buffer is recycled when the handler
+// returns — and arms the hold timer. A holder's custody therefore lives in
+// exactly one place, a buffer the loop owns, referenced by one heldPackage,
+// until releaseCustody hands it back.
+func (h *Host) hold(pkt Packet) *heldPackage {
 	buf := h.node.Bufs().Get()
-	*buf = append((*buf)[:0], data...)
-	return buf
+	*buf = append((*buf)[:0], pkt.Data...)
+	pkt.Data = *buf
+	hp := &heldPackage{host: h, pkt: pkt, buf: buf}
+	h.cfg.Clock.ScheduleArg(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, hp)
+	return hp
+}
+
+// holdDue is a hold timer's event. A hold is never cancelled, but one that
+// comes due on a closed node does nothing: a custodian that churned out
+// neither peels nor forwards, and every send it issued would only fail. A
+// central package is delivered; an onion forwards once peeled (advance).
+func holdDue(arg any) {
+	hp := arg.(*heldPackage)
+	h := hp.host
+	if h.node.Closed() {
+		return
+	}
+	hp.due = true
+	if hp.pkt.Kind != PkCentral {
+		h.advance(hp.pkt.Mission)
+		return
+	}
+	sendPacket(h.node, hp.pkt.Target, Packet{
+		Mission: hp.pkt.Mission,
+		Kind:    PkSecret,
+		Data:    hp.pkt.Data,
+	}, 1)
+	// sendPacket encodes synchronously; the custody bytes are dead.
+	h.releaseCustody(hp)
 }
 
 // releaseCustody returns the custody clone to the loop once the sealed bytes
@@ -208,33 +259,12 @@ func (h *Host) HandleApp(from dht.Contact, payload []byte) {
 	}
 }
 
-func (h *Host) state(id MissionID) *missionState {
-	ms, ok := h.missions[id]
-	if !ok {
-		ms = &missionState{}
-		put(&h.missions, id, ms)
-	}
-	return ms
-}
-
 func (h *Host) onCentral(pkt Packet) {
 	ms := h.state(pkt.Mission)
 	if ms.central != nil {
 		return // replica already in custody: no clone for routine duplicates
 	}
-	buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
-	pkt.Data = *buf
-	hp := &heldPackage{pkt: pkt, buf: buf}
-	ms.central = hp
-	h.scheduleHold(hp, func() {
-		sendPacket(h.node, pkt.Target, Packet{
-			Mission: pkt.Mission,
-			Kind:    PkSecret,
-			Data:    pkt.Data,
-		}, 1)
-		// sendPacket encodes synchronously; the custody bytes are dead.
-		h.releaseCustody(hp)
-	})
+	ms.central = h.hold(pkt)
 }
 
 func (h *Host) onKeyGrant(pkt Packet) {
@@ -242,17 +272,24 @@ func (h *Host) onKeyGrant(pkt Packet) {
 	if err != nil {
 		return
 	}
-	ms, ref := h.state(pkt.Mission), pkt.Ref()
-	if _, dup := ms.keys[ref]; !dup {
-		put(&ms.keys, ref, key)
-		// The refresh loop re-encodes the grant for the rest of its life, so
-		// it gets its own copy of the key bytes (the inbound Data aliases a
-		// recycled delivery buffer).
-		pkt.Data = key.Bytes()
-		h.scheduleGrantRefresh(pkt)
+	if rec := h.state(pkt.Mission).at(pkt.Ref(), true); !rec.hasKey {
+		rec.key, rec.hasKey = key, true
+		h.scheduleGrantRefresh(pkt, key)
 	}
 	h.advance(pkt.Mission)
 }
+
+// refresh is one armed churn-repair loop and the argument of its events: a
+// key grant's, holding the key by value, or a share collection's. pkt is the
+// triggering packet without its payload (a recycled delivery buffer).
+type refresh struct {
+	host *Host
+	pkt  Packet
+	key  seal.Key
+}
+
+// margin is how far ahead of a period boundary a refresh fires.
+func (r *refresh) margin() time.Duration { return time.Duration(r.pkt.Step / 16) }
 
 // scheduleGrantRefresh arms the custody-refresh loop for a newly received
 // key grant: at the end of every holding period, while the key is still
@@ -263,48 +300,45 @@ func (h *Host) onKeyGrant(pkt Packet) {
 // custodians do not refresh (a tick on a closed node returns without pushing
 // or re-arming), so a column whose every custodian dies within one period
 // loses its key, as the Monte Carlo model prescribes.
-func (h *Host) scheduleGrantRefresh(pkt Packet) {
+func (h *Host) scheduleGrantRefresh(pkt Packet, key seal.Key) {
 	if !h.cfg.Repair || pkt.Step <= 0 || pkt.Width == 0 {
 		return
 	}
-	// Fire slightly before each period boundary (1/16 of a holding period
-	// early): a replacement then regains the key before the next onion hop
-	// arrives, and the re-grant exposure lands strictly inside the waiting
-	// period it repairs — the window Equation (1)'s release-ahead
-	// bookkeeping (and the Monte Carlo engine) attributes it to.
-	//
-	// Multipath grants stop refreshing at the boundary before their
-	// column's onion arrives: repairing storage periods only is what the
-	// Monte Carlo replacement-draw bookkeeping models. The share scheme's
-	// direct column-1 grants live a single period — custody and carry
-	// coincide — so their one refresh fires inside it, just before the
-	// forward deadline.
-	margin := time.Duration(pkt.Step / 16)
-	deadline := pkt.HoldUntil - int64(margin)
-	if pkt.direct() {
-		deadline = pkt.HoldUntil
+	r := &refresh{host: h, pkt: pkt, key: key}
+	r.pkt.Data = nil
+	h.cfg.Clock.ScheduleArg(time.Duration(pkt.Step)-r.margin(), grantTick, r)
+}
+
+// grantTick is one period of a key grant's refresh loop. It fires slightly
+// before each period boundary (one margin early): a replacement then regains
+// the key before the next onion hop arrives, and the re-grant exposure lands
+// strictly inside the waiting period it repairs — the window Equation (1)'s
+// release-ahead bookkeeping (and the Monte Carlo engine) attributes it to.
+//
+// Multipath grants stop refreshing at the boundary before their column's
+// onion arrives: repairing storage periods only is what the Monte Carlo
+// replacement-draw bookkeeping models. The share scheme's direct column-1
+// grants live a single period — custody and carry coincide — so their one
+// refresh fires inside it, just before the forward deadline.
+func grantTick(arg any) {
+	r := arg.(*refresh)
+	h := r.host
+	deadline := r.pkt.HoldUntil - int64(r.margin())
+	if r.pkt.direct() {
+		deadline = r.pkt.HoldUntil
 	}
-	push := func() {
-		if !h.node.Closed() {
-			h.repush(pkt, pkt.Data)
-		}
+	if h.node.Closed() || h.cfg.Clock.Now().UnixNano() >= deadline {
+		return
 	}
-	var tick func()
-	tick = func() {
-		if h.node.Closed() || h.cfg.Clock.Now().UnixNano() >= deadline {
-			return
-		}
-		push()
-		if h.cfg.Retry {
-			// Retry-hardened repair: one identical backup push half a margin
-			// later — still half a margin before the boundary, so the
-			// exposure stays inside the period — covering a first push eaten
-			// whole by a burst or partition window.
-			h.cfg.Clock.Schedule(margin/2, push)
-		}
-		h.cfg.Clock.Schedule(time.Duration(pkt.Step), tick)
+	repush(r)
+	if h.cfg.Retry {
+		// Retry-hardened repair: one identical backup push half a margin
+		// later — still half a margin before the boundary, so the exposure
+		// stays inside the period — covering a first push eaten whole by a
+		// burst or partition window.
+		h.cfg.Clock.ScheduleArg(r.margin()/2, repush, r)
 	}
-	h.cfg.Clock.Schedule(time.Duration(pkt.Step)-margin, tick)
+	h.cfg.Clock.ScheduleArg(time.Duration(r.pkt.Step), grantTick, r)
 }
 
 // replicas returns the forwarding replica count.
@@ -316,17 +350,11 @@ func (h *Host) replicas() int {
 }
 
 func (h *Host) onOnion(pkt Packet) {
-	ref := pkt.Ref()
-	ms := h.state(pkt.Mission)
-	if _, dup := ms.sealed[ref]; dup {
+	rec := h.state(pkt.Mission).at(pkt.Ref(), true)
+	if rec.held != nil {
 		return // replica already in custody (joint fan-in), no clone paid
 	}
-	buf := h.cloneCustody(pkt.Data) // custody outlives the delivery buffer
-	pkt.Data = *buf
-	hp := &heldPackage{pkt: pkt, buf: buf}
-	put(&ms.sealed, ref, hp)
-
-	h.scheduleHold(hp, func() { h.advance(pkt.Mission) })
+	rec.held = h.hold(pkt)
 	h.advance(pkt.Mission)
 }
 
@@ -335,33 +363,36 @@ func (h *Host) onShare(pkt Packet) {
 	if err != nil {
 		return
 	}
-	ref := pkt.Ref()
-	ms := h.state(pkt.Mission)
-	merged, fresh := addShare(ms.shares[ref], x, data)
-	if fresh {
-		put(&ms.shares, ref, merged)
-	}
-	if fresh && h.repairableShare(pkt) && !ms.repair[ref] {
-		put(&ms.repair, ref, true)
+	rec := h.state(pkt.Mission).at(pkt.Ref(), true)
+	if rec.addShare(x, data) && h.repairableShare(pkt) && !rec.repair {
+		rec.repair = true
 		h.scheduleShareRefresh(pkt)
 	}
 	h.advance(pkt.Mission)
 }
 
-// addShare merges one received share into the collection. Only exact
-// duplicates (same X, same payload) are dropped: a conflicting payload for
-// an already-seen X is kept as an additional variant, so a corrupt or stale
-// early arrival cannot shadow the honest share — the subset recovery of
-// shareKeyCandidates picks whichever variants the onion-layer oracle
-// validates. Inserted share data is cloned: the inbound bytes alias a
-// recycled delivery buffer (duplicates never pay the copy).
-func addShare(shares []shamir.Share, x uint8, data []byte) ([]shamir.Share, bool) {
-	for _, s := range shares {
+// addShare merges one received share into the collection and reports whether
+// it was kept. Only exact duplicates (same X, same payload) are dropped: a
+// conflicting payload for an already-seen X is kept as an additional variant,
+// so a corrupt or stale early arrival cannot shadow the honest share — the
+// subset recovery of shareKeyCandidates picks whichever variants the
+// onion-layer oracle validates. A kept share's data is copied onto shareBuf:
+// the inbound bytes alias a recycled delivery buffer (duplicates never pay
+// the copy). A share keeps its view when shareBuf grows.
+func (c *custody) addShare(x uint8, data []byte) bool {
+	for _, s := range c.shares {
 		if s.X == x && bytes.Equal(s.Data, data) {
-			return shares, false
+			return false
 		}
 	}
-	return append(shares, shamir.Share{X: x, Data: append([]byte(nil), data...)}), true
+	if c.shares == nil { // room for an (m, 4) scatter's key shares
+		c.shares = make([]shamir.Share, 0, 4)
+		c.shareBuf = make([]byte, 0, 4*seal.KeySize)
+	}
+	at := len(c.shareBuf)
+	c.shareBuf = append(c.shareBuf, data...)
+	c.shares = append(c.shares, shamir.Share{X: x, Data: c.shareBuf[at:len(c.shareBuf):len(c.shareBuf)]})
+	return true
 }
 
 // repairableShare reports whether a received share participates in churn
@@ -385,57 +416,57 @@ func (h *Host) repairableShare(pkt Packet) bool {
 // delivery model gains no repair term; the margin (1/16 of a holding period)
 // keeps the re-grant exposure strictly inside the period it repairs.
 func (h *Host) scheduleShareRefresh(pkt Packet) {
-	margin := time.Duration(pkt.Step / 16)
-	delay := time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()) - margin
+	r := &refresh{host: h, pkt: pkt}
+	r.pkt.Data = nil
+	delay := time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()) - r.margin()
 	if delay <= 0 {
 		return // received during the repair window itself (a re-grant)
 	}
-	// The repair tick re-encodes from the held share collection, never from
-	// the triggering packet's payload — drop the reference so the captured
-	// packet does not pin the recycled delivery buffer.
-	pkt.Data = nil
-	h.cfg.Clock.Schedule(delay, func() { h.regrantShares(pkt) })
+	h.cfg.Clock.ScheduleArg(delay, repush, r)
 	if h.cfg.Retry {
 		// Retry-hardened repair: a second regrant half a margin later (still
-		// before the forward deadline). regrantShares re-reads the held share
+		// before the forward deadline). repush re-reads the held share
 		// collection each time, so the backup tick is idempotent — it only
 		// changes anything when the first tick's pushes were lost.
-		h.cfg.Clock.Schedule(delay+margin/2, func() { h.regrantShares(pkt) })
+		h.cfg.Clock.ScheduleArg(delay+r.margin()/2, repush, r)
 	}
 }
 
-// regrantShares is one share-repair tick: re-push the shares currently held
-// at the packet's Ref to the current owners of the slots it repairs.
-func (h *Host) regrantShares(pkt Packet) {
+// repush is one repair push of a refresh's material, the grant's key or
+// every share held at its Ref, to the current owners of the slots it
+// repairs: column-wide material carrying its column's width goes to every
+// slot of the column (any surviving custodian repairs the whole column);
+// slot material is per-carrier, so only its own slot can be repaired. Each
+// share blob is encoded into one loop buffer, which sendPacket copies.
+func repush(arg any) {
+	r := arg.(*refresh)
+	h := r.host
 	if h.node.Closed() {
 		return
 	}
-	var blobs [][]byte
-	if ms, ok := h.missions[pkt.Mission]; ok {
-		for _, sh := range ms.shares[pkt.Ref()] {
-			blobs = append(blobs, AppendEncodeShareBlob(nil, sh.X, sh.Data))
-		}
+	var shares []shamir.Share
+	if rec := h.custodyAt(r.pkt.Mission, r.pkt.Ref()); rec != nil && r.pkt.Kind != PkKeyGrant {
+		shares = rec.shares
 	}
-	h.repush(pkt, blobs...)
-}
-
-// repush is one repair push of the material pkt carries, once per payload,
-// to the current owners of the slots it repairs: column-wide material
-// carrying its column's width goes to every slot of the column (any surviving
-// custodian repairs the whole column); slot material is per-carrier, so only
-// its own slot can be repaired.
-func (h *Host) repush(pkt Packet, payloads ...[]byte) {
-	first, end := int(pkt.Slot), int(pkt.Slot)+1
+	pkt, first, end := r.pkt, int(r.pkt.Slot), int(r.pkt.Slot)+1
 	if pkt.Ref().Slot == ColumnWide && pkt.Width > 1 {
 		first, end = 0, int(pkt.Width)
 	}
+	blob := h.node.Bufs().Get()
 	for s := first; s < end; s++ {
 		pkt.Slot = uint16(s)
-		for _, data := range payloads {
-			pkt.Data = data
-			sendPacket(h.node, SlotID(pkt.Mission, int(pkt.Column), s), pkt, h.replicas())
+		to := SlotID(pkt.Mission, int(pkt.Column), s)
+		if pkt.Kind == PkKeyGrant {
+			pkt.Data = r.key[:]
+			sendPacket(h.node, to, pkt, h.replicas())
+		}
+		for _, sh := range shares {
+			*blob = AppendEncodeShareBlob((*blob)[:0], sh.X, sh.Data)
+			pkt.Data = *blob
+			sendPacket(h.node, to, pkt, h.replicas())
 		}
 	}
+	h.node.Bufs().Put(blob)
 }
 
 // ShareInventory reports how many distinct column-key and slot-key share
@@ -443,72 +474,42 @@ func (h *Host) repush(pkt Packet, payloads ...[]byte) {
 // conflicting variants of one coordinate count once. Exposed for tests and
 // churn-repair observability.
 func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey, ofSlotKey int) {
-	ms, ok := h.missions[mission]
-	if !ok {
-		return 0, 0
-	}
-	distinct := func(shares []shamir.Share) int {
-		seen := make(map[uint8]bool, len(shares))
-		for _, s := range shares {
-			seen[s.X] = true
+	distinct := func(rec *custody) int {
+		seen := make(map[uint8]bool)
+		for i := 0; rec != nil && i < len(rec.shares); i++ {
+			seen[rec.shares[i].X] = true
 		}
 		return len(seen)
 	}
-	return distinct(ms.shares[Ref{int32(column), ColumnWide}]), distinct(ms.shares[Ref{int32(column), int32(slot)}])
-}
-
-// scheduleHold arms the package's hold timer; a hold is never cancelled, but
-// one that comes due on a closed node does nothing: a custodian that churned
-// out neither peels nor forwards, and every send it issued would only fail.
-func (h *Host) scheduleHold(hp *heldPackage, fire func()) {
-	delay := time.Duration(hp.pkt.HoldUntil - h.cfg.Clock.Now().UnixNano())
-	h.cfg.Clock.Schedule(delay, func() {
-		if h.node.Closed() {
-			return
-		}
-		hp.due = true
-		fire()
-	})
+	return distinct(h.custodyAt(mission, Ref{int32(column), ColumnWide})), distinct(h.custodyAt(mission, Ref{int32(column), int32(slot)}))
 }
 
 // advance runs the peel/forward state machine for a mission: peel whatever
 // has its key available, and forward whatever is both peeled and due.
+// Custody lies in custodyOrder: forwarding emits network events, and
+// deterministic event sequencing is what makes whole-scenario runs
+// reproducible under a fixed seed. Nothing below inserts a record — a send
+// only schedules — so the walks index custody as it lies.
 func (h *Host) advance(mission MissionID) {
 	ms, ok := h.missions[mission]
 	if !ok {
 		return
 	}
-
-	// Iterate custody in sorted order: forwarding emits network events, and
-	// deterministic event sequencing is what makes whole-scenario runs
-	// reproducible under a fixed seed (Go map order is randomized per run).
-	// The sort scratch lives on the Host: advance runs on every packet arrival
-	// and must not allocate in the steady state. Nothing below re-enters
-	// advance — a send only schedules — so one scratch is enough.
-	refs := h.refScratch[:0]
-	for ref := range ms.sealed {
-		refs = append(refs, ref)
-	}
-	slices.SortFunc(refs, custodyOrder)
-	h.refScratch = refs
-
 	// Try peeling each onion with the key at its Ref: granted directly, or
 	// recovered from shares and validated against the onion itself.
-	for _, ref := range refs {
-		key, direct := ms.keys[ref]
-		if k, recovered := h.peel(ms, ms.sealed[ref], key, direct, ms.shares[ref]); recovered {
-			put(&ms.keys, ref, k)
-		}
+	for i := range ms.custody {
+		h.peel(&ms.custody[i])
 	}
 	// Forward anything peeled and due, after every peel.
-	for _, ref := range refs {
-		hp := ms.sealed[ref]
-		if hp.peeled != nil && hp.due && !hp.done {
+	for i := range ms.custody {
+		rec := &ms.custody[i]
+		hp := rec.held
+		if hp != nil && hp.peeled && hp.due && !hp.done {
 			hp.done = true
-			if ref.Slot == ColumnWide {
-				h.forwardMain(mission, int(ref.Column), hp)
+			if rec.ref.Slot == ColumnWide {
+				h.forwardMain(mission, int(rec.ref.Column), hp)
 			} else {
-				h.forwardSlot(mission, ref, hp)
+				h.forwardSlot(mission, rec.ref, hp)
 			}
 		}
 	}
@@ -526,46 +527,50 @@ func custodyOrder(a, b Ref) int {
 	return cmp.Or(cmp.Compare(a.Column, b.Column), cmp.Compare(a.Slot, b.Slot))
 }
 
-// peel attempts to open the held package with the directly-granted
-// key or, failing that, with candidate keys recovered from subsets of the
-// collected shares — the authenticated onion layer is the success oracle
-// that tells a true threshold interpolation from garbage, so stale,
-// churn-duplicated or adversary-injected shares can delay recovery but
-// never poison it. A key the oracle confirms is returned (recovered=true)
-// for the caller to cache, so later peels (and re-grants) skip the search.
-// Peels run through the mission's sealer cache: a granted key's cipher
-// state is built once, and a confirmed candidate's sealer is kept so the
-// re-grant path never rebuilds it.
-func (h *Host) peel(ms *missionState, hp *heldPackage, key seal.Key, direct bool, shares []shamir.Share) (recoveredKey seal.Key, recovered bool) {
-	if hp == nil || hp.peeled != nil {
-		return seal.Key{}, false
+// peel attempts to open the record's held package with its key or, failing
+// that, with candidate keys recovered from subsets of the collected shares —
+// the authenticated onion layer is the success oracle that tells a true
+// threshold interpolation from garbage, so stale, churn-duplicated or
+// adversary-injected shares can delay recovery but never poison it. A key
+// the oracle confirms becomes the record's key, so later peels (and
+// re-grants) skip the search. Peels run through the record's sealer: a
+// granted key's cipher state is built once, and a confirmed candidate's
+// sealer is kept so the re-grant path never rebuilds it.
+func (h *Host) peel(rec *custody) {
+	hp := rec.held
+	if hp == nil || hp.peeled {
+		return
 	}
-	if direct {
-		if s := ms.sealerFor(key); s != nil {
-			if layer, err := onion.PeelSealer(s, hp.pkt.Data); err == nil {
-				hp.peeled = &layer
+	if rec.hasKey {
+		if rec.sealer == nil {
+			rec.sealer, _ = seal.NewSealer(rec.key)
+		}
+		if rec.sealer != nil {
+			if layer, err := onion.PeelSealer(rec.sealer, hp.pkt.Data); err == nil {
+				hp.layer, hp.peeled = layer, true
 				h.releaseCustody(hp) // the layer owns fresh plaintext; the sealed clone is dead
 			}
 		}
-		return seal.Key{}, false
+		return
 	}
-	if len(shares) == hp.triedShares {
-		return seal.Key{}, false // nothing new since the last failed recovery
+	if len(rec.shares) == hp.triedShares {
+		return // nothing new since the last failed recovery
 	}
-	hp.triedShares = len(shares)
-	for _, cand := range shareKeyCandidates(shares) {
+	hp.triedShares = len(rec.shares)
+	shareKeyCandidates(rec.shares, func(cand seal.Key) bool {
 		s, err := seal.NewSealer(cand)
 		if err != nil {
-			continue
+			return false
 		}
-		if layer, err := onion.PeelSealer(s, hp.pkt.Data); err == nil {
-			hp.peeled = &layer
-			h.releaseCustody(hp)
-			put(&ms.sealers, cand, s)
-			return cand, true
+		layer, err := onion.PeelSealer(s, hp.pkt.Data)
+		if err != nil {
+			return false
 		}
-	}
-	return seal.Key{}, false
+		hp.layer, hp.peeled = layer, true
+		h.releaseCustody(hp)
+		rec.key, rec.hasKey, rec.sealer = cand, true, s
+		return true
+	})
 }
 
 // maxShareCombines bounds the subset interpolations of one recovery attempt:
@@ -574,91 +579,95 @@ func (h *Host) peel(ms *missionState, hp *heldPackage, key seal.Key, direct bool
 // degrades to waiting for more honest material rather than burning CPU.
 const maxShareCombines = 512
 
-// shareKeyCandidates interpolates candidate keys from subsets of the
-// collected shares, larger subsets first: with h consistent honest shares at
-// or above the (holder-unknown) threshold, the all-honest subset of size h
-// is reached before any smaller — and therefore underdetermined — one.
-// Subsets carrying duplicate X coordinates (conflicting variants) are
-// rejected by Combine itself and skipped; candidate keys are deduplicated.
-// The order is deterministic, which keeps whole-scenario runs reproducible.
-func shareKeyCandidates(shares []shamir.Share) []seal.Key {
+// maxSubsetShares is the largest collection whose subsets shareKeyCandidates
+// enumerates exhaustively, on the stack.
+const maxSubsetShares = 16
+
+// shareKeyCandidates offers try the candidate keys interpolated from subsets
+// of the collected shares, larger subsets first, until try accepts one: with
+// h consistent honest shares at or above the (holder-unknown) threshold, the
+// all-honest subset of size h is reached before any smaller — and therefore
+// underdetermined — one. Subsets carrying duplicate X coordinates
+// (conflicting variants) are rejected by Combine itself and skipped; a key
+// already offered is not offered again. The order is deterministic, which
+// keeps whole-scenario runs reproducible.
+func shareKeyCandidates(shares []shamir.Share, try func(seal.Key) bool) {
 	n := len(shares)
-	if n == 0 {
-		return nil
-	}
-	var (
-		out      []seal.Key
-		seen     map[seal.Key]bool
-		combines int
-	)
-	try := func(sub []shamir.Share) {
+	var offeredBuf [8]seal.Key
+	offered, combines := offeredBuf[:0], 0
+	// combine interpolates one subset and offers its key, reporting whether
+	// the search is over: accepted, or out of combines.
+	combine := func(sub []shamir.Share) bool {
 		combines++
-		raw, err := shamir.Combine(sub, len(sub))
-		if err != nil {
-			return
+		var raw [seal.KeySize]byte
+		secret, err := shamir.AppendCombine(raw[:0], sub, len(sub))
+		if err == nil && len(secret) == seal.KeySize {
+			key := seal.Key(secret)
+			if !slices.Contains(offered, key) {
+				if try(key) {
+					return true
+				}
+				offered = append(offered, key)
+			}
 		}
-		key, err := seal.KeyFromBytes(raw)
-		if err != nil {
-			return
-		}
-		if seen == nil {
-			seen = make(map[seal.Key]bool)
-		}
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, key)
-		}
+		return combines >= maxShareCombines
 	}
-	if n <= 16 {
-		sub := make([]shamir.Share, 0, n)
-		var rec func(start, size int)
-		rec = func(start, size int) {
-			if combines >= maxShareCombines {
-				return
-			}
-			if len(sub) == size {
-				try(sub)
-				return
-			}
-			for i := start; i <= n-(size-len(sub)); i++ {
-				sub = append(sub, shares[i])
-				rec(i+1, size)
-				sub = sub[:len(sub)-1]
+	if n <= maxSubsetShares {
+		// Every subset of each size, in lexicographic order of its indices:
+		// share i is bit n-1-i of a mask, so that order is the masks'
+		// descending order.
+		var subBuf [maxSubsetShares]shamir.Share
+		for size := n; size >= 1; size-- {
+			for mask := 1<<n - 1; mask > 0; mask-- {
+				if bits.OnesCount(uint(mask)) != size {
+					continue
+				}
+				sub := subBuf[:0]
+				for i := range n {
+					if mask&(1<<(n-1-i)) != 0 {
+						sub = append(sub, shares[i])
+					}
+				}
+				if combine(sub) {
+					return
+				}
 			}
 		}
-		for size := n; size >= 1 && combines < maxShareCombines; size-- {
-			rec(0, size)
-		}
-		return out
+		return
 	}
 	// Collections too large to enumerate exhaustively: the full set, then
 	// every single and pair exclusion — tolerating up to two poisoned shares
 	// without an exponential search.
-	try(shares)
+	if combine(shares) {
+		return
+	}
 	sub := make([]shamir.Share, 0, n-1)
-	for i := 0; i < n && combines < maxShareCombines; i++ {
+	for i := 0; i < n; i++ {
 		sub = append(sub[:0], shares[:i]...)
 		sub = append(sub, shares[i+1:]...)
-		try(sub)
+		if combine(sub) {
+			return
+		}
 	}
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n && combines < maxShareCombines; j++ {
+		for j := i + 1; j < n; j++ {
 			sub = sub[:0]
 			for t, s := range shares {
 				if t != i && t != j {
 					sub = append(sub, s)
 				}
 			}
-			try(sub)
+			if combine(sub) {
+				return
+			}
 		}
 	}
-	return out
 }
 
 // forwardMain forwards a peeled, due main onion (or makes the final secret
 // delivery).
 func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
-	layer, pkt := hp.peeled, hp.pkt
+	layer, pkt := &hp.layer, hp.pkt
 	if layer.Payload != nil {
 		// Terminal layer: release the secret to the receiver.
 		if len(layer.NextHops) > 0 {
@@ -695,16 +704,15 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 // forwardSlot scatters a peeled, due slot onion: deliver the column share to
 // every next carrier, each slot share to its slot, and the remaining slot
 // onion down its own stream. A scattered share's Data is ParseShareTag's view
-// into the peeled layer, never a copy.
+// into the peeled layer, never a copy. A layer naming a malformed hop
+// forwards nothing.
 func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
-	layer, pkt := hp.peeled, hp.pkt
-	hops := make([]dht.ID, 0, len(layer.NextHops))
-	for _, hop := range layer.NextHops {
-		id, err := dht.IDFromBytes(hop)
-		if err != nil {
+	layer, pkt := &hp.layer, hp.pkt
+	hops := layer.NextHops
+	for _, hop := range hops {
+		if len(hop) != dht.IDBytes {
 			return
 		}
-		hops = append(hops, id)
 	}
 	next := Packet{
 		Mission:   mission,
@@ -729,11 +737,11 @@ func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
 		}
 		for s := first; s < min(end, len(hops)); s++ {
 			p.Slot = uint16(s)
-			sendPacket(h.node, hops[s], p, h.replicas())
+			sendPacket(h.node, dht.ID(hops[s]), p, h.replicas())
 		}
 	}
 	if layer.Rest != nil && int(ref.Slot) < len(hops) {
 		next.Kind, next.Slot, next.Data = PkSlotOnion, uint16(ref.Slot), layer.Rest
-		sendPacket(h.node, hops[ref.Slot], next, h.replicas())
+		sendPacket(h.node, dht.ID(hops[ref.Slot]), next, h.replicas())
 	}
 }

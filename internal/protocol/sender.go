@@ -80,6 +80,17 @@ func (s *Sender) NewMissionID() (MissionID, error) {
 	return id, nil
 }
 
+// drawKeys fills keys from the sender's source, one read per key as
+// seal.NewKeyFrom draws them, straight into the caller's array.
+func (s *Sender) drawKeys(keys []seal.Key) error {
+	for i := range keys {
+		if _, err := io.ReadFull(s.rand, keys[i][:]); err != nil {
+			return fmt.Errorf("protocol: drawing key: %w", err)
+		}
+	}
+	return nil
+}
+
 // SlotID derives the DHT identifier of holder slot (column, slot) of a
 // mission: the pseudo-random, deterministic holder selection of Section
 // III ("pseudo-randomly selects nodes in the DHT to form the routing
@@ -191,13 +202,12 @@ func (s *Sender) dispatchMultipath(node *dht.Node, m Mission, joint bool) (int, 
 	// The sealers cache each key's AES-GCM state, so the disjoint scheme's
 	// k onion replicas pay every key schedule once, not once per onion.
 	keys := make([]seal.Key, l)
+	if err := s.drawKeys(keys); err != nil {
+		return 0, err
+	}
 	sealers := make([]*seal.Sealer, l)
-	for c := range keys {
-		key, err := seal.NewKeyFrom(s.rand)
-		if err != nil {
-			return 0, err
-		}
-		keys[c] = key
+	for c, key := range keys {
+		var err error
 		if sealers[c], err = seal.NewSealerRand(key, s.rand); err != nil {
 			return 0, err
 		}
@@ -225,29 +235,13 @@ func (s *Sender) dispatchMultipath(node *dht.Node, m Mission, joint bool) (int, 
 		}
 	}
 
-	// Build and send the onions.
-	buildLayers := func(path int) []onion.Layer {
-		layers := make([]onion.Layer, l)
-		for c := 1; c <= l; c++ {
-			var hops [][]byte
-			if c < l {
-				if joint {
-					for sl := 0; sl < k; sl++ {
-						id := SlotID(m.ID, c+1, sl)
-						hops = append(hops, id[:])
-					}
-				} else {
-					id := SlotID(m.ID, c+1, path)
-					hops = append(hops, id[:])
-				}
-			} else {
-				hops = append(hops, m.Receiver[:])
-			}
-			layers[c-1] = onion.Layer{NextHops: hops}
-		}
-		layers[l-1].Payload = m.Secret
-		return layers
-	}
+	// Build and send the onions. Layer c < l names slots of column c+1, all
+	// of them (joint) or its path's own (disjoint); layer l names the
+	// receiver. One layer array serves every path, its hops views into one
+	// arena of the mission's next-hop IDs.
+	hops := nextHops(m, l, k)
+	layers := make([]onion.Layer, l)
+	layers[l-1] = onion.Layer{NextHops: hops[(l-1)*k:], Payload: m.Secret}
 
 	// A joint onion names every slot of the next column, so one onion serves
 	// all k paths; a disjoint path's onion names only its own slots.
@@ -255,8 +249,15 @@ func (s *Sender) dispatchMultipath(node *dht.Node, m Mission, joint bool) (int, 
 	var wrapped []byte
 	for path := 0; path < k; path++ {
 		if path == 0 || !joint {
+			for c := 1; c < l; c++ {
+				col := hops[(c-1)*k : c*k]
+				if !joint {
+					col = col[path : path+1]
+				}
+				layers[c-1].NextHops = col
+			}
 			var err error
-			if wrapped, err = onion.BuildSealers(buildLayers(path), sealers); err != nil {
+			if wrapped, err = onion.BuildSealers(layers, sealers); err != nil {
 				return sent, err
 			}
 		}
@@ -275,36 +276,47 @@ func (s *Sender) dispatchMultipath(node *dht.Node, m Mission, joint bool) (int, 
 	return sent, nil
 }
 
+// nextHops returns the hop arena of a mission whose columns are width slots
+// wide: entries (c-1)*width .. c*width-1 name the slots of column c+1, for
+// c = 1..l-1, and the last entry names the receiver. The views share one
+// array of IDs.
+func nextHops(m Mission, l, width int) [][]byte {
+	ids := make([]dht.ID, (l-1)*width+1)
+	hops := make([][]byte, len(ids))
+	for i := range ids {
+		ids[i] = m.Receiver
+		if i < len(ids)-1 {
+			ids[i] = SlotID(m.ID, 2+i/width, i%width)
+		}
+		hops[i] = ids[i][:]
+	}
+	return hops
+}
+
 // dispatchShare implements the key share routing scheme. Column keys CK_c
 // seal the main onion's layers; slot keys SK_{c,s} seal each carrier
 // chain's slot onions. Neither is pre-assigned: for c >= 2 both are Shamir
 // split (m, n) and the shares ride inside the column c-1 slot onions,
 // arriving exactly one hop ahead of the packages they unlock (Section
 // III-D).
+//
+// A dispatch builds in one arena: the next-hop IDs once for the slot onions
+// and the main onion, one layer, sealer and share-list array for all n slot
+// streams, and one buffer for a stream's share tags. Keys, polynomials and
+// nonces are drawn from the sender's stream in a fixed order: every key,
+// then every split, then each onion's nonces as it is built.
 func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 	k, l, n := m.Plan.K, m.Plan.L, m.Plan.ShareN
 	hold, _ := m.timing()
 	firstHold := m.Start.Add(hold).UnixNano()
 
-	ck := make([]seal.Key, l+1) // 1-based
-	sk := make([][]seal.Key, l) // [column][slot], columns 1..l-1 used
-	for c := 1; c <= l; c++ {
-		key, err := seal.NewKeyFrom(s.rand)
-		if err != nil {
-			return 0, err
-		}
-		ck[c] = key
+	// keys holds CK_c at c-1 (columns 1..l), then SK_{c,sl} at
+	// l+(c-1)*n+sl (columns 1..l-1).
+	keys := make([]seal.Key, l+(l-1)*n)
+	if err := s.drawKeys(keys); err != nil {
+		return 0, err
 	}
-	for c := 1; c < l; c++ {
-		sk[c] = make([]seal.Key, n)
-		for sl := 0; sl < n; sl++ {
-			key, err := seal.NewKeyFrom(s.rand)
-			if err != nil {
-				return 0, err
-			}
-			sk[c][sl] = key
-		}
-	}
+	sk := func(c, sl int) []byte { return keys[l+(c-1)*n+sl][:] }
 
 	// Shamir-split the column c+1 keys; share index s goes to carrier
 	// (c, s). thresholds[c-1] protects column c+1. Each split draws its
@@ -313,7 +325,7 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 	skShares := make([][][]shamir.Share, l) // skShares[c][t][s] = share of SK_{c,t}
 	for c := 2; c <= l; c++ {
 		threshold := m.Plan.ShareM[c-2]
-		shares, err := shamir.SplitRand(s.rand, ck[c][:], threshold, n)
+		shares, err := shamir.SplitRand(s.rand, keys[c-1][:], threshold, n)
 		if err != nil {
 			return 0, fmt.Errorf("protocol: splitting CK_%d: %w", c, err)
 		}
@@ -321,7 +333,7 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 		if c < l {
 			skShares[c] = make([][]shamir.Share, n)
 			for t := 0; t < n; t++ {
-				ss, err := shamir.SplitRand(s.rand, sk[c][t][:], threshold, n)
+				ss, err := shamir.SplitRand(s.rand, sk(c, t), threshold, n)
 				if err != nil {
 					return 0, fmt.Errorf("protocol: splitting SK_%d_%d: %w", c, t, err)
 				}
@@ -330,93 +342,88 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 		}
 	}
 
+	// Every column, the terminal one included, holds n carriers; the main
+	// onion's last layer names the receiver.
+	hops := nextHops(m, l, n)
+	layers := make([]onion.Layer, l)
+	sealers := make([]*seal.Sealer, l)
+
 	// Slot onions: chain for carrier stream s over columns 1..l-1. Layer c
 	// (sealed under SK_{c,s}) reveals the shares carrier (c, s) must
 	// scatter: its share of CK_{c+1} and, when c+1 < l, its share of every
-	// SK_{c+1,t}.
+	// SK_{c+1,t}. A layer's share list is a run of shareList, each entry a
+	// view of its tag in tags, which is sized for a whole stream.
 	sent := 0
-	for sl := 0; sl < n; sl++ {
-		var layers []onion.Layer
-		var sealers []*seal.Sealer
-		for c := 1; c < l; c++ {
-			colShare := ckShares[c+1][sl]
-			shares := [][]byte{AppendEncodeShareTag(nil, ColumnWide, colShare.X, colShare.Data)}
-			if c+1 < l {
-				for t := 0; t < n; t++ {
-					slotShare := skShares[c+1][t][sl]
-					shares = append(shares, AppendEncodeShareTag(nil, t, slotShare.X, slotShare.Data))
+	if l > 1 {
+		shareList := make([][]byte, (l-1)+(l-2)*n)
+		tags := make([]byte, 0, (l-1)*(2+seal.KeySize)+(l-2)*n*(4+seal.KeySize))
+		for sl := 0; sl < n; sl++ {
+			tags, list := tags[:0], shareList[:0]
+			for c := 1; c < l; c++ {
+				first := len(list)
+				colShare := ckShares[c+1][sl]
+				at := len(tags)
+				tags = AppendEncodeShareTag(tags, ColumnWide, colShare.X, colShare.Data)
+				list = append(list, tags[at:])
+				if c+1 < l {
+					for t := 0; t < n; t++ {
+						slotShare := skShares[c+1][t][sl]
+						at := len(tags)
+						tags = AppendEncodeShareTag(tags, t, slotShare.X, slotShare.Data)
+						list = append(list, tags[at:])
+					}
 				}
+				layers[c-1] = onion.Layer{NextHops: hops[(c-1)*n : c*n], Shares: list[first:]}
+				slr, err := seal.NewSealerRand(keys[l+(c-1)*n+sl], s.rand)
+				if err != nil {
+					return sent, err
+				}
+				sealers[c-1] = slr
 			}
-			// Every column, the terminal one included, holds n carriers.
-			var hops [][]byte
-			for t := 0; t < n; t++ {
-				id := SlotID(m.ID, c+1, t)
-				hops = append(hops, id[:])
-			}
-			layers = append(layers, onion.Layer{NextHops: hops, Shares: shares})
-			slr, err := seal.NewSealerRand(sk[c][sl], s.rand)
+			wrapped, err := onion.BuildSealers(layers[:l-1], sealers[:l-1])
 			if err != nil {
 				return sent, err
 			}
-			sealers = append(sealers, slr)
+			send(node, SlotID(m.ID, 1, sl), m, Packet{
+				Mission:   m.ID,
+				Kind:      PkSlotOnion,
+				Column:    1,
+				Slot:      uint16(sl),
+				HoldUntil: firstHold,
+				Step:      int64(hold),
+				Data:      wrapped,
+			})
+			sent++
+			// Column 1 keys are delivered directly at start time, with repair
+			// metadata so replacement entry carriers regain them within the
+			// first holding period (layer keys for columns >= 2 exist only as
+			// Shamir shares, which repair through the share re-grant path of
+			// scheduleShareRefresh instead).
+			send(node, SlotID(m.ID, 1, sl), m, directGrant(Packet{
+				Mission:   m.ID,
+				Column:    1,
+				Slot:      uint16(sl),
+				Width:     1,
+				HoldUntil: firstHold,
+				Step:      int64(hold),
+				Data:      sk(1, sl),
+			}, true))
+			sent++
 		}
-		if len(layers) == 0 {
-			continue
-		}
-		wrapped, err := onion.BuildSealers(layers, sealers)
-		if err != nil {
-			return sent, err
-		}
-		send(node, SlotID(m.ID, 1, sl), m, Packet{
-			Mission:   m.ID,
-			Kind:      PkSlotOnion,
-			Column:    1,
-			Slot:      uint16(sl),
-			HoldUntil: firstHold,
-			Step:      int64(hold),
-			Data:      wrapped,
-		})
-		sent++
-		// Column 1 keys are delivered directly at start time, with repair
-		// metadata so replacement entry carriers regain them within the
-		// first holding period (layer keys for columns >= 2 exist only as
-		// Shamir shares, which repair through the share re-grant path of
-		// scheduleShareRefresh instead).
-		send(node, SlotID(m.ID, 1, sl), m, directGrant(Packet{
-			Mission:   m.ID,
-			Column:    1,
-			Slot:      uint16(sl),
-			Width:     1,
-			HoldUntil: firstHold,
-			Step:      int64(hold),
-			Data:      sk[1][sl][:],
-		}, true))
-		sent++
 	}
 
 	// Main onion: layers 1..l under the column keys; the k main holders of
 	// column 1 receive it (and CK_1) directly.
-	mainLayers := make([]onion.Layer, l)
-	mainSealers := make([]*seal.Sealer, l)
 	for c := 1; c <= l; c++ {
-		var hops [][]byte
-		if c < l {
-			for t := 0; t < n; t++ {
-				id := SlotID(m.ID, c+1, t)
-				hops = append(hops, id[:])
-			}
-		} else {
-			hops = append(hops, m.Receiver[:])
-		}
-		mainLayers[c-1] = onion.Layer{NextHops: hops}
-		slr, err := seal.NewSealerRand(ck[c], s.rand)
+		layers[c-1] = onion.Layer{NextHops: hops[(c-1)*n : min(c*n, len(hops))]}
+		slr, err := seal.NewSealerRand(keys[c-1], s.rand)
 		if err != nil {
 			return sent, err
 		}
-		mainSealers[c-1] = slr
+		sealers[c-1] = slr
 	}
-	mainLayers[l-1].Payload = m.Secret
-	wrappedMain, err := onion.BuildSealers(mainLayers, mainSealers)
+	layers[l-1].Payload = m.Secret
+	wrappedMain, err := onion.BuildSealers(layers, sealers)
 	if err != nil {
 		return sent, err
 	}
@@ -439,7 +446,7 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 			Width:     uint16(k),
 			HoldUntil: firstHold,
 			Step:      int64(hold),
-			Data:      ck[1][:],
+			Data:      keys[0][:], // CK_1
 		}, false))
 		sent++
 	}
