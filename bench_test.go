@@ -351,10 +351,11 @@ func BenchmarkMissionBulk(b *testing.B) {
 // 120-node loop: the dying node closes, a replacement takes over its
 // identifier, address and routing table, and its bootstrap self-lookup runs
 // to the end. Every slot is replaced once before the timer starts, so the
-// loop's lists are warm and allocs/op is a join's fixed cost — the node and
-// its pending-RPC map, its host, their handler closures and the fabric
-// endpoint. It is a count, so CI gates it (BENCH_scenario.json): a table, map
-// or closure that a join buys again fails there.
+// loop's lists are warm and allocs/op is a join's fixed cost: three records,
+// the node (its pending RPCs held inline), its host and the fabric endpoint,
+// bound to each other without closures. It is a count, so CI gates it
+// (BENCH_scenario.json): a table, map or closure that a join buys again
+// fails there.
 func BenchmarkChurnJoin(b *testing.B) {
 	net, err := NewNetwork(NetworkConfig{Nodes: 120, Replace: true, Seed: 11})
 	if err != nil {

@@ -117,7 +117,7 @@ func start(listen string) (*peer, error) {
 				}
 			},
 		})
-		node, err := dht.NewNode(dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock(), OnApp: host.HandleApp})
+		node, err := dht.NewNode(dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock(), OnApp: host})
 		if err == nil {
 			host.Attach(node)
 			p.node = node

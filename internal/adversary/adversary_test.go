@@ -231,7 +231,7 @@ func TestHolderAndAdversaryRecoverSameKeys(t *testing.T) {
 		OnSecret: func(_ protocol.MissionID, secret []byte) { emerged = append([]byte(nil), secret...) },
 	})
 	node, err := dht.NewNode(dht.Config{
-		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host.HandleApp,
+		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -42,14 +42,14 @@ func (p *Process) SampleLifetime() time.Duration {
 	return time.Duration(p.rng.Exp(float64(p.cfg.MeanLifetime)))
 }
 
-// ScheduleDeath arranges for die to run after an exponentially distributed
-// lifetime. It returns the timer (stop it if the node is decommissioned by
-// other means) and the sampled lifetime. With deaths disabled it returns
-// the inert zero handle and 0, and never calls die.
-func (p *Process) ScheduleDeath(die func()) (sim.ArgTimer, time.Duration) {
+// ScheduleDeath arranges for die(arg) to run after an exponentially
+// distributed lifetime, allocating nothing. It returns the timer (stop it if
+// the node is decommissioned by other means) and the sampled lifetime. With
+// deaths disabled it returns the inert zero handle and 0, and never calls die.
+func (p *Process) ScheduleDeath(die func(any), arg any) (sim.ArgTimer, time.Duration) {
 	if p.cfg.MeanLifetime <= 0 {
 		return sim.ArgTimer{}, 0
 	}
 	life := p.SampleLifetime()
-	return p.clock.AfterFunc(life, die), life
+	return p.clock.AfterFuncArg(life, die, arg), life
 }

@@ -26,7 +26,7 @@ func TestScheduleDeathFires(t *testing.T) {
 	s := sim.NewSimulator()
 	p := New(s, Config{MeanLifetime: time.Hour, Seed: 2})
 	died := false
-	timer, life := p.ScheduleDeath(func() { died = true })
+	timer, life := p.ScheduleDeath(func(any) { died = true }, nil)
 	if timer == (sim.ArgTimer{}) || life <= 0 {
 		t.Fatal("no timer scheduled")
 	}
@@ -39,7 +39,7 @@ func TestScheduleDeathFires(t *testing.T) {
 func TestScheduleDeathDisabled(t *testing.T) {
 	s := sim.NewSimulator()
 	p := New(s, Config{})
-	timer, life := p.ScheduleDeath(func() { t.Error("death fired with churn disabled") })
+	timer, life := p.ScheduleDeath(func(any) { t.Error("death fired with churn disabled") }, nil)
 	if timer.Stop() || life != 0 {
 		t.Fatal("expected the inert zero timer")
 	}
@@ -49,7 +49,7 @@ func TestScheduleDeathDisabled(t *testing.T) {
 func TestScheduleDeathCancel(t *testing.T) {
 	s := sim.NewSimulator()
 	p := New(s, Config{MeanLifetime: time.Hour, Seed: 3})
-	timer, _ := p.ScheduleDeath(func() { t.Error("cancelled death fired") })
+	timer, _ := p.ScheduleDeath(func(any) { t.Error("cancelled death fired") }, nil)
 	timer.Stop()
 	s.Run()
 }

@@ -2,6 +2,7 @@ package dht
 
 import (
 	"bytes"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 )
 
 // FuzzDecodeMessage asserts the DHT wire codec never panics on arbitrary
-// datagrams — the property a UDP-exposed service lives or dies by — and
-// that anything accepted re-encodes canonically, also through the recycling
+// datagrams — the property a UDP-exposed service lives or dies by — nor
+// allocates more than a few bytes per datagram byte decoding one, and that
+// anything accepted re-encodes canonically, also through the recycling
 // forms senders and the receive loop use: decoding into a dirty scratch
 // Message and appending after a non-empty prefix.
 func FuzzDecodeMessage(f *testing.F) {
@@ -41,6 +43,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(append(app[:3:3], append([]byte{8}, app[4:]...)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		boundDecodeAllocs(t, data, func() { _, _ = DecodeMessage(data) })
 		msg, err := DecodeMessage(data)
 		if err != nil {
 			return
@@ -73,7 +76,7 @@ func FuzzDecodeMessage(f *testing.F) {
 }
 
 // FuzzMessageContactsView holds the receive path's contact view to the
-// materialised form: for arbitrary bytes decodeMessageInto (which leaves the
+// materialised form, under the same allocation bound: for arbitrary bytes decodeMessageInto (which leaves the
 // contacts on the wire) and DecodeMessage accept and reject together, the
 // records the view yields are DecodeMessage's Contacts in order and re-encode
 // to exactly the viewed bytes, and a scratch Message that carried a view of
@@ -98,6 +101,7 @@ func FuzzMessageContactsView(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rx Message
+		boundDecodeAllocs(t, data, func() { _, _ = decodeMessageInto(&rx, data) })
 		if _, err := decodeMessageInto(&rx, stale); err != nil || rx.contacts.n != 3 {
 			t.Fatalf("stale decode: n=%d err=%v", rx.contacts.n, err)
 		}
@@ -142,6 +146,25 @@ func FuzzMessageContactsView(f *testing.F) {
 			t.Fatalf("DecodeMessageInto over a scratch: view kept=%v contacts=%v want %v", rx.contacts.region != nil, rx.Contacts, msg.Contacts)
 		}
 	})
+}
+
+// boundDecodeAllocs fails t if one decode of data allocates more than
+// 8·len(data)+256 bytes: a length or count field that sizes an allocation
+// before the bytes behind it are checked lets a small datagram buy a large
+// heap. The heap counters are process-wide and the fuzzing engine allocates
+// beside the target, so the bound holds for the mean of many decodes.
+func boundDecodeAllocs(t *testing.T, data []byte, decode func()) {
+	t.Helper()
+	const decodes = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range decodes {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if grew := (after.TotalAlloc - before.TotalAlloc) / decodes; grew > 8*uint64(len(data))+256 {
+		t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
+	}
 }
 
 // FuzzTableClosest checks the closed-form bucket walk against the model's

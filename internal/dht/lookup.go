@@ -162,7 +162,7 @@ func (n *Node) deliverLocal(payload []byte) error {
 	*buf = append((*buf)[:0], payload...)
 	self := n.Contact()
 	n.cfg.Clock.Schedule(0, func() {
-		n.cfg.OnApp(self, *buf)
+		n.cfg.OnApp.HandleApp(self, *buf)
 		bufs.Put(buf)
 	})
 	return nil

@@ -20,7 +20,7 @@ func (sinkEndpoint) SetHandler(h transport.Handler)    {}
 func (sinkEndpoint) Close() error                      { return nil }
 
 // responseRig is one lookup held open on an otherwise idle node, fed
-// FIND_NODE responses as datagrams the way handle feeds them: decoded into
+// FIND_NODE responses as datagrams the way Receive feeds them: decoded into
 // the scratch Message, then folded in by onResponse. Alpha phantom queries
 // stay in flight, so the lookup neither finishes nor issues queries of its
 // own and the only work per response is the receive path under test.

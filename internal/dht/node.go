@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"time"
@@ -31,12 +32,18 @@ type Config struct {
 	Table TablePolicy
 	// OnApp receives application payloads (the self-emerging protocol
 	// messages). Optional.
-	OnApp func(from Contact, payload []byte)
+	OnApp AppHandler
 	// Scratch is the recycled working memory this node shares with every
 	// other node dispatched from the same serial context (see Scratch). Nil
 	// gives the node a private one — right for a real socket, whose loop is a
 	// dispatch context of its own.
 	Scratch *Scratch
+}
+
+// AppHandler consumes the application payloads a node receives, valid for
+// the call only. protocol.Host is one; binding it allocates nothing.
+type AppHandler interface {
+	HandleApp(from Contact, payload []byte)
 }
 
 // The Kademlia parameters. Every deployment of this tree — simulated
@@ -88,10 +95,15 @@ type Node struct {
 	// traffic pays nothing.
 	appSeen map[appKey]struct{}
 
-	// retryRng draws the backoff jitter; nil unless cfg.Retry is enabled.
-	retryRng *stats.RNG
+	// retryRng draws the backoff jitter; seeded only if cfg.Retry is enabled.
+	retryRng stats.RNG
 
-	pending map[uint64]*pendingRPC
+	// pending is the requests in flight in issue order, which is RPCID
+	// order (rpcSeq only grows), so a response finds its record by binary
+	// search. It starts on inline: eight slots fill the Node's size class,
+	// and hold what a node has in flight outside a mission's owner walks.
+	pending []*pendingRPC
+	inline  [8]*pendingRPC
 	// ownerWalks indexes the owner resolutions in flight by their key, so a
 	// second SendToOwners for a key joins the first's walk (see ownerWalk).
 	// Nil until the node's first owner send; looked up, never ranged over.
@@ -177,7 +189,7 @@ func rpcTimedOut(v any) {
 			// through a deterministic jittered backoff, so a straggling
 			// response can still settle the RPC mid-gap.
 			p.waiting = true
-			p.timer = n.cfg.Clock.AfterFuncArg(backoff(p.attempt, n.retryRng), rpcTimedOut, p)
+			p.timer = n.cfg.Clock.AfterFuncArg(backoff(p.attempt, &n.retryRng), rpcTimedOut, p)
 			return
 		}
 		// Backoff elapsed: re-send the retained wire form (same RPCID) and
@@ -189,7 +201,8 @@ func rpcTimedOut(v any) {
 		_ = n.cfg.Endpoint.Send(p.addr, p.wire)
 		return
 	}
-	delete(n.pending, p.id)
+	i, _ := n.pendingAt(p.id)
+	n.pending = slices.Delete(n.pending, i, i+1)
 	cb, to := p.cb, p.to
 	releasePending(p)
 	// Unresponsive: penalize in the routing table.
@@ -210,13 +223,14 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, errors.New("dht: config requires a non-zero ID")
 	}
 	cfg = cfg.withDefaults()
-	n := &Node{cfg: cfg, pending: make(map[uint64]*pendingRPC)}
+	n := &Node{cfg: cfg}
+	n.pending = n.inline[:0]
 	// The table of a node that closed on this loop, when there is one.
 	n.table = cfg.Scratch.tables.Get()
 	n.table.wipe(cfg.ID, bucketK, staleAfter, cfg.Clock)
 	n.table.book = &cfg.Scratch.addrBook
 	if cfg.Retry.enabled() {
-		n.retryRng = stats.NewRNG(retrySeed(cfg.ID))
+		n.retryRng = stats.Seeded(retrySeed(cfg.ID))
 	}
 	n.table.SetPolicy(cfg.Table)
 	if cfg.Table == TablePingEvict {
@@ -231,7 +245,12 @@ func NewNode(cfg Config) (*Node, error) {
 			})
 		})
 	}
-	cfg.Endpoint.SetHandler(n.handle)
+	// Only a wrapping endpoint, with no SetReceiver, costs a closure.
+	if ep, ok := cfg.Endpoint.(transport.ReceiverSetter); ok {
+		ep.SetReceiver(n)
+	} else {
+		cfg.Endpoint.SetHandler(n.Receive)
+	}
 	return n, nil
 }
 
@@ -265,20 +284,13 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	// Fail pending RPCs in issue order: map iteration order is randomized,
-	// and the callbacks schedule events, which must stay deterministic for
-	// reproducible simulation runs.
-	ids := make([]uint64, 0, len(n.pending))
-	for id := range n.pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		p := n.pending[id]
+	// Fail pending RPCs in issue order, each as an event of its own.
+	for _, p := range n.pending {
 		p.timer.Stop()
 		n.cfg.Clock.ScheduleArg(0, rpcClosed, p)
 	}
 	clear(n.pending)
+	n.pending = n.pending[:0]
 	// From here the node holds no pointer to its table: Table gives a closed
 	// node an empty one per call, and the one callback that captured the old
 	// table, an outstanding ping-evict probe, checks that its node is open
@@ -300,11 +312,11 @@ func rpcClosed(v any) {
 	cb.deliver(nil, ErrClosed)
 }
 
-// handle is the transport inbound entry point. It decodes into the scratch
+// Receive is the node's transport.Receiver. It decodes into the scratch
 // Message (one datagram is in dispatch at a time per Scratch), so everything
 // the dispatch touches — including msg.App handed to OnApp — is valid only
-// until handle returns; consumers that keep bytes must copy them.
-func (n *Node) handle(from transport.Addr, data []byte) {
+// until Receive returns; consumers that keep bytes must copy them.
+func (n *Node) Receive(from transport.Addr, data []byte) {
 	if n.closed {
 		return // read off a real socket before Close, handled after it
 	}
@@ -370,7 +382,7 @@ func (n *Node) handle(from transport.Addr, data []byte) {
 			}
 		}
 		if n.cfg.OnApp != nil {
-			n.cfg.OnApp(msg.From, msg.App)
+			n.cfg.OnApp.HandleApp(msg.From, msg.App)
 		}
 	}
 }
@@ -462,7 +474,7 @@ func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 		p.wire = append(p.wire[:0], *buf...) // retained for re-sends
 	}
 	p.timer = n.cfg.Clock.AfterFuncArg(rpcTimeout, rpcTimedOut, p)
-	n.pending[p.id] = p
+	n.pending = append(n.pending, p)
 	_ = n.sendBuf(to.Addr, buf)
 }
 
@@ -478,19 +490,20 @@ func (n *Node) probe(to Contact, cb func(error)) {
 // settle matches a response to its pending request and records the one table
 // observation a response gets. msg is the scratch Message, valid for the call.
 func (n *Node) settle(msg *Message) {
-	p, found := n.pending[msg.RPCID]
+	i, found := n.pendingAt(msg.RPCID)
 	if !found {
 		// No pending slot at all: a late or fault-duplicated response
 		// (its RPC already settled or timed out), dropped here.
 		n.resilience.Duplicates++
 	}
-	if !found || !p.answeredBy(msg.From) {
+	if !found || !n.pending[i].answeredBy(msg.From) {
 		// Unmatched, or forged or misrouted (keep waiting): seen alive on its
-		// own word only (see handle).
+		// own word only (see Receive).
 		n.table.Observe(msg.From)
 		return
 	}
-	delete(n.pending, msg.RPCID)
+	p := n.pending[i]
+	n.pending = slices.Delete(n.pending, i, i+1)
 	if p.attempt > 1 || p.waiting {
 		// Answered after a re-send, or mid-backoff after the first
 		// deadline: without the retry policy holding the slot open this
@@ -506,6 +519,11 @@ func (n *Node) settle(msg *Message) {
 	p.timer.Stop()
 	releasePending(p)
 	cb.deliver(msg, nil)
+}
+
+// pendingAt finds the request with RPCID id in n.pending.
+func (n *Node) pendingAt(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(n.pending, id, func(p *pendingRPC, id uint64) int { return cmp.Compare(p.id, id) })
 }
 
 // answeredBy reports whether from is the peer the request went to: the ID it

@@ -133,9 +133,9 @@ func TestSendToOwnerRoutesToClosest(t *testing.T) {
 			ID:       id,
 			Endpoint: ep,
 			Clock:    c.sim,
-			OnApp: func(from Contact, payload []byte) {
+			OnApp: appFunc(func(from Contact, payload []byte) {
 				received[id] = payload
-			},
+			}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -204,6 +204,11 @@ func TestNodeValidation(t *testing.T) {
 		t.Error("nil clock accepted")
 	}
 }
+
+// appFunc is a function AppHandler.
+type appFunc func(from Contact, payload []byte)
+
+func (f appFunc) HandleApp(from Contact, payload []byte) { f(from, payload) }
 
 func TestPing(t *testing.T) {
 	c := newCluster(t, 5, nil)

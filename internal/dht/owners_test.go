@@ -38,9 +38,9 @@ func newOwnerCluster(t *testing.T, n int, retry RetryPolicy) *ownerCluster {
 			Endpoint: oc.net.Endpoint(transport.Addr(fmt.Sprintf("node-%d", i))),
 			Clock:    oc.sim,
 			Retry:    retry,
-			OnApp: func(_ Contact, payload []byte) {
+			OnApp: appFunc(func(_ Contact, payload []byte) {
 				oc.got[id] = append(oc.got[id], string(payload))
-			},
+			}),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -424,11 +424,11 @@ func TestOwnerWalkConcurrentSendersUDP(t *testing.T) {
 			ID:       RandomID(rng),
 			Endpoint: ep,
 			Clock:    loop.Clock(),
-			OnApp: func(_ Contact, payload []byte) {
+			OnApp: appFunc(func(_ Contact, payload []byte) {
 				mu.Lock()
 				received[string(payload)]++
 				mu.Unlock()
-			},
+			}),
 		})
 		if err != nil {
 			t.Fatal(err)

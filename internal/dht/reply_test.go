@@ -61,7 +61,7 @@ func TestFindNodeReplyWire(t *testing.T) {
 				t.Fatal(err)
 			}
 			ep.last = ep.last[:0]
-			node.handle(asker.Addr, wire)
+			node.Receive(asker.Addr, wire)
 
 			resp := Message{Kind: KindFindNodeResp, RPCID: req.RPCID, From: node.Contact(),
 				Contacts: node.table.AppendClosest(nil, target, bucketK)}
@@ -110,10 +110,10 @@ func BenchmarkFindNodeReply(b *testing.B) {
 		}
 		wires = append(wires, wire)
 	}
-	node.handle(asker.Addr, wires[0]) // warm the scratch's wire buffer
+	node.Receive(asker.Addr, wires[0]) // warm the scratch's wire buffer
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		node.handle(asker.Addr, wires[i%len(wires)])
+		node.Receive(asker.Addr, wires[i%len(wires)])
 	}
 }

@@ -45,7 +45,7 @@ func TestBackoffSequenceGolden(t *testing.T) {
 
 // retryPair is two nodes on one fabric, a configured from-node and a plain
 // receiver, with an optional injector between them.
-func retryPair(t *testing.T, cfg Config, inj simnet.Injector, onApp func(Contact, []byte)) (*sim.Simulator, *Node, *Node) {
+func retryPair(t *testing.T, cfg Config, inj simnet.Injector, onApp AppHandler) (*sim.Simulator, *Node, *Node) {
 	t.Helper()
 	s := sim.NewSimulator()
 	net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 3, Inject: inj})
@@ -132,12 +132,12 @@ func TestAckedAppDedup(t *testing.T) {
 	delivered := 0
 	var s *sim.Simulator
 	var a, b *Node
-	s, a, b = retryPair(t, Config{Retry: RetryPolicy{Attempts: 3}}, dupAll{}, func(from Contact, payload []byte) {
+	s, a, b = retryPair(t, Config{Retry: RetryPolicy{Attempts: 3}}, dupAll{}, appFunc(func(from Contact, payload []byte) {
 		delivered++
 		if string(payload) != "hello" {
 			t.Errorf("payload = %q", payload)
 		}
-	})
+	}))
 	if err := a.SendApp(b.Contact(), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFireAndForgetAppUnchanged(t *testing.T) {
 	delivered := 0
 	var s *sim.Simulator
 	var a, b *Node
-	s, a, b = retryPair(t, Config{}, nil, func(Contact, []byte) { delivered++ })
+	s, a, b = retryPair(t, Config{}, nil, appFunc(func(Contact, []byte) { delivered++ }))
 	if err := a.SendApp(b.Contact(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
 // scheduled events, never synchronously from a send, so one event loop is
-// such a context). Nothing here is guarded; handle panics on re-entry, the
+// such a context). Nothing here is guarded; Receive panics on re-entry, the
 // runtime half of the check whose static half is the loopowned analyzer.
 //
 // Node scope was the wrong owner for this state: under churn it died with its

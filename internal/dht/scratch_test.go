@@ -54,9 +54,9 @@ func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 	var log strings.Builder
 	spawn := func(i int, id ID) *Node {
 		ep := tapEndpoint{Endpoint: net.Endpoint(transport.Addr(fmt.Sprintf("node-%d", i))), clock: s, log: &log}
-		onApp := func(from Contact, payload []byte) {
+		onApp := appFunc(func(from Contact, payload []byte) {
 			fmt.Fprintf(&log, "app %s<-%s %q\n", id.Short(), from.ID.Short(), payload)
-		}
+		})
 		node, err := NewNode(Config{ID: id, Endpoint: ep, Clock: s, Retry: retry, Scratch: scratch, OnApp: onApp})
 		if err != nil {
 			t.Fatal(err)
@@ -468,10 +468,10 @@ func TestScratchReentryPanics(t *testing.T) {
 	var recovered any
 	a, err := NewNode(Config{
 		ID: RandomID(rng), Endpoint: net.Endpoint("a"), Clock: s, Scratch: scratch,
-		OnApp: func(Contact, []byte) {
+		OnApp: appFunc(func(Contact, []byte) {
 			defer func() { recovered = recover() }()
-			b.handle("x", wire) // synchronous cross-node delivery: the bug
-		},
+			b.Receive("x", wire) // synchronous cross-node delivery: the bug
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -488,5 +488,5 @@ func TestScratchReentryPanics(t *testing.T) {
 		t.Fatal("re-entering a busy Scratch did not panic")
 	}
 	// The guard reopens once the outer dispatch returns: serial use goes on.
-	b.handle("x", wire)
+	b.Receive("x", wire)
 }

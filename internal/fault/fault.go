@@ -239,15 +239,20 @@ const (
 	crashDownRange = 9 * time.Second
 )
 
-// ManageCrashes alternates setDown(true)/setDown(false) for one address
+// Fabric is what a crash schedule toggles (simnet.Network and Partition).
+type Fabric interface {
+	SetDown(addr transport.Addr, down bool)
+}
+
+// ManageCrashes alternates fabric.SetDown(addr, true) and (addr, false)
 // with exponential up/down sojourns, starting up — the crash-restart
 // regime of ProfileFlap. The schedule draws from a substream keyed by the
 // address alone, so it is independent of wiring order and of every other
 // node's schedule. For other profiles (or severity 0) it is a no-op
-// returning a no-op stop. Call stop when the node is decommissioned for
-// real (churn death): a crash is transient and keeps node state, so it
-// must not outlive the node.
-func (e *Engine) ManageCrashes(clock sim.Clock, addr transport.Addr, setDown func(bool)) (stop func()) {
+// returning a no-op stop, and allocates nothing. Call stop when the node is
+// decommissioned for real (churn death): a crash is transient and keeps
+// node state, so it must not outlive the node.
+func (e *Engine) ManageCrashes(clock sim.Clock, addr transport.Addr, fabric Fabric) (stop func()) {
 	if e.cfg.Profile != ProfileFlap || e.cfg.Severity == 0 {
 		return func() {}
 	}
@@ -262,14 +267,14 @@ func (e *Engine) ManageCrashes(clock sim.Clock, addr transport.Addr, setDown fun
 		if stopped {
 			return
 		}
-		setDown(true)
+		fabric.SetDown(addr, true)
 		timer = clock.AfterFunc(time.Duration(rng.Exp(downMean)), restart)
 	}
 	restart = func() {
 		if stopped {
 			return
 		}
-		setDown(false)
+		fabric.SetDown(addr, false)
 		timer = clock.AfterFunc(time.Duration(rng.Exp(upMean)), crash)
 	}
 	timer = clock.AfterFunc(time.Duration(rng.Exp(upMean)), crash)

@@ -116,7 +116,7 @@ func TestSeverityZeroNoOp(t *testing.T) {
 			}
 		}
 		s := sim.NewSimulator()
-		stop := e.ManageCrashes(s, "a", func(bool) { t.Errorf("%v at severity 0 scheduled a crash", p) })
+		stop := e.ManageCrashes(s, "a", setDown(func(bool) { t.Errorf("%v at severity 0 scheduled a crash", p) }))
 		s.RunFor(24 * time.Hour)
 		stop()
 	}
@@ -160,6 +160,11 @@ func TestPartitionWindows(t *testing.T) {
 	}
 }
 
+// setDown is a Fabric of one address: the crash tests watch the transitions.
+type setDown func(down bool)
+
+func (f setDown) SetDown(_ transport.Addr, down bool) { f(down) }
+
 // TestManageCrashesDeterministic: one address's crash schedule is a pure
 // function of (seed, addr) — independent of wiring order and other nodes.
 func TestManageCrashesDeterministic(t *testing.T) {
@@ -171,15 +176,15 @@ func TestManageCrashesDeterministic(t *testing.T) {
 		s := sim.NewSimulator()
 		if wireOthersFirst {
 			for _, a := range []transport.Addr{"x", "y", "z"} {
-				stop := e.ManageCrashes(s, a, func(bool) {})
+				stop := e.ManageCrashes(s, a, setDown(func(bool) {}))
 				defer stop()
 			}
 		}
 		var at []time.Duration
 		start := s.Now()
-		stop := e.ManageCrashes(s, "target", func(down bool) {
+		stop := e.ManageCrashes(s, "target", setDown(func(bool) {
 			at = append(at, s.Now().Sub(start))
-		})
+		}))
 		defer stop()
 		s.RunFor(time.Hour)
 		return at
@@ -206,7 +211,7 @@ func TestManageCrashesStop(t *testing.T) {
 	}
 	s := sim.NewSimulator()
 	n := 0
-	stop := e.ManageCrashes(s, "a", func(bool) { n++ })
+	stop := e.ManageCrashes(s, "a", setDown(func(bool) { n++ }))
 	s.RunFor(10 * time.Minute)
 	if n == 0 {
 		t.Fatal("no transitions before stop")

@@ -12,6 +12,11 @@ import (
 	"selfemerge/internal/transport/simnet"
 )
 
+// appFunc is a function dht.AppHandler.
+type appFunc func(from dht.Contact, payload []byte)
+
+func (f appFunc) HandleApp(from dht.Contact, payload []byte) { f(from, payload) }
+
 // newWatchedHolder boots a two-node network on a fresh simulator: a holder
 // running a host with cfg (its Clock filled in) and a watcher that appends
 // every protocol packet it receives to seen. With two replicas the watcher is
@@ -23,7 +28,7 @@ func newWatchedHolder(t *testing.T, cfg HostConfig, seen *[]Packet) (*sim.Simula
 	cfg.Clock = clock
 	host := NewHost(cfg)
 	node, err := dht.NewNode(dht.Config{
-		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host.HandleApp,
+		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,11 +36,11 @@ func newWatchedHolder(t *testing.T, cfg HostConfig, seen *[]Packet) (*sim.Simula
 	host.Attach(node)
 	watcher, err := dht.NewNode(dht.Config{
 		ID: dht.IDFromKey([]byte("watcher")), Endpoint: fabric.Endpoint("watcher"), Clock: clock,
-		OnApp: func(_ dht.Contact, payload []byte) {
+		OnApp: appFunc(func(_ dht.Contact, payload []byte) {
 			if pkt, err := DecodePacket(payload); err == nil {
 				*seen = append(*seen, pkt)
 			}
-		},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func protocolTrial(t *testing.T, seed uint64, nodes int, malicious []bool, plan 
 			ID:       dht.RandomID(rng),
 			Endpoint: ep,
 			Clock:    s,
-			OnApp:    host.HandleApp,
+			OnApp:    host,
 		})
 		if err != nil {
 			t.Fatal(err)

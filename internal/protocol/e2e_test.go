@@ -110,7 +110,7 @@ func (tb *testbed) spawn(addr transport.Addr, id dht.ID, malicious, drop bool, h
 		ID:       id,
 		Endpoint: tb.net.Endpoint(addr),
 		Clock:    tb.sim,
-		OnApp:    host.HandleApp,
+		OnApp:    host,
 	})
 	if err != nil {
 		tb.t.Fatal(err)

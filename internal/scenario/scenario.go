@@ -23,6 +23,7 @@
 package scenario
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -145,23 +146,15 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.Nodes == 0 {
-		c.Nodes = 200
-	}
+	c = c.resolved()
 	if c.Nodes < 10 {
 		return c, fmt.Errorf("scenario: %d nodes is too small a population", c.Nodes)
 	}
 	if c.Alpha < 0 {
 		return c, fmt.Errorf("scenario: alpha %v must be >= 0", c.Alpha)
 	}
-	if c.Emerging == 0 {
-		c.Emerging = 2 * time.Hour
-	}
 	if c.Emerging < 0 {
 		return c, fmt.Errorf("scenario: emerging period %v must be positive", c.Emerging)
-	}
-	if c.Missions == 0 {
-		c.Missions = 100
 	}
 	if c.Missions < 1 {
 		return c, fmt.Errorf("scenario: missions %d must be >= 1", c.Missions)
@@ -169,31 +162,24 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Shards < 0 {
 		return c, fmt.Errorf("scenario: shards %d must be >= 0", c.Shards)
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	if c.Shards > c.Missions {
-		c.Shards = c.Missions
-	}
-	if c.Stagger == 0 {
-		c.Stagger = c.Emerging
-	}
-	if c.Stagger < 0 {
-		c.Stagger = 0
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 1
-	}
-	if c.MCTrials == 0 {
-		c.MCTrials = 2000
-	}
-	if c.Drop && c.Strategy == adversary.StrategySpy {
-		c.Strategy = adversary.StrategyDrop
-	}
 	if err := c.Plan.Validate(); err != nil {
 		return c, fmt.Errorf("scenario: %w", err)
 	}
 	return c, c.network().Validate()
+}
+
+// resolved fills in every default and checks nothing: withDefaults validates
+// it, and References reads it so a raw config answers as its defaulted form.
+func (c Config) resolved() Config {
+	c.Nodes = cmp.Or(c.Nodes, 200)
+	c.Emerging = cmp.Or(c.Emerging, 2*time.Hour)
+	c.Missions = cmp.Or(c.Missions, 100)
+	c.Shards = min(cmp.Or(c.Shards, 1), max(c.Missions, 1))
+	c.Stagger = max(cmp.Or(c.Stagger, c.Emerging), 0)
+	c.Replicas = cmp.Or(c.Replicas, 1)
+	c.MCTrials = cmp.Or(c.MCTrials, 2000)
+	c.Strategy = c.strategy()
+	return c
 }
 
 // network is the live network a defaulted config boots: the one place a
@@ -235,6 +221,14 @@ func (c Config) shareModel() mc.ShareModel {
 		return mc.ShareModelLive
 	}
 	return mc.ShareModelDefault
+}
+
+// strategy resolves Drop: it names StrategyDrop when no strategy is set.
+func (c Config) strategy() adversary.Strategy {
+	if c.Drop && c.Strategy == adversary.StrategySpy {
+		return adversary.StrategyDrop
+	}
+	return c.Strategy
 }
 
 // maliciousCount mirrors the Network's marking: floor(p*N), capped to the
@@ -464,11 +458,12 @@ func (r Reference) Estimate() (mc.Result, error) {
 }
 
 // References returns the matched Monte Carlo reference descriptors for the
-// (defaulted) config: the release reference at the live environment, and the
-// delivery reference — identical under the drop attack, malicious-free
-// (churn losses only) under a spy adversary, whose holders forward
-// faithfully.
+// config with its defaults: the release reference at the live environment,
+// and the delivery reference — identical under the drop attack,
+// malicious-free (churn losses only) under a spy adversary, whose holders
+// forward faithfully.
 func (c Config) References() (release, deliver Reference) {
+	c = c.resolved()
 	env := mc.Env{
 		Population: c.Nodes,
 		Malicious:  c.maliciousCount(),

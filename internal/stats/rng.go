@@ -21,19 +21,23 @@ type RNG struct {
 	s [4]uint64
 }
 
-// NewRNG returns a generator seeded from seed via SplitMix64, guaranteeing a
-// well-mixed internal state even for small or adjacent seeds.
+// NewRNG returns a generator seeded from seed (see Seeded).
 func NewRNG(seed uint64) *RNG {
+	r := Seeded(seed)
+	return &r
+}
+
+// Seeded returns, by value, a generator seeded from seed via SplitMix64,
+// guaranteeing a well-mixed internal state even for small or adjacent seeds.
+func Seeded(seed uint64) RNG {
 	var r RNG
 	sm := seed
 	for i := range r.s {
 		sm, r.s[i] = splitMix64(sm)
 	}
-	// xoshiro must not start from the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
-	}
-	return &r
+	// Never xoshiro's all-zero state: SplitMix64's output mix is a bijection,
+	// so of four distinct states at most one maps to zero.
+	return r
 }
 
 // splitMix64 advances the SplitMix64 state and returns (newState, output).

@@ -262,27 +262,29 @@ type delivery struct {
 func deliver(v any) {
 	d := v.(*delivery)
 	n, tsl := d.net, d.slot
-	if tsl.ep == nil || tsl.down || tsl.ep.handler == nil || tsl.ep.closed {
+	if tsl.ep == nil || tsl.down || tsl.ep.recv == nil || tsl.ep.closed {
 		n.dropped++
 	} else {
 		n.delivered++
-		tsl.ep.handler(d.from, d.msg)
+		tsl.ep.recv.Receive(d.from, d.msg)
 	}
 	d.net, d.slot = nil, nil
 	n.deliveries.Put(d)
 }
 
 type endpoint struct {
-	net     *Network
-	slot    *nodeSlot // this address's slot in net
-	addr    transport.Addr
-	handler transport.Handler
-	closed  bool
+	net    *Network
+	slot   *nodeSlot // this address's slot in net
+	addr   transport.Addr
+	recv   transport.Receiver
+	closed bool
 }
 
 func (e *endpoint) Addr() transport.Addr { return e.addr }
 
-func (e *endpoint) SetHandler(h transport.Handler) { e.handler = h }
+func (e *endpoint) SetHandler(h transport.Handler) { e.recv = h }
+
+func (e *endpoint) SetReceiver(r transport.Receiver) { e.recv = r }
 
 func (e *endpoint) Send(to transport.Addr, payload []byte) error {
 	if e.closed {

@@ -11,14 +11,27 @@ import "errors"
 // UDP it is a "host:port" string.
 type Addr string
 
-// Handler consumes an inbound datagram. The payload is only valid for the
-// duration of the call: transports recycle delivery buffers, so a handler
-// that needs the bytes afterwards must copy them. A handler runs on the
-// event loop that owns its endpoint — the simulator run that delivers a
-// simnet datagram, the udp.Loop a socket's reader posts to — one call at a
-// time, interleaved with that loop's timers and nothing else, so what it
-// touches needs no lock.
+// Receiver consumes inbound datagrams. The payload is only valid for the
+// duration of the call: transports recycle delivery buffers, so a receiver
+// that needs the bytes afterwards must copy them. Receive runs on the event
+// loop that owns its endpoint — the simulator run that delivers a simnet
+// datagram, the udp.Loop a socket's reader posts to — one call at a time,
+// interleaved with that loop's timers and nothing else, so what it touches
+// needs no lock.
+type Receiver interface {
+	Receive(from Addr, payload []byte)
+}
+
+// Handler is a function Receiver.
 type Handler func(from Addr, payload []byte)
+
+// Receive calls h.
+func (h Handler) Receive(from Addr, payload []byte) { h(from, payload) }
+
+// ReceiverSetter is the allocation-free SetHandler of simnet and udp
+// endpoints: a pointer bound as a Receiver needs no method-value closure. A
+// wrapper that embeds an Endpoint lacks it, so its own SetHandler still runs.
+type ReceiverSetter interface{ SetReceiver(r Receiver) }
 
 // ErrClosed is returned when sending through a closed endpoint.
 var ErrClosed = errors.New("transport: endpoint closed")

@@ -24,11 +24,11 @@ type Endpoint struct {
 	loop *Loop
 	addr transport.Addr // the bound address, formatted once by Listen
 
-	// mu: whoever builds the node installs the handler (the loop, or its
+	// mu: whoever builds the node installs the receiver (the loop, or its
 	// creator before traffic); the reader goroutine picks it up.
-	mu      sync.RWMutex
-	handler transport.Handler
-	wg      sync.WaitGroup // the reader
+	mu   sync.RWMutex
+	recv transport.Receiver
+	wg   sync.WaitGroup // the reader
 
 	// queued counts the datagrams posted to the loop whose handler call has
 	// not started yet: the reader adds, the loop subtracts. dropped counts
@@ -72,10 +72,13 @@ func (e *Endpoint) Addr() transport.Addr {
 }
 
 // SetHandler installs the inbound handler.
-func (e *Endpoint) SetHandler(h transport.Handler) {
+func (e *Endpoint) SetHandler(h transport.Handler) { e.SetReceiver(h) }
+
+// SetReceiver installs the inbound receiver (transport.ReceiverSetter).
+func (e *Endpoint) SetReceiver(r transport.Receiver) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.handler = h
+	e.recv = r
 }
 
 // Send transmits one datagram to the given "ip:port" address. A host name is
@@ -126,9 +129,9 @@ func (e *Endpoint) readLoop() {
 			continue // oversized datagram: drop
 		}
 		e.mu.RLock()
-		h := e.handler
+		r := e.recv
 		e.mu.RUnlock()
-		if h == nil {
+		if r == nil {
 			continue
 		}
 		if e.queued.Load() >= maxQueued {
@@ -141,7 +144,7 @@ func (e *Endpoint) readLoop() {
 		e.queued.Add(1)
 		e.loop.Post(func() {
 			e.queued.Add(-1)
-			h(src, data)
+			r.Receive(src, data)
 		})
 	}
 }

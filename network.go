@@ -234,6 +234,7 @@ type Network struct {
 	// only between runs.
 	nodes    []*dht.Node
 	receiver *dht.Node
+	slots    []slot // death records by population slot, made at boot under churn
 	// seeds is every join's bootstrap list: node 0, which churn never
 	// replaces. Made once at boot and only read after it, from any loop.
 	seeds []dht.Contact
@@ -274,6 +275,22 @@ type shard struct {
 type delivery struct {
 	at     time.Time
 	secret []byte
+}
+
+// slot is the argument of a churn death event (slotDies), written by the
+// owner shard's loop when a node spawns at the slot.
+type slot struct {
+	net       *Network
+	sh        *shard
+	idx       int
+	stopCrash func() // ends the node's crash-restart schedule
+}
+
+// slotDies is the death event of the node at a slot.
+func slotDies(arg any) {
+	sl := arg.(*slot)
+	sl.stopCrash()
+	sl.net.die(sl.sh, sl.idx)
 }
 
 // NewNetwork boots and bootstraps the network; it returns with the DHT
@@ -352,6 +369,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		n.collector.SetZoneSink(n.forger.ObserveZone)
 	}
 
+	if cfg.MeanLifetime > 0 {
+		n.slots = make([]slot, cfg.Nodes)
+	}
 	malicious := n.markMalicious()
 	for i := 0; i < cfg.Nodes; i++ {
 		if err := n.addNode(i, malicious[i]); err != nil {
@@ -527,7 +547,7 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		Clock:    sh.sim,
 		Table:    n.cfg.Table,
 		Retry:    dht.RetryPolicy{Attempts: n.cfg.Retry},
-		OnApp:    host.HandleApp,
+		OnApp:    host,
 		Scratch:  sh.scratch,
 	})
 	if err != nil {
@@ -563,15 +583,14 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	// the owner's slice of the fabric.
 	stopCrash := func() {}
 	if sh.fault != nil {
-		stopCrash = sh.fault.ManageCrashes(sh.sim, addr, func(down bool) { n.fabric.SetDown(addr, down) })
+		stopCrash = sh.fault.ManageCrashes(sh.sim, addr, n.fabric)
 	}
 	if sh.churn == nil {
 		return nil
 	}
-	sh.churn.ScheduleDeath(func() {
-		stopCrash()
-		n.die(sh, idx)
-	})
+	sl := &n.slots[idx]
+	*sl = slot{net: n, sh: sh, idx: idx, stopCrash: stopCrash}
+	sh.churn.ScheduleDeath(slotDies, sl)
 	return nil
 }
 

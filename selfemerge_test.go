@@ -242,6 +242,38 @@ func TestChurnReplacementKeepsPopulationServing(t *testing.T) {
 	}
 }
 
+// TestChurnJoinAllocs pins what one churn death and its replacement join
+// cost, the self-lookup drained, on a warmed loop shaped like the faulty-120
+// benchmark workload: churn on, so every spawn arms a death timer; Retry 3,
+// so every node seeds a retry-jitter stream; burst faults, so every spawn
+// registers with the crash manager. What a join may buy is its node, its
+// protocol host and its fabric endpoint. The lifetimes are long enough that
+// the deaths here are the test's own.
+func TestChurnJoinAllocs(t *testing.T) {
+	net, err := NewNetwork(NetworkConfig{
+		Nodes: 120, MaliciousRate: 0.1, Attack: AttackDrop, HonestEndpoints: true,
+		MeanLifetime: 1000 * time.Hour, Replace: true, Replicas: 1, Repair: true,
+		Fault: FaultBurst, FaultSeverity: 0.5, Retry: 3, Seed: 2017,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	churn := func() {
+		idx := 3 + i%(len(net.nodes)-3) // slots 0–2 never churn
+		i++
+		net.die(&net.shards[0], idx)
+		net.RunFor(5 * time.Second)
+	}
+	for range net.nodes {
+		churn() // every slot replaced once: the loop's lists are warm
+	}
+	const maxJoinAllocs = 3
+	if allocs := testing.AllocsPerRun(100, churn); allocs > maxJoinAllocs {
+		t.Fatalf("a churn death and its join allocate %.0f times, want at most %d", allocs, maxJoinAllocs)
+	}
+}
+
 // TestRouteAuditSkipsClosedNodes: without Replace the nodes churn kills stay
 // in the population, closed. RouteAudit scans only the open nodes' tables,
 // and an entry for a dead node is poisoned, however live its binding was.
