@@ -2,8 +2,9 @@ package onion
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
+
+	"selfemerge/internal/testutil"
 )
 
 // FuzzDecodeLayer feeds decodeLayer arbitrary plaintext: what a holder
@@ -26,18 +27,7 @@ func FuzzDecodeLayer(f *testing.F) {
 		f.Add(plain)
 	}
 	f.Fuzz(func(t *testing.T, plain []byte) {
-		// The heap counters are process-wide and the fuzzing engine allocates
-		// beside the target, so the bound holds for the mean of many decodes.
-		const decodes = 64
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range decodes {
-			_, _ = decodeLayer(plain)
-		}
-		runtime.ReadMemStats(&after)
-		if grew := (after.TotalAlloc - before.TotalAlloc) / decodes; grew > 8*uint64(len(plain))+256 {
-			t.Fatalf("decoding %d bytes allocated %d", len(plain), grew)
-		}
+		testutil.BoundDecodeAllocs(t, plain, func() { _, _ = decodeLayer(plain) })
 		l, err := decodeLayer(plain)
 		if err != nil {
 			return

@@ -2,10 +2,10 @@ package dht
 
 import (
 	"bytes"
-	"runtime"
 	"slices"
 	"testing"
 
+	"selfemerge/internal/testutil"
 	"selfemerge/internal/transport"
 )
 
@@ -43,7 +43,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(append(app[:3:3], append([]byte{8}, app[4:]...)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		boundDecodeAllocs(t, data, func() { _, _ = DecodeMessage(data) })
+		testutil.BoundDecodeAllocs(t, data, func() { _, _ = DecodeMessage(data) })
 		msg, err := DecodeMessage(data)
 		if err != nil {
 			return
@@ -101,7 +101,7 @@ func FuzzMessageContactsView(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rx Message
-		boundDecodeAllocs(t, data, func() { _, _ = decodeMessageInto(&rx, data) })
+		testutil.BoundDecodeAllocs(t, data, func() { _, _ = decodeMessageInto(&rx, data) })
 		if _, err := decodeMessageInto(&rx, stale); err != nil || rx.contacts.n != 3 {
 			t.Fatalf("stale decode: n=%d err=%v", rx.contacts.n, err)
 		}
@@ -146,25 +146,6 @@ func FuzzMessageContactsView(f *testing.F) {
 			t.Fatalf("DecodeMessageInto over a scratch: view kept=%v contacts=%v want %v", rx.contacts.region != nil, rx.Contacts, msg.Contacts)
 		}
 	})
-}
-
-// boundDecodeAllocs fails t if one decode of data allocates more than
-// 8·len(data)+256 bytes: a length or count field that sizes an allocation
-// before the bytes behind it are checked lets a small datagram buy a large
-// heap. The heap counters are process-wide and the fuzzing engine allocates
-// beside the target, so the bound holds for the mean of many decodes.
-func boundDecodeAllocs(t *testing.T, data []byte, decode func()) {
-	t.Helper()
-	const decodes = 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range decodes {
-		decode()
-	}
-	runtime.ReadMemStats(&after)
-	if grew := (after.TotalAlloc - before.TotalAlloc) / decodes; grew > 8*uint64(len(data))+256 {
-		t.Fatalf("decoding %d bytes allocated %d", len(data), grew)
-	}
 }
 
 // FuzzTableClosest checks the closed-form bucket walk against the model's

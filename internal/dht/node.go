@@ -89,11 +89,9 @@ type Node struct {
 	cfg   Config
 	table *Table
 
-	// appSeen dedups acked app payloads by (sender, RPCID): a retrying or
-	// fault-duplicated sender may deliver one payload several times. It is
-	// nil until the first acked app message arrives, so fire-and-forget
-	// traffic pays nothing.
-	appSeen map[appKey]struct{}
+	// incarnation tells this node's marks in the loop's acked-delivery dedup
+	// index (Scratch.appSeen) from those of an earlier node with its ID.
+	incarnation uint32
 
 	// retryRng draws the backoff jitter; seeded only if cfg.Retry is enabled.
 	retryRng stats.RNG
@@ -112,17 +110,6 @@ type Node struct {
 	resilience Resilience
 	closed     bool
 }
-
-// appKey identifies one acked app delivery for receiver-side dedup.
-type appKey struct {
-	from ID
-	rpc  uint64
-}
-
-// maxAppSeen bounds the dedup table; at the bound it is cleared wholesale
-// (dedup degrades to best-effort rather than the table growing without
-// limit).
-const maxAppSeen = 1 << 15
 
 // pendingRPC is one in-flight request: a record recycled through the node's
 // Scratch and armed as the timeout event's argument, so the per-RPC cost is
@@ -223,7 +210,8 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, errors.New("dht: config requires a non-zero ID")
 	}
 	cfg = cfg.withDefaults()
-	n := &Node{cfg: cfg}
+	cfg.Scratch.incarnations++
+	n := &Node{cfg: cfg, incarnation: cfg.Scratch.incarnations}
 	n.pending = n.inline[:0]
 	// The table of a node that closed on this loop, when there is one.
 	n.table = cfg.Scratch.tables.Get()
@@ -365,16 +353,7 @@ func (n *Node) Receive(from transport.Addr, data []byte) {
 			// acknowledge — the sender may have missed an earlier ack — and
 			// suppress repeats of the same (sender, RPCID), whether re-sent
 			// or fault-duplicated in flight.
-			key := appKey{from: msg.From.ID, rpc: msg.RPCID}
-			_, dup := n.appSeen[key]
-			if !dup {
-				if n.appSeen == nil {
-					n.appSeen = make(map[appKey]struct{}, 64)
-				} else if len(n.appSeen) >= maxAppSeen {
-					clear(n.appSeen)
-				}
-				n.appSeen[key] = struct{}{}
-			}
+			dup := s.appSeen.mark(appKey{rpc: msg.RPCID, from: msg.From.ID, node: n.incarnation})
 			n.reply(msg.From, Message{Kind: KindAppAck, RPCID: msg.RPCID})
 			if dup {
 				n.resilience.Duplicates++

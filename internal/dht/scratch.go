@@ -11,9 +11,10 @@ import (
 // that outlives any single node: the receive-path decode Message, the address
 // book its nodes' routing tables and lookups refer to, and the freelists of
 // lookup states, lookup query records, owner-walk records, in-flight RPC
-// records, byte buffers and the routing tables of closed nodes. None of it is
-// observable: sharing changes who pays for the memory, never a wire byte or an
-// event.
+// records, byte buffers and the routing tables of closed nodes, and the
+// acked-delivery dedup index. None of it is observable: sharing changes who
+// pays for the memory, never a wire byte or an event — short of the dedup
+// index's bound, which a shared index reaches sooner.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -49,21 +50,85 @@ type Scratch struct {
 	// and replacement caches the dead node had just finished growing. A table
 	// here belongs to no node — Close dropped its owner's pointer.
 	tables freelist.List[Table]
+
+	// appSeen dedups the acked app deliveries of every node on the loop.
+	appSeen appSeen
+	// incarnations numbers the nodes built on this scratch (Node.incarnation),
+	// so a replacement that takes its predecessor's ID starts with no marks.
+	incarnations uint32
 }
 
 // Freelist bounds. A burst — every node of a booting network running its
 // bootstrap lookup at once — allocates past them and the surplus is garbage
 // once it drains, instead of staying pinned at the high-water mark. The
-// bounds sit above the steady concurrency of one loop's missions and churn
-// joins, so a warmed loop allocates neither.
+// lookup, walk, query and RPC bounds are about twice the most records one
+// loop's drive has out at once (DESIGN.md, "Memory ownership"), so a warmed
+// loop allocates none of them.
 const (
-	maxFreeLookups = 64
-	maxFreeWalks   = 64  // an owner walk is a lookup
-	maxFreeQueries = 256 // a lookup query is an in-flight RPC
-	maxFreePending = 256
+	maxFreeLookups = 32  // a drive has at most 20 lookups in flight on a loop
+	maxFreeWalks   = 32  // an owner walk is a lookup
+	maxFreeQueries = 128 // a lookup query is an in-flight RPC: at most 60
+	maxFreePending = 128
 	maxFreeBufs    = 256 // a dispatch burst's packets plus the custody of the missions in flight
 	maxFreeTables  = 8   // a churn replacement joins in its predecessor's death event: one waits at a time
 )
+
+// RecordMisses is how many records of each kind a scratch has allocated
+// because its list was empty (freelist.List.Misses).
+type RecordMisses struct {
+	Lookups, Walks, Queries, RPCs uint64
+}
+
+// Misses reports the scratch's RecordMisses.
+func (s *Scratch) Misses() RecordMisses {
+	return RecordMisses{
+		Lookups: s.lookups.Misses(),
+		Walks:   s.walks.Misses(),
+		Queries: s.queries.Misses(),
+		RPCs:    s.rpcs.Misses(),
+	}
+}
+
+// appSeen is a loop's acked-delivery dedup index: the marks of the most
+// recent maxAppSeen deliveries, oldest evicted first. It lives on the loop,
+// not the node, so a node that receives one acked app does not buy a table
+// of its own.
+type appSeen struct {
+	marks map[appKey]struct{}
+	order []appKey // the marks in arrival order, a ring once full
+	next  int      // the oldest mark's index in order once full
+}
+
+// appKey identifies one acked app delivery: the receiving node's
+// incarnation, the sender and the sender's RPCID.
+type appKey struct {
+	rpc  uint64
+	from ID
+	node uint32
+}
+
+// maxAppSeen bounds the dedup index of a loop; at the bound the oldest mark
+// makes way for the new one.
+const maxAppSeen = 1 << 15
+
+// mark records k and reports whether it was already marked.
+func (a *appSeen) mark(k appKey) (dup bool) {
+	if _, ok := a.marks[k]; ok {
+		return true
+	}
+	if a.marks == nil {
+		a.marks = make(map[appKey]struct{})
+	}
+	if len(a.order) < maxAppSeen {
+		a.order = append(a.order, k)
+	} else {
+		delete(a.marks, a.order[a.next])
+		a.order[a.next] = k
+		a.next = (a.next + 1) % maxAppSeen
+	}
+	a.marks[k] = struct{}{}
+	return false
+}
 
 // defaultBookAddrs bounds the address book of a scratch that was not told its
 // population, and of a standalone table: a real socket facing a flood of

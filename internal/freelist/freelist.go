@@ -24,7 +24,8 @@ type List[T any] struct {
 	// pinned at the high-water mark. The zero value keeps nothing.
 	Max int
 
-	free []*T
+	free   []*T
+	misses uint64
 }
 
 // Get pops the most recently freed record, or allocates a zero one. A
@@ -33,6 +34,7 @@ type List[T any] struct {
 func (l *List[T]) Get() *T {
 	k := len(l.free)
 	if k == 0 {
+		l.misses++
 		return new(T)
 	}
 	v := l.free[k-1]
@@ -50,3 +52,7 @@ func (l *List[T]) Put(v *T) {
 
 // Len reports how many free records the list holds.
 func (l *List[T]) Len() int { return len(l.free) }
+
+// Misses reports how many Gets found the list empty and allocated: a loop
+// whose lists cover its working set stops adding to it once warm.
+func (l *List[T]) Misses() uint64 { return l.misses }

@@ -73,3 +73,21 @@ func TestListBound(t *testing.T) {
 		t.Error("zero-value list kept a record")
 	}
 }
+
+// TestListMisses: only a Get that finds the list empty counts, and the
+// count is the allocations the list made.
+func TestListMisses(t *testing.T) {
+	l := List[rec]{Max: 2}
+	a, b := l.Get(), l.Get()
+	l.Put(a)
+	l.Put(b)
+	l.Get()
+	l.Get()
+	if l.Misses() != 2 {
+		t.Fatalf("Misses = %d after two misses and two reuses, want 2", l.Misses())
+	}
+	l.Get()
+	if l.Misses() != 3 {
+		t.Fatalf("Misses = %d after a Get on an empty list, want 3", l.Misses())
+	}
+}

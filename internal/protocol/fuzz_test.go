@@ -2,6 +2,7 @@ package protocol_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
 	"selfemerge/internal/sim"
+	"selfemerge/internal/testutil"
 	"selfemerge/internal/transport"
 )
 
@@ -94,7 +96,8 @@ func FuzzNodeDatagram(f *testing.F) {
 }
 
 // FuzzDecodePacket asserts the wire codec's invariants on arbitrary input:
-// decoding never panics, anything that decodes re-encodes to a canonical form
+// decoding never panics nor allocates more than a few bytes per input byte
+// (testutil.BoundDecodeAllocs), anything that decodes re-encodes to a canonical form
 // that survives another decode/encode cycle byte-for-byte, and an encode
 // appended after a non-empty prefix (a recycled send buffer in use) leaves
 // the prefix intact.
@@ -115,8 +118,13 @@ func FuzzDecodePacket(f *testing.F) {
 	}
 	f.Add(valid.AppendEncode(nil))
 	f.Add(protocol.Packet{Kind: protocol.PkSecret, Data: []byte("s")}.AppendEncode(nil))
+	// The valid packet claiming 16 MiB of data behind its length field.
+	claims := valid.AppendEncode(nil)
+	binary.BigEndian.PutUint32(claims[len(claims)-len(valid.Data)-4:], 1<<24)
+	f.Add(claims)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		testutil.BoundDecodeAllocs(t, data, func() { _, _ = protocol.DecodePacket(data) })
 		pkt, err := protocol.DecodePacket(data)
 		if err != nil {
 			return
@@ -145,7 +153,8 @@ func FuzzDecodePacket(f *testing.F) {
 }
 
 // FuzzParseShareBlob asserts the share-blob codecs never panic on arbitrary
-// payloads and that whatever parses is consistent: ParseShare round-trips
+// payloads nor allocate more than a few bytes per input byte, and that
+// whatever parses is consistent: ParseShare round-trips
 // through the blob encoding; ParseShareTag only accepts the two tags with
 // their minimum sizes, returns a view of its input and re-encodes to it; and
 // every share tags and untags to itself at column scope and at slots 0 and
@@ -159,6 +168,10 @@ func FuzzParseShareBlob(f *testing.F) {
 	f.Add([]byte{0x51, 0xFF, 0xFF, 0x05}) // slot tag one byte short
 	f.Add([]byte{0xC0, 0x05})             // column tag one byte short
 	f.Fuzz(func(t *testing.T, blob []byte) {
+		testutil.BoundDecodeAllocs(t, blob, func() {
+			_, _, _ = protocol.ParseShare(blob)
+			_, _, _ = protocol.ParseShareTag(blob)
+		})
 		if x, data, err := protocol.ParseShare(blob); err == nil {
 			if len(blob) < 2 {
 				t.Fatalf("ParseShare accepted %d bytes", len(blob))

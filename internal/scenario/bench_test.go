@@ -64,32 +64,45 @@ func benchMissions(b *testing.B, cfg scenario.Config) {
 	b.ReportMetric(float64(sent)/float64(b.N), "datagrams/op")
 }
 
-// BenchmarkBootHeap measures what a booted node keeps resident: the boot-2k
-// shape of the benchmark ledger (2000 loss-free nodes, no churn, no
-// adversary) is booted once per op, and live_B/node is the heap in use after
-// a forced collection, after Setup less before it, per node. It is a count —
-// the same on every runner for one toolchain — so CI gates it like allocs/op
-// (BENCH_scenario.json), and a routing entry or table struct that grows back
-// fails on it.
+// BenchmarkBootHeap measures what a booted node keeps resident, and
+// live_B/node is the heap in use after a forced collection, after Setup less
+// before it, per node. It is a count — the same on every runner for one
+// toolchain — so CI gates it like allocs/op (BENCH_scenario.json). Two arms,
+// shapes of the benchmark ledger booted once per op:
+//
+//   - boot-2k: 2000 loss-free nodes, no churn, no adversary. Each node's
+//     routing-table array is most of it, so a routing entry or table struct
+//     that grows back fails on it.
+//   - steady-120: the 120-node churn and Sybil point. The boot storm has
+//     every node's bootstrap lookup in flight at once, and the records it
+//     leaves on the loop's lists are what a list bound keeps: one sized for
+//     the storm instead of the drive pins them, and fails on it.
 func BenchmarkBootHeap(b *testing.B) {
-	cfg := benchCfg(20, 1)
-	cfg.Nodes, cfg.Alpha, cfg.MaliciousRate = 2000, 0, 0
-	var ms runtime.MemStats
-	live := uint64(0)
-	for i := 0; i < b.N; i++ {
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		before := ms.HeapAlloc
-		_, net, err := scenario.Setup(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		live += ms.HeapAlloc - before
-		runtime.KeepAlive(net)
+	boot2k := benchCfg(20, 1)
+	boot2k.Nodes, boot2k.Alpha, boot2k.MaliciousRate = 2000, 0, 0
+	for _, arm := range []struct {
+		name string
+		cfg  scenario.Config
+	}{{"boot-2k", boot2k}, {"steady-120", benchCfg(30, 1)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var ms runtime.MemStats
+			live := uint64(0)
+			for i := 0; i < b.N; i++ {
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				before := ms.HeapAlloc
+				_, net, err := scenario.Setup(arm.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				live += ms.HeapAlloc - before
+				runtime.KeepAlive(net)
+			}
+			b.ReportMetric(float64(live)/float64(b.N)/float64(arm.cfg.Nodes), "live_B/node")
+		})
 	}
-	b.ReportMetric(float64(live)/float64(b.N)/float64(cfg.Nodes), "live_B/node")
 }
 
 // BenchmarkScenarioMissionsParallel is the sharded counterpart: the same

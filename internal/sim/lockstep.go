@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -80,6 +79,16 @@ type Lockstep struct {
 
 	nexts  []int64 // per-sim earliest pending event, scratch
 	bounds []int64 // per-sim epoch bound, scratch
+
+	// The helpers that run members beside the driving goroutine in a
+	// parallel epoch start at the first such epoch of a RunUntil and stop
+	// when it returns, so an epoch only hands out member indices: cursor is
+	// the next one. wake carries true to run an epoch and false to stop; a
+	// helper reports an epoch's end on done.
+	cursor  atomic.Int64 //lint:allow loopowned the driving goroutine and the helpers each claim the next member to run
+	wake    chan bool
+	done    chan struct{}
+	helpers int
 
 	epochs    uint64
 	idleSkips uint64
@@ -177,6 +186,9 @@ func (l *Lockstep) RunUntil(deadline time.Time) {
 		}
 		l.runEpoch(active)
 	}
+	for ; l.helpers > 0; l.helpers-- {
+		l.wake <- false
+	}
 	// No runnable event at or before the deadline remains anywhere (and the
 	// probe above ran after a final Exchange); align every clock and flush
 	// any output parked at the deadline itself.
@@ -214,26 +226,41 @@ func (l *Lockstep) runEpoch(active int) {
 		}
 		return
 	}
-	var cursor atomic.Int64 //lint:allow loopowned the epoch's worker goroutines each claim the next member to run
-	run := func() {
-		for {
-			i := int(cursor.Add(1)) - 1
-			if i >= len(l.Sims) {
-				return
-			}
-			if l.nexts[i] <= l.bounds[i] {
-				l.Sims[i].RunUntil(time.Unix(0, l.bounds[i]))
-			}
+	if l.wake == nil {
+		l.wake, l.done = make(chan bool), make(chan struct{})
+	}
+	for ; l.helpers < workers-1; l.helpers++ {
+		go l.help()
+	}
+	l.cursor.Store(0)
+	for w := 1; w < workers; w++ {
+		l.wake <- true
+	}
+	l.runMembers()
+	for w := 1; w < workers; w++ {
+		<-l.done
+	}
+}
+
+// help runs the members of each parallel epoch it is woken for, until it is
+// told to stop.
+func (l *Lockstep) help() {
+	for <-l.wake {
+		l.runMembers()
+		l.done <- struct{}{}
+	}
+}
+
+// runMembers claims members off the epoch's cursor until none is left and
+// runs each with work in its window up to its bound.
+func (l *Lockstep) runMembers() {
+	for {
+		i := int(l.cursor.Add(1)) - 1
+		if i >= len(l.Sims) {
+			return
+		}
+		if l.nexts[i] <= l.bounds[i] {
+			l.Sims[i].RunUntil(time.Unix(0, l.bounds[i]))
 		}
 	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			run()
-		}()
-	}
-	run()
-	wg.Wait()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -138,5 +139,50 @@ func TestLockstepDeadlineExclusive(t *testing.T) {
 	l.RunFor(time.Second)
 	if !past {
 		t.Error("event did not run after the deadline advanced past it")
+	}
+}
+
+// ticker re-arms itself every millisecond on its simulator.
+type ticker struct {
+	sim   *Simulator
+	ticks int
+}
+
+func tick(v any) {
+	tk := v.(*ticker)
+	tk.ticks++
+	tk.sim.ScheduleArg(time.Millisecond, tick, tk)
+}
+
+// TestParallelEpochsAllocateNothing: with both members busy in every epoch
+// and two workers, a RunUntil over hundreds of parallel epochs allocates no
+// more than one over a few. Its helpers live for the RunUntil, and an
+// epoch only hands out member indices.
+func TestParallelEpochsAllocateNothing(t *testing.T) {
+	sims := []*Simulator{NewSimulator(), NewSimulator()}
+	tickers := []*ticker{{sim: sims[0]}, {sim: sims[1]}}
+	for _, tk := range tickers {
+		tk.sim.ScheduleArg(time.Millisecond, tick, tk)
+	}
+	l := &Lockstep{Sims: sims, Lookahead: time.Millisecond, Workers: 2}
+	mallocs := func(d time.Duration) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l.RunFor(d)
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	mallocs(10 * time.Millisecond) // the channels, and the event records' first lives
+	short := mallocs(5 * time.Millisecond)
+	epochs := l.Epochs()
+	long := mallocs(time.Second)
+	if epochs = l.Epochs() - epochs; epochs < 400 || l.IdleSkips() != 0 {
+		t.Fatalf("%d epochs, %d idle in total: want hundreds, every one parallel", epochs, l.IdleSkips())
+	}
+	if long > short+8 {
+		t.Fatalf("a RunUntil over %d parallel epochs allocated %d times, one over a few allocated %d", epochs, long, short)
+	}
+	if tickers[0].ticks != tickers[1].ticks {
+		t.Fatalf("members ticked %d and %d times", tickers[0].ticks, tickers[1].ticks)
 	}
 }

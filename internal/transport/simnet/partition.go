@@ -136,6 +136,16 @@ func (p *Partition) MergeAllocs() uint64 {
 	return n
 }
 
+// DeliveryMisses sums the shard sub-networks' Network.DeliveryMisses. Call
+// it from the driving goroutine, like Flush.
+func (p *Partition) DeliveryMisses() uint64 {
+	var n uint64
+	for _, sub := range p.subs {
+		n += sub.DeliveryMisses()
+	}
+	return n
+}
+
 // Endpoint attaches (or, for a churn replacement, re-attaches) an endpoint
 // with the given address on its owning shard. The first attachment
 // registers the ownership; it is frozen from then on — re-attaching under a
@@ -269,6 +279,12 @@ func (p *Partition) Flush() {
 			panic(fmt.Sprintf("simnet: cross-shard record for shard %d timestamped %dns before its clock; lookahead/epoch-bound violation", dst.shard, now-h.at))
 		}
 		h.d.slot = dst.slotFor(h.d.to) // the record's one lookup on this side
+		// The record left its source's list and goes back to dst's once
+		// delivered: hand the source one of dst's free records now, so a
+		// lopsided cross-shard flow drains no shard's list into another's.
+		if dst.deliveries.Len() > 0 {
+			p.subs[h.src].deliveries.Put(dst.deliveries.Get())
+		}
 		dst.clock.ScheduleArg(time.Duration(h.at-now), deliver, h.d)
 	}
 	for i := range p.outboxes {

@@ -78,8 +78,8 @@ type Network struct {
 
 	// Delivery records recycle per network, so their payload buffers survive
 	// garbage collections; a cross-shard record is taken from the sending
-	// shard's list and returned to the receiving one's, which balances out
-	// for the roughly symmetric traffic of a DHT.
+	// shard's list and returned to the receiving one's, and Partition.Flush
+	// hands the sender a record of the receiver's in its place.
 	deliveries freelist.List[delivery]
 
 	rng *stats.RNG // jitter draws, in send order
@@ -103,9 +103,14 @@ func New(clock sim.Clock, cfg Config) *Network {
 
 // maxFreeDeliveries bounds the records the fabric keeps once the boot burst
 // drains: boot has every self-lookup in flight at once, each record's buffer
-// grown to FIND_NODE-reply size, and no workload's drive keeps 256 in flight,
-// so the surplus is garbage instead of pinned for the run.
-const maxFreeDeliveries = 256
+// grown to FIND_NODE-reply size, while a drive keeps at most 84 in flight on
+// one loop, so the bound is about twice that and the boot's surplus is
+// garbage instead of pinned for the run.
+const maxFreeDeliveries = 128
+
+// DeliveryMisses reports how many delivery records the network has allocated
+// because its list was empty (freelist.List.Misses).
+func (n *Network) DeliveryMisses() uint64 { return n.deliveries.Misses() }
 
 // nodeSlot is the fabric's per-address state: the attached endpoint, the
 // transient-down flag, and (in partition mode) the lazily cached owning shard

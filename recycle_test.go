@@ -1,0 +1,106 @@
+package selfemerge
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"selfemerge/internal/core"
+	"selfemerge/internal/protocol"
+)
+
+// loopMisses is what one event loop's recycled-record lists have allocated
+// because they were empty: events, lookups, owner walks, lookup queries and
+// RPCs. The fabric's delivery records are counted across loops: a
+// cross-shard record leaves one loop's list and returns to another's.
+type loopMisses struct {
+	events, lookups, walks, queries, rpcs uint64
+}
+
+func (n *Network) recordMisses() (loops []loopMisses, deliveries uint64) {
+	for _, sh := range n.shards {
+		m := sh.scratch.Misses()
+		loops = append(loops, loopMisses{sh.sim.EventMisses(), m.Lookups, m.Walks, m.Queries, m.RPCs})
+	}
+	return loops, n.fabric.DeliveryMisses()
+}
+
+// driveMissions sends missions of the plan staggered evenly over one
+// emerging period, as scenario.Drive does, and runs until the last has
+// released and its traffic has settled. round keeps the mission IDs of
+// successive calls apart.
+func driveMissions(t *testing.T, net *Network, plan core.Plan, missions, round int) {
+	t.Helper()
+	const emerging = 2 * time.Hour
+	var last *Message
+	for i := range missions {
+		id := protocol.MissionID{byte(round), byte(i), byte(i >> 8), 0x5e}
+		msg, err := net.Send([]byte(fmt.Sprintf("mission-%d", i)), emerging, WithPlan(plan), WithMissionID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = msg
+		if i < missions-1 {
+			net.RunFor(emerging / time.Duration(missions))
+		}
+	}
+	net.RunUntil(last.Release().Add(time.Minute))
+	net.Settle()
+}
+
+// TestDriveAllocatesNoRecord guards the recycled-record bounds from below:
+// a drive of the benchmark's steady-120, share-120 and lockstep-600 shapes,
+// and of the default 200-node key-share point, takes every event, delivery,
+// lookup, query and RPC record it needs from its loop's lists, which the
+// boot burst filled. So does a later drive for owner walks too, once a drive
+// at twice the mission rate has warmed their list (boot walks to no owner).
+// A bound set under what a drive takes from a list at once makes that list
+// allocate here. The byte-buffer list is not checked: it holds the custody
+// clones of the missions in flight for as long as they fly, so what it needs
+// follows the mission count, not the drive's lookups.
+func TestDriveAllocatesNoRecord(t *testing.T) {
+	joint := core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}
+	share := core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 2, ShareN: 4, ShareM: []int{2}}
+	for _, tc := range []struct {
+		name             string
+		nodes, partition int
+		missions         int
+		plan             core.Plan
+	}{
+		{"steady-120", 120, 1, 30, joint},
+		{"share-120", 120, 1, 30, share},
+		{"lockstep-600", 600, 2, 20, joint},
+		{"share-200", 200, 1, 100, share},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, err := NewNetwork(NetworkConfig{
+				Nodes: tc.nodes, MaliciousRate: 0.1, Attack: AttackDrop, HonestEndpoints: true,
+				MeanLifetime: 2 * time.Hour, Replace: true, Replicas: 1, Repair: true,
+				Partition: tc.partition, Seed: 2017,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(drive string, round int, walks bool) {
+				t.Helper()
+				before, beforeDeliveries := net.recordMisses()
+				driveMissions(t, net, tc.plan, tc.missions, round)
+				after, deliveries := net.recordMisses()
+				for i := range after {
+					if !walks {
+						after[i].walks = before[i].walks
+					}
+					if after[i] != before[i] {
+						t.Errorf("loop %d allocated records in the %s drive: misses %+v before it, %+v after", i, drive, before[i], after[i])
+					}
+				}
+				if deliveries != beforeDeliveries {
+					t.Errorf("the fabric allocated %d delivery records in the %s drive", deliveries-beforeDeliveries, drive)
+				}
+			}
+			check("first", 1, false)
+			driveMissions(t, net, tc.plan, 2*tc.missions, 2)
+			check("warm", 3, true)
+		})
+	}
+}
