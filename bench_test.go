@@ -351,11 +351,12 @@ func BenchmarkMissionBulk(b *testing.B) {
 // 120-node loop: the dying node closes, a replacement takes over its
 // identifier, address and routing table, and its bootstrap self-lookup runs
 // to the end. Every slot is replaced once before the timer starts, so the
-// loop's lists are warm and allocs/op is a join's fixed cost: three records,
-// the node (its pending RPCs held inline), its host and the fabric endpoint,
-// bound to each other without closures. It is a count, so CI gates it
-// (BENCH_scenario.json): a table, map or closure that a join buys again
-// fails there.
+// loop's lists are warm and allocs/op is a join's fixed cost: one record, the
+// protocol host with its node (pending RPCs held inline) inside, bound
+// without closures to the fabric endpoint its predecessor's death left closed.
+// It is a count, so CI gates it (BENCH_scenario.json): a table, map, closure
+// or endpoint that a join buys again fails there, and B/op fails a host that
+// outgrows its size class.
 func BenchmarkChurnJoin(b *testing.B) {
 	net, err := NewNetwork(NetworkConfig{Nodes: 120, Replace: true, Seed: 11})
 	if err != nil {

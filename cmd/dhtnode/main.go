@@ -107,20 +107,18 @@ func start(listen string) (*peer, error) {
 	}
 	p := &peer{loop: loop}
 	// Built on the loop: the socket is live, and a datagram may reach the
-	// node the moment it exists, before its host is attached from here.
+	// node the moment it exists.
 	err, ok := await(loop, opTimeout, func(report func(error)) {
-		host := protocol.NewHost(protocol.HostConfig{
+		host, err := protocol.NewHost(protocol.HostConfig{
 			Clock: loop.Clock(),
 			OnSecret: func(m protocol.MissionID, secret []byte) {
 				if p.onSecret != nil {
 					p.onSecret(m, secret)
 				}
 			},
-		})
-		node, err := dht.NewNode(dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock(), OnApp: host})
+		}, dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock()})
 		if err == nil {
-			host.Attach(node)
-			p.node = node
+			p.node = host.Node()
 		}
 		report(err)
 	})

@@ -226,17 +226,16 @@ func TestHolderAndAdversaryRecoverSameKeys(t *testing.T) {
 	fabric := simnet.New(clock, simnet.Config{Seed: 1})
 	feed := &tee{c: NewCollector(), onions: make(map[protocol.Ref][]byte)}
 	var emerged []byte
-	host := protocol.NewHost(protocol.HostConfig{
+	host, err := protocol.NewHost(protocol.HostConfig{
 		Clock: clock, Malicious: true, Reporter: feed, Replicas: 2,
 		OnSecret: func(_ protocol.MissionID, secret []byte) { emerged = append([]byte(nil), secret...) },
-	})
-	node, err := dht.NewNode(dht.Config{
-		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host,
+	}, dht.Config{
+		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	host.Attach(node)
+	node := host.Node()
 	// An isolated node sends nothing; the peer only makes owner lookups succeed.
 	peer, err := dht.NewNode(dht.Config{ID: dht.IDFromKey([]byte("peer")), Endpoint: fabric.Endpoint("peer"), Clock: clock})
 	if err != nil {

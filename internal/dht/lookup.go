@@ -149,7 +149,8 @@ func insertRanked(list []Contact, key ID, c Contact) []Contact {
 // deliverLocal hands an application payload to the local node's own OnApp,
 // asynchronously, as if it had arrived over the wire. The payload travels
 // through a recycled buffer reclaimed after the handler returns, matching the
-// transport delivery contract.
+// transport delivery contract, and the event's argument is a recycled
+// localDelivery, so the hand-off allocates nothing on a warm loop.
 func (n *Node) deliverLocal(payload []byte) error {
 	if n.closed {
 		return ErrClosed
@@ -157,15 +158,31 @@ func (n *Node) deliverLocal(payload []byte) error {
 	if n.cfg.OnApp == nil {
 		return nil
 	}
-	bufs := &n.cfg.Scratch.bufs
-	buf := bufs.Get()
+	buf := n.cfg.Scratch.bufs.Get()
 	*buf = append((*buf)[:0], payload...)
-	self := n.Contact()
-	n.cfg.Clock.Schedule(0, func() {
-		n.cfg.OnApp.HandleApp(self, *buf)
-		bufs.Put(buf)
-	})
+	d := n.cfg.Scratch.locals.Get()
+	d.node, d.buf = n, buf
+	n.cfg.Clock.ScheduleArg(0, localDue, d)
 	return nil
+}
+
+// localDelivery is one payload on its way to its own node's OnApp: the
+// argument of a deliverLocal event.
+type localDelivery struct {
+	node *Node
+	buf  *[]byte
+}
+
+// localDue is a deliverLocal event. The record goes back to the loop before
+// the handler runs, which may deliver locally again; the buffer after it.
+func localDue(v any) {
+	d := v.(*localDelivery)
+	n, buf := d.node, d.buf
+	d.node, d.buf = nil, nil
+	s := n.cfg.Scratch
+	s.locals.Put(d)
+	n.cfg.OnApp.HandleApp(n.Contact(), *buf)
+	s.bufs.Put(buf)
 }
 
 // ErrLookupFailed is reported when a lookup yields no contacts at all.

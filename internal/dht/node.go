@@ -185,7 +185,7 @@ func rpcTimedOut(v any) {
 		p.attempt++
 		n.resilience.Retries++
 		p.timer = n.cfg.Clock.AfterFuncArg(rpcTimeout, rpcTimedOut, p)
-		_ = n.cfg.Endpoint.Send(p.addr, p.wire)
+		_ = n.send(p.addr, p.wire)
 		return
 	}
 	i, _ := n.pendingAt(p.id)
@@ -200,18 +200,32 @@ func rpcTimedOut(v any) {
 // NewNode creates a node and installs its transport handler. The node is
 // immediately live; call Bootstrap to join an existing network.
 func NewNode(cfg Config) (*Node, error) {
+	n := new(Node)
+	if err := n.Init(cfg); err != nil {
+		return nil, err
+	}
+	return n, nil
+}
+
+// Init is NewNode for a node held inside a larger record: protocol.Host
+// keeps its node by value, so a churn join is one allocation. n must be a
+// zero Node; Init panics on one already built. A failed Init leaves n zero.
+func (n *Node) Init(cfg Config) error {
+	if n.cfg.Endpoint != nil {
+		panic("dht: Init on a node already built")
+	}
 	if cfg.Endpoint == nil {
-		return nil, errors.New("dht: config requires an endpoint")
+		return errors.New("dht: config requires an endpoint")
 	}
 	if cfg.Clock == nil {
-		return nil, errors.New("dht: config requires a clock")
+		return errors.New("dht: config requires a clock")
 	}
 	if cfg.ID.IsZero() {
-		return nil, errors.New("dht: config requires a non-zero ID")
+		return errors.New("dht: config requires a non-zero ID")
 	}
 	cfg = cfg.withDefaults()
 	cfg.Scratch.incarnations++
-	n := &Node{cfg: cfg, incarnation: cfg.Scratch.incarnations}
+	n.cfg, n.incarnation = cfg, cfg.Scratch.incarnations
 	n.pending = n.inline[:0]
 	// The table of a node that closed on this loop, when there is one.
 	n.table = cfg.Scratch.tables.Get()
@@ -239,7 +253,7 @@ func NewNode(cfg Config) (*Node, error) {
 	} else {
 		cfg.Endpoint.SetHandler(n.Receive)
 	}
-	return n, nil
+	return nil
 }
 
 // ID returns the node identifier.
@@ -282,7 +296,7 @@ func (n *Node) Close() error {
 	// From here the node holds no pointer to its table: Table gives a closed
 	// node an empty one per call, and the one callback that captured the old
 	// table, an outstanding ping-evict probe, checks that its node is open
-	// first (NewNode). The pinger goes now, not at the next wipe: it closes
+	// first (Init). The pinger goes now, not at the next wipe: it closes
 	// over this node, which a waiting table would otherwise keep alive.
 	n.table.SetPinger(nil)
 	n.cfg.Scratch.tables.Put(n.table)
@@ -375,9 +389,20 @@ func (n *Node) Bufs() *freelist.List[[]byte] { return &n.cfg.Scratch.bufs }
 // place a wire buffer ends its life: transport.Endpoint.Send does not retain
 // its payload, so the buffer is reusable the moment the send returns.
 func (n *Node) sendBuf(to transport.Addr, buf *[]byte) error {
-	err := n.cfg.Endpoint.Send(to, *buf)
+	err := n.send(to, *buf)
 	n.cfg.Scratch.bufs.Put(buf)
 	return err
+}
+
+// send is the one place a datagram leaves a node, and a closed node sends
+// nothing: its endpoint may since have been re-opened for its replacement
+// (simnet re-opens a closed endpoint in place), so a send from the dead node
+// would go out under the replacement's name.
+func (n *Node) send(to transport.Addr, data []byte) error {
+	if n.closed {
+		return ErrClosed
+	}
+	return n.cfg.Endpoint.Send(to, data)
 }
 
 // encode returns m's wire form, stamped with this node as the sender, in a
@@ -411,11 +436,12 @@ func (n *Node) reply(to Contact, m Message) {
 
 // replyClosest answers a FIND_NODE with the K contacts nearest target,
 // written from the routing table straight into a wire buffer
-// (appendClosestReply).
+// (appendClosestReply). A closed node's table is an empty one (Table), and
+// sendBuf refuses its reply.
 func (n *Node) replyClosest(to transport.Addr, rpcID uint64, target ID) {
 	buf := n.cfg.Scratch.bufs.Get()
 	from := n.Contact()
-	*buf = appendClosestReply((*buf)[:0], rpcID, &from, n.table, target)
+	*buf = appendClosestReply((*buf)[:0], rpcID, &from, n.Table(), target)
 	_ = n.sendBuf(to, buf)
 }
 

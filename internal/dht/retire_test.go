@@ -268,3 +268,86 @@ func visibleState(table *Table) string {
 	}
 	return strings.Join(out, "")
 }
+
+// TestClosedNodeSendsNothing: a replacement re-opens its predecessor's
+// endpoint, so the dead node's Endpoint is live again, under the
+// replacement's name. Nothing the dead node is asked to send — the send
+// helpers every datagram goes through, and every public operation — puts a
+// datagram on the wire: the fabric counts no send, so the replacement and
+// its peers receive nothing.
+func TestClosedNodeSendsNothing(t *testing.T) {
+	const n = 6
+	s := sim.NewSimulator()
+	net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 3})
+	scratch := NewScratch(n)
+	rng := stats.NewRNG(33)
+	spawn := func(i int, id ID) *Node {
+		node, err := NewNode(Config{ID: id, Endpoint: net.Endpoint(transport.Addr(fmt.Sprintf("node-%d", i))), Clock: s, Scratch: scratch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return node
+	}
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = spawn(i, RandomID(rng))
+	}
+	seed := []Contact{nodes[0].Contact()}
+	for _, node := range nodes[1:] {
+		node.Bootstrap(seed, nil)
+	}
+	s.RunFor(time.Minute)
+
+	dead := nodes[3]
+	if err := dead.Close(); err != nil {
+		t.Fatal(err)
+	}
+	repl := spawn(3, dead.ID())
+	if repl.cfg.Endpoint != dead.cfg.Endpoint {
+		t.Fatal("the replacement did not re-open its predecessor's endpoint")
+	}
+	repl.Bootstrap(seed, nil)
+	s.RunFor(time.Minute)
+	sentBefore, deliveredBefore, _ := net.Stats()
+
+	self, peer := repl.Contact(), nodes[0].Contact()
+	for _, to := range []Contact{self, peer} {
+		if err := dead.sendMessage(to.Addr, Message{Kind: KindApp, App: []byte("x")}); err != ErrClosed {
+			t.Errorf("sendMessage from a closed node: %v, want ErrClosed", err)
+		}
+		dead.reply(to, Message{Kind: KindPong, RPCID: 1})
+		dead.replyClosest(to.Addr, 2, RandomID(rng))
+		dead.Ping(to, func(error) {})
+		if err := dead.SendApp(to, []byte("x")); err != ErrClosed {
+			t.Errorf("SendApp from a closed node: %v, want ErrClosed", err)
+		}
+	}
+	dead.Lookup(RandomID(rng), func([]Contact) {})
+	dead.SendToOwners(repl.ID(), []byte("x"), 2, nil)
+	dead.Bootstrap(seed, nil)
+	s.RunFor(time.Minute)
+
+	if sent, delivered, _ := net.Stats(); sent != sentBefore || delivered != deliveredBefore {
+		t.Errorf("the closed node put %d datagrams on the wire, %d of them delivered", sent-sentBefore, delivered-deliveredBefore)
+	}
+}
+
+// TestInitPanicsOnBuiltNode: Init builds a zero node in place, once.
+func TestInitPanicsOnBuiltNode(t *testing.T) {
+	s := sim.NewSimulator()
+	net := simnet.New(s, simnet.Config{})
+	var node Node
+	if err := node.Init(Config{Endpoint: net.Endpoint("a"), Clock: s}); err == nil {
+		t.Fatal("Init accepted a zero ID")
+	}
+	cfg := Config{ID: ID{1}, Endpoint: net.Endpoint("a"), Clock: s}
+	if err := node.Init(cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Init on a built node did not panic")
+		}
+	}()
+	_ = node.Init(cfg)
+}

@@ -11,7 +11,7 @@ import (
 // that outlives any single node: the receive-path decode Message, the address
 // book its nodes' routing tables and lookups refer to, and the freelists of
 // lookup states, lookup query records, owner-walk records, in-flight RPC
-// records, byte buffers and the routing tables of closed nodes, and the
+// records, local-delivery records, byte buffers and the routing tables of closed nodes, and the
 // acked-delivery dedup index. None of it is observable: sharing changes who
 // pays for the memory, never a wire byte or an event — short of the dedup
 // index's bound, which a shared index reaches sooner.
@@ -38,6 +38,7 @@ type Scratch struct {
 	queries freelist.List[lookupQuery]
 	walks   freelist.List[ownerWalk]
 	rpcs    freelist.List[pendingRPC]
+	locals  freelist.List[localDelivery]
 	// bufs is the loop's one byte-buffer list: the wire form of every datagram
 	// a node sends (free again when Endpoint.Send returns), and — through
 	// Node.Bufs — the protocol layer's encoded packets (held until their owner
@@ -45,7 +46,7 @@ type Scratch struct {
 	// The buffers mix freely and each grows to the largest use it has served.
 	bufs freelist.List[[]byte]
 	// tables holds the routing tables of the loop's closed nodes, for the
-	// next NewNode here to take back wiped (Table.wipe): a churn replacement
+	// next node built here to take back wiped (Table.wipe): a churn replacement
 	// joins in its predecessor's death event, so it gets the buckets, arrays
 	// and replacement caches the dead node had just finished growing. A table
 	// here belongs to no node — Close dropped its owner's pointer.
@@ -61,14 +62,15 @@ type Scratch struct {
 // Freelist bounds. A burst — every node of a booting network running its
 // bootstrap lookup at once — allocates past them and the surplus is garbage
 // once it drains, instead of staying pinned at the high-water mark. The
-// lookup, walk, query and RPC bounds are about twice the most records one
-// loop's drive has out at once (DESIGN.md, "Memory ownership"), so a warmed
-// loop allocates none of them.
+// lookup, walk, query, RPC and local-delivery bounds are about twice the
+// most records one loop's drive has out at once (DESIGN.md, "Memory
+// ownership"), so a warmed loop allocates none of them.
 const (
 	maxFreeLookups = 32  // a drive has at most 20 lookups in flight on a loop
 	maxFreeWalks   = 32  // an owner walk is a lookup
 	maxFreeQueries = 128 // a lookup query is an in-flight RPC: at most 60
 	maxFreePending = 128
+	maxFreeLocals  = 32  // a key-share drive has at most 16 local deliveries out on a loop, all due in one instant
 	maxFreeBufs    = 256 // a dispatch burst's packets plus the custody of the missions in flight
 	maxFreeTables  = 8   // a churn replacement joins in its predecessor's death event: one waits at a time
 )
@@ -76,7 +78,7 @@ const (
 // RecordMisses is how many records of each kind a scratch has allocated
 // because its list was empty (freelist.List.Misses).
 type RecordMisses struct {
-	Lookups, Walks, Queries, RPCs uint64
+	Lookups, Walks, Queries, RPCs, Locals uint64
 }
 
 // Misses reports the scratch's RecordMisses.
@@ -86,6 +88,7 @@ func (s *Scratch) Misses() RecordMisses {
 		Walks:   s.walks.Misses(),
 		Queries: s.queries.Misses(),
 		RPCs:    s.rpcs.Misses(),
+		Locals:  s.locals.Misses(),
 	}
 }
 
@@ -147,6 +150,7 @@ func NewScratch(peers int) *Scratch {
 		queries:  freelist.List[lookupQuery]{Max: maxFreeQueries},
 		walks:    freelist.List[ownerWalk]{Max: maxFreeWalks},
 		rpcs:     freelist.List[pendingRPC]{Max: maxFreePending},
+		locals:   freelist.List[localDelivery]{Max: maxFreeLocals},
 		bufs:     freelist.List[[]byte]{Max: maxFreeBufs},
 		tables:   freelist.List[Table]{Max: maxFreeTables},
 	}

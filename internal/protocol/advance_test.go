@@ -26,14 +26,13 @@ func newWatchedHolder(t *testing.T, cfg HostConfig, seen *[]Packet) (*sim.Simula
 	clock := sim.NewSimulator()
 	fabric := simnet.New(clock, simnet.Config{Seed: 1})
 	cfg.Clock = clock
-	host := NewHost(cfg)
-	node, err := dht.NewNode(dht.Config{
-		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, OnApp: host,
+	host, err := NewHost(cfg, dht.Config{
+		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	host.Attach(node)
+	node := host.Node()
 	watcher, err := dht.NewNode(dht.Config{
 		ID: dht.IDFromKey([]byte("watcher")), Endpoint: fabric.Endpoint("watcher"), Clock: clock,
 		OnApp: appFunc(func(_ dht.Contact, payload []byte) {

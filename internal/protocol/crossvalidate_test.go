@@ -35,7 +35,7 @@ func protocolTrial(t *testing.T, seed uint64, nodes int, malicious []bool, plan 
 	cluster := make([]*dht.Node, 0, nodes)
 	for i := 0; i < nodes; i++ {
 		ep := net.Endpoint(transport.Addr(fmt.Sprintf("n%d", i)))
-		host := protocol.NewHost(protocol.HostConfig{
+		host, err := protocol.NewHost(protocol.HostConfig{
 			Clock:     s,
 			Malicious: malicious[i],
 			Drop:      drop && malicious[i],
@@ -48,18 +48,15 @@ func protocolTrial(t *testing.T, seed uint64, nodes int, malicious []bool, plan 
 				}
 				mu.Unlock()
 			},
-		})
-		node, err := dht.NewNode(dht.Config{
+		}, dht.Config{
 			ID:       dht.RandomID(rng),
 			Endpoint: ep,
 			Clock:    s,
-			OnApp:    host,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		host.Attach(node)
-		cluster = append(cluster, node)
+		cluster = append(cluster, host.Node())
 	}
 	boot := []dht.Contact{cluster[0].Contact()}
 	for _, n := range cluster[1:] {

@@ -53,6 +53,9 @@ type testbed struct {
 	deliveredTo map[MissionID]dht.ID
 }
 
+// deliveryLatency is the testbed fabric's one-way delay: it has no jitter.
+const deliveryLatency = 2 * time.Millisecond
+
 // newTestbed boots n nodes; maliciousFrac of them are adversary-controlled
 // (spy mode, or drop mode when drop is set). Optional hooks mutate each
 // node's host configuration before the host is built.
@@ -66,7 +69,7 @@ func newTestbed(t *testing.T, n int, maliciousFrac float64, drop bool, hooks ...
 		secrets:     make(map[MissionID][]byte),
 		deliveredTo: make(map[MissionID]dht.ID),
 	}
-	tb.net = simnet.New(tb.sim, simnet.Config{BaseLatency: 2 * time.Millisecond, Seed: 7})
+	tb.net = simnet.New(tb.sim, simnet.Config{BaseLatency: deliveryLatency, Seed: 7})
 	rng := stats.NewRNG(42)
 	malCount := int(maliciousFrac * float64(n))
 	for i := 0; i < n; i++ {
@@ -105,17 +108,15 @@ func (tb *testbed) spawn(addr transport.Addr, id dht.ID, malicious, drop bool, h
 	for _, hook := range hooks {
 		hook(&cfg)
 	}
-	host := NewHost(cfg)
-	node, err := dht.NewNode(dht.Config{
+	host, err := NewHost(cfg, dht.Config{
 		ID:       id,
 		Endpoint: tb.net.Endpoint(addr),
 		Clock:    tb.sim,
-		OnApp:    host,
 	})
 	if err != nil {
 		tb.t.Fatal(err)
 	}
-	host.Attach(node)
+	node := host.Node()
 	tb.nodes = append(tb.nodes, node)
 	tb.hosts = append(tb.hosts, host)
 	return node, host

@@ -18,10 +18,13 @@ import (
 // FuzzNodeDatagram writes arbitrary bytes to a holder from a stranger's
 // address: the input a real socket exposes to anyone. dht.handle decodes
 // it, and an APP payload goes through OnApp into Host.HandleApp under the
-// forged source. Whatever the bytes, nothing panics. The victim still answers
-// a peer's ping a simulated minute later. And the network drains: nothing the
-// datagram sets off runs later than a minute past the last instant it names
-// (a forged package may ask to be held until then).
+// forged source. Whatever the bytes, nothing panics, and what a delivered
+// copy costs on average is bounded by its length (testutil.BoundDecodeAllocs),
+// so no decoder or handler on the receive path sizes memory from a count the
+// datagram only claims. The victim still answers a peer's ping a simulated
+// minute later. And the network drains: nothing the datagram sets off runs
+// later than a minute past the last instant it names (a forged package may
+// ask to be held until then).
 func FuzzNodeDatagram(f *testing.F) {
 	stranger := dht.Contact{ID: dht.IDFromKey([]byte("stranger")), Addr: "stranger"}
 	wire := func(m dht.Message) []byte {
@@ -37,6 +40,7 @@ func FuzzNodeDatagram(f *testing.F) {
 	f.Add(wire(dht.Message{Kind: dht.KindAppAck, RPCID: 3}))
 	hold := sim.NewSimulator().Now().Add(30 * time.Second).UnixNano() // inside the first simulated minute
 	var central []byte
+	var centralPkt Packet
 	for kind := protocol.PkCentral; kind <= protocol.PkSecret; kind++ {
 		data := bytes.Repeat([]byte{0x5e}, 48) // no key opens it
 		switch kind {
@@ -49,12 +53,29 @@ func FuzzNodeDatagram(f *testing.F) {
 			Step: int64(time.Minute), Target: dht.IDFromKey([]byte("receiver")), Data: data}
 		app := wire(dht.Message{Kind: dht.KindApp, App: pkt.AppendEncode(nil)})
 		if kind == protocol.PkCentral {
-			central = app
+			central, centralPkt = app, pkt
 		}
 		f.Add(app)
 	}
 	f.Add(central[:len(central)/2])                                                          // truncated
 	f.Add(append(bytes.Clone(central), make([]byte, transport.MaxDatagram-len(central))...)) // largest datagram
+	// Lengths and counts that claim far more than the datagram carries: an
+	// app payload of 16 MiB, a package's data of 16 MiB, and a FIND_NODE
+	// response of maxContacts contacts that carries one.
+	claim := func(data []byte, at int, n uint32) []byte {
+		data = bytes.Clone(data)
+		binary.BigEndian.PutUint32(data[at:], n)
+		return data
+	}
+	inner := centralPkt.AppendEncode(nil)
+	f.Add(claim(central, len(central)-len(inner)-4, 1<<24))
+	f.Add(wire(dht.Message{Kind: dht.KindApp, App: claim(inner, len(inner)-len(centralPkt.Data)-4, 1<<24)}))
+	// A response's contact count is the byte before its (here empty) app
+	// payload's four-byte length when it lists nobody.
+	countAt := len(wire(dht.Message{Kind: dht.KindFindNodeResp, RPCID: 4})) - 5
+	claimsContacts := wire(dht.Message{Kind: dht.KindFindNodeResp, RPCID: 4, Contacts: []dht.Contact{stranger}})
+	claimsContacts[countAt] = 64
+	f.Add(claimsContacts)
 	// Holds before the epoch and at the end of time.
 	for _, at := range []int64{math.MinInt64, math.MaxInt64} {
 		pkt := Packet{Kind: protocol.PkCentral, HoldUntil: at, Target: dht.IDFromKey([]byte("receiver")), Data: []byte("s")}
@@ -71,9 +92,16 @@ func FuzzNodeDatagram(f *testing.F) {
 				horizon = max(horizon, p.HoldUntil)
 			}
 		}
-		if err := tb.net.Endpoint(stranger.Addr).Send(victim.Contact().Addr, data); err != nil {
+		if len(data) > transport.MaxDatagram {
 			return // larger than any datagram: no socket delivers it
 		}
+		from := tb.net.Endpoint(stranger.Addr)
+		testutil.BoundDecodeAllocs(t, data, func() {
+			if err := from.Send(victim.Contact().Addr, data); err != nil {
+				t.Fatal(err)
+			}
+			tb.sim.RunFor(deliveryLatency)
+		})
 		tb.sim.RunFor(time.Minute)
 
 		pingErr, pinged := error(nil), false
@@ -82,6 +110,7 @@ func FuzzNodeDatagram(f *testing.F) {
 		if !pinged || pingErr != nil {
 			t.Fatalf("the victim no longer answers a ping: ran=%v err=%v", pinged, pingErr)
 		}
+		ran := tb.sim.Now().UnixNano() // the end of the test's own runs
 
 		const maxEvents = 100_000
 		for events := 0; tb.sim.Step(); events++ {
@@ -89,7 +118,7 @@ func FuzzNodeDatagram(f *testing.F) {
 				t.Fatalf("the network has not drained after %d events", events)
 			}
 		}
-		if now := tb.sim.Now().UnixNano(); now > start+int64(2*time.Minute) && now-horizon > int64(time.Minute) {
+		if now := tb.sim.Now().UnixNano(); now > ran && now-horizon > int64(time.Minute) {
 			t.Fatalf("the network drained %v after the last instant the datagram names", time.Duration(now-horizon))
 		}
 	})

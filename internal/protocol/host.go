@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"cmp"
+	"errors"
 	"math/bits"
 	"slices"
 	"sort"
@@ -59,14 +60,15 @@ type HostConfig struct {
 	Retry bool
 }
 
-// Host is the holder-side protocol engine attached to one DHT node. It
-// buffers packages and key material per mission, peels onion layers as the
-// needed keys become available, and forwards on the hold schedule. It runs
-// on its node's dispatch context (see dht.Node): HandleApp and the hold and
-// repair timers are that loop's events, so custody is not locked.
+// Host is the holder-side protocol engine of one DHT node. It buffers
+// packages and key material per mission, peels onion layers as the needed
+// keys become available, and forwards on the hold schedule. It holds its
+// node by value, so the two are one record (a churn join is one allocation),
+// and runs on the node's dispatch context (see dht.Node): HandleApp and the
+// hold and repair timers are that loop's events, so custody is not locked.
 type Host struct {
 	cfg  HostConfig
-	node *dht.Node
+	node dht.Node
 
 	// missions is nil until the first write (state): a churn replacement
 	// that never holds custody pays nothing for it.
@@ -191,7 +193,7 @@ func holdDue(arg any) {
 		h.advance(hp.pkt.Mission)
 		return
 	}
-	sendPacket(h.node, hp.pkt.Target, Packet{
+	sendPacket(&h.node, hp.pkt.Target, Packet{
 		Mission: hp.pkt.Mission,
 		Kind:    PkSecret,
 		Data:    hp.pkt.Data,
@@ -214,14 +216,22 @@ func (h *Host) releaseCustody(hp *heldPackage) {
 	hp.buf = nil
 }
 
-// NewHost creates a host; call Attach to bind it to its node after the
-// node is constructed (the node's OnApp must be h.HandleApp).
-func NewHost(cfg HostConfig) *Host {
-	return &Host{cfg: cfg}
+// NewHost creates a host and builds its DHT node from node, whose OnApp is
+// the host itself: a caller-supplied OnApp is an error.
+func NewHost(cfg HostConfig, node dht.Config) (*Host, error) {
+	if node.OnApp != nil {
+		return nil, errors.New("protocol: a host is its node's OnApp")
+	}
+	h := &Host{cfg: cfg}
+	node.OnApp = h
+	if err := h.node.Init(node); err != nil {
+		return nil, err
+	}
+	return h, nil
 }
 
-// Attach binds the host to its DHT node.
-func (h *Host) Attach(node *dht.Node) { h.node = node }
+// Node returns the host's DHT node.
+func (h *Host) Node() *dht.Node { return &h.node }
 
 // HandleApp is the dht.Config.OnApp entry point. The payload follows the
 // transport delivery contract — it is valid only for the duration of the
@@ -458,12 +468,12 @@ func repush(arg any) {
 		to := SlotID(pkt.Mission, int(pkt.Column), s)
 		if pkt.Kind == PkKeyGrant {
 			pkt.Data = r.key[:]
-			sendPacket(h.node, to, pkt, h.replicas())
+			sendPacket(&h.node, to, pkt, h.replicas())
 		}
 		for _, sh := range shares {
 			*blob = AppendEncodeShareBlob((*blob)[:0], sh.X, sh.Data)
 			pkt.Data = *blob
-			sendPacket(h.node, to, pkt, h.replicas())
+			sendPacket(&h.node, to, pkt, h.replicas())
 		}
 	}
 	h.node.Bufs().Put(blob)
@@ -675,7 +685,7 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 			if err != nil {
 				return
 			}
-			sendPacket(h.node, target, Packet{
+			sendPacket(&h.node, target, Packet{
 				Mission: mission,
 				Kind:    PkSecret,
 				Data:    layer.Payload,
@@ -688,7 +698,7 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 		if err != nil {
 			continue
 		}
-		sendPacket(h.node, target, Packet{
+		sendPacket(&h.node, target, Packet{
 			Mission:   mission,
 			Kind:      PkMainOnion,
 			Column:    uint16(col + 1),
@@ -737,11 +747,11 @@ func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
 		}
 		for s := first; s < min(end, len(hops)); s++ {
 			p.Slot = uint16(s)
-			sendPacket(h.node, dht.ID(hops[s]), p, h.replicas())
+			sendPacket(&h.node, dht.ID(hops[s]), p, h.replicas())
 		}
 	}
 	if layer.Rest != nil && int(ref.Slot) < len(hops) {
 		next.Kind, next.Slot, next.Data = PkSlotOnion, uint16(ref.Slot), layer.Rest
-		sendPacket(h.node, dht.ID(hops[ref.Slot]), next, h.replicas())
+		sendPacket(&h.node, dht.ID(hops[ref.Slot]), next, h.replicas())
 	}
 }

@@ -118,7 +118,8 @@ func (n *Network) DeliveryMisses() uint64 { return n.deliveries.Misses() }
 // never removed (a run's addresses are bounded by its node count) and a
 // replacement re-attaches to its predecessor's, so a pointer stands for the
 // address: an endpoint holds its own slot, a delivery its destination's, and
-// a datagram costs one map lookup.
+// a datagram costs one map lookup. A closed endpoint stays on its slot until
+// the next Endpoint call for the address re-opens it.
 type nodeSlot struct {
 	ep   *endpoint
 	down bool
@@ -139,12 +140,23 @@ func (n *Network) slotFor(addr transport.Addr) *nodeSlot {
 	return sl
 }
 
-// Endpoint attaches (or replaces) an endpoint with the given address.
+// Endpoint attaches (or replaces) an endpoint with the given address. A
+// closed endpoint on the address's slot is re-opened in place, so a churn
+// replacement costs no record: only a new address, or one whose endpoint is
+// still open, gets a fresh one, and a live endpoint replaced that way is
+// closed.
 func (n *Network) Endpoint(addr transport.Addr) transport.Endpoint {
 	sl := n.slotFor(addr)
+	sl.down = false
+	if ep := sl.ep; ep != nil {
+		if ep.closed {
+			ep.closed = false
+			return ep
+		}
+		_ = ep.Close()
+	}
 	ep := &endpoint{net: n, addr: addr, slot: sl}
 	sl.ep = ep
-	sl.down = false
 	return ep
 }
 
@@ -186,12 +198,12 @@ func (n *Network) send(src *endpoint, to transport.Addr, payload []byte) {
 		}
 	}
 	n.sent++
-	if src.slot.down || (dst == n && (tsl.down || tsl.ep == nil)) {
+	if src.slot.down || (dst == n && (tsl.down || tsl.ep == nil || tsl.ep.closed)) {
 		// Immediate drop: no payload copy, no RNG draw, no delivery event.
-		// A detached destination can never receive — endpoint replacement
-		// (churn re-join) re-attaches within the same simulator event as the
-		// close, so no in-flight window observes the gap. A foreign
-		// destination's state is its owner's to judge, at delivery.
+		// A detached or closed destination can never receive — endpoint
+		// replacement (churn re-join) re-opens within the same simulator
+		// event as the close, so no in-flight window observes the gap. A
+		// foreign destination's state is its owner's to judge, at delivery.
 		n.dropped++
 		return
 	}
@@ -302,13 +314,10 @@ func (e *endpoint) Send(to transport.Addr, payload []byte) error {
 	return nil
 }
 
+// Close marks the endpoint closed and drops its receiver. The record stays
+// on its slot, for the next Endpoint call for its address to re-open.
 func (e *endpoint) Close() error {
-	if e.closed {
-		return nil
-	}
 	e.closed = true
-	if e.slot.ep == e {
-		e.slot.ep = nil
-	}
+	e.recv = nil
 	return nil
 }

@@ -225,3 +225,91 @@ func TestEndpointReplacement(t *testing.T) {
 		t.Errorf("stats sent=%d delivered=%d dropped=%d, want 3/2/1", sent, delivered, dropped)
 	}
 }
+
+// TestReopenAllocatesNothing: the Endpoint call of a churn replacement finds
+// its predecessor's closed endpoint on the address's slot and re-opens that
+// record in place, on a plain network and through a partition alike.
+func TestReopenAllocatesNothing(t *testing.T) {
+	s := sim.NewSimulator()
+	net := New(s, Config{})
+	_, p, _ := newTestPartition(t, 2, Config{BaseLatency: time.Millisecond})
+	for name, attach := range map[string]func() transport.Endpoint{
+		"network":   func() transport.Endpoint { return net.Endpoint("x") },
+		"partition": func() transport.Endpoint { return p.Endpoint(1, "x") },
+	} {
+		ep := attach()
+		if err := ep.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if again := attach(); again != ep {
+			t.Errorf("%s: a closed endpoint was not re-opened in place", name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			_ = ep.Close()
+			attach()
+		}); allocs != 0 {
+			t.Errorf("%s: re-opening a closed endpoint allocates %v times", name, allocs)
+		}
+	}
+}
+
+// TestReplacedLiveEndpointSendsNothing: an Endpoint call for an address whose
+// endpoint is still open attaches a distinct record, and closes the one it
+// replaced, which sends nothing from then on.
+func TestReplacedLiveEndpointSendsNothing(t *testing.T) {
+	s := sim.NewSimulator()
+	net := New(s, Config{})
+	got := 0
+	net.Endpoint("b").SetHandler(func(transport.Addr, []byte) { got++ })
+	old := net.Endpoint("a")
+	repl := net.Endpoint("a")
+	if repl == old {
+		t.Fatal("an open endpoint was re-opened in place of a fresh one")
+	}
+	if err := old.Send("b", []byte("x")); err != transport.ErrClosed {
+		t.Errorf("send on a replaced endpoint: %v, want ErrClosed", err)
+	}
+	if err := repl.Send("b", []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if sent, delivered, _ := net.Stats(); sent != 1 || delivered != 1 || got != 1 {
+		t.Errorf("sent=%d delivered=%d handled=%d, want the replacement's one datagram", sent, delivered, got)
+	}
+}
+
+// TestInFlightToReopenedAddress: while an address's endpoint is closed, a
+// datagram arriving there and one sent there are both dropped, the second at
+// once; a datagram in flight across a close and the re-open that follows
+// reaches the new receiver.
+func TestInFlightToReopenedAddress(t *testing.T) {
+	s := sim.NewSimulator()
+	net := New(s, Config{BaseLatency: time.Second})
+	a, x := net.Endpoint("a"), net.Endpoint("x")
+	x.SetHandler(func(transport.Addr, []byte) { t.Error("the closed endpoint's receiver got a datagram") })
+	_ = a.Send("x", []byte("1"))
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_ = a.Send("x", []byte("2"))
+	if sent, _, dropped := net.Stats(); sent != 2 || dropped != 1 {
+		t.Errorf("send to a closed address: sent=%d dropped=%d, want 2 and 1 at once", sent, dropped)
+	}
+	s.RunFor(time.Second)
+	x = net.Endpoint("x")
+	x.SetHandler(func(transport.Addr, []byte) { t.Error("the closed endpoint's receiver got a datagram") })
+	_ = a.Send("x", []byte("3"))
+	if err := x.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s.RunFor(time.Second / 2)
+	var got []string
+	net.Endpoint("x").SetHandler(func(_ transport.Addr, p []byte) { got = append(got, string(p)) })
+	s.Run()
+	if len(got) != 1 || got[0] != "3" {
+		t.Errorf("the re-opened endpoint received %q, want [3]", got)
+	}
+	if sent, delivered, dropped := net.Stats(); sent != 3 || delivered != 1 || dropped != 2 {
+		t.Errorf("stats sent=%d delivered=%d dropped=%d, want 3/1/2", sent, delivered, dropped)
+	}
+}

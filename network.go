@@ -531,7 +531,7 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 			}
 		}
 	}
-	host := protocol.NewHost(protocol.HostConfig{
+	host, err := protocol.NewHost(protocol.HostConfig{
 		Clock:     sh.sim,
 		Malicious: malicious,
 		Drop:      malicious && n.cfg.Attack.Drops(),
@@ -540,20 +540,18 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		Replicas:  n.cfg.Replicas,
 		Repair:    n.cfg.Repair,
 		Retry:     n.cfg.Retry > 1,
-	})
-	node, err := dht.NewNode(dht.Config{
+	}, dht.Config{
 		ID:       id,
 		Endpoint: ep,
 		Clock:    sh.sim,
 		Table:    n.cfg.Table,
 		Retry:    dht.RetryPolicy{Attempts: n.cfg.Retry},
-		OnApp:    host,
 		Scratch:  sh.scratch,
 	})
 	if err != nil {
 		return err
 	}
-	host.Attach(node)
+	node := host.Node()
 	if n.forger != nil {
 		n.forger.AddVictim(addr)
 		if malicious {
@@ -623,8 +621,8 @@ func (n *Network) join(sh *shard, addr transport.Addr, id dht.ID, idx int) {
 	if err := n.spawn(addr, id, idx, sh.rng.Bool(n.cfg.MaliciousRate)); err != nil {
 		// Unreachable by construction: spawn only fails on a nil
 		// endpoint/clock or zero ID, and a replacement reuses a valid ID on
-		// a fresh endpoint. If it ever fires, the joins counter diverging
-		// from deaths is the diagnostic.
+		// its predecessor's re-opened endpoint. If it ever fires, the joins
+		// counter diverging from deaths is the diagnostic.
 		return
 	}
 	sh.joins++
