@@ -16,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -406,6 +407,57 @@ func missionCycle(tb testing.TB, net *Network, payload []byte) {
 		tb.Fatal("mission did not emerge intact")
 	}
 	net.Cloud().Delete(msg.CloudObject())
+}
+
+// BenchmarkRetainedHeap measures what holders keep of missions that have
+// emerged. 120 nodes carry 40 key-share missions of 20 bytes, sent 10 s apart
+// with a 1 h emerging period and planned for a 0.1 threat model on 60 nodes;
+// the network runs to the last release + 10 min and settles, and every
+// mission must emerge. retained_B/mission is the heap in use after two forced
+// collections, after the run less before the first send, per mission. A
+// record that keeps its key, shares, plaintext or a cipher state past its
+// forward adds to it. It is a count — the same on every runner for one
+// toolchain — so CI gates it (BENCH_scenario.json). What is left is mostly
+// the custody records themselves, which are not yet deleted.
+func BenchmarkRetainedHeap(b *testing.B) {
+	const missions = 40
+	payload := []byte("twenty bytes of data")
+	var (
+		ms       runtime.MemStats
+		retained uint64
+	)
+	for i := 0; i < b.N; i++ {
+		net, err := NewNetwork(NetworkConfig{Nodes: 120, Seed: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sent := make([]*Message, 0, missions)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.HeapAlloc
+		for range missions {
+			msg, err := net.Send(payload, time.Hour, WithScheme(SchemeKeyShare), WithThreatModel(0.1), WithNodeBudget(60))
+			if err != nil {
+				b.Fatal(err)
+			}
+			sent = append(sent, msg)
+			net.RunFor(10 * time.Second)
+		}
+		net.RunUntil(sent[len(sent)-1].Release().Add(10 * time.Minute))
+		net.Settle()
+		for _, msg := range sent {
+			if plain, _, ok := net.Emerged(msg); !ok || !bytes.Equal(plain, payload) {
+				b.Fatal("a mission did not emerge intact")
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		retained += ms.HeapAlloc - before
+		runtime.KeepAlive(net)
+	}
+	b.ReportMetric(float64(retained)/float64(b.N*missions), "retained_B/mission")
 }
 
 // BenchmarkShamirSplitSeeded is BenchmarkShamirSplit on the deterministic

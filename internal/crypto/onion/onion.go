@@ -39,8 +39,8 @@ var (
 	// ErrNoLayers is returned by Build when no layers are supplied.
 	ErrNoLayers = errors.New("onion: at least one layer required")
 
-	// errDecrypt is PeelSealer's error for an onion the key does not open,
-	// made once: share recovery fails here for every wrong candidate.
+	// errDecrypt is the error for an onion the key does not open, made once:
+	// share recovery fails here for every wrong candidate.
 	errDecrypt = fmt.Errorf("onion: %w", seal.ErrDecrypt)
 )
 
@@ -129,27 +129,48 @@ func BuildSealers(layers []Layer, sealers []*seal.Sealer) ([]byte, error) {
 
 // Peel removes the outermost layer of the onion with key, returning the
 // revealed layer. Layer.Rest holds the remaining onion (nil at the
-// innermost layer). It is a one-shot wrapper around PeelSealer; callers
-// peeling repeatedly under the same key should construct the sealer once.
+// innermost layer). It is one-shot: the AEAD is built for this call, the
+// way seal.Decrypt builds it, and no Sealer is left behind.
 func Peel(key seal.Key, wrapped []byte) (Layer, error) {
-	s, err := seal.NewSealer(key)
+	plain, err := seal.Decrypt(key, wrapped, nil)
 	if err != nil {
-		return Layer{}, fmt.Errorf("onion: %w", err)
+		return Layer{}, errDecrypt
 	}
-	return PeelSealer(s, wrapped)
+	return decodeLayer(plain, nil)
 }
 
 // PeelSealer is Peel over a pre-constructed Sealer handle: the AES-GCM key
 // schedule is paid once per Sealer, not once per peel attempt. This is the
-// peel-side twin of BuildSealers — a holder retrying the same granted key
-// across advance rounds (or probing many candidate onions with it) reuses
-// one cipher state instead of rebuilding it per call.
+// peel-side twin of BuildSealers, for a caller that opens many onions under
+// one key.
 func PeelSealer(s *seal.Sealer, wrapped []byte) (Layer, error) {
 	plain, err := s.Decrypt(wrapped, nil)
 	if err != nil {
 		return Layer{}, errDecrypt
 	}
-	return decodeLayer(plain)
+	return decodeLayer(plain, nil)
+}
+
+// Open is Peel for a caller that keeps the layer until later and views it
+// then (View): it opens the outermost layer one-shot, checks the
+// plaintext's layout, and returns the plaintext — the one allocation it
+// keeps. Nothing is sized from the layer's counts.
+func Open(key seal.Key, wrapped []byte) ([]byte, error) {
+	plain, err := seal.Decrypt(key, wrapped, nil)
+	if err != nil {
+		return nil, errDecrypt
+	}
+	if _, err := scanLayer(plain); err != nil {
+		return nil, err
+	}
+	return plain, nil
+}
+
+// View decodes a plaintext Open returned. The layer's hops and shares are
+// views into items' array when it has room for them all, and into a fresh
+// array otherwise, so a caller that views on its stack allocates nothing.
+func View(plain []byte, items [][]byte) (Layer, error) {
+	return decodeLayer(plain, items)
 }
 
 // appendLayer appends the wire form of one layer plaintext to buf.
@@ -194,44 +215,66 @@ func appendLayer(buf []byte, l Layer) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeLayer parses a layer plaintext in two passes: the first checks the
-// layout and counts the hop and share items, the second views them in one
-// array. The payload/rest tail is a two-item list, read without
-// materializing a [][]byte.
-func decodeLayer(plain []byte) (Layer, error) {
+// layout is what the first pass over a layer plaintext finds: how many hop
+// and share items it lists, and its payload and rest.
+type layout struct {
+	hops, shares  int
+	payload, rest []byte
+}
+
+// scanLayer is decodeLayer's first pass: it checks the layout and counts the
+// hop and share items. skipList bounds each count by the bytes left, so a
+// count is checked before anything is sized by it. The payload/rest tail is
+// a two-item list, read without materializing a [][]byte.
+func scanLayer(plain []byte) (layout, error) {
 	r := reader{buf: plain}
-	hops, err := r.skipList()
-	if err != nil {
-		return Layer{}, err
+	var (
+		l   layout
+		err error
+	)
+	if l.hops, err = r.skipList(); err != nil {
+		return layout{}, err
 	}
-	shares, err := r.skipList()
-	if err != nil {
-		return Layer{}, err
+	if l.shares, err = r.skipList(); err != nil {
+		return layout{}, err
 	}
 	if count, err := r.uint32(); err != nil || count != 2 {
-		return Layer{}, ErrMalformed
+		return layout{}, ErrMalformed
 	}
-	payload, err := r.item()
-	if err != nil {
-		return Layer{}, err
+	if l.payload, err = r.item(); err != nil {
+		return layout{}, err
 	}
-	rest, err := r.item()
-	if err != nil {
-		return Layer{}, err
+	if l.rest, err = r.item(); err != nil {
+		return layout{}, err
 	}
 	if r.remaining() != 0 {
-		return Layer{}, ErrMalformed
+		return layout{}, ErrMalformed
 	}
-	items := make([][]byte, hops+shares)
-	r.off = 0
-	r.readList(items[:hops])
-	r.readList(items[hops:])
-	l := Layer{NextHops: items[:hops:hops], Shares: items[hops:]}
-	if len(payload) > 0 {
-		l.Payload = payload
+	return l, nil
+}
+
+// decodeLayer is the one layer decoder: scanLayer checks the plaintext, and a
+// second pass views its hop and share items in items' array when it has
+// room for them all (a fresh array otherwise).
+func decodeLayer(plain []byte, items [][]byte) (Layer, error) {
+	lay, err := scanLayer(plain)
+	if err != nil {
+		return Layer{}, err
 	}
-	if len(rest) > 0 {
-		l.Rest = rest
+	n := lay.hops + lay.shares
+	if cap(items) < n {
+		items = make([][]byte, n)
+	}
+	items = items[:n]
+	r := reader{buf: plain}
+	r.readList(items[:lay.hops])
+	r.readList(items[lay.hops:])
+	l := Layer{NextHops: items[:lay.hops:lay.hops], Shares: items[lay.hops:]}
+	if len(lay.payload) > 0 {
+		l.Payload = lay.payload
+	}
+	if len(lay.rest) > 0 {
+		l.Rest = lay.rest
 	}
 	return l, nil
 }

@@ -186,7 +186,7 @@ func TestDecodeMalformed(t *testing.T) {
 		{0, 0, 0, 0, 0, 0xff, 0xff, 0xff},
 		{0, 0, 0, 1, 0, 0, 0, 200, 1},
 	} {
-		if _, err := decodeLayer(raw); err == nil {
+		if _, err := decodeLayer(raw, nil); err == nil {
 			t.Errorf("decodeLayer(%v) accepted", raw)
 		}
 		// The heap counters are process-wide, so the bound holds for the
@@ -195,7 +195,7 @@ func TestDecodeMalformed(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range decodes {
-			_, _ = decodeLayer(raw)
+			_, _ = decodeLayer(raw, nil)
 		}
 		runtime.ReadMemStats(&after)
 		if grew := (after.TotalAlloc - before.TotalAlloc) / decodes; grew > 1024 {

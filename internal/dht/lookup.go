@@ -44,11 +44,19 @@ func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int) {
 // rides it instead of starting an identical one (a forwarding holder hands the
 // same next slot several packets in one instant, and the walks would query the
 // same K contacts from the same table). Records recycle through the node's
-// Scratch; riders keeps its capacity.
+// Scratch, which also indexes the walks in flight (Scratch.ownerWalks);
+// riders keeps its capacity.
 type ownerWalk struct {
 	node   *Node
 	key    ID
 	riders []ownerRider
+}
+
+// walkKey indexes an owner walk in flight on its loop: the walking node's
+// incarnation and the key, so two nodes' walks for one key never merge.
+type walkKey struct {
+	key  ID
+	node uint32
 }
 
 // ownerRider is one owner send attached to a walk: done (optional) reports
@@ -66,27 +74,28 @@ type ownerRider struct {
 // its own replicas prefix.
 func (n *Node) sendToOwners(key ID, r ownerRider) {
 	r.replicas = max(r.replicas, 1)
-	if w := n.ownerWalks[key]; w != nil {
+	s, wk := n.cfg.Scratch, walkKey{key: key, node: n.incarnation}
+	if w := s.ownerWalks[wk]; w != nil {
 		w.riders = append(w.riders, r)
 		return
 	}
-	w := n.cfg.Scratch.walks.Get()
+	w := s.walks.Get()
 	w.node, w.key = n, key
 	w.riders = append(w.riders, r)
-	if n.ownerWalks == nil {
-		n.ownerWalks = make(map[ID]*ownerWalk)
+	if s.ownerWalks == nil {
+		s.ownerWalks = make(map[walkKey]*ownerWalk)
 	}
-	n.ownerWalks[key] = w
+	s.ownerWalks[wk] = w
 	n.newLookup(key, ownersFinish, w)
 }
 
-// ownersFinish serves a finished walk's riders. The walk leaves the node's
+// ownersFinish serves a finished walk's riders. The walk leaves the loop's
 // index first, so from here the record is this call's alone and a send issued
 // from a done callback starts a fresh walk.
 func ownersFinish(v any, closest []Contact) {
 	w := v.(*ownerWalk)
 	n, key := w.node, w.key
-	delete(n.ownerWalks, key)
+	delete(n.cfg.Scratch.ownerWalks, walkKey{key: key, node: n.incarnation})
 	self := n.Contact()
 	var failed error
 	if len(closest) == 0 {

@@ -90,7 +90,8 @@ type Node struct {
 	table *Table
 
 	// incarnation tells this node's marks in the loop's acked-delivery dedup
-	// index (Scratch.appSeen) from those of an earlier node with its ID.
+	// index (Scratch.appSeen) and its walks in the loop's owner-walk index
+	// (Scratch.ownerWalks) from those of another node with its ID.
 	incarnation uint32
 
 	// retryRng draws the backoff jitter; seeded only if cfg.Retry is enabled.
@@ -100,12 +101,8 @@ type Node struct {
 	// order (rpcSeq only grows), so a response finds its record by binary
 	// search. It starts on inline: eight slots fill the Node's size class,
 	// and hold what a node has in flight outside a mission's owner walks.
-	pending []*pendingRPC
-	inline  [8]*pendingRPC
-	// ownerWalks indexes the owner resolutions in flight by their key, so a
-	// second SendToOwners for a key joins the first's walk (see ownerWalk).
-	// Nil until the node's first owner send; looked up, never ranged over.
-	ownerWalks map[ID]*ownerWalk
+	pending    []*pendingRPC
+	inline     [8]*pendingRPC
 	rpcSeq     uint64
 	resilience Resilience
 	closed     bool

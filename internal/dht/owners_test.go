@@ -31,12 +31,15 @@ func newOwnerCluster(t *testing.T, n int, retry RetryPolicy) *ownerCluster {
 		got:     make(map[ID][]string),
 	}
 	oc.net = simnet.New(oc.sim, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 17})
+	// One loop, one scratch: every node's walks sit in one index.
+	scratch := NewScratch(n)
 	for i := 0; i < n; i++ {
 		id := RandomID(oc.rng)
 		node, err := NewNode(Config{
 			ID:       id,
 			Endpoint: oc.net.Endpoint(transport.Addr(fmt.Sprintf("node-%d", i))),
 			Clock:    oc.sim,
+			Scratch:  scratch,
 			Retry:    retry,
 			OnApp: appFunc(func(_ Contact, payload []byte) {
 				oc.got[id] = append(oc.got[id], string(payload))
@@ -53,6 +56,18 @@ func newOwnerCluster(t *testing.T, n int, retry RetryPolicy) *ownerCluster {
 	}
 	oc.sim.Run()
 	return oc
+}
+
+// walksOf returns the owner walks n has in flight by key: the walks in its
+// loop's index that n started.
+func walksOf(n *Node) map[ID]*ownerWalk {
+	walks := make(map[ID]*ownerWalk)
+	for _, w := range n.cfg.Scratch.ownerWalks {
+		if w.node == n {
+			walks[w.key] = w
+		}
+	}
+	return walks
 }
 
 // byDistance returns the cluster's node IDs nearest-first to key.
@@ -103,7 +118,7 @@ func TestOwnerWalkCoalesces(t *testing.T) {
 			for i := 0; i < n; i++ {
 				oc.nodes[ownersTestSender].SendToOwners(key, []byte(fmt.Sprintf("p%d", i)), 1, log.cb())
 			}
-			if got := len(oc.nodes[ownersTestSender].ownerWalks); got != 1 {
+			if got := len(walksOf(oc.nodes[ownersTestSender])); got != 1 {
 				t.Errorf("%d sends for one key: %d walks in flight, want 1", n, got)
 			}
 		})
@@ -131,7 +146,7 @@ func TestOwnerWalkCoalesces(t *testing.T) {
 	if fmt.Sprint(oc.got[owner]) != fmt.Sprint(want) {
 		t.Errorf("owner received %v, want call order %v", oc.got[owner], want)
 	}
-	if got := len(oc.nodes[ownersTestSender].ownerWalks); got != 0 {
+	if got := len(walksOf(oc.nodes[ownersTestSender])); got != 0 {
 		t.Errorf("%d walks still indexed after completion", got)
 	}
 }
@@ -203,11 +218,11 @@ func TestOwnerWalkFreshAfterFinish(t *testing.T) {
 	chained := false
 	first := oc.sentBy(func() {
 		sender.SendToOwners(key, []byte("a"), 1, func(Contact, error) {
-			if len(sender.ownerWalks) != 0 {
+			if len(walksOf(sender)) != 0 {
 				t.Error("finished walk still indexed while its riders are served")
 			}
 			sender.SendToOwners(key, []byte("b"), 1, func(Contact, error) { chained = true })
-			if len(sender.ownerWalks) != 1 {
+			if len(walksOf(sender)) != 1 {
 				t.Error("send from a done callback did not start a walk")
 			}
 		})
@@ -233,10 +248,10 @@ func TestOwnerWalkNeverMergesAcrossKeysOrNodes(t *testing.T) {
 	a.SendToOwners(k1, []byte("a1"), 1, nil)
 	a.SendToOwners(k2, []byte("a2"), 1, nil)
 	b.SendToOwners(k1, []byte("b1"), 1, nil)
-	if len(a.ownerWalks) != 2 || len(b.ownerWalks) != 1 {
-		t.Fatalf("walks in flight: a=%d b=%d, want 2 and 1", len(a.ownerWalks), len(b.ownerWalks))
+	if len(walksOf(a)) != 2 || len(walksOf(b)) != 1 {
+		t.Fatalf("walks in flight: a=%d b=%d, want 2 and 1", len(walksOf(a)), len(walksOf(b)))
 	}
-	if a.ownerWalks[k1] == b.ownerWalks[k1] || len(a.ownerWalks[k1].riders) != 1 || len(b.ownerWalks[k1].riders) != 1 {
+	if walksOf(a)[k1] == walksOf(b)[k1] || len(walksOf(a)[k1].riders) != 1 || len(walksOf(b)[k1].riders) != 1 {
 		t.Fatal("two nodes share a walk for one key")
 	}
 	oc.sim.Run()
@@ -275,7 +290,7 @@ func TestOwnerWalkNotJoinedByLookups(t *testing.T) {
 			}
 		})
 		sender.Bootstrap(nil, func(int) { booted = true })
-		if w := sender.ownerWalks[key]; len(sender.ownerWalks) != 1 || len(w.riders) != 1 {
+		if w := walksOf(sender)[key]; len(walksOf(sender)) != 1 || len(w.riders) != 1 {
 			t.Errorf("owner walk has %d riders after Lookup and Bootstrap, want 1", len(w.riders))
 		}
 	})
@@ -336,7 +351,7 @@ func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 		for i := 0; i < riders; i++ {
 			a.SendToOwners(key, []byte("x"), i+1, log.cb())
 		}
-		if len(a.ownerWalks) != 1 || len(a.ownerWalks[key].riders) != riders {
+		if len(walksOf(a)) != 1 || len(walksOf(a)[key].riders) != riders {
 			t.Fatal("sends did not share the walk")
 		}
 		s.RunFor(time.Minute)
@@ -356,8 +371,8 @@ func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 		for i := 0; i < riders; i++ {
 			a.SendToOwners(key, []byte("x"), 1, log.cb())
 		}
-		if len(log.errs) != riders || len(a.ownerWalks) != 0 {
-			t.Fatalf("done fired %d times, %d walks left indexed", len(log.errs), len(a.ownerWalks))
+		if len(log.errs) != riders || len(walksOf(a)) != 0 {
+			t.Fatalf("done fired %d times, %d walks left indexed", len(log.errs), len(walksOf(a)))
 		}
 		for _, err := range log.errs {
 			if err != ErrLookupFailed {
@@ -388,7 +403,7 @@ func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 				t.Errorf("rider %d: err = %v, want ErrClosed or ErrLookupFailed", i, err)
 			}
 		}
-		if len(sender.ownerWalks) != 0 {
+		if len(walksOf(sender)) != 0 {
 			t.Error("closed node still indexes a walk")
 		}
 		for id, got := range oc.got {

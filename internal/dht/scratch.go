@@ -9,12 +9,13 @@ import (
 // serial dispatch context — one simulator event loop, or one real node's
 // udp.Loop. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, the address
-// book its nodes' routing tables and lookups refer to, and the freelists of
+// book its nodes' routing tables and lookups refer to, the freelists of
 // lookup states, lookup query records, owner-walk records, in-flight RPC
-// records, local-delivery records, byte buffers and the routing tables of closed nodes, and the
-// acked-delivery dedup index. None of it is observable: sharing changes who
-// pays for the memory, never a wire byte or an event — short of the dedup
-// index's bound, which a shared index reaches sooner.
+// records, local-delivery records, byte buffers and the routing tables of
+// closed nodes, the index of owner walks in flight, and the acked-delivery
+// dedup index. None of it is observable: sharing changes who pays for the
+// memory, never a wire byte or an event — short of the dedup index's bound,
+// which a shared index reaches sooner.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -52,6 +53,11 @@ type Scratch struct {
 	// here belongs to no node — Close dropped its owner's pointer.
 	tables freelist.List[Table]
 
+	// ownerWalks indexes the owner resolutions in flight on the loop, so a
+	// node's second SendToOwners for a key joins its first's walk (see
+	// ownerWalk). A walk leaves it when it finishes, so it holds only walks
+	// in flight; looked up, never ranged over.
+	ownerWalks map[walkKey]*ownerWalk
 	// appSeen dedups the acked app deliveries of every node on the loop.
 	appSeen appSeen
 	// incarnations numbers the nodes built on this scratch (Node.incarnation),

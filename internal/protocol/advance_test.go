@@ -94,10 +94,9 @@ func TestAdvanceOrder(t *testing.T) {
 
 	// Every key and every hold deadline lands before one advance.
 	ms := host.missions[mission]
-	for i := range ms.custody {
-		rec := &ms.custody[i]
+	for _, rec := range ms.refs {
 		rec.key, rec.hasKey = keys[rec.ref], true
-		rec.held.due = true
+		rec.hold.due = true
 	}
 	host.advance(mission)
 	clock.RunFor(time.Minute)
@@ -122,5 +121,36 @@ func TestAdvanceOrder(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("forward order:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestFailedKeyIsNotRetried: a granted key that does not open the held onion
+// is marked and not tried again — neither the key nor the onion can change
+// once set — so later advances allocate nothing and never forward.
+func TestFailedKeyIsNotRetried(t *testing.T) {
+	var seen []Packet
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, &seen)
+	watcher := dht.IDFromKey([]byte("watcher"))
+	wrapped, err := onion.Build([]onion.Layer{{NextHops: [][]byte{watcher[:]}, Payload: []byte("secret")}}, []seal.Key{{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mission, wrong := MissionID{0xFA}, seal.Key{2}
+	grant := Packet{
+		Mission: mission, Kind: PkKeyGrant, Column: 1,
+		HoldUntil: clock.Now().Add(time.Hour).UnixNano(), Step: int64(time.Hour), Data: wrong[:],
+	}
+	host.HandleApp(dht.Contact{}, grant.AppendEncode(nil))
+	main := grant
+	main.Kind, main.Target, main.Data = PkMainOnion, watcher, wrapped
+	host.HandleApp(dht.Contact{}, main.AppendEncode(nil))
+	clock.RunFor(time.Hour + time.Minute) // the hold comes due
+
+	if allocs := testing.AllocsPerRun(100, func() { host.advance(mission) }); allocs != 0 {
+		t.Errorf("advancing a held onion under a failed key allocates %.0f times", allocs)
+	}
+	clock.RunFor(time.Minute)
+	if len(seen) != 0 {
+		t.Fatalf("a key that does not open the onion forwarded %d packets", len(seen))
 	}
 }

@@ -28,7 +28,6 @@ type (
 )
 
 var (
-	NewHost      = protocol.NewHost
 	NewMissionID = protocol.NewMissionID
 	Dispatch     = protocol.Dispatch
 	SlotID       = protocol.SlotID
@@ -46,6 +45,9 @@ type testbed struct {
 	nodes     []*dht.Node
 	hosts     []*Host
 	collector *adversary.Collector
+	// tap, when set, is handed every payload a host receives before the
+	// host handles it.
+	tap func(h *Host, from dht.Contact, payload []byte)
 
 	mu          sync.Mutex
 	deliveries  map[MissionID]time.Time
@@ -108,10 +110,15 @@ func (tb *testbed) spawn(addr transport.Addr, id dht.ID, malicious, drop bool, h
 	for _, hook := range hooks {
 		hook(&cfg)
 	}
-	host, err := NewHost(cfg, dht.Config{
+	var host *Host
+	host, err := protocol.NewTappedHost(cfg, dht.Config{
 		ID:       id,
 		Endpoint: tb.net.Endpoint(addr),
 		Clock:    tb.sim,
+	}, func(from dht.Contact, payload []byte) {
+		if tb.tap != nil {
+			tb.tap(host, from, payload)
+		}
 	})
 	if err != nil {
 		tb.t.Fatal(err)

@@ -10,12 +10,13 @@ import (
 )
 
 // maxJointHopAllocs is what TestJointHopAllocs measures for one joint hop at
-// a warmed holder: the mission's state and its custody records, the grant's
-// refresh record, the held package, the key's sealer (handle, AES and GCM
-// state), the opened plaintext, the peeled layer's item array, and one entry
-// of the forward's owner walk. A map, closure or copy that custody buys
-// again per mission fails on it.
-const maxJointHopAllocs = 10
+// a warmed holder: the mission's state, whose first custody record holds the
+// held package and the grant's repair loop; the one-shot open's AES block and
+// GCM state; the opened plaintext, which the package keeps until it forwards;
+// and the self-insertion into the forward's owner walk result. A record,
+// sealer, item array, map or closure that custody buys again per mission
+// fails on it.
+const maxJointHopAllocs = 5
 
 // TestJointHopAllocs pins the allocations of one joint mission's hop at a
 // warmed holder: its column-key grant (with repair armed), its main onion,

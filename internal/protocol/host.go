@@ -76,38 +76,50 @@ type Host struct {
 }
 
 // missionState is one mission's custody at one holder: one record per Ref the
-// holder keeps material at, in custodyOrder. A typical holder touches one or
-// two coordinates of a mission, so it pays for one short slice, and advance
-// walks the records in its peel and forward order as they lie.
+// holder keeps material at. The first Ref's record lies in the state itself,
+// so a holder that touches one coordinate of a mission pays one allocation
+// for it; a second Ref spills into a record of its own. Records never move:
+// refs holds them in custodyOrder, on inline until a third Ref, and advance
+// walks them in its peel and forward order as they lie.
 type missionState struct {
-	custody []custody
-
-	// Central-scheme custody.
-	central *heldPackage
+	refs   []*custody
+	inline [2]*custody
+	first  custody
 }
 
 // custody is everything a holder keeps at one Ref of a mission: the layer key,
-// the Shamir shares collected towards it, and the onion it opens.
+// the Shamir shares collected towards it, the package it opens (or a central
+// package) and the first repair loop armed there. Hold, grant-tick and repush
+// events take pointers into it. Once the package forwards (spend), the record
+// keeps its coordinates and flags and nothing a compromise could use.
 type custody struct {
-	ref Ref
+	host *Host
+	ref  Ref
 	// key is the layer key once granted or oracle-confirmed (hasKey): K_c of
 	// the multipath schemes and CK_c column-wide, SK_{c,s} per slot.
 	key seal.Key
-	// sealer is key's decrypt handle, built on the first peel with it, so
-	// the AES-GCM key schedule is paid once per key rather than once per
-	// peel attempt. Garbage interpolation candidates never land here.
-	sealer *seal.Sealer
 	// shares are the Shamir shares collected towards key. Their Data are
 	// views into shareBuf, which holds one copy of every share kept.
 	shares   []shamir.Share
 	shareBuf []byte
-	// held is the onion custody: the main onion column-wide (joint/share
-	// copies are deduped), the slot onion per slot.
-	held   *heldPackage
+	// hold is the package custody: the main onion column-wide (joint/share
+	// copies are deduped), the slot onion per slot, or a central package.
+	hold heldPackage
+	// loop is the first churn-repair loop armed at this Ref; a second one (a
+	// grant and a share collection at one Ref, which no honest sender
+	// produces) spills into a record of its own.
+	loop refresh
+
 	hasKey bool
+	// keyFailed marks a key that did not open the held package: neither can
+	// change once set, so the key is not tried again.
+	keyFailed bool
 	// repair is set once the share collection has an armed churn-repair
 	// refresh (one per holding period, see scheduleShareRefresh).
 	repair bool
+	// forwarded is set once the package has been sent on (spend): the record
+	// refuses further material at its Ref.
+	forwarded bool
 }
 
 // state returns the mission's custody, making it on first use.
@@ -118,43 +130,51 @@ func (h *Host) state(id MissionID) *missionState {
 			h.missions = make(map[MissionID]*missionState, 2)
 		}
 		ms = &missionState{}
+		ms.refs = ms.inline[:0]
 		h.missions[id] = ms
 	}
 	return ms
 }
 
-// at returns the record at ref; if there is none, it inserts an empty one in
-// place when insert is set and returns nil otherwise. The pointer is valid
-// until the next insert.
-func (ms *missionState) at(ref Ref, insert bool) *custody {
-	i, ok := sort.Find(len(ms.custody), func(i int) int { return custodyOrder(ref, ms.custody[i].ref) })
-	if !ok {
-		if !insert {
-			return nil
-		}
-		ms.custody = slices.Insert(ms.custody, i, custody{ref: ref})
+// find returns the index of the record at ref in refs, or where it would be
+// inserted, and whether it is there.
+func (ms *missionState) find(ref Ref) (int, bool) {
+	return sort.Find(len(ms.refs), func(i int) int { return custodyOrder(ref, ms.refs[i].ref) })
+}
+
+// record returns the record at the packet's (mission, ref), making it on
+// first use: the mission's first Ref in place, later ones spilled.
+func (h *Host) record(pkt Packet) *custody {
+	ms, ref := h.state(pkt.Mission), pkt.Ref()
+	i, ok := ms.find(ref)
+	if ok {
+		return ms.refs[i]
 	}
-	return &ms.custody[i]
+	rec := &ms.first
+	if len(ms.refs) > 0 {
+		rec = new(custody)
+	}
+	rec.host, rec.ref = h, ref
+	ms.refs = slices.Insert(ms.refs, i, rec)
+	return rec
 }
 
 // custodyAt returns the record at (mission, ref), or nil.
 func (h *Host) custodyAt(mission MissionID, ref Ref) *custody {
 	if ms, ok := h.missions[mission]; ok {
-		return ms.at(ref, false)
+		if i, ok := ms.find(ref); ok {
+			return ms.refs[i]
+		}
 	}
 	return nil
 }
 
-// heldPackage is a package waiting on its keys and/or its hold timer, and
-// the argument of that timer's event (holdDue).
+// heldPackage is a package waiting on its keys and/or its hold timer.
 type heldPackage struct {
-	host *Host
-	pkt  Packet
-	// layer is the peeled outer layer, once peeled is set.
-	layer  onion.Layer
-	peeled bool
-	due    bool
-	done   bool
+	pkt Packet
+	// plain is the peeled layer's plaintext, checked at peel (onion.Open) and
+	// viewed at forward (onion.View), once peeled is set.
+	plain []byte
 	// buf is the custody clone backing pkt.Data, taken from the node's loop;
 	// it goes back there once the sealed bytes are dead (see releaseCustody).
 	buf *[]byte
@@ -162,20 +182,23 @@ type heldPackage struct {
 	// recovery attempt ran against, so advance() re-enumerates candidate
 	// keys only after new share material arrives.
 	triedShares int
+	held        bool
+	peeled      bool
+	due         bool
 }
 
-// hold takes custody of pkt: it clones the payload into a buffer of the
-// node's loop — a packet's delivery buffer is recycled when the handler
-// returns — and arms the hold timer. A holder's custody therefore lives in
-// exactly one place, a buffer the loop owns, referenced by one heldPackage,
-// until releaseCustody hands it back.
-func (h *Host) hold(pkt Packet) *heldPackage {
+// holdPackage takes custody of pkt in the record: it clones the payload into a
+// buffer of the node's loop — a packet's delivery buffer is recycled when the
+// handler returns — and arms the hold timer. A holder's custody therefore
+// lives in exactly one place, a buffer the loop owns, referenced by one
+// record, until releaseCustody hands it back.
+func (c *custody) holdPackage(pkt Packet) {
+	h := c.host
 	buf := h.node.Bufs().Get()
 	*buf = append((*buf)[:0], pkt.Data...)
 	pkt.Data = *buf
-	hp := &heldPackage{host: h, pkt: pkt, buf: buf}
-	h.cfg.Clock.ScheduleArg(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, hp)
-	return hp
+	c.hold = heldPackage{pkt: pkt, buf: buf, held: true}
+	h.cfg.Clock.ScheduleArg(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, c)
 }
 
 // holdDue is a hold timer's event. A hold is never cancelled, but one that
@@ -183,11 +206,12 @@ func (h *Host) hold(pkt Packet) *heldPackage {
 // neither peels nor forwards, and every send it issued would only fail. A
 // central package is delivered; an onion forwards once peeled (advance).
 func holdDue(arg any) {
-	hp := arg.(*heldPackage)
-	h := hp.host
+	rec := arg.(*custody)
+	h := rec.host
 	if h.node.Closed() {
 		return
 	}
+	hp := &rec.hold
 	hp.due = true
 	if hp.pkt.Kind != PkCentral {
 		h.advance(hp.pkt.Mission)
@@ -198,14 +222,13 @@ func holdDue(arg any) {
 		Kind:    PkSecret,
 		Data:    hp.pkt.Data,
 	}, 1)
-	// sendPacket encodes synchronously; the custody bytes are dead.
-	h.releaseCustody(hp)
+	rec.spend()
 }
 
 // releaseCustody returns the custody clone to the loop once the sealed bytes
-// are dead: after a successful peel the layer owns fresh plaintext, and a
-// fired central hold has already encoded its send. A steady mission workload
-// thus re-uses a small set of clone buffers instead of allocating one per
+// are dead: after a successful peel the record owns fresh plaintext, and a
+// sent package has already been encoded. A steady mission workload thus
+// re-uses a small set of clone buffers instead of allocating one per
 // custody.
 func (h *Host) releaseCustody(hp *heldPackage) {
 	if hp.buf == nil {
@@ -214,6 +237,30 @@ func (h *Host) releaseCustody(hp *heldPackage) {
 	hp.pkt.Data = nil
 	h.node.Bufs().Put(hp.buf)
 	hp.buf = nil
+}
+
+// spend ends the record's duty once its package has been sent on: by
+// forwardMain, forwardSlot or a central holdDue. It drops the plaintext and
+// the custody clone, and then the key material (forget). Nothing sent still
+// needs them: every send encodes synchronously, the peel is done, and every
+// repair push at the Ref comes due before HoldUntil, which the forward
+// waited for. A grant loop's backup push can land later when its grant came
+// in late; then its last push forgets instead.
+func (c *custody) spend() {
+	c.forwarded = true
+	c.host.releaseCustody(&c.hold)
+	c.hold.plain = nil
+	if c.loop.pushes == 0 {
+		c.forget()
+	}
+}
+
+// forget zeroes the record's key and its repair loop's key copy, and drops
+// its shares.
+func (c *custody) forget() {
+	clear(c.shareBuf)
+	c.shares, c.shareBuf = nil, nil
+	c.key, c.loop.key = seal.Key{}, seal.Key{}
 }
 
 // NewHost creates a host and builds its DHT node from node, whose OnApp is
@@ -270,11 +317,9 @@ func (h *Host) HandleApp(from dht.Contact, payload []byte) {
 }
 
 func (h *Host) onCentral(pkt Packet) {
-	ms := h.state(pkt.Mission)
-	if ms.central != nil {
-		return // replica already in custody: no clone for routine duplicates
+	if rec := h.record(pkt); !rec.hold.held {
+		rec.holdPackage(pkt) // a replica already in custody pays no clone
 	}
-	ms.central = h.hold(pkt)
 }
 
 func (h *Host) onKeyGrant(pkt Packet) {
@@ -282,9 +327,13 @@ func (h *Host) onKeyGrant(pkt Packet) {
 	if err != nil {
 		return
 	}
-	if rec := h.state(pkt.Mission).at(pkt.Ref(), true); !rec.hasKey {
+	rec := h.record(pkt)
+	if rec.forwarded {
+		return
+	}
+	if !rec.hasKey {
 		rec.key, rec.hasKey = key, true
-		h.scheduleGrantRefresh(pkt, key)
+		h.scheduleGrantRefresh(rec, pkt, key)
 	}
 	h.advance(pkt.Mission)
 }
@@ -293,13 +342,33 @@ func (h *Host) onKeyGrant(pkt Packet) {
 // key grant's, holding the key by value, or a share collection's. pkt is the
 // triggering packet without its payload (a recycled delivery buffer).
 type refresh struct {
-	host *Host
-	pkt  Packet
-	key  seal.Key
+	rec *custody
+	pkt Packet
+	key seal.Key
+	// pushes counts the repush events armed and not yet run.
+	pushes int
 }
 
-// margin is how far ahead of a period boundary a refresh fires.
-func (r *refresh) margin() time.Duration { return time.Duration(r.pkt.Step / 16) }
+// newLoop returns the record's repair loop for pkt: its own, or a spilled
+// one when that is taken.
+func (c *custody) newLoop(pkt Packet) *refresh {
+	r := &c.loop
+	if r.rec != nil {
+		r = new(refresh)
+	}
+	*r = refresh{rec: c, pkt: pkt}
+	r.pkt.Data = nil
+	return r
+}
+
+// margin is how far ahead of a period boundary a refresh of pkt fires.
+func margin(pkt Packet) time.Duration { return time.Duration(pkt.Step / 16) }
+
+// schedulePush arms one repush of the loop, delay from now.
+func (r *refresh) schedulePush(delay time.Duration) {
+	r.pushes++
+	r.rec.host.cfg.Clock.ScheduleArg(delay, repush, r)
+}
 
 // scheduleGrantRefresh arms the custody-refresh loop for a newly received
 // key grant: at the end of every holding period, while the key is still
@@ -310,13 +379,13 @@ func (r *refresh) margin() time.Duration { return time.Duration(r.pkt.Step / 16)
 // custodians do not refresh (a tick on a closed node returns without pushing
 // or re-arming), so a column whose every custodian dies within one period
 // loses its key, as the Monte Carlo model prescribes.
-func (h *Host) scheduleGrantRefresh(pkt Packet, key seal.Key) {
+func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
 	if !h.cfg.Repair || pkt.Step <= 0 || pkt.Width == 0 {
 		return
 	}
-	r := &refresh{host: h, pkt: pkt, key: key}
-	r.pkt.Data = nil
-	h.cfg.Clock.ScheduleArg(time.Duration(pkt.Step)-r.margin(), grantTick, r)
+	r := rec.newLoop(pkt)
+	r.key = key
+	h.cfg.Clock.ScheduleArg(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
 }
 
 // grantTick is one period of a key grant's refresh loop. It fires slightly
@@ -332,21 +401,21 @@ func (h *Host) scheduleGrantRefresh(pkt Packet, key seal.Key) {
 // refresh fires inside it, just before the forward deadline.
 func grantTick(arg any) {
 	r := arg.(*refresh)
-	h := r.host
-	deadline := r.pkt.HoldUntil - int64(r.margin())
+	h := r.rec.host
+	deadline := r.pkt.HoldUntil - int64(margin(r.pkt))
 	if r.pkt.direct() {
 		deadline = r.pkt.HoldUntil
 	}
 	if h.node.Closed() || h.cfg.Clock.Now().UnixNano() >= deadline {
 		return
 	}
-	repush(r)
+	r.push()
 	if h.cfg.Retry {
 		// Retry-hardened repair: one identical backup push half a margin
 		// later — still half a margin before the boundary, so the exposure
 		// stays inside the period — covering a first push eaten whole by a
 		// burst or partition window.
-		h.cfg.Clock.ScheduleArg(r.margin()/2, repush, r)
+		r.schedulePush(margin(r.pkt) / 2)
 	}
 	h.cfg.Clock.ScheduleArg(time.Duration(r.pkt.Step), grantTick, r)
 }
@@ -360,11 +429,11 @@ func (h *Host) replicas() int {
 }
 
 func (h *Host) onOnion(pkt Packet) {
-	rec := h.state(pkt.Mission).at(pkt.Ref(), true)
-	if rec.held != nil {
+	rec := h.record(pkt)
+	if rec.hold.held {
 		return // replica already in custody (joint fan-in), no clone paid
 	}
-	rec.held = h.hold(pkt)
+	rec.holdPackage(pkt)
 	h.advance(pkt.Mission)
 }
 
@@ -373,10 +442,13 @@ func (h *Host) onShare(pkt Packet) {
 	if err != nil {
 		return
 	}
-	rec := h.state(pkt.Mission).at(pkt.Ref(), true)
+	rec := h.record(pkt)
+	if rec.forwarded {
+		return
+	}
 	if rec.addShare(x, data) && h.repairableShare(pkt) && !rec.repair {
 		rec.repair = true
-		h.scheduleShareRefresh(pkt)
+		h.scheduleShareRefresh(rec, pkt)
 	}
 	h.advance(pkt.Mission)
 }
@@ -425,38 +497,48 @@ func (h *Host) repairableShare(pkt Packet) bool {
 // and die with their holder — repair restores shares, not onions — so the
 // delivery model gains no repair term; the margin (1/16 of a holding period)
 // keeps the re-grant exposure strictly inside the period it repairs.
-func (h *Host) scheduleShareRefresh(pkt Packet) {
-	r := &refresh{host: h, pkt: pkt}
-	r.pkt.Data = nil
-	delay := time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()) - r.margin()
+func (h *Host) scheduleShareRefresh(rec *custody, pkt Packet) {
+	delay := time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()) - margin(pkt)
 	if delay <= 0 {
 		return // received during the repair window itself (a re-grant)
 	}
-	h.cfg.Clock.ScheduleArg(delay, repush, r)
+	r := rec.newLoop(pkt)
+	r.schedulePush(delay)
 	if h.cfg.Retry {
 		// Retry-hardened repair: a second regrant half a margin later (still
 		// before the forward deadline). repush re-reads the held share
 		// collection each time, so the backup tick is idempotent — it only
 		// changes anything when the first tick's pushes were lost.
-		h.cfg.Clock.ScheduleArg(delay+r.margin()/2, repush, r)
+		r.schedulePush(delay + margin(pkt)/2)
 	}
 }
 
-// repush is one repair push of a refresh's material, the grant's key or
-// every share held at its Ref, to the current owners of the slots it
-// repairs: column-wide material carrying its column's width goes to every
-// slot of the column (any surviving custodian repairs the whole column);
-// slot material is per-carrier, so only its own slot can be repaired. Each
-// share blob is encoded into one loop buffer, which sendPacket copies.
+// repush is a repair push's event: the loop's push, after which a loop
+// whose record has forwarded and that has no push left armed forgets the
+// record's key material (see spend).
 func repush(arg any) {
 	r := arg.(*refresh)
-	h := r.host
+	r.pushes--
+	r.push()
+	if r.pushes == 0 && r.rec.forwarded && r == &r.rec.loop {
+		r.rec.forget()
+	}
+}
+
+// push is one repair push of a refresh's material, the grant's key or every
+// share held at its Ref, to the current owners of the slots it repairs:
+// column-wide material carrying its column's width goes to every slot of the
+// column (any surviving custodian repairs the whole column); slot material is
+// per-carrier, so only its own slot can be repaired. Each share blob is
+// encoded into one loop buffer, which sendPacket copies.
+func (r *refresh) push() {
+	h := r.rec.host
 	if h.node.Closed() {
 		return
 	}
 	var shares []shamir.Share
-	if rec := h.custodyAt(r.pkt.Mission, r.pkt.Ref()); rec != nil && r.pkt.Kind != PkKeyGrant {
-		shares = rec.shares
+	if r.pkt.Kind != PkKeyGrant {
+		shares = r.rec.shares
 	}
 	pkt, first, end := r.pkt, int(r.pkt.Slot), int(r.pkt.Slot)+1
 	if pkt.Ref().Slot == ColumnWide && pkt.Width > 1 {
@@ -499,7 +581,7 @@ func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey,
 // Custody lies in custodyOrder: forwarding emits network events, and
 // deterministic event sequencing is what makes whole-scenario runs
 // reproducible under a fixed seed. Nothing below inserts a record — a send
-// only schedules — so the walks index custody as it lies.
+// only schedules.
 func (h *Host) advance(mission MissionID) {
 	ms, ok := h.missions[mission]
 	if !ok {
@@ -507,20 +589,18 @@ func (h *Host) advance(mission MissionID) {
 	}
 	// Try peeling each onion with the key at its Ref: granted directly, or
 	// recovered from shares and validated against the onion itself.
-	for i := range ms.custody {
-		h.peel(&ms.custody[i])
+	for _, rec := range ms.refs {
+		h.peel(rec)
 	}
 	// Forward anything peeled and due, after every peel.
-	for i := range ms.custody {
-		rec := &ms.custody[i]
-		hp := rec.held
-		if hp != nil && hp.peeled && hp.due && !hp.done {
-			hp.done = true
+	for _, rec := range ms.refs {
+		if hp := &rec.hold; hp.peeled && hp.due && !rec.forwarded {
 			if rec.ref.Slot == ColumnWide {
 				h.forwardMain(mission, int(rec.ref.Column), hp)
 			} else {
 				h.forwardSlot(mission, rec.ref, hp)
 			}
+			rec.spend()
 		}
 	}
 }
@@ -537,30 +617,29 @@ func custodyOrder(a, b Ref) int {
 	return cmp.Or(cmp.Compare(a.Column, b.Column), cmp.Compare(a.Slot, b.Slot))
 }
 
-// peel attempts to open the record's held package with its key or, failing
+// peel attempts to open the record's held onion with its key or, failing
 // that, with candidate keys recovered from subsets of the collected shares —
 // the authenticated onion layer is the success oracle that tells a true
 // threshold interpolation from garbage, so stale, churn-duplicated or
 // adversary-injected shares can delay recovery but never poison it. A key
-// the oracle confirms becomes the record's key, so later peels (and
-// re-grants) skip the search. Peels run through the record's sealer: a
-// granted key's cipher state is built once, and a confirmed candidate's
-// sealer is kept so the re-grant path never rebuilds it.
+// the oracle confirms becomes the record's key, so re-grants skip the
+// search. Every open is one-shot (onion.Open): a peel leaves the plaintext
+// and nothing else, and a granted key that fails is marked, not retried.
 func (h *Host) peel(rec *custody) {
-	hp := rec.held
-	if hp == nil || hp.peeled {
+	hp := &rec.hold
+	if !hp.held || hp.peeled || hp.pkt.Kind == PkCentral {
 		return
 	}
 	if rec.hasKey {
-		if rec.sealer == nil {
-			rec.sealer, _ = seal.NewSealer(rec.key)
+		if rec.keyFailed {
+			return
 		}
-		if rec.sealer != nil {
-			if layer, err := onion.PeelSealer(rec.sealer, hp.pkt.Data); err == nil {
-				hp.layer, hp.peeled = layer, true
-				h.releaseCustody(hp) // the layer owns fresh plaintext; the sealed clone is dead
-			}
+		plain, err := onion.Open(rec.key, hp.pkt.Data)
+		if err != nil {
+			rec.keyFailed = true
+			return
 		}
+		h.opened(hp, plain)
 		return
 	}
 	if len(rec.shares) == hp.triedShares {
@@ -568,19 +647,21 @@ func (h *Host) peel(rec *custody) {
 	}
 	hp.triedShares = len(rec.shares)
 	shareKeyCandidates(rec.shares, func(cand seal.Key) bool {
-		s, err := seal.NewSealer(cand)
+		plain, err := onion.Open(cand, hp.pkt.Data)
 		if err != nil {
 			return false
 		}
-		layer, err := onion.PeelSealer(s, hp.pkt.Data)
-		if err != nil {
-			return false
-		}
-		hp.layer, hp.peeled = layer, true
-		h.releaseCustody(hp)
-		rec.key, rec.hasKey, rec.sealer = cand, true, s
+		h.opened(hp, plain)
+		rec.key, rec.hasKey = cand, true
 		return true
 	})
+}
+
+// opened records a peel: the package keeps the plaintext, and the sealed
+// clone is dead.
+func (h *Host) opened(hp *heldPackage, plain []byte) {
+	hp.plain, hp.peeled = plain, true
+	h.releaseCustody(hp)
 }
 
 // maxShareCombines bounds the subset interpolations of one recovery attempt:
@@ -674,10 +755,19 @@ func shareKeyCandidates(shares []shamir.Share, try func(seal.Key) bool) {
 	}
 }
 
+// maxViewItems is how many hops and shares a forward views on its stack; a
+// layer listing more is viewed in an array of its own.
+const maxViewItems = 16
+
 // forwardMain forwards a peeled, due main onion (or makes the final secret
 // delivery).
 func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
-	layer, pkt := &hp.layer, hp.pkt
+	var items [maxViewItems][]byte
+	layer, err := onion.View(hp.plain, items[:0])
+	if err != nil {
+		return
+	}
+	pkt := hp.pkt
 	if layer.Payload != nil {
 		// Terminal layer: release the secret to the receiver.
 		if len(layer.NextHops) > 0 {
@@ -717,7 +807,12 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 // into the peeled layer, never a copy. A layer naming a malformed hop
 // forwards nothing.
 func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
-	layer, pkt := &hp.layer, hp.pkt
+	var items [maxViewItems][]byte
+	layer, err := onion.View(hp.plain, items[:0])
+	if err != nil {
+		return
+	}
+	pkt := hp.pkt
 	hops := layer.NextHops
 	for _, hop := range hops {
 		if len(hop) != dht.IDBytes {

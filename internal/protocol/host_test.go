@@ -19,6 +19,16 @@ func TestHostSize(t *testing.T) {
 	}
 }
 
+// TestMissionStateSize: a holder's custody of a mission is one record, its
+// first Ref's custody with its hold and first repair loop inside, and it fits
+// the runtime's 448-byte size class. A field that pushes it into the next
+// class (480 bytes) costs every holder of every mission 32 bytes.
+func TestMissionStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(missionState{}); size > 448 {
+		t.Fatalf("missionState is %d bytes, want <= 448", size)
+	}
+}
+
 // TestNewHostOwnsOnApp: a host is its node's OnApp, so NewHost refuses a
 // config that names another, and the node it builds hands it its payloads.
 func TestNewHostOwnsOnApp(t *testing.T) {
