@@ -352,12 +352,12 @@ func BenchmarkMissionBulk(b *testing.B) {
 // 120-node loop: the dying node closes, a replacement takes over its
 // identifier, address and routing table, and its bootstrap self-lookup runs
 // to the end. Every slot is replaced once before the timer starts, so the
-// loop's lists are warm and allocs/op is a join's fixed cost: one record, the
-// protocol host with its node (pending RPCs held inline) inside, bound
-// without closures to the fabric endpoint its predecessor's death left closed.
-// It is a count, so CI gates it (BENCH_scenario.json): a table, map, closure
-// or endpoint that a join buys again fails there, and B/op fails a host that
-// outgrows its size class.
+// loop's lists are warm and allocs/op is a join's fixed cost: nothing. The
+// join rebuilds in place the host of the previous death, which died a second
+// earlier with nothing armed, and binds it without closures to the fabric
+// endpoint its predecessor's death left closed. It is a count, so CI gates it
+// (BENCH_scenario.json): a host, table, map, closure or endpoint that a join
+// buys again fails there, on allocs/op and on B/op.
 func BenchmarkChurnJoin(b *testing.B) {
 	net, err := NewNetwork(NetworkConfig{Nodes: 120, Replace: true, Seed: 11})
 	if err != nil {

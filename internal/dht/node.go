@@ -205,8 +205,9 @@ func NewNode(cfg Config) (*Node, error) {
 }
 
 // Init is NewNode for a node held inside a larger record: protocol.Host
-// keeps its node by value, so a churn join is one allocation. n must be a
-// zero Node; Init panics on one already built. A failed Init leaves n zero.
+// keeps its node by value, and a churn join rebuilds a dead host in place
+// with it. n must be a zero Node; Init panics on one already built. A failed
+// Init leaves n zero.
 func (n *Node) Init(cfg Config) error {
 	if n.cfg.Endpoint != nil {
 		panic("dht: Init on a node already built")
@@ -255,6 +256,11 @@ func (n *Node) Init(cfg Config) error {
 
 // ID returns the node identifier.
 func (n *Node) ID() ID { return n.cfg.ID }
+
+// Incarnation is the number Init stamped on the node, distinct for every
+// node built on one Scratch: a node built again in place is told from the one
+// that was there before.
+func (n *Node) Incarnation() uint32 { return n.incarnation }
 
 // Contact returns the node's own contact record.
 func (n *Node) Contact() Contact {

@@ -351,3 +351,101 @@ func TestInitPanicsOnBuiltNode(t *testing.T) {
 	}()
 	_ = node.Init(cfg)
 }
+
+// TestClosedNodeDrainsInItsInstant: everything a node has in flight when it
+// closes drains in the instant it closed — a lookup, two owner walks (one
+// with a second rider), a local delivery, a ping-evict probe and, under a
+// retry policy, an acked app send in its backoff gap. Its peers answer
+// nothing, so every request is still waiting on its peer. Once the loop has
+// run to the closing instant, no event the node scheduled is pending, every
+// callback it owed has run and every record it took from its loop's lists is
+// back. A churn join rebuilds a dead host in place on this contract
+// (DESIGN.md, "Death → join").
+func TestClosedNodeDrainsInItsInstant(t *testing.T) {
+	for _, retry := range []RetryPolicy{{}, {Attempts: 3}} {
+		t.Run(fmt.Sprintf("retry=%d", retry.Attempts), func(t *testing.T) {
+			s := sim.NewSimulator()
+			net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 3})
+			var self ID
+			self[IDBytes-1] = 1
+			delivered := 0
+			victim, err := NewNode(Config{
+				ID: self, Endpoint: net.Endpoint("victim"), Clock: s, Table: TablePingEvict, Retry: retry,
+				OnApp: appFunc(func(Contact, []byte) { delivered++ }),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// out is how many records of each of the loop's lists are out of
+			// it: every one the list made, less the ones it holds.
+			sc := victim.cfg.Scratch
+			out := func() [6]uint64 {
+				return [6]uint64{
+					sc.lookups.Misses() - uint64(sc.lookups.Len()),
+					sc.queries.Misses() - uint64(sc.queries.Len()),
+					sc.walks.Misses() - uint64(sc.walks.Len()),
+					sc.rpcs.Misses() - uint64(sc.rpcs.Len()),
+					sc.locals.Misses() - uint64(sc.locals.Len()),
+					sc.bufs.Misses() - uint64(sc.bufs.Len()),
+				}
+			}
+			pending, taken := s.Pending(), out()
+
+			if retry.enabled() {
+				// Timed out once, so waiting out its backoff gap (at least
+				// 150 ms) when the node closes 100 ms from now.
+				if err := victim.SendApp(mkBucket0(100), []byte("acked")); err != nil {
+					t.Fatal(err)
+				}
+				s.RunFor(rpcTimeout + time.Millisecond)
+			}
+			fillBucket0(victim.Table(), 10) // a full bucket: its LRU entry is probed
+			lookups, riders := 0, 0
+			victim.Lookup(mkBucket0(50).ID, func([]Contact) { lookups++ })
+			victim.SendToOwners(mkBucket0(60).ID, []byte("a"), 1, func(Contact, error) { riders++ })
+			victim.SendToOwners(mkBucket0(60).ID, []byte("b"), 2, func(Contact, error) { riders++ })
+			buf := victim.Bufs().Get()
+			*buf = append((*buf)[:0], "c"...)
+			victim.SendBufToOwners(mkBucket0(70).ID, buf, 1)
+			s.RunFor(100 * time.Millisecond) // every datagram has landed nowhere
+
+			var closedAt time.Time
+			s.Schedule(0, func() {
+				// Three queries each for the lookup and the two walks, the
+				// probe and the acked send.
+				want := 11
+				if !retry.enabled() {
+					want = 10
+				} else if !victim.pending[0].waiting {
+					t.Error("the acked app send is not in its backoff gap")
+				}
+				if len(victim.pending) != want || len(sc.ownerWalks) != 2 || !victim.table.evict[0].probing {
+					t.Errorf("at Close: %d requests in flight, want %d; %d owner walks, want 2; probe out %v",
+						len(victim.pending), want, len(sc.ownerWalks), victim.table.evict[0].probing)
+				}
+				if err := victim.deliverLocal([]byte("local")); err != nil {
+					t.Error(err)
+				}
+				closedAt = s.Now()
+				_ = victim.Close()
+			})
+			s.RunUntil(s.Now())
+
+			if got := s.Pending(); got != pending {
+				t.Errorf("%d events pending after the closing instant, %d before the node issued anything", got, pending)
+			}
+			if got := out(); got != taken {
+				t.Errorf("records out of the loop's lists (lookups, queries, walks, rpcs, locals, bufs): %v after the closing instant, %v before", got, taken)
+			}
+			if lookups != 1 || riders != 2 || delivered != 1 {
+				t.Errorf("in the closing instant: %d of 1 lookups finished, %d of 2 riders told, %d of 1 local deliveries made", lookups, riders, delivered)
+			}
+			if len(victim.pending) != 0 || len(sc.ownerWalks) != 0 {
+				t.Errorf("%d requests and %d owner walks still in flight", len(victim.pending), len(sc.ownerWalks))
+			}
+			if !s.Now().Equal(closedAt) {
+				t.Errorf("the loop ran to %v, past the closing instant %v", s.Now(), closedAt)
+			}
+		})
+	}
+}

@@ -21,9 +21,8 @@ func (t tappedHost) HandleApp(from dht.Contact, payload []byte) {
 // NewTappedHost is NewHost whose node hands every payload to tap before the
 // host handles it.
 func NewTappedHost(cfg HostConfig, node dht.Config, tap func(from dht.Contact, payload []byte)) (*Host, error) {
-	h := &Host{cfg: cfg}
-	node.OnApp = tappedHost{host: h, tap: tap}
-	if err := h.node.Init(node); err != nil {
+	h := new(Host)
+	if err := h.build(cfg, node, tappedHost{host: h, tap: tap}); err != nil {
 		return nil, err
 	}
 	return h, nil

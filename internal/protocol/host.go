@@ -63,9 +63,10 @@ type HostConfig struct {
 // Host is the holder-side protocol engine of one DHT node. It buffers
 // packages and key material per mission, peels onion layers as the needed
 // keys become available, and forwards on the hold schedule. It holds its
-// node by value, so the two are one record (a churn join is one allocation),
-// and runs on the node's dispatch context (see dht.Node): HandleApp and the
-// hold and repair timers are that loop's events, so custody is not locked.
+// node by value, so the two are one record, which a churn join rebuilds in
+// place once it is Finished (Rebuild), and runs on the node's dispatch
+// context (see dht.Node): HandleApp and the hold and repair timers are that
+// loop's events, so custody is not locked.
 type Host struct {
 	cfg  HostConfig
 	node dht.Node
@@ -73,6 +74,9 @@ type Host struct {
 	// missions is nil until the first write (state): a churn replacement
 	// that never holds custody pays nothing for it.
 	missions map[MissionID]*missionState
+	// armed counts the host's hold, grant-tick and repush events not yet
+	// run (after): a closed host with none left is Finished.
+	armed int
 }
 
 // missionState is one mission's custody at one holder: one record per Ref the
@@ -198,7 +202,15 @@ func (c *custody) holdPackage(pkt Packet) {
 	*buf = append((*buf)[:0], pkt.Data...)
 	pkt.Data = *buf
 	c.hold = heldPackage{pkt: pkt, buf: buf, held: true}
-	h.cfg.Clock.ScheduleArg(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, c)
+	h.after(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, c)
+}
+
+// after arms one of the host's own events, fn(arg) delay from now, counted in
+// armed until fn counts it down as its first statement. Every hold,
+// grant-tick and repush event goes through here.
+func (h *Host) after(delay time.Duration, fn func(any), arg any) {
+	h.armed++
+	h.cfg.Clock.ScheduleArg(delay, fn, arg)
 }
 
 // holdDue is a hold timer's event. A hold is never cancelled, but one that
@@ -208,6 +220,7 @@ func (c *custody) holdPackage(pkt Packet) {
 func holdDue(arg any) {
 	rec := arg.(*custody)
 	h := rec.host
+	h.armed--
 	if h.node.Closed() {
 		return
 	}
@@ -266,19 +279,46 @@ func (c *custody) forget() {
 // NewHost creates a host and builds its DHT node from node, whose OnApp is
 // the host itself: a caller-supplied OnApp is an error.
 func NewHost(cfg HostConfig, node dht.Config) (*Host, error) {
-	if node.OnApp != nil {
-		return nil, errors.New("protocol: a host is its node's OnApp")
-	}
-	h := &Host{cfg: cfg}
-	node.OnApp = h
-	if err := h.node.Init(node); err != nil {
+	h := new(Host)
+	if err := h.Rebuild(cfg, node); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
+// Finished reports whether the host may be rebuilt: its node is closed and
+// none of its own events is armed. What the closed node's drain schedules
+// runs in the instant it closed (DESIGN.md, "Death → join"), so a host that
+// closed at an earlier instant and is Finished is reached by nothing.
+func (h *Host) Finished() bool { return h.node.Closed() && h.armed == 0 }
+
+// Rebuild makes h a new host in place, as NewHost makes one: the record is
+// zeroed — its custody index dropped, not cleared — and its node built again
+// (dht.Node.Init) with h as its OnApp. h must be a zero Host or a Finished
+// one; Rebuild panics on a host still in use, whose armed events would run
+// on its successor.
+func (h *Host) Rebuild(cfg HostConfig, node dht.Config) error {
+	if node.OnApp != nil {
+		return errors.New("protocol: a host is its node's OnApp")
+	}
+	return h.build(cfg, node, h)
+}
+
+// build is Rebuild with the node's OnApp given.
+func (h *Host) build(cfg HostConfig, node dht.Config, onApp dht.AppHandler) error {
+	if !h.node.ID().IsZero() && !h.Finished() {
+		panic("protocol: rebuild of a host still in use")
+	}
+	*h = Host{cfg: cfg}
+	node.OnApp = onApp
+	return h.node.Init(node)
+}
+
 // Node returns the host's DHT node.
 func (h *Host) Node() *dht.Node { return &h.node }
+
+// Missions reports how many missions the host keeps custody records for.
+func (h *Host) Missions() int { return len(h.missions) }
 
 // HandleApp is the dht.Config.OnApp entry point. The payload follows the
 // transport delivery contract — it is valid only for the duration of the
@@ -367,7 +407,7 @@ func margin(pkt Packet) time.Duration { return time.Duration(pkt.Step / 16) }
 // schedulePush arms one repush of the loop, delay from now.
 func (r *refresh) schedulePush(delay time.Duration) {
 	r.pushes++
-	r.rec.host.cfg.Clock.ScheduleArg(delay, repush, r)
+	r.rec.host.after(delay, repush, r)
 }
 
 // scheduleGrantRefresh arms the custody-refresh loop for a newly received
@@ -385,7 +425,7 @@ func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
 	}
 	r := rec.newLoop(pkt)
 	r.key = key
-	h.cfg.Clock.ScheduleArg(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
+	h.after(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
 }
 
 // grantTick is one period of a key grant's refresh loop. It fires slightly
@@ -402,6 +442,7 @@ func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
 func grantTick(arg any) {
 	r := arg.(*refresh)
 	h := r.rec.host
+	h.armed--
 	deadline := r.pkt.HoldUntil - int64(margin(r.pkt))
 	if r.pkt.direct() {
 		deadline = r.pkt.HoldUntil
@@ -417,7 +458,7 @@ func grantTick(arg any) {
 		// burst or partition window.
 		r.schedulePush(margin(r.pkt) / 2)
 	}
-	h.cfg.Clock.ScheduleArg(time.Duration(r.pkt.Step), grantTick, r)
+	h.after(time.Duration(r.pkt.Step), grantTick, r)
 }
 
 // replicas returns the forwarding replica count.
@@ -518,6 +559,7 @@ func (h *Host) scheduleShareRefresh(rec *custody, pkt Packet) {
 // record's key material (see spend).
 func repush(arg any) {
 	r := arg.(*refresh)
+	r.rec.host.armed--
 	r.pushes--
 	r.push()
 	if r.pushes == 0 && r.rec.forwarded && r == &r.rec.loop {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"selfemerge/internal/adversary"
@@ -229,10 +230,10 @@ type Network struct {
 	// no RNG draws and no datagrams. RunUntil drives its ticks at barriers.
 	forger *adversary.Forger
 
-	// nodes is the population by slot. After boot a slot is rewritten only
-	// by its owner shard's loop (a churn replacement), and read across slots
-	// only between runs.
-	nodes    []*dht.Node
+	// nodes is the population by slot, each a host with its node inside.
+	// After boot a slot is rewritten only by its owner shard's loop (a churn
+	// replacement), and read across slots only between runs.
+	nodes    []*protocol.Host
 	receiver *dht.Node
 	slots    []slot // death records by population slot, made at boot under churn
 	// seeds is every join's bootstrap list: node 0, which churn never
@@ -265,11 +266,49 @@ type shard struct {
 	// barrier (see releaseReports).
 	reports reportQueue
 
+	// dead is the hosts of this shard's churn deaths under Replace, oldest
+	// first, waiting to be rebuilt in place for a later join (reuse).
+	dead []deadHost
+
 	// Churn counters of this shard's nodes; the death event runs on this loop.
 	deaths, joins int
 	// retired accumulates the resilience counters of churn-replaced nodes
 	// at death, so ResilienceStats never loses a dead node's activity.
 	retired dht.Resilience
+}
+
+// deadHost is a host in a shard's dead queue and the instant it died.
+type deadHost struct {
+	host *protocol.Host
+	at   int64
+}
+
+// maxDeadHosts bounds a shard's dead queue: the longest one a drive of the
+// benchmark's churn workloads builds is 25, and the default 200-node
+// key-share point fills it. A host that dies with the queue full is left to
+// the collector.
+const maxDeadHosts = 32
+
+// bury queues the host that just died on the shard.
+func (sh *shard) bury(host *protocol.Host) {
+	if len(sh.dead) < maxDeadHosts {
+		sh.dead = append(sh.dead, deadHost{host: host, at: sh.sim.Now().UnixNano()})
+	}
+}
+
+// reuse takes the oldest queued host that died before the current instant
+// and is Finished, or returns nil. Whatever the host's closed node drained
+// ran in the instant it died, and Finished says its own events have run too,
+// so nothing reaches it any more and a join may rebuild it in place.
+func (sh *shard) reuse() *protocol.Host {
+	now := sh.sim.Now().UnixNano()
+	for i, d := range sh.dead {
+		if d.at < now && d.host.Finished() {
+			sh.dead = slices.Delete(sh.dead, i, i+1)
+			return d.host
+		}
+	}
+	return nil
 }
 
 type delivery struct {
@@ -378,10 +417,10 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			return nil, err
 		}
 	}
-	n.receiver = n.nodes[1]
-	n.seeds = []dht.Contact{n.nodes[0].Contact()}
-	for _, node := range n.nodes[1:] {
-		node.Bootstrap(n.seeds, nil)
+	n.receiver = n.nodes[1].Node()
+	n.seeds = []dht.Contact{n.nodes[0].Node().Contact()}
+	for _, host := range n.nodes[1:] {
+		host.Node().Bootstrap(n.seeds, nil)
 	}
 	// Settle the join traffic within a bounded window. Draining the whole
 	// event queue would fast-forward through every scheduled churn death.
@@ -509,9 +548,10 @@ func (n *Network) addNode(idx int, malicious bool) error {
 }
 
 // spawn creates a live node with the given address and identifier on the
-// shard that owns the identifier's zone, installs it at population slot idx
-// (replacing — and releasing — any dead predecessor there), and, for
-// churn-eligible slots, schedules its death and replacement.
+// shard that owns the identifier's zone — in a finished dead host of that
+// shard rebuilt in place when there is one (shard.reuse), else in a new one —
+// installs it at population slot idx (replacing any dead predecessor there),
+// and, for churn-eligible slots, schedules its death and replacement.
 func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool) error {
 	owner := id.Shard(len(n.shards))
 	sh := &n.shards[owner]
@@ -531,7 +571,11 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 			}
 		}
 	}
-	host, err := protocol.NewHost(protocol.HostConfig{
+	host := sh.reuse()
+	if host == nil {
+		host = new(protocol.Host)
+	}
+	err := host.Rebuild(protocol.HostConfig{
 		Clock:     sh.sim,
 		Malicious: malicious,
 		Drop:      malicious && n.cfg.Attack.Drops(),
@@ -551,7 +595,6 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	if err != nil {
 		return err
 	}
-	node := host.Node()
 	if n.forger != nil {
 		n.forger.AddVictim(addr)
 		if malicious {
@@ -561,9 +604,9 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		}
 	}
 	if idx < len(n.nodes) {
-		n.nodes[idx] = node // replacement: drop the dead predecessor's state
+		n.nodes[idx] = host // replacement: drop the dead predecessor's state
 	} else {
-		n.nodes = append(n.nodes, node)
+		n.nodes = append(n.nodes, host)
 	}
 
 	// Churn: the node dies permanently at an exponential lifetime; the
@@ -594,10 +637,11 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 
 // die is the churn death of the node at population slot idx, an event on
 // sh, its shard's loop: the node closes, handing its routing table to the
-// loop, and under Replace its replacement joins at once and takes that table
-// back wiped.
+// loop, and under Replace its host goes on the shard's dead queue and its
+// replacement joins at once and takes that table back wiped.
 func (n *Network) die(sh *shard, idx int) {
-	node := n.nodes[idx]
+	host := n.nodes[idx]
+	node := host.Node()
 	// Harvest the dying node's resilience counters before its slot is reused;
 	// without Replace the closed node stays in the population slice and keeps
 	// reporting its own totals.
@@ -607,6 +651,7 @@ func (n *Network) die(sh *shard, idx int) {
 	_ = node.Close()
 	sh.deaths++
 	if n.cfg.Replace {
+		sh.bury(host)
 		n.join(sh, node.Contact().Addr, node.ID(), idx)
 	}
 }
@@ -626,7 +671,7 @@ func (n *Network) join(sh *shard, addr transport.Addr, id dht.ID, idx int) {
 		return
 	}
 	sh.joins++
-	n.nodes[idx].Bootstrap(n.seeds, nil)
+	n.nodes[idx].Node().Bootstrap(n.seeds, nil)
 }
 
 // ChurnEvents reports how many permanent deaths and replacement joins have
@@ -657,12 +702,13 @@ func (n *Network) ForgedContacts() uint64 {
 // and went back to its loop at the death.
 func (n *Network) RouteAudit() (live, poisoned int) {
 	real := make(map[dht.ID]transport.Addr, len(n.nodes))
-	for _, node := range n.nodes {
-		if !node.Closed() {
+	for _, host := range n.nodes {
+		if node := host.Node(); !node.Closed() {
 			real[node.ID()] = node.Contact().Addr
 		}
 	}
-	for _, node := range n.nodes {
+	for _, host := range n.nodes {
+		node := host.Node()
 		if node.Closed() {
 			continue
 		}
@@ -684,8 +730,8 @@ func (n *Network) ResilienceStats() (total dht.Resilience) {
 	for i := range n.shards {
 		total.Add(n.shards[i].retired)
 	}
-	for _, node := range n.nodes {
-		total.Add(node.Resilience())
+	for _, host := range n.nodes {
+		total.Add(host.Node().Resilience())
 	}
 	return total
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"selfemerge/internal/core"
+	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
 )
 
@@ -105,4 +106,92 @@ func TestDriveAllocatesNoRecord(t *testing.T) {
 			check("warm", 3, true)
 		})
 	}
+}
+
+// TestJoinRebuildsOnlyFinishedHosts: a churn join rebuilds a dead host in
+// place only once nothing can reach it: the host died at an earlier instant,
+// so whatever its closed node drained has run, and none of its own events is
+// armed. The rebuilt host keeps nothing of its predecessor.
+func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
+	boot := func(t *testing.T) *Network {
+		t.Helper()
+		net, err := NewNetwork(NetworkConfig{Nodes: 30, Replace: true, Retry: 3, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	// die kills the node at slot idx at the current instant and returns the
+	// host that died and the one its replacement joined in.
+	die := func(net *Network, idx int) (dead, joined *protocol.Host) {
+		dead = net.nodes[idx]
+		net.die(&net.shards[0], idx)
+		return dead, net.nodes[idx]
+	}
+	silent := dht.Contact{ID: dht.IDFromKey([]byte("silent")), Addr: "silent"}
+
+	t.Run("drain in flight", func(t *testing.T) {
+		net := boot(t)
+		victim := net.nodes[5]
+		walked, pinged := false, false
+		victim.Node().SendToOwners(dht.IDFromKey([]byte("walk")), []byte("x"), 1, func(dht.Contact, error) { walked = true })
+		victim.Node().Ping(silent, func(error) { pinged = true })
+		if walked || pinged {
+			t.Fatal("a callback ran inside its call")
+		}
+		if dead, joined := die(net, 5); joined == dead {
+			t.Fatal("the join in the death instant rebuilt the dead host")
+		}
+		net.RunFor(time.Second)
+		if !walked || !pinged {
+			t.Fatalf("owner walk finished %v, ping finished %v: the death left nothing in flight", walked, pinged)
+		}
+		if _, joined := die(net, 6); joined != victim {
+			t.Fatal("a join at a later instant did not rebuild the finished host")
+		}
+	})
+
+	t.Run("hold armed", func(t *testing.T) {
+		net := boot(t)
+		holder := net.nodes[5]
+		due := net.Now().Add(10 * time.Second)
+		pkt := protocol.Packet{
+			Mission: protocol.MissionID{1}, Kind: protocol.PkCentral, HoldUntil: due.UnixNano(),
+			Target: net.receiver.ID(), Data: []byte("secret"),
+		}
+		holder.HandleApp(net.nodes[0].Node().Contact(), pkt.AppendEncode(nil))
+		holder.Node().Ping(silent, func(error) {})
+		net.RunFor(2 * time.Second)
+		old := holder.Node()
+		oldID, oldIncarnation := old.ID(), old.Incarnation()
+		if holder.Missions() != 1 || old.Resilience().Retries == 0 {
+			t.Fatalf("the holder keeps %d missions and %+v: nothing to carry over", holder.Missions(), old.Resilience())
+		}
+		die(net, 5)
+		for idx := 6; ; idx++ {
+			net.RunFor(time.Second)
+			_, joined := die(net, idx)
+			if net.Now().Before(due) {
+				if joined == holder {
+					t.Fatalf("a join %v before the hold came due rebuilt its holder", due.Sub(net.Now()))
+				}
+				continue
+			}
+			if joined != holder {
+				t.Fatal("a join after the hold ran did not rebuild its holder")
+			}
+			break
+		}
+		// The rebuilt host carries nothing from its predecessor.
+		node := holder.Node()
+		if holder.Missions() != 0 {
+			t.Errorf("the rebuilt host keeps %d missions", holder.Missions())
+		}
+		if node.ID() == oldID || node.Incarnation() <= oldIncarnation {
+			t.Errorf("the rebuilt node is %v incarnation %d, its predecessor %v incarnation %d", node.ID(), node.Incarnation(), oldID, oldIncarnation)
+		}
+		if got := node.Resilience(); got != (dht.Resilience{}) {
+			t.Errorf("the rebuilt node starts with resilience counters %+v", got)
+		}
+	})
 }

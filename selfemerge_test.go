@@ -246,10 +246,10 @@ func TestChurnReplacementKeepsPopulationServing(t *testing.T) {
 // cost, the self-lookup drained, on a warmed loop shaped like the faulty-120
 // benchmark workload: churn on, so every spawn arms a death timer; Retry 3,
 // so every node seeds a retry-jitter stream; burst faults, so every spawn
-// registers with the crash manager. What a join may buy is one record, its
-// protocol host with the node inside: the fabric re-opens the dead node's
-// endpoint for it. The lifetimes are long enough that the deaths here are
-// the test's own.
+// registers with the crash manager. A join buys nothing: it rebuilds in place
+// the host of the previous death, which died at an earlier instant and has
+// nothing armed, and the fabric re-opens the dead node's endpoint for it. The
+// lifetimes are long enough that the deaths here are the test's own.
 func TestChurnJoinAllocs(t *testing.T) {
 	net, err := NewNetwork(NetworkConfig{
 		Nodes: 120, MaliciousRate: 0.1, Attack: AttackDrop, HonestEndpoints: true,
@@ -269,7 +269,7 @@ func TestChurnJoinAllocs(t *testing.T) {
 	for range net.nodes {
 		churn() // every slot replaced once: the loop's lists are warm
 	}
-	const maxJoinAllocs = 1
+	const maxJoinAllocs = 0
 	if allocs := testing.AllocsPerRun(100, churn); allocs > maxJoinAllocs {
 		t.Fatalf("a churn death and its join allocate %.0f times, want at most %d", allocs, maxJoinAllocs)
 	}
@@ -285,13 +285,14 @@ func TestRouteAuditSkipsClosedNodes(t *testing.T) {
 	}
 	net.RunFor(time.Hour)
 	dead := map[dht.ID]bool{}
-	for _, node := range net.nodes {
-		if node.Closed() {
+	for _, host := range net.nodes {
+		if node := host.Node(); node.Closed() {
 			dead[node.ID()] = true
 		}
 	}
 	entries, stale := 0, 0
-	for _, node := range net.nodes {
+	for _, host := range net.nodes {
+		node := host.Node()
 		if node.Closed() {
 			continue
 		}
@@ -352,6 +353,22 @@ func TestSendValidation(t *testing.T) {
 	}
 	if _, err := net.Send([]byte("x"), time.Hour, WithScheme(Scheme(9))); err == nil {
 		t.Error("bogus scheme accepted")
+	}
+	// A threat model outside [0, 1] is an error under every scheme, never a
+	// panic in a closed form.
+	for _, scheme := range []Scheme{SchemeCentral, SchemeDisjoint, SchemeJoint, SchemeKeyShare} {
+		for _, p := range []float64{1.5, -0.1} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%v with threat model %v panicked: %v", scheme, p, r)
+					}
+				}()
+				if _, err := net.Send([]byte("x"), time.Hour, WithScheme(scheme), WithThreatModel(p)); err == nil {
+					t.Errorf("%v with threat model %v accepted", scheme, p)
+				}
+			}()
+		}
 	}
 	// A plan Dispatch refuses is refused before the payload is sealed and
 	// uploaded: no failed Send above may leave an object behind.

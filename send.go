@@ -132,7 +132,7 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 	}
 	// Dispatch from a node that is neither the bootstrap nor the receiver,
 	// through the network's sender (and so its randomness source).
-	if _, err := n.sender.Dispatch(n.nodes[2], mission); err != nil {
+	if _, err := n.sender.Dispatch(n.nodes[2].Node(), mission); err != nil {
 		return nil, err
 	}
 	// Uploaded only once the key is on its way, so a failed Send leaves
@@ -143,25 +143,19 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 	return &Message{mission: mission, cloudObject: object}, nil
 }
 
+// planFor is the mission's plan: the caller's, or the planner's through
+// core.PlanSpec, which refuses a threat model outside [0, 1] before any
+// closed form runs. The key share planner sizes for churn of severity
+// emerging/lifetime, and for 1 without churn, where its thresholds stay mild.
 func (n *Network) planFor(cfg sendConfig, emerging time.Duration) (core.Plan, error) {
 	if cfg.plan != nil {
 		return *cfg.plan, nil
 	}
-	pcfg := core.PlannerConfig{Budget: cfg.budget}
-	switch cfg.scheme {
-	case SchemeCentral:
-		return core.PlanCentral(cfg.maliciousRate), nil
-	case SchemeDisjoint, SchemeJoint:
-		return core.PlanMultipath(cfg.scheme, cfg.maliciousRate, pcfg)
-	case SchemeKeyShare:
-		lifetime := n.cfg.MeanLifetime
-		if lifetime == 0 {
-			lifetime = emerging // no churn: alpha = 1, thresholds stay mild
-		}
-		return core.PlanKeyShare(cfg.maliciousRate, float64(emerging), float64(lifetime), pcfg)
-	default:
-		return core.Plan{}, fmt.Errorf("selfemerge: unknown scheme %v", cfg.scheme)
+	alpha := 1.0
+	if n.cfg.MeanLifetime > 0 {
+		alpha = float64(emerging) / float64(n.cfg.MeanLifetime)
 	}
+	return core.PlanSpec{Scheme: cfg.scheme, P: cfg.maliciousRate, Alpha: alpha, Budget: cfg.budget}.Plan()
 }
 
 // Emerged reports whether the message's key has emerged, and if so decrypts
