@@ -92,6 +92,13 @@ type peer struct {
 	onSecret func(protocol.MissionID, []byte)
 }
 
+// retryAttempts is the sends a node makes per request: the simulations'
+// retry-hardened arm, since a real network loses datagrams. Requests re-send
+// through loss (first at the node's measured retransmission timeout), app
+// payloads travel acknowledged and deduplicated, and the host pushes each
+// repair twice.
+const retryAttempts = 3
+
 // start opens the socket and boots a node with a fresh random identifier and
 // a protocol host on a loop of its own.
 func start(listen string) (*peer, error) {
@@ -111,12 +118,13 @@ func start(listen string) (*peer, error) {
 	err, ok := await(loop, opTimeout, func(report func(error)) {
 		host, err := protocol.NewHost(protocol.HostConfig{
 			Clock: loop.Clock(),
+			Retry: true,
 			OnSecret: func(m protocol.MissionID, secret []byte) {
 				if p.onSecret != nil {
 					p.onSecret(m, secret)
 				}
 			},
-		}, dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock()})
+		}, dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock(), Retry: dht.RetryPolicy{Attempts: retryAttempts}})
 		if err == nil {
 			p.node = host.Node()
 		}

@@ -145,21 +145,31 @@ func evalPoly(secret byte, coeffs []byte, x byte) byte {
 	return mul(acc, x) ^ secret
 }
 
-// mul multiplies in GF(2^8) modulo x^8+x^4+x^3+x+1 (0x11b).
-func mul(a, b byte) byte {
-	var p byte
-	for b > 0 {
-		if b&1 == 1 {
-			p ^= a
+// The field's log and antilog tables over the generator 0x03. gfExp holds two
+// periods, so a product's exponent sum indexes it without a reduction mod 255.
+var gfLog, gfExp = gfTables()
+
+func gfTables() (log [256]byte, exp [510]byte) {
+	x := byte(1)
+	for i := range 255 {
+		exp[i], exp[i+255] = x, x
+		log[x] = byte(i)
+		// x·0x03 = x·0x02 ^ x, the doubling reduced modulo 0x11b.
+		double := x << 1
+		if x&0x80 != 0 {
+			double ^= 0x1b
 		}
-		carry := a & 0x80
-		a <<= 1
-		if carry != 0 {
-			a ^= 0x1b
-		}
-		b >>= 1
+		x ^= double
 	}
-	return p
+	return log, exp
+}
+
+// mul multiplies in GF(2^8) modulo x^8+x^4+x^3+x+1 (0x11b), by table.
+func mul(a, b byte) byte {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	return gfExp[int(gfLog[a])+int(gfLog[b])]
 }
 
 // inv returns the multiplicative inverse in GF(2^8); inv(0) is 0 by
@@ -168,14 +178,5 @@ func inv(a byte) byte {
 	if a == 0 {
 		return 0
 	}
-	// a^254 = a^-1 in GF(2^8) by Fermat's little theorem for GF(2^8)*.
-	result := byte(1)
-	base := a
-	for exp := 254; exp > 0; exp >>= 1 {
-		if exp&1 == 1 {
-			result = mul(result, base)
-		}
-		base = mul(base, base)
-	}
-	return result
+	return gfExp[255-int(gfLog[a])]
 }

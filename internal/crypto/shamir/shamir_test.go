@@ -185,3 +185,49 @@ func TestGFFieldAxioms(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// mulRef is GF(2^8) multiplication modulo 0x11b as a shift-and-add loop, the
+// reference the table-driven mul is checked against.
+func mulRef(a, b byte) byte {
+	var p byte
+	for b > 0 {
+		if b&1 == 1 {
+			p ^= a
+		}
+		carry := a & 0x80
+		a <<= 1
+		if carry != 0 {
+			a ^= 0x1b
+		}
+		b >>= 1
+	}
+	return p
+}
+
+// invRef is a^254 by square-and-multiply over mulRef: a^-1 for a != 0, since
+// the multiplicative group has order 255, and 0 for a == 0.
+func invRef(a byte) byte {
+	result, base := byte(1), a
+	for exp := 254; exp > 0; exp >>= 1 {
+		if exp&1 == 1 {
+			result = mulRef(result, base)
+		}
+		base = mulRef(base, base)
+	}
+	return result
+}
+
+// TestGFTablesMatchReference: the log/exp tables give the bit-loop product
+// for every one of the 65,536 operand pairs, and its inverse for every byte.
+func TestGFTablesMatchReference(t *testing.T) {
+	for a := range 256 {
+		if got, want := inv(byte(a)), invRef(byte(a)); got != want {
+			t.Errorf("inv(%#02x) = %#02x, want %#02x", a, got, want)
+		}
+		for b := range 256 {
+			if got, want := mul(byte(a), byte(b)), mulRef(byte(a), byte(b)); got != want {
+				t.Fatalf("mul(%#02x, %#02x) = %#02x, want %#02x", a, b, got, want)
+			}
+		}
+	}
+}

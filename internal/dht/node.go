@@ -58,8 +58,17 @@ const (
 	// staleAfter is the naive policy's bucket-eviction staleness threshold.
 	staleAfter = 10 * time.Minute
 	// rpcTimeout bounds each attempt of a request/response exchange, the
-	// ping-evict policy's liveness probes included.
+	// ping-evict policy's liveness probes included. It is also the ceiling of
+	// the measured retransmission timeout (rto): no peer can stretch a first
+	// send's deadline past it.
 	rpcTimeout = 500 * time.Millisecond
+	// rtoMin is the floor of the measured retransmission timeout: no peer can
+	// pull a first re-send closer than this to its send, however fast it
+	// answers.
+	rtoMin = 50 * time.Millisecond
+	// rtoGranularity is RFC 6298's G, the least margin rto keeps over the
+	// smoothed round trip when the variance has settled to nothing.
+	rtoGranularity = time.Millisecond
 )
 
 func (c Config) withDefaults() Config {
@@ -73,7 +82,10 @@ func (c Config) withDefaults() Config {
 }
 
 // ErrTimeout is passed to RPC callbacks when the peer does not answer
-// within rpcTimeout (of its last attempt, under a retry policy).
+// within rpcTimeout (of its last attempt, under a retry policy). A retry
+// policy's early re-send of a first request (see RetryPolicy) only adds to
+// the time before it: a request nobody answers fails no earlier than it would
+// without one.
 var ErrTimeout = errors.New("dht: rpc timeout")
 
 // ErrClosed is returned for operations on a closed node.
@@ -93,6 +105,10 @@ type Node struct {
 	// index (Scratch.appSeen) and its walks in the loop's owner-walk index
 	// (Scratch.ownerWalks) from those of another node with its ID.
 	incarnation uint32
+	// srtt and rttvar are the node's RFC 6298 round-trip estimator, in
+	// nanoseconds (observeRTT). Each sits in padding the struct already had,
+	// which is why they are apart; rttSampled is false until the first sample.
+	srtt uint32
 
 	// retryRng draws the backoff jitter; seeded only if cfg.Retry is enabled.
 	retryRng stats.RNG
@@ -106,6 +122,8 @@ type Node struct {
 	rpcSeq     uint64
 	resilience Resilience
 	closed     bool
+	rttSampled bool
+	rttvar     uint32
 }
 
 // pendingRPC is one in-flight request: a record recycled through the node's
@@ -128,10 +146,18 @@ type pendingRPC struct {
 	// timed-out attempt and its re-send: the timer is re-armed twice per
 	// retry (timeout, then gap), and whichever phase it is in, the record
 	// stays in n.pending so a late response can still settle it.
+	//
+	// sent is the instant of the first send, the start of the one round trip
+	// the record can sample. early marks a first deadline armed at the node's
+	// rto rather than rpcTimeout, resent that the first attempt has been
+	// re-sent at it (rpcTimedOut).
 	wire    []byte
 	addr    transport.Addr
+	sent    time.Time
 	attempt int
 	waiting bool
+	early   bool
+	resent  bool
 }
 
 // rpcCallback is a package-level function with its argument, so hot callers
@@ -154,8 +180,9 @@ func releasePending(p *pendingRPC) {
 	p.timer = sim.ArgTimer{}
 	p.wire = p.wire[:0]
 	p.addr = ""
+	p.sent = time.Time{}
 	p.attempt = 0
-	p.waiting = false
+	p.waiting, p.early, p.resent = false, false, false
 	s.rpcs.Put(p)
 }
 
@@ -163,10 +190,19 @@ func releasePending(p *pendingRPC) {
 // not answer within the attempt's deadline, and again at the end of each
 // retry backoff gap. A retryable record cycles timeout → backoff gap →
 // re-send until its attempts run out; only then does the callback see
-// ErrTimeout.
+// ErrTimeout. A first deadline armed at the node's rto comes before all of
+// that: it re-sends at once and gives the first attempt a full rpcTimeout
+// more, after which the cycle runs as it would have.
 func rpcTimedOut(v any) {
 	p := v.(*pendingRPC)
 	n := p.node
+	if p.early {
+		p.early, p.resent = false, true
+		n.resilience.Retries++
+		p.timer = n.cfg.Clock.AfterFuncArg(rpcTimeout, rpcTimedOut, p)
+		_ = n.send(p.addr, p.wire)
+		return
+	}
 	if len(p.wire) > 0 && p.attempt < n.cfg.Retry.Attempts {
 		if !p.waiting {
 			// Attempt timed out with retries left: hold the pending slot
@@ -477,11 +513,15 @@ func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 	}
 	p := n.cfg.Scratch.rpcs.Get()
 	p.node, p.cb, p.to, p.id = n, cb, to.ID, m.RPCID
-	p.addr, p.attempt = to.Addr, 1
+	p.addr, p.sent, p.attempt = to.Addr, n.cfg.Clock.Now(), 1
+	deadline := rpcTimeout
 	if retry {
 		p.wire = append(p.wire[:0], *buf...) // retained for re-sends
+		if n.rttSampled {
+			p.early, deadline = true, n.rto()
+		}
 	}
-	p.timer = n.cfg.Clock.AfterFuncArg(rpcTimeout, rpcTimedOut, p)
+	p.timer = n.cfg.Clock.AfterFuncArg(deadline, rpcTimedOut, p)
 	n.pending = append(n.pending, p)
 	_ = n.sendBuf(to.Addr, buf)
 }
@@ -512,11 +552,15 @@ func (n *Node) settle(msg *Message) {
 	}
 	p := n.pending[i]
 	n.pending = slices.Delete(n.pending, i, i+1)
-	if p.attempt > 1 || p.waiting {
+	if p.attempt > 1 || p.waiting || p.resent {
 		// Answered after a re-send, or mid-backoff after the first
-		// deadline: without the retry policy holding the slot open this
-		// RPC would already have failed with ErrTimeout.
+		// deadline: without the retry policy holding the slot open (or
+		// re-sending early) this RPC would already have failed with
+		// ErrTimeout, or still be waiting. Which send the answer is to is
+		// unknown, so it measures no round trip (Karn's rule).
 		n.resilience.Recovered++
+	} else {
+		n.observeRTT(n.cfg.Clock.Now().Sub(p.sent))
 	}
 	// The peer answered at this address with an RPCID we issued to this ID:
 	// the (ID, Addr) binding is confirmed, so address changes may be applied.
@@ -527,6 +571,35 @@ func (n *Node) settle(msg *Message) {
 	p.timer.Stop()
 	releasePending(p)
 	cb.deliver(msg, nil)
+}
+
+// observeRTT feeds one round trip to the node's estimator, with RFC 6298's
+// gains: rttvar moves 1/4 of the way to the sample's distance from srtt, then
+// srtt moves 1/8 of the way to the sample. The first sample sets srtt to
+// itself and rttvar to half of it. A sample is clamped to rpcTimeout first,
+// which also keeps both fields inside 32 bits.
+func (n *Node) observeRTT(r time.Duration) {
+	r = min(max(r, 0), rpcTimeout)
+	if !n.rttSampled {
+		n.srtt, n.rttvar, n.rttSampled = uint32(r), uint32(r/2), true
+		return
+	}
+	srtt, rttvar := time.Duration(n.srtt), time.Duration(n.rttvar)
+	dev := srtt - r
+	if dev < 0 {
+		dev = -dev
+	}
+	rttvar += (dev - rttvar) / 4
+	srtt += (r - srtt) / 8
+	n.srtt, n.rttvar = uint32(srtt), uint32(rttvar)
+}
+
+// rto is the node's retransmission timeout: srtt + max(4·rttvar, G), clamped
+// to [rtoMin, rpcTimeout]. A peer's answers can move it only inside that
+// window, so it never arms a deadline later than rpcTimeout.
+func (n *Node) rto() time.Duration {
+	d := time.Duration(n.srtt) + max(4*time.Duration(n.rttvar), rtoGranularity)
+	return min(max(d, rtoMin), rpcTimeout)
 }
 
 // pendingAt finds the request with RPCID id in n.pending.

@@ -15,6 +15,16 @@ import (
 // only after the last attempt times out. Responses to any attempt settle
 // the RPC — a late answer to the first send arriving during a backoff gap
 // still counts.
+//
+// Once the node has measured a round trip, the first attempt also re-sends
+// early: its first deadline is the node's retransmission timeout (srtt +
+// max(4·rttvar, 1 ms), clamped to [50 ms, rpcTimeout], RFC 6298), at which it
+// re-sends under the same RPCID and waits a full rpcTimeout more before the
+// schedule above takes over. That re-send counts in Retries, and an RPC it
+// settles counts in Recovered. Only a response to a first send that was never
+// re-sent, before any gap, measures a round trip (Karn's rule). A node with no
+// measurement yet, single-shot requests and ping-evict probes run without the
+// early re-send.
 type RetryPolicy struct {
 	// Attempts is the total number of sends per request (0 or 1:
 	// single-shot, no retry machinery at all).
@@ -61,10 +71,12 @@ func retrySeed(id ID) uint64 {
 
 // Resilience counts a node's fault-recovery activity.
 type Resilience struct {
-	// Retries is the number of request re-sends (beyond first attempts).
+	// Retries is the number of request re-sends (beyond first attempts),
+	// early re-sends at the node's retransmission timeout included.
 	Retries uint64
 	// Recovered is the number of RPCs that settled successfully only
-	// because the retry policy held them open past their first timeout.
+	// because the retry policy held them open past their first timeout, or
+	// re-sent them early.
 	Recovered uint64
 	// Duplicates is the number of duplicate deliveries suppressed: repeated
 	// acked app payloads deduplicated at the receiver, plus late or

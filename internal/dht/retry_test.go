@@ -48,8 +48,15 @@ func TestBackoffSequenceGolden(t *testing.T) {
 // receiver, with an optional injector between them.
 func retryPair(t *testing.T, cfg Config, inj simnet.Injector, onApp AppHandler) (*sim.Simulator, *Node, *Node) {
 	t.Helper()
+	return latencyPair(t, 5*time.Millisecond, cfg, inj, onApp)
+}
+
+// latencyPair is retryPair over a fabric whose one-way delay is latency, with
+// no jitter: every round trip the injector leaves alone takes 2·latency.
+func latencyPair(t *testing.T, latency time.Duration, cfg Config, inj simnet.Injector, onApp AppHandler) (*sim.Simulator, *Node, *Node) {
+	t.Helper()
 	s := sim.NewSimulator()
-	net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 3, Inject: inj})
+	net := simnet.New(s, simnet.Config{BaseLatency: latency, Seed: 3, Inject: inj})
 	rng := stats.NewRNG(42)
 	cfg.ID = RandomID(rng)
 	cfg.Endpoint = net.Endpoint("a")
