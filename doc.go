@@ -67,9 +67,8 @@
 // handles. Simulation networks draw every sender-side cryptographic byte —
 // mission IDs, keys, nonces, share polynomials — from a ChaCha8 stream
 // derived from NetworkConfig.Seed, making a live run a pure function of
-// its seed down to the ciphertexts; real deployments (cmd/emergectl with
-// NetworkConfig.SystemRand, cmd/dhtnode) keep crypto/rand. The CI
-// work-count gates live in BENCH_scenario.json.
+// its seed down to the ciphertexts; the real deployment, cmd/dhtnode, keeps
+// crypto/rand. The CI work-count gates live in BENCH_scenario.json.
 //
 // Quick start:
 //

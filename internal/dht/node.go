@@ -242,11 +242,11 @@ func NewNode(cfg Config) (*Node, error) {
 
 // Init is NewNode for a node held inside a larger record: protocol.Host
 // keeps its node by value, and a churn join rebuilds a dead host in place
-// with it. n must be a zero Node; Init panics on one already built. A failed
-// Init leaves n zero.
+// with it. n must be a zero Node or a closed one, whose table it wipes and
+// keeps; Init panics on an open node. A failed Init leaves n as it was.
 func (n *Node) Init(cfg Config) error {
-	if n.cfg.Endpoint != nil {
-		panic("dht: Init on a node already built")
+	if n.cfg.Endpoint != nil && !n.closed {
+		panic("dht: Init on an open node")
 	}
 	if cfg.Endpoint == nil {
 		return errors.New("dht: config requires an endpoint")
@@ -258,11 +258,14 @@ func (n *Node) Init(cfg Config) error {
 		return errors.New("dht: config requires a non-zero ID")
 	}
 	cfg = cfg.withDefaults()
-	cfg.Scratch.incarnations++
-	n.cfg, n.incarnation = cfg, cfg.Scratch.incarnations
+	// Past the node's own last number too, which another Scratch stamped.
+	cfg.Scratch.incarnations = max(cfg.Scratch.incarnations, n.incarnation) + 1
+	table := n.table
+	if table == nil {
+		table = new(Table)
+	}
+	*n = Node{cfg: cfg, table: table, incarnation: cfg.Scratch.incarnations}
 	n.pending = n.inline[:0]
-	// The table of a node that closed on this loop, when there is one.
-	n.table = cfg.Scratch.tables.Get()
 	n.table.wipe(cfg.ID, bucketK, staleAfter, cfg.Clock)
 	n.table.book = &cfg.Scratch.addrBook
 	if cfg.Retry.enabled() {
@@ -272,9 +275,8 @@ func (n *Node) Init(cfg Config) error {
 	if cfg.Table == TablePingEvict {
 		n.table.SetPinger(func(c Contact, done func(alive bool)) {
 			n.probe(c, func(err error) {
-				// done touches the table the probe was issued for, which a
-				// closed node has handed to its loop, and maybe on to the
-				// next node there: a probe failed by Close must not reach it.
+				// A probe failed by Close ends in the closing instant: the
+				// table a closed node keeps takes nothing until Init wipes it.
 				if !n.closed {
 					done(err == nil)
 				}
@@ -294,8 +296,9 @@ func (n *Node) Init(cfg Config) error {
 func (n *Node) ID() ID { return n.cfg.ID }
 
 // Incarnation is the number Init stamped on the node, distinct for every
-// node built on one Scratch: a node built again in place is told from the one
-// that was there before.
+// node built on one Scratch and larger than that of the node it was built
+// over: a node built again in place is told from the one that was there
+// before.
 func (n *Node) Incarnation() uint32 { return n.incarnation }
 
 // Contact returns the node's own contact record.
@@ -304,9 +307,9 @@ func (n *Node) Contact() Contact {
 }
 
 // Table exposes the routing table (read-mostly; used by tests and churn
-// instrumentation). A closed node's table went to its loop at Close: on a
-// closed node each call makes an empty table, which routes nowhere and which
-// no other node ever sees.
+// instrumentation). A closed node keeps its table for the node Init builds in
+// its place, so on a closed node each call makes an empty table, which routes
+// nowhere and which no other node ever sees.
 func (n *Node) Table() *Table {
 	if n.closed {
 		return newTable(n.cfg.ID, bucketK, staleAfter, n.cfg.Clock)
@@ -318,8 +321,9 @@ func (n *Node) Table() *Table {
 // before acting on a timer that outlived the node.
 func (n *Node) Closed() bool { return n.closed }
 
-// Close detaches the node from the network, fails all pending RPCs and hands
-// the routing table to the loop's Scratch for the next node there.
+// Close detaches the node from the network and fails all pending RPCs, each
+// as an event of the closing instant. It keeps the routing table, which the
+// next Init wipes.
 func (n *Node) Close() error {
 	if n.closed {
 		return nil
@@ -332,14 +336,6 @@ func (n *Node) Close() error {
 	}
 	clear(n.pending)
 	n.pending = n.pending[:0]
-	// From here the node holds no pointer to its table: Table gives a closed
-	// node an empty one per call, and the one callback that captured the old
-	// table, an outstanding ping-evict probe, checks that its node is open
-	// first (Init). The pinger goes now, not at the next wipe: it closes
-	// over this node, which a waiting table would otherwise keep alive.
-	n.table.SetPinger(nil)
-	n.cfg.Scratch.tables.Put(n.table)
-	n.table = nil
 	return n.cfg.Endpoint.Close()
 }
 

@@ -25,46 +25,45 @@ func fillBucket0(table *Table, first byte) {
 }
 
 // TestRetiredProbeCannotReachReplacement: a ping-evict probe outstanding when
-// its node closes fails with ErrClosed after the table went to the loop and on
-// to the replacement. Its completion must leave the replacement's entries,
-// replacement cache and probe flag as they were.
+// its node closes ends in the closing instant. The node rebuilt in place after
+// that instant takes the table back, wiped, and the dead probe leaves its
+// entries, replacement cache and probe flag as they were.
 func TestRetiredProbeCannotReachReplacement(t *testing.T) {
 	s := sim.NewSimulator()
 	net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 1})
-	scratch := NewScratch(0)
 	var self ID
 	self[IDBytes-1] = 1
-	spawn := func() *Node {
-		node, err := NewNode(Config{ID: self, Endpoint: net.Endpoint("a"), Clock: s, Table: TablePingEvict, Scratch: scratch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return node
+	cfg := Config{ID: self, Endpoint: net.Endpoint("a"), Clock: s, Table: TablePingEvict, Scratch: NewScratch(0)}
+	node, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dead := spawn()
-	fillBucket0(dead.Table(), 10)
-	retired := dead.table
+	fillBucket0(node.Table(), 10)
+	retired := node.table
 	if eb := retired.evict[0]; eb == nil || !eb.probing {
 		t.Fatal("no probe outstanding at Close")
 	}
-	if err := dead.Close(); err != nil {
+	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The replacement joins in the same instant, as Network.join does.
-	repl := spawn()
-	if repl.table != retired {
-		t.Fatal("the replacement did not take the retired table back")
+	s.RunFor(time.Millisecond) // past the closing instant, short of the probe's timeout
+	cfg.Endpoint = net.Endpoint("a")
+	if err := node.Init(cfg); err != nil {
+		t.Fatal(err)
 	}
-	fillBucket0(repl.Table(), 100)
-	before := dumpBuckets(repl.table)
+	if node.table != retired {
+		t.Fatal("the node rebuilt in place did not take its table back")
+	}
+	fillBucket0(node.Table(), 100)
+	before := dumpBuckets(node.table)
 	if !strings.Contains(before, "bucket 0 probing=true") {
-		t.Fatalf("replacement has no probe of its own outstanding:\n%s", before)
+		t.Fatalf("the rebuilt node has no probe of its own outstanding:\n%s", before)
 	}
-	// Long enough for the dead node's ErrClosed, short of the replacement's
-	// own probe timeout (its LRU entry's address is nobody's).
-	s.RunFor(rpcTimeout / 2)
-	if after := dumpBuckets(repl.table); after != before {
-		t.Errorf("the dead node's probe changed its replacement's table:\nbefore\n%s\nafter\n%s", before, after)
+	// Past the dead probe's timeout, short of the rebuilt node's own (its LRU
+	// entry's address is nobody's).
+	s.RunFor(rpcTimeout - time.Millisecond/2)
+	if after := dumpBuckets(node.table); after != before {
+		t.Errorf("the dead node's probe changed the rebuilt node's table:\nbefore\n%s\nafter\n%s", before, after)
 	}
 }
 
@@ -129,7 +128,8 @@ func TestClosedNodeFailsEveryOperation(t *testing.T) {
 }
 
 // TestClosedNodeTableIsEmpty: Table on a closed node is empty, and what is
-// written to it reaches neither the loop's list nor the next node there.
+// written to it reaches neither the table the node keeps nor the next node
+// on its loop.
 func TestClosedNodeTableIsEmpty(t *testing.T) {
 	s := sim.NewSimulator()
 	net := simnet.New(s, simnet.Config{})
@@ -149,28 +149,19 @@ func TestClosedNodeTableIsEmpty(t *testing.T) {
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := scratch.tables.Len(); got != 1 {
-		t.Fatalf("the loop holds %d retired tables after one Close, want 1", got)
-	}
 	closed := node.Table()
 	if closed == retired || closed.Len() != 0 {
 		t.Fatalf("a closed node's Table lists %d contacts (the retired table: %v)", closed.Len(), closed == retired)
 	}
 	written := mkBucket0(200)
 	closed.Observe(written)
-	if node.Table().Len() != 0 {
-		t.Error("a write to a closed node's Table is visible through the next call")
+	if node.Table().Len() != 0 || retired.Contains(written.ID) {
+		t.Error("a write to a closed node's Table is visible through the next call or in the table it keeps")
 	}
 	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := scratch.tables.Len(); got != 1 {
-		t.Errorf("the loop holds %d retired tables after a second Close, want 1", got)
-	}
 	next := spawn()
-	if next.table != retired {
-		t.Fatal("the next node did not take the retired table")
-	}
 	if next.Table().Len() != 0 || next.Table().Contains(written.ID) {
 		t.Errorf("the next node starts with %d contacts (the closed node's write: %v)", next.Table().Len(), next.Table().Contains(written.ID))
 	}
@@ -332,7 +323,9 @@ func TestClosedNodeSendsNothing(t *testing.T) {
 	}
 }
 
-// TestInitPanicsOnBuiltNode: Init builds a zero node in place, once.
+// TestInitPanicsOnBuiltNode: Init builds a zero node or a closed one in
+// place, and panics on an open one. A closed node keeps its entries array and
+// starts again with an empty table.
 func TestInitPanicsOnBuiltNode(t *testing.T) {
 	s := sim.NewSimulator()
 	net := simnet.New(s, simnet.Config{})
@@ -344,9 +337,22 @@ func TestInitPanicsOnBuiltNode(t *testing.T) {
 	if err := node.Init(cfg); err != nil {
 		t.Fatal(err)
 	}
+	fillBucket0(node.Table(), 10)
+	entries := &node.table.entries[:1][0]
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.ID, cfg.Endpoint = ID{2}, net.Endpoint("a")
+	if err := node.Init(cfg); err != nil {
+		t.Fatalf("Init on a closed node: %v", err)
+	}
+	if node.Closed() || node.Table().Len() != 0 || &node.table.entries[:1][0] != entries {
+		t.Errorf("rebuilt node: closed %v, %d contacts, entries array kept %v",
+			node.Closed(), node.Table().Len(), &node.table.entries[:1][0] == entries)
+	}
 	defer func() {
 		if recover() == nil {
-			t.Error("a second Init on a built node did not panic")
+			t.Error("Init on an open node did not panic")
 		}
 	}()
 	_ = node.Init(cfg)

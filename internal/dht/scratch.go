@@ -11,9 +11,8 @@ import (
 // that outlives any single node: the receive-path decode Message, the address
 // book its nodes' routing tables and lookups refer to, the freelists of
 // lookup states, lookup query records, owner-walk records, in-flight RPC
-// records, local-delivery records, byte buffers and the routing tables of
-// closed nodes, the index of owner walks in flight, and the acked-delivery
-// dedup index. None of it is observable: sharing changes who pays for the
+// records, local-delivery records and byte buffers, the index of owner walks
+// in flight, and the acked-delivery dedup index. None of it is observable: sharing changes who pays for the
 // memory, never a wire byte or an event — short of the dedup index's bound,
 // which a shared index reaches sooner.
 //
@@ -46,12 +45,6 @@ type Scratch struct {
 	// lookup completes) and custody clones (held until the package peels).
 	// The buffers mix freely and each grows to the largest use it has served.
 	bufs freelist.List[[]byte]
-	// tables holds the routing tables of the loop's closed nodes, for the
-	// next node built here to take back wiped (Table.wipe): a churn replacement
-	// joins in its predecessor's death event, so it gets the buckets, arrays
-	// and replacement caches the dead node had just finished growing. A table
-	// here belongs to no node — Close dropped its owner's pointer.
-	tables freelist.List[Table]
 
 	// ownerWalks indexes the owner resolutions in flight on the loop, so a
 	// node's second SendToOwners for a key joins its first's walk (see
@@ -78,7 +71,6 @@ const (
 	maxFreePending = 128
 	maxFreeLocals  = 32  // a key-share drive has at most 16 local deliveries out on a loop, all due in one instant
 	maxFreeBufs    = 256 // a dispatch burst's packets plus the custody of the missions in flight
-	maxFreeTables  = 8   // a churn replacement joins in its predecessor's death event: one waits at a time
 )
 
 // RecordMisses is how many records of each kind a scratch has allocated
@@ -158,7 +150,6 @@ func NewScratch(peers int) *Scratch {
 		rpcs:     freelist.List[pendingRPC]{Max: maxFreePending},
 		locals:   freelist.List[localDelivery]{Max: maxFreeLocals},
 		bufs:     freelist.List[[]byte]{Max: maxFreeBufs},
-		tables:   freelist.List[Table]{Max: maxFreeTables},
 	}
 }
 

@@ -108,8 +108,8 @@ func ParseTablePolicy(s string) (TablePolicy, error) {
 // but a run of the table's, and an empty bucket takes no room at all.
 //
 // A table belongs to its node and is touched only from the node's dispatch
-// context (see Node); it has no lock. A closed node hands its table to the
-// loop (Node.Close), and the next node there takes it back wiped.
+// context (see Node); it has no lock. A closed node keeps its table, and the
+// node Init builds in its place takes it back wiped.
 type Table struct {
 	self ID
 	// pingEvict is the admission policy: TablePingEvict if set, else
@@ -245,12 +245,12 @@ func newTable(self ID, k int, staleAfter time.Duration, clock interface{ Now() t
 	return t
 }
 
-// wipe readies t, a zero table or one a closed node retired to its loop
-// (Scratch.tables), for a new owner: no contact, spill record, policy, pinger
-// or outstanding probe is left. What the last owner grew is kept, emptied —
-// its entries array, its ends and its replacement caches — because a table's
-// fill depends on the population, not on self: a churn replacement, which
-// takes its predecessor's ID, fills the same buckets to the same depth.
+// wipe readies t, a zero table or a closed node's (Node.Init), for a new
+// owner: no contact, spill record, policy, pinger or outstanding probe is
+// left. What the last owner grew is kept, emptied — its entries array, its
+// ends and its replacement caches — because a table's fill depends on the
+// population, not on self: a node rebuilt in place fills about as many
+// buckets as the one before it.
 func (t *Table) wipe(self ID, k int, staleAfter time.Duration, clock interface{ Now() time.Time }) {
 	if k < 1 || k > maxK {
 		panic(fmt.Sprintf("dht: bucket size %d outside [1, %d]", k, maxK))

@@ -64,7 +64,7 @@ type HostConfig struct {
 // packages and key material per mission, peels onion layers as the needed
 // keys become available, and forwards on the hold schedule. It holds its
 // node by value, so the two are one record, which a churn join rebuilds in
-// place once it is Finished (Rebuild), and runs on the node's dispatch
+// place once it has closed (Rebuild), and runs on the node's dispatch
 // context (see dht.Node): HandleApp and the hold and repair timers are that
 // loop's events, so custody is not locked.
 type Host struct {
@@ -74,9 +74,6 @@ type Host struct {
 	// missions is nil until the first write (state): a churn replacement
 	// that never holds custody pays nothing for it.
 	missions map[MissionID]*missionState
-	// armed counts the host's hold, grant-tick and repush events not yet
-	// run (after): a closed host with none left is Finished.
-	armed int
 }
 
 // missionState is one mission's custody at one holder: one record per Ref the
@@ -94,11 +91,15 @@ type missionState struct {
 // custody is everything a holder keeps at one Ref of a mission: the layer key,
 // the Shamir shares collected towards it, the package it opens (or a central
 // package) and the first repair loop armed there. Hold, grant-tick and repush
-// events take pointers into it. Once the package forwards (spend), the record
-// keeps its coordinates and flags and nothing a compromise could use.
+// events take pointers into it, and do nothing once it is stale. Once the
+// package forwards (spend), the record keeps its coordinates and flags and
+// nothing a compromise could use.
 type custody struct {
 	host *Host
 	ref  Ref
+	// incarnation is the host's node's (dht.Node.Incarnation) when the record
+	// was made: a host rebuilt in place has a new one.
+	incarnation uint32
 	// key is the layer key once granted or oracle-confirmed (hasKey): K_c of
 	// the multipath schemes and CK_c column-wide, SK_{c,s} per slot.
 	key seal.Key
@@ -158,7 +159,7 @@ func (h *Host) record(pkt Packet) *custody {
 	if len(ms.refs) > 0 {
 		rec = new(custody)
 	}
-	rec.host, rec.ref = h, ref
+	rec.host, rec.ref, rec.incarnation = h, ref, h.node.Incarnation()
 	ms.refs = slices.Insert(ms.refs, i, rec)
 	return rec
 }
@@ -202,26 +203,24 @@ func (c *custody) holdPackage(pkt Packet) {
 	*buf = append((*buf)[:0], pkt.Data...)
 	pkt.Data = *buf
 	c.hold = heldPackage{pkt: pkt, buf: buf, held: true}
-	h.after(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, c)
+	h.cfg.Clock.ScheduleArg(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, c)
 }
 
-// after arms one of the host's own events, fn(arg) delay from now, counted in
-// armed until fn counts it down as its first statement. Every hold,
-// grant-tick and repush event goes through here.
-func (h *Host) after(delay time.Duration, fn func(any), arg any) {
-	h.armed++
-	h.cfg.Clock.ScheduleArg(delay, fn, arg)
+// stale reports whether the record's host has closed, or been rebuilt, since
+// the record was made. Hold, grant-tick and repush events are never
+// cancelled: one that finds its record stale does nothing, because a
+// custodian that churned out neither peels nor forwards, and the host may
+// since hold another node's custody.
+func (c *custody) stale() bool {
+	return c.host.node.Closed() || c.host.node.Incarnation() != c.incarnation
 }
 
-// holdDue is a hold timer's event. A hold is never cancelled, but one that
-// comes due on a closed node does nothing: a custodian that churned out
-// neither peels nor forwards, and every send it issued would only fail. A
+// holdDue is a hold timer's event, which does nothing on a stale record. A
 // central package is delivered; an onion forwards once peeled (advance).
 func holdDue(arg any) {
 	rec := arg.(*custody)
 	h := rec.host
-	h.armed--
-	if h.node.Closed() {
+	if rec.stale() {
 		return
 	}
 	hp := &rec.hold
@@ -286,17 +285,12 @@ func NewHost(cfg HostConfig, node dht.Config) (*Host, error) {
 	return h, nil
 }
 
-// Finished reports whether the host may be rebuilt: its node is closed and
-// none of its own events is armed. What the closed node's drain schedules
-// runs in the instant it closed (DESIGN.md, "Death → join"), so a host that
-// closed at an earlier instant and is Finished is reached by nothing.
-func (h *Host) Finished() bool { return h.node.Closed() && h.armed == 0 }
-
-// Rebuild makes h a new host in place, as NewHost makes one: the record is
-// zeroed — its custody index dropped, not cleared — and its node built again
-// (dht.Node.Init) with h as its OnApp. h must be a zero Host or a Finished
-// one; Rebuild panics on a host still in use, whose armed events would run
-// on its successor.
+// Rebuild makes h a new host in place, as NewHost makes one: its custody index
+// is dropped, not cleared, and its node built again (dht.Node.Init) with h as
+// its OnApp. h must be a zero Host or a closed one; Rebuild panics on an open
+// host. The events the old host armed find their records stale. What its
+// closed node drained ran in the instant it closed (DESIGN.md, "Death →
+// join"), so a host rebuilt at a later instant is reached by nothing else.
 func (h *Host) Rebuild(cfg HostConfig, node dht.Config) error {
 	if node.OnApp != nil {
 		return errors.New("protocol: a host is its node's OnApp")
@@ -306,12 +300,12 @@ func (h *Host) Rebuild(cfg HostConfig, node dht.Config) error {
 
 // build is Rebuild with the node's OnApp given.
 func (h *Host) build(cfg HostConfig, node dht.Config, onApp dht.AppHandler) error {
-	if !h.node.ID().IsZero() && !h.Finished() {
-		panic("protocol: rebuild of a host still in use")
-	}
-	*h = Host{cfg: cfg}
 	node.OnApp = onApp
-	return h.node.Init(node)
+	if err := h.node.Init(node); err != nil {
+		return err
+	}
+	h.cfg, h.missions = cfg, nil
+	return nil
 }
 
 // Node returns the host's DHT node.
@@ -407,7 +401,7 @@ func margin(pkt Packet) time.Duration { return time.Duration(pkt.Step / 16) }
 // schedulePush arms one repush of the loop, delay from now.
 func (r *refresh) schedulePush(delay time.Duration) {
 	r.pushes++
-	r.rec.host.after(delay, repush, r)
+	r.rec.host.cfg.Clock.ScheduleArg(delay, repush, r)
 }
 
 // scheduleGrantRefresh arms the custody-refresh loop for a newly received
@@ -416,7 +410,7 @@ func (r *refresh) schedulePush(delay time.Duration) {
 // to the current owners of its column's slots. A holder that churned out is
 // thereby replaced by a fresh node that receives the layer key from this
 // surviving custodian — the once-per-period repair of Section II-C. Dead
-// custodians do not refresh (a tick on a closed node returns without pushing
+// custodians do not refresh (a tick on a stale record returns without pushing
 // or re-arming), so a column whose every custodian dies within one period
 // loses its key, as the Monte Carlo model prescribes.
 func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
@@ -425,7 +419,7 @@ func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
 	}
 	r := rec.newLoop(pkt)
 	r.key = key
-	h.after(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
+	h.cfg.Clock.ScheduleArg(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
 }
 
 // grantTick is one period of a key grant's refresh loop. It fires slightly
@@ -442,12 +436,11 @@ func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
 func grantTick(arg any) {
 	r := arg.(*refresh)
 	h := r.rec.host
-	h.armed--
 	deadline := r.pkt.HoldUntil - int64(margin(r.pkt))
 	if r.pkt.direct() {
 		deadline = r.pkt.HoldUntil
 	}
-	if h.node.Closed() || h.cfg.Clock.Now().UnixNano() >= deadline {
+	if r.rec.stale() || h.cfg.Clock.Now().UnixNano() >= deadline {
 		return
 	}
 	r.push()
@@ -458,7 +451,7 @@ func grantTick(arg any) {
 		// burst or partition window.
 		r.schedulePush(margin(r.pkt) / 2)
 	}
-	h.after(time.Duration(r.pkt.Step), grantTick, r)
+	h.cfg.Clock.ScheduleArg(time.Duration(r.pkt.Step), grantTick, r)
 }
 
 // replicas returns the forwarding replica count.
@@ -559,7 +552,6 @@ func (h *Host) scheduleShareRefresh(rec *custody, pkt Packet) {
 // record's key material (see spend).
 func repush(arg any) {
 	r := arg.(*refresh)
-	r.rec.host.armed--
 	r.pushes--
 	r.push()
 	if r.pushes == 0 && r.rec.forwarded && r == &r.rec.loop {
@@ -571,11 +563,12 @@ func repush(arg any) {
 // share held at its Ref, to the current owners of the slots it repairs:
 // column-wide material carrying its column's width goes to every slot of the
 // column (any surviving custodian repairs the whole column); slot material is
-// per-carrier, so only its own slot can be repaired. Each share blob is
-// encoded into one loop buffer, which sendPacket copies.
+// per-carrier, so only its own slot can be repaired. A stale record pushes
+// nothing. Each share blob is encoded into one loop buffer, which sendPacket
+// copies.
 func (r *refresh) push() {
 	h := r.rec.host
-	if h.node.Closed() {
+	if r.rec.stale() {
 		return
 	}
 	var shares []shamir.Share

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"testing"
 	"time"
 	"unsafe"
@@ -59,54 +60,71 @@ func TestNewHostOwnsOnApp(t *testing.T) {
 	}
 }
 
-// TestHostFinishedOnceItsEventsRan: a closed host is Finished only once every
-// event it armed has run — a central hold, and a key grant's refresh tick,
-// re-armed after its first push, with that push's backup — and Rebuild
-// refuses it until then. The rebuilt host keeps no custody.
-func TestHostFinishedOnceItsEventsRan(t *testing.T) {
+// TestStaleEventsSpareRebuiltHost: a closed host is rebuilt at once while
+// its predecessor's events are armed — a central hold, and a key grant's
+// refresh tick, re-armed after its first push, with that push's backup. The
+// rebuilt node has a live peer, so a push or a delivery would find an owner.
+// When the old events come due they find their records stale: nothing is
+// sent, and the rebuilt host's own custody of the same mission keeps its key.
+// Rebuild refuses only an open host.
+func TestStaleEventsSpareRebuiltHost(t *testing.T) {
 	clock := sim.NewSimulator()
 	fabric := simnet.New(clock, simnet.Config{})
 	cfg := dht.Config{ID: dht.IDFromKey([]byte("h")), Endpoint: fabric.Endpoint("h"), Clock: clock}
-	host, err := NewHost(HostConfig{Clock: clock, Repair: true, Retry: true}, cfg)
+	hcfg := HostConfig{Clock: clock, Repair: true, Retry: true}
+	host, err := NewHost(hcfg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	from := dht.Contact{ID: dht.IDFromKey([]byte("p")), Addr: "p"}
-	now, step := clock.Now().UnixNano(), int64(time.Minute)
-	key := make([]byte, seal.KeySize)
-	for _, pkt := range []Packet{
-		{Mission: MissionID{1}, Kind: PkKeyGrant, Column: 2, Width: 2, Step: step, HoldUntil: now + 4*step, Data: key},
-		{Mission: MissionID{2}, Kind: PkCentral, HoldUntil: now + 5*step, Data: []byte("s")},
-	} {
-		host.HandleApp(from, pkt.AppendEncode(nil))
-	}
-	clock.RunFor(57 * time.Second) // the first tick, 3.75 s early, has pushed
-	if host.armed != 3 {
-		t.Fatalf("%d events armed, want 3: the hold, the re-armed refresh tick and its backup push", host.armed)
-	}
-	if err := host.Node().Close(); err != nil {
+	peer, err := dht.NewNode(dht.Config{ID: dht.IDFromKey([]byte("p")), Endpoint: fabric.Endpoint("p"), Clock: clock})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if host.Finished() {
-		t.Fatal("a closed host with its hold and refresh armed is Finished")
+	now, step := clock.Now().UnixNano(), int64(time.Minute)
+	key := bytes.Repeat([]byte{7}, seal.KeySize)
+	grant := Packet{Mission: MissionID{1}, Kind: PkKeyGrant, Column: 2, Width: 2, Step: step, HoldUntil: now + 4*step, Data: key}
+	for _, pkt := range []Packet{
+		grant,
+		{Mission: MissionID{2}, Kind: PkCentral, HoldUntil: now + 5*step, Target: peer.ID(), Data: []byte("s")},
+	} {
+		host.HandleApp(peer.Contact(), pkt.AppendEncode(nil))
+	}
+	clock.RunFor(57 * time.Second) // the first tick, 3.75 s early, has pushed
+	if got := clock.Pending(); got != 3 {
+		t.Fatalf("%d events pending, want 3: the hold, the re-armed refresh tick and its backup push", got)
 	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Rebuild of a host with events armed did not panic")
+				t.Error("Rebuild of an open host did not panic")
 			}
 		}()
-		_ = host.Rebuild(HostConfig{Clock: clock}, cfg)
+		_ = host.Rebuild(hcfg, cfg)
 	}()
-	clock.RunFor(10 * time.Minute)
-	if !host.Finished() {
-		t.Fatal("a closed host whose events have all run is not Finished")
+	if err := host.Node().Close(); err != nil {
+		t.Fatal(err)
 	}
+	clock.RunFor(time.Second) // past the closing instant
 	cfg.Endpoint = fabric.Endpoint("h")
 	if err := host.Rebuild(HostConfig{Clock: clock}, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if host.Node().Closed() || host.Missions() != 0 {
-		t.Errorf("the rebuilt host is closed %v and keeps %d missions", host.Node().Closed(), host.Missions())
+	host.Node().Table().Observe(peer.Contact())
+	// The rebuilt host's own grant of the same mission; it arms nothing.
+	grant.Data = bytes.Repeat([]byte{9}, seal.KeySize)
+	host.HandleApp(peer.Contact(), grant.AppendEncode(nil))
+	sent, _, _ := fabric.Stats()
+	clock.RunFor(6 * time.Minute)
+	if got, _, _ := fabric.Stats(); got != sent {
+		t.Errorf("the predecessor's events sent %d datagrams from the rebuilt host", got-sent)
+	}
+	if host.Missions() != 1 || host.Node().Closed() {
+		t.Fatalf("the rebuilt host keeps %d missions, closed %v; want its own grant's 1, open", host.Missions(), host.Node().Closed())
+	}
+	if got := ForwardedCustody(host, MissionID{1}); len(got) != 0 {
+		t.Errorf("the rebuilt host's grant was spent: %v", got)
+	}
+	if rec := host.custodyAt(MissionID{1}, grant.Ref()); rec == nil || !rec.hasKey || !bytes.Equal(rec.key[:], grant.Data) {
+		t.Error("the predecessor's events touched the rebuilt host's custody of the same mission")
 	}
 }

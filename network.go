@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"selfemerge/internal/adversary"
@@ -147,17 +146,10 @@ type NetworkConfig struct {
 	// at any worker count or GOMAXPROCS, and every other knob composes with
 	// any shard count.
 	Partition int
-	// Seed makes the network fully reproducible.
+	// Seed makes the network fully reproducible, down to every byte of
+	// sender-side cryptographic randomness: mission identifiers, layer keys,
+	// GCM nonces and Shamir coefficients are a seed-derived ChaCha8 stream.
 	Seed uint64
-	// SystemRand switches the sender-side cryptographic randomness —
-	// mission identifiers, layer keys, GCM nonces, Shamir coefficients —
-	// from the default seed-derived ChaCha8 stream to crypto/rand. The
-	// deterministic default makes every byte of a run (ciphertexts
-	// included) a pure function of Seed; it never affects mission outcomes,
-	// which depend on placement and timing, not key values. Real
-	// deployments (cmd/emergectl) set SystemRand, because a 64-bit seed is
-	// not a key-material secret.
-	SystemRand bool
 }
 
 // latency is the fabric's one-way delivery delay, and so the lockstep
@@ -222,8 +214,7 @@ type Network struct {
 	lockstep *sim.Lockstep
 	fabric   *simnet.Partition
 	// cryptoSrc feeds every sender-side cryptographic draw; sender wraps it
-	// for mission construction. Seed-derived ChaCha8 by default, crypto/rand
-	// with SystemRand.
+	// for mission construction. It is seed-derived ChaCha8.
 	cryptoSrc io.Reader
 	sender    *protocol.Sender
 	// forger is the eclipse flood; nil unless configured, so other runs add
@@ -266,49 +257,17 @@ type shard struct {
 	// barrier (see releaseReports).
 	reports reportQueue
 
-	// dead is the hosts of this shard's churn deaths under Replace, oldest
-	// first, waiting to be rebuilt in place for a later join (reuse).
-	dead []deadHost
+	// spare is the host of this shard's latest churn death under Replace and
+	// spareAt the instant it died: a join at a later instant rebuilds it in
+	// place (spawn).
+	spare   *protocol.Host
+	spareAt int64
 
 	// Churn counters of this shard's nodes; the death event runs on this loop.
 	deaths, joins int
 	// retired accumulates the resilience counters of churn-replaced nodes
 	// at death, so ResilienceStats never loses a dead node's activity.
 	retired dht.Resilience
-}
-
-// deadHost is a host in a shard's dead queue and the instant it died.
-type deadHost struct {
-	host *protocol.Host
-	at   int64
-}
-
-// maxDeadHosts bounds a shard's dead queue: the longest one a drive of the
-// benchmark's churn workloads builds is 25, and the default 200-node
-// key-share point fills it. A host that dies with the queue full is left to
-// the collector.
-const maxDeadHosts = 32
-
-// bury queues the host that just died on the shard.
-func (sh *shard) bury(host *protocol.Host) {
-	if len(sh.dead) < maxDeadHosts {
-		sh.dead = append(sh.dead, deadHost{host: host, at: sh.sim.Now().UnixNano()})
-	}
-}
-
-// reuse takes the oldest queued host that died before the current instant
-// and is Finished, or returns nil. Whatever the host's closed node drained
-// ran in the instant it died, and Finished says its own events have run too,
-// so nothing reaches it any more and a join may rebuild it in place.
-func (sh *shard) reuse() *protocol.Host {
-	now := sh.sim.Now().UnixNano()
-	for i, d := range sh.dead {
-		if d.at < now && d.host.Finished() {
-			sh.dead = slices.Delete(sh.dead, i, i+1)
-			return d.host
-		}
-	}
-	return nil
 }
 
 type delivery struct {
@@ -345,11 +304,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		collector:  adversary.NewCollector(),
 		rng:        stats.NewRNG(cfg.Seed),
 		deliveries: make(map[protocol.MissionID]delivery),
-	}
-	if !cfg.SystemRand {
-		// A decorrelated substream of the network seed, so the crypto
-		// stream never re-samples the bytes the structural RNG consumes.
-		n.cryptoSrc = stats.NewByteStream(stats.Mix64(cfg.Seed, 0xc0de))
+		// A decorrelated substream of the network seed, so the crypto stream
+		// never re-samples the bytes the structural RNG consumes.
+		cryptoSrc: stats.NewByteStream(stats.Mix64(cfg.Seed, 0xc0de)),
 	}
 	n.sender = protocol.NewSender(n.cryptoSrc)
 
@@ -548,10 +505,10 @@ func (n *Network) addNode(idx int, malicious bool) error {
 }
 
 // spawn creates a live node with the given address and identifier on the
-// shard that owns the identifier's zone — in a finished dead host of that
-// shard rebuilt in place when there is one (shard.reuse), else in a new one —
-// installs it at population slot idx (replacing any dead predecessor there),
-// and, for churn-eligible slots, schedules its death and replacement.
+// shard that owns the identifier's zone — in the shard's spare host rebuilt in
+// place when it died at an earlier instant, else in a new one — installs it at
+// population slot idx (replacing any dead predecessor there), and, for
+// churn-eligible slots, schedules its death and replacement.
 func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool) error {
 	owner := id.Shard(len(n.shards))
 	sh := &n.shards[owner]
@@ -571,8 +528,10 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 			}
 		}
 	}
-	host := sh.reuse()
-	if host == nil {
+	host := sh.spare
+	if host != nil && sh.spareAt < sh.sim.Now().UnixNano() {
+		sh.spare = nil
+	} else {
 		host = new(protocol.Host)
 	}
 	err := host.Rebuild(protocol.HostConfig{
@@ -636,9 +595,8 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 }
 
 // die is the churn death of the node at population slot idx, an event on
-// sh, its shard's loop: the node closes, handing its routing table to the
-// loop, and under Replace its host goes on the shard's dead queue and its
-// replacement joins at once and takes that table back wiped.
+// sh, its shard's loop: the node closes, and under Replace its replacement
+// joins at once and its host becomes the shard's spare.
 func (n *Network) die(sh *shard, idx int) {
 	host := n.nodes[idx]
 	node := host.Node()
@@ -651,8 +609,8 @@ func (n *Network) die(sh *shard, idx int) {
 	_ = node.Close()
 	sh.deaths++
 	if n.cfg.Replace {
-		sh.bury(host)
 		n.join(sh, node.Contact().Addr, node.ID(), idx)
+		sh.spare, sh.spareAt = host, sh.sim.Now().UnixNano()
 	}
 }
 

@@ -109,9 +109,9 @@ func TestDriveAllocatesNoRecord(t *testing.T) {
 }
 
 // TestJoinRebuildsOnlyFinishedHosts: a churn join rebuilds a dead host in
-// place only once nothing can reach it: the host died at an earlier instant,
-// so whatever its closed node drained has run, and none of its own events is
-// armed. The rebuilt host keeps nothing of its predecessor.
+// place only once its death instant has finished, so whatever its closed node
+// drained has run; the events the host armed itself find their records
+// stale. The rebuilt host keeps nothing of its predecessor.
 func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 	boot := func(t *testing.T) *Network {
 		t.Helper()
@@ -147,16 +147,30 @@ func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 			t.Fatalf("owner walk finished %v, ping finished %v: the death left nothing in flight", walked, pinged)
 		}
 		if _, joined := die(net, 6); joined != victim {
-			t.Fatal("a join at a later instant did not rebuild the finished host")
+			t.Fatal("a join at a later instant did not rebuild the dead host")
+		}
+	})
+
+	t.Run("two deaths in one instant", func(t *testing.T) {
+		net := boot(t)
+		first, _ := die(net, 5)
+		second, joined := die(net, 6)
+		if joined == first {
+			t.Fatal("a join rebuilt the host of a death in its own instant")
+		}
+		net.RunFor(time.Second)
+		if _, joined := die(net, 7); joined != second {
+			t.Fatal("a later join did not rebuild the host of the latest death")
 		}
 	})
 
 	t.Run("hold armed", func(t *testing.T) {
 		net := boot(t)
 		holder := net.nodes[5]
+		mission := protocol.MissionID{1}
 		due := net.Now().Add(10 * time.Second)
 		pkt := protocol.Packet{
-			Mission: protocol.MissionID{1}, Kind: protocol.PkCentral, HoldUntil: due.UnixNano(),
+			Mission: mission, Kind: protocol.PkCentral, HoldUntil: due.UnixNano(),
 			Target: net.receiver.ID(), Data: []byte("secret"),
 		}
 		holder.HandleApp(net.nodes[0].Node().Contact(), pkt.AppendEncode(nil))
@@ -168,19 +182,13 @@ func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 			t.Fatalf("the holder keeps %d missions and %+v: nothing to carry over", holder.Missions(), old.Resilience())
 		}
 		die(net, 5)
-		for idx := 6; ; idx++ {
-			net.RunFor(time.Second)
-			_, joined := die(net, idx)
-			if net.Now().Before(due) {
-				if joined == holder {
-					t.Fatalf("a join %v before the hold came due rebuilt its holder", due.Sub(net.Now()))
-				}
-				continue
-			}
-			if joined != holder {
-				t.Fatal("a join after the hold ran did not rebuild its holder")
-			}
-			break
+		net.RunFor(time.Second)
+		if _, joined := die(net, 6); joined != holder {
+			t.Fatal("a join at a later instant did not rebuild the holder with its hold armed")
+		}
+		net.RunUntil(due.Add(time.Minute))
+		if _, ok := net.deliveries[mission]; ok {
+			t.Error("the rebuilt host delivered its predecessor's central package")
 		}
 		// The rebuilt host carries nothing from its predecessor.
 		node := holder.Node()
