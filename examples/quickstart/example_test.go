@@ -10,5 +10,5 @@ func Example() {
 	// Output:
 	// dispatched: scheme=joint paths k=7, columns l=28, holders=196, release=1:01AM
 	// 12:01AM: nothing has emerged (as it should be)
-	// 1:07AM: emerged (delivered 75ms after release): "the vault combination is 7-21-34"
+	// 1:07AM: emerged (delivered 5ms after release): "the vault combination is 7-21-34"
 }

@@ -40,6 +40,11 @@ type intel struct {
 	keys   map[protocol.Ref]seal.Key
 	shares map[protocol.Ref][]shamir.Share
 	onions map[protocol.Ref][]byte
+	// tried is each Ref's share count at its last interpolation, and combines
+	// counts the interpolations: a Ref is interpolated again only once a
+	// share has arrived there since, as a holder's peel does (triedShares).
+	tried    map[protocol.Ref]int
+	combines int
 
 	secret      []byte
 	recoveredAt time.Time
@@ -118,6 +123,7 @@ func (c *Collector) intel(id protocol.MissionID) *intel {
 			keys:   make(map[protocol.Ref]seal.Key),
 			shares: make(map[protocol.Ref][]shamir.Share),
 			onions: make(map[protocol.Ref][]byte),
+			tried:  make(map[protocol.Ref]int),
 		}
 		c.missions[id] = in
 	}
@@ -166,6 +172,9 @@ func (c *Collector) infer(in *intel, now time.Time) {
 			if err != nil {
 				continue
 			}
+			// A key recovered from shares stays known: the memo in key
+			// would not interpolate its shares again.
+			in.keys[ref] = key
 			delete(in.onions, ref)
 			progress = true
 			if layer.Payload != nil {
@@ -193,15 +202,19 @@ func (c *Collector) infer(in *intel, now time.Time) {
 // the collected shares. Interpolation through all shares yields the true
 // key exactly when the threshold is met; the onion's authenticated layer
 // is the verification oracle, so a garbage interpolation merely fails the
-// next peel.
+// next peel. The onion at a Ref does not change until it opens, so shares
+// that failed once fail again: key interpolates a Ref's shares only when
+// their count has grown since its last attempt.
 func (in *intel) key(ref protocol.Ref) (seal.Key, bool) {
 	if key, ok := in.keys[ref]; ok {
 		return key, true
 	}
 	shares := in.shares[ref]
-	if len(shares) == 0 {
-		return seal.Key{}, false
+	if len(shares) == in.tried[ref] {
+		return seal.Key{}, false // none, or nothing new since the last attempt
 	}
+	in.tried[ref] = len(shares)
+	in.combines++
 	raw, err := shamir.Combine(shares, len(shares))
 	if err != nil {
 		return seal.Key{}, false

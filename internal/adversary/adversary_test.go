@@ -140,6 +140,49 @@ func TestColumnKeyFromShares(t *testing.T) {
 	}
 }
 
+// TestInferInterpolatesOnlyNewShares: the collector interpolates a Ref's
+// shares once per share count, as a holder does. A below-threshold
+// collection fails once, and a second infer with nothing new — or a report
+// that adds nothing at that Ref — makes no Combine call; the share that
+// completes the threshold is interpolated, and opens the onion.
+func TestInferInterpolatesOnlyNewShares(t *testing.T) {
+	key, err := seal.NewKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := shamir.Split(key.Bytes(), 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop := dht.IDFromKey([]byte("h"))
+	wrapped, err := onion.Build([]onion.Layer{{NextHops: [][]byte{hop[:]}, Payload: []byte("s")}}, []seal.Key{key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCollector()
+	mission, now := protocol.MissionID{0x1e}, time.Unix(0, 0)
+	share := func(s shamir.Share) protocol.Packet {
+		return protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: append([]byte{s.X}, s.Data...)}
+	}
+	report(c, now, protocol.Packet{Mission: mission, Kind: protocol.PkMainOnion, Column: 1, Data: wrapped})
+	report(c, now, share(shares[0]))
+	report(c, now, share(shares[1]))
+	in := c.missions[mission]
+	if in.combines != 2 {
+		t.Fatalf("two shares reported one at a time: %d interpolations, want 2", in.combines)
+	}
+	c.infer(in, now)
+	report(c, now, share(shares[1])) // a duplicate adds nothing
+	report(c, now, grant(mission, 2, key))
+	if in.combines != 2 {
+		t.Errorf("infer with no new share at the Ref interpolated again: %d interpolations, want 2", in.combines)
+	}
+	report(c, now, share(shares[2]))
+	if _, ok := c.Recovered(mission); !ok || in.combines != 3 {
+		t.Errorf("at threshold: recovered %v after %d interpolations, want true after 3", ok, in.combines)
+	}
+}
+
 func TestDuplicateSharesDoNotFakeThreshold(t *testing.T) {
 	key, err := seal.NewKey()
 	if err != nil {

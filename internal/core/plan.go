@@ -47,12 +47,19 @@ func (p Plan) NodesRequired() int {
 }
 
 // HoldPeriod returns th = T/l, the per-hop holding period that makes the
-// whole route take exactly the emerging period T.
+// whole route take the emerging period T. It rounds up to the nanosecond:
+// the last holder sends at the end of the l-th period, so periods rounded
+// down would hand over a key up to l−1 ns before its release.
 func (p Plan) HoldPeriod(emergingPeriod time.Duration) time.Duration {
 	if p.L <= 0 {
 		return emergingPeriod
 	}
-	return emergingPeriod / time.Duration(p.L)
+	l := time.Duration(p.L)
+	hold := emergingPeriod / l
+	if hold*l < emergingPeriod {
+		hold++
+	}
+	return hold
 }
 
 // Validate checks structural invariants.

@@ -213,3 +213,18 @@ func TestPlanValidateCatchesCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestHoldPeriodEndsAtRelease: l holding periods never end before the
+// emerging period T, and overshoot it by less than l nanoseconds.
+func TestHoldPeriodEndsAtRelease(t *testing.T) {
+	for _, tc := range []struct {
+		emerging time.Duration
+		l        int
+	}{{2 * time.Hour, 2}, {2 * time.Hour, 7}, {time.Hour, 28}, {time.Hour + 1, 3}, {5, 3}, {time.Hour, 0}} {
+		hold := Plan{L: tc.l}.HoldPeriod(tc.emerging)
+		end := hold * time.Duration(max(tc.l, 1))
+		if end < tc.emerging || end-tc.emerging >= time.Duration(max(tc.l, 1)) {
+			t.Errorf("T=%v l=%d: %d periods of %v end %v after T", tc.emerging, tc.l, tc.l, hold, end-tc.emerging)
+		}
+	}
+}

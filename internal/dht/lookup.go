@@ -1,6 +1,10 @@
 package dht
 
-import "selfemerge/internal/transport"
+import (
+	"time"
+
+	"selfemerge/internal/transport"
+)
 
 // Lookup performs an iterative FIND_NODE for target and calls cb with the
 // up-to-K closest contacts found. The contact slice is only valid for the duration of the callback (it
@@ -31,11 +35,14 @@ func (n *Node) SendToOwners(key ID, payload []byte, replicas int, done func(Cont
 }
 
 // SendBufToOwners is SendToOwners for a payload encoded into a buffer taken
-// from Bufs: the buffer goes back to the list after this call's last send, so
-// a steady mission send path allocates neither a payload nor a completion
-// closure.
-func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int) {
-	n.sendToOwners(key, ownerRider{payload: *buf, replicas: replicas, buf: buf})
+// from Bufs, sent no earlier than notBefore (Unix nanoseconds, the unit of a
+// protocol package's deadline): the walk resolves the owners now, and a result
+// that comes in ahead of notBefore is parked until then (parkedSend). The
+// buffer goes back to the list after this call's last send, so a steady
+// mission send path allocates neither a payload nor a completion closure. An
+// instant already past, zero included, sends as soon as the owners are known.
+func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int64) {
+	n.sendToOwners(key, ownerRider{payload: *buf, replicas: replicas, buf: buf, notBefore: notBefore})
 }
 
 // ownerWalk is one in-flight owner resolution: the FIND_NODE walk towards key
@@ -60,12 +67,15 @@ type walkKey struct {
 }
 
 // ownerRider is one owner send attached to a walk: done (optional) reports
-// the closest owner, buf (optional) is the Bufs buffer backing payload.
+// the closest owner, buf (optional) is the Bufs buffer backing payload, and
+// notBefore is the instant before which nothing is sent, which only a rider
+// with a buf sets.
 type ownerRider struct {
-	payload  []byte
-	replicas int
-	done     func(Contact, error)
-	buf      *[]byte
+	payload   []byte
+	replicas  int
+	done      func(Contact, error)
+	buf       *[]byte
+	notBefore int64
 }
 
 // sendToOwners attaches r to the walk resolving key, starting one if none is
@@ -91,12 +101,13 @@ func (n *Node) sendToOwners(key ID, r ownerRider) {
 
 // ownersFinish serves a finished walk's riders. The walk leaves the loop's
 // index first, so from here the record is this call's alone and a send issued
-// from a done callback starts a fresh walk.
+// from a done callback starts a fresh walk. A rider whose instant is still
+// ahead is parked with its owners; the rest send now.
 func ownersFinish(v any, closest []Contact) {
 	w := v.(*ownerWalk)
 	n, key := w.node, w.key
-	delete(n.cfg.Scratch.ownerWalks, walkKey{key: key, node: n.incarnation})
-	self := n.Contact()
+	s := n.cfg.Scratch
+	delete(s.ownerWalks, walkKey{key: key, node: n.incarnation})
 	var failed error
 	if len(closest) == 0 {
 		// Not even one peer responded: the node is isolated (or the network
@@ -106,34 +117,87 @@ func ownersFinish(v any, closest []Contact) {
 	} else {
 		// Once for the whole walk: closest aliases the lookup's result buffer,
 		// and each rider below takes a prefix view of it, never a cut.
-		closest = insertRanked(closest, key, self)
+		closest = insertRanked(closest, key, n.Contact())
 	}
+	now := n.cfg.Clock.Now().UnixNano()
 	for i := range w.riders {
 		r := &w.riders[i]
-		owner, err := Contact{}, failed
-		for j, c := range closest[:min(len(closest), r.replicas)] {
-			var sendErr error
-			if c.ID == self.ID {
-				sendErr = n.deliverLocal(r.payload)
-			} else {
-				sendErr = n.SendApp(c, r.payload)
-			}
-			if j == 0 {
-				owner, err = c, sendErr
-			}
+		owners := closest[:min(len(closest), r.replicas)]
+		if failed == nil && r.notBefore > now {
+			n.park(owners, r.buf, time.Duration(r.notBefore-now))
+			continue
+		}
+		owner, err := n.sendOwners(owners, r.payload)
+		if failed != nil {
+			err = failed
 		}
 		// Only now: the payload is dead once the rider's last send returned.
 		if r.done != nil {
 			r.done(owner, err)
 		}
 		if r.buf != nil {
-			n.cfg.Scratch.bufs.Put(r.buf)
+			s.bufs.Put(r.buf)
 		}
 	}
 	clear(w.riders)
 	w.riders = w.riders[:0]
 	w.node = nil
-	n.cfg.Scratch.walks.Put(w)
+	s.walks.Put(w)
+}
+
+// sendOwners sends payload to each of owners — the node itself by local
+// delivery — and reports the first owner and how its send went.
+func (n *Node) sendOwners(owners []Contact, payload []byte) (owner Contact, err error) {
+	for j, c := range owners {
+		var sendErr error
+		if c.ID == n.cfg.ID {
+			sendErr = n.deliverLocal(payload)
+		} else {
+			sendErr = n.SendApp(c, payload)
+		}
+		if j == 0 {
+			owner, err = c, sendErr
+		}
+	}
+	return owner, err
+}
+
+// parkedSend is an owner send resolved ahead of its instant: the owners its
+// walk found, copied out of the walk's result, and the packet buffer, held
+// until the instant comes (parkDue). It records the node's incarnation, so a
+// node that closed or was built again in place meanwhile sends nothing, and
+// the scratch it came from, which its node may since have left.
+type parkedSend struct {
+	node        *Node
+	scratch     *Scratch
+	owners      []Contact
+	buf         *[]byte
+	incarnation uint32
+}
+
+// park holds buf's send to owners for delay, in a record of the loop's.
+func (n *Node) park(owners []Contact, buf *[]byte, delay time.Duration) {
+	s := n.cfg.Scratch
+	p := s.parked.Get()
+	p.node, p.scratch, p.buf, p.incarnation = n, s, buf, n.incarnation
+	p.owners = append(p.owners[:0], owners...)
+	n.cfg.Clock.ScheduleArg(delay, parkDue, p)
+}
+
+// parkDue is a parked send's instant: the send goes out unless its node has
+// closed or been built again since it was parked, and the buffer and the
+// record go back to the loop either way.
+func parkDue(v any) {
+	p := v.(*parkedSend)
+	n, s, buf := p.node, p.scratch, p.buf
+	if !n.closed && n.incarnation == p.incarnation {
+		_, _ = n.sendOwners(p.owners, *buf)
+	}
+	clear(p.owners)
+	p.owners = p.owners[:0]
+	p.node, p.scratch, p.buf = nil, nil, nil
+	s.parked.Put(p)
+	s.bufs.Put(buf)
 }
 
 // insertRanked inserts c into a nearest-first lookup result at its distance

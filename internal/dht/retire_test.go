@@ -412,7 +412,7 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 			victim.SendToOwners(mkBucket0(60).ID, []byte("b"), 2, func(Contact, error) { riders++ })
 			buf := victim.Bufs().Get()
 			*buf = append((*buf)[:0], "c"...)
-			victim.SendBufToOwners(mkBucket0(70).ID, buf, 1)
+			victim.SendBufToOwners(mkBucket0(70).ID, buf, 1, 0)
 			s.RunFor(100 * time.Millisecond) // every datagram has landed nowhere
 
 			var closedAt time.Time

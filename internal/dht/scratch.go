@@ -10,11 +10,12 @@ import (
 // udp.Loop. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, the address
 // book its nodes' routing tables and lookups refer to, the freelists of
-// lookup states, lookup query records, owner-walk records, in-flight RPC
-// records, local-delivery records and byte buffers, the index of owner walks
-// in flight, and the acked-delivery dedup index. None of it is observable: sharing changes who pays for the
-// memory, never a wire byte or an event — short of the dedup index's bound,
-// which a shared index reaches sooner.
+// lookup states, lookup query records, owner-walk records, parked owner
+// sends, in-flight RPC records, local-delivery records and byte buffers, the
+// index of owner walks in flight, and the acked-delivery dedup index. None of
+// it is observable: sharing changes who pays for the memory, never a wire
+// byte or an event — short of the dedup index's bound, which a shared index
+// reaches sooner.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -37,6 +38,7 @@ type Scratch struct {
 	lookups freelist.List[lookupState]
 	queries freelist.List[lookupQuery]
 	walks   freelist.List[ownerWalk]
+	parked  freelist.List[parkedSend]
 	rpcs    freelist.List[pendingRPC]
 	locals  freelist.List[localDelivery]
 	// bufs is the loop's one byte-buffer list: the wire form of every datagram
@@ -61,12 +63,13 @@ type Scratch struct {
 // Freelist bounds. A burst — every node of a booting network running its
 // bootstrap lookup at once — allocates past them and the surplus is garbage
 // once it drains, instead of staying pinned at the high-water mark. The
-// lookup, walk, query, RPC and local-delivery bounds are about twice the
-// most records one loop's drive has out at once (DESIGN.md, "Memory
-// ownership"), so a warmed loop allocates none of them.
+// lookup, walk, parked-send, query, RPC and local-delivery bounds are about
+// twice the most records one loop's drive has out at once (DESIGN.md,
+// "Memory ownership"), so a warmed loop allocates none of them.
 const (
 	maxFreeLookups = 32  // a drive has at most 20 lookups in flight on a loop
 	maxFreeWalks   = 32  // an owner walk is a lookup
+	maxFreeParked  = 64  // a key-share drive has at most 27 owner sends parked on a loop: one column's forwards
 	maxFreeQueries = 128 // a lookup query is an in-flight RPC: at most 60
 	maxFreePending = 128
 	maxFreeLocals  = 32  // a key-share drive has at most 16 local deliveries out on a loop, all due in one instant
@@ -76,7 +79,7 @@ const (
 // RecordMisses is how many records of each kind a scratch has allocated
 // because its list was empty (freelist.List.Misses).
 type RecordMisses struct {
-	Lookups, Walks, Queries, RPCs, Locals uint64
+	Lookups, Walks, Parked, Queries, RPCs, Locals uint64
 }
 
 // Misses reports the scratch's RecordMisses.
@@ -84,6 +87,7 @@ func (s *Scratch) Misses() RecordMisses {
 	return RecordMisses{
 		Lookups: s.lookups.Misses(),
 		Walks:   s.walks.Misses(),
+		Parked:  s.parked.Misses(),
 		Queries: s.queries.Misses(),
 		RPCs:    s.rpcs.Misses(),
 		Locals:  s.locals.Misses(),
@@ -147,6 +151,7 @@ func NewScratch(peers int) *Scratch {
 		lookups:  freelist.List[lookupState]{Max: maxFreeLookups},
 		queries:  freelist.List[lookupQuery]{Max: maxFreeQueries},
 		walks:    freelist.List[ownerWalk]{Max: maxFreeWalks},
+		parked:   freelist.List[parkedSend]{Max: maxFreeParked},
 		rpcs:     freelist.List[pendingRPC]{Max: maxFreePending},
 		locals:   freelist.List[localDelivery]{Max: maxFreeLocals},
 		bufs:     freelist.List[[]byte]{Max: maxFreeBufs},

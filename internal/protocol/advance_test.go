@@ -92,14 +92,16 @@ func TestAdvanceOrder(t *testing.T) {
 		host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
 	}
 
-	// Every key and every hold deadline lands before one advance.
+	// Every key and every hold deadline lands before one advance. The
+	// forwards leave at their packages' HoldUntil, an hour on, so the clock
+	// runs past it.
 	ms := host.missions[mission]
 	for _, rec := range ms.refs {
 		rec.key, rec.hasKey = keys[rec.ref], true
 		rec.hold.due = true
 	}
 	host.advance(mission)
-	clock.RunFor(time.Minute)
+	clock.RunFor(time.Hour + time.Minute)
 
 	type hop struct {
 		kind         PacketKind

@@ -194,16 +194,44 @@ type heldPackage struct {
 
 // holdPackage takes custody of pkt in the record: it clones the payload into a
 // buffer of the node's loop — a packet's delivery buffer is recycled when the
-// handler returns — and arms the hold timer. A holder's custody therefore
-// lives in exactly one place, a buffer the loop owns, referenced by one
-// record, until releaseCustody hands it back.
+// handler returns — and arms the hold timer, one lead before HoldUntil. A
+// holder's custody therefore lives in exactly one place, a buffer the loop
+// owns, referenced by one record, until releaseCustody hands it back.
 func (c *custody) holdPackage(pkt Packet) {
 	h := c.host
 	buf := h.node.Bufs().Get()
 	*buf = append((*buf)[:0], pkt.Data...)
 	pkt.Data = *buf
 	c.hold = heldPackage{pkt: pkt, buf: buf, held: true}
-	h.cfg.Clock.ScheduleArg(time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()), holdDue, c)
+	// A deadline already past is due now: the difference is not taken, so a
+	// forged deadline at the start of time does not wrap round to its end.
+	var delay time.Duration
+	if now := h.cfg.Clock.Now().UnixNano(); pkt.HoldUntil > now {
+		delay = time.Duration(pkt.HoldUntil-now) - lead(pkt)
+	}
+	h.cfg.Clock.ScheduleArg(delay, holdDue, c)
+}
+
+// resolveLead is how long before a package's deadline its holder starts the
+// owner walks of its forward, whose sends the node then holds until the
+// deadline itself (dht.Node.SendBufToOwners): the lead has to cover one walk.
+// A walk is about seven rounds of one round trip each — 70 ms on the
+// simulated fabric, about 2 s at a 300 ms wide-area round trip, and a round
+// that loses a request waits out one retransmission timeout, at most
+// rpcTimeout (500 ms), before its re-send. Longer only resolves against
+// older routing state: a lead of a whole refresh margin (Step/16) gave
+// holder slots to Sybils that an on-time walk routed around.
+const resolveLead = 2 * time.Second
+
+// lead is how long before pkt's HoldUntil its holder resolves the next hop:
+// resolveLead, and for a package with repair loops at most half its refresh
+// margin, so the last repair push at the Ref still comes before the forward
+// spends the record (spend).
+func lead(pkt Packet) time.Duration {
+	if pkt.Step > 0 {
+		return min(resolveLead, margin(pkt)/2)
+	}
+	return resolveLead
 }
 
 // stale reports whether the record's host has closed, or been rebuilt, since
@@ -215,8 +243,9 @@ func (c *custody) stale() bool {
 	return c.host.node.Closed() || c.host.node.Incarnation() != c.incarnation
 }
 
-// holdDue is a hold timer's event, which does nothing on a stale record. A
-// central package is delivered; an onion forwards once peeled (advance).
+// holdDue is a hold timer's event, one lead before the package's deadline,
+// which does nothing on a stale record. A central package is delivered; an
+// onion forwards once peeled (advance). Either send leaves at HoldUntil.
 func holdDue(arg any) {
 	rec := arg.(*custody)
 	h := rec.host
@@ -233,7 +262,7 @@ func holdDue(arg any) {
 		Mission: hp.pkt.Mission,
 		Kind:    PkSecret,
 		Data:    hp.pkt.Data,
-	}, 1)
+	}, 1, hp.pkt.HoldUntil)
 	rec.spend()
 }
 
@@ -255,9 +284,10 @@ func (h *Host) releaseCustody(hp *heldPackage) {
 // forwardMain, forwardSlot or a central holdDue. It drops the plaintext and
 // the custody clone, and then the key material (forget). Nothing sent still
 // needs them: every send encodes synchronously, the peel is done, and every
-// repair push at the Ref comes due before HoldUntil, which the forward
-// waited for. A grant loop's backup push can land later when its grant came
-// in late; then its last push forgets instead.
+// repair push at the Ref comes due a refresh margin before HoldUntil, ahead
+// of the lead the forward waited for. A backup push, half a margin before
+// HoldUntil, can run in the forward's instant or after it, as can a grant
+// loop's when its grant came in late; then its last push forgets instead.
 func (c *custody) spend() {
 	c.forwarded = true
 	c.host.releaseCustody(&c.hold)
@@ -290,7 +320,9 @@ func NewHost(cfg HostConfig, node dht.Config) (*Host, error) {
 // its OnApp. h must be a zero Host or a closed one; Rebuild panics on an open
 // host. The events the old host armed find their records stale. What its
 // closed node drained ran in the instant it closed (DESIGN.md, "Death →
-// join"), so a host rebuilt at a later instant is reached by nothing else.
+// join"), so a host rebuilt at a later instant is reached by nothing else but
+// the owner sends its node parked, which find the node built again and send
+// nothing.
 func (h *Host) Rebuild(cfg HostConfig, node dht.Config) error {
 	if node.OnApp != nil {
 		return errors.New("protocol: a host is its node's OnApp")
@@ -585,12 +617,12 @@ func (r *refresh) push() {
 		to := SlotID(pkt.Mission, int(pkt.Column), s)
 		if pkt.Kind == PkKeyGrant {
 			pkt.Data = r.key[:]
-			sendPacket(&h.node, to, pkt, h.replicas())
+			sendPacket(&h.node, to, pkt, h.replicas(), 0)
 		}
 		for _, sh := range shares {
 			*blob = AppendEncodeShareBlob((*blob)[:0], sh.X, sh.Data)
 			pkt.Data = *blob
-			sendPacket(&h.node, to, pkt, h.replicas())
+			sendPacket(&h.node, to, pkt, h.replicas(), 0)
 		}
 	}
 	h.node.Bufs().Put(blob)
@@ -814,7 +846,7 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 				Mission: mission,
 				Kind:    PkSecret,
 				Data:    layer.Payload,
-			}, 1)
+			}, 1, pkt.HoldUntil)
 		}
 		return
 	}
@@ -832,7 +864,7 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 			Step:      pkt.Step,
 			Target:    pkt.Target,
 			Data:      layer.Rest,
-		}, h.replicas())
+		}, h.replicas(), pkt.HoldUntil)
 	}
 }
 
@@ -877,11 +909,11 @@ func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
 		}
 		for s := first; s < min(end, len(hops)); s++ {
 			p.Slot = uint16(s)
-			sendPacket(&h.node, dht.ID(hops[s]), p, h.replicas())
+			sendPacket(&h.node, dht.ID(hops[s]), p, h.replicas(), pkt.HoldUntil)
 		}
 	}
 	if layer.Rest != nil && int(ref.Slot) < len(hops) {
 		next.Kind, next.Slot, next.Data = PkSlotOnion, uint16(ref.Slot), layer.Rest
-		sendPacket(&h.node, dht.ID(hops[ref.Slot]), next, h.replicas())
+		sendPacket(&h.node, dht.ID(hops[ref.Slot]), next, h.replicas(), pkt.HoldUntil)
 	}
 }

@@ -164,18 +164,19 @@ func (m Mission) timing() (hold time.Duration, releaseAt int64) {
 const holderReplicas = 2
 
 // sendPacket encodes p into a buffer of the node's loop and routes it to the
-// current owners of slot. The owners are resolved asynchronously, so the
-// buffer stays referenced until the lookup-and-send completes; the node
-// returns it to the list then.
-func sendPacket(node *dht.Node, slot dht.ID, p Packet, replicas int) {
+// current owners of slot, no earlier than notBefore (Unix nanoseconds; zero
+// sends as soon as the owners are known). The owners are resolved
+// asynchronously, so the buffer stays referenced until the lookup-and-send
+// completes; the node returns it to the list then.
+func sendPacket(node *dht.Node, slot dht.ID, p Packet, replicas int, notBefore int64) {
 	buf := node.Bufs().Get()
 	*buf = p.AppendEncode((*buf)[:0])
-	node.SendBufToOwners(slot, buf, replicas)
+	node.SendBufToOwners(slot, buf, replicas, notBefore)
 }
 
-// send routes one packet to the owners of the given slot identifier.
+// send routes one packet to the owners of the given slot identifier at once.
 func send(node *dht.Node, slot dht.ID, m Mission, p Packet) {
-	sendPacket(node, slot, p, m.replicas())
+	sendPacket(node, slot, p, m.replicas(), 0)
 }
 
 func (s *Sender) dispatchCentral(node *dht.Node, m Mission) (int, error) {
