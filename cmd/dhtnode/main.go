@@ -44,7 +44,7 @@ func main() {
 	)
 	flag.Parse()
 
-	p, err := start(*listen)
+	p, err := start(*listen, nil)
 	if err != nil {
 		fatal(err)
 	}
@@ -100,8 +100,9 @@ type peer struct {
 const retryAttempts = 3
 
 // start opens the socket and boots a node with a fresh random identifier and
-// a protocol host on a loop of its own.
-func start(listen string) (*peer, error) {
+// a protocol host on a loop of its own. wrap, when set, is what the node
+// sends through instead of the bare socket (a test's fault injector).
+func start(listen string, wrap func(*udp.Endpoint, *udp.Loop) transport.Endpoint) (*peer, error) {
 	var id dht.ID
 	if _, err := rand.Read(id[:]); err != nil {
 		return nil, err
@@ -111,6 +112,10 @@ func start(listen string) (*peer, error) {
 	if err != nil {
 		loop.Stop()
 		return nil, err
+	}
+	var nodeEP transport.Endpoint = ep
+	if wrap != nil {
+		nodeEP = wrap(ep, loop)
 	}
 	p := &peer{loop: loop}
 	// Built on the loop: the socket is live, and a datagram may reach the
@@ -124,7 +129,7 @@ func start(listen string) (*peer, error) {
 					p.onSecret(m, secret)
 				}
 			},
-		}, dht.Config{ID: id, Endpoint: ep, Clock: loop.Clock(), Retry: dht.RetryPolicy{Attempts: retryAttempts}})
+		}, dht.Config{ID: id, Endpoint: nodeEP, Clock: loop.Clock(), Retry: dht.RetryPolicy{Attempts: retryAttempts}})
 		if err == nil {
 			p.node = host.Node()
 		}

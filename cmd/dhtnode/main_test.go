@@ -8,8 +8,11 @@ import (
 	"time"
 
 	"selfemerge/internal/dht"
+	"selfemerge/internal/fault"
 	"selfemerge/internal/protocol"
+	"selfemerge/internal/sim"
 	"selfemerge/internal/transport"
+	"selfemerge/internal/transport/udp"
 )
 
 // rpcTimeout is the dht package's per-attempt RPC deadline.
@@ -50,10 +53,10 @@ func waitFor(cond func() bool) bool {
 }
 
 // startPeer starts a peer whose delivered secrets land in in (nil: none is
-// watched).
-func startPeer(t *testing.T, in *inbox) *peer {
+// watched), sending through wrap (nil: the bare socket).
+func startPeer(t *testing.T, in *inbox, wrap func(*udp.Endpoint, *udp.Loop) transport.Endpoint) *peer {
 	t.Helper()
-	p, err := start("127.0.0.1:0")
+	p, err := start("127.0.0.1:0", wrap)
 	if err != nil {
 		t.Skipf("no loopback UDP here: %v", err)
 	}
@@ -68,11 +71,11 @@ func startPeer(t *testing.T, in *inbox) *peer {
 // address alone, and checks each join.
 func startCluster(t *testing.T, n int, in *inbox) []*peer {
 	t.Helper()
-	first := startPeer(t, in)
+	first := startPeer(t, in, nil)
 	seed := string(first.node.Contact().Addr)
 	peers := []*peer{first}
 	for i := 1; i < n; i++ {
-		p := startPeer(t, in)
+		p := startPeer(t, in, nil)
 		began := time.Now()
 		contacts, ok, err := p.join([]string{seed})
 		took := time.Since(began)
@@ -142,6 +145,82 @@ func TestLoopbackMission(t *testing.T) {
 	}
 }
 
+// lossyEndpoint is a peer's socket under a fault engine of its own: the
+// engine judges every datagram the node sends, which is then dropped, sent
+// late by the verdict's Extra, or sent at once. Duplication is not played.
+// Send runs on the peer's loop, and so does the engine, as on a fabric slice.
+type lossyEndpoint struct {
+	*udp.Endpoint
+	engine *fault.Engine
+	clock  sim.Clock
+}
+
+func (e *lossyEndpoint) Send(to transport.Addr, payload []byte) error {
+	v := e.engine.Judge(e.clock.Now(), e.Addr(), to)
+	switch {
+	case v.Drop:
+		return nil
+	case v.Extra > 0:
+		late := bytes.Clone(payload) // the caller may reuse payload once Send returns
+		e.clock.Schedule(v.Extra, func() { _ = e.Endpoint.Send(to, late) })
+		return nil
+	}
+	return e.Endpoint.Send(to, payload)
+}
+
+// lossy wraps a peer's socket in burst loss at severity 0.5 from an engine
+// seeded with seed.
+func lossy(t *testing.T, seed uint64) func(*udp.Endpoint, *udp.Loop) transport.Endpoint {
+	t.Helper()
+	engine, err := fault.New(fault.Config{Profile: fault.ProfileBurst, Severity: 0.5, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(ep *udp.Endpoint, loop *udp.Loop) transport.Endpoint {
+		return &lossyEndpoint{Endpoint: ep, engine: engine, clock: loop.Clock()}
+	}
+}
+
+// TestLoopbackMissionUnderLoss is TestLoopbackMission with every peer's
+// sends under burst loss, joins included: the retry-hardened node and host
+// carry the mission through, its secret emerges no earlier than its release,
+// and the nodes' counters show requests re-sent.
+func TestLoopbackMissionUnderLoss(t *testing.T) {
+	peers := make([]*peer, 6)
+	for i := range peers {
+		peers[i] = startPeer(t, nil, lossy(t, uint64(i)+1))
+	}
+	seed := []string{string(peers[0].node.Contact().Addr)}
+	for i, p := range peers[1:] {
+		if _, ok, err := p.join(seed); err != nil || !ok {
+			t.Fatalf("peer %d: join under loss: ok=%v err=%v", i+1, ok, err)
+		}
+	}
+	e, ok := peers[4].send("meet despite loss")
+	switch {
+	case !ok:
+		t.Fatal("the mission's secret never emerged")
+	case e.err != nil:
+		t.Fatalf("dispatch: %v", e.err)
+	case string(e.secret) != "meet despite loss":
+		t.Errorf("emerged %q, want %q", e.secret, "meet despite loss")
+	case e.late < 0:
+		t.Errorf("emerged %v before its release", -e.late)
+	}
+	var total dht.Resilience
+	for _, p := range peers {
+		r, ok := await(p.loop, opTimeout, func(report func(dht.Resilience)) { report(p.node.Resilience()) })
+		if !ok {
+			t.Fatal("a peer's loop did not report its counters")
+		}
+		total.Add(r)
+	}
+	t.Logf("late %v, %+v", e.late, total)
+	if total.Retries == 0 {
+		t.Error("no request was re-sent: the loss never reached a request")
+	}
+}
+
 // TestHostileDatagrams writes what a stranger can write straight to a live
 // node's socket — truncated, oversized and garbage datagrams, well-formed
 // responses to requests the node never made, and an app payload under a
@@ -150,8 +229,8 @@ func TestLoopbackMission(t *testing.T) {
 // ping; and that none of it reached the host.
 func TestHostileDatagrams(t *testing.T) {
 	var in inbox
-	victim := startPeer(t, &in)
-	friend := startPeer(t, nil)
+	victim := startPeer(t, &in, nil)
+	friend := startPeer(t, nil, nil)
 	if _, ok, err := friend.join([]string{string(victim.node.Contact().Addr)}); err != nil || !ok {
 		t.Fatalf("join: ok=%v err=%v", ok, err)
 	}

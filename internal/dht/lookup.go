@@ -36,11 +36,15 @@ func (n *Node) SendToOwners(key ID, payload []byte, replicas int, done func(Cont
 
 // SendBufToOwners is SendToOwners for a payload encoded into a buffer taken
 // from Bufs, sent no earlier than notBefore (Unix nanoseconds, the unit of a
-// protocol package's deadline): the walk resolves the owners now, and a result
-// that comes in ahead of notBefore is parked until then (parkedSend). The
-// buffer goes back to the list after this call's last send, so a steady
-// mission send path allocates neither a payload nor a completion closure. An
-// instant already past, zero included, sends as soon as the owners are known.
+// protocol package's deadline): the walk resolves the owners now, and a send
+// whose instant is ahead waits for it in a parkedSend. The send leaves at the
+// instant even when the walk is still out — a walk lasts as long as its
+// slowest query, about 160 ms on a loss-free fabric but seconds under burst
+// loss — to the walk's answer so far, the contacts that have answered it, and
+// the walk's end tops up any final owner that answer missed. The buffer goes
+// back to the list after this call's last send, so a steady mission send path
+// allocates neither a payload nor a completion closure. An instant already
+// past, zero included, sends as soon as the owners are known.
 func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int64) {
 	n.sendToOwners(key, ownerRider{payload: *buf, replicas: replicas, buf: buf, notBefore: notBefore})
 }
@@ -52,10 +56,12 @@ func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int6
 // same next slot several packets in one instant, and the walks would query the
 // same K contacts from the same table). Records recycle through the node's
 // Scratch, which also indexes the walks in flight (Scratch.ownerWalks);
-// riders keeps its capacity.
+// riders keeps its capacity. ls is the walk's lookup, which a parked send
+// whose instant comes first reads the answer so far from.
 type ownerWalk struct {
 	node   *Node
 	key    ID
+	ls     *lookupState
 	riders []ownerRider
 }
 
@@ -69,62 +75,75 @@ type walkKey struct {
 // ownerRider is one owner send attached to a walk: done (optional) reports
 // the closest owner, buf (optional) is the Bufs buffer backing payload, and
 // notBefore is the instant before which nothing is sent, which only a rider
-// with a buf sets.
+// with a buf sets. park is the parked send of a rider whose instant was ahead
+// when it attached.
 type ownerRider struct {
 	payload   []byte
 	replicas  int
 	done      func(Contact, error)
 	buf       *[]byte
 	notBefore int64
+	park      *parkedSend
 }
 
 // sendToOwners attaches r to the walk resolving key, starting one if none is
 // in flight. Sends for one key made while its owners are being resolved share
 // that resolution: they are served in call order when it completes, each to
-// its own replicas prefix.
+// its own replicas prefix, save a parked send, which its instant serves.
 func (n *Node) sendToOwners(key ID, r ownerRider) {
 	r.replicas = max(r.replicas, 1)
 	s, wk := n.cfg.Scratch, walkKey{key: key, node: n.incarnation}
 	if w := s.ownerWalks[wk]; w != nil {
-		w.riders = append(w.riders, r)
+		w.attach(r)
 		return
 	}
 	w := s.walks.Get()
 	w.node, w.key = n, key
-	w.riders = append(w.riders, r)
+	w.attach(r)
 	if s.ownerWalks == nil {
 		s.ownerWalks = make(map[walkKey]*ownerWalk)
 	}
 	s.ownerWalks[wk] = w
-	n.newLookup(key, ownersFinish, w)
+	w.ls = n.startLookup(key, ownersFinish, w)
+	w.ls.step()
+}
+
+// attach adds r to the walk's riders. A rider whose instant is ahead arms its
+// parked send now, so it leaves at the instant whether or not the walk has
+// ended by then, and sends due in one instant leave in call order.
+func (w *ownerWalk) attach(r ownerRider) {
+	if r.buf != nil {
+		if ahead := r.notBefore - w.node.cfg.Clock.Now().UnixNano(); ahead > 0 {
+			r.park = w.park(r, time.Duration(ahead))
+		}
+	}
+	w.riders = append(w.riders, r)
 }
 
 // ownersFinish serves a finished walk's riders. The walk leaves the loop's
 // index first, so from here the record is this call's alone and a send issued
-// from a done callback starts a fresh walk. A rider whose instant is still
-// ahead is parked with its owners; the rest send now.
+// from a done callback starts a fresh walk. A parked rider's owners go to its
+// parked send; the rest send now.
 func ownersFinish(v any, closest []Contact) {
 	w := v.(*ownerWalk)
 	n, key := w.node, w.key
 	s := n.cfg.Scratch
 	delete(s.ownerWalks, walkKey{key: key, node: n.incarnation})
+	// Once for the whole walk: closest aliases the lookup's result buffer,
+	// and each rider below takes a prefix view of it, never a cut.
+	closest = w.answer(closest)
 	var failed error
 	if len(closest) == 0 {
 		// Not even one peer responded: the node is isolated (or the network
 		// is empty), so keeping the payloads locally would just strand them
 		// invisibly. Every rider sends nothing and learns why.
 		failed = ErrLookupFailed
-	} else {
-		// Once for the whole walk: closest aliases the lookup's result buffer,
-		// and each rider below takes a prefix view of it, never a cut.
-		closest = insertRanked(closest, key, n.Contact())
 	}
-	now := n.cfg.Clock.Now().UnixNano()
 	for i := range w.riders {
 		r := &w.riders[i]
 		owners := closest[:min(len(closest), r.replicas)]
-		if failed == nil && r.notBefore > now {
-			n.park(owners, r.buf, time.Duration(r.notBefore-now))
+		if r.park != nil {
+			r.park.resolved(owners)
 			continue
 		}
 		owner, err := n.sendOwners(owners, r.payload)
@@ -141,8 +160,18 @@ func ownersFinish(v any, closest []Contact) {
 	}
 	clear(w.riders)
 	w.riders = w.riders[:0]
-	w.node = nil
+	w.node, w.ls = nil, nil
 	s.walks.Put(w)
+}
+
+// answer is the walk's owner list from its lookup's window: the window with
+// the node ranked in among it, or nothing for an empty window, whose walk
+// has found nobody.
+func (w *ownerWalk) answer(window []Contact) []Contact {
+	if len(window) == 0 {
+		return nil
+	}
+	return insertRanked(window, w.key, w.node.Contact())
 }
 
 // sendOwners sends payload to each of owners — the node itself by local
@@ -162,37 +191,95 @@ func (n *Node) sendOwners(owners []Contact, payload []byte) (owner Contact, err 
 	return owner, err
 }
 
-// parkedSend is an owner send resolved ahead of its instant: the owners its
-// walk found, copied out of the walk's result, and the packet buffer, held
-// until the instant comes (parkDue). It records the node's incarnation, so a
-// node that closed or was built again in place meanwhile sends nothing, and
-// the scratch it came from, which its node may since have left.
+// parkedSend is an owner send whose instant was ahead when it attached to its
+// walk: the packet buffer, held until the instant (parkDue), and the owners.
+// The walk and the instant each come once, in either order, and walk is set
+// until the first of them. A walk that ends first writes its owners here for
+// the instant. An instant that comes first sends to the walk's answer so far,
+// keeps those owners as the ones reached, and leaves the record to the walk,
+// whose end sends to each final owner not reached. Whichever comes second
+// returns the record and the buffer. The record keeps the node's incarnation,
+// so a node that closed or was built again in place meanwhile sends nothing
+// (send), and the scratch it came from, which its node may since have left.
 type parkedSend struct {
 	node        *Node
 	scratch     *Scratch
+	walk        *ownerWalk
 	owners      []Contact
 	buf         *[]byte
+	replicas    int
 	incarnation uint32
 }
 
-// park holds buf's send to owners for delay, in a record of the loop's.
-func (n *Node) park(owners []Contact, buf *[]byte, delay time.Duration) {
+// park arms r's send for its instant, delay on, in a record of the loop's.
+func (w *ownerWalk) park(r ownerRider, delay time.Duration) *parkedSend {
+	n := w.node
 	s := n.cfg.Scratch
 	p := s.parked.Get()
-	p.node, p.scratch, p.buf, p.incarnation = n, s, buf, n.incarnation
-	p.owners = append(p.owners[:0], owners...)
+	p.node, p.scratch, p.walk, p.buf = n, s, w, r.buf
+	p.replicas, p.incarnation = r.replicas, n.incarnation
 	n.cfg.Clock.ScheduleArg(delay, parkDue, p)
+	return p
 }
 
-// parkDue is a parked send's instant: the send goes out unless its node has
-// closed or been built again since it was parked, and the buffer and the
-// record go back to the loop either way.
+// parkDue is a parked send's instant. With the walk done it sends to the
+// walk's owners and returns the record; with the walk still out it sends to
+// the walk's answer so far — the window contacts that have answered it
+// (answeredK), with the node ranked in, cut to the rider's replicas — and
+// leaves the record to the walk. A contact the walk has not heard from gets
+// nothing early: it may be dead, or a forger's, whose replies never check out.
 func parkDue(v any) {
 	p := v.(*parkedSend)
-	n, s, buf := p.node, p.scratch, p.buf
-	if !n.closed && n.incarnation == p.incarnation {
-		_, _ = n.sendOwners(p.owners, *buf)
+	if w := p.walk; w != nil {
+		p.walk = nil
+		owners := w.answer(w.ls.answeredK())
+		p.owners = append(p.owners[:0], owners[:min(len(owners), p.replicas)]...)
+		p.send(p.owners)
+		return
 	}
+	p.send(p.owners)
+	p.release()
+}
+
+// resolved hands the parked send its walk's final owners. Ahead of the
+// instant they are kept for it; past it, each owner the instant's send did
+// not reach gets the packet now and the record goes back.
+func (p *parkedSend) resolved(owners []Contact) {
+	if p.walk != nil {
+		p.walk = nil
+		p.owners = append(p.owners[:0], owners...)
+		return
+	}
+	for j := range owners {
+		if !p.reached(owners[j].ID) {
+			p.send(owners[j : j+1])
+		}
+	}
+	p.release()
+}
+
+// reached reports whether the instant's send went to id.
+func (p *parkedSend) reached(id ID) bool {
+	for i := range p.owners {
+		if p.owners[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// send sends the packet to owners unless the node has closed or been built
+// again since the send was parked: a package leaves only from the live holder
+// that resolved it, at the instant and at the walk's end alike.
+func (p *parkedSend) send(owners []Contact) {
+	if n := p.node; !n.closed && n.incarnation == p.incarnation {
+		_, _ = n.sendOwners(owners, *p.buf)
+	}
+}
+
+// release returns the buffer and the record to the loop they came from.
+func (p *parkedSend) release() {
+	s, buf := p.scratch, p.buf
 	clear(p.owners)
 	p.owners = p.owners[:0]
 	p.node, p.scratch, p.buf = nil, nil, nil
@@ -392,6 +479,11 @@ func (s *distSet) add(d0, d1 uint64, d2 uint32) bool {
 }
 
 func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
+	n.startLookup(target, cb, arg).step()
+}
+
+// startLookup readies a lookup for its first step, which the caller takes.
+func (n *Node) startLookup(target ID, cb func(any, []Contact), arg any) *lookupState {
 	ls := n.cfg.Scratch.lookups.Get()
 	ls.node = n
 	ls.target = target
@@ -410,7 +502,7 @@ func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
 		r := &ls.shortlist[i]
 		ls.seen.add(r.d0, r.d1, r.d2)
 	}
-	ls.step()
+	return ls
 }
 
 // step issues queries up to the alpha limit and detects termination: the
@@ -459,32 +551,33 @@ func lookupQueryDone(v any, resp *Message, err error) {
 // path's scratch Message (nil when err is set), valid for the call only.
 func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	ls.inflight--
-	if err != nil {
-		// Find the queried entry by its lanes (likely in the window, scanned first).
-		d := rankID(ls.target, from.ID)
-		for i := range ls.shortlist {
-			r := &ls.shortlist[i]
-			if r.d0 != d.d0 || r.d1 != d.d1 || r.d2 != d.d2 {
-				continue
-			}
-			if ls.node.cfg.Retry.enabled() && !r.requeried {
-				// Re-query before giving up the slot: a retry-hardened lookup
-				// gives a timed-out contact one more full RPC (with its own
-				// retries) before excluding it from the owner set — correlated
-				// faults make a single timeout weak evidence of death. Clearing
-				// the queried mark puts the contact back in step's candidate
-				// window; the requeried mark makes the second failure final.
-				r.queried, r.requeried = false, true
-			} else {
-				// Failover: an unresponsive contact (dead, churned out, or
-				// down) is dropped from the shortlist so the final owner set
-				// never includes it — the lookup routes around the failure to
-				// the next-closest live node. The routing table penalty happens
-				// in request's timeout path.
-				ls.remove(i)
-			}
-			break
+	// Find the queried entry by its lanes (likely in the window, scanned first).
+	d := rankID(ls.target, from.ID)
+	for i := range ls.shortlist {
+		r := &ls.shortlist[i]
+		if r.d0 != d.d0 || r.d1 != d.d1 || r.d2 != d.d2 {
+			continue
 		}
+		switch {
+		case err == nil:
+			r.answered = true
+		case ls.node.cfg.Retry.enabled() && !r.requeried:
+			// Re-query before giving up the slot: a retry-hardened lookup
+			// gives a timed-out contact one more full RPC (with its own
+			// retries) before excluding it from the owner set — correlated
+			// faults make a single timeout weak evidence of death. Clearing
+			// the queried mark puts the contact back in step's candidate
+			// window; the requeried mark makes the second failure final.
+			r.queried, r.requeried = false, true
+		default:
+			// Failover: an unresponsive contact (dead, churned out, or
+			// down) is dropped from the shortlist so the final owner set
+			// never includes it — the lookup routes around the failure to
+			// the next-closest live node. The routing table penalty happens
+			// in request's timeout path.
+			ls.remove(i)
+		}
+		break
 	}
 	if err == nil {
 		// The contacts are still on the wire, and most of them this lookup
@@ -509,14 +602,28 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 // closestK returns the final result set in the state's pooled result buffer
 // — valid until the state is released, i.e. for the duration of the finish
 // callback.
-func (ls *lookupState) closestK() []Contact {
+func (ls *lookupState) closestK() []Contact { return ls.window(false) }
+
+// answeredK is the walk's answer so far, while it is still out: the window's
+// contacts that have answered it, nearest-first, in the result buffer. It
+// never counts a contact the walk has not heard from — one still to be asked,
+// or one whose replies do not check out (a forger's). A finished walk's window
+// has answered whole (a query that failed for good removed its entry), so
+// there it is closestK.
+func (ls *lookupState) answeredK() []Contact { return ls.window(true) }
+
+// window copies the window's contacts, or only those that have answered, into
+// the result buffer.
+func (ls *lookupState) window(answered bool) []Contact {
 	// The window is the result: the shortlist holds every contact ever seen,
 	// and copying hundreds of entries to keep K showed up in the 100k-node
 	// profiles.
 	sl := ls.shortlist[:min(len(ls.shortlist), bucketK)]
 	out := ls.result[:0]
 	for i := range sl {
-		out = append(out, sl[i].contact(ls))
+		if sl[i].answered || !answered {
+			out = append(out, sl[i].contact(ls))
+		}
 	}
 	ls.result = out
 	return out

@@ -69,7 +69,7 @@ type Scratch struct {
 const (
 	maxFreeLookups = 32  // a drive has at most 20 lookups in flight on a loop
 	maxFreeWalks   = 32  // an owner walk is a lookup
-	maxFreeParked  = 64  // a key-share drive has at most 27 owner sends parked on a loop: one column's forwards
+	maxFreeParked  = 64  // a key-share drive has at most 27 owner sends parked on a loop, each from its walk's start to its instant: one column's forwards
 	maxFreeQueries = 128 // a lookup query is an in-flight RPC: at most 60
 	maxFreePending = 128
 	maxFreeLocals  = 32  // a key-share drive has at most 16 local deliveries out on a loop, all due in one instant

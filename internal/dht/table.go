@@ -502,6 +502,7 @@ type ranked struct {
 	addr      uint32
 	queried   bool // a query to it was issued (and not given back by a retry)
 	requeried bool // its one retry-policy re-query was granted
+	answered  bool // it answered a query of this lookup
 }
 
 // contact rebuilds the entry's Contact from the target of ls, the lookup it

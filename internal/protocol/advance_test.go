@@ -111,15 +111,13 @@ func TestAdvanceOrder(t *testing.T) {
 	for _, pkt := range seen {
 		got = append(got, hop{pkt.Kind, pkt.Column, pkt.Slot})
 	}
-	// Sends to one slot ID ride one owner walk (served in call order), so the
-	// watcher sees the sends to hops[0] first, then those to hops[1].
+	// Every forward is due at one instant, an hour on, and sends due in one
+	// instant leave in the order they were made: advance's custody order.
 	want := []hop{
-		{PkMainOnion, 2, 0},                     // from (1, wide)
-		{PkMainOnion, 3, 0},                     // from (2, wide)
-		{PkColShare, 2, 0}, {PkSlotOnion, 2, 0}, // from (1, 0)
-		{PkColShare, 2, 0},                      // from (1, 1)
-		{PkColShare, 2, 1},                      // from (1, 0)
-		{PkColShare, 2, 1}, {PkSlotOnion, 2, 1}, // from (1, 1)
+		{PkMainOnion, 2, 0},                                         // from (1, wide)
+		{PkMainOnion, 3, 0},                                         // from (2, wide)
+		{PkColShare, 2, 0}, {PkColShare, 2, 1}, {PkSlotOnion, 2, 0}, // from (1, 0)
+		{PkColShare, 2, 0}, {PkColShare, 2, 1}, {PkSlotOnion, 2, 1}, // from (1, 1)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("forward order:\n got %v\nwant %v", got, want)

@@ -214,13 +214,15 @@ func (c *custody) holdPackage(pkt Packet) {
 
 // resolveLead is how long before a package's deadline its holder starts the
 // owner walks of its forward, whose sends the node then holds until the
-// deadline itself (dht.Node.SendBufToOwners): the lead has to cover one walk.
-// A walk is about seven rounds of one round trip each — 70 ms on the
-// simulated fabric, about 2 s at a 300 ms wide-area round trip, and a round
-// that loses a request waits out one retransmission timeout, at most
-// rpcTimeout (500 ms), before its re-send. Longer only resolves against
-// older routing state: a lead of a whole refresh margin (Step/16) gave
-// holder slots to Sybils that an on-time walk routed around.
+// deadline itself (dht.Node.SendBufToOwners). It covers a walk on a loss-free
+// fabric with room to spare: seven or so 10 ms rounds here, about 2 s at a
+// 300 ms wide-area round trip. A walk lasts as long as its slowest query,
+// though, and under burst loss one in twenty outlives the lead (seconds, up
+// to about 12 s); the send does not wait for such a walk but leaves at the
+// deadline to the owners that have answered so far, and the walk's end tops
+// up any final owner they missed. Longer only resolves against older routing state: a
+// lead of a whole refresh margin (Step/16) gave holder slots to Sybils that
+// an on-time walk routed around.
 const resolveLead = 2 * time.Second
 
 // lead is how long before pkt's HoldUntil its holder resolves the next hop:
