@@ -16,8 +16,8 @@
 //     (Section III-C).
 //   - SchemeKeyShare: onion layer keys delivered just-in-time as Shamir
 //     shares (Section III-D, Algorithm 1) — the churn-resilient scheme.
-//     Holders recover keys from threshold-sized share subsets validated
-//     against the authenticated onion layers (so corrupt shares cannot
+//     Holders recover keys from shares that name their threshold, validated
+//     against the authenticated onion layers (so forged shares cannot
 //     poison recovery), and surviving custodians re-grant scattered shares
 //     to same-zone churn replacements once per holding period. A key, its
 //     shares and the onion it opens live at one protocol.Ref (a column, or

@@ -3,10 +3,6 @@
 // tallying key is self-emerging and appears only after the polls close —
 // even the election authority cannot count early. A drop-attacking
 // adversary tries to destroy the key instead.
-//
-// Unlike the other examples it has no Example test yet: its one key-share
-// mission at the planner's own shape takes about 11 s, because share
-// recovery there is still exponential in the collected shares.
 package main
 
 import (

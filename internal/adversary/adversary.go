@@ -11,7 +11,6 @@ import (
 
 	"selfemerge/internal/crypto/onion"
 	"selfemerge/internal/crypto/seal"
-	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
 )
@@ -38,13 +37,10 @@ func (c *Collector) SetZoneSink(sink func(mission protocol.MissionID, column, sl
 // shares collected towards the rest, and the onions not yet opened.
 type intel struct {
 	keys   map[protocol.Ref]seal.Key
-	shares map[protocol.Ref][]shamir.Share
+	shares map[protocol.Ref]*protocol.Shares
 	onions map[protocol.Ref][]byte
-	// tried is each Ref's share count at its last interpolation, and combines
-	// counts the interpolations: a Ref is interpolated again only once a
-	// share has arrived there since, as a holder's peel does (triedShares).
-	tried    map[protocol.Ref]int
-	combines int
+	// tries counts the keys tried on the onions.
+	tries int
 
 	secret      []byte
 	recoveredAt time.Time
@@ -121,9 +117,8 @@ func (c *Collector) intel(id protocol.MissionID) *intel {
 	if !ok {
 		in = &intel{
 			keys:   make(map[protocol.Ref]seal.Key),
-			shares: make(map[protocol.Ref][]shamir.Share),
+			shares: make(map[protocol.Ref]*protocol.Shares),
 			onions: make(map[protocol.Ref][]byte),
-			tried:  make(map[protocol.Ref]int),
 		}
 		c.missions[id] = in
 	}
@@ -138,20 +133,18 @@ func (in *intel) note(secret []byte, now time.Time) {
 	in.recoveredAt = now
 }
 
-// addShare parses a share blob and keeps the first variant seen for each X
-// coordinate, cloning the data (packet payloads alias recycled delivery
-// buffers).
+// addShare parses a share blob into the collection at ref, as a holder does.
 func (in *intel) addShare(ref protocol.Ref, blob []byte) {
-	x, data, err := protocol.ParseShare(blob)
+	share, err := protocol.ParseShare(blob)
 	if err != nil {
 		return
 	}
-	for _, have := range in.shares[ref] {
-		if have.X == x {
-			return
-		}
+	s := in.shares[ref]
+	if s == nil {
+		s = new(protocol.Shares)
+		in.shares[ref] = s
 	}
-	in.shares[ref] = append(in.shares[ref], shamir.Share{X: x, Data: append([]byte(nil), data...)})
+	s.Add(share)
 }
 
 // infer runs decrypt-to-fixpoint: recover keys from shares, peel every
@@ -164,16 +157,12 @@ func (c *Collector) infer(in *intel, now time.Time) {
 	for progress := true; progress; {
 		progress = false
 		for ref, sealed := range in.onions {
-			key, ok := in.key(ref)
+			key, layer, ok := in.open(ref, sealed)
 			if !ok {
 				continue
 			}
-			layer, err := onion.Peel(key, sealed)
-			if err != nil {
-				continue
-			}
-			// A key recovered from shares stays known: the memo in key
-			// would not interpolate its shares again.
+			// A key recovered from shares stays known: their memo would not
+			// recover it again.
 			in.keys[ref] = key
 			delete(in.onions, ref)
 			progress = true
@@ -198,27 +187,20 @@ func (c *Collector) infer(in *intel, now time.Time) {
 	}
 }
 
-// key returns the layer key at ref if directly known or recoverable from
-// the collected shares. Interpolation through all shares yields the true
-// key exactly when the threshold is met; the onion's authenticated layer
-// is the verification oracle, so a garbage interpolation merely fails the
-// next peel. The onion at a Ref does not change until it opens, so shares
-// that failed once fail again: key interpolates a Ref's shares only when
-// their count has grown since its last attempt.
-func (in *intel) key(ref protocol.Ref) (seal.Key, bool) {
-	if key, ok := in.keys[ref]; ok {
-		return key, true
+// open peels the onion sealed at ref with the key granted there or, for want
+// of one, with the key its shares recover (protocol.Shares.Recover, the rule
+// a holder's peel runs), the onion being the oracle.
+func (in *intel) open(ref protocol.Ref, sealed []byte) (key seal.Key, layer onion.Layer, ok bool) {
+	try := func(k seal.Key) bool {
+		var err error
+		key, in.tries = k, in.tries+1
+		layer, err = onion.Peel(k, sealed)
+		return err == nil
 	}
-	shares := in.shares[ref]
-	if len(shares) == in.tried[ref] {
-		return seal.Key{}, false // none, or nothing new since the last attempt
+	if granted, known := in.keys[ref]; known {
+		ok = try(granted)
+	} else if shares := in.shares[ref]; shares != nil {
+		ok = shares.Recover(try)
 	}
-	in.tried[ref] = len(shares)
-	in.combines++
-	raw, err := shamir.Combine(shares, len(shares))
-	if err != nil {
-		return seal.Key{}, false
-	}
-	key, err := seal.KeyFromBytes(raw)
-	return key, err == nil
+	return key, layer, ok
 }

@@ -127,24 +127,21 @@ func TestColumnKeyFromShares(t *testing.T) {
 	var mission protocol.MissionID
 	now := time.Unix(0, 0)
 	report(c, now, protocol.Packet{Mission: mission, Kind: protocol.PkMainOnion, Column: 1, Data: wrapped})
-	shareBlob := func(s shamir.Share) []byte {
-		return append([]byte{s.X}, s.Data...)
-	}
-	report(c, now, protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: shareBlob(shares[0])})
+	report(c, now, protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: protocol.AppendEncodeShareBlob(nil, shares[0])})
 	if _, ok := c.Recovered(mission); ok {
 		t.Fatal("recovered below threshold")
 	}
-	report(c, now.Add(time.Second), protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: shareBlob(shares[2])})
+	report(c, now.Add(time.Second), protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: protocol.AppendEncodeShareBlob(nil, shares[2])})
 	if _, ok := c.Recovered(mission); !ok {
 		t.Fatal("not recovered at threshold")
 	}
 }
 
-// TestInferInterpolatesOnlyNewShares: the collector interpolates a Ref's
-// shares once per share count, as a holder does. A below-threshold
-// collection fails once, and a second infer with nothing new — or a report
-// that adds nothing at that Ref — makes no Combine call; the share that
-// completes the threshold is interpolated, and opens the onion.
+// TestInferInterpolatesOnlyNewShares: the collector recovers a Ref's key by
+// the holder's rule (protocol.Shares.Recover). Shares name their threshold, so
+// a collection below it offers the onion no key at all, nor does a second
+// infer with nothing new or a report that adds nothing at that Ref; the
+// share that completes the threshold offers one key, which opens the onion.
 func TestInferInterpolatesOnlyNewShares(t *testing.T) {
 	key, err := seal.NewKey()
 	if err != nil {
@@ -162,24 +159,24 @@ func TestInferInterpolatesOnlyNewShares(t *testing.T) {
 	c := NewCollector()
 	mission, now := protocol.MissionID{0x1e}, time.Unix(0, 0)
 	share := func(s shamir.Share) protocol.Packet {
-		return protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: append([]byte{s.X}, s.Data...)}
+		return protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: protocol.AppendEncodeShareBlob(nil, s)}
 	}
 	report(c, now, protocol.Packet{Mission: mission, Kind: protocol.PkMainOnion, Column: 1, Data: wrapped})
 	report(c, now, share(shares[0]))
 	report(c, now, share(shares[1]))
 	in := c.missions[mission]
-	if in.combines != 2 {
-		t.Fatalf("two shares reported one at a time: %d interpolations, want 2", in.combines)
+	if in.tries != 0 {
+		t.Fatalf("two shares of a threshold-3 split: %d keys tried, want 0", in.tries)
 	}
 	c.infer(in, now)
 	report(c, now, share(shares[1])) // a duplicate adds nothing
 	report(c, now, grant(mission, 2, key))
-	if in.combines != 2 {
-		t.Errorf("infer with no new share at the Ref interpolated again: %d interpolations, want 2", in.combines)
+	if in.tries != 0 {
+		t.Errorf("infer with no new share at the Ref: %d keys tried, want 0", in.tries)
 	}
 	report(c, now, share(shares[2]))
-	if _, ok := c.Recovered(mission); !ok || in.combines != 3 {
-		t.Errorf("at threshold: recovered %v after %d interpolations, want true after 3", ok, in.combines)
+	if _, ok := c.Recovered(mission); !ok || in.tries != 1 {
+		t.Errorf("at threshold: recovered %v after %d keys tried, want true after 1", ok, in.tries)
 	}
 }
 
@@ -201,7 +198,7 @@ func TestDuplicateSharesDoNotFakeThreshold(t *testing.T) {
 	var mission protocol.MissionID
 	now := time.Unix(0, 0)
 	report(c, now, protocol.Packet{Mission: mission, Kind: protocol.PkMainOnion, Column: 1, Data: wrapped})
-	blob := append([]byte{shares[0].X}, shares[0].Data...)
+	blob := protocol.AppendEncodeShareBlob(nil, shares[0])
 	for i := 0; i < 5; i++ {
 		report(c, now, protocol.Packet{Mission: mission, Kind: protocol.PkColShare, Column: 1, Data: blob})
 	}

@@ -17,10 +17,11 @@ import (
 	"slices"
 )
 
-// Share is one fragment of a split secret. X identifies the evaluation
-// point (1..n); Data holds one byte per secret byte.
+// Share is one fragment of a split secret. M is the split's threshold, which
+// is not secret; X identifies the evaluation point (1..n); Data holds one
+// byte per secret byte.
 type Share struct {
-	X    byte
+	M, X byte
 	Data []byte
 }
 
@@ -32,6 +33,8 @@ var (
 	// ErrShareMismatch is returned when shares disagree on length or carry
 	// duplicate evaluation points.
 	ErrShareMismatch = errors.New("shamir: inconsistent shares")
+	// ErrDecode is returned when shares hold more errors than Decode corrects.
+	ErrDecode = errors.New("shamir: too many wrong shares to decode")
 )
 
 // Split shares secret into n shares with reconstruction threshold m,
@@ -61,7 +64,7 @@ func SplitRand(r io.Reader, secret []byte, m, n int) ([]Share, error) {
 	shares := make([]Share, n)
 	data := make([]byte, n*len(secret)) // one backing array for all shares
 	for j := range shares {
-		shares[j] = Share{X: byte(j + 1), Data: data[j*len(secret) : (j+1)*len(secret) : (j+1)*len(secret)]}
+		shares[j] = Share{M: byte(m), X: byte(j + 1), Data: data[j*len(secret) : (j+1)*len(secret) : (j+1)*len(secret)]}
 	}
 	coeffs := make([]byte, (m-1)*len(secret))
 	if _, err := io.ReadFull(r, coeffs); err != nil {
@@ -85,29 +88,15 @@ func Combine(shares []Share, m int) ([]byte, error) {
 }
 
 // AppendCombine is Combine appending the secret to dst: it allocates nothing
-// when dst has room, so a caller probing many subsets can interpolate into
-// one stack buffer.
+// when dst has room, so a caller can interpolate into a stack buffer.
 func AppendCombine(dst []byte, shares []Share, m int) ([]byte, error) {
-	if m < 1 {
-		return nil, ErrThreshold
+	use := shares
+	if m >= 1 && len(use) > m {
+		use = use[:m]
 	}
-	if len(shares) < m {
-		return nil, ErrTooFewShares
-	}
-	use := shares[:m]
-	length := len(use[0].Data)
-	var seen [256]bool
-	for _, s := range use {
-		if len(s.Data) != length {
-			return nil, ErrShareMismatch
-		}
-		if s.X == 0 || seen[s.X] {
-			return nil, ErrShareMismatch
-		}
-		seen[s.X] = true
-	}
-	if length == 0 {
-		return nil, ErrShareMismatch
+	length, err := check(use, m)
+	if err != nil {
+		return nil, err
 	}
 
 	// Lagrange interpolation at x = 0, per byte position. The basis factors
@@ -134,6 +123,107 @@ func AppendCombine(dst []byte, shares []Share, m int) ([]byte, error) {
 		dst = append(dst, acc)
 	}
 	return dst, nil
+}
+
+// check validates m >= 1 and at least m shares, with distinct nonzero
+// evaluation points and data of one nonzero length, which it returns.
+func check(shares []Share, m int) (int, error) {
+	if m < 1 {
+		return 0, ErrThreshold
+	}
+	if len(shares) < m {
+		return 0, ErrTooFewShares
+	}
+	length := len(shares[0].Data)
+	var seen [256]bool
+	for _, s := range shares {
+		if len(s.Data) != length || length == 0 || s.X == 0 || seen[s.X] {
+			return 0, ErrShareMismatch
+		}
+		seen[s.X] = true
+	}
+	return length, nil
+}
+
+// Decode reconstructs the secret from s shares of a threshold-m split of
+// which up to e = ⌊(s-m)/2⌋ may be wrong: Shamir shares are a Reed–Solomon
+// codeword, and Decode runs Berlekamp–Welch on each secret byte. It solves
+// Q(x) = y·E(x) at every share, for E monic of degree e and Q of degree
+// below m+e, and divides. With more wrong shares it returns ErrDecode or a
+// wrong secret. Its cost is cubic in s per secret byte.
+func Decode(shares []Share, m int) ([]byte, error) {
+	length, err := check(shares, m)
+	if err != nil {
+		return nil, err
+	}
+	e := (len(shares) - m) / 2
+	nq := m + e
+	sys := make([][]byte, len(shares)) // Q's unknowns, E's below x^e, y·x^e
+	for i := range sys {
+		sys[i] = make([]byte, nq+e+1)
+	}
+	secret := make([]byte, length)
+	for pos := range secret {
+		for i, sh := range shares {
+			for j, xj := 0, byte(1); j < nq; j, xj = j+1, mul(xj, sh.X) {
+				sys[i][j] = xj
+			}
+			for j := range e + 1 {
+				sys[i][nq+j] = mul(sh.Data[pos], sys[i][j])
+			}
+		}
+		q := solve(sys)
+		if q == nil {
+			return nil, ErrDecode
+		}
+		// P = Q / E, E monic: P(0) is the last quotient coefficient, and a
+		// remainder means more than e errors.
+		for d := nq - 1; d >= e; d-- {
+			for j, ej := range q[nq:] {
+				q[d-e+j] ^= mul(q[d], ej)
+			}
+			secret[pos] = q[d]
+		}
+		if slices.ContainsFunc(q[:e], func(r byte) bool { return r != 0 }) {
+			return nil, ErrDecode
+		}
+	}
+	return secret, nil
+}
+
+// solve brings the augmented system sys to reduced row echelon form and
+// returns a solution whose free unknowns are zero, or nil if it has none.
+func solve(sys [][]byte) []byte {
+	n := len(sys[0]) - 1
+	var pivots []int // the pivot column of each row, top down
+	for c := 0; c < n && len(pivots) < len(sys); c++ {
+		r := len(pivots)
+		p := r + slices.IndexFunc(sys[r:], func(row []byte) bool { return row[c] != 0 })
+		if p < r {
+			continue
+		}
+		pivot, f := sys[p], inv(sys[p][c])
+		sys[r], sys[p] = pivot, sys[r]
+		for j := c; j <= n; j++ {
+			pivot[j] = mul(pivot[j], f)
+		}
+		for i, row := range sys {
+			if f := row[c]; i != r && f != 0 {
+				for j := c; j <= n; j++ {
+					row[j] ^= mul(f, pivot[j])
+				}
+			}
+		}
+		pivots = append(pivots, c)
+	}
+	if slices.ContainsFunc(sys[len(pivots):], func(row []byte) bool { return row[n] != 0 }) {
+		return nil
+	}
+	sol := make([]byte, n)
+	for i, c := range pivots {
+		sol[c] = sys[i][n]
+	}
+	return sol
 }
 
 // evalPoly evaluates secret + c1*x + c2*x^2 + ... at x using Horner's rule.

@@ -1,16 +1,22 @@
 package protocol
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 	"time"
 
 	"selfemerge/internal/crypto/onion"
 	"selfemerge/internal/crypto/seal"
+	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/transport/simnet"
 )
+
+// keyShare is a share a holder keeps: it names its threshold and X, and its
+// data is a key's length.
+var keyShare = shamir.Share{M: 2, X: 1, Data: bytes.Repeat([]byte{7}, seal.KeySize)}
 
 // appFunc is a function dht.AppHandler.
 type appFunc func(from dht.Contact, payload []byte)
@@ -75,7 +81,7 @@ func TestAdvanceOrder(t *testing.T) {
 		// slot onion's outer layer also scatters one column-key share.
 		layers := []onion.Layer{{NextHops: hops[:1]}, {NextHops: hops[:1]}}
 		if pkt.Kind == PkSlotOnion {
-			layers[0] = onion.Layer{NextHops: hops, Shares: [][]byte{AppendEncodeShareTag(nil, ColumnWide, 1, []byte{7})}}
+			layers[0] = onion.Layer{NextHops: hops, Shares: [][]byte{AppendEncodeShareTag(nil, ColumnWide, keyShare)}}
 		}
 		layerKeys := make([]seal.Key, len(layers))
 		for i := range layerKeys {

@@ -5,6 +5,7 @@ import (
 
 	"selfemerge/internal/crypto/onion"
 	"selfemerge/internal/crypto/seal"
+	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
 )
@@ -41,9 +42,9 @@ func TestScatterSharesAliasPeeledLayer(t *testing.T) {
 	hop := dht.IDFromKey([]byte("next"))
 	data := []byte("thirty-two bytes of share data..")
 	wrapped, err := onion.Build([]onion.Layer{{NextHops: [][]byte{hop[:]}, Shares: [][]byte{
-		protocol.AppendEncodeShareTag(nil, protocol.ColumnWide, 3, data),
-		protocol.AppendEncodeShareTag(nil, 0, 4, data),
-		protocol.AppendEncodeShareTag(nil, 65535, 5, data),
+		protocol.AppendEncodeShareTag(nil, protocol.ColumnWide, shamir.Share{M: 2, X: 3, Data: data}),
+		protocol.AppendEncodeShareTag(nil, 0, shamir.Share{M: 2, X: 4, Data: data}),
+		protocol.AppendEncodeShareTag(nil, 65535, shamir.Share{M: 2, X: 5, Data: data}),
 	}}}, []seal.Key{key})
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func TestDeadCustodianStops(t *testing.T) {
 		for _, pkt := range []Packet{
 			{Kind: PkMainOnion, Column: 1, HoldUntil: holdUntil.UnixNano(), Data: sealed},
 			{Kind: PkKeyGrant, Column: 1, Width: 2, HoldUntil: holdUntil.Add(2 * step).UnixNano(), Data: keys[0].Bytes()},
-			{Kind: PkColShare, Column: 2, Width: 2, HoldUntil: holdUntil.UnixNano(), Data: AppendEncodeShareBlob(nil, 1, []byte{7})},
+			{Kind: PkColShare, Column: 2, Width: 2, HoldUntil: holdUntil.UnixNano(), Data: AppendEncodeShareBlob(nil, keyShare)},
 		} {
 			pkt.Mission, pkt.Step = mission, int64(step)
 			host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))

@@ -49,7 +49,7 @@ func ForwardedCustody(h *Host, mission MissionID) map[Ref]string {
 			{"key", rec.key != seal.Key{}},
 			{"repair key", rec.loop.key != seal.Key{}},
 			{"plaintext", rec.hold.plain != nil},
-			{"shares", rec.shares != nil || rec.shareBuf != nil},
+			{"shares", rec.shares.list != nil || rec.shares.buf != nil},
 			{"custody clone", rec.hold.buf != nil || rec.hold.pkt.Data != nil},
 		} {
 			if k.kept {

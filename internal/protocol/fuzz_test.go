@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"selfemerge/internal/crypto/seal"
+	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/protocol"
 	"selfemerge/internal/sim"
@@ -47,7 +48,7 @@ func FuzzNodeDatagram(f *testing.F) {
 		case protocol.PkKeyGrant:
 			data = make([]byte, seal.KeySize)
 		case protocol.PkColShare, protocol.PkSlotShare:
-			data = protocol.AppendEncodeShareBlob(nil, 1, []byte("share"))
+			data = protocol.AppendEncodeShareBlob(nil, shamir.Share{M: 2, X: 1, Data: bytes.Repeat([]byte{0x5e}, seal.KeySize)})
 		}
 		pkt := Packet{Mission: MissionID{byte(kind)}, Kind: kind, Column: 1, Width: 2, HoldUntil: hold,
 			Step: int64(time.Minute), Target: dht.IDFromKey([]byte("receiver")), Data: data}
@@ -183,65 +184,73 @@ func FuzzDecodePacket(f *testing.F) {
 
 // FuzzParseShareBlob asserts the share-blob codecs never panic on arbitrary
 // payloads nor allocate more than a few bytes per input byte, and that
-// whatever parses is consistent: ParseShare round-trips
-// through the blob encoding; ParseShareTag only accepts the two tags with
-// their minimum sizes, returns a view of its input and re-encodes to it; and
-// every share tags and untags to itself at column scope and at slots 0 and
-// 65535, with each truncation below a tag's minimum size rejected.
+// whatever parses is consistent: ParseShare accepts exactly the blobs of a
+// nonzero threshold, a nonzero X and some data, returns a view of the data
+// and round-trips through the blob encoding; ParseShareTag only accepts the
+// two tags around a share ParseShare accepts, returns a view of its input
+// and re-encodes to it; and every share tags and untags to itself at column
+// scope and at slots 0 and 65535, with each truncation that cuts its data
+// off rejected.
 func FuzzParseShareBlob(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x01})
-	f.Add([]byte{0x05, 0xAA, 0xBB, 0xCC})
-	f.Add([]byte{0xC0, 0x05, 0xAA, 0xBB}) // tagged column share
-	f.Add([]byte{0x51, 0x00, 0x02, 0x05, 0xAA})
-	f.Add([]byte{0x51, 0xFF, 0xFF, 0x05}) // slot tag one byte short
-	f.Add([]byte{0xC0, 0x05})             // column tag one byte short
+	f.Add([]byte{0x02, 0x05})
+	f.Add([]byte{0x02, 0x05, 0xAA, 0xBB, 0xCC})
+	f.Add([]byte{0x00, 0x05, 0xAA})             // threshold 0
+	f.Add([]byte{0x02, 0x00, 0xAA})             // X 0
+	f.Add([]byte{0xC0, 0x02, 0x05, 0xAA, 0xBB}) // tagged column share
+	f.Add([]byte{0x51, 0x00, 0x02, 0x02, 0x05, 0xAA})
+	f.Add([]byte{0x51, 0xFF, 0xFF, 0x02, 0x05}) // slot tag one byte short
+	f.Add([]byte{0xC0, 0x02, 0x05})             // column tag one byte short
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		testutil.BoundDecodeAllocs(t, blob, func() {
-			_, _, _ = protocol.ParseShare(blob)
+			_, _ = protocol.ParseShare(blob)
 			_, _, _ = protocol.ParseShareTag(blob)
 		})
-		if x, data, err := protocol.ParseShare(blob); err == nil {
-			if len(blob) < 2 {
-				t.Fatalf("ParseShare accepted %d bytes", len(blob))
+		share, err := protocol.ParseShare(blob)
+		if valid := len(blob) >= 3 && blob[0] != 0 && blob[1] != 0; valid != (err == nil) {
+			t.Fatalf("ParseShare(%x) error %v", blob, err)
+		}
+		if err == nil {
+			if share.M != blob[0] || share.X != blob[1] || &share.Data[0] != &blob[2] || len(share.Data) != len(blob)-2 {
+				t.Fatalf("ParseShare(%x) = %+v", blob, share)
 			}
-			if x != blob[0] || !bytes.Equal(data, blob[1:]) {
-				t.Fatalf("ParseShare(%x) = (%d, %x)", blob, x, data)
+			if again := protocol.AppendEncodeShareBlob([]byte("pfx"), share); !bytes.Equal(again, append([]byte("pfx"), blob...)) {
+				t.Fatalf("share %x re-encodes after a prefix to %x", blob, again)
 			}
 			for _, slot := range []int{protocol.ColumnWide, 0, 65535} {
-				tagged := protocol.AppendEncodeShareTag([]byte("pfx"), slot, x, data)[3:]
-				gotSlot, share, err := protocol.ParseShareTag(tagged)
-				if err != nil || gotSlot != slot || !bytes.Equal(share, blob) {
-					t.Fatalf("tag round trip at slot %d: (%d, %x, %v), want share %x", slot, gotSlot, share, err, blob)
+				tagged := protocol.AppendEncodeShareTag([]byte("pfx"), slot, share)[3:]
+				gotSlot, got, err := protocol.ParseShareTag(tagged)
+				if err != nil || gotSlot != slot || !bytes.Equal(got, blob) {
+					t.Fatalf("tag round trip at slot %d: (%d, %x, %v), want share %x", slot, gotSlot, got, err, blob)
 				}
-				for n := 0; n <= len(tagged)-len(data); n++ {
+				for n := 0; n <= len(tagged)-len(share.Data); n++ {
 					if _, _, err := protocol.ParseShareTag(tagged[:n]); err == nil {
-						t.Fatalf("ParseShareTag accepted %x, truncated below slot %d's minimum", tagged[:n], slot)
+						t.Fatalf("ParseShareTag accepted %x, slot %d's tag with its data cut off", tagged[:n], slot)
 					}
 				}
 			}
 		}
-		slot, share, err := protocol.ParseShareTag(blob)
+		slot, inner, err := protocol.ParseShareTag(blob)
 		if err != nil {
 			return
 		}
-		x, data, err := protocol.ParseShare(share)
+		share, err = protocol.ParseShare(inner)
 		if err != nil {
-			t.Fatalf("ParseShareTag(%x) returned unparseable share %x", blob, share)
+			t.Fatalf("ParseShareTag(%x) returned unparseable share %x", blob, inner)
 		}
 		switch {
 		case slot == protocol.ColumnWide:
-			if blob[0] != 0xC0 || &share[0] != &blob[1] {
-				t.Fatalf("column tag (%x) = share %x", blob, share)
+			if blob[0] != 0xC0 || &inner[0] != &blob[1] {
+				t.Fatalf("column tag (%x) = share %x", blob, inner)
 			}
 		case slot == int(blob[1])<<8|int(blob[2]):
-			if blob[0] != 0x51 || &share[0] != &blob[3] {
-				t.Fatalf("slot tag (%x) = (%d, %x)", blob, slot, share)
+			if blob[0] != 0x51 || &inner[0] != &blob[3] {
+				t.Fatalf("slot tag (%x) = (%d, %x)", blob, slot, inner)
 			}
 		default:
 			t.Fatalf("ParseShareTag(%x) returned slot %d", blob, slot)
 		}
-		if again := protocol.AppendEncodeShareTag(nil, slot, x, data); !bytes.Equal(again, blob) {
+		if again := protocol.AppendEncodeShareTag(nil, slot, share); !bytes.Equal(again, blob) {
 			t.Fatalf("tagged blob %x re-encodes to %x", blob, again)
 		}
 	})
@@ -249,20 +258,20 @@ func FuzzParseShareBlob(f *testing.F) {
 
 // FuzzSharePacketRoundTrip drives arbitrary share coordinates through the
 // full PkColShare/PkSlotShare path: share blob encoding, packet encoding,
-// decode, and share re-parse must return the original coordinates exactly.
+// decode, and share re-parse must return the original share exactly, or
+// reject one without data, threshold or X.
 func FuzzSharePacketRoundTrip(f *testing.F) {
-	f.Add(uint8(1), []byte("share data"), uint16(2), uint16(0), false)
-	f.Add(uint8(255), []byte{0}, uint16(65535), uint16(65535), true)
-	f.Add(uint8(0), []byte{}, uint16(0), uint16(9), true)
-	f.Fuzz(func(t *testing.T, x uint8, data []byte, column, slot uint16, isSlot bool) {
+	f.Add(uint8(2), uint8(1), []byte("share data"), uint16(2), uint16(0), false)
+	f.Add(uint8(255), uint8(255), []byte{0}, uint16(65535), uint16(65535), true)
+	f.Add(uint8(3), uint8(0), []byte{}, uint16(0), uint16(9), true)
+	f.Add(uint8(0), uint8(7), []byte("no threshold"), uint16(1), uint16(1), false)
+	f.Fuzz(func(t *testing.T, m, x uint8, data []byte, column, slot uint16, isSlot bool) {
 		kind := protocol.PkColShare
 		if isSlot {
 			kind = protocol.PkSlotShare
 		}
-		blob := protocol.AppendEncodeShareBlob(nil, x, data)
-		if appended := protocol.AppendEncodeShareBlob([]byte("pfx"), x, data); !bytes.Equal(appended, append([]byte("pfx"), blob...)) {
-			t.Fatalf("AppendEncodeShareBlob after a prefix: %x, want pfx+%x", appended, blob)
-		}
+		share := shamir.Share{M: m, X: x, Data: data}
+		blob := protocol.AppendEncodeShareBlob(nil, share)
 		pkt := protocol.Packet{
 			Mission:   protocol.MissionID{0xF0, 0x0D},
 			Kind:      kind,
@@ -280,20 +289,19 @@ func FuzzSharePacketRoundTrip(f *testing.F) {
 		if decoded.Kind != kind || decoded.Column != column || decoded.Slot != slot {
 			t.Fatalf("share packet mutated: %+v", decoded)
 		}
-		gotX, gotData, err := protocol.ParseShare(decoded.Data)
-		if len(data) == 0 {
-			// A share needs at least one payload byte; the codec must say so
-			// rather than fabricate coordinates.
+		got, err := protocol.ParseShare(decoded.Data)
+		if len(data) == 0 || m == 0 || x == 0 {
+			// The codec must say so rather than fabricate coordinates.
 			if err == nil {
-				t.Fatal("empty share blob accepted")
+				t.Fatalf("share %+v accepted", share)
 			}
 			return
 		}
 		if err != nil {
 			t.Fatalf("share blob failed to re-parse: %v", err)
 		}
-		if gotX != x || !bytes.Equal(gotData, data) {
-			t.Fatalf("share coordinates mutated: (%d, %x) vs (%d, %x)", gotX, gotData, x, data)
+		if got.M != m || got.X != x || !bytes.Equal(got.Data, data) {
+			t.Fatalf("share mutated: %+v vs %+v", got, share)
 		}
 	})
 }

@@ -1,10 +1,8 @@
 package protocol
 
 import (
-	"bytes"
 	"cmp"
 	"errors"
-	"math/bits"
 	"slices"
 	"sort"
 	"time"
@@ -103,10 +101,8 @@ type custody struct {
 	// key is the layer key once granted or oracle-confirmed (hasKey): K_c of
 	// the multipath schemes and CK_c column-wide, SK_{c,s} per slot.
 	key seal.Key
-	// shares are the Shamir shares collected towards key. Their Data are
-	// views into shareBuf, which holds one copy of every share kept.
-	shares   []shamir.Share
-	shareBuf []byte
+	// shares are the Shamir shares collected towards key.
+	shares Shares
 	// hold is the package custody: the main onion column-wide (joint/share
 	// copies are deduped), the slot onion per slot, or a central package.
 	hold heldPackage
@@ -182,14 +178,10 @@ type heldPackage struct {
 	plain []byte
 	// buf is the custody clone backing pkt.Data, taken from the node's loop;
 	// it goes back there once the sealed bytes are dead (see releaseCustody).
-	buf *[]byte
-	// triedShares memoizes the size of the share collection the last failed
-	// recovery attempt ran against, so advance() re-enumerates candidate
-	// keys only after new share material arrives.
-	triedShares int
-	held        bool
-	peeled      bool
-	due         bool
+	buf    *[]byte
+	held   bool
+	peeled bool
+	due    bool
 }
 
 // holdPackage takes custody of pkt in the record: it clones the payload into a
@@ -302,8 +294,8 @@ func (c *custody) spend() {
 // forget zeroes the record's key and its repair loop's key copy, and drops
 // its shares.
 func (c *custody) forget() {
-	clear(c.shareBuf)
-	c.shares, c.shareBuf = nil, nil
+	clear(c.shares.buf)
+	c.shares = Shares{}
 	c.key, c.loop.key = seal.Key{}, seal.Key{}
 }
 
@@ -506,7 +498,7 @@ func (h *Host) onOnion(pkt Packet) {
 }
 
 func (h *Host) onShare(pkt Packet) {
-	x, data, err := ParseShare(pkt.Data)
+	share, err := ParseShare(pkt.Data)
 	if err != nil {
 		return
 	}
@@ -514,35 +506,11 @@ func (h *Host) onShare(pkt Packet) {
 	if rec.forwarded {
 		return
 	}
-	if rec.addShare(x, data) && h.repairableShare(pkt) && !rec.repair {
+	if rec.shares.Add(share) && h.repairableShare(pkt) && !rec.repair {
 		rec.repair = true
 		h.scheduleShareRefresh(rec, pkt)
 	}
 	h.advance(pkt.Mission)
-}
-
-// addShare merges one received share into the collection and reports whether
-// it was kept. Only exact duplicates (same X, same payload) are dropped: a
-// conflicting payload for an already-seen X is kept as an additional variant,
-// so a corrupt or stale early arrival cannot shadow the honest share — the
-// subset recovery of shareKeyCandidates picks whichever variants the
-// onion-layer oracle validates. A kept share's data is copied onto shareBuf:
-// the inbound bytes alias a recycled delivery buffer (duplicates never pay
-// the copy). A share keeps its view when shareBuf grows.
-func (c *custody) addShare(x uint8, data []byte) bool {
-	for _, s := range c.shares {
-		if s.X == x && bytes.Equal(s.Data, data) {
-			return false
-		}
-	}
-	if c.shares == nil { // room for an (m, 4) scatter's key shares
-		c.shares = make([]shamir.Share, 0, 4)
-		c.shareBuf = make([]byte, 0, 4*seal.KeySize)
-	}
-	at := len(c.shareBuf)
-	c.shareBuf = append(c.shareBuf, data...)
-	c.shares = append(c.shares, shamir.Share{X: x, Data: c.shareBuf[at:len(c.shareBuf):len(c.shareBuf)]})
-	return true
 }
 
 // repairableShare reports whether a received share participates in churn
@@ -607,7 +575,7 @@ func (r *refresh) push() {
 	}
 	var shares []shamir.Share
 	if r.pkt.Kind != PkKeyGrant {
-		shares = r.rec.shares
+		shares = r.rec.shares.list
 	}
 	pkt, first, end := r.pkt, int(r.pkt.Slot), int(r.pkt.Slot)+1
 	if pkt.Ref().Slot == ColumnWide && pkt.Width > 1 {
@@ -622,7 +590,10 @@ func (r *refresh) push() {
 			sendPacket(&h.node, to, pkt, h.replicas(), 0)
 		}
 		for _, sh := range shares {
-			*blob = AppendEncodeShareBlob((*blob)[:0], sh.X, sh.Data)
+			if sh.Data == nil {
+				continue // a conflicting coordinate
+			}
+			*blob = AppendEncodeShareBlob((*blob)[:0], sh)
 			pkt.Data = *blob
 			sendPacket(&h.node, to, pkt, h.replicas(), 0)
 		}
@@ -630,19 +601,17 @@ func (r *refresh) push() {
 	h.node.Bufs().Put(blob)
 }
 
-// ShareInventory reports how many distinct column-key and slot-key share
-// coordinates the host currently holds for one mission column/slot —
-// conflicting variants of one coordinate count once. Exposed for tests and
-// churn-repair observability.
+// ShareInventory reports how many column-key and slot-key share coordinates
+// (m, X) the host currently holds for one mission column/slot. Exposed for
+// tests and churn-repair observability.
 func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey, ofSlotKey int) {
-	distinct := func(rec *custody) int {
-		seen := make(map[uint8]bool)
-		for i := 0; rec != nil && i < len(rec.shares); i++ {
-			seen[rec.shares[i].X] = true
+	held := func(rec *custody) int {
+		if rec == nil {
+			return 0
 		}
-		return len(seen)
+		return len(rec.shares.list)
 	}
-	return distinct(h.custodyAt(mission, Ref{int32(column), ColumnWide})), distinct(h.custodyAt(mission, Ref{int32(column), int32(slot)}))
+	return held(h.custodyAt(mission, Ref{int32(column), ColumnWide})), held(h.custodyAt(mission, Ref{int32(column), int32(slot)}))
 }
 
 // advance runs the peel/forward state machine for a mission: peel whatever
@@ -687,13 +656,13 @@ func custodyOrder(a, b Ref) int {
 }
 
 // peel attempts to open the record's held onion with its key or, failing
-// that, with candidate keys recovered from subsets of the collected shares —
-// the authenticated onion layer is the success oracle that tells a true
-// threshold interpolation from garbage, so stale, churn-duplicated or
-// adversary-injected shares can delay recovery but never poison it. A key
-// the oracle confirms becomes the record's key, so re-grants skip the
-// search. Every open is one-shot (onion.Open): a peel leaves the plaintext
-// and nothing else, and a granted key that fails is marked, not retried.
+// that, with a key recovered from the collected shares (Shares.Recover) —
+// the authenticated onion layer is the oracle that tells the true key from
+// garbage, so stale, churn-duplicated or adversary-injected shares can delay
+// recovery but never poison it. A key the oracle confirms becomes the
+// record's key. Every open is one-shot (onion.Open): a peel leaves the
+// plaintext and nothing else, and a granted key that fails is marked, not
+// retried.
 func (h *Host) peel(rec *custody) {
 	hp := &rec.hold
 	if !hp.held || hp.peeled || hp.pkt.Kind == PkCentral {
@@ -711,17 +680,13 @@ func (h *Host) peel(rec *custody) {
 		h.opened(hp, plain)
 		return
 	}
-	if len(rec.shares) == hp.triedShares {
-		return // nothing new since the last failed recovery
-	}
-	hp.triedShares = len(rec.shares)
-	shareKeyCandidates(rec.shares, func(cand seal.Key) bool {
-		plain, err := onion.Open(cand, hp.pkt.Data)
+	rec.shares.Recover(func(key seal.Key) bool {
+		plain, err := onion.Open(key, hp.pkt.Data)
 		if err != nil {
 			return false
 		}
 		h.opened(hp, plain)
-		rec.key, rec.hasKey = cand, true
+		rec.key, rec.hasKey = key, true
 		return true
 	})
 }
@@ -731,97 +696,6 @@ func (h *Host) peel(rec *custody) {
 func (h *Host) opened(hp *heldPackage, plain []byte) {
 	hp.plain, hp.peeled = plain, true
 	h.releaseCustody(hp)
-}
-
-// maxShareCombines bounds the subset interpolations of one recovery attempt:
-// the honest no-conflict path needs a single combine, one poisoned share
-// needs a leave-one-out round, and anything past the bound (mass injection)
-// degrades to waiting for more honest material rather than burning CPU.
-const maxShareCombines = 512
-
-// maxSubsetShares is the largest collection whose subsets shareKeyCandidates
-// enumerates exhaustively, on the stack.
-const maxSubsetShares = 16
-
-// shareKeyCandidates offers try the candidate keys interpolated from subsets
-// of the collected shares, larger subsets first, until try accepts one: with
-// h consistent honest shares at or above the (holder-unknown) threshold, the
-// all-honest subset of size h is reached before any smaller — and therefore
-// underdetermined — one. Subsets carrying duplicate X coordinates
-// (conflicting variants) are rejected by Combine itself and skipped; a key
-// already offered is not offered again. The order is deterministic, which
-// keeps whole-scenario runs reproducible.
-func shareKeyCandidates(shares []shamir.Share, try func(seal.Key) bool) {
-	n := len(shares)
-	var offeredBuf [8]seal.Key
-	offered, combines := offeredBuf[:0], 0
-	// combine interpolates one subset and offers its key, reporting whether
-	// the search is over: accepted, or out of combines.
-	combine := func(sub []shamir.Share) bool {
-		combines++
-		var raw [seal.KeySize]byte
-		secret, err := shamir.AppendCombine(raw[:0], sub, len(sub))
-		if err == nil && len(secret) == seal.KeySize {
-			key := seal.Key(secret)
-			if !slices.Contains(offered, key) {
-				if try(key) {
-					return true
-				}
-				offered = append(offered, key)
-			}
-		}
-		return combines >= maxShareCombines
-	}
-	if n <= maxSubsetShares {
-		// Every subset of each size, in lexicographic order of its indices:
-		// share i is bit n-1-i of a mask, so that order is the masks'
-		// descending order.
-		var subBuf [maxSubsetShares]shamir.Share
-		for size := n; size >= 1; size-- {
-			for mask := 1<<n - 1; mask > 0; mask-- {
-				if bits.OnesCount(uint(mask)) != size {
-					continue
-				}
-				sub := subBuf[:0]
-				for i := range n {
-					if mask&(1<<(n-1-i)) != 0 {
-						sub = append(sub, shares[i])
-					}
-				}
-				if combine(sub) {
-					return
-				}
-			}
-		}
-		return
-	}
-	// Collections too large to enumerate exhaustively: the full set, then
-	// every single and pair exclusion — tolerating up to two poisoned shares
-	// without an exponential search.
-	if combine(shares) {
-		return
-	}
-	sub := make([]shamir.Share, 0, n-1)
-	for i := 0; i < n; i++ {
-		sub = append(sub[:0], shares[:i]...)
-		sub = append(sub, shares[i+1:]...)
-		if combine(sub) {
-			return
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			sub = sub[:0]
-			for t, s := range shares {
-				if t != i && t != j {
-					sub = append(sub, s)
-				}
-			}
-			if combine(sub) {
-				return
-			}
-		}
-	}
 }
 
 // maxViewItems is how many hops and shares a forward views on its stack; a

@@ -49,7 +49,7 @@ func TestForwardNeverEarly(t *testing.T) {
 			grant := directGrant(Packet{Column: 1, Slot: 0, Width: 1, HoldUntil: hold, Step: int64(time.Hour), Data: key[:]}, true)
 			slot := Packet{Kind: PkSlotOnion, Column: 1, Slot: 0, HoldUntil: hold, Step: int64(time.Hour)}
 			slot.Data = build(t, []onion.Layer{
-				{NextHops: [][]byte{watcher[:]}, Shares: [][]byte{AppendEncodeShareTag(nil, ColumnWide, 1, []byte{7})}},
+				{NextHops: [][]byte{watcher[:]}, Shares: [][]byte{AppendEncodeShareTag(nil, ColumnWide, keyShare)}},
 				{NextHops: [][]byte{watcher[:]}},
 			}, key, seal.Key{4})
 			return []Packet{grant, slot}

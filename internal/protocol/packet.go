@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
 )
 
@@ -177,57 +178,61 @@ func directGrant(p Packet, slotKey bool) Packet {
 // direct reports whether the key grant p was built by directGrant.
 func (p Packet) direct() bool { return p.X != 0 }
 
-// AppendEncodeShareBlob appends the encoding of a Shamir share (X coordinate
-// plus data) to dst: the payload of a PkColShare/PkSlotShare packet and the
-// body of the tagged share blobs inside slot-onion layers — the inverse of
-// ParseShare.
-func AppendEncodeShareBlob(dst []byte, x uint8, data []byte) []byte {
-	dst = slices.Grow(dst, 1+len(data))
-	dst = append(dst, x)
-	return append(dst, data...)
+// AppendEncodeShareBlob appends the encoding of a Shamir share (threshold m,
+// X coordinate, data) to dst: the payload of a PkColShare/PkSlotShare packet
+// and the body of the tagged share blobs inside slot-onion layers — the
+// inverse of ParseShare. The threshold of a Shamir sharing is not secret.
+func AppendEncodeShareBlob(dst []byte, share shamir.Share) []byte {
+	dst = slices.Grow(dst, 2+len(share.Data))
+	dst = append(dst, share.M, share.X)
+	return append(dst, share.Data...)
 }
 
-// ParseShare splits a share blob into its Shamir coordinates: the payload of
-// a PkColShare/PkSlotShare packet, or the share ParseShareTag returns.
-func ParseShare(blob []byte) (x uint8, data []byte, err error) {
-	if len(blob) < 2 {
-		return 0, nil, ErrPacket
+// ParseShare decodes a share blob, the payload of a PkColShare/PkSlotShare
+// packet or the share ParseShareTag returns, into a share whose Data is a
+// view into blob. A threshold or an X of zero is no share.
+func ParseShare(blob []byte) (shamir.Share, error) {
+	if len(blob) < 3 || blob[0] == 0 || blob[1] == 0 {
+		return shamir.Share{}, ErrPacket
 	}
-	return blob[0], blob[1:], nil
+	return shamir.Share{M: blob[0], X: blob[1], Data: blob[2:]}, nil
 }
 
 // Share blob tags inside slot-onion layers. A tagged blob is the tag byte,
 // for a slot-key share the big-endian destination slot, then the share blob:
 //
-//	0xC0 | x | data...               share of CK_{c+1}, for every carrier
-//	0x51 | slot>>8 | slot | x | data...   share of SK_{c+1,slot}
+//	0xC0 | m | x | data...                   share of CK_{c+1}, for every carrier
+//	0x51 | slot>>8 | slot | m | x | data...  share of SK_{c+1,slot}
 const (
 	shareTagColumn = 0xC0
 	shareTagSlot   = 0x51
 )
 
-// AppendEncodeShareTag appends the tagged blob of share (x, data) of the key
-// at slot of the next column, ColumnWide for the column key — the inverse of
+// AppendEncodeShareTag appends the tagged blob of share of the key at slot of
+// the next column, ColumnWide for the column key — the inverse of
 // ParseShareTag.
-func AppendEncodeShareTag(dst []byte, slot int, x uint8, data []byte) []byte {
-	dst = slices.Grow(dst, 4+len(data))
+func AppendEncodeShareTag(dst []byte, slot int, share shamir.Share) []byte {
 	if slot == ColumnWide {
-		dst = append(dst, shareTagColumn)
+		dst = append(slices.Grow(dst, 3+len(share.Data)), shareTagColumn)
 	} else {
-		dst = append(dst, shareTagSlot, byte(slot>>8), byte(slot))
+		dst = append(slices.Grow(dst, 5+len(share.Data)), shareTagSlot, byte(slot>>8), byte(slot))
 	}
-	return AppendEncodeShareBlob(dst, x, data)
+	return AppendEncodeShareBlob(dst, share)
 }
 
 // ParseShareTag decodes a tagged share blob from a slot-onion layer into the
 // slot of the key it shares (ColumnWide for the column key) and the share
-// blob, a view into blob: scattering it copies nothing.
+// blob, a view into blob that ParseShare accepts: scattering it copies
+// nothing.
 func ParseShareTag(blob []byte) (slot int, share []byte, err error) {
 	switch {
-	case len(blob) >= 3 && blob[0] == shareTagColumn:
-		return ColumnWide, blob[1:], nil
-	case len(blob) >= 5 && blob[0] == shareTagSlot:
-		return int(blob[1])<<8 | int(blob[2]), blob[3:], nil
+	case len(blob) >= 1 && blob[0] == shareTagColumn:
+		slot, share = ColumnWide, blob[1:]
+	case len(blob) >= 3 && blob[0] == shareTagSlot:
+		slot, share = int(blob[1])<<8|int(blob[2]), blob[3:]
 	}
-	return 0, nil, ErrPacket
+	if _, err := ParseShare(share); err != nil { // no tag, or no share
+		return 0, nil, err
+	}
+	return slot, share, nil
 }

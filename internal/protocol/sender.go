@@ -357,20 +357,18 @@ func (s *Sender) dispatchShare(node *dht.Node, m Mission) (int, error) {
 	sent := 0
 	if l > 1 {
 		shareList := make([][]byte, (l-1)+(l-2)*n)
-		tags := make([]byte, 0, (l-1)*(2+seal.KeySize)+(l-2)*n*(4+seal.KeySize))
+		tags := make([]byte, 0, (l-1)*(3+seal.KeySize)+(l-2)*n*(5+seal.KeySize))
 		for sl := 0; sl < n; sl++ {
 			tags, list := tags[:0], shareList[:0]
 			for c := 1; c < l; c++ {
 				first := len(list)
-				colShare := ckShares[c+1][sl]
 				at := len(tags)
-				tags = AppendEncodeShareTag(tags, ColumnWide, colShare.X, colShare.Data)
+				tags = AppendEncodeShareTag(tags, ColumnWide, ckShares[c+1][sl])
 				list = append(list, tags[at:])
 				if c+1 < l {
 					for t := 0; t < n; t++ {
-						slotShare := skShares[c+1][t][sl]
 						at := len(tags)
-						tags = AppendEncodeShareTag(tags, t, slotShare.X, slotShare.Data)
+						tags = AppendEncodeShareTag(tags, t, skShares[c+1][t][sl])
 						list = append(list, tags[at:])
 					}
 				}
