@@ -103,27 +103,28 @@ func secretPacket(secret string) []byte {
 
 // TestLoopbackCluster is the dhtnode join as a script: five peers on loopback
 // sockets, each on its own loop, every one but the first joining by address
-// alone; then an owner send to a peer's identifier, which its host receives.
+// alone; then an owner send to a peer's identifier, which that peer's host,
+// the identifier's closest owner, receives.
 // Run with -race: the socket readers, this goroutine and five loops all meet
 // the nodes only through Post.
 func TestLoopbackCluster(t *testing.T) {
-	var in inbox
-	peers := startCluster(t, 5, &in)
-
-	owner := peers[1].node.ID()
-	sendErr, ok := await(peers[3].loop, opTimeout, func(report func(error)) {
-		peers[3].node.SendToOwners(owner, secretPacket("to the owners"), 2, func(c dht.Contact, err error) {
-			if err == nil && c.ID != owner {
-				t.Errorf("closest owner of peer 1's ID is %s", c.ID.Short())
-			}
-			report(err)
-		})
-	})
-	if !ok || sendErr != nil {
-		t.Fatalf("SendToOwners: ok=%v err=%v", ok, sendErr)
+	peers := startCluster(t, 5, nil)
+	var owner inbox
+	if _, ok := await(peers[1].loop, opTimeout, func(report func(bool)) { peers[1].onSecret = owner.onSecret; report(true) }); !ok {
+		t.Fatal("peer 1's loop did not run the hook's install")
 	}
-	if !waitFor(func() bool { return in.has([]byte("to the owners")) }) {
-		t.Fatal("the owner send reached no peer's host")
+	_, ok := await(peers[3].loop, opTimeout, func(report func(bool)) {
+		n := peers[3].node
+		buf := n.Bufs().Get()
+		*buf = append((*buf)[:0], secretPacket("to the owners")...)
+		n.SendBufToOwners(peers[1].node.ID(), buf, 2, 0)
+		report(true)
+	})
+	if !ok {
+		t.Fatal("peer 3's loop did not run the send")
+	}
+	if !waitFor(func() bool { return owner.has([]byte("to the owners")) }) {
+		t.Fatal("the owner send did not reach the closest owner's host")
 	}
 }
 

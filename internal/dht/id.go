@@ -1,7 +1,7 @@
 // Package dht implements a Kademlia distributed hash table: 160-bit node
 // IDs under the XOR metric, k-bucket routing tables, iterative FIND_NODE
 // lookups, and application payloads routed to the owners of a key
-// (SendToOwners). It stores no values: it is the substrate the
+// (SendBufToOwners). It stores no values: it is the substrate the
 // self-emerging key routing protocol (internal/protocol) runs on, standing
 // in for the Overlay Weaver toolkit used by the paper, and runs unchanged
 // over the simulated in-memory network or real UDP sockets.

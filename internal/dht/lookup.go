@@ -21,48 +21,57 @@ func lookupFinishContacts(arg any, contacts []Contact) {
 	arg.(func([]Contact))(contacts)
 }
 
-// SendToOwners routes an application payload to the replicas closest nodes
-// to key. Iterative lookups from different vantage points can disagree on
-// the single closest node when routing tables are incomplete, so protocols
-// that must land related packets on the same holder send to a small replica
-// set and deduplicate at the receiver — the standard Kademlia practice.
-// The local node is itself a candidate owner: lookups never return self, so
-// without this a holder that owns the key's zone would hand the payload to
-// its neighbor instead of keeping it. done (optional) receives the closest
-// owner.
-func (n *Node) SendToOwners(key ID, payload []byte, replicas int, done func(Contact, error)) {
-	n.sendToOwners(key, ownerRider{payload: payload, replicas: replicas, done: done})
-}
-
-// SendBufToOwners is SendToOwners for a payload encoded into a buffer taken
-// from Bufs, sent no earlier than notBefore (Unix nanoseconds, the unit of a
-// protocol package's deadline): the walk resolves the owners now, and a send
-// whose instant is ahead waits for it in a parkedSend. The send leaves at the
-// instant even when the walk is still out — a walk lasts as long as its
-// slowest query, about 160 ms on a loss-free fabric but seconds under burst
-// loss — to the walk's answer so far, the contacts that have answered it, and
-// the walk's end tops up any final owner that answer missed. The buffer goes
-// back to the list after this call's last send, so a steady mission send path
-// allocates neither a payload nor a completion closure. An instant already
-// past, zero included, sends as soon as the owners are known.
+// SendBufToOwners routes a payload encoded into a buffer taken from Bufs to
+// the replicas nodes closest to key, no earlier than notBefore (Unix
+// nanoseconds, the unit of a protocol package's deadline). Iterative lookups
+// from different vantage points can disagree on the single closest node when
+// routing tables are incomplete, so protocols that must land related packets
+// on the same holder send to a small replica set and deduplicate at the
+// receiver — the standard Kademlia practice. The local node is itself a
+// candidate owner: lookups never return self, so without this a holder that
+// owns the key's zone would hand the payload to its neighbor instead of
+// keeping it.
+//
+// The walk resolves the owners now. A send whose instant is ahead leaves at
+// it even when the walk is still out — a walk lasts as long as its slowest
+// query, about 160 ms on a loss-free fabric but seconds under burst loss — to
+// the walk's answer so far, the contacts that have answered it, and the
+// walk's end tops up any final owner that answer missed. A send whose
+// instant has passed, zero included, leaves when the walk ends, and a walk
+// that finds nobody sends nothing. The buffer goes back to the list after
+// the send's last copy, so a steady mission send path allocates neither a
+// payload nor a record.
 func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int64) {
-	n.sendToOwners(key, ownerRider{payload: *buf, replicas: replicas, buf: buf, notBefore: notBefore})
+	s, wk := n.cfg.Scratch, walkKey{key: key, node: n.incarnation}
+	if w := s.ownerWalks[wk]; w != nil {
+		w.attach(buf, replicas, notBefore)
+		return
+	}
+	w := s.walks.Get()
+	w.node, w.key = n, key
+	w.attach(buf, replicas, notBefore)
+	if s.ownerWalks == nil {
+		s.ownerWalks = make(map[walkKey]*ownerWalk)
+	}
+	s.ownerWalks[wk] = w
+	w.ls = n.startLookup(key, ownersFinish, w)
+	w.ls.step()
 }
 
 // ownerWalk is one in-flight owner resolution: the FIND_NODE walk towards key
-// and every owner send waiting on its answer. A node resolves one key at most
-// once at a time — a send that finds a walk for its key already under way
-// rides it instead of starting an identical one (a forwarding holder hands the
-// same next slot several packets in one instant, and the walks would query the
-// same K contacts from the same table). Records recycle through the node's
-// Scratch, which also indexes the walks in flight (Scratch.ownerWalks);
-// riders keeps its capacity. ls is the walk's lookup, which a parked send
-// whose instant comes first reads the answer so far from.
+// and every owner send waiting on its answer, in call order. A node resolves
+// one key at most once at a time — a send that finds a walk for its key
+// already under way rides it instead of starting an identical one (a
+// forwarding holder hands the same next slot several packets in one instant,
+// and the walks would query the same K contacts from the same table). Records
+// recycle through the node's Scratch, which also indexes the walks in flight
+// (Scratch.ownerWalks); sends keeps its capacity. ls is the walk's lookup,
+// which a send whose instant comes first reads the answer so far from.
 type ownerWalk struct {
-	node   *Node
-	key    ID
-	ls     *lookupState
-	riders []ownerRider
+	node  *Node
+	key   ID
+	ls    *lookupState
+	sends []*ownerSend
 }
 
 // walkKey indexes an owner walk in flight on its loop: the walking node's
@@ -72,101 +81,48 @@ type walkKey struct {
 	node uint32
 }
 
-// ownerRider is one owner send attached to a walk: done (optional) reports
-// the closest owner, buf (optional) is the Bufs buffer backing payload, and
-// notBefore is the instant before which nothing is sent, which only a rider
-// with a buf sets. park is the parked send of a rider whose instant was ahead
-// when it attached.
-type ownerRider struct {
-	payload   []byte
-	replicas  int
-	done      func(Contact, error)
-	buf       *[]byte
-	notBefore int64
-	park      *parkedSend
+// attach adds an owner send of buf to the walk, in a record of the loop's. A
+// send whose instant is ahead arms it now, so it leaves at the instant whether
+// or not the walk has ended by then, and sends due in one instant leave in
+// call order. One whose instant has passed starts with it come and no owner
+// reached, so the walk's end sends it to every final owner.
+func (w *ownerWalk) attach(buf *[]byte, replicas int, notBefore int64) {
+	n := w.node
+	s := n.cfg.Scratch
+	p := s.sends.Get()
+	p.node, p.scratch, p.buf, p.owners = n, s, buf, p.inline[:0]
+	p.replicas, p.incarnation = max(replicas, 1), n.incarnation
+	if ahead := notBefore - n.cfg.Clock.Now().UnixNano(); ahead > 0 {
+		p.walk = w
+		n.cfg.Clock.ScheduleArg(time.Duration(ahead), sendDue, p)
+	}
+	w.sends = append(w.sends, p)
 }
 
-// sendToOwners attaches r to the walk resolving key, starting one if none is
-// in flight. Sends for one key made while its owners are being resolved share
-// that resolution: they are served in call order when it completes, each to
-// its own replicas prefix, save a parked send, which its instant serves.
-func (n *Node) sendToOwners(key ID, r ownerRider) {
-	r.replicas = max(r.replicas, 1)
-	s, wk := n.cfg.Scratch, walkKey{key: key, node: n.incarnation}
-	if w := s.ownerWalks[wk]; w != nil {
-		w.attach(r)
-		return
-	}
-	w := s.walks.Get()
-	w.node, w.key = n, key
-	w.attach(r)
-	if s.ownerWalks == nil {
-		s.ownerWalks = make(map[walkKey]*ownerWalk)
-	}
-	s.ownerWalks[wk] = w
-	w.ls = n.startLookup(key, ownersFinish, w)
-	w.ls.step()
-}
-
-// attach adds r to the walk's riders. A rider whose instant is ahead arms its
-// parked send now, so it leaves at the instant whether or not the walk has
-// ended by then, and sends due in one instant leave in call order.
-func (w *ownerWalk) attach(r ownerRider) {
-	if r.buf != nil {
-		if ahead := r.notBefore - w.node.cfg.Clock.Now().UnixNano(); ahead > 0 {
-			r.park = w.park(r, time.Duration(ahead))
-		}
-	}
-	w.riders = append(w.riders, r)
-}
-
-// ownersFinish serves a finished walk's riders. The walk leaves the loop's
-// index first, so from here the record is this call's alone and a send issued
-// from a done callback starts a fresh walk. A parked rider's owners go to its
-// parked send; the rest send now.
+// ownersFinish hands a finished walk's sends their owners, each its own
+// replicas prefix, in call order. The walk leaves the loop's index first, so
+// from here the record is this call's alone.
 func ownersFinish(v any, closest []Contact) {
 	w := v.(*ownerWalk)
-	n, key := w.node, w.key
+	n := w.node
 	s := n.cfg.Scratch
-	delete(s.ownerWalks, walkKey{key: key, node: n.incarnation})
+	delete(s.ownerWalks, walkKey{key: w.key, node: n.incarnation})
 	// Once for the whole walk: closest aliases the lookup's result buffer,
-	// and each rider below takes a prefix view of it, never a cut.
+	// and each send below takes a prefix view of it, never a cut.
 	closest = w.answer(closest)
-	var failed error
-	if len(closest) == 0 {
-		// Not even one peer responded: the node is isolated (or the network
-		// is empty), so keeping the payloads locally would just strand them
-		// invisibly. Every rider sends nothing and learns why.
-		failed = ErrLookupFailed
+	for _, p := range w.sends {
+		p.resolved(closest[:min(len(closest), p.replicas)])
 	}
-	for i := range w.riders {
-		r := &w.riders[i]
-		owners := closest[:min(len(closest), r.replicas)]
-		if r.park != nil {
-			r.park.resolved(owners)
-			continue
-		}
-		owner, err := n.sendOwners(owners, r.payload)
-		if failed != nil {
-			err = failed
-		}
-		// Only now: the payload is dead once the rider's last send returned.
-		if r.done != nil {
-			r.done(owner, err)
-		}
-		if r.buf != nil {
-			s.bufs.Put(r.buf)
-		}
-	}
-	clear(w.riders)
-	w.riders = w.riders[:0]
+	clear(w.sends)
+	w.sends = w.sends[:0]
 	w.node, w.ls = nil, nil
 	s.walks.Put(w)
 }
 
 // answer is the walk's owner list from its lookup's window: the window with
 // the node ranked in among it, or nothing for an empty window, whose walk
-// has found nobody.
+// has found nobody: a node that is isolated, or alone in its network, keeps
+// no payload either, which would only strand it.
 func (w *ownerWalk) answer(window []Contact) []Contact {
 	if len(window) == 0 {
 		return nil
@@ -174,62 +130,37 @@ func (w *ownerWalk) answer(window []Contact) []Contact {
 	return insertRanked(window, w.key, w.node.Contact())
 }
 
-// sendOwners sends payload to each of owners — the node itself by local
-// delivery — and reports the first owner and how its send went.
-func (n *Node) sendOwners(owners []Contact, payload []byte) (owner Contact, err error) {
-	for j, c := range owners {
-		var sendErr error
-		if c.ID == n.cfg.ID {
-			sendErr = n.deliverLocal(payload)
-		} else {
-			sendErr = n.SendApp(c, payload)
-		}
-		if j == 0 {
-			owner, err = c, sendErr
-		}
-	}
-	return owner, err
-}
-
-// parkedSend is an owner send whose instant was ahead when it attached to its
-// walk: the packet buffer, held until the instant (parkDue), and the owners.
+// ownerSend is one owner send on its walk: the packet buffer and the owners.
 // The walk and the instant each come once, in either order, and walk is set
-// until the first of them. A walk that ends first writes its owners here for
-// the instant. An instant that comes first sends to the walk's answer so far,
+// until the first of them; a send whose instant had passed when it attached
+// starts with it come. A walk that ends first writes its owners here for the
+// instant. An instant that comes first sends to the walk's answer so far,
 // keeps those owners as the ones reached, and leaves the record to the walk,
 // whose end sends to each final owner not reached. Whichever comes second
-// returns the record and the buffer. The record keeps the node's incarnation,
-// so a node that closed or was built again in place meanwhile sends nothing
-// (send), and the scratch it came from, which its node may since have left.
-type parkedSend struct {
+// returns the record and the buffer. The record keeps the node's
+// incarnation, so a node that closed or was built again in place meanwhile
+// sends nothing (send), and the scratch it came from, which its node may
+// since have left. inline backs owners up to two replicas, every protocol
+// caller's count.
+type ownerSend struct {
 	node        *Node
 	scratch     *Scratch
 	walk        *ownerWalk
 	owners      []Contact
+	inline      [2]Contact
 	buf         *[]byte
 	replicas    int
 	incarnation uint32
 }
 
-// park arms r's send for its instant, delay on, in a record of the loop's.
-func (w *ownerWalk) park(r ownerRider, delay time.Duration) *parkedSend {
-	n := w.node
-	s := n.cfg.Scratch
-	p := s.parked.Get()
-	p.node, p.scratch, p.walk, p.buf = n, s, w, r.buf
-	p.replicas, p.incarnation = r.replicas, n.incarnation
-	n.cfg.Clock.ScheduleArg(delay, parkDue, p)
-	return p
-}
-
-// parkDue is a parked send's instant. With the walk done it sends to the
+// sendDue is an owner send's instant. With the walk done it sends to the
 // walk's owners and returns the record; with the walk still out it sends to
 // the walk's answer so far — the window contacts that have answered it
-// (answeredK), with the node ranked in, cut to the rider's replicas — and
+// (answeredK), with the node ranked in, cut to the send's replicas — and
 // leaves the record to the walk. A contact the walk has not heard from gets
 // nothing early: it may be dead, or a forger's, whose replies never check out.
-func parkDue(v any) {
-	p := v.(*parkedSend)
+func sendDue(v any) {
+	p := v.(*ownerSend)
 	if w := p.walk; w != nil {
 		p.walk = nil
 		owners := w.answer(w.ls.answeredK())
@@ -241,10 +172,10 @@ func parkDue(v any) {
 	p.release()
 }
 
-// resolved hands the parked send its walk's final owners. Ahead of the
-// instant they are kept for it; past it, each owner the instant's send did
-// not reach gets the packet now and the record goes back.
-func (p *parkedSend) resolved(owners []Contact) {
+// resolved hands the send its walk's final owners. Ahead of the instant they
+// are kept for it; past it, each owner the instant's send did not reach gets
+// the packet now and the record goes back.
+func (p *ownerSend) resolved(owners []Contact) {
 	if p.walk != nil {
 		p.walk = nil
 		p.owners = append(p.owners[:0], owners...)
@@ -259,7 +190,7 @@ func (p *parkedSend) resolved(owners []Contact) {
 }
 
 // reached reports whether the instant's send went to id.
-func (p *parkedSend) reached(id ID) bool {
+func (p *ownerSend) reached(id ID) bool {
 	for i := range p.owners {
 		if p.owners[i].ID == id {
 			return true
@@ -268,22 +199,31 @@ func (p *parkedSend) reached(id ID) bool {
 	return false
 }
 
-// send sends the packet to owners unless the node has closed or been built
-// again since the send was parked: a package leaves only from the live holder
-// that resolved it, at the instant and at the walk's end alike.
-func (p *parkedSend) send(owners []Contact) {
-	if n := p.node; !n.closed && n.incarnation == p.incarnation {
-		_, _ = n.sendOwners(owners, *p.buf)
+// send sends the packet to owners — the node itself by local delivery —
+// unless the node has closed or been built again since the send attached: a
+// package leaves only from the live holder that resolved it, at the instant
+// and at the walk's end alike.
+func (p *ownerSend) send(owners []Contact) {
+	n := p.node
+	if n.closed || n.incarnation != p.incarnation {
+		return
+	}
+	for _, c := range owners {
+		if c.ID == n.cfg.ID {
+			_ = n.deliverLocal(*p.buf)
+		} else {
+			_ = n.SendApp(c, *p.buf)
+		}
 	}
 }
 
 // release returns the buffer and the record to the loop they came from.
-func (p *parkedSend) release() {
+func (p *ownerSend) release() {
 	s, buf := p.scratch, p.buf
 	clear(p.owners)
 	p.owners = p.owners[:0]
 	p.node, p.scratch, p.buf = nil, nil, nil
-	s.parked.Put(p)
+	s.sends.Put(p)
 	s.bufs.Put(buf)
 }
 
@@ -344,13 +284,6 @@ func localDue(v any) {
 	n.cfg.OnApp.HandleApp(n.Contact(), *buf)
 	s.bufs.Put(buf)
 }
-
-// ErrLookupFailed is reported when a lookup yields no contacts at all.
-var ErrLookupFailed = lookupError("dht: lookup found no contacts")
-
-type lookupError string
-
-func (e lookupError) Error() string { return string(e) }
 
 // lookupState drives one iterative lookup. States recycle through the node's
 // Scratch: the set and slices survive between lookups (cleared, capacity

@@ -94,7 +94,7 @@ var ErrClosed = errors.New("dht: node closed")
 // Node is one Kademlia participant. A node, its table and the protocol host
 // above it belong to one dispatch context — the loop that runs cfg.Clock,
 // shared with every node on the same Scratch. Inbound datagrams, timers and
-// API calls (Bootstrap, Lookup, Ping, SendApp, SendToOwners, Close) all run
+// API calls (Bootstrap, Lookup, Ping, SendApp, SendBufToOwners, Close) all run
 // there, one at a time, so no field is locked and a callback may call back
 // into the node. Other goroutines enter through the loop (udp.Loop.Post).
 type Node struct {

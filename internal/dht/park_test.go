@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"fmt"
 	"maps"
 	"testing"
 	"time"
@@ -142,12 +143,6 @@ func TestParkedSendLeavesAtItsInstant(t *testing.T) {
 	}
 }
 
-// parkedOut is how many parked-send records of the loop's list are taken and
-// not back.
-func parkedOut(n *Node) uint64 {
-	return n.cfg.Scratch.parked.Misses() - uint64(n.cfg.Scratch.parked.Len())
-}
-
 // TestParkedSendLeavesWhileWalkStalls: a walk that the key's nearest peer
 // holds out past the send's instant does not hold the send. It leaves at the
 // instant to the walk's answer so far — the two nearest that have answered,
@@ -189,10 +184,36 @@ func TestParkedSendLeavesWhileWalkStalls(t *testing.T) {
 			if got := oc.copies("stalled"); !maps.Equal(got, want) {
 				t.Fatalf("after the walk the payload is at %v, want one copy at each of %v", got, want)
 			}
-			if n, p := outstanding(sender), parkedOut(sender); n != 0 || p != 0 {
-				t.Errorf("%d buffers and %d parked records still out after the walk", n, p)
+			if n, p := outstanding(sender), sendsOut(sender); n != 0 || p != 0 {
+				t.Errorf("%d buffers and %d send records still out after the walk", n, p)
 			}
 		})
+	}
+}
+
+// TestLateSendKeepsCallOrder: a send whose instant has passed joins a walk
+// that already carries a parked send, and the two leave in call order. The
+// walk is held out past the parked send's instant by the key's slow nearest
+// peer; at its end the parked send tops up that peer, which its instant
+// missed, and then the late send goes to its two final owners.
+func TestLateSendKeepsCallOrder(t *testing.T) {
+	oc, sender, at, order := stallCluster(t, "parked", slow)
+	sendToOwners(sender, stallKey, "late", 2)
+	if w := walksOf(sender)[stallKey]; w == nil || len(w.sends) != 2 {
+		t.Fatal("the late send did not join the parked send's walk")
+	}
+	oc.sim.RunUntil(at.Add(5 * time.Millisecond))
+	if len(walksOf(sender)) != 1 || len(oc.got[order[0]]) != 0 {
+		t.Fatal("the walk ended before the instant: nothing stalls it")
+	}
+	oc.sim.RunFor(time.Second)
+	for i, want := range []string{"[parked late]", "[parked late]", "[parked]"} {
+		if got := fmt.Sprint(oc.got[order[i]]); got != want {
+			t.Errorf("rank-%d owner received %s, want %s", i, got, want)
+		}
+	}
+	if n, p := outstanding(sender), sendsOut(sender); n != 0 || p != 0 {
+		t.Errorf("%d buffers and %d send records still out after the walk", n, p)
 	}
 }
 
@@ -217,9 +238,9 @@ func TestStaleParkSendsNothing(t *testing.T) {
 			} else {
 				oc, sender, at = parkCluster(t, payload)
 			}
-			if outstanding(sender) != 1 || parkedOut(sender) != 1 {
+			if outstanding(sender) != 1 || sendsOut(sender) != 1 {
 				t.Fatalf("stall=%v rebuild=%v: %d buffers and %d records out while the send is parked, want 1 each",
-					stall, rebuild, outstanding(sender), parkedOut(sender))
+					stall, rebuild, outstanding(sender), sendsOut(sender))
 			}
 			if err := sender.Close(); err != nil {
 				t.Fatal(err)
@@ -236,8 +257,8 @@ func TestStaleParkSendsNothing(t *testing.T) {
 			if got := oc.receivers(payload); len(got) != 0 {
 				t.Errorf("stall=%v rebuild=%v: the parked send reached %d owners", stall, rebuild, len(got))
 			}
-			if n, p := outstanding(sender), parkedOut(sender); n != 0 || p != 0 {
-				t.Errorf("stall=%v rebuild=%v: %d buffers and %d parked records still out past the instant", stall, rebuild, n, p)
+			if n, p := outstanding(sender), sendsOut(sender); n != 0 || p != 0 {
+				t.Errorf("stall=%v rebuild=%v: %d buffers and %d send records still out past the instant", stall, rebuild, n, p)
 			}
 		}
 	}

@@ -69,8 +69,8 @@ func TestRetiredProbeCannotReachReplacement(t *testing.T) {
 
 // TestClosedNodeFailsEveryOperation: once its table has gone to a replacement
 // on the same loop, a closed node still fails what it is asked — a lookup
-// finds nothing, an owner send reports ErrLookupFailed and a ping ErrClosed,
-// the last as an event, never inside the call.
+// finds nothing, an owner send sends nothing and hands its buffer back, and a
+// ping reports ErrClosed, as an event, never inside the call.
 func TestClosedNodeFailsEveryOperation(t *testing.T) {
 	const n = 12
 	s := sim.NewSimulator()
@@ -107,8 +107,8 @@ func TestClosedNodeFailsEveryOperation(t *testing.T) {
 
 	looked, found := false, []Contact{{}}
 	dead.Lookup(RandomID(rng), func(cs []Contact) { looked, found = true, slices.Clone(cs) })
-	ownerErr := errors.New("done never ran")
-	dead.SendToOwners(IDFromKey([]byte("k")), []byte("x"), 1, func(_ Contact, err error) { ownerErr = err })
+	bufsOut := outstanding(dead)
+	sendToOwners(dead, IDFromKey([]byte("k")), "x", 1)
 	notYet := errors.New("callback never ran")
 	pingErr := notYet
 	dead.Ping(nodes[0].Contact(), func(err error) { pingErr = err })
@@ -119,8 +119,8 @@ func TestClosedNodeFailsEveryOperation(t *testing.T) {
 	if !looked || len(found) != 0 {
 		t.Errorf("lookup on a closed node: finished %v with %d contacts, want none", looked, len(found))
 	}
-	if ownerErr != ErrLookupFailed {
-		t.Errorf("owner send on a closed node: %v, want ErrLookupFailed", ownerErr)
+	if got := outstanding(dead); got != bufsOut || sendsOut(dead) != 0 {
+		t.Errorf("owner send on a closed node: %d buffers out, %d before it; %d send records out", got, bufsOut, sendsOut(dead))
 	}
 	if pingErr != ErrClosed {
 		t.Errorf("ping from a closed node: %v, want ErrClosed", pingErr)
@@ -314,7 +314,7 @@ func TestClosedNodeSendsNothing(t *testing.T) {
 		}
 	}
 	dead.Lookup(RandomID(rng), func([]Contact) {})
-	dead.SendToOwners(repl.ID(), []byte("x"), 2, nil)
+	sendToOwners(dead, repl.ID(), "x", 2)
 	dead.Bootstrap(seed, nil)
 	s.RunFor(time.Minute)
 
@@ -360,7 +360,7 @@ func TestInitPanicsOnBuiltNode(t *testing.T) {
 
 // TestClosedNodeDrainsInItsInstant: everything a node has in flight when it
 // closes drains in the instant it closed — a lookup, two owner walks (one
-// with a second rider), a local delivery, a ping-evict probe and, under a
+// with a second send), a local delivery, a ping-evict probe and, under a
 // retry policy, an acked app send in its backoff gap. Its peers answer
 // nothing, so every request is still waiting on its peer. Once the loop has
 // run to the closing instant, no event the node scheduled is pending, every
@@ -385,11 +385,12 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 			// out is how many records of each of the loop's lists are out of
 			// it: every one the list made, less the ones it holds.
 			sc := victim.cfg.Scratch
-			out := func() [6]uint64 {
-				return [6]uint64{
+			out := func() [7]uint64 {
+				return [7]uint64{
 					sc.lookups.Misses() - uint64(sc.lookups.Len()),
 					sc.queries.Misses() - uint64(sc.queries.Len()),
 					sc.walks.Misses() - uint64(sc.walks.Len()),
+					sc.sends.Misses() - uint64(sc.sends.Len()),
 					sc.rpcs.Misses() - uint64(sc.rpcs.Len()),
 					sc.locals.Misses() - uint64(sc.locals.Len()),
 					sc.bufs.Misses() - uint64(sc.bufs.Len()),
@@ -406,13 +407,11 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 				s.RunFor(rpcTimeout + time.Millisecond)
 			}
 			fillBucket0(victim.Table(), 10) // a full bucket: its LRU entry is probed
-			lookups, riders := 0, 0
+			lookups := 0
 			victim.Lookup(mkBucket0(50).ID, func([]Contact) { lookups++ })
-			victim.SendToOwners(mkBucket0(60).ID, []byte("a"), 1, func(Contact, error) { riders++ })
-			victim.SendToOwners(mkBucket0(60).ID, []byte("b"), 2, func(Contact, error) { riders++ })
-			buf := victim.Bufs().Get()
-			*buf = append((*buf)[:0], "c"...)
-			victim.SendBufToOwners(mkBucket0(70).ID, buf, 1, 0)
+			sendToOwners(victim, mkBucket0(60).ID, "a", 1)
+			sendToOwners(victim, mkBucket0(60).ID, "b", 2)
+			sendToOwners(victim, mkBucket0(70).ID, "c", 1)
 			s.RunFor(100 * time.Millisecond) // every datagram has landed nowhere
 
 			var closedAt time.Time
@@ -441,10 +440,10 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 				t.Errorf("%d events pending after the closing instant, %d before the node issued anything", got, pending)
 			}
 			if got := out(); got != taken {
-				t.Errorf("records out of the loop's lists (lookups, queries, walks, rpcs, locals, bufs): %v after the closing instant, %v before", got, taken)
+				t.Errorf("records out of the loop's lists (lookups, queries, walks, sends, rpcs, locals, bufs): %v after the closing instant, %v before", got, taken)
 			}
-			if lookups != 1 || riders != 2 || delivered != 1 {
-				t.Errorf("in the closing instant: %d of 1 lookups finished, %d of 2 riders told, %d of 1 local deliveries made", lookups, riders, delivered)
+			if lookups != 1 || delivered != 1 {
+				t.Errorf("in the closing instant: %d of 1 lookups finished, %d of 1 local deliveries made", lookups, delivered)
 			}
 			if len(victim.pending) != 0 || len(sc.ownerWalks) != 0 {
 				t.Errorf("%d requests and %d owner walks still in flight", len(victim.pending), len(sc.ownerWalks))

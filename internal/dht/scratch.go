@@ -10,8 +10,8 @@ import (
 // udp.Loop. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, the address
 // book its nodes' routing tables and lookups refer to, the freelists of
-// lookup states, lookup query records, owner-walk records, parked owner
-// sends, in-flight RPC records, local-delivery records and byte buffers, the
+// lookup states, lookup query records, owner-walk records, owner-send
+// records, in-flight RPC records, local-delivery records and byte buffers, the
 // index of owner walks in flight, and the acked-delivery dedup index. None of
 // it is observable: sharing changes who pays for the memory, never a wire
 // byte or an event — short of the dedup index's bound, which a shared index
@@ -38,18 +38,18 @@ type Scratch struct {
 	lookups freelist.List[lookupState]
 	queries freelist.List[lookupQuery]
 	walks   freelist.List[ownerWalk]
-	parked  freelist.List[parkedSend]
+	sends   freelist.List[ownerSend]
 	rpcs    freelist.List[pendingRPC]
 	locals  freelist.List[localDelivery]
 	// bufs is the loop's one byte-buffer list: the wire form of every datagram
 	// a node sends (free again when Endpoint.Send returns), and — through
 	// Node.Bufs — the protocol layer's encoded packets (held until their owner
-	// lookup completes) and custody clones (held until the package peels).
+	// send's last copy) and custody clones (held until the package peels).
 	// The buffers mix freely and each grows to the largest use it has served.
 	bufs freelist.List[[]byte]
 
 	// ownerWalks indexes the owner resolutions in flight on the loop, so a
-	// node's second SendToOwners for a key joins its first's walk (see
+	// node's second owner send for a key joins its first's walk (see
 	// ownerWalk). A walk leaves it when it finishes, so it holds only walks
 	// in flight; looked up, never ranged over.
 	ownerWalks map[walkKey]*ownerWalk
@@ -63,13 +63,13 @@ type Scratch struct {
 // Freelist bounds. A burst — every node of a booting network running its
 // bootstrap lookup at once — allocates past them and the surplus is garbage
 // once it drains, instead of staying pinned at the high-water mark. The
-// lookup, walk, parked-send, query, RPC and local-delivery bounds are about
+// lookup, walk, owner-send, query, RPC and local-delivery bounds are about
 // twice the most records one loop's drive has out at once (DESIGN.md,
 // "Memory ownership"), so a warmed loop allocates none of them.
 const (
 	maxFreeLookups = 32  // a drive has at most 20 lookups in flight on a loop
 	maxFreeWalks   = 32  // an owner walk is a lookup
-	maxFreeParked  = 64  // a key-share drive has at most 27 owner sends parked on a loop, each from its walk's start to its instant: one column's forwards
+	maxFreeSends   = 64  // every owner send takes one until its last copy: at --seed 2017 a loop has at most 64 out on share-120 (a repair push to every slot of a column, in one instant) and 6-10 on the other five workloads
 	maxFreeQueries = 128 // a lookup query is an in-flight RPC: at most 60
 	maxFreePending = 128
 	maxFreeLocals  = 32  // a key-share drive has at most 16 local deliveries out on a loop, all due in one instant
@@ -79,7 +79,7 @@ const (
 // RecordMisses is how many records of each kind a scratch has allocated
 // because its list was empty (freelist.List.Misses).
 type RecordMisses struct {
-	Lookups, Walks, Parked, Queries, RPCs, Locals uint64
+	Lookups, Walks, Sends, Queries, RPCs, Locals uint64
 }
 
 // Misses reports the scratch's RecordMisses.
@@ -87,7 +87,7 @@ func (s *Scratch) Misses() RecordMisses {
 	return RecordMisses{
 		Lookups: s.lookups.Misses(),
 		Walks:   s.walks.Misses(),
-		Parked:  s.parked.Misses(),
+		Sends:   s.sends.Misses(),
 		Queries: s.queries.Misses(),
 		RPCs:    s.rpcs.Misses(),
 		Locals:  s.locals.Misses(),
@@ -151,7 +151,7 @@ func NewScratch(peers int) *Scratch {
 		lookups:  freelist.List[lookupState]{Max: maxFreeLookups},
 		queries:  freelist.List[lookupQuery]{Max: maxFreeQueries},
 		walks:    freelist.List[ownerWalk]{Max: maxFreeWalks},
-		parked:   freelist.List[parkedSend]{Max: maxFreeParked},
+		sends:    freelist.List[ownerSend]{Max: maxFreeSends},
 		rpcs:     freelist.List[pendingRPC]{Max: maxFreePending},
 		locals:   freelist.List[localDelivery]{Max: maxFreeLocals},
 		bufs:     freelist.List[[]byte]{Max: maxFreeBufs},

@@ -87,9 +87,7 @@ func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 	lookups("warm")
 
 	key := IDFromKey([]byte("scratch-key"))
-	nodes[11].SendToOwners(key, []byte("payload"), 3, func(owner Contact, err error) {
-		fmt.Fprintf(&log, "owner %s %v\n", owner.ID.Short(), err)
-	})
+	sendToOwners(nodes[11], key, "payload", 3)
 	s.RunFor(time.Minute)
 
 	// Churn: node 7 dies mid-lookup and a wiped replacement takes over its

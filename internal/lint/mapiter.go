@@ -9,7 +9,8 @@ import (
 
 // Mapiter flags `for range` over a map whose body has order-dependent
 // effects — appending to or index-storing into state that outlives the loop,
-// sending on channels, scheduling or emitting — without a subsequent
+// sending on channels, scheduling or emitting, or a plain store of an entry's
+// value into a variable that outlives the loop — without a subsequent
 // deterministic sort. Go randomizes map iteration order per run, so such a
 // loop is exactly the bug class the engine's (time, shard, seq) merge
 // ordering exists to prevent: results that differ run to run even at a
@@ -105,8 +106,11 @@ func mapRangeEffects(pass *Pass, rng *ast.RangeStmt) []effect {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				var rhs ast.Expr
-				if len(n.Rhs) == len(n.Lhs) {
+				switch len(n.Rhs) {
+				case len(n.Lhs):
 					rhs = n.Rhs[i]
+				case 1: // v, ok = m[k]
+					rhs = n.Rhs[0]
 				}
 				effects = append(effects, assignEffects(pass, rng, outer, n.Tok, lhs, rhs)...)
 			}
@@ -146,7 +150,12 @@ func assignEffects(pass *Pass, rng *ast.RangeStmt, outer func(ast.Expr) (types.O
 	}
 	switch lhs := lhs.(type) {
 	case *ast.Ident:
-		return nil
+		// A plain store keeps the last entry's value when an entry decides
+		// it. An op-assign (sum += v) and a store no entry decides
+		// (found = true) end the same in any order.
+		if _, isOuter := outer(lhs); isOuter && tok == token.ASSIGN && readsEntry(pass, rng, rhs) {
+			return []effect{{pos: lhs.Pos(), what: "the surviving write to " + lhs.Name}}
+		}
 	case *ast.IndexExpr:
 		base := pass.TypesInfo.Types[lhs.X].Type
 		if base == nil {
@@ -168,6 +177,24 @@ func assignEffects(pass *Pass, rng *ast.RangeStmt, outer func(ast.Expr) (types.O
 		}
 	}
 	return nil
+}
+
+// readsEntry reports whether e reads the range's key or value or a local of
+// its body: a variable declared inside the range statement.
+func readsEntry(pass *Pass, rng *ast.RangeStmt, e ast.Expr) bool {
+	if e == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := pass.TypesInfo.ObjectOf(id); obj != nil && obj.Pos() >= rng.Pos() && obj.Pos() < rng.End() {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // sortedAfter reports whether obj is passed to a sorting call after the

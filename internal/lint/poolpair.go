@@ -289,8 +289,9 @@ func (t *tracker) applyExpr(e ast.Expr, in uint8) uint8 {
 
 // stmtTransfers reports whether the statement releases the record or
 // transfers its ownership: the object passed to any non-builtin call
-// (list.Put included) or made its receiver, stored anywhere, aliased,
-// captured by a closure, sent on a channel, or returned.
+// (list.Put included) or made its receiver, stored anywhere (an element
+// appended to a slice included), aliased, captured by a closure, sent on a
+// channel, or returned.
 func stmtTransfers(pass *Pass, s ast.Stmt, obj types.Object) bool {
 	transfers := false
 	ast.Inspect(s, func(n ast.Node) bool {
@@ -300,6 +301,11 @@ func stmtTransfers(pass *Pass, s ast.Stmt, obj types.Object) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if isBuiltinCall(pass, n) {
+				if id := n.Fun.(*ast.Ident); id.Name == "append" && len(n.Args) > 1 {
+					for _, arg := range n.Args[1:] {
+						transfers = transfers || bareObj(pass, arg, obj)
+					}
+				}
 				return true
 			}
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && bareObj(pass, sel.X, obj) {

@@ -86,6 +86,35 @@ func clean(m map[string]int, out map[string]int, dead map[string]bool) int {
 	return n
 }
 
+func lastKey(m map[string]int) string {
+	var last string
+	for k := range m {
+		last = k // want `map iteration order leaks into the surviving write to last`
+	}
+	return last
+}
+
+func lastDerived(m map[string]int) int {
+	var last int
+	for _, v := range m {
+		d := 2 * v
+		last = d // want `map iteration order leaks into the surviving write to last`
+	}
+	return last
+}
+
+// A store no entry decides and an op-assign end the same in any order.
+func cleanScalars(m map[string]int) (bool, int) {
+	found, sum := false, 0
+	for _, v := range m {
+		if v > 0 {
+			found = true
+		}
+		sum += v
+	}
+	return found, sum
+}
+
 type box struct{ n int }
 
 func cleanPerEntry(m map[string]*box) {

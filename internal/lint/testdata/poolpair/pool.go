@@ -25,6 +25,7 @@ func (l *loop) Bufs() *freelist.List[[]byte] { return &l.bufs }
 
 type registry struct {
 	parked map[int]*rec
+	queue  []*rec
 }
 
 func errOut() error { return errors.New("nope") }
@@ -95,6 +96,12 @@ func armTimer(arm func(*rec)) {
 func parkInRegistry(reg *registry, id int) {
 	r := pool.Get()
 	reg.parked[id] = r
+}
+
+// Appending the record to a slice stores it.
+func appendOwns(reg *registry) {
+	r := pool.Get()
+	reg.queue = append(reg.queue, r)
 }
 
 // Returning the record hands ownership to the caller.

@@ -55,58 +55,58 @@ func newWatchedHolder(t *testing.T, cfg HostConfig, seen *[]Packet) (*sim.Simula
 	return clock, host, node
 }
 
-// TestAdvanceOrder pins the order of advance's one sorted custody list:
-// whatever order custody arrived in, a holder forwards its main onions by
-// column first, then its slot onions by (column, slot) — the order of the
-// per-scope loops the list replaced. The network is the holder and one
-// watcher, and the holder sends two replicas of everything, so the watcher
-// sees every forward.
-func TestAdvanceOrder(t *testing.T) {
+// TestAdvanceTouchesOneRecord: an event advances only the record it touched.
+// A holder keeps a slot onion and a main onion of one mission, both due in an
+// hour. The slot onion's grant peels it, and its due flag is then set by hand,
+// as if its hold event had not yet advanced it: an advance that forwarded any
+// due, peeled record of the mission would send it on the main onion's grant.
+// Each hold event then forwards its own record, in the order the holds were
+// armed. The network is the holder and one watcher, and the holder sends two
+// replicas of everything, so the watcher sees every forward.
+func TestAdvanceTouchesOneRecord(t *testing.T) {
 	var seen []Packet
 	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, &seen)
-	var err error
 
 	mission := MissionID{0xAD}
 	hops := [][]byte{make([]byte, dht.IDBytes), make([]byte, dht.IDBytes)}
 	hops[1][0] = 1
-	custody := []Packet{
-		{Kind: PkMainOnion, Column: 2},
-		{Kind: PkMainOnion, Column: 1},
-		{Kind: PkSlotOnion, Column: 1, Slot: 1},
-		{Kind: PkSlotOnion, Column: 1, Slot: 0},
-	}
-	keys := make(map[Ref]seal.Key)
-	for _, pkt := range custody {
-		// Two layers each, so every forward sends the rest one column on; a
-		// slot onion's outer layer also scatters one column-key share.
+	// build returns a package of pkt's kind and Ref, due in an hour, and the
+	// grant of its outer layer's key.
+	build := func(pkt Packet) (Packet, Packet) {
+		// Two layers, so the forward sends the rest one column on; a slot
+		// onion's outer layer also scatters one column-key share.
 		layers := []onion.Layer{{NextHops: hops[:1]}, {NextHops: hops[:1]}}
+		grant := Packet{Mission: mission, Kind: PkKeyGrant, Column: pkt.Column, Slot: pkt.Slot}
 		if pkt.Kind == PkSlotOnion {
 			layers[0] = onion.Layer{NextHops: hops, Shares: [][]byte{AppendEncodeShareTag(nil, ColumnWide, keyShare)}}
+			grant.X = keyGrantSlot
 		}
-		layerKeys := make([]seal.Key, len(layers))
-		for i := range layerKeys {
-			if layerKeys[i], err = seal.NewKey(); err != nil {
-				t.Fatal(err)
-			}
-		}
+		keys := []seal.Key{{1}, {2}}
 		pkt.Mission, pkt.Step = mission, int64(time.Hour)
 		pkt.HoldUntil = clock.Now().Add(time.Hour).UnixNano()
-		if pkt.Data, err = onion.Build(layers, layerKeys); err != nil {
+		var err error
+		if pkt.Data, err = onion.Build(layers, keys); err != nil {
 			t.Fatal(err)
 		}
-		keys[pkt.Ref()] = layerKeys[0]
+		grant.Data = keys[0][:]
+		return pkt, grant
+	}
+	slotPkg, slotGrant := build(Packet{Kind: PkSlotOnion, Column: 1, Slot: 0})
+	mainPkg, mainGrant := build(Packet{Kind: PkMainOnion, Column: 1})
+	for _, pkt := range []Packet{slotPkg, mainPkg, slotGrant} {
 		host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
 	}
-
-	// Every key and every hold deadline lands before one advance. The
-	// forwards leave at their packages' HoldUntil, an hour on, so the clock
-	// runs past it.
-	ms := host.missions[mission]
-	for _, rec := range ms.refs {
-		rec.key, rec.hasKey = keys[rec.ref], true
-		rec.hold.due = true
+	slot, main := host.custodyAt(mission, slotPkg.Ref()), host.custodyAt(mission, mainPkg.Ref())
+	if !slot.hold.peeled {
+		t.Fatal("the slot onion's grant did not peel it")
 	}
-	host.advance(mission)
+	slot.hold.due = true
+	host.HandleApp(dht.Contact{}, mainGrant.AppendEncode(nil))
+	if !main.hold.peeled || main.forwarded || slot.forwarded {
+		t.Fatalf("after the main onion's grant: main peeled %v forwarded %v, slot forwarded %v; want the main peeled and nothing forwarded",
+			main.hold.peeled, main.forwarded, slot.forwarded)
+	}
+	slot.hold.due = false
 	clock.RunFor(time.Hour + time.Minute)
 
 	type hop struct {
@@ -117,13 +117,11 @@ func TestAdvanceOrder(t *testing.T) {
 	for _, pkt := range seen {
 		got = append(got, hop{pkt.Kind, pkt.Column, pkt.Slot})
 	}
-	// Every forward is due at one instant, an hour on, and sends due in one
-	// instant leave in the order they were made: advance's custody order.
+	// Both forwards are due at one instant, an hour on, and sends due in one
+	// instant leave in the order they were made: the holds' order.
 	want := []hop{
-		{PkMainOnion, 2, 0},                                         // from (1, wide)
-		{PkMainOnion, 3, 0},                                         // from (2, wide)
 		{PkColShare, 2, 0}, {PkColShare, 2, 1}, {PkSlotOnion, 2, 0}, // from (1, 0)
-		{PkColShare, 2, 0}, {PkColShare, 2, 1}, {PkSlotOnion, 2, 1}, // from (1, 1)
+		{PkMainOnion, 2, 0}, // from (1, wide)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("forward order:\n got %v\nwant %v", got, want)
@@ -152,7 +150,8 @@ func TestFailedKeyIsNotRetried(t *testing.T) {
 	host.HandleApp(dht.Contact{}, main.AppendEncode(nil))
 	clock.RunFor(time.Hour + time.Minute) // the hold comes due
 
-	if allocs := testing.AllocsPerRun(100, func() { host.advance(mission) }); allocs != 0 {
+	rec := host.custodyAt(mission, main.Ref())
+	if allocs := testing.AllocsPerRun(100, func() { host.advance(rec) }); allocs != 0 {
 		t.Errorf("advancing a held onion under a failed key allocates %.0f times", allocs)
 	}
 	clock.RunFor(time.Minute)

@@ -32,13 +32,9 @@ func NewTappedHost(cfg HostConfig, node dht.Config, tap func(from dht.Contact, p
 // has sent its package on, what the record still keeps: an empty string when
 // it keeps nothing, else the names of what it keeps.
 func ForwardedCustody(h *Host, mission MissionID) map[Ref]string {
-	ms, ok := h.missions[mission]
-	if !ok {
-		return nil
-	}
 	out := make(map[Ref]string)
-	for _, rec := range ms.refs {
-		if !rec.forwarded {
+	for k, rec := range h.records {
+		if k.mission != mission || !rec.forwarded {
 			continue
 		}
 		var kept []string

@@ -1,10 +1,7 @@
 package protocol
 
 import (
-	"cmp"
 	"errors"
-	"slices"
-	"sort"
 	"time"
 
 	"selfemerge/internal/crypto/onion"
@@ -69,21 +66,16 @@ type Host struct {
 	cfg  HostConfig
 	node dht.Node
 
-	// missions is nil until the first write (state): a churn replacement
-	// that never holds custody pays nothing for it.
-	missions map[MissionID]*missionState
+	// records is nil until the first write (record): a churn replacement
+	// that never holds custody pays nothing for it. It is looked up, never
+	// ranged over, so send order comes from the event sequence alone.
+	records map[custodyKey]*custody
 }
 
-// missionState is one mission's custody at one holder: one record per Ref the
-// holder keeps material at. The first Ref's record lies in the state itself,
-// so a holder that touches one coordinate of a mission pays one allocation
-// for it; a second Ref spills into a record of its own. Records never move:
-// refs holds them in custodyOrder, on inline until a third Ref, and advance
-// walks them in its peel and forward order as they lie.
-type missionState struct {
-	refs   []*custody
-	inline [2]*custody
-	first  custody
+// custodyKey indexes a holder's custody: one record per Ref of a mission.
+type custodyKey struct {
+	mission MissionID
+	ref     Ref
 }
 
 // custody is everything a holder keeps at one Ref of a mission: the layer key,
@@ -123,51 +115,24 @@ type custody struct {
 	forwarded bool
 }
 
-// state returns the mission's custody, making it on first use.
-func (h *Host) state(id MissionID) *missionState {
-	ms, ok := h.missions[id]
-	if !ok {
-		if h.missions == nil {
-			h.missions = make(map[MissionID]*missionState, 2)
-		}
-		ms = &missionState{}
-		ms.refs = ms.inline[:0]
-		h.missions[id] = ms
-	}
-	return ms
-}
-
-// find returns the index of the record at ref in refs, or where it would be
-// inserted, and whether it is there.
-func (ms *missionState) find(ref Ref) (int, bool) {
-	return sort.Find(len(ms.refs), func(i int) int { return custodyOrder(ref, ms.refs[i].ref) })
-}
-
 // record returns the record at the packet's (mission, ref), making it on
-// first use: the mission's first Ref in place, later ones spilled.
+// first use.
 func (h *Host) record(pkt Packet) *custody {
-	ms, ref := h.state(pkt.Mission), pkt.Ref()
-	i, ok := ms.find(ref)
-	if ok {
-		return ms.refs[i]
+	k := custodyKey{pkt.Mission, pkt.Ref()}
+	rec := h.records[k]
+	if rec == nil {
+		if h.records == nil {
+			h.records = make(map[custodyKey]*custody, 2)
+		}
+		rec = &custody{host: h, ref: k.ref, incarnation: h.node.Incarnation()}
+		h.records[k] = rec
 	}
-	rec := &ms.first
-	if len(ms.refs) > 0 {
-		rec = new(custody)
-	}
-	rec.host, rec.ref, rec.incarnation = h, ref, h.node.Incarnation()
-	ms.refs = slices.Insert(ms.refs, i, rec)
 	return rec
 }
 
 // custodyAt returns the record at (mission, ref), or nil.
 func (h *Host) custodyAt(mission MissionID, ref Ref) *custody {
-	if ms, ok := h.missions[mission]; ok {
-		if i, ok := ms.find(ref); ok {
-			return ms.refs[i]
-		}
-	}
-	return nil
+	return h.records[custodyKey{mission, ref}]
 }
 
 // heldPackage is a package waiting on its keys and/or its hold timer.
@@ -249,7 +214,7 @@ func holdDue(arg any) {
 	hp := &rec.hold
 	hp.due = true
 	if hp.pkt.Kind != PkCentral {
-		h.advance(hp.pkt.Mission)
+		h.advance(rec)
 		return
 	}
 	sendPacket(&h.node, hp.pkt.Target, Packet{
@@ -330,15 +295,16 @@ func (h *Host) build(cfg HostConfig, node dht.Config, onApp dht.AppHandler) erro
 	if err := h.node.Init(node); err != nil {
 		return err
 	}
-	h.cfg, h.missions = cfg, nil
+	h.cfg, h.records = cfg, nil
 	return nil
 }
 
 // Node returns the host's DHT node.
 func (h *Host) Node() *dht.Node { return &h.node }
 
-// Missions reports how many missions the host keeps custody records for.
-func (h *Host) Missions() int { return len(h.missions) }
+// Records reports how many custody records the host keeps: one per Ref of a
+// mission it has held material at.
+func (h *Host) Records() int { return len(h.records) }
 
 // HandleApp is the dht.Config.OnApp entry point. The payload follows the
 // transport delivery contract — it is valid only for the duration of the
@@ -395,7 +361,7 @@ func (h *Host) onKeyGrant(pkt Packet) {
 		rec.key, rec.hasKey = key, true
 		h.scheduleGrantRefresh(rec, pkt, key)
 	}
-	h.advance(pkt.Mission)
+	h.advance(rec)
 }
 
 // refresh is one armed churn-repair loop and the argument of its events: a
@@ -494,7 +460,7 @@ func (h *Host) onOnion(pkt Packet) {
 		return // replica already in custody (joint fan-in), no clone paid
 	}
 	rec.holdPackage(pkt)
-	h.advance(pkt.Mission)
+	h.advance(rec)
 }
 
 func (h *Host) onShare(pkt Packet) {
@@ -510,7 +476,7 @@ func (h *Host) onShare(pkt Packet) {
 		rec.repair = true
 		h.scheduleShareRefresh(rec, pkt)
 	}
-	h.advance(pkt.Mission)
+	h.advance(rec)
 }
 
 // repairableShare reports whether a received share participates in churn
@@ -614,45 +580,24 @@ func (h *Host) ShareInventory(mission MissionID, column, slot int) (ofColumnKey,
 	return held(h.custodyAt(mission, Ref{int32(column), ColumnWide})), held(h.custodyAt(mission, Ref{int32(column), int32(slot)}))
 }
 
-// advance runs the peel/forward state machine for a mission: peel whatever
-// has its key available, and forward whatever is both peeled and due.
-// Custody lies in custodyOrder: forwarding emits network events, and
-// deterministic event sequencing is what makes whole-scenario runs
-// reproducible under a fixed seed. Nothing below inserts a record — a send
-// only schedules.
-func (h *Host) advance(mission MissionID) {
-	ms, ok := h.missions[mission]
-	if !ok {
-		return
-	}
-	// Try peeling each onion with the key at its Ref: granted directly, or
-	// recovered from shares and validated against the onion itself.
-	for _, rec := range ms.refs {
-		h.peel(rec)
-	}
-	// Forward anything peeled and due, after every peel.
-	for _, rec := range ms.refs {
-		if hp := &rec.hold; hp.peeled && hp.due && !rec.forwarded {
-			if rec.ref.Slot == ColumnWide {
-				h.forwardMain(mission, int(rec.ref.Column), hp)
-			} else {
-				h.forwardSlot(mission, rec.ref, hp)
-			}
-			rec.spend()
+// advance runs the peel/forward state machine on the record an event
+// touched: peel its onion once the key is at hand, and forward it once it is
+// both peeled and due. No other record can have moved: only holdDue sets due
+// and only peel sets peeled, each followed at once by an advance of its own
+// record. So send order comes from the event sequence alone, which is what
+// makes whole-scenario runs reproducible under a fixed seed.
+func (h *Host) advance(rec *custody) {
+	// Peel with the key at the Ref: granted directly, or recovered from
+	// shares and validated against the onion itself.
+	h.peel(rec)
+	if hp := &rec.hold; hp.peeled && hp.due && !rec.forwarded {
+		if rec.ref.Slot == ColumnWide {
+			h.forwardMain(int(rec.ref.Column), hp)
+		} else {
+			h.forwardSlot(rec.ref, hp)
 		}
+		rec.spend()
 	}
-}
-
-// custodyOrder is advance's peel and forward order: column-wide custody
-// first, by column, then slot custody by (column, slot).
-func custodyOrder(a, b Ref) int {
-	if wide := a.Slot == ColumnWide; wide != (b.Slot == ColumnWide) {
-		if wide {
-			return -1
-		}
-		return 1
-	}
-	return cmp.Or(cmp.Compare(a.Column, b.Column), cmp.Compare(a.Slot, b.Slot))
 }
 
 // peel attempts to open the record's held onion with its key or, failing
@@ -704,7 +649,7 @@ const maxViewItems = 16
 
 // forwardMain forwards a peeled, due main onion (or makes the final secret
 // delivery).
-func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
+func (h *Host) forwardMain(col int, hp *heldPackage) {
 	var items [maxViewItems][]byte
 	layer, err := onion.View(hp.plain, items[:0])
 	if err != nil {
@@ -719,7 +664,7 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 				return
 			}
 			sendPacket(&h.node, target, Packet{
-				Mission: mission,
+				Mission: pkt.Mission,
 				Kind:    PkSecret,
 				Data:    layer.Payload,
 			}, 1, pkt.HoldUntil)
@@ -732,7 +677,7 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 			continue
 		}
 		sendPacket(&h.node, target, Packet{
-			Mission:   mission,
+			Mission:   pkt.Mission,
 			Kind:      PkMainOnion,
 			Column:    uint16(col + 1),
 			Slot:      uint16(s),
@@ -749,7 +694,7 @@ func (h *Host) forwardMain(mission MissionID, col int, hp *heldPackage) {
 // onion down its own stream. A scattered share's Data is ParseShareTag's view
 // into the peeled layer, never a copy. A layer naming a malformed hop
 // forwards nothing.
-func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
+func (h *Host) forwardSlot(ref Ref, hp *heldPackage) {
 	var items [maxViewItems][]byte
 	layer, err := onion.View(hp.plain, items[:0])
 	if err != nil {
@@ -763,7 +708,7 @@ func (h *Host) forwardSlot(mission MissionID, ref Ref, hp *heldPackage) {
 		}
 	}
 	next := Packet{
-		Mission:   mission,
+		Mission:   pkt.Mission,
 		Column:    uint16(ref.Column + 1),
 		HoldUntil: pkt.HoldUntil + pkt.Step,
 		Step:      pkt.Step,

@@ -21,13 +21,13 @@ func TestHostSize(t *testing.T) {
 	}
 }
 
-// TestMissionStateSize: a holder's custody of a mission is one record, its
-// first Ref's custody with its hold and first repair loop inside, and it fits
-// the runtime's 448-byte size class. A field that pushes it into the next
-// class (480 bytes) costs every holder of every mission 32 bytes.
-func TestMissionStateSize(t *testing.T) {
-	if size := unsafe.Sizeof(missionState{}); size > 448 {
-		t.Fatalf("missionState is %d bytes, want <= 448", size)
+// TestCustodySize: a holder's custody at one Ref of a mission is one record,
+// with its hold and first repair loop inside, and it fits the runtime's
+// 384-byte size class. A field that pushes it into the next class (416
+// bytes) costs every holder of every mission 32 bytes a Ref.
+func TestCustodySize(t *testing.T) {
+	if size := unsafe.Sizeof(custody{}); size > 384 {
+		t.Fatalf("custody is %d bytes, want <= 384", size)
 	}
 }
 
@@ -118,8 +118,8 @@ func TestStaleEventsSpareRebuiltHost(t *testing.T) {
 	if got, _, _ := fabric.Stats(); got != sent {
 		t.Errorf("the predecessor's events sent %d datagrams from the rebuilt host", got-sent)
 	}
-	if host.Missions() != 1 || host.Node().Closed() {
-		t.Fatalf("the rebuilt host keeps %d missions, closed %v; want its own grant's 1, open", host.Missions(), host.Node().Closed())
+	if host.Records() != 1 || host.Node().Closed() {
+		t.Fatalf("the rebuilt host keeps %d custody records, closed %v; want its own grant's 1, open", host.Records(), host.Node().Closed())
 	}
 	if got := ForwardedCustody(host, MissionID{1}); len(got) != 0 {
 		t.Errorf("the rebuilt host's grant was spent: %v", got)

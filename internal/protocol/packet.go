@@ -60,13 +60,15 @@ func (k PacketKind) String() string {
 type Packet struct {
 	Mission MissionID
 	Kind    PacketKind
+	X       uint8  // key-grant scope marker (see Ref); zero on multipath grants
 	Column  uint16 // 1-based holder column
 	Slot    uint16 // 0-based slot within the column (path index)
 	// Width is the number of holder slots in this packet's column. Carried
 	// on PkKeyGrant so that any surviving custodian can re-grant the column
 	// key to every slot of its column during churn repair; zero elsewhere.
+	// With X beside Kind the header fields fill 24 bytes, so a custody
+	// record, which keeps two packets, fits the 384-byte size class.
 	Width uint16
-	X     uint8 // key-grant scope marker (see Ref); zero on multipath grants
 	// HoldUntil is the absolute forward/release time in nanoseconds since
 	// the epoch of the mission clock.
 	HoldUntil int64

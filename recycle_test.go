@@ -11,18 +11,18 @@ import (
 )
 
 // loopMisses is what one event loop's recycled-record lists have allocated
-// because they were empty: events, lookups, owner walks, parked owner sends,
-// lookup queries, RPCs and local deliveries. The fabric's delivery records are counted
+// because they were empty: events, lookups, owner walks, owner sends, lookup
+// queries, RPCs and local deliveries. The fabric's delivery records are counted
 // across loops: a cross-shard record leaves one loop's list and returns to
 // another's.
 type loopMisses struct {
-	events, lookups, walks, parked, queries, rpcs, locals uint64
+	events, lookups, walks, sends, queries, rpcs, locals uint64
 }
 
 func (n *Network) recordMisses() (loops []loopMisses, deliveries uint64) {
 	for _, sh := range n.shards {
 		m := sh.scratch.Misses()
-		loops = append(loops, loopMisses{sh.sim.EventMisses(), m.Lookups, m.Walks, m.Parked, m.Queries, m.RPCs, m.Locals})
+		loops = append(loops, loopMisses{sh.sim.EventMisses(), m.Lookups, m.Walks, m.Sends, m.Queries, m.RPCs, m.Locals})
 	}
 	return loops, n.fabric.DeliveryMisses()
 }
@@ -54,10 +54,9 @@ func driveMissions(t *testing.T, net *Network, plan core.Plan, missions, round i
 // a drive of the benchmark's steady-120, share-120 and lockstep-600 shapes,
 // and of the default 200-node key-share point, takes every event, delivery,
 // lookup, query and RPC record it needs from its loop's lists, which the
-// boot burst filled. So does a later drive for owner walks, parked owner
-// sends and local deliveries too, once a drive at twice the mission rate has
-// warmed their lists (boot walks to no owner, and so parks and delivers
-// nothing).
+// boot burst filled. So does a later drive for owner walks, owner sends and
+// local deliveries too, once a drive at twice the mission rate has warmed
+// their lists (boot walks to no owner, and so sends and delivers nothing).
 // A bound set under what a drive takes from a list at once makes that list
 // allocate here. The byte-buffer list is not checked: it holds the custody
 // clones of the missions in flight for as long as they fly, so what it needs
@@ -92,7 +91,7 @@ func TestDriveAllocatesNoRecord(t *testing.T) {
 				after, deliveries := net.recordMisses()
 				for i := range after {
 					if !warm {
-						after[i].walks, after[i].parked, after[i].locals = before[i].walks, before[i].parked, before[i].locals
+						after[i].walks, after[i].sends, after[i].locals = before[i].walks, before[i].sends, before[i].locals
 					}
 					if after[i] != before[i] {
 						t.Errorf("loop %d allocated records in the %s drive: misses %+v before it, %+v after", i, drive, before[i], after[i])
@@ -134,17 +133,23 @@ func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 	t.Run("drain in flight", func(t *testing.T) {
 		net := boot(t)
 		victim := net.nodes[5]
-		walked, pinged := false, false
-		victim.Node().SendToOwners(dht.IDFromKey([]byte("walk")), []byte("x"), 1, func(dht.Contact, error) { walked = true })
+		// The owner send holds its buffer until its walk has ended.
+		bufs := victim.Node().Bufs()
+		out := func() uint64 { return bufs.Misses() - uint64(bufs.Len()) }
+		idle := out()
+		buf := bufs.Get()
+		*buf = append((*buf)[:0], "x"...)
+		victim.Node().SendBufToOwners(dht.IDFromKey([]byte("walk")), buf, 1, 0)
+		pinged := false
 		victim.Node().Ping(silent, func(error) { pinged = true })
-		if walked || pinged {
-			t.Fatal("a callback ran inside its call")
+		if out() != idle+1 || pinged {
+			t.Fatal("the owner walk or the ping finished inside its call")
 		}
 		if dead, joined := die(net, 5); joined == dead {
 			t.Fatal("the join in the death instant rebuilt the dead host")
 		}
 		net.RunFor(time.Second)
-		if !walked || !pinged {
+		if walked := out() == idle; !walked || !pinged {
 			t.Fatalf("owner walk finished %v, ping finished %v: the death left nothing in flight", walked, pinged)
 		}
 		if _, joined := die(net, 6); joined != victim {
@@ -179,8 +184,8 @@ func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 		net.RunFor(2 * time.Second)
 		old := holder.Node()
 		oldID, oldIncarnation := old.ID(), old.Incarnation()
-		if holder.Missions() != 1 || old.Resilience().Retries == 0 {
-			t.Fatalf("the holder keeps %d missions and %+v: nothing to carry over", holder.Missions(), old.Resilience())
+		if holder.Records() != 1 || old.Resilience().Retries == 0 {
+			t.Fatalf("the holder keeps %d custody records and %+v: nothing to carry over", holder.Records(), old.Resilience())
 		}
 		die(net, 5)
 		net.RunFor(time.Second)
@@ -193,8 +198,8 @@ func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 		}
 		// The rebuilt host carries nothing from its predecessor.
 		node := holder.Node()
-		if holder.Missions() != 0 {
-			t.Errorf("the rebuilt host keeps %d missions", holder.Missions())
+		if holder.Records() != 0 {
+			t.Errorf("the rebuilt host keeps %d custody records", holder.Records())
 		}
 		if node.ID() == oldID || node.Incarnation() <= oldIncarnation {
 			t.Errorf("the rebuilt node is %v incarnation %d, its predecessor %v incarnation %d", node.ID(), node.Incarnation(), oldID, oldIncarnation)
