@@ -41,10 +41,22 @@ func lookupFinishContacts(arg any, contacts []Contact) {
 // that finds nobody sends nothing. The buffer goes back to the list after
 // the send's last copy, so a steady mission send path allocates neither a
 // payload nor a record.
+//
+// A one-replica send that the node's own table decides takes no walk: when
+// no table contact is nearer the key than the node, the node is the owner,
+// and the send delivers locally at its instant (sendOwn). A node knows its
+// own neighbourhood without asking; nearly every churn-repair push is such a
+// send. A closed node, an empty table, two or more replicas, a key with a
+// contact on its near side, and a walk for the key already under way keep
+// the walk.
 func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int64) {
 	s, wk := n.cfg.Scratch, walkKey{key: key, node: n.incarnation}
 	if w := s.ownerWalks[wk]; w != nil {
 		w.attach(buf, replicas, notBefore)
+		return
+	}
+	if replicas <= 1 && !n.closed && n.table.Len() > 0 && n.table.ranksSelfFirst(key) {
+		n.sendOwn(buf, notBefore)
 		return
 	}
 	w := s.walks.Get()
@@ -56,6 +68,20 @@ func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int6
 	s.ownerWalks[wk] = w
 	w.ls = n.startLookup(key, ownersFinish, w)
 	w.ls.step()
+}
+
+// sendOwn is a one-replica owner send that the node's own table decides: the
+// node is its only owner, with no walk. A send whose instant is ahead arms
+// it; one whose instant has passed delivers locally now and returns the
+// record and the buffer.
+func (n *Node) sendOwn(buf *[]byte, notBefore int64) {
+	p := n.newSend(buf, 1)
+	p.owners = append(p.owners, n.Contact())
+	if ahead := notBefore - n.cfg.Clock.Now().UnixNano(); ahead > 0 {
+		n.cfg.Clock.ScheduleArg(time.Duration(ahead), sendDue, p)
+		return
+	}
+	sendDue(p)
 }
 
 // ownerWalk is one in-flight owner resolution: the FIND_NODE walk towards key
@@ -88,15 +114,22 @@ type walkKey struct {
 // reached, so the walk's end sends it to every final owner.
 func (w *ownerWalk) attach(buf *[]byte, replicas int, notBefore int64) {
 	n := w.node
-	s := n.cfg.Scratch
-	p := s.sends.Get()
-	p.node, p.scratch, p.buf, p.owners = n, s, buf, p.inline[:0]
-	p.replicas, p.incarnation = max(replicas, 1), n.incarnation
+	p := n.newSend(buf, replicas)
 	if ahead := notBefore - n.cfg.Clock.Now().UnixNano(); ahead > 0 {
 		p.walk = w
 		n.cfg.Clock.ScheduleArg(time.Duration(ahead), sendDue, p)
 	}
 	w.sends = append(w.sends, p)
+}
+
+// newSend takes a record of the loop's for an owner send of buf, with no
+// owner and no walk yet.
+func (n *Node) newSend(buf *[]byte, replicas int) *ownerSend {
+	s := n.cfg.Scratch
+	p := s.sends.Get()
+	p.node, p.scratch, p.buf, p.owners = n, s, buf, p.inline[:0]
+	p.replicas, p.incarnation = max(replicas, 1), n.incarnation
+	return p
 }
 
 // ownersFinish hands a finished walk's sends their owners, each its own

@@ -103,6 +103,14 @@ func sendsOut(n *Node) uint64 {
 	return n.cfg.Scratch.sends.Misses() - uint64(n.cfg.Scratch.sends.Len())
 }
 
+// released checks that n holds no walk, buffer or send record.
+func released(t *testing.T, n *Node) {
+	t.Helper()
+	if w, b, p := len(walksOf(n)), outstanding(n), sendsOut(n); w != 0 || b != 0 || p != 0 {
+		t.Errorf("%d walks indexed, %d buffers and %d send records out", w, b, p)
+	}
+}
+
 const ownersTestSender = 11
 
 // TestOwnerWalkCoalesces: N same-instant sends for one key from one node cost
@@ -146,7 +154,9 @@ func TestOwnerWalkCoalesces(t *testing.T) {
 // TestOwnerWalkRidersKeepOwnReplicas: sends asking for different replica
 // counts share one walk and each reaches its own prefix — including when the
 // sender itself ranks first, where the self insertion must happen once and a
-// narrow send must not cut the list for a wider one after it.
+// narrow send must not cut the list for a wider one after it. There the
+// one-replica send is its table's to decide and goes local with no walk;
+// the two wider sends still share one.
 func TestOwnerWalkRidersKeepOwnReplicas(t *testing.T) {
 	for _, selfOwned := range []bool{false, true} {
 		oc := newOwnerCluster(t, 40, RetryPolicy{})
@@ -173,15 +183,119 @@ func TestOwnerWalkRidersKeepOwnReplicas(t *testing.T) {
 			t.Errorf("selfOwned=%v: %d buffers and %d send records out after the sends", selfOwned, b, p)
 		}
 		if selfOwned {
-			// Three of the six deliveries are local; and the walk is the only
-			// other traffic, so a single send must cost exactly three fewer.
+			// Three of the six deliveries are local, and one walk is the only
+			// other traffic: a two-replica send costs that walk and one
+			// remote delivery, so the three sends cost exactly two more.
 			one := newOwnerCluster(t, 40, RetryPolicy{})
-			single := one.sentBy(func() { sendToOwners(one.nodes[ownersTestSender], key, "x", 1) })
-			if sent != single+3 {
-				t.Errorf("self-owned: %d datagrams, want walk (%d) + 3 remote deliveries", sent, single)
+			pair := one.sentBy(func() { sendToOwners(one.nodes[ownersTestSender], key, "x", 2) })
+			if sent != pair+2 {
+				t.Errorf("self-owned: %d datagrams, want walk (%d) + 3 remote deliveries", sent, pair-1)
 			}
 		}
 	}
+}
+
+// TestOwnSendTakesNoWalk: a one-replica send whose key the sender's own
+// table ranks it first for goes to the sender alone with no walk: no
+// datagram, local delivery at its instant and not before, and every buffer
+// and record back. One contact on the key's near side, a second replica, or
+// a closed sender each keep the walk's path.
+func TestOwnSendTakesNoWalk(t *testing.T) {
+	// own is a key that the sender's table ranks it first for, not its ID.
+	own := func(t *testing.T, sender *Node) ID {
+		t.Helper()
+		key := sender.ID()
+		key[IDBytes-1] ^= 0x5a
+		if !sender.table.ranksSelfFirst(key) {
+			t.Fatal("the sender's table ranks a contact first for its own neighbourhood")
+		}
+		return key
+	}
+	t.Run("owned", func(t *testing.T) {
+		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		sender := oc.nodes[ownersTestSender]
+		key := own(t, sender)
+		at := oc.sim.Now().Add(time.Second)
+		sent := oc.sentBy(func() {
+			buf := sender.Bufs().Get()
+			*buf = append((*buf)[:0], "own"...)
+			sender.SendBufToOwners(key, buf, 1, at.UnixNano())
+			if len(walksOf(sender)) != 0 {
+				t.Error("a send the table decides started a walk")
+			}
+			oc.sim.RunUntil(at.Add(-time.Nanosecond))
+			if got := oc.receivers("own"); len(got) != 0 {
+				t.Errorf("%v received the payload before its instant", got)
+			}
+			oc.sim.RunUntil(at)
+			if got := oc.receivers("own"); len(got) != 1 || got[0] != sender.ID() {
+				t.Errorf("at its instant the payload is at %v, want the sender alone", got)
+			}
+		})
+		if sent != 0 {
+			t.Errorf("a send the table decides carried %d datagrams, want 0", sent)
+		}
+		released(t, sender)
+	})
+	t.Run("one contact nearer", func(t *testing.T) {
+		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		// The key that differs from self at one bucket's bit alone has that
+		// bucket, and only it, on its near side: pick a sender with a bucket
+		// of one.
+		var sender *Node
+		var key ID
+		for _, n := range oc.nodes {
+			for idx := 0; idx < IDBits && sender == nil; idx++ {
+				if _, lo, hi := n.table.run(idx); hi-lo == 1 {
+					sender, key = n, idInBucket(n.ID(), idx)
+				}
+			}
+		}
+		if sender == nil {
+			t.Fatal("no node's table has a bucket of exactly one contact")
+		}
+		sent := oc.sentBy(func() {
+			sendToOwners(sender, key, "near", 1)
+			if len(walksOf(sender)) != 1 {
+				t.Error("a send with a contact on the key's near side took no walk")
+			}
+		})
+		if got := oc.receivers("near"); sent < 3 || len(got) != 1 || got[0] != oc.byDistance(key)[0] {
+			t.Errorf("%d datagrams, payload at %v: want a walk to the owner %s", sent, got, oc.byDistance(key)[0].Short())
+		}
+		released(t, sender)
+	})
+	t.Run("two replicas", func(t *testing.T) {
+		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		sender := oc.nodes[ownersTestSender]
+		key := own(t, sender)
+		sent := oc.sentBy(func() {
+			sendToOwners(sender, key, "pair", 2)
+			if len(walksOf(sender)) != 1 {
+				t.Error("a two-replica send took no walk")
+			}
+		})
+		want := oc.byDistance(key)[:2]
+		if got := oc.receivers("pair"); sent < 3 || len(got) != 2 || got[0] == got[1] ||
+			(got[0] != want[0] && got[0] != want[1]) || (got[1] != want[0] && got[1] != want[1]) {
+			t.Errorf("%d datagrams, payload at %v: want a walk to the two owners %v", sent, got, want)
+		}
+		released(t, sender)
+	})
+	t.Run("closed", func(t *testing.T) {
+		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		sender := oc.nodes[ownersTestSender]
+		key := own(t, sender)
+		if err := sender.Close(); err != nil {
+			t.Fatal(err)
+		}
+		oc.sim.Run()
+		sent := oc.sentBy(func() { sendToOwners(sender, key, "closed", 1) })
+		if got := oc.receivers("closed"); sent != 0 || len(got) != 0 {
+			t.Errorf("a closed sender carried %d datagrams and delivered to %v", sent, got)
+		}
+		released(t, sender)
+	})
 }
 
 // TestOwnerWalkFreshAfterFinish: a walk serves only the sends that arrived
@@ -233,8 +347,10 @@ func TestOwnerWalkNeverMergesAcrossKeysOrNodes(t *testing.T) {
 }
 
 // TestOwnerWalkNotJoinedByLookups: a Lookup and a Bootstrap self-lookup for
-// the key of an owner walk in flight each run their own lookup: none rides it, none picks up the walk's self insertion, and
-// the traffic is the sum of the parts.
+// the key of an owner walk in flight each run their own lookup: none rides
+// it, none picks up the walk's self insertion, and the traffic is the sum of
+// the parts. The walk sends at two replicas: a one-replica send of a
+// self-owned key takes no walk.
 func TestOwnerWalkNotJoinedByLookups(t *testing.T) {
 	build := func() (*ownerCluster, *Node, ID) {
 		oc := newOwnerCluster(t, 40, RetryPolicy{})
@@ -242,14 +358,14 @@ func TestOwnerWalkNotJoinedByLookups(t *testing.T) {
 		return oc, sender, sender.ID() // self-owned: the walk inserts self, a Lookup must not
 	}
 	oc, sender, key := build()
-	walkOnly := oc.sentBy(func() { sendToOwners(sender, key, "w", 1) })
+	walkOnly := oc.sentBy(func() { sendToOwners(sender, key, "w", 2) })
 	oc, sender, key = build()
 	lookupOnly := oc.sentBy(func() { sender.Lookup(key, func([]Contact) {}) })
 
 	oc, sender, key = build()
 	var looked, booted bool
 	both := oc.sentBy(func() {
-		sendToOwners(sender, key, "w", 1)
+		sendToOwners(sender, key, "w", 2)
 		sender.Lookup(key, func(cs []Contact) {
 			looked = true
 			for _, c := range cs {
@@ -313,13 +429,6 @@ func TestOwnerWalkRidersAckedSeparately(t *testing.T) {
 func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 	const riders = 3
 	key := IDFromKey([]byte("nobody-home"))
-	// released checks that n holds no walk, buffer or send record.
-	released := func(t *testing.T, n *Node) {
-		t.Helper()
-		if w, b, p := len(walksOf(n)), outstanding(n), sendsOut(n); w != 0 || b != 0 || p != 0 {
-			t.Errorf("%d walks indexed, %d buffers and %d send records out", w, b, p)
-		}
-	}
 	t.Run("isolated", func(t *testing.T) {
 		got := 0
 		count := appFunc(func(Contact, []byte) { got++ })

@@ -634,13 +634,7 @@ const inlineKeys = 32
 func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 	asked := count
 	t0, t1, t2 := lanes(target[:])
-	// s as a bucketSet: ID bit i, counted from the most significant, sits at
-	// set position i, so it lines up with the occupied bitmap.
-	s := bucketSet{
-		bits.Reverse64(binary.BigEndian.Uint64(t.self[:]) ^ t0),
-		bits.Reverse64(binary.BigEndian.Uint64(t.self[8:]) ^ t1),
-		uint64(bits.Reverse32(binary.BigEndian.Uint32(t.self[16:]) ^ t2)),
-	}
+	s := t.nearSide(target)
 	var inline [inlineKeys]closestKey
 	keys := inline[:]
 	if t.k > inlineKeys {
@@ -712,6 +706,33 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 		}
 	}
 	return asked - count
+}
+
+// nearSide is self XOR target as a bucketSet: ID bit i, counted from the
+// most significant, sits at set position i, so it lines up with the occupied
+// bitmap. A contact of bucket i first differs from self at bit i, so it is
+// nearer to target than self exactly when bit i is set: the set marks the
+// buckets on target's near side (see selectClosest).
+func (t *Table) nearSide(target ID) bucketSet {
+	t0, t1, t2 := lanes(target[:])
+	return bucketSet{
+		bits.Reverse64(binary.BigEndian.Uint64(t.self[:]) ^ t0),
+		bits.Reverse64(binary.BigEndian.Uint64(t.self[8:]) ^ t1),
+		uint64(bits.Reverse32(binary.BigEndian.Uint32(t.self[16:]) ^ t2)),
+	}
+}
+
+// ranksSelfFirst reports whether no contact of the table is nearer to target
+// than self: no occupied bucket lies on target's near side. It is true of an
+// empty table.
+func (t *Table) ranksSelfFirst(target ID) bool {
+	s := t.nearSide(target)
+	for w := range s {
+		if t.occupied[w]&s[w] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Len returns the number of tracked contacts.

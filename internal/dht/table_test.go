@@ -787,6 +787,76 @@ func BenchmarkTableClosest(b *testing.B) {
 	}
 }
 
+// TestRanksSelfFirstMatchesClosest: the near-side test says self ranks first
+// for a key exactly when Closest(key, 1) finds no contact nearer than self,
+// over seeded random tables — empty, one contact, full buckets, deep buckets
+// sharing long prefixes with self — for keys at self, sharing long prefixes
+// with it, at and beside contacts, and on each table again after removals.
+func TestRanksSelfFirstMatchesClosest(t *testing.T) {
+	check := func(table *Table, key ID) {
+		t.Helper()
+		c := table.Closest(key, 1)
+		want := len(c) == 0 || key.CloserTo(table.self, c[0].ID)
+		if got := table.ranksSelfFirst(key); got != want {
+			t.Fatalf("%d contacts, key %s: ranksSelfFirst = %v, Closest(key, 1) = %v", table.Len(), key.Short(), got, c)
+		}
+	}
+	now := func() time.Time { return time.Unix(5000, 0) }
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := stats.NewRNG(seed)
+		self := RandomID(rng)
+		table := NewTable(self, 2+rng.Intn(19), 10*time.Minute, now)
+		observe := func(id ID) { table.Observe(Contact{ID: id, Addr: transport.Addr(id.Short())}) }
+		switch seed % 4 {
+		case 1:
+			observe(RandomID(rng))
+		case 2:
+			for i, n := 0, 1+rng.Intn(300); i < n; i++ {
+				observe(RandomID(rng))
+			}
+		case 3:
+			for i, n := 0, rng.Intn(100); i < n; i++ {
+				observe(RandomID(rng))
+			}
+			for i := 0; i < 8; i++ {
+				prefix := rng.Intn(IDBits)
+				for j := 0; j < table.k; j++ {
+					observe(idSharing(self, prefix, rng))
+				}
+			}
+		}
+		var ids []ID
+		table.Each(func(c Contact) { ids = append(ids, c.ID) })
+		keys := []ID{self}
+		for len(keys) < 200 {
+			switch i := rng.Intn(4); {
+			case i == 0:
+				keys = append(keys, RandomID(rng))
+			case i == 1 || len(ids) == 0:
+				keys = append(keys, idSharing(self, rng.Intn(IDBits), rng))
+			case i == 2:
+				keys = append(keys, ids[rng.Intn(len(ids))])
+			default:
+				key := ids[rng.Intn(len(ids))]
+				bit := IDBits - 1 - rng.Intn(24)
+				key[bit/8] ^= 0x80 >> (bit % 8)
+				keys = append(keys, key)
+			}
+		}
+		for _, key := range keys {
+			check(table, key)
+		}
+		for _, id := range ids {
+			if rng.Intn(2) == 0 {
+				table.Remove(id)
+			}
+		}
+		for _, key := range keys {
+			check(table, key)
+		}
+	}
+}
+
 func TestTableRemove(t *testing.T) {
 	table, _ := newTestTable(20)
 	c := Contact{ID: IDFromKey([]byte("x"))}

@@ -64,8 +64,9 @@ type Packet struct {
 	Column  uint16 // 1-based holder column
 	Slot    uint16 // 0-based slot within the column (path index)
 	// Width is the number of holder slots in this packet's column. Carried
-	// on PkKeyGrant so that any surviving custodian can re-grant the column
-	// key to every slot of its column during churn repair; zero elsewhere.
+	// on PkKeyGrant and PkColShare so that any surviving custodian can
+	// re-grant the column key, or push its column shares, to every slot of
+	// its column during churn repair; zero on the other kinds.
 	// With X beside Kind the header fields fill 24 bytes, so a custody
 	// record, which keeps two packets, fits the 384-byte size class.
 	Width uint16

@@ -22,7 +22,9 @@ import (
 // (sent 29329 → 26887 and 166413 → 74043) when concurrent SendToOwners calls
 // for one key began sharing one FIND_NODE walk, and once more (case 1: 74043
 // → 74039) when holders began resolving their next hop one lead ahead of the
-// deadline they send at.
+// deadline they send at, and again (26887 → 24887 and 74039 → 64719) when a
+// one-replica owner send that its node's own table ranks the node first
+// stopped walking to itself.
 func TestShardOneMatchesHistoricalRun(t *testing.T) {
 	cases := []struct {
 		cfg          scenario.Config
@@ -33,13 +35,13 @@ func TestShardOneMatchesHistoricalRun(t *testing.T) {
 			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.2, Strategy: adversary.StrategyDrop, Alpha: 1, Missions: 30,
 				Plan: core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}, MCTrials: 40, Seed: 11},
 			live:   scenario.Result{Missions: 30, Released: 5, Delivered: 12, Succeeded: 11},
-			deaths: 227, sent: 26887,
+			deaths: 227, sent: 24887,
 		},
 		{
 			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.1, Alpha: 1, Missions: 24,
 				Plan: core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 4, ShareM: []int{2, 2}}, MCTrials: 10, Seed: 21},
 			live:   scenario.Result{Missions: 24, Released: 3, Delivered: 18, Succeeded: 15},
-			deaths: 245, sent: 74039,
+			deaths: 245, sent: 64719,
 		},
 	}
 	for _, shards := range []int{0, 1} {
