@@ -350,14 +350,17 @@ func BenchmarkMissionBulk(b *testing.B) {
 
 // BenchmarkChurnJoin is one churn death and its replacement join on a warmed
 // 120-node loop: the dying node closes, a replacement takes over its
-// identifier, address and routing table, and its bootstrap self-lookup runs
-// to the end. Every slot is replaced once before the timer starts, so the
-// loop's lists are warm and allocs/op is a join's fixed cost: nothing. The
-// join rebuilds in place the host of the previous death, which died a second
-// earlier with nothing armed, and binds it without closures to the fabric
-// endpoint its predecessor's death left closed. It is a count, so CI gates it
-// (BENCH_scenario.json): a host, table, map, closure or endpoint that a join
-// buys again fails there, on allocs/op and on B/op.
+// identifier, address and routing table, and its rejoin self-lookup runs
+// until alpha replies in a row teach it nothing. Every slot is replaced once
+// before the timer starts, so the loop's lists are warm and allocs/op is a
+// join's fixed cost: nothing. The join rebuilds in place the host of the
+// previous death, which died a second earlier with nothing armed, and binds
+// it without closures to the fabric endpoint its predecessor's death left
+// closed. datagrams/op is the fabric's send count per join, a pure function
+// of the seed. All three are counts, so CI gates them (BENCH_scenario.json):
+// a host, table, map, closure or endpoint that a join buys again fails on
+// allocs/op and B/op, and a join that walks its whole window again fails on
+// datagrams/op.
 func BenchmarkChurnJoin(b *testing.B) {
 	net, err := NewNetwork(NetworkConfig{Nodes: 120, Replace: true, Seed: 11})
 	if err != nil {
@@ -371,11 +374,15 @@ func BenchmarkChurnJoin(b *testing.B) {
 	for i := 0; i < len(net.nodes); i++ {
 		churn(i)
 	}
+	sent0, _, _ := net.FabricStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		churn(i)
 	}
+	b.StopTimer()
+	sent, _, _ := net.FabricStats()
+	b.ReportMetric(float64(sent-sent0)/float64(b.N), "datagrams/op")
 }
 
 // benchMissionCycle runs b.N sequential missions carrying payload through

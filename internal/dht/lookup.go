@@ -342,6 +342,15 @@ type lookupState struct {
 	// and the contacts failover removed, so neither comes back.
 	seen     distSet
 	inflight int
+	// rejoin marks a rejoin's self-lookup (Rejoin), which also finishes once
+	// barren reaches alpha: that many answered replies in a row that added no
+	// contact to the shortlist. A reply that adds one resets it; a failed
+	// query counts neither way.
+	rejoin bool
+	barren int
+	// finished is set when the walk has called back. A walk that finishes
+	// with queries still out asks nobody more and only drains them.
+	finished bool
 }
 
 // release returns a drained state (finished, no queries in flight) to its
@@ -355,6 +364,7 @@ func (ls *lookupState) release() {
 	clear(ls.spill)
 	ls.spill = ls.spill[:0]
 	ls.result = ls.result[:0]
+	ls.rejoin, ls.barren, ls.finished = false, 0, false
 	ls.node = nil
 	ls.finishCb = nil
 	ls.finishArg = nil
@@ -471,11 +481,19 @@ func (n *Node) startLookup(target ID, cb func(any, []Contact), arg any) *lookupS
 	return ls
 }
 
-// step issues queries up to the alpha limit and detects termination: the
-// lookup finishes, and its state is released, only once nothing is in
-// flight, so no response ever arrives for a finished lookup.
+// step issues queries up to the alpha limit and detects termination. A walk
+// finishes when it has nothing left to ask and nothing in flight, or — a
+// rejoin's — once alpha answered replies in a row have taught it nothing,
+// whatever is still out. Its state is released only once nothing is in
+// flight, so no response ever arrives for a released state: a walk that
+// finished early drains its queries first (onResponse), and their replies
+// still reach the table through settle.
 func (ls *lookupState) step() {
 	ls.sortShortlist()
+	if ls.rejoin && ls.barren >= alpha {
+		ls.finish()
+		return
+	}
 	// Query the unqueried candidates within the K closest known (the standard
 	// Kademlia termination window), up to the alpha parallelism limit.
 	window := ls.shortlist[:min(len(ls.shortlist), bucketK)]
@@ -492,7 +510,16 @@ func (ls *lookupState) step() {
 	}
 	if ls.inflight == 0 {
 		// Nothing left to ask and nothing outstanding.
-		ls.finishCb(ls.finishArg, ls.closestK())
+		ls.finish()
+	}
+}
+
+// finish calls the walk back with its window, once, and releases the state
+// unless queries are still out, whose drain then releases it.
+func (ls *lookupState) finish() {
+	ls.finished = true
+	ls.finishCb(ls.finishArg, ls.closestK())
+	if ls.inflight == 0 {
 		ls.release()
 	}
 }
@@ -517,6 +544,14 @@ func lookupQueryDone(v any, resp *Message, err error) {
 // path's scratch Message (nil when err is set), valid for the call only.
 func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 	ls.inflight--
+	if ls.finished {
+		// The drain of a walk that finished early: the reply has reached the
+		// table already (settle), and the walk asks nobody more.
+		if ls.inflight == 0 {
+			ls.release()
+		}
+		return
+	}
 	// Find the queried entry by its lanes (likely in the window, scanned first).
 	d := rankID(ls.target, from.ID)
 	for i := range ls.shortlist {
@@ -552,6 +587,7 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 		// new. So the bounded book admits just the addresses of contacts some
 		// lookup kept, not whatever a response chose to list.
 		t0, t1, t2 := lanes(ls.target[:])
+		listed := len(ls.shortlist)
 		for region := resp.contacts.region; len(region) > 0; {
 			id, addr, rest, _ := nextContact(region)
 			region = rest
@@ -560,6 +596,11 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 			if ls.seen.add(d0, d1, d2) {
 				ls.shortlist = append(ls.shortlist, ranked{d0: d0, d1: d1, d2: d2, addr: ls.handle(addr)})
 			}
+		}
+		if len(ls.shortlist) > listed {
+			ls.barren = 0
+		} else {
+			ls.barren++
 		}
 	}
 	ls.step()

@@ -645,8 +645,26 @@ func appAckDone(any, *Message, error) {}
 // the datagram's source address, and the self-lookup starts once every such
 // seed has answered or timed out — against verified contacts, never a
 // placeholder ID no reply could match. done (optional) receives the number
-// of contacts known afterwards.
+// of contacts known afterwards. The self-lookup runs its full window: a
+// fresh ID's walk is also how its neighbourhood learns it exists.
 func (n *Node) Bootstrap(seeds []Contact, done func(contacts int)) {
+	n.join(seeds, done, false)
+}
+
+// Rejoin is Bootstrap for a node that takes over a departed node's ID and
+// address, a churn replacement: its neighbours already route to it, so its
+// self-lookup only fills its own table, and it stops once alpha answered
+// replies in a row have added no contact to the walk's shortlist. The walk
+// then asks nobody more; the queries still out drain, their replies reaching
+// the table as any other, and its state goes back to the loop. The rule rests
+// on the ID and address being reused: a node under a fresh identity must
+// Bootstrap.
+func (n *Node) Rejoin(seeds []Contact) {
+	n.join(seeds, nil, true)
+}
+
+// join seeds the table and starts the self-lookup of Bootstrap, or of Rejoin.
+func (n *Node) join(seeds []Contact, done func(contacts int), rejoin bool) {
 	byAddr := 0
 	for _, s := range seeds {
 		switch {
@@ -657,32 +675,34 @@ func (n *Node) Bootstrap(seeds []Contact, done func(contacts int)) {
 		}
 	}
 	if byAddr > 0 {
-		n.resolveSeeds(seeds, byAddr, done)
+		n.resolveSeeds(seeds, byAddr, done, rejoin)
 		return
 	}
-	n.selfLookup(done)
+	n.selfLookup(done, rejoin)
 }
 
 // resolveSeeds pings the left address-only seeds and starts the self-lookup
 // when the last of them has answered or timed out.
-func (n *Node) resolveSeeds(seeds []Contact, left int, done func(contacts int)) {
+func (n *Node) resolveSeeds(seeds []Contact, left int, done func(contacts int), rejoin bool) {
 	for _, s := range seeds {
 		if s.ID.IsZero() {
 			n.Ping(s, func(error) {
 				if left--; left == 0 {
-					n.selfLookup(done)
+					n.selfLookup(done, rejoin)
 				}
 			})
 		}
 	}
 }
 
-func (n *Node) selfLookup(done func(contacts int)) {
-	if done == nil {
-		n.newLookup(n.cfg.ID, lookupFinishNothing, nil)
-		return
+func (n *Node) selfLookup(done func(contacts int), rejoin bool) {
+	cb, arg := lookupFinishNothing, any(nil)
+	if done != nil {
+		cb, arg = lookupFinishContacts, func([]Contact) { done(n.Table().Len()) }
 	}
-	n.Lookup(n.cfg.ID, func([]Contact) { done(n.Table().Len()) })
+	ls := n.startLookup(n.cfg.ID, cb, arg)
+	ls.rejoin = rejoin
+	ls.step()
 }
 
 // lookupFinishNothing ends a lookup nobody waits on, a join's self-lookup:

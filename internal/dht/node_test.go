@@ -85,6 +85,60 @@ func TestLookupFindsGloballyClosest(t *testing.T) {
 	}
 }
 
+// TestRejoinedLookupsFindGloballyClosest rebuilds a third of a cluster in
+// place, one node a second as churn would, each with its own ID and address
+// and a rejoin's early-stopping self-lookup. Every lookup from a rebuilt node,
+// and every lookup to a key beside one, must still find the globally
+// XOR-closest node: a rejoiner's neighbours already route to its ID, so a
+// walk that stops once it learns nothing leaves no routing gap.
+func TestRejoinedLookupsFindGloballyClosest(t *testing.T) {
+	c := newCluster(t, 60, nil)
+	seed := []Contact{c.nodes[0].Contact()}
+	var rebuilt []*Node
+	for i := 3; i < len(c.nodes); i += 3 {
+		node := c.nodes[i]
+		addr := node.Contact().Addr
+		if err := node.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := node.Init(Config{ID: node.ID(), Endpoint: c.net.Endpoint(addr), Clock: c.sim}); err != nil {
+			t.Fatal(err)
+		}
+		node.Rejoin(seed)
+		c.sim.RunFor(time.Second)
+		rebuilt = append(rebuilt, node)
+	}
+	c.sim.Run()
+
+	// closest is the node nearest target other than from, which a lookup
+	// never returns.
+	closest := func(from *Node, target ID) ID {
+		var best ID
+		for _, n := range c.nodes {
+			if n != from && (best.IsZero() || target.CloserTo(n.ID(), best)) {
+				best = n.ID()
+			}
+		}
+		return best
+	}
+	check := func(from *Node, target ID, what string) {
+		var got []Contact
+		from.Lookup(target, func(res []Contact) { got = append([]Contact(nil), res...) })
+		c.sim.Run()
+		if want := closest(from, target); len(got) == 0 || got[0].ID != want {
+			t.Errorf("%s: lookup from %s for %s found %v, want %s first", what, from.ID().Short(), target.Short(), got, want.Short())
+		}
+	}
+	for i, r := range rebuilt {
+		for range 3 {
+			check(r, RandomID(c.rng), "from a rejoined node")
+		}
+		beside := r.ID()
+		beside[IDBytes-1] ^= 1
+		check(c.nodes[(3*i+4)%len(c.nodes)], beside, "beside a rejoined node")
+	}
+}
+
 func TestForgedFromCannotHijackAddress(t *testing.T) {
 	c := newCluster(t, 10, nil)
 	contactee, victim := c.nodes[2], c.nodes[6]

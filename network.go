@@ -616,8 +616,10 @@ func (n *Network) die(sh *shard, idx int) {
 
 // join spawns the replacement for the dead node at population slot idx — a
 // fresh node with wiped state taking over the vacated address and DHT zone —
-// and bootstraps it. It is malicious with probability MaliciousRate,
-// keeping the Sybil fraction stationary as churn replenishes the network.
+// and rejoins it: its neighbours already route to its ID and address, so its
+// self-lookup stops once it learns nothing (dht.Node.Rejoin). It is malicious
+// with probability MaliciousRate, keeping the Sybil fraction stationary as
+// churn replenishes the network.
 func (n *Network) join(sh *shard, addr transport.Addr, id dht.ID, idx int) {
 	// The maliciousness draw comes from the joining node's shard RNG: the
 	// death event runs on that shard's loop.
@@ -629,7 +631,7 @@ func (n *Network) join(sh *shard, addr transport.Addr, id dht.ID, idx int) {
 		return
 	}
 	sh.joins++
-	n.nodes[idx].Node().Bootstrap(n.seeds, nil)
+	n.nodes[idx].Node().Rejoin(n.seeds)
 }
 
 // ChurnEvents reports how many permanent deaths and replacement joins have

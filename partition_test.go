@@ -67,15 +67,17 @@ func traceMissions(t *testing.T, net *Network, missions int, emerging time.Durat
 // recAt 9831433571426 → 9831433571432). Then only sent/delivered fell once
 // more (seed 11: 43842 → 36913, seed 29: 42012 → 35092) when a one-replica
 // owner send that its node's own table ranks the node first for stopped
-// walking to itself.
+// walking to itself, and again (seed 11: 36913 → 34687, seed 29: 35092 →
+// 33012) when a churn replacement's self-lookup began stopping once alpha
+// replies in a row taught it nothing.
 var classicTraces = map[uint64]string{
 	11: `mission=0 emerged=true at=10860005000004 plain="partition golden" recovered=true recAt=9831433571432
 mission=1 emerged=true at=18420005000004 plain="partition golden" recovered=false recAt=-6795364578871345152
-deaths=114 joins=114 sent=36913 delivered=36913 dropped=0 now=18780000000000
+deaths=114 joins=114 sent=34687 delivered=34687 dropped=0 now=18780000000000
 `,
 	29: `mission=0 emerged=true at=10860005000004 plain="partition golden" recovered=false recAt=-6795364578871345152
 mission=1 emerged=true at=18420005000004 plain="partition golden" recovered=true recAt=11220075000000
-deaths=97 joins=97 sent=35092 delivered=35092 dropped=0 now=18780000000000
+deaths=97 joins=97 sent=33012 delivered=33012 dropped=0 now=18780000000000
 `,
 }
 
