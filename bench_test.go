@@ -140,9 +140,8 @@ func BenchmarkFigure8(b *testing.B) {
 
 // BenchmarkPlannerJoint measures the (k, l) search at the paper's scale.
 func BenchmarkPlannerJoint(b *testing.B) {
-	cfg := core.PlannerConfig{Budget: 10000}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PlanMultipath(core.SchemeJoint, 0.3, cfg); err != nil {
+		if _, err := core.PlanMultipath(core.SchemeJoint, 0.3, 10000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,9 +149,8 @@ func BenchmarkPlannerJoint(b *testing.B) {
 
 // BenchmarkPlannerKeyShare measures Algorithm 1 plus the shape search.
 func BenchmarkPlannerKeyShare(b *testing.B) {
-	cfg := core.PlannerConfig{Budget: 10000}
 	for i := 0; i < b.N; i++ {
-		if _, err := core.PlanKeyShare(0.3, 3, 1, cfg); err != nil {
+		if _, err := core.PlanKeyShare(0.3, 3, 10000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -362,7 +360,7 @@ func BenchmarkMissionBulk(b *testing.B) {
 // allocs/op and B/op, and a join that walks its whole window again fails on
 // datagrams/op.
 func BenchmarkChurnJoin(b *testing.B) {
-	net, err := NewNetwork(NetworkConfig{Nodes: 120, Replace: true, Seed: 11})
+	net, err := NewNetwork(NetworkConfig{Nodes: 120, Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -429,6 +427,11 @@ func missionCycle(tb testing.TB, net *Network, payload []byte) {
 func BenchmarkRetainedHeap(b *testing.B) {
 	const missions = 40
 	payload := []byte("twenty bytes of data")
+	// The key share planner's plan within half the population.
+	plan, err := core.PlanSpec{Scheme: SchemeKeyShare, P: 0.1, Alpha: 1, Budget: 60}.Plan()
+	if err != nil {
+		b.Fatal(err)
+	}
 	var (
 		ms       runtime.MemStats
 		retained uint64
@@ -444,7 +447,7 @@ func BenchmarkRetainedHeap(b *testing.B) {
 		runtime.ReadMemStats(&ms)
 		before := ms.HeapAlloc
 		for range missions {
-			msg, err := net.Send(payload, time.Hour, WithScheme(SchemeKeyShare), WithThreatModel(0.1), WithNodeBudget(60))
+			msg, err := net.Send(payload, time.Hour, WithPlan(plan))
 			if err != nil {
 				b.Fatal(err)
 			}

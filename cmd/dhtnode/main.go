@@ -122,14 +122,12 @@ func start(listen string, wrap func(*udp.Endpoint, *udp.Loop) transport.Endpoint
 	// node the moment it exists.
 	err, ok := await(loop, opTimeout, func(report func(error)) {
 		host, err := protocol.NewHost(protocol.HostConfig{
-			Clock: loop.Clock(),
-			Retry: true,
 			OnSecret: func(m protocol.MissionID, secret []byte) {
 				if p.onSecret != nil {
 					p.onSecret(m, secret)
 				}
 			},
-		}, dht.Config{ID: id, Endpoint: nodeEP, Clock: loop.Clock(), Retry: dht.RetryPolicy{Attempts: retryAttempts}})
+		}, dht.Config{ID: id, Endpoint: nodeEP, Clock: loop.Clock(), Retry: retryAttempts})
 		if err == nil {
 			p.node = host.Node()
 		}

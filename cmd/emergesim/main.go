@@ -104,7 +104,7 @@ func liveFlags(fs *flag.FlagSet, cfg *scenario.Config) (loopStats *bool, names [
 // base point become the flags' defaults and whose axes lead the sweep's.
 func runSweep(args []string, preset *experiment.Preset, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	sw := experiment.Sweep{Name: "sweep", Base: experiment.Point{Scheme: core.SchemeJoint, P: 0.1, Network: 1000, K: 3, L: 2, Replicas: 1}}
+	sw := experiment.Sweep{Name: "sweep", Base: experiment.Point{Scheme: core.SchemeJoint, P: 0.1, Network: 1000, K: 3, L: 2, Live: experiment.Live{Replicas: 1}}}
 	var step float64
 	if preset != nil {
 		fs = flag.NewFlagSet(preset.Name, flag.ContinueOnError)
@@ -246,7 +246,7 @@ func runSweep(args []string, preset *experiment.Preset, stdout, stderr io.Writer
 // experiment point next to its Monte Carlo and analytic references.
 func runScenario(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scenario", flag.ContinueOnError)
-	base := experiment.Point{Scheme: core.SchemeJoint, P: 0.1, Alpha: 1, Network: 200, K: 3, L: 2, Replicas: 1}
+	base := experiment.Point{Scheme: core.SchemeJoint, P: 0.1, Alpha: 1, Network: 200, K: 3, L: 2, Live: experiment.Live{Replicas: 1}}
 	experiment.BindFlags(fs, &base)
 	live := scenario.Config{Missions: 100, Shards: 1, Emerging: 2 * time.Hour, MCTrials: 2000}
 	loopStats, _ := liveFlags(fs, &live)

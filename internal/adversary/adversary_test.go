@@ -267,7 +267,7 @@ func TestHolderAndAdversaryRecoverSameKeys(t *testing.T) {
 	feed := &tee{c: NewCollector(), onions: make(map[protocol.Ref][]byte)}
 	var emerged []byte
 	host, err := protocol.NewHost(protocol.HostConfig{
-		Clock: clock, Malicious: true, Reporter: feed, Replicas: 2,
+		Malicious: true, Reporter: feed, Replicas: 2,
 		OnSecret: func(_ protocol.MissionID, secret []byte) { emerged = append([]byte(nil), secret...) },
 	}, dht.Config{
 		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock,

@@ -92,51 +92,26 @@ func (p Plan) Validate() error {
 	return nil
 }
 
-// PlannerConfig bounds the planner's search. The zero value is completed by
-// defaults that cover the paper's sweeps.
-type PlannerConfig struct {
-	// Budget is the maximum number of DHT nodes the plan may consume (the
-	// "available nodes" N of Figures 6 and 8).
-	Budget int
-	// TargetR is the resilience the sender asks for. The planner returns the
-	// cheapest shape whose min(Rr, Rd) meets the target; when no shape within
-	// Budget meets it, the planner returns the best-achievable (max-min)
-	// shape — this is what bends the curves of Figure 6(a) downward and
-	// drives the node cost of Figure 6(b) toward the budget as p grows.
-	// Default 0.999.
-	TargetR float64
-	// MaxK caps the replication factor search. Default 64: Rr decays in k,
-	// so optima stay far below this.
-	MaxK int
-	// MaxL caps the path length search. Default: the node budget.
-	MaxL int
-	// ShareMaxK and ShareMaxL cap the key share scheme's own shape search
-	// (defaults 12 and 8). Long share paths are counter-productive: every
-	// extra column both divides the share budget (n = N/l) and adds one
-	// more Shamir threshold that must hold, so the search stays small; the
-	// paper's examples use l = 3.
-	ShareMaxK int
-	ShareMaxL int
-}
-
-func (c PlannerConfig) withDefaults() PlannerConfig {
-	if c.TargetR == 0 {
-		c.TargetR = 0.999
-	}
-	if c.MaxK == 0 {
-		c.MaxK = 64
-	}
-	if c.MaxL == 0 {
-		c.MaxL = c.Budget
-	}
-	if c.ShareMaxK == 0 {
-		c.ShareMaxK = 12
-	}
-	if c.ShareMaxL == 0 {
-		c.ShareMaxL = 8
-	}
-	return c
-}
+// The planners' search bounds. Every plan of this tree is sized under them;
+// only the node budget varies, and it is an argument.
+const (
+	// targetR is the resilience the sender asks for. PlanMultipath returns the
+	// cheapest shape whose min(Rr, Rd) meets it; when no shape within the
+	// budget does, it returns the best-achievable (max-min) shape — this is
+	// what bends the curves of Figure 6(a) downward and drives the node cost
+	// of Figure 6(b) toward the budget as p grows.
+	targetR = 0.999
+	// maxK caps the multipath replication factor search: Rr decays in k, so
+	// optima stay far below it. The path length is capped by the budget.
+	maxK = 64
+	// shareMaxK and shareMaxL cap the key share scheme's own shape search.
+	// Long share paths are counter-productive: every extra column both
+	// divides the share budget (n = N/l) and adds one more Shamir threshold
+	// that must hold, so the search stays small; the paper's examples use
+	// l = 3.
+	shareMaxK = 12
+	shareMaxL = 8
+)
 
 // PlanCentral returns the trivial single-node plan.
 func PlanCentral(p float64) Plan {
@@ -161,17 +136,17 @@ func ClosedForm(scheme Scheme, p float64, k, l int) (analytic.Resilience, bool) 
 }
 
 // PlanMultipath sizes a node-disjoint or node-joint multipath scheme for
-// malicious rate p: the cheapest (k, l) whose min(Rr, Rd) reaches
-// cfg.TargetR, or the max-min shape within budget when the target is
+// malicious rate p within a budget of DHT nodes (the "available nodes" N of
+// Figures 6 and 8): the cheapest (k, l) whose min(Rr, Rd) reaches targetR,
+// or the max-min shape within budget when the target is
 // unreachable (Section III-B: "the sender can apply equations 1 and 2 to
 // calculate k and l ... for her expected attack resilience").
-func PlanMultipath(scheme Scheme, p float64, cfg PlannerConfig) (Plan, error) {
+func PlanMultipath(scheme Scheme, p float64, budget int) (Plan, error) {
 	if scheme != SchemeDisjoint && scheme != SchemeJoint {
 		return Plan{}, fmt.Errorf("core: PlanMultipath does not size %v", scheme)
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Budget < 1 {
-		return Plan{}, fmt.Errorf("core: node budget %d must be >= 1", cfg.Budget)
+	if budget < 1 {
+		return Plan{}, fmt.Errorf("core: node budget %d must be >= 1", budget)
 	}
 
 	shape := func(k, l int) Plan {
@@ -187,16 +162,12 @@ func PlanMultipath(scheme Scheme, p float64, cfg PlannerConfig) (Plan, error) {
 		bestScore = best.Predicted.Min()
 		bestCost  = 1
 	)
-	for l := 1; l <= cfg.MaxL; l++ {
-		maxK := cfg.Budget / l
-		if maxK > cfg.MaxK {
-			maxK = cfg.MaxK
-		}
-		for k := 1; k <= maxK; k++ {
+	for l := 1; l <= budget; l++ {
+		for k := 1; k <= min(budget/l, maxK); k++ {
 			cand := shape(k, l)
 			score := cand.Predicted.Min()
 			cost := k * l
-			if score >= cfg.TargetR && (hitCost == 0 || cost < hitCost) {
+			if score >= targetR && (hitCost == 0 || cost < hitCost) {
 				hit = cand
 				hitCost = cost
 			}
@@ -213,52 +184,40 @@ func PlanMultipath(scheme Scheme, p float64, cfg PlannerConfig) (Plan, error) {
 	return best, nil
 }
 
-// PlanKeyShare sizes the key share routing scheme for the given emerging
-// period and mean node lifetime (any common unit; only the ratio alpha =
-// T/lifetime matters). For every candidate shape (k paths, l columns) within
-// cfg's share-search bounds it runs Algorithm 1 to pick the per-column
-// Shamir thresholds and predict Rr/Rd, corrects the drop prediction for the
-// entry column (the main onion enters on only k holders, each of which must
-// survive one holding period — a churn term Algorithm 1's recurrence leaves
-// out), and keeps the max-min shape.
+// PlanKeyShare sizes the key share routing scheme for churn severity alpha,
+// the emerging period in mean node lifetimes (T/lifetime: only the ratio
+// matters), within a budget of DHT nodes. For every candidate shape (k paths,
+// l columns) within the share-search bounds it runs Algorithm 1 to pick the
+// per-column Shamir thresholds and predict Rr/Rd, corrects the drop
+// prediction for the entry column (the main onion enters on only k holders,
+// each of which must survive one holding period — a churn term Algorithm 1's
+// recurrence leaves out), and keeps the max-min shape.
 //
 // Unlike the multipath planner there is no cheapest-cost notion: Algorithm 1
 // line 1 always spreads the full node budget uniformly along the columns
 // (n = floor(N/l)), matching Figure 8 where the budget itself is the
 // independent variable.
-func PlanKeyShare(p float64, emergingPeriod, meanLifetime float64, cfg PlannerConfig) (Plan, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Budget < 2 {
-		return Plan{}, fmt.Errorf("core: budget %d cannot host a share topology", cfg.Budget)
+func PlanKeyShare(p, alpha float64, budget int) (Plan, error) {
+	if budget < 2 {
+		return Plan{}, fmt.Errorf("core: budget %d cannot host a share topology", budget)
 	}
-	if emergingPeriod <= 0 || meanLifetime <= 0 {
-		return Plan{}, fmt.Errorf("core: emerging period %v and lifetime %v must be positive", emergingPeriod, meanLifetime)
+	if !(alpha > 0) {
+		return Plan{}, fmt.Errorf("core: churn severity %v must be positive", alpha)
 	}
 
 	var (
 		best      Plan
 		bestScore = -1.0
 	)
-	maxL := cfg.ShareMaxL
-	if maxL > cfg.Budget/2 {
-		maxL = cfg.Budget / 2
-	}
-	for l := 2; l <= maxL; l++ {
-		n := cfg.Budget / l
-		if n < 1 {
-			break
-		}
-		maxK := cfg.ShareMaxK
-		if maxK > n {
-			maxK = n
-		}
-		for k := 1; k <= maxK; k++ {
+	for l := 2; l <= min(shareMaxL, budget/2); l++ {
+		n := budget / l
+		for k := 1; k <= min(shareMaxK, n); k++ {
 			ks, err := analytic.PlanKeyShare(analytic.KeyShareInput{
 				K:      k,
 				L:      l,
-				N:      cfg.Budget,
-				T:      emergingPeriod,
-				Lambda: meanLifetime,
+				N:      budget,
+				T:      alpha,
+				Lambda: 1,
 				P:      p,
 			})
 			if err != nil {
@@ -292,7 +251,7 @@ func PlanKeyShare(p float64, emergingPeriod, meanLifetime float64, cfg PlannerCo
 		}
 	}
 	if bestScore < 0 {
-		return Plan{}, fmt.Errorf("core: no feasible share topology within budget %d", cfg.Budget)
+		return Plan{}, fmt.Errorf("core: no feasible share topology within budget %d", budget)
 	}
 	if err := best.Validate(); err != nil {
 		return Plan{}, err

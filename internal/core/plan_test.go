@@ -49,8 +49,7 @@ func TestPlanCentral(t *testing.T) {
 }
 
 func TestPlanMultipathMeetsTargetCheaply(t *testing.T) {
-	cfg := PlannerConfig{Budget: 10000}
-	plan, err := PlanMultipath(SchemeJoint, 0.2, cfg)
+	plan, err := PlanMultipath(SchemeJoint, 0.2, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestPlanMultipathFallsBackToMaxMin(t *testing.T) {
 	// At p=0.45 no shape within 10000 nodes reaches 0.999; the planner must
 	// return the best achievable, which the paper shows is still > 0.8 for
 	// the joint scheme.
-	plan, err := PlanMultipath(SchemeJoint, 0.45, PlannerConfig{Budget: 10000})
+	plan, err := PlanMultipath(SchemeJoint, 0.45, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,7 @@ func TestPlanMultipathFallsBackToMaxMin(t *testing.T) {
 func TestPlanMultipathDisjointDegradesToBaseline(t *testing.T) {
 	// Figure 6(a): past p ~ 0.3 the disjoint optimum collapses to (or very
 	// near) the centralized baseline.
-	plan, err := PlanMultipath(SchemeDisjoint, 0.45, PlannerConfig{Budget: 10000})
+	plan, err := PlanMultipath(SchemeDisjoint, 0.45, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +99,11 @@ func TestPlanMultipathDisjointDegradesToBaseline(t *testing.T) {
 
 func TestPlanMultipathJointBeatsDisjoint(t *testing.T) {
 	for _, p := range []float64{0.1, 0.2, 0.3, 0.4} {
-		dj, err := PlanMultipath(SchemeDisjoint, p, PlannerConfig{Budget: 10000})
+		dj, err := PlanMultipath(SchemeDisjoint, p, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jt, err := PlanMultipath(SchemeJoint, p, PlannerConfig{Budget: 10000})
+		jt, err := PlanMultipath(SchemeJoint, p, 10000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +116,7 @@ func TestPlanMultipathJointBeatsDisjoint(t *testing.T) {
 func TestPlanMultipathRespectsBudget(t *testing.T) {
 	for _, budget := range []int{1, 10, 100, 10000} {
 		for _, p := range []float64{0.1, 0.3, 0.5} {
-			plan, err := PlanMultipath(SchemeJoint, p, PlannerConfig{Budget: budget})
+			plan, err := PlanMultipath(SchemeJoint, p, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -129,19 +128,19 @@ func TestPlanMultipathRespectsBudget(t *testing.T) {
 }
 
 func TestPlanMultipathRejectsWrongScheme(t *testing.T) {
-	if _, err := PlanMultipath(SchemeCentral, 0.2, PlannerConfig{Budget: 10}); err == nil {
+	if _, err := PlanMultipath(SchemeCentral, 0.2, 10); err == nil {
 		t.Error("expected error for central scheme")
 	}
-	if _, err := PlanMultipath(SchemeKeyShare, 0.2, PlannerConfig{Budget: 10}); err == nil {
+	if _, err := PlanMultipath(SchemeKeyShare, 0.2, 10); err == nil {
 		t.Error("expected error for share scheme")
 	}
-	if _, err := PlanMultipath(SchemeJoint, 0.2, PlannerConfig{Budget: 0}); err == nil {
+	if _, err := PlanMultipath(SchemeJoint, 0.2, 0); err == nil {
 		t.Error("expected error for zero budget")
 	}
 }
 
 func TestPlanKeyShareStructure(t *testing.T) {
-	plan, err := PlanKeyShare(0.2, 3, 1, PlannerConfig{Budget: 10000})
+	plan, err := PlanKeyShare(0.2, 3, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +163,7 @@ func TestPlanKeyShareStructure(t *testing.T) {
 
 func TestPlanKeyShareSmallBudget(t *testing.T) {
 	// Figure 8 runs the share scheme down to 100 available nodes.
-	plan, err := PlanKeyShare(0.1, 3, 1, PlannerConfig{Budget: 100})
+	plan, err := PlanKeyShare(0.1, 3, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +178,7 @@ func TestPlanKeyShareSmallBudget(t *testing.T) {
 func TestPlanKeyShareChurnResilient(t *testing.T) {
 	// The paper's headline: at T = 5 lifetimes and p < 0.3 the share scheme
 	// retains high predicted resilience.
-	plan, err := PlanKeyShare(0.2, 5, 1, PlannerConfig{Budget: 10000})
+	plan, err := PlanKeyShare(0.2, 5, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}

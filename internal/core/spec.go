@@ -61,20 +61,19 @@ func (s PlanSpec) explicit() (Plan, error) {
 	return plan, nil
 }
 
-// sized runs the scheme's planner. The key share planner takes the emerging
-// period in lifetime units (T = alpha, lifetime = 1): only the ratio matters.
+// sized runs the scheme's planner.
 func (s PlanSpec) sized() (Plan, error) {
 	switch s.Scheme {
 	case SchemeCentral:
 		return PlanCentral(s.P), nil
 	case SchemeDisjoint, SchemeJoint:
-		return PlanMultipath(s.Scheme, s.P, PlannerConfig{Budget: s.Budget})
+		return PlanMultipath(s.Scheme, s.P, s.Budget)
 	case SchemeKeyShare:
 		alpha := s.Alpha
 		if alpha <= 0 {
 			alpha = 1
 		}
-		return PlanKeyShare(s.P, alpha, 1, PlannerConfig{Budget: s.Budget})
+		return PlanKeyShare(s.P, alpha, s.Budget)
 	default:
 		return Plan{}, fmt.Errorf("core: unknown scheme %v", s.Scheme)
 	}

@@ -562,7 +562,7 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 		switch {
 		case err == nil:
 			r.answered = true
-		case ls.node.cfg.Retry.enabled() && !r.requeried:
+		case ls.node.Retrying() && !r.requeried:
 			// Re-query before giving up the slot: a retry-hardened lookup
 			// gives a timed-out contact one more full RPC (with its own
 			// retries) before excluding it from the owner set — correlated

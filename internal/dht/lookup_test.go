@@ -218,7 +218,7 @@ func TestLookupFailoverPromotesReserve(t *testing.T) {
 			rng := stats.NewRNG(11)
 			rig := newResponseRig(t, rng)
 			if retry {
-				rig.node.cfg.Retry = RetryPolicy{Attempts: 2}
+				rig.node.cfg.Retry = 2
 			}
 			oracle := randomContacts(rng, 3*bucketK, "peer")
 			rig.feed(rig.response(t, oracle))

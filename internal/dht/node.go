@@ -21,10 +21,25 @@ type Config struct {
 	Endpoint transport.Endpoint
 	// Clock drives RPC timeouts and retry backoff. Required (sim or real).
 	Clock sim.Clock
-	// Retry configures re-sending of timed-out requests. The zero value is
-	// single-shot (the historical behavior, byte-identical event
-	// sequences); see RetryPolicy.
-	Retry RetryPolicy
+	// Retry is the total number of sends per request. 0 or 1 is single-shot,
+	// the historical behavior with no retry machinery at all: one send, one
+	// rpcTimeout, one ErrTimeout. Above 1 a timed-out request holds its
+	// pending slot through a deterministic exponential backoff gap and is
+	// re-sent verbatim (same RPCID), up to Retry sends total; the callback
+	// sees ErrTimeout only after the last attempt times out. Responses to any
+	// attempt settle the RPC — a late answer to the first send arriving
+	// during a backoff gap still counts.
+	//
+	// Once the node has measured a round trip, the first attempt also
+	// re-sends early: its first deadline is the node's retransmission timeout
+	// (srtt + max(4·rttvar, 1 ms), clamped to [50 ms, rpcTimeout], RFC 6298),
+	// at which it re-sends under the same RPCID and waits a full rpcTimeout
+	// more before the schedule above takes over. That re-send counts in
+	// Retries, and an RPC it settles counts in Recovered. Only a response to a
+	// first send that was never re-sent, before any gap, measures a round trip
+	// (Karn's rule). A node with no measurement yet, single-shot requests and
+	// ping-evict probes run without the early re-send.
+	Retry int
 	// Table selects the full-bucket admission policy. TableDefault resolves
 	// to TablePingEvict: the library is eclipse-resistant unless a caller
 	// explicitly opts into the naive policy (the adversary experiments do,
@@ -83,7 +98,7 @@ func (c Config) withDefaults() Config {
 
 // ErrTimeout is passed to RPC callbacks when the peer does not answer
 // within rpcTimeout (of its last attempt, under a retry policy). A retry
-// policy's early re-send of a first request (see RetryPolicy) only adds to
+// policy's early re-send of a first request (see Config.Retry) only adds to
 // the time before it: a request nobody answers fails no earlier than it would
 // without one.
 var ErrTimeout = errors.New("dht: rpc timeout")
@@ -110,7 +125,7 @@ type Node struct {
 	// which is why they are apart; rttSampled is false until the first sample.
 	srtt uint32
 
-	// retryRng draws the backoff jitter; seeded only if cfg.Retry is enabled.
+	// retryRng draws the backoff jitter; seeded only if the node is Retrying.
 	retryRng stats.RNG
 
 	// pending is the requests in flight in issue order, which is RPCID
@@ -203,7 +218,7 @@ func rpcTimedOut(v any) {
 		_ = n.send(p.addr, p.wire)
 		return
 	}
-	if len(p.wire) > 0 && p.attempt < n.cfg.Retry.Attempts {
+	if len(p.wire) > 0 && p.attempt < n.cfg.Retry {
 		if !p.waiting {
 			// Attempt timed out with retries left: hold the pending slot
 			// through a deterministic jittered backoff, so a straggling
@@ -268,7 +283,7 @@ func (n *Node) Init(cfg Config) error {
 	n.pending = n.inline[:0]
 	n.table.wipe(cfg.ID, bucketK, staleAfter, cfg.Clock)
 	n.table.book = &cfg.Scratch.addrBook
-	if cfg.Retry.enabled() {
+	if n.Retrying() {
 		n.retryRng = stats.Seeded(retrySeed(cfg.ID))
 	}
 	n.table.SetPolicy(cfg.Table)
@@ -294,6 +309,9 @@ func (n *Node) Init(cfg Config) error {
 
 // ID returns the node identifier.
 func (n *Node) ID() ID { return n.cfg.ID }
+
+// Clock returns the clock that runs the node's loop (Config.Clock).
+func (n *Node) Clock() sim.Clock { return n.cfg.Clock }
 
 // Incarnation is the number Init stamped on the node, distinct for every
 // node built on one Scratch and larger than that of the node it was built
@@ -488,11 +506,11 @@ func callFunc(cb any, m *Message, err error) { cb.(func(*Message, error))(m, err
 // with the response or ErrTimeout. With a package-level fn and a recycled
 // record as arg, issuing the RPC allocates nothing.
 func (n *Node) requestArg(to Contact, m Message, fn func(any, *Message, error), arg any) {
-	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg}, n.cfg.Retry.enabled())
+	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg}, n.Retrying())
 }
 
 // startRequest is the one send path of a request: retry opts it into the
-// node's RetryPolicy.
+// node's retry schedule (Config.Retry).
 func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 	if n.closed {
 		p := n.cfg.Scratch.rpcs.Get()
@@ -523,7 +541,7 @@ func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 }
 
 // probe is the ping-evict policy's liveness check. It never retries,
-// whatever the node's RetryPolicy: the replacement-cache policy wants one
+// whatever the node's Config.Retry: the replacement-cache policy wants one
 // prompt liveness verdict per admission decision, and a retry-stretched probe
 // would starve the cache of decisions exactly when the network degrades.
 func (n *Node) probe(to Contact, cb func(error)) {
@@ -627,7 +645,7 @@ func (n *Node) SendApp(to Contact, payload []byte) error {
 	if n.closed {
 		return ErrClosed
 	}
-	if n.cfg.Retry.enabled() {
+	if n.Retrying() {
 		n.requestArg(to, Message{Kind: KindApp, App: payload}, appAckDone, nil)
 		return nil
 	}

@@ -23,7 +23,7 @@ type ownerCluster struct {
 	got map[ID][]string
 }
 
-func newOwnerCluster(t *testing.T, n int, retry RetryPolicy) *ownerCluster {
+func newOwnerCluster(t *testing.T, n int, retry int) *ownerCluster {
 	t.Helper()
 	oc := &ownerCluster{
 		cluster: &cluster{sim: sim.NewSimulator(), rng: stats.NewRNG(4321)},
@@ -120,7 +120,7 @@ func TestOwnerWalkCoalesces(t *testing.T) {
 	const riders = 5
 	key := IDFromKey([]byte("coalesced-slot"))
 	run := func(n int) (*ownerCluster, int) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		sent := oc.sentBy(func() {
 			for i := 0; i < n; i++ {
 				sendToOwners(oc.nodes[ownersTestSender], key, fmt.Sprintf("p%d", i), 1)
@@ -159,7 +159,7 @@ func TestOwnerWalkCoalesces(t *testing.T) {
 // the two wider sends still share one.
 func TestOwnerWalkRidersKeepOwnReplicas(t *testing.T) {
 	for _, selfOwned := range []bool{false, true} {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		sender := oc.nodes[ownersTestSender]
 		key := IDFromKey([]byte("replica-prefixes"))
 		if selfOwned {
@@ -186,7 +186,7 @@ func TestOwnerWalkRidersKeepOwnReplicas(t *testing.T) {
 			// Three of the six deliveries are local, and one walk is the only
 			// other traffic: a two-replica send costs that walk and one
 			// remote delivery, so the three sends cost exactly two more.
-			one := newOwnerCluster(t, 40, RetryPolicy{})
+			one := newOwnerCluster(t, 40, 0)
 			pair := one.sentBy(func() { sendToOwners(one.nodes[ownersTestSender], key, "x", 2) })
 			if sent != pair+2 {
 				t.Errorf("self-owned: %d datagrams, want walk (%d) + 3 remote deliveries", sent, pair-1)
@@ -212,7 +212,7 @@ func TestOwnSendTakesNoWalk(t *testing.T) {
 		return key
 	}
 	t.Run("owned", func(t *testing.T) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		sender := oc.nodes[ownersTestSender]
 		key := own(t, sender)
 		at := oc.sim.Now().Add(time.Second)
@@ -238,7 +238,7 @@ func TestOwnSendTakesNoWalk(t *testing.T) {
 		released(t, sender)
 	})
 	t.Run("one contact nearer", func(t *testing.T) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		// The key that differs from self at one bucket's bit alone has that
 		// bucket, and only it, on its near side: pick a sender with a bucket
 		// of one.
@@ -266,7 +266,7 @@ func TestOwnSendTakesNoWalk(t *testing.T) {
 		released(t, sender)
 	})
 	t.Run("two replicas", func(t *testing.T) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		sender := oc.nodes[ownersTestSender]
 		key := own(t, sender)
 		sent := oc.sentBy(func() {
@@ -283,7 +283,7 @@ func TestOwnSendTakesNoWalk(t *testing.T) {
 		released(t, sender)
 	})
 	t.Run("closed", func(t *testing.T) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		sender := oc.nodes[ownersTestSender]
 		key := own(t, sender)
 		if err := sender.Close(); err != nil {
@@ -302,7 +302,7 @@ func TestOwnSendTakesNoWalk(t *testing.T) {
 // while it was in flight. One issued once it has finished resolves the key
 // again, with a walk of its own.
 func TestOwnerWalkFreshAfterFinish(t *testing.T) {
-	oc := newOwnerCluster(t, 40, RetryPolicy{})
+	oc := newOwnerCluster(t, 40, 0)
 	sender := oc.nodes[ownersTestSender]
 	key := IDFromKey([]byte("fresh-walk"))
 	owner := oc.byDistance(key)[0]
@@ -325,7 +325,7 @@ func TestOwnerWalkFreshAfterFinish(t *testing.T) {
 // TestOwnerWalkNeverMergesAcrossKeysOrNodes: the index is per node and per
 // key.
 func TestOwnerWalkNeverMergesAcrossKeysOrNodes(t *testing.T) {
-	oc := newOwnerCluster(t, 40, RetryPolicy{})
+	oc := newOwnerCluster(t, 40, 0)
 	k1, k2 := IDFromKey([]byte("slot-one")), IDFromKey([]byte("slot-two"))
 	a, b := oc.nodes[ownersTestSender], oc.nodes[23]
 	sendToOwners(a, k1, "a1", 1)
@@ -353,7 +353,7 @@ func TestOwnerWalkNeverMergesAcrossKeysOrNodes(t *testing.T) {
 // self-owned key takes no walk.
 func TestOwnerWalkNotJoinedByLookups(t *testing.T) {
 	build := func() (*ownerCluster, *Node, ID) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		sender := oc.nodes[ownersTestSender]
 		return oc, sender, sender.ID() // self-owned: the walk inserts self, a Lookup must not
 	}
@@ -394,7 +394,7 @@ func TestOwnerWalkRidersAckedSeparately(t *testing.T) {
 	const riders = 4
 	key := IDFromKey([]byte("acked-riders"))
 	run := func(n int) (*ownerCluster, int) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{Attempts: 3})
+		oc := newOwnerCluster(t, 40, 3)
 		return oc, oc.sentBy(func() {
 			for i := 0; i < n; i++ {
 				sendToOwners(oc.nodes[ownersTestSender], key, "same bytes", 1)
@@ -460,7 +460,7 @@ func TestOwnerWalkFailureReachesEveryRider(t *testing.T) {
 		}
 	})
 	t.Run("closed mid-walk", func(t *testing.T) {
-		oc := newOwnerCluster(t, 40, RetryPolicy{})
+		oc := newOwnerCluster(t, 40, 0)
 		sender := oc.nodes[ownersTestSender]
 		for i := 0; i < riders; i++ {
 			sendToOwners(sender, key, "x", 1)

@@ -15,7 +15,7 @@ import (
 // It returns the cluster, the sender and the instant.
 func parkCluster(t *testing.T, payload string) (*ownerCluster, *Node, time.Time) {
 	t.Helper()
-	oc := newOwnerCluster(t, 10, RetryPolicy{})
+	oc := newOwnerCluster(t, 10, 0)
 	sender := oc.nodes[3]
 	at := oc.sim.Now().Add(time.Second)
 	buf := sender.Bufs().Get()
@@ -60,7 +60,7 @@ var stallKey = IDFromKey([]byte("stalled"))
 // the key.
 func stallCluster(t *testing.T, payload string, wrap func(*sim.Simulator, transport.Endpoint) transport.Endpoint) (*ownerCluster, *Node, time.Time, []ID) {
 	t.Helper()
-	oc := newOwnerCluster(t, 10, RetryPolicy{})
+	oc := newOwnerCluster(t, 10, 0)
 	sender, order := oc.nodes[3], oc.byDistance(stallKey)
 	if order[0] == sender.ID() {
 		t.Fatal("the stalled key is owned by the sender; pick another")

@@ -14,7 +14,7 @@ import (
 // pendingRig is a node with requests out to a peer that never answers: no
 // endpoint sits at the peer's address, so the test forges every response and
 // hands it to the node's Receive itself.
-func pendingRig(t *testing.T, retry RetryPolicy) (*sim.Simulator, *Node, Contact) {
+func pendingRig(t *testing.T, retry int) (*sim.Simulator, *Node, Contact) {
 	t.Helper()
 	s := sim.NewSimulator()
 	net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 7})
@@ -79,7 +79,7 @@ func TestPendingSettlesOutOfOrder(t *testing.T) {
 	}
 	for _, name := range []string{"reverse", "shuffled"} {
 		t.Run(name, func(t *testing.T) {
-			_, a, peer := pendingRig(t, RetryPolicy{})
+			_, a, peer := pendingRig(t, 0)
 			var done []settled
 			ids := pingAll(a, peer, n, &done)
 			if !slices.Equal(pendingIDs(a), ids) {
@@ -105,7 +105,7 @@ func TestPendingSettlesOutOfOrder(t *testing.T) {
 // sender is observed unverified — the table does not re-point the peer to the
 // address it came from — where a matched response is a verified observation.
 func TestPendingUnmatchedReplies(t *testing.T) {
-	_, a, peer := pendingRig(t, RetryPolicy{})
+	_, a, peer := pendingRig(t, 0)
 	var done []settled
 	ids := pingAll(a, peer, 3, &done)
 	addrOf := func() string { return string(a.table.Closest(peer.ID, 1)[0].Addr) }
@@ -155,7 +155,7 @@ func TestPendingUnmatchedReplies(t *testing.T) {
 // its RPCID and its place in issue order, so a request issued after it still
 // sorts behind it and both settle by their own replies.
 func TestPendingRetryKeepsPlace(t *testing.T) {
-	s, a, peer := pendingRig(t, RetryPolicy{Attempts: 3})
+	s, a, peer := pendingRig(t, 3)
 	var done []settled
 	first := pingAll(a, peer, 1, &done)[0]
 	s.RunFor(rpcTimeout + retryBackoff + time.Millisecond) // timed out, backed off, re-sent
@@ -180,7 +180,7 @@ func TestPendingRetryKeepsPlace(t *testing.T) {
 // more requests than a node holds inline, with gaps where some settled —
 // with ErrClosed, one event each, in the order they were issued.
 func TestCloseFailsPendingInIssueOrder(t *testing.T) {
-	s, a, peer := pendingRig(t, RetryPolicy{})
+	s, a, peer := pendingRig(t, 0)
 	var done []settled
 	ids := pingAll(a, peer, 3*inlineSlots, &done)
 	var open []uint64

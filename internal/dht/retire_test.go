@@ -368,8 +368,8 @@ func TestInitPanicsOnBuiltNode(t *testing.T) {
 // back. A churn join rebuilds a dead host in place on this contract
 // (DESIGN.md, "Death → join").
 func TestClosedNodeDrainsInItsInstant(t *testing.T) {
-	for _, retry := range []RetryPolicy{{}, {Attempts: 3}} {
-		t.Run(fmt.Sprintf("retry=%d", retry.Attempts), func(t *testing.T) {
+	for _, retry := range []int{0, 3} {
+		t.Run(fmt.Sprintf("retry=%d", retry), func(t *testing.T) {
 			s := sim.NewSimulator()
 			net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 3})
 			var self ID
@@ -398,7 +398,7 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 			}
 			pending, taken := s.Pending(), out()
 
-			if retry.enabled() {
+			if victim.Retrying() {
 				// Timed out once, so waiting out its backoff gap (at least
 				// 150 ms) when the node closes 100 ms from now.
 				if err := victim.SendApp(mkBucket0(100), []byte("acked")); err != nil {
@@ -419,7 +419,7 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 				// Three queries each for the lookup and the two walks, the
 				// probe and the acked send.
 				want := 11
-				if !retry.enabled() {
+				if !victim.Retrying() {
 					want = 10
 				} else if !victim.pending[0].waiting {
 					t.Error("the acked app send is not in its backoff gap")

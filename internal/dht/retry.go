@@ -7,30 +7,6 @@ import (
 	"selfemerge/internal/stats"
 )
 
-// RetryPolicy configures re-sending of timed-out requests. The zero value
-// is single-shot — the historical behavior: one send, one rpcTimeout, one
-// ErrTimeout. With Attempts > 1 a timed-out request holds its pending slot
-// through a deterministic exponential backoff gap and is re-sent verbatim
-// (same RPCID), up to Attempts sends total; the callback sees ErrTimeout
-// only after the last attempt times out. Responses to any attempt settle
-// the RPC — a late answer to the first send arriving during a backoff gap
-// still counts.
-//
-// Once the node has measured a round trip, the first attempt also re-sends
-// early: its first deadline is the node's retransmission timeout (srtt +
-// max(4·rttvar, 1 ms), clamped to [50 ms, rpcTimeout], RFC 6298), at which it
-// re-sends under the same RPCID and waits a full rpcTimeout more before the
-// schedule above takes over. That re-send counts in Retries, and an RPC it
-// settles counts in Recovered. Only a response to a first send that was never
-// re-sent, before any gap, measures a round trip (Karn's rule). A node with no
-// measurement yet, single-shot requests and ping-evict probes run without the
-// early re-send.
-type RetryPolicy struct {
-	// Attempts is the total number of sends per request (0 or 1:
-	// single-shot, no retry machinery at all).
-	Attempts int
-}
-
 const (
 	// retryBackoff is the base gap between a timeout and the re-send; it
 	// doubles per attempt.
@@ -39,8 +15,9 @@ const (
 	retryMaxBackoff = 3 * time.Second
 )
 
-// enabled reports whether the policy re-sends at all.
-func (p RetryPolicy) enabled() bool { return p.Attempts > 1 }
+// Retrying reports whether the node re-sends timed-out requests
+// (Config.Retry above 1).
+func (n *Node) Retrying() bool { return n.cfg.Retry > 1 }
 
 // backoff returns the jittered gap before re-send number attempt+1, where
 // attempt counts sends already made (>= 1). The gap is exponential with a

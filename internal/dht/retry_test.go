@@ -56,7 +56,8 @@ func retryPair(t *testing.T, cfg Config, inj simnet.Injector, onApp AppHandler) 
 func latencyPair(t *testing.T, latency time.Duration, cfg Config, inj simnet.Injector, onApp AppHandler) (*sim.Simulator, *Node, *Node) {
 	t.Helper()
 	s := sim.NewSimulator()
-	net := simnet.New(s, simnet.Config{BaseLatency: latency, Seed: 3, Inject: inj})
+	net := simnet.New(s, simnet.Config{BaseLatency: latency, Seed: 3})
+	net.SetInjector(inj)
 	rng := stats.NewRNG(42)
 	cfg.ID = RandomID(rng)
 	cfg.Endpoint = net.Endpoint("a")
@@ -87,8 +88,8 @@ func (d *dropFirst) Judge(time.Time, transport.Addr, transport.Addr) simnet.Verd
 // single-shot ping fails while a retrying ping succeeds — and the counters
 // record one re-send and one recovered RPC.
 func TestRetryRecoversLostRPC(t *testing.T) {
-	run := func(policy RetryPolicy) (error, Resilience) {
-		s, a, b := retryPair(t, Config{Retry: policy}, &dropFirst{n: 1}, nil)
+	run := func(retry int) (error, Resilience) {
+		s, a, b := retryPair(t, Config{Retry: retry}, &dropFirst{n: 1}, nil)
 		var got error
 		sawCb := false
 		a.Ping(b.Contact(), func(err error) { got, sawCb = err, true })
@@ -98,10 +99,10 @@ func TestRetryRecoversLostRPC(t *testing.T) {
 		}
 		return got, a.Resilience()
 	}
-	if err, _ := run(RetryPolicy{}); err != ErrTimeout {
+	if err, _ := run(0); err != ErrTimeout {
 		t.Fatalf("single-shot ping over a dropped datagram: err = %v, want ErrTimeout", err)
 	}
-	err, res := run(RetryPolicy{Attempts: 3})
+	err, res := run(3)
 	if err != nil {
 		t.Fatalf("retrying ping failed: %v", err)
 	}
@@ -111,9 +112,9 @@ func TestRetryRecoversLostRPC(t *testing.T) {
 }
 
 // TestRetryExhaustsToTimeout: a peer that never answers still yields
-// ErrTimeout, after exactly Attempts sends.
+// ErrTimeout, after exactly Retry sends.
 func TestRetryExhaustsToTimeout(t *testing.T) {
-	s, a, b := retryPair(t, Config{Retry: RetryPolicy{Attempts: 3}}, &dropFirst{n: 1 << 30}, nil)
+	s, a, b := retryPair(t, Config{Retry: 3}, &dropFirst{n: 1 << 30}, nil)
 	var got error
 	sawCb := false
 	a.Ping(b.Contact(), func(err error) { got, sawCb = err, true })
@@ -140,7 +141,7 @@ func TestAckedAppDedup(t *testing.T) {
 	delivered := 0
 	var s *sim.Simulator
 	var a, b *Node
-	s, a, b = retryPair(t, Config{Retry: RetryPolicy{Attempts: 3}}, dupAll{}, appFunc(func(from Contact, payload []byte) {
+	s, a, b = retryPair(t, Config{Retry: 3}, dupAll{}, appFunc(func(from Contact, payload []byte) {
 		delivered++
 		if string(payload) != "hello" {
 			t.Errorf("payload = %q", payload)
@@ -303,7 +304,7 @@ func TestFireAndForgetAppUnchanged(t *testing.T) {
 // TestProbeTimeoutIndependent: liveness probes are single-shot — a verdict
 // after exactly one rpcTimeout — even when the node retries its regular RPCs.
 func TestProbeTimeoutIndependent(t *testing.T) {
-	s, a, b := retryPair(t, Config{Retry: RetryPolicy{Attempts: 4}}, &dropFirst{n: 1 << 30}, nil)
+	s, a, b := retryPair(t, Config{Retry: 4}, &dropFirst{n: 1 << 30}, nil)
 	_ = b
 	start := s.Now()
 	var elapsed time.Duration
@@ -337,7 +338,7 @@ func TestLookupRequeriesTimedOutContact(t *testing.T) {
 	// (3rd drop), its retry passes — so the contact only survives if the
 	// requery path ran AND the node-level retry backed it up.
 	inj := &dropFirst{n: 3}
-	s, a, b := retryPair(t, Config{Retry: RetryPolicy{Attempts: 2}}, inj, nil)
+	s, a, b := retryPair(t, Config{Retry: 2}, inj, nil)
 	a.table.Observe(b.Contact())
 	var got []Contact
 	a.Lookup(b.ID(), func(cs []Contact) {

@@ -43,7 +43,7 @@ func warm(t *testing.T, s *sim.Simulator, a, b *Node, n int) {
 func TestEarlyResendAtRTO(t *testing.T) {
 	const rtt = 10 * time.Millisecond
 	inj := &dropFirst{}
-	s, a, b := retryPair(t, Config{Retry: RetryPolicy{Attempts: 3}}, inj, nil)
+	s, a, b := retryPair(t, Config{Retry: 3}, inj, nil)
 	warm(t, s, a, b, 4)
 	rto := a.rto()
 	if rto != rtoMin {
@@ -67,7 +67,7 @@ func TestEarlyResendAtRTO(t *testing.T) {
 // to a request of the node's.
 func TestKarnRule(t *testing.T) {
 	inj := &dropFirst{}
-	s, a, b := retryPair(t, Config{Retry: RetryPolicy{Attempts: 3}}, inj, nil)
+	s, a, b := retryPair(t, Config{Retry: 3}, inj, nil)
 	warm(t, s, a, b, 4)
 	srtt, rttvar := a.srtt, a.rttvar
 	inj.n = 1
@@ -113,7 +113,7 @@ func TestRTOClamped(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := &dropFirst{}
-			s, a, b := latencyPair(t, tc.latency, Config{Retry: RetryPolicy{Attempts: 3}}, inj, nil)
+			s, a, b := latencyPair(t, tc.latency, Config{Retry: 3}, inj, nil)
 			warm(t, s, a, b, 16)
 			if got := a.rto(); got != tc.want {
 				t.Fatalf("rto after 16 round trips of %v = %v, want %v", 2*tc.latency, got, tc.want)
@@ -137,7 +137,7 @@ func TestRTOClamped(t *testing.T) {
 // ErrTimeout, and a warmed node reaches it no earlier than a fresh one: the
 // early re-send adds its rto in front of the same give-up schedule.
 func TestEarlyResendNeverFailsSooner(t *testing.T) {
-	policy := Config{Retry: RetryPolicy{Attempts: 3}}
+	policy := Config{Retry: 3}
 	s, a, b := retryPair(t, policy, &dropFirst{n: 1 << 30}, nil)
 	err, fresh := pingTimed(t, s, a, b)
 	if err != ErrTimeout {

@@ -40,7 +40,7 @@ func (l *lossInjector) Judge(time.Time, transport.Addr, transport.Addr) simnet.V
 // a node death and its same-ID same-address replacement, and returns the
 // full datagram trace plus every lookup result and app delivery. scratch is
 // handed to every node; nil gives each its own.
-func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
+func scratchRun(t *testing.T, scratch *Scratch, retry int) string {
 	t.Helper()
 	const n = 24
 	s := sim.NewSimulator()
@@ -48,8 +48,8 @@ func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 		BaseLatency: 5 * time.Millisecond,
 		Jitter:      3 * time.Millisecond,
 		Seed:        17,
-		Inject:      &lossInjector{rng: stats.NewRNG(17), rate: 0.05},
 	})
+	net.SetInjector(&lossInjector{rng: stats.NewRNG(17), rate: 0.05})
 	rng := stats.NewRNG(5150)
 	var log strings.Builder
 	spawn := func(i int, id ID) *Node {
@@ -108,7 +108,7 @@ func scratchRun(t *testing.T, scratch *Scratch, retry RetryPolicy) string {
 // same datagrams, at the same instants, and the same lookup results and app
 // deliveries whether every node shares one Scratch or owns a private one.
 func TestSharedScratchIsUnobservable(t *testing.T) {
-	for _, retry := range []RetryPolicy{{}, {Attempts: 3}} {
+	for _, retry := range []int{0, 3} {
 		private := scratchRun(t, nil, retry)
 		shared := scratchRun(t, NewScratch(24), retry)
 		if private != shared {
@@ -118,11 +118,11 @@ func TestSharedScratchIsUnobservable(t *testing.T) {
 				i++
 			}
 			t.Fatalf("retry=%d: traces diverge at line %d (private has %d, shared %d); last common line: %.160s",
-				retry.Attempts, i, len(a), len(b), strings.Join(a[max(i-1, 0):i], ""))
+				retry, i, len(a), len(b), strings.Join(a[max(i-1, 0):i], ""))
 		}
 		results, rejoined, delivered := strings.Count(private, "result "), strings.Contains(private, "rejoined"), strings.Contains(private, "app ")
 		if results != 24 || !rejoined || !delivered {
-			t.Fatalf("retry=%d: run did not complete: %d lookup results, rejoined %v, owner send delivered %v", retry.Attempts, results, rejoined, delivered)
+			t.Fatalf("retry=%d: run did not complete: %d lookup results, rejoined %v, owner send delivered %v", retry, results, rejoined, delivered)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 			strconv.Itoa(res.Plan.ShareN), strconv.Itoa(pt.Replicas),
 			strconv.Itoa(pt.Network), strconv.Itoa(pt.Budget), fnum(pt.P), fnum(pt.Alpha),
 			pt.Strategy.String(), fnum(pt.Forge), pt.Table.String(), strconv.Itoa(pt.Partition),
-			pt.Fault.String(), fnum(pt.FaultSev), strconv.Itoa(pt.Retry), unum(pt.Seed),
+			pt.Fault.String(), fnum(pt.FaultSeverity), strconv.Itoa(pt.Retry), unum(pt.Seed),
 			strconv.Itoa(res.Samples), strconv.Itoa(res.Released),
 			strconv.Itoa(res.Delivered), strconv.Itoa(res.Succeeded),
 			fnum(res.Rr), fnum(res.Rd), fnum(res.R), fnum(res.MinR()),
@@ -163,7 +163,7 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 			ShareN: res.Plan.ShareN, ShareM: res.Plan.ShareM, Replicas: pt.Replicas,
 			Network: pt.Network, Budget: pt.Budget, P: pt.P, Alpha: pt.Alpha,
 			Attack: pt.Strategy.String(), Forge: pt.Forge, Table: pt.Table.String(), Partition: pt.Partition,
-			Fault: pt.Fault.String(), FaultSev: pt.FaultSev, Retry: pt.Retry, Seed: pt.Seed,
+			Fault: pt.Fault.String(), FaultSev: pt.FaultSeverity, Retry: pt.Retry, Seed: pt.Seed,
 			Samples: res.Samples, Released: res.Released,
 			Delivered: res.Delivered, Succeeded: res.Succeeded,
 			Rr: res.Rr, Rd: res.Rd, R: res.R, MinR: res.MinR(), Cost: res.Cost,

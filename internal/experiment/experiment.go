@@ -50,34 +50,8 @@ type Point struct {
 	K, L   int
 	ShareN int
 	ShareM []int
-	// Replicas is the per-packet replica count for live estimation (0 => the
-	// estimator's default).
-	Replicas int
-	// Strategy selects the adversary strategy (spy, drop, eclipse). Live
-	// estimation only; the abstract models measure spy and drop outcomes of
-	// one trial at once.
-	Strategy adversary.Strategy
-	// Forge is the eclipse forgery rate (forged contacts per attacker per
-	// minute); nonzero requires StrategyEclipse. Live estimation only.
-	Forge float64
-	// Table pins the DHT routing-table policy for live estimation (naive
-	// stale-eviction vs ping-before-evict); TableDefault keeps the network
-	// fabric's historical naive default.
-	Table dht.TablePolicy
-	// Partition runs the live point's one population across this many
-	// parallel event loops (0 = one). Live estimation only.
-	Partition int
-	// Fault selects the deterministic fault-injection profile of the live
-	// point's simnet fabric (none, burst, partition, flap); FaultSev scales
-	// it in [0,1]. A none profile with nonzero severity — or vice versa — is
-	// a valid no-op point, so severity and profile axes can cross freely.
-	// Live estimation only; the abstract models are fault-blind.
-	Fault    fault.Profile
-	FaultSev float64
-	// Retry is the live point's total send attempts per DHT RPC (0 or 1 =
-	// the historical single-shot behaviour; above 1 enables the retry
-	// hardening). Live estimation only.
-	Retry int
+	// Live is what only the live estimator reads.
+	Live
 
 	// Seed is the point's private base seed, assigned by the sweep
 	// expansion: points sharing an X value share seeds, so series differ
@@ -89,6 +63,56 @@ type Point struct {
 	Index  int
 	X      float64
 	Series string
+}
+
+// Live is the part of a point only the live estimator reads — the Params rows
+// marked LiveOnly; the abstract models are blind to it. Point and
+// scenario.Config embed it, so a live point reaches its scenario in one copy.
+type Live struct {
+	// Replicas is how many closest nodes receive each protocol packet (0 =>
+	// the scenario default 1, so each holder slot maps to exactly one
+	// physical node as the Monte Carlo model assumes; the network default
+	// elsewhere is 2).
+	Replicas int
+	// Strategy selects the malicious-holder strategy: spy (default), drop,
+	// or eclipse (bucket poisoning plus drop). See adversary.Strategy. The
+	// abstract models measure spy and drop outcomes of one trial at once.
+	Strategy adversary.Strategy
+	// Forge is the eclipse flood intensity in forged contacts per attacker
+	// per minute. Requires StrategyEclipse; zero degenerates to drop.
+	Forge float64
+	// Table selects the DHT bucket admission policy of every live node. The
+	// default resolves (inside the network) to dht.TableNaive, the policy
+	// all recorded deterministic runs were captured under; attack sweeps pin
+	// dht.TablePingEvict for the defended arm of the curves.
+	Table dht.TablePolicy
+	// Partition runs the point's ONE population across this many parallel
+	// event loops — selfemerge.NetworkConfig.Partition, where each shard owns
+	// a zone of the identifier space and cross-shard traffic merges at
+	// conservative lockstep barriers. It is the scaling mode for populations
+	// a single core's event loop cannot hold (replicate-mode
+	// scenario.Config.Shards scales mission count, not population). Zero
+	// means one shard, which replays the recorded single-loop runs byte for
+	// byte; it is part of the point descriptor (S > 1 samples decorrelated
+	// per-shard churn substreams). It composes with every other knob, Shards
+	// included: each replica network then runs on Partition loops.
+	Partition int
+	// Fault selects the deterministic fault-injection profile the simnet
+	// fabric runs under: none (default), burst (Gilbert–Elliott loss with
+	// latency spikes and duplication), partition (timed bisections), or flap
+	// (crash-restart windows). See fault.Profile. Every event loop carries
+	// its own engine and judges at send time, so profiles compose with any
+	// Partition. FaultSeverity scales it in [0,1]; zero disables injection
+	// even with a profile set, so severity and profile axes can cross
+	// freely.
+	Fault         fault.Profile
+	FaultSeverity float64
+	// Retry is the total send attempts per DHT RPC (0 or 1 = single-shot,
+	// the historical behaviour). Values above 1 enable the retry/backoff
+	// hardening: per-RPC re-sends with deterministic jittered exponential
+	// backoff, acked app delivery with receiver-side dedup, lookup re-query
+	// of timed-out contacts, and doubled grant/share refresh pushes.
+	Retry int
 }
 
 // Spec returns the canonical plan-builder parameters of the point.

@@ -87,7 +87,7 @@ var Params = []Param{
 	{Name: "table", LiveOnly: true, Help: "DHT routing-table policy: naive|pingevict", access: enum(func(pt *Point) *dht.TablePolicy { return &pt.Table }, dht.ParseTablePolicy)},
 	{Name: "partition", LiveOnly: true, Help: "split the one population across this many parallel event loops (0 = one loop)", access: number(func(pt *Point) *int { return &pt.Partition })},
 	{Name: "fault", LiveOnly: true, Help: "fault-injection profile: none|burst|partition|flap, judged per event loop at send time", access: enum(func(pt *Point) *fault.Profile { return &pt.Fault }, fault.ParseProfile)},
-	{Name: "faultsev", LiveOnly: true, Help: "fault severity in [0,1]", access: number(func(pt *Point) *float64 { return &pt.FaultSev })},
+	{Name: "faultsev", LiveOnly: true, Help: "fault severity in [0,1]", access: number(func(pt *Point) *float64 { return &pt.FaultSeverity })},
 	{Name: "retry", LiveOnly: true, Help: "total send attempts per DHT RPC (>1 enables retry/backoff hardening)", access: number(func(pt *Point) *int { return &pt.Retry })},
 }
 

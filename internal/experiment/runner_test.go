@@ -113,7 +113,7 @@ func TestRunnerAbortsAfterFailure(t *testing.T) {
 // used to let through: severity without a profile, a profile without
 // severity, and retry=1.
 func TestAbstractEstimatorsRejectLiveOnlyAxes(t *testing.T) {
-	base := Point{Scheme: core.SchemeJoint, P: 0.1, Network: 100, K: 2, L: 2, Replicas: 1}
+	base := Point{Scheme: core.SchemeJoint, P: 0.1, Network: 100, K: 2, L: 2, Live: Live{Replicas: 1}}
 	turned := map[string]func(*Point){
 		"replicas":  func(pt *Point) { pt.Replicas = 2 },
 		"strategy":  func(pt *Point) { pt.Strategy = adversary.StrategyEclipse },
@@ -121,7 +121,7 @@ func TestAbstractEstimatorsRejectLiveOnlyAxes(t *testing.T) {
 		"table":     func(pt *Point) { pt.Table = dht.TablePingEvict },
 		"partition": func(pt *Point) { pt.Partition = 2 },
 		"fault":     func(pt *Point) { pt.Fault = fault.ProfileBurst },
-		"faultsev":  func(pt *Point) { pt.FaultSev = 0.3 },
+		"faultsev":  func(pt *Point) { pt.FaultSeverity = 0.3 },
 		"retry":     func(pt *Point) { pt.Retry = 1 },
 	}
 	estimators := []Estimator{Analytic{}, MonteCarlo{Trials: 10}}

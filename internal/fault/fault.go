@@ -97,7 +97,7 @@ type Config struct {
 
 // Validate rejects out-of-range configurations.
 func (c Config) Validate() error {
-	if c.Severity < 0 || c.Severity > 1 {
+	if !(c.Severity >= 0 && c.Severity <= 1) {
 		return fmt.Errorf("fault: severity %g outside [0,1]", c.Severity)
 	}
 	return nil
@@ -118,9 +118,9 @@ const (
 	partitionDuty   = 0.5
 )
 
-// Engine realizes one fault schedule. It implements simnet.Injector; wire
-// it with simnet.Config.Inject (or Partition.SetInjector, one engine per
-// shard). Judge and ManageCrashes both run on that fabric slice's loop.
+// Engine realizes one fault schedule. It implements simnet.Injector; wire it
+// with SetInjector, one engine per fabric slice. Judge and ManageCrashes both
+// run on that slice's loop.
 type Engine struct {
 	cfg Config
 	rng *stats.RNG // link-verdict substream (burst chain)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -33,6 +34,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := (Config{Severity: -0.1}).Validate(); err == nil {
 		t.Fatal("severity -0.1 accepted")
+	}
+	if err := (Config{Profile: ProfileBurst, Severity: math.NaN()}).Validate(); err == nil {
+		t.Fatal("severity NaN accepted")
 	}
 	if _, err := New(Config{Profile: ProfileBurst, Severity: 2}); err == nil {
 		t.Fatal("New accepted severity 2")
@@ -234,7 +238,8 @@ func TestInjectorOnFabric(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := sim.NewSimulator()
-		net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 4, Inject: e})
+		net := simnet.New(s, simnet.Config{BaseLatency: 5 * time.Millisecond, Seed: 4})
+		net.SetInjector(e)
 		a := net.Endpoint("a")
 		b := net.Endpoint("b")
 		b.SetHandler(func(transport.Addr, []byte) {})

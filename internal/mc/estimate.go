@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"selfemerge/internal/core"
@@ -61,11 +60,12 @@ func ratio(num, den int) float64 {
 }
 
 // Options tunes an estimation run. The zero value is completed by defaults
-// matching the paper (1000 trials) with all CPUs.
+// matching the paper (1000 trials) on one worker, so a default estimate reads
+// the same on every machine.
 type Options struct {
 	Trials  int    // default 1000, the paper's repetition count
 	Seed    uint64 // base seed; same seed => identical result
-	Workers int    // default GOMAXPROCS
+	Workers int    // default 1; more split the trials over one RNG stream each
 }
 
 func (o Options) withDefaults() Options {
@@ -73,7 +73,7 @@ func (o Options) withDefaults() Options {
 		o.Trials = 1000
 	}
 	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+		o.Workers = 1
 	}
 	return o
 }

@@ -152,12 +152,12 @@ func TestShareBeatsJointUnderHeavyChurn(t *testing.T) {
 	// planned share routing retains far higher combined resilience than the
 	// planned joint scheme.
 	const p, alpha = 0.2, 3.0
-	cfg := core.PlannerConfig{Budget: 10000}
-	joint, err := core.PlanMultipath(core.SchemeJoint, p, cfg)
+	const budget = 10000
+	joint, err := core.PlanMultipath(core.SchemeJoint, p, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	share, err := core.PlanKeyShare(p, alpha, 1, cfg)
+	share, err := core.PlanKeyShare(p, alpha, budget)
 	if err != nil {
 		t.Fatal(err)
 	}

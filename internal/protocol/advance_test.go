@@ -24,16 +24,16 @@ type appFunc func(from dht.Contact, payload []byte)
 func (f appFunc) HandleApp(from dht.Contact, payload []byte) { f(from, payload) }
 
 // newWatchedHolder boots a two-node network on a fresh simulator: a holder
-// running a host with cfg (its Clock filled in) and a watcher that appends
+// running a host with cfg over a node that makes retry sends per request, and
+// a watcher that appends
 // every protocol packet it receives to seen. With two replicas the watcher is
 // an owner of everything the holder sends.
-func newWatchedHolder(t *testing.T, cfg HostConfig, seen *[]Packet) (*sim.Simulator, *Host, *dht.Node) {
+func newWatchedHolder(t *testing.T, cfg HostConfig, retry int, seen *[]Packet) (*sim.Simulator, *Host, *dht.Node) {
 	t.Helper()
 	clock := sim.NewSimulator()
 	fabric := simnet.New(clock, simnet.Config{Seed: 1})
-	cfg.Clock = clock
 	host, err := NewHost(cfg, dht.Config{
-		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock,
+		ID: dht.IDFromKey([]byte("holder")), Endpoint: fabric.Endpoint("holder"), Clock: clock, Retry: retry,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func newWatchedHolder(t *testing.T, cfg HostConfig, seen *[]Packet) (*sim.Simula
 // replicas of everything, so the watcher sees every forward.
 func TestAdvanceTouchesOneRecord(t *testing.T) {
 	var seen []Packet
-	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, &seen)
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, 0, &seen)
 
 	mission := MissionID{0xAD}
 	hops := [][]byte{make([]byte, dht.IDBytes), make([]byte, dht.IDBytes)}
@@ -133,7 +133,7 @@ func TestAdvanceTouchesOneRecord(t *testing.T) {
 // once set — so later advances allocate nothing and never forward.
 func TestFailedKeyIsNotRetried(t *testing.T) {
 	var seen []Packet
-	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, &seen)
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, 0, &seen)
 	watcher := dht.IDFromKey([]byte("watcher"))
 	wrapped, err := onion.Build([]onion.Layer{{NextHops: [][]byte{watcher[:]}, Payload: []byte("secret")}}, []seal.Key{{1}})
 	if err != nil {

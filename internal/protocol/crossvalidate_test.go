@@ -36,7 +36,6 @@ func protocolTrial(t *testing.T, seed uint64, nodes int, malicious []bool, plan 
 	for i := 0; i < nodes; i++ {
 		ep := net.Endpoint(transport.Addr(fmt.Sprintf("n%d", i)))
 		host, err := protocol.NewHost(protocol.HostConfig{
-			Clock:     s,
 			Malicious: malicious[i],
 			Drop:      drop && malicious[i],
 			Reporter:  collector,

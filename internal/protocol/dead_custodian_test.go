@@ -22,7 +22,7 @@ import (
 func TestDeadCustodianStops(t *testing.T) {
 	for _, closed := range []bool{false, true} {
 		var seen []Packet
-		clock, host, node := newWatchedHolder(t, HostConfig{Replicas: 2, Repair: true, Retry: true}, &seen)
+		clock, host, node := newWatchedHolder(t, HostConfig{Replicas: 2, Repair: true}, 3, &seen)
 		var err error
 		if clock.Pending() != 0 {
 			t.Fatalf("%d events pending on a quiet two-node network", clock.Pending())

@@ -61,7 +61,7 @@ const deliveryLatency = 2 * time.Millisecond
 // newTestbed boots n nodes; maliciousFrac of them are adversary-controlled
 // (spy mode, or drop mode when drop is set). Optional hooks mutate each
 // node's host configuration before the host is built.
-func newTestbed(t *testing.T, n int, maliciousFrac float64, drop bool, hooks ...func(*HostConfig)) *testbed {
+func newTestbed(t *testing.T, n int, maliciousFrac float64, drop bool, hooks ...func(*HostConfig, *dht.Config)) *testbed {
 	t.Helper()
 	tb := &testbed{
 		t:           t,
@@ -90,10 +90,9 @@ func newTestbed(t *testing.T, n int, maliciousFrac float64, drop bool, hooks ...
 // spawn creates one live node+host at the given address and identifier,
 // appending it to the testbed (reusing an address models a same-zone
 // replacement join: fresh state, same DHT zone).
-func (tb *testbed) spawn(addr transport.Addr, id dht.ID, malicious, drop bool, hooks ...func(*HostConfig)) (*dht.Node, *Host) {
+func (tb *testbed) spawn(addr transport.Addr, id dht.ID, malicious, drop bool, hooks ...func(*HostConfig, *dht.Config)) (*dht.Node, *Host) {
 	tb.t.Helper()
 	cfg := HostConfig{
-		Clock:     tb.sim,
 		Malicious: malicious,
 		Drop:      drop && malicious,
 		Reporter:  tb.collector,
@@ -107,15 +106,12 @@ func (tb *testbed) spawn(addr transport.Addr, id dht.ID, malicious, drop bool, h
 			}
 		},
 	}
+	node := dht.Config{ID: id, Endpoint: tb.net.Endpoint(addr), Clock: tb.sim}
 	for _, hook := range hooks {
-		hook(&cfg)
+		hook(&cfg, &node)
 	}
 	var host *Host
-	host, err := protocol.NewTappedHost(cfg, dht.Config{
-		ID:       id,
-		Endpoint: tb.net.Endpoint(addr),
-		Clock:    tb.sim,
-	}, func(from dht.Contact, payload []byte) {
+	host, err := protocol.NewTappedHost(cfg, node, func(from dht.Contact, payload []byte) {
 		if tb.tap != nil {
 			tb.tap(host, from, payload)
 		}
@@ -123,10 +119,9 @@ func (tb *testbed) spawn(addr transport.Addr, id dht.ID, malicious, drop bool, h
 	if err != nil {
 		tb.t.Fatal(err)
 	}
-	node := host.Node()
-	tb.nodes = append(tb.nodes, node)
+	tb.nodes = append(tb.nodes, host.Node())
 	tb.hosts = append(tb.hosts, host)
-	return node, host
+	return host.Node(), host
 }
 
 // ownerOf returns the cluster node whose ID is closest to the given key.

@@ -29,7 +29,7 @@ func TestForwardedCustodyKeepsNothing(t *testing.T) {
 		{"share", 60, core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 5, ShareM: []int{2, 2}}, 3 * time.Hour},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tb := newTestbed(t, tc.nodes, 0, false, func(cfg *HostConfig) { cfg.Repair, cfg.Retry = true, true })
+			tb := newTestbed(t, tc.nodes, 0, false, func(cfg *HostConfig, node *dht.Config) { cfg.Repair, node.Retry = true, 3 })
 			type received struct {
 				host    *Host
 				from    dht.Contact

@@ -25,7 +25,7 @@ const maxJointHopAllocs = 5
 // so every forward leaves the holder.
 func TestJointHopAllocs(t *testing.T) {
 	var seen []Packet
-	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 1, Repair: true}, &seen)
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 1, Repair: true}, 0, &seen)
 	watcher := dht.IDFromKey([]byte("watcher"))
 	keys := []seal.Key{{1}, {2}}
 	wrapped, err := onion.Build([]onion.Layer{

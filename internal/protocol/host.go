@@ -8,7 +8,6 @@ import (
 	"selfemerge/internal/crypto/seal"
 	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
-	"selfemerge/internal/sim"
 )
 
 // Reporter receives a copy of every packet a compromised holder observes
@@ -18,10 +17,11 @@ type Reporter interface {
 	Report(now time.Time, from dht.ID, pkt Packet)
 }
 
-// HostConfig configures one node's protocol runtime.
+// HostConfig configures one node's protocol runtime. Its clock and retry arm
+// are its node's: hold and repair timers run on dht.Config.Clock, and a node
+// that retries (dht.Config.Retry above 1) backs every repair push with a
+// second one (grantTick, scheduleShareRefresh).
 type HostConfig struct {
-	// Clock drives hold timers. Required.
-	Clock sim.Clock
 	// Malicious marks the node as adversary-controlled: every packet it
 	// sees is reported to Reporter, and if Drop is set it discards
 	// everything instead of forwarding (the drop attack).
@@ -46,13 +46,6 @@ type HostConfig struct {
 	// re-granted to same-zone replacement custodians once per holding
 	// period (scheduleShareRefresh).
 	Repair bool
-	// Retry hardens the repair pushes against message loss: every grant or
-	// share re-push tick fires a second identical push half a refresh
-	// margin later (still inside the period it repairs). The pushes are
-	// idempotent — receivers dedup by mission coordinates — so the second
-	// copy only matters when the first was eaten by a fault. Wired from the
-	// network-level retry knob alongside the DHT RetryPolicy.
-	Retry bool
 }
 
 // Host is the holder-side protocol engine of one DHT node. It buffers
@@ -163,10 +156,10 @@ func (c *custody) holdPackage(pkt Packet) {
 	// A deadline already past is due now: the difference is not taken, so a
 	// forged deadline at the start of time does not wrap round to its end.
 	var delay time.Duration
-	if now := h.cfg.Clock.Now().UnixNano(); pkt.HoldUntil > now {
+	if now := h.node.Clock().Now().UnixNano(); pkt.HoldUntil > now {
 		delay = time.Duration(pkt.HoldUntil-now) - lead(pkt)
 	}
-	h.cfg.Clock.ScheduleArg(delay, holdDue, c)
+	h.node.Clock().ScheduleArg(delay, holdDue, c)
 }
 
 // resolveLead is how long before a package's deadline its holder starts the
@@ -316,7 +309,7 @@ func (h *Host) HandleApp(from dht.Contact, payload []byte) {
 		return
 	}
 	if h.cfg.Malicious && h.cfg.Reporter != nil {
-		h.cfg.Reporter.Report(h.cfg.Clock.Now(), from.ID, pkt)
+		h.cfg.Reporter.Report(h.node.Clock().Now(), from.ID, pkt)
 	}
 	if h.cfg.Malicious && h.cfg.Drop && pkt.Kind != PkKeyGrant {
 		// Drop attack: swallow every package. Key grants are still accepted
@@ -393,7 +386,7 @@ func margin(pkt Packet) time.Duration { return time.Duration(pkt.Step / 16) }
 // schedulePush arms one repush of the loop, delay from now.
 func (r *refresh) schedulePush(delay time.Duration) {
 	r.pushes++
-	r.rec.host.cfg.Clock.ScheduleArg(delay, repush, r)
+	r.rec.host.node.Clock().ScheduleArg(delay, repush, r)
 }
 
 // scheduleGrantRefresh arms the custody-refresh loop for a newly received
@@ -411,7 +404,7 @@ func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
 	}
 	r := rec.newLoop(pkt)
 	r.key = key
-	h.cfg.Clock.ScheduleArg(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
+	h.node.Clock().ScheduleArg(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
 }
 
 // grantTick is one period of a key grant's refresh loop. It fires slightly
@@ -432,18 +425,18 @@ func grantTick(arg any) {
 	if r.pkt.direct() {
 		deadline = r.pkt.HoldUntil
 	}
-	if r.rec.stale() || h.cfg.Clock.Now().UnixNano() >= deadline {
+	if r.rec.stale() || h.node.Clock().Now().UnixNano() >= deadline {
 		return
 	}
 	r.push()
-	if h.cfg.Retry {
+	if h.node.Retrying() {
 		// Retry-hardened repair: one identical backup push half a margin
 		// later — still half a margin before the boundary, so the exposure
 		// stays inside the period — covering a first push eaten whole by a
 		// burst or partition window.
 		r.schedulePush(margin(r.pkt) / 2)
 	}
-	h.cfg.Clock.ScheduleArg(time.Duration(r.pkt.Step), grantTick, r)
+	h.node.Clock().ScheduleArg(time.Duration(r.pkt.Step), grantTick, r)
 }
 
 // replicas returns the forwarding replica count.
@@ -483,7 +476,7 @@ func (h *Host) onShare(pkt Packet) {
 // repair: the host repairs, the packet carries its holding period, and the
 // share is still ahead of its forward deadline.
 func (h *Host) repairableShare(pkt Packet) bool {
-	return h.cfg.Repair && pkt.Step > 0 && pkt.HoldUntil > h.cfg.Clock.Now().UnixNano()
+	return h.cfg.Repair && pkt.Step > 0 && pkt.HoldUntil > h.node.Clock().Now().UnixNano()
 }
 
 // scheduleShareRefresh arms the just-in-time share repair for a column (or
@@ -500,13 +493,13 @@ func (h *Host) repairableShare(pkt Packet) bool {
 // delivery model gains no repair term; the margin (1/16 of a holding period)
 // keeps the re-grant exposure strictly inside the period it repairs.
 func (h *Host) scheduleShareRefresh(rec *custody, pkt Packet) {
-	delay := time.Duration(pkt.HoldUntil-h.cfg.Clock.Now().UnixNano()) - margin(pkt)
+	delay := time.Duration(pkt.HoldUntil-h.node.Clock().Now().UnixNano()) - margin(pkt)
 	if delay <= 0 {
 		return // received during the repair window itself (a re-grant)
 	}
 	r := rec.newLoop(pkt)
 	r.schedulePush(delay)
-	if h.cfg.Retry {
+	if h.node.Retrying() {
 		// Retry-hardened repair: a second regrant half a margin later (still
 		// before the forward deadline). repush re-reads the held share
 		// collection each time, so the backup tick is idempotent — it only

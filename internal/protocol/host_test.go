@@ -39,11 +39,11 @@ func TestNewHostOwnsOnApp(t *testing.T) {
 	cfg := dht.Config{ID: dht.IDFromKey([]byte("h")), Endpoint: fabric.Endpoint("h"), Clock: clock}
 	other := cfg
 	other.OnApp = appFunc(func(dht.Contact, []byte) {})
-	if _, err := NewHost(HostConfig{Clock: clock}, other); err == nil {
+	if _, err := NewHost(HostConfig{}, other); err == nil {
 		t.Fatal("NewHost accepted a caller-supplied OnApp")
 	}
 	got := false
-	host, err := NewHost(HostConfig{Clock: clock, OnSecret: func(MissionID, []byte) { got = true }}, cfg)
+	host, err := NewHost(HostConfig{OnSecret: func(MissionID, []byte) { got = true }}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +70,8 @@ func TestNewHostOwnsOnApp(t *testing.T) {
 func TestStaleEventsSpareRebuiltHost(t *testing.T) {
 	clock := sim.NewSimulator()
 	fabric := simnet.New(clock, simnet.Config{})
-	cfg := dht.Config{ID: dht.IDFromKey([]byte("h")), Endpoint: fabric.Endpoint("h"), Clock: clock}
-	hcfg := HostConfig{Clock: clock, Repair: true, Retry: true}
+	cfg := dht.Config{ID: dht.IDFromKey([]byte("h")), Endpoint: fabric.Endpoint("h"), Clock: clock, Retry: 3}
+	hcfg := HostConfig{Repair: true}
 	host, err := NewHost(hcfg, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestStaleEventsSpareRebuiltHost(t *testing.T) {
 	}
 	clock.RunFor(time.Second) // past the closing instant
 	cfg.Endpoint = fabric.Endpoint("h")
-	if err := host.Rebuild(HostConfig{Clock: clock}, cfg); err != nil {
+	if err := host.Rebuild(HostConfig{}, cfg); err != nil {
 		t.Fatal(err)
 	}
 	host.Node().Table().Observe(peer.Contact())
@@ -126,5 +126,35 @@ func TestStaleEventsSpareRebuiltHost(t *testing.T) {
 	}
 	if rec := host.custodyAt(MissionID{1}, grant.Ref()); rec == nil || !rec.hasKey || !bytes.Equal(rec.key[:], grant.Data) {
 		t.Error("the predecessor's events touched the rebuilt host's custody of the same mission")
+	}
+}
+
+// TestBackupPushFollowsNodeRetry: a host backs its repair pushes with a second
+// one exactly when its node retries. A key grant under repair, for a column of
+// one slot, is re-pushed once per holding period, a sixteenth of the period
+// early; over a 3-attempt
+// node a backup push follows half that margin later, over a single-shot node
+// none does. The watcher, an owner of everything the holder sends, counts the
+// pushes of the first period.
+func TestBackupPushFollowsNodeRetry(t *testing.T) {
+	for _, tc := range []struct{ retry, pushes int }{{1, 1}, {3, 2}} {
+		var seen []Packet
+		clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2, Repair: true}, tc.retry, &seen)
+		step := time.Minute
+		grant := Packet{
+			Mission: MissionID{0xB7}, Kind: PkKeyGrant, Column: 2, Width: 1, Step: int64(step),
+			HoldUntil: clock.Now().Add(4 * step).UnixNano(), Data: bytes.Repeat([]byte{7}, seal.KeySize),
+		}
+		host.HandleApp(dht.Contact{}, grant.AppendEncode(nil))
+		clock.RunFor(step)
+		pushes := 0
+		for _, pkt := range seen {
+			if pkt.Kind == PkKeyGrant {
+				pushes++
+			}
+		}
+		if pushes != tc.pushes {
+			t.Errorf("retry %d: the watcher saw %d grant pushes in the first period, want %d", tc.retry, pushes, tc.pushes)
+		}
 	}
 }

@@ -57,7 +57,7 @@ func TestForwardNeverEarly(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var seen []Packet
-			clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, &seen)
+			clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, 0, &seen)
 			hold := clock.Now().Add(time.Hour)
 			for _, pkt := range tc.custody(t, hold.UnixNano()) {
 				pkt.Mission = MissionID{0x07}

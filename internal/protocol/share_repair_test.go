@@ -17,7 +17,7 @@ import (
 // it holds — the just-in-time share repair mirroring the multipath schemes'
 // column-key re-grant.
 func TestShareRepairRegrantsToReplacement(t *testing.T) {
-	repair := func(cfg *HostConfig) { cfg.Repair = true }
+	repair := func(cfg *HostConfig, _ *dht.Config) { cfg.Repair = true }
 	tb := newTestbed(t, 60, 0, false, repair)
 	plan := core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 5, ShareM: []int{2, 2}}
 	m := tb.launch(plan, 3*time.Hour) // holding period th = 1h

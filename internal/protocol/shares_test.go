@@ -146,7 +146,7 @@ func TestSharesAddBoundsVariants(t *testing.T) {
 // onion at its deadline. Malformed share datagrams change nothing.
 func TestHolderRecoversPastForgedShares(t *testing.T) {
 	var seen []Packet
-	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, &seen)
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, 0, &seen)
 	p := poison{m: 5, n: 16, fresh: 2, conflict: 1, wrong: 2}
 	key := seal.Key{0x5A}
 	hop := dht.IDFromKey([]byte("watcher"))

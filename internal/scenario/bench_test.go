@@ -7,6 +7,7 @@ import (
 
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
+	"selfemerge/internal/experiment"
 	"selfemerge/internal/fault"
 	"selfemerge/internal/scenario"
 )
@@ -18,7 +19,7 @@ func benchCfg(missions, shards int) scenario.Config {
 	return scenario.Config{
 		Nodes:         120,
 		MaliciousRate: 0.1,
-		Strategy:      adversary.StrategyDrop,
+		Live:          experiment.Live{Strategy: adversary.StrategyDrop},
 		Alpha:         1,
 		Missions:      missions,
 		Shards:        shards,

@@ -7,6 +7,7 @@ import (
 
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
+	"selfemerge/internal/experiment"
 	"selfemerge/internal/mc"
 	"selfemerge/internal/scenario"
 )
@@ -75,11 +76,11 @@ func TestCrossValidateJointDropNoChurn(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         500,
 		MaliciousRate: 0.15,
-		Strategy:      adversary.StrategyDrop,
 		Missions:      200,
 		Plan:          core.Plan{Scheme: core.SchemeJoint, K: 3, L: 2},
 		MCTrials:      200,
 		Seed:          7,
+		Live:          experiment.Live{Strategy: adversary.StrategyDrop},
 	})
 	assertAgreement(t, report)
 }
@@ -194,12 +195,12 @@ func TestCrossValidateShareChurn(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         1000,
 		MaliciousRate: 0.1,
-		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      250,
 		Plan:          core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 3, ShareN: 5, ShareM: []int{2, 2}},
 		MCTrials:      250,
 		Seed:          6,
+		Live:          experiment.Live{Strategy: adversary.StrategyDrop},
 	})
 	assertAgreement(t, report)
 	// Churn really ran: alpha = 1 over the mission span kills the population
@@ -244,7 +245,7 @@ func TestCrossValidateShareChurnSharded(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         1000,
 		MaliciousRate: 0.1,
-		Strategy:      adversary.StrategyDrop,
+		Live:          experiment.Live{Strategy: adversary.StrategyDrop},
 		Alpha:         1,
 		Missions:      250,
 		Shards:        5,
@@ -276,12 +277,12 @@ func TestThousandNodeLiveScenario(t *testing.T) {
 	report := run(t, scenario.Config{
 		Nodes:         1000,
 		MaliciousRate: 0.1,
-		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      250,
 		Plan:          core.Plan{Scheme: core.SchemeJoint, K: 3, L: 2},
 		MCTrials:      250,
 		Seed:          6,
+		Live:          experiment.Live{Strategy: adversary.StrategyDrop},
 	})
 	assertAgreement(t, report)
 

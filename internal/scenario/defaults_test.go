@@ -30,9 +30,10 @@ func TestMethodsAnswerAsDefaulted(t *testing.T) {
 	joint := core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}
 	share := core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 2, ShareN: 4, ShareM: []int{2}}
 	full := Config{
-		Nodes: 120, MaliciousRate: 0.1, Strategy: adversary.StrategyDrop, Alpha: 1,
+		Nodes: 120, MaliciousRate: 0.1, Alpha: 1,
 		Emerging: time.Hour, Missions: 30, Shards: 2, Stagger: time.Minute,
-		Replicas: 1, MCTrials: 500, Plan: joint, Seed: 7,
+		MCTrials: 500, Plan: joint, Seed: 7,
+		Live: experiment.Live{Strategy: adversary.StrategyDrop, Replicas: 1},
 	}
 	zeroed := map[string]func(*Config){
 		"Nodes":    func(c *Config) { c.Nodes = 0 },
@@ -49,7 +50,7 @@ func TestMethodsAnswerAsDefaulted(t *testing.T) {
 		"Drop":         {MaliciousRate: 0.1, Alpha: 1, Drop: true, Plan: joint},
 		"key share":    {MaliciousRate: 0.2, Alpha: 0.5, Drop: true, Plan: share},
 		"spy":          {MaliciousRate: 0.1, Plan: joint},
-		"eclipse":      {MaliciousRate: 0.1, Strategy: adversary.StrategyEclipse, Forge: 10, Drop: true, Plan: joint},
+		"eclipse":      {MaliciousRate: 0.1, Live: experiment.Live{Strategy: adversary.StrategyEclipse, Forge: 10}, Drop: true, Plan: joint},
 	}
 	for field, zero := range zeroed {
 		raw := full
@@ -88,7 +89,7 @@ func TestMethodsAnswerAsDefaulted(t *testing.T) {
 	// One attack, two spellings, one pair of references: under a dropping
 	// strategy the delivery reference is the release reference.
 	dropRel, dropDel := Config{MaliciousRate: 0.1, Drop: true, Plan: joint}.References()
-	stratRel, stratDel := Config{MaliciousRate: 0.1, Strategy: adversary.StrategyDrop, Plan: joint}.References()
+	stratRel, stratDel := Config{MaliciousRate: 0.1, Plan: joint, Live: experiment.Live{Strategy: adversary.StrategyDrop}}.References()
 	if dropRel.Key() != stratRel.Key() || dropDel.Key() != stratDel.Key() || dropDel.Key() != dropRel.Key() {
 		t.Errorf("Drop references %s | %s, StrategyDrop references %s | %s",
 			dropRel.Key(), dropDel.Key(), stratRel.Key(), stratDel.Key())

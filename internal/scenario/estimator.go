@@ -87,10 +87,7 @@ func (c Config) At(pt experiment.Point) (Config, error) {
 		return Config{}, err
 	}
 	c.Nodes, c.MaliciousRate, c.Alpha = pt.Network, pt.P, pt.Alpha
-	c.Replicas, c.Partition = pt.Replicas, pt.Partition
-	c.Strategy, c.Forge, c.Table = pt.Strategy, pt.Forge, pt.Table
-	c.Fault, c.FaultSeverity, c.Retry = pt.Fault, pt.FaultSev, pt.Retry
-	c.Seed = pt.Seed
+	c.Live, c.Seed = pt.Live, pt.Seed
 	return c, nil
 }
 

@@ -20,7 +20,7 @@ func liveSweep() experiment.Sweep {
 	return experiment.Sweep{
 		Name: "live-test",
 		Seed: 6,
-		Base: experiment.Point{Network: 1000, Alpha: 1, Strategy: adversary.StrategyDrop, K: 3, L: 2, Scheme: core.SchemeJoint},
+		Base: experiment.Point{Network: 1000, Alpha: 1, K: 3, L: 2, Scheme: core.SchemeJoint, Live: experiment.Live{Strategy: adversary.StrategyDrop}},
 		Axes: []experiment.Axis{experiment.RangeAxis("p", 0, 0.2, 0.1)},
 	}
 }
@@ -46,7 +46,7 @@ func TestCheckPointValidatesTheNetworkHalf(t *testing.T) {
 	if err := est.CheckPoint(pt); err != nil {
 		t.Errorf("eclipse point with a forge rate refused: %v", err)
 	}
-	pt.Fault, pt.FaultSev = fault.ProfileBurst, 1.5
+	pt.Fault, pt.FaultSeverity = fault.ProfileBurst, 1.5
 	if err := est.CheckPoint(pt); err == nil {
 		t.Error("live estimator accepted fault severity 1.5")
 	}
@@ -130,9 +130,9 @@ func TestLiveSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		Name: "live-det",
 		Seed: 11,
 		Base: experiment.Point{
-			Network: 120, Alpha: 1, Strategy: adversary.StrategyDrop,
+			Network: 120, Alpha: 1,
 			K: 2, L: 2, ShareN: 4, ShareM: []int{2}, Scheme: core.SchemeJoint,
-			FaultSev: 0.5, Retry: 3,
+			Live: experiment.Live{Strategy: adversary.StrategyDrop, FaultSeverity: 0.5, Retry: 3},
 		},
 		Axes: []experiment.Axis{
 			experiment.RangeAxis("p", 0, 0.2, 0.2),
@@ -149,9 +149,9 @@ func TestLiveSweepDeterministicAcrossWorkerCounts(t *testing.T) {
 		Name: "live-det-partitioned",
 		Seed: 11,
 		Base: experiment.Point{
-			Network: 80, P: 0.2, Alpha: 1, Strategy: adversary.StrategyEclipse,
+			Network: 80, P: 0.2, Alpha: 1,
 			K: 2, L: 2, Scheme: core.SchemeJoint,
-			FaultSev: 0.5, Retry: 3, Partition: 2,
+			Live: experiment.Live{Strategy: adversary.StrategyEclipse, FaultSeverity: 0.5, Retry: 3, Partition: 2},
 		},
 		Axes: []experiment.Axis{
 			experiment.FloatAxis("forge", 0, 3),
@@ -221,7 +221,7 @@ func TestLiveSweepWorkerScaling(t *testing.T) {
 	sw := experiment.Sweep{
 		Name: "live-scaling",
 		Seed: 3,
-		Base: experiment.Point{Network: 250, Alpha: 1, Strategy: adversary.StrategyDrop, K: 3, L: 2, Scheme: core.SchemeJoint},
+		Base: experiment.Point{Network: 250, Alpha: 1, K: 3, L: 2, Scheme: core.SchemeJoint, Live: experiment.Live{Strategy: adversary.StrategyDrop}},
 		Axes: []experiment.Axis{experiment.RangeAxis("p", 0, 0.15, 0.05)},
 	}
 

@@ -37,8 +37,7 @@ func TestPartitionHundredKByteIdentical(t *testing.T) {
 			Scheme:  core.SchemeJoint,
 			Network: 100_000,
 			K:       2, L: 2,
-			Strategy:  adversary.StrategyDrop,
-			Partition: 8,
+			Live: experiment.Live{Strategy: adversary.StrategyDrop, Partition: 8},
 		},
 		Axes: []experiment.Axis{axis},
 	}

@@ -31,9 +31,7 @@ import (
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/analytic"
 	"selfemerge/internal/core"
-	"selfemerge/internal/dht"
 	"selfemerge/internal/experiment"
-	"selfemerge/internal/fault"
 	"selfemerge/internal/mc"
 	"selfemerge/internal/protocol"
 	"selfemerge/internal/stats"
@@ -52,18 +50,10 @@ type Config struct {
 	// Strategy.Drops(); the field stays for the benchmark workloads that
 	// spell it.
 	Drop bool
-	// Strategy selects the malicious-holder strategy explicitly: spy
-	// (default), drop, or eclipse (bucket poisoning plus drop). See
-	// adversary.Strategy.
-	Strategy adversary.Strategy
-	// Forge is the eclipse flood intensity in forged contacts per attacker
-	// per minute. Requires StrategyEclipse; zero degenerates to drop.
-	Forge float64
-	// Table selects the DHT bucket admission policy of every live node. The
-	// default resolves (inside the network) to dht.TableNaive, the policy
-	// all recorded deterministic runs were captured under; attack sweeps pin
-	// dht.TablePingEvict for the defended arm of the curves.
-	Table dht.TablePolicy
+	// Live holds the settings only a live run reads: replicas, adversary
+	// strategy, forge rate, table policy, partition, fault profile and
+	// severity, and retry attempts. Config.At copies a point's.
+	experiment.Live
 	// Alpha is the churn severity T/lifetime: the emerging period expressed
 	// in mean node lifetimes. Zero disables churn.
 	Alpha float64
@@ -90,17 +80,6 @@ type Config struct {
 	// shares one budget across every point of a sweep. Execution throttle
 	// only — results never depend on it.
 	Budget *Budget
-	// Partition runs the point's ONE population across this many parallel
-	// event loops — selfemerge.NetworkConfig.Partition, where each shard owns
-	// a zone of the identifier space and cross-shard traffic merges at
-	// conservative lockstep barriers. It is the scaling mode for populations
-	// a single core's event loop cannot hold (replicate-mode Shards scales
-	// mission count, not population). Zero means one shard, which replays
-	// the recorded single-loop runs byte for byte; like Shards it is part of
-	// the point descriptor (S > 1 samples decorrelated per-shard churn
-	// substreams). It composes with every other knob, Shards included: each
-	// replica network then runs on Partition loops.
-	Partition int
 	// Stagger spreads mission launches uniformly over this window (default:
 	// one emerging period). Missions sharing one network see the same churn
 	// trajectory; staggering exposes each to a different time slice, which
@@ -109,27 +88,6 @@ type Config struct {
 	Stagger time.Duration
 	// Plan is the routing scheme shape to execute. Required.
 	Plan core.Plan
-	// Replicas is how many closest nodes receive each protocol packet
-	// (default 1, so each holder slot maps to exactly one physical node as
-	// the Monte Carlo model assumes; the production default elsewhere is 2).
-	Replicas int
-	// Fault selects the deterministic fault-injection profile the simnet
-	// fabric runs under: none (default), burst (Gilbert–Elliott loss with
-	// latency spikes and duplication), partition (timed bisections), or flap
-	// (crash-restart windows). See fault.Profile. Every event loop carries
-	// its own engine and judges at send time, so profiles compose with any
-	// Partition.
-	Fault fault.Profile
-	// FaultSeverity scales the chosen profile in [0,1]; zero disables
-	// injection even with a profile set, so sweep axes can cross severity
-	// through zero.
-	FaultSeverity float64
-	// Retry is the total send attempts per DHT RPC (0 or 1 = single-shot,
-	// the historical behaviour). Values above 1 enable the retry/backoff
-	// hardening: per-RPC re-sends with deterministic jittered exponential
-	// backoff, acked app delivery with receiver-side dedup, lookup re-query
-	// of timed-out contacts, and doubled grant/share refresh pushes.
-	Retry int
 	// MCTrials sizes the Monte Carlo reference estimate (default 2000).
 	MCTrials int
 	// ShareModel pins the key-share churn-loss and release-exposure model of
@@ -150,7 +108,7 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Nodes < 10 {
 		return c, fmt.Errorf("scenario: %d nodes is too small a population", c.Nodes)
 	}
-	if c.Alpha < 0 {
+	if !(c.Alpha >= 0) {
 		return c, fmt.Errorf("scenario: alpha %v must be >= 0", c.Alpha)
 	}
 	if c.Emerging < 0 {
@@ -197,7 +155,6 @@ func (c Config) network() selfemerge.NetworkConfig {
 		ForgeRate:       c.Forge,
 		Table:           c.Table,
 		MeanLifetime:    lifetime,
-		Replace:         true,
 		HonestEndpoints: true,
 		Replicas:        c.Replicas,
 		Repair:          true,

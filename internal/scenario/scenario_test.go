@@ -1,12 +1,14 @@
 package scenario_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"selfemerge/internal/adversary"
 	"selfemerge/internal/core"
+	"selfemerge/internal/experiment"
 	"selfemerge/internal/scenario"
 )
 
@@ -17,12 +19,12 @@ func TestScenarioDeterministic(t *testing.T) {
 	cfg := scenario.Config{
 		Nodes:         120,
 		MaliciousRate: 0.2,
-		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      30,
 		Plan:          jointPlan,
 		MCTrials:      40,
 		Seed:          11,
+		Live:          experiment.Live{Strategy: adversary.StrategyDrop},
 	}
 	a, err := scenario.Run(cfg)
 	if err != nil {
@@ -95,11 +97,11 @@ func TestScenarioFullCompromise(t *testing.T) {
 		report, err := scenario.Run(scenario.Config{
 			Nodes:         150,
 			MaliciousRate: 1,
-			Strategy:      strategy,
 			Missions:      20,
 			Plan:          jointPlan,
 			MCTrials:      20,
 			Seed:          14,
+			Live:          experiment.Live{Strategy: strategy},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -119,16 +121,19 @@ func TestScenarioFullCompromise(t *testing.T) {
 	}
 }
 
+// TestScenarioValidation: Setup refuses a bad config before it boots a
+// network.
 func TestScenarioValidation(t *testing.T) {
 	bad := []scenario.Config{
 		{Plan: jointPlan, Nodes: 5},
 		{Plan: jointPlan, MaliciousRate: 1.5},
 		{Plan: jointPlan, Alpha: -1},
+		{Plan: jointPlan, Alpha: math.NaN()},
 		{Plan: jointPlan, Missions: -1},
 		{Plan: core.Plan{Scheme: core.SchemeJoint}}, // invalid shape
 	}
 	for i, cfg := range bad {
-		if _, err := scenario.Run(cfg); err == nil {
+		if _, _, err := scenario.Setup(cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}

@@ -34,8 +34,9 @@ func TestShardOneMatchesHistoricalRun(t *testing.T) {
 		deaths, sent int
 	}{
 		{
-			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.2, Strategy: adversary.StrategyDrop, Alpha: 1, Missions: 30,
-				Plan: core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}, MCTrials: 40, Seed: 11},
+			cfg: scenario.Config{Nodes: 120, MaliciousRate: 0.2, Alpha: 1, Missions: 30,
+				Plan: core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}, MCTrials: 40, Seed: 11,
+				Live: experiment.Live{Strategy: adversary.StrategyDrop}},
 			live:   scenario.Result{Missions: 30, Released: 5, Delivered: 12, Succeeded: 11},
 			deaths: 227, sent: 20955,
 		},
@@ -72,13 +73,13 @@ func shardedCfg(shards int) scenario.Config {
 	return scenario.Config{
 		Nodes:         120,
 		MaliciousRate: 0.2,
-		Strategy:      adversary.StrategyDrop,
 		Alpha:         1,
 		Missions:      30,
 		Shards:        shards,
 		Plan:          core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2},
 		MCTrials:      40,
 		Seed:          11,
+		Live:          experiment.Live{Strategy: adversary.StrategyDrop},
 	}
 }
 

@@ -165,12 +165,11 @@ func (p *Partition) Endpoint(shard int, addr transport.Addr) transport.Endpoint 
 	return p.subs[shard].Endpoint(addr)
 }
 
-// SetInjector installs shard's own injector, replacing whatever Config.Inject
-// put there. Boot-time wiring, before any traffic: each sub-network judges on
-// its own loop, so a stateful injector (a fault.Engine's burst chain) must be
-// one instance per shard.
+// SetInjector installs shard's own injector (Network.SetInjector). Each
+// sub-network judges on its own loop, so a stateful injector (a fault.Engine's
+// burst chain) must be one instance per shard.
 func (p *Partition) SetInjector(shard int, inj Injector) {
-	p.subs[shard].cfg.Inject = inj
+	p.subs[shard].SetInjector(inj)
 }
 
 // SetDown marks an endpoint unavailable on its owning shard.

@@ -240,9 +240,8 @@ func TestPartitionSingleShardMatchesPlainNetwork(t *testing.T) {
 	}
 
 	plain := run(func(s *sim.Simulator) (func(int, transport.Addr) transport.Endpoint, func(time.Duration)) {
-		lossy := cfg
-		lossy.Inject = newLoss(lossSeed, lossRate)
-		net := New(s, lossy)
+		net := New(s, cfg)
+		net.SetInjector(newLoss(lossSeed, lossRate))
 		return func(_ int, a transport.Addr) transport.Endpoint { return net.Endpoint(a) }, s.RunFor
 	})
 	part := run(func(s *sim.Simulator) (func(int, transport.Addr) transport.Endpoint, func(time.Duration)) {

@@ -24,14 +24,6 @@ type Config struct {
 	Jitter time.Duration
 	// Seed seeds the network's private RNG (jitter decisions).
 	Seed uint64
-	// Inject, when non-nil, rules on every datagram in flight: drops, extra
-	// delay, duplication (see internal/fault). Judge runs on the sending
-	// network's loop, right after the jitter draw, so a deterministic
-	// injector keeps the fabric byte-deterministic. A Partition copies it to every shard
-	// sub-network, whose loops judge concurrently — share only a stateless
-	// injector that way, and give stateful ones one instance per shard
-	// (Partition.SetInjector).
-	Inject Injector
 }
 
 // Verdict is an injector's ruling on one in-flight datagram.
@@ -74,6 +66,9 @@ type Network struct {
 	part  *Partition
 	shard int
 
+	// inject, when non-nil, rules on every datagram in flight (SetInjector).
+	inject Injector
+
 	nodes map[transport.Addr]*nodeSlot
 
 	// Delivery records recycle per network, so their payload buffers survive
@@ -107,6 +102,13 @@ func New(clock sim.Clock, cfg Config) *Network {
 // one loop, so the bound is about twice that and the boot's surplus is
 // garbage instead of pinned for the run.
 const maxFreeDeliveries = 128
+
+// SetInjector installs the injector that rules on every datagram the network
+// sends: drops, extra delay, duplication (see internal/fault). Judge runs on
+// the network's loop, right after the jitter draw, so a deterministic
+// injector keeps the fabric byte-deterministic. Boot-time wiring, before any
+// traffic.
+func (n *Network) SetInjector(inj Injector) { n.inject = inj }
 
 // DeliveryMisses reports how many delivery records the network has allocated
 // because its list was empty (freelist.List.Misses).
@@ -230,8 +232,8 @@ func (n *Network) judge(from, to transport.Addr) (delay, dup time.Duration, ok b
 	if n.cfg.Jitter > 0 {
 		delay += time.Duration(n.rng.Uint64n(uint64(n.cfg.Jitter)))
 	}
-	if n.cfg.Inject != nil {
-		v := n.cfg.Inject.Judge(n.clock.Now(), from, to)
+	if n.inject != nil {
+		v := n.inject.Judge(n.clock.Now(), from, to)
 		if v.Drop {
 			return 0, 0, false
 		}

@@ -70,7 +70,8 @@ func (l *lossInjector) Judge(time.Time, transport.Addr, transport.Addr) Verdict 
 
 func TestLoss(t *testing.T) {
 	s := sim.NewSimulator()
-	net := New(s, Config{Inject: newLoss(1, 1)})
+	net := New(s, Config{})
+	net.SetInjector(newLoss(1, 1))
 	a := net.Endpoint("a")
 	b := net.Endpoint("b")
 	b.SetHandler(func(transport.Addr, []byte) { t.Error("lossy network delivered") })

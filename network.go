@@ -93,18 +93,14 @@ type NetworkConfig struct {
 	// secure default; attack experiments flip it to dht.TablePingEvict to
 	// measure the defense.
 	Table dht.TablePolicy
-	// MeanLifetime enables churn: nodes die permanently with exponentially
-	// distributed lifetimes of this mean. Zero disables churn.
+	// MeanLifetime enables churn: nodes die with exponentially distributed
+	// lifetimes of this mean, and every death is followed by a fresh node
+	// joining the DHT, malicious with probability MaliciousRate — the
+	// stationary network of Section II-C. The replacement adopts the dead
+	// node's identifier and address with wiped state, taking over the vacated
+	// DHT zone, which is exactly the slot-refill semantics the paper's repair
+	// model (and the Monte Carlo engine) assumes. Zero disables churn.
 	MeanLifetime time.Duration
-	// Replace keeps the population stationary under churn: every death is
-	// followed by a fresh node joining and bootstrapping into the DHT,
-	// malicious with probability MaliciousRate — the steady-state network
-	// of Section II-C. The replacement adopts the dead node's identifier
-	// and address with wiped state, taking over the vacated DHT zone, which
-	// is exactly the slot-refill semantics the paper's repair model (and
-	// the Monte Carlo engine) assumes. Without Replace the population only
-	// shrinks.
-	Replace bool
 	// HonestEndpoints exempts the three infrastructure nodes (bootstrap,
 	// receiver, dispatcher) from the malicious marking, matching the
 	// honest-endpoint assumption of the paper's model. The marked count
@@ -130,7 +126,7 @@ type NetworkConfig struct {
 	FaultSeverity float64
 	// Retry is the total number of send attempts per DHT RPC (0 or 1:
 	// single-shot, the historical behavior). Values above 1 enable the
-	// full retry-hardened arm: dht.RetryPolicy exponential backoff on every
+	// full retry-hardened arm: dht.Config.Retry exponential backoff on every
 	// RPC, acknowledged app sends with receiver dedup, lookup re-query of
 	// timed-out contacts, and doubled repair pushes at the protocol layer.
 	Retry int
@@ -183,6 +179,9 @@ func (c NetworkConfig) Validate() error {
 	}
 	if c.Retry < 0 {
 		return fmt.Errorf("selfemerge: negative retry attempts %d", c.Retry)
+	}
+	if c.MeanLifetime < 0 {
+		return fmt.Errorf("selfemerge: negative mean lifetime %v", c.MeanLifetime)
 	}
 	return nil
 }
@@ -257,9 +256,9 @@ type shard struct {
 	// barrier (see releaseReports).
 	reports reportQueue
 
-	// spare is the host of this shard's latest churn death under Replace and
-	// spareAt the instant it died: a join at a later instant rebuilds it in
-	// place (spawn).
+	// spare is the host of this shard's latest churn death and spareAt the
+	// instant it died: a join at a later instant rebuilds it in place
+	// (spawn).
 	spare   *protocol.Host
 	spareAt int64
 
@@ -535,20 +534,18 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 		host = new(protocol.Host)
 	}
 	err := host.Rebuild(protocol.HostConfig{
-		Clock:     sh.sim,
 		Malicious: malicious,
 		Drop:      malicious && n.cfg.Attack.Drops(),
 		Reporter:  sh,
 		OnSecret:  onSecret,
 		Replicas:  n.cfg.Replicas,
 		Repair:    n.cfg.Repair,
-		Retry:     n.cfg.Retry > 1,
 	}, dht.Config{
 		ID:       id,
 		Endpoint: ep,
 		Clock:    sh.sim,
 		Table:    n.cfg.Table,
-		Retry:    dht.RetryPolicy{Attempts: n.cfg.Retry},
+		Retry:    n.cfg.Retry,
 		Scratch:  sh.scratch,
 	})
 	if err != nil {
@@ -595,23 +592,17 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 }
 
 // die is the churn death of the node at population slot idx, an event on
-// sh, its shard's loop: the node closes, and under Replace its replacement
-// joins at once and its host becomes the shard's spare.
+// sh, its shard's loop: the node closes, its replacement joins at once and
+// its host becomes the shard's spare.
 func (n *Network) die(sh *shard, idx int) {
 	host := n.nodes[idx]
 	node := host.Node()
-	// Harvest the dying node's resilience counters before its slot is reused;
-	// without Replace the closed node stays in the population slice and keeps
-	// reporting its own totals.
-	if n.cfg.Replace {
-		sh.retired.Add(node.Resilience())
-	}
+	// Harvest the dying node's resilience counters before its slot is reused.
+	sh.retired.Add(node.Resilience())
 	_ = node.Close()
 	sh.deaths++
-	if n.cfg.Replace {
-		n.join(sh, node.Contact().Addr, node.ID(), idx)
-		sh.spare, sh.spareAt = host, sh.sim.Now().UnixNano()
-	}
+	n.join(sh, node.Contact().Addr, node.ID(), idx)
+	sh.spare, sh.spareAt = host, sh.sim.Now().UnixNano()
 }
 
 // join spawns the replacement for the dead node at population slot idx — a
@@ -657,22 +648,15 @@ func (n *Network) ForgedContacts() uint64 {
 // entry: live if its (identifier, address) binding matches a live node of the
 // population, poisoned otherwise. Without churn, poisoned entries are exactly
 // the eclipse adversary's forgeries that won admission; with churn,
-// not-yet-expired routes to dead nodes count as poisoned too. A closed node —
-// one churn killed without Replace — is skipped: its table is nobody's route,
-// and went back to its loop at the death.
+// not-yet-expired routes to dead nodes count as poisoned too.
 func (n *Network) RouteAudit() (live, poisoned int) {
 	real := make(map[dht.ID]transport.Addr, len(n.nodes))
 	for _, host := range n.nodes {
-		if node := host.Node(); !node.Closed() {
-			real[node.ID()] = node.Contact().Addr
-		}
+		node := host.Node()
+		real[node.ID()] = node.Contact().Addr
 	}
 	for _, host := range n.nodes {
-		node := host.Node()
-		if node.Closed() {
-			continue
-		}
-		node.Table().Each(func(c dht.Contact) {
+		host.Node().Table().Each(func(c dht.Contact) {
 			if addr, ok := real[c.ID]; ok && addr == c.Addr {
 				live++
 			} else {
@@ -742,8 +726,7 @@ func (n *Network) RunUntil(t time.Time) {
 func (n *Network) Settle() { n.RunFor(5 * time.Minute) }
 
 // Nodes returns the population size: one slot per node, with churn
-// replacements taking over their dead predecessor's slot. Without Replace,
-// slots of churned-out nodes still count.
+// replacements taking over their dead predecessor's slot.
 func (n *Network) Nodes() int { return len(n.nodes) }
 
 // Cloud exposes the network's cloud store.

@@ -20,7 +20,7 @@ func TestEmergesOneLinkAfterRelease(t *testing.T) {
 	const emerging, missions = 2 * time.Hour, 30
 	net, err := NewNetwork(NetworkConfig{
 		Nodes: 120, MaliciousRate: 0.1, Attack: AttackDrop, HonestEndpoints: true,
-		MeanLifetime: emerging, Replace: true, Replicas: 1, Repair: true, Seed: 7,
+		MeanLifetime: emerging, Replicas: 1, Repair: true, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestNeverEmergesBeforeRelease(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		net, err := NewNetwork(NetworkConfig{
 			Nodes: 60, MaliciousRate: 0.1, Attack: AttackDrop, HonestEndpoints: true,
-			MeanLifetime: 3 * time.Hour, Replace: true, Replicas: 1, Repair: true, Seed: seed,
+			MeanLifetime: 3 * time.Hour, Replicas: 1, Repair: true, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)

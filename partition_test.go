@@ -95,7 +95,6 @@ func TestPartitionOneMatchesClassic(t *testing.T) {
 				MaliciousRate:   0.2,
 				Attack:          AttackDrop,
 				MeanLifetime:    3 * time.Hour,
-				Replace:         true,
 				Repair:          true,
 				HonestEndpoints: true,
 				Replicas:        1,
@@ -120,7 +119,6 @@ func TestPartitionDeterministicAcrossWorkers(t *testing.T) {
 		MaliciousRate:   0.2,
 		Attack:          AttackDrop,
 		MeanLifetime:    3 * time.Hour,
-		Replace:         true,
 		Repair:          true,
 		HonestEndpoints: true,
 		Replicas:        1,
@@ -193,7 +191,6 @@ func TestFaultAndEclipseComposeWithPartition(t *testing.T) {
 							Attack:          atk.strategy,
 							ForgeRate:       atk.forge,
 							MeanLifetime:    time.Hour,
-							Replace:         true,
 							Repair:          true,
 							HonestEndpoints: true,
 							Replicas:        1,

@@ -78,7 +78,7 @@ func TestDriveAllocatesNoRecord(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			net, err := NewNetwork(NetworkConfig{
 				Nodes: tc.nodes, MaliciousRate: 0.1, Attack: AttackDrop, HonestEndpoints: true,
-				MeanLifetime: 2 * time.Hour, Replace: true, Replicas: 1, Repair: true,
+				MeanLifetime: 2 * time.Hour, Replicas: 1, Repair: true,
 				Partition: tc.partition, Seed: 2017,
 			})
 			if err != nil {
@@ -115,7 +115,7 @@ func TestDriveAllocatesNoRecord(t *testing.T) {
 func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 	boot := func(t *testing.T) *Network {
 		t.Helper()
-		net, err := NewNetwork(NetworkConfig{Nodes: 30, Replace: true, Retry: 3, Seed: 5})
+		net, err := NewNetwork(NetworkConfig{Nodes: 30, Retry: 3, Seed: 5})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"selfemerge/internal/core"
-	"selfemerge/internal/dht"
 	"selfemerge/internal/stats"
 )
 
@@ -51,7 +50,7 @@ func TestAllSchemesEmerge(t *testing.T) {
 				t.Fatal(err)
 			}
 			msg, err := net.Send([]byte("payload"), 6*time.Hour,
-				WithScheme(scheme), WithThreatModel(0.1), WithNodeBudget(40))
+				WithScheme(scheme), WithThreatModel(0.1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,14 +208,12 @@ func TestChurnNetworkStillServes(t *testing.T) {
 }
 
 func TestChurnReplacementKeepsPopulationServing(t *testing.T) {
-	// Heavy churn with replacement and protocol repair: dead holders are
-	// re-filled and re-granted their layer keys, so the joint scheme still
-	// delivers. Without Replace+Repair this configuration routinely loses
-	// missions.
+	// Heavy churn with protocol repair: dead holders are re-filled and
+	// re-granted their layer keys, so the joint scheme still delivers.
+	// Without Repair this configuration routinely loses missions.
 	net, err := NewNetwork(NetworkConfig{
 		Nodes:        120,
 		MeanLifetime: 8 * time.Hour,
-		Replace:      true,
 		Repair:       true,
 		Seed:         16,
 	})
@@ -253,7 +250,7 @@ func TestChurnReplacementKeepsPopulationServing(t *testing.T) {
 func TestChurnJoinAllocs(t *testing.T) {
 	net, err := NewNetwork(NetworkConfig{
 		Nodes: 120, MaliciousRate: 0.1, Attack: AttackDrop, HonestEndpoints: true,
-		MeanLifetime: 1000 * time.Hour, Replace: true, Replicas: 1, Repair: true,
+		MeanLifetime: 1000 * time.Hour, Replicas: 1, Repair: true,
 		Fault: FaultBurst, FaultSeverity: 0.5, Retry: 3, Seed: 2017,
 	})
 	if err != nil {
@@ -272,43 +269,6 @@ func TestChurnJoinAllocs(t *testing.T) {
 	const maxJoinAllocs = 0
 	if allocs := testing.AllocsPerRun(100, churn); allocs > maxJoinAllocs {
 		t.Fatalf("a churn death and its join allocate %.0f times, want at most %d", allocs, maxJoinAllocs)
-	}
-}
-
-// TestRouteAuditSkipsClosedNodes: without Replace the nodes churn kills stay
-// in the population, closed. RouteAudit scans only the open nodes' tables,
-// and an entry for a dead node is poisoned, however live its binding was.
-func TestRouteAuditSkipsClosedNodes(t *testing.T) {
-	net, err := NewNetwork(NetworkConfig{Nodes: 60, MeanLifetime: 2 * time.Hour, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.RunFor(time.Hour)
-	dead := map[dht.ID]bool{}
-	for _, host := range net.nodes {
-		if node := host.Node(); node.Closed() {
-			dead[node.ID()] = true
-		}
-	}
-	entries, stale := 0, 0
-	for _, host := range net.nodes {
-		node := host.Node()
-		if node.Closed() {
-			continue
-		}
-		node.Table().Each(func(c dht.Contact) {
-			entries++
-			if dead[c.ID] {
-				stale++
-			}
-		})
-	}
-	if deaths, _ := net.ChurnEvents(); deaths != len(dead) || stale == 0 {
-		t.Fatalf("%d deaths, %d closed nodes, %d routes to them: the run shows nothing", deaths, len(dead), stale)
-	}
-	live, poisoned := net.RouteAudit()
-	if live != entries-stale || poisoned != stale {
-		t.Errorf("RouteAudit = %d live, %d poisoned; want %d live, %d poisoned (routes to the %d dead nodes)", live, poisoned, entries-stale, stale, len(dead))
 	}
 }
 
@@ -427,6 +387,8 @@ func TestNetworkValidation(t *testing.T) {
 		"fault severity 1.5":             {Fault: FaultBurst, FaultSeverity: 1.5},
 		"negative retry attempts":        {Retry: -1},
 		"negative fault severity":        {FaultSeverity: -0.1},
+		"fault severity NaN":             {Fault: FaultBurst, FaultSeverity: math.NaN()},
+		"negative mean lifetime":         {MeanLifetime: -time.Hour},
 	}
 	for name, cfg := range bad {
 		if cfg.Validate() == nil {

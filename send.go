@@ -15,7 +15,6 @@ type SendOption func(*sendConfig)
 type sendConfig struct {
 	scheme        Scheme
 	maliciousRate float64
-	budget        int
 	plan          *core.Plan
 	missionID     *protocol.MissionID
 }
@@ -29,12 +28,6 @@ func WithScheme(s Scheme) SendOption {
 // compromised when sizing the path structure (default 0.2).
 func WithThreatModel(maliciousRate float64) SendOption {
 	return func(c *sendConfig) { c.maliciousRate = maliciousRate }
-}
-
-// WithNodeBudget caps how many DHT nodes the plan may consume (default:
-// the network size).
-func WithNodeBudget(n int) SendOption {
-	return func(c *sendConfig) { c.budget = n }
 }
 
 // WithPlan bypasses the planner entirely (advanced use and tests).
@@ -83,7 +76,7 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 	if emerging <= 0 {
 		return nil, fmt.Errorf("selfemerge: emerging period must be positive")
 	}
-	cfg := sendConfig{scheme: SchemeJoint, maliciousRate: 0.2, budget: n.cfg.Nodes}
+	cfg := sendConfig{scheme: SchemeJoint, maliciousRate: 0.2}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -144,9 +137,10 @@ func (n *Network) Send(plaintext []byte, emerging time.Duration, opts ...SendOpt
 }
 
 // planFor is the mission's plan: the caller's, or the planner's through
-// core.PlanSpec, which refuses a threat model outside [0, 1] before any
-// closed form runs. The key share planner sizes for churn of severity
-// emerging/lifetime, and for 1 without churn, where its thresholds stay mild.
+// core.PlanSpec within a budget of the whole population, which refuses a
+// threat model outside [0, 1] before any closed form runs. The key share
+// planner sizes for churn of severity emerging/lifetime, and for 1 without
+// churn, where its thresholds stay mild.
 func (n *Network) planFor(cfg sendConfig, emerging time.Duration) (core.Plan, error) {
 	if cfg.plan != nil {
 		return *cfg.plan, nil
@@ -155,7 +149,7 @@ func (n *Network) planFor(cfg sendConfig, emerging time.Duration) (core.Plan, er
 	if n.cfg.MeanLifetime > 0 {
 		alpha = float64(emerging) / float64(n.cfg.MeanLifetime)
 	}
-	return core.PlanSpec{Scheme: cfg.scheme, P: cfg.maliciousRate, Alpha: alpha, Budget: cfg.budget}.Plan()
+	return core.PlanSpec{Scheme: cfg.scheme, P: cfg.maliciousRate, Alpha: alpha, Budget: n.cfg.Nodes}.Plan()
 }
 
 // Emerged reports whether the message's key has emerged, and if so decrypts
