@@ -2,10 +2,9 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
+
+	"selfemerge/internal/par"
 )
 
 // Runner executes a sweep's points concurrently over a worker pool. Results
@@ -88,56 +87,26 @@ func (r Runner) Run(sw Sweep) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := r.Parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(points) {
-		workers = len(points)
-	}
 
 	began := time.Now() //lint:allow detrand Elapsed is operator-facing wall time, not part of the seeded result
 	results := make([]Result, len(points))
-	errs := make([]error, len(points))
-	next := make(chan int)
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if aborted.Load() {
-					continue
-				}
-				results[i], errs[i] = r.Estimator.Estimate(points[i])
-				if errs[i] != nil {
-					aborted.Store(true)
-				}
-			}
-		}()
-	}
-	for i := range points {
-		if aborted.Load() {
-			break
+	err = par.Do(len(points), r.Parallel, func(i int) (err error) {
+		if results[i], err = r.Estimator.Estimate(points[i]); err != nil {
+			err = fmt.Errorf("experiment: point %d (%s, x=%g): %w", i, points[i].Series, points[i].X, err)
 		}
-		next <- i
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	close(next)
-	wg.Wait()
-
 	rs := &ResultSet{
 		Sweep:     sw,
 		Estimator: r.Estimator.Name(),
 		Results:   results,
 		Elapsed:   time.Since(began), //lint:allow detrand wall-time metadata only; every seeded quantity flows from pt.Seed
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("experiment: point %d (%s, x=%g): %w",
-				i, points[i].Series, points[i].X, err)
-		}
-		rs.PointElapsed += results[i].Elapsed
+	for _, res := range results {
+		rs.PointElapsed += res.Elapsed
 	}
 	return rs, nil
 }

@@ -155,9 +155,6 @@ func New(cfg Config) (*Engine, error) {
 	}, nil
 }
 
-// Profile reports the engine's regime.
-func (e *Engine) Profile() Profile { return e.cfg.Profile }
-
 // side assigns an address to one half of the bisection: an FNV-1a hash
 // finished with a SplitMix64 avalanche, so similar addresses still split.
 func side(addr transport.Addr) int {

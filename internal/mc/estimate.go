@@ -2,9 +2,9 @@ package mc
 
 import (
 	"fmt"
-	"sync"
 
 	"selfemerge/internal/core"
+	"selfemerge/internal/par"
 	"selfemerge/internal/stats"
 )
 
@@ -97,10 +97,7 @@ func Estimate(plan core.Plan, env Env, opts Options) (Result, error) {
 	}
 
 	root := stats.NewRNG(opts.Seed)
-	workers := opts.Workers
-	if workers > opts.Trials {
-		workers = opts.Trials
-	}
+	workers := min(opts.Workers, opts.Trials)
 	// Pre-split one RNG per worker from the root stream so the partition of
 	// trials across workers does not change the sampled randomness layout
 	// within a worker.
@@ -110,34 +107,28 @@ func Estimate(plan core.Plan, env Env, opts Options) (Result, error) {
 	}
 
 	results := make([]Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	// Worker w runs its share of the trials on rngs[w]; a trial cannot fail.
+	_ = par.Do(workers, workers, func(w int) error {
 		share := opts.Trials / workers
 		if w < opts.Trials%workers {
 			share++
 		}
-		wg.Add(1)
-		go func(w, share int) {
-			defer wg.Done()
-			rng := rngs[w]
-			var acc Result
-			for t := 0; t < share; t++ {
-				out := RunTrial(plan, env, rng)
-				acc.Trials++
-				if out.Released {
-					acc.Released++
-				}
-				if out.Delivered {
-					acc.Delivered++
-				}
-				if !out.Released && out.Delivered {
-					acc.Succeeded++
-				}
+		acc := &results[w]
+		for t := 0; t < share; t++ {
+			out := RunTrial(plan, env, rngs[w])
+			acc.Trials++
+			if out.Released {
+				acc.Released++
 			}
-			results[w] = acc
-		}(w, share)
-	}
-	wg.Wait()
+			if out.Delivered {
+				acc.Delivered++
+			}
+			if !out.Released && out.Delivered {
+				acc.Succeeded++
+			}
+		}
+		return nil
+	})
 
 	var total Result
 	for _, r := range results {

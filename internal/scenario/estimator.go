@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"cmp"
-	"runtime"
 	"sync"
 
 	"selfemerge/internal/experiment"
@@ -26,14 +25,8 @@ type Estimator struct {
 	// cache key, so pinned and unpinned sweeps never share entries) and
 	// MCTrials, which here defaults to Missions so the Wilson agreement check
 	// reflects the live sampling noise. Config.At overwrites the fields an
-	// experiment point owns; Budget is the sweep-wide one.
+	// experiment point owns.
 	Template Config
-
-	// budget caps the shard event loops running at once across the whole sweep
-	// at GOMAXPROCS: the runner's point-level workers and the shards inside
-	// each point share it, so Parallel x Shards never oversubscribes the cores.
-	budgetOnce sync.Once
-	budget     *Budget
 
 	// mu: the runner's point workers call Estimate concurrently and share
 	// one reference cache.
@@ -72,8 +65,6 @@ func (e *Estimator) CheckPoint(pt experiment.Point) error {
 func (e *Estimator) config(pt experiment.Point) (Config, error) {
 	tmpl := e.Template
 	tmpl.MCTrials = cmp.Or(tmpl.MCTrials, tmpl.Missions, 100) // 100: the scenario default mission count
-	e.budgetOnce.Do(func() { e.budget = NewBudget(runtime.GOMAXPROCS(0)) })
-	tmpl.Budget = e.budget
 	return tmpl.At(pt)
 }
 

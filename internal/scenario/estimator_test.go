@@ -107,8 +107,8 @@ func TestLiveSweepAgreesWithMC(t *testing.T) {
 // scatter, oracle-validated threshold recovery, share re-grant repair, all
 // through cloned custody of recycled delivery buffers — and its matched
 // live-model references under all shapes; Shards=2 on the estimator makes
-// every point fan out inside the worker pool through the shared concurrency
-// budget. The fault axis adds a burst-loss arm with retry hardening on top
+// every point fan out inside the worker pool through the shard slot limit,
+// one shard at a time under GOMAXPROCS 1. The fault axis adds a burst-loss arm with retry hardening on top
 // of the clean arm: the fault engine's Gilbert–Elliott draws, the two-phase
 // retry timers and the fault columns of the emitters must all be
 // byte-stable across the same execution shapes. A second sweep runs the

@@ -75,11 +75,6 @@ type Config struct {
 	// historical single-network run exactly. Clamped to Missions so every
 	// shard runs at least one mission.
 	Shards int
-	// Budget optionally caps how many shard event loops run at once; nil
-	// uses a private budget of min(Shards, GOMAXPROCS). The live estimator
-	// shares one budget across every point of a sweep. Execution throttle
-	// only — results never depend on it.
-	Budget *Budget
 	// Stagger spreads mission launches uniformly over this window (default:
 	// one emerging period). Missions sharing one network see the same churn
 	// trajectory; staggering exposes each to a different time slice, which
@@ -370,7 +365,7 @@ func Score(cfg Config, net *selfemerge.Network, msgs []*selfemerge.Message) Resu
 // totals are filled). The experiment runner uses it so matched references
 // are computed once per environment and shared across points instead of
 // re-sampled inline. With Shards > 1 the shards execute concurrently (up to
-// the budget) and their outcomes merge in fixed shard order, so the report
+// shardSlots) and their outcomes merge in fixed shard order, so the report
 // is identical no matter how the shards were scheduled.
 func Measure(cfg Config) (*Report, error) {
 	began := time.Now() //lint:allow detrand Elapsed is operator-facing wall time, not part of the seeded result

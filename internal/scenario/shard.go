@@ -2,39 +2,11 @@ package scenario
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	selfemerge "selfemerge"
-	"selfemerge/internal/experiment"
+	"selfemerge/internal/par"
 	"selfemerge/internal/stats"
 )
-
-// Budget caps how many shard event loops run at once across every scenario
-// sharing it. The live estimator hands one budget (sized to the core count)
-// to all points of a sweep, so the runner's point-level workers and the
-// shards inside each point draw from a single concurrency pool instead of
-// multiplying into oversubscription. It is purely an execution throttle:
-// shard results are merged in fixed shard order, so any budget — including
-// none — yields byte-identical results.
-type Budget struct {
-	sem chan struct{}
-}
-
-// NewBudget returns a budget with the given number of concurrent slots
-// (minimum 1).
-func NewBudget(slots int) *Budget {
-	if slots < 1 {
-		slots = 1
-	}
-	return &Budget{sem: make(chan struct{}, slots)}
-}
-
-func (b *Budget) acquire() { b.sem <- struct{}{} }
-func (b *Budget) release() { <-b.sem }
-
-// Slots reports the budget's concurrency capacity.
-func (b *Budget) Slots() int { return cap(b.sem) }
 
 // ShardSeed derives the seed of shard i from the point seed. Shard 0 keeps
 // the point seed itself, so a one-shard point is byte-identical to the
@@ -61,7 +33,6 @@ func (c Config) shardConfigs() []Config {
 	for i := range out {
 		sc := c
 		sc.Shards = 1
-		sc.Budget = nil
 		sc.Missions = base
 		if i < extra {
 			sc.Missions++
@@ -72,89 +43,52 @@ func (c Config) shardConfigs() []Config {
 	return out
 }
 
-// shardOutcome is one shard's complete contribution to the merged report.
-type shardOutcome struct {
-	live Result
-	experiment.Counters
-	err error
-}
+// shardSlots caps the shard networks running at once in the process at
+// GOMAXPROCS: a sweep's point workers each run their point's shards, and
+// without one cap over both, workers × shards networks would oversubscribe
+// the cores. Taking a slot only throttles; it never changes a result.
+var shardSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // runShard executes the three live phases for one single-network shard
-// config.
-func runShard(cfg Config) (out shardOutcome) {
+// config and fills out's live result and counters.
+func runShard(cfg Config, out *Report) error {
+	shardSlots <- struct{}{}
+	defer func() { <-shardSlots }()
 	net, err := selfemerge.NewNetwork(cfg.network())
 	if err != nil {
-		return shardOutcome{err: err}
+		return err
 	}
 	msgs, err := Drive(cfg, net)
 	if err != nil {
-		return shardOutcome{err: err}
+		return err
 	}
-	out.live = Score(cfg, net, msgs)
+	out.Live = Score(cfg, net, msgs)
 	c := &out.Counters
 	c.Deaths, c.Joins = net.ChurnEvents()
 	c.Sent, c.Recv, c.Dropped = net.FabricStats()
 	rs := net.ResilienceStats()
 	c.Retries, c.Recovered, c.Duplicates = rs.Retries, rs.Recovered, rs.Duplicates
 	c.Epochs, c.IdleSkips, c.MergeAllocs = net.LoopStats()
-	return out
+	return nil
 }
 
-// measureShards runs every shard of the defaulted config — concurrently, up
-// to the budget — and merges their outcomes in fixed shard order into the
-// report. The goroutine schedule never leaks into the result: each shard is
+// measureShards runs every shard of the defaulted config on up to GOMAXPROCS
+// goroutines and merges their outcomes in fixed shard order into the report.
+// The goroutine schedule never leaks into the result: each shard is
 // deterministic under its derived seed, and the merge order is the shard
-// index, so the merged point is identical under GOMAXPROCS=1 and a full
-// multi-core run.
-//
-// The spawn itself is bounded to the budget's slot count: min(S, slots)
-// workers pull shard indices from a shared cursor, so a 1000-shard point on
-// a sweep-wide 8-slot budget parks 8 goroutines on the semaphore instead of
-// a thousand.
+// index, so the merged point is identical under GOMAXPROCS=1 (one shard at a
+// time) and a full multi-core run.
 func measureShards(cfg Config, report *Report) error {
-	budget := cfg.Budget
-	if budget == nil {
-		slots := cfg.Shards
-		if max := runtime.GOMAXPROCS(0); slots > max {
-			slots = max
-		}
-		budget = NewBudget(slots)
-	}
 	shards := cfg.shardConfigs()
-	outs := make([]shardOutcome, len(shards))
-	workers := budget.Slots()
-	if workers > len(shards) {
-		workers = len(shards)
+	outs := make([]Report, len(shards))
+	if err := par.Do(len(shards), 0, func(i int) error { return runShard(shards[i], &outs[i]) }); err != nil {
+		return err
 	}
-	var (
-		cursor atomic.Int64
-		wg     sync.WaitGroup
-	)
-	cursor.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1))
-				if i >= len(shards) {
-					return
-				}
-				budget.acquire()
-				outs[i] = runShard(shards[i])
-				budget.release()
-			}
-		}()
-	}
-	wg.Wait()
 	for _, out := range outs {
-		if out.err != nil {
-			return out.err
-		}
-		report.Live.Missions += out.live.Missions
-		report.Live.Released += out.live.Released
-		report.Live.Delivered += out.live.Delivered
-		report.Live.Succeeded += out.live.Succeeded
+		report.Live.Missions += out.Live.Missions
+		report.Live.Released += out.Live.Released
+		report.Live.Delivered += out.Live.Delivered
+		report.Live.Succeeded += out.Live.Succeeded
 		report.Counters.Add(out.Counters)
 	}
 	return nil

@@ -240,22 +240,3 @@ func TestReferenceKeyIgnoresLiveOnlyKnobs(t *testing.T) {
 		t.Errorf("seeds %d and %d share a reference key: %s", plain.Seed, reseeded.Seed, rel.Key())
 	}
 }
-
-// TestSharedBudgetThrottlesWithoutChangingResults: a one-slot budget forces
-// fully serial shard execution; the merged point must not move.
-func TestSharedBudgetThrottlesWithoutChangingResults(t *testing.T) {
-	free, err := scenario.Measure(shardedCfg(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := shardedCfg(4)
-	cfg.Budget = scenario.NewBudget(1)
-	serial, err := scenario.Measure(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.Live != serial.Live || free.Sent != serial.Sent {
-		t.Errorf("budget changed the measurement: %+v/%d vs %+v/%d",
-			free.Live, free.Sent, serial.Live, serial.Sent)
-	}
-}

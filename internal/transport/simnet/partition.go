@@ -99,9 +99,6 @@ func NewPartition(clocks []sim.Clock, cfg Config) (*Partition, error) {
 	return p, nil
 }
 
-// Shards returns the shard count.
-func (p *Partition) Shards() int { return len(p.subs) }
-
 // Lookahead returns the minimum cross-shard latency: the sim.Lockstep
 // lookahead this fabric supports.
 func (p *Partition) Lookahead() time.Duration { return p.lookahead }

@@ -13,7 +13,6 @@ import (
 	"selfemerge/internal/core"
 	"selfemerge/internal/dht"
 	"selfemerge/internal/fault"
-	"selfemerge/internal/freelist"
 	"selfemerge/internal/protocol"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
@@ -253,8 +252,13 @@ type shard struct {
 	// outlives churn replacements instead of being re-bought at each join.
 	scratch *dht.Scratch
 	// reports defers this shard's malicious-holder observations to the
-	// barrier (see releaseReports).
-	reports reportQueue
+	// barrier (see releaseReports), in the order they were made; the first
+	// reportHead of them were released by the merge under way. Their
+	// payloads are copies in reportBytes, which is emptied once every
+	// report is released (at the latest when a RunUntil ends).
+	reports     []reportRec
+	reportHead  int
+	reportBytes []byte
 
 	// spare is the host of this shard's latest churn death and spareAt the
 	// instant it died: a join at a later instant rebuilds it in place
@@ -356,7 +360,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		}
 		// Every loop sees every address: contacts travel across shards.
 		sh.scratch = dht.NewScratch(cfg.Nodes)
-		sh.reports.bufs = freelist.List[[]byte]{Max: maxFreeReportBufs}
 	}
 
 	if cfg.Attack == adversary.StrategyEclipse && cfg.ForgeRate > 0 {
@@ -384,43 +387,28 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	return n, nil
 }
 
-// reportQueue collects one shard's malicious-holder observations during an
-// epoch. It is written only from that shard's event loop and drained only at
-// barriers, so recs and head need no lock.
-type reportQueue struct {
-	recs []reportRec
-	head int // consumed prefix during a release merge
-	// bufs recycles the payload clones of released records, so a steady
-	// stream of reports stops allocating once the list has warmed up.
-	bufs freelist.List[[]byte]
-}
-
-// maxFreeReportBufs bounds reportQueue.bufs: reports drain at every barrier,
-// so only a burst between two barriers ever holds more clones than this.
-const maxFreeReportBufs = 64
-
 // reportRec is one deferred adversary observation. Its merge coordinates
 // are (at, shard, seq); the queue it sits in and its position there supply
 // the last two.
 type reportRec struct {
 	at   int64
 	from dht.ID
-	pkt  protocol.Packet
-	buf  *[]byte // the clone backing pkt.Data
+	pkt  protocol.Packet // Data views the shard's reportBytes
 }
 
 // Report implements protocol.Reporter for the hosts on this shard: defer the
 // observation into the shard's queue. Concurrent shard loops reporting
 // straight into the collector would interleave nondeterministically; the
 // barrier merges the queues in (time, shard, seq) order instead. The packet's
-// payload is cloned at enqueue: the transport reclaims the handler's buffer
-// when the event returns, long before the barrier drain.
+// payload is copied at enqueue: the transport reclaims the handler's buffer
+// when the event returns, long before the barrier drain. A copy is never
+// written again, so an append that moves reportBytes leaves earlier copies
+// where they are.
 func (sh *shard) Report(now time.Time, from dht.ID, pkt protocol.Packet) {
-	q := &sh.reports
-	buf := q.bufs.Get()
-	*buf = append((*buf)[:0], pkt.Data...)
-	pkt.Data = *buf
-	q.recs = append(q.recs, reportRec{at: now.UnixNano(), from: from, pkt: pkt, buf: buf})
+	start := len(sh.reportBytes)
+	sh.reportBytes = append(sh.reportBytes, pkt.Data...)
+	pkt.Data = sh.reportBytes[start:len(sh.reportBytes):len(sh.reportBytes)]
+	sh.reports = append(sh.reports, reportRec{at: now.UnixNano(), from: from, pkt: pkt})
 }
 
 // releaseReports is the lockstep Release hook: feed the deferred adversary
@@ -445,39 +433,40 @@ func (sh *shard) Report(now time.Time, from dht.ID, pkt protocol.Packet) {
 func (n *Network) releaseReports(before time.Time) {
 	horizon := before.UnixNano()
 	for {
-		var best *reportQueue
+		var best *shard
 		var bestAt int64
 		for i := range n.shards {
-			q := &n.shards[i].reports
-			if q.head == len(q.recs) {
+			sh := &n.shards[i]
+			if sh.reportHead == len(sh.reports) {
 				continue
 			}
 			// Queues are at-sorted: a head at or past the horizon parks the
 			// whole queue until a later release.
-			if at := q.recs[q.head].at; at < horizon && (best == nil || at < bestAt) {
-				best, bestAt = q, at
+			if at := sh.reports[sh.reportHead].at; at < horizon && (best == nil || at < bestAt) {
+				best, bestAt = sh, at
 			}
 		}
 		if best == nil {
 			break
 		}
-		r := &best.recs[best.head]
+		r := &best.reports[best.reportHead]
+		// The collector copies what it keeps.
 		n.collector.Report(time.Unix(0, r.at), r.from, r.pkt)
-		// The collector cloned what it keeps: the payload clone goes back to
-		// the queue's list.
-		best.bufs.Put(r.buf)
-		r.pkt.Data, r.buf = nil, nil
-		best.head++
+		r.pkt.Data = nil
+		best.reportHead++
 	}
 	for i := range n.shards {
-		q := &n.shards[i].reports
-		if q.head == 0 {
+		sh := &n.shards[i]
+		if sh.reportHead == 0 {
 			continue
 		}
-		rem := copy(q.recs, q.recs[q.head:])
-		clear(q.recs[rem:]) // duplicates of the compacted records
-		q.recs = q.recs[:rem]
-		q.head = 0
+		rem := copy(sh.reports, sh.reports[sh.reportHead:])
+		clear(sh.reports[rem:]) // duplicates of the compacted records
+		sh.reports = sh.reports[:rem]
+		sh.reportHead = 0
+		if rem == 0 {
+			sh.reportBytes = sh.reportBytes[:0]
+		}
 	}
 }
 
