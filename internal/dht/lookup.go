@@ -49,24 +49,33 @@ func lookupFinishContacts(arg any, contacts []Contact) {
 // send. A closed node, an empty table, two or more replicas, a key with a
 // contact on its near side, and a walk for the key already under way keep
 // the walk.
+//
+// A walk whose sends each ask for one owner ends as soon as the key's own
+// node answers it (lookupState.toTarget): distance 0 cannot be beaten, so
+// the rest of the window would not change the answer. A holder's release to
+// the receiver, whose key is the receiver's ID, is such a walk.
 func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int64) {
 	s, wk := n.cfg.Scratch, walkKey{key: key, node: n.incarnation}
 	if w := s.ownerWalks[wk]; w != nil {
+		s.counts.Riders++
 		w.attach(buf, replicas, notBefore)
 		return
 	}
 	if replicas <= 1 && !n.closed && n.table.Len() > 0 && n.table.ranksSelfFirst(key) {
+		s.counts.OwnerSendsSelf++
 		n.sendOwn(buf, notBefore)
 		return
 	}
+	s.counts.OwnerWalks++
 	w := s.walks.Get()
 	w.node, w.key = n, key
+	w.ls = n.startLookup(key, ownersFinish, w)
+	w.ls.toTarget = true
 	w.attach(buf, replicas, notBefore)
 	if s.ownerWalks == nil {
 		s.ownerWalks = make(map[walkKey]*ownerWalk)
 	}
 	s.ownerWalks[wk] = w
-	w.ls = n.startLookup(key, ownersFinish, w)
 	w.ls.step()
 }
 
@@ -111,9 +120,13 @@ type walkKey struct {
 // send whose instant is ahead arms it now, so it leaves at the instant whether
 // or not the walk has ended by then, and sends due in one instant leave in
 // call order. One whose instant has passed starts with it come and no owner
-// reached, so the walk's end sends it to every final owner.
+// reached, so the walk's end sends it to every final owner. A send that asks
+// for more than one owner keeps the walk's full window.
 func (w *ownerWalk) attach(buf *[]byte, replicas int, notBefore int64) {
 	n := w.node
+	if replicas > 1 {
+		w.ls.toTarget = false
+	}
 	p := n.newSend(buf, replicas)
 	if ahead := notBefore - n.cfg.Clock.Now().UnixNano(); ahead > 0 {
 		p.walk = w
@@ -348,6 +361,10 @@ type lookupState struct {
 	// query counts neither way.
 	rejoin bool
 	barren int
+	// toTarget marks an owner walk whose every send asks for one owner
+	// (SendBufToOwners), which also finishes once its window's nearest entry
+	// is the target itself and has answered: no contact can be nearer.
+	toTarget bool
 	// finished is set when the walk has called back. A walk that finishes
 	// with queries still out asks nobody more and only drains them.
 	finished bool
@@ -364,7 +381,7 @@ func (ls *lookupState) release() {
 	clear(ls.spill)
 	ls.spill = ls.spill[:0]
 	ls.result = ls.result[:0]
-	ls.rejoin, ls.barren, ls.finished = false, 0, false
+	ls.rejoin, ls.barren, ls.toTarget, ls.finished = false, 0, false, false
 	ls.node = nil
 	ls.finishCb = nil
 	ls.finishArg = nil
@@ -482,15 +499,21 @@ func (n *Node) startLookup(target ID, cb func(any, []Contact), arg any) *lookupS
 }
 
 // step issues queries up to the alpha limit and detects termination. A walk
-// finishes when it has nothing left to ask and nothing in flight, or — a
-// rejoin's — once alpha answered replies in a row have taught it nothing,
-// whatever is still out. Its state is released only once nothing is in
-// flight, so no response ever arrives for a released state: a walk that
-// finished early drains its queries first (onResponse), and their replies
-// still reach the table through settle.
+// finishes when it has nothing left to ask and nothing in flight; a rejoin's
+// also once alpha answered replies in a row have taught it nothing, and a
+// one-owner walk's once the target itself has answered, whatever is still
+// out. Its state is released only once nothing is in flight, so no response
+// ever arrives for a released state: a walk that finished early drains its
+// queries first (onResponse), and their replies still reach the table
+// through settle.
 func (ls *lookupState) step() {
 	ls.sortShortlist()
 	if ls.rejoin && ls.barren >= alpha {
+		ls.finish()
+		return
+	}
+	if ls.toTarget && ls.targetAnswered() {
+		ls.node.cfg.Scratch.counts.OwnerWalksAtTarget++
 		ls.finish()
 		return
 	}
@@ -512,6 +535,16 @@ func (ls *lookupState) step() {
 		// Nothing left to ask and nothing outstanding.
 		ls.finish()
 	}
+}
+
+// targetAnswered reports whether the window's nearest entry is the target
+// itself, at distance 0 in all three lanes, and has answered the walk.
+func (ls *lookupState) targetAnswered() bool {
+	if len(ls.shortlist) == 0 {
+		return false
+	}
+	r := &ls.shortlist[0]
+	return r.answered && r.d0 == 0 && r.d1 == 0 && r.d2 == 0
 }
 
 // finish calls the walk back with its window, once, and releases the state

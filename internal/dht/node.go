@@ -645,6 +645,7 @@ func (n *Node) SendApp(to Contact, payload []byte) error {
 	if n.closed {
 		return ErrClosed
 	}
+	n.cfg.Scratch.counts.AppSends++
 	if n.Retrying() {
 		n.requestArg(to, Message{Kind: KindApp, App: payload}, appAckDone, nil)
 		return nil

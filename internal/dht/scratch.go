@@ -12,9 +12,9 @@ import (
 // book its nodes' routing tables and lookups refer to, the freelists of
 // lookup states, lookup query records, owner-walk records, owner-send
 // records, in-flight RPC records, local-delivery records and byte buffers, the
-// index of owner walks in flight, and the acked-delivery dedup index. None of
-// it is observable: sharing changes who pays for the memory, never a wire
-// byte or an event — short of the dedup index's bound, which a shared index
+// index of owner walks in flight, the acked-delivery dedup index, and the
+// loop's SendCounts. None of it is observable: sharing changes who pays for
+// the memory, never a wire byte or an event — short of the dedup index's bound, which a shared index
 // reaches sooner.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
@@ -58,7 +58,39 @@ type Scratch struct {
 	// incarnations numbers the nodes built on this scratch (Node.incarnation),
 	// so a replacement that takes its predecessor's ID starts with no marks.
 	incarnations uint32
+	// counts is what the loop's nodes sent, across their deaths.
+	counts SendCounts
 }
+
+// SendCounts counts a loop's owner sends and app datagrams. Each is a pure
+// function of the loop's event sequence, so a simulated run reports the same
+// counts at any core count.
+type SendCounts struct {
+	// OwnerWalks is the owner sends that started a FIND_NODE walk, and
+	// OwnerWalksAtTarget those walks that ended when the key's own node
+	// answered (lookupState.toTarget).
+	OwnerWalks, OwnerWalksAtTarget uint64
+	// OwnerSendsSelf is the one-replica owner sends the node's own table
+	// decided, with no walk (sendOwn).
+	OwnerSendsSelf uint64
+	// Riders is the owner sends that joined a walk already under way.
+	Riders uint64
+	// AppSends is the app payloads sent to a contact (SendApp), first
+	// attempts only.
+	AppSends uint64
+}
+
+// Add accumulates o into c.
+func (c *SendCounts) Add(o SendCounts) {
+	c.OwnerWalks += o.OwnerWalks
+	c.OwnerWalksAtTarget += o.OwnerWalksAtTarget
+	c.OwnerSendsSelf += o.OwnerSendsSelf
+	c.Riders += o.Riders
+	c.AppSends += o.AppSends
+}
+
+// Counts reports the scratch's SendCounts.
+func (s *Scratch) Counts() SendCounts { return s.counts }
 
 // Freelist bounds. A burst — every node of a booting network running its
 // bootstrap lookup at once — allocates past them and the surplus is garbage

@@ -239,6 +239,9 @@ type Counters struct {
 	// barriers, epochs with at most one busy shard, and hand-off outbox
 	// capacity growths; every live run executes at least one epoch.
 	Epochs, IdleSkips, MergeAllocs uint64
+	// Sends is the owner walks, walk-free owner sends, riders and app
+	// sends of the population's loops.
+	Sends dht.SendCounts
 }
 
 // Add sums o into c: the merge of a point's shards.
@@ -254,4 +257,5 @@ func (c *Counters) Add(o Counters) {
 	c.Epochs += o.Epochs
 	c.IdleSkips += o.IdleSkips
 	c.MergeAllocs += o.MergeAllocs
+	c.Sends.Add(o.Sends)
 }

@@ -32,6 +32,13 @@ func (r *Report) WriteTable(w io.Writer) error {
 		r.Deaths, r.Joins, r.Sent, r.Recv, r.Dropped, r.Elapsed.Round(1e6)); err != nil {
 		return err
 	}
+	sc, m := r.Sends, float64(max(r.Live.Missions, 1))
+	if _, err := fmt.Fprintf(w,
+		"per mission: %.2f owner walks (%.2f ended at target), %.2f owner sends to self, %.2f riders, %.2f app sends\n",
+		float64(sc.OwnerWalks)/m, float64(sc.OwnerWalksAtTarget)/m, float64(sc.OwnerSendsSelf)/m,
+		float64(sc.Riders)/m, float64(sc.AppSends)/m); err != nil {
+		return err
+	}
 	if cfg.Fault != fault.ProfileNone || cfg.Retry > 1 {
 		if _, err := fmt.Fprintf(w,
 			"fault: profile=%s severity=%.2f retry=%d; rpc: %d retries, %d recovered, %d duplicate deliveries\n",

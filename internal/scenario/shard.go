@@ -69,6 +69,7 @@ func runShard(cfg Config, out *Report) error {
 	rs := net.ResilienceStats()
 	c.Retries, c.Recovered, c.Duplicates = rs.Retries, rs.Recovered, rs.Duplicates
 	c.Epochs, c.IdleSkips, c.MergeAllocs = net.LoopStats()
+	c.Sends = net.SendCounts()
 	return nil
 }
 

@@ -669,6 +669,16 @@ func (n *Network) ResilienceStats() (total dht.Resilience) {
 	return total
 }
 
+// SendCounts sums the event loops' owner-walk and app-send counts (see
+// dht.SendCounts). A loop's counts outlive its nodes, so churn-replaced
+// nodes' sends are in them.
+func (n *Network) SendCounts() (total dht.SendCounts) {
+	for i := range n.shards {
+		total.Add(n.shards[i].scratch.Counts())
+	}
+	return total
+}
+
 // FabricStats reports transport-level (sent, delivered, dropped) datagram
 // counts.
 func (n *Network) FabricStats() (sent, delivered, dropped int) {

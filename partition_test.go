@@ -49,35 +49,16 @@ func traceMissions(t *testing.T, net *Network, missions int, emerging time.Durat
 }
 
 // classicTraces are runTrace fingerprints recorded from the single-loop
-// engine (one sim.Simulator, one simnet.Network) at the last commit that had
-// it, for TestPartitionOneMatchesClassic's config at two seeds. Every field
-// is that engine's outcome from before owner walks were coalesced, except the
-// fabric counter: sent/delivered fell (seed 11: 44168 → 43842, seed 29: 42336
-// → 42012) when concurrent SendToOwners calls for one key began sharing one
-// FIND_NODE walk, and nothing else in the fingerprint moved. Then the
-// forward instant, twice, with sent, delivered, deaths and joins equal both
-// times. Once a holder resolved its next hop one lead ahead and sent at its
-// deadline, every emergence came 70 ms sooner, one 5 ms link after release
-// (at 10860074999997 → 10860004999997 and 18420074999997 → 18420004999997 at
-// both seeds), as did the one recovery made from a forwarded packet (seed 11
-// mission 0, recAt 9831503571426 → 9831433571426). And once holding periods
-// rounded up, so that the last of this plan's seven ends at the release and
-// not 3 ns before it, each moved 7 ns later and that recovery 6 ns later
-// (at 10860004999997 → 10860005000004, 18420004999997 → 18420005000004;
-// recAt 9831433571426 → 9831433571432). Then only sent/delivered fell once
-// more (seed 11: 43842 → 36913, seed 29: 42012 → 35092) when a one-replica
-// owner send that its node's own table ranks the node first for stopped
-// walking to itself, and again (seed 11: 36913 → 34687, seed 29: 35092 →
-// 33012) when a churn replacement's self-lookup began stopping once alpha
-// replies in a row taught it nothing.
+// engine at the last commit that had it, for TestPartitionOneMatchesClassic's
+// config at two seeds; CHANGES.md lists each field's moves since.
 var classicTraces = map[uint64]string{
 	11: `mission=0 emerged=true at=10860005000004 plain="partition golden" recovered=true recAt=9831433571432
 mission=1 emerged=true at=18420005000004 plain="partition golden" recovered=false recAt=-6795364578871345152
-deaths=114 joins=114 sent=34687 delivered=34687 dropped=0 now=18780000000000
+deaths=114 joins=114 sent=34503 delivered=34503 dropped=0 now=18780000000000
 `,
 	29: `mission=0 emerged=true at=10860005000004 plain="partition golden" recovered=false recAt=-6795364578871345152
 mission=1 emerged=true at=18420005000004 plain="partition golden" recovered=true recAt=11220075000000
-deaths=97 joins=97 sent=33012 delivered=33012 dropped=0 now=18780000000000
+deaths=97 joins=97 sent=32788 delivered=32788 dropped=0 now=18780000000000
 `,
 }
 
