@@ -429,9 +429,12 @@ func missionCycle(tb testing.TB, net *Network, payload []byte) {
 // mission must emerge. retained_B/mission is the heap in use after two forced
 // collections, after the run less before the first send, per mission. A
 // record that keeps its key, shares, plaintext or a cipher state past its
-// forward adds to it. It is a count — the same on every runner for one
-// toolchain — so CI gates it (BENCH_scenario.json). What is left is mostly
-// the custody records themselves, which are not yet deleted.
+// forward adds to it, as does a record that stays in its loop's index past its
+// horizon. It is a count — the same on every runner for one toolchain — so CI
+// gates it (BENCH_scenario.json). Holders forget every record by the end of
+// the run, so what is left of custody is the loop's free records and their
+// share buffers; the rest is routing-table entries and the recycled-record
+// lists of the DHT, simulator and fabric that the run warmed.
 func BenchmarkRetainedHeap(b *testing.B) {
 	const missions = 40
 	payload := []byte("twenty bytes of data")

@@ -438,6 +438,11 @@ func (n *Node) Receive(from transport.Addr, data []byte) {
 // the same loop-owned list the node's own datagrams use.
 func (n *Node) Bufs() *freelist.List[[]byte] { return &n.cfg.Scratch.bufs }
 
+// App is the slot of the node's dispatch context for the application above
+// it, as Bufs is its buffer list: the protocol layer keeps the custody of
+// every host on the loop there.
+func (n *Node) App() *any { return n.cfg.Scratch.App() }
+
 // sendBuf puts the datagram in buf on the wire and recycles buf — the one
 // place a wire buffer ends its life: transport.Endpoint.Send does not retain
 // its payload, so the buffer is reusable the moment the send returns.

@@ -60,6 +60,10 @@ type Scratch struct {
 	incarnations uint32
 	// counts is what the loop's nodes sent, across their deaths.
 	counts SendCounts
+	// app is the loop state of the application above the nodes (the
+	// protocol layer's custody ledger), made by its first user: this
+	// package cannot name its type.
+	app any
 }
 
 // SendCounts counts a loop's owner sends and app datagrams. Each is a pure
@@ -88,6 +92,10 @@ func (c *SendCounts) Add(o SendCounts) {
 	c.Riders += o.Riders
 	c.AppSends += o.AppSends
 }
+
+// App is the slot for the loop state of the application above the nodes (see
+// Node.App).
+func (s *Scratch) App() *any { return &s.app }
 
 // Counts reports the scratch's SendCounts.
 func (s *Scratch) Counts() SendCounts { return s.counts }

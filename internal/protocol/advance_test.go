@@ -88,7 +88,7 @@ func TestAdvanceTouchesOneRecord(t *testing.T) {
 		if pkt.Data, err = onion.Build(layers, keys); err != nil {
 			t.Fatal(err)
 		}
-		grant.Data = keys[0][:]
+		grant.Data, grant.HoldUntil = keys[0][:], pkt.HoldUntil
 		return pkt, grant
 	}
 	slotPkg, slotGrant := build(Packet{Kind: PkSlotOnion, Column: 1, Slot: 0})

@@ -2,6 +2,7 @@ package protocol_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,12 +12,13 @@ import (
 )
 
 // TestForwardedCustodyKeepsNothing: a holder keeps its layer and layer key
-// for one holding period and then passes them on. After emergence every
-// record that sent its package on holds no key, no plaintext, no shares and
-// no custody clone, and replaying each packet such a record received — an
-// honest late duplicate — allocates nothing and schedules no event, so the
-// dropped material cannot grow back. Repair and its retry are on, so the
-// records' repair loops run too.
+// for one holding period and then passes them on. After emergence no host
+// owes a record of the mission: each record that sent its package on left a
+// tombstone at its Ref, and went back to its loop's free list holding no
+// key, no plaintext, no shares and no custody clone. Replaying each packet a
+// forgotten Ref received — an honest late duplicate — allocates nothing and
+// schedules no event, so the dropped material cannot grow back. Repair and
+// its retry are on, so the records' repair loops run too.
 func TestForwardedCustodyKeepsNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -42,41 +44,41 @@ func TestForwardedCustodyKeepsNothing(t *testing.T) {
 			m := tb.launch(tc.plan, tc.emerging)
 			tb.assertEmerges(m)
 
-			forwarded := make(map[*Host]map[protocol.Ref]string)
-			records := 0
+			forgotten, refs := make(map[*Host][]protocol.Ref), 0
 			check := func(when string) {
 				for _, h := range tb.hosts {
-					recs := protocol.ForwardedCustody(h, m.ID)
-					for ref, kept := range recs {
+					held, gone := protocol.Custody(h, m.ID)
+					if len(held) != 0 {
+						t.Errorf("%s: %s holds records at %+v", when, h.Node().ID().Short(), held)
+					}
+					if when == "after emergence" {
+						forgotten[h], refs = gone, refs+len(gone)
+					}
+					for i, kept := range protocol.FreeCustody(h) {
 						if kept != "" {
-							t.Errorf("%s: %s record at %+v keeps %s", when, h.Node().ID().Short(), ref, kept)
+							t.Fatalf("%s: free record %d of %s's loop keeps %s", when, i, h.Node().ID().Short(), kept)
 						}
 					}
-					forwarded[h] = recs
-					records += len(recs)
 				}
 			}
 			check("after emergence")
-			if records == 0 {
+			if refs == 0 {
 				t.Fatal("no record sent its package on")
 			}
 
 			replayed := 0
 			for _, r := range log {
 				pkt, err := DecodePacket(r.payload)
-				if err != nil || pkt.Mission != m.ID {
-					continue
-				}
-				if _, ok := forwarded[r.host][pkt.Ref()]; !ok {
+				if err != nil || pkt.Mission != m.ID || !slices.Contains(forgotten[r.host], pkt.Ref()) {
 					continue
 				}
 				replayed++
 				pending := tb.sim.Pending()
 				if allocs := testing.AllocsPerRun(10, func() { r.host.HandleApp(r.from, r.payload) }); allocs != 0 {
-					t.Errorf("replaying a %v at a forwarded record allocates %.0f times", pkt.Kind, allocs)
+					t.Errorf("replaying a %v at a forgotten Ref allocates %.0f times", pkt.Kind, allocs)
 				}
 				if got := tb.sim.Pending(); got != pending {
-					t.Errorf("replaying a %v at a forwarded record scheduled %d events", pkt.Kind, got-pending)
+					t.Errorf("replaying a %v at a forgotten Ref scheduled %d events", pkt.Kind, got-pending)
 				}
 			}
 			if replayed == 0 {

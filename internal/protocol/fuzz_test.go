@@ -25,7 +25,9 @@ import (
 // datagram only claims. The victim still answers a peer's ping a simulated
 // minute later. And the network drains: nothing the datagram sets off runs
 // later than a minute past the last instant it names (a forged package may
-// ask to be held until then).
+// ask to be held until then). After the drain the victim's custody is within
+// its bounds (protocol.CheckBounds), and once the datagram's horizon has
+// passed the victim owes no record.
 func FuzzNodeDatagram(f *testing.F) {
 	stranger := dht.Contact{ID: dht.IDFromKey([]byte("stranger")), Addr: "stranger"}
 	wire := func(m dht.Message) []byte {
@@ -122,7 +124,73 @@ func FuzzNodeDatagram(f *testing.F) {
 		if now := tb.sim.Now().UnixNano(); now > ran && now-horizon > int64(time.Minute) {
 			t.Fatalf("the network drained %v after the last instant the datagram names", time.Duration(now-horizon))
 		}
+		host := tb.hosts[3]
+		if err := protocol.CheckBounds(host); err != nil {
+			t.Fatal(err)
+		}
+		if got := host.Records(); got > 1 {
+			t.Fatalf("one datagram left %d records", got)
+		}
+		forgotten := time.Unix(0, min(horizon, start+int64(protocol.MaxHoldAhead))).Add(protocol.LateGrace)
+		tb.sim.RunUntil(forgotten)
+		if got := host.Records(); got != 0 {
+			t.Fatalf("the victim owes %d records past the datagram's horizon", got)
+		}
 	})
+}
+
+// TestFloodOfMissionsStaysBounded: a stranger floods a holder of a simnet
+// cluster with packets of fresh mission IDs — key grants, column shares and
+// onions no key opens, each due in an hour — past the records one host may
+// owe. The holder keeps maxLiveRecords of them and counts the rest as
+// refused; its custody stays within every bound; and past the packets'
+// horizon it owes nothing and the network drains.
+func TestFloodOfMissionsStaysBounded(t *testing.T) {
+	tb := newTestbed(t, 8, 0, false)
+	victim, host := tb.nodes[3], tb.hosts[3]
+	stranger := tb.net.Endpoint("stranger")
+	from := dht.Contact{ID: dht.IDFromKey([]byte("stranger")), Addr: "stranger"}
+	hold := tb.sim.Now().Add(time.Hour)
+	const flood = protocol.MaxLiveRecords + 200
+	kinds := []protocol.PacketKind{protocol.PkKeyGrant, protocol.PkColShare, protocol.PkMainOnion}
+	for i := range flood {
+		pkt := Packet{Kind: kinds[i%len(kinds)], Column: 1, Width: 2, HoldUntil: hold.UnixNano(), Step: int64(time.Hour)}
+		binary.BigEndian.PutUint32(pkt.Mission[:], uint32(i))
+		switch pkt.Kind {
+		case protocol.PkKeyGrant:
+			pkt.Data = make([]byte, seal.KeySize)
+		case protocol.PkColShare:
+			pkt.Data = protocol.AppendEncodeShareBlob(nil, shamir.Share{M: 2, X: 1, Data: make([]byte, seal.KeySize)})
+		default:
+			pkt.Data = bytes.Repeat([]byte{0x5e}, 48)
+		}
+		data, err := dht.Message{Kind: dht.KindApp, From: from, App: pkt.AppendEncode(nil)}.AppendEncode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stranger.Send(victim.Contact().Addr, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tb.sim.RunFor(time.Minute)
+	if got := host.Records(); got != protocol.MaxLiveRecords {
+		t.Fatalf("the flood left %d records, want the bound %d", got, protocol.MaxLiveRecords)
+	}
+	if got := host.Refusals().Records; got != flood-protocol.MaxLiveRecords {
+		t.Fatalf("%d packets refused at the record bound, want %d", got, flood-protocol.MaxLiveRecords)
+	}
+	if err := protocol.CheckBounds(host); err != nil {
+		t.Fatal(err)
+	}
+	tb.sim.RunUntil(hold.Add(protocol.LateGrace))
+	if got := host.Records(); got != 0 {
+		t.Fatalf("the victim owes %d records past the flood's horizon", got)
+	}
+	for events := 0; tb.sim.Step(); events++ {
+		if events == 100_000 {
+			t.Fatal("the network has not drained")
+		}
+	}
 }
 
 // FuzzDecodePacket asserts the wire codec's invariants on arbitrary input:

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"container/heap"
 	"errors"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"selfemerge/internal/crypto/seal"
 	"selfemerge/internal/crypto/shamir"
 	"selfemerge/internal/dht"
+	"selfemerge/internal/freelist"
 )
 
 // Reporter receives a copy of every packet a compromised holder observes
@@ -59,32 +61,120 @@ type Host struct {
 	cfg  HostConfig
 	node dht.Node
 
-	// records is nil until the first write (record): a churn replacement
-	// that never holds custody pays nothing for it. It is looked up, never
-	// ranged over, so send order comes from the event sequence alone.
-	records map[custodyKey]*custody
+	// ledger is the custody of every host on the node's loop.
+	ledger *ledger
+	// live counts this host's records in the ledger's index, which
+	// maxLiveRecords bounds.
+	live int
 }
 
-// custodyKey indexes a holder's custody: one record per Ref of a mission.
+// Custody bounds. Each is a constant set above every honest plan, and each
+// refusal is counted (Refusals).
+const (
+	// maxHoldAhead is how far ahead of now a deadline may lie, so a forged
+	// far-future HoldUntil pins no record and no timer for longer. The
+	// longest honest plan hides a key for five mean lifetimes
+	// (examples/longterm), five months at a month's lifetime.
+	maxHoldAhead = 366 * 24 * time.Hour
+	// lateGrace is how long past its deadline material at a Ref is still
+	// taken: a record's horizon is its latest deadline plus lateGrace, and a
+	// tombstone refuses until then. The latest honest material seen came
+	// 9.7 min past its deadline, at holders of an eclipse sweep (forge 60)
+	// under burst loss with three retries; on every benchmark workload and
+	// golden none came past its deadline at all.
+	lateGrace = 15 * time.Minute
+	// maxLiveRecords bounds the records one host owes at once: the most seen
+	// is 36, at BenchmarkRetainedHeap's planner shape.
+	maxLiveRecords = 1024
+	// maxGraves bounds a loop's tombstones; past it the oldest goes early.
+	maxGraves = 1 << 14
+	// maxFreeCustody is how many spent records a loop keeps for reuse.
+	maxFreeCustody = 64
+)
+
+// Refusals counts the material the hosts of one loop refused at a custody
+// bound.
+type Refusals struct {
+	// Horizon is material whose deadline lay more than maxHoldAhead ahead,
+	// or more than lateGrace behind.
+	Horizon uint64
+	// Records is material that would have made a record at a host owing
+	// maxLiveRecords.
+	Records uint64
+	// Shares is new share coordinates at a collection of maxShares.
+	Shares uint64
+}
+
+// ledger is the custody of every host on one dispatch context, in the slot
+// the loop keeps for it (dht.Node.App): the records owed, indexed by (host
+// incarnation, mission, Ref), with the tombstones of those sent on; their
+// free list; the aging heap that forgets a record at its horizon; and the
+// refusal counts. Like the rest of the loop's scratch it is not locked. The
+// event path looks the index up and never ranges over it, so send order
+// comes from the event sequence alone.
+type ledger struct {
+	index map[custodyKey]entry
+	free  freelist.List[custody]
+	aging agingHeap
+	// graves are the tombstones in the order they were made; graves[head:]
+	// have not been swept.
+	graves []grave
+	head   int
+
+	refused Refusals
+}
+
+// entry is an index entry: a record owed, or a tombstone (rec nil) that
+// refuses material at its key until the instant until.
+type entry struct {
+	rec   *custody
+	until int64
+}
+
+// grave is a tombstone's key and expiry.
+type grave struct {
+	id    custodyKey
+	until int64
+}
+
+// ledgerOf returns the ledger in a loop's application slot, making it there
+// first.
+func ledgerOf(app *any) *ledger {
+	if *app == nil {
+		*app = &ledger{free: freelist.List[custody]{Max: maxFreeCustody}}
+	}
+	return (*app).(*ledger)
+}
+
+// custodyKey indexes a loop's custody: one record per Ref of a mission at one
+// host incarnation (dht.Node.Incarnation): a host rebuilt in place has a new
+// one.
 type custodyKey struct {
-	mission MissionID
-	ref     Ref
+	mission     MissionID
+	ref         Ref
+	incarnation uint32
 }
 
 // custody is everything a holder keeps at one Ref of a mission: the layer key,
 // the Shamir shares collected towards it, the package it opens (or a central
-// package) and the first repair loop armed there. Hold, grant-tick and repush
-// events take pointers into it, and do nothing once it is stale. Once the
-// package forwards (spend), the record keeps its coordinates and flags and
-// nothing a compromise could use.
+// package) and the first repair loop armed there. Its life is collecting (key
+// material and package arrive) → keyed → held → peeled → forwarded →
+// forgotten: it leaves the index when its package is sent on (spend) or at
+// its horizon, whichever comes first, and goes back to the loop's free list
+// once no event points at it. Hold, grant-tick and repush events take
+// pointers into it, and do nothing once it is stale.
 type custody struct {
-	host *Host
-	ref  Ref
-	// incarnation is the host's node's (dht.Node.Incarnation) when the record
-	// was made: a host rebuilt in place has a new one.
-	incarnation uint32
+	host   *Host
+	ledger *ledger
+	id     custodyKey
+	// armed counts the hold, grant-tick and repush events that point at the
+	// record or its repair loops.
+	armed int32
+	// until is the latest deadline of the material taken at the record.
+	until int64
 	// key is the layer key once granted or oracle-confirmed (hasKey): K_c of
-	// the multipath schemes and CK_c column-wide, SK_{c,s} per slot.
+	// the multipath schemes and CK_c column-wide, SK_{c,s} per slot. A grant
+	// loop pushes it.
 	key seal.Key
 	// shares are the Shamir shares collected towards key.
 	shares Shares
@@ -95,6 +185,9 @@ type custody struct {
 	// grant and a share collection at one Ref, which no honest sender
 	// produces) spills into a record of its own.
 	loop refresh
+	// aging is the record's place in its ledger's aging heap, or -1 once it
+	// has left the index.
+	aging int32
 
 	hasKey bool
 	// keyFailed marks a key that did not open the held package: neither can
@@ -103,29 +196,174 @@ type custody struct {
 	// repair is set once the share collection has an armed churn-repair
 	// refresh (one per holding period, see scheduleShareRefresh).
 	repair bool
-	// forwarded is set once the package has been sent on (spend): the record
-	// refuses further material at its Ref.
+	// forwarded is set once the package has been sent on (spend).
 	forwarded bool
 }
 
-// record returns the record at the packet's (mission, ref), making it on
-// first use.
+// record returns the record at the packet's (mission, Ref), making it on
+// first use, or nil when the host refuses the packet: its deadline lies
+// outside the hold horizon, a tombstone holds the Ref, or the host owes
+// maxLiveRecords records already. A record the packet finds takes its
+// deadline if it is later.
 func (h *Host) record(pkt Packet) *custody {
-	k := custodyKey{pkt.Mission, pkt.Ref()}
-	rec := h.records[k]
-	if rec == nil {
-		if h.records == nil {
-			h.records = make(map[custodyKey]*custody, 2)
-		}
-		rec = &custody{host: h, ref: k.ref, incarnation: h.node.Incarnation()}
-		h.records[k] = rec
+	l := h.ledger
+	now := h.node.Clock().Now().UnixNano()
+	l.expire(now)
+	if pkt.HoldUntil > now+int64(maxHoldAhead) || pkt.HoldUntil <= now-int64(lateGrace) {
+		l.refused.Horizon++
+		return nil
 	}
+	k := custodyKey{pkt.Mission, pkt.Ref(), h.node.Incarnation()}
+	e := l.index[k]
+	if rec := e.rec; rec != nil {
+		if pkt.HoldUntil > rec.until {
+			rec.until = pkt.HoldUntil
+			heap.Fix(&l.aging, int(rec.aging))
+		}
+		return rec
+	}
+	if e.until > now {
+		return nil // sent on: the Ref is forgotten
+	}
+	if h.live == maxLiveRecords {
+		l.refused.Records++
+		return nil
+	}
+	rec := l.free.Get()
+	rec.host, rec.ledger, rec.id, rec.until = h, l, k, pkt.HoldUntil
+	if l.index == nil {
+		l.index = make(map[custodyKey]entry)
+	}
+	l.index[k] = entry{rec: rec}
+	heap.Push(&l.aging, rec)
+	h.live++
 	return rec
 }
 
-// custodyAt returns the record at (mission, ref), or nil.
+// custodyAt returns the record h owes at (mission, ref), or nil.
 func (h *Host) custodyAt(mission MissionID, ref Ref) *custody {
-	return h.records[custodyKey{mission, ref}]
+	return h.ledger.index[custodyKey{mission, ref, h.node.Incarnation()}].rec
+}
+
+// retire takes the record out of the index at now — behind a tombstone up to
+// its horizon, if its package was sent on — and recycles it if no event
+// points at it (else its last event does, done).
+func (l *ledger) retire(c *custody, now int64) {
+	heap.Remove(&l.aging, int(c.aging))
+	if c.forwarded {
+		until := max(now, c.until) + int64(lateGrace)
+		l.index[c.id] = entry{until: until}
+		l.bury(grave{c.id, until})
+	} else {
+		delete(l.index, c.id)
+	}
+	if h := c.host; h.node.Incarnation() == c.id.incarnation {
+		h.live--
+	}
+	if c.armed == 0 {
+		l.recycle(c)
+	}
+}
+
+// recycle returns a record that has left the index and that no event points
+// at to the free list, with its key material zeroed and the capacity of its
+// share buffers kept. A stale record's custody clone is left to the
+// collector: its host may since have been built on another loop.
+func (l *ledger) recycle(c *custody) {
+	if !c.stale() {
+		c.host.releaseCustody(&c.hold)
+	}
+	c.forget()
+	*c = custody{shares: c.shares, aging: -1}
+	l.free.Put(c)
+}
+
+// bury adds a tombstone to the sweep order; at maxGraves the oldest is swept
+// early.
+func (l *ledger) bury(g grave) {
+	if len(l.graves)-l.head == maxGraves {
+		l.sweep(l.graves[l.head])
+		l.head++
+	}
+	if l.head > 0 && len(l.graves) == cap(l.graves) {
+		l.graves = l.graves[:copy(l.graves, l.graves[l.head:])]
+		l.head = 0
+	}
+	l.graves = append(l.graves, g)
+}
+
+// sweep deletes g's tombstone from the index unless a later one has taken
+// its key.
+func (l *ledger) sweep(g grave) {
+	if e, ok := l.index[g.id]; ok && e.rec == nil && e.until == g.until {
+		delete(l.index, g.id)
+	}
+}
+
+// expire forgets the records whose horizon (until + lateGrace) has passed at
+// now and sweeps the expired tombstones. A tombstone refuses only until its
+// instant (record), so an expired one the sweep has not reached yet refuses
+// nothing: the sweep gives memory back and decides nothing.
+func (l *ledger) expire(now int64) {
+	for len(l.aging) > 0 && l.aging[0].until+int64(lateGrace) <= now {
+		l.retire(l.aging[0], now)
+	}
+	for l.head < len(l.graves) && l.graves[l.head].until <= now {
+		l.sweep(l.graves[l.head])
+		l.head++
+	}
+}
+
+// Expire forgets, on the loop of s, the custody whose horizon has passed at
+// now, as the next packet one of its hosts takes would, and drops the index
+// and its orders once they are empty: a network calls it whenever a run
+// pauses, so a quiet loop gives its custody memory back. Only the free list
+// stays.
+func Expire(s *dht.Scratch, now time.Time) {
+	l, ok := (*s.App()).(*ledger)
+	if !ok {
+		return
+	}
+	if l.expire(now.UnixNano()); len(l.index) == 0 {
+		l.index, l.aging, l.graves, l.head = nil, nil, nil, 0
+	}
+}
+
+// agingHeap orders a ledger's indexed records by horizon.
+type agingHeap []*custody
+
+func (a agingHeap) Len() int           { return len(a) }
+func (a agingHeap) Less(i, j int) bool { return a[i].until < a[j].until }
+func (a agingHeap) Swap(i, j int) {
+	a[i], a[j] = a[j], a[i]
+	a[i].aging, a[j].aging = int32(i), int32(j)
+}
+func (a *agingHeap) Push(x any) {
+	c := x.(*custody)
+	c.aging = int32(len(*a))
+	*a = append(*a, c)
+}
+func (a *agingHeap) Pop() any {
+	old := *a
+	c := old[len(old)-1]
+	old[len(old)-1] = nil
+	c.aging = -1
+	*a = old[:len(old)-1]
+	return c
+}
+
+// after arms one of the record's events, delay from now.
+func (c *custody) after(delay time.Duration, event func(any), arg any) {
+	c.armed++
+	c.host.node.Clock().ScheduleArg(delay, event, arg)
+}
+
+// done ends one of the record's events: the last of a record that has left
+// the index recycles it.
+func (c *custody) done() {
+	if c.armed--; c.armed == 0 && c.aging < 0 {
+		c.ledger.recycle(c)
+	}
 }
 
 // heldPackage is a package waiting on its keys and/or its hold timer.
@@ -159,7 +397,7 @@ func (c *custody) holdPackage(pkt Packet) {
 	if now := h.node.Clock().Now().UnixNano(); pkt.HoldUntil > now {
 		delay = time.Duration(pkt.HoldUntil-now) - lead(pkt)
 	}
-	h.node.Clock().ScheduleArg(delay, holdDue, c)
+	c.after(delay, holdDue, c)
 }
 
 // resolveLead is how long before a package's deadline its holder starts the
@@ -192,7 +430,7 @@ func lead(pkt Packet) time.Duration {
 // custodian that churned out neither peels nor forwards, and the host may
 // since hold another node's custody.
 func (c *custody) stale() bool {
-	return c.host.node.Closed() || c.host.node.Incarnation() != c.incarnation
+	return c.host.node.Closed() || c.host.node.Incarnation() != c.id.incarnation
 }
 
 // holdDue is a hold timer's event, one lead before the package's deadline,
@@ -200,6 +438,7 @@ func (c *custody) stale() bool {
 // onion forwards once peeled (advance). Either send leaves at HoldUntil.
 func holdDue(arg any) {
 	rec := arg.(*custody)
+	defer rec.done()
 	h := rec.host
 	if rec.stale() {
 		return
@@ -234,10 +473,11 @@ func (h *Host) releaseCustody(hp *heldPackage) {
 
 // spend ends the record's duty once its package has been sent on: by
 // forwardMain, forwardSlot or a central holdDue. It drops the plaintext and
-// the custody clone, and then the key material (forget). Nothing sent still
-// needs them: every send encodes synchronously, the peel is done, and every
-// repair push at the Ref comes due a refresh margin before HoldUntil, ahead
-// of the lead the forward waited for. A backup push, half a margin before
+// the custody clone, and then the key material (forget), and the record
+// leaves the index behind a tombstone (retire). Nothing sent still needs
+// them: every send encodes synchronously, the peel is done, and every repair
+// push at the Ref comes due a refresh margin before HoldUntil, ahead of the
+// lead the forward waited for. A backup push, half a margin before
 // HoldUntil, can run in the forward's instant or after it, as can a grant
 // loop's when its grant came in late; then its last push forgets instead.
 func (c *custody) spend() {
@@ -247,14 +487,13 @@ func (c *custody) spend() {
 	if c.loop.pushes == 0 {
 		c.forget()
 	}
+	c.ledger.retire(c, c.host.node.Clock().Now().UnixNano())
 }
 
-// forget zeroes the record's key and its repair loop's key copy, and drops
-// its shares.
+// forget zeroes the record's key and its shares.
 func (c *custody) forget() {
-	clear(c.shares.buf)
-	c.shares = Shares{}
-	c.key, c.loop.key = seal.Key{}, seal.Key{}
+	c.shares.reset()
+	c.key = seal.Key{}
 }
 
 // NewHost creates a host and builds its DHT node from node, whose OnApp is
@@ -288,16 +527,32 @@ func (h *Host) build(cfg HostConfig, node dht.Config, onApp dht.AppHandler) erro
 	if err := h.node.Init(node); err != nil {
 		return err
 	}
-	h.cfg, h.records = cfg, nil
+	h.cfg, h.ledger, h.live = cfg, ledgerOf(h.node.App()), 0
 	return nil
 }
 
 // Node returns the host's DHT node.
 func (h *Host) Node() *dht.Node { return &h.node }
 
-// Records reports how many custody records the host keeps: one per Ref of a
-// mission it has held material at.
-func (h *Host) Records() int { return len(h.records) }
+// Records reports how many custody records the host owes: one per Ref of a
+// mission at which it holds a package it has not sent on, or material whose
+// deadline has not passed. A record past its deadline that holds no package
+// owes nothing; its loop keeps it until its horizon, in case its package
+// comes late, and forgets it then.
+func (h *Host) Records() int {
+	owed, now := 0, h.node.Clock().Now().UnixNano()
+	for k, e := range h.ledger.index {
+		rec := e.rec
+		if rec != nil && k.incarnation == h.node.Incarnation() &&
+			(rec.hold.held || rec.until > now) && rec.until+int64(lateGrace) > now {
+			owed++
+		}
+	}
+	return owed
+}
+
+// Refusals reports what the hosts on h's loop refused at a custody bound.
+func (h *Host) Refusals() Refusals { return h.ledger.refused }
 
 // HandleApp is the dht.Config.OnApp entry point. The payload follows the
 // transport delivery contract — it is valid only for the duration of the
@@ -336,7 +591,7 @@ func (h *Host) HandleApp(from dht.Contact, payload []byte) {
 }
 
 func (h *Host) onCentral(pkt Packet) {
-	if rec := h.record(pkt); !rec.hold.held {
+	if rec := h.record(pkt); rec != nil && !rec.hold.held {
 		rec.holdPackage(pkt) // a replica already in custody pays no clone
 	}
 }
@@ -347,23 +602,22 @@ func (h *Host) onKeyGrant(pkt Packet) {
 		return
 	}
 	rec := h.record(pkt)
-	if rec.forwarded {
+	if rec == nil {
 		return
 	}
 	if !rec.hasKey {
 		rec.key, rec.hasKey = key, true
-		h.scheduleGrantRefresh(rec, pkt, key)
+		h.scheduleGrantRefresh(rec, pkt)
 	}
 	h.advance(rec)
 }
 
 // refresh is one armed churn-repair loop and the argument of its events: a
-// key grant's, holding the key by value, or a share collection's. pkt is the
-// triggering packet without its payload (a recycled delivery buffer).
+// key grant's, which pushes its record's key, or a share collection's. pkt is
+// the triggering packet without its payload (a recycled delivery buffer).
 type refresh struct {
 	rec *custody
 	pkt Packet
-	key seal.Key
 	// pushes counts the repush events armed and not yet run.
 	pushes int
 }
@@ -386,7 +640,7 @@ func margin(pkt Packet) time.Duration { return time.Duration(pkt.Step / 16) }
 // schedulePush arms one repush of the loop, delay from now.
 func (r *refresh) schedulePush(delay time.Duration) {
 	r.pushes++
-	r.rec.host.node.Clock().ScheduleArg(delay, repush, r)
+	r.rec.after(delay, repush, r)
 }
 
 // scheduleGrantRefresh arms the custody-refresh loop for a newly received
@@ -398,14 +652,36 @@ func (r *refresh) schedulePush(delay time.Duration) {
 // custodians do not refresh (a tick on a stale record returns without pushing
 // or re-arming), so a column whose every custodian dies within one period
 // loses its key, as the Monte Carlo model prescribes.
-func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
+func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet) {
 	if !h.cfg.Repair || pkt.Step <= 0 || pkt.Width == 0 {
 		return
 	}
-	r := rec.newLoop(pkt)
-	r.key = key
-	h.node.Clock().ScheduleArg(time.Duration(pkt.Step)-margin(pkt), grantTick, r)
+	rec.newLoop(pkt).armTick(time.Duration(pkt.Step) - margin(pkt))
 }
+
+// deadline is the instant from which a grant loop pushes no more.
+func (r *refresh) deadline() int64 {
+	if r.pkt.direct() {
+		return r.pkt.HoldUntil
+	}
+	return r.pkt.HoldUntil - int64(margin(r.pkt))
+}
+
+// armTick arms the grant loop's next tick, delay from now. A tick at or past
+// the loop's deadline pushes nothing (grantTick), so it keeps its place in the
+// event sequence as spentTick, which does not point at the record: the
+// record can be recycled at its forward instead of a period later.
+func (r *refresh) armTick(delay time.Duration) {
+	clock := r.rec.host.node.Clock()
+	if clock.Now().UnixNano()+int64(delay) >= r.deadline() {
+		clock.ScheduleArg(delay, spentTick, nil)
+		return
+	}
+	r.rec.after(delay, grantTick, r)
+}
+
+// spentTick is a grant tick past its loop's deadline.
+func spentTick(any) {}
 
 // grantTick is one period of a key grant's refresh loop. It fires slightly
 // before each period boundary (one margin early): a replacement then regains
@@ -420,12 +696,9 @@ func (h *Host) scheduleGrantRefresh(rec *custody, pkt Packet, key seal.Key) {
 // refresh fires inside it, just before the forward deadline.
 func grantTick(arg any) {
 	r := arg.(*refresh)
+	defer r.rec.done()
 	h := r.rec.host
-	deadline := r.pkt.HoldUntil - int64(margin(r.pkt))
-	if r.pkt.direct() {
-		deadline = r.pkt.HoldUntil
-	}
-	if r.rec.stale() || h.node.Clock().Now().UnixNano() >= deadline {
+	if r.rec.stale() || h.node.Clock().Now().UnixNano() >= r.deadline() {
 		return
 	}
 	r.push()
@@ -436,7 +709,7 @@ func grantTick(arg any) {
 		// burst or partition window.
 		r.schedulePush(margin(r.pkt) / 2)
 	}
-	h.node.Clock().ScheduleArg(time.Duration(r.pkt.Step), grantTick, r)
+	r.armTick(time.Duration(r.pkt.Step))
 }
 
 // replicas returns the forwarding replica count.
@@ -449,7 +722,7 @@ func (h *Host) replicas() int {
 
 func (h *Host) onOnion(pkt Packet) {
 	rec := h.record(pkt)
-	if rec.hold.held {
+	if rec == nil || rec.hold.held {
 		return // replica already in custody (joint fan-in), no clone paid
 	}
 	rec.holdPackage(pkt)
@@ -462,10 +735,14 @@ func (h *Host) onShare(pkt Packet) {
 		return
 	}
 	rec := h.record(pkt)
-	if rec.forwarded {
+	if rec == nil {
 		return
 	}
-	if rec.shares.Add(share) && h.repairableShare(pkt) && !rec.repair {
+	added, err := rec.shares.Add(share)
+	if err != nil {
+		h.ledger.refused.Shares++
+	}
+	if added && h.repairableShare(pkt) && !rec.repair {
 		rec.repair = true
 		h.scheduleShareRefresh(rec, pkt)
 	}
@@ -513,6 +790,7 @@ func (h *Host) scheduleShareRefresh(rec *custody, pkt Packet) {
 // record's key material (see spend).
 func repush(arg any) {
 	r := arg.(*refresh)
+	defer r.rec.done()
 	r.pushes--
 	r.push()
 	if r.pushes == 0 && r.rec.forwarded && r == &r.rec.loop {
@@ -545,7 +823,7 @@ func (r *refresh) push() {
 		pkt.Slot = uint16(s)
 		to := SlotID(pkt.Mission, int(pkt.Column), s)
 		if pkt.Kind == PkKeyGrant {
-			pkt.Data = r.key[:]
+			pkt.Data = r.rec.key[:]
 			sendPacket(&h.node, to, pkt, h.replicas(), 0)
 		}
 		for _, sh := range shares {
@@ -584,10 +862,10 @@ func (h *Host) advance(rec *custody) {
 	// shares and validated against the onion itself.
 	h.peel(rec)
 	if hp := &rec.hold; hp.peeled && hp.due && !rec.forwarded {
-		if rec.ref.Slot == ColumnWide {
-			h.forwardMain(int(rec.ref.Column), hp)
+		if rec.id.ref.Slot == ColumnWide {
+			h.forwardMain(int(rec.id.ref.Column), hp)
 		} else {
-			h.forwardSlot(rec.ref, hp)
+			h.forwardSlot(rec.id.ref, hp)
 		}
 		rec.spend()
 	}

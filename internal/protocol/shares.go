@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 
 	"selfemerge/internal/crypto/seal"
 	"selfemerge/internal/crypto/shamir"
@@ -19,32 +20,58 @@ type Shares struct {
 	fresh bool
 }
 
+// maxShares is how many coordinates one collection keeps, and so the most
+// shares one Recover decodes: four times the largest honest collection (31
+// column-key shares at one Ref, at the planner's shape of examples/voting).
+// Without it a Ref's collection was bounded only by its distinct coordinates,
+// 255 × 255, and one Berlekamp–Welch decode at s = 255 takes about 0.4 s.
+const maxShares = 128
+
+// ErrSharesFull is Add's refusal of a new coordinate at a collection that
+// holds maxShares.
+var ErrSharesFull = errors.New("protocol: share collection full")
+
 // Add keeps a copy of share (the inbound bytes alias a recycled delivery
 // buffer) and reports whether the collection changed. A variant of a kept
 // share marks their coordinate as conflicting; anything else at a coordinate
-// already held, or not of a key's length, is dropped.
-func (s *Shares) Add(share shamir.Share) bool {
+// already held, or not of a key's length, is dropped. A new coordinate past
+// maxShares is refused with ErrSharesFull.
+func (s *Shares) Add(share shamir.Share) (bool, error) {
 	if len(share.Data) != seal.KeySize {
-		return false
+		return false, nil
 	}
 	for i, have := range s.list {
 		if have.M == share.M && have.X == share.X {
 			if have.Data == nil || bytes.Equal(have.Data, share.Data) {
-				return false
+				return false, nil
 			}
 			s.list[i].Data, s.fresh = nil, true
-			return true
+			return true, nil
 		}
 	}
-	if s.list == nil { // room for an (m, 4) scatter's key shares
-		s.list = make([]shamir.Share, 0, 4)
-		s.buf = make([]byte, 0, 4*seal.KeySize)
+	if len(s.list) == maxShares {
+		return false, ErrSharesFull
+	}
+	if s.list == nil { // room for an (m, 4) scatter's key shares, in one allocation
+		first := new(struct {
+			list [4]shamir.Share
+			buf  [4 * seal.KeySize]byte
+		})
+		s.list, s.buf = first.list[:0], first.buf[:0]
 	}
 	at := len(s.buf)
 	s.buf = append(s.buf, share.Data...)
 	share.Data = s.buf[at:len(s.buf):len(s.buf)]
 	s.list, s.fresh = append(s.list, share), true
-	return true
+	return true, nil
+}
+
+// reset empties the collection and zeroes the key material it held, keeping
+// its buffers for the next collection.
+func (s *Shares) reset() {
+	clear(s.buf)
+	clear(s.list)
+	*s = Shares{list: s.list[:0], buf: s.buf[:0]}
 }
 
 // Recover runs once per change to the collection, with try as the oracle

@@ -75,7 +75,7 @@ func TestRecoverPoisonedShares(t *testing.T) {
 			try := func(k seal.Key) bool { tries++; return k == key }
 			arrive := func(share shamir.Share) (offered int, ok bool) {
 				before := tries
-				if !s.Add(share) {
+				if added, err := s.Add(share); !added || err != nil {
 					t.Fatalf("share %d/%d not kept", share.M, share.X)
 				}
 				ok = s.Recover(try)
@@ -130,7 +130,7 @@ func TestSharesAddBoundsVariants(t *testing.T) {
 		{share(3, 1, 0xC), true}, // another threshold's coordinate
 		{shamir.Share{M: 2, X: 2, Data: []byte{7}}, false},
 	} {
-		if kept := s.Add(c.share); kept != c.kept {
+		if kept, err := s.Add(c.share); kept != c.kept || err != nil {
 			t.Errorf("Add(%d/%d, %x…) = %v, want %v", c.share.M, c.share.X, c.share.Data[0], kept, c.kept)
 		}
 	}
@@ -185,5 +185,35 @@ func TestHolderRecoversPastForgedShares(t *testing.T) {
 	clock.RunUntil(hold.Add(time.Minute))
 	if len(seen) != 1 || seen[0].Kind != PkMainOnion || seen[0].Column != 3 {
 		t.Fatalf("the watcher saw %+v, want the onion forwarded to column 3", seen)
+	}
+}
+
+// TestShareFloodStaysAtCap: a holder's collection at one Ref keeps at most
+// maxShares coordinates. A flood of 255 distinct coordinates for one Ref —
+// forged shares of a key nothing opens — leaves maxShares kept, so the group
+// a recovery decodes stays at the cap, and each coordinate refused past it is
+// counted.
+func TestShareFloodStaysAtCap(t *testing.T) {
+	clock, host, _ := newWatchedHolder(t, HostConfig{}, 0, new([]Packet))
+	wrapped, err := onion.Build([]onion.Layer{{Payload: []byte("secret")}}, []seal.Key{{0x5F}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := Packet{Mission: MissionID{0x5F}, Kind: PkMainOnion, Column: 2, HoldUntil: clock.Now().Add(time.Hour).UnixNano(), Step: int64(time.Hour), Data: wrapped}
+	host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
+	pkt.Kind = PkColShare
+	for x := 1; x <= 255; x++ {
+		pkt.Data = AppendEncodeShareBlob(nil, shamir.Share{M: 2, X: byte(x), Data: bytes.Repeat([]byte{byte(x)}, seal.KeySize)})
+		host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
+	}
+	rec := host.custodyAt(pkt.Mission, pkt.Ref())
+	if kept := len(rec.shares.list); kept != maxShares {
+		t.Fatalf("the collection keeps %d of 255 coordinates, want the cap %d", kept, maxShares)
+	}
+	if got := host.Refusals().Shares; got != 255-maxShares {
+		t.Fatalf("%d refusals counted, want %d", got, 255-maxShares)
+	}
+	if rec.hold.peeled {
+		t.Fatal("forged shares peeled the onion")
 	}
 }

@@ -707,7 +707,8 @@ func (n *Network) RunFor(d time.Duration) { n.RunUntil(n.Now().Add(d)) }
 // owns no events (it spans every loop): the run is cut into lockstep
 // segments at its tick instants and it acts between them, with every loop
 // paused at the tick, all earlier reports released to the collector, and its
-// sends entering the fabric from this goroutine.
+// sends entering the fabric from this goroutine. Once the loops pause at t,
+// each forgets the custody whose horizon has passed (protocol.Expire).
 func (n *Network) RunUntil(t time.Time) {
 	if n.forger != nil {
 		for tick := n.forger.NextTick(); !tick.After(t); tick = n.forger.NextTick() {
@@ -716,6 +717,9 @@ func (n *Network) RunUntil(t time.Time) {
 		}
 	}
 	n.lockstep.RunUntil(t)
+	for i := range n.shards {
+		protocol.Expire(n.shards[i].scratch, t)
+	}
 }
 
 // Settle flushes in-flight traffic by advancing simulated time a few

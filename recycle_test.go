@@ -108,6 +108,39 @@ func TestDriveAllocatesNoRecord(t *testing.T) {
 	}
 }
 
+// TestHoldersForgetEveryMission is the custody oracle: a holder owes a record
+// only while it has a duty left. After the last release plus Settle no host
+// owes a record of any scheme's missions, repair loops running, and a network
+// that carried 200 missions owes as many as one that carried 40: none.
+func TestHoldersForgetEveryMission(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		plan core.Plan
+	}{
+		{"central", core.PlanCentral(0)},
+		{"disjoint", core.Plan{Scheme: core.SchemeDisjoint, K: 2, L: 2}},
+		{"joint", core.Plan{Scheme: core.SchemeJoint, K: 2, L: 2}},
+		{"share", core.Plan{Scheme: core.SchemeKeyShare, K: 2, L: 2, ShareN: 4, ShareM: []int{2}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, missions := range []int{40, 200} {
+				net, err := NewNetwork(NetworkConfig{Nodes: 60, Repair: true, Seed: 11})
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveMissions(t, net, tc.plan, missions, 1)
+				owed := 0
+				for _, h := range net.nodes {
+					owed += h.Records()
+				}
+				if owed != 0 {
+					t.Errorf("after %d missions the holders owe %d records", missions, owed)
+				}
+			}
+		})
+	}
+}
+
 // TestJoinRebuildsOnlyFinishedHosts: a churn join rebuilds a dead host in
 // place only once its death instant has finished, so whatever its closed node
 // drained has run; the events the host armed itself find their records
@@ -185,7 +218,7 @@ func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 		old := holder.Node()
 		oldID, oldIncarnation := old.ID(), old.Incarnation()
 		if holder.Records() != 1 || old.Resilience().Retries == 0 {
-			t.Fatalf("the holder keeps %d custody records and %+v: nothing to carry over", holder.Records(), old.Resilience())
+			t.Fatalf("the holder owes %d custody records and %+v: nothing to carry over", holder.Records(), old.Resilience())
 		}
 		die(net, 5)
 		net.RunFor(time.Second)
@@ -199,7 +232,7 @@ func TestJoinRebuildsOnlyFinishedHosts(t *testing.T) {
 		// The rebuilt host carries nothing from its predecessor.
 		node := holder.Node()
 		if holder.Records() != 0 {
-			t.Errorf("the rebuilt host keeps %d custody records", holder.Records())
+			t.Errorf("the rebuilt host owes %d custody records", holder.Records())
 		}
 		if node.ID() == oldID || node.Incarnation() <= oldIncarnation {
 			t.Errorf("the rebuilt node is %v incarnation %d, its predecessor %v incarnation %d", node.ID(), node.Incarnation(), oldID, oldIncarnation)
