@@ -159,3 +159,39 @@ func TestFailedKeyIsNotRetried(t *testing.T) {
 		t.Fatalf("a key that does not open the onion forwarded %d packets", len(seen))
 	}
 }
+
+// TestForgedGrantLeavesSharesOpen: a granted key that fails does not close
+// recovery from shares, so a forged grant at a key-share Ref does not lock
+// its holder out of the true key. The holder gets an all-zero grant at
+// (column 2, column-wide), then the main onion there, then all four (2, 4)
+// shares of the true key; at the deadline it delivers the onion's secret.
+func TestForgedGrantLeavesSharesOpen(t *testing.T) {
+	var seen []Packet
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, 0, &seen)
+	watcher := dht.IDFromKey([]byte("watcher"))
+	key := seal.Key{1}
+	wrapped, err := onion.Build([]onion.Layer{{NextHops: [][]byte{watcher[:]}, Payload: []byte("secret")}}, []seal.Key{key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares, err := shamir.Split(key[:], 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := Packet{
+		Mission: MissionID{0xF6}, Kind: PkKeyGrant, Column: 2,
+		HoldUntil: clock.Now().Add(time.Hour).UnixNano(), Step: int64(time.Hour), Data: make([]byte, seal.KeySize),
+	}
+	host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
+	pkt.Kind, pkt.Target, pkt.Data = PkMainOnion, watcher, wrapped
+	host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
+	pkt.Kind, pkt.Width = PkColShare, 4
+	for _, sh := range shares {
+		pkt.Data = AppendEncodeShareBlob(nil, sh)
+		host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
+	}
+	clock.RunFor(time.Hour + time.Minute)
+	if len(seen) != 1 || seen[0].Kind != PkSecret || string(seen[0].Data) != "secret" {
+		t.Fatalf("the watcher saw %d packets, want the secret alone", len(seen))
+	}
+}

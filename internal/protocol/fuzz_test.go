@@ -147,9 +147,7 @@ func FuzzNodeDatagram(f *testing.F) {
 // horizon it owes nothing and the network drains.
 func TestFloodOfMissionsStaysBounded(t *testing.T) {
 	tb := newTestbed(t, 8, 0, false)
-	victim, host := tb.nodes[3], tb.hosts[3]
-	stranger := tb.net.Endpoint("stranger")
-	from := dht.Contact{ID: dht.IDFromKey([]byte("stranger")), Addr: "stranger"}
+	host := tb.hosts[3]
 	hold := tb.sim.Now().Add(time.Hour)
 	const flood = protocol.MaxLiveRecords + 200
 	kinds := []protocol.PacketKind{protocol.PkKeyGrant, protocol.PkColShare, protocol.PkMainOnion}
@@ -164,13 +162,7 @@ func TestFloodOfMissionsStaysBounded(t *testing.T) {
 		default:
 			pkt.Data = bytes.Repeat([]byte{0x5e}, 48)
 		}
-		data, err := dht.Message{Kind: dht.KindApp, From: from, App: pkt.AppendEncode(nil)}.AppendEncode(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := stranger.Send(victim.Contact().Addr, data); err != nil {
-			t.Fatal(err)
-		}
+		strangerSends(t, tb, 3, pkt)
 	}
 	tb.sim.RunFor(time.Minute)
 	if got := host.Records(); got != protocol.MaxLiveRecords {
@@ -190,6 +182,68 @@ func TestFloodOfMissionsStaysBounded(t *testing.T) {
 		if events == 100_000 {
 			t.Fatal("the network has not drained")
 		}
+	}
+}
+
+// strangerSends writes pkt to the host of tb.nodes[victim] from a stranger's
+// address, as anyone on a real socket can.
+func strangerSends(t *testing.T, tb *testbed, victim int, pkt Packet) {
+	t.Helper()
+	from := dht.Contact{ID: dht.IDFromKey([]byte("stranger")), Addr: "stranger"}
+	data, err := dht.Message{Kind: dht.KindApp, From: from, App: pkt.AppendEncode(nil)}.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.net.Endpoint(from.Addr).Send(tb.nodes[victim].Contact().Addr, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFloodOfSpentRecordsStaysBounded: a spent record stays in its loop's
+// index up to its horizon, and counts towards its host's bound until then. A
+// stranger sends a holder central packages of fresh missions one after
+// another, each due as it is sent, past the records one host may keep. The
+// holder delivers and spends maxLiveRecords of them, each before the next
+// arrives, keeps them as spent records, owes none, and refuses and counts
+// the rest; once their horizon has passed it takes material again.
+func TestFloodOfSpentRecordsStaysBounded(t *testing.T) {
+	tb := newTestbed(t, 8, 0, false)
+	host := tb.hosts[3]
+	const flood = protocol.MaxLiveRecords + 200
+	mission := func(i int) (m MissionID) {
+		binary.BigEndian.PutUint32(m[:], uint32(i))
+		return m
+	}
+	send := func(i int) {
+		strangerSends(t, tb, 3, Packet{Mission: mission(i), Kind: protocol.PkCentral, HoldUntil: tb.sim.Now().UnixNano(),
+			Target: dht.IDFromKey([]byte("receiver")), Data: []byte("s")})
+		tb.sim.RunFor(deliveryLatency)
+	}
+	spent := func() (n int) {
+		for i := range flood + 1 {
+			_, gone := protocol.Custody(host, mission(i))
+			n += len(gone)
+		}
+		return n
+	}
+	for i := range flood {
+		send(i)
+	}
+	last := tb.sim.Now()
+	tb.sim.RunFor(time.Minute)
+	if got := spent(); got != protocol.MaxLiveRecords || host.Records() != 0 {
+		t.Fatalf("the flood left %d spent records and %d owed, want the bound %d and none", got, host.Records(), protocol.MaxLiveRecords)
+	}
+	if got := host.Refusals().Records; got != flood-protocol.MaxLiveRecords {
+		t.Fatalf("%d packets refused at the record bound, want %d", got, flood-protocol.MaxLiveRecords)
+	}
+	if err := protocol.CheckBounds(host); err != nil {
+		t.Fatal(err)
+	}
+	tb.sim.RunUntil(last.Add(protocol.LateGrace))
+	send(flood)
+	if got := spent(); got != 1 || host.Refusals().Records != flood-protocol.MaxLiveRecords {
+		t.Fatalf("past the flood's horizon: %d spent records, refusals %+v; want the new mission's alone", got, host.Refusals())
 	}
 }
 

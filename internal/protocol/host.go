@@ -63,8 +63,8 @@ type Host struct {
 
 	// ledger is the custody of every host on the node's loop.
 	ledger *ledger
-	// live counts this host's records in the ledger's index, which
-	// maxLiveRecords bounds.
+	// live counts this host's records in the ledger's index, spent ones
+	// included, which maxLiveRecords bounds.
 	live int
 }
 
@@ -78,16 +78,15 @@ const (
 	maxHoldAhead = 366 * 24 * time.Hour
 	// lateGrace is how long past its deadline material at a Ref is still
 	// taken: a record's horizon is its latest deadline plus lateGrace, and a
-	// tombstone refuses until then. The latest honest material seen came
+	// spent record refuses until then. The latest honest material seen came
 	// 9.7 min past its deadline, at holders of an eclipse sweep (forge 60)
 	// under burst loss with three retries; on every benchmark workload and
 	// golden none came past its deadline at all.
 	lateGrace = 15 * time.Minute
-	// maxLiveRecords bounds the records one host owes at once: the most seen
-	// is 36, at BenchmarkRetainedHeap's planner shape.
+	// maxLiveRecords bounds the records one host keeps at once, spent ones
+	// up to their horizon included: the most seen is 36, at
+	// BenchmarkRetainedHeap's planner shape.
 	maxLiveRecords = 1024
-	// maxGraves bounds a loop's tombstones; past it the oldest goes early.
-	maxGraves = 1 << 14
 	// maxFreeCustody is how many spent records a loop keeps for reuse.
 	maxFreeCustody = 64
 )
@@ -98,7 +97,7 @@ type Refusals struct {
 	// Horizon is material whose deadline lay more than maxHoldAhead ahead,
 	// or more than lateGrace behind.
 	Horizon uint64
-	// Records is material that would have made a record at a host owing
+	// Records is material that would have made a record at a host keeping
 	// maxLiveRecords.
 	Records uint64
 	// Shares is new share coordinates at a collection of maxShares.
@@ -106,35 +105,18 @@ type Refusals struct {
 }
 
 // ledger is the custody of every host on one dispatch context, in the slot
-// the loop keeps for it (dht.Node.App): the records owed, indexed by (host
-// incarnation, mission, Ref), with the tombstones of those sent on; their
-// free list; the aging heap that forgets a record at its horizon; and the
-// refusal counts. Like the rest of the loop's scratch it is not locked. The
-// event path looks the index up and never ranges over it, so send order
-// comes from the event sequence alone.
+// the loop keeps for it (dht.Node.App): the records up to their horizon,
+// owed or spent, indexed by (host incarnation, mission, Ref); their free
+// list; the aging heap that forgets a record at its horizon; and the refusal
+// counts. Like the rest of the loop's scratch it is not locked. The event
+// path looks the index up and never ranges over it, so send order comes
+// from the event sequence alone.
 type ledger struct {
-	index map[custodyKey]entry
+	index map[custodyKey]*custody
 	free  freelist.List[custody]
 	aging agingHeap
-	// graves are the tombstones in the order they were made; graves[head:]
-	// have not been swept.
-	graves []grave
-	head   int
 
 	refused Refusals
-}
-
-// entry is an index entry: a record owed, or a tombstone (rec nil) that
-// refuses material at its key until the instant until.
-type entry struct {
-	rec   *custody
-	until int64
-}
-
-// grave is a tombstone's key and expiry.
-type grave struct {
-	id    custodyKey
-	until int64
 }
 
 // ledgerOf returns the ledger in a loop's application slot, making it there
@@ -159,10 +141,11 @@ type custodyKey struct {
 // the Shamir shares collected towards it, the package it opens (or a central
 // package) and the first repair loop armed there. Its life is collecting (key
 // material and package arrive) → keyed → held → peeled → forwarded →
-// forgotten: it leaves the index when its package is sent on (spend) or at
-// its horizon, whichever comes first, and goes back to the loop's free list
-// once no event points at it. Hold, grant-tick and repush events take
-// pointers into it, and do nothing once it is stale.
+// forgotten: once its package is sent on (spend) it keeps nothing but its
+// place in the index, where it refuses its Ref's material; it leaves the
+// index at its horizon and goes back to the loop's free list once no event
+// points at it. Hold, grant-tick and repush events take pointers into it,
+// and do nothing once it is stale.
 type custody struct {
 	host   *Host
 	ledger *ledger
@@ -190,8 +173,9 @@ type custody struct {
 	aging int32
 
 	hasKey bool
-	// keyFailed marks a key that did not open the held package: neither can
-	// change once set, so the key is not tried again.
+	// keyFailed marks a granted key that did not open the held package:
+	// neither can change once set, so the key is not tried again (recovery
+	// from shares still is).
 	keyFailed bool
 	// repair is set once the share collection has an armed churn-repair
 	// refresh (one per holding period, see scheduleShareRefresh).
@@ -202,8 +186,8 @@ type custody struct {
 
 // record returns the record at the packet's (mission, Ref), making it on
 // first use, or nil when the host refuses the packet: its deadline lies
-// outside the hold horizon, a tombstone holds the Ref, or the host owes
-// maxLiveRecords records already. A record the packet finds takes its
+// outside the hold horizon, the record at the Ref is spent, or the host
+// keeps maxLiveRecords records already. A record the packet finds takes its
 // deadline if it is later.
 func (h *Host) record(pkt Packet) *custody {
 	l := h.ledger
@@ -214,16 +198,15 @@ func (h *Host) record(pkt Packet) *custody {
 		return nil
 	}
 	k := custodyKey{pkt.Mission, pkt.Ref(), h.node.Incarnation()}
-	e := l.index[k]
-	if rec := e.rec; rec != nil {
+	if rec := l.index[k]; rec != nil {
+		if rec.forwarded {
+			return nil // sent on: the Ref is forgotten
+		}
 		if pkt.HoldUntil > rec.until {
 			rec.until = pkt.HoldUntil
 			heap.Fix(&l.aging, int(rec.aging))
 		}
 		return rec
-	}
-	if e.until > now {
-		return nil // sent on: the Ref is forgotten
 	}
 	if h.live == maxLiveRecords {
 		l.refused.Records++
@@ -232,37 +215,17 @@ func (h *Host) record(pkt Packet) *custody {
 	rec := l.free.Get()
 	rec.host, rec.ledger, rec.id, rec.until = h, l, k, pkt.HoldUntil
 	if l.index == nil {
-		l.index = make(map[custodyKey]entry)
+		l.index = make(map[custodyKey]*custody)
 	}
-	l.index[k] = entry{rec: rec}
+	l.index[k] = rec
 	heap.Push(&l.aging, rec)
 	h.live++
 	return rec
 }
 
-// custodyAt returns the record h owes at (mission, ref), or nil.
+// custodyAt returns the record h keeps at (mission, ref), or nil.
 func (h *Host) custodyAt(mission MissionID, ref Ref) *custody {
-	return h.ledger.index[custodyKey{mission, ref, h.node.Incarnation()}].rec
-}
-
-// retire takes the record out of the index at now — behind a tombstone up to
-// its horizon, if its package was sent on — and recycles it if no event
-// points at it (else its last event does, done).
-func (l *ledger) retire(c *custody, now int64) {
-	heap.Remove(&l.aging, int(c.aging))
-	if c.forwarded {
-		until := max(now, c.until) + int64(lateGrace)
-		l.index[c.id] = entry{until: until}
-		l.bury(grave{c.id, until})
-	} else {
-		delete(l.index, c.id)
-	}
-	if h := c.host; h.node.Incarnation() == c.id.incarnation {
-		h.live--
-	}
-	if c.armed == 0 {
-		l.recycle(c)
-	}
+	return h.ledger.index[custodyKey{mission, ref, h.node.Incarnation()}]
 }
 
 // recycle returns a record that has left the index and that no event points
@@ -278,45 +241,25 @@ func (l *ledger) recycle(c *custody) {
 	l.free.Put(c)
 }
 
-// bury adds a tombstone to the sweep order; at maxGraves the oldest is swept
-// early.
-func (l *ledger) bury(g grave) {
-	if len(l.graves)-l.head == maxGraves {
-		l.sweep(l.graves[l.head])
-		l.head++
-	}
-	if l.head > 0 && len(l.graves) == cap(l.graves) {
-		l.graves = l.graves[:copy(l.graves, l.graves[l.head:])]
-		l.head = 0
-	}
-	l.graves = append(l.graves, g)
-}
-
-// sweep deletes g's tombstone from the index unless a later one has taken
-// its key.
-func (l *ledger) sweep(g grave) {
-	if e, ok := l.index[g.id]; ok && e.rec == nil && e.until == g.until {
-		delete(l.index, g.id)
-	}
-}
-
-// expire forgets the records whose horizon (until + lateGrace) has passed at
-// now and sweeps the expired tombstones. A tombstone refuses only until its
-// instant (record), so an expired one the sweep has not reached yet refuses
-// nothing: the sweep gives memory back and decides nothing.
+// expire takes the records whose horizon (until + lateGrace) has passed at
+// now out of the index, and recycles each that no event points at (else its
+// last event does, done).
 func (l *ledger) expire(now int64) {
 	for len(l.aging) > 0 && l.aging[0].until+int64(lateGrace) <= now {
-		l.retire(l.aging[0], now)
-	}
-	for l.head < len(l.graves) && l.graves[l.head].until <= now {
-		l.sweep(l.graves[l.head])
-		l.head++
+		c := heap.Pop(&l.aging).(*custody)
+		delete(l.index, c.id)
+		if h := c.host; h.node.Incarnation() == c.id.incarnation {
+			h.live--
+		}
+		if c.armed == 0 {
+			l.recycle(c)
+		}
 	}
 }
 
 // Expire forgets, on the loop of s, the custody whose horizon has passed at
 // now, as the next packet one of its hosts takes would, and drops the index
-// and its orders once they are empty: a network calls it whenever a run
+// and the aging heap once they are empty: a network calls it whenever a run
 // pauses, so a quiet loop gives its custody memory back. Only the free list
 // stays.
 func Expire(s *dht.Scratch, now time.Time) {
@@ -325,7 +268,7 @@ func Expire(s *dht.Scratch, now time.Time) {
 		return
 	}
 	if l.expire(now.UnixNano()); len(l.index) == 0 {
-		l.index, l.aging, l.graves, l.head = nil, nil, nil, 0
+		l.index, l.aging = nil, nil
 	}
 }
 
@@ -473,13 +416,14 @@ func (h *Host) releaseCustody(hp *heldPackage) {
 
 // spend ends the record's duty once its package has been sent on: by
 // forwardMain, forwardSlot or a central holdDue. It drops the plaintext and
-// the custody clone, and then the key material (forget), and the record
-// leaves the index behind a tombstone (retire). Nothing sent still needs
-// them: every send encodes synchronously, the peel is done, and every repair
-// push at the Ref comes due a refresh margin before HoldUntil, ahead of the
-// lead the forward waited for. A backup push, half a margin before
-// HoldUntil, can run in the forward's instant or after it, as can a grant
-// loop's when its grant came in late; then its last push forgets instead.
+// the custody clone, and then the key material (forget); the record stays in
+// the index, refusing its Ref's material, until its horizon (expire). Nothing
+// sent still needs them: every send encodes synchronously, the peel is done,
+// and every repair push at the Ref comes due a refresh margin before
+// HoldUntil, ahead of the lead the forward waited for. A backup push, half a
+// margin before HoldUntil, can run in the forward's instant or after it, as
+// can a grant loop's when its grant came in late; then its last push forgets
+// instead.
 func (c *custody) spend() {
 	c.forwarded = true
 	c.host.releaseCustody(&c.hold)
@@ -487,7 +431,6 @@ func (c *custody) spend() {
 	if c.loop.pushes == 0 {
 		c.forget()
 	}
-	c.ledger.retire(c, c.host.node.Clock().Now().UnixNano())
 }
 
 // forget zeroes the record's key and its shares.
@@ -536,14 +479,14 @@ func (h *Host) Node() *dht.Node { return &h.node }
 
 // Records reports how many custody records the host owes: one per Ref of a
 // mission at which it holds a package it has not sent on, or material whose
-// deadline has not passed. A record past its deadline that holds no package
-// owes nothing; its loop keeps it until its horizon, in case its package
-// comes late, and forgets it then.
+// deadline has not passed. A spent record owes nothing, nor does one past its
+// deadline that holds no package; its loop keeps either until its horizon,
+// the one to refuse late material and the other in case its package comes
+// late, and forgets it then.
 func (h *Host) Records() int {
 	owed, now := 0, h.node.Clock().Now().UnixNano()
-	for k, e := range h.ledger.index {
-		rec := e.rec
-		if rec != nil && k.incarnation == h.node.Incarnation() &&
+	for k, rec := range h.ledger.index {
+		if k.incarnation == h.node.Incarnation() && !rec.forwarded &&
 			(rec.hold.held || rec.until > now) && rec.until+int64(lateGrace) > now {
 			owed++
 		}
@@ -878,23 +821,19 @@ func (h *Host) advance(rec *custody) {
 // recovery but never poison it. A key the oracle confirms becomes the
 // record's key. Every open is one-shot (onion.Open): a peel leaves the
 // plaintext and nothing else, and a granted key that fails is marked, not
-// retried.
+// retried, while recovery from shares stays open: a forged grant at the Ref
+// does not lock the true key out.
 func (h *Host) peel(rec *custody) {
 	hp := &rec.hold
 	if !hp.held || hp.peeled || hp.pkt.Kind == PkCentral {
 		return
 	}
-	if rec.hasKey {
-		if rec.keyFailed {
+	if rec.hasKey && !rec.keyFailed {
+		if plain, err := onion.Open(rec.key, hp.pkt.Data); err == nil {
+			h.opened(hp, plain)
 			return
 		}
-		plain, err := onion.Open(rec.key, hp.pkt.Data)
-		if err != nil {
-			rec.keyFailed = true
-			return
-		}
-		h.opened(hp, plain)
-		return
+		rec.keyFailed = true
 	}
 	rec.shares.Recover(func(key seal.Key) bool {
 		plain, err := onion.Open(key, hp.pkt.Data)

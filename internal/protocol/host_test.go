@@ -124,7 +124,7 @@ func TestStaleEventsSpareRebuiltHost(t *testing.T) {
 	// The grant's deadline has passed, so it owes nothing, but its record is
 	// kept until its horizon.
 	if held, gone := Custody(host, MissionID{1}); len(held) != 1 || len(gone) != 0 || host.Node().Closed() {
-		t.Fatalf("the rebuilt host holds records at %v and tombstones at %v, closed %v; want its own grant's record, open", held, gone, host.Node().Closed())
+		t.Fatalf("the rebuilt host holds records at %v and spent records at %v, closed %v; want its own grant's record, open", held, gone, host.Node().Closed())
 	}
 	if rec := host.custodyAt(MissionID{1}, grant.Ref()); rec == nil || !rec.hasKey || !bytes.Equal(rec.key[:], grant.Data) {
 		t.Error("the predecessor's events touched the rebuilt host's custody of the same mission")
@@ -232,11 +232,11 @@ func TestStrayRecordAgesOut(t *testing.T) {
 	}
 }
 
-// TestTombstoneRefusesLateMaterial: a record that sent its package on leaves
-// the index at once and a tombstone refuses its Ref's material up to the
-// record's horizon; past it the deadline rule refuses it. Neither makes a
-// record or arms an event, and no honest duplicate comes back to life.
-func TestTombstoneRefusesLateMaterial(t *testing.T) {
+// TestSpentRecordRefusesLateMaterial: a record that sent its package on owes
+// nothing, but stays in the index and refuses its Ref's material up to its
+// horizon; past it the deadline rule refuses it. Neither makes a record or
+// arms an event, and no honest duplicate comes back to life.
+func TestSpentRecordRefusesLateMaterial(t *testing.T) {
 	var seen []Packet
 	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, 0, &seen)
 	hold := clock.Now().Add(time.Minute)
@@ -247,7 +247,7 @@ func TestTombstoneRefusesLateMaterial(t *testing.T) {
 		t.Fatalf("after the deadline: %d deliveries seen, %d records owed; want the delivery and none", len(seen), host.Records())
 	}
 	if _, gone := Custody(host, pkt.Mission); len(gone) != 1 {
-		t.Fatalf("tombstones at %v, want the central Ref", gone)
+		t.Fatalf("spent records at %v, want the central Ref", gone)
 	}
 	for _, at := range []time.Time{hold.Add(lateGrace - time.Second), hold.Add(lateGrace)} {
 		clock.RunUntil(at)
