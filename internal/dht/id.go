@@ -8,11 +8,14 @@
 package dht
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sort"
 
 	"selfemerge/internal/stats"
 )
@@ -147,4 +150,51 @@ func (id ID) DistanceCompare(a, b ID) int {
 	default:
 		return 0
 	}
+}
+
+// Population is the frozen set of a network's node IDs, for a network that
+// knows every node it will ever have (a simulated one: churn replacements
+// keep their predecessors' IDs). It numbers the IDs in sorted order, the
+// numbering the ID books of the loops it is given take as theirs
+// (Scratch.SetPopulation), and names the member XOR-closest to any key, the
+// key's true owner, against which those loops count their owner walks. It
+// is only read once made, so the loops of one network share it.
+type Population struct {
+	sorted []ID
+	index  map[ID]uint32 // by ID, its position in sorted
+}
+
+// NewPopulation returns the population of ids, which it keeps, sorted in
+// place: the caller gives the slice up.
+func NewPopulation(ids []ID) *Population {
+	slices.SortFunc(ids, func(a, b ID) int { return bytes.Compare(a[:], b[:]) })
+	p := &Population{sorted: slices.Compact(ids), index: make(map[ID]uint32, len(ids))}
+	for h, id := range p.sorted {
+		p.index[id] = uint32(h)
+	}
+	return p
+}
+
+// Closest returns the member XOR-closest to key, or the zero ID for an empty
+// population. The members that share key's first b bits are a run of the
+// sorted array; bit by bit, the run keeps its half that agrees with key
+// there, unless that half is empty, until one member is left. Each bit is a
+// binary search, and after about log2(N) bits one member is left.
+func (p *Population) Closest(key ID) ID {
+	lo, hi := 0, len(p.sorted)
+	if lo == hi {
+		return ID{}
+	}
+	for bit := 0; hi-lo > 1; bit++ {
+		i, mask := bit/8, byte(0x80)>>(bit%8)
+		set := lo + sort.Search(hi-lo, func(j int) bool { return p.sorted[lo+j][i]&mask != 0 })
+		if key[i]&mask != 0 {
+			if set < hi {
+				lo = set
+			}
+		} else if set > lo {
+			hi = set
+		}
+	}
+	return p.sorted[lo]
 }

@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -128,5 +129,50 @@ func TestStringForms(t *testing.T) {
 	}
 	if (ID{}).IsZero() != true || id.IsZero() {
 		t.Error("IsZero wrong")
+	}
+}
+
+// TestPopulationClosest: the descent names the member a full scan finds
+// XOR-closest, for keys off the set and on it, and the numbering is the
+// sorted order with duplicates dropped.
+func TestPopulationClosest(t *testing.T) {
+	rng := stats.NewRNG(21)
+	if got := NewPopulation(nil).Closest(RandomID(rng)); got != (ID{}) {
+		t.Errorf("empty population names %s", got.Short())
+	}
+	for _, n := range []int{1, 2, 3, 120, 2000} {
+		ids := make([]ID, n)
+		for i := range ids {
+			ids[i] = RandomID(rng)
+		}
+		members := append([]ID(nil), ids...)
+		p := NewPopulation(append(ids, members[0])) // a duplicate
+		if len(p.sorted) != n || len(p.index) != n {
+			t.Fatalf("n=%d: population of %d IDs, index %d", n, len(p.sorted), len(p.index))
+		}
+		for h, id := range p.sorted {
+			if h > 0 && bytes.Compare(p.sorted[h-1][:], id[:]) >= 0 {
+				t.Fatalf("n=%d: IDs out of order at %d", n, h)
+			}
+			if p.index[id] != uint32(h) {
+				t.Fatalf("n=%d: %s indexed %d, sits at %d", n, id.Short(), p.index[id], h)
+			}
+		}
+		keys := make([]ID, 200, 250)
+		for i := range keys {
+			keys[i] = RandomID(rng)
+		}
+		keys = append(keys, members[:min(n, 50)]...)
+		for _, key := range keys {
+			want := members[0]
+			for _, id := range members[1:] {
+				if key.DistanceCompare(id, want) < 0 {
+					want = id
+				}
+			}
+			if got := p.Closest(key); got != want {
+				t.Fatalf("n=%d: Closest(%s) = %s, want %s", n, key.Short(), got.Short(), want.Short())
+			}
+		}
 	}
 }

@@ -156,6 +156,9 @@ func ownersFinish(v any, closest []Contact) {
 	// Once for the whole walk: closest aliases the lookup's result buffer,
 	// and each send below takes a prefix view of it, never a cut.
 	closest = w.answer(closest)
+	if s.owners != nil && len(closest) > 0 && closest[0].ID == s.owners.Closest(w.key) {
+		s.counts.OwnerWalksExact++
+	}
 	for _, p := range w.sends {
 		p.resolved(closest[:min(len(closest), p.replicas)])
 	}
@@ -392,7 +395,7 @@ func (ls *lookupState) release() {
 // address bytes still on the wire: the loop's book's, or past its bound
 // spilled, indexing the address's copy in the spill list.
 func (ls *lookupState) handle(addr []byte) uint32 {
-	if h, ok := ls.node.cfg.Scratch.handleBytes(addr); ok {
+	if h, ok := ls.node.cfg.Scratch.addrs.handleBytes(addr); ok {
 		return h
 	}
 	ls.spill = append(ls.spill, transport.Addr(addr))
@@ -404,7 +407,7 @@ func (ls *lookupState) addr(h uint32) transport.Addr {
 	if h&spilled != 0 {
 		return ls.spill[h&^spilled]
 	}
-	return ls.node.cfg.Scratch.addrs[h]
+	return ls.node.cfg.Scratch.addrs.items[h]
 }
 
 // distSet is an open-addressing membership set over packed XOR-distance

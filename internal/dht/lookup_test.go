@@ -112,16 +112,16 @@ func TestLookupResponseOffWire(t *testing.T) {
 		rig := newResponseRig(t, stats.NewRNG(5))
 		contacts := randomContacts(stats.NewRNG(6), maxContacts, "peer")
 		rig.feed(rig.response(t, contacts))
-		book := &rig.node.cfg.Scratch.addrBook
-		if len(book.addrs) != maxContacts {
-			t.Fatalf("address book holds %d addresses after %d novel contacts", len(book.addrs), maxContacts)
+		book := &rig.node.cfg.Scratch.addrs
+		if len(book.items) != maxContacts {
+			t.Fatalf("address book holds %d addresses after %d novel contacts", len(book.items), maxContacts)
 		}
 		for i := range contacts {
 			contacts[i].Addr = transport.Addr(fmt.Sprintf("forged-%d", i))
 		}
 		rig.feed(rig.response(t, contacts))
-		if len(book.addrs) != maxContacts {
-			t.Errorf("address book grew to %d on forged addresses of contacts the lookup already had", len(book.addrs))
+		if len(book.items) != maxContacts {
+			t.Errorf("address book grew to %d on forged addresses of contacts the lookup already had", len(book.items))
 		}
 		for _, r := range rig.ls.shortlist {
 			if c := r.contact(rig.ls); !strings.HasPrefix(string(c.Addr), "peer-") {

@@ -282,7 +282,7 @@ func (n *Node) Init(cfg Config) error {
 	*n = Node{cfg: cfg, table: table, incarnation: cfg.Scratch.incarnations}
 	n.pending = n.inline[:0]
 	n.table.wipe(cfg.ID, bucketK, staleAfter, cfg.Clock)
-	n.table.book = &cfg.Scratch.addrBook
+	n.table.book = &cfg.Scratch.books
 	if n.Retrying() {
 		n.retryRng = stats.Seeded(retrySeed(cfg.ID))
 	}

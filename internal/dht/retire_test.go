@@ -185,7 +185,7 @@ func TestWipedTableBehavesFresh(t *testing.T) {
 	}
 	type probeLog struct{ probes []string }
 	prepare := func(table *Table, log *probeLog) {
-		table.book = &addrBook{max: 24} // small enough to spill
+		table.book = privateBooks(24) // small enough to spill
 		table.SetPolicy(TablePingEvict)
 		table.SetPinger(func(c Contact, done func(bool)) {
 			log.probes = append(log.probes, string(c.Addr))
@@ -206,11 +206,11 @@ func TestWipedTableBehavesFresh(t *testing.T) {
 	}
 
 	used := NewTable(RandomID(rng), k, 10*time.Minute, clock)
-	used.book = &addrBook{max: 24}
+	used.book = privateBooks(24)
 	used.SetPolicy(TablePingEvict)
 	used.SetPinger(func(Contact, func(bool)) {}) // its probes never finish
 	feed(used, contacts(200, "old"))
-	if used.spill == nil || len(used.evict) == 0 {
+	if spills(used) == 0 || len(used.evict) == 0 {
 		t.Fatal("the first owner's table never spilled or never probed; lower the book bound")
 	}
 	kept := cap(used.entries)
@@ -218,7 +218,7 @@ func TestWipedTableBehavesFresh(t *testing.T) {
 	self, stream := RandomID(rng), contacts(300, "new")
 	used.wipe(self, k, 10*time.Minute, nowFunc(clock))
 	if used.Len() != 0 || used.spill != nil || used.occupied != (bucketSet{}) {
-		t.Fatalf("wipe left %d contacts, spill %v, occupancy %v", used.Len(), used.spill, used.occupied)
+		t.Fatalf("wipe left %d contacts, %d spill records, occupancy %v", used.Len(), spills(used), used.occupied)
 	}
 	checkLayout(t, used)
 	if cap(used.entries) != kept {

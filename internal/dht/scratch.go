@@ -8,9 +8,9 @@ import (
 // Scratch is the recycled working memory of every node that shares one
 // serial dispatch context — one simulator event loop, or one real node's
 // udp.Loop. It owns what a node needs only while it is handling an event and
-// that outlives any single node: the receive-path decode Message, the address
-// book its nodes' routing tables and lookups refer to, the freelists of
-// lookup states, lookup query records, owner-walk records, owner-send
+// that outlives any single node: the receive-path decode Message, the ID and
+// address books its nodes' routing tables and lookups refer to, the freelists
+// of lookup states, lookup query records, owner-walk records, owner-send
 // records, in-flight RPC records, local-delivery records and byte buffers, the
 // index of owner walks in flight, the acked-delivery dedup index, and the
 // loop's SendCounts. None of it is observable: sharing changes who pays for
@@ -31,9 +31,9 @@ type Scratch struct {
 	// Receive path: one datagram is decoded and dispatched at a time.
 	rx     Message
 	rxBusy bool
-	// addrBook numbers the addresses of the contacts the loop's tables and
-	// lookups keep: their entries carry a handle into it, not a string.
-	addrBook
+	// books number the IDs and addresses of the contacts the loop's tables
+	// and lookups keep: their entries carry handles into them.
+	books
 
 	lookups freelist.List[lookupState]
 	queries freelist.List[lookupQuery]
@@ -60,6 +60,10 @@ type Scratch struct {
 	incarnations uint32
 	// counts is what the loop's nodes sent, across their deaths.
 	counts SendCounts
+	// owners is the loop's population when its caller knows it
+	// (SetPopulation), which names the true owner of a key; nil otherwise.
+	// Only read.
+	owners *Population
 	// app is the loop state of the application above the nodes (the
 	// protocol layer's custody ledger), made by its first user: this
 	// package cannot name its type.
@@ -74,6 +78,10 @@ type SendCounts struct {
 	// OwnerWalksAtTarget those walks that ended when the key's own node
 	// answered (lookupState.toTarget).
 	OwnerWalks, OwnerWalksAtTarget uint64
+	// OwnerWalksExact is the walks whose first owner is the key's true
+	// owner, the node XOR-closest to it in the whole population. It is
+	// counted only on a loop given its population (SetPopulation).
+	OwnerWalksExact uint64
 	// OwnerSendsSelf is the one-replica owner sends the node's own table
 	// decided, with no walk (sendOwn).
 	OwnerSendsSelf uint64
@@ -88,6 +96,7 @@ type SendCounts struct {
 func (c *SendCounts) Add(o SendCounts) {
 	c.OwnerWalks += o.OwnerWalks
 	c.OwnerWalksAtTarget += o.OwnerWalksAtTarget
+	c.OwnerWalksExact += o.OwnerWalksExact
 	c.OwnerSendsSelf += o.OwnerSendsSelf
 	c.Riders += o.Riders
 	c.AppSends += o.AppSends
@@ -176,53 +185,108 @@ func (a *appSeen) mark(k appKey) (dup bool) {
 }
 
 // defaultBookAddrs bounds the address book of a scratch that was not told its
-// population, and of a standalone table: a real socket facing a flood of
-// forged contact addresses spills past it instead of growing the book without
+// population, and each book of a standalone table: a real socket facing a
+// flood of forged contacts spills past it instead of growing a book without
 // limit.
 const defaultBookAddrs = 1 << 16
 
-// NewScratch returns an empty scratch. peers is the number of distinct peer
-// addresses its nodes will see when the caller knows it (a simulated
-// population), so the book can hold all of them; zero — or anything under the
-// default — keeps the default bound.
+// NewScratch returns an empty scratch. peers is the number of distinct peers
+// its nodes will see when the caller knows it (a simulated population, whose
+// nodes keep their IDs and addresses across churn), so the address book can
+// hold all of them; zero — or anything under the default — keeps the default
+// bound. The ID book admits no ID until SetPopulation names the population.
 func NewScratch(peers int) *Scratch {
 	return &Scratch{
-		addrBook: addrBook{max: min(max(peers, defaultBookAddrs), spilled-1)},
-		lookups:  freelist.List[lookupState]{Max: maxFreeLookups},
-		queries:  freelist.List[lookupQuery]{Max: maxFreeQueries},
-		walks:    freelist.List[ownerWalk]{Max: maxFreeWalks},
-		sends:    freelist.List[ownerSend]{Max: maxFreeSends},
-		rpcs:     freelist.List[pendingRPC]{Max: maxFreePending},
-		locals:   freelist.List[localDelivery]{Max: maxFreeLocals},
-		bufs:     freelist.List[[]byte]{Max: maxFreeBufs},
+		books:   books{addrs: addrBook{book[transport.Addr]{max: min(max(peers, defaultBookAddrs), spilled-1)}}},
+		lookups: freelist.List[lookupState]{Max: maxFreeLookups},
+		queries: freelist.List[lookupQuery]{Max: maxFreeQueries},
+		walks:   freelist.List[ownerWalk]{Max: maxFreeWalks},
+		sends:   freelist.List[ownerSend]{Max: maxFreeSends},
+		rpcs:    freelist.List[pendingRPC]{Max: maxFreePending},
+		locals:  freelist.List[localDelivery]{Max: maxFreeLocals},
+		bufs:    freelist.List[[]byte]{Max: maxFreeBufs},
 	}
 }
 
-// addrBook numbers peer addresses, so that routing-table and lookup entries
-// carry a uint32 handle instead of a string and hold no pointer the collector
-// must scan. It is append-only and admits at most max addresses; past the
-// bound a handle cannot be had, and the entry's owner keeps the address in a
-// spill record of its own (Table.spill, lookupState.spill), so nothing is
-// dropped and nothing a peer sends grows the book without limit.
-type addrBook struct {
-	addrs []transport.Addr // by handle
-	index map[transport.Addr]uint32
+// SetPopulation gives the loop its network's population before its nodes
+// run. The loop's ID book becomes the population's numbering, closed: an ID
+// from outside it — a forged contact — spills into its table's spill slots
+// and leaves with its entry, so no traffic grows the book and a forged ID
+// costs its table a 20-byte slot for as long as its entry lives. A closed
+// book is never written, so the loops of one network share the population's
+// array and index. The loop's owner walks are counted against it
+// (SendCounts.OwnerWalksExact), which changes no decision: no walk reads it.
+// A loop never given its population books no ID: a real node's loop holds
+// one table, which a book would not save a byte of, and anyone can send it
+// new IDs.
+func (s *Scratch) SetPopulation(p *Population) {
+	if len(s.ids.items) != 0 {
+		panic("dht: SetPopulation on a loop that booked IDs")
+	}
+	s.ids = book[ID]{items: p.sorted, index: p.index, max: len(p.sorted)}
+	s.owners = p
+}
+
+// books are the two books of a loop, or of a standalone table: the IDs and
+// the addresses of the contacts its routing tables keep, and the addresses of
+// its lookups' contacts. A table entry holds a handle into each, not 20 bytes
+// of ID and a string, so it is 16 bytes with no pointer, and each peer's ID and
+// address are kept once per loop however many tables list it.
+type books struct {
+	ids   book[ID]
+	addrs addrBook
+}
+
+// newBooks returns empty books that admit at most max values each.
+func newBooks(max int) books {
+	return books{ids: book[ID]{max: max}, addrs: addrBook{book[transport.Addr]{max: max}}}
+}
+
+// book numbers values of one kind — peer IDs or addresses — so that the
+// entries that refer to one carry a uint32 handle and hold no pointer the
+// collector must scan. It is append-only and admits at most max values; past
+// the bound a handle cannot be had, and the entry's owner keeps the value in
+// a spill record of its own (Table.spill, lookupState.spill), so nothing is
+// dropped and nothing a peer sends grows the book without limit. index is
+// read only when a value enters an entry; items is what entries are read
+// through.
+type book[K comparable] struct {
+	items []K // by handle
+	index map[K]uint32
 	max   int
 }
 
-// spilled marks a handle whose address is not in the book: a table entry's
-// address is in its table's spill map, a lookup entry's at index h&^spilled
-// of its lookup's spill list. It bounds the book: no handle reaches it.
+// spilled marks a handle whose value is not in its book: a table entry's ID
+// or address is in its table's spill slots, a lookup entry's address at index
+// h&^spilled of its lookup's spill list. It bounds the books: no handle
+// reaches it.
 const spilled = 1 << 31
 
-// handle returns a's handle, adding a to the book when it is new; ok is false
-// when a is new and the book is full.
-func (b *addrBook) handle(a transport.Addr) (h uint32, ok bool) {
-	if h, ok := b.index[a]; ok {
+// handle returns v's handle, adding v to the book when it is new; ok is false
+// when v is new and the book is full.
+func (b *book[K]) handle(v K) (h uint32, ok bool) {
+	if h, ok := b.index[v]; ok {
 		return h, true
 	}
-	return b.add(a)
+	return b.add(v)
 }
+
+// add books a new value; ok is false when the book is full.
+func (b *book[K]) add(v K) (h uint32, ok bool) {
+	if len(b.items) >= b.max {
+		return 0, false
+	}
+	if b.index == nil {
+		b.index = make(map[K]uint32)
+	}
+	h = uint32(len(b.items))
+	b.items = append(b.items, v)
+	b.index[v] = h
+	return h, true
+}
+
+// addrBook is the book of peer addresses.
+type addrBook struct{ book[transport.Addr] }
 
 // handleBytes is handle for an address still in a datagram: the lookup by
 // converted bytes allocates nothing, and the string is made only when the
@@ -232,18 +296,4 @@ func (b *addrBook) handleBytes(a []byte) (h uint32, ok bool) {
 		return h, true
 	}
 	return b.add(transport.Addr(a))
-}
-
-// add books a new address; ok is false when the book is full.
-func (b *addrBook) add(a transport.Addr) (h uint32, ok bool) {
-	if len(b.addrs) >= b.max {
-		return 0, false
-	}
-	if b.index == nil {
-		b.index = make(map[transport.Addr]uint32)
-	}
-	h = uint32(len(b.addrs))
-	b.addrs = append(b.addrs, a)
-	b.index[a] = h
-	return h, true
 }

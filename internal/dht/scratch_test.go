@@ -215,11 +215,11 @@ func TestScratchInternerBound(t *testing.T) {
 	}
 	booked := func(s *Scratch) int {
 		for _, a := range addrs {
-			if h, ok := s.handleBytes(a); ok && string(s.addrs[h]) != string(a) {
-				t.Fatalf("handle %d of %s reads back %s", h, a, s.addrs[h])
+			if h, ok := s.addrs.handleBytes(a); ok && string(s.addrs.items[h]) != string(a) {
+				t.Fatalf("handle %d of %s reads back %s", h, a, s.addrs.items[h])
 			}
 		}
-		return len(s.addrs)
+		return len(s.addrs.items)
 	}
 	sized := NewScratch(population)
 	if got := booked(sized); got != population {
@@ -227,10 +227,10 @@ func TestScratchInternerBound(t *testing.T) {
 	}
 	for i, a := range [][]byte{addrs[0], addrs[population-1]} {
 		want := uint32(i * (population - 1))
-		if h, ok := sized.handleBytes(a); !ok || h != want {
+		if h, ok := sized.addrs.handleBytes(a); !ok || h != want {
 			t.Errorf("%s: handle %d, %v; want %d", a, h, ok, want)
 		}
-		if allocs := testing.AllocsPerRun(10, func() { sized.handleBytes(a) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(10, func() { sized.addrs.handleBytes(a) }); allocs != 0 {
 			t.Errorf("re-booking %s allocates %v times", a, allocs)
 		}
 	}
@@ -238,89 +238,224 @@ func TestScratchInternerBound(t *testing.T) {
 	if got := booked(private); got != defaultBookAddrs {
 		t.Errorf("private scratch booked %d addresses, want the default bound %d", got, defaultBookAddrs)
 	}
-	if _, ok := private.handle(transport.Addr(addrs[population-1])); ok {
+	if _, ok := private.addrs.handle(transport.Addr(addrs[population-1])); ok {
 		t.Error("a full book gave a new address a handle")
+	}
+	if sized.ids.max != 0 || private.ids.max != 0 {
+		t.Errorf("ID books bounded at %d and %d before SetPopulation, want 0", sized.ids.max, private.ids.max)
+	}
+}
+
+// TestForgedIDsGrowNoBook: pings from IDs no node has — an eclipse forger's
+// flood — enter a node's table and replacement caches with their IDs in the
+// table's spill slots, which leave with their entries. A loop given its
+// population books exactly it, and one never told its population books no
+// ID, however many IDs are forged.
+func TestForgedIDsGrowNoBook(t *testing.T) {
+	rng := stats.NewRNG(11)
+	population := make([]ID, 8)
+	for i := range population {
+		population[i] = RandomID(rng)
+	}
+	for _, booked := range []bool{true, false} {
+		t.Run(fmt.Sprintf("booked=%v", booked), func(t *testing.T) {
+			scratch := NewScratch(len(population))
+			if booked {
+				scratch.SetPopulation(NewPopulation(slices.Clone(population)))
+			}
+			s := sim.NewSimulator()
+			net := simnet.New(s, simnet.Config{BaseLatency: time.Millisecond, Seed: 1})
+			victim, err := NewNode(Config{ID: population[0], Endpoint: net.Endpoint("victim"), Clock: s, Table: TablePingEvict, Scratch: scratch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			honest := Contact{ID: population[1], Addr: "honest"}
+			victim.Table().Observe(honest)
+			for i := 1; i <= 4000; i++ {
+				ping := Message{Kind: KindPing, RPCID: uint64(i), From: Contact{ID: RandomID(rng), Addr: "forger"}}
+				wire, err := ping.AppendEncode(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				victim.Receive("forger", wire)
+				if i%500 == 0 {
+					s.RunFor(10 * time.Second) // probes of "forger" time out: entries leave, spares move up
+				}
+			}
+			want := 0
+			if booked {
+				want = len(population)
+				for i, id := range population {
+					if h, ok := scratch.ids.index[id]; !ok || scratch.ids.items[h] != id {
+						t.Errorf("population[%d] has handle %d, %v", i, h, ok)
+					}
+				}
+			}
+			if got := len(scratch.ids.items); got != want || scratch.ids.max != want {
+				t.Errorf("ID book holds %d IDs, bound %d; want %d", got, scratch.ids.max, want)
+			}
+			table := victim.Table()
+			// Every spilled ID is a forged one, or any one on the loop that
+			// booked none, and has its one record.
+			forged, spilledIDs, wantSpilled := 0, 0, 0
+			visit := func(e *bucketEntry) {
+				if table.idOf(e) != honest.ID {
+					forged++
+				}
+				if table.idOf(e) != honest.ID || !booked {
+					wantSpilled++
+				}
+				if e.id&spilled != 0 {
+					spilledIDs++
+				}
+			}
+			for i := range table.entries {
+				visit(&table.entries[i])
+			}
+			for _, eb := range table.evict {
+				for i := range eb.spare {
+					visit(&eb.spare[i])
+				}
+			}
+			if forged == 0 {
+				t.Fatal("no forged contact entered the table")
+			}
+			if spilledIDs != wantSpilled || spills(table) != wantSpilled {
+				t.Errorf("%d of %d forged entries spilled, %d spill slots in use; want %d", spilledIDs, forged, spills(table), wantSpilled)
+			}
+		})
+	}
+}
+
+// privateBooks returns books for a standalone table that hold at most max IDs
+// and max addresses.
+func privateBooks(max int) *books {
+	b := newBooks(max)
+	return &b
+}
+
+// inBucket returns a contact at addr whose ID lands in bucket idx of the zero
+// self ID, told apart by n.
+func inBucket(idx int, n byte, addr transport.Addr) Contact {
+	var id ID
+	id[idx/8] = 0x80 >> (idx % 8)
+	id[IDBytes-1] = n
+	return Contact{ID: id, Addr: addr}
+}
+
+// spills counts what table keeps of its entries itself: the spilled-ID slots
+// in use and the spilled addresses.
+func spills(table *Table) int {
+	if table.spill == nil {
+		return 0
+	}
+	return len(table.spill.ids) - len(table.spill.free) + len(table.spill.addrs)
+}
+
+// checkSpills holds table to want, every contact it should track (live or in
+// a replacement cache) at its true address: its entries, Each, AppendClosest
+// and the wire form report each at its true ID and address. Each spilled ID
+// has a slot of its own, every other slot is free once, and the spilled
+// addresses are exactly those of the entries whose addr handle is spilled.
+func checkSpills(t *testing.T, table *Table, want map[ID]transport.Addr) {
+	t.Helper()
+	tracked := map[ID]bool{}
+	idSlots, addrKeys := map[uint32]bool{}, map[uint32]bool{}
+	visit := func(e *bucketEntry) {
+		id := table.idOf(e)
+		tracked[id] = true
+		if e.id&spilled != 0 {
+			if idSlots[e.id&^spilled] {
+				t.Errorf("entry %s shares spill slot %d", id.Short(), e.id&^spilled)
+			}
+			idSlots[e.id&^spilled] = true
+		}
+		if e.addr == spilled {
+			addrKeys[e.id] = true
+		}
+		if got, ok := want[id]; !ok || table.addrOf(e) != got {
+			t.Errorf("entry %s reports %q, want %q (tracked: %v)", id.Short(), table.addrOf(e), got, ok)
+		}
+	}
+	for i := range table.entries {
+		visit(&table.entries[i])
+	}
+	for idx := 0; idx < IDBits; idx++ {
+		if eb := table.evict[idx]; eb != nil {
+			for i := range eb.spare {
+				visit(&eb.spare[i])
+			}
+		}
+	}
+	if len(tracked) != len(want) {
+		t.Errorf("table tracks %d contacts, want %d", len(tracked), len(want))
+	}
+	if len(idSlots)+len(addrKeys) == 0 {
+		t.Error("no entry spilled: a book's bound was never reached")
+	}
+	sp := table.spill
+	if sp == nil {
+		sp = new(spillSlots)
+	}
+	free := map[uint32]bool{}
+	for _, slot := range sp.free {
+		if free[slot] || idSlots[slot] {
+			t.Errorf("spill slot %d is free twice, or free and in use", slot)
+		}
+		free[slot] = true
+	}
+	if len(idSlots)+len(free) != len(sp.ids) {
+		t.Errorf("%d spill slots: %d in use, %d free", len(sp.ids), len(idSlots), len(free))
+	}
+	if len(sp.addrs) != len(addrKeys) {
+		t.Errorf("%d spilled addresses for %d entries", len(sp.addrs), len(addrKeys))
+	}
+	for h := range sp.addrs {
+		if !addrKeys[h] {
+			t.Errorf("spilled address of %#x outlived its entry", h)
+		}
+	}
+	table.Each(func(c Contact) {
+		if c.Addr != want[c.ID] {
+			t.Errorf("Each reports %s at %q, want %q", c.ID.Short(), c.Addr, want[c.ID])
+		}
+	})
+	for _, c := range table.Closest(ID{}, 1000) {
+		if c.Addr != want[c.ID] {
+			t.Errorf("Closest reports %s at %q, want %q", c.ID.Short(), c.Addr, want[c.ID])
+		}
+	}
+	wire, _ := table.appendClosestWire(nil, ID{}, 1000)
+	for len(wire) > 0 {
+		id, addr, rest, ok := nextContact(wire)
+		if !ok {
+			t.Fatal("wire form ends inside a record")
+		}
+		if want[ID(id)] != transport.Addr(addr) {
+			t.Errorf("wire form lists %s at %q, want %q", ID(id).Short(), addr, want[ID(id)])
+		}
+		wire = rest
 	}
 }
 
 // TestAddrBookAtBound: past its bound the book gives a new address no
 // handle, and whoever holds the address keeps it in a spill record instead —
-// a table by ID, a lookup in its spill list. Every entry still reports its
-// true address, on every path an address leaves by, and no spill record
-// outlives its entry.
+// a table by the entry's id handle, a lookup in its spill list. Every entry
+// still reports its true address, on every path an address leaves by, and no
+// spill record outlives its entry.
 func TestAddrBookAtBound(t *testing.T) {
 	const bound = 4
 	bounded := func() *Scratch {
 		s := NewScratch(0)
-		s.max = bound
+		s.addrs.max = bound
 		return s
-	}
-	// in returns a contact at addr whose ID lands in bucket idx of the zero
-	// self ID, told apart by n.
-	in := func(idx int, n byte, addr transport.Addr) Contact {
-		var id ID
-		id[idx/8] = 0x80 >> (idx % 8)
-		id[IDBytes-1] = n
-		return Contact{ID: id, Addr: addr}
-	}
-	// check holds table to want, every contact it should track (live or in a
-	// replacement cache) at its true address: entries, Each and AppendClosest
-	// report it, and the spill map holds a record for exactly the spilled
-	// entries.
-	check := func(t *testing.T, table *Table, want map[ID]transport.Addr) {
-		t.Helper()
-		tracked := map[ID]bool{}
-		spilledIDs := map[ID]bool{}
-		visit := func(e *bucketEntry) {
-			tracked[e.ID] = true
-			if e.addr == spilled {
-				spilledIDs[e.ID] = true
-			}
-			if got := table.addrOf(e); got != want[e.ID] {
-				t.Errorf("entry %s reports %q, want %q", e.ID.Short(), got, want[e.ID])
-			}
-		}
-		for i := range table.entries {
-			visit(&table.entries[i])
-		}
-		for idx := 0; idx < IDBits; idx++ {
-			if eb := table.evict[idx]; eb != nil {
-				for i := range eb.spare {
-					visit(&eb.spare[i])
-				}
-			}
-		}
-		if len(tracked) != len(want) {
-			t.Errorf("table tracks %d contacts, want %d", len(tracked), len(want))
-		}
-		if len(spilledIDs) == 0 {
-			t.Error("no entry spilled: the book's bound was never reached")
-		}
-		if len(table.spill) != len(spilledIDs) {
-			t.Errorf("spill map holds %d records for %d spilled entries", len(table.spill), len(spilledIDs))
-		}
-		for id := range table.spill {
-			if !spilledIDs[id] {
-				t.Errorf("spill record for %s outlived its entry", id.Short())
-			}
-		}
-		table.Each(func(c Contact) {
-			if c.Addr != want[c.ID] {
-				t.Errorf("Each reports %s at %q, want %q", c.ID.Short(), c.Addr, want[c.ID])
-			}
-		})
-		for _, c := range table.Closest(ID{}, 1000) {
-			if c.Addr != want[c.ID] {
-				t.Errorf("Closest reports %s at %q, want %q", c.ID.Short(), c.Addr, want[c.ID])
-			}
-		}
 	}
 
 	t.Run("ping-evict table", func(t *testing.T) {
 		s := bounded()
 		now := time.Unix(1000, 0)
 		table := NewTable(ID{}, 3, 10*time.Minute, func() time.Time { return now })
-		table.book = &s.addrBook
+		table.book = &s.books
 		table.SetPolicy(TablePingEvict)
 		var probed []ID
 		table.SetPinger(func(c Contact, _ func(alive bool)) { probed = append(probed, c.ID) })
@@ -337,41 +472,41 @@ func TestAddrBookAtBound(t *testing.T) {
 		}
 		// Unverified inserts: six addresses into a book of four.
 		for i := byte(1); i <= 3; i++ {
-			observe(in(0, i, transport.Addr(fmt.Sprintf("zero-%d", i))), false)
-			observe(in(1, i, transport.Addr(fmt.Sprintf("one-%d", i))), false)
+			observe(inBucket(0, i, transport.Addr(fmt.Sprintf("zero-%d", i))), false)
+			observe(inBucket(1, i, transport.Addr(fmt.Sprintf("one-%d", i))), false)
 		}
-		check(t, table, want)
+		checkSpills(t, table, want)
 		// An unverified claim moves nothing; a verified reply re-points, to a
 		// new address (spilled: the book is full) and back into the book.
-		table.Observe(in(0, 1, "forged"))
-		observe(in(0, 1, "moved"), true)
-		observe(in(1, 3, "zero-2"), true)
-		check(t, table, want)
+		table.Observe(inBucket(0, 1, "forged"))
+		observe(inBucket(0, 1, "moved"), true)
+		observe(inBucket(1, 3, "zero-2"), true)
+		checkSpills(t, table, want)
 		// A full bucket 0: four newcomers wait as spares, capped at k = 3, so
 		// the oldest is evicted from the cache; one is re-pointed in place.
 		for i := byte(4); i <= 7; i++ {
-			observe(in(0, i, transport.Addr(fmt.Sprintf("spare-%d", i))), false)
+			observe(inBucket(0, i, transport.Addr(fmt.Sprintf("spare-%d", i))), false)
 		}
-		delete(want, in(0, 4, "").ID)
-		observe(in(0, 6, "spare-moved"), true)
+		delete(want, inBucket(0, 4, "").ID)
+		observe(inBucket(0, 6, "spare-moved"), true)
 		if len(probed) != 1 {
 			t.Fatalf("%d probes for one full bucket, want 1", len(probed))
 		}
-		check(t, table, want)
+		checkSpills(t, table, want)
 		// The probed entry dies: Remove, then the probe's verdict promotes the
 		// newest spare. Then a spare is removed outright.
 		table.Remove(probed[0])
 		delete(want, probed[0])
 		table.probeDone(probed[0], false)
-		check(t, table, want)
-		table.Remove(in(0, 5, "").ID)
-		delete(want, in(0, 5, "").ID)
-		check(t, table, want)
+		checkSpills(t, table, want)
+		table.Remove(inBucket(0, 5, "").ID)
+		delete(want, inBucket(0, 5, "").ID)
+		checkSpills(t, table, want)
 		for id := range want {
 			table.Remove(id)
 		}
-		if len(table.spill) != 0 || table.Len() != 0 {
-			t.Errorf("an emptied table keeps %d spill records, %d entries", len(table.spill), table.Len())
+		if spills(table) != 0 || table.Len() != 0 {
+			t.Errorf("an emptied table keeps %d spill records, %d entries", spills(table), table.Len())
 		}
 	})
 
@@ -379,10 +514,10 @@ func TestAddrBookAtBound(t *testing.T) {
 		s := bounded()
 		now := time.Unix(1000, 0)
 		table := NewTable(ID{}, 2, 10*time.Minute, func() time.Time { return now })
-		table.book = &s.addrBook
+		table.book = &s.books
 		want := map[ID]transport.Addr{}
 		observe := func(idx int, n byte, tag string) {
-			c := in(idx, n, transport.Addr(fmt.Sprintf("%s-%d", tag, n)))
+			c := inBucket(idx, n, transport.Addr(fmt.Sprintf("%s-%d", tag, n)))
 			table.Observe(c)
 			want[c.ID] = c.Addr
 		}
@@ -396,20 +531,20 @@ func TestAddrBookAtBound(t *testing.T) {
 		}
 		// A newcomer to a full, fresh bucket is dropped without a record.
 		observe(1, 3, "one")
-		delete(want, in(1, 3, "").ID)
-		check(t, table, want)
+		delete(want, inBucket(1, 3, "").ID)
+		checkSpills(t, table, want)
 		// Stale replacement: the spilled LRU of bucket 0 leaves, its record too.
 		now = now.Add(time.Hour)
-		c := in(0, 3, "zero-3")
+		c := inBucket(0, 3, "zero-3")
 		table.Observe(c)
-		delete(want, in(0, 1, "").ID)
+		delete(want, inBucket(0, 1, "").ID)
 		want[c.ID] = c.Addr
-		check(t, table, want)
+		checkSpills(t, table, want)
 	})
 
 	t.Run("lookup", func(t *testing.T) {
 		rig := newResponseRig(t, stats.NewRNG(21))
-		rig.node.cfg.Scratch.max = bound
+		rig.node.cfg.Scratch.addrs.max = bound
 		oracle := randomContacts(stats.NewRNG(22), 2*bucketK, "peer")
 		rig.feed(rig.response(t, oracle))
 		ls := rig.ls
@@ -446,6 +581,137 @@ func TestAddrBookAtBound(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestIDBookAtBound: past its bound the ID book gives a new ID no handle,
+// and the table keeps the ID in its spill slots instead. A table whose ID book
+// holds three IDs decides everything exactly as the same table with room for
+// every ID — the same entries and spares in the same order, the same probes,
+// the same selections — through insert, refresh, verified re-point, Remove,
+// naive stale replacement and ping-evict spare promotion, and no spill record
+// outlives its entry.
+func TestIDBookAtBound(t *testing.T) {
+	for _, policy := range []TablePolicy{TableNaive, TablePingEvict} {
+		t.Run(policy.String(), func(t *testing.T) {
+			now := time.Unix(1000, 0)
+			type arm struct {
+				table  *Table
+				probed []ID
+			}
+			newArm := func(ids int) *arm {
+				a := &arm{table: NewTable(ID{}, 3, 10*time.Minute, func() time.Time { return now })}
+				a.table.book = privateBooks(defaultBookAddrs)
+				a.table.book.ids.max = ids
+				a.table.SetPolicy(policy)
+				a.table.SetPinger(func(c Contact, _ func(alive bool)) { a.probed = append(a.probed, c.ID) })
+				return a
+			}
+			bounded, roomy := newArm(3), newArm(defaultBookAddrs)
+			each := func(f func(*Table)) {
+				f(bounded.table)
+				f(roomy.table)
+			}
+			observe := func(c Contact, verified bool) {
+				each(func(table *Table) {
+					if verified {
+						table.ObserveVerified(c)
+					} else {
+						table.Observe(c)
+					}
+				})
+			}
+			// compare holds the bounded table to the roomy one, whose
+			// contents are the truth: it spills nothing.
+			compare := func(step string) {
+				t.Helper()
+				if got, want := dumpBuckets(bounded.table), dumpBuckets(roomy.table); got != want {
+					t.Fatalf("%s: bounded table\n%s\nroomy table\n%s", step, got, want)
+				}
+				if !slices.Equal(bounded.probed, roomy.probed) {
+					t.Fatalf("%s: bounded table probed %v, roomy %v", step, bounded.probed, roomy.probed)
+				}
+				if spills(roomy.table) != 0 {
+					t.Fatalf("%s: the roomy table spilled", step)
+				}
+				want := map[ID]transport.Addr{}
+				roomy.table.Each(func(c Contact) { want[c.ID] = c.Addr })
+				for _, eb := range roomy.table.evict {
+					for i := range eb.spare {
+						c := roomy.table.contactOf(&eb.spare[i])
+						want[c.ID] = c.Addr
+					}
+				}
+				for _, target := range []ID{{}, inBucket(0, 9, "").ID, inBucket(2, 1, "").ID} {
+					if got, want := bounded.table.Closest(target, 5), roomy.table.Closest(target, 5); !slices.Equal(got, want) {
+						t.Fatalf("%s: Closest(%s) = %v, roomy %v", step, target.Short(), got, want)
+					}
+				}
+				checkSpills(t, bounded.table, want)
+			}
+			// Insert: eight IDs into a book of three.
+			for n := byte(1); n <= 3; n++ {
+				observe(inBucket(0, n, transport.Addr(fmt.Sprintf("zero-%d", n))), false)
+				observe(inBucket(1, n, transport.Addr(fmt.Sprintf("one-%d", n))), false)
+			}
+			observe(inBucket(2, 1, "two-1"), false)
+			observe(inBucket(2, 2, "two-2"), false)
+			compare("insert")
+			// Refresh a booked and a spilled ID: each moves to its bucket's tail.
+			now = now.Add(time.Second)
+			observe(inBucket(0, 1, "forged"), false)
+			observe(inBucket(1, 3, "forged"), false)
+			compare("refresh")
+			// Verified re-point of a booked and a spilled ID.
+			observe(inBucket(0, 1, "zero-1-moved"), true)
+			observe(inBucket(2, 2, "two-2-moved"), true)
+			compare("re-point")
+			// Remove a booked and a spilled ID; then one that is not tracked.
+			each(func(table *Table) {
+				table.Remove(inBucket(1, 1, "").ID)
+				table.Remove(inBucket(2, 1, "").ID)
+				table.Remove(inBucket(3, 1, "").ID)
+			})
+			compare("remove")
+			// A full bucket 0 meets newcomers an hour on: the naive table
+			// replaces its stale LRU with each; the ping-evict table keeps
+			// them as spares, one re-pointed, and probes its LRU once.
+			now = now.Add(time.Hour)
+			for n := byte(4); n <= 6; n++ {
+				observe(inBucket(0, n, transport.Addr(fmt.Sprintf("zero-%d", n))), false)
+			}
+			observe(inBucket(0, 5, "zero-5-moved"), true)
+			compare("full bucket")
+			if policy == TablePingEvict {
+				if len(roomy.probed) != 1 {
+					t.Fatalf("%d probes for one full bucket, want 1", len(roomy.probed))
+				}
+				// The probed entry dies: the newest spare takes its place.
+				// Then a spare is removed outright.
+				each(func(table *Table) {
+					table.Remove(roomy.probed[0])
+					table.probeDone(roomy.probed[0], false)
+				})
+				compare("promote")
+				each(func(table *Table) { table.Remove(inBucket(0, 4, "").ID) })
+				compare("remove spare")
+			}
+			var ids []ID
+			roomy.table.Each(func(c Contact) { ids = append(ids, c.ID) })
+			for _, eb := range roomy.table.evict {
+				for i := range eb.spare {
+					ids = append(ids, roomy.table.idOf(&eb.spare[i]))
+				}
+			}
+			each(func(table *Table) {
+				for _, id := range ids {
+					table.Remove(id)
+				}
+			})
+			if spills(bounded.table) != 0 || bounded.table.Len() != 0 {
+				t.Errorf("an emptied table keeps %d spill records, %d entries", spills(bounded.table), bounded.table.Len())
+			}
+		})
+	}
 }
 
 // TestScratchReentryPanics: a handler entered while another node on the same

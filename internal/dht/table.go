@@ -16,26 +16,27 @@ type Contact struct {
 	Addr transport.Addr
 }
 
-// bucketEntry is one tracked contact: 32 bytes and no pointer, so the table's
-// array of them is memory the garbage collector never scans. The ID is
-// carried once, as bytes; the selection walk touches at most a few buckets'
-// entries per call and packs their big-endian lanes where it uses them, with
-// fixed-width reads (lanes below). The address is a handle
-// into the table's address book (addrOf turns it back into a string where an
-// address leaves the table). lastSeen is UnixNano on the table clock rather
-// than a time.Time, whose location pointer the collector would scan, and the
-// staleness test only ever needs a subtraction.
+// bucketEntry is one tracked contact: 16 bytes and no pointer, so the table's
+// array of them is memory the garbage collector never scans. The ID and the
+// address are handles into the table's books (idOf and addrOf turn them back
+// where a contact leaves the table), so a peer's ID is kept once per loop, not
+// once more in every table that lists it. lastSeen is UnixNano on the table
+// clock rather than a time.Time, whose location pointer the collector would
+// scan, and the staleness test only ever needs a subtraction.
 type bucketEntry struct {
-	ID       ID
-	addr     uint32
+	id, addr uint32
 	lastSeen int64
 }
 
-// lanes packs the entry's ID into big-endian lanes. Constant-bounds slices of
-// the array, not lanes(e.ID[:]): the compiler turns these into three loads,
-// where the slice form measured twice as slow on the selection walk.
-func (e *bucketEntry) lanes() (l0, l1 uint64, l2 uint32) {
-	return binary.BigEndian.Uint64(e.ID[0:8]), binary.BigEndian.Uint64(e.ID[8:16]), binary.BigEndian.Uint32(e.ID[16:20])
+// spillSlots is what a table keeps itself of the entries its books have no
+// handle for (a handle is spilled), until the entry leaves the table
+// (forget): ids holds each such ID at the slot its id handle names
+// (h&^spilled), free the slots free for reuse, and addrs each such address by
+// its entry's id handle.
+type spillSlots struct {
+	ids   []ID
+	free  []uint32
+	addrs map[uint32]transport.Addr
 }
 
 // evictBucket is the ping-evict state of one bucket: a replacement cache of
@@ -119,14 +120,12 @@ type Table struct {
 	staleAfter time.Duration
 	// clock is a Node's sim.Clock, or NewTable's function (nowFunc).
 	clock interface{ Now() time.Time }
-	// book numbers the addresses of the table's entries: a Node's is its
-	// loop's Scratch, shared with its lookups; a standalone table makes a
-	// private one at its first insert. spill holds the addresses of the
-	// entries that got no handle because the book was full (their addr is
-	// spilled), by ID; it is made at the first such entry, and an entry
-	// leaving the table takes its record with it (forget).
-	book  *addrBook
-	spill map[ID]transport.Addr
+	// book numbers the IDs and addresses of the table's entries: a Node's
+	// are its loop's Scratch's, shared with its lookups; a standalone table
+	// makes private ones at its first insert. spill keeps what the books
+	// could not; it is made at the first such entry.
+	book  *books
+	spill *spillSlots
 	// evict holds the ping-evict state of the buckets that have had a
 	// full-bucket admission, by bucket index; nil until the first.
 	evict  map[int]*evictBucket
@@ -150,8 +149,8 @@ type Table struct {
 // table fed adversarially placed IDs outgrows the inline ends.
 const inlineBuckets = 20
 
-// firstEntries is the entries array's first allocation, 1,536 bytes (a
-// malloc size class); it doubles from there. A smaller start leaves most
+// firstEntries is the entries array's first allocation, 768 bytes (a malloc
+// size class); it doubles from there. A smaller start leaves most
 // tables full when a network starts its missions, and they reallocate as
 // their nodes keep learning contacts; a larger one spends the memory the
 // shared array saves (DESIGN.md, "Memory ownership").
@@ -274,50 +273,141 @@ func (t *Table) SetPolicy(p TablePolicy) {
 	t.pingEvict = p == TablePingEvict
 }
 
+// idOf returns the ID of e, an entry of the table or of its replacement
+// caches.
+func (t *Table) idOf(e *bucketEntry) ID {
+	if e.id&spilled != 0 {
+		return t.spill.ids[e.id&^spilled]
+	}
+	return t.book.ids.items[e.id]
+}
+
+// idLanes packs a booked ID into big-endian lanes. Constant-bounds slices of
+// the array, not lanes(id[:]): the compiler turns these into three loads,
+// where the slice form measured twice as slow on the selection walk.
+func idLanes(id *ID) (l0, l1 uint64, l2 uint32) {
+	return binary.BigEndian.Uint64(id[0:8]), binary.BigEndian.Uint64(id[8:16]), binary.BigEndian.Uint32(id[16:20])
+}
+
+// bookedIDs is the ID book's array, where a booked id handle indexes. A
+// spilled handle is past its end: the book's bound is below spilled. The
+// scans below read it once per call, and the index test doubles as the
+// bounds check.
+func (t *Table) bookedIDs() []ID {
+	if t.book == nil {
+		return nil
+	}
+	return t.book.ids.items
+}
+
+// find returns the index of the entry for id in entries, or -1. The top eight
+// bytes settle nearly every identity compare in one word, and the 20-byte
+// compare only confirms a match. An ID is compared where the book, or the
+// table's spill slots, keep it, so finding an entry hashes nothing.
+func (t *Table) find(entries []bucketEntry, id *ID) int {
+	l0 := binary.BigEndian.Uint64(id[0:8])
+	ids := t.bookedIDs()
+	for i := range entries {
+		var x *ID
+		if h := entries[i].id; int(h) < len(ids) {
+			x = &ids[h]
+		} else {
+			x = &t.spill.ids[h&^spilled]
+		}
+		if binary.BigEndian.Uint64(x[0:8]) == l0 && *x == *id {
+			return i
+		}
+	}
+	return -1
+}
+
 // addrOf returns the address of e, an entry of the table or of its
 // replacement caches.
 func (t *Table) addrOf(e *bucketEntry) transport.Addr {
 	if e.addr == spilled {
-		return t.spill[e.ID]
+		return t.spill.addrs[e.id]
 	}
-	return t.book.addrs[e.addr]
+	return t.book.addrs.items[e.addr]
 }
 
 // contactOf returns e as a Contact.
 func (t *Table) contactOf(e *bucketEntry) Contact {
-	return Contact{ID: e.ID, Addr: t.addrOf(e)}
+	return Contact{ID: t.idOf(e), Addr: t.addrOf(e)}
 }
 
-// handle returns the address handle of an entry for c that is entering the
-// table, or re-pointed: the book's, or spilled with c.Addr recorded in the
-// spill map. It is the one place the table consults the book.
-func (t *Table) handle(c Contact) uint32 {
+// entryFor returns an entry for c, seen at now, that is entering the table:
+// its ID and address booked, or spilled into the table's own keeping. It and
+// repoint are the only places the table writes the books.
+func (t *Table) entryFor(c Contact, now int64) bucketEntry {
 	if t.book == nil {
-		t.book = &addrBook{max: defaultBookAddrs}
+		b := newBooks(defaultBookAddrs)
+		t.book = &b
 	}
-	if h, ok := t.book.handle(c.Addr); ok {
-		return h
+	e := bucketEntry{lastSeen: now}
+	var ok bool
+	if e.id, ok = t.book.ids.handle(c.ID); !ok {
+		e.id = t.spillID(c.ID)
+	}
+	t.pointAt(&e, c.Addr)
+	return e
+}
+
+// spillID keeps id, which the ID book has no handle for, in a free slot of
+// the table's spill, and returns the spilled id handle that names the slot.
+// The entries and spares of a table are at most 2·IDBits·k, so a slot index
+// stays far below spilled.
+func (t *Table) spillID(id ID) uint32 {
+	if t.spill == nil {
+		t.spill = new(spillSlots)
+	}
+	sp := t.spill
+	if n := len(sp.free); n > 0 {
+		slot := sp.free[n-1]
+		sp.free = sp.free[:n-1]
+		sp.ids[slot] = id
+		return spilled | slot
+	}
+	sp.ids = append(sp.ids, id)
+	return spilled | uint32(len(sp.ids)-1)
+}
+
+// pointAt sets e's address to addr: its handle, or spilled with addr kept in
+// the table's spill. e.id must be set, and any spilled address of e is
+// dropped.
+func (t *Table) pointAt(e *bucketEntry, addr transport.Addr) {
+	if e.addr == spilled {
+		delete(t.spill.addrs, e.id)
+	}
+	h, ok := t.book.addrs.handle(addr)
+	if ok {
+		e.addr = h
+		return
 	}
 	if t.spill == nil {
-		t.spill = make(map[ID]transport.Addr)
+		t.spill = new(spillSlots)
 	}
-	t.spill[c.ID] = c.Addr
-	return spilled
+	if t.spill.addrs == nil {
+		t.spill.addrs = make(map[uint32]transport.Addr)
+	}
+	e.addr = spilled
+	t.spill.addrs[e.id] = addr
 }
 
-// forget drops the spill record of e, an entry leaving the table.
+// forget frees what the table keeps of e, an entry leaving the table.
 func (t *Table) forget(e *bucketEntry) {
 	if e.addr == spilled {
-		delete(t.spill, e.ID)
+		delete(t.spill.addrs, e.id)
+	}
+	if e.id&spilled != 0 {
+		t.spill.free = append(t.spill.free, e.id&^spilled)
 	}
 }
 
 // repoint applies a verified address to e, a tracked entry for c.ID: the
-// book is consulted only when the address really changed.
+// address book is consulted only when the address really changed.
 func (t *Table) repoint(e *bucketEntry, c Contact) {
 	if t.addrOf(e) != c.Addr {
-		t.forget(e)
-		e.addr = t.handle(c)
+		t.pointAt(e, c.Addr)
 	}
 }
 
@@ -352,25 +442,20 @@ func (t *Table) observe(c Contact, verified bool) {
 	}
 	r, lo, hi := t.run(idx)
 	entries := t.entries[lo:hi]
-	// The top eight bytes settle nearly every identity compare in one word;
-	// the 20-byte compare only confirms a match.
-	l0 := binary.BigEndian.Uint64(c.ID[0:8])
 	now := t.clock.Now().UnixNano()
-	for i := range entries {
-		if binary.BigEndian.Uint64(entries[i].ID[0:8]) == l0 && entries[i].ID == c.ID {
-			if verified {
-				t.repoint(&entries[i], c)
-			}
-			entries[i].lastSeen = now
-			// Move to tail (most recently seen).
-			entry := entries[i]
-			copy(entries[i:], entries[i+1:])
-			entries[len(entries)-1] = entry
-			return
+	if i := t.find(entries, &c.ID); i >= 0 {
+		if verified {
+			t.repoint(&entries[i], c)
 		}
+		entries[i].lastSeen = now
+		// Move to tail (most recently seen).
+		entry := entries[i]
+		copy(entries[i:], entries[i+1:])
+		entries[len(entries)-1] = entry
+		return
 	}
 	if len(entries) < t.k {
-		t.insert(idx, r, hi, bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now})
+		t.insert(idx, r, hi, t.entryFor(c, now))
 		return
 	}
 	// Bucket full: admission is policy-dependent.
@@ -381,7 +466,7 @@ func (t *Table) observe(c Contact, verified bool) {
 		if t.staleAfter > 0 && now-entries[0].lastSeen > int64(t.staleAfter) {
 			t.forget(&entries[0])
 			copy(entries, entries[1:])
-			entries[len(entries)-1] = bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now}
+			entries[len(entries)-1] = t.entryFor(c, now)
 		}
 		// Otherwise drop the newcomer (Kademlia prefers long-lived peers).
 		return
@@ -411,24 +496,22 @@ func (t *Table) observe(c Contact, verified bool) {
 // upsertSpare inserts or refreshes c's replacement-cache record, newest last,
 // capped at k (oldest dropped first).
 func (t *Table) upsertSpare(eb *evictBucket, c Contact, now int64, verified bool) {
-	for i := range eb.spare {
-		if eb.spare[i].ID == c.ID {
-			if verified {
-				t.repoint(&eb.spare[i], c)
-			}
-			eb.spare[i].lastSeen = now
-			entry := eb.spare[i]
-			copy(eb.spare[i:], eb.spare[i+1:])
-			eb.spare[len(eb.spare)-1] = entry
-			return
+	if i := t.find(eb.spare, &c.ID); i >= 0 {
+		if verified {
+			t.repoint(&eb.spare[i], c)
 		}
+		eb.spare[i].lastSeen = now
+		entry := eb.spare[i]
+		copy(eb.spare[i:], eb.spare[i+1:])
+		eb.spare[len(eb.spare)-1] = entry
+		return
 	}
 	if len(eb.spare) >= t.k {
 		t.forget(&eb.spare[0])
 		copy(eb.spare, eb.spare[1:])
 		eb.spare = eb.spare[:len(eb.spare)-1]
 	}
-	eb.spare = append(eb.spare, bucketEntry{ID: c.ID, addr: t.handle(c), lastSeen: now})
+	eb.spare = append(eb.spare, t.entryFor(c, now))
 }
 
 // probeDone finishes a liveness probe: the probing slot reopens, and if the
@@ -470,23 +553,18 @@ func (t *Table) Remove(id ID) {
 	}
 	eb := t.evict[idx]
 	r, lo, hi := t.run(idx)
-	for i := lo; i < hi; i++ {
-		if t.entries[i].ID == id {
-			t.cut(idx, r, lo, i)
-			t.promoteSpares(idx, eb)
-			return
-		}
+	if i := t.find(t.entries[lo:hi], &id); i >= 0 {
+		t.cut(idx, r, lo, lo+i)
+		t.promoteSpares(idx, eb)
+		return
 	}
 	// Not live: forget any replacement-cache record too.
 	if eb == nil {
 		return
 	}
-	for i := range eb.spare {
-		if eb.spare[i].ID == id {
-			t.forget(&eb.spare[i])
-			eb.spare = append(eb.spare[:i], eb.spare[i+1:]...)
-			return
-		}
+	if i := t.find(eb.spare, &id); i >= 0 {
+		t.forget(&eb.spare[i])
+		eb.spare = append(eb.spare[:i], eb.spare[i+1:]...)
 	}
 }
 
@@ -635,6 +713,7 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 	asked := count
 	t0, t1, t2 := lanes(target[:])
 	s := t.nearSide(target)
+	ids := t.bookedIDs()
 	var inline [inlineKeys]closestKey
 	keys := inline[:]
 	if t.k > inlineKeys {
@@ -661,7 +740,8 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 			count -= n
 			if out.form == asWire && n == len(entries) {
 				for i := range entries {
-					out.wire = appendContact(out.wire, &entries[i].ID, t.addrOf(&entries[i]))
+					id := t.idOf(&entries[i])
+					out.wire = appendContact(out.wire, &id, t.addrOf(&entries[i]))
 				}
 				continue
 			}
@@ -669,7 +749,13 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 			// and an entry is copied out once, after its place is known.
 			kept := 0
 			for i := range entries {
-				l0, l1, l2 := entries[i].lanes()
+				var l0, l1 uint64
+				var l2 uint32
+				if h := entries[i].id; int(h) < len(ids) {
+					l0, l1, l2 = idLanes(&ids[h])
+				} else {
+					l0, l1, l2 = idLanes(&t.spill.ids[h&^spilled])
+				}
 				key := closestKey{d0: l0 ^ t0, d1: l1 ^ t1, d2: l2 ^ t2, i: uint32(i)}
 				j := kept
 				if kept < n {
@@ -689,18 +775,24 @@ func (t *Table) selectClosest(out *closestOut, target ID, count int) int {
 				case asContacts:
 					// Filled in place: a Contact built on the stack and
 					// copied in measured a third slower (store forwarding).
+					// The ID is the key's lanes XOR the target's, as in
+					// ranked.contact: no second read of the book.
 					out.contacts = append(out.contacts, Contact{})
 					c := &out.contacts[len(out.contacts)-1]
-					c.ID, c.Addr = e.ID, t.addrOf(e)
+					binary.BigEndian.PutUint64(c.ID[0:8], key.d0^t0)
+					binary.BigEndian.PutUint64(c.ID[8:16], key.d1^t1)
+					binary.BigEndian.PutUint32(c.ID[16:20], key.d2^t2)
+					c.Addr = t.addrOf(e)
 				case asRanked:
 					ls, h := out.ls, e.addr
 					if h == spilled {
 						h |= uint32(len(ls.spill))
-						ls.spill = append(ls.spill, t.spill[e.ID])
+						ls.spill = append(ls.spill, t.spill.addrs[e.id])
 					}
 					ls.shortlist = append(ls.shortlist, ranked{d0: key.d0, d1: key.d1, d2: key.d2, addr: h})
 				default:
-					out.wire = appendContact(out.wire, &e.ID, t.addrOf(e))
+					id := t.idOf(e)
+					out.wire = appendContact(out.wire, &id, t.addrOf(e))
 				}
 			}
 		}
@@ -756,10 +848,5 @@ func (t *Table) Contains(id ID) bool {
 		return false
 	}
 	_, lo, hi := t.run(idx)
-	for _, e := range t.entries[lo:hi] {
-		if e.ID == id {
-			return true
-		}
-	}
-	return false
+	return t.find(t.entries[lo:hi], &id) >= 0
 }

@@ -351,13 +351,19 @@ type modelTable struct {
 	k          int
 	staleAfter time.Duration
 	now        func() time.Time
-	buckets    map[int][]bucketEntry
+	buckets    map[int][]modelEntry
 	addrs      map[ID]transport.Addr
 
 	pingEvict bool
-	spares    map[int][]bucketEntry
+	spares    map[int][]modelEntry
 	probing   map[int]bool
 	probed    []ID
+}
+
+// modelEntry is one contact of the model: its ID and when it was last seen.
+type modelEntry struct {
+	ID       ID
+	lastSeen int64
 }
 
 func (m *modelTable) observe(c Contact) {
@@ -370,16 +376,16 @@ func (m *modelTable) observe(c Contact) {
 		if b[i].ID == c.ID {
 			e := b[i]
 			e.lastSeen = m.now().UnixNano()
-			m.buckets[idx] = append(append(append([]bucketEntry{}, b[:i]...), b[i+1:]...), e)
+			m.buckets[idx] = append(append(append([]modelEntry{}, b[:i]...), b[i+1:]...), e)
 			return
 		}
 	}
-	e := bucketEntry{ID: c.ID, lastSeen: m.now().UnixNano()}
+	e := modelEntry{ID: c.ID, lastSeen: m.now().UnixNano()}
 	if len(b) < m.k {
 		m.buckets[idx] = append(b, e)
 	} else if m.pingEvict {
 		sp := slices.Clone(m.spares[idx])
-		if i := slices.IndexFunc(sp, func(s bucketEntry) bool { return s.ID == c.ID }); i >= 0 {
+		if i := slices.IndexFunc(sp, func(s modelEntry) bool { return s.ID == c.ID }); i >= 0 {
 			sp = slices.Delete(sp, i, i+1)
 		} else if len(sp) >= m.k {
 			sp = sp[1:]
@@ -390,7 +396,7 @@ func (m *modelTable) observe(c Contact) {
 			m.probed = append(m.probed, b[0].ID)
 		}
 	} else if m.now().UnixNano()-b[0].lastSeen > int64(m.staleAfter) {
-		m.buckets[idx] = append(append([]bucketEntry{}, b[1:]...), e)
+		m.buckets[idx] = append(append([]modelEntry{}, b[1:]...), e)
 	} else {
 		return
 	}
@@ -408,7 +414,7 @@ func (m *modelTable) remove(id ID) {
 	b := m.buckets[idx]
 	for i := range b {
 		if b[i].ID == id {
-			m.buckets[idx] = append(append([]bucketEntry{}, b[:i]...), b[i+1:]...)
+			m.buckets[idx] = append(append([]modelEntry{}, b[:i]...), b[i+1:]...)
 			m.promote(idx)
 			return
 		}
@@ -416,7 +422,7 @@ func (m *modelTable) remove(id ID) {
 	sp := m.spares[idx]
 	for i := range sp {
 		if sp[i].ID == id {
-			m.spares[idx] = append(append([]bucketEntry{}, sp[:i]...), sp[i+1:]...)
+			m.spares[idx] = append(append([]modelEntry{}, sp[:i]...), sp[i+1:]...)
 			return
 		}
 	}
@@ -456,91 +462,124 @@ func TestTableRandomizedAgainstModel(t *testing.T) {
 	// Differential test: a random interleaving of Observe, Remove, clock
 	// advance, probe completion, wipe and Closest must agree exactly with the
 	// model implementation under both policies — the same selections and the
-	// same probes — and leave the table's layout whole after every step.
+	// same probes — and leave the table's layout whole after every step. The
+	// spill runs bound the table's books below the pool's 120 contacts, one
+	// book at 25 and the other at 40, so entries of every kind occur: ID and
+	// address booked, one of them spilled, both spilled.
 	for _, policy := range []TablePolicy{TableNaive, TablePingEvict} {
-		t.Run(policy.String(), func(t *testing.T) {
-			rng := stats.NewRNG(4242)
-			now := time.Unix(5000, 0)
-			clock := func() time.Time { return now }
-			const k = 3
-			table := new(Table)
-			var model *modelTable
-			var probed []ID
-			var dones []func(alive bool)
-			// reset wipes the table for a new self, as a churn replacement
-			// takes it back, and starts a fresh model beside it.
-			reset := func() {
-				self := RandomID(rng)
-				table.wipe(self, k, 10*time.Minute, nowFunc(clock))
-				table.SetPolicy(policy)
-				table.SetPinger(func(c Contact, done func(alive bool)) {
-					probed = append(probed, c.ID)
-					dones = append(dones, done)
-				})
-				model = &modelTable{
-					self: self, k: k, staleAfter: 10 * time.Minute, now: clock,
-					buckets:   map[int][]bucketEntry{},
-					pingEvict: policy == TablePingEvict,
-					spares:    map[int][]bucketEntry{},
-					probing:   map[int]bool{},
-				}
-				probed, dones = nil, nil
+		for _, bound := range []struct{ ids, addrs int }{{0, 0}, {25, 40}, {40, 25}} {
+			name := policy.String()
+			if bound.ids > 0 {
+				name += fmt.Sprintf("/spill-%d-ids-%d-addrs", bound.ids, bound.addrs)
 			}
-			reset()
-			pool := make([]Contact, 120)
-			for i := range pool {
-				pool[i] = Contact{ID: RandomID(rng), Addr: transport.Addr(fmt.Sprintf("addr-%d", i))}
-			}
-			for op := 0; op < 20000; op++ {
-				switch rng.Uint64n(12) {
-				case 0:
-					now = now.Add(time.Duration(rng.Uint64n(uint64(4 * time.Minute))))
-				case 1:
-					c := pool[rng.Uint64n(uint64(len(pool)))]
-					table.Remove(c.ID)
-					model.remove(c.ID)
-				case 2:
-					checkClosest(t, table, model, RandomID(rng), int(rng.Uint64n(8))+1)
-				case 3:
-					// Complete the oldest outstanding probe as the node does: a
-					// pong refreshes the peer, a timeout removes it first.
-					if len(dones) == 0 {
-						break
-					}
-					id, done := probed[len(probed)-len(dones)], dones[0]
-					dones = dones[1:]
-					c := Contact{ID: id, Addr: model.addrs[id]}
-					if alive := rng.Uint64n(2) == 0; alive {
-						table.ObserveVerified(c)
-						model.observe(c)
-						done(true)
-					} else {
-						table.Remove(id)
-						model.remove(id)
-						done(false)
-					}
-					model.probeDone(id)
-				case 4:
-					if rng.Uint64n(50) == 0 {
-						reset()
-					}
-				default:
-					c := pool[rng.Uint64n(uint64(len(pool)))]
-					table.Observe(c)
-					model.observe(c)
-				}
-				checkLayout(t, table)
-				if !slices.Equal(probed, model.probed) {
-					t.Fatalf("op %d: table probed %d contacts, model %d", op, len(probed), len(model.probed))
-				}
-			}
-			if table.Len() == 0 {
-				t.Fatal("randomized run tracked nothing")
-			}
-			if policy == TablePingEvict && len(probed) == 0 {
-				t.Fatal("ping-evict run never probed")
-			}
+			t.Run(name, func(t *testing.T) { randomizedAgainstModel(t, policy, bound.ids, bound.addrs) })
+		}
+	}
+}
+
+// randomizedAgainstModel is one run of TestTableRandomizedAgainstModel: under
+// policy, with the books bounded at ids IDs and addrs addresses, or the
+// private default for zeros.
+func randomizedAgainstModel(t *testing.T, policy TablePolicy, ids, addrs int) {
+	rng := stats.NewRNG(4242)
+	now := time.Unix(5000, 0)
+	clock := func() time.Time { return now }
+	const k = 3
+	table := new(Table)
+	if ids > 0 {
+		table.book = privateBooks(ids)
+		table.book.addrs.max = addrs
+	}
+	var both, idOnly, addrOnly int
+	var model *modelTable
+	var probed []ID
+	var dones []func(alive bool)
+	// reset wipes the table for a new self, as a churn replacement
+	// takes it back, and starts a fresh model beside it.
+	reset := func() {
+		self := RandomID(rng)
+		table.wipe(self, k, 10*time.Minute, nowFunc(clock))
+		table.SetPolicy(policy)
+		table.SetPinger(func(c Contact, done func(alive bool)) {
+			probed = append(probed, c.ID)
+			dones = append(dones, done)
 		})
+		model = &modelTable{
+			self: self, k: k, staleAfter: 10 * time.Minute, now: clock,
+			buckets:   map[int][]modelEntry{},
+			pingEvict: policy == TablePingEvict,
+			spares:    map[int][]modelEntry{},
+			probing:   map[int]bool{},
+		}
+		probed, dones = nil, nil
+	}
+	reset()
+	pool := make([]Contact, 120)
+	for i := range pool {
+		pool[i] = Contact{ID: RandomID(rng), Addr: transport.Addr(fmt.Sprintf("addr-%d", i))}
+	}
+	for op := 0; op < 20000; op++ {
+		switch rng.Uint64n(12) {
+		case 0:
+			now = now.Add(time.Duration(rng.Uint64n(uint64(4 * time.Minute))))
+		case 1:
+			c := pool[rng.Uint64n(uint64(len(pool)))]
+			table.Remove(c.ID)
+			model.remove(c.ID)
+		case 2:
+			checkClosest(t, table, model, RandomID(rng), int(rng.Uint64n(8))+1)
+		case 3:
+			// Complete the oldest outstanding probe as the node does: a
+			// pong refreshes the peer, a timeout removes it first.
+			if len(dones) == 0 {
+				break
+			}
+			id, done := probed[len(probed)-len(dones)], dones[0]
+			dones = dones[1:]
+			c := Contact{ID: id, Addr: model.addrs[id]}
+			if alive := rng.Uint64n(2) == 0; alive {
+				table.ObserveVerified(c)
+				model.observe(c)
+				done(true)
+			} else {
+				table.Remove(id)
+				model.remove(id)
+				done(false)
+			}
+			model.probeDone(id)
+		case 4:
+			if rng.Uint64n(50) == 0 {
+				reset()
+			}
+		default:
+			c := pool[rng.Uint64n(uint64(len(pool)))]
+			table.Observe(c)
+			model.observe(c)
+		}
+		checkLayout(t, table)
+		if !slices.Equal(probed, model.probed) {
+			t.Fatalf("op %d: table probed %d contacts, model %d", op, len(probed), len(model.probed))
+		}
+		for i := range table.entries {
+			switch e := &table.entries[i]; {
+			case e.id&spilled != 0 && e.addr == spilled:
+				both++
+			case e.id&spilled != 0:
+				idOnly++
+			case e.addr == spilled:
+				addrOnly++
+			}
+		}
+	}
+	if table.Len() == 0 {
+		t.Fatal("randomized run tracked nothing")
+	}
+	if policy == TablePingEvict && len(probed) == 0 {
+		t.Fatal("ping-evict run never probed")
+	}
+	if spills := both > 0 && idOnly+addrOnly > 0; spills != (ids > 0) {
+		t.Fatalf("books bounded at %d IDs, %d addresses: entry-steps with both spilled %d, only the ID %d, only the address %d",
+			ids, addrs, both, idOnly, addrOnly)
 	}
 }
 
@@ -569,9 +608,10 @@ func checkLayout(t testing.TB, table *Table) {
 		if hi-lo > table.k {
 			t.Fatalf("bucket %d: run of %d entries, k = %d", idx, hi-lo, table.k)
 		}
-		for _, e := range table.entries[lo:hi] {
-			if got, ok := table.self.BucketIndex(e.ID); !ok || got != idx {
-				t.Fatalf("entry %s in the run of bucket %d, belongs in %d", e.ID.Short(), idx, got)
+		for i := lo; i < hi; i++ {
+			id := table.idOf(&table.entries[i])
+			if got, ok := table.self.BucketIndex(id); !ok || got != idx {
+				t.Fatalf("entry %s in the run of bucket %d, belongs in %d", id.Short(), idx, got)
 			}
 		}
 		lo, r = hi, r+1
@@ -635,7 +675,7 @@ func rankedAddr(table *Table, ls *lookupState, h uint32) transport.Addr {
 	if h&spilled != 0 {
 		return ls.spill[h&^spilled]
 	}
-	return table.book.addrs[h]
+	return table.book.addrs.items[h]
 }
 
 // checkResponseRecords asserts that a response's records are want in the
@@ -701,7 +741,7 @@ func newStructuredTable(seed uint64, k int) (*Table, *modelTable, *stats.RNG) {
 	self := RandomID(rng)
 	now := func() time.Time { return time.Unix(5000, 0) }
 	table := NewTable(self, k, 10*time.Minute, now)
-	model := &modelTable{self: self, k: k, staleAfter: 10 * time.Minute, now: now, buckets: map[int][]bucketEntry{}}
+	model := &modelTable{self: self, k: k, staleAfter: 10 * time.Minute, now: now, buckets: map[int][]modelEntry{}}
 	observe := func(id ID) {
 		c := Contact{ID: id, Addr: transport.Addr(id.Short())}
 		table.Observe(c)
@@ -902,9 +942,11 @@ func doubledCap(n int) int {
 
 func TestTableArrayDoubles(t *testing.T) {
 	// A table fed 2,000 uniform IDs holds ~150 entries in one array grown by
-	// doubling: its fill allocates what a one-ID table does (the table, its
-	// address book and the first array) plus one array per doubling. A table
-	// that goes back to an array per bucket pays one or more per bucket.
+	// doubling: its fill allocates what a one-ID table does (the table and
+	// the first array) plus one array per doubling. A table that goes back to
+	// an array per bucket pays one or more per bucket. The books are a loop's,
+	// shared by every fill, as a node's are: what they hold is booked once
+	// per loop, not once per table, and the first (warm-up) fill books it.
 	rng := stats.NewRNG(2000)
 	self := RandomID(rng)
 	ids := make([]ID, 2000)
@@ -912,8 +954,10 @@ func TestTableArrayDoubles(t *testing.T) {
 		ids[i] = RandomID(rng)
 	}
 	var table *Table
+	loop := privateBooks(defaultBookAddrs)
 	fill := func(ids []ID) {
 		table = NewTable(self, bucketK, time.Hour, time.Now)
+		table.book = loop
 		for _, id := range ids {
 			table.Observe(Contact{ID: id})
 		}
@@ -1059,14 +1103,16 @@ func TestEmptyTableSize(t *testing.T) {
 	if size := unsafe.Sizeof(Table{}); size > 200 {
 		t.Fatalf("empty Table is %d bytes, want <= 200", size)
 	}
-	// 32 bytes an entry: a lookup's shortlist packs two entries a cache line.
-	if size := unsafe.Sizeof(bucketEntry{}); size != 32 {
-		t.Fatalf("bucketEntry is %d bytes, want 32", size)
+	// 16 bytes a table entry: two handles into the loop's books and a
+	// timestamp, four entries a cache line.
+	if size := unsafe.Sizeof(bucketEntry{}); size != 16 {
+		t.Fatalf("bucketEntry is %d bytes, want 16", size)
 	}
+	// 32 bytes a shortlist entry: two a cache line.
 	if size := unsafe.Sizeof(ranked{}); size != 32 {
 		t.Fatalf("ranked is %d bytes, want 32", size)
 	}
-	// A standalone table makes its address book at its first insert.
+	// A standalone table makes its books at its first insert.
 	if allocs := testing.AllocsPerRun(10, func() {
 		NewTable(ID{1}, 20, time.Minute, time.Now)
 	}); allocs > 1 {

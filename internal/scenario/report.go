@@ -34,8 +34,8 @@ func (r *Report) WriteTable(w io.Writer) error {
 	}
 	sc, m := r.Sends, float64(max(r.Live.Missions, 1))
 	if _, err := fmt.Fprintf(w,
-		"per mission: %.2f owner walks (%.2f ended at target), %.2f owner sends to self, %.2f riders, %.2f app sends\n",
-		float64(sc.OwnerWalks)/m, float64(sc.OwnerWalksAtTarget)/m, float64(sc.OwnerSendsSelf)/m,
+		"per mission: %.2f owner walks (%.2f ended at target), %.2f exact, %.2f owner sends to self, %.2f riders, %.2f app sends\n",
+		float64(sc.OwnerWalks)/m, float64(sc.OwnerWalksAtTarget)/m, float64(sc.OwnerWalksExact)/m, float64(sc.OwnerSendsSelf)/m,
 		float64(sc.Riders)/m, float64(sc.AppSends)/m); err != nil {
 		return err
 	}

@@ -371,10 +371,18 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		n.slots = make([]slot, cfg.Nodes)
 	}
 	malicious := n.markMalicious()
+	ids := make([]dht.ID, cfg.Nodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		if err := n.addNode(i, malicious[i]); err != nil {
 			return nil, err
 		}
+		ids[i] = n.nodes[i].Node().ID()
+	}
+	// Churn replacements keep their predecessors' IDs, so the boot population
+	// is every node the network will ever have.
+	pop := dht.NewPopulation(ids)
+	for i := range n.shards {
+		n.shards[i].scratch.SetPopulation(pop)
 	}
 	n.receiver = n.nodes[1].Node()
 	n.seeds = []dht.Contact{n.nodes[0].Node().Contact()}
