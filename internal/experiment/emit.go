@@ -8,61 +8,112 @@ import (
 	"strings"
 )
 
-// csvHeader is the column set of WriteCSV, one for every estimator: a
-// column an estimator does not measure reads zero (or empty, for the
-// references only the live estimator computes). Wall-clock fields are
-// deliberately absent: the CSV and JSON emitters are byte-deterministic for
-// a fixed sweep and estimator, regardless of runner worker count.
-var csvHeader = []string{
-	"index", "series", "x",
-	"scheme", "k", "l", "sharen", "replicas",
-	"network", "budget", "p", "alpha", "attack", "forge", "table", "partition",
-	"fault", "fault_sev", "retry", "seed",
-	"samples", "released", "delivered", "succeeded",
-	"rr", "rd", "r", "min_r", "cost", "pred_rr", "pred_rd",
-	"ref_rr", "ref_rd", "agree_release", "agree_deliver",
-	"deaths", "joins", "retries", "recovered", "dup_deliveries",
-	"epochs", "idle_skips", "merge_allocs",
+// column is one sweep column of WriteCSV and WriteJSON: its name, and its
+// value for a result — nil where the result has none, which is an empty CSV
+// cell and an absent JSON key. A jsonOnly column (a list) has no CSV cell.
+type column struct {
+	name     string
+	value    func(r *Result) any
+	jsonOnly bool
+}
+
+// ifRef returns v for a result that carries a reference (only the live
+// estimator computes one), else nil: absence is distinct from a measured
+// zero.
+func ifRef(r *Result, v any) any {
+	if !r.HasReference {
+		return nil
+	}
+	return v
+}
+
+// columns is the one column set of the sweep emitters, for every estimator:
+// a column an estimator does not measure reads zero (or nothing, for the
+// references). Wall-clock fields are deliberately absent: the CSV and JSON
+// emitters are byte-deterministic for a fixed sweep and estimator, regardless
+// of runner worker count.
+var columns = []column{
+	{name: "index", value: func(r *Result) any { return r.Point.Index }},
+	{name: "series", value: func(r *Result) any { return r.Point.Series }},
+	{name: "x", value: func(r *Result) any { return r.Point.X }},
+	{name: "scheme", value: func(r *Result) any { return r.Plan.Scheme.String() }},
+	{name: "k", value: func(r *Result) any { return r.Plan.K }},
+	{name: "l", value: func(r *Result) any { return r.Plan.L }},
+	{name: "sharen", value: func(r *Result) any { return r.Plan.ShareN }},
+	{name: "sharem", jsonOnly: true, value: func(r *Result) any {
+		if len(r.Plan.ShareM) == 0 {
+			return nil
+		}
+		return r.Plan.ShareM
+	}},
+	{name: "replicas", value: func(r *Result) any { return r.Point.Replicas }},
+	{name: "network", value: func(r *Result) any { return r.Point.Network }},
+	{name: "budget", value: func(r *Result) any { return r.Point.Budget }},
+	{name: "p", value: func(r *Result) any { return r.Point.P }},
+	{name: "alpha", value: func(r *Result) any { return r.Point.Alpha }},
+	{name: "attack", value: func(r *Result) any { return r.Point.Strategy.String() }},
+	{name: "forge", value: func(r *Result) any { return r.Point.Forge }},
+	{name: "table", value: func(r *Result) any { return r.Point.Table.String() }},
+	{name: "partition", value: func(r *Result) any { return r.Point.Partition }},
+	{name: "fault", value: func(r *Result) any { return r.Point.Fault.String() }},
+	{name: "fault_sev", value: func(r *Result) any { return r.Point.FaultSeverity }},
+	{name: "retry", value: func(r *Result) any { return r.Point.Retry }},
+	{name: "seed", value: func(r *Result) any { return r.Point.Seed }},
+	{name: "samples", value: func(r *Result) any { return r.Samples }},
+	{name: "released", value: func(r *Result) any { return r.Released }},
+	{name: "delivered", value: func(r *Result) any { return r.Delivered }},
+	{name: "succeeded", value: func(r *Result) any { return r.Succeeded }},
+	{name: "rr", value: func(r *Result) any { return r.Rr }},
+	{name: "rd", value: func(r *Result) any { return r.Rd }},
+	{name: "r", value: func(r *Result) any { return r.R }},
+	{name: "min_r", value: func(r *Result) any { return r.MinR() }},
+	{name: "cost", value: func(r *Result) any { return r.Cost }},
+	{name: "pred_rr", value: func(r *Result) any { return r.Predicted.ReleaseAhead }},
+	{name: "pred_rd", value: func(r *Result) any { return r.Predicted.Drop }},
+	{name: "ref_rr", value: func(r *Result) any { return ifRef(r, r.RefRelease.Rr()) }},
+	{name: "ref_rd", value: func(r *Result) any { return ifRef(r, r.RefDeliver.Rd()) }},
+	{name: "agree_release", value: func(r *Result) any { return ifRef(r, r.AgreeRelease) }},
+	{name: "agree_deliver", value: func(r *Result) any { return ifRef(r, r.AgreeDeliver) }},
+	{name: "deaths", value: func(r *Result) any { return r.Deaths }},
+	{name: "joins", value: func(r *Result) any { return r.Joins }},
+	{name: "retries", value: func(r *Result) any { return r.Retries }},
+	{name: "recovered", value: func(r *Result) any { return r.Recovered }},
+	{name: "dup_deliveries", value: func(r *Result) any { return r.Duplicates }},
+	{name: "epochs", value: func(r *Result) any { return r.Epochs }},
+	{name: "idle_skips", value: func(r *Result) any { return r.IdleSkips }},
+	{name: "merge_allocs", value: func(r *Result) any { return r.MergeAllocs }},
 }
 
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
-func unum(v uint64) string { return strconv.FormatUint(v, 10) }
-
-// WriteCSV renders one row per point, in grid order.
+// WriteCSV renders one row per point, in grid order: every column but the
+// jsonOnly ones, floats to six significant digits.
 func (rs *ResultSet) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, strings.Join(csvHeader, ",")); err != nil {
+	var cells []string
+	for _, c := range columns {
+		if !c.jsonOnly {
+			cells = append(cells, c.name)
+		}
+	}
+	if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
 		return err
 	}
-	for _, res := range rs.Results {
-		pt := res.Point
-		row := []string{
-			strconv.Itoa(pt.Index), pt.Series, fnum(pt.X),
-			res.Plan.Scheme.String(), strconv.Itoa(res.Plan.K), strconv.Itoa(res.Plan.L),
-			strconv.Itoa(res.Plan.ShareN), strconv.Itoa(pt.Replicas),
-			strconv.Itoa(pt.Network), strconv.Itoa(pt.Budget), fnum(pt.P), fnum(pt.Alpha),
-			pt.Strategy.String(), fnum(pt.Forge), pt.Table.String(), strconv.Itoa(pt.Partition),
-			pt.Fault.String(), fnum(pt.FaultSeverity), strconv.Itoa(pt.Retry), unum(pt.Seed),
-			strconv.Itoa(res.Samples), strconv.Itoa(res.Released),
-			strconv.Itoa(res.Delivered), strconv.Itoa(res.Succeeded),
-			fnum(res.Rr), fnum(res.Rd), fnum(res.R), fnum(res.MinR()),
-			strconv.Itoa(res.Cost), fnum(res.Predicted.ReleaseAhead), fnum(res.Predicted.Drop),
+	for i := range rs.Results {
+		cells = cells[:0]
+		for _, c := range columns {
+			if c.jsonOnly {
+				continue
+			}
+			switch v := c.value(&rs.Results[i]).(type) {
+			case nil:
+				cells = append(cells, "")
+			case float64:
+				cells = append(cells, fnum(v))
+			default:
+				cells = append(cells, fmt.Sprint(v))
+			}
 		}
-		if res.HasReference {
-			row = append(row,
-				fnum(res.RefRelease.Rr()), fnum(res.RefDeliver.Rd()),
-				strconv.FormatBool(res.AgreeRelease), strconv.FormatBool(res.AgreeDeliver),
-			)
-		} else {
-			row = append(row, "", "", "", "")
-		}
-		c := res.Counters
-		row = append(row,
-			strconv.Itoa(c.Deaths), strconv.Itoa(c.Joins),
-			unum(c.Retries), unum(c.Recovered), unum(c.Duplicates),
-			unum(c.Epochs), unum(c.IdleSkips), unum(c.MergeAllocs),
-		)
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
+		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
 			return err
 		}
 	}
@@ -70,11 +121,10 @@ func (rs *ResultSet) WriteCSV(w io.Writer) error {
 }
 
 // jsonSchema versions the WriteJSON document: 2 is the one-schema layout,
-// in which every result carries every field.
+// in which every result carries every column it has a value for.
 const jsonSchema = 2
 
-// sweepJSON / resultJSON define the JSON schema of WriteJSON; resultJSON
-// carries csvHeader's columns under the same names.
+// sweepJSON is the document WriteJSON renders.
 type sweepJSON struct {
 	Schema    int          `json:"schema"`
 	Name      string       `json:"name,omitempty"`
@@ -89,59 +139,28 @@ type axisJSON struct {
 	Values []string `json:"values"`
 }
 
-type resultJSON struct {
-	Index  int     `json:"index"`
-	Series string  `json:"series"`
-	X      float64 `json:"x"`
+// resultJSON renders one result as an object of its columns, in table
+// order.
+type resultJSON struct{ res *Result }
 
-	Scheme   string `json:"scheme"`
-	K        int    `json:"k"`
-	L        int    `json:"l"`
-	ShareN   int    `json:"sharen"`
-	ShareM   []int  `json:"sharem,omitempty"`
-	Replicas int    `json:"replicas"`
-
-	Network   int     `json:"network"`
-	Budget    int     `json:"budget"`
-	P         float64 `json:"p"`
-	Alpha     float64 `json:"alpha"`
-	Attack    string  `json:"attack"`
-	Forge     float64 `json:"forge"`
-	Table     string  `json:"table"`
-	Partition int     `json:"partition"`
-	Fault     string  `json:"fault"`
-	FaultSev  float64 `json:"fault_sev"`
-	Retry     int     `json:"retry"`
-	Seed      uint64  `json:"seed"`
-
-	Samples   int     `json:"samples"`
-	Released  int     `json:"released"`
-	Delivered int     `json:"delivered"`
-	Succeeded int     `json:"succeeded"`
-	Rr        float64 `json:"rr"`
-	Rd        float64 `json:"rd"`
-	R         float64 `json:"r"`
-	MinR      float64 `json:"min_r"`
-	Cost      int     `json:"cost"`
-	PredRr    float64 `json:"pred_rr"`
-	PredRd    float64 `json:"pred_rd"`
-
-	// The reference fields stay pointers with omitempty: absence means "no
-	// reference was computed" (abstract estimators), which is distinct from
-	// a measured zero.
-	RefRr        *float64 `json:"ref_rr,omitempty"`
-	RefRd        *float64 `json:"ref_rd,omitempty"`
-	AgreeRelease *bool    `json:"agree_release,omitempty"`
-	AgreeDeliver *bool    `json:"agree_deliver,omitempty"`
-
-	Deaths      int    `json:"deaths"`
-	Joins       int    `json:"joins"`
-	Retries     uint64 `json:"retries"`
-	Recovered   uint64 `json:"recovered"`
-	Duplicates  uint64 `json:"dup_deliveries"`
-	Epochs      uint64 `json:"epochs"`
-	IdleSkips   uint64 `json:"idle_skips"`
-	MergeAllocs uint64 `json:"merge_allocs"`
+func (row resultJSON) MarshalJSON() ([]byte, error) {
+	b := []byte{'{'}
+	for _, c := range columns {
+		v := c.value(row.res)
+		if v == nil {
+			continue
+		}
+		val, err := json.Marshal(v)
+		if err != nil {
+			return nil, err
+		}
+		if len(b) > 1 {
+			b = append(b, ',')
+		}
+		b = append(strconv.AppendQuote(b, c.name), ':')
+		b = append(b, val...)
+	}
+	return append(b, '}'), nil
 }
 
 // WriteJSON renders the whole result set as one indented JSON document.
@@ -155,30 +174,8 @@ func (rs *ResultSet) WriteJSON(w io.Writer) error {
 	for _, ax := range rs.Sweep.Axes {
 		doc.Axes = append(doc.Axes, axisJSON{Name: ax.Name, Values: ax.Labels()})
 	}
-	for _, res := range rs.Results {
-		pt, c := res.Point, res.Counters
-		rj := resultJSON{
-			Index: pt.Index, Series: pt.Series, X: pt.X,
-			Scheme: res.Plan.Scheme.String(), K: res.Plan.K, L: res.Plan.L,
-			ShareN: res.Plan.ShareN, ShareM: res.Plan.ShareM, Replicas: pt.Replicas,
-			Network: pt.Network, Budget: pt.Budget, P: pt.P, Alpha: pt.Alpha,
-			Attack: pt.Strategy.String(), Forge: pt.Forge, Table: pt.Table.String(), Partition: pt.Partition,
-			Fault: pt.Fault.String(), FaultSev: pt.FaultSeverity, Retry: pt.Retry, Seed: pt.Seed,
-			Samples: res.Samples, Released: res.Released,
-			Delivered: res.Delivered, Succeeded: res.Succeeded,
-			Rr: res.Rr, Rd: res.Rd, R: res.R, MinR: res.MinR(), Cost: res.Cost,
-			PredRr: res.Predicted.ReleaseAhead, PredRd: res.Predicted.Drop,
-			Deaths: c.Deaths, Joins: c.Joins,
-			Retries: c.Retries, Recovered: c.Recovered, Duplicates: c.Duplicates,
-			Epochs: c.Epochs, IdleSkips: c.IdleSkips, MergeAllocs: c.MergeAllocs,
-		}
-		if res.HasReference {
-			refRr, refRd := res.RefRelease.Rr(), res.RefDeliver.Rd()
-			agreeRel, agreeDel := res.AgreeRelease, res.AgreeDeliver
-			rj.RefRr, rj.RefRd = &refRr, &refRd
-			rj.AgreeRelease, rj.AgreeDeliver = &agreeRel, &agreeDel
-		}
-		doc.Results = append(doc.Results, rj)
+	for i := range rs.Results {
+		doc.Results = append(doc.Results, resultJSON{&rs.Results[i]})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -160,6 +160,58 @@ func TestFailedKeyIsNotRetried(t *testing.T) {
 	}
 }
 
+// TestForgedGrantLeavesHonestGrantOpen: at a multipath Ref, which has no
+// shares, a forged grant that arrives ahead of the honest one does not cost
+// the holder its copy. The holder gets an all-zero grant at (column 2,
+// column-wide), then the true key's grant, then the main onion: the true key
+// opens it, becomes the record's key (the one repair pushes carry), and at the
+// deadline the holder delivers the secret. Past maxGrantKeys distinct keys a
+// record refuses more, and counts them.
+func TestForgedGrantLeavesHonestGrantOpen(t *testing.T) {
+	var seen []Packet
+	clock, host, _ := newWatchedHolder(t, HostConfig{Replicas: 2}, 0, &seen)
+	watcher := dht.IDFromKey([]byte("watcher"))
+	key := seal.Key{1}
+	wrapped, err := onion.Build([]onion.Layer{{NextHops: [][]byte{watcher[:]}, Payload: []byte("secret")}}, []seal.Key{key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant := func(mission MissionID, k seal.Key) Packet {
+		return Packet{
+			Mission: mission, Kind: PkKeyGrant, Column: 2,
+			HoldUntil: clock.Now().Add(time.Hour).UnixNano(), Step: int64(time.Hour), Data: k[:],
+		}
+	}
+	honest := grant(MissionID{0xF7}, key)
+	for _, pkt := range []Packet{grant(honest.Mission, seal.Key{}), honest} {
+		host.HandleApp(dht.Contact{}, pkt.AppendEncode(nil))
+	}
+	main := honest
+	main.Kind, main.Target, main.Data = PkMainOnion, watcher, wrapped
+	host.HandleApp(dht.Contact{}, main.AppendEncode(nil))
+	if rec := host.custodyAt(main.Mission, main.Ref()); !rec.hold.peeled || rec.key != key {
+		t.Fatalf("after a forged and an honest grant: peeled %v, record key is the true one %v", rec.hold.peeled, rec.key == key)
+	}
+	clock.RunFor(time.Hour + time.Minute)
+	if len(seen) != 1 || seen[0].Kind != PkSecret || string(seen[0].Data) != "secret" {
+		t.Fatalf("the watcher saw %d packets, want the secret alone", len(seen))
+	}
+
+	flooded := MissionID{0xF8}
+	for i := 0; i < maxGrantKeys; i++ {
+		host.HandleApp(dht.Contact{}, grant(flooded, seal.Key{0xEE, byte(i)}).AppendEncode(nil))
+	}
+	host.HandleApp(dht.Contact{}, grant(flooded, key).AppendEncode(nil))
+	if got := host.Refusals().Grants; got != 1 {
+		t.Fatalf("a grant past %d distinct keys: %d refused, want 1", maxGrantKeys, got)
+	}
+	clock.RunFor(time.Hour + lateGrace)
+	host.HandleApp(dht.Contact{}, grant(MissionID{0xF9}, key).AppendEncode(nil)) // expires the flooded record
+	if len(host.ledger.moreKeys) != 0 {
+		t.Fatalf("past the horizon the ledger keeps %d records' extra keys", len(host.ledger.moreKeys))
+	}
+}
+
 // TestForgedGrantLeavesSharesOpen: a granted key that fails does not close
 // recovery from shares, so a forged grant at a key-share Ref does not lock
 // its holder out of the true key. The holder gets an all-zero grant at

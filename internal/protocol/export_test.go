@@ -118,7 +118,7 @@ func kept(rec *custody, owner bool) string {
 		name string
 		kept bool
 	}{
-		{"key", rec.key != seal.Key{}},
+		{"key", rec.key != seal.Key{} || rec.ledger != nil && rec.ledger.moreKeys[rec] != nil},
 		{"plaintext", rec.hold.plain != nil},
 		{"shares", len(rec.shares.list) > 0 || slices.ContainsFunc(rec.shares.list[:cap(rec.shares.list)], func(sh shamir.Share) bool { return sh.Data != nil }) ||
 			slices.ContainsFunc(rec.shares.buf[:cap(rec.shares.buf)], func(b byte) bool { return b != 0 })},

@@ -3,6 +3,7 @@ package protocol
 import (
 	"container/heap"
 	"errors"
+	"slices"
 	"time"
 
 	"selfemerge/internal/crypto/onion"
@@ -89,6 +90,10 @@ const (
 	maxLiveRecords = 1024
 	// maxFreeCustody is how many spent records a loop keeps for reuse.
 	maxFreeCustody = 64
+	// maxGrantKeys bounds the distinct keys granted at one Ref that a record
+	// keeps until one opens its onion: an honest plan grants one, and each
+	// forged one ahead of it takes a place.
+	maxGrantKeys = 4
 )
 
 // Refusals counts the material the hosts of one loop refused at a custody
@@ -102,6 +107,8 @@ type Refusals struct {
 	Records uint64
 	// Shares is new share coordinates at a collection of maxShares.
 	Shares uint64
+	// Grants is new granted keys at a record keeping maxGrantKeys.
+	Grants uint64
 }
 
 // ledger is the custody of every host on one dispatch context, in the slot
@@ -115,6 +122,11 @@ type ledger struct {
 	index map[custodyKey]*custody
 	free  freelist.List[custody]
 	aging agingHeap
+	// moreKeys holds, per record, the distinct keys granted after its key, in
+	// arrival order, up to maxGrantKeys in all: made at a second one, which
+	// no honest sender grants, so that a forged grant ahead of the honest one
+	// does not lock the true key out.
+	moreKeys map[*custody][]seal.Key
 
 	refused Refusals
 }
@@ -173,10 +185,10 @@ type custody struct {
 	aging int32
 
 	hasKey bool
-	// keyFailed marks a granted key that did not open the held package:
-	// neither can change once set, so the key is not tried again (recovery
-	// from shares still is).
-	keyFailed bool
+	// failed counts the granted keys, in arrival order, that did not open the
+	// held package: neither can change once set, so none is tried again
+	// (recovery from shares still is).
+	failed uint8
 	// repair is set once the share collection has an armed churn-repair
 	// refresh (one per holding period, see scheduleShareRefresh).
 	repair bool
@@ -268,7 +280,7 @@ func Expire(s *dht.Scratch, now time.Time) {
 		return
 	}
 	if l.expire(now.UnixNano()); len(l.index) == 0 {
-		l.index, l.aging = nil, nil
+		l.index, l.aging, l.moreKeys = nil, nil, nil
 	}
 }
 
@@ -437,6 +449,10 @@ func (c *custody) spend() {
 func (c *custody) forget() {
 	c.shares.reset()
 	c.key = seal.Key{}
+	if more, ok := c.ledger.moreKeys[c]; ok {
+		clear(more)
+		delete(c.ledger.moreKeys, c)
+	}
 }
 
 // NewHost creates a host and builds its DHT node from node, whose OnApp is
@@ -551,6 +567,15 @@ func (h *Host) onKeyGrant(pkt Packet) {
 	if !rec.hasKey {
 		rec.key, rec.hasKey = key, true
 		h.scheduleGrantRefresh(rec, pkt)
+	} else if l := h.ledger; !rec.hold.peeled && key != rec.key && !slices.Contains(l.moreKeys[rec], key) {
+		if len(l.moreKeys[rec]) == maxGrantKeys-1 {
+			l.refused.Grants++
+		} else {
+			if l.moreKeys == nil {
+				l.moreKeys = make(map[*custody][]seal.Key)
+			}
+			l.moreKeys[rec] = append(l.moreKeys[rec], key)
+		}
 	}
 	h.advance(rec)
 }
@@ -814,26 +839,36 @@ func (h *Host) advance(rec *custody) {
 	}
 }
 
-// peel attempts to open the record's held onion with its key or, failing
-// that, with a key recovered from the collected shares (Shares.Recover) —
-// the authenticated onion layer is the oracle that tells the true key from
-// garbage, so stale, churn-duplicated or adversary-injected shares can delay
-// recovery but never poison it. A key the oracle confirms becomes the
-// record's key. Every open is one-shot (onion.Open): a peel leaves the
-// plaintext and nothing else, and a granted key that fails is marked, not
-// retried, while recovery from shares stays open: a forged grant at the Ref
-// does not lock the true key out.
+// peel attempts to open the record's held onion with its granted keys, in
+// arrival order, or, failing that, with a key recovered from the collected
+// shares (Shares.Recover) — the authenticated onion layer is the oracle that
+// tells the true key from garbage, so forged grants and stale,
+// churn-duplicated or adversary-injected shares can delay the peel but never
+// poison it. A key the oracle confirms becomes the record's key, the one its
+// repair pushes carry. Every open is one-shot (onion.Open): a peel leaves the
+// plaintext and nothing else, and a granted key that fails is counted, not
+// retried, while the keys granted after it and recovery from shares stay
+// open.
 func (h *Host) peel(rec *custody) {
 	hp := &rec.hold
 	if !hp.held || hp.peeled || hp.pkt.Kind == PkCentral {
 		return
 	}
-	if rec.hasKey && !rec.keyFailed {
-		if plain, err := onion.Open(rec.key, hp.pkt.Data); err == nil {
+	for rec.hasKey {
+		key := rec.key
+		if rec.failed > 0 {
+			more := rec.ledger.moreKeys[rec]
+			if int(rec.failed) > len(more) {
+				break
+			}
+			key = more[rec.failed-1]
+		}
+		if plain, err := onion.Open(key, hp.pkt.Data); err == nil {
 			h.opened(hp, plain)
+			rec.key = key
 			return
 		}
-		rec.keyFailed = true
+		rec.failed++
 	}
 	rec.shares.Recover(func(key seal.Key) bool {
 		plain, err := onion.Open(key, hp.pkt.Data)

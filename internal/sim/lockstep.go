@@ -55,8 +55,7 @@ type Lockstep struct {
 	Sims []*Simulator
 	// Lookahead is the minimum cross-simulator latency W. It must be > 0 and
 	// a true lower bound on the delay of every cross record, or epochs would
-	// overrun arrivals (fabrics expose CheckLookahead-style validation for
-	// exactly this wiring mistake).
+	// overrun arrivals: take it from the fabric (simnet.Partition.Lookahead).
 	Lookahead time.Duration
 	// Exchange drains the cross queues into the member simulators. It runs
 	// with every simulator paused at a common barrier, before each epoch and

@@ -11,29 +11,33 @@ import (
 	"slices"
 	"time"
 
+	"selfemerge/internal/freelist"
 	"selfemerge/internal/sim"
 	"selfemerge/internal/stats"
 	"selfemerge/internal/transport"
 )
 
-// Partition is an in-memory fabric split across S shard sub-networks. Every
-// endpoint is owned by exactly one shard (registered at Endpoint time and
-// frozen thereafter — churn replacements reuse their predecessor's address
-// and shard). Every send runs the one Network.send path on the sender's
-// shard: sender-down, loss, jitter and the injector's verdict are all judged
-// there, at send time, from the source shard's own streams. A datagram whose
-// destination lives on the same shard is scheduled on that shard's
-// simulator; one bound for another shard becomes a hand-off record carrying
-// its absolute delivery time, queued per source shard, and injected into the
-// destination simulator at the next barrier in fixed (deliver-time, source
-// shard, sequence) order — so the merged event schedule, and therefore every
-// observable byte, is a pure function of the configuration, independent of
-// how many goroutines run the shard loops. Receiver-side state (down, closed,
-// detached) is checked at delivery on the owning shard, exactly as on the
-// plain fabric, so the same script yields the same counters at any S.
+// Partition is an in-memory fabric split across S shard sub-networks, with
+// one address table: an address's first Endpoint call makes its slot, owned
+// by one shard from then on (churn replacements reuse their predecessor's
+// address and slot). Every send runs the one Network.send path on the
+// sender's shard: sender-down, loss, jitter and the injector's verdict are
+// all judged there, at send time, from the source shard's own streams. A
+// datagram whose destination lives on the same shard is scheduled on that
+// shard's simulator; one bound for another shard becomes a hand-off record
+// carrying its absolute delivery time, queued per source shard, and injected
+// into the destination simulator at the next barrier in fixed (deliver-time,
+// source shard, sequence) order — so the merged event schedule, and therefore
+// every observable byte, is a pure function of the configuration, independent
+// of how many goroutines run the shard loops. Receiver-side state (down,
+// closed) is checked at delivery on the owning shard, so the same script
+// yields the same counters at any S.
 type Partition struct {
-	subs      []*Network
-	owner     map[transport.Addr]int
+	subs []*Network
+	// slots is the address table. It is written only by an address's first
+	// Endpoint call, at boot with every loop paused, and after that only read
+	// (by the concurrently running shard loops' sends), so it needs no lock.
+	slots     map[transport.Addr]*nodeSlot
 	outboxes  []outbox
 	heads     []int   // per-outbox merge cursor, reused across barriers
 	nows      []int64 // per-shard barrier clock, captured once per Flush
@@ -53,8 +57,7 @@ type outbox struct {
 }
 
 // handoff is one cross-shard datagram: the pooled delivery record (payload
-// copy included, net already pointing at the destination sub-network, slot
-// found there by Flush) plus the merge coordinates.
+// copy included, slot already the destination's) plus the merge coordinates.
 type handoff struct {
 	at  int64 // absolute delivery time, Unix nanoseconds
 	src int
@@ -64,14 +67,11 @@ type handoff struct {
 
 // NewPartition builds a fabric of len(clocks) shard sub-networks, shard i
 // delivering its local traffic on clocks[i]. Shard 0 keeps cfg.Seed for its
-// jitter RNG — a one-shard partition is byte-identical to the plain
-// Network — and higher shards draw decorrelated SplitMix64 substreams. The
-// base latency must be explicitly positive: it is the lookahead that makes
-// barrier-drained hand-offs conservative, so the plain fabric's
-// zero-means-default rule does not apply here — a zero would previously be
-// papered over by the 10ms default, silently changing the lookahead the
-// caller thought it configured, and a negative one would make epoch-barrier
-// delivery unsound outright.
+// jitter RNG — New's plain network is the one-shard case — and higher shards
+// draw decorrelated SplitMix64 substreams. The base latency must be
+// explicitly positive: it is the lookahead that makes barrier-drained
+// hand-offs conservative, so New's zero-means-default rule does not apply
+// here, lest a caller's zero silently become a 10ms lookahead.
 func NewPartition(clocks []sim.Clock, cfg Config) (*Partition, error) {
 	if len(clocks) < 1 {
 		return nil, fmt.Errorf("simnet: partition needs at least one shard clock")
@@ -79,10 +79,15 @@ func NewPartition(clocks []sim.Clock, cfg Config) (*Partition, error) {
 	if cfg.BaseLatency <= 0 {
 		return nil, fmt.Errorf("simnet: partition needs an explicit positive base latency (the lockstep lookahead), got %v", cfg.BaseLatency)
 	}
-	cfg = cfg.withDefaults()
+	return newPartition(clocks, cfg), nil
+}
+
+// newPartition builds the fabric of NewPartition (and of New, with one
+// clock) for a cfg whose base latency is set.
+func newPartition(clocks []sim.Clock, cfg Config) *Partition {
 	p := &Partition{
 		subs:      make([]*Network, len(clocks)),
-		owner:     make(map[transport.Addr]int),
+		slots:     make(map[transport.Addr]*nodeSlot),
 		outboxes:  make([]outbox, len(clocks)),
 		heads:     make([]int, len(clocks)),
 		nows:      make([]int64, len(clocks)),
@@ -93,30 +98,21 @@ func NewPartition(clocks []sim.Clock, cfg Config) (*Partition, error) {
 		if i > 0 {
 			sub.Seed = stats.Mix64(cfg.Seed, uint64(i))
 		}
-		p.subs[i] = New(clock, sub)
-		p.subs[i].part, p.subs[i].shard = p, i
+		p.subs[i] = &Network{
+			clock:      clock,
+			cfg:        sub,
+			part:       p,
+			shard:      i,
+			rng:        stats.NewRNG(sub.Seed),
+			deliveries: freelist.List[delivery]{Max: maxFreeDeliveries},
+		}
 	}
-	return p, nil
+	return p
 }
 
-// Lookahead returns the minimum cross-shard latency: the sim.Lockstep
-// lookahead this fabric supports.
+// Lookahead returns the minimum cross-shard latency — the base latency, as
+// jitter only adds delay: the sim.Lockstep lookahead this fabric supports.
 func (p *Partition) Lookahead() time.Duration { return p.lookahead }
-
-// CheckLookahead validates a lookahead a sim.Lockstep intends to drive this
-// fabric with: it must be positive and no larger than the fabric's minimum
-// cross-shard latency (the base latency — jitter only adds delay). A wider
-// lookahead would let an epoch overrun arrivals, silently voiding the
-// conservative-delivery argument, so mis-wired callers fail loudly here.
-func (p *Partition) CheckLookahead(w time.Duration) error {
-	if w <= 0 {
-		return fmt.Errorf("simnet: lockstep lookahead must be positive, got %v", w)
-	}
-	if w > p.lookahead {
-		return fmt.Errorf("simnet: lockstep lookahead %v exceeds the fabric's minimum cross-shard latency %v; epochs would overrun arrivals", w, p.lookahead)
-	}
-	return nil
-}
 
 // MergeAllocs returns how many times an outbox had to grow its backing
 // array — the hand-off drain's only allocation source. In steady state the
@@ -144,22 +140,31 @@ func (p *Partition) DeliveryMisses() uint64 {
 }
 
 // Endpoint attaches (or, for a churn replacement, re-attaches) an endpoint
-// with the given address on its owning shard. The first attachment
-// registers the ownership; it is frozen from then on — re-attaching under a
-// different shard panics, because migrating an address would race the
-// owner lookups concurrently running shard loops make on the send path.
+// with the given address on shard. The address's first attachment makes its
+// slot in the table, owned by shard from then on; re-attaching it on another
+// shard panics, because migrating an address would race the lookups that
+// concurrently running shard loops make on the send path. A closed endpoint
+// on the slot is re-opened in place, so a churn replacement costs no record:
+// only a new address, or one whose endpoint is still open, gets a fresh one,
+// and a live endpoint replaced that way is closed.
 func (p *Partition) Endpoint(shard int, addr transport.Addr) transport.Endpoint {
-	if got, ok := p.owner[addr]; ok {
-		if got != shard {
-			panic(fmt.Sprintf("simnet: endpoint %s owned by shard %d, re-attached on shard %d", addr, got, shard))
-		}
-	} else {
-		// First attachment: boot-time, single-goroutine. After boot the map
-		// is read-only (replacements reuse registered addresses), which is
-		// what lets concurrent shard loops consult it without a lock.
-		p.owner[addr] = shard
+	net := p.subs[shard]
+	sl := p.slots[addr]
+	switch {
+	case sl == nil:
+		// First attachment: boot-time, single-goroutine (see slots).
+		sl = &nodeSlot{net: net}
+		p.slots[addr] = sl
+	case sl.net != net:
+		panic(fmt.Sprintf("simnet: endpoint %s owned by shard %d, re-attached on shard %d", addr, sl.net.shard, shard))
+	case sl.ep.closed:
+		sl.ep.closed, sl.down = false, false
+		return sl.ep
+	default:
+		_ = sl.ep.Close()
 	}
-	return p.subs[shard].Endpoint(addr)
+	sl.ep, sl.down = &endpoint{slot: sl, addr: addr}, false
+	return sl.ep
 }
 
 // SetInjector installs shard's own injector (Network.SetInjector). Each
@@ -169,10 +174,11 @@ func (p *Partition) SetInjector(shard int, inj Injector) {
 	p.subs[shard].SetInjector(inj)
 }
 
-// SetDown marks an endpoint unavailable on its owning shard.
+// SetDown marks an endpoint unavailable (Network.SetDown). An address no
+// endpoint ever attached has no state to mark.
 func (p *Partition) SetDown(addr transport.Addr, down bool) {
-	if shard, ok := p.owner[addr]; ok {
-		p.subs[shard].SetDown(addr, down)
+	if sl := p.slots[addr]; sl != nil {
+		sl.down = down
 	}
 }
 
@@ -269,12 +275,11 @@ func (p *Partition) Flush() {
 		h := box.recs[p.heads[best]]
 		box.recs[p.heads[best]].d = nil // do not pin pooled records past injection
 		p.heads[best]++
-		dst := h.d.net
+		dst := h.d.slot.net
 		now := p.nows[dst.shard]
 		if h.at < now {
 			panic(fmt.Sprintf("simnet: cross-shard record for shard %d timestamped %dns before its clock; lookahead/epoch-bound violation", dst.shard, now-h.at))
 		}
-		h.d.slot = dst.slotFor(h.d.to) // the record's one lookup on this side
 		// The record left its source's list and goes back to dst's once
 		// delivered: hand the source one of dst's free records now, so a
 		// lopsided cross-shard flow drains no shard's list into another's.

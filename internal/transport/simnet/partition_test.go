@@ -276,29 +276,46 @@ func TestPartitionSingleShardMatchesPlainNetwork(t *testing.T) {
 // there, and a re-attached destination (churn replacement) receives again,
 // also what was sent to its predecessor and still on the wire. On three
 // shards every one of these datagrams is a hand-off whose destination Flush
-// resolves.
+// resolves. A send to an address no endpoint ever attached is dropped at
+// send, before the injector is asked, and leaves the address table as it was.
 func TestPartitionDownAndClose(t *testing.T) {
 	type fabric struct {
 		endpoint func(shard int, addr transport.Addr) transport.Endpoint
 		setDown  func(addr transport.Addr, down bool)
 		runFor   func(time.Duration)
 		stats    func() (sent, delivered, dropped int)
+		part     *Partition
+		inj      []scriptInjector // one per shard, each judging on its own loop
+	}
+	judged := func(f fabric) (n int) {
+		for i := range f.inj {
+			n += f.inj[i].judged
+		}
+		return n
 	}
 	cfg := Config{BaseLatency: time.Millisecond}
 	partition := func(shards int) fabric {
 		_, p, l := newTestPartition(t, shards, cfg)
-		return fabric{
+		f := fabric{
 			endpoint: func(shard int, addr transport.Addr) transport.Endpoint { return p.Endpoint(shard%shards, addr) },
 			setDown:  p.SetDown, runFor: l.RunFor, stats: p.Stats,
+			part: p, inj: make([]scriptInjector, shards),
 		}
+		for i := range f.inj {
+			p.SetInjector(i, &f.inj[i])
+		}
+		return f
 	}
 	plain := func() fabric {
 		s := sim.NewSimulator()
 		n := New(s, cfg)
-		return fabric{
+		f := fabric{
 			endpoint: func(_ int, addr transport.Addr) transport.Endpoint { return n.Endpoint(addr) },
 			setDown:  n.SetDown, runFor: s.RunFor, stats: n.Stats,
+			part: n.part, inj: make([]scriptInjector, 1),
 		}
+		n.SetInjector(&f.inj[0])
+		return f
 	}
 	for _, c := range []struct {
 		name string
@@ -357,34 +374,51 @@ func TestPartitionDownAndClose(t *testing.T) {
 		}
 		f.runFor(50 * time.Millisecond)
 
+		// A destination no endpoint ever attached: dropped at send, unjudged.
+		slots, asked := len(f.part.slots), judged(f)
+		if err := a.Send("ghost", []byte{8}); err != nil {
+			t.Fatal(err)
+		}
+		if sent, _, dropped := f.stats(); sent != 8 || dropped != 5 {
+			t.Errorf("%s: after a send to an unattached address, sent=%d dropped=%d, want 8/5", c.name, sent, dropped)
+		}
+		if len(f.part.slots) != slots || judged(f) != asked {
+			t.Errorf("%s: a send to an unattached address grew the table to %d (from %d) or was judged (%d judgments, from %d)",
+				c.name, len(f.part.slots), slots, judged(f), asked)
+		}
+		f.runFor(50 * time.Millisecond)
+
 		if string(got) != "\x02\x05\x06" {
 			t.Errorf("%s: delivered %v, want [2 5 6]", c.name, got)
 		}
-		if sent, delivered, dropped := f.stats(); sent != 7 || delivered != 3 || dropped != 4 {
-			t.Errorf("%s: stats sent=%d delivered=%d dropped=%d, want 7/3/4", c.name, sent, delivered, dropped)
+		if sent, delivered, dropped := f.stats(); sent != 8 || delivered != 3 || dropped != 5 {
+			t.Errorf("%s: stats sent=%d delivered=%d dropped=%d, want 8/3/5", c.name, sent, delivered, dropped)
 		}
 	}
 }
 
-// TestPartitionCheckLookahead pins the lookahead validation: a lockstep
-// window must be positive and no wider than the fabric's minimum
-// cross-shard latency, or epochs would overrun in-flight arrivals.
-func TestPartitionCheckLookahead(t *testing.T) {
-	_, p, _ := newTestPartition(t, 2, Config{BaseLatency: 3 * time.Millisecond})
-	if err := p.CheckLookahead(p.Lookahead()); err != nil {
-		t.Fatalf("fabric's own lookahead rejected: %v", err)
+// TestPartitionOwnershipIsFrozen: an address stays on the shard its first
+// attachment put it on. Re-attaching it there is a churn replacement;
+// re-attaching it on another shard panics, and leaves the slot as it was.
+func TestPartitionOwnershipIsFrozen(t *testing.T) {
+	_, p, _ := newTestPartition(t, 2, Config{BaseLatency: time.Millisecond})
+	ep := p.Endpoint(0, "a")
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := p.CheckLookahead(time.Millisecond); err != nil {
-		t.Fatalf("narrower-than-latency lookahead rejected: %v", err)
+	if p.Endpoint(0, "a") != ep {
+		t.Fatal("re-attaching a closed endpoint on its own shard did not re-open it")
 	}
-	if err := p.CheckLookahead(0); err == nil {
-		t.Fatal("zero lookahead accepted")
-	}
-	if err := p.CheckLookahead(-time.Millisecond); err == nil {
-		t.Fatal("negative lookahead accepted")
-	}
-	if err := p.CheckLookahead(p.Lookahead() + time.Nanosecond); err == nil {
-		t.Fatal("lookahead wider than the minimum cross-shard latency accepted")
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("re-attaching an address on another shard did not panic")
+			}
+		}()
+		p.Endpoint(1, "a")
+	}()
+	if sl := p.slots["a"]; len(p.slots) != 1 || sl.net != p.subs[0] || sl.ep != ep {
+		t.Errorf("after the panic: %d slots, owner shard %d, endpoint replaced %v", len(p.slots), sl.net.shard, sl.ep != ep)
 	}
 }
 

@@ -52,24 +52,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Network is the in-memory message fabric. It belongs to the loop of its
-// clock: endpoints send, deliveries fire and faults flip availability from
-// that loop's events, or from the driver while the loop is paused (boot, a
-// Lockstep barrier), so nothing here is locked.
+// Network is the in-memory message fabric: one shard sub-network of a
+// Partition, which a plain network built by New is the one shard of. It
+// belongs to the loop of its clock: endpoints send, deliveries fire and
+// faults flip availability from that loop's events, or from the driver while
+// the loop is paused (boot, a Lockstep barrier), so nothing here is locked.
 type Network struct {
 	clock sim.Clock
 	cfg   Config
 
-	// part and shard are set when this network is one shard sub-network of a
-	// Partition; sends whose destination another shard owns divert into the
-	// partition's hand-off queues instead of this network's event loop.
+	// part is the fabric this network is one shard of, numbered shard: it
+	// holds the address table, and the hand-off queues that sends whose
+	// destination another shard owns divert into instead of this network's
+	// event loop.
 	part  *Partition
 	shard int
 
 	// inject, when non-nil, rules on every datagram in flight (SetInjector).
 	inject Injector
-
-	nodes map[transport.Addr]*nodeSlot
 
 	// Delivery records recycle per network, so their payload buffers survive
 	// garbage collections; a cross-shard record is taken from the sending
@@ -84,16 +84,10 @@ type Network struct {
 	dropped   int
 }
 
-// New creates a network that delivers messages on the given clock.
+// New creates a network that delivers messages on the given clock: the one
+// shard of a fabric of its own.
 func New(clock sim.Clock, cfg Config) *Network {
-	cfg = cfg.withDefaults()
-	return &Network{
-		clock:      clock,
-		cfg:        cfg,
-		nodes:      make(map[transport.Addr]*nodeSlot),
-		rng:        stats.NewRNG(cfg.Seed),
-		deliveries: freelist.List[delivery]{Max: maxFreeDeliveries},
-	}
+	return newPartition([]sim.Clock{clock}, cfg.withDefaults()).subs[0]
 }
 
 // maxFreeDeliveries bounds the records the fabric keeps once the boot burst
@@ -114,60 +108,31 @@ func (n *Network) SetInjector(inj Injector) { n.inject = inj }
 // because its list was empty (freelist.List.Misses).
 func (n *Network) DeliveryMisses() uint64 { return n.deliveries.Misses() }
 
-// nodeSlot is the fabric's per-address state: the attached endpoint, the
-// transient-down flag, and (in partition mode) the lazily cached owning shard
-// — everything the send and delivery paths consult per datagram. Slots are
-// never removed (a run's addresses are bounded by its node count) and a
-// replacement re-attaches to its predecessor's, so a pointer stands for the
-// address: an endpoint holds its own slot, a delivery its destination's, and
-// a datagram costs one map lookup. A closed endpoint stays on its slot until
-// the next Endpoint call for the address re-opens it.
+// nodeSlot is the fabric's per-address state: the owning sub-network, the
+// attached endpoint and the transient-down flag — everything the send and
+// delivery paths consult per datagram. The address's first Endpoint call
+// makes it, and it is never removed (a run's addresses are bounded by its
+// node count); a replacement re-attaches to its predecessor's, so a pointer
+// stands for the address: an endpoint holds its own slot, a delivery its
+// destination's, and a datagram costs one table lookup, at send. A closed
+// endpoint stays on its slot until the next Endpoint call for the address
+// re-opens it.
 type nodeSlot struct {
+	net  *Network
 	ep   *endpoint
 	down bool
-	// shard is the partition-mode owner cache: -1 until resolved against the
-	// partition's frozen owner map, then the owning shard. Unowned addresses
-	// stay -1 (re-checked per send; they only appear in tests).
-	shard int16
 }
 
-// slotFor returns the slot for addr, inserting an empty record first if the
-// address is new.
-func (n *Network) slotFor(addr transport.Addr) *nodeSlot {
-	sl := n.nodes[addr]
-	if sl == nil {
-		sl = &nodeSlot{shard: -1}
-		n.nodes[addr] = sl
-	}
-	return sl
-}
-
-// Endpoint attaches (or replaces) an endpoint with the given address. A
-// closed endpoint on the address's slot is re-opened in place, so a churn
-// replacement costs no record: only a new address, or one whose endpoint is
-// still open, gets a fresh one, and a live endpoint replaced that way is
-// closed.
+// Endpoint attaches (or replaces) an endpoint with the given address on this
+// network (Partition.Endpoint).
 func (n *Network) Endpoint(addr transport.Addr) transport.Endpoint {
-	sl := n.slotFor(addr)
-	sl.down = false
-	if ep := sl.ep; ep != nil {
-		if ep.closed {
-			ep.closed = false
-			return ep
-		}
-		_ = ep.Close()
-	}
-	ep := &endpoint{net: n, addr: addr, slot: sl}
-	sl.ep = ep
-	return ep
+	return n.part.Endpoint(n.shard, addr)
 }
 
 // SetDown marks an endpoint unavailable without detaching it — the
 // transient unavailability of Section II-C. While down it drops what it sends
 // (judged at send time) and what reaches it (judged at delivery time).
-func (n *Network) SetDown(addr transport.Addr, down bool) {
-	n.slotFor(addr).down = down
-}
+func (n *Network) SetDown(addr transport.Addr, down bool) { n.part.SetDown(addr, down) }
 
 // Stats reports (sent, delivered, dropped) message counts.
 func (n *Network) Stats() (sent, delivered, dropped int) {
@@ -182,30 +147,15 @@ func (n *Network) Stats() (sent, delivered, dropped int) {
 // shard of the partition owns it) that shard's hand-off outbox. Receiver-side
 // state is checked at delivery, where the receiver lives.
 func (n *Network) send(src *endpoint, to transport.Addr, payload []byte) {
-	tsl := n.slotFor(to)
-	dst := n
-	if n.part != nil {
-		if tsl.shard < 0 {
-			// Resolve the owner cache against the partition's frozen owner
-			// map (churn replacements reuse their predecessor's address, so
-			// the map never changes after boot). An address no shard owns
-			// stays unresolved and takes the local path, dropping as
-			// unattached.
-			if owner, ok := n.part.owner[to]; ok {
-				tsl.shard = int16(owner)
-			}
-		}
-		if tsl.shard >= 0 {
-			dst = n.part.subs[tsl.shard]
-		}
-	}
+	tsl := n.part.slots[to]
 	n.sent++
-	if src.slot.down || (dst == n && (tsl.down || tsl.ep == nil || tsl.ep.closed)) {
+	if src.slot.down || tsl == nil || (tsl.net == n && (tsl.down || tsl.ep.closed)) {
 		// Immediate drop: no payload copy, no RNG draw, no delivery event.
-		// A detached or closed destination can never receive — endpoint
-		// replacement (churn re-join) re-opens within the same simulator
-		// event as the close, so no in-flight window observes the gap. A
-		// foreign destination's state is its owner's to judge, at delivery.
+		// An address no endpoint ever attached, or a closed one, can never
+		// receive — endpoint replacement (churn re-join) re-opens within the
+		// same simulator event as the close, so no in-flight window observes
+		// the gap. A foreign destination's state is its owner's to judge, at
+		// delivery.
 		n.dropped++
 		return
 	}
@@ -214,11 +164,11 @@ func (n *Network) send(src *endpoint, to transport.Addr, payload []byte) {
 		n.dropped++
 		return
 	}
-	n.launch(dst, tsl, src.addr, to, payload, delay)
+	n.launch(tsl, src.addr, payload, delay)
 	if dup > 0 {
 		// An injector-duplicated datagram: a second pooled record trailing
 		// the first, each releasing independently after its own handler call.
-		n.launch(dst, tsl, src.addr, to, payload, delay+dup)
+		n.launch(tsl, src.addr, payload, delay+dup)
 	}
 }
 
@@ -243,21 +193,20 @@ func (n *Network) judge(from, to transport.Addr) (delay, dup time.Duration, ok b
 	return delay, dup, true
 }
 
-// launch puts one surviving datagram in flight toward dst, delay from now.
-// The payload is copied into a pooled delivery record: the sender may reuse
-// its buffer the moment Send returns, and the record (buffer included) is
-// reclaimed once the handler returns (handlers copy what they keep, per the
-// transport contract). Scheduling through ScheduleArg with the package-level
-// deliver function makes the steady-state per-message path allocation-free:
-// no payload garbage, no closure, no timer box. A record bound for another
-// shard waits in this shard's outbox for the next barrier instead, and Flush
-// finds its slot there: tsl, this network's slot for to, is not it.
-func (n *Network) launch(dst *Network, tsl *nodeSlot, from, to transport.Addr, payload []byte, delay time.Duration) {
+// launch puts one surviving datagram in flight toward the endpoint on tsl,
+// delay from now. The payload is copied into a pooled delivery record: the
+// sender may reuse its buffer the moment Send returns, and the record (buffer
+// included) is reclaimed once the handler returns (handlers copy what they
+// keep, per the transport contract). Scheduling through ScheduleArg with the
+// package-level deliver function makes the steady-state per-message path
+// allocation-free: no payload garbage, no closure, no timer box. A record
+// bound for another shard waits in this shard's outbox for the next barrier
+// instead.
+func (n *Network) launch(tsl *nodeSlot, from transport.Addr, payload []byte, delay time.Duration) {
 	d := n.deliveries.Get()
-	d.net, d.from, d.to = dst, from, to
+	d.slot, d.from = tsl, from
 	d.msg = append(d.msg[:0], payload...)
-	if dst == n {
-		d.slot = tsl
+	if tsl.net == n {
 		n.clock.ScheduleArg(delay, deliver, d)
 		return
 	}
@@ -265,12 +214,11 @@ func (n *Network) launch(dst *Network, tsl *nodeSlot, from, to transport.Addr, p
 }
 
 // delivery is one in-flight datagram: a recycled record carrying its own
-// payload copy and its destination's slot in net.
+// payload copy and its destination's slot.
 type delivery struct {
-	net      *Network
-	slot     *nodeSlot
-	from, to transport.Addr
-	msg      []byte
+	slot *nodeSlot
+	from transport.Addr
+	msg  []byte
 }
 
 // deliver is the delivery event callback: hand the datagram to the
@@ -280,20 +228,20 @@ type delivery struct {
 // is now, whatever endpoint has re-attached since the send.
 func deliver(v any) {
 	d := v.(*delivery)
-	n, tsl := d.net, d.slot
-	if tsl.ep == nil || tsl.down || tsl.ep.recv == nil || tsl.ep.closed {
+	tsl := d.slot
+	n := tsl.net
+	if tsl.down || tsl.ep.recv == nil || tsl.ep.closed {
 		n.dropped++
 	} else {
 		n.delivered++
 		tsl.ep.recv.Receive(d.from, d.msg)
 	}
-	d.net, d.slot = nil, nil
+	d.slot = nil
 	n.deliveries.Put(d)
 }
 
 type endpoint struct {
-	net    *Network
-	slot   *nodeSlot // this address's slot in net
+	slot   *nodeSlot // this address's slot, on the network it sends from
 	addr   transport.Addr
 	recv   transport.Receiver
 	closed bool
@@ -312,7 +260,7 @@ func (e *endpoint) Send(to transport.Addr, payload []byte) error {
 	if len(payload) > transport.MaxDatagram {
 		return fmt.Errorf("simnet: payload %d exceeds %d bytes", len(payload), transport.MaxDatagram)
 	}
-	e.net.send(e, to, payload)
+	e.slot.net.send(e, to, payload)
 	return nil
 }
 

@@ -323,9 +323,6 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := n.fabric.CheckLookahead(n.fabric.Lookahead()); err != nil {
-		return nil, err
-	}
 	n.lockstep = &sim.Lockstep{
 		Sims:      sims,
 		Lookahead: n.fabric.Lookahead(),
