@@ -10,11 +10,11 @@ import (
 // up-to-K closest contacts found. The contact slice is only valid for the duration of the callback (it
 // aliases a recycled lookup buffer), so copy to retain.
 //
-// The adapter rides through newLookup's arg slot: func values are
+// The adapter rides through the lookup's arg slot: func values are
 // pointer-shaped, so boxing cb allocates nothing and the lookup machinery
 // stays closure-free.
 func (n *Node) Lookup(target ID, cb func([]Contact)) {
-	n.newLookup(target, lookupFinishContacts, cb)
+	n.startLookup(target, lookupFinishContacts, cb).step()
 }
 
 func lookupFinishContacts(arg any, contacts []Contact) {
@@ -56,9 +56,9 @@ func lookupFinishContacts(arg any, contacts []Contact) {
 // the receiver, whose key is the receiver's ID, is such a walk.
 func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int64) {
 	s, wk := n.cfg.Scratch, walkKey{key: key, node: n.incarnation}
-	if w := s.ownerWalks[wk]; w != nil {
+	if ls := s.ownerWalks[wk]; ls != nil {
 		s.counts.Riders++
-		w.attach(buf, replicas, notBefore)
+		ls.attach(buf, replicas, notBefore)
 		return
 	}
 	if replicas <= 1 && !n.closed && n.table.Len() > 0 && n.table.ranksSelfFirst(key) {
@@ -67,16 +67,14 @@ func (n *Node) SendBufToOwners(key ID, buf *[]byte, replicas int, notBefore int6
 		return
 	}
 	s.counts.OwnerWalks++
-	w := s.walks.Get()
-	w.node, w.key = n, key
-	w.ls = n.startLookup(key, ownersFinish, w)
-	w.ls.toTarget = true
-	w.attach(buf, replicas, notBefore)
+	ls := n.startLookup(key, ownersFinish, nil)
+	ls.finishArg, ls.toTarget = ls, true
+	ls.attach(buf, replicas, notBefore)
 	if s.ownerWalks == nil {
-		s.ownerWalks = make(map[walkKey]*ownerWalk)
+		s.ownerWalks = make(map[walkKey]*lookupState)
 	}
-	s.ownerWalks[wk] = w
-	w.ls.step()
+	s.ownerWalks[wk] = ls
+	ls.step()
 }
 
 // sendOwn is a one-replica owner send that the node's own table decides: the
@@ -93,22 +91,6 @@ func (n *Node) sendOwn(buf *[]byte, notBefore int64) {
 	sendDue(p)
 }
 
-// ownerWalk is one in-flight owner resolution: the FIND_NODE walk towards key
-// and every owner send waiting on its answer, in call order. A node resolves
-// one key at most once at a time — a send that finds a walk for its key
-// already under way rides it instead of starting an identical one (a
-// forwarding holder hands the same next slot several packets in one instant,
-// and the walks would query the same K contacts from the same table). Records
-// recycle through the node's Scratch, which also indexes the walks in flight
-// (Scratch.ownerWalks); sends keeps its capacity. ls is the walk's lookup,
-// which a send whose instant comes first reads the answer so far from.
-type ownerWalk struct {
-	node  *Node
-	key   ID
-	ls    *lookupState
-	sends []*ownerSend
-}
-
 // walkKey indexes an owner walk in flight on its loop: the walking node's
 // incarnation and the key, so two nodes' walks for one key never merge.
 type walkKey struct {
@@ -116,23 +98,23 @@ type walkKey struct {
 	node uint32
 }
 
-// attach adds an owner send of buf to the walk, in a record of the loop's. A
-// send whose instant is ahead arms it now, so it leaves at the instant whether
-// or not the walk has ended by then, and sends due in one instant leave in
-// call order. One whose instant has passed starts with it come and no owner
-// reached, so the walk's end sends it to every final owner. A send that asks
-// for more than one owner keeps the walk's full window.
-func (w *ownerWalk) attach(buf *[]byte, replicas int, notBefore int64) {
-	n := w.node
+// attach adds an owner send of buf to the owner walk, in a record of the
+// loop's. A send whose instant is ahead arms it now, so it leaves at the
+// instant whether or not the walk has ended by then, and sends due in one
+// instant leave in call order. One whose instant has passed starts with it
+// come and no owner reached, so the walk's end sends it to every final owner.
+// A send that asks for more than one owner keeps the walk's full window.
+func (ls *lookupState) attach(buf *[]byte, replicas int, notBefore int64) {
+	n := ls.node
 	if replicas > 1 {
-		w.ls.toTarget = false
+		ls.toTarget = false
 	}
 	p := n.newSend(buf, replicas)
 	if ahead := notBefore - n.cfg.Clock.Now().UnixNano(); ahead > 0 {
-		p.walk = w
+		p.walk = ls
 		n.cfg.Clock.ScheduleArg(time.Duration(ahead), sendDue, p)
 	}
-	w.sends = append(w.sends, p)
+	ls.sends = append(ls.sends, p)
 }
 
 // newSend takes a record of the loop's for an owner send of buf, with no
@@ -145,38 +127,36 @@ func (n *Node) newSend(buf *[]byte, replicas int) *ownerSend {
 	return p
 }
 
-// ownersFinish hands a finished walk's sends their owners, each its own
+// ownersFinish hands a finished owner walk's sends their owners, each its own
 // replicas prefix, in call order. The walk leaves the loop's index first, so
-// from here the record is this call's alone.
+// no later send rides it while its queries drain.
 func ownersFinish(v any, closest []Contact) {
-	w := v.(*ownerWalk)
-	n := w.node
+	ls := v.(*lookupState)
+	n := ls.node
 	s := n.cfg.Scratch
-	delete(s.ownerWalks, walkKey{key: w.key, node: n.incarnation})
+	delete(s.ownerWalks, walkKey{key: ls.target, node: n.incarnation})
 	// Once for the whole walk: closest aliases the lookup's result buffer,
 	// and each send below takes a prefix view of it, never a cut.
-	closest = w.answer(closest)
-	if s.owners != nil && len(closest) > 0 && closest[0].ID == s.owners.Closest(w.key) {
+	closest = ls.answer(closest)
+	if s.owners != nil && len(closest) > 0 && closest[0].ID == s.owners.Closest(ls.target) {
 		s.counts.OwnerWalksExact++
 	}
-	for _, p := range w.sends {
+	for _, p := range ls.sends {
 		p.resolved(closest[:min(len(closest), p.replicas)])
 	}
-	clear(w.sends)
-	w.sends = w.sends[:0]
-	w.node, w.ls = nil, nil
-	s.walks.Put(w)
+	clear(ls.sends)
+	ls.sends = ls.sends[:0]
 }
 
-// answer is the walk's owner list from its lookup's window: the window with
-// the node ranked in among it, or nothing for an empty window, whose walk
-// has found nobody: a node that is isolated, or alone in its network, keeps
-// no payload either, which would only strand it.
-func (w *ownerWalk) answer(window []Contact) []Contact {
+// answer is an owner walk's owner list from its window: the window with the
+// node ranked in among it, or nothing for an empty window, whose walk has
+// found nobody: a node that is isolated, or alone in its network, keeps no
+// payload either, which would only strand it.
+func (ls *lookupState) answer(window []Contact) []Contact {
 	if len(window) == 0 {
 		return nil
 	}
-	return insertRanked(window, w.key, w.node.Contact())
+	return insertRanked(window, ls.target, ls.node.Contact())
 }
 
 // ownerSend is one owner send on its walk: the packet buffer and the owners.
@@ -194,7 +174,7 @@ func (w *ownerWalk) answer(window []Contact) []Contact {
 type ownerSend struct {
 	node        *Node
 	scratch     *Scratch
-	walk        *ownerWalk
+	walk        *lookupState
 	owners      []Contact
 	inline      [2]Contact
 	buf         *[]byte
@@ -210,9 +190,9 @@ type ownerSend struct {
 // nothing early: it may be dead, or a forger's, whose replies never check out.
 func sendDue(v any) {
 	p := v.(*ownerSend)
-	if w := p.walk; w != nil {
+	if ls := p.walk; ls != nil {
 		p.walk = nil
-		owners := w.answer(w.ls.answeredK())
+		owners := ls.answer(ls.answeredK())
 		p.owners = append(p.owners[:0], owners[:min(len(owners), p.replicas)]...)
 		p.send(p.owners)
 		return
@@ -337,6 +317,14 @@ func localDue(v any) {
 // lookupState drives one iterative lookup. States recycle through the node's
 // Scratch: the set and slices survive between lookups (cleared, capacity
 // kept), so a steady mission workload runs its lookups allocation-free.
+//
+// An owner walk (SendBufToOwners) is a lookup whose sends are every owner
+// send waiting on its answer, in call order. A node resolves one key at most
+// once at a time — a send that finds a walk for its key already under way
+// rides it instead of starting an identical one (a forwarding holder hands
+// the same next slot several packets in one instant, and the walks would
+// query the same K contacts from the same table). The loop indexes the walks
+// in flight (Scratch.ownerWalks) until they finish.
 type lookupState struct {
 	node      *Node
 	target    ID
@@ -371,6 +359,8 @@ type lookupState struct {
 	// finished is set when the walk has called back. A walk that finishes
 	// with queries still out asks nobody more and only drains them.
 	finished bool
+	// sends is an owner walk's sends until it finishes (ownersFinish).
+	sends []*ownerSend
 }
 
 // release returns a drained state (finished, no queries in flight) to its
@@ -474,10 +464,6 @@ func (s *distSet) add(d0, d1 uint64, d2 uint32) bool {
 	}
 }
 
-func (n *Node) newLookup(target ID, cb func(any, []Contact), arg any) {
-	n.startLookup(target, cb, arg).step()
-}
-
 // startLookup readies a lookup for its first step, which the caller takes.
 func (n *Node) startLookup(target ID, cb func(any, []Contact), arg any) *lookupState {
 	ls := n.cfg.Scratch.lookups.Get()
@@ -530,9 +516,7 @@ func (ls *lookupState) step() {
 		}
 		r.queried = true
 		ls.inflight++
-		q := ls.node.cfg.Scratch.queries.Get()
-		q.ls, q.contact = ls, r.contact(ls)
-		ls.node.requestArg(q.contact, Message{Kind: KindFindNode, Target: ls.target}, lookupQueryDone, q)
+		ls.node.requestArg(r.contact(ls), Message{Kind: KindFindNode, Target: ls.target}, lookupReply, ls)
 	}
 	if ls.inflight == 0 {
 		// Nothing left to ask and nothing outstanding.
@@ -560,25 +544,16 @@ func (ls *lookupState) finish() {
 	}
 }
 
-// lookupQuery is the recycled argument for one in-flight lookup RPC: with the
-// package-level lookupQueryDone it replaces the per-query response closure
-// on the mission hot path.
-type lookupQuery struct {
-	ls      *lookupState
-	contact Contact
-}
-
-func lookupQueryDone(v any, resp *Message, err error) {
-	q := v.(*lookupQuery)
-	ls, contact := q.ls, q.contact
-	*q = lookupQuery{}
-	ls.node.cfg.Scratch.queries.Put(q)
-	ls.onResponse(contact, resp, err)
+// lookupReply is a lookup query's RPC callback: the state rides the RPC's
+// arg slot and the RPC record keeps the ID it asked, so a query costs no
+// record and no closure of its own.
+func lookupReply(v any, from ID, resp *Message, err error) {
+	v.(*lookupState).onResponse(from, resp, err)
 }
 
 // onResponse folds one query's outcome into the lookup. resp is the receive
 // path's scratch Message (nil when err is set), valid for the call only.
-func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
+func (ls *lookupState) onResponse(from ID, resp *Message, err error) {
 	ls.inflight--
 	if ls.finished {
 		// The drain of a walk that finished early: the reply has reached the
@@ -589,7 +564,7 @@ func (ls *lookupState) onResponse(from Contact, resp *Message, err error) {
 		return
 	}
 	// Find the queried entry by its lanes (likely in the window, scanned first).
-	d := rankID(ls.target, from.ID)
+	d := rankID(ls.target, from)
 	for i := range ls.shortlist {
 		r := &ls.shortlist[i]
 		if r.d0 != d.d0 || r.d1 != d.d1 || r.d2 != d.d2 {

@@ -61,7 +61,7 @@ func (r *responseRig) feed(wire []byte) {
 		panic(err)
 	}
 	r.ls.inflight++
-	r.ls.onResponse(r.from, rx, nil)
+	r.ls.onResponse(r.from.ID, rx, nil)
 }
 
 func randomContacts(rng *stats.RNG, n int, tag string) []Contact {
@@ -236,7 +236,7 @@ func TestLookupFailoverPromotesReserve(t *testing.T) {
 			fail := func() {
 				entry().queried = true // as step marks it
 				ls.inflight++
-				ls.onResponse(victim, nil, ErrTimeout)
+				ls.onResponse(victim.ID, nil, ErrTimeout)
 			}
 			if retry {
 				fail()

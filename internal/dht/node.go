@@ -145,12 +145,19 @@ type Node struct {
 // Scratch and armed as the timeout event's argument, so the per-RPC cost is
 // neither a record allocation nor a timeout closure.
 //
+// fn is a package-level function with its argument, so hot callers (the
+// lookup query fan-out, with its lookup state) issue RPCs without allocating
+// a response closure. It receives the ID the request went to and the
+// response, the receive path's scratch Message, valid for the call only; the
+// response is nil exactly when err is not.
+//
 // Release protocol: whichever path removes the record from n.pending stops
-// its timer and releases it, copying cb out first. An armed timer always
-// finds its record still pending.
+// its timer and releases it, copying the callback out first. An armed timer
+// always finds its record still pending.
 type pendingRPC struct {
 	node  *Node
-	cb    rpcCallback
+	fn    func(arg any, to ID, m *Message, err error)
+	arg   any
 	timer sim.ArgTimer
 	to    ID // the zero ID stands for "whoever answers from addr" (a seed known by address only)
 	id    uint64
@@ -175,23 +182,11 @@ type pendingRPC struct {
 	resent  bool
 }
 
-// rpcCallback is a package-level function with its argument, so hot callers
-// (the lookup query fan-out, with a pooled record) issue RPCs without
-// allocating a response closure. The response is the receive path's scratch
-// Message, valid for the call only; it is nil exactly when err is not.
-type rpcCallback struct {
-	argFn func(any, *Message, error)
-	arg   any
-}
-
-func (c rpcCallback) deliver(m *Message, err error) { c.argFn(c.arg, m, err) }
-
 // releasePending returns a settled record to its node's scratch. The wire
 // buffer keeps its capacity for the record's next life.
 func releasePending(p *pendingRPC) {
 	s := p.node.cfg.Scratch
-	p.node = nil
-	p.cb = rpcCallback{}
+	p.node, p.fn, p.arg = nil, nil, nil
 	p.timer = sim.ArgTimer{}
 	p.wire = p.wire[:0]
 	p.addr = ""
@@ -238,11 +233,11 @@ func rpcTimedOut(v any) {
 	}
 	i, _ := n.pendingAt(p.id)
 	n.pending = slices.Delete(n.pending, i, i+1)
-	cb, to := p.cb, p.to
+	fn, arg, to := p.fn, p.arg, p.to
 	releasePending(p)
 	// Unresponsive: penalize in the routing table.
 	n.table.Remove(to)
-	cb.deliver(nil, ErrTimeout)
+	fn(arg, to, nil, ErrTimeout)
 }
 
 // NewNode creates a node and installs its transport handler. The node is
@@ -362,9 +357,9 @@ func (n *Node) Close() error {
 // issued the request.
 func rpcClosed(v any) {
 	p := v.(*pendingRPC)
-	cb := p.cb
+	fn, arg, to := p.fn, p.arg, p.to
 	releasePending(p)
-	cb.deliver(nil, ErrClosed)
+	fn(arg, to, nil, ErrClosed)
 }
 
 // Receive is the node's transport.Receiver. It decodes into the scratch
@@ -505,21 +500,21 @@ func (n *Node) replyClosest(to transport.Addr, rpcID uint64, target ID) {
 
 // callFunc runs a func(*Message, error) riding an RPC's arg slot: func values
 // are pointer-shaped, so boxing one allocates nothing.
-func callFunc(cb any, m *Message, err error) { cb.(func(*Message, error))(m, err) }
+func callFunc(cb any, _ ID, m *Message, err error) { cb.(func(*Message, error))(m, err) }
 
-// requestArg sends m to the peer and arranges for fn(arg, response) to run
-// with the response or ErrTimeout. With a package-level fn and a recycled
-// record as arg, issuing the RPC allocates nothing.
-func (n *Node) requestArg(to Contact, m Message, fn func(any, *Message, error), arg any) {
-	n.startRequest(to, m, rpcCallback{argFn: fn, arg: arg}, n.Retrying())
+// requestArg sends m to the peer and arranges for fn(arg, to.ID, response)
+// to run with the response or ErrTimeout. With a package-level fn and a
+// recycled record as arg, issuing the RPC allocates nothing.
+func (n *Node) requestArg(to Contact, m Message, fn func(any, ID, *Message, error), arg any) {
+	n.startRequest(to, m, fn, arg, n.Retrying())
 }
 
 // startRequest is the one send path of a request: retry opts it into the
 // node's retry schedule (Config.Retry).
-func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
+func (n *Node) startRequest(to Contact, m Message, fn func(any, ID, *Message, error), arg any, retry bool) {
 	if n.closed {
 		p := n.cfg.Scratch.rpcs.Get()
-		p.node, p.cb = n, cb
+		p.node, p.fn, p.arg, p.to = n, fn, arg, to.ID
 		n.cfg.Clock.ScheduleArg(0, rpcClosed, p)
 		return
 	}
@@ -527,11 +522,11 @@ func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 	m.RPCID = n.rpcSeq
 	buf, err := n.encode(&m)
 	if err != nil {
-		n.cfg.Clock.Schedule(0, func() { cb.deliver(nil, err) })
+		n.cfg.Clock.Schedule(0, func() { fn(arg, to.ID, nil, err) })
 		return
 	}
 	p := n.cfg.Scratch.rpcs.Get()
-	p.node, p.cb, p.to, p.id = n, cb, to.ID, m.RPCID
+	p.node, p.fn, p.arg, p.to, p.id = n, fn, arg, to.ID, m.RPCID
 	p.addr, p.sent, p.attempt = to.Addr, n.cfg.Clock.Now(), 1
 	deadline := rpcTimeout
 	if retry {
@@ -551,7 +546,7 @@ func (n *Node) startRequest(to Contact, m Message, cb rpcCallback, retry bool) {
 // would starve the cache of decisions exactly when the network degrades.
 func (n *Node) probe(to Contact, cb func(error)) {
 	done := func(_ *Message, err error) { cb(err) }
-	n.startRequest(to, Message{Kind: KindPing}, rpcCallback{argFn: callFunc, arg: done}, false)
+	n.startRequest(to, Message{Kind: KindPing}, callFunc, done, false)
 }
 
 // settle matches a response to its pending request and records the one table
@@ -586,10 +581,10 @@ func (n *Node) settle(msg *Message) {
 	// A verified observation does everything an unverified one at the same
 	// instant would, so the response needs no Observe besides it.
 	n.table.ObserveVerified(msg.From)
-	cb := p.cb
+	fn, arg, to := p.fn, p.arg, p.to
 	p.timer.Stop()
 	releasePending(p)
-	cb.deliver(msg, nil)
+	fn(arg, to, msg, nil)
 }
 
 // observeRTT feeds one round trip to the node's estimator, with RFC 6298's
@@ -661,7 +656,7 @@ func (n *Node) SendApp(to Contact, payload []byte) error {
 // appAckDone consumes the ack (or final timeout) of a retried app send:
 // the send interface stays fire-and-forget, so there is nobody to tell —
 // the value of the exchange is the re-sends it drove.
-func appAckDone(any, *Message, error) {}
+func appAckDone(any, ID, *Message, error) {}
 
 // Bootstrap seeds the routing table and performs a self-lookup to populate
 // nearby buckets. A seed with a zero ID is known by address only (what an

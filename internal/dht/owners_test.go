@@ -59,11 +59,11 @@ func newOwnerCluster(t *testing.T, n int, retry int) *ownerCluster {
 
 // walksOf returns the owner walks n has in flight by key: the walks in its
 // loop's index that n started.
-func walksOf(n *Node) map[ID]*ownerWalk {
-	walks := make(map[ID]*ownerWalk)
-	for _, w := range n.cfg.Scratch.ownerWalks {
-		if w.node == n {
-			walks[w.key] = w
+func walksOf(n *Node) map[ID]*lookupState {
+	walks := make(map[ID]*lookupState)
+	for _, ls := range n.cfg.Scratch.ownerWalks {
+		if ls.node == n {
+			walks[ls.target] = ls
 		}
 	}
 	return walks

@@ -88,8 +88,9 @@ func (r *joinRig) answer(t *testing.T, i, news int) {
 // in a row that add no contact stop it; a reply with one new contact resets
 // the count, and a timed-out query counts neither way. After the stop no
 // FIND_NODE leaves, the callback has run once, and the replies still out
-// drain into the table; then the state and its query records are back on the
-// loop's lists, and a second rejoin on the warm loop takes no new record.
+// drain into the table; then the state and its queries' RPC records are back
+// on the loop's lists, and a second rejoin on the warm loop takes no new
+// record.
 func TestRejoinStopsOnBarrenReplies(t *testing.T) {
 	s, scratch, rng := sim.NewSimulator(), NewScratch(0), stats.NewRNG(3)
 	var warm RecordMisses
@@ -136,11 +137,11 @@ func TestRejoinStopsOnBarrenReplies(t *testing.T) {
 		if len(r.ep.sent) != 10 || r.calls != 1 {
 			t.Errorf("run %d: after the drain, %d FIND_NODEs and %d callbacks, want 10 and 1", run, len(r.ep.sent), r.calls)
 		}
-		if scratch.lookups.Len() != 1 || scratch.queries.Len() != alpha {
-			t.Errorf("run %d: %d states and %d query records free after the drain, want 1 and %d", run, scratch.lookups.Len(), scratch.queries.Len(), alpha)
+		if scratch.lookups.Len() != 1 || scratch.rpcs.Len() != alpha {
+			t.Errorf("run %d: %d states and %d RPC records free after the drain, want 1 and %d", run, scratch.lookups.Len(), scratch.rpcs.Len(), alpha)
 		}
 		ls := scratch.lookups.Get()
-		if ls.node != nil || ls.rejoin || ls.barren != 0 || ls.finished || ls.inflight != 0 || len(ls.shortlist) != 0 {
+		if ls.node != nil || ls.rejoin || ls.barren != 0 || ls.finished || ls.inflight != 0 || len(ls.shortlist) != 0 || len(ls.sends) != 0 {
 			t.Errorf("run %d: released state not cleared: %+v", run, ls)
 		}
 		scratch.lookups.Put(ls)

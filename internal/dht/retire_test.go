@@ -385,11 +385,9 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 			// out is how many records of each of the loop's lists are out of
 			// it: every one the list made, less the ones it holds.
 			sc := victim.cfg.Scratch
-			out := func() [7]uint64 {
-				return [7]uint64{
+			out := func() [5]uint64 {
+				return [5]uint64{
 					sc.lookups.Misses() - uint64(sc.lookups.Len()),
-					sc.queries.Misses() - uint64(sc.queries.Len()),
-					sc.walks.Misses() - uint64(sc.walks.Len()),
 					sc.sends.Misses() - uint64(sc.sends.Len()),
 					sc.rpcs.Misses() - uint64(sc.rpcs.Len()),
 					sc.locals.Misses() - uint64(sc.locals.Len()),
@@ -440,7 +438,7 @@ func TestClosedNodeDrainsInItsInstant(t *testing.T) {
 				t.Errorf("%d events pending after the closing instant, %d before the node issued anything", got, pending)
 			}
 			if got := out(); got != taken {
-				t.Errorf("records out of the loop's lists (lookups, queries, walks, sends, rpcs, locals, bufs): %v after the closing instant, %v before", got, taken)
+				t.Errorf("records out of the loop's lists (lookups, sends, rpcs, locals, bufs): %v after the closing instant, %v before", got, taken)
 			}
 			if lookups != 1 || delivered != 1 {
 				t.Errorf("in the closing instant: %d of 1 lookups finished, %d of 1 local deliveries made", lookups, delivered)

@@ -10,12 +10,12 @@ import (
 // udp.Loop. It owns what a node needs only while it is handling an event and
 // that outlives any single node: the receive-path decode Message, the ID and
 // address books its nodes' routing tables and lookups refer to, the freelists
-// of lookup states, lookup query records, owner-walk records, owner-send
-// records, in-flight RPC records, local-delivery records and byte buffers, the
-// index of owner walks in flight, the acked-delivery dedup index, and the
-// loop's SendCounts. None of it is observable: sharing changes who pays for
-// the memory, never a wire byte or an event — short of the dedup index's bound, which a shared index
-// reaches sooner.
+// of lookup states, owner-send records, in-flight RPC records, local-delivery
+// records and byte buffers, the index of owner walks in flight, the
+// acked-delivery dedup index, and the loop's SendCounts. None of it is
+// observable: sharing changes who pays for the memory, never a wire byte or
+// an event — short of the dedup index's bound, which a shared index reaches
+// sooner.
 //
 // Ownership rule: all nodes handed the same Scratch must have their handlers
 // and timers dispatched from one serial context (handlers are delivered from
@@ -36,8 +36,6 @@ type Scratch struct {
 	books
 
 	lookups freelist.List[lookupState]
-	queries freelist.List[lookupQuery]
-	walks   freelist.List[ownerWalk]
 	sends   freelist.List[ownerSend]
 	rpcs    freelist.List[pendingRPC]
 	locals  freelist.List[localDelivery]
@@ -48,11 +46,11 @@ type Scratch struct {
 	// The buffers mix freely and each grows to the largest use it has served.
 	bufs freelist.List[[]byte]
 
-	// ownerWalks indexes the owner resolutions in flight on the loop, so a
-	// node's second owner send for a key joins its first's walk (see
-	// ownerWalk). A walk leaves it when it finishes, so it holds only walks
-	// in flight; looked up, never ranged over.
-	ownerWalks map[walkKey]*ownerWalk
+	// ownerWalks indexes the owner walks in flight on the loop, so a node's
+	// second owner send for a key joins its first's walk (see lookupState). A
+	// walk leaves it when it finishes, so it holds only walks in flight;
+	// looked up, never ranged over.
+	ownerWalks map[walkKey]*lookupState
 	// appSeen dedups the acked app deliveries of every node on the loop.
 	appSeen appSeen
 	// incarnations numbers the nodes built on this scratch (Node.incarnation),
@@ -112,15 +110,13 @@ func (s *Scratch) Counts() SendCounts { return s.counts }
 // Freelist bounds. A burst — every node of a booting network running its
 // bootstrap lookup at once — allocates past them and the surplus is garbage
 // once it drains, instead of staying pinned at the high-water mark. The
-// lookup, walk, owner-send, query, RPC and local-delivery bounds are about
-// twice the most records one loop's drive has out at once (DESIGN.md,
-// "Memory ownership"), so a warmed loop allocates none of them.
+// lookup, owner-send, RPC and local-delivery bounds are about twice the most
+// records one loop's drive has out at once (DESIGN.md, "Memory ownership"),
+// so a warmed loop allocates none of them.
 const (
-	maxFreeLookups = 32  // a drive has at most 20 lookups in flight on a loop
-	maxFreeWalks   = 32  // an owner walk is a lookup
+	maxFreeLookups = 32  // a drive has at most 20 lookups in flight on a loop, owner walks included
 	maxFreeSends   = 64  // every owner send takes one until its last copy: at --seed 2017 a loop has at most 64 out on share-120 (a repair push to every slot of a column, in one instant) and 6-10 on the other five workloads
-	maxFreeQueries = 128 // a lookup query is an in-flight RPC: at most 60
-	maxFreePending = 128
+	maxFreePending = 128 // a lookup query is an in-flight RPC: at most 60
 	maxFreeLocals  = 32  // a key-share drive has at most 16 local deliveries out on a loop, all due in one instant
 	maxFreeBufs    = 256 // a dispatch burst's packets plus the custody of the missions in flight
 )
@@ -128,16 +124,14 @@ const (
 // RecordMisses is how many records of each kind a scratch has allocated
 // because its list was empty (freelist.List.Misses).
 type RecordMisses struct {
-	Lookups, Walks, Sends, Queries, RPCs, Locals uint64
+	Lookups, Sends, RPCs, Locals uint64
 }
 
 // Misses reports the scratch's RecordMisses.
 func (s *Scratch) Misses() RecordMisses {
 	return RecordMisses{
 		Lookups: s.lookups.Misses(),
-		Walks:   s.walks.Misses(),
 		Sends:   s.sends.Misses(),
-		Queries: s.queries.Misses(),
 		RPCs:    s.rpcs.Misses(),
 		Locals:  s.locals.Misses(),
 	}
@@ -199,8 +193,6 @@ func NewScratch(peers int) *Scratch {
 	return &Scratch{
 		books:   books{addrs: addrBook{book[transport.Addr]{max: min(max(peers, defaultBookAddrs), spilled-1)}}},
 		lookups: freelist.List[lookupState]{Max: maxFreeLookups},
-		queries: freelist.List[lookupQuery]{Max: maxFreeQueries},
-		walks:   freelist.List[ownerWalk]{Max: maxFreeWalks},
 		sends:   freelist.List[ownerSend]{Max: maxFreeSends},
 		rpcs:    freelist.List[pendingRPC]{Max: maxFreePending},
 		locals:  freelist.List[localDelivery]{Max: maxFreeLocals},

@@ -112,6 +112,67 @@ func TestOwnerWalkEndsAtLiveTarget(t *testing.T) {
 	})
 }
 
+// slowTo delays every datagram to one address, except those from another.
+type slowTo struct {
+	to, except transport.Addr
+	extra      time.Duration
+}
+
+func (s slowTo) Judge(_ time.Time, from, to transport.Addr) simnet.Verdict {
+	if to == s.to && from != s.except {
+		return simnet.Verdict{Extra: s.extra}
+	}
+	return simnet.Verdict{}
+}
+
+// TestOwnerWalkDrainReturnsOneState: an owner walk with two riders ends when
+// its target answers, with the rest of its first round still out. Its end
+// hands all three sends their owner and leaves the walk no send; the drain
+// then returns one lookup state to the loop, the only one the walk took.
+func TestOwnerWalkDrainReturnsOneState(t *testing.T) {
+	const lag = 50 * time.Millisecond
+	oc := newOwnerCluster(t, 40, 0)
+	sender := oc.nodes[ownersTestSender]
+	target := oc.targetOf(t, sender)
+	oc.net.SetInjector(slowTo{to: sender.Contact().Addr, except: target.Contact().Addr, extra: lag})
+	// Empty the lookup list, so what the walk takes and gives back shows.
+	lookups := &sender.cfg.Scratch.lookups
+	var held []*lookupState
+	for lookups.Len() > 0 {
+		held = append(held, lookups.Get())
+	}
+	misses := lookups.Misses()
+	payloads := []string{"first", "rider 1", "rider 2"}
+	for _, p := range payloads {
+		sendToOwners(sender, target.ID(), p, 1)
+	}
+	ls := walksOf(sender)[target.ID()]
+	if ls == nil || len(ls.sends) != len(payloads) {
+		t.Fatalf("walks in flight %v: want one walk with %d sends", walksOf(sender), len(payloads))
+	}
+	oc.sim.RunFor(lag / 2) // the target has answered; the other queries have not
+	if len(walksOf(sender)) != 0 || !ls.finished || ls.inflight == 0 || len(ls.sends) != 0 || lookups.Len() != 0 {
+		t.Fatalf("after the target's answer: %d walks indexed, finished %v, %d queries out, %d sends, %d states free; want 0, true, some, 0, 0",
+			len(walksOf(sender)), ls.finished, ls.inflight, len(ls.sends), lookups.Len())
+	}
+	oc.sim.Run()
+	if lookups.Len() != 1 || lookups.Misses() != misses+1 {
+		t.Errorf("after the drain: %d states free and %d taken new, want 1 and 1", lookups.Len(), lookups.Misses()-misses)
+	}
+	if back := lookups.Get(); back != ls || back.node != nil || len(back.sends) != 0 {
+		t.Errorf("the state back on the list is not the walk's, cleared: %+v", back)
+	}
+	for _, p := range payloads {
+		if got := oc.receivers(p); len(got) != 1 || got[0] != target.ID() {
+			t.Errorf("%q at %v, want %s alone", p, got, target.ID().Short())
+		}
+	}
+	released(t, sender)
+	for _, h := range held {
+		lookups.Put(h)
+	}
+}
+
 // TestOwnerWalkWithoutLiveTargetKeepsWindow: a one-replica send to the ID of
 // a closed node, or to an ID no node holds, walks the whole window — the
 // same datagrams as a Lookup of the key, plus the app — and ends at the

@@ -1,7 +1,7 @@
 // Package freelist is the tree's one recycling mechanism: a bounded LIFO of
 // records that their owner hands back when it is done with them. Every
 // recycled record in the module — simulator events, fabric deliveries, the
-// DHT's lookup, query, walk and RPC records, wire and custody buffers — lives
+// DHT's lookup, owner-send and RPC records, wire and custody buffers — lives
 // in a List, so "who owns this record while it is free" has one answer (the
 // value the List is a field of) and the poolpair analyzer checks every
 // acquire/release pair in one vocabulary.

@@ -22,7 +22,6 @@ var deterministicPkgs = map[string]bool{
 	"adversary":  true,
 	"simnet":     true,
 	"experiment": true,
-	"churn":      true,
 	"fault":      true,
 	"onion":      true, // crypto/* seeded paths
 	"seal":       true,

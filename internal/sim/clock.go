@@ -12,31 +12,13 @@ import (
 	"selfemerge/internal/freelist"
 )
 
-// Clock is what a component sees of the loop that owns it: the time, and
-// timers whose callbacks run on that same loop. Its one implementation is
-// *Simulator; what differs between a simulation and a deployment is who
-// drives the simulator, not the timer semantics. Like everything a loop owns,
-// a Clock is used only from its loop — from an event callback, or by the
-// driver while the loop is not running — so Stop()==true always means the
-// callback never runs.
-type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
-	// AfterFunc schedules fn to run on the loop d from now and returns a
-	// cancellable handle.
-	AfterFunc(d time.Duration, fn func()) ArgTimer
-	// Schedule arms fn to run d from now with no way to cancel it — the form
-	// for the per-message delivery and refresh events that are never stopped.
-	Schedule(d time.Duration, fn func())
-	// ScheduleArg arms fn(arg) like Schedule. With a package-level fn and a
-	// pooled pointer arg the schedule is allocation-free — no closure — which
-	// is what the transport uses for per-datagram delivery events.
-	ScheduleArg(d time.Duration, fn func(any), arg any)
-	// AfterFuncArg arms fn(arg) to run d from now and returns a cancellable
-	// value handle: the whole arm/fire/stop cycle allocates nothing — the form
-	// the per-RPC timeout path uses.
-	AfterFuncArg(d time.Duration, fn func(any), arg any) ArgTimer
-}
+// Clock is what a component holds of the loop that owns it: the loop's
+// simulator, called directly. What differs between a simulation and a
+// deployment is who drives the simulator, not the timer semantics. Like
+// everything a loop owns, a Clock is used only from its loop — from an event
+// callback, or by the driver while the loop is not running — so Stop()==true
+// always means the callback never runs.
+type Clock = *Simulator
 
 // ArgTimer is the cancellable handle to one generation of a pooled event
 // record: a value struct, so storing it in a caller's record costs no
@@ -64,7 +46,7 @@ func (h ArgTimer) Stop() bool {
 	return true
 }
 
-// Simulator is a deterministic discrete-event scheduler implementing Clock.
+// Simulator is a deterministic discrete-event scheduler.
 // Events scheduled for the same instant run in scheduling order. It has no
 // lock: a simulator, what is scheduled on it and the driver that runs it are
 // one dispatch context (DESIGN.md, "Dispatch contexts"), and only its own

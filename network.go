@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"selfemerge/internal/adversary"
-	"selfemerge/internal/churn"
 	"selfemerge/internal/cloud"
 	"selfemerge/internal/core"
 	"selfemerge/internal/dht"
@@ -242,8 +241,10 @@ type shard struct {
 	// rng makes the shard's post-boot structural draws (replacement
 	// maliciousness): a stream shared across concurrent loops would make the
 	// marking sequence depend on scheduling.
-	rng   *stats.RNG
-	churn *churn.Process // deaths; nil when churn is disabled
+	rng *stats.RNG
+	// lifetimes draws each node's exponential lifetime (Section II-C); nil
+	// when churn is disabled.
+	lifetimes *stats.RNG
 	// fault judges what this shard's nodes send and schedules their
 	// crash-restart windows; nil unless an active fault profile is configured
 	// (a constructed-but-idle engine would still be consulted per datagram).
@@ -314,12 +315,10 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	n.sender = protocol.NewSender(n.cryptoSrc)
 
 	sims := make([]*sim.Simulator, cfg.Partition)
-	clocks := make([]sim.Clock, cfg.Partition)
 	for i := range sims {
 		sims[i] = sim.NewSimulator()
-		clocks[i] = sims[i]
 	}
-	n.fabric, err = simnet.NewPartition(clocks, simnet.Config{BaseLatency: latency, Seed: cfg.Seed + 1})
+	n.fabric, err = simnet.NewPartition(sims, simnet.Config{BaseLatency: latency, Seed: cfg.Seed + 1})
 	if err != nil {
 		return nil, err
 	}
@@ -346,7 +345,7 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 			faultSeed = stats.Mix64(faultSeed, uint64(i))
 		}
 		if cfg.MeanLifetime > 0 {
-			sh.churn = churn.New(sims[i], churn.Config{MeanLifetime: cfg.MeanLifetime, Seed: churnSeed})
+			sh.lifetimes = stats.NewRNG(churnSeed)
 		}
 		if faultEnabled {
 			sh.fault, err = fault.New(fault.Config{Profile: cfg.Fault, Severity: cfg.FaultSeverity, Seed: faultSeed})
@@ -576,12 +575,12 @@ func (n *Network) spawn(addr transport.Addr, id dht.ID, idx int, malicious bool)
 	if sh.fault != nil {
 		stopCrash = sh.fault.ManageCrashes(sh.sim, addr, n.fabric)
 	}
-	if sh.churn == nil {
+	if sh.lifetimes == nil {
 		return nil
 	}
 	sl := &n.slots[idx]
 	*sl = slot{net: n, sh: sh, idx: idx, stopCrash: stopCrash}
-	sh.churn.ScheduleDeath(slotDies, sl)
+	sh.sim.ScheduleArg(time.Duration(sh.lifetimes.Exp(float64(n.cfg.MeanLifetime))), slotDies, sl)
 	return nil
 }
 

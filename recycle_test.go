@@ -11,18 +11,18 @@ import (
 )
 
 // loopMisses is what one event loop's recycled-record lists have allocated
-// because they were empty: events, lookups, owner walks, owner sends, lookup
-// queries, RPCs and local deliveries. The fabric's delivery records are counted
-// across loops: a cross-shard record leaves one loop's list and returns to
-// another's.
+// because they were empty: events, lookups (owner walks included), owner
+// sends, RPCs (lookup queries included) and local deliveries. The fabric's
+// delivery records are counted across loops: a cross-shard record leaves one
+// loop's list and returns to another's.
 type loopMisses struct {
-	events, lookups, walks, sends, queries, rpcs, locals uint64
+	events, lookups, sends, rpcs, locals uint64
 }
 
 func (n *Network) recordMisses() (loops []loopMisses, deliveries uint64) {
 	for _, sh := range n.shards {
 		m := sh.scratch.Misses()
-		loops = append(loops, loopMisses{sh.sim.EventMisses(), m.Lookups, m.Walks, m.Sends, m.Queries, m.RPCs, m.Locals})
+		loops = append(loops, loopMisses{sh.sim.EventMisses(), m.Lookups, m.Sends, m.RPCs, m.Locals})
 	}
 	return loops, n.fabric.DeliveryMisses()
 }
@@ -53,10 +53,10 @@ func driveMissions(t *testing.T, net *Network, plan core.Plan, missions, round i
 // TestDriveAllocatesNoRecord guards the recycled-record bounds from below:
 // a drive of the benchmark's steady-120, share-120 and lockstep-600 shapes,
 // and of the default 200-node key-share point, takes every event, delivery,
-// lookup, query and RPC record it needs from its loop's lists, which the
-// boot burst filled. So does a later drive for owner walks, owner sends and
-// local deliveries too, once a drive at twice the mission rate has warmed
-// their lists (boot walks to no owner, and so sends and delivers nothing).
+// lookup (owner walks included) and RPC record it needs from its loop's
+// lists, which the boot burst filled. So does a later drive for owner sends
+// and local deliveries too, once a drive at twice the mission rate has warmed
+// their lists (boot sends to no owner and delivers nothing).
 // A bound set under what a drive takes from a list at once makes that list
 // allocate here. The byte-buffer list is not checked: it holds the custody
 // clones of the missions in flight for as long as they fly, so what it needs
@@ -91,7 +91,7 @@ func TestDriveAllocatesNoRecord(t *testing.T) {
 				after, deliveries := net.recordMisses()
 				for i := range after {
 					if !warm {
-						after[i].walks, after[i].sends, after[i].locals = before[i].walks, before[i].sends, before[i].locals
+						after[i].sends, after[i].locals = before[i].sends, before[i].locals
 					}
 					if after[i] != before[i] {
 						t.Errorf("loop %d allocated records in the %s drive: misses %+v before it, %+v after", i, drive, before[i], after[i])
